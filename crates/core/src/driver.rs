@@ -17,12 +17,13 @@
 //! into the same `hybrid_run` engine for multi-rank modes.
 
 use crate::loadbalance::{BalanceMethod, LoadBalance, MapOwner};
-use dpgen_mpisim::{CommConfig, CommStats, CommWorld, Wire};
+use crate::plan::{effective_lb, resolved_schedule, ExecOpts, PlanMemo};
+use crate::run::RunOutput;
+use dpgen_mpisim::{CommStats, CommWorld, Wire};
 use dpgen_runtime::{
-    run_node_batched_recover, run_node_recover, run_node_reduce, run_node_reduce_batched,
-    CheckpointData, CheckpointSink, EventKind, NodeConfig, NodeRecovery, NodeResult, Probe,
-    RankTrace, Reduction, ResumeState, RunError, RunKernel, RunStats, Schedule, TileOwner,
-    TilePriority, Timeline, TraceConfig, Tracer, Value,
+    run_node, CheckpointData, CheckpointSink, EventKind, MetricsRegistry, NodeConfig, NodeJob,
+    NodeRecovery, NodeResult, RankTrace, Reduction, ResumeState, RunError, RunKernel, RunStats,
+    TileOwner, TilePriority, Timeline, Tracer, Value,
 };
 use dpgen_tiling::{Coord, Tiling};
 use std::collections::HashSet;
@@ -30,48 +31,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of a hybrid run.
-#[derive(Debug, Clone)]
-pub struct HybridConfig {
-    /// Number of simulated nodes (MPI ranks).
-    pub ranks: usize,
-    /// Worker threads per rank (OpenMP threads per node).
-    pub threads_per_rank: usize,
-    /// Tile priority; `None` uses the paper's default (Figure 5):
-    /// column-major with the load-balancing dimensions first.
-    pub priority: Option<TilePriority>,
-    /// Resolved tile scheduling mode, applied per rank over its owned
-    /// tiles (the `Static` uniform-slab fallback happens upstream in
-    /// `RunBuilder::schedule`).
-    pub schedule: Schedule,
-    /// Send/receive buffer counts (Section VI-C tunables), reliability
-    /// protocol knobs, and the optional fault-injection plan.
-    pub comm: CommConfig,
-    /// Partitioning method.
-    pub balance: BalanceMethod,
-    /// Per-rank stall watchdog window; `None` disables the watchdog.
-    pub stall_timeout: Option<Duration>,
-    /// Event tracing: level and per-worker ring capacity. At
-    /// `TraceLevel::Spans` and above, [`HybridResult::timeline`] carries
-    /// the merged per-rank timeline.
-    pub trace: TraceConfig,
-    /// Elastic rank recovery: `Some` turns on heartbeat death detection,
-    /// per-rank incremental slab checkpoints, and mid-run migration of a
-    /// dead rank's slab to the lowest-loaded survivor (DESIGN.md §12).
-    /// `None` (the default) runs the classic fail-the-world path.
-    pub recovery: Option<RecoveryConfig>,
-    /// External job-scoped cancellation flag, checked between epochs and
-    /// polled by every rank's workers (read-only to the engine — distinct
-    /// from the per-epoch world failure flag, which recovery resets). The
-    /// run surfaces as [`RunError::Cancelled`] once raised.
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Precomputed load balance for exactly (`ranks`, `balance`): a cached
-    /// `Plan` artifact injected on re-execution so the Ehrhart-driven
-    /// partitioning is not re-derived per job. `None` computes it fresh.
-    pub prebalance: Option<Arc<LoadBalance>>,
-}
-
-/// Tunables of elastic rank recovery (see [`HybridConfig::recovery`]).
+/// Tunables of elastic rank recovery (see [`ExecOpts::recovery`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryConfig {
     /// How often idle links emit heartbeat frames (injected into
@@ -120,102 +80,41 @@ pub struct RecoveryStats {
     pub epochs: usize,
 }
 
-impl HybridConfig {
-    /// A sensible default: slab balancing over the given dimensions.
-    pub fn new(ranks: usize, threads_per_rank: usize, lb_dims: Vec<usize>) -> HybridConfig {
-        HybridConfig {
-            ranks,
-            threads_per_rank,
-            priority: None,
-            schedule: Schedule::Dynamic,
-            comm: CommConfig::default(),
-            balance: BalanceMethod::Slabs { lb_dims },
-            stall_timeout: Some(dpgen_runtime::DEFAULT_STALL_TIMEOUT),
-            trace: TraceConfig::default(),
-            recovery: None,
-            cancel: None,
-            prebalance: None,
-        }
-    }
-}
-
-/// The merged outcome of a hybrid run.
-#[derive(Debug)]
-pub struct HybridResult<T> {
-    /// Probe values merged across ranks (a probe is `None` only if outside
-    /// the iteration space).
-    pub probes: Vec<Option<T>>,
-    /// The merged whole-space reduction, when one was supplied to
-    /// [`run_hybrid_reduce`].
-    pub reduction: Option<T>,
-    /// Per-rank node results.
-    pub per_rank: Vec<NodeResult<T>>,
-    /// Per-rank communication statistics.
-    pub comm_stats: Vec<Arc<CommStats>>,
-    /// The load balance that was used.
-    pub balance: LoadBalance,
-    /// Wall time of the whole hybrid run (including load balancing).
-    pub total_time: Duration,
-    /// Time spent in the load balancer.
-    pub balance_time: Duration,
-    /// The merged event timeline; `Some` when tracing ran at
-    /// `TraceLevel::Spans` or above.
-    pub timeline: Option<Timeline>,
-    /// What the recovery coordinator did (zeros when recovery is off or
-    /// the run was undisturbed).
-    pub recovery: RecoveryStats,
-}
-
-impl<T> HybridResult<T> {
-    /// Aggregate cells computed across ranks.
-    pub fn cells_computed(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.stats.cells_computed).sum()
-    }
-
-    /// Aggregate remote edges sent.
-    pub fn edges_remote(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.stats.edges_remote).sum()
-    }
-
-    /// Aggregate bytes sent over the simulated interconnect.
-    pub fn bytes_sent(&self) -> u64 {
-        self.comm_stats.iter().map(|s| s.bytes_sent()).sum()
-    }
-
-    /// Aggregate retransmitted frames (nonzero only under injected faults).
-    pub fn retransmits(&self) -> u64 {
-        self.comm_stats.iter().map(|s| s.retransmits()).sum()
-    }
-}
-
 /// The hybrid engine: any rank's failure cancels the others, and the most
 /// diagnostic error across ranks is returned. Reached through
-/// [`crate::RunBuilder`].
+/// [`crate::RunBuilder`] and [`crate::Plan::execute`] at `ranks(n > 1)`.
 pub(crate) fn hybrid_run<T, RK>(
     tiling: &Tiling,
     params: &[i64],
+    lb_dims: &[usize],
+    memo: &PlanMemo,
+    opts: &ExecOpts,
     kernel: &RK,
-    probe: &Probe,
-    config: &HybridConfig,
     reduce: Option<&Reduction<T>>,
-    batched: bool,
-) -> Result<HybridResult<T>, RunError>
+) -> Result<RunOutput<T>, RunError>
 where
     T: Value + Wire,
     RK: RunKernel<T>,
 {
+    let probe = &opts.probe;
+    let method = opts.balance.clone().unwrap_or(BalanceMethod::Slabs {
+        lb_dims: effective_lb(lb_dims),
+    });
+    // Applied per rank over its owned tiles.
+    let schedule = resolved_schedule(tiling, params, lb_dims, memo, opts.schedule);
+    let prebalance = memo.balance(tiling, params, opts.ranks, &method);
     let t_start = Instant::now();
     // A compiled plan re-executing injects its memoized balance; one-shot
     // runs derive it here and pay the Ehrhart interpolation per run.
-    let balance = match &config.prebalance {
-        Some(b) => (**b).clone(),
-        None => LoadBalance::compute(tiling, params, config.ranks, &config.balance),
+    let balance = match prebalance {
+        Some(b) => (*b).clone(),
+        None => LoadBalance::compute(tiling, params, opts.ranks, &method),
     };
     let balance_time = t_start.elapsed();
     let base_owner = balance.clone().into_owner();
 
-    let priority = config.priority.clone().unwrap_or_else(|| {
-        let lb_dims = match &config.balance {
+    let priority = opts.priority.clone().unwrap_or_else(|| {
+        let lb_dims = match &method {
             BalanceMethod::Slabs { lb_dims } => lb_dims.clone(),
             BalanceMethod::Hyperplane => Vec::new(),
         };
@@ -226,49 +125,45 @@ where
     // global clock and the merged timeline lines up across ranks (and,
     // under recovery, across execution epochs).
     let epoch = Instant::now();
-    let tracers: Vec<Option<Arc<Tracer>>> = (0..config.ranks)
-        .map(|rank| Tracer::create(rank, config.threads_per_rank, config.trace, epoch))
+    let tracers: Vec<Option<Arc<Tracer>>> = (0..opts.ranks)
+        .map(|rank| Tracer::create(rank, opts.threads, opts.trace, epoch))
         .collect();
 
     // Recovery wiring: heartbeats ride the comm links so survivors detect
     // a dead peer in bounded time, and each rank streams its completed
     // tiles into an incremental slab checkpoint.
-    let mut comm_config = config.comm;
-    if let Some(rc) = &config.recovery {
+    let mut comm_config = opts.comm;
+    if let Some(rc) = &opts.recovery {
         comm_config.reliability.heartbeat_interval = Some(rc.heartbeat_interval);
         comm_config.reliability.death_timeout = rc.death_timeout;
     }
-    let recovery_on = config.recovery.is_some();
-    let max_recoveries = config
-        .recovery
-        .as_ref()
-        .map(|rc| rc.max_recoveries)
-        .unwrap_or(0);
+    let recovery_on = opts.recovery.is_some();
+    let max_recoveries = opts.recovery.map_or(0, |rc| rc.max_recoveries);
     let combine = reduce.map(|r| r.combine_fn());
     let mut sinks: Vec<Arc<CheckpointSink<T>>> = if recovery_on {
-        (0..config.ranks)
+        (0..opts.ranks)
             .map(|_| Arc::new(CheckpointSink::new(combine.clone())))
             .collect()
     } else {
         Vec::new()
     };
-    let mut resume: Vec<Option<ResumeState<T>>> = (0..config.ranks).map(|_| None).collect();
+    let mut resume: Vec<Option<ResumeState<T>>> = (0..opts.ranks).map(|_| None).collect();
     // `map[orig]` = the rank currently executing the slab the balancer
     // assigned to `orig`; identity until a rank dies.
-    let mut map: Vec<usize> = (0..config.ranks).collect();
+    let mut map: Vec<usize> = (0..opts.ranks).collect();
     let mut retired: Vec<usize> = Vec::new();
     let mut rec_stats = RecoveryStats::default();
 
     let (per_rank, comm_stats) = loop {
         // A job cancelled between epochs never starts the next one; a job
         // cancelled mid-epoch is caught by the per-rank worker polls below.
-        if let Some(c) = &config.cancel {
+        if let Some(c) = &opts.cancel {
             if c.load(std::sync::atomic::Ordering::Acquire) {
                 return Err(RunError::Cancelled { rank: 0 });
             }
         }
         rec_stats.epochs += 1;
-        let mut world = CommWorld::create_elastic::<T>(config.ranks, comm_config, &retired);
+        let mut world = CommWorld::create_elastic::<T>(opts.ranks, comm_config, &retired);
         for (comm, tracer) in world.iter_mut().zip(&tracers) {
             if let Some(t) = tracer {
                 comm.attach_tracer(t.clone());
@@ -285,7 +180,7 @@ where
         };
 
         let mut per_rank: Vec<Option<Result<NodeResult<T>, RunError>>> =
-            (0..config.ranks).map(|_| None).collect();
+            (0..opts.ranks).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for comm in &world {
@@ -305,62 +200,30 @@ where
                     rank,
                     scope.spawn(move || {
                         let node_config = NodeConfig {
-                            threads: config.threads_per_rank,
+                            threads: opts.threads,
                             priority,
-                            schedule: config.schedule,
+                            schedule,
                             rank,
-                            stall_timeout: config.stall_timeout,
+                            stall_timeout: opts.stall_timeout,
                             cancel: Some(cancel),
-                            job_cancel: config.cancel.clone(),
+                            job_cancel: opts.cancel.clone(),
                             static_plan: None,
                             recycler: None,
                             tracer,
-                            batched: false,
                         };
-                        match (batched, recovery) {
-                            (true, Some(rec)) => run_node_batched_recover(
+                        run_node(
+                            &NodeJob {
                                 tiling,
                                 params,
-                                kernel,
                                 owner,
-                                comm,
+                                transport: comm,
                                 probe,
-                                &node_config,
+                                config: &node_config,
                                 reduce,
-                                &rec,
-                            ),
-                            (false, Some(rec)) => run_node_recover(
-                                tiling,
-                                params,
-                                kernel,
-                                owner,
-                                comm,
-                                probe,
-                                &node_config,
-                                reduce,
-                                &rec,
-                            ),
-                            (true, None) => run_node_reduce_batched(
-                                tiling,
-                                params,
-                                kernel,
-                                owner,
-                                comm,
-                                probe,
-                                &node_config,
-                                reduce,
-                            ),
-                            (false, None) => run_node_reduce(
-                                tiling,
-                                params,
-                                kernel,
-                                owner,
-                                comm,
-                                probe,
-                                &node_config,
-                                reduce,
-                            ),
-                        }
+                                recovery: recovery.as_ref(),
+                            },
+                            kernel,
+                        )
                     }),
                 ));
             }
@@ -468,15 +331,38 @@ where
         rec_stats.tiles_resumed = per_rank.iter().map(|r| r.stats.tiles_resumed).sum();
     }
 
-    Ok(HybridResult {
+    let mut metrics = MetricsRegistry::new();
+    for (rank, r) in per_rank.iter().enumerate() {
+        metrics.record_run_stats(&format!("rank{rank}."), &r.stats);
+    }
+    for (rank, s) in comm_stats.iter().enumerate() {
+        s.register_metrics(&mut metrics, &format!("rank{rank}.comm."));
+    }
+    if let Some(tl) = &timeline {
+        tl.register_metrics(&mut metrics);
+    }
+    if recovery_on {
+        metrics.add_counter("recovery.ranks_lost", rec_stats.ranks_lost as u64);
+        metrics.add_counter("recovery.slabs_migrated", rec_stats.slabs_migrated as u64);
+        metrics.add_counter("recovery.checkpoint_bytes", rec_stats.checkpoint_bytes);
+        metrics.add_counter("recovery.tiles_resumed", rec_stats.tiles_resumed);
+        metrics.add_counter("recovery.epochs", rec_stats.epochs as u64);
+        metrics.set_gauge(
+            "recovery.latency_ms",
+            rec_stats.recovery_latency.as_secs_f64() * 1e3,
+        );
+    }
+    Ok(RunOutput {
         probes,
         reduction: reduce.map(|r| r.finish()),
         per_rank,
         comm_stats,
-        balance,
+        balance: Some(balance),
+        reference: None,
+        timeline,
+        metrics,
         total_time: t_start.elapsed(),
         balance_time,
-        timeline,
         recovery: rec_stats,
     })
 }
@@ -585,8 +471,9 @@ fn recover<T: Value>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpgen_mpisim::CommConfig;
     use dpgen_polyhedra::{ConstraintSystem, Space};
-    use dpgen_runtime::PerCell;
+    use dpgen_runtime::{Kernel, PerCell, Probe};
     use dpgen_tiling::tiling::CellRef;
     use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
 
@@ -627,6 +514,27 @@ mod tests {
         r.get(&[0, 0]).unwrap()
     }
 
+    /// One-shot hybrid run of a per-cell kernel, straight into the engine.
+    fn run<K: Kernel<f64>>(
+        tiling: &Tiling,
+        n: i64,
+        lb_dims: &[usize],
+        opts: &ExecOpts,
+        kernel: &K,
+        reduce: Option<&Reduction<f64>>,
+    ) -> Result<RunOutput<f64>, RunError> {
+        let memo = PlanMemo::ephemeral();
+        hybrid_run(tiling, &[n], lb_dims, &memo, opts, &PerCell(kernel), reduce)
+    }
+
+    /// `ranks` x `threads`, probing the origin.
+    fn opts(ranks: usize, threads: usize) -> ExecOpts {
+        ExecOpts::new()
+            .ranks(ranks)
+            .threads(threads)
+            .probe(Probe::at(&[0, 0]))
+    }
+
     #[test]
     fn hybrid_matches_reference_across_rank_counts() {
         let n = 25i64;
@@ -634,17 +542,8 @@ mod tests {
         let tiling = triangle(3);
         for ranks in [1usize, 2, 4] {
             for threads in [1usize, 2] {
-                let config = HybridConfig::new(ranks, threads, vec![0]);
-                let res = hybrid_run::<f64, _>(
-                    &tiling,
-                    &[n],
-                    &PerCell(&path_kernel),
-                    &Probe::at(&[0, 0]),
-                    &config,
-                    None,
-                    false,
-                )
-                .unwrap();
+                let config = opts(ranks, threads);
+                let res = run(&tiling, n, &[0], &config, &path_kernel, None).unwrap();
                 assert_eq!(res.probes[0], Some(want), "ranks={ranks} threads={threads}");
                 assert_eq!(res.cells_computed(), ((n + 1) * (n + 2) / 2) as u64);
                 if ranks > 1 {
@@ -662,22 +561,8 @@ mod tests {
         let n = 20i64;
         let want = expected(n);
         let tiling = triangle(2);
-        let config = HybridConfig {
-            ranks: 3,
-            threads_per_rank: 2,
-            balance: BalanceMethod::Hyperplane,
-            ..HybridConfig::new(3, 2, vec![0])
-        };
-        let res = hybrid_run::<f64, _>(
-            &tiling,
-            &[n],
-            &PerCell(&path_kernel),
-            &Probe::at(&[0, 0]),
-            &config,
-            None,
-            false,
-        )
-        .unwrap();
+        let config = opts(3, 2).balance(BalanceMethod::Hyperplane);
+        let res = run(&tiling, n, &[0], &config, &path_kernel, None).unwrap();
         assert_eq!(res.probes[0], Some(want));
     }
 
@@ -686,24 +571,12 @@ mod tests {
         let n = 18i64;
         let want = expected(n);
         let tiling = triangle(2);
-        let config = HybridConfig {
-            comm: CommConfig {
-                send_buffers: 1,
-                recv_buffers: 1,
-                ..CommConfig::default()
-            },
-            ..HybridConfig::new(4, 1, vec![0, 1])
-        };
-        let res = hybrid_run::<f64, _>(
-            &tiling,
-            &[n],
-            &PerCell(&path_kernel),
-            &Probe::at(&[0, 0]),
-            &config,
-            None,
-            false,
-        )
-        .unwrap();
+        let config = opts(4, 1).comm(CommConfig {
+            send_buffers: 1,
+            recv_buffers: 1,
+            ..CommConfig::default()
+        });
+        let res = run(&tiling, n, &[0, 1], &config, &path_kernel, None).unwrap();
         assert_eq!(res.probes[0], Some(want));
     }
 
@@ -711,18 +584,9 @@ mod tests {
     fn multiple_probes_merge_across_ranks() {
         let n = 15i64;
         let tiling = triangle(2);
-        let config = HybridConfig::new(3, 1, vec![0]);
+        let config = opts(3, 1);
         let probe = Probe::many(&[&[0, 0], &[n, 0], &[0, n], &[7, 7]]);
-        let res = hybrid_run::<f64, _>(
-            &tiling,
-            &[n],
-            &PerCell(&path_kernel),
-            &probe,
-            &config,
-            None,
-            false,
-        )
-        .unwrap();
+        let res = run(&tiling, n, &[0], &config.probe(probe), &path_kernel, None).unwrap();
         assert!(res.probes[0].is_some());
         assert!(res.probes[1].is_some());
         assert!(res.probes[2].is_some());
@@ -744,20 +608,11 @@ mod tests {
         let want = expected(n);
         let tiling = triangle(3);
         for ranks in [2usize, 4] {
-            let mut config = HybridConfig::new(ranks, 2, vec![0]);
+            let mut config = opts(ranks, 2);
             config.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(3)));
             config.recovery = Some(recovery_config());
             let r = Reduction::new(0.0f64, |a, b| a + b);
-            let res = hybrid_run::<f64, _>(
-                &tiling,
-                &[n],
-                &PerCell(&path_kernel),
-                &Probe::at(&[0, 0]),
-                &config,
-                Some(&r),
-                false,
-            )
-            .unwrap();
+            let res = run(&tiling, n, &[0], &config, &path_kernel, Some(&r)).unwrap();
             assert_eq!(res.probes[0], Some(want), "ranks={ranks}");
             assert_eq!(res.recovery.ranks_lost, 1);
             assert_eq!(res.recovery.slabs_migrated, 1);
@@ -784,18 +639,9 @@ mod tests {
         let n = 20i64;
         let want = expected(n);
         let tiling = triangle(3);
-        let mut config = HybridConfig::new(3, 2, vec![0]);
+        let mut config = opts(3, 2);
         config.recovery = Some(recovery_config());
-        let res = hybrid_run::<f64, _>(
-            &tiling,
-            &[n],
-            &PerCell(&path_kernel),
-            &Probe::at(&[0, 0]),
-            &config,
-            None,
-            false,
-        )
-        .unwrap();
+        let res = run(&tiling, n, &[0], &config, &path_kernel, None).unwrap();
         assert_eq!(res.probes[0], Some(want));
         assert_eq!(res.recovery.ranks_lost, 0);
         assert_eq!(res.recovery.slabs_migrated, 0);
@@ -807,7 +653,7 @@ mod tests {
     fn kill_without_recovery_surfaces_the_death() {
         use dpgen_mpisim::{FaultPlan, KillTrigger, ReliabilityConfig};
         let tiling = triangle(3);
-        let mut config = HybridConfig::new(2, 1, vec![0]);
+        let mut config = opts(2, 1);
         config.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(2)));
         // Heartbeats on, recovery coordinator off: survivors report the
         // typed death instead of recovering from it.
@@ -817,16 +663,7 @@ mod tests {
             ..ReliabilityConfig::default()
         };
         config.stall_timeout = Some(Duration::from_secs(20));
-        let err = hybrid_run::<f64, _>(
-            &tiling,
-            &[25],
-            &PerCell(&path_kernel),
-            &Probe::default(),
-            &config,
-            None,
-            false,
-        )
-        .unwrap_err();
+        let err = run(&tiling, 25, &[0], &config, &path_kernel, None).unwrap_err();
         assert!(
             matches!(err, RunError::PeerDead { rank: 0, .. }),
             "expected PeerDead for rank 0, got: {err}"
@@ -842,18 +679,9 @@ mod tests {
             }
             path_kernel(cell, values);
         };
-        let mut config = HybridConfig::new(2, 1, vec![0]);
+        let mut config = opts(2, 1);
         config.stall_timeout = Some(Duration::from_secs(10));
-        let err = hybrid_run::<f64, _>(
-            &tiling,
-            &[12],
-            &PerCell(&bomb),
-            &Probe::default(),
-            &config,
-            None,
-            false,
-        )
-        .unwrap_err();
+        let err = run(&tiling, 12, &[0], &config, &bomb, None).unwrap_err();
         assert!(
             matches!(err, RunError::KernelPanic { .. }),
             "cancellation must not mask the root cause: {err}"

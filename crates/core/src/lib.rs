@@ -37,7 +37,7 @@ pub mod spec;
 pub mod specgen;
 pub mod traceback;
 
-pub use driver::{HybridConfig, HybridResult, RecoveryConfig, RecoveryStats};
+pub use driver::{RecoveryConfig, RecoveryStats};
 pub use loadbalance::{BalanceMethod, LoadBalance, MapOwner};
 pub use plan::{spec_hash, ExecOpts, Plan};
 pub use program::{Program, ProgramError};

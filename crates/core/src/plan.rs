@@ -39,7 +39,7 @@
 //! balancing and static-plan construction are timed), while a compiled
 //! `Plan` reuses every derivation across executions.
 
-use crate::driver::{hybrid_run, HybridConfig, RecoveryConfig, RecoveryStats};
+use crate::driver::{hybrid_run, RecoveryConfig, RecoveryStats};
 use crate::loadbalance::{slabs_uniform, BalanceMethod, LoadBalance};
 use crate::program::{Program, ProgramError};
 use crate::run::RunOutput;
@@ -47,10 +47,9 @@ use crate::spec::ProblemSpec;
 use dpgen_mpisim::{CommConfig, ReliabilityConfig, Wire};
 use dpgen_polyhedra::probe_box;
 use dpgen_runtime::{
-    run_grouped, run_node_reduce, run_node_reduce_batched, run_reference, BufferRecycler,
-    CompileFault, CompileStage, Kernel, MetricsRegistry, NodeConfig, NullTransport, PerCell, Probe,
-    Reduction, RunError, RunKernel, Schedule, SingleOwner, StaticPlan, TilePriority, Timeline,
-    TraceConfig, TraceLevel, Tracer, Value,
+    run_node, run_reference, BufferRecycler, CompileFault, CompileStage, Kernel, MetricsRegistry,
+    NodeConfig, NodeJob, NullTransport, PerCell, Probe, Reduction, RunError, RunKernel, Schedule,
+    SingleOwner, StaticPlan, TilePriority, Timeline, TraceConfig, TraceLevel, Tracer, Value,
 };
 use dpgen_tiling::{Coord, TileShape, Tiling};
 use parking_lot::Mutex;
@@ -63,51 +62,70 @@ use std::time::{Duration, Instant};
 enum Mode {
     Serial,
     Shared,
-    Grouped,
     Hybrid,
 }
 
-/// Per-execution options for [`Plan::execute`]: everything a
-/// [`crate::RunBuilder`] configures *except* the problem itself. Owned and
-/// cheaply cloneable, so a resident engine can stamp one template per job.
+/// Per-execution options for [`Plan::execute`] and [`crate::RunBuilder`]:
+/// everything about a run *except* the problem itself. Owned and cheaply
+/// cloneable, so a resident engine can stamp one template per job. Every
+/// knob lives here once; the builder's setters forward to these.
 ///
-/// Mode selection follows the builder: [`serial`](ExecOpts::serial) forces
-/// the untiled reference executor, `ranks(r)` with `r > 1` the hybrid
-/// driver, `groups(g)` the group-local scheduler, and the default is the
-/// single-node sharded runtime.
+/// Mode selection: [`serial`](ExecOpts::serial) forces the untiled
+/// reference executor, `ranks(r)` with `r > 1` the hybrid driver, and the
+/// default is the single-node sharded runtime.
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
-    /// Worker threads per rank. Default 1.
+    /// Worker threads per rank (the OpenMP thread count). Default 1.
     pub threads: usize,
     /// Simulated nodes (MPI ranks); more than one selects the hybrid
     /// driver. Default 1.
     pub ranks: usize,
-    /// Split the node's workers over scheduler groups (single-rank only).
-    pub groups: Option<usize>,
-    /// Run the serial untiled reference executor.
+    /// Run the serial untiled reference executor (dense memory; validation
+    /// and baselines). The dense result lands in
+    /// [`RunOutput::reference`]. Threads, priority, schedule, tracing, the
+    /// watchdog and the cancel flag do not apply to it; combining it with
+    /// `ranks(n > 1)` is rejected.
     pub serial: bool,
     /// Global coordinates whose final values to capture.
     pub probe: Probe,
-    /// Ready-queue ordering; `None` means the paper's Figure 5 default.
+    /// Ready-queue ordering; `None` means the paper's Figure 5 default
+    /// (column-major with the load-balancing dimensions first).
     pub priority: Option<TilePriority>,
-    /// Requested tile scheduling mode; `Static` still honours the
-    /// uniform-slab fallback at execution time.
+    /// Requested tile scheduling mode (default [`Schedule::Dynamic`], the
+    /// work-stealing heaps). [`Schedule::Static`] pins every owned tile to
+    /// a precomputed per-worker wavefront sequence *when the Ehrhart load
+    /// model reports uniform slabs* along the first load-balancing
+    /// dimension; irregular polytopes silently fall back to `Dynamic` (the
+    /// resolved mode is reported in `RunStats::schedule` and the
+    /// `schedule_mode` metric). [`Schedule::Mixed`] always applies:
+    /// interior tiles run statically, boundary tiles through the dynamic
+    /// queue.
     pub schedule: Schedule,
-    /// Communication configuration for hybrid runs.
+    /// Communication configuration (buffer counts, reliability, fault
+    /// plan) for hybrid runs.
     pub comm: CommConfig,
     /// Partitioning method for hybrid runs; `None` means slabs over the
-    /// plan's load-balancing dimensions.
+    /// load-balancing dimensions.
     pub balance: Option<BalanceMethod>,
     /// Stall watchdog window; `None` disables the watchdog.
     pub stall_timeout: Option<Duration>,
-    /// Event-tracing configuration.
+    /// Event tracing: level and per-worker ring capacity
+    /// ([`TraceLevel::Off`] by default). At [`TraceLevel::Spans`] and
+    /// above, [`RunOutput::timeline`] carries the merged per-worker
+    /// timeline.
     pub trace: TraceConfig,
-    /// Elastic rank recovery for hybrid runs.
+    /// Elastic rank recovery for hybrid runs: `Some` turns on heartbeat
+    /// death detection, per-rank incremental slab checkpoints, and mid-run
+    /// migration of a dead rank's slab to the lowest-loaded survivor
+    /// (DESIGN.md §12); the coordinator's actions land in
+    /// [`RunOutput::recovery`]. `None` (the default) runs the classic
+    /// fail-the-world path. Ignored by single-rank modes.
     pub recovery: Option<RecoveryConfig>,
     /// Job-scoped cancellation flag: raise it from any thread to abort the
     /// run mid-flight with [`RunError::Cancelled`]. The runtime only reads
-    /// it, so one flag can be shared with a supervisor. `None` (default)
-    /// makes the run non-cancellable.
+    /// it (it is distinct from the per-epoch world failure flag, which
+    /// recovery resets), so one flag can be shared with a supervisor.
+    /// `None` (default) makes the run non-cancellable.
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -124,7 +142,6 @@ impl ExecOpts {
         ExecOpts {
             threads: 1,
             ranks: 1,
-            groups: None,
             serial: false,
             probe: Probe::default(),
             priority: None,
@@ -138,55 +155,49 @@ impl ExecOpts {
         }
     }
 
-    /// Worker threads per rank.
+    /// Sets [`ExecOpts::threads`] (at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Simulated ranks; more than one selects the hybrid driver.
+    /// Sets [`ExecOpts::ranks`] (at least 1).
     pub fn ranks(mut self, ranks: usize) -> Self {
         self.ranks = ranks.max(1);
         self
     }
 
-    /// Scheduler groups (the Section VII-C extension; single-rank only).
-    pub fn groups(mut self, groups: usize) -> Self {
-        self.groups = Some(groups.max(1));
-        self
-    }
-
-    /// Use the serial untiled reference executor.
+    /// Sets [`ExecOpts::serial`].
     pub fn serial(mut self) -> Self {
         self.serial = true;
         self
     }
 
-    /// Coordinates whose final values to capture.
+    /// Sets [`ExecOpts::probe`].
     pub fn probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
         self
     }
 
-    /// Ready-queue ordering override.
+    /// Sets [`ExecOpts::priority`].
     pub fn priority(mut self, priority: TilePriority) -> Self {
         self.priority = Some(priority);
         self
     }
 
-    /// Requested tile scheduling mode.
+    /// Sets [`ExecOpts::schedule`].
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
         self
     }
 
-    /// Hybrid partitioning method.
+    /// Sets [`ExecOpts::balance`].
     pub fn balance(mut self, balance: BalanceMethod) -> Self {
         self.balance = Some(balance);
         self
     }
 
-    /// Full hybrid communication configuration.
+    /// Sets [`ExecOpts::comm`].
     pub fn comm(mut self, comm: CommConfig) -> Self {
         self.comm = comm;
         self
@@ -198,47 +209,43 @@ impl ExecOpts {
         self
     }
 
-    /// Stall watchdog window; `None` disables the watchdog.
+    /// Sets [`ExecOpts::stall_timeout`].
     pub fn stall_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.stall_timeout = timeout;
         self
     }
 
-    /// Event-tracing level.
+    /// Just the tracing level of [`ExecOpts::trace`].
     pub fn trace(mut self, level: TraceLevel) -> Self {
         self.trace.level = level;
         self
     }
 
-    /// Elastic rank recovery for hybrid runs.
+    /// Sets [`ExecOpts::recovery`].
     pub fn recovery(mut self, recovery: RecoveryConfig) -> Self {
         self.recovery = Some(recovery);
         self
     }
 
-    /// Attach a job-scoped cancellation flag.
+    /// Sets [`ExecOpts::cancel`].
     pub fn cancel(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel = Some(flag);
         self
     }
 
-    fn mode(&self) -> Mode {
-        if self.serial {
-            assert!(
-                self.ranks == 1 && self.groups.is_none(),
-                "serial() excludes ranks()/groups()"
-            );
-            Mode::Serial
-        } else if self.ranks > 1 {
-            assert!(
-                self.groups.is_none(),
-                "groups() is single-rank; it excludes ranks(n > 1)"
-            );
-            Mode::Hybrid
-        } else if self.groups.is_some() {
-            Mode::Grouped
-        } else {
-            Mode::Shared
+    /// The executor these options select, or a typed options fault for a
+    /// contradictory combination — options arrive from callers (a serve
+    /// job's `ExecOpts`), so a conflict must not panic a resident worker.
+    fn mode(&self) -> Result<Mode, RunError> {
+        match (self.serial, self.ranks > 1) {
+            (true, true) => Err(CompileFault::new(
+                CompileStage::Options,
+                format!("serial() excludes ranks({})", self.ranks),
+            )
+            .into()),
+            (true, false) => Ok(Mode::Serial),
+            (false, true) => Ok(Mode::Hybrid),
+            (false, false) => Ok(Mode::Shared),
         }
     }
 }
@@ -347,7 +354,7 @@ impl PlanMemo {
 
     /// Memoized hybrid load balance; `None` on ephemeral memos (the
     /// driver then computes and times it in-run, exactly as before).
-    fn balance(
+    pub(crate) fn balance(
         &self,
         tiling: &Tiling,
         params: &[i64],
@@ -554,13 +561,15 @@ impl Plan {
 
     /// Execute the plan with a per-cell kernel. Reentrant: any number of
     /// threads may execute one plan concurrently, each with its own
-    /// options.
+    /// options. The kernel is lifted with [`PerCell`], so even a
+    /// [`RunKernel`] passed here runs cell by cell and `runs_batched`
+    /// stays 0.
     pub fn execute<T, K>(&self, kernel: &K, opts: &ExecOpts) -> Result<RunOutput<T>, RunError>
     where
         T: Value + Wire,
         K: Kernel<T>,
     {
-        self.execute_parts(&PerCell(kernel), opts, None, false)
+        self.execute_batched(&PerCell(kernel), opts)
     }
 
     /// Execute with a [`RunKernel`]: interior runs are handed whole to
@@ -574,7 +583,7 @@ impl Plan {
         T: Value + Wire,
         RK: RunKernel<T>,
     {
-        self.execute_parts(kernel, opts, None, true)
+        self.execute_parts(kernel, opts, None)
     }
 
     /// Execute with a whole-space reduction; the merged value lands in
@@ -589,7 +598,7 @@ impl Plan {
         T: Value + Wire,
         K: Kernel<T>,
     {
-        self.execute_parts(&PerCell(kernel), opts, Some(reduce), false)
+        self.execute_parts(&PerCell(kernel), opts, Some(reduce))
     }
 
     fn execute_parts<T, RK>(
@@ -597,7 +606,6 @@ impl Plan {
         kernel: &RK,
         opts: &ExecOpts,
         reduce: Option<&Reduction<T>>,
-        batched: bool,
     ) -> Result<RunOutput<T>, RunError>
     where
         T: Value + Wire,
@@ -611,12 +619,11 @@ impl Plan {
             opts,
             kernel,
             reduce,
-            batched,
         )
     }
 }
 
-fn effective_lb(lb_dims: &[usize]) -> Vec<usize> {
+pub(crate) fn effective_lb(lb_dims: &[usize]) -> Vec<usize> {
     if lb_dims.is_empty() {
         vec![0]
     } else {
@@ -628,7 +635,7 @@ fn effective_lb(lb_dims: &[usize]) -> Vec<usize> {
 /// only survives when the load model reports equal work in every slab
 /// along the first load-balancing dimension. `Mixed` needs no guarantee
 /// and `Dynamic` is always itself.
-fn resolved_schedule(
+pub(crate) fn resolved_schedule(
     tiling: &Tiling,
     params: &[i64],
     lb_dims: &[usize],
@@ -648,17 +655,10 @@ fn resolved_schedule(
     }
 }
 
-fn resolved_priority(tiling: &Tiling, lb_dims: &[usize], opts: &ExecOpts) -> TilePriority {
-    opts.priority
-        .clone()
-        .unwrap_or_else(|| TilePriority::paper_default(tiling.dims(), lb_dims))
-}
-
 /// The one execution engine behind both [`Plan::execute`] and
-/// [`crate::RunBuilder::run`]: mode dispatch over the serial, shared,
-/// grouped and hybrid executors, threading the memo's artifacts into the
-/// runtime when the memo is resident.
-#[allow(clippy::too_many_arguments)]
+/// [`crate::RunBuilder::run`]: mode dispatch over the serial, shared and
+/// hybrid executors, threading the memo's artifacts into the runtime when
+/// the memo is resident.
 pub(crate) fn execute_parts<T, RK>(
     tiling: &Tiling,
     params: &[i64],
@@ -667,22 +667,15 @@ pub(crate) fn execute_parts<T, RK>(
     opts: &ExecOpts,
     kernel: &RK,
     reduce: Option<&Reduction<T>>,
-    batched: bool,
 ) -> Result<RunOutput<T>, RunError>
 where
     T: Value + Wire,
     RK: RunKernel<T>,
 {
-    let t_start = Instant::now();
-    match opts.mode() {
-        Mode::Serial => run_serial(tiling, params, opts, kernel, reduce, t_start),
-        Mode::Shared => run_shared(
-            tiling, params, lb_dims, memo, opts, kernel, reduce, batched, t_start,
-        ),
-        Mode::Grouped => run_grouped_mode(tiling, params, lb_dims, opts, kernel, reduce, t_start),
-        Mode::Hybrid => {
-            run_hybrid_mode(tiling, params, lb_dims, memo, opts, kernel, reduce, batched)
-        }
+    match opts.mode()? {
+        Mode::Serial => run_serial(tiling, params, opts, kernel, reduce),
+        Mode::Shared => run_shared(tiling, params, lb_dims, memo, opts, kernel, reduce),
+        Mode::Hybrid => hybrid_run(tiling, params, lb_dims, memo, opts, kernel, reduce),
     }
 }
 
@@ -692,12 +685,12 @@ fn run_serial<T, K>(
     opts: &ExecOpts,
     kernel: &K,
     reduce: Option<&Reduction<T>>,
-    t_start: Instant,
 ) -> Result<RunOutput<T>, RunError>
 where
     T: Value,
     K: Kernel<T>,
 {
+    let t_start = Instant::now();
     let reference = run_reference::<T, _>(tiling, params, kernel);
     let probes = opts
         .probe
@@ -723,7 +716,6 @@ where
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_shared<T, RK>(
     tiling: &Tiling,
     params: &[i64],
@@ -732,18 +724,20 @@ fn run_shared<T, RK>(
     opts: &ExecOpts,
     kernel: &RK,
     reduce: Option<&Reduction<T>>,
-    batched: bool,
-    t_start: Instant,
 ) -> Result<RunOutput<T>, RunError>
 where
     T: Value + Wire,
     RK: RunKernel<T>,
 {
+    let t_start = Instant::now();
     let schedule = resolved_schedule(tiling, params, lb_dims, memo, opts.schedule);
     let tracer = Tracer::create(0, opts.threads, opts.trace, Instant::now());
     let config = NodeConfig {
         threads: opts.threads,
-        priority: resolved_priority(tiling, lb_dims, opts),
+        priority: opts
+            .priority
+            .clone()
+            .unwrap_or_else(|| TilePriority::paper_default(tiling.dims(), lb_dims)),
         schedule,
         rank: 0,
         stall_timeout: opts.stall_timeout,
@@ -752,141 +746,22 @@ where
         static_plan: memo.static_plan(tiling, params, opts.threads, schedule),
         recycler: memo.recycler.clone(),
         tracer: tracer.clone(),
-        batched: false,
     };
-    let result = if batched {
-        run_node_reduce_batched(
+    let result = run_node(
+        &NodeJob {
             tiling,
             params,
-            kernel,
-            &SingleOwner,
-            &NullTransport::default(),
-            &opts.probe,
-            &config,
+            owner: &SingleOwner,
+            transport: &NullTransport::default(),
+            probe: &opts.probe,
+            config: &config,
             reduce,
-        )?
-    } else {
-        run_node_reduce(
-            tiling,
-            params,
-            kernel,
-            &SingleOwner,
-            &NullTransport::default(),
-            &opts.probe,
-            &config,
-            reduce,
-        )?
-    };
+            recovery: None,
+        },
+        kernel,
+    )?;
     let timeline = tracer.map(|t| Timeline::build(vec![t.drain()]));
     Ok(RunOutput::from_node(result, timeline, t_start.elapsed()))
-}
-
-fn run_grouped_mode<T, K>(
-    tiling: &Tiling,
-    params: &[i64],
-    lb_dims: &[usize],
-    opts: &ExecOpts,
-    kernel: &K,
-    reduce: Option<&Reduction<T>>,
-    t_start: Instant,
-) -> Result<RunOutput<T>, RunError>
-where
-    T: Value,
-    K: Kernel<T>,
-{
-    assert!(
-        reduce.is_none(),
-        "reduce() is not supported with groups(); use the default \
-         sharded scheduler or the hybrid driver"
-    );
-    let result = run_grouped(
-        tiling,
-        params,
-        kernel,
-        &opts.probe,
-        opts.threads,
-        opts.groups.unwrap_or(1),
-        resolved_priority(tiling, lb_dims, opts),
-    );
-    Ok(RunOutput::from_node(result, None, t_start.elapsed()))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_hybrid_mode<T, RK>(
-    tiling: &Tiling,
-    params: &[i64],
-    lb_dims: &[usize],
-    memo: &PlanMemo,
-    opts: &ExecOpts,
-    kernel: &RK,
-    reduce: Option<&Reduction<T>>,
-    batched: bool,
-) -> Result<RunOutput<T>, RunError>
-where
-    T: Value + Wire,
-    RK: RunKernel<T>,
-{
-    let recovery_on = opts.recovery.is_some();
-    let balance = opts.balance.clone().unwrap_or(BalanceMethod::Slabs {
-        lb_dims: effective_lb(lb_dims),
-    });
-    let config = HybridConfig {
-        ranks: opts.ranks,
-        threads_per_rank: opts.threads,
-        priority: opts.priority.clone(),
-        schedule: resolved_schedule(tiling, params, lb_dims, memo, opts.schedule),
-        comm: opts.comm,
-        prebalance: memo.balance(tiling, params, opts.ranks, &balance),
-        balance,
-        stall_timeout: opts.stall_timeout,
-        trace: opts.trace,
-        recovery: opts.recovery,
-        cancel: opts.cancel.clone(),
-    };
-    let res = hybrid_run(
-        tiling,
-        params,
-        kernel,
-        &opts.probe,
-        &config,
-        reduce,
-        batched,
-    )?;
-    let mut metrics = MetricsRegistry::new();
-    for (rank, r) in res.per_rank.iter().enumerate() {
-        metrics.record_run_stats(&format!("rank{rank}."), &r.stats);
-    }
-    for (rank, s) in res.comm_stats.iter().enumerate() {
-        s.register_metrics(&mut metrics, &format!("rank{rank}.comm."));
-    }
-    if let Some(tl) = &res.timeline {
-        tl.register_metrics(&mut metrics);
-    }
-    if recovery_on {
-        let rec = &res.recovery;
-        metrics.add_counter("recovery.ranks_lost", rec.ranks_lost as u64);
-        metrics.add_counter("recovery.slabs_migrated", rec.slabs_migrated as u64);
-        metrics.add_counter("recovery.checkpoint_bytes", rec.checkpoint_bytes);
-        metrics.add_counter("recovery.tiles_resumed", rec.tiles_resumed);
-        metrics.add_counter("recovery.epochs", rec.epochs as u64);
-        metrics.set_gauge(
-            "recovery.latency_ms",
-            rec.recovery_latency.as_secs_f64() * 1e3,
-        );
-    }
-    Ok(RunOutput {
-        probes: res.probes,
-        reduction: res.reduction,
-        per_rank: res.per_rank,
-        comm_stats: res.comm_stats,
-        balance: Some(res.balance),
-        reference: None,
-        timeline: res.timeline,
-        metrics,
-        total_time: res.total_time,
-        balance_time: res.balance_time,
-        recovery: res.recovery,
-    })
 }
 
 #[cfg(test)]

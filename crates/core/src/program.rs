@@ -84,7 +84,7 @@ impl Program {
 
     /// A [`RunBuilder`] over this program's tiling, seeded with the
     /// spec's load-balancing dimensions: the one entry point for serial,
-    /// shared-memory, grouped and hybrid runs.
+    /// shared-memory and hybrid runs.
     ///
     /// ```ignore
     /// let out = program

@@ -1,10 +1,7 @@
 //! The consolidated run entry point: [`RunBuilder`] and [`RunOutput`].
 //!
-//! Historically each execution mode had its own family of free functions
-//! (`run_shared`, `run_shared_grouped`, `run_hybrid`, `try_run_hybrid`,
-//! reduce variants, …) and every new knob — reliability tuning, fault
-//! plans, stall watchdogs, tracing — widened every signature. The builder
-//! collapses them into one fluent surface:
+//! One fluent surface over a problem and its [`ExecOpts`],
+//! whatever the execution mode:
 //!
 //! ```
 //! use dpgen_core::Program;
@@ -51,32 +48,22 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Fluent configuration for a run; build one with
-/// [`crate::Program::runner`] or [`RunBuilder::on_tiling`], set the knobs
-/// you care about, and finish with [`RunBuilder::run`].
+/// Fluent configuration for a one-shot run: a problem (`tiling`, `params`,
+/// load-balancing dimensions, optional reduction) plus one [`ExecOpts`].
+/// Build one with [`crate::Program::runner`] or [`RunBuilder::on_tiling`],
+/// set the knobs you care about, and finish with [`RunBuilder::run`].
 ///
-/// Mode selection: [`serial`](RunBuilder::serial) forces the untiled
-/// reference executor; otherwise `ranks(r)` with `r > 1` selects the
-/// hybrid driver, `groups(g)` the group-local scheduler, and the default
-/// is the single-node sharded runtime.
+/// Every execution knob is an [`ExecOpts`] field, documented there; the
+/// setters here forward to the `ExecOpts` method of the same name. Mode
+/// selection is [`ExecOpts`]'s: [`serial`](RunBuilder::serial) forces the
+/// untiled reference executor, `ranks(r)` with `r > 1` selects the hybrid
+/// driver, and the default is the single-node sharded runtime.
 pub struct RunBuilder<'a, T> {
     tiling: &'a Tiling,
     params: &'a [i64],
     lb_dims: Vec<usize>,
-    threads: usize,
-    ranks: usize,
-    groups: Option<usize>,
-    serial: bool,
-    probe: Probe,
-    priority: Option<TilePriority>,
-    schedule: Schedule,
-    comm: CommConfig,
-    balance: Option<BalanceMethod>,
-    stall_timeout: Option<Duration>,
-    trace: TraceConfig,
     reduce: Option<&'a Reduction<T>>,
-    recovery: Option<RecoveryConfig>,
-    cancel: Option<Arc<AtomicBool>>,
+    opts: ExecOpts,
 }
 
 impl<'a, T> RunBuilder<'a, T> {
@@ -88,75 +75,92 @@ impl<'a, T> RunBuilder<'a, T> {
             tiling,
             params,
             lb_dims: Vec::new(),
-            threads: 1,
-            ranks: 1,
-            groups: None,
-            serial: false,
-            probe: Probe::default(),
-            priority: None,
-            schedule: Schedule::Dynamic,
-            comm: CommConfig::default(),
-            balance: None,
-            stall_timeout: Some(dpgen_runtime::DEFAULT_STALL_TIMEOUT),
-            trace: TraceConfig::default(),
             reduce: None,
-            recovery: None,
-            cancel: None,
+            opts: ExecOpts::new(),
         }
     }
 
-    /// Worker threads per rank (the OpenMP thread count). Default 1.
+    /// See [`ExecOpts::threads`].
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.opts = self.opts.threads(threads);
         self
     }
 
-    /// Simulated nodes (MPI ranks); more than one selects the hybrid
-    /// driver. Default 1.
+    /// See [`ExecOpts::ranks`].
     pub fn ranks(mut self, ranks: usize) -> Self {
-        self.ranks = ranks.max(1);
+        self.opts = self.opts.ranks(ranks);
         self
     }
 
-    /// Split the node's workers over `groups` scheduler groups (the
-    /// Section VII-C group-local extension). Single-rank only.
-    pub fn groups(mut self, groups: usize) -> Self {
-        self.groups = Some(groups.max(1));
-        self
-    }
-
-    /// Run the serial untiled reference executor (dense memory;
-    /// validation and baselines). The dense result lands in
-    /// [`RunOutput::reference`].
+    /// See [`ExecOpts::serial`].
     pub fn serial(mut self) -> Self {
-        self.serial = true;
+        self.opts = self.opts.serial();
         self
     }
 
-    /// Global coordinates whose final values to capture.
+    /// See [`ExecOpts::probe`].
     pub fn probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
+        self.opts = self.opts.probe(probe);
         self
     }
 
-    /// Ready-queue ordering; defaults to the paper's Figure 5 priority
-    /// (column-major with the load-balancing dimensions first).
+    /// See [`ExecOpts::priority`].
     pub fn priority(mut self, priority: TilePriority) -> Self {
-        self.priority = Some(priority);
+        self.opts = self.opts.priority(priority);
         self
     }
 
-    /// Tile scheduling mode (default [`Schedule::Dynamic`], the
-    /// work-stealing heaps). [`Schedule::Static`] pins every owned tile to
-    /// a precomputed per-worker wavefront sequence *when the Ehrhart load
-    /// model reports uniform slabs* along the first load-balancing
-    /// dimension; irregular polytopes silently fall back to `Dynamic` (the
-    /// resolved mode is reported in `RunStats::schedule` and the
-    /// `schedule_mode` metric). [`Schedule::Mixed`] always applies: interior
-    /// tiles run statically, boundary tiles through the dynamic queue.
-    /// Ignored by the serial and grouped executors.
+    /// See [`ExecOpts::schedule`].
     pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
+        self.opts = self.opts.schedule(schedule);
+        self
+    }
+
+    /// See [`ExecOpts::balance`].
+    pub fn balance(mut self, balance: BalanceMethod) -> Self {
+        self.opts = self.opts.balance(balance);
+        self
+    }
+
+    /// See [`ExecOpts::comm`].
+    pub fn comm(mut self, comm: CommConfig) -> Self {
+        self.opts = self.opts.comm(comm);
+        self
+    }
+
+    /// See [`ExecOpts::reliability`].
+    pub fn reliability(mut self, reliability: ReliabilityConfig) -> Self {
+        self.opts = self.opts.reliability(reliability);
+        self
+    }
+
+    /// See [`ExecOpts::stall_timeout`].
+    pub fn stall_timeout(mut self, timeout: Option<Duration>) -> Self {
+        self.opts = self.opts.stall_timeout(timeout);
+        self
+    }
+
+    /// See [`ExecOpts::recovery`].
+    pub fn recovery(mut self, recovery: RecoveryConfig) -> Self {
+        self.opts = self.opts.recovery(recovery);
+        self
+    }
+
+    /// See [`ExecOpts::trace`].
+    pub fn trace(mut self, level: TraceLevel) -> Self {
+        self.opts = self.opts.trace(level);
+        self
+    }
+
+    /// See [`ExecOpts::cancel`].
+    pub fn cancel(mut self, flag: Arc<AtomicBool>) -> Self {
+        self.opts = self.opts.cancel(flag);
+        self
+    }
+
+    /// Full trace configuration (level plus per-worker ring capacity).
+    pub fn trace_config(mut self, trace: TraceConfig) -> Self {
+        self.opts.trace = trace;
         self
     }
 
@@ -167,139 +171,49 @@ impl<'a, T> RunBuilder<'a, T> {
         self
     }
 
-    /// Partitioning method for hybrid runs; defaults to slabs over the
-    /// load-balancing dimensions.
-    pub fn balance(mut self, balance: BalanceMethod) -> Self {
-        self.balance = Some(balance);
-        self
-    }
-
-    /// Full communication configuration (buffer counts, reliability,
-    /// fault plan) for hybrid runs.
-    pub fn comm(mut self, comm: CommConfig) -> Self {
-        self.comm = comm;
-        self
-    }
-
-    /// Just the reliability tunables, keeping the other comm knobs.
-    pub fn reliability(mut self, reliability: ReliabilityConfig) -> Self {
-        self.comm.reliability = reliability;
-        self
-    }
-
-    /// Stall watchdog window; `None` disables the watchdog.
-    pub fn stall_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.stall_timeout = timeout;
-        self
-    }
-
-    /// Elastic rank recovery for hybrid runs: heartbeat death detection,
-    /// incremental slab checkpoints, and mid-run migration of a dead
-    /// rank's slab to the lowest-loaded survivor. The coordinator's
-    /// actions land in [`RunOutput::recovery`]. Ignored by single-rank
-    /// modes.
-    pub fn recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = Some(recovery);
-        self
-    }
-
-    /// Event-tracing level ([`TraceLevel::Off`] by default). At
-    /// [`TraceLevel::Spans`] and above, [`RunOutput::timeline`] carries
-    /// the merged per-worker timeline.
-    pub fn trace(mut self, level: TraceLevel) -> Self {
-        self.trace.level = level;
-        self
-    }
-
-    /// Full trace configuration (level plus per-worker ring capacity).
-    pub fn trace_config(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Job-scoped cancellation flag: raise it from any thread to abort
-    /// the run mid-flight with [`RunError::Cancelled`]. The runtime only
-    /// reads the flag.
-    pub fn cancel(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// Whole-space reduction folded over every computed cell; the merged
-    /// value lands in [`RunOutput::reduction`]. Not supported with
-    /// [`groups`](RunBuilder::groups).
+    /// value lands in [`RunOutput::reduction`].
     pub fn reduce(mut self, reduce: &'a Reduction<T>) -> Self {
         self.reduce = Some(reduce);
         self
     }
-
-    /// The per-execution options this builder resolves to (the same
-    /// values a [`crate::Plan`] execution would take).
-    fn exec_opts(&self) -> ExecOpts {
-        ExecOpts {
-            threads: self.threads,
-            ranks: self.ranks,
-            groups: self.groups,
-            serial: self.serial,
-            probe: self.probe.clone(),
-            priority: self.priority.clone(),
-            schedule: self.schedule,
-            comm: self.comm,
-            balance: self.balance.clone(),
-            stall_timeout: self.stall_timeout,
-            trace: self.trace,
-            recovery: self.recovery,
-            cancel: self.cancel.clone(),
-        }
-    }
 }
 
 impl<'a, T: Value + Wire> RunBuilder<'a, T> {
-    /// Execute the configured run. Every mode funnels into the same
-    /// [`RunOutput`]; failures (kernel panics, stalls, transport errors)
-    /// surface as a typed [`RunError`] with tile/rank context.
+    /// Execute the configured run with a per-cell kernel (lifted with
+    /// [`PerCell`]: interior runs replay through `Kernel::compute`). Every
+    /// mode funnels into the same [`RunOutput`]; failures (kernel panics,
+    /// stalls, transport errors) surface as a typed [`RunError`] with
+    /// tile/rank context.
     pub fn run<K>(self, kernel: &K) -> Result<RunOutput<T>, RunError>
     where
         K: Kernel<T>,
     {
-        // Lift the per-cell kernel onto the run-kernel bound; with
-        // `batched == false` interior runs still execute through the
-        // per-cell scan, bit-identical to previous releases.
-        self.run_with(&PerCell(kernel), false)
+        self.run_batched(&PerCell(kernel))
     }
 
     /// Execute with a [`RunKernel`]: every interior run isolated by the
-    /// fast-path scan is handed whole to `RunKernel::eval_run`, so a
+    /// tile scan is handed whole to `RunKernel::eval_run`, so a
     /// hand-batched kernel can evaluate it as one tight counted loop.
     /// Boundary cells always go through the per-cell `Kernel::compute`.
-    /// The serial and grouped executors have no batched path and fall
+    /// The serial executor has no tiles and therefore no runs: it falls
     /// back to per-cell execution (same results, `runs_batched == 0`).
     pub fn run_batched<RK>(self, kernel: &RK) -> Result<RunOutput<T>, RunError>
     where
         RK: RunKernel<T>,
     {
-        self.run_with(kernel, true)
-    }
-
-    fn run_with<RK>(self, kernel: &RK, batched: bool) -> Result<RunOutput<T>, RunError>
-    where
-        RK: RunKernel<T>,
-    {
-        // One-shot path: an ephemeral (pass-through) memo keeps the
-        // builder's behaviour — and where derivations are timed —
-        // exactly as before the compile/execute split. Compiled plans
-        // reach the same engine with a resident memo instead.
-        let memo = PlanMemo::ephemeral();
-        let opts = self.exec_opts();
+        // One-shot path: an ephemeral (pass-through) memo keeps load
+        // balancing and static-plan construction inside the executors,
+        // where they are timed. Compiled plans reach the same engine with
+        // a resident memo instead.
         execute_parts(
             self.tiling,
             self.params,
             &self.lb_dims,
-            &memo,
-            &opts,
+            &PlanMemo::ephemeral(),
+            &self.opts,
             kernel,
             self.reduce,
-            batched,
         )
     }
 }
@@ -466,14 +380,6 @@ mod tests {
         assert_eq!(shared.per_rank.len(), 1);
         assert!(shared.metrics.counter("rank0.cells_computed").is_some());
 
-        let grouped = RunBuilder::on_tiling(&tiling, &[n])
-            .threads(4)
-            .groups(2)
-            .probe(probe.clone())
-            .run(&path_kernel)
-            .unwrap();
-        assert_eq!(grouped.probes, serial.probes);
-
         let hybrid = RunBuilder::on_tiling(&tiling, &[n])
             .threads(2)
             .ranks(3)
@@ -573,11 +479,23 @@ mod tests {
         }
     }
 
+    /// A run kernel that is its own type (so its runs count as batched)
+    /// but keeps the default per-cell `eval_run`.
+    struct PathRuns;
+
+    impl Kernel<f64> for PathRuns {
+        fn compute(&self, cell: CellRef<'_>, values: &mut [f64]) {
+            path_kernel(cell, values)
+        }
+    }
+
+    impl RunKernel<f64> for PathRuns {}
+
     #[test]
     fn batched_path_is_bit_identical_across_widths() {
-        // The batched entry with the default per-cell `eval_run` must
-        // replay the scan exactly: same probes, same cell counts, across
-        // widths that exercise degenerate single-cell runs (w = 1) up to
+        // A run kernel with the default per-cell `eval_run` must replay
+        // the scan exactly: same probes, same cell counts, across widths
+        // that exercise degenerate single-cell runs (w = 1) up to
         // multi-run tiles, on both the shared and the hybrid executors.
         let n = 17i64;
         for w in 1..=5i64 {
@@ -591,7 +509,7 @@ mod tests {
             let batched = RunBuilder::<f64>::on_tiling(&tiling, &[n])
                 .threads(2)
                 .probe(probe.clone())
-                .run_batched(&PerCell(&path_kernel))
+                .run_batched(&PathRuns)
                 .unwrap();
             assert_eq!(batched.probes, per_cell.probes, "w={w}");
             assert_eq!(batched.cells_computed(), per_cell.cells_computed());
@@ -608,7 +526,7 @@ mod tests {
                 .threads(2)
                 .ranks(2)
                 .probe(probe)
-                .run_batched(&PerCell(&path_kernel))
+                .run_batched(&PathRuns)
                 .unwrap();
             assert_eq!(hybrid.probes, per_cell.probes, "w={w} hybrid");
             let batched_cells: u64 = hybrid.per_rank.iter().map(|r| r.stats.cells_batched).sum();

@@ -14,7 +14,7 @@
 use dpgen_core::specgen::{self, GeneratedSpec};
 use dpgen_core::{RecoveryConfig, RunBuilder, SpecBand};
 use dpgen_mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
-use dpgen_runtime::{PerCell, Probe, RunError, Schedule, SplitMix64, TilePriority};
+use dpgen_runtime::{Probe, RunError, Schedule, SplitMix64, TilePriority};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -34,10 +34,6 @@ pub struct Leg {
     /// Requested schedule mode ([`Schedule::Dynamic`] is the work-stealing
     /// baseline; `Static`/`Mixed` exercise the precomputed wavefront paths).
     pub schedule: Schedule,
-    /// Route the run through the batched entry point (`run_batched` with
-    /// the `PerCell` fallback adapter), exercising the run dispatch and
-    /// per-cell replay of the batched execution path.
-    pub batched: bool,
     /// Schedule a rank kill mid-run with elastic recovery enabled: rank 0
     /// is hard-dropped after its first data send and survivors must
     /// detect the death, adopt its slabs, and still match the reference
@@ -61,7 +57,7 @@ impl fmt::Display for Leg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "threads={} ranks={}{}{}{}{}{}{}{}",
+            "threads={} ranks={}{}{}{}{}{}{}",
             self.threads,
             self.ranks,
             if self.faulted { " faulted" } else { "" },
@@ -75,7 +71,6 @@ impl fmt::Display for Leg {
                 Schedule::Static => " static",
                 Schedule::Mixed => " mixed",
             },
-            if self.batched { " batched" } else { "" },
             if self.kill { " kill" } else { "" },
             if self.plan_reuse { " plan-reuse" } else { "" },
             if self.banded { " banded" } else { "" },
@@ -96,7 +91,6 @@ pub fn basic_matrix() -> Vec<Leg> {
                 faulted: false,
                 seeded_priority: false,
                 schedule: Schedule::Dynamic,
-                batched: false,
                 kill: false,
                 plan_reuse: false,
                 banded: false,
@@ -110,7 +104,6 @@ pub fn basic_matrix() -> Vec<Leg> {
             faulted: true,
             seeded_priority: false,
             schedule: Schedule::Dynamic,
-            batched: false,
             kill: false,
             plan_reuse: false,
             banded: false,
@@ -122,7 +115,6 @@ pub fn basic_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: true,
         schedule: Schedule::Dynamic,
-        batched: false,
         kill: false,
         plan_reuse: false,
         banded: false,
@@ -131,16 +123,16 @@ pub fn basic_matrix() -> Vec<Leg> {
 }
 
 /// The full matrix the acceptance criteria name: [`basic_matrix`] plus
-/// `Static` and `Mixed` legs, a batched-execution leg, a rank-kill
-/// recovery leg, a compiled-plan reuse leg (compile once, execute
-/// twice — the serve cache-hit path), and a banded leg that forces a
-/// diagonal band onto every multi-dimensional spec and checks the
-/// band-clipped pipeline against the re-masked reference. Static legs
-/// exercise both the precomputed path (uniform-slab specs) and the silent
-/// fallback to `Dynamic` (irregular specs); the `Mixed` leg always pins
-/// interior tiles, so it exercises the static/dynamic hand-off on every
-/// spec that has any; the batched leg routes interior runs through the
-/// run dispatch with the per-cell fallback adapter.
+/// `Static` and `Mixed` legs, a rank-kill recovery leg, a compiled-plan
+/// reuse leg (compile once, execute twice — the serve cache-hit path), and
+/// a banded leg that forces a diagonal band onto every multi-dimensional
+/// spec and checks the band-clipped pipeline against the re-masked
+/// reference. Static legs exercise both the precomputed path (uniform-slab
+/// specs) and the silent fallback to `Dynamic` (irregular specs); the
+/// `Mixed` leg always pins interior tiles, so it exercises the
+/// static/dynamic hand-off on every spec that has any. Every leg runs the
+/// hash kernel through the node engine's one scan (`PerCell` replay of
+/// each interior run), so there is no separate batched axis.
 pub fn full_matrix() -> Vec<Leg> {
     let mut legs = basic_matrix();
     legs.push(Leg {
@@ -149,7 +141,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Static,
-        batched: false,
         kill: false,
         plan_reuse: false,
         banded: false,
@@ -160,7 +151,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Static,
-        batched: false,
         kill: false,
         plan_reuse: false,
         banded: false,
@@ -171,7 +161,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Mixed,
-        batched: false,
         kill: false,
         plan_reuse: false,
         banded: false,
@@ -182,7 +171,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Static,
-        batched: true,
         kill: false,
         plan_reuse: false,
         banded: false,
@@ -193,7 +181,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Dynamic,
-        batched: false,
         kill: true,
         plan_reuse: false,
         banded: false,
@@ -204,7 +191,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Static,
-        batched: false,
         kill: false,
         plan_reuse: true,
         banded: false,
@@ -215,7 +201,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Dynamic,
-        batched: true,
         kill: false,
         plan_reuse: false,
         banded: true,
@@ -347,7 +332,7 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
                 .schedule(leg.schedule)
                 .probe(Probe::many(&b_coords))
                 .stall_timeout(Some(Duration::from_secs(20)))
-                .run_batched(&PerCell(&kernel))
+                .run(&kernel)
                 .map_err(|e| {
                     let stall = match &e {
                         RunError::Stalled(snapshot) => Some(snapshot.to_string()),
@@ -434,14 +419,7 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
                     max_recoveries: 1,
                 });
         }
-        // Batched legs take the run-dispatch path with the per-cell
-        // fallback adapter, which must replay bit-identically.
-        let run = if leg.batched {
-            builder.run_batched(&PerCell(&kernel))
-        } else {
-            builder.run(&kernel)
-        };
-        let out = match run {
+        let out = match builder.run(&kernel) {
             Ok(out) => out,
             Err(e) => {
                 let stall = match &e {
@@ -633,7 +611,7 @@ mod tests {
         assert!(legs.iter().any(|l| l.seeded_priority));
         assert_eq!(legs.len(), 16);
         assert!(
-            legs.iter().any(|l| l.banded && l.ranks == 2 && l.batched),
+            legs.iter().any(|l| l.banded && l.ranks == 2),
             "missing the banded leg"
         );
         assert!(
@@ -645,14 +623,12 @@ mod tests {
             legs.iter().any(|l| l.kill && l.ranks == 2 && !l.faulted),
             "missing the rank-kill recovery leg"
         );
-        assert!(
-            legs.iter()
-                .any(|l| l.batched && l.threads == 4 && l.schedule == Schedule::Static),
-            "missing the batched-execution leg"
-        );
         assert!(legs
             .iter()
-            .any(|l| l.schedule == Schedule::Static && l.ranks == 1));
+            .any(|l| l.schedule == Schedule::Static && l.ranks == 1 && l.threads == 2));
+        assert!(legs
+            .iter()
+            .any(|l| l.schedule == Schedule::Static && l.ranks == 1 && l.threads == 4));
         assert!(legs
             .iter()
             .any(|l| l.schedule == Schedule::Static && l.ranks == 2 && l.threads == 4));
@@ -676,7 +652,6 @@ mod tests {
                 faulted: false,
                 seeded_priority: false,
                 schedule: Schedule::Dynamic,
-                batched: false,
                 kill: false,
                 plan_reuse: false,
                 banded: false,
@@ -687,7 +662,6 @@ mod tests {
                 faulted: false,
                 seeded_priority: false,
                 schedule: Schedule::Static,
-                batched: false,
                 kill: false,
                 plan_reuse: false,
                 banded: false,
@@ -698,18 +672,6 @@ mod tests {
                 faulted: false,
                 seeded_priority: false,
                 schedule: Schedule::Mixed,
-                batched: false,
-                kill: false,
-                plan_reuse: false,
-                banded: false,
-            },
-            Leg {
-                threads: 2,
-                ranks: 1,
-                faulted: false,
-                seeded_priority: false,
-                schedule: Schedule::Dynamic,
-                batched: true,
                 kill: false,
                 plan_reuse: false,
                 banded: false,
@@ -739,7 +701,6 @@ mod tests {
             faulted: false,
             seeded_priority: false,
             schedule: Schedule::Dynamic,
-            batched: false,
             kill: false,
             plan_reuse: false,
             banded: false,

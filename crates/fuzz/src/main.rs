@@ -7,9 +7,10 @@
 //! ```
 //!
 //! Generates `--budget` random specs from the seed and checks each one
-//! across the differential matrix — all 16 legs by default, or the
-//! 9-leg dynamic-only `basic` matrix via `--legs basic`. On the first failure the spec is
-//! auto-shrunk and written to `<artifacts>/minimized.json` (plus
+//! across the differential matrix — all 16 legs by default
+//! (thread × rank × fault × schedule × kill × plan-reuse × banded), or the
+//! 9-leg dynamic-only `basic` matrix via `--legs basic`. On the first
+//! failure the spec is auto-shrunk and written to `<artifacts>/minimized.json` (plus
 //! `stall.txt` when a stall snapshot exists), and the process exits 1 —
 //! CI uploads the artifacts directory. `--emit-corpus` instead writes the
 //! first `<count>` generated specs as corpus JSON and exits (used to seed

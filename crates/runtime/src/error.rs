@@ -33,6 +33,9 @@ pub enum CompileStage {
     /// The problem was rejected by admission control (unbounded or
     /// oversized iteration space).
     Admission,
+    /// The execution options contradict each other (e.g. the serial
+    /// executor asked to run on several ranks); nothing was executed.
+    Options,
 }
 
 impl fmt::Display for CompileStage {
@@ -42,6 +45,7 @@ impl fmt::Display for CompileStage {
             CompileStage::Poly => write!(f, "polyhedra"),
             CompileStage::Tiling => write!(f, "tiling"),
             CompileStage::Admission => write!(f, "admission"),
+            CompileStage::Options => write!(f, "options"),
         }
     }
 }

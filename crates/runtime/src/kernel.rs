@@ -31,14 +31,14 @@ impl<T: Value, F: Fn(CellRef<'_>, &mut [T]) + Send + Sync> Kernel<T> for F {
 
 /// A kernel that can evaluate a whole affine-valid interior run per call.
 ///
-/// On the batched execution path (`RunBuilder::run_batched`, or the
-/// `run_node_*_batched` entry points) the runtime hands every interior run
-/// isolated by `tiling::scan_tile_fast` to [`RunKernel::eval_run`] whole —
-/// `run.len` cells at `run.loc + i * run.loc_step` with every dependency
-/// flag true — so the implementation can be one tight counted loop the
-/// compiler unrolls and vectorizes, instead of one [`Kernel::compute`] call
-/// per cell. Boundary cells (any cell whose validity flags are not all
-/// provably true) always go through the per-cell [`Kernel::compute`] path.
+/// The node engine (`run_node`) scans every tile with
+/// `Tiling::scan_tile_runs` and hands each interior run to
+/// [`RunKernel::eval_run`] whole — `run.len` cells at
+/// `run.loc + i * run.loc_step` with every dependency flag true — so the
+/// implementation can be one tight counted loop the compiler unrolls and
+/// vectorizes, instead of one [`Kernel::compute`] call per cell. Boundary
+/// cells (any cell whose validity flags are not all provably true) always
+/// go through the per-cell [`Kernel::compute`] path.
 ///
 /// # Contract
 ///
@@ -47,9 +47,13 @@ impl<T: Value, F: Fn(CellRef<'_>, &mut [T]) + Send + Sync> Kernel<T> for F {
 /// dimension, and must read only flow-valid dependencies (`loc_at(i) +
 /// offsets[j]`; all templates are valid on every run cell). It must be
 /// bit-identical to replaying [`Kernel::compute`] over the run — the
-/// default implementation does exactly that, so any [`Kernel`] lifted by
-/// [`PerCell`] keeps its semantics on the batched path.
+/// default implementation does exactly that.
 pub trait RunKernel<T: Value>: Kernel<T> {
+    /// Whether interior runs count towards `RunStats::runs_batched` and
+    /// `cells_batched`. [`PerCell`] sets it false: its runs are replayed
+    /// cell by cell, so reporting them as batched would be a lie.
+    const BATCHED: bool = true;
+
     /// Evaluate one interior run. Default: per-cell fallback through
     /// [`Kernel::compute`].
     fn eval_run(&self, run: &RunCtx<'_>, values: &mut [T]) {
@@ -57,10 +61,12 @@ pub trait RunKernel<T: Value>: Kernel<T> {
     }
 }
 
-/// Lifts any per-cell [`Kernel`] (by reference) onto the batched execution
-/// path: interior runs fall back to the default per-cell `eval_run`. This
-/// is the adapter the non-batched entry points use internally, so a plain
-/// kernel never needs to know the batched machinery exists.
+/// Lifts any per-cell [`Kernel`] (by reference) onto the node engine's
+/// [`RunKernel`] bound: interior runs replay through `compute`, and the
+/// wrapped kernel's own `eval_run` (if it has one) is never called. This
+/// adapter *is* per-cell execution — `Plan::execute` and `RunBuilder::run`
+/// wrap their kernel in it — so a plain kernel never needs to know runs
+/// exist.
 #[derive(Debug, Clone, Copy)]
 pub struct PerCell<'a, K: ?Sized>(pub &'a K);
 
@@ -70,7 +76,9 @@ impl<T: Value, K: Kernel<T> + ?Sized> Kernel<T> for PerCell<'_, K> {
     }
 }
 
-impl<T: Value, K: Kernel<T> + ?Sized> RunKernel<T> for PerCell<'_, K> {}
+impl<T: Value, K: Kernel<T> + ?Sized> RunKernel<T> for PerCell<'_, K> {
+    const BATCHED: bool = false;
+}
 
 #[cfg(test)]
 mod tests {
@@ -86,7 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn per_cell_lifts_any_kernel_to_the_batched_path() {
+    fn per_cell_lifts_any_kernel_to_a_run_kernel() {
         fn assert_run_kernel<T: Value, RK: RunKernel<T>>(_k: &RK) {}
         let k = |cell: CellRef<'_>, values: &mut [f64]| {
             values[cell.loc] = cell.x[0] as f64;

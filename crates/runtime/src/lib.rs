@@ -16,8 +16,7 @@
 //! Tile-to-ready bookkeeping lives in [`sharded::ShardedScheduler`]: the
 //! pending table is split across Coord-hashed shards and each worker owns a
 //! private priority queue, so delivery and popping contend only on narrow
-//! locks. The single-queue [`scheduler::Scheduler`] remains as the
-//! group-local building block of [`groups`].
+//! locks.
 //!
 //! Only *pending* tiles (those with at least one satisfied dependency) are
 //! tracked, and only *executing* tiles have full buffers in memory — the
@@ -29,7 +28,6 @@
 
 pub mod checkpoint;
 pub mod error;
-pub mod groups;
 pub mod kernel;
 pub mod memory;
 pub mod metrics;
@@ -40,7 +38,6 @@ pub mod reduce;
 pub mod reference;
 pub mod rng;
 pub mod schedule;
-pub mod scheduler;
 pub mod sharded;
 pub mod simd;
 pub mod stats;
@@ -49,13 +46,11 @@ pub mod transport;
 
 pub use checkpoint::{CheckpointData, CheckpointSink, NodeRecovery, ResumeState};
 pub use error::{CompileFault, CompileStage, EdgeFault, RunError, StallSnapshot};
-pub use groups::run_grouped;
 pub use kernel::{Kernel, PerCell, RunKernel, Value};
 pub use memory::MemoryStats;
 pub use metrics::{Histogram, Metric, MetricsRegistry};
 pub use node::{
-    run_node, run_node_batched, run_node_batched_recover, run_node_recover, run_node_reduce,
-    run_node_reduce_batched, NodeConfig, NodeResult, Probe, SingleOwner, TileOwner,
+    run_node, NodeConfig, NodeJob, NodeResult, Probe, SingleOwner, TileOwner,
     DEFAULT_STALL_TIMEOUT, STALL_DUMP_EVENTS,
 };
 pub use priority::TilePriority;
@@ -64,7 +59,6 @@ pub use reduce::Reduction;
 pub use reference::{run_reference, ReferenceResult};
 pub use rng::SplitMix64;
 pub use schedule::{Schedule, StaticPlan};
-pub use scheduler::Scheduler;
 pub use sharded::{EdgeDelivery, ShardedScheduler};
 pub use simd::{I64x, U64x, LANES};
 pub use stats::RunStats;

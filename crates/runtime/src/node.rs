@@ -13,9 +13,11 @@
 //! [`TileBufferPool`] holding one tile value buffer (cleared only over the
 //! cell range actually written by the previous tile) and a recycle list of
 //! edge payload vectors (presized from [`EdgeLayout::max_cells`] so pushes
-//! never reallocate). Tiles are scanned with
-//! [`Tiling::scan_tile_fast`], which hoists the per-cell validity checks
-//! out of contiguous interior runs.
+//! never reallocate). Every tile is scanned with
+//! [`Tiling::scan_tile_runs`], which hoists the per-cell validity checks
+//! out of contiguous interior runs and hands each run whole to
+//! [`RunKernel::eval_run`]; per-cell execution is the [`PerCell`] adapter,
+//! whose `eval_run` replays the run through [`Kernel::compute`].
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -28,11 +30,13 @@
 //! [`NodeConfig::cancel`] flag was provided, sibling ranks are told to stop.
 //!
 //! [`EdgeLayout::max_cells`]: dpgen_tiling::EdgeLayout::max_cells
-//! [`Tiling::scan_tile_fast`]: dpgen_tiling::Tiling::scan_tile_fast
+//! [`Tiling::scan_tile_runs`]: dpgen_tiling::Tiling::scan_tile_runs
+//! [`PerCell`]: crate::kernel::PerCell
+//! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
 use crate::checkpoint::NodeRecovery;
 use crate::error::{EdgeFault, RunError, StallSnapshot};
-use crate::kernel::{Kernel, PerCell, RunKernel, Value};
+use crate::kernel::{RunKernel, Value};
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
 use crate::recycle::BufferRecycler;
@@ -115,12 +119,6 @@ pub struct NodeConfig {
     /// tracing; the hot path then pays one pointer test per would-be event.
     /// Must be built with `workers == threads` so worker tracks line up.
     pub tracer: Option<Arc<Tracer>>,
-    /// Run-batched execution: dispatch whole interior runs to
-    /// [`RunKernel::eval_run`] instead of one [`Kernel::compute`] call per
-    /// cell. Boundary cells always stay per-cell. Only the `*_batched`
-    /// entry points honour a kernel's own `eval_run`; the plain entries
-    /// leave this false and run bit-identically to previous releases.
-    pub batched: bool,
 }
 
 /// Default watchdog window: generous enough for any healthy run, small
@@ -146,14 +144,7 @@ impl NodeConfig {
             static_plan: None,
             recycler: None,
             tracer: None,
-            batched: false,
         }
-    }
-
-    /// Same configuration with run-batched interior dispatch.
-    pub fn with_batched(mut self, batched: bool) -> NodeConfig {
-        self.batched = batched;
-        self
     }
 
     /// Same configuration with a different schedule mode.
@@ -216,9 +207,8 @@ impl Probe {
 }
 
 /// Group probe coordinates by owning tile, dropping coordinates outside
-/// the iteration space (their probes stay `None`). Shared by the flat and
-/// grouped runners.
-pub(crate) fn probe_map(
+/// the iteration space (their probes stay `None`).
+fn probe_map(
     tiling: &Tiling,
     params: &[i64],
     probe: &Probe,
@@ -352,11 +342,11 @@ impl<T: Value> TileBufferPool<T> {
     }
 }
 
-/// Tile visitor for the batched execution path: boundary cells go through
-/// `Kernel::compute` one at a time (with the optional reduction folded in
-/// place), interior runs go whole to `RunKernel::eval_run` with the
-/// reduction folded over the run span afterwards. Tracks the written
-/// buffer range so the pool clears only what this tile touched.
+/// The engine's tile visitor: boundary cells go through `Kernel::compute`
+/// one at a time (with the optional reduction folded in place), interior
+/// runs go whole to `RunKernel::eval_run` with the reduction folded over
+/// the run span afterwards, in visit order. Tracks the written buffer
+/// range so the pool clears only what this tile touched.
 struct BatchVisitor<'a, T, RK> {
     kernel: &'a RK,
     values: &'a mut [T],
@@ -416,209 +406,65 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute this rank's share of the problem.
+/// Everything one rank's run is made of except the kernel: the problem
+/// (tiling and parameter binding), this rank's place in the world (tile
+/// ownership and the transport to the other ranks), what to capture, and
+/// how to execute.
+pub struct NodeJob<'a, T, O, Tr> {
+    /// The derived tiling.
+    pub tiling: &'a Tiling,
+    /// The parameter binding.
+    pub params: &'a [i64],
+    /// Tile-to-rank assignment; this rank executes the tiles it maps to
+    /// `config.rank`.
+    pub owner: &'a O,
+    /// Edges for foreign tiles leave through it; edges arriving on it are
+    /// fed into the local scheduler.
+    pub transport: &'a Tr,
+    /// Global coordinates whose final values to capture.
+    pub probe: &'a Probe,
+    /// Threads, priority, schedule, watchdog, cancellation, tracing.
+    pub config: &'a NodeConfig,
+    /// Whole-space [`Reduction`] folded over every computed cell (e.g. the
+    /// global maximum for Smith-Waterman local alignment).
+    pub reduce: Option<&'a Reduction<T>>,
+    /// Elastic recovery: completed tiles are recorded into
+    /// `recovery.sink` as they finish, and a prior epoch's
+    /// `recovery.resume` state (completed tiles, replayed edges, probe
+    /// seeds) is restored before the wavefront starts. Driven by the
+    /// recovery coordinator in `core::driver`; results are bit-identical
+    /// to an undisturbed run.
+    pub recovery: Option<&'a NodeRecovery<T>>,
+}
+
+/// Execute this rank's share of the problem — the one node entry point.
 ///
 /// Blocks until every tile owned by `config.rank` (per `owner`) has been
-/// executed. Edges for foreign tiles go through `transport`; edges arriving
-/// on `transport` are fed into the local scheduler. Fails with a typed
-/// [`RunError`] on a panicking kernel, a malformed edge, a transport
+/// executed. Interior runs go whole to the kernel's
+/// [`RunKernel::eval_run`], boundary cells through its per-cell `compute`;
+/// lift a plain `Kernel` with [`crate::kernel::PerCell`]. Fails with a
+/// typed [`RunError`] on a panicking kernel, a malformed edge, a transport
 /// failure, or a watchdog-detected stall.
-pub fn run_node<T, K, O, Tr>(
-    tiling: &Tiling,
-    params: &[i64],
-    kernel: &K,
-    owner: &O,
-    transport: &Tr,
-    probe: &Probe,
-    config: &NodeConfig,
+pub fn run_node<T, RK, O, Tr>(
+    job: &NodeJob<'_, T, O, Tr>,
+    kernel: &RK,
 ) -> Result<NodeResult<T>, RunError>
 where
     T: Value,
-    K: Kernel<T>,
+    RK: RunKernel<T>,
     O: TileOwner,
     Tr: Transport<T>,
 {
-    run_node_reduce(
-        tiling, params, kernel, owner, transport, probe, config, None,
-    )
-}
-
-/// [`run_node`] with an optional whole-space [`Reduction`] folded over
-/// every computed cell (e.g. the global maximum for Smith-Waterman local
-/// alignment).
-#[allow(clippy::too_many_arguments)]
-pub fn run_node_reduce<T, K, O, Tr>(
-    tiling: &Tiling,
-    params: &[i64],
-    kernel: &K,
-    owner: &O,
-    transport: &Tr,
-    probe: &Probe,
-    config: &NodeConfig,
-    reduce: Option<&Reduction<T>>,
-) -> Result<NodeResult<T>, RunError>
-where
-    T: Value,
-    K: Kernel<T>,
-    O: TileOwner,
-    Tr: Transport<T>,
-{
-    // Lift the per-cell kernel onto the engine's run-kernel bound; with
-    // `config.batched == false` interior runs still execute through the
-    // per-cell scan, bit-identical to previous releases.
-    node_engine(
+    let NodeJob {
         tiling,
         params,
-        &PerCell(kernel),
         owner,
         transport,
         probe,
         config,
         reduce,
-        None,
-    )
-}
-
-/// [`run_node_reduce`] under elastic recovery: completed tiles are
-/// recorded into `recovery.sink` as they finish, and a prior epoch's
-/// `recovery.resume` state (completed tiles, replayed edges, probe seeds)
-/// is restored before the wavefront starts. Driven by the recovery
-/// coordinator in `core::driver`; results are bit-identical to an
-/// undisturbed run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_node_recover<T, K, O, Tr>(
-    tiling: &Tiling,
-    params: &[i64],
-    kernel: &K,
-    owner: &O,
-    transport: &Tr,
-    probe: &Probe,
-    config: &NodeConfig,
-    reduce: Option<&Reduction<T>>,
-    recovery: &NodeRecovery<T>,
-) -> Result<NodeResult<T>, RunError>
-where
-    T: Value,
-    K: Kernel<T>,
-    O: TileOwner,
-    Tr: Transport<T>,
-{
-    node_engine(
-        tiling,
-        params,
-        &PerCell(kernel),
-        owner,
-        transport,
-        probe,
-        config,
-        reduce,
-        Some(recovery),
-    )
-}
-
-/// [`run_node_reduce_batched`] under elastic recovery (see
-/// [`run_node_recover`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_node_batched_recover<T, RK, O, Tr>(
-    tiling: &Tiling,
-    params: &[i64],
-    kernel: &RK,
-    owner: &O,
-    transport: &Tr,
-    probe: &Probe,
-    config: &NodeConfig,
-    reduce: Option<&Reduction<T>>,
-    recovery: &NodeRecovery<T>,
-) -> Result<NodeResult<T>, RunError>
-where
-    T: Value,
-    RK: RunKernel<T>,
-    O: TileOwner,
-    Tr: Transport<T>,
-{
-    let config = config.clone().with_batched(true);
-    node_engine(
-        tiling,
-        params,
-        kernel,
-        owner,
-        transport,
-        probe,
-        &config,
-        reduce,
-        Some(recovery),
-    )
-}
-
-/// Run-batched [`run_node`]: interior runs are dispatched whole to the
-/// kernel's [`RunKernel::eval_run`] (boundary cells stay per-cell), and
-/// `RunStats::{runs_batched, cells_batched}` record the batching. The
-/// caller should set [`NodeConfig::batched`]; this entry point forces it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_node_batched<T, RK, O, Tr>(
-    tiling: &Tiling,
-    params: &[i64],
-    kernel: &RK,
-    owner: &O,
-    transport: &Tr,
-    probe: &Probe,
-    config: &NodeConfig,
-) -> Result<NodeResult<T>, RunError>
-where
-    T: Value,
-    RK: RunKernel<T>,
-    O: TileOwner,
-    Tr: Transport<T>,
-{
-    run_node_reduce_batched(
-        tiling, params, kernel, owner, transport, probe, config, None,
-    )
-}
-
-/// [`run_node_batched`] with an optional whole-space [`Reduction`], folded
-/// over each run after `eval_run` returns and per cell on boundaries.
-#[allow(clippy::too_many_arguments)]
-pub fn run_node_reduce_batched<T, RK, O, Tr>(
-    tiling: &Tiling,
-    params: &[i64],
-    kernel: &RK,
-    owner: &O,
-    transport: &Tr,
-    probe: &Probe,
-    config: &NodeConfig,
-    reduce: Option<&Reduction<T>>,
-) -> Result<NodeResult<T>, RunError>
-where
-    T: Value,
-    RK: RunKernel<T>,
-    O: TileOwner,
-    Tr: Transport<T>,
-{
-    let config = config.clone().with_batched(true);
-    node_engine(
-        tiling, params, kernel, owner, transport, probe, &config, reduce, None,
-    )
-}
-
-/// The shared node engine behind the per-cell and batched entry points.
-#[allow(clippy::too_many_arguments)]
-fn node_engine<T, RK, O, Tr>(
-    tiling: &Tiling,
-    params: &[i64],
-    kernel: &RK,
-    owner: &O,
-    transport: &Tr,
-    probe: &Probe,
-    config: &NodeConfig,
-    reduce: Option<&Reduction<T>>,
-    recovery: Option<&NodeRecovery<T>>,
-) -> Result<NodeResult<T>, RunError>
-where
-    T: Value,
-    RK: RunKernel<T>,
-    O: TileOwner,
-    Tr: Transport<T>,
-{
+        recovery,
+    } = *job;
     let t_start = Instant::now();
     let d = tiling.dims();
     let layout = tiling.layout();
@@ -1093,42 +939,20 @@ where
                         // The kernel is user code: a panic quarantines this
                         // tile's coordinate instead of killing the process.
                         let caught = catch_unwind(AssertUnwindSafe(|| {
-                            if config.batched {
-                                let mut visitor = BatchVisitor {
-                                    kernel,
-                                    values: &mut values,
-                                    reduce: reduce.map(|r| (r, r.identity())),
-                                    written_lo,
-                                    written_hi,
-                                };
-                                let counts = tiling
-                                    .scan_tile_runs(&tile, &mut point, &mut visitor)
-                                    .expect("tile scan failed");
-                                let acc = visitor.reduce.map(|(_, acc)| acc);
-                                written_lo = visitor.written_lo;
-                                written_hi = visitor.written_hi;
-                                (counts, acc)
-                            } else if let Some(r) = reduce {
-                                let mut acc = r.identity();
-                                let counts = tiling
-                                    .scan_tile_fast(&tile, &mut point, |cell| {
-                                        kernel.compute(cell, &mut values);
-                                        acc = r.combine(acc, values[cell.loc]);
-                                        written_lo = written_lo.min(cell.loc);
-                                        written_hi = written_hi.max(cell.loc);
-                                    })
-                                    .expect("tile scan failed");
-                                (counts, Some(acc))
-                            } else {
-                                let counts = tiling
-                                    .scan_tile_fast(&tile, &mut point, |cell| {
-                                        kernel.compute(cell, &mut values);
-                                        written_lo = written_lo.min(cell.loc);
-                                        written_hi = written_hi.max(cell.loc);
-                                    })
-                                    .expect("tile scan failed");
-                                (counts, None)
-                            }
+                            let mut visitor = BatchVisitor {
+                                kernel,
+                                values: &mut values,
+                                reduce: reduce.map(|r| (r, r.identity())),
+                                written_lo,
+                                written_hi,
+                            };
+                            let counts = tiling
+                                .scan_tile_runs(&tile, &mut point, &mut visitor)
+                                .expect("tile scan failed");
+                            let acc = visitor.reduce.map(|(_, acc)| acc);
+                            written_lo = visitor.written_lo;
+                            written_hi = visitor.written_hi;
+                            (counts, acc)
                         }));
                         let (counts, tile_acc) = match caught {
                             Ok(out) => out,
@@ -1264,7 +1088,7 @@ where
                     cells.fetch_add(counts.total(), Ordering::Relaxed);
                     interior.fetch_add(counts.interior_cells, Ordering::Relaxed);
                     boundary.fetch_add(counts.boundary_cells, Ordering::Relaxed);
-                    if config.batched {
+                    if RK::BATCHED {
                         runs_batched.fetch_add(counts.interior_runs, Ordering::Relaxed);
                         cells_batched.fetch_add(counts.interior_cells, Ordering::Relaxed);
                     }
@@ -1405,13 +1229,39 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{Kernel, PerCell};
     use crate::transport::NullTransport;
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_tiling::tiling::CellRef;
     use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
 
-    /// Single-rank run through the non-deprecated engine (what the shims
-    /// and the builder both delegate to).
+    /// Single-rank run of a per-cell kernel under `config`.
+    fn run_with<T, K>(
+        tiling: &Tiling,
+        params: &[i64],
+        kernel: &K,
+        probe: &Probe,
+        config: &NodeConfig,
+    ) -> Result<NodeResult<T>, RunError>
+    where
+        T: Value,
+        K: Kernel<T>,
+    {
+        run_node(
+            &NodeJob {
+                tiling,
+                params,
+                owner: &SingleOwner,
+                transport: &NullTransport::default(),
+                probe,
+                config,
+                reduce: None,
+                recovery: None,
+            },
+            &PerCell(kernel),
+        )
+    }
+
     fn run_local<T, K>(
         tiling: &Tiling,
         params: &[i64],
@@ -1428,15 +1278,7 @@ mod tests {
             priority,
             ..NodeConfig::new(threads, tiling.dims())
         };
-        run_node(
-            tiling,
-            params,
-            kernel,
-            &SingleOwner,
-            &NullTransport::default(),
-            probe,
-            &config,
-        )
+        run_with(tiling, params, kernel, probe, &config)
     }
 
     /// Triangle "counting paths" problem: f(x) = f(x+e1) + f(x+e2), base
@@ -1542,16 +1384,8 @@ mod tests {
         for threads in [1usize, 2, 4] {
             for schedule in [Schedule::Static, Schedule::Mixed] {
                 let config = NodeConfig::new(threads, 2).with_schedule(schedule);
-                let res: NodeResult<u64> = run_node(
-                    &tiling,
-                    &[n],
-                    &path_kernel,
-                    &SingleOwner,
-                    &NullTransport::default(),
-                    &Probe::at(&[0, 0]),
-                    &config,
-                )
-                .unwrap();
+                let res: NodeResult<u64> =
+                    run_with(&tiling, &[n], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap();
                 assert_eq!(res.probes[0], Some(expect), "{schedule} threads={threads}");
                 let stats = &res.stats;
                 assert_eq!(stats.schedule, schedule);
@@ -1733,16 +1567,8 @@ mod tests {
     fn watchdog_is_quiet_on_healthy_runs() {
         let tiling = triangle(2);
         let config = NodeConfig::new(2, 2).with_stall_timeout(Some(Duration::from_secs(5)));
-        let res = run_node::<u64, _, _, _>(
-            &tiling,
-            &[12],
-            &path_kernel,
-            &SingleOwner,
-            &NullTransport::default(),
-            &Probe::at(&[0, 0]),
-            &config,
-        )
-        .unwrap();
+        let res =
+            run_with::<u64, _>(&tiling, &[12], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap();
         assert_eq!(res.probes[0], Some(brute(12)[&(0, 0)]));
     }
 
@@ -1754,16 +1580,8 @@ mod tests {
             cancel: Some(cancel),
             ..NodeConfig::new(2, 2)
         };
-        let err = run_node::<u64, _, _, _>(
-            &tiling,
-            &[20],
-            &path_kernel,
-            &SingleOwner,
-            &NullTransport::default(),
-            &Probe::default(),
-            &config,
-        )
-        .unwrap_err();
+        let err = run_with::<u64, _>(&tiling, &[20], &path_kernel, &Probe::default(), &config)
+            .unwrap_err();
         assert!(matches!(err, RunError::Cancelled { rank: 0 }), "{err}");
     }
 }

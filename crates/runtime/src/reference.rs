@@ -181,7 +181,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{run_node, NodeConfig, Probe, SingleOwner};
+    use crate::kernel::PerCell;
+    use crate::node::{run_node, NodeConfig, NodeJob, Probe, SingleOwner};
     use crate::priority::TilePriority;
     use crate::transport::NullTransport;
     use dpgen_polyhedra::{ConstraintSystem, Space};
@@ -228,13 +229,17 @@ mod tests {
             ..NodeConfig::new(2, 2)
         };
         let tiled = run_node::<u64, _, _, _>(
-            &tiling,
-            &[n],
-            &path_kernel,
-            &SingleOwner,
-            &NullTransport::default(),
-            &probe,
-            &config,
+            &NodeJob {
+                tiling: &tiling,
+                params: &[n],
+                owner: &SingleOwner,
+                transport: &NullTransport::default(),
+                probe: &probe,
+                config: &config,
+                reduce: None,
+                recovery: None,
+            },
+            &PerCell(&path_kernel),
         )
         .unwrap();
         for (i, c) in probe.coords().iter().enumerate() {

@@ -1,9 +1,15 @@
 //! The sharded, work-stealing tile scheduler.
 //!
-//! [`crate::scheduler::Scheduler`] is correct but serializes every pop and
-//! every edge delivery through one external lock — exactly the contention
-//! the paper's Section VII-C warns about for large core counts. This module
-//! replaces it on the node runtime's hot path with three ideas:
+//! The node-local tile scheduler (Section V-B of the paper): a *pending
+//! table* holding, for every tile with at least one satisfied dependency,
+//! the edges buffered so far, and *ready queues* of tiles whose
+//! dependencies are all satisfied. Only pending tiles are stored — while
+//! the iteration space has `Θ(n^d)` locations, at most `O(n^{d-1})` tiles
+//! can be pending at once, an order-of-magnitude memory saving.
+//!
+//! A single queue behind one lock serializes every pop and every edge
+//! delivery — exactly the contention the paper's Section VII-C warns about
+//! for large core counts. This scheduler avoids it with three ideas:
 //!
 //! 1. **Per-worker ready deques.** Each worker owns a priority queue of
 //!    ready tiles. Tiles a worker makes ready go to its own queue (locality:
@@ -33,7 +39,6 @@
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
 use crate::schedule::StaticPlan;
-use crate::scheduler::TileEdges;
 use crate::trace::{EventKind, Tracer};
 use dpgen_tiling::{Coord, Direction};
 use parking_lot::{Mutex, MutexGuard};
@@ -59,10 +64,10 @@ pub struct EdgeDelivery<T> {
 
 /// A tile's buffered incoming edges: `(dependency delta, packed payload)`
 /// pairs, handed to the kernel when the tile executes.
-type EdgeBundle<T> = Vec<(Coord, Vec<T>)>;
+pub type TileEdges<T> = Vec<(Coord, Vec<T>)>;
 
 struct Pending<T> {
-    edges: EdgeBundle<T>,
+    edges: TileEdges<T>,
     total: usize,
 }
 
@@ -70,7 +75,7 @@ struct Pending<T> {
 struct ReadyTile<T> {
     key: Vec<i64>,
     tile: Coord,
-    edges: EdgeBundle<T>,
+    edges: TileEdges<T>,
 }
 
 impl<T> PartialEq for ReadyTile<T> {
@@ -96,7 +101,10 @@ impl<T> PartialOrd for ReadyTile<T> {
 struct WorkerQueue<T> {
     heap: Mutex<BinaryHeap<Reverse<ReadyTile<T>>>>,
     /// Mirror of `heap.len()`, readable without the lock (steal victim
-    /// selection and the idle-wait check).
+    /// selection and the idle-wait check). Only written while `heap` is
+    /// locked, so it equals `heap.len()` whenever the lock is free: a
+    /// counter updated after the guard dropped lets two poppers that both
+    /// read 1 subtract twice before the matching add lands, wrapping it.
     len: AtomicUsize,
 }
 
@@ -110,7 +118,7 @@ pub struct ShardedScheduler<T> {
     /// Statically pinned tiles whose dependency sets are complete, parked
     /// here (instead of the ready heaps) until their owner's cursor reaches
     /// them. Sharded by the same Coord hash as the pending table.
-    static_shards: Vec<Mutex<HashMap<Coord, EdgeBundle<T>>>>,
+    static_shards: Vec<Mutex<HashMap<Coord, TileEdges<T>>>>,
     /// Mirror of the total static-ready count, readable without locks.
     static_len: AtomicUsize,
     plan: Option<Arc<StaticPlan>>,
@@ -123,7 +131,7 @@ pub struct ShardedScheduler<T> {
 }
 
 fn hash_coord(tile: &Coord) -> u64 {
-    // Same multiplicative mix as Coord's Hash (see groups.rs).
+    // Same multiplicative mix as Coord's Hash.
     const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
     let mut h: u64 = tile.dims() as u64;
     for &v in tile.as_slice() {
@@ -219,11 +227,12 @@ impl<T> ShardedScheduler<T> {
             t.record(worker, EventKind::TileReady, Some(&entry.tile), 0);
         }
         let q = &self.queues[worker];
-        self.timed_lock(&q.heap).push(Reverse(entry));
-        q.len.fetch_add(1, Ordering::Release);
+        let mut heap = self.timed_lock(&q.heap);
+        heap.push(Reverse(entry));
+        q.len.store(heap.len(), Ordering::Release);
     }
 
-    fn make_ready(&self, tile: Coord, edges: EdgeBundle<T>) -> ReadyTile<T> {
+    fn make_ready(&self, tile: Coord, edges: TileEdges<T>) -> ReadyTile<T> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let key = self.priority.key(&tile, &self.directions, seq);
         ReadyTile { key, tile, edges }
@@ -232,15 +241,16 @@ impl<T> ShardedScheduler<T> {
     /// Route a tile whose dependency set just completed: statically pinned
     /// tiles park in the static-ready table (their owner's cursor will
     /// collect them), everything else goes to `worker`'s ready heap.
-    fn route_ready(&self, worker: usize, tile: Coord, edges: EdgeBundle<T>) {
+    fn route_ready(&self, worker: usize, tile: Coord, edges: TileEdges<T>) {
         if self.plan.as_ref().is_some_and(|p| p.is_member(&tile)) {
             if let Some(t) = &self.tracer {
                 t.record(worker, EventKind::TileReady, Some(&tile), 1);
             }
-            let prev = self
-                .timed_lock(&self.static_shards[self.shard_of(&tile)])
-                .insert(tile, edges);
+            let mut shard = self.timed_lock(&self.static_shards[self.shard_of(&tile)]);
+            let prev = shard.insert(tile, edges);
             debug_assert!(prev.is_none(), "tile {tile} readied twice");
+            // Counted before the shard unlocks: a taker can only find the
+            // tile after its add landed, so `static_len` never underflows.
             self.static_len.fetch_add(1, Ordering::Release);
         } else {
             let entry = self.make_ready(tile, edges);
@@ -270,7 +280,7 @@ impl<T> ShardedScheduler<T> {
         delta: Coord,
         payload: Vec<T>,
         total: usize,
-    ) -> Option<EdgeBundle<T>> {
+    ) -> Option<TileEdges<T>> {
         debug_assert!(total > 0, "tile with zero deps must use mark_initial");
         self.stats.edge_buffered(payload.len());
         let entry = match map.entry(tile) {
@@ -341,7 +351,7 @@ impl<T> ShardedScheduler<T> {
         let mut it = batch.drain(..).peekable();
         while let Some(first) = it.next() {
             let shard_idx = self.shard_of(&first.tile);
-            let mut ready: Vec<(Coord, EdgeBundle<T>)> = Vec::new();
+            let mut ready: Vec<(Coord, TileEdges<T>)> = Vec::new();
             {
                 let mut shard = self.timed_lock(&self.shards[shard_idx]);
                 let mut deliver = |e: EdgeDelivery<T>, shard: &mut HashMap<Coord, Pending<T>>| {
@@ -378,9 +388,7 @@ impl<T> ShardedScheduler<T> {
         }
         let mut heap = self.timed_lock(&q.heap);
         let got = heap.pop();
-        if got.is_some() {
-            q.len.fetch_sub(1, Ordering::Release);
-        }
+        q.len.store(heap.len(), Ordering::Release);
         got.map(|Reverse(t)| t)
     }
 
@@ -543,6 +551,30 @@ mod tests {
         assert_eq!(s.pop(0).unwrap().0, c(&[2, 0]));
         assert!(s.pop(0).is_none());
         assert_eq!(s.steal_count(), 0);
+    }
+
+    #[test]
+    fn fifo_pops_in_arrival_order() {
+        let s = sched(TilePriority::Fifo, 1);
+        s.mark_initial(c(&[5, 5]));
+        s.mark_initial(c(&[0, 0]));
+        assert_eq!(s.pop(0).unwrap().0, c(&[5, 5]));
+        assert_eq!(s.pop(0).unwrap().0, c(&[0, 0]));
+    }
+
+    #[test]
+    fn shard_assignment_is_spread() {
+        let s = sched(TilePriority::Fifo, 1);
+        let mut counts = vec![0usize; s.shard_count()];
+        for x in 0..20i64 {
+            for y in 0..20 {
+                counts[s.shard_of(&c(&[x, y]))] += 1;
+            }
+        }
+        // 400 tiles over 16 shards: no shard starved or swamped.
+        for (shard, &n) in counts.iter().enumerate() {
+            assert!((10..=50).contains(&n), "shard {shard} got {n} of 400 tiles");
+        }
     }
 
     #[test]

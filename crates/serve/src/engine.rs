@@ -460,6 +460,35 @@ mod tests {
     }
 
     #[test]
+    fn contradictory_options_fail_the_job_not_the_worker() {
+        // One resident worker: if the bad job panicked it, the good job
+        // behind it would never complete.
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let spec = tri_spec();
+        let bad = ExecOpts::new().serial().ranks(2);
+        let err = engine
+            .submit(&spec, &[12], path_kernel(), Some(bad))
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        match &err {
+            RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Options, "{err}"),
+            other => panic!("expected an options fault, got {other}"),
+        }
+        let good = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
+        let out = engine
+            .submit(&spec, &[12], path_kernel(), Some(good))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(out.probes, vec![Some(1 << 13)]);
+        assert_eq!(engine.metrics().counter("serve.jobs_failed"), Some(1));
+    }
+
+    #[test]
     fn admission_rejects_oversized_jobs() {
         let engine = Engine::new(EngineConfig {
             max_cells: 50, // a 13x13 box is over the limit

@@ -3,11 +3,13 @@
 //! and the hybrid driver must agree exactly with the dense reference
 //! executor.
 
-use dpgen::core::RunBuilder;
+use dpgen::core::{ExecOpts, RunBuilder, RunOutput};
 use dpgen::polyhedra::{ConstraintSystem, Space};
 use dpgen::problems::{random_sequence, Bandit2, Lcs, SmithWaterman};
-use dpgen::runtime::{run_reference, Probe, Reduction, Schedule, TilePriority};
-use dpgen::tiling::tiling::CellRef;
+use dpgen::runtime::{
+    run_reference, Kernel, PerCell, Probe, Reduction, RunKernel, Schedule, TilePriority,
+};
+use dpgen::tiling::tiling::{CellRef, RunCtx};
 use dpgen::tiling::{Template, TemplateSet, Tiling, TilingBuilder};
 use proptest::prelude::*;
 
@@ -428,4 +430,112 @@ fn bandit2_matrix_bit_identical() {
     // for its different summation order).
     let f = f64::from_bits(bits.unwrap());
     assert!((f - problem.solve_dense(n)).abs() < 1e-9);
+}
+
+/// Counts the interior runs the engine hands to `eval_run`.
+struct CountingRuns<'a> {
+    inner: &'a Lcs,
+    runs: std::sync::atomic::AtomicU64,
+}
+
+impl Kernel<i64> for CountingRuns<'_> {
+    fn compute(&self, cell: CellRef<'_>, values: &mut [i64]) {
+        self.inner.compute(cell, values)
+    }
+}
+
+impl RunKernel<i64> for CountingRuns<'_> {
+    fn eval_run(&self, run: &RunCtx<'_>, values: &mut [i64]) {
+        self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.eval_run(run, values)
+    }
+}
+
+/// The node engine has one scan; whether a kernel's own `eval_run` is
+/// used rides on the entry point's kernel type alone. `Plan::execute`
+/// lifts its kernel with `PerCell`, so even a `RunKernel` passed there
+/// runs cell by cell and reports no batching; `Plan::execute_batched`
+/// dispatches every interior run to it.
+#[test]
+fn execute_never_calls_eval_run_and_execute_batched_always_does() {
+    use std::sync::atomic::Ordering;
+    let a = random_sequence(37, 11);
+    let b = random_sequence(41, 12);
+    let problem = Lcs::new(&[&a, &b]);
+    let plan = Lcs::program(2, 5).unwrap().compile(&problem.params());
+    let kernel = CountingRuns {
+        inner: &problem,
+        runs: Default::default(),
+    };
+    for (threads, ranks) in [(1usize, 1usize), (3, 1), (2, 2)] {
+        let opts = ExecOpts::new()
+            .threads(threads)
+            .ranks(ranks)
+            .probe(Probe::at(&problem.goal()));
+        let ctx = format!("threads={threads} ranks={ranks}");
+        let runs_batched = |out: &RunOutput<i64>| -> u64 {
+            out.per_rank.iter().map(|r| r.stats.runs_batched).sum()
+        };
+
+        let per_cell = plan.execute::<i64, _>(&kernel, &opts).unwrap();
+        assert_eq!(kernel.runs.load(Ordering::Relaxed), 0, "{ctx}");
+        assert_eq!(runs_batched(&per_cell), 0, "{ctx}");
+
+        let batched = plan.execute_batched::<i64, _>(&kernel, &opts).unwrap();
+        let called = kernel.runs.swap(0, Ordering::Relaxed);
+        assert!(called > 0, "{ctx}");
+        assert_eq!(runs_batched(&batched), called, "{ctx}");
+        assert_eq!(batched.probes, per_cell.probes, "{ctx}");
+        assert_eq!(batched.probes[0], Some(problem.solve_dense()), "{ctx}");
+    }
+}
+
+/// Per-cell execution *is* the `PerCell` adapter: `run(&k)` and
+/// `run_batched(&PerCell(&k))` are the same path, so probes, the
+/// reduction and every work counter agree exactly — with and without a
+/// reduction, on the shared runtime and across ranks.
+#[test]
+fn run_equals_run_batched_through_per_cell() {
+    let a = random_sequence(29, 5);
+    let b = random_sequence(33, 6);
+    let problem = SmithWaterman::new(&a, &b);
+    let program = SmithWaterman::program(4).unwrap();
+    let params = problem.params();
+    let probe = Probe::many(&[&[0, 0], &[7, 9]]);
+    for (threads, ranks) in [(1usize, 1usize), (3, 1), (2, 2)] {
+        for with_reduce in [false, true] {
+            let run = |batched: bool| -> RunOutput<i64> {
+                let reduction = Reduction::new(0i64, |x: i64, y: i64| x.max(y));
+                let mut builder = RunBuilder::<i64>::on_tiling(program.tiling(), &params)
+                    .threads(threads)
+                    .ranks(ranks)
+                    .probe(probe.clone());
+                if with_reduce {
+                    builder = builder.reduce(&reduction);
+                }
+                if batched {
+                    builder.run_batched(&PerCell(&problem)).unwrap()
+                } else {
+                    builder.run(&problem).unwrap()
+                }
+            };
+            let (plain, lifted) = (run(false), run(true));
+            let ctx = format!("threads={threads} ranks={ranks} reduce={with_reduce}");
+            assert_eq!(plain.probes, lifted.probes, "{ctx}");
+            assert_eq!(plain.reduction, lifted.reduction, "{ctx}");
+            assert_eq!(plain.reduction.is_some(), with_reduce, "{ctx}");
+            if with_reduce {
+                assert_eq!(plain.reduction, Some(problem.solve_dense()), "{ctx}");
+            }
+            for (p, l) in plain.per_rank.iter().zip(&lifted.per_rank) {
+                let (p, l) = (&p.stats, &l.stats);
+                assert_eq!(p.cells_computed, l.cells_computed, "{ctx}");
+                assert_eq!(p.interior_cells, l.interior_cells, "{ctx}");
+                assert_eq!(p.boundary_cells, l.boundary_cells, "{ctx}");
+                assert_eq!(p.tiles_executed, l.tiles_executed, "{ctx}");
+                assert_eq!((p.runs_batched, l.runs_batched), (0, 0), "{ctx}");
+                assert_eq!((p.cells_batched, l.cells_batched), (0, 0), "{ctx}");
+            }
+        }
+    }
 }

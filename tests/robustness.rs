@@ -7,8 +7,8 @@ use dpgen::core::{BalanceMethod, Program, ProgramError, RecoveryConfig, RunBuild
 use dpgen::mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
 use dpgen::problems::{random_sequence, EditDistance, Lcs};
 use dpgen::runtime::{
-    run_node, Kernel, NodeConfig, NullTransport, Probe, RunError, Schedule, TileOwner,
-    TilePriority, TransportError,
+    run_node, Kernel, NodeConfig, NodeJob, NullTransport, PerCell, Probe, RunError, Schedule,
+    TileOwner, TilePriority, TransportError,
 };
 use dpgen::tiling::tiling::CellRef;
 use dpgen::tiling::Coord;
@@ -348,13 +348,17 @@ fn mispartitioned_null_transport_is_a_typed_error() {
     let program = Program::parse(TRIANGLE).unwrap();
     let config = NodeConfig::new(2, 2).with_stall_timeout(Some(Duration::from_secs(10)));
     let err = run_node::<u64, _, _, _>(
-        program.tiling(),
-        &[16],
-        &count_kernel,
-        &SplitOwner,
-        &NullTransport::default(),
-        &Probe::default(),
-        &config,
+        &NodeJob {
+            tiling: program.tiling(),
+            params: &[16],
+            owner: &SplitOwner,
+            transport: &NullTransport::default(),
+            probe: &Probe::default(),
+            config: &config,
+            reduce: None,
+            recovery: None,
+        },
+        &PerCell(&count_kernel),
     )
     .unwrap_err();
     match &err {

@@ -366,3 +366,66 @@ fn run_stats_contention_counters_populated() {
     // Results identical regardless of worker count.
     assert_eq!(par.probes, serial.probes);
 }
+
+/// Regression for the ready-length mirror racing its heap: producers
+/// deliver, consumers pop and steal, and an observer keeps reading
+/// `ready_len()` the way an idle worker and the stall snapshot do. The
+/// counter may lag, but it can never exceed the number of deliveries
+/// started — a wrapped counter reads as ~`usize::MAX` in release builds and
+/// overflows the sum in debug builds.
+#[test]
+fn ready_len_never_exceeds_deliveries_under_contention() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const QUEUES: usize = 4;
+    const PER_PRODUCER: i64 = 250_000;
+    const TOTAL: u64 = QUEUES as u64 * PER_PRODUCER as u64;
+    let sched: ShardedScheduler<i64> = ShardedScheduler::new(
+        TilePriority::Fifo,
+        vec![
+            dpgen::tiling::Direction::Ascending,
+            dpgen::tiling::Direction::Ascending,
+        ],
+        QUEUES,
+        Arc::new(MemoryStats::new()),
+    );
+    let (delivered, popped, worst) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let (s, delivered, popped, worst) = (&sched, &delivered, &popped, &worst);
+    std::thread::scope(|scope| {
+        for w in 0..QUEUES {
+            scope.spawn(move || {
+                for i in 0..PER_PRODUCER {
+                    // Counted before the edge lands, so the observer's
+                    // bound holds at every instant.
+                    delivered.fetch_add(1, Ordering::SeqCst);
+                    let tile = Coord::from_slice(&[w as i64, i]);
+                    s.deliver_edge(w, tile, Coord::from_slice(&[0, -1]), vec![i], 1);
+                }
+            });
+            scope.spawn(move || {
+                while popped.load(Ordering::SeqCst) < TOTAL {
+                    match s.pop(w) {
+                        Some(_) => {
+                            popped.fetch_add(1, Ordering::SeqCst);
+                        }
+                        None => std::thread::yield_now(),
+                    }
+                }
+            });
+        }
+        scope.spawn(move || {
+            while popped.load(Ordering::SeqCst) < TOTAL {
+                let ready = s.ready_len() as u64;
+                if ready > delivered.load(Ordering::SeqCst) {
+                    worst.fetch_max(ready, Ordering::SeqCst);
+                }
+            }
+        });
+    });
+    assert_eq!(
+        worst.load(Ordering::SeqCst),
+        0,
+        "ready_len() reported more ready tiles than were ever delivered"
+    );
+    assert_eq!(sched.ready_len(), 0);
+    assert_eq!(sched.pending_len(), 0);
+}
