@@ -2,9 +2,10 @@
 //!
 //! Mirrors the structure of the generated program's `main` (Section V-A):
 //! initialise the communication world, run the load balancer, then start one
-//! process per node — here, one thread per simulated rank — each of which
-//! runs the shared-memory node runtime with its own worker pool and
-//! exchanges edges through `dpgen-mpisim`.
+//! process per node — here, one thread per simulated rank, the first of
+//! them the caller's own — each of which runs the shared-memory node
+//! runtime with its own worker pool and exchanges edges through
+//! `dpgen-mpisim`.
 //!
 //! Multi-rank failure handling: every rank shares one cancellation flag, so
 //! the first rank to fail (kernel panic, stall, transport error) tears the
@@ -183,6 +184,10 @@ where
             (0..opts.ranks).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
+            // The calling thread runs the first live rank itself, once the
+            // others are started: one thread fewer to place, wake and join
+            // per execution, and none at all before that rank's first tile.
+            let mut inline = None;
             for comm in &world {
                 let rank = comm.rank();
                 if retired.contains(&rank) {
@@ -196,36 +201,41 @@ where
                     sink: sinks[rank].clone(),
                     resume: resume[rank].take(),
                 });
-                handles.push((
-                    rank,
-                    scope.spawn(move || {
-                        let node_config = NodeConfig {
-                            threads: opts.threads,
-                            priority,
-                            schedule,
-                            rank,
-                            stall_timeout: opts.stall_timeout,
-                            cancel: Some(cancel),
-                            job_cancel: opts.cancel.clone(),
-                            static_plan: None,
-                            recycler: None,
-                            tracer,
-                        };
-                        run_node(
-                            &NodeJob {
-                                tiling,
-                                params,
-                                owner,
-                                transport: comm,
-                                probe,
-                                config: &node_config,
-                                reduce,
-                                recovery: recovery.as_ref(),
-                            },
-                            kernel,
-                        )
-                    }),
-                ));
+                let run_rank = move || {
+                    let node_config = NodeConfig {
+                        threads: opts.threads,
+                        priority,
+                        schedule,
+                        rank,
+                        stall_timeout: opts.stall_timeout,
+                        cancel: Some(cancel),
+                        job_cancel: opts.cancel.clone(),
+                        static_plan: None,
+                        recycler: None,
+                        tracer,
+                    };
+                    run_node(
+                        &NodeJob {
+                            tiling,
+                            params,
+                            owner,
+                            transport: comm,
+                            probe,
+                            config: &node_config,
+                            reduce,
+                            recovery: recovery.as_ref(),
+                        },
+                        kernel,
+                    )
+                };
+                if inline.is_none() {
+                    inline = Some((rank, run_rank));
+                } else {
+                    handles.push((rank, scope.spawn(run_rank)));
+                }
+            }
+            if let Some((rank, run_rank)) = inline {
+                per_rank[rank] = Some(run_rank());
             }
             for (rank, h) in handles {
                 per_rank[rank] = Some(h.join().expect("rank thread panicked"));

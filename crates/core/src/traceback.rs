@@ -15,9 +15,10 @@
 //!   optimal policy follows.
 
 use dpgen_runtime::{Kernel, Value};
-use dpgen_tiling::tiling::CellRef;
-use dpgen_tiling::{Coord, Tiling};
+use dpgen_tiling::tiling::{CellRef, EachCell};
+use dpgen_tiling::{Coord, TileGeom, Tiling};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// All inter-tile edges produced during a forward pass, keyed by consumer
 /// tile.
@@ -69,11 +70,10 @@ where
         }
     }
     let mut log: HashMap<Coord, Vec<(Coord, Vec<T>)>> = HashMap::new();
-    let layout = tiling.layout();
     while let Some(tile) = queue.pop_front() {
-        let values = compute_tile(
+        let (values, geom) = compute_tile(
             tiling,
-            params,
+            &mut point,
             kernel,
             &tile,
             log.get(&tile).map(Vec::as_slice).unwrap_or(&[]),
@@ -84,11 +84,8 @@ where
             if !tiling.tile_in_space(&consumer, &mut point) {
                 continue;
             }
-            let edge = &tiling.edges()[dep_idx];
-            tiling.set_tile(&tile, &mut point);
-            let mut payload = Vec::new();
-            edge.for_each_cell(&mut point, |j| payload.push(values[layout.loc(j)]))
-                .expect("edge pack failed");
+            let src_locs = geom.edge_cells(dep_idx);
+            let payload = src_locs.iter().map(|&loc| values[loc as usize]).collect();
             log.entry(consumer).or_default().push((dep.delta, payload));
             let r = remaining
                 .get_mut(&consumer)
@@ -102,36 +99,43 @@ where
     EdgeLog { edges: log }
 }
 
-/// Recompute one tile's values from logged edges.
+/// The recorded geometry of `tile` (the node engine's memoized classes).
+fn geometry(tiling: &Tiling, tile: &Coord, point: &mut [i128]) -> Arc<TileGeom> {
+    tiling
+        .geometry(tile, point)
+        .expect("tile geometry failed")
+        .0
+}
+
+/// Recompute one tile's values from logged edges by replaying its recorded
+/// geometry, exactly as the node engine executes it.
 fn compute_tile<T, K>(
     tiling: &Tiling,
-    params: &[i64],
+    point: &mut [i128],
     kernel: &K,
     tile: &Coord,
     edges: &[(Coord, Vec<T>)],
-) -> Vec<T>
+) -> (Vec<T>, Arc<TileGeom>)
 where
     T: Value,
     K: Kernel<T>,
 {
-    let layout = tiling.layout();
-    let mut point = tiling.make_point(params);
-    let mut values = vec![T::default(); layout.size()];
+    let mut values = vec![T::default(); tiling.layout().size()];
     for (delta, payload) in edges {
-        let edge = tiling.edge_for(delta).expect("unknown edge offset");
-        let src = tile.add(delta);
-        tiling.set_tile(&src, &mut point);
-        let mut k = 0usize;
-        edge.for_each_cell(&mut point, |j| {
-            values[layout.loc_ghost(j, delta)] = payload[k];
-            k += 1;
-        })
-        .expect("edge unpack failed");
+        let dep_idx = tiling.dep_index(delta).expect("unknown edge offset");
+        let src_geom = geometry(tiling, &tile.add(delta), point);
+        let shift = tiling.edges()[dep_idx].ghost_shift;
+        for (&loc, &v) in src_geom.edge_cells(dep_idx).iter().zip(payload) {
+            values[(loc as i64 + shift) as usize] = v;
+        }
     }
-    tiling
-        .scan_tile(tile, &mut point, |cell| kernel.compute(cell, &mut values))
-        .expect("tile scan failed");
-    values
+    let geom = geometry(tiling, tile, point);
+    tiling.replay(
+        &geom,
+        tile,
+        &mut EachCell(|cell: CellRef<'_>| kernel.compute(cell, &mut values)),
+    );
+    (values, geom)
 }
 
 /// A decision step: given the cell (with its validity flags and offsets)
@@ -145,7 +149,7 @@ pub struct Traceback<'a, T, K> {
     params: Vec<i64>,
     kernel: &'a K,
     log: &'a EdgeLog<T>,
-    cache: Option<(Coord, Vec<T>)>,
+    cache: Option<(Coord, Vec<T>, Arc<TileGeom>)>,
     /// Tiles recomputed so far (a measure of traceback cost).
     pub tiles_recomputed: usize,
 }
@@ -187,19 +191,21 @@ where
                 tile.set(k, x[k].div_euclid(widths[k]));
             }
             self.ensure_tile(&tile);
-            let values: &[T] = &self.cache.as_ref().unwrap().1;
-            // Find the CellRef for x by scanning (cells are cheap relative
-            // to a recompute; the tile is cached between steps).
+            let (_, values, geom) = self.cache.as_ref().unwrap();
+            // Find the CellRef for x by replaying the tile's recording
+            // (cells are cheap relative to a recompute; the tile is cached
+            // between steps).
             let mut decision: Option<Option<usize>> = None;
-            let mut point = self.tiling.make_point(&self.params);
             let xs = x;
-            self.tiling
-                .scan_tile(&tile, &mut point, |cell| {
+            self.tiling.replay(
+                geom,
+                &tile,
+                &mut EachCell(|cell: CellRef<'_>| {
                     if cell.x == xs.as_slice() {
                         decision = Some(decide(cell, values));
                     }
-                })
-                .expect("traceback scan failed");
+                }),
+            );
             let Some(choice) = decision else {
                 panic!("traceback start {x} outside the iteration space");
             };
@@ -212,17 +218,18 @@ where
     }
 
     fn ensure_tile(&mut self, tile: &Coord) {
-        let hit = matches!(&self.cache, Some((t, _)) if t == tile);
+        let hit = matches!(&self.cache, Some((t, ..)) if t == tile);
         if !hit {
-            let values = compute_tile(
+            let mut point = self.tiling.make_point(&self.params);
+            let (values, geom) = compute_tile(
                 self.tiling,
-                &self.params,
+                &mut point,
                 self.kernel,
                 tile,
                 self.log.edges_for(tile),
             );
             self.tiles_recomputed += 1;
-            self.cache = Some((*tile, values));
+            self.cache = Some((*tile, values, geom));
         }
     }
 }

@@ -211,6 +211,16 @@ pub enum RunError {
     /// transport this indicates a peer running a different problem.
     /// (Boxed to keep `Result<_, RunError>` small on the happy path.)
     BadEdge(Box<EdgeFault>),
+    /// Deriving a tile's geometry failed: a polyhedral evaluation
+    /// overflowed on this tile's indices or the bound parameters.
+    TileGeometry {
+        /// The rank the tile was being prepared on.
+        rank: usize,
+        /// The tile whose geometry could not be derived.
+        tile: Coord,
+        /// The polyhedral failure.
+        error: PolyError,
+    },
     /// A peer rank was declared dead: heartbeats stopped and every
     /// retransmit went unacknowledged past the death timeout. The typed
     /// escalation of what would otherwise surface as a generic stall —
@@ -246,8 +256,9 @@ impl RunError {
         match self {
             // Nothing ran at all: the diagnosis *is* the compilation
             // failure, so it outranks every execution-time error.
-            RunError::CompileError(_) => 7,
-            RunError::KernelPanic { .. } => 6,
+            RunError::CompileError(_) => 8,
+            RunError::KernelPanic { .. } => 7,
+            RunError::TileGeometry { .. } => 6,
             RunError::BadEdge(_) => 5,
             RunError::Stalled(_) => 4,
             RunError::PeerDead { .. } => 3,
@@ -262,7 +273,7 @@ impl RunError {
     /// trace event so the failing coordinate survives into the timeline.
     pub fn tile(&self) -> Option<Coord> {
         match self {
-            RunError::KernelPanic { tile, .. } => Some(*tile),
+            RunError::KernelPanic { tile, .. } | RunError::TileGeometry { tile, .. } => Some(*tile),
             RunError::BadEdge(e) => Some(e.tile),
             RunError::Transport(TransportError::NoRoute { tile, .. }) => Some(*tile),
             _ => None,
@@ -275,6 +286,7 @@ impl RunError {
     pub fn rank(&self) -> Option<usize> {
         match self {
             RunError::KernelPanic { rank, .. }
+            | RunError::TileGeometry { rank, .. }
             | RunError::Cancelled { rank }
             | RunError::PeerDead { rank, .. } => Some(*rank),
             RunError::BadEdge(e) => Some(e.rank),
@@ -306,6 +318,12 @@ impl fmt::Display for RunError {
                 "kernel panicked on rank {rank} worker {worker} at tile {tile}: {message}"
             ),
             RunError::BadEdge(e) => write!(f, "{e}"),
+            RunError::TileGeometry { rank, tile, error } => {
+                write!(
+                    f,
+                    "rank {rank} could not derive tile {tile}'s geometry: {error}"
+                )
+            }
             RunError::PeerDead { rank, last_seq } => write!(
                 f,
                 "rank {rank} is dead (heartbeats stopped, retransmits \
@@ -323,6 +341,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RunError::Transport(e) => Some(e),
+            RunError::TileGeometry { error, .. } => Some(error),
             _ => None,
         }
     }

@@ -311,6 +311,11 @@ impl MetricsRegistry {
         c(self, "tiles_dynamic", s.tiles_dynamic);
         c(self, "runs_batched", s.runs_batched);
         c(self, "cells_batched", s.cells_batched);
+        // The geometry cache belongs to the tiling, not to a rank: its
+        // counters are exported unprefixed, summed over every rank recorded.
+        self.add_counter("runtime.geom_builds", s.geom_builds);
+        self.add_counter("runtime.geom_hits", s.geom_hits);
+        self.set_gauge("runtime.geom_classes", s.geom_classes as f64);
         let g = |reg: &mut MetricsRegistry, name: &str, v: f64| {
             reg.set_gauge(&format!("{prefix}{name}"), v);
         };

@@ -7,17 +7,24 @@
 //! buffer, runs the center-loop kernel over the tile, packs each valid
 //! outgoing edge and either updates a neighbouring tile on this node or
 //! hands the edge to the transport. Only executing tiles hold full buffers;
-//! waiting tiles exist only as packed edges.
+//! waiting tiles exist only as packed edges. Worker 0 is the calling thread
+//! (a one-worker node starts none), and a worker with nothing to do polls
+//! for `IDLE_SPIN` before it first sleeps, so that a run of a few
+//! milliseconds waits for no thread start and no timer.
 //!
 //! The hot path is allocation-free in steady state: each worker keeps a
 //! [`TileBufferPool`] holding one tile value buffer (cleared only over the
 //! cell range actually written by the previous tile) and a recycle list of
 //! edge payload vectors (presized from [`EdgeLayout::max_cells`] so pushes
-//! never reallocate). Every tile is scanned with
-//! [`Tiling::scan_tile_runs`], which hoists the per-cell validity checks
-//! out of contiguous interior runs and hands each run whole to
-//! [`RunKernel::eval_run`]; per-cell execution is the [`PerCell`] adapter,
-//! whose `eval_run` replays the run through [`Kernel::compute`].
+//! never reallocate). No tile walks a loop nest: unpack, scan and pack
+//! replay the tile's recorded geometry ([`Tiling::geometry`], memoized per
+//! tile class inside the tiling) — unpack scatters through the source
+//! tile's edge indices, the scan feeds the recorded interior runs whole to
+//! [`RunKernel::eval_run`] and the boundary cells to `compute`, pack
+//! gathers through the tile's own edge indices. Per-cell execution is the
+//! [`PerCell`] adapter, whose `eval_run` replays the run through
+//! [`Kernel::compute`]. Which tiles exist, and how many dependencies each
+//! waits for, is tabulated once per run during initial-tile generation.
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -30,7 +37,7 @@
 //! [`NodeConfig::cancel`] flag was provided, sibling ranks are told to stop.
 //!
 //! [`EdgeLayout::max_cells`]: dpgen_tiling::EdgeLayout::max_cells
-//! [`Tiling::scan_tile_runs`]: dpgen_tiling::Tiling::scan_tile_runs
+//! [`Tiling::geometry`]: dpgen_tiling::Tiling::geometry
 //! [`PerCell`]: crate::kernel::PerCell
 //! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
@@ -47,12 +54,12 @@ use crate::stats::RunStats;
 use crate::trace::{EventKind, Tracer};
 use crate::transport::{EdgeMsg, Transport};
 use dpgen_tiling::tiling::{CellRef, RunCtx, TileVisitor};
-use dpgen_tiling::{Coord, Tiling, MAX_DIMS};
+use dpgen_tiling::{Coord, TileGeom, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Assigns every tile to the rank that executes it (the load balancer's
@@ -380,6 +387,107 @@ impl<T: Value, RK: RunKernel<T>> TileVisitor for BatchVisitor<'_, T, RK> {
     }
 }
 
+/// What a run knows about one tile of the tile space.
+#[derive(Default)]
+struct TileEntry {
+    /// How many of the tile's dependencies exist: the edge count the
+    /// scheduler waits for before the tile may run.
+    dep_total: usize,
+    /// The tile's recorded geometry, parked by the first worker to need it.
+    geom: OnceLock<Arc<TileGeom>>,
+}
+
+/// The run's tile table: one [`TileEntry`] per tile of the tile space,
+/// built once during initial-tile generation. Delivery, receive and pack
+/// read it in place of evaluating tile-space membership per edge.
+///
+/// The tile nest enumerates each *row* — the tiles sharing every
+/// coordinate but the innermost loop's — as one contiguous interval, so
+/// the table is a dense entry array in enumeration order plus one map
+/// entry per row: a third of the memory of a map keyed by tile.
+struct TileTable {
+    /// Problem dimension of the tile nest's innermost loop.
+    inner: usize,
+    /// Keyed by a row's tiles with coordinate `inner` zeroed.
+    rows: HashMap<Coord, TileRow>,
+    /// In `for_each_tile` order.
+    entries: Vec<TileEntry>,
+}
+
+struct TileRow {
+    /// Coordinate `inner` of the row's first tile.
+    lo: i64,
+    len: usize,
+    /// Index of the row's first tile in `entries`.
+    start: usize,
+}
+
+impl TileTable {
+    /// `tiles` must be the whole tile space in `for_each_tile` order.
+    fn new(tiling: &Tiling, tiles: &[Coord]) -> TileTable {
+        let inner = *tiling.loop_order().last().expect("tiling has >= 1 dim");
+        let mut table = TileTable {
+            inner,
+            rows: HashMap::new(),
+            entries: tiles.iter().map(|_| TileEntry::default()).collect(),
+        };
+        for (start, t) in tiles.iter().enumerate() {
+            let mut key = *t;
+            key.set(inner, 0);
+            let row = table.rows.entry(key).or_insert(TileRow {
+                lo: t[inner],
+                len: 0,
+                start,
+            });
+            // The innermost tile loop runs `lb..=ub` under each prefix
+            // exactly once; anything else is a bug in `for_each_tile`.
+            assert_eq!(
+                (row.lo + row.len as i64, row.start + row.len),
+                (t[inner], start),
+                "tile nest did not enumerate row {key} contiguously"
+            );
+            row.len += 1;
+        }
+        for (i, t) in tiles.iter().enumerate() {
+            table.entries[i].dep_total = tiling
+                .deps()
+                .iter()
+                .filter(|dep| table.get(&t.add(&dep.delta)).is_some())
+                .count();
+        }
+        table
+    }
+
+    /// The entry of `tile`, or `None` when no such tile exists.
+    fn get(&self, tile: &Coord) -> Option<&TileEntry> {
+        if self.inner >= tile.dims() {
+            return None;
+        }
+        let mut key = *tile;
+        key.set(self.inner, 0);
+        let row = self.rows.get(&key)?;
+        let offset = usize::try_from(tile[self.inner].checked_sub(row.lo)?).ok()?;
+        (offset < row.len).then(|| &self.entries[row.start + offset])
+    }
+}
+
+/// How long an idle worker keeps polling before it starts sleeping. Long
+/// enough to cover a pipeline fill of a small run (a rank waiting for its
+/// first edges, a worker waiting out a wavefront's ramp), so that in a run
+/// of a few milliseconds no wake-up hangs on a timer; short enough to be
+/// noise in any run long enough to have longer waits.
+const IDLE_SPIN: Duration = Duration::from_millis(2);
+
+/// One turn of a polling wait: a burst of `PAUSE`s, during which a
+/// hyperthread sibling has the core's execution units to itself, then a
+/// yield, which hands a shared CPU to whoever can make progress.
+fn poll_pause() {
+    for _ in 0..64 {
+        std::hint::spin_loop();
+    }
+    std::thread::yield_now();
+}
+
 /// The outcome of one node's run.
 #[derive(Debug, Clone)]
 pub struct NodeResult<T> {
@@ -474,12 +582,11 @@ where
     // dependencies are all unsatisfiable. Executed serially, as in the
     // paper; its wall time is reported separately.
     let mut point = tiling.make_point(params);
+    // Every tile of the tile space first (narrowed to this rank's below).
     let mut owned_list: Vec<Coord> = Vec::new();
-    tiling.for_each_tile(&mut point, |t| {
-        if owner.owner_of(&t) == config.rank {
-            owned_list.push(t);
-        }
-    });
+    tiling.for_each_tile(&mut point, |t| owned_list.push(t));
+    let tiles = TileTable::new(tiling, &owned_list);
+    owned_list.retain(|t| owner.owner_of(t) == config.rank);
     // Tiles already completed in prior recovery epochs: never re-executed
     // and never delivered to — their results travel as replayed edges.
     // Empty outside a recovery resume, so the hot path pays one
@@ -500,7 +607,7 @@ where
             resumed_cells += tiling.tile_cell_count(t, &mut point) as u64;
             continue;
         }
-        if tiling.dep_total(t, &mut point) == 0 {
+        if tiles.get(t).is_some_and(|entry| entry.dep_total == 0) {
             initials.push(*t);
         }
     }
@@ -557,11 +664,13 @@ where
         let mut replay: Vec<EdgeDelivery<T>> = rs
             .replay
             .iter()
-            .map(|m| EdgeDelivery {
-                tile: m.tile,
-                delta: m.delta,
-                payload: m.payload.clone(),
-                total: tiling.dep_total(&m.tile, &mut point),
+            .filter_map(|m| {
+                Some(EdgeDelivery {
+                    tile: m.tile,
+                    delta: m.delta,
+                    payload: m.payload.clone(),
+                    total: tiles.get(&m.tile)?.dep_total,
+                })
             })
             .collect();
         sched.deliver_batch(0, &mut replay);
@@ -581,6 +690,8 @@ where
     let edges_local = AtomicU64::new(0);
     let edges_remote = AtomicU64::new(0);
     let edge_cells = AtomicU64::new(0);
+    let geom_builds = AtomicU64::new(0);
+    let geom_hits = AtomicU64::new(0);
     let idle_ns = AtomicU64::new(0);
     let tiles_per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
@@ -633,7 +744,8 @@ where
     };
 
     std::thread::scope(|scope| {
-        for w in 0..threads {
+        // One worker's whole life, run by every worker thread.
+        let worker = {
             let sched = &sched;
             let cv = &cv;
             let cv_mutex = &cv_mutex;
@@ -650,6 +762,9 @@ where
             let edges_local = &edges_local;
             let edges_remote = &edges_remote;
             let edge_cells = &edge_cells;
+            let geom_builds = &geom_builds;
+            let geom_hits = &geom_hits;
+            let tiles = &tiles;
             let idle_ns = &idle_ns;
             let tiles_per_worker = &tiles_per_worker;
             let mem = &mem;
@@ -660,7 +775,7 @@ where
             let last_progress = &last_progress;
             let worker_progress = &worker_progress;
             let snapshot = &snapshot;
-            scope.spawn(move || {
+            move |w: usize| {
                 let mut point = tiling.make_point(params);
                 let mut pool: TileBufferPool<T> = match &config.recycler {
                     Some(r) => TileBufferPool::seeded(r),
@@ -693,6 +808,8 @@ where
                 // Tracks the current idle episode for WorkerIdle/Resume
                 // events; only maintained when a tracer is attached.
                 let mut idle_since: Option<Instant> = None;
+                // End of the polling phase of the current idle episode.
+                let mut spin_until: Option<Instant> = None;
                 // Presized from the dependency count: one local edge per
                 // template plus headroom for polled transport messages, so
                 // steady-state delivery never regrows it (deliver_batch
@@ -730,6 +847,39 @@ where
                     }
                     cv.notify_all();
                 };
+                // The recorded geometry of a tile (its own, or the source
+                // of an incoming edge). The first worker to need it asks
+                // the tiling — one signature and one map lookup unless the
+                // tile is the first of its class — and parks it in the
+                // tile's table entry for everyone after.
+                let (mut built, mut hit) = (0u64, 0u64);
+                let mut geometry = |t: &Coord,
+                                    entry: Option<&TileEntry>,
+                                    point: &mut [i128]|
+                 -> Result<Arc<TileGeom>, RunError> {
+                    let slot = entry.map(|entry| &entry.geom);
+                    if let Some(geom) = slot.and_then(OnceLock::get) {
+                        return Ok(geom.clone());
+                    }
+                    let (geom, was_built) =
+                        tiling
+                            .geometry(t, point)
+                            .map_err(|error| RunError::TileGeometry {
+                                rank: config.rank,
+                                tile: *t,
+                                error,
+                            })?;
+                    // Counted by whoever parks it, so a run's lookups add
+                    // up to the tiles it touched whatever the interleaving.
+                    if slot.is_none_or(|slot| slot.set(geom.clone()).is_ok()) {
+                        if was_built {
+                            built += 1;
+                        } else {
+                            hit += 1;
+                        }
+                    }
+                    Ok(geom)
+                };
                 loop {
                     if failed.load(Ordering::Acquire) {
                         break;
@@ -758,6 +908,7 @@ where
                     }
                     // Step 6 of the paper's loop: poll for incoming edges,
                     // delivered as one shard-grouped batch.
+                    let mut bad_edge = None;
                     while let Some(msg) = transport.try_recv() {
                         if let Some(t) = tracer {
                             t.record(
@@ -773,13 +924,25 @@ where
                         if completed_prior.contains(&msg.tile) {
                             continue;
                         }
-                        let total = tiling.dep_total(&msg.tile, &mut point);
+                        let Some(entry) = tiles.get(&msg.tile) else {
+                            bad_edge = Some(EdgeFault {
+                                rank: config.rank,
+                                tile: msg.tile,
+                                delta: msg.delta,
+                                detail: "consumer tile is outside the tile space".to_string(),
+                            });
+                            break;
+                        };
                         batch.push(EdgeDelivery {
                             tile: msg.tile,
                             delta: msg.delta,
                             payload: msg.payload,
-                            total,
+                            total: entry.dep_total,
                         });
+                    }
+                    if let Some(fault) = bad_edge {
+                        fail(RunError::BadEdge(Box::new(fault)));
+                        break;
                     }
                     if !batch.is_empty() {
                         note_progress();
@@ -825,6 +988,17 @@ where
                             }
                         }
                         let t0 = Instant::now();
+                        // The edge an idle worker waits for is usually less
+                        // than a tile of some peer away, and that peer may
+                        // itself be blocked on this rank draining its send
+                        // window: keep polling for `IDLE_SPIN` before the
+                        // first sleep of an idle episode, so neither side's
+                        // progress hangs on a timer wake-up.
+                        if t0 < *spin_until.get_or_insert(t0 + IDLE_SPIN) {
+                            poll_pause();
+                            idle_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            continue;
+                        }
                         {
                             // "Work this worker could act on": a non-empty
                             // dynamic heap, or any cursor head parked ready
@@ -868,6 +1042,7 @@ where
                         continue;
                     };
                     note_progress();
+                    spin_until = None;
                     if let Some(t) = tracer {
                         if let Some(since) = idle_since.take() {
                             t.record(
@@ -899,38 +1074,48 @@ where
                         // --- Steps 2-3: unpack and execute. Every write is
                         // tracked as a min/max location range so release
                         // only clears what this tile touched.
+                        let geom = match geometry(&tile, tiles.get(&tile), &mut point) {
+                            Ok(geom) => geom,
+                            Err(e) => break 'tile Err(e),
+                        };
                         for (delta, payload) in edges {
-                            let Some(edge) = tiling.edge_for(&delta) else {
-                                break 'tile Err(RunError::BadEdge(Box::new(EdgeFault {
+                            let bad_edge = |detail: String| {
+                                RunError::BadEdge(Box::new(EdgeFault {
                                     rank: config.rank,
                                     tile,
                                     delta,
-                                    detail: "unknown dependency offset".to_string(),
-                                })));
+                                    detail,
+                                }))
                             };
                             let src = tile.add(&delta);
-                            tiling.set_tile(&src, &mut point);
-                            let mut k = 0usize;
-                            let plen = payload.len();
-                            edge.for_each_cell(&mut point, |j| {
-                                if k < plen {
-                                    let loc = layout.loc_ghost(j, &delta);
-                                    values[loc] = payload[k];
-                                    written_lo = written_lo.min(loc);
-                                    written_hi = written_hi.max(loc);
-                                }
-                                k += 1;
-                            })
-                            .expect("edge unpack scan failed");
-                            if k != plen {
-                                break 'tile Err(RunError::BadEdge(Box::new(EdgeFault {
-                                    rank: config.rank,
-                                    tile,
-                                    delta,
-                                    detail: format!(
-                                        "edge payload carries {plen} cells, tiling expects {k}"
-                                    ),
-                                })));
+                            let (Some(dep_idx), Some(src_entry)) =
+                                (tiling.dep_index(&delta), tiles.get(&src))
+                            else {
+                                break 'tile Err(bad_edge(
+                                    "unknown dependency offset or source tile".to_string(),
+                                ));
+                            };
+                            // The edge was packed from the source tile's
+                            // recording; scatter through the same indices.
+                            let src_geom = match geometry(&src, Some(src_entry), &mut point) {
+                                Ok(geom) => geom,
+                                Err(e) => break 'tile Err(e),
+                            };
+                            let ghost_locs = src_geom.edge_cells(dep_idx);
+                            if payload.len() != ghost_locs.len() {
+                                break 'tile Err(bad_edge(format!(
+                                    "edge payload carries {} cells, tiling expects {}",
+                                    payload.len(),
+                                    ghost_locs.len()
+                                )));
+                            }
+                            let shift = tiling.edges()[dep_idx].ghost_shift;
+                            for (&loc, &v) in ghost_locs.iter().zip(&payload) {
+                                values[(loc as i64 + shift) as usize] = v;
+                            }
+                            if let Some((lo, hi)) = src_geom.edge_span(dep_idx) {
+                                written_lo = written_lo.min((lo as i64 + shift) as usize);
+                                written_hi = written_hi.max((hi as i64 + shift) as usize);
                             }
                             // The consumed payload feeds the pack-side free
                             // list, closing the allocation loop.
@@ -946,9 +1131,7 @@ where
                                 written_lo,
                                 written_hi,
                             };
-                            let counts = tiling
-                                .scan_tile_runs(&tile, &mut point, &mut visitor)
-                                .expect("tile scan failed");
+                            let counts = tiling.replay(&geom, &tile, &mut visitor);
                             let acc = visitor.reduce.map(|(_, acc)| acc);
                             written_lo = visitor.written_lo;
                             written_hi = visitor.written_hi;
@@ -999,16 +1182,16 @@ where
                         // remote edges go straight to the transport.
                         for (dep_idx, dep) in tiling.deps().iter().enumerate() {
                             let consumer = tile.sub(&dep.delta);
-                            if !tiling.tile_in_space(&consumer, &mut point) {
-                                continue;
-                            }
-                            let edge = &tiling.edges()[dep_idx];
-                            tiling.set_tile(&tile, &mut point);
-                            let mut payload = pool.take_payload(edge.max_cells(), mem);
-                            edge.for_each_cell(&mut point, |j| {
-                                payload.push(values[layout.loc(j)]);
-                            })
-                            .expect("edge pack scan failed");
+                            let Some(&TileEntry {
+                                dep_total: total, ..
+                            }) = tiles.get(&consumer)
+                            else {
+                                continue; // no such tile: nothing reads this edge
+                            };
+                            let max_cells = tiling.edges()[dep_idx].max_cells();
+                            let mut payload = pool.take_payload(max_cells, mem);
+                            let src_locs = geom.edge_cells(dep_idx);
+                            payload.extend(src_locs.iter().map(|&loc| values[loc as usize]));
                             edge_cells.fetch_add(payload.len() as u64, Ordering::Relaxed);
                             if let Some(t) = tracer {
                                 t.record(
@@ -1040,7 +1223,6 @@ where
                                     pool.recycle_payload(payload);
                                     continue;
                                 }
-                                let total = tiling.dep_total(&consumer, &mut point);
                                 edges_local.fetch_add(1, Ordering::Relaxed);
                                 batch.push(EdgeDelivery {
                                     tile: consumer,
@@ -1114,6 +1296,8 @@ where
                         cv.notify_all();
                     }
                 }
+                geom_builds.fetch_add(built, Ordering::Relaxed);
+                geom_hits.fetch_add(hit, Ordering::Relaxed);
                 // Cross-run reuse: hand the cleared buffers back for the
                 // next execution of this plan. A buffer abandoned by a
                 // failing tile above never reaches the pool, so a
@@ -1121,8 +1305,15 @@ where
                 if let Some(r) = &config.recycler {
                     pool.park_into(r);
                 }
-            });
+            }
+        };
+        // The calling thread is worker 0: a one-worker node starts no
+        // thread, so its run waits neither for a new thread to be placed
+        // and woken nor for one to be joined.
+        for w in 1..threads {
+            scope.spawn(move || worker(w));
         }
+        worker(0);
     });
 
     if let Some(e) = first_error.into_inner() {
@@ -1177,7 +1368,7 @@ where
                 return Err(RunError::Stalled(Box::new(snapshot(last_change.elapsed()))));
             }
         }
-        std::thread::yield_now();
+        poll_pause();
     }
 
     let stats = RunStats {
@@ -1200,6 +1391,9 @@ where
         edges_local: edges_local.load(Ordering::Relaxed),
         edges_remote: edges_remote.load(Ordering::Relaxed),
         edge_cells_packed: edge_cells.load(Ordering::Relaxed),
+        geom_builds: geom_builds.load(Ordering::Relaxed),
+        geom_hits: geom_hits.load(Ordering::Relaxed),
+        geom_classes: tiling.geometry_classes() as u64,
         init_time,
         total_time: t_start.elapsed(),
         idle_time: Duration::from_nanos(idle_ns.load(Ordering::Relaxed)),
@@ -1560,6 +1754,135 @@ mod tests {
                 matches!(err, RunError::KernelPanic { .. }),
                 "threads={threads}: {err}"
             );
+        }
+    }
+
+    /// Rank 1 owns tile (1,0) and nothing else.
+    struct OneForeignTile;
+
+    impl TileOwner for OneForeignTile {
+        fn owner_of(&self, tile: &Coord) -> usize {
+            (*tile == Coord::from_slice(&[1, 0])) as usize
+        }
+    }
+
+    /// Stands in for rank 1: swallows what rank 0 sends it and delivers one
+    /// forged edge before anything runs.
+    struct Forged(Mutex<Option<EdgeMsg<u64>>>);
+
+    impl Transport<u64> for Forged {
+        fn send(&self, _: usize, _: EdgeMsg<u64>) -> Result<(), crate::TransportError> {
+            Ok(())
+        }
+        fn try_recv(&self) -> Option<EdgeMsg<u64>> {
+            self.0.lock().take()
+        }
+    }
+
+    fn run_with_forged_edge(msg: EdgeMsg<u64>) -> RunError {
+        let tiling = triangle(3);
+        run_node(
+            &NodeJob {
+                tiling: &tiling,
+                params: &[9],
+                owner: &OneForeignTile,
+                transport: &Forged(Mutex::new(Some(msg))),
+                probe: &Probe::default(),
+                config: &NodeConfig::new(1, 2),
+                reduce: None,
+                recovery: None,
+            },
+            &PerCell(&path_kernel),
+        )
+        .unwrap_err()
+    }
+
+    /// Worker 0 is the calling thread: a one-worker node starts no thread,
+    /// and an n-worker node starts n - 1.
+    #[test]
+    fn worker_zero_is_the_calling_thread() {
+        let tiling = triangle(3);
+        for threads in [1usize, 3] {
+            let seen = Mutex::new(HashSet::new());
+            let kernel = |cell: CellRef<'_>, values: &mut [u64]| {
+                seen.lock().insert(std::thread::current().id());
+                path_kernel(cell, values);
+            };
+            let out = run_local(
+                &tiling,
+                &[40],
+                &kernel,
+                &Probe::default(),
+                threads,
+                TilePriority::column_major(2),
+            )
+            .unwrap();
+            assert_eq!(out.stats.tiles_per_worker.len(), threads);
+            let seen = seen.into_inner();
+            assert!(seen.len() <= threads);
+            if threads == 1 {
+                assert_eq!(
+                    seen.into_iter().collect::<Vec<_>>(),
+                    [std::thread::current().id()]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_length_payload_is_a_typed_bad_edge() {
+        // Tile (0,0) waits for (0,1)'s edge and for the one rank 1 forges
+        // in (1,0)'s name. (1,0) is a full tile, so the tiling expects the
+        // 3 cells of one tile row.
+        let tile = Coord::from_slice(&[0, 0]);
+        let err = run_with_forged_edge(EdgeMsg {
+            tile,
+            delta: Coord::from_slice(&[1, 0]),
+            payload: vec![7; 5],
+        });
+        match &err {
+            RunError::BadEdge(fault) => {
+                assert_eq!((fault.rank, fault.tile), (0, tile));
+                assert!(
+                    fault.detail.contains("carries 5 cells, tiling expects 3"),
+                    "{err}"
+                );
+            }
+            other => panic!("expected BadEdge, got {other}"),
+        }
+    }
+
+    #[test]
+    fn edge_with_an_unknown_offset_is_a_typed_bad_edge() {
+        let tile = Coord::from_slice(&[0, 0]);
+        let err = run_with_forged_edge(EdgeMsg {
+            tile,
+            delta: Coord::from_slice(&[1, 1]),
+            payload: vec![7; 3],
+        });
+        match &err {
+            RunError::BadEdge(fault) => {
+                assert_eq!(fault.tile, tile);
+                assert!(fault.detail.contains("unknown dependency offset"), "{err}");
+            }
+            other => panic!("expected BadEdge, got {other}"),
+        }
+    }
+
+    #[test]
+    fn edge_for_a_tile_outside_the_space_is_a_typed_bad_edge() {
+        let tile = Coord::from_slice(&[40, 40]);
+        let err = run_with_forged_edge(EdgeMsg {
+            tile,
+            delta: Coord::from_slice(&[1, 0]),
+            payload: vec![7; 3],
+        });
+        match &err {
+            RunError::BadEdge(fault) => {
+                assert_eq!(fault.tile, tile);
+                assert!(fault.detail.contains("outside the tile space"), "{err}");
+            }
+            other => panic!("expected BadEdge, got {other}"),
         }
     }
 

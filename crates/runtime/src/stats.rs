@@ -50,6 +50,18 @@ pub struct RunStats {
     pub edges_remote: u64,
     /// Total edge cells packed (local + remote).
     pub edge_cells_packed: u64,
+    /// Tile geometries this node's workers had to build: the first tile of
+    /// each class, and every tile once the tiling's cache is at its cap
+    /// (see `Tiling::geometry`). 0 when a previous run already filled the
+    /// cache.
+    pub geom_builds: u64,
+    /// Tile geometries served from the tiling's cache. A node asks once
+    /// per tile it touches (its own tiles and the sources of the edges it
+    /// unpacks), so `geom_builds + geom_hits` is that tile count.
+    pub geom_hits: u64,
+    /// Geometry classes memoized in the tiling when this node finished
+    /// (shared by every rank, plan and run using the tiling).
+    pub geom_classes: u64,
     /// Wall time spent discovering initial tiles (Section IV-K measures
     /// this as < 0.5% of total run time).
     pub init_time: Duration,

@@ -16,6 +16,7 @@
 
 use crate::coord::Coord;
 use crate::deps::TileDep;
+use crate::layout::TileLayout;
 use crate::template::TemplateSet;
 use dpgen_polyhedra::{Constraint, ConstraintSystem, LinExpr, LoopNest, PolyError};
 
@@ -28,6 +29,11 @@ pub struct EdgeLayout {
     pub box_lo: Vec<i64>,
     /// Per-dimension source-local bounds of the edge box (inclusive).
     pub box_hi: Vec<i64>,
+    /// Buffer-index distance from a source-local cell to its ghost image in
+    /// the consumer's buffer: `loc_ghost(j, δ) = loc(j) + ghost_shift`
+    /// (`loc` is affine, so the shift `Σ stride_k · w_k · δ_k` is one
+    /// constant per edge).
+    pub ghost_shift: i64,
     /// Loop nest scanning the source tile's local space intersected with the
     /// box. Shared by pack and unpack.
     nest: LoopNest,
@@ -116,7 +122,8 @@ fn read_interval(r_k: i64, w_k: i64, delta_k: i64) -> (i64, i64) {
 /// `local_system` is the within-tile iteration space over the extended space
 /// (local indices, tile indices, parameters); `i_cols` are the local-index
 /// columns in problem-dimension order; `i_order` is the loop ordering of
-/// those columns (outermost first). `band` is `(a, b, band_width)` when the
+/// those columns (outermost first); `layout` is the tile buffer layout
+/// (widths and strides). `band` is `(a, b, band_width)` when the
 /// space is a diagonal band over dimensions `(a, b)` (the constraints are
 /// already part of `local_system`; the tuple only tightens
 /// [`EdgeLayout::max_cells`]).
@@ -124,11 +131,12 @@ pub fn build_edge_layouts(
     local_system: &ConstraintSystem,
     i_cols: &[usize],
     i_order: &[usize],
-    widths: &[i64],
+    layout: &TileLayout,
     templates: &TemplateSet,
     deps: &[TileDep],
     band: Option<(usize, usize, i64)>,
 ) -> Result<Vec<EdgeLayout>, PolyError> {
+    let (widths, strides) = (layout.widths(), layout.strides());
     let d = widths.len();
     let dim = local_system.space().dim();
     let mut out = Vec::with_capacity(deps.len());
@@ -164,6 +172,7 @@ pub fn build_edge_layouts(
             delta: dep.delta,
             box_lo,
             box_hi,
+            ghost_shift: (0..d).map(|k| strides[k] * widths[k] * dep.delta[k]).sum(),
             nest,
             i_cols: i_cols.to_vec(),
             band,

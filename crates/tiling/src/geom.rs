@@ -1,0 +1,443 @@
+//! Recorded tile geometry: the polyhedral walks of one tile, paid once per
+//! tile *class* instead of once per tile.
+//!
+//! The paper's generator emits specialised center loops and shared
+//! pack/unpack loops once per problem (Sections IV-G/H/I). This runtime
+//! derives the same loops by walking [`LoopNest`]s with checked `i128`
+//! arithmetic, which costs more per tile than the kernel itself. A
+//! [`TileGeom`] is the recorded output of those walks for one tile — the
+//! visit-ordered interior runs and boundary cells of
+//! [`Tiling::scan_tile_runs`] and, per dependency, the edge cells of
+//! [`EdgeLayout::for_each_cell`] as buffer indices — and replaying it needs
+//! no polyhedral arithmetic at all.
+//!
+//! Recordings are memoized inside the [`Tiling`] under a *signature*. Fix a
+//! tile `t` and parameters `p`: every `local_system` constraint and every
+//! validity check becomes `a·i + K >= 0` over the local indices `i`, with
+//! `a` fixed by the tiling and `K = b·t + c·p + k`. Every derived loop
+//! bound is a positive combination of those rows, so the walks depend on
+//! `(t, p)` only through the vector of `K`s: equal vectors, equal
+//! recordings. A row that holds on the whole box `0 <= i_k < w_k`
+//! (`K + min_box(a·i) >= 0`) neither removes a point nor fails a check,
+//! whatever its exact `K`, so it is canonicalised to one "slack" value;
+//! that puts every full interior tile of any problem size in one class.
+//!
+//! [`LoopNest`]: dpgen_polyhedra::LoopNest
+//! [`EdgeLayout::for_each_cell`]: crate::EdgeLayout::for_each_cell
+
+use crate::coord::{Coord, MAX_DIMS};
+use crate::tiling::{CellRef, RunCtx, ScanCounts, TileVisitor, Tiling, MAX_CHECKS};
+use dpgen_polyhedra::{ConstraintSystem, LinExpr, PolyError};
+use std::collections::HashMap;
+use std::sync::{Arc, PoisonError, RwLock};
+
+/// Signature entry of a row that holds over the whole tile box. A real `K`
+/// of this value is itself slack, so the sentinel cannot alias.
+const SLACK: i128 = i128::MAX;
+
+/// Signatures up to this many rows are computed on the stack.
+const SIG_INLINE: usize = 16;
+
+/// Byte cap of one tiling's geometry cache. Past it a geometry is built,
+/// used and dropped, so the cache never grows with the problem. LCS needs
+/// a few KiB, the 4-D bandit under half a MiB.
+const CACHE_CAP_BYTES: usize = 8 << 20;
+
+/// One entry of a recorded scan, in visit order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Visit {
+    /// Buffer index of the (first) visited cell.
+    loc: u32,
+    /// Cells in the interior run; 0 marks a single boundary cell.
+    len: u32,
+    /// Boundary cell: bit `j` is `is_valid_r<j>`. Unused for runs, whose
+    /// flags are all true.
+    valid: u32,
+}
+
+/// The edge region one tile packs for one dependency.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct EdgeCells {
+    /// Source-tile buffer index of every edge cell, in the shared
+    /// pack/unpack order.
+    locs: Vec<u32>,
+    /// Smallest and largest entry of `locs`; `None` when the edge is empty.
+    span: Option<(u32, u32)>,
+}
+
+/// The recorded geometry of one tile: everything [`Tiling::scan_tile_runs`]
+/// and the edge walks would produce for it, in local coordinates. Obtained
+/// from [`Tiling::geometry`]; valid for every tile with the same signature.
+#[derive(Debug, PartialEq, Eq)]
+pub struct TileGeom {
+    visits: Vec<Visit>,
+    /// Local coordinates of each visit's first cell, `dims` per visit.
+    locals: Vec<i64>,
+    counts: ScanCounts,
+    /// Aligned with [`Tiling::deps`].
+    edges: Vec<EdgeCells>,
+}
+
+impl TileGeom {
+    /// Source-tile buffer indices of the edge this tile packs for
+    /// dependency `dep_idx` (an index into [`Tiling::deps`]), in the shared
+    /// pack/unpack order. The consumer's ghost cell of entry `loc` is
+    /// `loc + ghost_shift` ([`crate::EdgeLayout::ghost_shift`]).
+    pub fn edge_cells(&self, dep_idx: usize) -> &[u32] {
+        &self.edges[dep_idx].locs
+    }
+
+    /// Smallest and largest index in [`TileGeom::edge_cells`]; `None` for
+    /// an empty edge.
+    pub fn edge_span(&self, dep_idx: usize) -> Option<(u32, u32)> {
+        self.edges[dep_idx].span
+    }
+
+    /// Heap bytes held by this recording (the cache's accounting unit).
+    fn bytes(&self) -> usize {
+        let edge_cells: usize = self.edges.iter().map(|e| e.locs.len()).sum();
+        std::mem::size_of::<TileGeom>()
+            + self.visits.len() * std::mem::size_of::<Visit>()
+            + self.locals.len() * std::mem::size_of::<i64>()
+            + self.edges.len() * std::mem::size_of::<EdgeCells>()
+            + edge_cells * std::mem::size_of::<u32>()
+    }
+}
+
+/// Records a generic scan as [`Visit`]s.
+struct Recorder {
+    visits: Vec<Visit>,
+    locals: Vec<i64>,
+}
+
+impl TileVisitor for Recorder {
+    fn cell(&mut self, cell: CellRef<'_>) {
+        let valid = cell
+            .valid
+            .iter()
+            .enumerate()
+            .fold(0u32, |bits, (j, &v)| bits | (v as u32) << j);
+        self.visits.push(Visit {
+            loc: cell.loc as u32,
+            len: 0,
+            valid,
+        });
+        self.locals.extend_from_slice(cell.local);
+    }
+
+    fn run(&mut self, run: RunCtx<'_>) {
+        self.visits.push(Visit {
+            loc: run.loc as u32,
+            len: run.len as u32,
+            valid: 0,
+        });
+        self.locals.extend_from_slice(run.local);
+    }
+}
+
+/// The signature rows of a tiling: one per `local_system` constraint and
+/// validity check that mentions a tile index or a parameter (the others
+/// are the same for every tile).
+#[derive(Debug, Clone)]
+struct SigRows {
+    /// Per row, the coefficients on `[t_0.., p_0..]` (row-major).
+    coeffs: Vec<i64>,
+    /// Per row, the constant term `k`.
+    constants: Vec<i128>,
+    /// Per row, `-min_box(a·i)`: the row is slack iff `K >= slack_from`.
+    slack_from: Vec<i128>,
+    dims: usize,
+    param_cols: Vec<usize>,
+}
+
+/// A tiling's signature rows and the recordings memoized under them.
+#[derive(Debug)]
+pub(crate) struct GeomCache {
+    rows: SigRows,
+    cap_bytes: usize,
+    classes: RwLock<Classes>,
+}
+
+#[derive(Debug, Default)]
+struct Classes {
+    by_signature: HashMap<Box<[i128]>, Arc<TileGeom>>,
+    bytes: usize,
+}
+
+impl SigRows {
+    fn len(&self) -> usize {
+        self.constants.len()
+    }
+
+    /// Write the signature of `tile` under the parameters bound in `point`
+    /// into `sig` (one entry per row).
+    fn signature(&self, tile: &Coord, point: &[i128], sig: &mut [i128]) -> Result<(), PolyError> {
+        let overflow = || PolyError::Overflow("tile signature");
+        let stride = self.dims + self.param_cols.len();
+        let tile = tile.as_slice();
+        for (r, k) in sig.iter_mut().enumerate() {
+            let row = &self.coeffs[r * stride..][..self.dims];
+            *k = self.constants[r];
+            // i64 × i64 always fits an i128; only the sums can overflow.
+            for (&c, &t) in row.iter().zip(tile) {
+                *k = k.checked_add(c as i128 * t as i128).ok_or_else(overflow)?;
+            }
+        }
+        for (j, &col) in self.param_cols.iter().enumerate() {
+            let p = i64::try_from(point[col]).map_err(|_| overflow())? as i128;
+            for (r, k) in sig.iter_mut().enumerate() {
+                let c = self.coeffs[r * stride + self.dims + j] as i128;
+                *k = k.checked_add(c * p).ok_or_else(overflow)?;
+            }
+        }
+        for (k, &from) in sig.iter_mut().zip(&self.slack_from) {
+            if *k >= from {
+                *k = SLACK;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl GeomCache {
+    pub(crate) fn new(
+        local_system: &ConstraintSystem,
+        validity_checks: &[LinExpr],
+        i_cols: &[usize],
+        t_cols: &[usize],
+        param_cols: &[usize],
+        widths: &[i64],
+    ) -> Result<GeomCache, PolyError> {
+        let overflow = || PolyError::Overflow("tile signature");
+        let mut rows = SigRows {
+            coeffs: Vec::new(),
+            constants: Vec::new(),
+            slack_from: Vec::new(),
+            dims: widths.len(),
+            param_cols: param_cols.to_vec(),
+        };
+        let exprs = local_system
+            .constraints()
+            .iter()
+            .map(|c| c.expr())
+            .chain(validity_checks);
+        for expr in exprs {
+            let cols = t_cols.iter().chain(param_cols);
+            if cols.clone().all(|&col| expr.coeff(col) == 0) {
+                continue;
+            }
+            for &col in cols {
+                rows.coeffs
+                    .push(i64::try_from(expr.coeff(col)).map_err(|_| overflow())?);
+            }
+            rows.constants.push(expr.constant_term());
+            let mut slack_from = 0i128;
+            for (&col, &w) in i_cols.iter().zip(widths) {
+                let reach = expr
+                    .coeff(col)
+                    .checked_mul(w as i128 - 1)
+                    .ok_or_else(overflow)?;
+                if reach < 0 {
+                    slack_from = slack_from.checked_sub(reach).ok_or_else(overflow)?;
+                }
+            }
+            rows.slack_from.push(slack_from);
+        }
+        Ok(GeomCache {
+            rows,
+            cap_bytes: CACHE_CAP_BYTES,
+            classes: RwLock::default(),
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.classes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .by_signature
+            .len()
+    }
+
+    fn get(&self, sig: &[i128]) -> Option<Arc<TileGeom>> {
+        // A panic cannot leave the map half-updated (insert is the only
+        // write), so a poisoned lock still guards valid data.
+        let classes = self.classes.read().unwrap_or_else(PoisonError::into_inner);
+        classes.by_signature.get(sig).cloned()
+    }
+
+    /// Retain `geom` under `sig` unless the cap is reached; returns the
+    /// recording to use (another thread's, if it won the race).
+    fn insert(&self, sig: &[i128], geom: Arc<TileGeom>) -> Arc<TileGeom> {
+        let mut classes = self.classes.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(existing) = classes.by_signature.get(sig) {
+            return existing.clone();
+        }
+        let bytes = geom.bytes() + std::mem::size_of_val(sig);
+        if classes.bytes + bytes <= self.cap_bytes {
+            classes.bytes += bytes;
+            classes.by_signature.insert(sig.into(), geom.clone());
+        }
+        geom
+    }
+}
+
+impl Tiling {
+    /// The recorded geometry of `tile` under the parameters bound in
+    /// `point`, and whether this call had to build it (`false` on a cache
+    /// hit). A hit costs one signature and one map lookup — no loop-bound
+    /// or constraint evaluation; a miss runs the generic walks once and
+    /// memoizes the recording for every tile, parameter binding, plan,
+    /// rank and thread that shares this tiling (or a clone of it).
+    pub fn geometry(
+        &self,
+        tile: &Coord,
+        point: &mut [i128],
+    ) -> Result<(Arc<TileGeom>, bool), PolyError> {
+        let cache = &*self.geoms;
+        let mut inline = [0i128; SIG_INLINE];
+        let mut spill = Vec::new();
+        let sig = if cache.rows.len() <= SIG_INLINE {
+            &mut inline[..cache.rows.len()]
+        } else {
+            spill.resize(cache.rows.len(), 0);
+            &mut spill[..]
+        };
+        cache.rows.signature(tile, point, sig)?;
+        if let Some(geom) = cache.get(sig) {
+            return Ok((geom, false));
+        }
+        // Built outside the lock: concurrent tiles of other classes never
+        // wait for this walk.
+        let geom = Arc::new(self.record_geometry(tile, point)?);
+        Ok((cache.insert(sig, geom), true))
+    }
+
+    /// Geometry classes currently memoized for this tiling.
+    pub fn geometry_classes(&self) -> usize {
+        self.geoms.len()
+    }
+
+    /// A copy of this tiling whose geometry cache retains nothing: every
+    /// [`Tiling::geometry`] call builds, and the recording is dropped with
+    /// its last user. For tests of the over-the-cap path.
+    #[doc(hidden)]
+    pub fn uncached(&self) -> Tiling {
+        let mut copy = self.clone();
+        copy.geoms = Arc::new(GeomCache {
+            rows: self.geoms.rows.clone(),
+            cap_bytes: 0,
+            classes: RwLock::default(),
+        });
+        copy
+    }
+
+    /// Run the generic walks for one tile and record them.
+    fn record_geometry(&self, tile: &Coord, point: &mut [i128]) -> Result<TileGeom, PolyError> {
+        if u32::try_from(self.layout().size()).is_err() {
+            return Err(PolyError::Overflow("tile buffer index"));
+        }
+        let mut rec = Recorder {
+            visits: Vec::new(),
+            locals: Vec::new(),
+        };
+        let counts = self.scan_tile_runs(tile, point, &mut rec)?;
+        rec.visits.shrink_to_fit();
+        rec.locals.shrink_to_fit();
+        let layout = self.layout();
+        let mut edges = Vec::with_capacity(self.edges().len());
+        for edge in self.edges() {
+            self.set_tile(tile, point);
+            let mut locs = Vec::with_capacity(edge.max_cells());
+            edge.for_each_cell(point, |j| locs.push(layout.loc(j) as u32))?;
+            locs.shrink_to_fit();
+            let span = locs.iter().min().copied().zip(locs.iter().max().copied());
+            edges.push(EdgeCells { locs, span });
+        }
+        Ok(TileGeom {
+            visits: rec.visits,
+            locals: rec.locals,
+            counts,
+            edges,
+        })
+    }
+
+    /// Replay a recorded scan of `tile` into `visitor`: exactly the
+    /// [`CellRef`]/[`RunCtx`] sequence [`Tiling::scan_tile_runs`] hands
+    /// out, with global coordinates rebuilt as `x = local + w·t`. `geom`
+    /// must come from [`Tiling::geometry`] for this tile.
+    pub fn replay<V: TileVisitor>(
+        &self,
+        geom: &TileGeom,
+        tile: &Coord,
+        visitor: &mut V,
+    ) -> ScanCounts {
+        let d = self.dims();
+        let offsets = self.layout().template_offsets();
+        let ntemplates = offsets.len();
+        let inner_dim = *self.loop_order().last().expect("tiling has >= 1 dim");
+        let stride = self.layout().strides()[inner_dim];
+        let desc = *self.local_desc.last().expect("tiling has >= 1 dim");
+        let (loc_step, x_step) = if desc { (-stride, -1) } else { (stride, 1) };
+        let mut base = [0i64; MAX_DIMS];
+        for (k, b) in base[..d].iter_mut().enumerate() {
+            *b = self.widths()[k] * tile[k];
+        }
+        let mut x = [0i64; MAX_DIMS];
+        let mut valid = [false; MAX_CHECKS];
+        for (visit, local) in geom.visits.iter().zip(geom.locals.chunks_exact(d)) {
+            for k in 0..d {
+                x[k] = local[k] + base[k];
+            }
+            if visit.len == 0 {
+                for (j, v) in valid[..ntemplates].iter_mut().enumerate() {
+                    *v = visit.valid >> j & 1 != 0;
+                }
+                visitor.cell(CellRef {
+                    loc: visit.loc as usize,
+                    x: &x[..d],
+                    local,
+                    valid: &valid[..ntemplates],
+                    offsets,
+                });
+            } else {
+                visitor.run(RunCtx {
+                    loc: visit.loc as usize,
+                    loc_step,
+                    len: visit.len as usize,
+                    x: &x[..d],
+                    local,
+                    inner_dim,
+                    x_step,
+                    offsets,
+                });
+            }
+        }
+        geom.counts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::template::{Template, TemplateSet};
+    use crate::tiling::TilingBuilder;
+    use dpgen_polyhedra::Space;
+
+    #[test]
+    fn a_parameter_beyond_i64_is_an_error_not_a_panic() {
+        let space = Space::from_names(&["x"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= x <= N").unwrap();
+        let templates = TemplateSet::new(1, vec![Template::new("r", &[1])]).unwrap();
+        let tiling = TilingBuilder::new(sys, templates, vec![4]).build().unwrap();
+        let mut point = tiling.make_point(&[9]);
+        assert!(tiling
+            .geometry(&Coord::from_slice(&[1]), &mut point)
+            .is_ok());
+        point[tiling.param_cols()[0]] = i128::MAX;
+        assert_eq!(
+            tiling.geometry(&Coord::from_slice(&[1]), &mut point).err(),
+            Some(PolyError::Overflow("tile signature"))
+        );
+    }
+}

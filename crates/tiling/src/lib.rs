@@ -16,7 +16,10 @@
 //! * the *mapping functions*: ghost-cell-padded buffer layout with constant
 //!   per-template offsets (Section IV-H),
 //! * the *edge layouts* used by the packing/unpacking functions
-//!   (Section IV-I).
+//!   (Section IV-I),
+//! * the *tile geometries*: the scan and edge walks of one tile recorded
+//!   once per tile class and replayed for every other tile of the class
+//!   ([`geom`]).
 //!
 //! The central type is [`Tiling`]; the runtime and cluster driver crates
 //! consume it to execute tiles and move edges.
@@ -24,6 +27,7 @@
 pub mod coord;
 pub mod deps;
 pub mod edges;
+pub mod geom;
 pub mod layout;
 pub mod template;
 pub mod tiling;
@@ -31,6 +35,7 @@ pub mod tiling;
 pub use coord::{Coord, MAX_DIMS};
 pub use deps::TileDep;
 pub use edges::EdgeLayout;
+pub use geom::TileGeom;
 pub use layout::TileLayout;
 pub use template::{Direction, Template, TemplateSet};
 pub use tiling::{

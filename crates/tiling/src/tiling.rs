@@ -5,15 +5,17 @@
 use crate::coord::{Coord, MAX_DIMS};
 use crate::deps::{derive_tile_deps, TileDep};
 use crate::edges::{build_edge_layouts, EdgeLayout};
+use crate::geom::GeomCache;
 use crate::layout::TileLayout;
 use crate::template::{Direction, TemplateError, TemplateSet};
 use dpgen_polyhedra::num::{ceil_div, floor_div};
 use dpgen_polyhedra::{Constraint, ConstraintSystem, LinExpr, LoopNest, PolyError, Space, VarKind};
 use std::fmt;
+use std::sync::Arc;
 
 /// Upper bound on simultaneously tracked templates / validity checks in the
 /// fixed-size scan scratch arrays.
-const MAX_CHECKS: usize = MAX_DIMS * 4;
+pub(crate) const MAX_CHECKS: usize = MAX_DIMS * 4;
 
 /// Errors from tiling construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,7 +293,7 @@ pub trait TileVisitor {
 
 /// Adapter driving a per-cell closure through the run visitor: runs are
 /// replayed cell by cell, reproducing `scan_tile_fast`'s exact sequence.
-struct EachCell<F>(F);
+pub struct EachCell<F>(pub F);
 
 impl<F: FnMut(CellRef<'_>)> TileVisitor for EachCell<F> {
     fn cell(&mut self, cell: CellRef<'_>) {
@@ -316,7 +318,7 @@ pub struct Tiling {
     param_cols: Vec<usize>,
     local_system: ConstraintSystem,
     local_nest: LoopNest,
-    local_desc: Vec<bool>,
+    pub(crate) local_desc: Vec<bool>,
     tile_system: ConstraintSystem,
     tile_nest: LoopNest,
     original_nest: LoopNest,
@@ -333,6 +335,9 @@ pub struct Tiling {
     /// The band's dimension pair `(a, b)` (`lo <= x_a - x_b <= hi`);
     /// `None` for dense tilings.
     band_dims: Option<(usize, usize)>,
+    /// Memoized tile geometries ([`Tiling::geometry`]); clones of a tiling
+    /// share them.
+    pub(crate) geoms: Arc<GeomCache>,
 }
 
 impl Tiling {
@@ -457,7 +462,7 @@ impl Tiling {
             &local_system,
             &i_cols,
             &i_order,
-            &widths,
+            &layout,
             &templates,
             &deps,
             edge_band,
@@ -495,6 +500,15 @@ impl Tiling {
             validity_per_template.push(idxs);
         }
 
+        let geoms = Arc::new(GeomCache::new(
+            &local_system,
+            &validity_checks,
+            &i_cols,
+            &t_cols,
+            &param_cols,
+            &widths,
+        )?);
+
         Ok(Tiling {
             original,
             templates,
@@ -520,6 +534,7 @@ impl Tiling {
                 None => TileShape::Dense,
             },
             band_dims: band.map(|(a, b, _, _)| (a, b)),
+            geoms,
         })
     }
 
@@ -633,9 +648,15 @@ impl Tiling {
         &self.validity_per_template
     }
 
+    /// Index of the dependency with the given offset in [`Tiling::deps`]
+    /// (and [`Tiling::edges`]), if it is one.
+    pub fn dep_index(&self, delta: &Coord) -> Option<usize> {
+        self.deps.iter().position(|dep| &dep.delta == delta)
+    }
+
     /// The edge layout for a given offset, if it is a dependency.
     pub fn edge_for(&self, delta: &Coord) -> Option<&EdgeLayout> {
-        self.edges.iter().find(|e| &e.delta == delta)
+        self.dep_index(delta).map(|idx| &self.edges[idx])
     }
 
     /// Allocate a full extended-space point with the parameters bound.
@@ -750,6 +771,12 @@ impl Tiling {
     /// dependency-respecting order (descending per Figure 3 for positive
     /// templates), handing the kernel a [`CellRef`] with the paper's
     /// programming-interface symbols.
+    ///
+    /// This is the reference scan: one validity evaluation per check per
+    /// cell, no runs. Nothing executes through it — the node engine and
+    /// traceback replay [`Tiling::geometry`] recordings of
+    /// [`Tiling::scan_tile_runs`] — it is the oracle the tests hold the
+    /// faster scans to.
     pub fn scan_tile<F: FnMut(CellRef<'_>)>(
         &self,
         tile: &Coord,
@@ -819,7 +846,8 @@ impl Tiling {
         self.scan_tile_runs(tile, point, &mut EachCell(f))
     }
 
-    /// The run-visitor form of [`Tiling::scan_tile_fast`]: boundary cells
+    /// The run-visitor form of [`Tiling::scan_tile_fast`], and the walk
+    /// [`Tiling::geometry`] records once per tile class: boundary cells
     /// reach `visitor.cell(..)` one at a time, and each all-valid interior
     /// run reaches `visitor.run(..)` *whole*, with its endpoints and buffer
     /// geometry precomputed ([`RunCtx`]). Run-batched kernels hang off this

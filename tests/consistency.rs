@@ -539,3 +539,42 @@ fn run_equals_run_batched_through_per_cell() {
         }
     }
 }
+
+/// An execution starts only the threads it cannot do without: worker 0 of
+/// a node is the thread that called it, and the hybrid driver runs its
+/// first rank on the caller's thread. So a serial-width execution starts
+/// none, and `ranks(r).threads(t)` starts `r * t - 1`, the caller among
+/// the threads that compute.
+#[test]
+fn executions_compute_on_the_calling_thread() {
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    let a = random_sequence(37, 11);
+    let b = random_sequence(41, 12);
+    let problem = Lcs::new(&[&a, &b]);
+    let plan = Lcs::program(2, 5).unwrap().compile(&problem.params());
+    for (threads, ranks) in [(1usize, 1usize), (1, 2), (2, 2)] {
+        let seen = Mutex::new(HashSet::new());
+        let kernel = |cell: CellRef<'_>, values: &mut [i64]| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            problem.compute(cell, values);
+        };
+        let opts = ExecOpts::new()
+            .threads(threads)
+            .ranks(ranks)
+            .probe(Probe::at(&problem.goal()));
+        let out = plan.execute::<i64, _>(&kernel, &opts).unwrap();
+        assert_eq!(out.probes[0], Some(problem.solve_dense()));
+        let seen = seen.into_inner().unwrap();
+        let ctx = format!("threads={threads} ranks={ranks}");
+        assert!(
+            seen.len() <= threads * ranks,
+            "{ctx}: {} threads",
+            seen.len()
+        );
+        // Rank 0 owns tiles and its worker 0 takes the first of them.
+        if threads == 1 {
+            assert!(seen.contains(&std::thread::current().id()), "{ctx}");
+        }
+    }
+}

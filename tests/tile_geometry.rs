@@ -1,0 +1,235 @@
+//! Tile-geometry classes: the recorded walks the node engine replays.
+//!
+//! The generic polyhedral walks (`scan_tile_runs`, `EdgeLayout::for_each_cell`)
+//! are the oracle here: for every tile of randomly generated specs the
+//! memoized recording must replay exactly what they produce, the classes
+//! must be as few as the signature's slack rule promises, and executing
+//! through the cache, through a warm cache, or with the cache disabled must
+//! give the same bits and the same counters.
+
+use dpgen::core::{ExecOpts, Program, SpecGen};
+use dpgen::problems::{random_sequence, Lcs};
+use dpgen::runtime::{Probe, RunStats, Schedule};
+use dpgen::tiling::tiling::{CellRef, RunCtx, TileVisitor};
+use dpgen::tiling::{Coord, Tiling};
+use proptest::prelude::*;
+
+/// Everything a kernel can observe of one scan, in visit order: the
+/// `Debug` rendering of every `CellRef` and `RunCtx` (all fields).
+#[derive(Debug, Default, PartialEq)]
+struct Seen(Vec<String>);
+
+impl TileVisitor for Seen {
+    fn cell(&mut self, cell: CellRef<'_>) {
+        self.0.push(format!("{cell:?}"));
+    }
+    fn run(&mut self, run: RunCtx<'_>) {
+        self.0.push(format!("{run:?}"));
+    }
+}
+
+fn all_tiles(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
+    let mut point = tiling.make_point(params);
+    let mut tiles = Vec::new();
+    tiling.for_each_tile(&mut point, |t| tiles.push(t));
+    tiles
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over `specgen` specs (1-3 dims, bands, positive and negative
+    /// templates, widths 1-5): for every tile, the memoized geometry —
+    /// possibly recorded for an earlier tile of the same class — replays
+    /// the exact visit sequence of `scan_tile_runs` and holds the exact
+    /// cell sequence of every edge's `for_each_cell`, and it equals the
+    /// recording built for this very tile (equal signatures, equal
+    /// recordings).
+    #[test]
+    fn replay_equals_the_generic_walks(seed in 0u64..u64::MAX) {
+        let gs = SpecGen::new(seed).next_spec();
+        let program = Program::from_spec(gs.spec.clone()).unwrap();
+        let tiling = program.tiling();
+        let own_builder = tiling.uncached();
+        let params = [gs.param];
+        let layout = tiling.layout();
+        for t in all_tiles(tiling, &params) {
+            let mut point = tiling.make_point(&params);
+            let (geom, _) = tiling.geometry(&t, &mut point).unwrap();
+
+            let mut want = Seen::default();
+            let want_counts = tiling.scan_tile_runs(&t, &mut point, &mut want).unwrap();
+            let mut got = Seen::default();
+            let got_counts = tiling.replay(&geom, &t, &mut got);
+            prop_assert_eq!(&got, &want, "seed {:#x} tile {}", seed, t);
+            prop_assert_eq!(got_counts, want_counts);
+
+            for (dep_idx, edge) in tiling.edges().iter().enumerate() {
+                let mut src = Vec::new();
+                let mut ghost = Vec::new();
+                tiling.set_tile(&t, &mut point);
+                edge.for_each_cell(&mut point, |j| {
+                    src.push(layout.loc(j));
+                    ghost.push(layout.loc_ghost(j, &edge.delta));
+                }).unwrap();
+                let cells = geom.edge_cells(dep_idx);
+                let got_src: Vec<usize> = cells.iter().map(|&l| l as usize).collect();
+                let got_ghost: Vec<usize> = cells
+                    .iter()
+                    .map(|&l| (l as i64 + edge.ghost_shift) as usize)
+                    .collect();
+                prop_assert_eq!(got_src, src, "seed {:#x} tile {} edge {}", seed, t, edge.delta);
+                prop_assert_eq!(got_ghost, ghost);
+            }
+
+            let (own, built) = own_builder.geometry(&t, &mut point).unwrap();
+            prop_assert!(built);
+            prop_assert_eq!(&*geom, &*own, "seed {:#x} tile {}", seed, t);
+        }
+        prop_assert_eq!(own_builder.geometry_classes(), 0);
+    }
+}
+
+fn classes_after_touching_every_tile(tiling: &Tiling, params: &[i64]) -> usize {
+    let mut point = tiling.make_point(params);
+    for t in all_tiles(tiling, params) {
+        tiling.geometry(&t, &mut point).unwrap();
+    }
+    tiling.geometry_classes()
+}
+
+#[test]
+fn dense_lcs_box_has_four_classes() {
+    // Negative unit templates: only the tiles touching the low face of a
+    // dimension fail a validity check, so a tile's class is which of the
+    // two low faces it touches — whatever the problem size.
+    for (len, width) in [(1535usize, 48i64), (623, 12), (95, 8)] {
+        let program = Lcs::program(2, width).unwrap();
+        let n = len as i64;
+        let tiles = all_tiles(program.tiling(), &[n, n]).len();
+        assert_eq!(tiles as i64, ((n + 1) / width).pow(2));
+        assert_eq!(
+            classes_after_touching_every_tile(program.tiling(), &[n, n]),
+            4,
+            "len {len} width {width}: {tiles} tiles"
+        );
+    }
+}
+
+#[test]
+fn simplex_classes_are_constant_per_diagonal() {
+    // x + y <= N with equal widths: the one cross constraint's constant
+    // depends on a tile only through tx + ty, and every tile whose box
+    // lies inside the simplex is slack on it — so each tile diagonal is
+    // one class, and all interior diagonals share a single class.
+    let spec = "name tri\nvars x y\nparams N\nconstraint x >= 0\nconstraint y >= 0\n\
+                constraint x + y <= N\ntemplate r1 1 0\ntemplate r2 0 1\nwidths 4 4\n";
+    for n in [23i64, 57, 200] {
+        let program = Program::parse(spec).unwrap();
+        let tiling = program.tiling();
+        let tiles = all_tiles(tiling, &[n]);
+        let diagonals = tiles.iter().map(|t| t[0] + t[1]).max().unwrap() + 1;
+        let classes = classes_after_touching_every_tile(tiling, &[n]);
+        assert!(
+            classes <= 4,
+            "N={n}: {classes} classes over {} tiles on {diagonals} diagonals",
+            tiles.len()
+        );
+        // And the classes are keyed by the diagonal alone.
+        let mut point = tiling.make_point(&[n]);
+        let mut by_diagonal = std::collections::HashMap::new();
+        for t in &tiles {
+            let (geom, built) = tiling.geometry(t, &mut point).unwrap();
+            assert!(!built);
+            let first = by_diagonal
+                .entry(t[0] + t[1])
+                .or_insert_with(|| geom.clone());
+            assert!(std::sync::Arc::ptr_eq(first, &geom), "N={n} tile {t}");
+        }
+    }
+}
+
+/// Every `RunStats` counter that does not depend on timing or on the state
+/// the previous run left behind (pools, geometry cache).
+fn exact_counters(s: &RunStats) -> [u64; 9] {
+    [
+        s.tiles_executed,
+        s.cells_computed,
+        s.interior_cells,
+        s.boundary_cells,
+        s.runs_batched,
+        s.cells_batched,
+        s.edges_local,
+        s.edges_remote,
+        s.edge_cells_packed,
+    ]
+}
+
+#[test]
+fn second_execution_of_a_plan_builds_no_geometry() {
+    let a = random_sequence(95, 7);
+    let b = random_sequence(95, 8);
+    let problem = Lcs::new(&[&a, &b]);
+    let program = Lcs::program(2, 8).unwrap();
+    let plan = program.compile(&problem.params());
+    for (threads, ranks, schedule) in [
+        (1usize, 1usize, Schedule::Static),
+        (3, 1, Schedule::Dynamic),
+        (1, 2, Schedule::Dynamic),
+    ] {
+        let opts = ExecOpts::new()
+            .threads(threads)
+            .ranks(ranks)
+            .schedule(schedule)
+            .probe(Probe::at(&problem.goal()));
+        let first = plan.execute_batched::<i64, _>(&problem, &opts).unwrap();
+        let second = plan.execute_batched::<i64, _>(&problem, &opts).unwrap();
+        assert_eq!(first.probes, second.probes);
+        assert_eq!(first.probes[0], Some(problem.solve_dense()));
+        for (r1, r2) in first.per_rank.iter().zip(&second.per_rank) {
+            assert_eq!(exact_counters(&r1.stats), exact_counters(&r2.stats));
+            assert_eq!(r2.stats.geom_builds, 0, "threads={threads} ranks={ranks}");
+            // One lookup per tile this rank touched, all hits now.
+            assert_eq!(
+                r2.stats.geom_hits,
+                r1.stats.geom_hits + r1.stats.geom_builds
+            );
+            assert_eq!(r2.stats.geom_classes, 4);
+        }
+        assert_eq!(second.metrics.counter("runtime.geom_builds"), Some(0));
+        assert_eq!(second.metrics.gauge("runtime.geom_classes"), Some(4.0));
+    }
+    // The very first execution above built the four classes, once each.
+    assert_eq!(plan.tiling().geometry_classes(), 4);
+}
+
+#[test]
+fn a_cache_that_retains_nothing_changes_no_result() {
+    let mut gen = SpecGen::new(0x6e0);
+    for _ in 0..12 {
+        let gs = gen.next_spec();
+        let program = Program::from_spec(gs.spec.clone()).unwrap();
+        let params = [gs.param];
+        let kernel = dpgen::core::specgen::fuzz_kernel(gs.spec.templates.len());
+        let lattice = dpgen::core::specgen::lattice_points(&gs.spec, gs.param).unwrap();
+        let probes: Vec<&[i64]> = lattice.iter().map(|x| x.as_slice()).collect();
+        let uncached = program.tiling().uncached();
+        let run = |tiling: &Tiling, threads: usize| {
+            dpgen::core::RunBuilder::<u64>::on_tiling(tiling, &params)
+                .threads(threads)
+                .probe(Probe::many(&probes))
+                .run(&kernel)
+                .unwrap()
+        };
+        let cached = run(program.tiling(), 1);
+        for threads in [1usize, 3] {
+            let out = run(&uncached, threads);
+            assert_eq!(out.probes, cached.probes, "seed {:#x}", gs.seed);
+            let (got, want) = (&out.per_rank[0].stats, &cached.per_rank[0].stats);
+            assert_eq!(exact_counters(got), exact_counters(want));
+            assert_eq!(got.geom_hits, 0);
+            assert_eq!(got.geom_builds, want.geom_builds + want.geom_hits);
+            assert_eq!(got.geom_classes, 0);
+        }
+    }
+}
