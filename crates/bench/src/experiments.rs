@@ -368,14 +368,23 @@ pub fn e5_weak_scaling(quick: bool) -> Table {
     table
 }
 
-/// E6 — Section VI-C: tile-size sweep for the 3-arm bandit. The paper saw
-/// width 15 win at <= 4 nodes but hurt beyond (pipelined load balancing
-/// starves on large tiles).
+/// E6 — Section VI-C: tile-size sweep. The paper saw width 15 win at
+/// <= 4 nodes but hurt beyond (pipelined load balancing starves on large
+/// tiles). Two arms: the simulated cluster on the 3-arm bandit (many
+/// workers, where small tiles win) and the real runtime on one thread on
+/// the 2-arm bandit (no parallelism to feed, where large tiles win).
 pub fn e6_tile_size(quick: bool) -> Table {
     let mut table = Table::new(
         "e6",
-        "Sec VI-C: tile width vs simulated makespan, 3-arm bandit",
-        &["width", "ranks", "tiles", "makespan (ms)", "idle frac"],
+        "Sec VI-C: tile width vs makespan (simulated cluster, bandit3; real serial runtime, bandit2)",
+        &[
+            "source",
+            "width",
+            "ranks",
+            "tiles",
+            "makespan (ms)",
+            "idle frac",
+        ],
     );
     let n: i64 = if quick { 10 } else { 30 };
     // Width 2 would mean ~39k tiles whose per-tile geometry dominates the
@@ -410,6 +419,7 @@ pub fn e6_tile_size(quick: bool) -> Table {
             };
             let sim = simulate(tiling, &[n], &owner, &config);
             table.row(vec![
+                format!("des bandit3 N={n}"),
                 w.to_string(),
                 ranks.to_string(),
                 sim.tiles.to_string(),
@@ -418,7 +428,39 @@ pub fn e6_tile_size(quick: bool) -> Table {
             ]);
         }
     }
+    // The real-runtime arm: one thread, so width only trades tile count
+    // (scheduler traffic, edge packing) against nothing. Median of `reps`
+    // one-shot runs per width.
+    let n2: i64 = if quick { 12 } else { 24 };
+    let widths2: &[i64] = if quick { &[2, 4] } else { &[2, 4, 8, 12] };
+    let reps = if quick { 3 } else { 10 };
+    let kernel2 = Bandit2::default().kernel();
+    for &w in widths2 {
+        let program = Bandit2::program(w).unwrap();
+        let mut runs: Vec<RunOutput<f64>> = (0..reps)
+            .map(|_| {
+                program
+                    .runner::<f64>(&[n2])
+                    .probe(Probe::at(&[0, 0, 0, 0]))
+                    .run(&kernel2)
+                    .unwrap()
+            })
+            .collect();
+        runs.sort_by_key(|out| out.total_time);
+        let median = runs.swap_remove(reps / 2);
+        let wall = median.total_time;
+        let stats = node_stats(median);
+        table.row(vec![
+            format!("runtime bandit2 N={n2}"),
+            w.to_string(),
+            "1".to_string(),
+            stats.tiles_executed.to_string(),
+            fmt_f(wall.as_secs_f64() * 1e3, 3),
+            fmt_f(stats.idle_fraction(), 3),
+        ]);
+    }
     table.note("paper: width 15 best for <= 4 nodes; smaller tiles win beyond");
+    table.note("runtime rows: 1 rank x 1 thread, median wall time of one-shot runs");
     table
 }
 

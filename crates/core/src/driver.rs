@@ -1,11 +1,13 @@
-//! The hybrid "OpenMP + MPI" driver.
+//! The tiled "OpenMP + MPI" driver.
 //!
 //! Mirrors the structure of the generated program's `main` (Section V-A):
 //! initialise the communication world, run the load balancer, then start one
 //! process per node — here, one thread per simulated rank, the first of
 //! them the caller's own — each of which runs the shared-memory node
 //! runtime with its own worker pool and exchanges edges through
-//! `dpgen-mpisim`.
+//! `dpgen-mpisim`. One rank is the same program with no world to
+//! initialise and nothing to balance: the paper's shared-memory numbers
+//! (Figure 6) are its hybrid program on one node.
 //!
 //! Multi-rank failure handling: every rank shares one cancellation flag, so
 //! the first rank to fail (kernel panic, stall, transport error) tears the
@@ -15,16 +17,16 @@
 //! The public entry points are [`crate::RunBuilder`] (via
 //! `Program::runner`) and the compile/execute split
 //! ([`crate::Program::compile`] → [`crate::Plan::execute`]); both funnel
-//! into the same `hybrid_run` engine for multi-rank modes.
+//! into the same `hybrid_run` engine for every tiled execution.
 
-use crate::loadbalance::{BalanceMethod, LoadBalance, MapOwner};
-use crate::plan::{effective_lb, resolved_schedule, ExecOpts, PlanMemo};
+use crate::loadbalance::{BalanceMethod, LoadBalance};
+use crate::plan::{ExecOpts, PlanMemo};
 use crate::run::RunOutput;
 use dpgen_mpisim::{CommStats, CommWorld, Wire};
 use dpgen_runtime::{
     run_node, CheckpointData, CheckpointSink, EventKind, MetricsRegistry, NodeConfig, NodeJob,
-    NodeRecovery, NodeResult, RankTrace, Reduction, ResumeState, RunError, RunKernel, RunStats,
-    TileOwner, TilePriority, Timeline, Tracer, Value,
+    NodeRecovery, NodeResult, NullTransport, RankTrace, Reduction, ResumeState, RunError,
+    RunKernel, RunStats, SingleOwner, TileOwner, TilePriority, Timeline, Tracer, Transport, Value,
 };
 use dpgen_tiling::{Coord, Tiling};
 use std::collections::HashSet;
@@ -58,7 +60,7 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// What the recovery coordinator did during a hybrid run. All zeros for
+/// What the recovery coordinator did during a tiled run. All zeros for
 /// an undisturbed run (and for runs with recovery disabled, except
 /// `epochs`, which counts execution rounds and is always at least 1).
 #[derive(Debug, Clone, Default)]
@@ -81,9 +83,10 @@ pub struct RecoveryStats {
     pub epochs: usize,
 }
 
-/// The hybrid engine: any rank's failure cancels the others, and the most
-/// diagnostic error across ranks is returned. Reached through
-/// [`crate::RunBuilder`] and [`crate::Plan::execute`] at `ranks(n > 1)`.
+/// The tiled engine behind [`crate::RunBuilder`] and
+/// [`crate::Plan::execute`]: `opts.ranks` ranks of `opts.threads` workers
+/// on the memo's artifacts. Any rank's failure cancels the others, and the
+/// most diagnostic error across ranks is returned.
 pub(crate) fn hybrid_run<T, RK>(
     tiling: &Tiling,
     params: &[i64],
@@ -97,29 +100,20 @@ where
     T: Value + Wire,
     RK: RunKernel<T>,
 {
-    let probe = &opts.probe;
-    let method = opts.balance.clone().unwrap_or(BalanceMethod::Slabs {
-        lb_dims: effective_lb(lb_dims),
-    });
-    // Applied per rank over its owned tiles.
-    let schedule = resolved_schedule(tiling, params, lb_dims, memo, opts.schedule);
-    let prebalance = memo.balance(tiling, params, opts.ranks, &method);
     let t_start = Instant::now();
-    // A compiled plan re-executing injects its memoized balance; one-shot
-    // runs derive it here and pay the Ehrhart interpolation per run.
-    let balance = match prebalance {
-        Some(b) => (*b).clone(),
-        None => LoadBalance::compute(tiling, params, opts.ranks, &method),
-    };
-    let balance_time = t_start.elapsed();
-    let base_owner = balance.clone().into_owner();
+    let probe = &opts.probe;
+    let artifacts = memo.artifacts(tiling, params, lb_dims, opts);
+    let balance = artifacts.partition.as_ref().map(|(_, b)| &**b);
 
     let priority = opts.priority.clone().unwrap_or_else(|| {
-        let lb_dims = match &method {
-            BalanceMethod::Slabs { lb_dims } => lb_dims.clone(),
-            BalanceMethod::Hyperplane => Vec::new(),
+        // Slabs lead with their own dimensions, a hyperplane partition
+        // with none.
+        let lead = match &artifacts.partition {
+            Some((BalanceMethod::Slabs { lb_dims }, _)) => lb_dims.as_slice(),
+            Some((BalanceMethod::Hyperplane, _)) => &[],
+            None => lb_dims,
         };
-        TilePriority::paper_default(tiling.dims(), &lb_dims)
+        TilePriority::paper_default(tiling.dims(), lead)
     });
 
     // Every rank's tracer shares one epoch so timestamps land on one
@@ -132,14 +126,16 @@ where
 
     // Recovery wiring: heartbeats ride the comm links so survivors detect
     // a dead peer in bounded time, and each rank streams its completed
-    // tiles into an incremental slab checkpoint.
+    // tiles into an incremental slab checkpoint. One rank has no peer to
+    // lose, so there it stays off.
+    let recovery = opts.recovery.filter(|_| opts.ranks > 1);
     let mut comm_config = opts.comm;
-    if let Some(rc) = &opts.recovery {
+    if let Some(rc) = &recovery {
         comm_config.reliability.heartbeat_interval = Some(rc.heartbeat_interval);
         comm_config.reliability.death_timeout = rc.death_timeout;
     }
-    let recovery_on = opts.recovery.is_some();
-    let max_recoveries = opts.recovery.map_or(0, |rc| rc.max_recoveries);
+    let recovery_on = recovery.is_some();
+    let max_recoveries = recovery.map_or(0, |rc| rc.max_recoveries);
     let combine = reduce.map(|r| r.combine_fn());
     let mut sinks: Vec<Arc<CheckpointSink<T>>> = if recovery_on {
         (0..opts.ranks)
@@ -164,21 +160,39 @@ where
             }
         }
         rec_stats.epochs += 1;
-        let mut world = CommWorld::create_elastic::<T>(opts.ranks, comm_config, &retired);
+        // One rank owns every tile and has nobody to talk to: no world, no
+        // partition, and (below) no thread besides the caller's.
+        let single = NullTransport::default();
+        let mut world = match balance {
+            Some(_) => CommWorld::create_elastic::<T>(opts.ranks, comm_config, &retired),
+            None => Vec::new(),
+        };
         for (comm, tracer) in world.iter_mut().zip(&tracers) {
             if let Some(t) = tracer {
                 comm.attach_tracer(t.clone());
             }
         }
         let comm_stats: Vec<Arc<CommStats>> = world.iter().map(|r| r.stats()).collect();
+        let reassigned = balance.map(|base| ReassignedOwner {
+            base,
+            map: map.clone(),
+        });
+        let owner: &dyn TileOwner = match &reassigned {
+            Some(o) => o,
+            None => &SingleOwner,
+        };
+        let mut seats: Vec<(usize, &dyn Transport<T>)> = world
+            .iter()
+            .filter(|comm| !retired.contains(&comm.rank()))
+            .map(|comm| (comm.rank(), comm as &dyn Transport<T>))
+            .collect();
+        if balance.is_none() {
+            seats.push((0, &single));
+        }
         // One flag for the whole world: the first failing rank raises it
         // and every other rank bails out instead of waiting on silent
         // peers.
         let cancel = Arc::new(AtomicBool::new(false));
-        let owner = ReassignedOwner {
-            base: &base_owner,
-            map: map.clone(),
-        };
 
         let mut per_rank: Vec<Option<Result<NodeResult<T>, RunError>>> =
             (0..opts.ranks).map(|_| None).collect();
@@ -188,38 +202,30 @@ where
             // others are started: one thread fewer to place, wake and join
             // per execution, and none at all before that rank's first tile.
             let mut inline = None;
-            for comm in &world {
-                let rank = comm.rank();
-                if retired.contains(&rank) {
-                    continue;
-                }
-                let priority = priority.clone();
-                let owner = &owner;
-                let cancel = cancel.clone();
-                let tracer = tracers[rank].clone();
+            for (rank, transport) in seats {
                 let recovery = recovery_on.then(|| NodeRecovery {
                     sink: sinks[rank].clone(),
                     resume: resume[rank].take(),
                 });
+                let node_config = NodeConfig {
+                    threads: opts.threads,
+                    priority: priority.clone(),
+                    schedule: artifacts.schedule,
+                    rank,
+                    stall_timeout: opts.stall_timeout,
+                    cancel: Some(cancel.clone()),
+                    job_cancel: opts.cancel.clone(),
+                    static_plan: artifacts.static_plan.clone(),
+                    recycler: Some(artifacts.recycler.clone()),
+                    tracer: tracers[rank].clone(),
+                };
                 let run_rank = move || {
-                    let node_config = NodeConfig {
-                        threads: opts.threads,
-                        priority,
-                        schedule,
-                        rank,
-                        stall_timeout: opts.stall_timeout,
-                        cancel: Some(cancel),
-                        job_cancel: opts.cancel.clone(),
-                        static_plan: None,
-                        recycler: None,
-                        tracer,
-                    };
                     run_node(
                         &NodeJob {
                             tiling,
                             params,
                             owner,
-                            transport: comm,
+                            transport,
                             probe,
                             config: &node_config,
                             reduce,
@@ -288,11 +294,11 @@ where
                 let budget_left = rec_stats.ranks_lost < max_recoveries;
                 match dead_rank {
                     Some(dead) if recovery_on && budget_left && !fatal => {
+                        let balance = balance.expect("a peer died, so there is a partition");
                         let t_recover = Instant::now();
                         recover(
                             dead,
-                            &balance,
-                            &base_owner,
+                            balance,
                             &combine,
                             &mut sinks,
                             &mut resume,
@@ -367,12 +373,12 @@ where
         reduction: reduce.map(|r| r.finish()),
         per_rank,
         comm_stats,
-        balance: Some(balance),
+        balance: balance.cloned(),
         reference: None,
         timeline,
         metrics,
         total_time: t_start.elapsed(),
-        balance_time,
+        balance_time: artifacts.balance_time,
         recovery: rec_stats,
     })
 }
@@ -380,13 +386,13 @@ where
 /// The patched tile ownership of a recovered world: the balancer's
 /// assignment composed with the orig-rank → current-rank migration map.
 struct ReassignedOwner<'a> {
-    base: &'a MapOwner,
+    base: &'a LoadBalance,
     map: Vec<usize>,
 }
 
 impl TileOwner for ReassignedOwner<'_> {
     fn owner_of(&self, tile: &Coord) -> usize {
-        self.map[self.base.owner_of(tile)]
+        self.map[self.base.owner(tile)]
     }
 }
 
@@ -397,7 +403,6 @@ impl TileOwner for ReassignedOwner<'_> {
 fn recover<T: Value>(
     dead: usize,
     balance: &LoadBalance,
-    base_owner: &MapOwner,
     combine: &Option<Arc<dyn Fn(T, T) -> T + Send + Sync>>,
     sinks: &mut [Arc<CheckpointSink<T>>],
     resume: &mut [Option<ResumeState<T>>],
@@ -453,9 +458,7 @@ fn recover<T: Value>(
             if union.contains(&e.tile) {
                 continue;
             }
-            states[map[base_owner.owner_of(&e.tile)]]
-                .replay
-                .push(e.clone());
+            states[map[balance.owner(&e.tile)]].replay.push(e.clone());
         }
     }
     for (r, st) in states.into_iter().enumerate() {
@@ -524,7 +527,7 @@ mod tests {
         r.get(&[0, 0]).unwrap()
     }
 
-    /// One-shot hybrid run of a per-cell kernel, straight into the engine.
+    /// One-shot run of a per-cell kernel, straight into the engine.
     fn run<K: Kernel<f64>>(
         tiling: &Tiling,
         n: i64,
@@ -533,7 +536,7 @@ mod tests {
         kernel: &K,
         reduce: Option<&Reduction<f64>>,
     ) -> Result<RunOutput<f64>, RunError> {
-        let memo = PlanMemo::ephemeral();
+        let memo = PlanMemo::default();
         hybrid_run(tiling, &[n], lb_dims, &memo, opts, &PerCell(kernel), reduce)
     }
 

@@ -33,11 +33,10 @@
 //! }
 //! ```
 //!
-//! [`RunBuilder::run`](crate::RunBuilder::run) is now a thin wrapper over
-//! the same engine ([`execute_parts`]) with an ephemeral memo, so one-shot
-//! callers keep their exact previous behaviour (including where load
-//! balancing and static-plan construction are timed), while a compiled
-//! `Plan` reuses every derivation across executions.
+//! [`RunBuilder::run`](crate::RunBuilder::run) is a thin wrapper over the
+//! same engine ([`execute_parts`]) with a fresh memo used once, so a
+//! one-shot run and the first execution of a compiled `Plan` are the same
+//! code path; the `Plan` then reuses every derivation across executions.
 
 use crate::driver::{hybrid_run, RecoveryConfig, RecoveryStats};
 use crate::loadbalance::{slabs_uniform, BalanceMethod, LoadBalance};
@@ -47,9 +46,9 @@ use crate::spec::ProblemSpec;
 use dpgen_mpisim::{CommConfig, ReliabilityConfig, Wire};
 use dpgen_polyhedra::probe_box;
 use dpgen_runtime::{
-    run_node, run_reference, BufferRecycler, CompileFault, CompileStage, Kernel, MetricsRegistry,
-    NodeConfig, NodeJob, NullTransport, PerCell, Probe, Reduction, RunError, RunKernel, Schedule,
-    SingleOwner, StaticPlan, TilePriority, Timeline, TraceConfig, TraceLevel, Tracer, Value,
+    run_reference, BufferRecycler, CompileFault, CompileStage, Kernel, MetricsRegistry, PerCell,
+    Probe, Reduction, RunError, RunKernel, Schedule, StaticPlan, TilePriority, TraceConfig,
+    TraceLevel, Value,
 };
 use dpgen_tiling::{Coord, TileShape, Tiling};
 use parking_lot::Mutex;
@@ -57,28 +56,22 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Which executor a run resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Serial,
-    Shared,
-    Hybrid,
-}
-
 /// Per-execution options for [`Plan::execute`] and [`crate::RunBuilder`]:
 /// everything about a run *except* the problem itself. Owned and cheaply
 /// cloneable, so a resident engine can stamp one template per job. Every
 /// knob lives here once; the builder's setters forward to these.
 ///
-/// Mode selection: [`serial`](ExecOpts::serial) forces the untiled
-/// reference executor, `ranks(r)` with `r > 1` the hybrid driver, and the
-/// default is the single-node sharded runtime.
+/// Mode selection: [`serial`](ExecOpts::serial) runs the untiled
+/// reference executor; everything else is the one tiled driver, on
+/// `ranks` simulated nodes of `threads` workers each.
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
     /// Worker threads per rank (the OpenMP thread count). Default 1.
     pub threads: usize,
-    /// Simulated nodes (MPI ranks); more than one selects the hybrid
-    /// driver. Default 1.
+    /// Simulated nodes (MPI ranks). `ranks > 1` partitions the tiles with
+    /// a load balance and connects the ranks over the simulated
+    /// interconnect; one rank runs on the caller's thread with neither.
+    /// Default 1.
     pub ranks: usize,
     /// Run the serial untiled reference executor (dense memory; validation
     /// and baselines). The dense result lands in
@@ -102,10 +95,11 @@ pub struct ExecOpts {
     /// queue.
     pub schedule: Schedule,
     /// Communication configuration (buffer counts, reliability, fault
-    /// plan) for hybrid runs.
+    /// plan) at `ranks > 1`; at least one send and one receive buffer.
+    /// Ignored at one rank.
     pub comm: CommConfig,
-    /// Partitioning method for hybrid runs; `None` means slabs over the
-    /// load-balancing dimensions.
+    /// Partitioning method at `ranks > 1`; `None` means slabs over the
+    /// load-balancing dimensions. Ignored at one rank.
     pub balance: Option<BalanceMethod>,
     /// Stall watchdog window; `None` disables the watchdog.
     pub stall_timeout: Option<Duration>,
@@ -114,12 +108,12 @@ pub struct ExecOpts {
     /// above, [`RunOutput::timeline`] carries the merged per-worker
     /// timeline.
     pub trace: TraceConfig,
-    /// Elastic rank recovery for hybrid runs: `Some` turns on heartbeat
+    /// Elastic rank recovery at `ranks > 1`: `Some` turns on heartbeat
     /// death detection, per-rank incremental slab checkpoints, and mid-run
     /// migration of a dead rank's slab to the lowest-loaded survivor
     /// (DESIGN.md §12); the coordinator's actions land in
     /// [`RunOutput::recovery`]. `None` (the default) runs the classic
-    /// fail-the-world path. Ignored by single-rank modes.
+    /// fail-the-world path. Ignored at one rank.
     pub recovery: Option<RecoveryConfig>,
     /// Job-scoped cancellation flag: raise it from any thread to abort the
     /// run mid-flight with [`RunError::Cancelled`]. The runtime only reads
@@ -233,20 +227,24 @@ impl ExecOpts {
         self
     }
 
-    /// The executor these options select, or a typed options fault for a
-    /// contradictory combination — options arrive from callers (a serve
-    /// job's `ExecOpts`), so a conflict must not panic a resident worker.
-    fn mode(&self) -> Result<Mode, RunError> {
-        match (self.serial, self.ranks > 1) {
-            (true, true) => Err(CompileFault::new(
-                CompileStage::Options,
-                format!("serial() excludes ranks({})", self.ranks),
-            )
-            .into()),
-            (true, false) => Ok(Mode::Serial),
-            (false, true) => Ok(Mode::Hybrid),
-            (false, false) => Ok(Mode::Shared),
+    /// A typed options fault for a combination no executor can run —
+    /// options arrive from callers (a serve job's `ExecOpts`), so a bad
+    /// one must not panic a resident worker.
+    fn validate(&self) -> Result<(), RunError> {
+        let fault = |detail: String| Err(CompileFault::new(CompileStage::Options, detail).into());
+        if self.ranks == 1 {
+            return Ok(()); // the multi-rank knobs are ignored
         }
+        if self.serial {
+            return fault(format!("serial() excludes ranks({})", self.ranks));
+        }
+        if self.comm.send_buffers == 0 || self.comm.recv_buffers == 0 {
+            return fault(format!(
+                "ranks({}) needs at least one send and one receive buffer, got {} and {}",
+                self.ranks, self.comm.send_buffers, self.comm.recv_buffers
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -261,68 +259,114 @@ type MemoTable<K, V> = Vec<(K, V)>;
 type StaticPlanMemo = MemoTable<(usize, Schedule), Option<Arc<StaticPlan>>>;
 
 /// Lazily memoized schedule artifacts shared by every execution of one
-/// compiled [`Plan`].
-///
-/// A memo created by [`PlanMemo::ephemeral`] (the `RunBuilder` path) is
-/// *pass-through*: nothing is reused across runs and nothing is injected
-/// into the runtime, so one-shot runs behave exactly as before the
-/// compile/execute split — load balancing and static-plan construction
-/// happen (and are timed) inside the executors. A resident memo reuses all
-/// of them.
+/// compiled [`Plan`]. A one-shot [`crate::RunBuilder`] run is a fresh memo
+/// used once.
+#[derive(Default)]
 pub(crate) struct PlanMemo {
-    /// Resident memos reuse artifacts; ephemeral ones never inject.
-    persistent: bool,
     /// `slabs_uniform` verdicts keyed by load-balancing dimension.
     uniform: Mutex<Vec<(usize, bool)>>,
     /// Admission bounding-box volume (see [`Plan::cell_bound`]).
     cell_bound: OnceLock<u128>,
-    /// Hybrid load balances keyed by (ranks, method).
+    /// Load balances keyed by (ranks, method).
     balances: Mutex<MemoTable<(usize, BalanceMethod), Arc<LoadBalance>>>,
     /// Static wavefront plans keyed by (threads, resolved schedule).
     static_plans: Mutex<StaticPlanMemo>,
-    /// Cross-run buffer stash handed to the runtime's worker pools.
-    recycler: Option<Arc<BufferRecycler>>,
+    /// Cross-run buffer stash handed to every rank's worker pools.
+    recycler: Arc<BufferRecycler>,
+}
+
+/// What one tiled execution draws from the memo: [`PlanMemo::artifacts`]
+/// is the only place that decides it.
+pub(crate) struct RunArtifacts {
+    /// The requested schedule after the `Static` uniform-slab fallback.
+    pub schedule: Schedule,
+    /// The whole-space static plan, when one rank owns every tile.
+    pub static_plan: Option<Arc<StaticPlan>>,
+    /// The tile partition and the method that produced it (`ranks > 1`).
+    pub partition: Option<(BalanceMethod, Arc<LoadBalance>)>,
+    /// Time spent obtaining the partition: the Ehrhart interpolation on
+    /// first use, a memo lookup after.
+    pub balance_time: Duration,
+    /// The buffer stash every rank's pools seed from and park into.
+    pub recycler: Arc<BufferRecycler>,
 }
 
 impl PlanMemo {
-    /// A pass-through memo for one-shot `RunBuilder` runs.
-    pub(crate) fn ephemeral() -> PlanMemo {
-        PlanMemo {
-            persistent: false,
-            uniform: Mutex::new(Vec::new()),
-            cell_bound: OnceLock::new(),
-            balances: Mutex::new(Vec::new()),
-            static_plans: Mutex::new(Vec::new()),
-            recycler: None,
+    /// The artifacts an execution with `opts` runs on, derived on first
+    /// use and memoized: every rank shares the recycler (a mutex-guarded
+    /// stash); the whole-space static plan fits only a rank that owns
+    /// every tile, so with `ranks > 1` (an owned subset per rank, and a
+    /// different one per recovery epoch) the runtime plans in-run.
+    pub(crate) fn artifacts(
+        &self,
+        tiling: &Tiling,
+        params: &[i64],
+        lb_dims: &[usize],
+        opts: &ExecOpts,
+    ) -> RunArtifacts {
+        let schedule = self.resolved_schedule(tiling, params, lb_dims, opts.schedule);
+        let static_plan = if opts.ranks == 1 {
+            self.static_plan(tiling, params, opts.threads, schedule)
+        } else {
+            None
+        };
+        let mut balance_time = Duration::ZERO;
+        let partition = (opts.ranks > 1).then(|| {
+            let t_balance = Instant::now();
+            let method = opts.balance.clone().unwrap_or_else(|| {
+                // Slabs need a dimension to cut along: the first, failing
+                // a `loadbalance` declaration.
+                let slab_dims = if lb_dims.is_empty() { &[0] } else { lb_dims };
+                BalanceMethod::Slabs {
+                    lb_dims: slab_dims.to_vec(),
+                }
+            });
+            let balance = self.balance(tiling, params, opts.ranks, &method);
+            balance_time = t_balance.elapsed();
+            (method, balance)
+        });
+        RunArtifacts {
+            schedule,
+            static_plan,
+            partition,
+            balance_time,
+            recycler: self.recycler.clone(),
         }
     }
 
-    /// A resident memo for a compiled [`Plan`].
-    fn resident() -> PlanMemo {
-        PlanMemo {
-            persistent: true,
-            uniform: Mutex::new(Vec::new()),
-            cell_bound: OnceLock::new(),
-            balances: Mutex::new(Vec::new()),
-            static_plans: Mutex::new(Vec::new()),
-            recycler: Some(Arc::new(BufferRecycler::default())),
+    /// Apply the `Static` uniform-slab fallback: a requested static
+    /// schedule only survives when the load model reports equal work in
+    /// every slab along the first load-balancing dimension (a memoized
+    /// verdict). `Mixed` needs no guarantee and `Dynamic` is always itself.
+    fn resolved_schedule(
+        &self,
+        tiling: &Tiling,
+        params: &[i64],
+        lb_dims: &[usize],
+        requested: Schedule,
+    ) -> Schedule {
+        if requested != Schedule::Static {
+            return requested;
         }
-    }
-
-    /// Memoized `slabs_uniform` verdict for one load-balancing dimension.
-    fn uniform(&self, tiling: &Tiling, params: &[i64], lb_dim: usize) -> bool {
+        let lb_dim = lb_dims.first().copied().unwrap_or(0);
         let mut memo = self.uniform.lock();
-        if let Some((_, v)) = memo.iter().find(|(d, _)| *d == lb_dim) {
-            return *v;
+        let uniform = match memo.iter().find(|(d, _)| *d == lb_dim) {
+            Some((_, v)) => *v,
+            None => {
+                let v = slabs_uniform(tiling, params, lb_dim);
+                memo.push((lb_dim, v));
+                v
+            }
+        };
+        if uniform {
+            Schedule::Static
+        } else {
+            Schedule::Dynamic
         }
-        let v = slabs_uniform(tiling, params, lb_dim);
-        memo.push((lb_dim, v));
-        v
     }
 
-    /// Memoized static wavefront plan for `(threads, schedule)`; `None`
-    /// for dynamic schedules and for ephemeral memos (the runtime then
-    /// builds its own per-run plan, exactly as before).
+    /// Memoized whole-space static wavefront plan for `(threads,
+    /// schedule)`; `None` for dynamic schedules.
     fn static_plan(
         &self,
         tiling: &Tiling,
@@ -330,7 +374,7 @@ impl PlanMemo {
         threads: usize,
         schedule: Schedule,
     ) -> Option<Arc<StaticPlan>> {
-        if !self.persistent || schedule == Schedule::Dynamic {
+        if schedule == Schedule::Dynamic {
             return None;
         }
         let threads = threads.max(1);
@@ -352,25 +396,21 @@ impl PlanMemo {
         plan
     }
 
-    /// Memoized hybrid load balance; `None` on ephemeral memos (the
-    /// driver then computes and times it in-run, exactly as before).
-    pub(crate) fn balance(
+    /// Memoized load balance for `(ranks, method)`.
+    fn balance(
         &self,
         tiling: &Tiling,
         params: &[i64],
         ranks: usize,
         method: &BalanceMethod,
-    ) -> Option<Arc<LoadBalance>> {
-        if !self.persistent {
-            return None;
-        }
+    ) -> Arc<LoadBalance> {
         let mut memo = self.balances.lock();
         if let Some((_, b)) = memo.iter().find(|((r, m), _)| *r == ranks && m == method) {
-            return Some(b.clone());
+            return b.clone();
         }
         let b = Arc::new(LoadBalance::compute(tiling, params, ranks, method));
         memo.push(((ranks, method.clone()), b.clone()));
-        Some(b)
+        b
     }
 }
 
@@ -430,7 +470,7 @@ impl Plan {
             params: params.to_vec(),
             lb_dims,
             hash,
-            memo: PlanMemo::resident(),
+            memo: PlanMemo::default(),
         })
     }
 
@@ -473,7 +513,7 @@ impl Plan {
     /// Cross-run buffer reuse events (tile/payload buffers checked out of
     /// the plan's recycler by later executions).
     pub fn buffers_reused(&self) -> u64 {
-        self.memo.recycler.as_ref().map(|r| r.reused()).unwrap_or(0)
+        self.memo.recycler.reused()
     }
 
     /// The cell-level region shape of the derived tiling:
@@ -533,29 +573,14 @@ impl Plan {
         Ok(())
     }
 
-    /// Force the memoized artifacts an execution with `opts` would need
-    /// (uniform-slab verdict, static plan, hybrid balance, admission
-    /// bound), so a resident engine pays all derivations at compile time
-    /// and cache-hit executions start immediately.
+    /// Force the memoized artifacts an execution with `opts` would draw
+    /// (and the admission bound), so a resident engine pays all
+    /// derivations at compile time and cache-hit executions start
+    /// immediately.
     pub fn warm(&self, opts: &ExecOpts) {
-        let schedule = resolved_schedule(
-            &self.tiling,
-            &self.params,
-            &self.lb_dims,
-            &self.memo,
-            opts.schedule,
-        );
         let _ = self
             .memo
-            .static_plan(&self.tiling, &self.params, opts.threads, schedule);
-        if opts.ranks > 1 {
-            let method = opts.balance.clone().unwrap_or(BalanceMethod::Slabs {
-                lb_dims: effective_lb(&self.lb_dims),
-            });
-            let _ = self
-                .memo
-                .balance(&self.tiling, &self.params, opts.ranks, &method);
-        }
+            .artifacts(&self.tiling, &self.params, &self.lb_dims, opts);
         let _ = self.cell_bound();
     }
 
@@ -623,42 +648,9 @@ impl Plan {
     }
 }
 
-pub(crate) fn effective_lb(lb_dims: &[usize]) -> Vec<usize> {
-    if lb_dims.is_empty() {
-        vec![0]
-    } else {
-        lb_dims.to_vec()
-    }
-}
-
-/// Apply the `Static` uniform-slab fallback: a requested static schedule
-/// only survives when the load model reports equal work in every slab
-/// along the first load-balancing dimension. `Mixed` needs no guarantee
-/// and `Dynamic` is always itself.
-pub(crate) fn resolved_schedule(
-    tiling: &Tiling,
-    params: &[i64],
-    lb_dims: &[usize],
-    memo: &PlanMemo,
-    requested: Schedule,
-) -> Schedule {
-    match requested {
-        Schedule::Static => {
-            let lb_dim = lb_dims.first().copied().unwrap_or(0);
-            if memo.uniform(tiling, params, lb_dim) {
-                Schedule::Static
-            } else {
-                Schedule::Dynamic
-            }
-        }
-        other => other,
-    }
-}
-
 /// The one execution engine behind both [`Plan::execute`] and
-/// [`crate::RunBuilder::run`]: mode dispatch over the serial, shared and
-/// hybrid executors, threading the memo's artifacts into the runtime when
-/// the memo is resident.
+/// [`crate::RunBuilder::run`]: the untiled reference executor when
+/// `opts.serial`, the tiled driver on the memo's artifacts otherwise.
 pub(crate) fn execute_parts<T, RK>(
     tiling: &Tiling,
     params: &[i64],
@@ -672,10 +664,11 @@ where
     T: Value + Wire,
     RK: RunKernel<T>,
 {
-    match opts.mode()? {
-        Mode::Serial => run_serial(tiling, params, opts, kernel, reduce),
-        Mode::Shared => run_shared(tiling, params, lb_dims, memo, opts, kernel, reduce),
-        Mode::Hybrid => hybrid_run(tiling, params, lb_dims, memo, opts, kernel, reduce),
+    opts.validate()?;
+    if opts.serial {
+        run_serial(tiling, params, opts, kernel, reduce)
+    } else {
+        hybrid_run(tiling, params, lb_dims, memo, opts, kernel, reduce)
     }
 }
 
@@ -716,54 +709,6 @@ where
     })
 }
 
-fn run_shared<T, RK>(
-    tiling: &Tiling,
-    params: &[i64],
-    lb_dims: &[usize],
-    memo: &PlanMemo,
-    opts: &ExecOpts,
-    kernel: &RK,
-    reduce: Option<&Reduction<T>>,
-) -> Result<RunOutput<T>, RunError>
-where
-    T: Value + Wire,
-    RK: RunKernel<T>,
-{
-    let t_start = Instant::now();
-    let schedule = resolved_schedule(tiling, params, lb_dims, memo, opts.schedule);
-    let tracer = Tracer::create(0, opts.threads, opts.trace, Instant::now());
-    let config = NodeConfig {
-        threads: opts.threads,
-        priority: opts
-            .priority
-            .clone()
-            .unwrap_or_else(|| TilePriority::paper_default(tiling.dims(), lb_dims)),
-        schedule,
-        rank: 0,
-        stall_timeout: opts.stall_timeout,
-        cancel: None,
-        job_cancel: opts.cancel.clone(),
-        static_plan: memo.static_plan(tiling, params, opts.threads, schedule),
-        recycler: memo.recycler.clone(),
-        tracer: tracer.clone(),
-    };
-    let result = run_node(
-        &NodeJob {
-            tiling,
-            params,
-            owner: &SingleOwner,
-            transport: &NullTransport::default(),
-            probe: &opts.probe,
-            config: &config,
-            reduce,
-            recovery: None,
-        },
-        kernel,
-    )?;
-    let timeline = tracer.map(|t| Timeline::build(vec![t.drain()]));
-    Ok(RunOutput::from_node(result, timeline, t_start.elapsed()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,38 +732,100 @@ mod tests {
         values[cell.loc] = a + b;
     }
 
+    /// The counters a one-shot run and a compiled plan's executions must
+    /// agree on, summed over ranks.
+    fn counters(out: &RunOutput<f64>) -> [u64; 4] {
+        let sum = |f: fn(&dpgen_runtime::RunStats) -> u64| -> u64 {
+            out.per_rank.iter().map(|r| f(&r.stats)).sum()
+        };
+        [
+            sum(|s| s.cells_computed),
+            sum(|s| s.interior_cells),
+            sum(|s| s.boundary_cells),
+            sum(|s| s.tiles_executed),
+        ]
+    }
+
     #[test]
     fn compiled_plan_matches_builder_across_modes() {
         let n = 14i64;
         let program = Program::parse(CHAIN2).unwrap();
         let plan = program.compile(&[n]);
         let probe = Probe::many(&[&[0, 0], &[n, 0], &[3, 4]]);
-        for (threads, ranks) in [(1usize, 1usize), (3, 1), (2, 2)] {
-            let fresh = program
-                .runner(&[n])
-                .threads(threads)
-                .ranks(ranks)
-                .probe(probe.clone())
-                .run(&path_kernel)
-                .unwrap();
-            let opts = ExecOpts::new()
-                .threads(threads)
-                .ranks(ranks)
-                .probe(probe.clone());
-            // Twice through the plan: the second execution reuses the
-            // memoized artifacts and must still be bit-identical.
-            for round in 0..2 {
-                let out = plan.execute(&path_kernel, &opts).unwrap();
-                assert_eq!(
-                    out.probes, fresh.probes,
-                    "threads={threads} ranks={ranks} round={round}"
-                );
-                assert_eq!(out.cells_computed(), fresh.cells_computed());
+        for schedule in [Schedule::Dynamic, Schedule::Static, Schedule::Mixed] {
+            for (threads, ranks) in [(1usize, 1usize), (3, 1), (2, 2)] {
+                let tag = format!("{schedule:?} threads={threads} ranks={ranks}");
+                let sum = Reduction::new(0.0f64, |a, b| a + b);
+                let fresh = program
+                    .runner(&[n])
+                    .threads(threads)
+                    .ranks(ranks)
+                    .schedule(schedule)
+                    .probe(probe.clone())
+                    .reduce(&sum)
+                    .run(&path_kernel)
+                    .unwrap();
+                let opts = ExecOpts::new()
+                    .threads(threads)
+                    .ranks(ranks)
+                    .schedule(schedule)
+                    .probe(probe.clone());
+                // Twice through the plan: the second execution reuses the
+                // memoized artifacts and must still be bit-identical.
+                for round in 0..2 {
+                    let sum = Reduction::new(0.0f64, |a, b| a + b);
+                    let out = plan.execute_reduce(&path_kernel, &sum, &opts).unwrap();
+                    assert_eq!(out.probes, fresh.probes, "{tag} round={round}");
+                    assert_eq!(counters(&out), counters(&fresh), "{tag} round={round}");
+                    assert_eq!(out.reduction, fresh.reduction, "{tag} round={round}");
+                }
             }
         }
-        // The shared executions above parked their pools into the plan's
+        // The executions above parked their pools into the plan's
         // recycler; later ones must have drawn from it.
         assert!(plan.buffers_reused() > 0);
+    }
+
+    #[test]
+    fn multi_rank_executions_share_the_plan_recycler() {
+        let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
+        let opts = ExecOpts::new().threads(2).ranks(2);
+        plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
+        let after_first = plan.buffers_reused();
+        plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
+        assert!(
+            plan.buffers_reused() > after_first,
+            "the second ranks(2) execution must draw the buffers the first parked"
+        );
+    }
+
+    #[test]
+    fn one_rank_does_no_multi_rank_work() {
+        use dpgen_mpisim::{FaultPlan, KillTrigger};
+        let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
+        // Every multi-rank knob set, all ignored at one rank: a zero-buffer
+        // world is never built, the kill plan never armed, no checkpoint
+        // sink created.
+        let mut opts = ExecOpts::new()
+            .threads(2)
+            .balance(BalanceMethod::Hyperplane)
+            .recovery(RecoveryConfig::default())
+            .probe(Probe::at(&[0, 0]));
+        opts.comm.send_buffers = 0;
+        opts.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1)));
+        let out = plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
+        assert_eq!(out.probes[0], Some((1u64 << 15) as f64));
+        assert_eq!(out.per_rank.len(), 1);
+        assert!(out.comm_stats.is_empty());
+        assert!(out.balance.is_none());
+        assert_eq!(out.balance_time, Duration::ZERO);
+        assert!(plan.memo.balances.lock().is_empty());
+        assert!(out.metrics.counter("rank0.cells_computed").is_some());
+        assert!(out.metrics.counter("rank0.comm.msgs_sent").is_none());
+        assert!(out.metrics.counter("recovery.epochs").is_none());
+        assert_eq!(out.recovery.epochs, 1);
+        assert_eq!(out.recovery.ranks_lost, 0);
+        assert_eq!(out.recovery.checkpoint_bytes, 0);
     }
 
     #[test]

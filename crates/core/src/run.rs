@@ -1,7 +1,7 @@
 //! The consolidated run entry point: [`RunBuilder`] and [`RunOutput`].
 //!
 //! One fluent surface over a problem and its [`ExecOpts`],
-//! whatever the execution mode:
+//! whatever the rank and thread counts:
 //!
 //! ```
 //! use dpgen_core::Program;
@@ -55,9 +55,8 @@ use std::time::Duration;
 ///
 /// Every execution knob is an [`ExecOpts`] field, documented there; the
 /// setters here forward to the `ExecOpts` method of the same name. Mode
-/// selection is [`ExecOpts`]'s: [`serial`](RunBuilder::serial) forces the
-/// untiled reference executor, `ranks(r)` with `r > 1` selects the hybrid
-/// driver, and the default is the single-node sharded runtime.
+/// selection is [`ExecOpts`]'s: [`serial`](RunBuilder::serial) runs the
+/// untiled reference executor, everything else the one tiled driver.
 pub struct RunBuilder<'a, T> {
     tiling: &'a Tiling,
     params: &'a [i64],
@@ -202,15 +201,13 @@ impl<'a, T: Value + Wire> RunBuilder<'a, T> {
     where
         RK: RunKernel<T>,
     {
-        // One-shot path: an ephemeral (pass-through) memo keeps load
-        // balancing and static-plan construction inside the executors,
-        // where they are timed. Compiled plans reach the same engine with
-        // a resident memo instead.
+        // One-shot: a fresh memo used once. A compiled plan reaches the
+        // same engine with the memo it keeps.
         execute_parts(
             self.tiling,
             self.params,
             &self.lb_dims,
-            &PlanMemo::ephemeral(),
+            &PlanMemo::default(),
             &self.opts,
             kernel,
             self.reduce,
@@ -225,12 +222,12 @@ pub struct RunOutput<T> {
     pub probes: Vec<Option<T>>,
     /// The whole-space reduction, when one was supplied.
     pub reduction: Option<T>,
-    /// Per-rank node results (one entry for single-node modes; empty for
-    /// serial runs).
+    /// Per-rank node results (empty for serial runs).
     pub per_rank: Vec<NodeResult<T>>,
-    /// Per-rank communication statistics (hybrid runs only).
+    /// Per-rank communication statistics (`ranks > 1` only: one rank has
+    /// no interconnect).
     pub comm_stats: Vec<Arc<CommStats>>,
-    /// The load balance used (hybrid runs only).
+    /// The load balance used (`ranks > 1` only).
     pub balance: Option<LoadBalance>,
     /// The dense reference result (serial runs only).
     pub reference: Option<ReferenceResult<T>>,
@@ -240,13 +237,15 @@ pub struct RunOutput<T> {
     /// Unified run/comm/trace metrics, keyed `rank{r}.…`,
     /// `rank{r}.comm.…` and `trace.…`.
     pub metrics: MetricsRegistry,
-    /// Wall time of the whole run.
+    /// Wall time of the whole run, from before its schedule artifacts
+    /// (static plan, load balance) are derived or looked up.
     pub total_time: Duration,
-    /// Time spent in the load balancer (hybrid runs only).
+    /// Time spent obtaining the load balance (`ranks > 1` only): the
+    /// balancer itself on a plan's first such execution, a memo lookup
+    /// after.
     pub balance_time: Duration,
-    /// What the recovery coordinator did (all zeros unless
-    /// [`RunBuilder::recovery`] was enabled on a hybrid run and a rank
-    /// died).
+    /// What the recovery coordinator did (all zeros but `epochs` unless
+    /// [`RunBuilder::recovery`] was enabled at `ranks > 1`).
     pub recovery: RecoveryStats,
 }
 
@@ -263,35 +262,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for RunOutput<T> {
 }
 
 impl<T> RunOutput<T> {
-    pub(crate) fn from_node(
-        result: NodeResult<T>,
-        timeline: Option<Timeline>,
-        total_time: Duration,
-    ) -> RunOutput<T>
-    where
-        T: Value,
-    {
-        let mut metrics = MetricsRegistry::new();
-
-        metrics.record_run_stats("rank0.", &result.stats);
-        if let Some(tl) = &timeline {
-            tl.register_metrics(&mut metrics);
-        }
-        RunOutput {
-            probes: result.probes.clone(),
-            reduction: result.reduction,
-            per_rank: vec![result],
-            comm_stats: Vec::new(),
-            balance: None,
-            reference: None,
-            timeline,
-            metrics,
-            total_time,
-            balance_time: Duration::ZERO,
-            recovery: RecoveryStats::default(),
-        }
-    }
-
     /// Aggregate cells computed across ranks (or by the reference run).
     pub fn cells_computed(&self) -> u64
     where

@@ -298,6 +298,9 @@ impl<T: Value> TileBufferPool<T> {
     /// so everything parked is safe to seed a future run with.
     pub(crate) fn park_into(&mut self, recycler: &BufferRecycler) {
         recycler.park(self.buffer.take());
+        // No more than `seeded` takes back: a longer free list would only
+        // pile up in the stash, run after run, until its capacity bound.
+        self.payloads.truncate(MAX_RECYCLED_PAYLOADS / 4);
         recycler.park(std::mem::take(&mut self.payloads));
     }
 
@@ -518,7 +521,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// (tiling and parameter binding), this rank's place in the world (tile
 /// ownership and the transport to the other ranks), what to capture, and
 /// how to execute.
-pub struct NodeJob<'a, T, O, Tr> {
+pub struct NodeJob<'a, T, O: ?Sized, Tr: ?Sized> {
     /// The derived tiling.
     pub tiling: &'a Tiling,
     /// The parameter binding.
@@ -560,8 +563,8 @@ pub fn run_node<T, RK, O, Tr>(
 where
     T: Value,
     RK: RunKernel<T>,
-    O: TileOwner,
-    Tr: Transport<T>,
+    O: TileOwner + ?Sized,
+    Tr: Transport<T> + ?Sized,
 {
     let NodeJob {
         tiling,
@@ -1428,6 +1431,21 @@ mod tests {
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_tiling::tiling::CellRef;
     use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
+
+    #[test]
+    fn a_pool_parks_no_more_than_the_next_one_takes_back() {
+        let recycler = BufferRecycler::default();
+        let mut pool = TileBufferPool::<u64> {
+            buffer: Some(vec![0; 16]),
+            payloads: (0..MAX_RECYCLED_PAYLOADS)
+                .map(|_| Vec::with_capacity(4))
+                .collect(),
+        };
+        pool.park_into(&recycler);
+        let parked = recycler.stashed();
+        let _ = TileBufferPool::<u64>::seeded(&recycler);
+        assert_eq!(recycler.stashed(), 0, "{parked} parked, some never reused");
+    }
 
     /// Single-rank run of a per-cell kernel under `config`.
     fn run_with<T, K>(

@@ -460,23 +460,28 @@ mod tests {
     }
 
     #[test]
-    fn contradictory_options_fail_the_job_not_the_worker() {
-        // One resident worker: if the bad job panicked it, the good job
-        // behind it would never complete.
+    fn unrunnable_options_fail_the_job_not_the_worker() {
+        // One resident worker: if a bad job panicked it, the jobs behind
+        // it would never complete.
         let engine = Engine::new(EngineConfig {
             workers: 1,
             ..EngineConfig::default()
         });
         let spec = tri_spec();
-        let bad = ExecOpts::new().serial().ranks(2);
-        let err = engine
-            .submit(&spec, &[12], path_kernel(), Some(bad))
-            .unwrap()
-            .wait()
-            .unwrap_err();
-        match &err {
-            RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Options, "{err}"),
-            other => panic!("expected an options fault, got {other}"),
+        let mut no_send = ExecOpts::new().ranks(2);
+        no_send.comm.send_buffers = 0;
+        let mut no_recv = ExecOpts::new().ranks(2);
+        no_recv.comm.recv_buffers = 0;
+        for bad in [ExecOpts::new().serial().ranks(2), no_send, no_recv] {
+            let err = engine
+                .submit(&spec, &[12], path_kernel(), Some(bad))
+                .unwrap()
+                .wait()
+                .unwrap_err();
+            match &err {
+                RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Options, "{err}"),
+                other => panic!("expected an options fault, got {other}"),
+            }
         }
         let good = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
         let out = engine
@@ -485,7 +490,7 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(out.probes, vec![Some(1 << 13)]);
-        assert_eq!(engine.metrics().counter("serve.jobs_failed"), Some(1));
+        assert_eq!(engine.metrics().counter("serve.jobs_failed"), Some(3));
     }
 
     #[test]
