@@ -9,7 +9,7 @@ use crate::calibrate;
 use crate::report::{fmt_dur_us, fmt_f, Table};
 use dpgen_core::loadbalance::{BalanceMethod, LoadBalance};
 use dpgen_core::traceback::{run_logged, Traceback};
-use dpgen_core::{Program, RunBuilder, RunOutput};
+use dpgen_core::{ExecOpts, Program, RunOutput};
 use dpgen_des::{simulate, CostModel, SimConfig};
 use dpgen_mpisim::CommConfig;
 use dpgen_problems::{random_sequence, Bandit2, Bandit3, Lcs, Msa};
@@ -67,11 +67,10 @@ pub fn e1_bandit_correctness(quick: bool) -> Table {
     let ns: &[i64] = if quick { &[4, 8] } else { &[6, 10, 14, 18] };
     for &n in ns {
         let want = problem.solve_dense(n);
+        let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0, 0, 0]));
         let res = program
-            .runner::<f64>(&[n])
-            .threads(2)
-            .probe(Probe::at(&[0, 0, 0, 0]))
-            .run(&problem.kernel())
+            .compile(&[n])
+            .execute::<f64, _>(&problem.kernel(), &opts)
             .unwrap();
         let got = res.probes[0].unwrap();
         table.row(vec![
@@ -117,10 +116,10 @@ pub fn e2_memory_orderings(quick: bool) -> Table {
             format!("n+1 = {}", n_tiles + 1),
         ),
     ] {
-        let res = RunBuilder::<u64>::on_tiling(program.tiling(), &[n])
-            .threads(1)
-            .priority(priority)
-            .run(&count_kernel)
+        let opts = ExecOpts::new().threads(1).priority(priority);
+        let res = program
+            .compile(&[n])
+            .execute::<u64, _>(&count_kernel, &opts)
             .unwrap();
         table.row(vec![
             name.to_string(),
@@ -265,11 +264,10 @@ pub fn e4b_contention(quick: bool) -> Table {
         let problem = Bandit2::default();
         let program = Bandit2::program(if quick { 4 } else { 8 }).unwrap();
         for &t in threads {
+            let opts = ExecOpts::new().threads(t).probe(Probe::at(&[0, 0, 0, 0]));
             let res = program
-                .runner::<f64>(&[n])
-                .threads(t)
-                .probe(Probe::at(&[0, 0, 0, 0]))
-                .run(&problem.kernel())
+                .compile(&[n])
+                .execute::<f64, _>(&problem.kernel(), &opts)
                 .unwrap();
             stats_rows.push(("bandit2".into(), t, node_stats(res)));
         }
@@ -281,10 +279,10 @@ pub fn e4b_contention(quick: bool) -> Table {
         let problem = Lcs::new(&[&a, &b]);
         let program = Lcs::program(2, if quick { 8 } else { 16 }).unwrap();
         for &t in threads {
+            let opts = ExecOpts::new().threads(t);
             let res = program
-                .runner::<i64>(&problem.params())
-                .threads(t)
-                .run(&problem)
+                .compile(&problem.params())
+                .execute::<i64, _>(&problem, &opts)
                 .unwrap();
             stats_rows.push(("lcs2".into(), t, node_stats(res)));
         }
@@ -440,9 +438,8 @@ pub fn e6_tile_size(quick: bool) -> Table {
         let mut runs: Vec<RunOutput<f64>> = (0..reps)
             .map(|_| {
                 program
-                    .runner::<f64>(&[n2])
-                    .probe(Probe::at(&[0, 0, 0, 0]))
-                    .run(&kernel2)
+                    .compile(&[n2])
+                    .execute::<f64, _>(&kernel2, &ExecOpts::new().probe(Probe::at(&[0, 0, 0, 0])))
                     .unwrap()
             })
             .collect();
@@ -511,8 +508,7 @@ pub fn e7_buffer_sweep(quick: bool) -> Table {
         simulate(tiling, &[n], &owner, &config)
     };
     for buffers in [1usize, 2, 4, 16] {
-        let res = program
-            .runner::<f64>(&[n])
+        let opts = ExecOpts::new()
             .ranks(4)
             .threads(1)
             .comm(CommConfig {
@@ -524,8 +520,10 @@ pub fn e7_buffer_sweep(quick: bool) -> Table {
                 lb_dims: vec![0, 1],
             })
             .stall_timeout(Some(std::time::Duration::from_secs(60)))
-            .probe(Probe::at(&[0, 0, 0, 0]))
-            .run(&problem.kernel())
+            .probe(Probe::at(&[0, 0, 0, 0]));
+        let res = program
+            .compile(&[n])
+            .execute::<f64, _>(&problem.kernel(), &opts)
             .unwrap();
         let stalls: u64 = res.comm_stats.iter().map(|s| s.send_stalls()).sum();
         let stall_us: f64 = res
@@ -618,9 +616,8 @@ pub fn e9_init_fraction(quick: bool) -> Table {
             Box::new(move || {
                 node_stats(
                     program
-                        .runner::<f64>(&[n])
-                        .threads(1)
-                        .run(&problem.kernel())
+                        .compile(&[n])
+                        .execute::<f64, _>(&problem.kernel(), &ExecOpts::new().threads(1))
                         .unwrap(),
                 )
             }),
@@ -637,9 +634,8 @@ pub fn e9_init_fraction(quick: bool) -> Table {
             Box::new(move || {
                 node_stats(
                     program
-                        .runner::<i64>(&problem.params())
-                        .threads(1)
-                        .run(&problem)
+                        .compile(&problem.params())
+                        .execute::<i64, _>(&problem, &ExecOpts::new().threads(1))
                         .unwrap(),
                 )
             }),
@@ -864,10 +860,10 @@ pub fn e13_hot_path(quick: bool) -> Table {
         let problem = Lcs::new(&[&a, &b]);
         let program = Lcs::program(2, if quick { 8 } else { 16 }).unwrap();
         for &t in threads {
+            let opts = ExecOpts::new().threads(t);
             let res = program
-                .runner::<i64>(&problem.params())
-                .threads(t)
-                .run(&problem)
+                .compile(&problem.params())
+                .execute::<i64, _>(&problem, &opts)
                 .unwrap();
             stats_rows.push(("lcs2".into(), t, node_stats(res)));
         }
@@ -877,11 +873,10 @@ pub fn e13_hot_path(quick: bool) -> Table {
         let problem = Bandit2::default();
         let program = Bandit2::program(if quick { 4 } else { 8 }).unwrap();
         for &t in threads {
+            let opts = ExecOpts::new().threads(t).probe(Probe::at(&[0, 0, 0, 0]));
             let res = program
-                .runner::<f64>(&[n])
-                .threads(t)
-                .probe(Probe::at(&[0, 0, 0, 0]))
-                .run(&problem.kernel())
+                .compile(&[n])
+                .execute::<f64, _>(&problem.kernel(), &opts)
                 .unwrap();
             stats_rows.push(("bandit2".into(), t, node_stats(res)));
         }

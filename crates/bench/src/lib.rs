@@ -22,7 +22,7 @@
 pub mod experiments;
 pub mod report;
 
-use dpgen_core::RunBuilder;
+use dpgen_core::{ExecOpts, Plan};
 use dpgen_des::CostModel;
 use dpgen_mpisim::Wire;
 use dpgen_runtime::{Kernel, TilePriority, Value};
@@ -36,11 +36,10 @@ where
     T: Value + Wire,
     K: Kernel<T>,
 {
-    let res = RunBuilder::<T>::on_tiling(tiling, params)
-        .threads(1)
-        .priority(TilePriority::column_major(tiling.dims()))
-        .run(kernel)
-        .unwrap();
+    let opts = ExecOpts::new().priority(TilePriority::column_major(tiling.dims()));
+    let res = Plan::on_tiling(tiling.clone(), params, vec![])
+        .and_then(|plan| plan.execute(kernel, &opts))
+        .expect("calibration run executes");
     let stats = &res.per_rank[0].stats;
     let cells = stats.cells_computed.max(1) as f64;
     let tiles = stats.tiles_executed as f64;

@@ -14,13 +14,12 @@
 //! others down promptly; the engine then reports the most diagnostic error
 //! (by [`RunError::severity`]) rather than a sympathetic `Cancelled`.
 //!
-//! The public entry points are [`crate::RunBuilder`] (via
-//! `Program::runner`) and the compile/execute split
-//! ([`crate::Program::compile`] → [`crate::Plan::execute`]); both funnel
-//! into the same `hybrid_run` engine for every tiled execution.
+//! The public entry point is [`crate::Plan::execute`] (and its batched
+//! and reducing siblings), which checks the options and calls
+//! `hybrid_run`; nothing else does.
 
 use crate::loadbalance::{BalanceMethod, LoadBalance};
-use crate::plan::{ExecOpts, PlanMemo};
+use crate::plan::{ExecOpts, Plan};
 use crate::run::RunOutput;
 use dpgen_mpisim::{CommStats, CommWorld, Wire};
 use dpgen_runtime::{
@@ -28,7 +27,7 @@ use dpgen_runtime::{
     NodeRecovery, NodeResult, NullTransport, RankTrace, Reduction, ResumeState, RunError,
     RunKernel, RunStats, SingleOwner, TileOwner, TilePriority, Timeline, Tracer, Transport, Value,
 };
-use dpgen_tiling::{Coord, Tiling};
+use dpgen_tiling::Coord;
 use std::collections::HashSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -83,15 +82,12 @@ pub struct RecoveryStats {
     pub epochs: usize,
 }
 
-/// The tiled engine behind [`crate::RunBuilder`] and
-/// [`crate::Plan::execute`]: `opts.ranks` ranks of `opts.threads` workers
-/// on the memo's artifacts. Any rank's failure cancels the others, and the
-/// most diagnostic error across ranks is returned.
+/// The tiled engine behind [`crate::Plan::execute`]: `opts.ranks` ranks
+/// of `opts.threads` workers on the plan's memoized artifacts. Any rank's
+/// failure cancels the others, and the most diagnostic error across ranks
+/// is returned. `opts` must already have passed the plan's validation.
 pub(crate) fn hybrid_run<T, RK>(
-    tiling: &Tiling,
-    params: &[i64],
-    lb_dims: &[usize],
-    memo: &PlanMemo,
+    plan: &Plan,
     opts: &ExecOpts,
     kernel: &RK,
     reduce: Option<&Reduction<T>>,
@@ -101,8 +97,9 @@ where
     RK: RunKernel<T>,
 {
     let t_start = Instant::now();
+    let (tiling, params) = (plan.tiling(), plan.params());
     let probe = &opts.probe;
-    let artifacts = memo.artifacts(tiling, params, lb_dims, opts);
+    let artifacts = plan.artifacts(opts);
     let balance = artifacts.partition.as_ref().map(|(_, b)| &**b);
 
     let priority = opts.priority.clone().unwrap_or_else(|| {
@@ -111,7 +108,7 @@ where
         let lead = match &artifacts.partition {
             Some((BalanceMethod::Slabs { lb_dims }, _)) => lb_dims.as_slice(),
             Some((BalanceMethod::Hyperplane, _)) => &[],
-            None => lb_dims,
+            None => plan.lb_dims(),
         };
         TilePriority::paper_default(tiling.dims(), lead)
     });
@@ -374,7 +371,6 @@ where
         per_rank,
         comm_stats,
         balance: balance.cloned(),
-        reference: None,
         timeline,
         metrics,
         total_time: t_start.elapsed(),
@@ -488,7 +484,7 @@ mod tests {
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_runtime::{Kernel, PerCell, Probe};
     use dpgen_tiling::tiling::CellRef;
-    use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
+    use dpgen_tiling::{Template, TemplateSet, Tiling, TilingBuilder};
 
     fn triangle(w: i64) -> Tiling {
         let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
@@ -521,13 +517,13 @@ mod tests {
     }
 
     fn expected(n: i64) -> f64 {
-        // Reference via the serial executor.
+        // Reference via the dense executor.
         let tiling = triangle(1_000_000); // single giant tile
         let r = dpgen_runtime::run_reference::<f64, _>(&tiling, &[n], &path_kernel);
         r.get(&[0, 0]).unwrap()
     }
 
-    /// One-shot run of a per-cell kernel, straight into the engine.
+    /// One execution of a per-cell kernel on a fresh plan.
     fn run<K: Kernel<f64>>(
         tiling: &Tiling,
         n: i64,
@@ -536,8 +532,11 @@ mod tests {
         kernel: &K,
         reduce: Option<&Reduction<f64>>,
     ) -> Result<RunOutput<f64>, RunError> {
-        let memo = PlanMemo::default();
-        hybrid_run(tiling, &[n], lb_dims, &memo, opts, &PerCell(kernel), reduce)
+        let plan = Plan::on_tiling(tiling.clone(), &[n], lb_dims.to_vec())?;
+        match reduce {
+            Some(r) => plan.execute_reduce(&PerCell(kernel), r, opts),
+            None => plan.execute(kernel, opts),
+        }
     }
 
     /// `ranks` x `threads`, probing the origin.

@@ -10,11 +10,11 @@
 //! Modules:
 //!
 //! * [`spec`] — the problem description and the text input-file parser,
-//! * [`program`] — the generation pipeline (Section IV-C) and run entry
-//!   points,
-//! * [`plan`] — the compile/execute split: [`Program::compile`] produces
-//!   an immutable, reusable [`Plan`] whose repeated executions share
-//!   memoized schedule artifacts,
+//! * [`program`] — the generation pipeline (Section IV-C),
+//! * [`plan`] — the one way to run: [`Program::compile`] produces an
+//!   immutable, reusable [`Plan`], and [`Plan::execute`] runs it under an
+//!   [`ExecOpts`]; repeated executions share memoized schedule artifacts,
+//! * [`run`] — [`RunOutput`], what every execution returns,
 //! * [`loadbalance`] — the slab load balancer driven by work counts
 //!   (Section IV-J) and the hyperplane balancer of the future-work
 //!   Figure 8,
@@ -41,6 +41,6 @@ pub use driver::{RecoveryConfig, RecoveryStats};
 pub use loadbalance::{BalanceMethod, LoadBalance, MapOwner};
 pub use plan::{spec_hash, ExecOpts, Plan};
 pub use program::{Program, ProgramError};
-pub use run::{RunBuilder, RunOutput};
+pub use run::RunOutput;
 pub use spec::{ProblemSpec, SpecBand, SpecError};
 pub use specgen::{GeneratedSpec, SpecGen};

@@ -139,7 +139,7 @@ pub fn slab_work(tiling: &Tiling, lb_dim: usize, slab: i64, n: i64) -> u128 {
 /// carries exactly the same work at these parameter values.
 ///
 /// This is the decision input for `Schedule::Static` (see
-/// `core::RunBuilder::schedule`): a precomputed wavefront order only pays
+/// [`crate::ExecOpts::schedule`]): a precomputed wavefront order only pays
 /// off when the per-slab Ehrhart counts are flat — a rectangular iteration
 /// space whose extents the tile widths divide exactly. Wedges, triangles,
 /// and ragged final slabs report `false` and keep the work-stealing

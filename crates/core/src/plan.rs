@@ -1,14 +1,13 @@
-//! The compile/execute split: [`Plan`], [`ExecOpts`] and the shared
-//! execution engine behind [`crate::RunBuilder`].
+//! The one way to run: [`Plan`] and [`ExecOpts`].
 //!
 //! The paper's workflow is two-phase: the generator compiles a problem
 //! description into a parallel program once, and the program is then run
 //! many times. [`Plan`] is that compiled artifact as an in-process object:
 //! an immutable, shareable (`Arc`) bundle of the derived tiling, the
-//! parameter binding, the load-balancing dimensions and a spec hash,
-//! plus lazily memoized schedule artifacts (uniform-slab verdicts, static
-//! wavefront plans, hybrid load balances, a cross-run buffer recycler)
-//! that make repeated execution cheaper than one-shot runs.
+//! parameter binding and the load-balancing dimensions, plus lazily
+//! memoized schedule artifacts (the uniform-slab verdict, static
+//! wavefront plans, load balances, a cross-run buffer recycler) that make
+//! a repeated execution cheaper than the first.
 //!
 //! ```
 //! use dpgen_core::{ExecOpts, Program};
@@ -33,12 +32,13 @@
 //! }
 //! ```
 //!
-//! [`RunBuilder::run`](crate::RunBuilder::run) is a thin wrapper over the
-//! same engine ([`execute_parts`]) with a fresh memo used once, so a
-//! one-shot run and the first execution of a compiled `Plan` are the same
-//! code path; the `Plan` then reuses every derivation across executions.
+//! There is no other door: [`Plan::execute`], [`Plan::execute_batched`]
+//! and [`Plan::execute_reduce`] all check their options against the plan
+//! ([`ExecOpts`] arrives from outside — a serve job's request) and then
+//! enter the one tiled driver. The untiled dense executor tests compare
+//! against is [`dpgen_runtime::run_reference`], called directly.
 
-use crate::driver::{hybrid_run, RecoveryConfig, RecoveryStats};
+use crate::driver::{hybrid_run, RecoveryConfig};
 use crate::loadbalance::{slabs_uniform, BalanceMethod, LoadBalance};
 use crate::program::{Program, ProgramError};
 use crate::run::RunOutput;
@@ -46,9 +46,8 @@ use crate::spec::ProblemSpec;
 use dpgen_mpisim::{CommConfig, ReliabilityConfig, Wire};
 use dpgen_polyhedra::probe_box;
 use dpgen_runtime::{
-    run_reference, BufferRecycler, CompileFault, CompileStage, Kernel, MetricsRegistry, PerCell,
-    Probe, Reduction, RunError, RunKernel, Schedule, StaticPlan, TilePriority, TraceConfig,
-    TraceLevel, Value,
+    BufferRecycler, CompileFault, CompileStage, Kernel, PerCell, Probe, Reduction, RunError,
+    RunKernel, Schedule, StaticPlan, TilePriority, TraceConfig, TraceLevel, Value,
 };
 use dpgen_tiling::{Coord, TileShape, Tiling};
 use parking_lot::Mutex;
@@ -56,14 +55,9 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Per-execution options for [`Plan::execute`] and [`crate::RunBuilder`]:
-/// everything about a run *except* the problem itself. Owned and cheaply
-/// cloneable, so a resident engine can stamp one template per job. Every
-/// knob lives here once; the builder's setters forward to these.
-///
-/// Mode selection: [`serial`](ExecOpts::serial) runs the untiled
-/// reference executor; everything else is the one tiled driver, on
-/// `ranks` simulated nodes of `threads` workers each.
+/// Per-execution options for [`Plan::execute`]: everything about a run
+/// *except* the problem itself. Owned and cheaply cloneable, so a resident
+/// engine can stamp one template per job. Every knob lives here once.
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
     /// Worker threads per rank (the OpenMP thread count). Default 1.
@@ -73,16 +67,13 @@ pub struct ExecOpts {
     /// interconnect; one rank runs on the caller's thread with neither.
     /// Default 1.
     pub ranks: usize,
-    /// Run the serial untiled reference executor (dense memory; validation
-    /// and baselines). The dense result lands in
-    /// [`RunOutput::reference`]. Threads, priority, schedule, tracing, the
-    /// watchdog and the cancel flag do not apply to it; combining it with
-    /// `ranks(n > 1)` is rejected.
-    pub serial: bool,
-    /// Global coordinates whose final values to capture.
+    /// Global coordinates whose final values to capture, each with as
+    /// many entries as the problem has dimensions.
     pub probe: Probe,
     /// Ready-queue ordering; `None` means the paper's Figure 5 default
-    /// (column-major with the load-balancing dimensions first).
+    /// (column-major with the load-balancing dimensions first). A
+    /// [`TilePriority::ColumnMajor`] order must be a permutation of the
+    /// problem's dimensions.
     pub priority: Option<TilePriority>,
     /// Requested tile scheduling mode (default [`Schedule::Dynamic`], the
     /// work-stealing heaps). [`Schedule::Static`] pins every owned tile to
@@ -99,7 +90,9 @@ pub struct ExecOpts {
     /// Ignored at one rank.
     pub comm: CommConfig,
     /// Partitioning method at `ranks > 1`; `None` means slabs over the
-    /// load-balancing dimensions. Ignored at one rank.
+    /// plan's load-balancing dimensions. Explicit
+    /// [`BalanceMethod::Slabs`] dimensions must be distinct, in range and
+    /// at least one. Ignored at one rank.
     pub balance: Option<BalanceMethod>,
     /// Stall watchdog window; `None` disables the watchdog.
     pub stall_timeout: Option<Duration>,
@@ -136,7 +129,6 @@ impl ExecOpts {
         ExecOpts {
             threads: 1,
             ranks: 1,
-            serial: false,
             probe: Probe::default(),
             priority: None,
             schedule: Schedule::Dynamic,
@@ -158,12 +150,6 @@ impl ExecOpts {
     /// Sets [`ExecOpts::ranks`] (at least 1).
     pub fn ranks(mut self, ranks: usize) -> Self {
         self.ranks = ranks.max(1);
-        self
-    }
-
-    /// Sets [`ExecOpts::serial`].
-    pub fn serial(mut self) -> Self {
-        self.serial = true;
         self
     }
 
@@ -227,16 +213,31 @@ impl ExecOpts {
         self
     }
 
-    /// A typed options fault for a combination no executor can run —
-    /// options arrive from callers (a serve job's `ExecOpts`), so a bad
-    /// one must not panic a resident worker.
-    fn validate(&self) -> Result<(), RunError> {
-        let fault = |detail: String| Err(CompileFault::new(CompileStage::Options, detail).into());
+    /// Check these options — and the plan's own parameter binding —
+    /// against `plan` before anything runs. Both arrive from outside (a
+    /// serve job's request), so a bad one must be a typed fault, never a
+    /// panic inside a resident worker: a wrong-arity binding is a
+    /// [`CompileStage::Spec`] fault, everything else
+    /// [`CompileStage::Options`].
+    fn validate(&self, plan: &Plan) -> Result<(), RunError> {
+        plan.check_params()?;
+        let d = plan.tiling.dims();
+        let fault = |detail: String| Err(fault(CompileStage::Options, detail));
+        if let Some(c) = self.probe.coords().iter().find(|c| c.dims() != d) {
+            return fault(format!(
+                "probe {c:?} has {} coordinates, the problem has {d} dimensions",
+                c.dims()
+            ));
+        }
+        if let Some(TilePriority::ColumnMajor { dim_order }) = &self.priority {
+            if dim_order.len() != d || !distinct_dims(dim_order, d) {
+                return fault(format!(
+                    "ColumnMajor dim_order {dim_order:?} is not a permutation of 0..{d}"
+                ));
+            }
+        }
         if self.ranks == 1 {
             return Ok(()); // the multi-rank knobs are ignored
-        }
-        if self.serial {
-            return fault(format!("serial() excludes ranks({})", self.ranks));
         }
         if self.comm.send_buffers == 0 || self.comm.recv_buffers == 0 {
             return fault(format!(
@@ -244,8 +245,27 @@ impl ExecOpts {
                 self.ranks, self.comm.send_buffers, self.comm.recv_buffers
             ));
         }
+        if let Some(BalanceMethod::Slabs { lb_dims }) = &self.balance {
+            if lb_dims.is_empty() || !distinct_dims(lb_dims, d) {
+                return fault(format!(
+                    "Slabs lb_dims {lb_dims:?} must name at least one distinct dimension below {d}"
+                ));
+            }
+        }
         Ok(())
     }
+}
+
+/// The typed error every rejection in this module is.
+fn fault(stage: CompileStage, detail: impl std::fmt::Display) -> RunError {
+    CompileFault::new(stage, detail).into()
+}
+
+/// Whether `list` names distinct dimensions of a `d`-dimensional problem.
+fn distinct_dims(list: &[usize], d: usize) -> bool {
+    list.iter()
+        .enumerate()
+        .all(|(i, &k)| k < d && !list[..i].contains(&k))
 }
 
 /// A small linear-scan memo table: key-value pairs in insertion order.
@@ -253,30 +273,13 @@ impl ExecOpts {
 /// handful of entries at most, so a `Vec` beats a map.
 type MemoTable<K, V> = Vec<(K, V)>;
 
-/// Memoized static wavefront plans: `None` records that the tiling was
-/// judged non-uniform and the Static request silently fell back to
-/// Dynamic, so later executions skip re-deriving that verdict too.
-type StaticPlanMemo = MemoTable<(usize, Schedule), Option<Arc<StaticPlan>>>;
+/// Memoized static wavefront plans: `None` records that
+/// `StaticPlan::build` found nothing to pin (a `Mixed` polytope with no
+/// interior tile), so later executions skip re-deriving that verdict too.
+type StaticPlanTable = MemoTable<(usize, Schedule), Option<Arc<StaticPlan>>>;
 
-/// Lazily memoized schedule artifacts shared by every execution of one
-/// compiled [`Plan`]. A one-shot [`crate::RunBuilder`] run is a fresh memo
-/// used once.
-#[derive(Default)]
-pub(crate) struct PlanMemo {
-    /// `slabs_uniform` verdicts keyed by load-balancing dimension.
-    uniform: Mutex<Vec<(usize, bool)>>,
-    /// Admission bounding-box volume (see [`Plan::cell_bound`]).
-    cell_bound: OnceLock<u128>,
-    /// Load balances keyed by (ranks, method).
-    balances: Mutex<MemoTable<(usize, BalanceMethod), Arc<LoadBalance>>>,
-    /// Static wavefront plans keyed by (threads, resolved schedule).
-    static_plans: Mutex<StaticPlanMemo>,
-    /// Cross-run buffer stash handed to every rank's worker pools.
-    recycler: Arc<BufferRecycler>,
-}
-
-/// What one tiled execution draws from the memo: [`PlanMemo::artifacts`]
-/// is the only place that decides it.
+/// What one execution draws from the plan's memo: [`Plan::artifacts`] is
+/// the only place that decides it.
 pub(crate) struct RunArtifacts {
     /// The requested schedule after the `Static` uniform-slab fallback.
     pub schedule: Schedule,
@@ -291,133 +294,10 @@ pub(crate) struct RunArtifacts {
     pub recycler: Arc<BufferRecycler>,
 }
 
-impl PlanMemo {
-    /// The artifacts an execution with `opts` runs on, derived on first
-    /// use and memoized: every rank shares the recycler (a mutex-guarded
-    /// stash); the whole-space static plan fits only a rank that owns
-    /// every tile, so with `ranks > 1` (an owned subset per rank, and a
-    /// different one per recovery epoch) the runtime plans in-run.
-    pub(crate) fn artifacts(
-        &self,
-        tiling: &Tiling,
-        params: &[i64],
-        lb_dims: &[usize],
-        opts: &ExecOpts,
-    ) -> RunArtifacts {
-        let schedule = self.resolved_schedule(tiling, params, lb_dims, opts.schedule);
-        let static_plan = if opts.ranks == 1 {
-            self.static_plan(tiling, params, opts.threads, schedule)
-        } else {
-            None
-        };
-        let mut balance_time = Duration::ZERO;
-        let partition = (opts.ranks > 1).then(|| {
-            let t_balance = Instant::now();
-            let method = opts.balance.clone().unwrap_or_else(|| {
-                // Slabs need a dimension to cut along: the first, failing
-                // a `loadbalance` declaration.
-                let slab_dims = if lb_dims.is_empty() { &[0] } else { lb_dims };
-                BalanceMethod::Slabs {
-                    lb_dims: slab_dims.to_vec(),
-                }
-            });
-            let balance = self.balance(tiling, params, opts.ranks, &method);
-            balance_time = t_balance.elapsed();
-            (method, balance)
-        });
-        RunArtifacts {
-            schedule,
-            static_plan,
-            partition,
-            balance_time,
-            recycler: self.recycler.clone(),
-        }
-    }
-
-    /// Apply the `Static` uniform-slab fallback: a requested static
-    /// schedule only survives when the load model reports equal work in
-    /// every slab along the first load-balancing dimension (a memoized
-    /// verdict). `Mixed` needs no guarantee and `Dynamic` is always itself.
-    fn resolved_schedule(
-        &self,
-        tiling: &Tiling,
-        params: &[i64],
-        lb_dims: &[usize],
-        requested: Schedule,
-    ) -> Schedule {
-        if requested != Schedule::Static {
-            return requested;
-        }
-        let lb_dim = lb_dims.first().copied().unwrap_or(0);
-        let mut memo = self.uniform.lock();
-        let uniform = match memo.iter().find(|(d, _)| *d == lb_dim) {
-            Some((_, v)) => *v,
-            None => {
-                let v = slabs_uniform(tiling, params, lb_dim);
-                memo.push((lb_dim, v));
-                v
-            }
-        };
-        if uniform {
-            Schedule::Static
-        } else {
-            Schedule::Dynamic
-        }
-    }
-
-    /// Memoized whole-space static wavefront plan for `(threads,
-    /// schedule)`; `None` for dynamic schedules.
-    fn static_plan(
-        &self,
-        tiling: &Tiling,
-        params: &[i64],
-        threads: usize,
-        schedule: Schedule,
-    ) -> Option<Arc<StaticPlan>> {
-        if schedule == Schedule::Dynamic {
-            return None;
-        }
-        let threads = threads.max(1);
-        let mut memo = self.static_plans.lock();
-        if let Some((_, p)) = memo
-            .iter()
-            .find(|((t, s), _)| *t == threads && *s == schedule)
-        {
-            return p.clone();
-        }
-        // Same inputs as the runtime's own per-run build for a single
-        // owner: every tile, in `for_each_tile` order. Determinism of
-        // `StaticPlan::build` is what makes injection bit-identical.
-        let mut point = tiling.make_point(params);
-        let mut owned: Vec<Coord> = Vec::new();
-        tiling.for_each_tile(&mut point, |t| owned.push(t));
-        let plan = StaticPlan::build(tiling, &mut point, &owned, threads, schedule).map(Arc::new);
-        memo.push(((threads, schedule), plan.clone()));
-        plan
-    }
-
-    /// Memoized load balance for `(ranks, method)`.
-    fn balance(
-        &self,
-        tiling: &Tiling,
-        params: &[i64],
-        ranks: usize,
-        method: &BalanceMethod,
-    ) -> Arc<LoadBalance> {
-        let mut memo = self.balances.lock();
-        if let Some((_, b)) = memo.iter().find(|((r, m), _)| *r == ranks && m == method) {
-            return b.clone();
-        }
-        let b = Arc::new(LoadBalance::compute(tiling, params, ranks, method));
-        memo.push(((ranks, method.clone()), b.clone()));
-        b
-    }
-}
-
-/// FNV-1a hash of a spec and a parameter binding: the cache key of a
-/// compiled [`Plan`]. Stable within a process run (it hashes the spec's
-/// canonical `Debug` rendering), which is all an in-memory plan cache
-/// needs.
+/// FNV-1a hash of a spec and a parameter binding: the key a plan cache
+/// files a compiled [`Plan`] under. Stable within a process run (it hashes
+/// the spec's canonical `Debug` rendering), which is all an in-memory
+/// cache needs.
 pub fn spec_hash(spec: &ProblemSpec, params: &[i64]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -436,42 +316,65 @@ pub fn spec_hash(spec: &ProblemSpec, params: &[i64]) -> u64 {
 }
 
 /// An immutable compiled execution plan: the reusable artifact of
-/// [`Program::compile`]. See the [module docs](self).
+/// [`Program::compile`], and the only thing that runs. See the
+/// [module docs](self).
 pub struct Plan {
-    spec: ProblemSpec,
+    /// What `Debug` shows: the spec's `name`, or `"tiling"` for a plan
+    /// built by [`Plan::on_tiling`].
+    name: String,
     tiling: Arc<Tiling>,
     params: Vec<i64>,
     lb_dims: Vec<usize>,
-    hash: u64,
-    memo: PlanMemo,
+    /// The `slabs_uniform` verdict along the first load-balancing
+    /// dimension (what a `Static` request resolves against).
+    uniform: OnceLock<bool>,
+    /// Admission bounding-box volume (see [`Plan::cell_bound`]).
+    cell_bound: OnceLock<u128>,
+    /// Load balances keyed by (ranks, method).
+    balances: Mutex<MemoTable<(usize, BalanceMethod), Arc<LoadBalance>>>,
+    /// Static wavefront plans keyed by (threads, resolved schedule).
+    static_plans: Mutex<StaticPlanTable>,
+    /// Cross-run buffer stash handed to every rank's worker pools.
+    recycler: Arc<BufferRecycler>,
 }
 
 impl std::fmt::Debug for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Plan")
-            .field("name", &self.spec.name)
+            .field("name", &self.name)
             .field("params", &self.params)
             .field("dims", &self.tiling.dims())
-            .field("hash", &format_args!("{:016x}", self.hash))
             .finish_non_exhaustive()
     }
 }
 
 impl Plan {
-    /// Compile a program at one parameter binding. Infallible: the
-    /// program already carries a validated spec and derived tiling.
-    pub(crate) fn compile(program: &Program, params: &[i64]) -> Arc<Plan> {
-        let spec = program.spec().clone();
-        let hash = spec_hash(&spec, params);
-        let lb_dims = spec.load_balance_indices();
+    fn new(name: &str, tiling: Tiling, params: &[i64], lb_dims: Vec<usize>) -> Arc<Plan> {
         Arc::new(Plan {
-            spec,
-            tiling: Arc::new(program.tiling().clone()),
+            name: name.to_string(),
+            tiling: Arc::new(tiling),
             params: params.to_vec(),
             lb_dims,
-            hash,
-            memo: PlanMemo::default(),
+            uniform: OnceLock::new(),
+            cell_bound: OnceLock::new(),
+            balances: Mutex::default(),
+            static_plans: Mutex::default(),
+            recycler: Arc::default(),
         })
+    }
+
+    /// Compile a program at one parameter binding. Infallible: the
+    /// program already carries a validated spec and derived tiling (a
+    /// binding of the wrong arity is reported by [`Plan::cell_bound`],
+    /// [`Plan::admit`] and every execution).
+    pub(crate) fn compile(program: &Program, params: &[i64]) -> Arc<Plan> {
+        let spec = program.spec();
+        Plan::new(
+            &spec.name,
+            program.tiling().clone(),
+            params,
+            spec.load_balance_indices(),
+        )
     }
 
     /// Compile straight from input-file text, surfacing every failure as
@@ -479,15 +382,29 @@ impl Plan {
     /// (spec parse/validation, polyhedral derivation, tiling).
     pub fn from_spec(text: &str, params: &[i64]) -> Result<Arc<Plan>, RunError> {
         let program = Program::parse(text).map_err(|e| match e {
-            ProgramError::Spec(s) => RunError::from(CompileFault::new(CompileStage::Spec, s)),
+            ProgramError::Spec(s) => fault(CompileStage::Spec, s),
             ProgramError::Tiling(t) => RunError::from(t),
         })?;
         Ok(Plan::compile(&program, params))
     }
 
-    /// The spec this plan was compiled from.
-    pub fn spec(&self) -> &ProblemSpec {
-        &self.spec
+    /// A plan over a hand-built [`Tiling`] (no spec): `lb_dims` is what a
+    /// spec's `loadbalance` line would have declared — distinct problem
+    /// dimensions, possibly none — and is rejected with a typed
+    /// [`CompileStage::Spec`] fault otherwise.
+    pub fn on_tiling(
+        tiling: Tiling,
+        params: &[i64],
+        lb_dims: Vec<usize>,
+    ) -> Result<Arc<Plan>, RunError> {
+        if !distinct_dims(&lb_dims, tiling.dims()) {
+            let d = tiling.dims();
+            return Err(fault(
+                CompileStage::Spec,
+                format!("lb_dims {lb_dims:?} must be distinct dimensions below {d}"),
+            ));
+        }
+        Ok(Plan::new("tiling", tiling, params, lb_dims))
     }
 
     /// The derived tiling.
@@ -505,15 +422,10 @@ impl Plan {
         &self.lb_dims
     }
 
-    /// The spec-and-params hash (the plan cache key).
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
     /// Cross-run buffer reuse events (tile/payload buffers checked out of
     /// the plan's recycler by later executions).
     pub fn buffers_reused(&self) -> u64 {
-        self.memo.recycler.reused()
+        self.recycler.reused()
     }
 
     /// The cell-level region shape of the derived tiling:
@@ -522,17 +434,33 @@ impl Plan {
         self.tiling.shape()
     }
 
+    /// The binding must give every parameter of the problem a value: the
+    /// tiling's point constructors assert it.
+    fn check_params(&self) -> Result<(), RunError> {
+        let want = self.tiling.param_cols().len();
+        if self.params.len() == want {
+            return Ok(());
+        }
+        let got = self.params.len();
+        Err(fault(
+            CompileStage::Spec,
+            format!("{got} parameter values bound, the problem has {want} parameters"),
+        ))
+    }
+
     /// Inclusive bounding-box volume of the iteration space at this
     /// plan's parameters, from [`probe_box`]: the admission-control
     /// metric. For banded plans the box is intersected with the band
     /// ([`BoxProbe::banded_volume`]) — a diagonal band never shrinks the
     /// box itself, so the plain box volume would reject banded alignment
     /// shapes whose true lattice is tiny. Memoized. Fails with a typed
-    /// `CompileError` (admission stage) when the space is unbounded.
+    /// `CompileError` when the binding has the wrong arity (spec stage)
+    /// or the space is unbounded (admission stage).
     pub fn cell_bound(&self) -> Result<u128, RunError> {
-        if let Some(v) = self.memo.cell_bound.get() {
+        if let Some(v) = self.cell_bound.get() {
             return Ok(*v);
         }
+        self.check_params()?;
         let sys = self.tiling.original();
         let space = sys.space();
         let mut assignment = vec![0i128; space.dim()];
@@ -547,14 +475,13 @@ impl Plan {
         let bound = match volume {
             Some(v) => v,
             None => {
-                return Err(CompileFault::new(
+                return Err(fault(
                     CompileStage::Admission,
                     "iteration space is unbounded at these parameters",
-                )
-                .into())
+                ))
             }
         };
-        let _ = self.memo.cell_bound.set(bound);
+        let _ = self.cell_bound.set(bound);
         Ok(bound)
     }
 
@@ -564,11 +491,10 @@ impl Plan {
     pub fn admit(&self, max_cells: u128) -> Result<(), RunError> {
         let bound = self.cell_bound()?;
         if bound > max_cells {
-            return Err(CompileFault::new(
+            return Err(fault(
                 CompileStage::Admission,
                 format!("bounding box holds {bound} cells, over the admission limit {max_cells}"),
-            )
-            .into());
+            ));
         }
         Ok(())
     }
@@ -576,29 +502,33 @@ impl Plan {
     /// Force the memoized artifacts an execution with `opts` would draw
     /// (and the admission bound), so a resident engine pays all
     /// derivations at compile time and cache-hit executions start
-    /// immediately.
+    /// immediately. Options no execution would accept warm nothing; the
+    /// typed fault surfaces from [`Plan::execute`].
     pub fn warm(&self, opts: &ExecOpts) {
-        let _ = self
-            .memo
-            .artifacts(&self.tiling, &self.params, &self.lb_dims, opts);
-        let _ = self.cell_bound();
+        if opts.validate(self).is_ok() {
+            let _ = self.artifacts(opts);
+            let _ = self.cell_bound();
+        }
     }
 
     /// Execute the plan with a per-cell kernel. Reentrant: any number of
     /// threads may execute one plan concurrently, each with its own
     /// options. The kernel is lifted with [`PerCell`], so even a
     /// [`RunKernel`] passed here runs cell by cell and `runs_batched`
-    /// stays 0.
+    /// stays 0. Failures (bad options, kernel panics, stalls, transport
+    /// errors) surface as a typed [`RunError`] with tile/rank context.
     pub fn execute<T, K>(&self, kernel: &K, opts: &ExecOpts) -> Result<RunOutput<T>, RunError>
     where
         T: Value + Wire,
         K: Kernel<T>,
     {
-        self.execute_batched(&PerCell(kernel), opts)
+        self.run(&PerCell(kernel), opts, None)
     }
 
-    /// Execute with a [`RunKernel`]: interior runs are handed whole to
-    /// `RunKernel::eval_run` (see [`crate::RunBuilder::run_batched`]).
+    /// Execute with a [`RunKernel`]: every interior run isolated by the
+    /// tile scan is handed whole to `RunKernel::eval_run`, so a
+    /// hand-batched kernel can evaluate it as one tight counted loop.
+    /// Boundary cells always go through the per-cell `Kernel::compute`.
     pub fn execute_batched<T, RK>(
         &self,
         kernel: &RK,
@@ -608,25 +538,28 @@ impl Plan {
         T: Value + Wire,
         RK: RunKernel<T>,
     {
-        self.execute_parts(kernel, opts, None)
+        self.run(kernel, opts, None)
     }
 
-    /// Execute with a whole-space reduction; the merged value lands in
-    /// [`RunOutput::reduction`].
-    pub fn execute_reduce<T, K>(
+    /// Execute with a whole-space reduction folded over every computed
+    /// cell; the merged value lands in [`RunOutput::reduction`]. Takes a
+    /// [`RunKernel`]: a per-cell kernel `k` goes in as `&PerCell(&k)`.
+    pub fn execute_reduce<T, RK>(
         &self,
-        kernel: &K,
+        kernel: &RK,
         reduce: &Reduction<T>,
         opts: &ExecOpts,
     ) -> Result<RunOutput<T>, RunError>
     where
         T: Value + Wire,
-        K: Kernel<T>,
+        RK: RunKernel<T>,
     {
-        self.execute_parts(&PerCell(kernel), opts, Some(reduce))
+        self.run(kernel, opts, Some(reduce))
     }
 
-    fn execute_parts<T, RK>(
+    /// The one door every `execute*` goes through: outside input is
+    /// checked here, then the tiled driver runs.
+    fn run<T, RK>(
         &self,
         kernel: &RK,
         opts: &ExecOpts,
@@ -636,87 +569,130 @@ impl Plan {
         T: Value + Wire,
         RK: RunKernel<T>,
     {
-        execute_parts(
+        opts.validate(self)?;
+        hybrid_run(self, opts, kernel, reduce)
+    }
+
+    /// The artifacts an execution with `opts` runs on, derived on first
+    /// use and memoized: every rank shares the recycler (a mutex-guarded
+    /// stash); the whole-space static plan fits only a rank that owns
+    /// every tile, so with `ranks > 1` (an owned subset per rank, and a
+    /// different one per recovery epoch) the runtime plans in-run.
+    pub(crate) fn artifacts(&self, opts: &ExecOpts) -> RunArtifacts {
+        let schedule = self.resolved_schedule(opts.schedule);
+        let static_plan = if opts.ranks == 1 {
+            self.static_plan(opts.threads, schedule)
+        } else {
+            None
+        };
+        let mut balance_time = Duration::ZERO;
+        let partition = (opts.ranks > 1).then(|| {
+            let t_balance = Instant::now();
+            let method = opts.balance.clone().unwrap_or_else(|| {
+                // Slabs need a dimension to cut along: the first, failing
+                // a `loadbalance` declaration.
+                let slab_dims = if self.lb_dims.is_empty() {
+                    &[0]
+                } else {
+                    self.lb_dims.as_slice()
+                };
+                BalanceMethod::Slabs {
+                    lb_dims: slab_dims.to_vec(),
+                }
+            });
+            let balance = self.balance(opts.ranks, &method);
+            balance_time = t_balance.elapsed();
+            (method, balance)
+        });
+        RunArtifacts {
+            schedule,
+            static_plan,
+            partition,
+            balance_time,
+            recycler: self.recycler.clone(),
+        }
+    }
+
+    /// Apply the `Static` uniform-slab fallback: a requested static
+    /// schedule only survives when the load model reports equal work in
+    /// every slab along the first load-balancing dimension (a memoized
+    /// verdict). `Mixed` needs no guarantee and `Dynamic` is always itself.
+    fn resolved_schedule(&self, requested: Schedule) -> Schedule {
+        if requested != Schedule::Static {
+            return requested;
+        }
+        let lb_dim = self.lb_dims.first().copied().unwrap_or(0);
+        let uniform = self
+            .uniform
+            .get_or_init(|| slabs_uniform(&self.tiling, &self.params, lb_dim));
+        if *uniform {
+            Schedule::Static
+        } else {
+            Schedule::Dynamic
+        }
+    }
+
+    /// Memoized whole-space static wavefront plan for `(threads,
+    /// schedule)`; `None` for dynamic schedules.
+    fn static_plan(&self, threads: usize, schedule: Schedule) -> Option<Arc<StaticPlan>> {
+        if schedule == Schedule::Dynamic {
+            return None;
+        }
+        let threads = threads.max(1);
+        let mut memo = self.static_plans.lock();
+        if let Some((_, p)) = memo
+            .iter()
+            .find(|((t, s), _)| *t == threads && *s == schedule)
+        {
+            return p.clone();
+        }
+        // Same inputs as the runtime's own per-run build for a single
+        // owner: every tile, in `for_each_tile` order. Determinism of
+        // `StaticPlan::build` is what makes injection bit-identical.
+        let tiling = &*self.tiling;
+        let mut point = tiling.make_point(&self.params);
+        let mut owned: Vec<Coord> = Vec::new();
+        tiling.for_each_tile(&mut point, |t| owned.push(t));
+        let plan = StaticPlan::build(tiling, &mut point, &owned, threads, schedule).map(Arc::new);
+        memo.push(((threads, schedule), plan.clone()));
+        plan
+    }
+
+    /// Memoized load balance for `(ranks, method)`.
+    fn balance(&self, ranks: usize, method: &BalanceMethod) -> Arc<LoadBalance> {
+        let mut memo = self.balances.lock();
+        if let Some((_, b)) = memo.iter().find(|((r, m), _)| *r == ranks && m == method) {
+            return b.clone();
+        }
+        let b = Arc::new(LoadBalance::compute(
             &self.tiling,
             &self.params,
-            &self.lb_dims,
-            &self.memo,
-            opts,
-            kernel,
-            reduce,
-        )
+            ranks,
+            method,
+        ));
+        memo.push(((ranks, method.clone()), b.clone()));
+        b
     }
-}
-
-/// The one execution engine behind both [`Plan::execute`] and
-/// [`crate::RunBuilder::run`]: the untiled reference executor when
-/// `opts.serial`, the tiled driver on the memo's artifacts otherwise.
-pub(crate) fn execute_parts<T, RK>(
-    tiling: &Tiling,
-    params: &[i64],
-    lb_dims: &[usize],
-    memo: &PlanMemo,
-    opts: &ExecOpts,
-    kernel: &RK,
-    reduce: Option<&Reduction<T>>,
-) -> Result<RunOutput<T>, RunError>
-where
-    T: Value + Wire,
-    RK: RunKernel<T>,
-{
-    opts.validate()?;
-    if opts.serial {
-        run_serial(tiling, params, opts, kernel, reduce)
-    } else {
-        hybrid_run(tiling, params, lb_dims, memo, opts, kernel, reduce)
-    }
-}
-
-fn run_serial<T, K>(
-    tiling: &Tiling,
-    params: &[i64],
-    opts: &ExecOpts,
-    kernel: &K,
-    reduce: Option<&Reduction<T>>,
-) -> Result<RunOutput<T>, RunError>
-where
-    T: Value,
-    K: Kernel<T>,
-{
-    let t_start = Instant::now();
-    let reference = run_reference::<T, _>(tiling, params, kernel);
-    let probes = opts
-        .probe
-        .coords()
-        .iter()
-        .map(|c| reference.get(c.as_slice()))
-        .collect();
-    let reduction = reduce.map(|r| reference.fold(r.identity(), |a, b| r.combine(a, b)));
-    let mut metrics = MetricsRegistry::new();
-    metrics.add_counter("serial.cells_computed", reference.cells_computed());
-    Ok(RunOutput {
-        probes,
-        reduction,
-        per_rank: Vec::new(),
-        comm_stats: Vec::new(),
-        balance: None,
-        reference: Some(reference),
-        timeline: None,
-        metrics,
-        total_time: t_start.elapsed(),
-        balance_time: Duration::ZERO,
-        recovery: RecoveryStats::default(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpgen_runtime::run_reference;
     use dpgen_tiling::tiling::CellRef;
 
     const CHAIN2: &str = "name tri\nvars x y\nparams N\nconstraint x >= 0\n\
                           constraint y >= 0\nconstraint x + y <= N\n\
                           template r1 1 0\ntemplate r2 0 1\nloadbalance x\nwidths 3 3\n";
+    const GRID: &str = "name grid\nvars x y\nparams N\nconstraint 0 <= x <= N\n\
+                        constraint 0 <= y <= N\ntemplate r1 1 0\ntemplate r2 0 1\n\
+                        loadbalance x\nwidths 4 4\n";
+
+    /// The `x + y <= n` triangle in `w x w` tiles.
+    fn triangle(w: i64, n: i64) -> Arc<Plan> {
+        let spec = CHAIN2.replace("widths 3 3", &format!("widths {w} {w}"));
+        Plan::from_spec(&spec, &[n]).unwrap()
+    }
 
     fn path_kernel(cell: CellRef<'_>, values: &mut [f64]) {
         let a = if cell.valid[0] {
@@ -732,8 +708,20 @@ mod tests {
         values[cell.loc] = a + b;
     }
 
-    /// The counters a one-shot run and a compiled plan's executions must
-    /// agree on, summed over ranks.
+    /// A run kernel that is its own type (so its runs count as batched)
+    /// but keeps the default per-cell `eval_run`.
+    struct PathRuns;
+
+    impl Kernel<f64> for PathRuns {
+        fn compute(&self, cell: CellRef<'_>, values: &mut [f64]) {
+            path_kernel(cell, values)
+        }
+    }
+
+    impl RunKernel<f64> for PathRuns {}
+
+    /// The counters any two executions of one problem must agree on,
+    /// summed over ranks.
     fn counters(out: &RunOutput<f64>) -> [u64; 4] {
         let sum = |f: fn(&dpgen_runtime::RunStats) -> u64| -> u64 {
             out.per_rank.iter().map(|r| f(&r.stats)).sum()
@@ -746,44 +734,219 @@ mod tests {
         ]
     }
 
+    fn stage_of(err: &RunError) -> CompileStage {
+        match err {
+            RunError::CompileError(f) => f.stage,
+            other => panic!("expected a CompileError, got {other}"),
+        }
+    }
+
     #[test]
-    fn compiled_plan_matches_builder_across_modes() {
+    fn all_modes_agree() {
+        let n = 16i64;
+        let plan = triangle(3, n);
+        let dense = run_reference::<f64, _>(plan.tiling(), &[n], &path_kernel);
+        let want = vec![dense.get(&[0, 0]), dense.get(&[n, 0])];
+        let probe = Probe::many(&[&[0, 0], &[n, 0]]);
+
+        let shared = plan
+            .execute(
+                &path_kernel,
+                &ExecOpts::new().threads(3).probe(probe.clone()),
+            )
+            .unwrap();
+        assert_eq!(shared.probes, want);
+        assert_eq!(shared.cells_computed(), dense.cells_computed());
+        assert_eq!(shared.per_rank.len(), 1);
+        assert!(shared.metrics.counter("rank0.cells_computed").is_some());
+
+        let hybrid = plan
+            .execute(
+                &path_kernel,
+                &ExecOpts::new().threads(2).ranks(3).probe(probe),
+            )
+            .unwrap();
+        assert_eq!(hybrid.probes, want);
+        assert!(hybrid.balance.is_some());
+        assert!(hybrid.edges_remote() > 0);
+        assert!(hybrid.metrics.counter("rank2.comm.msgs_sent").is_some());
+    }
+
+    #[test]
+    fn fresh_plan_second_execution_and_on_tiling_agree_across_modes() {
         let n = 14i64;
         let program = Program::parse(CHAIN2).unwrap();
-        let plan = program.compile(&[n]);
+        let reused = program.compile(&[n]);
         let probe = Probe::many(&[&[0, 0], &[n, 0], &[3, 4]]);
+        let run = |plan: &Plan, opts: &ExecOpts| {
+            let sum = Reduction::new(0.0f64, |a, b| a + b);
+            plan.execute_reduce(&PerCell(&path_kernel), &sum, opts)
+                .unwrap()
+        };
         for schedule in [Schedule::Dynamic, Schedule::Static, Schedule::Mixed] {
             for (threads, ranks) in [(1usize, 1usize), (3, 1), (2, 2)] {
                 let tag = format!("{schedule:?} threads={threads} ranks={ranks}");
-                let sum = Reduction::new(0.0f64, |a, b| a + b);
-                let fresh = program
-                    .runner(&[n])
-                    .threads(threads)
-                    .ranks(ranks)
-                    .schedule(schedule)
-                    .probe(probe.clone())
-                    .reduce(&sum)
-                    .run(&path_kernel)
-                    .unwrap();
                 let opts = ExecOpts::new()
                     .threads(threads)
                     .ranks(ranks)
                     .schedule(schedule)
                     .probe(probe.clone());
-                // Twice through the plan: the second execution reuses the
-                // memoized artifacts and must still be bit-identical.
-                for round in 0..2 {
-                    let sum = Reduction::new(0.0f64, |a, b| a + b);
-                    let out = plan.execute_reduce(&path_kernel, &sum, &opts).unwrap();
-                    assert_eq!(out.probes, fresh.probes, "{tag} round={round}");
-                    assert_eq!(counters(&out), counters(&fresh), "{tag} round={round}");
-                    assert_eq!(out.reduction, fresh.reduction, "{tag} round={round}");
+                // A cold memo, a memo earlier configurations filled (twice
+                // through it), and a plan built around the bare tiling.
+                let fresh = run(&program.compile(&[n]), &opts);
+                let bare = Plan::on_tiling(program.tiling().clone(), &[n], vec![0]).unwrap();
+                for (who, out) in [
+                    ("first", run(&reused, &opts)),
+                    ("second", run(&reused, &opts)),
+                    ("on_tiling", run(&bare, &opts)),
+                ] {
+                    assert_eq!(out.probes, fresh.probes, "{tag} {who}");
+                    assert_eq!(counters(&out), counters(&fresh), "{tag} {who}");
+                    assert_eq!(out.reduction, fresh.reduction, "{tag} {who}");
                 }
             }
         }
         // The executions above parked their pools into the plan's
         // recycler; later ones must have drawn from it.
-        assert!(plan.buffers_reused() > 0);
+        assert!(reused.buffers_reused() > 0);
+    }
+
+    #[test]
+    fn schedule_resolution_applies_the_uniform_slab_rule() {
+        // A 16x16 grid in 4x4 tiles is slab-uniform: requested Static
+        // sticks, nothing is stolen, results match the dynamic run, and
+        // the wavefront plan is built once.
+        let n = 15i64;
+        let grid = Plan::from_spec(GRID, &[n]).unwrap();
+        let probe = Probe::at(&[0, 0]);
+        let opts = |threads: usize, schedule: Schedule| {
+            ExecOpts::new()
+                .threads(threads)
+                .schedule(schedule)
+                .probe(probe.clone())
+        };
+        let exec = |plan: &Plan, opts: &ExecOpts| plan.execute(&path_kernel, opts).unwrap();
+        let dynamic = exec(&grid, &opts(4, Schedule::Dynamic));
+        for _ in 0..2 {
+            let stat = exec(&grid, &opts(4, Schedule::Static));
+            assert_eq!(stat.probes, dynamic.probes);
+            let s = &stat.per_rank[0].stats;
+            assert_eq!(s.schedule, Schedule::Static);
+            assert_eq!(s.tiles_static, s.tiles_executed);
+            assert_eq!(s.steal_count, 0);
+            assert_eq!(
+                stat.metrics.gauge("rank0.schedule_mode"),
+                Some(Schedule::Static.code() as f64)
+            );
+        }
+        assert_eq!(grid.static_plans.lock().len(), 1);
+
+        // The triangle's slabs shrink toward the hypotenuse: the same
+        // request falls back to Dynamic. Mixed applies regardless.
+        let tri = triangle(2, n);
+        let tri_dynamic = exec(&tri, &opts(2, Schedule::Dynamic));
+        let fallback = exec(&tri, &opts(2, Schedule::Static));
+        assert_eq!(fallback.per_rank[0].stats.schedule, Schedule::Dynamic);
+        assert_eq!(fallback.per_rank[0].stats.tiles_static, 0);
+        assert_eq!(fallback.probes, tri_dynamic.probes);
+        let mixed = exec(&tri, &opts(2, Schedule::Mixed));
+        let m = &mixed.per_rank[0].stats;
+        assert_eq!(m.schedule, Schedule::Mixed);
+        assert!(m.tiles_static > 0 && m.tiles_dynamic > 0);
+        assert_eq!(mixed.probes, tri_dynamic.probes);
+
+        // Hybrid: the resolved mode reaches every rank.
+        let hybrid = exec(&grid, &opts(2, Schedule::Static).ranks(2));
+        assert_eq!(hybrid.probes, dynamic.probes);
+        for r in &hybrid.per_rank {
+            assert_eq!(r.stats.schedule, Schedule::Static);
+            assert_eq!(r.stats.tiles_static, r.stats.tiles_executed);
+            assert_eq!(r.stats.steal_count, 0);
+        }
+    }
+
+    #[test]
+    fn batched_path_is_bit_identical_across_widths() {
+        // A run kernel with the default per-cell `eval_run` must replay
+        // the scan exactly: same probes, same cell counts, across widths
+        // that exercise degenerate single-cell runs (w = 1) up to
+        // multi-run tiles, on one rank and on two.
+        let n = 17i64;
+        for w in 1..=5i64 {
+            let plan = triangle(w, n);
+            let opts = ExecOpts::new()
+                .threads(2)
+                .probe(Probe::many(&[&[0, 0], &[n, 0], &[3, 4]]));
+            let per_cell = plan.execute(&path_kernel, &opts).unwrap();
+            let batched = plan.execute_batched(&PathRuns, &opts).unwrap();
+            assert_eq!(batched.probes, per_cell.probes, "w={w}");
+            assert_eq!(batched.cells_computed(), per_cell.cells_computed());
+            let s = &batched.per_rank[0].stats;
+            assert_eq!(s.cells_batched, s.interior_cells, "w={w}");
+            assert_eq!(s.runs_batched > 0, s.interior_cells > 0, "w={w}");
+            assert_eq!(per_cell.per_rank[0].stats.runs_batched, 0);
+            assert!(
+                batched.metrics.gauge("rank0.mean_run_len").is_some(),
+                "batched runs must surface the mean run length"
+            );
+
+            let hybrid = plan.execute_batched(&PathRuns, &opts.ranks(2)).unwrap();
+            assert_eq!(hybrid.probes, per_cell.probes, "w={w} hybrid");
+            let batched_cells: u64 = hybrid.per_rank.iter().map(|r| r.stats.cells_batched).sum();
+            let interior: u64 = hybrid.per_rank.iter().map(|r| r.stats.interior_cells).sum();
+            assert_eq!(batched_cells, interior, "w={w} hybrid");
+        }
+    }
+
+    #[test]
+    fn execute_reduce_matches_the_reference_fold_per_cell_and_batched() {
+        let n = 12i64;
+        let plan = triangle(2, n);
+        let want =
+            run_reference::<f64, _>(plan.tiling(), &[n], &path_kernel).fold(0.0, |a, b| a + b);
+        for ranks in [1usize, 2] {
+            let opts = ExecOpts::new().threads(2).ranks(ranks);
+            let sum = || Reduction::new(0.0f64, |a, b| a + b);
+            let per_cell = plan
+                .execute_reduce(&PerCell(&path_kernel), &sum(), &opts)
+                .unwrap();
+            let batched = plan.execute_reduce(&PathRuns, &sum(), &opts).unwrap();
+            assert!(
+                (per_cell.reduction.unwrap() - want).abs() < 1e-9,
+                "ranks={ranks}"
+            );
+            assert!(
+                (batched.reduction.unwrap() - want).abs() < 1e-9,
+                "ranks={ranks}"
+            );
+            let runs = |o: &RunOutput<f64>| -> u64 {
+                o.per_rank.iter().map(|r| r.stats.runs_batched).sum()
+            };
+            assert_eq!(runs(&per_cell), 0);
+            assert!(
+                runs(&batched) > 0,
+                "the reduction must not cost the batching"
+            );
+        }
+    }
+
+    #[test]
+    fn tracing_produces_timeline_and_metrics() {
+        let plan = triangle(2, 14);
+        let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
+        let out = plan
+            .execute::<f64, _>(&path_kernel, &opts.clone().ranks(2).trace(TraceLevel::Full))
+            .unwrap();
+        let tl = out
+            .timeline
+            .as_ref()
+            .expect("Full tracing must yield a timeline");
+        assert_eq!(tl.spans.len() as u64, counters(&out)[3]);
+        assert!(out.metrics.counter("trace.spans").is_some());
+        // Off leaves the timeline empty and pays no trace bookkeeping.
+        let off = plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
+        assert!(off.timeline.is_none());
+        assert!(off.metrics.counter("trace.spans").is_none());
     }
 
     #[test]
@@ -819,7 +982,7 @@ mod tests {
         assert!(out.comm_stats.is_empty());
         assert!(out.balance.is_none());
         assert_eq!(out.balance_time, Duration::ZERO);
-        assert!(plan.memo.balances.lock().is_empty());
+        assert!(plan.balances.lock().is_empty());
         assert!(out.metrics.counter("rank0.cells_computed").is_some());
         assert!(out.metrics.counter("rank0.comm.msgs_sent").is_none());
         assert!(out.metrics.counter("recovery.epochs").is_none());
@@ -829,57 +992,76 @@ mod tests {
     }
 
     #[test]
-    fn static_schedule_through_a_plan_is_bit_identical_and_memoized() {
-        let spec = "name grid\nvars x y\nparams N\nconstraint 0 <= x <= N\n\
-                    constraint 0 <= y <= N\ntemplate r1 1 0\ntemplate r2 0 1\n\
-                    loadbalance x\nwidths 4 4\n";
-        let n = 15i64;
-        let program = Program::parse(spec).unwrap();
-        let plan = program.compile(&[n]);
-        let probe = Probe::at(&[n, n]);
-        let opts = ExecOpts::new()
-            .threads(4)
-            .schedule(Schedule::Static)
-            .probe(probe.clone());
-        let fresh = program
-            .runner(&[n])
-            .threads(4)
-            .schedule(Schedule::Static)
-            .probe(probe)
-            .run(&path_kernel)
-            .unwrap();
-        for _ in 0..2 {
-            let out = plan.execute(&path_kernel, &opts).unwrap();
-            assert_eq!(out.probes, fresh.probes);
-            let s = &out.per_rank[0].stats;
-            assert_eq!(s.schedule, Schedule::Static);
-            assert_eq!(s.tiles_static, s.tiles_executed);
+    fn malformed_outside_input_is_a_typed_fault_not_a_panic() {
+        let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
+        let slabs = |lb_dims: Vec<usize>| BalanceMethod::Slabs { lb_dims };
+        let order = |dim_order: Vec<usize>| TilePriority::ColumnMajor { dim_order };
+        let bad = [
+            ExecOpts::new().probe(Probe::at(&[0])),
+            ExecOpts::new().probe(Probe::many(&[&[0, 0], &[1, 2, 3]])),
+            ExecOpts::new().priority(order(vec![0, 5])),
+            ExecOpts::new().priority(order(vec![0])),
+            ExecOpts::new().priority(order(vec![1, 1])),
+            ExecOpts::new().ranks(2).balance(slabs(vec![])),
+            ExecOpts::new().ranks(2).balance(slabs(vec![7])),
+            ExecOpts::new().ranks(2).balance(slabs(vec![0, 0])),
+        ];
+        for opts in &bad {
+            // `warm` reaches the same derivations on the submitting
+            // thread: it must decline, not panic.
+            plan.warm(opts);
+            let err = plan.execute::<f64, _>(&path_kernel, opts).unwrap_err();
+            assert_eq!(stage_of(&err), CompileStage::Options, "{opts:?}: {err}");
         }
-        assert_eq!(plan.memo.static_plans.lock().len(), 1);
+        assert!(plan.balances.lock().is_empty(), "bad options warm nothing");
+        // The knobs one rank ignores stay ignored.
+        let ignored = ExecOpts::new().balance(slabs(vec![7]));
+        plan.execute::<f64, _>(&path_kernel, &ignored).unwrap();
+
+        // A binding of the wrong arity compiles (compile is infallible)
+        // but is refused by admission and by execution alike.
+        for params in [&[][..], &[14, 14]] {
+            let plan = Program::parse(CHAIN2).unwrap().compile(params);
+            assert_eq!(
+                stage_of(&plan.cell_bound().unwrap_err()),
+                CompileStage::Spec
+            );
+            assert_eq!(
+                stage_of(&plan.admit(u128::MAX).unwrap_err()),
+                CompileStage::Spec
+            );
+            plan.warm(&ExecOpts::new().schedule(Schedule::Static));
+            let err = plan
+                .execute::<f64, _>(&path_kernel, &ExecOpts::new())
+                .unwrap_err();
+            assert_eq!(stage_of(&err), CompileStage::Spec, "{err}");
+        }
+
+        // Hand-built plans are checked where they are built.
+        let tiling = plan.tiling().clone();
+        for lb_dims in [vec![2], vec![0, 0]] {
+            let err = Plan::on_tiling(tiling.clone(), &[14], lb_dims).unwrap_err();
+            assert_eq!(stage_of(&err), CompileStage::Spec, "{err}");
+        }
+        assert!(Plan::on_tiling(tiling, &[14], vec![1, 0]).is_ok());
     }
 
     #[test]
     fn from_spec_names_the_failing_stage() {
         // Parse failure -> spec stage.
         let err = Plan::from_spec("vars x\nwidths 1\n", &[]).unwrap_err();
-        match &err {
-            RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Spec),
-            other => panic!("expected CompileError, got {other}"),
-        }
+        assert_eq!(stage_of(&err), CompileStage::Spec);
         // Unbounded space -> tiling derivation.
         let err = Plan::from_spec(
             "name u\nvars x\nconstraint x >= 0\ntemplate r 1\nwidths 4\n",
             &[],
         )
         .unwrap_err();
-        match &err {
-            RunError::CompileError(f) => assert!(
-                f.stage == CompileStage::Tiling || f.stage == CompileStage::Poly,
-                "stage {:?}",
-                f.stage
-            ),
-            other => panic!("expected CompileError, got {other}"),
-        }
+        let stage = stage_of(&err);
+        assert!(
+            stage == CompileStage::Tiling || stage == CompileStage::Poly,
+            "stage {stage:?}"
+        );
     }
 
     #[test]
@@ -888,10 +1070,7 @@ mod tests {
         assert_eq!(plan.cell_bound().unwrap(), 100); // 10 x 10 box
         assert!(plan.admit(100).is_ok());
         let err = plan.admit(99).unwrap_err();
-        match err {
-            RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Admission),
-            other => panic!("expected admission fault, got {other}"),
-        }
+        assert_eq!(stage_of(&err), CompileStage::Admission);
     }
 
     #[test]
@@ -934,14 +1113,8 @@ mod tests {
         let err = plan.execute::<f64, _>(&path_kernel, &opts).unwrap_err();
         assert!(matches!(err, RunError::Cancelled { .. }), "got {err}");
         // The plan stays healthy: the same options minus the flag succeed
-        // and match the serial reference.
-        let want = plan
-            .execute::<f64, _>(
-                &path_kernel,
-                &ExecOpts::new().serial().probe(Probe::at(&[0, 0])),
-            )
-            .unwrap()
-            .probes[0];
+        // and match the dense reference.
+        let want = run_reference::<f64, _>(plan.tiling(), &[20], &path_kernel).get(&[0, 0]);
         let ok = plan
             .execute::<f64, _>(
                 &path_kernel,

@@ -2,14 +2,12 @@
 //!
 //! A [`Program`] corresponds to the output of the paper's generator: a
 //! fully functioning parallel program for a cluster of shared-memory nodes.
-//! Here the "program" is an executable object (spec + derived tiling) with
-//! serial, shared-memory and hybrid run methods; `dpgen-codegen` can also
-//! render it to actual hybrid C source text.
+//! Here the "program" is an object (spec + derived tiling) that
+//! [`Program::compile`] binds to parameters as a runnable [`Plan`];
+//! `dpgen-codegen` can also render it to actual hybrid C source text.
 
 use crate::plan::Plan;
-use crate::run::RunBuilder;
 use crate::spec::{ProblemSpec, SpecError};
-use dpgen_runtime::TilePriority;
 use dpgen_tiling::{Tiling, TilingError};
 use std::fmt;
 use std::sync::Arc;
@@ -76,34 +74,11 @@ impl Program {
         &self.tiling
     }
 
-    /// The paper's default tile priority for this program (Figure 5:
-    /// column-major with the load-balancing dimensions first).
-    pub fn default_priority(&self) -> TilePriority {
-        TilePriority::paper_default(self.tiling.dims(), &self.spec.load_balance_indices())
-    }
-
-    /// A [`RunBuilder`] over this program's tiling, seeded with the
-    /// spec's load-balancing dimensions: the one entry point for serial,
-    /// shared-memory and hybrid runs.
-    ///
-    /// ```ignore
-    /// let out = program
-    ///     .runner(&[n])
-    ///     .threads(4)
-    ///     .ranks(2)
-    ///     .trace(TraceLevel::Spans)
-    ///     .probe(Probe::at(&[0, 0]))
-    ///     .run(&kernel)?;
-    /// ```
-    pub fn runner<'a, T>(&'a self, params: &'a [i64]) -> RunBuilder<'a, T> {
-        RunBuilder::on_tiling(&self.tiling, params).lb_dims(self.spec.load_balance_indices())
-    }
-
     /// Compile this program at one parameter binding into an immutable,
-    /// shareable [`Plan`]: the reusable half of the compile/execute
-    /// split. Execute it any number of times — concurrently, with
-    /// different kernels or options — via [`Plan::execute`]; repeated
-    /// executions reuse the plan's memoized schedule artifacts.
+    /// shareable [`Plan`] — the only thing that runs. Execute it any
+    /// number of times — concurrently, with different kernels or options
+    /// — via [`Plan::execute`]; repeated executions reuse the plan's
+    /// memoized schedule artifacts.
     pub fn compile(&self, params: &[i64]) -> Arc<Plan> {
         Plan::compile(self, params)
     }
@@ -112,8 +87,9 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::ExecOpts;
     use crate::spec::bandit2_spec_text;
-    use dpgen_runtime::Probe;
+    use dpgen_runtime::{run_reference, Probe};
     use dpgen_tiling::tiling::CellRef;
 
     #[test]
@@ -121,16 +97,10 @@ mod tests {
         let program = Program::parse(&bandit2_spec_text(6)).unwrap();
         assert_eq!(program.spec().name, "bandit2");
         assert_eq!(program.tiling().dims(), 4);
-        match program.default_priority() {
-            TilePriority::ColumnMajor { dim_order } => {
-                assert_eq!(dim_order, vec![0, 1, 2, 3]);
-            }
-            _ => unreachable!(),
-        }
     }
 
     /// A miniature bandit kernel (uniform priors p = 0.5) to validate the
-    /// run entry points; the full Bayesian kernel lives in dpgen-problems.
+    /// run entry point; the full Bayesian kernel lives in dpgen-problems.
     fn toy_bandit(cell: CellRef<'_>, values: &mut [f64]) {
         let p = 0.5;
         let v1 = if cell.valid[0] && cell.valid[1] {
@@ -147,34 +117,24 @@ mod tests {
     }
 
     #[test]
-    fn serial_shared_and_hybrid_agree() {
+    fn reference_shared_and_hybrid_agree() {
         let program = Program::parse(&bandit2_spec_text(4)).unwrap();
         let n = 10i64;
-        let probe = Probe::at(&[0, 0, 0, 0]);
-        let serial = program
-            .runner(&[n])
-            .serial()
-            .probe(probe.clone())
-            .run(&toy_bandit)
+        let origin = [0, 0, 0, 0];
+        let want = run_reference::<f64, _>(program.tiling(), &[n], &toy_bandit)
+            .get(&origin)
             .unwrap();
-        let want = serial.probes[0].unwrap();
         // With p = 0.5 both arms are identical; V(0) = N/2 for this toy.
         assert!((want - n as f64 / 2.0).abs() < 1e-9, "got {want}");
-        let shared = program
-            .runner(&[n])
-            .threads(4)
-            .probe(probe.clone())
-            .run(&toy_bandit)
-            .unwrap();
-        assert_eq!(shared.probes[0], Some(want));
-        let hybrid = program
-            .runner(&[n])
-            .threads(2)
-            .ranks(3)
-            .probe(probe)
-            .run(&toy_bandit)
-            .unwrap();
-        assert_eq!(hybrid.probes[0], Some(want));
+        let plan = program.compile(&[n]);
+        for (threads, ranks) in [(4, 1), (2, 3)] {
+            let opts = ExecOpts::new()
+                .threads(threads)
+                .ranks(ranks)
+                .probe(Probe::at(&origin));
+            let out = plan.execute(&toy_bandit, &opts).unwrap();
+            assert_eq!(out.probes[0], Some(want), "threads={threads} ranks={ranks}");
+        }
     }
 
     #[test]

@@ -598,8 +598,7 @@ pub fn from_json(text: &str) -> Result<GeneratedSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::RunBuilder;
-    use dpgen_runtime::Probe;
+    use dpgen_runtime::run_reference;
 
     #[test]
     fn generation_is_deterministic() {
@@ -656,17 +655,12 @@ mod tests {
             let gs = gen.next_spec();
             let reference = reference_eval(&gs.spec, gs.param).unwrap();
             let tiling = gs.spec.tiling().unwrap();
-            let coords: Vec<&[i64]> = reference.points.iter().map(|p| p.as_slice()).collect();
             let kernel = fuzz_kernel(gs.spec.templates.len());
-            let out = RunBuilder::<u64>::on_tiling(&tiling, &[gs.param])
-                .serial()
-                .probe(Probe::many(&coords))
-                .run(&kernel)
-                .unwrap();
-            assert_eq!(out.cells_computed() as usize, reference.points.len());
-            for (p, got) in reference.points.iter().zip(&out.probes) {
+            let dense = run_reference::<u64, _>(&tiling, &[gs.param], &kernel);
+            assert_eq!(dense.cells_computed() as usize, reference.points.len());
+            for p in &reference.points {
                 assert_eq!(
-                    *got,
+                    dense.get(p),
                     reference.values.get(p).copied(),
                     "cell {p:?} of seed {:016x}",
                     gs.seed

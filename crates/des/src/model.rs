@@ -60,7 +60,7 @@ pub struct SimConfig {
     /// statically pinned tiles dispatch in wavefront order at
     /// [`CostModel::static_tile_overhead`] instead of the full
     /// `tile_overhead`. The uniform-slab fallback happens upstream (in
-    /// `RunBuilder`); the simulator applies whatever mode it is given.
+    /// `core::Plan`); the simulator applies whatever mode it is given.
     pub schedule: Schedule,
 }
 
@@ -93,12 +93,6 @@ impl SimConfig {
             send_buffers: usize::MAX,
             schedule: Schedule::Dynamic,
         }
-    }
-
-    /// Same configuration with a send-buffer limit.
-    pub fn with_send_buffers(mut self, buffers: usize) -> SimConfig {
-        self.send_buffers = buffers.max(1);
-        self
     }
 
     /// Same configuration with a (resolved) schedule mode.

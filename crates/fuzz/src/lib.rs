@@ -12,7 +12,7 @@
 //! `tests/fuzz_regressions.rs` replays them forever after.
 
 use dpgen_core::specgen::{self, GeneratedSpec};
-use dpgen_core::{RecoveryConfig, RunBuilder, SpecBand};
+use dpgen_core::{ExecOpts, Plan, Program, RecoveryConfig, RunOutput, SpecBand};
 use dpgen_mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
 use dpgen_runtime::{Probe, RunError, Schedule, SplitMix64, TilePriority};
 use std::fmt;
@@ -259,22 +259,37 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
     };
     let reference = specgen::reference_eval(&gs.spec, gs.param)
         .map_err(|e| fail(None, format!("reference interpreter: {e}"), None))?;
-    let tiling = gs
-        .spec
-        .tiling()
-        .map_err(|e| fail(None, format!("tiling: {e}"), None))?;
-    let coords: Vec<&[i64]> = reference.points.iter().map(|p| p.as_slice()).collect();
-    let probe = Probe::many(&coords);
+    let program = Program::from_spec(gs.spec.clone())
+        .map_err(|e| fail(None, format!("program: {e}"), None))?;
     let kernel = specgen::fuzz_kernel(gs.spec.templates.len());
-    let lb_dims = gs.spec.load_balance_indices();
     let params = [gs.param];
+    // Every lattice point of a reference, in its order.
+    let probe_all = |reference: &specgen::NaiveReference| {
+        let coords: Vec<&[i64]> = reference.points.iter().map(|p| p.as_slice()).collect();
+        Probe::many(&coords)
+    };
+    let probe = probe_all(&reference);
 
-    let verify = |leg: Leg, out: &dpgen_core::RunOutput<u64>| -> Result<(), Failure> {
+    // Execute with `opts` (which probe all of `reference`) and compare the
+    // cell count and every cell value (`what` prefixes the messages).
+    let check = |leg: Leg,
+                 what: &str,
+                 reference: &specgen::NaiveReference,
+                 plan: &Plan,
+                 opts: &ExecOpts|
+     -> Result<(), Failure> {
+        let out: RunOutput<u64> = plan.execute(&kernel, opts).map_err(|e| {
+            let stall = match &e {
+                RunError::Stalled(snapshot) => Some(snapshot.to_string()),
+                _ => None,
+            };
+            fail(Some(leg), format!("{what}run error: {e}"), stall)
+        })?;
         if out.cells_computed() as usize != reference.points.len() {
             return Err(fail(
                 Some(leg),
                 format!(
-                    "cells computed {} != {} lattice points",
+                    "{what}cells computed {} != {} lattice points",
                     out.cells_computed(),
                     reference.points.len()
                 ),
@@ -286,7 +301,7 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
             if *got != want {
                 return Err(fail(
                     Some(leg),
-                    format!("cell {p:?}: pipeline {got:?} != reference {want:?}"),
+                    format!("{what}cell {p:?}: pipeline {got:?} != reference {want:?}"),
                     None,
                 ));
             }
@@ -295,6 +310,12 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
     };
 
     for &leg in legs {
+        let mut opts = ExecOpts::new()
+            .threads(leg.threads)
+            .ranks(leg.ranks)
+            .schedule(leg.schedule)
+            .probe(probe.clone())
+            .stall_timeout(Some(Duration::from_secs(20)));
         if leg.banded {
             // Leg 16: band the spec and re-derive the whole pipeline from
             // the banded geometry. The band joins the constraint system,
@@ -306,109 +327,37 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
             if gs.spec.vars.len() < 2 {
                 continue;
             }
-            let mut banded = gs.clone();
-            if banded.spec.band.is_none() {
-                banded.spec.band = Some(SpecBand {
-                    a: banded.spec.vars[0].clone(),
-                    b: banded.spec.vars[1].clone(),
+            let mut banded = gs.spec.clone();
+            if banded.band.is_none() {
+                banded.band = Some(SpecBand {
+                    a: banded.vars[0].clone(),
+                    b: banded.vars[1].clone(),
                     lo: -2,
                     hi: 2,
                 });
             }
-            let b_ref = specgen::reference_eval(&banded.spec, banded.param)
+            let b_ref = specgen::reference_eval(&banded, gs.param)
                 .map_err(|e| fail(Some(leg), format!("banded reference: {e}"), None))?;
             if b_ref.points.is_empty() {
                 continue;
             }
-            let b_tiling = banded
-                .spec
-                .tiling()
-                .map_err(|e| fail(Some(leg), format!("banded tiling: {e}"), None))?;
-            let b_coords: Vec<&[i64]> = b_ref.points.iter().map(|p| p.as_slice()).collect();
-            let out = RunBuilder::<u64>::on_tiling(&b_tiling, &params)
-                .threads(leg.threads)
-                .ranks(leg.ranks)
-                .lb_dims(lb_dims.clone())
-                .schedule(leg.schedule)
-                .probe(Probe::many(&b_coords))
-                .stall_timeout(Some(Duration::from_secs(20)))
-                .run(&kernel)
-                .map_err(|e| {
-                    let stall = match &e {
-                        RunError::Stalled(snapshot) => Some(snapshot.to_string()),
-                        _ => None,
-                    };
-                    fail(Some(leg), format!("banded run error: {e}"), stall)
-                })?;
-            if out.cells_computed() as usize != b_ref.points.len() {
-                return Err(fail(
-                    Some(leg),
-                    format!(
-                        "banded cells computed {} != {} in-band lattice points",
-                        out.cells_computed(),
-                        b_ref.points.len()
-                    ),
-                    None,
-                ));
-            }
-            for (p, got) in b_ref.points.iter().zip(&out.probes) {
-                let want = b_ref.values.get(p).copied();
-                if *got != want {
-                    return Err(fail(
-                        Some(leg),
-                        format!("banded cell {p:?}: pipeline {got:?} != reference {want:?}"),
-                        None,
-                    ));
-                }
-            }
+            let b_program = Program::from_spec(banded)
+                .map_err(|e| fail(Some(leg), format!("banded program: {e}"), None))?;
+            let opts = opts.probe(probe_all(&b_ref));
+            check(leg, "banded ", &b_ref, &b_program.compile(&params), &opts)?;
             continue;
         }
-        if leg.plan_reuse {
-            // Leg 15: the compile/execute split. Compile the spec into a
-            // reusable Plan once, execute it twice, and require both
-            // executions to verify against the reference — the second
-            // pass runs with every memoized artifact (static wavefront,
-            // prebalance, recycled buffers) warm, exactly like a serve
-            // cache hit.
-            let program = dpgen_core::Program::from_spec(gs.spec.clone())
-                .map_err(|e| fail(Some(leg), format!("program: {e}"), None))?;
-            let plan = program.compile(&params);
-            let opts = dpgen_core::ExecOpts::new()
-                .threads(leg.threads)
-                .ranks(leg.ranks)
-                .schedule(leg.schedule)
-                .probe(probe.clone())
-                .stall_timeout(Some(Duration::from_secs(20)));
-            for pass in 0..2 {
-                let out = plan.execute::<u64, _>(&kernel, &opts).map_err(|e| {
-                    let stall = match &e {
-                        RunError::Stalled(snapshot) => Some(snapshot.to_string()),
-                        _ => None,
-                    };
-                    fail(Some(leg), format!("plan pass {pass}: {e}"), stall)
-                })?;
-                verify(leg, &out)?;
-            }
-            continue;
-        }
-        let mut builder = RunBuilder::<u64>::on_tiling(&tiling, &params)
-            .threads(leg.threads)
-            .ranks(leg.ranks)
-            .lb_dims(lb_dims.clone())
-            .schedule(leg.schedule)
-            .probe(probe.clone())
-            .stall_timeout(Some(Duration::from_secs(20)));
         if leg.seeded_priority {
-            builder = builder.priority(TilePriority::seeded(tiling.dims(), gs.seed));
+            opts = opts.priority(TilePriority::seeded(program.tiling().dims(), gs.seed));
         }
         if leg.faulted {
-            builder = builder.comm(faulty_comm(gs.seed));
+            opts = opts.comm(faulty_comm(gs.seed));
         }
         if leg.kill {
             // Kill the upstream rank (slab balancing puts the wavefront
             // source on rank 0) after its first data frame and recover
             // onto the survivor; fast heartbeats keep detection quick.
-            builder = builder
+            opts = opts
                 .comm(CommConfig {
                     faults: Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1))),
                     ..CommConfig::default()
@@ -419,17 +368,15 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
                     max_recoveries: 1,
                 });
         }
-        let out = match builder.run(&kernel) {
-            Ok(out) => out,
-            Err(e) => {
-                let stall = match &e {
-                    RunError::Stalled(snapshot) => Some(snapshot.to_string()),
-                    _ => None,
-                };
-                return Err(fail(Some(leg), format!("run error: {e}"), stall));
-            }
-        };
-        verify(leg, &out)?;
+        // A fresh compile per leg, so every leg starts from a cold memo.
+        // Leg 15 (plan reuse) executes its plan twice: the second pass
+        // runs with every memoized artifact (static wavefront, balance,
+        // recycled buffers) warm, exactly like a serve cache hit, and
+        // must verify against the reference like the first.
+        let plan = program.compile(&params);
+        for _pass in 0..=usize::from(leg.plan_reuse) {
+            check(leg, "", &reference, &plan, &opts)?;
+        }
     }
     Ok(())
 }

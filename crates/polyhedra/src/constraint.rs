@@ -39,11 +39,6 @@ impl Constraint {
         &self.expr
     }
 
-    /// Consume into the underlying expression.
-    pub fn into_expr(self) -> LinExpr {
-        self.expr
-    }
-
     /// Coefficient of column `idx`.
     pub fn coeff(&self, idx: usize) -> i128 {
         self.expr.coeff(idx)

@@ -68,11 +68,6 @@ impl Rational {
         crate::num::ceil_div(self.num, self.den)
     }
 
-    /// Lossy conversion to `f64` (only for reporting, never for math).
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// Multiplicative inverse. Panics on zero.
     pub fn recip(&self) -> Rational {
         Rational::new(self.den, self.num)

@@ -129,7 +129,8 @@ impl RunKernel<i64> for BandedSw {
 mod tests {
     use super::*;
     use crate::random_sequence;
-    use dpgen_runtime::{Reduction, RunStats, Schedule};
+    use dpgen_core::ExecOpts;
+    use dpgen_runtime::{PerCell, Reduction, RunStats, Schedule};
 
     fn run_banded(
         problem: &BandedSw,
@@ -141,18 +142,17 @@ mod tests {
     ) -> (i64, Vec<RunStats>) {
         let program = BandedSw::program(width, problem.band).unwrap();
         let reduce = Reduction::max_i64();
-        let params = problem.params();
-        let runner = program
-            .runner(&params)
+        let plan = program.compile(&problem.params());
+        let opts = ExecOpts::new()
             .threads(threads)
             .ranks(ranks)
-            .schedule(schedule)
-            .reduce(&reduce);
+            .schedule(schedule);
         let res = if batched {
-            runner.run_batched(problem).unwrap()
+            plan.execute_reduce(problem, &reduce, &opts)
         } else {
-            runner.run(problem).unwrap()
-        };
+            plan.execute_reduce(&PerCell(problem), &reduce, &opts)
+        }
+        .unwrap();
         (
             res.reduction.unwrap(),
             res.per_rank.iter().map(|r| r.stats.clone()).collect(),

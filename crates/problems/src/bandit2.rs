@@ -164,6 +164,7 @@ impl Bandit2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
     #[test]
@@ -172,11 +173,10 @@ mod tests {
         let program = Bandit2::program(3).unwrap();
         for n in [1i64, 2, 5, 9] {
             let want = problem.solve_dense(n);
+            let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0, 0, 0]));
             let res = program
-                .runner(&[n])
-                .threads(2)
-                .probe(Probe::at(&[0, 0, 0, 0]))
-                .run(&problem.kernel())
+                .compile(&[n])
+                .execute(&problem.kernel(), &opts)
                 .unwrap();
             let got = res.probes[0].unwrap();
             assert!((got - want).abs() < 1e-9, "N={n}: {got} vs {want}");
@@ -189,12 +189,13 @@ mod tests {
         let program = Bandit2::program(2).unwrap();
         let n = 8i64;
         let want = problem.solve_dense(n);
-        let res = program
-            .runner(&[n])
+        let opts = ExecOpts::new()
             .threads(2)
             .ranks(3)
-            .probe(Probe::at(&[0, 0, 0, 0]))
-            .run(&problem.kernel())
+            .probe(Probe::at(&[0, 0, 0, 0]));
+        let res = program
+            .compile(&[n])
+            .execute(&problem.kernel(), &opts)
             .unwrap();
         assert!((res.probes[0].unwrap() - want).abs() < 1e-9);
     }
@@ -238,11 +239,10 @@ mod tests {
         let v = problem.solve_dense(n);
         assert!(v >= n as f64 * 0.9 - 1.0, "v = {v}");
         let program = Bandit2::program(4).unwrap();
+        let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0, 0, 0]));
         let res = program
-            .runner(&[n])
-            .threads(2)
-            .probe(Probe::at(&[0, 0, 0, 0]))
-            .run(&problem.kernel())
+            .compile(&[n])
+            .execute(&problem.kernel(), &opts)
             .unwrap();
         assert!((res.probes[0].unwrap() - v).abs() < 1e-9);
     }

@@ -146,6 +146,7 @@ impl Kernel<f64> for Bandit3Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
     #[test]
@@ -154,11 +155,10 @@ mod tests {
         let program = Bandit3::program(2).unwrap();
         for n in [1i64, 3, 5] {
             let want = problem.solve_dense(n);
+            let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0; 6]));
             let res = program
-                .runner(&[n])
-                .threads(2)
-                .probe(Probe::at(&[0; 6]))
-                .run(&problem.kernel())
+                .compile(&[n])
+                .execute(&problem.kernel(), &opts)
                 .unwrap();
             let got = res.probes[0].unwrap();
             assert!((got - want).abs() < 1e-9, "N={n}: {got} vs {want}");
@@ -179,12 +179,13 @@ mod tests {
         let program = Bandit3::program(2).unwrap();
         let n = 4i64;
         let want = problem.solve_dense(n);
-        let res = program
-            .runner(&[n])
+        let opts = ExecOpts::new()
             .threads(2)
             .ranks(2)
-            .probe(Probe::at(&[0; 6]))
-            .run(&problem.kernel())
+            .probe(Probe::at(&[0; 6]));
+        let res = program
+            .compile(&[n])
+            .execute(&problem.kernel(), &opts)
             .unwrap();
         assert!((res.probes[0].unwrap() - want).abs() < 1e-9);
     }

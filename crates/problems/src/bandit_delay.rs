@@ -190,6 +190,7 @@ impl Kernel<f64> for BanditDelayKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
     #[test]
@@ -206,11 +207,10 @@ mod tests {
         let program = BanditDelay::program(2).unwrap();
         for n in [1i64, 2, 4] {
             let want = problem.solve_dense(n);
+            let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0; 6]));
             let res = program
-                .runner(&[n])
-                .threads(2)
-                .probe(Probe::at(&[0; 6]))
-                .run(&problem.kernel())
+                .compile(&[n])
+                .execute(&problem.kernel(), &opts)
                 .unwrap();
             let got = res.probes[0].unwrap();
             assert!((got - want).abs() < 1e-9, "N={n}: {got} vs {want}");

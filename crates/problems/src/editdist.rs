@@ -202,6 +202,7 @@ impl RunKernel<i64> for EditDistance {
 mod tests {
     use super::*;
     use crate::random_sequence;
+    use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
     use proptest::prelude::*;
 
@@ -209,12 +210,8 @@ mod tests {
         let program = EditDistance::program(width).unwrap();
         let params = problem.params();
         let goal = [params[0], params[1]];
-        let res = program
-            .runner(&params)
-            .threads(threads)
-            .probe(Probe::at(&goal))
-            .run(problem)
-            .unwrap();
+        let opts = ExecOpts::new().threads(threads).probe(Probe::at(&goal));
+        let res = program.compile(&params).execute(problem, &opts).unwrap();
         res.probes[0].unwrap()
     }
 
@@ -241,13 +238,11 @@ mod tests {
         let want = problem.solve_dense();
         let program = EditDistance::program(4).unwrap();
         let params = problem.params();
-        let res = program
-            .runner(&params)
+        let opts = ExecOpts::new()
             .threads(2)
             .ranks(3)
-            .probe(Probe::at(&[params[0], params[1]]))
-            .run(&problem)
-            .unwrap();
+            .probe(Probe::at(&[params[0], params[1]]));
+        let res = program.compile(&params).execute(&problem, &opts).unwrap();
         assert_eq!(res.probes[0].unwrap(), want);
     }
 
@@ -258,11 +253,12 @@ mod tests {
         let params = problem.params();
         for width in [1i64, 4, 16, 64] {
             let program = EditDistance::program(width).unwrap();
-            let res = program
-                .runner(&params)
+            let opts = ExecOpts::new()
                 .threads(2)
-                .probe(Probe::at(&[params[0], params[1]]))
-                .run_batched(&problem)
+                .probe(Probe::at(&[params[0], params[1]]));
+            let res = program
+                .compile(&params)
+                .execute_batched(&problem, &opts)
                 .unwrap();
             assert_eq!(res.probes[0].unwrap(), want, "width {width}");
             let runs: u64 = res.per_rank.iter().map(|r| r.stats.runs_batched).sum();

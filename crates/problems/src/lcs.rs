@@ -211,15 +211,15 @@ impl RunKernel<i64> for Lcs {
 mod tests {
     use super::*;
     use crate::random_sequence;
+    use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
     fn run_tiled(problem: &Lcs, width: i64) -> i64 {
         let program = Lcs::program(problem.seqs.len(), width).unwrap();
+        let opts = ExecOpts::new().threads(2).probe(Probe::at(&problem.goal()));
         let res = program
-            .runner(&problem.params())
-            .threads(2)
-            .probe(Probe::at(&problem.goal()))
-            .run(problem)
+            .compile(&problem.params())
+            .execute(problem, &opts)
             .unwrap();
         res.probes[0].unwrap()
     }
@@ -254,11 +254,10 @@ mod tests {
 
     fn run_tiled_batched(problem: &Lcs, width: i64) -> (i64, u64) {
         let program = Lcs::program(problem.seqs.len(), width).unwrap();
+        let opts = ExecOpts::new().threads(2).probe(Probe::at(&problem.goal()));
         let res = program
-            .runner(&problem.params())
-            .threads(2)
-            .probe(Probe::at(&problem.goal()))
-            .run_batched(problem)
+            .compile(&problem.params())
+            .execute_batched(problem, &opts)
             .unwrap();
         (
             res.probes[0].unwrap(),

@@ -190,16 +190,18 @@ impl Kernel<i64> for Msa {
 mod tests {
     use super::*;
     use crate::random_sequence;
+    use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
     fn run_tiled(problem: &Msa, width: i64, threads: usize) -> i64 {
         let d = problem.seqs.len();
         let program = Msa::program(d, width).unwrap();
-        let res = program
-            .runner(&problem.params())
+        let opts = ExecOpts::new()
             .threads(threads)
-            .probe(Probe::at(&problem.goal()))
-            .run(problem)
+            .probe(Probe::at(&problem.goal()));
+        let res = program
+            .compile(&problem.params())
+            .execute(problem, &opts)
             .unwrap();
         res.probes[0].unwrap()
     }
@@ -261,13 +263,11 @@ mod tests {
         let b = random_sequence(16, 91);
         let p = Msa::new(&[&a, &b]);
         let program = Msa::program(2, 3).unwrap();
-        let res = program
-            .runner(&p.params())
+        let opts = ExecOpts::new()
             .threads(2)
             .ranks(3)
-            .probe(Probe::at(&p.goal()))
-            .run(&p)
-            .unwrap();
+            .probe(Probe::at(&p.goal()));
+        let res = program.compile(&p.params()).execute(&p, &opts).unwrap();
         assert_eq!(res.probes[0].unwrap(), p.solve_dense());
     }
 }

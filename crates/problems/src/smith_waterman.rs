@@ -202,18 +202,19 @@ impl RunKernel<i64> for SmithWaterman {
 mod tests {
     use super::*;
     use crate::random_sequence;
-    use dpgen_runtime::{Reduction, TilePriority};
+    use dpgen_core::ExecOpts;
+    use dpgen_runtime::{PerCell, Reduction, TilePriority};
     use proptest::prelude::*;
 
     fn run_tiled(problem: &SmithWaterman, width: i64, threads: usize) -> i64 {
         let program = SmithWaterman::program(width).unwrap();
         let reduce = Reduction::max_i64();
-        let res = program
-            .runner(&problem.params())
+        let opts = ExecOpts::new()
             .threads(threads)
-            .priority(TilePriority::column_major(2))
-            .reduce(&reduce)
-            .run(problem)
+            .priority(TilePriority::column_major(2));
+        let res = program
+            .compile(&problem.params())
+            .execute_reduce(&PerCell(problem), &reduce, &opts)
             .unwrap();
         res.reduction.unwrap()
     }
@@ -248,11 +249,10 @@ mod tests {
         for (w, threads) in [(1i64, 1usize), (4, 2), (8, 2), (64, 4)] {
             let program = SmithWaterman::program(w).unwrap();
             let reduce = Reduction::max_i64();
+            let opts = ExecOpts::new().threads(threads);
             let res = program
-                .runner(&problem.params())
-                .threads(threads)
-                .reduce(&reduce)
-                .run_batched(&problem)
+                .compile(&problem.params())
+                .execute_reduce(&problem, &reduce, &opts)
                 .unwrap();
             assert_eq!(res.reduction.unwrap(), want, "w={w}");
             let runs: u64 = res.per_rank.iter().map(|r| r.stats.runs_batched).sum();

@@ -33,8 +33,10 @@ pub enum CompileStage {
     /// The problem was rejected by admission control (unbounded or
     /// oversized iteration space).
     Admission,
-    /// The execution options contradict each other (e.g. the serial
-    /// executor asked to run on several ranks); nothing was executed.
+    /// The execution options cannot run this plan (a probe of the wrong
+    /// arity, a `ColumnMajor` order that is no permutation, slab
+    /// dimensions out of range, a multi-rank world with no buffers);
+    /// nothing was executed.
     Options,
 }
 

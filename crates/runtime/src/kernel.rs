@@ -64,9 +64,9 @@ pub trait RunKernel<T: Value>: Kernel<T> {
 /// Lifts any per-cell [`Kernel`] (by reference) onto the node engine's
 /// [`RunKernel`] bound: interior runs replay through `compute`, and the
 /// wrapped kernel's own `eval_run` (if it has one) is never called. This
-/// adapter *is* per-cell execution — `Plan::execute` and `RunBuilder::run`
-/// wrap their kernel in it — so a plain kernel never needs to know runs
-/// exist.
+/// adapter *is* per-cell execution — `Plan::execute` wraps its kernel in
+/// it, and a per-cell `Plan::execute_reduce` caller does so by hand — so
+/// a plain kernel never needs to know runs exist.
 #[derive(Debug, Clone, Copy)]
 pub struct PerCell<'a, K: ?Sized>(pub &'a K);
 

@@ -88,7 +88,7 @@ pub struct NodeConfig {
     pub priority: TilePriority,
     /// Tile scheduling mode. This is the *resolved* mode: callers that
     /// honour the `Static` uniform-slab fallback (see
-    /// `core::RunBuilder::schedule`) resolve before building the config.
+    /// `core::ExecOpts::schedule`) resolve before building the config.
     pub schedule: Schedule,
     /// This node's rank.
     pub rank: usize,

@@ -57,7 +57,7 @@ use dpgen_tiling::{Coord, Direction, Tiling};
 use std::collections::HashSet;
 use std::fmt;
 
-/// Tile scheduling mode, requested on `RunBuilder::schedule(..)`.
+/// Tile scheduling mode, requested with `core::ExecOpts::schedule(..)`.
 ///
 /// `Static` is a *request*: the runtime applies it only when the load
 /// model's slab-uniformity check passes, and falls back to `Dynamic`

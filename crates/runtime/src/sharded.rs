@@ -308,33 +308,10 @@ impl<T> ShardedScheduler<T> {
         }
     }
 
-    /// Record a single incoming edge (the transport receive path). Newly
-    /// ready tiles go to `worker`'s queue. Returns `true` when this edge
-    /// made the tile ready.
-    pub fn deliver_edge(
-        &self,
-        worker: usize,
-        tile: Coord,
-        delta: Coord,
-        payload: Vec<T>,
-        total: usize,
-    ) -> bool {
-        let done = {
-            let mut shard = self.timed_lock(&self.shards[self.shard_of(&tile)]);
-            self.deliver_into(&mut shard, tile, delta, payload, total)
-        };
-        match done {
-            Some(edges) => {
-                self.route_ready(worker, tile, edges);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Deliver a batch of local edges, acquiring each shard's lock once per
-    /// batch. Newly ready tiles go to `worker`'s own queue. Returns how
-    /// many tiles became ready.
+    /// Deliver a batch of edges — a finished tile's local outputs, or the
+    /// edges a node's receive pass collected — acquiring each shard's lock
+    /// once per batch. Newly ready tiles go to `worker`'s own queue.
+    /// Returns how many tiles became ready.
     ///
     /// The batch vector is drained in place and keeps its capacity, so a
     /// worker that presizes it once (from the tiling's dependency count)
@@ -467,11 +444,6 @@ impl<T> ShardedScheduler<T> {
             .contains_key(tile)
     }
 
-    /// Statically pinned tiles currently parked ready.
-    pub fn static_ready_len(&self) -> usize {
-        self.static_len.load(Ordering::Acquire)
-    }
-
     /// Total ready tiles across all queues, including statically parked
     /// ones (approximate under concurrency).
     pub fn ready_len(&self) -> usize {
@@ -537,6 +509,24 @@ mod tests {
 
     fn c(v: &[i64]) -> Coord {
         Coord::from_slice(v)
+    }
+
+    /// A one-edge `deliver_batch`; `true` when it made the tile ready.
+    fn deliver(
+        s: &ShardedScheduler<f64>,
+        worker: usize,
+        tile: Coord,
+        delta: Coord,
+        payload: Vec<f64>,
+        total: usize,
+    ) -> bool {
+        let mut batch = vec![EdgeDelivery {
+            tile,
+            delta,
+            payload,
+            total,
+        }];
+        s.deliver_batch(worker, &mut batch) == 1
     }
 
     #[test]
@@ -630,8 +620,8 @@ mod tests {
     fn empty_worker_steals_from_richest() {
         let s = sched(TilePriority::Fifo, 2);
         // Deliveries from worker 0 land in worker 0's queue.
-        assert!(s.deliver_edge(0, c(&[1, 0]), c(&[-1, 0]), vec![1.0], 1));
-        assert!(s.deliver_edge(0, c(&[2, 0]), c(&[-1, 0]), vec![2.0], 1));
+        assert!(deliver(&s, 0, c(&[1, 0]), c(&[-1, 0]), vec![1.0], 1));
+        assert!(deliver(&s, 0, c(&[2, 0]), c(&[-1, 0]), vec![2.0], 1));
         // Worker 1 has nothing local: both pops are steals.
         assert!(s.pop(1).is_some());
         assert!(s.pop(1).is_some());
@@ -649,7 +639,7 @@ mod tests {
             1,
             stats.clone(),
         );
-        s.deliver_edge(0, c(&[1]), c(&[-1]), vec![0.0; 5], 1);
+        deliver(&s, 0, c(&[1]), c(&[-1]), vec![0.0; 5], 1);
         assert_eq!(stats.peak_edge_cells(), 5);
         assert_eq!(stats.current_edges(), 1);
         s.pop(0).unwrap();
@@ -669,8 +659,8 @@ mod tests {
     #[cfg(debug_assertions)]
     fn duplicate_edge_is_detected() {
         let s = sched(TilePriority::Fifo, 1);
-        s.deliver_edge(0, c(&[1, 0]), c(&[-1, 0]), vec![], 2);
-        s.deliver_edge(0, c(&[1, 0]), c(&[-1, 0]), vec![], 2);
+        deliver(&s, 0, c(&[1, 0]), c(&[-1, 0]), vec![], 2);
+        deliver(&s, 0, c(&[1, 0]), c(&[-1, 0]), vec![], 2);
     }
 
     #[test]
@@ -681,8 +671,7 @@ mod tests {
         let plan = StaticPlan::from_sequences(vec![vec![pinned]], Schedule::Mixed);
         let s = sched(TilePriority::Fifo, 2).with_plan(Some(Arc::new(plan)));
         // A pinned tile completing its deps parks in the static table …
-        assert!(s.deliver_edge(0, pinned, c(&[-1, 0]), vec![1.0], 1));
-        assert_eq!(s.static_ready_len(), 1);
+        assert!(deliver(&s, 0, pinned, c(&[-1, 0]), vec![1.0], 1));
         assert_eq!(s.dynamic_ready_len(), 0);
         assert_eq!(s.ready_len(), 1);
         assert!(s.pop(0).is_none(), "pinned tile must not reach the heaps");
@@ -690,11 +679,9 @@ mod tests {
         assert!(s.take_static(&free).is_none());
         let edges = s.take_static(&pinned).unwrap();
         assert_eq!(edges.len(), 1);
-        assert_eq!(s.static_ready_len(), 0);
         assert_eq!(s.stats().current_edges(), 0);
         // Non-members still flow through the dynamic path.
         s.mark_initial(free);
-        assert_eq!(s.static_ready_len(), 0);
         assert_eq!(s.pop(0).unwrap().0, free);
         assert_eq!(s.ready_len(), 0);
     }
@@ -711,7 +698,7 @@ mod tests {
                 let s = s.clone();
                 scope.spawn(move || {
                     for i in 0..PER {
-                        s.deliver_edge(w, c(&[w as i64, i]), c(&[0, -1]), vec![1.0], 1);
+                        deliver(&s, w, c(&[w as i64, i]), c(&[0, -1]), vec![1.0], 1);
                     }
                 });
             }

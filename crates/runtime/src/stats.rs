@@ -12,7 +12,7 @@ pub struct RunStats {
     /// Tiles executed by this node.
     pub tiles_executed: u64,
     /// The schedule mode this node actually ran (after the uniform-slab
-    /// fallback resolution; see `core::RunBuilder::schedule`).
+    /// fallback resolution; see `core::ExecOpts::schedule`).
     pub schedule: Schedule,
     /// The cell-level region shape of the tiling this node ran
     /// ([`TileShape::Banded`] for sparse diagonal-band spaces).

@@ -61,7 +61,7 @@ pub enum TraceLevel {
     Full,
 }
 
-/// Trace configuration carried by run configs and the `RunBuilder`.
+/// Trace configuration carried by run configs (`core::ExecOpts::trace`).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// What to record.
@@ -767,12 +767,6 @@ impl Timeline {
             .find(|t| t.rank == rank && t.track == track)
             .map(|t| t.busy_ns as f64 / self.duration_ns as f64)
             .unwrap_or(0.0)
-    }
-
-    /// Spans executed for a given tile (normally one).
-    pub fn spans_for(&self, tile: &Coord) -> impl Iterator<Item = &TileSpan> {
-        let tile = *tile;
-        self.spans.iter().filter(move |s| s.tile == tile)
     }
 
     /// Export as Chrome-trace JSON (the `chrome://tracing` / Perfetto

@@ -92,7 +92,7 @@ impl std::fmt::Debug for JobHandle {
         f.debug_struct("JobHandle")
             .field("cache_hit", &self.cache_hit)
             .field("cancelled", &self.cancel.load(Ordering::Relaxed))
-            .field("spec", &self.plan.spec().name)
+            .field("plan", &self.plan)
             .finish()
     }
 }
@@ -184,16 +184,12 @@ impl Engine {
         }
     }
 
-    /// An engine with default tunables.
-    pub fn with_defaults() -> Engine {
-        Engine::new(EngineConfig::default())
-    }
-
     /// Submit a job: compile or reuse the plan for `(spec, params)`,
     /// admission-check it, and enqueue execution with `kernel`.
-    /// Rejections (invalid spec, unbounded or oversized space) surface
-    /// here as typed [`RunError::CompileError`]s; execution failures
-    /// surface from [`JobHandle::wait`].
+    /// Rejections (invalid spec, a parameter binding of the wrong arity,
+    /// unbounded or oversized space) surface here as typed
+    /// [`RunError::CompileError`]s; execution failures — unrunnable
+    /// options among them — surface from [`JobHandle::wait`].
     pub fn submit(
         &self,
         spec: &ProblemSpec,
@@ -387,27 +383,29 @@ fn run_job(shared: &Shared, job: Job) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpgen_core::RunBuilder;
-    use dpgen_runtime::Probe;
+    use dpgen_core::BalanceMethod;
+    use dpgen_runtime::{Probe, TilePriority};
 
     const TRI: &str = "name tri\nvars x y\nparams N\nconstraint x >= 0\n\
                        constraint y >= 0\nconstraint x + y <= N\n\
                        template r1 1 0\ntemplate r2 0 1\nloadbalance x\nwidths 3 3\n";
 
+    fn path(cell: CellRef<'_>, values: &mut [u64]) {
+        let a = if cell.valid[0] {
+            values[cell.loc_r(0)]
+        } else {
+            1
+        };
+        let b = if cell.valid[1] {
+            values[cell.loc_r(1)]
+        } else {
+            1
+        };
+        values[cell.loc] = a + b;
+    }
+
     fn path_kernel() -> JobKernel {
-        Arc::new(|cell: CellRef<'_>, values: &mut [u64]| {
-            let a = if cell.valid[0] {
-                values[cell.loc_r(0)]
-            } else {
-                1
-            };
-            let b = if cell.valid[1] {
-                values[cell.loc_r(1)]
-            } else {
-                1
-            };
-            values[cell.loc] = a + b;
-        })
+        Arc::new(path)
     }
 
     fn tri_spec() -> ProblemSpec {
@@ -422,24 +420,10 @@ mod tests {
         });
         let spec = tri_spec();
         let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
-        let program = Program::from_spec(spec.clone()).unwrap();
-        let fresh = program
-            .runner::<u64>(&[12])
-            .threads(2)
-            .probe(Probe::at(&[0, 0]))
-            .run(&|cell: CellRef<'_>, values: &mut [u64]| {
-                let a = if cell.valid[0] {
-                    values[cell.loc_r(0)]
-                } else {
-                    1
-                };
-                let b = if cell.valid[1] {
-                    values[cell.loc_r(1)]
-                } else {
-                    1
-                };
-                values[cell.loc] = a + b;
-            })
+        let fresh = Program::from_spec(spec.clone())
+            .unwrap()
+            .compile(&[12])
+            .execute(&path, &opts)
             .unwrap();
         let mut hits = 0;
         for round in 0..4 {
@@ -472,25 +456,71 @@ mod tests {
         no_send.comm.send_buffers = 0;
         let mut no_recv = ExecOpts::new().ranks(2);
         no_recv.comm.recv_buffers = 0;
-        for bad in [ExecOpts::new().serial().ranks(2), no_send, no_recv] {
-            let err = engine
-                .submit(&spec, &[12], path_kernel(), Some(bad))
-                .unwrap()
-                .wait()
-                .unwrap_err();
+        let order = |dim_order: Vec<usize>| TilePriority::ColumnMajor { dim_order };
+        let slabs = |lb_dims: Vec<usize>| BalanceMethod::Slabs { lb_dims };
+        let bad = [
+            no_send,
+            no_recv,
+            ExecOpts::new().probe(Probe::at(&[0])),
+            ExecOpts::new().priority(order(vec![0, 5])),
+            ExecOpts::new().priority(order(vec![0])),
+            ExecOpts::new().ranks(2).balance(slabs(vec![])),
+            ExecOpts::new().ranks(2).balance(slabs(vec![7])),
+        ];
+        let n_bad = bad.len() as u64;
+        // All queued before any is waited on: each bad job has the good
+        // one behind it on the same worker.
+        let handles: Vec<JobHandle> = bad
+            .into_iter()
+            .map(|opts| {
+                engine
+                    .submit(&spec, &[12], path_kernel(), Some(opts))
+                    .unwrap()
+            })
+            .collect();
+        let good = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
+        let good = engine
+            .submit(&spec, &[12], path_kernel(), Some(good.clone()))
+            .unwrap();
+        for handle in handles {
+            let err = handle.wait().unwrap_err();
             match &err {
                 RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Options, "{err}"),
                 other => panic!("expected an options fault, got {other}"),
             }
         }
-        let good = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
+        assert_eq!(good.wait().unwrap().probes, vec![Some(1 << 13)]);
+        assert_eq!(engine.metrics().counter("serve.jobs_failed"), Some(n_bad));
+    }
+
+    #[test]
+    fn wrong_arity_binding_is_rejected_at_submission() {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let spec = tri_spec();
+        for params in [&[][..], &[12, 12]] {
+            let err = engine
+                .submit(&spec, params, path_kernel(), None)
+                .unwrap_err();
+            match &err {
+                RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Spec, "{err}"),
+                other => panic!("expected a spec fault, got {other}"),
+            }
+        }
+        let m = engine.metrics();
+        assert_eq!(m.counter("serve.jobs_rejected"), Some(2));
+        assert_eq!(m.counter("serve.jobs_submitted"), None);
+        assert_eq!(engine.cache().len(), 0, "rejected plans must not be cached");
+        // Nothing was queued, nothing died: the engine keeps serving.
+        let opts = ExecOpts::new().probe(Probe::at(&[0, 0]));
         let out = engine
-            .submit(&spec, &[12], path_kernel(), Some(good))
+            .submit(&spec, &[12], path_kernel(), Some(opts))
             .unwrap()
             .wait()
             .unwrap();
         assert_eq!(out.probes, vec![Some(1 << 13)]);
-        assert_eq!(engine.metrics().counter("serve.jobs_failed"), Some(3));
     }
 
     #[test]
@@ -593,25 +623,11 @@ mod tests {
 
         // The same cached plan (and its recycled buffers) must now
         // produce a bit-identical result to a fresh one-shot run.
-        let want =
-            RunBuilder::<u64>::on_tiling(Program::from_spec(spec.clone()).unwrap().tiling(), &[n])
-                .threads(2)
-                .lb_dims(vec![0])
-                .probe(probe)
-                .run(&|cell: CellRef<'_>, values: &mut [u64]| {
-                    let a = if cell.valid[0] {
-                        values[cell.loc_r(0)]
-                    } else {
-                        1
-                    };
-                    let b = if cell.valid[1] {
-                        values[cell.loc_r(1)]
-                    } else {
-                        1
-                    };
-                    values[cell.loc] = a + b;
-                })
-                .unwrap();
+        let want = Program::from_spec(spec.clone())
+            .unwrap()
+            .compile(&[n])
+            .execute(&path, &opts)
+            .unwrap();
         let handle = engine
             .submit(&spec, &[n], path_kernel(), Some(opts))
             .unwrap();

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example bandit_delay [N]`
 
+use dpgen::core::ExecOpts;
 use dpgen::problems::BanditDelay;
 use dpgen::runtime::Probe;
 
@@ -33,11 +34,10 @@ fn main() {
     }
 
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let opts = ExecOpts::new().threads(threads).probe(Probe::at(&[0; 6]));
     let result = program
-        .runner(&[n])
-        .threads(threads)
-        .probe(Probe::at(&[0; 6]))
-        .run(&problem.kernel())
+        .compile(&[n])
+        .execute(&problem.kernel(), &opts)
         .expect("run succeeds");
     let v = result.probes[0].expect("origin inside space");
     let stats = &result.per_rank[0].stats;

@@ -12,6 +12,7 @@
 //!
 //! Run with: `cargo run --release --example clinical_trial [N] [ranks] [threads]`
 
+use dpgen::core::ExecOpts;
 use dpgen::problems::Bandit2;
 use dpgen::runtime::Probe;
 
@@ -29,12 +30,13 @@ fn main() {
     };
     let program = Bandit2::program(8).expect("bandit2 generates");
 
-    let result = program
-        .runner(&[n])
+    let opts = ExecOpts::new()
         .threads(threads)
         .ranks(ranks)
-        .probe(Probe::at(&[0, 0, 0, 0]))
-        .run(&problem.kernel())
+        .probe(Probe::at(&[0, 0, 0, 0]));
+    let result = program
+        .compile(&[n])
+        .execute(&problem.kernel(), &opts)
         .expect("run succeeds");
     let v = result.probes[0].expect("origin inside space");
 

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example lcs3 [len]`
 
+use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Lcs};
 use dpgen::runtime::Probe;
 
@@ -18,11 +19,12 @@ fn main() {
     let program = Lcs::program(3, 16).expect("lcs3 generates");
 
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let result = program
-        .runner(&problem.params())
+    let opts = ExecOpts::new()
         .threads(threads)
-        .probe(Probe::at(&problem.goal()))
-        .run(&problem)
+        .probe(Probe::at(&problem.goal()));
+    let result = program
+        .compile(&problem.params())
+        .execute(&problem, &opts)
         .expect("run succeeds");
     let lcs_len = result.probes[0].expect("goal inside space");
     let stats = &result.per_rank[0].stats;
@@ -42,11 +44,12 @@ fn main() {
 
 fn program_pair(problem: &Lcs, threads: usize) -> i64 {
     let program = Lcs::program(2, 64).expect("lcs2 generates");
-    let res = program
-        .runner(&problem.params())
+    let opts = ExecOpts::new()
         .threads(threads)
-        .probe(Probe::at(&problem.goal()))
-        .run(problem)
+        .probe(Probe::at(&problem.goal()));
+    let res = program
+        .compile(&problem.params())
+        .execute(problem, &opts)
         .expect("run succeeds");
     res.probes[0].unwrap()
 }

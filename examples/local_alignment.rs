@@ -6,8 +6,9 @@
 //!
 //! Run with: `cargo run --release --example local_alignment [len] [ranks]`
 
+use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, SmithWaterman};
-use dpgen::runtime::Reduction;
+use dpgen::runtime::{PerCell, Reduction};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -24,12 +25,10 @@ fn main() {
     let problem = SmithWaterman::new(&a, &b);
     let program = SmithWaterman::program(64).expect("smith_waterman generates");
     let reduce = Reduction::max_i64();
+    let opts = ExecOpts::new().threads(2).ranks(ranks);
     let result = program
-        .runner(&problem.params())
-        .threads(2)
-        .ranks(ranks)
-        .reduce(&reduce)
-        .run(&problem)
+        .compile(&problem.params())
+        .execute_reduce(&PerCell(&problem), &reduce, &opts)
         .expect("run succeeds");
     let best = result.reduction.expect("reduction requested");
     println!("best local alignment score over {len}x{len}: {best}");

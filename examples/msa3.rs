@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example msa3 [len]`
 
 use dpgen::core::traceback::{run_logged, Traceback};
+use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Msa};
 use dpgen::tiling::tiling::CellRef;
 
@@ -79,11 +80,12 @@ fn main() {
         }
     }
     println!("alignment (sum-of-pairs cost {}):", {
-        let res = program
-            .runner(&problem.params())
+        let opts = ExecOpts::new()
             .threads(4)
-            .probe(dpgen::runtime::Probe::at(&problem.goal()))
-            .run(&problem)
+            .probe(dpgen::runtime::Probe::at(&problem.goal()));
+        let res = program
+            .compile(&problem.params())
+            .execute(&problem, &opts)
             .expect("run succeeds");
         res.probes[0].unwrap()
     });

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use dpgen::core::Program;
+use dpgen::core::{ExecOpts, Program};
 use dpgen::problems::random_sequence;
 use dpgen::runtime::{Probe, TraceLevel};
 use dpgen::tiling::tiling::CellRef;
@@ -61,12 +61,13 @@ fn main() {
     let goal = [params[0], params[1]];
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
 
-    let result = program
-        .runner(&params)
+    let opts = ExecOpts::new()
         .threads(threads)
         .trace(TraceLevel::Spans)
-        .probe(Probe::at(&goal))
-        .run(&kernel)
+        .probe(Probe::at(&goal));
+    let result = program
+        .compile(&params)
+        .execute(&kernel, &opts)
         .expect("run succeeds");
     println!(
         "edit distance of {}x{} strings = {}",

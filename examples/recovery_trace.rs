@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example recovery_trace [out.json]`
 //! Exits nonzero if the run diverges or the recovery events are missing.
 
-use dpgen::core::RecoveryConfig;
+use dpgen::core::{ExecOpts, RecoveryConfig};
 use dpgen::mpisim::{CommConfig, FaultPlan, KillTrigger};
 use dpgen::problems::{random_sequence, Lcs};
 use dpgen::runtime::{Probe, TraceLevel};
@@ -22,8 +22,7 @@ fn main() {
 
     // Rank 0 is the upstream sender under slab balancing: its wires are
     // cut right after its second data frame leaves.
-    let out = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .ranks(2)
         .threads(2)
         .comm(CommConfig {
@@ -36,8 +35,10 @@ fn main() {
             max_recoveries: 1,
         })
         .trace(TraceLevel::Full)
-        .probe(Probe::at(&problem.goal()))
-        .run(&problem)
+        .probe(Probe::at(&problem.goal()));
+    let out = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
         .expect("killed run recovers");
 
     assert_eq!(

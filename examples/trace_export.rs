@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example trace_export [out.json]`
 //! Exits nonzero if the exported trace fails validation.
 
+use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Lcs};
 use dpgen::runtime::{Probe, TraceLevel};
 
@@ -15,13 +16,14 @@ fn main() {
     let problem = Lcs::new(&[&a, &b]);
     let program = Lcs::program(2, 32).expect("LCS spec generates");
 
-    let out = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .ranks(2)
         .threads(2)
         .trace(TraceLevel::Full)
-        .probe(Probe::at(&problem.goal()))
-        .run(&problem)
+        .probe(Probe::at(&problem.goal()));
+    let out = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
         .expect("hybrid run succeeds");
     assert_eq!(
         out.probes[0],

@@ -29,7 +29,7 @@
 //! recurrence from the paper's input-file format:
 //!
 //! ```
-//! use dpgen::core::Program;
+//! use dpgen::core::{ExecOpts, Program};
 //! use dpgen::runtime::Probe;
 //! use dpgen::tiling::tiling::CellRef;
 //!
@@ -53,23 +53,16 @@
 //!     values[cell.loc] = a + b;
 //! };
 //!
+//! // Compile once at N = 10; the plan is what runs, any number of times.
+//! let plan = program.compile(&[10]);
+//!
 //! // Shared-memory run (2 workers), probing f(0, 0): 2^(N+1) paths.
-//! let result = program
-//!     .runner(&[10])
-//!     .threads(2)
-//!     .probe(Probe::at(&[0, 0]))
-//!     .run(&kernel)
-//!     .unwrap();
+//! let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
+//! let result = plan.execute(&kernel, &opts).unwrap();
 //! assert_eq!(result.probes[0], Some(2048u64));
 //!
-//! // The same problem across 2 simulated MPI ranks x 2 threads.
-//! let hybrid = program
-//!     .runner(&[10])
-//!     .threads(2)
-//!     .ranks(2)
-//!     .probe(Probe::at(&[0, 0]))
-//!     .run(&kernel)
-//!     .unwrap();
+//! // The same plan across 2 simulated MPI ranks x 2 threads.
+//! let hybrid = plan.execute(&kernel, &opts.ranks(2)).unwrap();
 //! assert_eq!(hybrid.probes[0], Some(2048u64));
 //! ```
 

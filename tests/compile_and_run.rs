@@ -7,9 +7,9 @@
 
 use dpgen::codegen::emit_c;
 use dpgen::core::spec::bandit2_spec_text;
-use dpgen::core::{Program, RunBuilder};
+use dpgen::core::{ExecOpts, Program};
 use dpgen::problems::Bandit2;
-use dpgen::runtime::{Reduction, TilePriority};
+use dpgen::runtime::{PerCell, Reduction, TilePriority};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -92,11 +92,12 @@ fn generated_bandit2_compiles_runs_and_matches_rust() {
     // computed values.
     let problem = Bandit2::default();
     let reduce = Reduction::new(0.0f64, |a, b| a + b);
-    let res = RunBuilder::<f64>::on_tiling(program.tiling(), &[n])
+    let opts = ExecOpts::new()
         .threads(1)
-        .priority(TilePriority::column_major(4))
-        .reduce(&reduce)
-        .run(&problem.kernel())
+        .priority(TilePriority::column_major(4));
+    let res = program
+        .compile(&[n])
+        .execute_reduce::<f64, _>(&PerCell(&problem.kernel()), &reduce, &opts)
         .unwrap();
     assert_eq!(
         c_tiles, res.per_rank[0].stats.tiles_executed,

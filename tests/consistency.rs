@@ -3,7 +3,7 @@
 //! and the hybrid driver must agree exactly with the dense reference
 //! executor.
 
-use dpgen::core::{ExecOpts, RunBuilder, RunOutput};
+use dpgen::core::{ExecOpts, Plan, RunOutput};
 use dpgen::polyhedra::{ConstraintSystem, Space};
 use dpgen::problems::{random_sequence, Bandit2, Lcs, SmithWaterman};
 use dpgen::runtime::{
@@ -118,11 +118,13 @@ proptest! {
         let coords: Vec<[i64; 2]> = vec![[0, 0], [n, 0], [0, n / 2], [n / 2, n / 4]];
         let refs: Vec<&[i64]> = coords.iter().map(|c| c.as_slice()).collect();
         let probe = Probe::many(&refs);
-        let res = RunBuilder::<i64>::on_tiling(&tiling, &[n])
+        let opts = ExecOpts::new()
             .threads(threads)
             .priority(TilePriority::column_major(2))
-            .probe(probe)
-            .run(&generic_kernel)
+            .probe(probe);
+        let res = Plan::on_tiling(tiling.clone(), &[n], vec![])
+            .unwrap()
+            .execute::<i64, _>(&generic_kernel, &opts)
             .unwrap();
         for (i, c) in coords.iter().enumerate() {
             prop_assert_eq!(res.probes[i], reference.get(c), "at {:?}", c);
@@ -154,11 +156,13 @@ proptest! {
         ];
         let refs: Vec<&[i64]> = coords.iter().map(|c| c.as_slice()).collect();
         let probe = Probe::many(&refs);
-        let res = RunBuilder::<i64>::on_tiling(&tiling, &[n])
+        let opts = ExecOpts::new()
             .threads(threads)
             .priority(TilePriority::column_major(2))
-            .probe(probe)
-            .run(&kernel)
+            .probe(probe);
+        let res = Plan::on_tiling(tiling.clone(), &[n], vec![])
+            .unwrap()
+            .execute::<i64, _>(&kernel, &opts)
             .unwrap();
         for (i, c) in coords.iter().enumerate() {
             prop_assert_eq!(res.probes[i], reference.get(c), "at {:?}", c);
@@ -175,12 +179,13 @@ proptest! {
             return Ok(());
         };
         let reference = run_reference::<i64, _>(&tiling, &[n], &kernel);
-        let res = RunBuilder::<i64>::on_tiling(&tiling, &[n])
+        let opts = ExecOpts::new()
             .ranks(ranks)
             .threads(2)
-            .lb_dims(vec![0])
-            .probe(Probe::at(&[0, 0]))
-            .run(&kernel)
+            .probe(Probe::at(&[0, 0]));
+        let res = Plan::on_tiling(tiling.clone(), &[n], vec![0])
+            .unwrap()
+            .execute::<i64, _>(&kernel, &opts)
             .unwrap();
         prop_assert_eq!(res.probes[0], reference.get(&[0, 0]));
         // Conservation: every cell computed exactly once across ranks.
@@ -194,10 +199,12 @@ proptest! {
         threads in 1usize..4,
     ) {
         let Some(tiling) = build_tiling(&[], (w, w)) else { return Ok(()) };
-        let res = RunBuilder::<i64>::on_tiling(&tiling, &[n])
+        let opts = ExecOpts::new()
             .threads(threads)
-            .priority(TilePriority::LevelSet)
-            .run(&kernel)
+            .priority(TilePriority::LevelSet);
+        let res = Plan::on_tiling(tiling.clone(), &[n], vec![])
+            .unwrap()
+            .execute::<i64, _>(&kernel, &opts)
             .unwrap();
         let stats = &res.per_rank[0].stats;
         prop_assert_eq!(stats.cells_computed as u128, tiling.total_cells(&[n]));
@@ -261,11 +268,13 @@ fn lcs_matrix_bit_identical_across_threads_and_widths() {
         assert_eq!(reference.get(&goal), Some(want), "reference vs dense");
         for threads in THREAD_MATRIX {
             let probe = Probe::many(&[&goal, &mid]);
-            let res = RunBuilder::<i64>::on_tiling(program.tiling(), &problem.params())
+            let opts = ExecOpts::new()
                 .threads(threads)
                 .priority(TilePriority::column_major(2))
-                .probe(probe)
-                .run(&problem)
+                .probe(probe);
+            let res = program
+                .compile(&problem.params())
+                .execute::<i64, _>(&problem, &opts)
                 .unwrap();
             assert_eq!(res.probes[0], Some(want), "w={width} threads={threads}");
             assert_eq!(
@@ -298,12 +307,14 @@ fn lcs_schedule_matrix_bit_identical() {
         for schedule in [Schedule::Dynamic, Schedule::Static, Schedule::Mixed] {
             for threads in THREAD_MATRIX {
                 let probe = Probe::many(&[&goal, &mid]);
-                let res = RunBuilder::<i64>::on_tiling(program.tiling(), &problem.params())
+                let opts = ExecOpts::new()
                     .threads(threads)
                     .priority(TilePriority::column_major(2))
                     .schedule(schedule)
-                    .probe(probe)
-                    .run(&problem)
+                    .probe(probe);
+                let res = program
+                    .compile(&problem.params())
+                    .execute::<i64, _>(&problem, &opts)
                     .unwrap();
                 let ctx = format!("lcs w={width} threads={threads} schedule={schedule}");
                 assert_eq!(res.probes[0], Some(want), "{ctx}");
@@ -345,11 +356,12 @@ fn smith_waterman_matrix_bit_identical() {
         let program = SmithWaterman::program(width).unwrap();
         for threads in THREAD_MATRIX {
             let reduce = Reduction::max_i64();
-            let res = RunBuilder::<i64>::on_tiling(program.tiling(), &problem.params())
+            let opts = ExecOpts::new()
                 .threads(threads)
-                .priority(TilePriority::column_major(2))
-                .reduce(&reduce)
-                .run(&problem)
+                .priority(TilePriority::column_major(2));
+            let res = program
+                .compile(&problem.params())
+                .execute_reduce::<i64, _>(&PerCell(&problem), &reduce, &opts)
                 .unwrap();
             assert_eq!(res.reduction, Some(want), "w={width} threads={threads}");
             assert_hot_path_stats(&res.per_rank[0].stats, threads, &format!("sw w={width}"));
@@ -370,12 +382,13 @@ fn smith_waterman_schedule_matrix_bit_identical() {
     for schedule in [Schedule::Static, Schedule::Mixed] {
         for threads in THREAD_MATRIX {
             let reduce = Reduction::max_i64();
-            let res = RunBuilder::<i64>::on_tiling(program.tiling(), &problem.params())
+            let opts = ExecOpts::new()
                 .threads(threads)
                 .priority(TilePriority::column_major(2))
-                .schedule(schedule)
-                .reduce(&reduce)
-                .run(&problem)
+                .schedule(schedule);
+            let res = program
+                .compile(&problem.params())
+                .execute_reduce::<i64, _>(&PerCell(&problem), &reduce, &opts)
                 .unwrap();
             let ctx = format!("sw threads={threads} schedule={schedule}");
             assert_eq!(res.reduction, Some(want), "{ctx}");
@@ -408,11 +421,13 @@ fn bandit2_matrix_bit_identical() {
         let reference = run_reference::<f64, _>(program.tiling(), &[n], &kernel);
         let ref_bits = reference.get(&origin).unwrap().to_bits();
         for threads in THREAD_MATRIX {
-            let res = RunBuilder::<f64>::on_tiling(program.tiling(), &[n])
+            let opts = ExecOpts::new()
                 .threads(threads)
                 .priority(TilePriority::column_major(4))
-                .probe(Probe::at(&origin))
-                .run(&kernel)
+                .probe(Probe::at(&origin));
+            let res = program
+                .compile(&[n])
+                .execute::<f64, _>(&kernel, &opts)
                 .unwrap();
             let got = res.probes[0].unwrap().to_bits();
             assert_eq!(got, ref_bits, "w={width} threads={threads} vs reference");
@@ -490,51 +505,42 @@ fn execute_never_calls_eval_run_and_execute_batched_always_does() {
     }
 }
 
-/// Per-cell execution *is* the `PerCell` adapter: `run(&k)` and
-/// `run_batched(&PerCell(&k))` are the same path, so probes, the
-/// reduction and every work counter agree exactly — with and without a
-/// reduction, on the shared runtime and across ranks.
+/// Per-cell execution *is* the `PerCell` adapter: `execute(&k)` and
+/// `execute_batched(&PerCell(&k))` are the same path, and
+/// `execute_reduce(&PerCell(&k), ..)` only adds the fold — so probes and
+/// every work counter agree exactly, on one rank and across ranks.
 #[test]
-fn run_equals_run_batched_through_per_cell() {
+fn execute_equals_execute_batched_through_per_cell() {
     let a = random_sequence(29, 5);
     let b = random_sequence(33, 6);
     let problem = SmithWaterman::new(&a, &b);
-    let program = SmithWaterman::program(4).unwrap();
-    let params = problem.params();
-    let probe = Probe::many(&[&[0, 0], &[7, 9]]);
+    let plan = SmithWaterman::program(4)
+        .unwrap()
+        .compile(&problem.params());
     for (threads, ranks) in [(1usize, 1usize), (3, 1), (2, 2)] {
-        for with_reduce in [false, true] {
-            let run = |batched: bool| -> RunOutput<i64> {
-                let reduction = Reduction::new(0i64, |x: i64, y: i64| x.max(y));
-                let mut builder = RunBuilder::<i64>::on_tiling(program.tiling(), &params)
-                    .threads(threads)
-                    .ranks(ranks)
-                    .probe(probe.clone());
-                if with_reduce {
-                    builder = builder.reduce(&reduction);
-                }
-                if batched {
-                    builder.run_batched(&PerCell(&problem)).unwrap()
-                } else {
-                    builder.run(&problem).unwrap()
-                }
-            };
-            let (plain, lifted) = (run(false), run(true));
-            let ctx = format!("threads={threads} ranks={ranks} reduce={with_reduce}");
-            assert_eq!(plain.probes, lifted.probes, "{ctx}");
-            assert_eq!(plain.reduction, lifted.reduction, "{ctx}");
-            assert_eq!(plain.reduction.is_some(), with_reduce, "{ctx}");
-            if with_reduce {
-                assert_eq!(plain.reduction, Some(problem.solve_dense()), "{ctx}");
-            }
-            for (p, l) in plain.per_rank.iter().zip(&lifted.per_rank) {
-                let (p, l) = (&p.stats, &l.stats);
-                assert_eq!(p.cells_computed, l.cells_computed, "{ctx}");
-                assert_eq!(p.interior_cells, l.interior_cells, "{ctx}");
-                assert_eq!(p.boundary_cells, l.boundary_cells, "{ctx}");
-                assert_eq!(p.tiles_executed, l.tiles_executed, "{ctx}");
-                assert_eq!((p.runs_batched, l.runs_batched), (0, 0), "{ctx}");
-                assert_eq!((p.cells_batched, l.cells_batched), (0, 0), "{ctx}");
+        let opts = ExecOpts::new()
+            .threads(threads)
+            .ranks(ranks)
+            .probe(Probe::many(&[&[0, 0], &[7, 9]]));
+        let reduction = Reduction::new(0i64, |x: i64, y: i64| x.max(y));
+        let plain: RunOutput<i64> = plan.execute(&problem, &opts).unwrap();
+        let lifted = plan.execute_batched(&PerCell(&problem), &opts).unwrap();
+        let reduced = plan
+            .execute_reduce(&PerCell(&problem), &reduction, &opts)
+            .unwrap();
+        let ctx = format!("threads={threads} ranks={ranks}");
+        assert_eq!((plain.reduction, lifted.reduction), (None, None), "{ctx}");
+        assert_eq!(reduced.reduction, Some(problem.solve_dense()), "{ctx}");
+        for other in [&lifted, &reduced] {
+            assert_eq!(plain.probes, other.probes, "{ctx}");
+            for (p, o) in plain.per_rank.iter().zip(&other.per_rank) {
+                let (p, o) = (&p.stats, &o.stats);
+                assert_eq!(p.cells_computed, o.cells_computed, "{ctx}");
+                assert_eq!(p.interior_cells, o.interior_cells, "{ctx}");
+                assert_eq!(p.boundary_cells, o.boundary_cells, "{ctx}");
+                assert_eq!(p.tiles_executed, o.tiles_executed, "{ctx}");
+                assert_eq!((p.runs_batched, o.runs_batched), (0, 0), "{ctx}");
+                assert_eq!((p.cells_batched, o.cells_batched), (0, 0), "{ctx}");
             }
         }
     }

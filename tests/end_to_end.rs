@@ -1,12 +1,12 @@
-//! End-to-end integration: spec text → generated program → serial,
-//! shared-memory and hybrid executions all agree with independent dense
-//! solvers, for every workload in `dpgen-problems`.
+//! End-to-end integration: spec text → generated program → compiled
+//! plan; the dense reference, one-rank and multi-rank executions all agree
+//! with independent dense solvers, for every workload in `dpgen-problems`.
 
 use dpgen::core::loadbalance::BalanceMethod;
-use dpgen::core::{Program, RunBuilder};
+use dpgen::core::{ExecOpts, Program};
 use dpgen::mpisim::CommConfig;
 use dpgen::problems::{random_sequence, Bandit2, Bandit3, EditDistance, Lcs, Msa};
-use dpgen::runtime::{Probe, TilePriority};
+use dpgen::runtime::{run_reference, Probe, TilePriority};
 
 #[test]
 fn bandit2_all_execution_modes_agree() {
@@ -17,18 +17,16 @@ fn bandit2_all_execution_modes_agree() {
     let program = Bandit2::program(4).unwrap();
     let probe = Probe::at(&[0, 0, 0, 0]);
 
-    // Serial reference (dense, untiled).
-    let serial = program.runner::<f64>(&[n]).serial().run(&kernel).unwrap();
-    let reference = serial.reference.expect("serial mode yields dense result");
+    // The runtime's own dense, untiled reference executor.
+    let reference = run_reference::<f64, _>(program.tiling(), &[n], &kernel);
     assert!((reference.get(&[0, 0, 0, 0]).unwrap() - want).abs() < 1e-9);
 
     // Shared memory at several thread counts.
     for threads in [1usize, 3, 8] {
+        let opts = ExecOpts::new().threads(threads).probe(probe.clone());
         let res = program
-            .runner::<f64>(&[n])
-            .threads(threads)
-            .probe(probe.clone())
-            .run(&kernel)
+            .compile(&[n])
+            .execute::<f64, _>(&kernel, &opts)
             .unwrap();
         assert!(
             (res.probes[0].unwrap() - want).abs() < 1e-9,
@@ -38,12 +36,13 @@ fn bandit2_all_execution_modes_agree() {
 
     // Hybrid at several rank × thread shapes.
     for (ranks, threads) in [(2usize, 2usize), (4, 1), (3, 3)] {
-        let res = program
-            .runner::<f64>(&[n])
+        let opts = ExecOpts::new()
             .ranks(ranks)
             .threads(threads)
-            .probe(probe.clone())
-            .run(&kernel)
+            .probe(probe.clone());
+        let res = program
+            .compile(&[n])
+            .execute::<f64, _>(&kernel, &opts)
             .unwrap();
         assert!(
             (res.probes[0].unwrap() - want).abs() < 1e-9,
@@ -61,11 +60,10 @@ fn bandit2_paper_value_grows_with_horizon() {
     let probe = Probe::at(&[0, 0, 0, 0]);
     let mut last = 0.5;
     for n in [2i64, 8, 20, 40] {
+        let opts = ExecOpts::new().threads(4).probe(probe.clone());
         let res = program
-            .runner::<f64>(&[n])
-            .threads(4)
-            .probe(probe.clone())
-            .run(&kernel)
+            .compile(&[n])
+            .execute::<f64, _>(&kernel, &opts)
             .unwrap();
         let per_trial = res.probes[0].unwrap() / n as f64;
         assert!(per_trial > last - 1e-9, "N={n}: {per_trial} vs {last}");
@@ -83,12 +81,13 @@ fn bandit3_hybrid_agrees_with_dense() {
     let n = 6i64;
     let want = problem.solve_dense(n);
     let program = Bandit3::program(2).unwrap();
-    let res = program
-        .runner::<f64>(&[n])
+    let opts = ExecOpts::new()
         .ranks(2)
         .threads(2)
-        .probe(Probe::at(&[0; 6]))
-        .run(&problem.kernel())
+        .probe(Probe::at(&[0; 6]));
+    let res = program
+        .compile(&[n])
+        .execute::<f64, _>(&problem.kernel(), &opts)
         .unwrap();
     assert!((res.probes[0].unwrap() - want).abs() < 1e-9);
 }
@@ -109,14 +108,15 @@ fn alignment_problems_agree_under_every_balance_method() {
         },
         BalanceMethod::Hyperplane,
     ] {
-        let res = program
-            .runner::<i64>(&params)
+        let opts = ExecOpts::new()
             .ranks(3)
             .threads(2)
             .balance(balance.clone())
             .stall_timeout(Some(std::time::Duration::from_secs(60)))
-            .probe(probe.clone())
-            .run(&problem)
+            .probe(probe.clone());
+        let res = program
+            .compile(&params)
+            .execute::<i64, _>(&problem, &opts)
             .unwrap();
         assert_eq!(res.probes[0].unwrap(), want, "{balance:?}");
     }
@@ -135,11 +135,13 @@ fn priorities_do_not_change_results() {
         TilePriority::LevelSet,
         TilePriority::Fifo,
     ] {
-        let res = RunBuilder::<i64>::on_tiling(program.tiling(), &params)
+        let opts = ExecOpts::new()
             .threads(4)
             .priority(priority.clone())
-            .probe(Probe::at(&problem.goal()))
-            .run(&problem)
+            .probe(Probe::at(&problem.goal()));
+        let res = program
+            .compile(&params)
+            .execute::<i64, _>(&problem, &opts)
             .unwrap();
         assert_eq!(res.probes[0].unwrap(), want, "{priority:?}");
     }
@@ -153,8 +155,7 @@ fn msa3_hybrid_with_tiny_buffers() {
     let problem = Msa::new(&[&a, &b, &c]);
     let want = problem.solve_dense();
     let program = Msa::program(3, 3).unwrap();
-    let res = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .ranks(4)
         .threads(2)
         .comm(CommConfig {
@@ -166,8 +167,10 @@ fn msa3_hybrid_with_tiny_buffers() {
             lb_dims: vec![0, 1],
         })
         .stall_timeout(Some(std::time::Duration::from_secs(60)))
-        .probe(Probe::at(&problem.goal()))
-        .run(&problem)
+        .probe(Probe::at(&problem.goal()));
+    let res = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
         .unwrap();
     assert_eq!(res.probes[0].unwrap(), want);
 }
@@ -202,11 +205,10 @@ fn spec_text_round_trip_runs() {
         };
         values[cell.loc] = a + b;
     };
+    let opts = ExecOpts::new().threads(2).probe(Probe::at(&[0, 0]));
     let res = program
-        .runner::<u64>(&[10])
-        .threads(2)
-        .probe(Probe::at(&[0, 0]))
-        .run(&kernel)
+        .compile(&[10])
+        .execute::<u64, _>(&kernel, &opts)
         .unwrap();
     // f(0,0) counts monotone lattice paths of length N+1 from the
     // hypotenuse: 2^(N+1).

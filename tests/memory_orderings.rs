@@ -3,7 +3,7 @@
 //! edges while level-set order buffers about `2(n − 1)` — almost `d` times
 //! more (Section V-B).
 
-use dpgen::core::{Program, RunBuilder};
+use dpgen::core::{ExecOpts, Program};
 use dpgen::runtime::TilePriority;
 use dpgen::tiling::tiling::CellRef;
 
@@ -34,10 +34,10 @@ fn kernel(cell: CellRef<'_>, values: &mut [u64]) {
 }
 
 fn peak_edges(program: &Program, n: i64, priority: TilePriority) -> i64 {
-    let res = RunBuilder::<u64>::on_tiling(program.tiling(), &[n])
-        .threads(1)
-        .priority(priority)
-        .run(&kernel)
+    let opts = ExecOpts::new().threads(1).priority(priority);
+    let res = program
+        .compile(&[n])
+        .execute::<u64, _>(&kernel, &opts)
         .unwrap();
     res.per_rank[0].stats.peak_edges
 }

@@ -1,7 +1,8 @@
 //! Observability layer end-to-end: trace rings, timelines, Chrome-trace
-//! export, unified metrics — and the RunBuilder/compiled-Plan equivalence
+//! export, unified metrics — and the fresh-plan/reused-plan equivalence
 //! the compile/execute split promises.
 
+use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Bandit2, Lcs};
 use dpgen::runtime::{EventKind, Probe, TraceLevel, TraceRing};
 use dpgen::tiling::Coord;
@@ -43,12 +44,13 @@ fn trace_ring_overflow_drops_oldest_with_exact_counters() {
 #[test]
 fn trace_off_produces_no_timeline_or_trace_metrics() {
     let (problem, program) = lcs_fixture();
-    let out = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .threads(4)
         .ranks(2)
-        .probe(Probe::at(&problem.goal()))
-        .run(&problem)
+        .probe(Probe::at(&problem.goal()));
+    let out = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
         .unwrap();
     assert_eq!(out.probes[0], Some(problem.solve_dense()));
     assert!(out.timeline.is_none(), "Off must not build a timeline");
@@ -63,13 +65,14 @@ fn trace_off_produces_no_timeline_or_trace_metrics() {
 #[test]
 fn chrome_trace_json_parses_with_monotone_ts_per_track() {
     let (problem, program) = lcs_fixture();
-    let out = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .threads(2)
         .ranks(2)
         .trace(TraceLevel::Full)
-        .probe(Probe::at(&problem.goal()))
-        .run(&problem)
+        .probe(Probe::at(&problem.goal()));
+    let out = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
         .unwrap();
     let timeline = out.timeline.expect("Full must build a timeline");
     let json = timeline.to_chrome_trace();
@@ -108,13 +111,14 @@ fn chrome_trace_json_parses_with_monotone_ts_per_track() {
 #[test]
 fn full_trace_covers_every_executed_tile_with_busy_fractions() {
     let (problem, program) = lcs_fixture();
-    let out = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .threads(4)
         .ranks(2)
         .trace(TraceLevel::Full)
-        .probe(Probe::at(&problem.goal()))
-        .run(&problem)
+        .probe(Probe::at(&problem.goal()));
+    let out = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
         .unwrap();
     assert_eq!(out.probes[0], Some(problem.solve_dense()));
 
@@ -151,12 +155,11 @@ fn full_trace_covers_every_executed_tile_with_busy_fractions() {
     assert!(summary.contains("rank 1"), "{summary}");
 }
 
-/// A compiled [`dpgen::core::Plan`] is the same engine as the
-/// RunBuilder: across a thread matrix, shared and hybrid executions of
-/// one plan must be *bit*-identical to fresh builder runs, f64 included.
+/// A [`dpgen::core::Plan`]'s memo changes nothing but time: across a
+/// thread matrix, one-rank and multi-rank executions of one reused plan
+/// must be *bit*-identical to a fresh compile's first, f64 included.
 #[test]
-fn builder_matches_compiled_plan_bit_identically() {
-    use dpgen::core::ExecOpts;
+fn fresh_compile_matches_reused_plan_bit_identically() {
     let n = 10i64;
     let problem = Bandit2::default();
     let kernel = problem.kernel();
@@ -171,11 +174,8 @@ fn builder_matches_compiled_plan_bit_identically() {
                 .probe(probe.clone());
             let compiled = plan.execute::<f64, _>(&kernel, &opts).unwrap();
             let fresh = program
-                .runner::<f64>(&[n])
-                .threads(threads)
-                .ranks(ranks)
-                .probe(probe.clone())
-                .run(&kernel)
+                .compile(&[n])
+                .execute::<f64, _>(&kernel, &opts)
                 .unwrap();
             assert_eq!(
                 compiled.probes[0].unwrap().to_bits(),

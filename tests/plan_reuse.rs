@@ -2,7 +2,7 @@
 //!
 //! The compile/execute split's core promise: one compiled [`Plan`]
 //! executed N times — concurrently, across the threads x ranks matrix —
-//! is bit-identical to N fresh `RunBuilder::run()` calls, and a
+//! is bit-identical to N freshly compiled plans' first executions, and a
 //! cancelled execution never poisons the plan, its memoized schedule
 //! artifacts, or the shared buffer pools behind it.
 
@@ -27,9 +27,9 @@ fn lcs_fixture() -> (Lcs, Program) {
 const MATRIX: &[(usize, usize)] = &[(1, 1), (2, 1), (4, 1), (1, 2), (2, 2), (2, 4)];
 
 /// One compiled plan, executed 3x concurrently per matrix point, must
-/// match 3 fresh one-shot builder runs bit-for-bit.
+/// match 3 fresh compile-and-execute round trips bit-for-bit.
 #[test]
-fn one_plan_executed_concurrently_matches_fresh_builder_runs() {
+fn one_plan_executed_concurrently_matches_fresh_compiles() {
     let (problem, program) = lcs_fixture();
     let params = problem.params();
     let plan = program.compile(&params);
@@ -60,11 +60,8 @@ fn one_plan_executed_concurrently_matches_fresh_builder_runs() {
         // ...against N fresh compile-and-run round trips.
         for (i, got) in shared.iter().enumerate() {
             let fresh = program
-                .runner::<i64>(&params)
-                .threads(threads)
-                .ranks(ranks)
-                .probe(probe.clone())
-                .run(&problem)
+                .compile(&params)
+                .execute::<i64, _>(&problem, &opts)
                 .unwrap();
             assert_eq!(
                 Some(*got),

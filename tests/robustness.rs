@@ -3,7 +3,7 @@
 //! a wire that drops, duplicates, reorders and corrupts packets, which must
 //! be bit-identical to fault-free runs or fail with a typed diagnosis.
 
-use dpgen::core::{BalanceMethod, Program, ProgramError, RecoveryConfig, RunBuilder};
+use dpgen::core::{BalanceMethod, ExecOpts, Program, ProgramError, RecoveryConfig};
 use dpgen::mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
 use dpgen::problems::{random_sequence, EditDistance, Lcs};
 use dpgen::runtime::{
@@ -65,11 +65,10 @@ fn error_messages_are_informative() {
 fn zero_size_problem_runs() {
     // N = 0: a single cell at the origin.
     let program = Program::parse(TRIANGLE).unwrap();
+    let opts = ExecOpts::new().threads(4).probe(Probe::at(&[0, 0]));
     let res = program
-        .runner::<u64>(&[0])
-        .threads(4)
-        .probe(Probe::at(&[0, 0]))
-        .run(&count_kernel)
+        .compile(&[0])
+        .execute::<u64, _>(&count_kernel, &opts)
         .unwrap();
     assert_eq!(res.probes[0], Some(2)); // both deps invalid -> 1 + 1
     assert_eq!(res.per_rank[0].stats.cells_computed, 1);
@@ -79,11 +78,10 @@ fn zero_size_problem_runs() {
 fn probes_outside_space_are_none_not_panics() {
     let program = Program::parse(TRIANGLE).unwrap();
     let probe = Probe::many(&[&[0, 0], &[100, 100], &[-3, 0], &[3, 3]]);
+    let opts = ExecOpts::new().threads(2).probe(probe);
     let res = program
-        .runner::<u64>(&[4])
-        .threads(2)
-        .probe(probe)
-        .run(&count_kernel)
+        .compile(&[4])
+        .execute::<u64, _>(&count_kernel, &opts)
         .unwrap();
     assert!(res.probes[0].is_some());
     assert_eq!(res.probes[1], None);
@@ -94,11 +92,10 @@ fn probes_outside_space_are_none_not_panics() {
 #[test]
 fn giant_tile_is_a_single_tile_run() {
     let program = Program::parse(&TRIANGLE.replace("widths 4 4", "widths 1000 1000")).unwrap();
+    let opts = ExecOpts::new().threads(4).probe(Probe::at(&[0, 0]));
     let res = program
-        .runner::<u64>(&[20])
-        .threads(4)
-        .probe(Probe::at(&[0, 0]))
-        .run(&count_kernel)
+        .compile(&[20])
+        .execute::<u64, _>(&count_kernel, &opts)
         .unwrap();
     assert_eq!(res.per_rank[0].stats.tiles_executed, 1);
     assert_eq!(res.probes[0], Some(1 << 21));
@@ -109,11 +106,10 @@ fn giant_tile_is_a_single_tile_run() {
 fn width_one_tiles_are_cells() {
     let program = Program::parse(&TRIANGLE.replace("widths 4 4", "widths 1 1")).unwrap();
     let n = 6i64;
+    let opts = ExecOpts::new().threads(3).probe(Probe::at(&[0, 0]));
     let res = program
-        .runner::<u64>(&[n])
-        .threads(3)
-        .probe(Probe::at(&[0, 0]))
-        .run(&count_kernel)
+        .compile(&[n])
+        .execute::<u64, _>(&count_kernel, &opts)
         .unwrap();
     assert_eq!(
         res.per_rank[0].stats.tiles_executed,
@@ -126,11 +122,10 @@ fn width_one_tiles_are_cells() {
 fn oversubscribed_threads_work() {
     // Far more threads than tiles.
     let program = Program::parse(TRIANGLE).unwrap();
+    let opts = ExecOpts::new().threads(32).probe(Probe::at(&[0, 0]));
     let res = program
-        .runner::<u64>(&[6])
-        .threads(32)
-        .probe(Probe::at(&[0, 0]))
-        .run(&count_kernel)
+        .compile(&[6])
+        .execute::<u64, _>(&count_kernel, &opts)
         .unwrap();
     assert_eq!(res.probes[0], Some(1 << 7));
 }
@@ -138,11 +133,10 @@ fn oversubscribed_threads_work() {
 #[test]
 fn zero_threads_clamps_to_one() {
     let program = Program::parse(TRIANGLE).unwrap();
+    let opts = ExecOpts::new().threads(0).probe(Probe::at(&[0, 0]));
     let res = program
-        .runner::<u64>(&[5])
-        .threads(0)
-        .probe(Probe::at(&[0, 0]))
-        .run(&count_kernel)
+        .compile(&[5])
+        .execute::<u64, _>(&count_kernel, &opts)
         .unwrap();
     assert_eq!(res.probes[0], Some(1 << 6));
     assert_eq!(res.per_rank[0].stats.threads, 1);
@@ -155,12 +149,13 @@ fn hybrid_more_ranks_than_tiles() {
     let problem = EditDistance::new(&a, &b);
     let program = EditDistance::program(4).unwrap(); // few tiles
     let params = problem.params();
-    let res = program
-        .runner::<i64>(&params)
+    let opts = ExecOpts::new()
         .ranks(6)
         .threads(2)
-        .probe(Probe::at(&[params[0], params[1]]))
-        .run(&problem)
+        .probe(Probe::at(&[params[0], params[1]]));
+    let res = program
+        .compile(&params)
+        .execute::<i64, _>(&problem, &opts)
         .unwrap();
     assert_eq!(res.probes[0].unwrap(), problem.solve_dense());
 }
@@ -177,11 +172,13 @@ fn degenerate_one_dimensional_problem() {
             1
         };
     };
-    let res = RunBuilder::<u64>::on_tiling(program.tiling(), &[17])
+    let opts = ExecOpts::new()
         .threads(2)
         .priority(TilePriority::Fifo)
-        .probe(Probe::at(&[0]))
-        .run(&kernel)
+        .probe(Probe::at(&[0]));
+    let res = program
+        .compile(&[17])
+        .execute::<u64, _>(&kernel, &opts)
         .unwrap();
     assert_eq!(res.probes[0], Some(18));
 }
@@ -243,27 +240,29 @@ fn seeded_fault_matrix_is_bit_identical() {
     ];
     for (name, plan) in plans {
         for ranks in [1usize, 2, 4] {
-            let res = lcs_program
-                .runner::<i64>(&lcs.params())
+            let opts = ExecOpts::new()
                 .ranks(ranks)
                 .threads(1)
                 .comm(faulty_comm(plan))
                 .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
                 .stall_timeout(Some(Duration::from_secs(20)))
-                .probe(Probe::at(&lcs.goal()))
-                .run(&lcs)
+                .probe(Probe::at(&lcs.goal()));
+            let res = lcs_program
+                .compile(&lcs.params())
+                .execute::<i64, _>(&lcs, &opts)
                 .unwrap_or_else(|e| panic!("lcs {name} ranks={ranks}: {e}"));
             assert_eq!(res.probes[0], Some(lcs_want), "lcs {name} ranks={ranks}");
 
-            let res = ed_program
-                .runner::<i64>(&ed.params())
+            let opts = ExecOpts::new()
                 .ranks(ranks)
                 .threads(1)
                 .comm(faulty_comm(plan))
                 .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
                 .stall_timeout(Some(Duration::from_secs(20)))
-                .probe(Probe::at(&[ed.params()[0], ed.params()[1]]))
-                .run(&ed)
+                .probe(Probe::at(&[ed.params()[0], ed.params()[1]]));
+            let res = ed_program
+                .compile(&ed.params())
+                .execute::<i64, _>(&ed, &opts)
                 .unwrap_or_else(|e| panic!("editdist {name} ranks={ranks}: {e}"));
             assert_eq!(
                 res.probes[0],
@@ -296,8 +295,7 @@ fn wedged_run_terminates_with_stall_snapshot() {
     let b = random_sequence(15, 32);
     let problem = EditDistance::new(&a, &b);
     let program = EditDistance::program(4).unwrap();
-    let err = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .ranks(2)
         .threads(1)
         .comm(CommConfig {
@@ -317,8 +315,10 @@ fn wedged_run_terminates_with_stall_snapshot() {
             faults: Some(FaultPlan::drops(99, 1.0)),
         })
         .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-        .stall_timeout(Some(Duration::from_millis(400)))
-        .run(&problem)
+        .stall_timeout(Some(Duration::from_millis(400)));
+    let err = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
         .unwrap_err();
     match &err {
         RunError::Stalled(snap) => {
@@ -384,13 +384,14 @@ fn hybrid_kernel_panic_quarantines_the_tile() {
             self.0.compute(cell, values);
         }
     }
-    let err = program
-        .runner::<i64>(&problem.params())
+    let opts = ExecOpts::new()
         .ranks(2)
         .threads(1)
         .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-        .stall_timeout(Some(Duration::from_secs(10)))
-        .run(&Bomb(problem.clone()))
+        .stall_timeout(Some(Duration::from_secs(10)));
+    let err = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&Bomb(problem.clone()), &opts)
         .unwrap_err();
     match &err {
         RunError::KernelPanic { tile, message, .. } => {
@@ -440,8 +441,7 @@ fn chaos_matrix_kill_each_rank_recovers_bit_identical() {
             let plan = FaultPlan::kill_rank_at(victim, trigger);
             for schedule in [Schedule::Dynamic, Schedule::Static] {
                 let label = format!("ranks={ranks} victim={victim} {schedule:?}");
-                let res = lcs_program
-                    .runner::<i64>(&lcs.params())
+                let opts = ExecOpts::new()
                     .ranks(ranks)
                     .threads(1)
                     .schedule(schedule)
@@ -452,8 +452,10 @@ fn chaos_matrix_kill_each_rank_recovers_bit_identical() {
                     .recovery(recovery)
                     .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
                     .stall_timeout(Some(Duration::from_secs(20)))
-                    .probe(Probe::at(&lcs.goal()))
-                    .run(&lcs)
+                    .probe(Probe::at(&lcs.goal()));
+                let res = lcs_program
+                    .compile(&lcs.params())
+                    .execute::<i64, _>(&lcs, &opts)
                     .unwrap_or_else(|e| panic!("lcs {label}: {e}"));
                 assert_eq!(res.probes[0], Some(lcs_want), "lcs {label}");
                 assert_eq!(res.recovery.ranks_lost, 1, "lcs {label}");
@@ -469,8 +471,7 @@ fn chaos_matrix_kill_each_rank_recovers_bit_identical() {
                     res.recovery.recovery_latency
                 );
 
-                let res = ed_program
-                    .runner::<i64>(&ed.params())
+                let opts = ExecOpts::new()
                     .ranks(ranks)
                     .threads(1)
                     .schedule(schedule)
@@ -481,8 +482,10 @@ fn chaos_matrix_kill_each_rank_recovers_bit_identical() {
                     .recovery(recovery)
                     .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
                     .stall_timeout(Some(Duration::from_secs(20)))
-                    .probe(Probe::at(&[ed.params()[0], ed.params()[1]]))
-                    .run(&ed)
+                    .probe(Probe::at(&[ed.params()[0], ed.params()[1]]));
+                let res = ed_program
+                    .compile(&ed.params())
+                    .execute::<i64, _>(&ed, &opts)
                     .unwrap_or_else(|e| panic!("editdist {label}: {e}"));
                 assert_eq!(res.probes[0], Some(ed_want), "editdist {label}");
                 assert_eq!(res.recovery.ranks_lost, 1, "editdist {label}");
@@ -516,15 +519,16 @@ proptest! {
         let problem = EditDistance::new(&a, &b);
         let program = EditDistance::program(3).unwrap();
         let plan = FaultPlan { seed, drop, duplicate, reorder, corrupt, max_delay, kill: None };
-        let res = program
-            .runner::<i64>(&problem.params())
+        let opts = ExecOpts::new()
             .ranks(ranks)
             .threads(1)
             .comm(faulty_comm(plan))
             .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
             .stall_timeout(Some(Duration::from_secs(20)))
-            .probe(Probe::at(&[problem.params()[0], problem.params()[1]]))
-            .run(&problem)
+            .probe(Probe::at(&[problem.params()[0], problem.params()[1]]));
+        let res = program
+            .compile(&problem.params())
+            .execute::<i64, _>(&problem, &opts)
             .unwrap();
         prop_assert_eq!(res.probes[0], Some(problem.solve_dense()));
     }
@@ -539,11 +543,13 @@ fn empty_iteration_space_for_parameters() {
     let kernel = |cell: CellRef<'_>, values: &mut [u64]| {
         values[cell.loc] = cell.x[0] as u64;
     };
-    let res = RunBuilder::<u64>::on_tiling(program.tiling(), &[1])
+    let opts = ExecOpts::new()
         .threads(2)
         .priority(TilePriority::Fifo)
-        .probe(Probe::at(&[2]))
-        .run(&kernel)
+        .probe(Probe::at(&[2]));
+    let res = program
+        .compile(&[1])
+        .execute::<u64, _>(&kernel, &opts)
         .unwrap();
     assert_eq!(res.per_rank[0].stats.tiles_executed, 0);
     assert_eq!(res.probes[0], None);

@@ -10,7 +10,7 @@
 //! plus the `RunStats` contention-counter regression tests for the real
 //! multi-threaded runtime.
 
-use dpgen::core::RunBuilder;
+use dpgen::core::{ExecOpts, Plan};
 use dpgen::polyhedra::{ConstraintSystem, Space};
 use dpgen::runtime::sharded::{EdgeDelivery, ShardedScheduler};
 use dpgen::runtime::{MemoryStats, Probe, Schedule, StaticPlan, TilePriority};
@@ -268,11 +268,13 @@ proptest! {
         threads in 1usize..6,
     ) {
         let Some(tiling) = build_tiling(Some((1, 1, 2)), (w, w)) else { return Ok(()) };
-        let res = RunBuilder::<i64>::on_tiling(&tiling, &[n])
+        let opts = ExecOpts::new()
             .threads(threads)
             .priority(TilePriority::LevelSet)
-            .probe(Probe::at(&[0, 0]))
-            .run(&path_kernel)
+            .probe(Probe::at(&[0, 0]));
+        let res = Plan::on_tiling(tiling.clone(), &[n], vec![])
+            .unwrap()
+            .execute::<i64, _>(&path_kernel, &opts)
             .unwrap();
         let stats = &res.per_rank[0].stats;
         prop_assert_eq!(stats.cells_computed as u128, tiling.total_cells(&[n]));
@@ -297,19 +299,16 @@ fn duplicate_edge_delivery_panics() {
     );
     let tile = Coord::from_slice(&[1, 1]);
     let delta = Coord::from_slice(&[-1, 0]);
-    sched.deliver_edge(0, tile, delta, vec![1], 2);
+    let edge = |payload: Vec<i64>| EdgeDelivery {
+        tile,
+        delta,
+        payload,
+        total: 2,
+    };
+    sched.deliver_batch(0, &mut vec![edge(vec![1])]);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Same (tile, delta) again — must trip the duplicate-edge check,
-        // from a batch delivery as well as the single-edge path.
-        sched.deliver_batch(
-            1,
-            &mut vec![EdgeDelivery {
-                tile,
-                delta,
-                payload: vec![2],
-                total: 2,
-            }],
-        );
+        // Same (tile, delta) again — must trip the duplicate-edge check.
+        sched.deliver_batch(1, &mut vec![edge(vec![2])]);
     }))
     .expect_err("duplicate edge must panic");
     let msg = err
@@ -328,11 +327,13 @@ fn run_stats_contention_counters_populated() {
     let n = 30i64;
 
     // Single worker: a full histogram, but no stealing possible.
-    let serial = RunBuilder::<i64>::on_tiling(&tiling, &[n])
+    let opts = ExecOpts::new()
         .threads(1)
         .priority(TilePriority::column_major(2))
-        .probe(Probe::at(&[0, 0]))
-        .run(&path_kernel)
+        .probe(Probe::at(&[0, 0]));
+    let serial = Plan::on_tiling(tiling.clone(), &[n], vec![])
+        .unwrap()
+        .execute::<i64, _>(&path_kernel, &opts)
         .unwrap();
     let serial_stats = &serial.per_rank[0].stats;
     assert!(serial_stats.tiles_executed > 0);
@@ -345,11 +346,13 @@ fn run_stats_contention_counters_populated() {
 
     // Four workers: histogram sums to the tile count, steal counters are
     // bounded by it, and summed wait times fit inside workers x wall time.
-    let par = RunBuilder::<i64>::on_tiling(&tiling, &[n])
+    let opts = ExecOpts::new()
         .threads(4)
         .priority(TilePriority::column_major(2))
-        .probe(Probe::at(&[0, 0]))
-        .run(&path_kernel)
+        .probe(Probe::at(&[0, 0]));
+    let par = Plan::on_tiling(tiling.clone(), &[n], vec![])
+        .unwrap()
+        .execute::<i64, _>(&path_kernel, &opts)
         .unwrap();
     let par_stats = &par.per_rank[0].stats;
     assert_eq!(par_stats.threads, 4);
@@ -393,12 +396,19 @@ fn ready_len_never_exceeds_deliveries_under_contention() {
     std::thread::scope(|scope| {
         for w in 0..QUEUES {
             scope.spawn(move || {
+                let mut batch = Vec::with_capacity(1);
                 for i in 0..PER_PRODUCER {
                     // Counted before the edge lands, so the observer's
                     // bound holds at every instant.
                     delivered.fetch_add(1, Ordering::SeqCst);
                     let tile = Coord::from_slice(&[w as i64, i]);
-                    s.deliver_edge(w, tile, Coord::from_slice(&[0, -1]), vec![i], 1);
+                    batch.push(EdgeDelivery {
+                        tile,
+                        delta: Coord::from_slice(&[0, -1]),
+                        payload: vec![i],
+                        total: 1,
+                    });
+                    s.deliver_batch(w, &mut batch);
                 }
             });
             scope.spawn(move || {

@@ -7,7 +7,7 @@
 //! through the cache, through a warm cache, or with the cache disabled must
 //! give the same bits and the same counters.
 
-use dpgen::core::{ExecOpts, Program, SpecGen};
+use dpgen::core::{ExecOpts, Plan, Program, SpecGen};
 use dpgen::problems::{random_sequence, Lcs};
 use dpgen::runtime::{Probe, RunStats, Schedule};
 use dpgen::tiling::tiling::{CellRef, RunCtx, TileVisitor};
@@ -215,10 +215,10 @@ fn a_cache_that_retains_nothing_changes_no_result() {
         let probes: Vec<&[i64]> = lattice.iter().map(|x| x.as_slice()).collect();
         let uncached = program.tiling().uncached();
         let run = |tiling: &Tiling, threads: usize| {
-            dpgen::core::RunBuilder::<u64>::on_tiling(tiling, &params)
-                .threads(threads)
-                .probe(Probe::many(&probes))
-                .run(&kernel)
+            let opts = ExecOpts::new().threads(threads).probe(Probe::many(&probes));
+            Plan::on_tiling(tiling.clone(), &params, vec![])
+                .unwrap()
+                .execute::<u64, _>(&kernel, &opts)
                 .unwrap()
         };
         let cached = run(program.tiling(), 1);
