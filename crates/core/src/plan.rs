@@ -525,9 +525,11 @@ impl Plan {
         self.run(&PerCell(kernel), opts, None)
     }
 
-    /// Execute with a [`RunKernel`]: every interior run isolated by the
-    /// tile scan is handed whole to `RunKernel::eval_run`, so a
-    /// hand-batched kernel can evaluate it as one tight counted loop.
+    /// Execute with a [`RunKernel`]: every interior block isolated by the
+    /// tile scan — a rectangle of equal runs, a lone run at the least — is
+    /// handed whole to `RunKernel::eval_block` (by default, run by run to
+    /// `eval_run`), so a hand-batched kernel can evaluate it as one dense
+    /// loop nest.
     /// Boundary cells always go through the per-cell `Kernel::compute`.
     pub fn execute_batched<T, RK>(
         &self,

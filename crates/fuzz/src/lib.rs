@@ -132,7 +132,7 @@ pub fn basic_matrix() -> Vec<Leg> {
 /// `Mixed` leg always pins interior tiles, so it exercises the
 /// static/dynamic hand-off on every spec that has any. Every leg runs the
 /// hash kernel through the node engine's one scan (`PerCell` replay of
-/// each interior run), so there is no separate batched axis.
+/// each interior block, run by run), so there is no separate batched axis.
 pub fn full_matrix() -> Vec<Leg> {
     let mut legs = basic_matrix();
     legs.push(Leg {
@@ -295,6 +295,18 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
                 ),
                 None,
             ));
+        }
+        // Interior cells reach a kernel through `eval_block` and no other
+        // way, on every leg.
+        for rank in &out.per_rank {
+            let (interior, blocks) = (rank.stats.interior_cells, rank.stats.blocks_evaluated);
+            if (interior > 0) != (blocks > 0) || blocks > interior {
+                return Err(fail(
+                    Some(leg),
+                    format!("{what}{interior} interior cells in {blocks} blocks"),
+                    None,
+                ));
+            }
         }
         for (p, got) in reference.points.iter().zip(&out.probes) {
             let want = reference.values.get(p).copied();

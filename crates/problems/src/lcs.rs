@@ -7,8 +7,8 @@
 
 use dpgen_core::spec::SpecTemplate;
 use dpgen_core::{ProblemSpec, Program, ProgramError};
-use dpgen_runtime::{simd::LANES, I64x, Kernel, RunKernel};
-use dpgen_tiling::tiling::{CellRef, RunCtx};
+use dpgen_runtime::{Kernel, RunKernel};
+use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx};
 
 /// LCS over `d` byte strings (`d` = 2 or 3 supported by [`Lcs::spec`]).
 #[derive(Debug, Clone)]
@@ -143,66 +143,112 @@ impl Kernel<i64> for Lcs {
     }
 }
 
-impl RunKernel<i64> for Lcs {
-    /// SIMD-batched inner loop for the 2-string case: interior runs
-    /// guarantee every template valid, so every `x[k] >= 1` and the
-    /// zero-prefix branch of `compute` is unreachable. The character of
-    /// the non-varying string is hoisted out of the loop; the non-carried
-    /// candidates (diagonal and finished-row reads) are evaluated
-    /// [`LANES`] cells at a time and the loop-carried max against the
-    /// previous run cell is resolved in a short serial fold. 3-string LCS
-    /// falls back to the per-cell replay.
-    fn eval_run(&self, run: &RunCtx<'_>, values: &mut [i64]) {
-        if self.seqs.len() == 2 {
-            let (off_a, off_b, off_all) = (run.offsets[0], run.offsets[1], run.offsets[2]);
-            let other = 1 - run.inner_dim;
-            let fixed = self.seqs[other][(run.x[other] - 1) as usize];
-            let inner = &self.seqs[run.inner_dim];
-            // skip1 ⟨-1,0⟩ / skip2 ⟨0,-1⟩: the one along the run direction
-            // carries the recurrence (previous run cell); the other reads
-            // the finished neighbouring row. On a match the cell depends
-            // only on the diagonal, so the carried fold is a conditional
-            // max — still exact i64, still bit-identical to the scalar
-            // loop.
-            let (off_carried, off_row) = if run.inner_dim == 0 {
-                (off_a, off_b)
-            } else {
-                (off_b, off_a)
-            };
-            let mut xi = run.x[run.inner_dim];
-            let mut loc = run.loc as i64;
-            let mut rem = run.len;
-            if off_carried == -run.loc_step && run.len >= LANES {
-                let mut prev = values[(loc + off_carried) as usize];
-                for _ in 0..run.len / LANES {
-                    let diag = I64x::gather(values, loc + off_all, run.loc_step).add_splat(1);
-                    let row = I64x::gather(values, loc + off_row, run.loc_step);
-                    for k in 0..LANES {
-                        let matched = inner[(xi + k as i64 * run.x_step - 1) as usize] == fixed;
-                        let v = if matched {
-                            diag.0[k]
-                        } else {
-                            row.0[k].max(prev)
-                        };
-                        values[(loc + k as i64 * run.loc_step) as usize] = v;
-                        prev = v;
-                    }
-                    loc += LANES as i64 * run.loc_step;
-                    xi += LANES as i64 * run.x_step;
+/// One interior cell: every template is valid, so both prefixes are
+/// non-empty and the zero-prefix branch of `compute` is unreachable. Both
+/// arms are computed and one selected: on DNA the match is a one-in-four
+/// coin a branch predictor loses, and a select keeps [`two_rows`]'s chains
+/// free of control flow.
+#[inline(always)]
+fn cell(matched: bool, diag: i64, up: i64, left: i64) -> i64 {
+    std::hint::select_unpredictable(matched, diag + 1, up.max(left))
+}
+
+/// Row `a` from the finished row `up` above it. Index 0 of a row is its
+/// column −1; `s[k]` is the character of column `k + 1`, `ca` the row's own.
+fn one_row(up: &[i64], a: &mut [i64], ca: u8, s: &[u8]) {
+    let n = s.len();
+    let (up, a) = (&up[..n + 1], &mut a[..n + 1]);
+    let mut left = a[0];
+    for k in 0..n {
+        left = cell(s[k] == ca, up[k], up[k + 1], left);
+        a[k + 1] = left;
+    }
+}
+
+/// Rows `a` and `b` (the one below it) in one pass, `b` one column behind
+/// `a`: `a[k + 1]` and `b[k]` read nothing of each other, so the two carried
+/// chains run side by side where `one_row` twice would run them end to end.
+/// Same operations on the same values: bit-identical.
+fn two_rows(up: &[i64], a: &mut [i64], b: &mut [i64], (ca, cb): (u8, u8), s: &[u8]) {
+    let n = s.len();
+    let (up, a, b) = (&up[..n + 1], &mut a[..n + 1], &mut b[..n + 1]);
+    // a[k - 1], a[k] and b[k - 1] ride in registers.
+    let (mut a2, mut a1, mut b1) = (a[0], cell(s[0] == ca, up[0], up[1], a[0]), b[0]);
+    a[1] = a1;
+    for k in 1..n {
+        let va = cell(s[k] == ca, up[k], up[k + 1], a1);
+        let vb = cell(s[k - 1] == cb, a2, a1, b1);
+        a[k + 1] = va;
+        b[k] = vb;
+        (a2, a1, b1) = (a1, va, vb);
+    }
+    b[n] = cell(s[n - 1] == cb, a2, a1, b1);
+}
+
+impl Lcs {
+    /// The interior body of the 2-string case: the block as dense row
+    /// windows, swept two rows per pass with a one-row tail. `false`, with
+    /// nothing written, when the block is not that shape: 3 strings, or a
+    /// loop order, scan direction or layout that does not put the carried
+    /// `skip` at column `j - 1` and the other two templates in the row
+    /// above.
+    fn sweep(&self, block: &BlockCtx<'_>, values: &mut [i64]) -> bool {
+        let run = &block.first;
+        let (inner, outer) = (run.inner_dim, block.outer_dim);
+        let windowed = self.seqs.len() == 2
+            && inner != outer
+            && (run.x_step, block.outer_step) == (1, 1)
+            && run.offsets[inner] == -1
+            && run.offsets[outer] == -block.row_step
+            && run.offsets[2] == -block.row_step - 1;
+        if !windowed {
+            return false;
+        }
+        let Some(mut rows) = block.row_windows(values) else {
+            return false;
+        };
+        let s = &self.seqs[inner][(run.x[inner] - 1) as usize..][..run.len];
+        let mut chars = self.seqs[outer][(run.x[outer] - 1) as usize..][..block.rows].iter();
+        let mut up = rows
+            .next()
+            .expect("a block has the row above it and one more");
+        while let (Some(a), Some(&ca)) = (rows.next(), chars.next()) {
+            match (rows.next(), chars.next()) {
+                (Some(b), Some(&cb)) => {
+                    two_rows(up, a, b, (ca, cb), s);
+                    up = b;
                 }
-                rem = run.len % LANES;
+                _ => one_row(up, a, ca, s),
             }
-            for _ in 0..rem {
-                values[loc as usize] = if inner[(xi - 1) as usize] == fixed {
-                    values[(loc + off_all) as usize] + 1
-                } else {
-                    values[(loc + off_a) as usize].max(values[(loc + off_b) as usize])
-                };
-                loc += run.loc_step;
-                xi += run.x_step;
-            }
-        } else {
+        }
+        true
+    }
+}
+
+impl RunKernel<i64> for Lcs {
+    /// A run is a block of one row (`sweep`'s tail); what `sweep` declines
+    /// replays cell by cell.
+    fn eval_run(&self, run: &RunCtx<'_>, values: &mut [i64]) {
+        let swept = self.seqs.len() == 2 && {
+            let outer = 1 - run.inner_dim;
+            let row = BlockCtx {
+                first: *run,
+                rows: 1,
+                row_step: -run.offsets[outer],
+                outer_dim: outer,
+                outer_step: 1,
+            };
+            self.sweep(&row, values)
+        };
+        if !swept {
             run.for_each_cell(|cell| self.compute(cell, values));
+        }
+    }
+
+    /// The whole block in one sweep; what `sweep` declines goes run by run.
+    fn eval_block(&self, block: &BlockCtx<'_>, values: &mut [i64]) {
+        if !self.sweep(block, values) {
+            block.for_each_run(|run| self.eval_run(&run, values));
         }
     }
 }
@@ -212,7 +258,9 @@ mod tests {
     use super::*;
     use crate::random_sequence;
     use dpgen_core::ExecOpts;
-    use dpgen_runtime::Probe;
+    use dpgen_runtime::{run_reference, Probe, Reduction, RunStats};
+    use dpgen_tiling::tiling::TileVisitor;
+    use dpgen_tiling::Coord;
 
     fn run_tiled(problem: &Lcs, width: i64) -> i64 {
         let program = Lcs::program(problem.seqs.len(), width).unwrap();
@@ -252,16 +300,29 @@ mod tests {
         assert_eq!(run_tiled(&p3, 4), p3.solve_dense());
     }
 
-    fn run_tiled_batched(problem: &Lcs, width: i64) -> (i64, u64) {
-        let program = Lcs::program(problem.seqs.len(), width).unwrap();
+    /// 2-string LCS at `width`, optionally with the loop order swapped: rows
+    /// then run along dimension 0, at the outer buffer stride, which the
+    /// row windows — and so `sweep` — decline.
+    fn program2(width: i64, swapped: bool) -> Program {
+        let mut spec = Lcs::spec(2, width);
+        if swapped {
+            spec.order = vec!["i2".into(), "i1".into()];
+        }
+        Program::from_spec(spec).unwrap()
+    }
+
+    /// Goal value, runs batched and blocks evaluated of a batched run.
+    fn run_batched(problem: &Lcs, program: &Program) -> (i64, u64, u64) {
         let opts = ExecOpts::new().threads(2).probe(Probe::at(&problem.goal()));
         let res = program
             .compile(&problem.params())
             .execute_batched(problem, &opts)
             .unwrap();
+        let sum = |f: fn(&RunStats) -> u64| res.per_rank.iter().map(|r| f(&r.stats)).sum();
         (
             res.probes[0].unwrap(),
-            res.per_rank.iter().map(|r| r.stats.runs_batched).sum(),
+            sum(|s| s.runs_batched),
+            sum(|s| s.blocks_evaluated),
         )
     }
 
@@ -271,18 +332,129 @@ mod tests {
         let b = random_sequence(33, 6);
         let p2 = Lcs::new(&[&a, &b]);
         let want = p2.solve_dense();
-        for w in [1i64, 2, 5, 16, 64] {
-            let (got, runs) = run_tiled_batched(&p2, w);
-            assert_eq!(got, want, "width {w}");
+        // Width 1 is all one-cell blocks, 3 leaves an odd row count for the
+        // one-row tail, 64 is a single tile.
+        for w in [1i64, 2, 3, 5, 16, 64] {
+            for swapped in [false, true] {
+                let ctx = format!("width {w} swapped {swapped}");
+                let (got, runs, blocks) = run_batched(&p2, &program2(w, swapped));
+                assert_eq!(got, want, "{ctx}");
+                assert!(runs > 0, "{ctx} must dispatch batched runs");
+                assert!(blocks > 0 && blocks <= runs, "{ctx}: {blocks} blocks");
+                // A lone tile has a boundary cell ahead of every run.
+                assert_eq!(blocks < runs, (2..64).contains(&w), "{ctx}: grouping");
+            }
             assert_eq!(run_tiled(&p2, w), want, "width {w} per-cell");
-            assert!(runs > 0, "width {w} must dispatch batched runs");
         }
         // 3 strings ride the per-cell fallback inside eval_run.
         let c = random_sequence(14, 7);
         let p3 = Lcs::new(&[&a[..14], &b[..12], &c]);
-        let (got3, runs3) = run_tiled_batched(&p3, 4);
+        let (got3, runs3, blocks3) = run_batched(&p3, &Lcs::program(3, 4).unwrap());
         assert_eq!(got3, p3.solve_dense());
-        assert!(runs3 > 0);
+        assert!(runs3 > 0 && blocks3 > 0);
+    }
+
+    /// Every interior block of one tile through `sweep` against the same
+    /// blocks cell by cell, on buffers whose ghost cells hold arbitrary
+    /// values: the sweep must take exactly the blocks it is written for and
+    /// leave the buffer as `compute` does.
+    struct SweepVsCompute<'a> {
+        problem: &'a Lcs,
+        swept: Vec<i64>,
+        computed: Vec<i64>,
+        taken: u64,
+        declined: u64,
+    }
+
+    impl TileVisitor for SweepVsCompute<'_> {
+        fn cell(&mut self, cell: CellRef<'_>) {
+            self.problem.compute(cell, &mut self.swept);
+            self.problem.compute(cell, &mut self.computed);
+        }
+        fn run(&mut self, _run: RunCtx<'_>) {
+            unreachable!("a replay hands out blocks");
+        }
+        fn block(&mut self, block: BlockCtx<'_>) {
+            if self.problem.sweep(&block, &mut self.swept) {
+                self.taken += 1;
+            } else {
+                self.declined += 1;
+                self.problem.eval_block(&block, &mut self.swept);
+            }
+            block.for_each_run(|run| {
+                run.for_each_cell(|cell| self.problem.compute(cell, &mut self.computed))
+            });
+        }
+    }
+
+    #[test]
+    fn sweep_takes_ascending_unit_stride_blocks_and_equals_compute() {
+        let a = random_sequence(40, 15);
+        let b = random_sequence(40, 16);
+        let problem = Lcs::new(&[&a, &b]);
+        for w in [1i64, 2, 3, 4, 7] {
+            for swapped in [false, true] {
+                let program = program2(w, swapped);
+                let tiling = program.tiling();
+                let mut point = tiling.make_point(&problem.params());
+                let (mut taken, mut declined) = (0, 0);
+                // An interior tile and one on each low face.
+                for tile in [[1i64, 2], [0, 1], [2, 0]] {
+                    let tile = Coord::from_slice(&tile);
+                    let (geom, _) = tiling.geometry(&tile, &mut point).unwrap();
+                    // LCS values never decrease along a row or a column;
+                    // ghosts that do neither must still be swept the same.
+                    let ghosts: Vec<i64> = (0..tiling.layout().size() as i64)
+                        .map(|i| (i * 7919) % 23)
+                        .collect();
+                    let mut both = SweepVsCompute {
+                        problem: &problem,
+                        swept: ghosts.clone(),
+                        computed: ghosts,
+                        taken: 0,
+                        declined: 0,
+                    };
+                    tiling.replay(&geom, &tile, &mut both);
+                    assert_eq!(
+                        both.swept, both.computed,
+                        "width {w} swapped {swapped} tile {tile}"
+                    );
+                    taken += both.taken;
+                    declined += both.declined;
+                }
+                let ctx = format!("width {w} swapped {swapped}");
+                if swapped {
+                    assert!(taken == 0 && declined > 0, "{ctx}: {taken} swept");
+                } else {
+                    assert!(taken > 0 && declined == 0, "{ctx}: {declined} declined");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reduction_over_blocks_equals_the_reference_fold() {
+        let a = random_sequence(31, 25);
+        let b = random_sequence(27, 26);
+        let problem = Lcs::new(&[&a, &b]);
+        let program = Lcs::program(2, 5).unwrap();
+        let params = problem.params();
+        let want = run_reference::<i64, _>(program.tiling(), &params, &problem)
+            .fold(0i64, |acc, v| acc.wrapping_add(v));
+        let plan = program.compile(&params);
+        for ranks in [1usize, 2] {
+            let opts = ExecOpts::new().threads(2).ranks(ranks);
+            let out = plan
+                .execute_reduce(&problem, &Reduction::sum_i64(), &opts)
+                .unwrap();
+            assert_eq!(out.reduction, Some(want), "ranks={ranks}");
+            let blocks: u64 = out.per_rank.iter().map(|r| r.stats.blocks_evaluated).sum();
+            let runs: u64 = out.per_rank.iter().map(|r| r.stats.runs_batched).sum();
+            assert!(
+                0 < blocks && blocks < runs,
+                "ranks={ranks}: {blocks} blocks"
+            );
+        }
     }
 
     #[test]

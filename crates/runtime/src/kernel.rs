@@ -6,12 +6,13 @@
 //! offsets and `is_valid` flags, and the global coordinates) and the tile's
 //! value buffer to an updated buffer.
 //!
-//! The same restrictions as in the paper apply: the kernel must write only
-//! `values[cell.loc]`, must not read a dependency whose `valid` flag is
-//! false, and must not rely on any particular cell ordering beyond
-//! dependency validity.
+//! The same restrictions as in the paper apply: the kernel must write
+//! `values[cell.loc]` and nothing else, must not read it first (a reused
+//! tile buffer may still hold an earlier tile's value there) nor a
+//! dependency whose `valid` flag is false, and must not rely on any
+//! particular cell ordering beyond dependency validity.
 
-use dpgen_tiling::tiling::{CellRef, RunCtx};
+use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx};
 
 /// Element types storable in the state array.
 pub trait Value: Copy + Default + Send + Sync + 'static {}
@@ -29,16 +30,18 @@ impl<T: Value, F: Fn(CellRef<'_>, &mut [T]) + Send + Sync> Kernel<T> for F {
     }
 }
 
-/// A kernel that can evaluate a whole affine-valid interior run per call.
+/// A kernel that can evaluate whole interior runs, and whole rectangles of
+/// them, per call.
 ///
-/// The node engine (`run_node`) scans every tile with
-/// `Tiling::scan_tile_runs` and hands each interior run to
-/// [`RunKernel::eval_run`] whole — `run.len` cells at
-/// `run.loc + i * run.loc_step` with every dependency flag true — so the
-/// implementation can be one tight counted loop the compiler unrolls and
-/// vectorizes, instead of one [`Kernel::compute`] call per cell. Boundary
-/// cells (any cell whose validity flags are not all provably true) always
-/// go through the per-cell [`Kernel::compute`] path.
+/// The node engine (`run_node`) replays every tile's recorded scan
+/// (`Tiling::replay`) and hands each interior block to
+/// [`RunKernel::eval_block`] whole — `block.rows` runs of `block.first.len`
+/// cells with every dependency flag true — so the implementation can be one
+/// dense loop nest the compiler unrolls and vectorizes, instead of one
+/// [`Kernel::compute`] call per cell. A kernel that only implements
+/// [`RunKernel::eval_run`] gets its blocks one run at a time. Boundary cells
+/// (any cell whose validity flags are not all provably true) always go
+/// through the per-cell [`Kernel::compute`] path.
 ///
 /// # Contract
 ///
@@ -48,6 +51,16 @@ impl<T: Value, F: Fn(CellRef<'_>, &mut [T]) + Send + Sync> Kernel<T> for F {
 /// offsets[j]`; all templates are valid on every run cell). It must be
 /// bit-identical to replaying [`Kernel::compute`] over the run — the
 /// default implementation does exactly that.
+///
+/// `eval_block` may assume what `eval_run` may, for every row of the block:
+/// all templates valid on every cell, and every dependency outside the
+/// block already final (an earlier visit of this tile, or an unpacked ghost
+/// cell). It must write exactly the cells of the block's rows — every one of
+/// them, before reading it: the engine reuses tile buffers without
+/// clearing cells the next tile is going to overwrite — and it may visit
+/// them in any order that respects the templates (two rows at a time, say),
+/// as long as the values are bit-identical to running `eval_run` row by row
+/// in visit order, which is the default implementation.
 pub trait RunKernel<T: Value>: Kernel<T> {
     /// Whether interior runs count towards `RunStats::runs_batched` and
     /// `cells_batched`. [`PerCell`] sets it false: its runs are replayed
@@ -58,6 +71,12 @@ pub trait RunKernel<T: Value>: Kernel<T> {
     /// [`Kernel::compute`].
     fn eval_run(&self, run: &RunCtx<'_>, values: &mut [T]) {
         run.for_each_cell(|cell| self.compute(cell, values));
+    }
+
+    /// Evaluate one rectangle of interior runs. Default: row by row
+    /// through [`RunKernel::eval_run`], in visit order.
+    fn eval_block(&self, block: &BlockCtx<'_>, values: &mut [T]) {
+        block.for_each_run(|run| self.eval_run(&run, values));
     }
 }
 

@@ -60,7 +60,7 @@ pub use reference::{run_reference, ReferenceResult};
 pub use rng::SplitMix64;
 pub use schedule::{Schedule, StaticPlan};
 pub use sharded::{EdgeDelivery, ShardedScheduler};
-pub use simd::{I64x, U64x, LANES};
+pub use simd::{I64x, LANES};
 pub use stats::RunStats;
 pub use trace::{
     EventKind, RankTrace, TileSpan, Timeline, TraceConfig, TraceEvent, TraceLevel, TraceRing,

@@ -311,6 +311,7 @@ impl MetricsRegistry {
         c(self, "tiles_dynamic", s.tiles_dynamic);
         c(self, "runs_batched", s.runs_batched);
         c(self, "cells_batched", s.cells_batched);
+        c(self, "blocks_evaluated", s.blocks_evaluated);
         // The geometry cache belongs to the tiling, not to a rank: its
         // counters are exported unprefixed, summed over every rank recorded.
         self.add_counter("runtime.geom_builds", s.geom_builds);

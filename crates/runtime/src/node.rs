@@ -13,18 +13,22 @@
 //! milliseconds waits for no thread start and no timer.
 //!
 //! The hot path is allocation-free in steady state: each worker keeps a
-//! [`TileBufferPool`] holding one tile value buffer (cleared only over the
-//! cell range actually written by the previous tile) and a recycle list of
-//! edge payload vectors (presized from [`EdgeLayout::max_cells`] so pushes
-//! never reallocate). No tile walks a loop nest: unpack, scan and pack
-//! replay the tile's recorded geometry ([`Tiling::geometry`], memoized per
-//! tile class inside the tiling) — unpack scatters through the source
-//! tile's edge indices, the scan feeds the recorded interior runs whole to
-//! [`RunKernel::eval_run`] and the boundary cells to `compute`, pack
-//! gathers through the tile's own edge indices. Per-cell execution is the
-//! [`PerCell`] adapter, whose `eval_run` replays the run through
-//! [`Kernel::compute`]. Which tiles exist, and how many dependencies each
-//! waits for, is tabulated once per run during initial-tile generation.
+//! [`TileBufferPool`] holding one tile value buffer (cleared no further
+//! than the next tile could tell: the ghost cells a tile unpacked, and the
+//! cells its scan wrote only ahead of a tile of another geometry class) and
+//! a recycle list of edge payload vectors (presized from
+//! [`EdgeLayout::max_cells`] so pushes never reallocate). No tile walks a
+//! loop nest: unpack, scan and pack replay the tile's recorded geometry
+//! ([`Tiling::geometry`], memoized per tile class inside the tiling) —
+//! unpack scatters through the source tile's edge indices, the scan feeds
+//! the recorded interior blocks whole to [`RunKernel::eval_block`] and the
+//! boundary cells to `compute`, pack gathers through the tile's own edge
+//! indices. Per-cell execution is the [`PerCell`] adapter, whose default
+//! `eval_block` and `eval_run` replay the block through
+//! [`Kernel::compute`]. Which tiles exist, how many dependencies each waits
+//! for and where its neighbours sit is tabulated once per run during
+//! initial-tile generation; what a worker counts for [`RunStats`] it counts
+//! on its own stack and adds to the run's totals when it exits.
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -53,7 +57,7 @@ use crate::sharded::{EdgeDelivery, ShardedScheduler};
 use crate::stats::RunStats;
 use crate::trace::{EventKind, Tracer};
 use crate::transport::{EdgeMsg, Transport};
-use dpgen_tiling::tiling::{CellRef, RunCtx, TileVisitor};
+use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
 use dpgen_tiling::{Coord, TileGeom, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
@@ -254,12 +258,17 @@ const MAX_RECYCLED_PAYLOADS: usize = 32;
 /// Holds at most one tile value buffer (a worker executes one tile at a
 /// time) and a short free list of edge payload vectors. Reusing the tile
 /// buffer replaces the per-tile `vec![T::default(); layout.size()]`
-/// allocation with a clear of only the cell range the previous tile
-/// actually wrote; payload vectors are handed back after unpacking and
-/// reused for packing, so steady-state tile execution performs zero heap
-/// allocations.
+/// allocation, and clears as little as the next tile can tell apart from a
+/// fresh buffer: the ghost cells a tile unpacked are cleared when it
+/// releases the buffer, the cells its kernel wrote only when the next tile
+/// is of another geometry class (see [`TileBufferPool::acquire`]). Payload
+/// vectors are handed back after unpacking and reused for packing, so
+/// steady-state tile execution performs zero heap allocations.
 pub(crate) struct TileBufferPool<T> {
     buffer: Option<Vec<T>>,
+    /// What `buffer` holds besides defaults: the recording of the tile that
+    /// released it, and the `lo..=hi` span of the cells its scan wrote.
+    scanned: Option<(Arc<TileGeom>, usize, usize)>,
     payloads: Vec<Vec<T>>,
 }
 
@@ -267,6 +276,7 @@ impl<T: Value> TileBufferPool<T> {
     pub(crate) fn new() -> TileBufferPool<T> {
         TileBufferPool {
             buffer: None,
+            scanned: None,
             payloads: Vec::new(),
         }
     }
@@ -277,37 +287,62 @@ impl<T: Value> TileBufferPool<T> {
     /// not match this run's tile layout is simply never reused by
     /// [`TileBufferPool::acquire`].
     pub(crate) fn seeded(recycler: &BufferRecycler) -> TileBufferPool<T> {
-        let mut buffer = None;
-        let mut payloads = Vec::new();
+        let mut pool = TileBufferPool::new();
         for mut b in recycler.checkout::<T>(1 + MAX_RECYCLED_PAYLOADS / 4) {
-            if buffer.is_none() && !b.is_empty() {
+            if pool.buffer.is_none() && !b.is_empty() {
                 // A parked tile buffer: full-length, all-default. Payload
                 // vectors are parked empty, so length tells them apart.
-                buffer = Some(b);
+                pool.buffer = Some(b);
             } else {
                 b.clear();
-                payloads.push(b);
+                pool.payloads.push(b);
             }
         }
-        TileBufferPool { buffer, payloads }
+        pool
     }
 
-    /// Park this pool's buffers into a cross-run [`BufferRecycler`]. Only
-    /// cleared buffers ever live in the pool (see
-    /// [`TileBufferPool::release`] / [`TileBufferPool::recycle_payload`]),
-    /// so everything parked is safe to seed a future run with.
+    /// The pooled buffer with the last tile's scan cleared out of it: back
+    /// to all-default.
+    fn take_cleared(&mut self) -> Option<Vec<T>> {
+        let mut buf = self.buffer.take()?;
+        if let Some((_, lo, hi)) = self.scanned.take() {
+            buf[lo..=hi].fill(T::default());
+        }
+        Some(buf)
+    }
+
+    /// Park this pool's buffers into a cross-run [`BufferRecycler`]. The
+    /// tile buffer is cleared first and payload vectors are kept empty
+    /// ([`TileBufferPool::recycle_payload`]), so everything parked is
+    /// all-default and safe to seed a future run with.
     pub(crate) fn park_into(&mut self, recycler: &BufferRecycler) {
-        recycler.park(self.buffer.take());
+        recycler.park(self.take_cleared());
         // No more than `seeded` takes back: a longer free list would only
         // pile up in the stash, run after run, until its capacity bound.
         self.payloads.truncate(MAX_RECYCLED_PAYLOADS / 4);
         recycler.park(std::mem::take(&mut self.payloads));
     }
 
-    /// An all-default buffer of `size` cells: the pooled one when present
-    /// (already cleared on release), otherwise a fresh allocation.
-    pub(crate) fn acquire(&mut self, size: usize, mem: &MemoryStats) -> Vec<T> {
-        match self.buffer.take() {
+    /// A buffer of `size` cells for a tile recorded as `geom`: the pooled
+    /// one when present, otherwise a fresh all-default allocation.
+    ///
+    /// The pooled buffer still holds what the last tile's scan wrote. When
+    /// that tile was of the same class (the same recording), this tile's
+    /// scan visits the same cells in the same order and a kernel writes
+    /// each before anything reads it (the [`RunKernel`] contract), so the
+    /// stale values are never observed and the clear is skipped. Every
+    /// other cell — ghost cells, cells outside the scan — is default either
+    /// way. A tile of another class gets the scan span cleared first.
+    pub(crate) fn acquire(
+        &mut self,
+        size: usize,
+        geom: &Arc<TileGeom>,
+        mem: &MemoryStats,
+    ) -> Vec<T> {
+        if matches!(&self.scanned, Some((last, ..)) if Arc::ptr_eq(last, geom)) {
+            self.scanned = None;
+        }
+        match self.take_cleared() {
             Some(buf) if buf.len() == size => {
                 mem.tile_buffer_reused();
                 buf
@@ -319,13 +354,21 @@ impl<T: Value> TileBufferPool<T> {
         }
     }
 
-    /// Return a tile buffer to the pool, restoring the all-default state by
-    /// clearing only the `written` cell range (min..=max location touched
-    /// by edge unpacking and the kernel).
-    pub(crate) fn release(&mut self, mut buf: Vec<T>, written: Option<(usize, usize)>) {
-        if let Some((lo, hi)) = written {
-            buf[lo..=hi].fill(T::default());
+    /// Return the buffer of a finished tile recorded as `geom`: the cells
+    /// at `ghosts` (everything it unpacked) are cleared now, the `scanned`
+    /// span (min..=max location its scan wrote) stays for the next
+    /// [`TileBufferPool::acquire`] to judge.
+    pub(crate) fn release(
+        &mut self,
+        mut buf: Vec<T>,
+        ghosts: impl IntoIterator<Item = usize>,
+        geom: Arc<TileGeom>,
+        scanned: Option<(usize, usize)>,
+    ) {
+        for loc in ghosts {
+            buf[loc] = T::default();
         }
+        self.scanned = scanned.map(|(lo, hi)| (geom, lo, hi));
         self.buffer = Some(buf);
     }
 
@@ -352,17 +395,32 @@ impl<T: Value> TileBufferPool<T> {
     }
 }
 
+/// Where the edge a tile recorded as `src_geom` packs for dependency
+/// `dep_idx` lands in its consumer's buffer: the ghost cell of every edge
+/// cell, in the shared pack/unpack order.
+fn ghost_cells<'a>(
+    tiling: &Tiling,
+    src_geom: &'a TileGeom,
+    dep_idx: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let shift = tiling.edges()[dep_idx].ghost_shift;
+    let locs = src_geom.edge_cells(dep_idx).iter();
+    locs.map(move |&loc| (loc as i64 + shift) as usize)
+}
+
 /// The engine's tile visitor: boundary cells go through `Kernel::compute`
 /// one at a time (with the optional reduction folded in place), interior
-/// runs go whole to `RunKernel::eval_run` with the reduction folded over
-/// the run span afterwards, in visit order. Tracks the written buffer
-/// range so the pool clears only what this tile touched.
+/// blocks go whole to `RunKernel::eval_block` with the reduction folded
+/// over the block afterwards, row by row in visit order. Tracks the buffer
+/// range the scan wrote, which the pool clears before a tile of another
+/// class reuses the buffer.
 struct BatchVisitor<'a, T, RK> {
     kernel: &'a RK,
     values: &'a mut [T],
     reduce: Option<(&'a Reduction<T>, T)>,
     written_lo: usize,
     written_hi: usize,
+    blocks: u64,
 }
 
 impl<T: Value, RK: RunKernel<T>> TileVisitor for BatchVisitor<'_, T, RK> {
@@ -376,17 +434,43 @@ impl<T: Value, RK: RunKernel<T>> TileVisitor for BatchVisitor<'_, T, RK> {
     }
 
     fn run(&mut self, run: RunCtx<'_>) {
-        self.kernel.eval_run(&run, self.values);
+        self.block(BlockCtx {
+            first: run,
+            rows: 1,
+            row_step: 0,
+            outer_dim: run.inner_dim,
+            outer_step: 0,
+        });
+    }
+
+    fn block(&mut self, block: BlockCtx<'_>) {
+        self.kernel.eval_block(&block, self.values);
+        self.blocks += 1;
+        let run = &block.first;
         if let Some((r, acc)) = &mut self.reduce {
-            let mut loc = run.loc as i64;
-            for _ in 0..run.len {
-                *acc = r.combine(*acc, self.values[loc as usize]);
-                loc += run.loc_step;
+            let mut row = run.loc as i64;
+            for _ in 0..block.rows {
+                let mut loc = row;
+                for _ in 0..run.len {
+                    *acc = r.combine(*acc, self.values[loc as usize]);
+                    loc += run.loc_step;
+                }
+                row += block.row_step;
             }
         }
-        let last = run.loc_at(run.len - 1);
-        self.written_lo = self.written_lo.min(run.loc.min(last));
-        self.written_hi = self.written_hi.max(run.loc.max(last));
+        // The block is a parallelogram in buffer indices: its extremes are
+        // among its four corners.
+        let last_row = run.loc as i64 + (block.rows as i64 - 1) * block.row_step;
+        let across = (run.len as i64 - 1) * run.loc_step;
+        for corner in [
+            run.loc as i64,
+            run.loc as i64 + across,
+            last_row,
+            last_row + across,
+        ] {
+            self.written_lo = self.written_lo.min(corner as usize);
+            self.written_hi = self.written_hi.max(corner as usize);
+        }
     }
 }
 
@@ -396,6 +480,8 @@ struct TileEntry {
     /// How many of the tile's dependencies exist: the edge count the
     /// scheduler waits for before the tile may run.
     dep_total: usize,
+    /// Whether any probed coordinate lies in the tile.
+    has_probe: bool,
     /// The tile's recorded geometry, parked by the first worker to need it.
     geom: OnceLock<Arc<TileGeom>>,
 }
@@ -407,7 +493,10 @@ struct TileEntry {
 /// The tile nest enumerates each *row* — the tiles sharing every
 /// coordinate but the innermost loop's — as one contiguous interval, so
 /// the table is a dense entry array in enumeration order plus one map
-/// entry per row: a third of the memory of a map keyed by tile.
+/// entry per row: a third of the memory of a map keyed by tile. Counting a
+/// tile's dependencies looks every neighbour up once; the indices found are
+/// kept, so that executing a tile hashes its own coordinate and reads its
+/// neighbours' entries by index.
 struct TileTable {
     /// Problem dimension of the tile nest's innermost loop.
     inner: usize,
@@ -415,7 +504,16 @@ struct TileTable {
     rows: HashMap<Coord, TileRow>,
     /// In `for_each_tile` order.
     entries: Vec<TileEntry>,
+    /// Dependencies per tile ([`Tiling::deps`]).
+    ndeps: usize,
+    /// Per tile and dependency `delta`, the entry index of the source tile
+    /// `t + delta` and of the consumer tile `t - delta` ([`NO_TILE`] where
+    /// there is none).
+    links: Vec<[u32; 2]>,
 }
+
+/// [`TileTable::links`] entry of a neighbour outside the tile space.
+const NO_TILE: u32 = u32::MAX;
 
 struct TileRow {
     /// Coordinate `inner` of the row's first tile.
@@ -429,10 +527,18 @@ impl TileTable {
     /// `tiles` must be the whole tile space in `for_each_tile` order.
     fn new(tiling: &Tiling, tiles: &[Coord]) -> TileTable {
         let inner = *tiling.loop_order().last().expect("tiling has >= 1 dim");
+        let ndeps = tiling.deps().len();
+        assert!(
+            tiles.len() < NO_TILE as usize,
+            "{} tiles overflow the tile table's u32 indices",
+            tiles.len()
+        );
         let mut table = TileTable {
             inner,
             rows: HashMap::new(),
             entries: tiles.iter().map(|_| TileEntry::default()).collect(),
+            ndeps,
+            links: vec![[NO_TILE; 2]; tiles.len() * ndeps],
         };
         for (start, t) in tiles.iter().enumerate() {
             let mut key = *t;
@@ -452,17 +558,19 @@ impl TileTable {
             row.len += 1;
         }
         for (i, t) in tiles.iter().enumerate() {
-            table.entries[i].dep_total = tiling
-                .deps()
-                .iter()
-                .filter(|dep| table.get(&t.add(&dep.delta)).is_some())
-                .count();
+            for (dep_idx, dep) in tiling.deps().iter().enumerate() {
+                if let Some(src) = table.index_of(&t.add(&dep.delta)) {
+                    table.entries[i].dep_total += 1;
+                    table.links[i * ndeps + dep_idx][0] = src as u32;
+                    table.links[src * ndeps + dep_idx][1] = i as u32;
+                }
+            }
         }
         table
     }
 
-    /// The entry of `tile`, or `None` when no such tile exists.
-    fn get(&self, tile: &Coord) -> Option<&TileEntry> {
+    /// Index of `tile` in `entries`, or `None` when no such tile exists.
+    fn index_of(&self, tile: &Coord) -> Option<usize> {
         if self.inner >= tile.dims() {
             return None;
         }
@@ -470,7 +578,62 @@ impl TileTable {
         key.set(self.inner, 0);
         let row = self.rows.get(&key)?;
         let offset = usize::try_from(tile[self.inner].checked_sub(row.lo)?).ok()?;
-        (offset < row.len).then(|| &self.entries[row.start + offset])
+        (offset < row.len).then_some(row.start + offset)
+    }
+
+    /// The entry of `tile`, or `None` when no such tile exists.
+    fn get(&self, tile: &Coord) -> Option<&TileEntry> {
+        self.index_of(tile).map(|i| &self.entries[i])
+    }
+
+    /// Entry index of the tile that entry `tile` receives dependency
+    /// `dep_idx` from.
+    fn source(&self, tile: usize, dep_idx: usize) -> Option<usize> {
+        let link = self.links[tile * self.ndeps + dep_idx][0];
+        (link != NO_TILE).then_some(link as usize)
+    }
+
+    /// Entry index of the tile that reads entry `tile`'s edge `dep_idx`.
+    fn consumer(&self, tile: usize, dep_idx: usize) -> Option<usize> {
+        let link = self.links[tile * self.ndeps + dep_idx][1];
+        (link != NO_TILE).then_some(link as usize)
+    }
+}
+
+/// One worker's share of the run's [`RunStats`] counters: plain integers
+/// on the worker's stack, added to the run's totals when the worker exits.
+#[derive(Default)]
+struct WorkerCounts {
+    tiles_static: u64,
+    tiles_dynamic: u64,
+    cells: u64,
+    interior: u64,
+    boundary: u64,
+    runs_batched: u64,
+    cells_batched: u64,
+    blocks: u64,
+    edges_local: u64,
+    edges_remote: u64,
+    edge_cells: u64,
+    geom_builds: u64,
+    geom_hits: u64,
+}
+
+impl WorkerCounts {
+    fn add(&mut self, other: &WorkerCounts) {
+        self.tiles_static += other.tiles_static;
+        self.tiles_dynamic += other.tiles_dynamic;
+        self.cells += other.cells;
+        self.interior += other.interior;
+        self.boundary += other.boundary;
+        self.runs_batched += other.runs_batched;
+        self.cells_batched += other.cells_batched;
+        self.blocks += other.blocks;
+        self.edges_local += other.edges_local;
+        self.edges_remote += other.edges_remote;
+        self.edge_cells += other.edge_cells;
+        self.geom_builds += other.geom_builds;
+        self.geom_hits += other.geom_hits;
     }
 }
 
@@ -551,8 +714,8 @@ pub struct NodeJob<'a, T, O: ?Sized, Tr: ?Sized> {
 /// Execute this rank's share of the problem — the one node entry point.
 ///
 /// Blocks until every tile owned by `config.rank` (per `owner`) has been
-/// executed. Interior runs go whole to the kernel's
-/// [`RunKernel::eval_run`], boundary cells through its per-cell `compute`;
+/// executed. Interior blocks go whole to the kernel's
+/// [`RunKernel::eval_block`], boundary cells through its per-cell `compute`;
 /// lift a plain `Kernel` with [`crate::kernel::PerCell`]. Fails with a
 /// typed [`RunError`] on a panicking kernel, a malformed edge, a transport
 /// failure, or a watchdog-detected stall.
@@ -588,7 +751,7 @@ where
     // Every tile of the tile space first (narrowed to this rank's below).
     let mut owned_list: Vec<Coord> = Vec::new();
     tiling.for_each_tile(&mut point, |t| owned_list.push(t));
-    let tiles = TileTable::new(tiling, &owned_list);
+    let mut tiles = TileTable::new(tiling, &owned_list);
     owned_list.retain(|t| owner.owner_of(t) == config.rank);
     // Tiles already completed in prior recovery epochs: never re-executed
     // and never delivered to — their results travel as replayed edges.
@@ -683,18 +846,11 @@ where
                                    // Resumed tiles count as done from the start: the termination check
                                    // (`executed >= owned`) then fires after only the *new* work finishes.
     let executed = AtomicU64::new(resumed);
-    let tiles_static = AtomicU64::new(0);
-    let tiles_dynamic = AtomicU64::new(0);
-    let cells = AtomicU64::new(resumed_cells);
-    let interior = AtomicU64::new(0);
-    let boundary = AtomicU64::new(0);
-    let runs_batched = AtomicU64::new(0);
-    let cells_batched = AtomicU64::new(0);
-    let edges_local = AtomicU64::new(0);
-    let edges_remote = AtomicU64::new(0);
-    let edge_cells = AtomicU64::new(0);
-    let geom_builds = AtomicU64::new(0);
-    let geom_hits = AtomicU64::new(0);
+    // Each worker counts its own work and adds it here once, on its way out.
+    let totals = Mutex::new(WorkerCounts {
+        cells: resumed_cells,
+        ..WorkerCounts::default()
+    });
     let idle_ns = AtomicU64::new(0);
     let tiles_per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
@@ -706,11 +862,14 @@ where
     let last_progress = AtomicU64::new(0);
     let worker_progress: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
-    // Group probe coordinates by owning tile for cheap per-tile lookup.
-    // When nothing is probed, workers skip the per-tile hash lookup and the
-    // results mutex entirely.
+    // Group probe coordinates by owning tile, and mark those tiles in the
+    // table: every other tile skips the hash lookup and the results mutex.
     let probe_by_tile = probe_map(tiling, params, probe);
-    let probes_enabled = !probe_by_tile.is_empty();
+    for t in probe_by_tile.keys() {
+        if let Some(i) = tiles.index_of(t) {
+            tiles.entries[i].has_probe = true;
+        }
+    }
     let probe_results: Mutex<Vec<Option<T>>> = Mutex::new(vec![None; probe.len()]);
     // Probes resolved by tiles that will not re-execute come from the
     // checkpoint.
@@ -753,20 +912,9 @@ where
             let cv = &cv;
             let cv_mutex = &cv_mutex;
             let executed = &executed;
-            let tiles_static = &tiles_static;
-            let tiles_dynamic = &tiles_dynamic;
+            let totals = &totals;
             let plan = &plan;
             let cursors = &cursors;
-            let cells = &cells;
-            let interior = &interior;
-            let boundary = &boundary;
-            let runs_batched = &runs_batched;
-            let cells_batched = &cells_batched;
-            let edges_local = &edges_local;
-            let edges_remote = &edges_remote;
-            let edge_cells = &edge_cells;
-            let geom_builds = &geom_builds;
-            let geom_hits = &geom_hits;
             let tiles = &tiles;
             let idle_ns = &idle_ns;
             let tiles_per_worker = &tiles_per_worker;
@@ -818,6 +966,12 @@ where
                 // steady-state delivery never regrows it (deliver_batch
                 // drains it in place).
                 let mut batch: Vec<EdgeDelivery<T>> = Vec::with_capacity(tiling.deps().len() + 4);
+                // The edges the current tile unpacked, as (source tile's
+                // recording, dependency): what to clear out of its ghost
+                // cells when the buffer goes back to the pool.
+                let mut unpacked: Vec<(Arc<TileGeom>, usize)> =
+                    Vec::with_capacity(tiling.deps().len());
+                let mut counts = WorkerCounts::default();
                 let note_progress = || {
                     let now = t_start.elapsed().as_nanos() as u64;
                     last_progress.fetch_max(now, Ordering::Release);
@@ -857,11 +1011,10 @@ where
                 // tile's table entry for everyone after.
                 let (mut built, mut hit) = (0u64, 0u64);
                 let mut geometry = |t: &Coord,
-                                    entry: Option<&TileEntry>,
+                                    entry: &TileEntry,
                                     point: &mut [i128]|
                  -> Result<Arc<TileGeom>, RunError> {
-                    let slot = entry.map(|entry| &entry.geom);
-                    if let Some(geom) = slot.and_then(OnceLock::get) {
+                    if let Some(geom) = entry.geom.get() {
                         return Ok(geom.clone());
                     }
                     let (geom, was_built) =
@@ -874,7 +1027,7 @@ where
                             })?;
                     // Counted by whoever parks it, so a run's lookups add
                     // up to the tiles it touched whatever the interleaving.
-                    if slot.is_none_or(|slot| slot.set(geom.clone()).is_ok()) {
+                    if entry.geom.set(geom.clone()).is_ok() {
                         if was_built {
                             built += 1;
                         } else {
@@ -1062,10 +1215,27 @@ where
                     // failure breaks out of the labelled block and fails
                     // the run; the dirty tile buffer is discarded (its
                     // written range is unknown after a mid-scan panic).
+                    let Some(tile_idx) = tiles.index_of(&tile) else {
+                        // Only an edge can have put it in the scheduler.
+                        fail(RunError::BadEdge(Box::new(EdgeFault {
+                            rank: config.rank,
+                            tile,
+                            delta: Coord::zeros(d),
+                            detail: "scheduled tile is outside the tile space".to_string(),
+                        })));
+                        break;
+                    };
+                    let entry = &tiles.entries[tile_idx];
+                    let geom = match geometry(&tile, entry, &mut point) {
+                        Ok(geom) => geom,
+                        Err(e) => {
+                            fail(e);
+                            break;
+                        }
+                    };
                     mem.tile_allocated(layout.size());
-                    let mut values: Vec<T> = pool.acquire(layout.size(), mem);
-                    let mut written_lo = usize::MAX;
-                    let mut written_hi = 0usize;
+                    let mut values: Vec<T> = pool.acquire(layout.size(), &geom, mem);
+                    unpacked.clear();
                     // Recovery retention: every outgoing edge this tile
                     // packs (cloned before delivery) and every probe it
                     // resolves, recorded into the checkpoint sink when the
@@ -1074,13 +1244,7 @@ where
                     let mut retained: Vec<EdgeMsg<T>> = Vec::new();
                     let mut tile_probes: Vec<(usize, T)> = Vec::new();
                     let outcome: Result<_, RunError> = 'tile: {
-                        // --- Steps 2-3: unpack and execute. Every write is
-                        // tracked as a min/max location range so release
-                        // only clears what this tile touched.
-                        let geom = match geometry(&tile, tiles.get(&tile), &mut point) {
-                            Ok(geom) => geom,
-                            Err(e) => break 'tile Err(e),
-                        };
+                        // --- Steps 2-3: unpack and execute.
                         for (delta, payload) in edges {
                             let bad_edge = |detail: String| {
                                 RunError::BadEdge(Box::new(EdgeFault {
@@ -1090,36 +1254,35 @@ where
                                     detail,
                                 }))
                             };
-                            let src = tile.add(&delta);
-                            let (Some(dep_idx), Some(src_entry)) =
-                                (tiling.dep_index(&delta), tiles.get(&src))
-                            else {
+                            let src = tiling.dep_index(&delta).and_then(|dep_idx| {
+                                Some((dep_idx, tiles.source(tile_idx, dep_idx)?))
+                            });
+                            let Some((dep_idx, src_idx)) = src else {
                                 break 'tile Err(bad_edge(
                                     "unknown dependency offset or source tile".to_string(),
                                 ));
                             };
                             // The edge was packed from the source tile's
                             // recording; scatter through the same indices.
-                            let src_geom = match geometry(&src, Some(src_entry), &mut point) {
+                            let src_geom = match geometry(
+                                &tile.add(&delta),
+                                &tiles.entries[src_idx],
+                                &mut point,
+                            ) {
                                 Ok(geom) => geom,
                                 Err(e) => break 'tile Err(e),
                             };
-                            let ghost_locs = src_geom.edge_cells(dep_idx);
-                            if payload.len() != ghost_locs.len() {
+                            let expected = src_geom.edge_cells(dep_idx).len();
+                            if payload.len() != expected {
                                 break 'tile Err(bad_edge(format!(
-                                    "edge payload carries {} cells, tiling expects {}",
+                                    "edge payload carries {} cells, tiling expects {expected}",
                                     payload.len(),
-                                    ghost_locs.len()
                                 )));
                             }
-                            let shift = tiling.edges()[dep_idx].ghost_shift;
-                            for (&loc, &v) in ghost_locs.iter().zip(&payload) {
-                                values[(loc as i64 + shift) as usize] = v;
+                            for (loc, &v) in ghost_cells(tiling, &src_geom, dep_idx).zip(&payload) {
+                                values[loc] = v;
                             }
-                            if let Some((lo, hi)) = src_geom.edge_span(dep_idx) {
-                                written_lo = written_lo.min((lo as i64 + shift) as usize);
-                                written_hi = written_hi.max((hi as i64 + shift) as usize);
-                            }
+                            unpacked.push((src_geom, dep_idx));
                             // The consumed payload feeds the pack-side free
                             // list, closing the allocation loop.
                             pool.recycle_payload(payload);
@@ -1131,16 +1294,17 @@ where
                                 kernel,
                                 values: &mut values,
                                 reduce: reduce.map(|r| (r, r.identity())),
-                                written_lo,
-                                written_hi,
+                                written_lo: usize::MAX,
+                                written_hi: 0,
+                                blocks: 0,
                             };
-                            let counts = tiling.replay(&geom, &tile, &mut visitor);
+                            let scan = tiling.replay(&geom, &tile, &mut visitor);
                             let acc = visitor.reduce.map(|(_, acc)| acc);
-                            written_lo = visitor.written_lo;
-                            written_hi = visitor.written_hi;
-                            (counts, acc)
+                            let written = (visitor.written_lo <= visitor.written_hi)
+                                .then_some((visitor.written_lo, visitor.written_hi));
+                            (scan, visitor.blocks, written, acc)
                         }));
-                        let (counts, tile_acc) = match caught {
+                        let (scan, blocks, written, tile_acc) = match caught {
                             Ok(out) => out,
                             Err(payload) => {
                                 break 'tile Err(RunError::KernelPanic {
@@ -1151,6 +1315,7 @@ where
                                 });
                             }
                         };
+                        counts.blocks += blocks;
                         // Outside recovery the per-tile accumulator merges
                         // into the global reduction right here. Under
                         // recovery it must not: the merge rides the
@@ -1163,7 +1328,7 @@ where
                             }
                         }
 
-                        if probes_enabled {
+                        if entry.has_probe {
                             if let Some(list) = probe_by_tile.get(&tile) {
                                 let mut res = probe_results.lock();
                                 for (idx, x) in list {
@@ -1184,18 +1349,16 @@ where
                         // edges accumulate into one batch delivered below;
                         // remote edges go straight to the transport.
                         for (dep_idx, dep) in tiling.deps().iter().enumerate() {
-                            let consumer = tile.sub(&dep.delta);
-                            let Some(&TileEntry {
-                                dep_total: total, ..
-                            }) = tiles.get(&consumer)
-                            else {
+                            let Some(consumer_idx) = tiles.consumer(tile_idx, dep_idx) else {
                                 continue; // no such tile: nothing reads this edge
                             };
+                            let consumer = tile.sub(&dep.delta);
+                            let total = tiles.entries[consumer_idx].dep_total;
                             let max_cells = tiling.edges()[dep_idx].max_cells();
                             let mut payload = pool.take_payload(max_cells, mem);
                             let src_locs = geom.edge_cells(dep_idx);
                             payload.extend(src_locs.iter().map(|&loc| values[loc as usize]));
-                            edge_cells.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                            counts.edge_cells += payload.len() as u64;
                             if let Some(t) = tracer {
                                 t.record(
                                     w,
@@ -1226,7 +1389,7 @@ where
                                     pool.recycle_payload(payload);
                                     continue;
                                 }
-                                edges_local.fetch_add(1, Ordering::Relaxed);
+                                counts.edges_local += 1;
                                 batch.push(EdgeDelivery {
                                     tile: consumer,
                                     delta: dep.delta,
@@ -1234,7 +1397,7 @@ where
                                     total,
                                 });
                             } else {
-                                edges_remote.fetch_add(1, Ordering::Relaxed);
+                                counts.edges_remote += 1;
                                 if let Err(e) = transport.send(
                                     dest,
                                     EdgeMsg {
@@ -1256,10 +1419,10 @@ where
                         if let Some(rec) = recovery {
                             rec.sink.record(tile, retained, &tile_probes, tile_acc);
                         }
-                        Ok(counts)
+                        Ok((scan, written))
                     };
-                    let counts = match outcome {
-                        Ok(counts) => counts,
+                    let (scan, written) = match outcome {
+                        Ok(out) => out,
                         Err(e) => {
                             // Discard the possibly half-written buffer.
                             mem.tile_released(layout.size());
@@ -1268,14 +1431,14 @@ where
                         }
                     };
                     if let Some(t) = tracer {
-                        t.record(w, EventKind::TileDone, Some(&tile), counts.total());
+                        t.record(w, EventKind::TileDone, Some(&tile), scan.total());
                     }
-                    cells.fetch_add(counts.total(), Ordering::Relaxed);
-                    interior.fetch_add(counts.interior_cells, Ordering::Relaxed);
-                    boundary.fetch_add(counts.boundary_cells, Ordering::Relaxed);
+                    counts.cells += scan.total();
+                    counts.interior += scan.interior_cells;
+                    counts.boundary += scan.boundary_cells;
                     if RK::BATCHED {
-                        runs_batched.fetch_add(counts.interior_runs, Ordering::Relaxed);
-                        cells_batched.fetch_add(counts.interior_cells, Ordering::Relaxed);
+                        counts.runs_batched += scan.interior_runs;
+                        counts.cells_batched += scan.interior_cells;
                     }
                     let ready = sched.deliver_batch(w, &mut batch);
                     // See above: helping makes single wake-ups sufficient
@@ -1283,14 +1446,15 @@ where
                     for _ in 0..ready.min(threads) {
                         cv.notify_one();
                     }
-                    let written = (written_lo <= written_hi).then_some((written_lo, written_hi));
-                    pool.release(values, written);
+                    let ghosts = unpacked
+                        .iter()
+                        .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
+                    pool.release(values, ghosts, geom, written);
                     mem.tile_released(layout.size());
-                    tiles_per_worker[w].fetch_add(1, Ordering::Relaxed);
                     if from_static {
-                        tiles_static.fetch_add(1, Ordering::Relaxed);
+                        counts.tiles_static += 1;
                     } else {
-                        tiles_dynamic.fetch_add(1, Ordering::Relaxed);
+                        counts.tiles_dynamic += 1;
                     }
                     note_progress();
 
@@ -1299,8 +1463,13 @@ where
                         cv.notify_all();
                     }
                 }
-                geom_builds.fetch_add(built, Ordering::Relaxed);
-                geom_hits.fetch_add(hit, Ordering::Relaxed);
+                counts.geom_builds = built;
+                counts.geom_hits = hit;
+                tiles_per_worker[w].store(
+                    counts.tiles_static + counts.tiles_dynamic,
+                    Ordering::Relaxed,
+                );
+                totals.lock().add(&counts);
                 // Cross-run reuse: hand the cleared buffers back for the
                 // next execution of this plan. A buffer abandoned by a
                 // failing tile above never reaches the pool, so a
@@ -1374,28 +1543,30 @@ where
         poll_pause();
     }
 
+    let totals = totals.into_inner();
     let stats = RunStats {
         // `executed` was seeded with the resumed count for the termination
         // check; the reported figure is new work only.
         tiles_executed: executed.load(Ordering::Acquire) - resumed,
         schedule: resolved_schedule,
         shape: tiling.shape(),
-        tiles_static: tiles_static.load(Ordering::Relaxed),
-        tiles_dynamic: tiles_dynamic.load(Ordering::Relaxed),
-        cells_computed: cells.load(Ordering::Relaxed),
-        interior_cells: interior.load(Ordering::Relaxed),
-        boundary_cells: boundary.load(Ordering::Relaxed),
-        runs_batched: runs_batched.load(Ordering::Relaxed),
-        cells_batched: cells_batched.load(Ordering::Relaxed),
+        tiles_static: totals.tiles_static,
+        tiles_dynamic: totals.tiles_dynamic,
+        cells_computed: totals.cells,
+        interior_cells: totals.interior,
+        boundary_cells: totals.boundary,
+        runs_batched: totals.runs_batched,
+        cells_batched: totals.cells_batched,
+        blocks_evaluated: totals.blocks,
         tile_buffers_allocated: mem.total_tile_buffers_allocated(),
         tile_buffers_reused: mem.total_tile_buffers_reused(),
         edge_payloads_allocated: mem.total_edge_payloads_allocated(),
         edge_payloads_reused: mem.total_edge_payloads_reused(),
-        edges_local: edges_local.load(Ordering::Relaxed),
-        edges_remote: edges_remote.load(Ordering::Relaxed),
-        edge_cells_packed: edge_cells.load(Ordering::Relaxed),
-        geom_builds: geom_builds.load(Ordering::Relaxed),
-        geom_hits: geom_hits.load(Ordering::Relaxed),
+        edges_local: totals.edges_local,
+        edges_remote: totals.edges_remote,
+        edge_cells_packed: totals.edge_cells,
+        geom_builds: totals.geom_builds,
+        geom_hits: totals.geom_hits,
         geom_classes: tiling.geometry_classes() as u64,
         init_time,
         total_time: t_start.elapsed(),
@@ -1437,6 +1608,7 @@ mod tests {
         let recycler = BufferRecycler::default();
         let mut pool = TileBufferPool::<u64> {
             buffer: Some(vec![0; 16]),
+            scanned: None,
             payloads: (0..MAX_RECYCLED_PAYLOADS)
                 .map(|_| Vec::with_capacity(4))
                 .collect(),
@@ -1445,6 +1617,105 @@ mod tests {
         let parked = recycler.stashed();
         let _ = TileBufferPool::<u64>::seeded(&recycler);
         assert_eq!(recycler.stashed(), 0, "{parked} parked, some never reused");
+    }
+
+    /// One tile's life on `pool`, as the worker loop lives it: acquire,
+    /// unpack an edge of 7s from every neighbour there is, have the kernel
+    /// write 9 over the scan, release. Returns the buffer as acquired.
+    fn tile_on_pool(pool: &mut TileBufferPool<u64>, tiling: &Tiling, tile: [i64; 2]) -> Vec<u64> {
+        let tile = Coord::from_slice(&tile);
+        let mut point = tiling.make_point(&[12]);
+        let (geom, _) = tiling.geometry(&tile, &mut point).unwrap();
+        let mem = MemoryStats::new();
+        let mut values = pool.acquire(tiling.layout().size(), &geom, &mem);
+        let as_acquired = values.clone();
+        let mut unpacked = Vec::new();
+        for (dep_idx, dep) in tiling.deps().iter().enumerate() {
+            let src = tile.add(&dep.delta);
+            if tiling.tile_in_space(&src, &mut point) {
+                let (src_geom, _) = tiling.geometry(&src, &mut point).unwrap();
+                for loc in ghost_cells(tiling, &src_geom, dep_idx) {
+                    values[loc] = 7;
+                }
+                unpacked.push((src_geom, dep_idx));
+            }
+        }
+        assert!(!unpacked.is_empty(), "tile {tile} unpacks nothing");
+        let nines = |cell: CellRef<'_>, values: &mut [u64]| values[cell.loc] = 9;
+        let mut visitor = BatchVisitor {
+            kernel: &PerCell(&nines),
+            values: &mut values,
+            reduce: None,
+            written_lo: usize::MAX,
+            written_hi: 0,
+            blocks: 0,
+        };
+        tiling.replay(&geom, &tile, &mut visitor);
+        let written = Some((visitor.written_lo, visitor.written_hi));
+        let ghosts = unpacked
+            .iter()
+            .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
+        pool.release(values, ghosts, geom, written);
+        as_acquired
+    }
+
+    /// A pooled buffer reaches the next tile holding nothing that tile can
+    /// tell from a fresh one: after a tile of the same class, stale values
+    /// only where its own scan writes first; after a tile of another class,
+    /// nothing at all. And what is parked for the next run is all-default.
+    #[test]
+    fn a_reused_buffer_holds_only_what_the_next_tile_overwrites() {
+        let tiling = triangle(3);
+        let mut pool = TileBufferPool::<u64>::new();
+        // (0,0) and (1,0) lie under the hypotenuse of N = 12 — one class;
+        // (2,1) is cut by it.
+        let mut point = tiling.make_point(&[12]);
+        let mut geom = |t: [i64; 2]| {
+            let (geom, _) = tiling.geometry(&Coord::from_slice(&t), &mut point).unwrap();
+            geom
+        };
+        let (full, same, cut) = (geom([0, 0]), geom([1, 0]), geom([2, 1]));
+        assert!(Arc::ptr_eq(&full, &same) && !Arc::ptr_eq(&full, &cut));
+        let mut scan = vec![false; tiling.layout().size()];
+        let mut mark = dpgen_tiling::tiling::EachCell(|cell: CellRef<'_>| scan[cell.loc] = true);
+        tiling.replay(&full, &Coord::from_slice(&[0, 0]), &mut mark);
+
+        assert!(tile_on_pool(&mut pool, &tiling, [0, 0])
+            .iter()
+            .all(|&v| v == 0));
+        let after_same_class = tile_on_pool(&mut pool, &tiling, [1, 0]);
+        for (loc, &v) in after_same_class.iter().enumerate() {
+            assert_eq!(v, if scan[loc] { 9 } else { 0 }, "loc {loc}");
+        }
+        let after_full = tile_on_pool(&mut pool, &tiling, [2, 1]);
+        assert!(
+            after_full.iter().all(|&v| v == 0),
+            "class change: {after_full:?}"
+        );
+        let after_cut = tile_on_pool(&mut pool, &tiling, [0, 0]);
+        assert!(
+            after_cut.iter().all(|&v| v == 0),
+            "class change: {after_cut:?}"
+        );
+
+        let recycler = BufferRecycler::default();
+        pool.park_into(&recycler);
+        let parked = recycler.checkout::<u64>(usize::MAX);
+        assert!(parked.iter().any(|b| b.len() == scan.len()));
+        assert!(parked.iter().flatten().all(|&v| v == 0), "{parked:?}");
+
+        // A tile that fails never releases its buffer: nothing of it parks.
+        let mut point = tiling.make_point(&[12]);
+        let (geom, _) = tiling
+            .geometry(&Coord::from_slice(&[0, 0]), &mut point)
+            .unwrap();
+        let mut abandoned = pool.acquire(scan.len(), &geom, &MemoryStats::new());
+        abandoned.fill(9);
+        pool.park_into(&recycler);
+        assert!(recycler
+            .checkout::<u64>(usize::MAX)
+            .iter()
+            .all(Vec::is_empty));
     }
 
     /// Single-rank run of a per-cell kernel under `config`.
@@ -1752,6 +2023,61 @@ mod tests {
             }
             other => panic!("expected KernelPanic, got {other}"),
         }
+    }
+
+    /// Panics inside `eval_block` on the block of tile (1,1).
+    struct BlockBomb;
+
+    impl Kernel<u64> for BlockBomb {
+        fn compute(&self, cell: CellRef<'_>, values: &mut [u64]) {
+            path_kernel(cell, values)
+        }
+    }
+
+    impl RunKernel<u64> for BlockBomb {
+        fn eval_block(&self, block: &BlockCtx<'_>, values: &mut [u64]) {
+            if block.first.x.iter().all(|&x| x / 3 == 1) {
+                panic!("injected block fault");
+            }
+            block.for_each_run(|run| self.eval_run(&run, values));
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_eval_block_is_quarantined() {
+        let tiling = triangle(3);
+        let recycler = Arc::new(BufferRecycler::default());
+        let config = NodeConfig {
+            recycler: Some(recycler.clone()),
+            ..NodeConfig::new(1, 2)
+        };
+        let err = run_node(
+            &NodeJob {
+                tiling: &tiling,
+                params: &[12],
+                owner: &SingleOwner,
+                transport: &NullTransport::default(),
+                probe: &Probe::default(),
+                config: &config,
+                reduce: None,
+                recovery: None,
+            },
+            &BlockBomb,
+        )
+        .unwrap_err();
+        match &err {
+            RunError::KernelPanic { tile, message, .. } => {
+                assert_eq!(*tile, Coord::from_slice(&[1, 1]));
+                assert!(message.contains("injected block fault"), "{message}");
+            }
+            other => panic!("expected KernelPanic, got {other}"),
+        }
+        // The one worker's buffer died with the tile: only payload vectors
+        // (parked empty) reach the next run.
+        assert!(recycler
+            .checkout::<u64>(usize::MAX)
+            .iter()
+            .all(Vec::is_empty));
     }
 
     #[test]

@@ -3,34 +3,41 @@
 //! [`RunKernel::eval_run`](crate::RunKernel::eval_run) receives whole
 //! interior runs — `len` cells at constant buffer stride with every
 //! dependency flag true — which is exactly the shape compilers vectorize.
-//! This module gives kernels an explicit lane layer to express that: fixed
-//! width arrays of `i64`/`u64` with element-wise arithmetic, written so the
+//! This module gives kernels an explicit lane layer to express that: a
+//! fixed width array of `i64` with element-wise arithmetic, written so the
 //! per-lane loops have no data-dependent control flow and LLVM lowers them
 //! to vector instructions on any target (no intrinsics, no nightly
 //! features).
 //!
-//! The wavefront recurrences this repo cares about (LCS, Smith–Waterman,
-//! edit distance) are *loop-carried* along the innermost dimension: each
-//! cell reads its left neighbour, which is the previous cell of the same
-//! run. The intended split, used by the `dpgen-problems` kernels, is:
+//! It pays where a cell has *non-carried* arithmetic to vectorize. The
+//! Smith–Waterman, banded Smith–Waterman and edit-distance kernels of
+//! `dpgen-problems` are loop-carried along the innermost dimension (each
+//! cell reads its left neighbour, the previous cell of the same run), but
+//! most of a cell's work is not: they
 //!
-//! 1. compute every **non-carried** candidate (diagonal/up-row reads,
-//!    character scores) for [`LANES`] cells at once with these types, then
+//! 1. compute every non-carried candidate (score lookups, the additions
+//!    and `max`/`min` over the diagonal and up-row reads) for [`LANES`]
+//!    cells at once with [`I64x`], then
 //! 2. resolve the carried `max`/`min` against the running neighbour in a
 //!    short serial fold over the lane array.
+//!
+//! LCS is not written this way: its cell is one compare and one `max`, so
+//! there is nothing for the lanes to do but copy, and the serial fold is
+//! the whole cost. It sweeps a block two rows at a time instead
+//! (`RunKernel::eval_block`, `dpgen_problems::Lcs`).
 //!
 //! All operations are exact integer arithmetic, and `max`/`min` are
 //! associative and commutative, so the lane evaluation order cannot change
 //! results: the batched path stays **bit-identical** to the scalar one (a
-//! contract the differential fuzzer and the problems' tests enforce).
+//! contract the problems' tests enforce).
 //!
 //! Building with the `scalar-fallback` feature forces [`LANES`]` = 1`,
 //! turning every lane loop into straight scalar code — the reference
 //! configuration for differential testing and for targets where the
 //! vector units misbehave.
 
-/// Lane count of [`I64x`] and [`U64x`]: 8 by default, 1 under the
-/// `scalar-fallback` feature.
+/// Lane count of [`I64x`]: 8 by default, 1 under the `scalar-fallback`
+/// feature.
 pub const LANES: usize = if cfg!(feature = "scalar-fallback") {
     1
 } else {
@@ -41,108 +48,68 @@ pub const LANES: usize = if cfg!(feature = "scalar-fallback") {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct I64x(pub [i64; LANES]);
 
-/// `LANES` lanes of `u64`, element-wise ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct U64x(pub [u64; LANES]);
+impl I64x {
+    /// Lane `k` set to `f(k)`.
+    #[inline(always)]
+    pub fn from_fn<F: FnMut(usize) -> i64>(f: F) -> I64x {
+        I64x(std::array::from_fn(f))
+    }
 
-macro_rules! lane_ops {
-    ($name:ident, $elem:ty) => {
-        impl $name {
-            /// Every lane set to `v`.
-            #[inline(always)]
-            pub fn splat(v: $elem) -> $name {
-                $name([v; LANES])
-            }
-
-            /// Lane `k` set to `f(k)`.
-            #[inline(always)]
-            pub fn from_fn<F: FnMut(usize) -> $elem>(f: F) -> $name {
-                $name(std::array::from_fn(f))
-            }
-
-            /// Strided load: lane `k` reads `values[base + k * step]`.
-            /// With `step == 1` the bounds check is hoisted out of the
-            /// lane loop and the load lowers to one contiguous vector
-            /// read; other strides fall back to per-lane indexing.
-            #[inline(always)]
-            pub fn gather(values: &[$elem], base: i64, step: i64) -> $name {
-                if step == 1 {
-                    let s = &values[base as usize..base as usize + LANES];
-                    $name(std::array::from_fn(|k| s[k]))
-                } else {
-                    $name(std::array::from_fn(|k| {
-                        values[(base + k as i64 * step) as usize]
-                    }))
-                }
-            }
-
-            /// Strided store: lane `k` writes `values[base + k * step]`.
-            #[inline(always)]
-            pub fn scatter(&self, values: &mut [$elem], base: i64, step: i64) {
-                for k in 0..LANES {
-                    values[(base + k as i64 * step) as usize] = self.0[k];
-                }
-            }
-
-            /// Every lane plus the scalar.
-            #[inline(always)]
-            pub fn add_splat(self, v: $elem) -> $name {
-                $name(std::array::from_fn(|k| self.0[k] + v))
-            }
-
-            /// Every lane minus the scalar.
-            #[inline(always)]
-            pub fn sub_splat(self, v: $elem) -> $name {
-                $name(std::array::from_fn(|k| self.0[k] - v))
-            }
-
-            /// Element-wise maximum.
-            #[inline(always)]
-            pub fn max(self, rhs: $name) -> $name {
-                $name(std::array::from_fn(|k| self.0[k].max(rhs.0[k])))
-            }
-
-            /// Element-wise minimum.
-            #[inline(always)]
-            pub fn min(self, rhs: $name) -> $name {
-                $name(std::array::from_fn(|k| self.0[k].min(rhs.0[k])))
-            }
-
-            /// Every lane clamped from below by the scalar.
-            #[inline(always)]
-            pub fn max_splat(self, v: $elem) -> $name {
-                $name(std::array::from_fn(|k| self.0[k].max(v)))
-            }
-
-            /// Every lane clamped from above by the scalar.
-            #[inline(always)]
-            pub fn min_splat(self, v: $elem) -> $name {
-                $name(std::array::from_fn(|k| self.0[k].min(v)))
-            }
+    /// Strided load: lane `k` reads `values[base + k * step]`. With
+    /// `step == 1` the bounds check is hoisted out of the lane loop and
+    /// the load lowers to one contiguous vector read; other strides fall
+    /// back to per-lane indexing.
+    #[inline(always)]
+    pub fn gather(values: &[i64], base: i64, step: i64) -> I64x {
+        if step == 1 {
+            let s = &values[base as usize..base as usize + LANES];
+            I64x(std::array::from_fn(|k| s[k]))
+        } else {
+            I64x(std::array::from_fn(|k| {
+                values[(base + k as i64 * step) as usize]
+            }))
         }
+    }
 
-        /// Element-wise sum.
-        impl std::ops::Add for $name {
-            type Output = $name;
-            #[inline(always)]
-            fn add(self, rhs: $name) -> $name {
-                $name(std::array::from_fn(|k| self.0[k] + rhs.0[k]))
-            }
-        }
+    /// Every lane plus the scalar.
+    #[inline(always)]
+    pub fn add_splat(self, v: i64) -> I64x {
+        I64x(std::array::from_fn(|k| self.0[k] + v))
+    }
 
-        /// Element-wise difference.
-        impl std::ops::Sub for $name {
-            type Output = $name;
-            #[inline(always)]
-            fn sub(self, rhs: $name) -> $name {
-                $name(std::array::from_fn(|k| self.0[k] - rhs.0[k]))
-            }
-        }
-    };
+    /// Every lane minus the scalar.
+    #[inline(always)]
+    pub fn sub_splat(self, v: i64) -> I64x {
+        I64x(std::array::from_fn(|k| self.0[k] - v))
+    }
+
+    /// Element-wise maximum.
+    #[inline(always)]
+    pub fn max(self, rhs: I64x) -> I64x {
+        I64x(std::array::from_fn(|k| self.0[k].max(rhs.0[k])))
+    }
+
+    /// Element-wise minimum.
+    #[inline(always)]
+    pub fn min(self, rhs: I64x) -> I64x {
+        I64x(std::array::from_fn(|k| self.0[k].min(rhs.0[k])))
+    }
+
+    /// Every lane clamped from below by the scalar.
+    #[inline(always)]
+    pub fn max_splat(self, v: i64) -> I64x {
+        I64x(std::array::from_fn(|k| self.0[k].max(v)))
+    }
 }
 
-lane_ops!(I64x, i64);
-lane_ops!(U64x, u64);
+/// Element-wise sum.
+impl std::ops::Add for I64x {
+    type Output = I64x;
+    #[inline(always)]
+    fn add(self, rhs: I64x) -> I64x {
+        I64x(std::array::from_fn(|k| self.0[k] + rhs.0[k]))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -164,28 +131,16 @@ mod tests {
         for k in 0..LANES {
             let (x, y) = (k as i64 - 3, 2 * k as i64);
             assert_eq!((a + b).0[k], x + y);
-            assert_eq!((a - b).0[k], x - y);
             assert_eq!(a.max(b).0[k], x.max(y));
             assert_eq!(a.min(b).0[k], x.min(y));
             assert_eq!(a.add_splat(7).0[k], x + 7);
             assert_eq!(a.sub_splat(7).0[k], x - 7);
             assert_eq!(a.max_splat(0).0[k], x.max(0));
-            assert_eq!(a.min_splat(0).0[k], x.min(0));
         }
-        assert_eq!(I64x::splat(5).0, [5i64; LANES]);
-        let u = U64x::from_fn(|k| k as u64);
-        assert_eq!((u + U64x::splat(1)).0, {
-            let mut want = [0u64; LANES];
-            for (k, w) in want.iter_mut().enumerate() {
-                *w = k as u64 + 1;
-            }
-            want
-        });
-        assert_eq!(u.max_splat(3).min_splat(5).0[0], 3);
     }
 
     #[test]
-    fn gather_scatter_round_trip_with_strides() {
+    fn gather_reads_forward_and_backward_strides() {
         let values: Vec<i64> = (0..64).collect();
         // Forward stride 1 from base 10.
         let v = I64x::gather(&values, 10, 1);
@@ -196,11 +151,6 @@ mod tests {
         let v = I64x::gather(&values, 40, -2);
         for k in 0..LANES {
             assert_eq!(v.0[k], 40 - 2 * k as i64);
-        }
-        let mut out = vec![0i64; 64];
-        v.scatter(&mut out, 40, -2);
-        for k in 0..LANES {
-            assert_eq!(out[(40 - 2 * k as i64) as usize], v.0[k]);
         }
     }
 }

@@ -28,12 +28,18 @@ pub struct RunStats {
     pub interior_cells: u64,
     /// Cells computed by the per-cell boundary fallback.
     pub boundary_cells: u64,
-    /// Interior runs dispatched whole to `RunKernel::eval_run` (0 on the
-    /// per-cell execution path).
+    /// Interior runs dispatched to a batched `RunKernel`, counted run by
+    /// run however they were grouped into blocks (0 on the per-cell
+    /// execution path).
     pub runs_batched: u64,
     /// Cells evaluated inside batched runs (0 on the per-cell path; equals
     /// `interior_cells` on the batched path).
     pub cells_batched: u64,
+    /// Interior blocks handed to `RunKernel::eval_block` — the one way
+    /// interior cells reach a kernel, so nonzero on every path that computed
+    /// an interior cell. A block is a rectangle of equal runs; `runs_batched
+    /// / blocks_evaluated` is the mean rows per block on the batched path.
+    pub blocks_evaluated: u64,
     /// Tile value buffers freshly allocated (plateaus at the worker count
     /// once per-worker pooling has warmed up).
     pub tile_buffers_allocated: u64,

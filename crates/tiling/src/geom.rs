@@ -9,7 +9,10 @@
 //! visit-ordered interior runs and boundary cells of
 //! [`Tiling::scan_tile_runs`] and, per dependency, the edge cells of
 //! [`EdgeLayout::for_each_cell`] as buffer indices — and replaying it needs
-//! no polyhedral arithmetic at all.
+//! no polyhedral arithmetic at all. Consecutive runs that form a rectangle
+//! are stored, and replayed, as one block ([`BlockCtx`]): a full interior
+//! tile of a 2-D problem is a single entry, the dense `for i … for j …`
+//! nest the paper emits for it.
 //!
 //! Recordings are memoized inside the [`Tiling`] under a *signature*. Fix a
 //! tile `t` and parameters `p`: every `local_system` constraint and every
@@ -26,7 +29,7 @@
 //! [`EdgeLayout::for_each_cell`]: crate::EdgeLayout::for_each_cell
 
 use crate::coord::{Coord, MAX_DIMS};
-use crate::tiling::{CellRef, RunCtx, ScanCounts, TileVisitor, Tiling, MAX_CHECKS};
+use crate::tiling::{BlockCtx, CellRef, RunCtx, ScanCounts, TileVisitor, Tiling, MAX_CHECKS};
 use dpgen_polyhedra::{ConstraintSystem, LinExpr, PolyError};
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -43,16 +46,17 @@ const SIG_INLINE: usize = 16;
 /// a few KiB, the 4-D bandit under half a MiB.
 const CACHE_CAP_BYTES: usize = 8 << 20;
 
-/// One entry of a recorded scan, in visit order.
+/// One entry of a recorded scan, in visit order. `loc` is the buffer index
+/// of the (first) visited cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Visit {
-    /// Buffer index of the (first) visited cell.
-    loc: u32,
-    /// Cells in the interior run; 0 marks a single boundary cell.
-    len: u32,
-    /// Boundary cell: bit `j` is `is_valid_r<j>`. Unused for runs, whose
-    /// flags are all true.
-    valid: u32,
+enum Visit {
+    /// A single boundary cell; bit `j` of `valid` is `is_valid_r<j>`.
+    Cell { loc: u32, valid: u32 },
+    /// `rows` consecutive interior runs of `len` cells each (every validity
+    /// flag true), each one step further along the second-innermost loop
+    /// dimension than the one before. A run with no such neighbour is a
+    /// block of one row.
+    Block { loc: u32, len: u32, rows: u32 },
 }
 
 /// The edge region one tile packs for one dependency.
@@ -104,10 +108,13 @@ impl TileGeom {
     }
 }
 
-/// Records a generic scan as [`Visit`]s.
+/// Records a generic scan as [`Visit`]s, folding each run that continues
+/// the block before it into that block.
 struct Recorder {
     visits: Vec<Visit>,
     locals: Vec<i64>,
+    /// [`Tiling::outer_loop`]: what steps from one row of a block to the next.
+    outer: Option<(usize, i64)>,
 }
 
 impl TileVisitor for Recorder {
@@ -117,19 +124,32 @@ impl TileVisitor for Recorder {
             .iter()
             .enumerate()
             .fold(0u32, |bits, (j, &v)| bits | (v as u32) << j);
-        self.visits.push(Visit {
+        self.visits.push(Visit::Cell {
             loc: cell.loc as u32,
-            len: 0,
             valid,
         });
         self.locals.extend_from_slice(cell.local);
     }
 
     fn run(&mut self, run: RunCtx<'_>) {
-        self.visits.push(Visit {
+        let d = run.local.len();
+        if let (Some((outer, step)), Some(Visit::Block { len, rows, .. })) =
+            (self.outer, self.visits.last_mut())
+        {
+            // The buffer index is affine in the local coordinates, so a run
+            // one outer step after the block's last row is also one row
+            // stride after it.
+            let first = &self.locals[self.locals.len() - d..];
+            let next_row = |k: usize| first[k] + if k == outer { *rows as i64 * step } else { 0 };
+            if *len == run.len as u32 && (0..d).all(|k| run.local[k] == next_row(k)) {
+                *rows += 1;
+                return;
+            }
+        }
+        self.visits.push(Visit::Block {
             loc: run.loc as u32,
             len: run.len as u32,
-            valid: 0,
+            rows: 1,
         });
         self.locals.extend_from_slice(run.local);
     }
@@ -339,6 +359,7 @@ impl Tiling {
         let mut rec = Recorder {
             visits: Vec::new(),
             locals: Vec::new(),
+            outer: self.outer_loop(),
         };
         let counts = self.scan_tile_runs(tile, point, &mut rec)?;
         rec.visits.shrink_to_fit();
@@ -361,10 +382,20 @@ impl Tiling {
         })
     }
 
-    /// Replay a recorded scan of `tile` into `visitor`: exactly the
-    /// [`CellRef`]/[`RunCtx`] sequence [`Tiling::scan_tile_runs`] hands
-    /// out, with global coordinates rebuilt as `x = local + w·t`. `geom`
-    /// must come from [`Tiling::geometry`] for this tile.
+    /// The second-innermost loop level — problem dimension and signed step
+    /// per iteration — or `None` for a 1-D tiling, which has none.
+    fn outer_loop(&self) -> Option<(usize, i64)> {
+        let depth = self.dims().checked_sub(2)?;
+        let step = if self.local_desc[depth] { -1 } else { 1 };
+        Some((self.loop_order()[depth], step))
+    }
+
+    /// Replay a recorded scan of `tile` into `visitor`: the boundary cells
+    /// and interior runs [`Tiling::scan_tile_runs`] hands out, in its order,
+    /// with global coordinates rebuilt as `x = local + w·t` and the runs
+    /// grouped into [`BlockCtx`] rectangles. A visitor with the default
+    /// [`TileVisitor::block`] sees the scan's exact [`CellRef`]/[`RunCtx`]
+    /// sequence. `geom` must come from [`Tiling::geometry`] for this tile.
     pub fn replay<V: TileVisitor>(
         &self,
         geom: &TileGeom,
@@ -374,10 +405,13 @@ impl Tiling {
         let d = self.dims();
         let offsets = self.layout().template_offsets();
         let ntemplates = offsets.len();
+        let strides = self.layout().strides();
         let inner_dim = *self.loop_order().last().expect("tiling has >= 1 dim");
-        let stride = self.layout().strides()[inner_dim];
         let desc = *self.local_desc.last().expect("tiling has >= 1 dim");
-        let (loc_step, x_step) = if desc { (-stride, -1) } else { (stride, 1) };
+        let x_step = if desc { -1 } else { 1 };
+        let loc_step = x_step * strides[inner_dim];
+        let (outer_dim, outer_step) = self.outer_loop().unwrap_or((inner_dim, 0));
+        let row_step = outer_step * strides[outer_dim];
         let mut base = [0i64; MAX_DIMS];
         for (k, b) in base[..d].iter_mut().enumerate() {
             *b = self.widths()[k] * tile[k];
@@ -388,28 +422,35 @@ impl Tiling {
             for k in 0..d {
                 x[k] = local[k] + base[k];
             }
-            if visit.len == 0 {
-                for (j, v) in valid[..ntemplates].iter_mut().enumerate() {
-                    *v = visit.valid >> j & 1 != 0;
+            match *visit {
+                Visit::Cell { loc, valid: bits } => {
+                    for (j, v) in valid[..ntemplates].iter_mut().enumerate() {
+                        *v = bits >> j & 1 != 0;
+                    }
+                    visitor.cell(CellRef {
+                        loc: loc as usize,
+                        x: &x[..d],
+                        local,
+                        valid: &valid[..ntemplates],
+                        offsets,
+                    });
                 }
-                visitor.cell(CellRef {
-                    loc: visit.loc as usize,
-                    x: &x[..d],
-                    local,
-                    valid: &valid[..ntemplates],
-                    offsets,
-                });
-            } else {
-                visitor.run(RunCtx {
-                    loc: visit.loc as usize,
-                    loc_step,
-                    len: visit.len as usize,
-                    x: &x[..d],
-                    local,
-                    inner_dim,
-                    x_step,
-                    offsets,
-                });
+                Visit::Block { loc, len, rows } => visitor.block(BlockCtx {
+                    first: RunCtx {
+                        loc: loc as usize,
+                        loc_step,
+                        len: len as usize,
+                        x: &x[..d],
+                        local,
+                        inner_dim,
+                        x_step,
+                        offsets,
+                    },
+                    rows: rows as usize,
+                    row_step,
+                    outer_dim,
+                    outer_step,
+                }),
             }
         }
         geom.counts

@@ -39,5 +39,6 @@ pub use geom::TileGeom;
 pub use layout::TileLayout;
 pub use template::{Direction, Template, TemplateSet};
 pub use tiling::{
-    CellRef, RunCtx, ScanCounts, TileShape, TileVisitor, Tiling, TilingBuilder, TilingError,
+    BlockCtx, CellRef, RunCtx, ScanCounts, TileShape, TileVisitor, Tiling, TilingBuilder,
+    TilingError,
 };

@@ -280,15 +280,101 @@ impl RunCtx<'_> {
     }
 }
 
+/// A rectangle of interior runs: `rows` consecutive runs of one tile scan
+/// that have the same length, start at the same innermost index and step by
+/// one along the second-innermost loop dimension, so that the whole block is
+/// a plain `for row … for cell …` nest with constant strides (the paper's
+/// specialised center loop, Sections IV-G/H). A full interior tile of a 2-D
+/// problem is one block; a lone run is a block of one row.
+///
+/// Rows are numbered `0..rows` in visit order; row `r` is [`BlockCtx::first`]
+/// moved by `r` row steps.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockCtx<'a> {
+    /// The first visited row.
+    pub first: RunCtx<'a>,
+    /// Number of rows (`>= 1`).
+    pub rows: usize,
+    /// Signed buffer-index increment from one row's first cell to the next
+    /// row's.
+    pub row_step: i64,
+    /// Problem-dimension index of the second-innermost loop level — the only
+    /// coordinate that varies from row to row. A 1-D tiling has no such
+    /// level; its blocks are single rows and carry `first.inner_dim` here.
+    pub outer_dim: usize,
+    /// Signed increment of `x[outer_dim]` (and `local[outer_dim]`) per row
+    /// (`+1` ascending, `-1` descending).
+    pub outer_step: i64,
+}
+
+impl BlockCtx<'_> {
+    /// Replay the block run by run, in visit order: exactly the [`RunCtx`]
+    /// sequence the scan hands out when it does not group runs.
+    pub fn for_each_run<F: FnMut(RunCtx<'_>)>(&self, mut f: F) {
+        let d = self.first.x.len();
+        let mut local = [0i64; MAX_DIMS];
+        let mut x = [0i64; MAX_DIMS];
+        local[..d].copy_from_slice(self.first.local);
+        x[..d].copy_from_slice(self.first.x);
+        let mut loc = self.first.loc as i64;
+        for _ in 0..self.rows {
+            f(RunCtx {
+                loc: loc as usize,
+                x: &x[..d],
+                local: &local[..d],
+                ..self.first
+            });
+            loc += self.row_step;
+            local[self.outer_dim] += self.outer_step;
+            x[self.outer_dim] += self.outer_step;
+        }
+    }
+
+    /// The block as dense row windows of `values`, for kernels that sweep it
+    /// with plain slice indexing: `rows + 1` disjoint windows of
+    /// `first.len + 1` cells each, in buffer order — first the buffer row
+    /// *before* row 0 (ghost cells or cells computed earlier), then rows
+    /// `0..rows`. Index 0 of a window is the cell before the row's first
+    /// cell (its column −1), index `i + 1` is visited cell `i`.
+    ///
+    /// `Some` only for the shape that makes those windows disjoint slices:
+    /// cells ascend at unit stride and each row lies wholly after the one
+    /// before it (`row_step > first.len`). Anything else — a descending or
+    /// strided scan, a block whose windows would leave the buffer — is
+    /// `None`, and the kernel falls back to [`BlockCtx::for_each_run`].
+    pub fn row_windows<'v, T>(
+        &self,
+        values: &'v mut [T],
+    ) -> Option<impl Iterator<Item = &'v mut [T]> + 'v> {
+        let len = self.first.len;
+        let step = usize::try_from(self.row_step).ok()?;
+        if self.first.loc_step != 1 || step <= len {
+            return None;
+        }
+        let start = self.first.loc.checked_sub(step + 1)?;
+        let cells = self.rows.checked_mul(step)?.checked_add(len + 1)?;
+        let span = values.get_mut(start..start.checked_add(cells)?)?;
+        Some(span.chunks_mut(step).map(move |row| &mut row[..=len]))
+    }
+}
+
 /// Visitor for [`Tiling::scan_tile_runs`]: boundary cells arrive one at a
 /// time through [`TileVisitor::cell`]; whole interior runs arrive through
 /// [`TileVisitor::run`]. Together they cover exactly the cell sequence of
 /// [`Tiling::scan_tile`], in the same dependency-respecting order.
+///
+/// [`Tiling::replay`] groups the runs of a recording into rectangles and
+/// hands each to [`TileVisitor::block`]; a visitor that does not override it
+/// sees the same `cell`/`run` sequence from a replay as from the scan.
 pub trait TileVisitor {
     /// One boundary cell (per-cell validity flags).
     fn cell(&mut self, cell: CellRef<'_>);
     /// One interior run (every validity flag true for every cell).
     fn run(&mut self, run: RunCtx<'_>);
+    /// One rectangle of interior runs. Default: its runs, one at a time.
+    fn block(&mut self, block: BlockCtx<'_>) {
+        block.for_each_run(|run| self.run(run));
+    }
 }
 
 /// Adapter driving a per-cell closure through the run visitor: runs are

@@ -8,14 +8,16 @@
 //! give the same bits and the same counters.
 
 use dpgen::core::{ExecOpts, Plan, Program, SpecGen};
-use dpgen::problems::{random_sequence, Lcs};
+use dpgen::problems::{random_sequence, BandedSw, Bandit2, Lcs};
 use dpgen::runtime::{Probe, RunStats, Schedule};
-use dpgen::tiling::tiling::{CellRef, RunCtx, TileVisitor};
-use dpgen::tiling::{Coord, Tiling};
+use dpgen::tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
+use dpgen::tiling::{Coord, ScanCounts, Tiling};
 use proptest::prelude::*;
 
 /// Everything a kernel can observe of one scan, in visit order: the
-/// `Debug` rendering of every `CellRef` and `RunCtx` (all fields).
+/// `Debug` rendering of every `CellRef` and `RunCtx` (all fields). It does
+/// not override `TileVisitor::block`, so a replay reaches it through the
+/// default expansion of each block into its runs.
 #[derive(Debug, Default, PartialEq)]
 struct Seen(Vec<String>);
 
@@ -28,6 +30,26 @@ impl TileVisitor for Seen {
     }
 }
 
+/// Counts the blocks a replay hands out and the runs they stand for.
+#[derive(Debug, Default, PartialEq)]
+struct Blocks {
+    blocks: u64,
+    rows: u64,
+    cells: u64,
+}
+
+impl TileVisitor for Blocks {
+    fn cell(&mut self, _cell: CellRef<'_>) {}
+    fn run(&mut self, _run: RunCtx<'_>) {
+        panic!("a replay hands interior runs out as blocks");
+    }
+    fn block(&mut self, block: BlockCtx<'_>) {
+        self.blocks += 1;
+        self.rows += block.rows as u64;
+        self.cells += (block.rows * block.first.len) as u64;
+    }
+}
+
 fn all_tiles(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
     let mut point = tiling.make_point(params);
     let mut tiles = Vec::new();
@@ -35,59 +57,182 @@ fn all_tiles(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
     tiles
 }
 
+/// For every tile: the memoized geometry — possibly recorded for an earlier
+/// tile of the same class — replays the exact visit sequence of
+/// `scan_tile_runs` (its blocks expanded by the default
+/// `TileVisitor::block`) with the same `ScanCounts`, its blocks stand for
+/// exactly the scan's runs, it holds the exact cell sequence of every
+/// edge's `for_each_cell`, and it equals the recording built for this very
+/// tile (equal signatures, equal recordings). Returns the blocks and runs
+/// seen over all tiles.
+fn check_replay(tiling: &Tiling, params: &[i64], ctx: &str) -> (u64, u64) {
+    let own_builder = tiling.uncached();
+    let layout = tiling.layout();
+    let (mut blocks, mut runs) = (0, 0);
+    for t in all_tiles(tiling, params) {
+        let mut point = tiling.make_point(params);
+        let (geom, _) = tiling.geometry(&t, &mut point).unwrap();
+
+        let mut want = Seen::default();
+        let want_counts = tiling.scan_tile_runs(&t, &mut point, &mut want).unwrap();
+        let mut got = Seen::default();
+        let got_counts = tiling.replay(&geom, &t, &mut got);
+        assert_eq!(got, want, "{ctx} tile {t}");
+        assert_eq!(got_counts, want_counts, "{ctx} tile {t}");
+
+        let mut grouped = Blocks::default();
+        tiling.replay(&geom, &t, &mut grouped);
+        assert_eq!(
+            (grouped.rows, grouped.cells),
+            (want_counts.interior_runs, want_counts.interior_cells),
+            "{ctx} tile {t}"
+        );
+        blocks += grouped.blocks;
+        runs += grouped.rows;
+
+        for (dep_idx, edge) in tiling.edges().iter().enumerate() {
+            let mut src = Vec::new();
+            let mut ghost = Vec::new();
+            tiling.set_tile(&t, &mut point);
+            edge.for_each_cell(&mut point, |j| {
+                src.push(layout.loc(j));
+                ghost.push(layout.loc_ghost(j, &edge.delta));
+            })
+            .unwrap();
+            let cells = geom.edge_cells(dep_idx);
+            let got_src: Vec<usize> = cells.iter().map(|&l| l as usize).collect();
+            let got_ghost: Vec<usize> = cells
+                .iter()
+                .map(|&l| (l as i64 + edge.ghost_shift) as usize)
+                .collect();
+            assert_eq!(got_src, src, "{ctx} tile {t} edge {}", edge.delta);
+            assert_eq!(got_ghost, ghost, "{ctx} tile {t} edge {}", edge.delta);
+        }
+
+        let (own, built) = own_builder.geometry(&t, &mut point).unwrap();
+        assert!(built);
+        assert_eq!(*geom, *own, "{ctx} tile {t}");
+    }
+    assert_eq!(own_builder.geometry_classes(), 0);
+    (blocks, runs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Over `specgen` specs (1-3 dims, bands, positive and negative
-    /// templates, widths 1-5): for every tile, the memoized geometry —
-    /// possibly recorded for an earlier tile of the same class — replays
-    /// the exact visit sequence of `scan_tile_runs` and holds the exact
-    /// cell sequence of every edge's `for_each_cell`, and it equals the
-    /// recording built for this very tile (equal signatures, equal
-    /// recordings).
+    /// `check_replay` over `specgen` specs: 1-3 dims, bands, positive and
+    /// negative templates, widths 1-5.
     #[test]
     fn replay_equals_the_generic_walks(seed in 0u64..u64::MAX) {
         let gs = SpecGen::new(seed).next_spec();
         let program = Program::from_spec(gs.spec.clone()).unwrap();
-        let tiling = program.tiling();
-        let own_builder = tiling.uncached();
-        let params = [gs.param];
-        let layout = tiling.layout();
-        for t in all_tiles(tiling, &params) {
-            let mut point = tiling.make_point(&params);
-            let (geom, _) = tiling.geometry(&t, &mut point).unwrap();
-
-            let mut want = Seen::default();
-            let want_counts = tiling.scan_tile_runs(&t, &mut point, &mut want).unwrap();
-            let mut got = Seen::default();
-            let got_counts = tiling.replay(&geom, &t, &mut got);
-            prop_assert_eq!(&got, &want, "seed {:#x} tile {}", seed, t);
-            prop_assert_eq!(got_counts, want_counts);
-
-            for (dep_idx, edge) in tiling.edges().iter().enumerate() {
-                let mut src = Vec::new();
-                let mut ghost = Vec::new();
-                tiling.set_tile(&t, &mut point);
-                edge.for_each_cell(&mut point, |j| {
-                    src.push(layout.loc(j));
-                    ghost.push(layout.loc_ghost(j, &edge.delta));
-                }).unwrap();
-                let cells = geom.edge_cells(dep_idx);
-                let got_src: Vec<usize> = cells.iter().map(|&l| l as usize).collect();
-                let got_ghost: Vec<usize> = cells
-                    .iter()
-                    .map(|&l| (l as i64 + edge.ghost_shift) as usize)
-                    .collect();
-                prop_assert_eq!(got_src, src, "seed {:#x} tile {} edge {}", seed, t, edge.delta);
-                prop_assert_eq!(got_ghost, ghost);
-            }
-
-            let (own, built) = own_builder.geometry(&t, &mut point).unwrap();
-            prop_assert!(built);
-            prop_assert_eq!(&*geom, &*own, "seed {:#x} tile {}", seed, t);
-        }
-        prop_assert_eq!(own_builder.geometry_classes(), 0);
+        check_replay(program.tiling(), &[gs.param], &format!("seed {seed:#x}"));
     }
+}
+
+/// `check_replay` on the shapes that stress how runs are grouped into
+/// blocks, each with the grouping it must produce.
+#[test]
+fn replay_equals_the_generic_walks_on_shapes_that_stress_grouping() {
+    // Dense 2-D, ascending: every interior tile is one block, and the tiles
+    // on a low face have a boundary cell between any two runs (column 0) or
+    // one block under a row of boundary cells (row 0).
+    let lcs = Lcs::program(2, 6).unwrap();
+    let (blocks, runs) = check_replay(lcs.tiling(), &[23, 23], "lcs2");
+    // 9 interior tiles of 1 block, 3 row-0 tiles of 1, 3 column-0 tiles of 6
+    // and the corner's 5; 6 runs per tile less the all-boundary row 0.
+    assert_eq!((blocks, runs), (9 + 3 + 18 + 5, 16 * 6 - 4));
+
+    // The same with the loops swapped: rows run along dimension 0, at the
+    // outer buffer stride.
+    let mut swapped = Lcs::spec(2, 6);
+    swapped.order = vec!["i2".into(), "i1".into()];
+    let swapped = Program::from_spec(swapped).unwrap();
+    assert_eq!(swapped.tiling().loop_order(), &[1, 0]);
+    let (blocks_swapped, runs_swapped) = check_replay(swapped.tiling(), &[23, 23], "lcs2 swapped");
+    assert_eq!((blocks_swapped, runs_swapped), (blocks, runs));
+
+    // Banded: the band clips the runs of a tile it crosses to unequal
+    // lengths, which must not merge; a tile wholly inside it is one block.
+    let banded = BandedSw::program(4, 9).unwrap();
+    let tiling = banded.tiling();
+    let (blocks, runs) = check_replay(tiling, &[31, 31], "banded sw");
+    assert!(
+        blocks > 64 && blocks < runs,
+        "banded sw: {blocks} blocks for {runs} runs"
+    );
+    let (inside, _) = blocks_of(tiling, &[31, 31], &[3, 3]);
+    assert_eq!((inside.blocks, inside.rows), (1, 4));
+    let (crossed, _) = blocks_of(tiling, &[31, 31], &[5, 3]);
+    assert_eq!((crossed.blocks, crossed.rows), (4, 4), "{crossed:?}");
+
+    // 3-D: a block is one plane of a tile, never more.
+    let lcs3 = Lcs::program(3, 4).unwrap();
+    let (blocks, runs) = check_replay(lcs3.tiling(), &[11, 9, 7], "lcs3");
+    assert!(
+        blocks * 4 >= runs && blocks < runs,
+        "lcs3: {blocks} blocks for {runs} runs"
+    );
+
+    // The 4-D bandit simplex: positive templates, so every loop descends.
+    // A tile under the hypotenuse is one block per plane; on it, each run
+    // is one cell shorter than the last — unequal lengths again.
+    let bandit = Bandit2::program(4).unwrap();
+    let tiling = bandit.tiling();
+    let (blocks, runs) = check_replay(tiling, &[15], "bandit2");
+    assert!(blocks < runs, "bandit2: {blocks} blocks for {runs} runs");
+    let (full, counts) = blocks_of(tiling, &[15], &[0, 0, 0, 0]);
+    assert_eq!((full.blocks, full.rows, full.cells), (16, 64, 256));
+    assert_eq!(counts.interior_runs, 64);
+    let (clipped, counts) = blocks_of(tiling, &[15], &[3, 0, 0, 0]);
+    assert_eq!(clipped.blocks, clipped.rows, "{clipped:?}");
+    assert!(counts.interior_runs > 1, "{counts:?}");
+}
+
+/// The blocks one tile's recording replays as, and its `ScanCounts`.
+fn blocks_of(tiling: &Tiling, params: &[i64], tile: &[i64]) -> (Blocks, ScanCounts) {
+    let tile = Coord::from_slice(tile);
+    let mut point = tiling.make_point(params);
+    let (geom, _) = tiling.geometry(&tile, &mut point).unwrap();
+    let mut grouped = Blocks::default();
+    let counts = tiling.replay(&geom, &tile, &mut grouped);
+    (grouped, counts)
+}
+
+/// A dense 2-D interior tile is recorded as exactly one block — the whole
+/// `w × w` rectangle — and its `ScanCounts` still count `w` runs.
+#[test]
+fn a_dense_interior_tile_is_one_block() {
+    let w = 8;
+    let program = Lcs::program(2, w).unwrap();
+    let tiling = program.tiling();
+    let (grouped, counts) = blocks_of(tiling, &[95, 95], &[2, 1]);
+    let cells = (w * w) as u64;
+    assert_eq!(
+        grouped,
+        Blocks {
+            blocks: 1,
+            rows: w as u64,
+            cells
+        }
+    );
+    let mut point = tiling.make_point(&[95, 95]);
+    let scanned = tiling
+        .scan_tile_runs(
+            &Coord::from_slice(&[2, 1]),
+            &mut point,
+            &mut Seen::default(),
+        )
+        .unwrap();
+    assert_eq!(counts, scanned);
+    assert_eq!(
+        (
+            counts.interior_runs,
+            counts.interior_cells,
+            counts.boundary_cells
+        ),
+        (w as u64, cells, 0)
+    );
 }
 
 fn classes_after_touching_every_tile(tiling: &Tiling, params: &[i64]) -> usize {
