@@ -97,9 +97,10 @@ where
     RK: RunKernel<T>,
 {
     let t_start = Instant::now();
-    let (tiling, params) = (plan.tiling(), plan.params());
+    let tiling = plan.tiling();
     let probe = &opts.probe;
-    let artifacts = plan.artifacts(opts);
+    let artifacts = plan.artifacts(opts)?;
+    let graph = &*artifacts.graph;
     let balance = artifacts.partition.as_ref().map(|(_, b)| &**b);
 
     let priority = opts.priority.clone().unwrap_or_else(|| {
@@ -219,8 +220,7 @@ where
                 let run_rank = move || {
                     run_node(
                         &NodeJob {
-                            tiling,
-                            params,
+                            graph,
                             owner,
                             transport,
                             probe,

@@ -7,29 +7,22 @@
 //! system in which the offending inequalities are forced violated, and
 //! scanning each such system at run time.
 //!
-//! [`initial_tiles_systems`] implements exactly that; [`initial_tiles_scan`]
-//! is the straightforward full-scan oracle it is proven equivalent to by
-//! the tests here. Nothing outside this module calls either: the runtime
-//! already enumerates every tile into its `TileTable` and reads the
-//! initial ones off it (`dep_total == 0`), and the paper's "under 0.5% of
-//! total run time" is reproduced by `figures e9` from that pass's
-//! `RunStats::init_time`, not from these functions. The module is the
-//! executable statement of the paper's construction.
+//! [`initial_tiles_systems`] implements exactly that, and nothing outside
+//! this module calls it: the set a run actually starts from is read off the
+//! plan's [`TileGraph`] (the tiles with `dep_total == 0`, which every rank
+//! filters by ownership), and the paper's "under 0.5% of total run time" is
+//! reproduced by `figures e9` from the graph's derivation time plus
+//! `RunStats::init_time`. The module is the executable statement of the
+//! paper's construction, and the oracle the tests here hold the graph's
+//! initial set to.
 
 use dpgen_polyhedra::{Constraint, LinExpr, LoopNest, PolyError};
-use dpgen_tiling::{Coord, Tiling};
+use dpgen_tiling::{Coord, TileGraph};
 use std::collections::BTreeSet;
 
-/// Find all initial tiles by scanning the whole tile space and counting
-/// each tile's satisfiable dependencies.
-pub fn initial_tiles_scan(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
-    let mut point = tiling.make_point(params);
-    let mut tiles = Vec::new();
-    tiling.for_each_tile(&mut point, |t| tiles.push(t));
-    tiles
-        .into_iter()
-        .filter(|t| tiling.dep_total(t, &mut point) == 0)
-        .collect()
+/// The graph's own initial set, as coordinates in tile-nest order.
+fn graph_initial(graph: &TileGraph) -> Vec<Coord> {
+    graph.initial().map(|i| graph.tiles()[i]).collect()
 }
 
 /// Find all initial tiles with the paper's face/edge/corner systems: for
@@ -37,15 +30,18 @@ pub fn initial_tiles_scan(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
 /// build the restricted system and scan it.
 ///
 /// Exact (neither over- nor under-approximate) relative to the tile-space
-/// membership the rest of the runtime uses.
-pub fn initial_tiles_systems(tiling: &Tiling, params: &[i64]) -> Result<Vec<Coord>, PolyError> {
+/// membership the rest of the runtime uses. Sorted, except where the
+/// construction degenerates (no dependencies, or more combinations than a
+/// scan would cost) and the graph's own set is returned as it stands.
+pub fn initial_tiles_systems(graph: &TileGraph) -> Result<Vec<Coord>, PolyError> {
+    let (tiling, params) = (graph.tiling(), graph.params());
     let tile_sys = tiling.tile_system();
     let t_cols = tiling.t_cols();
     let d = tiling.dims();
     let deps = tiling.deps();
     if deps.is_empty() {
         // No dependencies at all: every tile is initial.
-        return Ok(initial_tiles_scan(tiling, params));
+        return Ok(graph_initial(graph));
     }
 
     // For each dependency δ, the tile-space constraints that moving by δ
@@ -73,7 +69,7 @@ pub fn initial_tiles_systems(tiling: &Tiling, params: &[i64]) -> Result<Vec<Coor
     if combos > 100_000 {
         // Degenerate case (many violable constraints per dependency): the
         // combination enumeration would be slower than simply scanning.
-        return Ok(initial_tiles_scan(tiling, params));
+        return Ok(graph_initial(graph));
     }
 
     let dim = tile_sys.space().dim();
@@ -127,7 +123,7 @@ pub fn initial_tiles_systems(tiling: &Tiling, params: &[i64]) -> Result<Vec<Coor
 mod tests {
     use super::*;
     use dpgen_polyhedra::{ConstraintSystem, Space};
-    use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
+    use dpgen_tiling::{Template, TemplateSet, Tiling, TilingBuilder};
 
     fn tiling_of(constraints: &[&str], templates: Vec<Template>, w: i64) -> Tiling {
         let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
@@ -155,14 +151,19 @@ mod tests {
         )
     }
 
+    /// The set a run starts from, sorted as the systems' answer is.
+    fn started_from(graph: &TileGraph) -> Vec<Coord> {
+        let mut initial = graph_initial(graph);
+        initial.sort();
+        initial
+    }
+
     #[test]
     fn grid_initial_is_far_corner() {
         // Positive templates: computation starts at the high corner.
-        let tiling = grid(4);
-        let scan = initial_tiles_scan(&tiling, &[15]); // tiles 0..=3 each dim
-        assert_eq!(scan, vec![Coord::from_slice(&[3, 3])]);
-        let sys = initial_tiles_systems(&tiling, &[15]).unwrap();
-        assert_eq!(sys, scan);
+        let graph = grid(4).graph(&[15]); // tiles 0..=3 each dim
+        assert_eq!(started_from(&graph), vec![Coord::from_slice(&[3, 3])]);
+        assert_eq!(initial_tiles_systems(&graph).unwrap(), started_from(&graph));
     }
 
     #[test]
@@ -170,14 +171,13 @@ mod tests {
         // Tiles along the diagonal boundary have no valid neighbours.
         let tiling = triangle(4);
         let n = 15i64;
-        let mut scan = initial_tiles_scan(&tiling, &[n]);
-        scan.sort();
-        let sys = initial_tiles_systems(&tiling, &[n]).unwrap();
-        assert_eq!(sys, scan);
-        assert!(!scan.is_empty());
+        let graph = tiling.graph(&[n]);
+        let initial = started_from(&graph);
+        assert_eq!(initial_tiles_systems(&graph).unwrap(), initial);
+        assert!(!initial.is_empty());
         // All initial tiles lie on the anti-diagonal frontier of tile space.
         let mut point = tiling.make_point(&[n]);
-        for t in &scan {
+        for t in &initial {
             assert!(tiling.tile_in_space(t, &mut point));
             assert_eq!(tiling.dep_total(t, &mut point), 0);
         }
@@ -186,11 +186,12 @@ mod tests {
     #[test]
     fn methods_agree_across_sizes_and_widths() {
         for (n, w) in [(7i64, 2i64), (12, 3), (9, 5), (20, 4)] {
-            let tiling = triangle(w);
-            let mut scan = initial_tiles_scan(&tiling, &[n]);
-            scan.sort();
-            let sys = initial_tiles_systems(&tiling, &[n]).unwrap();
-            assert_eq!(sys, scan, "N={n} w={w}");
+            let graph = triangle(w).graph(&[n]);
+            assert_eq!(
+                initial_tiles_systems(&graph).unwrap(),
+                started_from(&graph),
+                "N={n} w={w}"
+            );
         }
     }
 
@@ -205,18 +206,16 @@ mod tests {
             ],
             4,
         );
-        let scan = initial_tiles_scan(&tiling, &[15]);
-        assert_eq!(scan, vec![Coord::from_slice(&[0, 0])]);
-        let sys = initial_tiles_systems(&tiling, &[15]).unwrap();
-        assert_eq!(sys, scan);
+        let graph = tiling.graph(&[15]);
+        assert_eq!(started_from(&graph), vec![Coord::from_slice(&[0, 0])]);
+        assert_eq!(initial_tiles_systems(&graph).unwrap(), started_from(&graph));
     }
 
     #[test]
     fn no_templates_means_all_tiles_initial() {
         let tiling = tiling_of(&["0 <= x <= N", "0 <= y <= N"], vec![], 4);
-        let scan = initial_tiles_scan(&tiling, &[7]);
-        assert_eq!(scan.len(), 4); // 2x2 tiles
-        let sys = initial_tiles_systems(&tiling, &[7]).unwrap();
-        assert_eq!(sys.len(), 4);
+        let graph = tiling.graph(&[7]);
+        assert_eq!(graph.initial().count(), 4); // 2x2 tiles
+        assert_eq!(initial_tiles_systems(&graph).unwrap().len(), 4);
     }
 }

@@ -14,7 +14,7 @@
 
 use dpgen_polyhedra::{PolyError, QuasiPolynomial};
 use dpgen_runtime::TileOwner;
-use dpgen_tiling::{Coord, Direction, Tiling};
+use dpgen_tiling::{Coord, Direction, TileGraph, Tiling};
 use std::collections::HashMap;
 
 /// Attach the tiling's geometry to an interpolation failure. A bare
@@ -149,13 +149,20 @@ pub fn slab_work(tiling: &Tiling, lb_dim: usize, slab: i64, n: i64) -> u128 {
 ///
 /// Zero or one slab is trivially uniform.
 pub fn slabs_uniform(tiling: &Tiling, params: &[i64], lb_dim: usize) -> bool {
-    assert!(lb_dim < tiling.dims(), "lb_dim {lb_dim} out of range");
-    let mut point = tiling.make_point(params);
-    let mut tiles: Vec<Coord> = Vec::new();
-    tiling.for_each_tile(&mut point, |t| tiles.push(t));
+    slabs_uniform_on(&tiling.graph(params), lb_dim)
+}
+
+/// [`slabs_uniform`] on a tile graph already derived (a [`crate::Plan`]'s):
+/// reads the graph's per-tile cell counts, which it shares with the load
+/// balancer and the simulator.
+pub fn slabs_uniform_on(graph: &TileGraph, lb_dim: usize) -> bool {
+    assert!(
+        lb_dim < graph.tiling().dims(),
+        "lb_dim {lb_dim} out of range"
+    );
     let mut works: HashMap<i64, u128> = HashMap::new();
-    for t in &tiles {
-        *works.entry(t[lb_dim]).or_insert(0) += tiling.tile_cell_count(t, &mut point);
+    for (t, cells) in graph.tiles().iter().zip(graph.cells()) {
+        *works.entry(t[lb_dim]).or_insert(0) += cells;
     }
     let mut vals = works.values();
     match vals.next() {
@@ -199,24 +206,26 @@ impl LoadBalance {
         ranks: usize,
         method: &BalanceMethod,
     ) -> LoadBalance {
-        assert!(ranks >= 1);
-        let mut point = tiling.make_point(params);
-        let mut tiles: Vec<Coord> = Vec::new();
-        tiling.for_each_tile(&mut point, |t| tiles.push(t));
+        LoadBalance::compute_on(&tiling.graph(params), ranks, method)
+    }
 
+    /// [`LoadBalance::compute`] on a tile graph already derived (a
+    /// [`crate::Plan`]'s, or one a sweep shares between its partitions and
+    /// simulations).
+    pub fn compute_on(graph: &TileGraph, ranks: usize, method: &BalanceMethod) -> LoadBalance {
+        assert!(ranks >= 1);
         // Work per tile = exact cell count (the per-slab Ehrhart evaluation
-        // of the paper, computed directly).
-        let mut weighted: Vec<(Coord, u128)> = tiles
-            .into_iter()
-            .map(|t| {
-                let w = tiling.tile_cell_count(&t, &mut point);
-                (t, w)
-            })
+        // of the paper, computed directly), in tile-nest order.
+        let mut weighted: Vec<(Coord, u128)> = graph
+            .tiles()
+            .iter()
+            .copied()
+            .zip(graph.cells().iter().copied())
             .collect();
 
         // Order tiles by the method's key so equal-work cuts become
         // contiguous runs.
-        let directions = tiling.templates().directions().to_vec();
+        let directions = graph.tiling().templates().directions().to_vec();
         let flow = |t: &Coord, k: usize| -> i64 {
             match directions[k] {
                 Direction::Descending => -t[k],

@@ -5,9 +5,10 @@
 //! many times. [`Plan`] is that compiled artifact as an in-process object:
 //! an immutable, shareable (`Arc`) bundle of the derived tiling, the
 //! parameter binding and the load-balancing dimensions, plus lazily
-//! memoized schedule artifacts (the uniform-slab verdict, static
-//! wavefront plans, load balances, a cross-run buffer recycler) that make
-//! a repeated execution cheaper than the first.
+//! memoized schedule artifacts (the tile graph every rank of every
+//! execution reads, the uniform-slab verdict, static wavefront plans, load
+//! balances, a cross-run buffer recycler) that make a repeated execution
+//! cheaper than the first.
 //!
 //! ```
 //! use dpgen_core::{ExecOpts, Program};
@@ -39,7 +40,7 @@
 //! against is [`dpgen_runtime::run_reference`], called directly.
 
 use crate::driver::{hybrid_run, RecoveryConfig};
-use crate::loadbalance::{slabs_uniform, BalanceMethod, LoadBalance};
+use crate::loadbalance::{slabs_uniform_on, BalanceMethod, LoadBalance};
 use crate::program::{Program, ProgramError};
 use crate::run::RunOutput;
 use crate::spec::ProblemSpec;
@@ -49,7 +50,7 @@ use dpgen_runtime::{
     BufferRecycler, CompileFault, CompileStage, Kernel, PerCell, Probe, Reduction, RunError,
     RunKernel, Schedule, StaticPlan, TilePriority, TraceConfig, TraceLevel, Value,
 };
-use dpgen_tiling::{Coord, TileShape, Tiling};
+use dpgen_tiling::{TileGraph, TileShape, Tiling};
 use parking_lot::Mutex;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
@@ -281,6 +282,8 @@ type StaticPlanTable = MemoTable<(usize, Schedule), Option<Arc<StaticPlan>>>;
 /// What one execution draws from the plan's memo: [`Plan::artifacts`] is
 /// the only place that decides it.
 pub(crate) struct RunArtifacts {
+    /// The plan's tile graph: the one every rank and epoch runs on.
+    pub graph: Arc<TileGraph>,
     /// The requested schedule after the `Static` uniform-slab fallback.
     pub schedule: Schedule,
     /// The whole-space static plan, when one rank owns every tile.
@@ -325,6 +328,9 @@ pub struct Plan {
     tiling: Arc<Tiling>,
     params: Vec<i64>,
     lb_dims: Vec<usize>,
+    /// The tile DAG at this binding (see [`Plan::graph`]); everything
+    /// below is derived from it.
+    graph: OnceLock<Arc<TileGraph>>,
     /// The `slabs_uniform` verdict along the first load-balancing
     /// dimension (what a `Static` request resolves against).
     uniform: OnceLock<bool>,
@@ -355,6 +361,7 @@ impl Plan {
             tiling: Arc::new(tiling),
             params: params.to_vec(),
             lb_dims,
+            graph: OnceLock::new(),
             uniform: OnceLock::new(),
             cell_bound: OnceLock::new(),
             balances: Mutex::default(),
@@ -366,7 +373,7 @@ impl Plan {
     /// Compile a program at one parameter binding. Infallible: the
     /// program already carries a validated spec and derived tiling (a
     /// binding of the wrong arity is reported by [`Plan::cell_bound`],
-    /// [`Plan::admit`] and every execution).
+    /// [`Plan::admit`], [`Plan::graph`] and every execution).
     pub(crate) fn compile(program: &Program, params: &[i64]) -> Arc<Plan> {
         let spec = program.spec();
         Plan::new(
@@ -448,6 +455,18 @@ impl Plan {
         ))
     }
 
+    /// The tile graph of the plan's tiling at its binding: every tile with
+    /// its index, existing dependencies, neighbours and (once something
+    /// asks) cell count. Derived by the first caller and then shared — by
+    /// the slab verdict, the load balances, the static plans, and every
+    /// rank, recovery epoch and execution of this plan. Fails with a typed
+    /// `CompileError` (spec stage) when the binding has the wrong arity.
+    pub fn graph(&self) -> Result<Arc<TileGraph>, RunError> {
+        self.check_params()?;
+        let derive = || Arc::new(TileGraph::new(self.tiling.clone(), &self.params));
+        Ok(self.graph.get_or_init(derive).clone())
+    }
+
     /// Inclusive bounding-box volume of the iteration space at this
     /// plan's parameters, from [`probe_box`]: the admission-control
     /// metric. For banded plans the box is intersected with the band
@@ -500,10 +519,10 @@ impl Plan {
     }
 
     /// Force the memoized artifacts an execution with `opts` would draw
-    /// (and the admission bound), so a resident engine pays all
-    /// derivations at compile time and cache-hit executions start
-    /// immediately. Options no execution would accept warm nothing; the
-    /// typed fault surfaces from [`Plan::execute`].
+    /// (the tile graph first of all) and the admission bound, so a
+    /// resident engine pays all derivations at compile time and cache-hit
+    /// executions start immediately. Options no execution would accept
+    /// warm nothing; the typed fault surfaces from [`Plan::execute`].
     pub fn warm(&self, opts: &ExecOpts) {
         if opts.validate(self).is_ok() {
             let _ = self.artifacts(opts);
@@ -580,10 +599,11 @@ impl Plan {
     /// stash); the whole-space static plan fits only a rank that owns
     /// every tile, so with `ranks > 1` (an owned subset per rank, and a
     /// different one per recovery epoch) the runtime plans in-run.
-    pub(crate) fn artifacts(&self, opts: &ExecOpts) -> RunArtifacts {
-        let schedule = self.resolved_schedule(opts.schedule);
+    pub(crate) fn artifacts(&self, opts: &ExecOpts) -> Result<RunArtifacts, RunError> {
+        let graph = self.graph()?;
+        let schedule = self.resolved_schedule(&graph, opts.schedule);
         let static_plan = if opts.ranks == 1 {
-            self.static_plan(opts.threads, schedule)
+            self.static_plan(&graph, opts.threads, schedule)
         } else {
             None
         };
@@ -602,31 +622,30 @@ impl Plan {
                     lb_dims: slab_dims.to_vec(),
                 }
             });
-            let balance = self.balance(opts.ranks, &method);
+            let balance = self.balance(&graph, opts.ranks, &method);
             balance_time = t_balance.elapsed();
             (method, balance)
         });
-        RunArtifacts {
+        Ok(RunArtifacts {
+            graph,
             schedule,
             static_plan,
             partition,
             balance_time,
             recycler: self.recycler.clone(),
-        }
+        })
     }
 
     /// Apply the `Static` uniform-slab fallback: a requested static
     /// schedule only survives when the load model reports equal work in
     /// every slab along the first load-balancing dimension (a memoized
     /// verdict). `Mixed` needs no guarantee and `Dynamic` is always itself.
-    fn resolved_schedule(&self, requested: Schedule) -> Schedule {
+    fn resolved_schedule(&self, graph: &TileGraph, requested: Schedule) -> Schedule {
         if requested != Schedule::Static {
             return requested;
         }
         let lb_dim = self.lb_dims.first().copied().unwrap_or(0);
-        let uniform = self
-            .uniform
-            .get_or_init(|| slabs_uniform(&self.tiling, &self.params, lb_dim));
+        let uniform = self.uniform.get_or_init(|| slabs_uniform_on(graph, lb_dim));
         if *uniform {
             Schedule::Static
         } else {
@@ -636,7 +655,12 @@ impl Plan {
 
     /// Memoized whole-space static wavefront plan for `(threads,
     /// schedule)`; `None` for dynamic schedules.
-    fn static_plan(&self, threads: usize, schedule: Schedule) -> Option<Arc<StaticPlan>> {
+    fn static_plan(
+        &self,
+        graph: &TileGraph,
+        threads: usize,
+        schedule: Schedule,
+    ) -> Option<Arc<StaticPlan>> {
         if schedule == Schedule::Dynamic {
             return None;
         }
@@ -649,29 +673,22 @@ impl Plan {
             return p.clone();
         }
         // Same inputs as the runtime's own per-run build for a single
-        // owner: every tile, in `for_each_tile` order. Determinism of
+        // owner: every tile, in the graph's order. Determinism of
         // `StaticPlan::build` is what makes injection bit-identical.
-        let tiling = &*self.tiling;
-        let mut point = tiling.make_point(&self.params);
-        let mut owned: Vec<Coord> = Vec::new();
-        tiling.for_each_tile(&mut point, |t| owned.push(t));
-        let plan = StaticPlan::build(tiling, &mut point, &owned, threads, schedule).map(Arc::new);
+        let mut point = self.tiling.make_point(&self.params);
+        let plan = StaticPlan::build(&self.tiling, &mut point, graph.tiles(), threads, schedule)
+            .map(Arc::new);
         memo.push(((threads, schedule), plan.clone()));
         plan
     }
 
     /// Memoized load balance for `(ranks, method)`.
-    fn balance(&self, ranks: usize, method: &BalanceMethod) -> Arc<LoadBalance> {
+    fn balance(&self, graph: &TileGraph, ranks: usize, method: &BalanceMethod) -> Arc<LoadBalance> {
         let mut memo = self.balances.lock();
         if let Some((_, b)) = memo.iter().find(|((r, m), _)| *r == ranks && m == method) {
             return b.clone();
         }
-        let b = Arc::new(LoadBalance::compute(
-            &self.tiling,
-            &self.params,
-            ranks,
-            method,
-        ));
+        let b = Arc::new(LoadBalance::compute_on(graph, ranks, method));
         memo.push(((ranks, method.clone()), b.clone()));
         b
     }
@@ -1032,6 +1049,7 @@ mod tests {
                 stage_of(&plan.admit(u128::MAX).unwrap_err()),
                 CompileStage::Spec
             );
+            assert_eq!(stage_of(&plan.graph().unwrap_err()), CompileStage::Spec);
             plan.warm(&ExecOpts::new().schedule(Schedule::Static));
             let err = plan
                 .execute::<f64, _>(&path_kernel, &ExecOpts::new())
@@ -1046,6 +1064,69 @@ mod tests {
             assert_eq!(stage_of(&err), CompileStage::Spec, "{err}");
         }
         assert!(Plan::on_tiling(tiling, &[14], vec![1, 0]).is_ok());
+    }
+
+    #[test]
+    fn every_rank_epoch_and_execution_of_a_plan_reads_one_graph() {
+        use dpgen_mpisim::{FaultPlan, KillTrigger};
+        let n = 25i64;
+        let plan = triangle(3, n);
+        let dense = run_reference::<f64, _>(plan.tiling(), &[n], &path_kernel);
+        let coords = [[0, 0], [n, 0], [0, n], [3, 4], [7, 7]];
+        let probe: Vec<&[i64]> = coords.iter().map(|c| &c[..]).collect();
+        let want: Vec<Option<f64>> = coords.iter().map(|c| dense.get(c)).collect();
+        let opts = ExecOpts::new().threads(2).probe(Probe::many(&probe));
+        // What an execution with `o` runs on, against the reference.
+        let run = |o: &ExecOpts| {
+            let out = plan.execute(&path_kernel, o).unwrap();
+            assert_eq!(out.probes, want, "{o:?}");
+            assert_eq!(out.cells_computed(), dense.cells_computed(), "{o:?}");
+            (plan.artifacts(o).unwrap().graph, out)
+        };
+
+        // Four threads race on the cold plan: one derivation, one `Arc`.
+        let start = std::sync::Barrier::new(4);
+        let raced: Vec<Arc<TileGraph>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        run(&opts).0
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let graph = plan.graph().unwrap();
+        assert!(raced.iter().all(|g| Arc::ptr_eq(g, &graph)));
+        assert!(
+            !graph.cells_counted(),
+            "a one-rank Dynamic execution needs no cell count"
+        );
+
+        for ranks in [1usize, 2] {
+            for schedule in [Schedule::Dynamic, Schedule::Static, Schedule::Mixed] {
+                let (ran_on, _) = run(&opts.clone().ranks(ranks).schedule(schedule));
+                assert!(Arc::ptr_eq(&ran_on, &graph), "{schedule:?} ranks={ranks}");
+            }
+        }
+        assert!(
+            graph.cells_counted(),
+            "the slab verdict and the balance count"
+        );
+
+        // A killed rank: both epochs, the resumed-cell count included, read
+        // the same graph.
+        let mut killed = opts.clone().ranks(2).recovery(RecoveryConfig {
+            heartbeat_interval: Duration::from_millis(2),
+            death_timeout: Duration::from_millis(100),
+            max_recoveries: 1,
+        });
+        killed.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(3)));
+        let (ran_on, out) = run(&killed);
+        assert_eq!(out.recovery.epochs, 2);
+        assert!(Arc::ptr_eq(&ran_on, &graph));
+        assert!(Arc::ptr_eq(&plan.graph().unwrap(), &graph));
     }
 
     #[test]

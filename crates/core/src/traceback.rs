@@ -57,20 +57,14 @@ where
     T: Value,
     K: Kernel<T>,
 {
+    let graph = tiling.graph(params);
     let mut point = tiling.make_point(params);
-    let mut tiles = Vec::new();
-    tiling.for_each_tile(&mut point, |t| tiles.push(t));
-    let mut remaining: HashMap<Coord, usize> = HashMap::with_capacity(tiles.len());
-    let mut queue: VecDeque<Coord> = VecDeque::new();
-    for t in &tiles {
-        let total = tiling.dep_total(t, &mut point);
-        remaining.insert(*t, total);
-        if total == 0 {
-            queue.push_back(*t);
-        }
-    }
+    // Per tile of the graph, the edges it still waits for.
+    let mut remaining: Vec<usize> = (0..graph.len()).map(|i| graph.dep_total(i)).collect();
+    let mut queue: VecDeque<usize> = graph.initial().collect();
     let mut log: HashMap<Coord, Vec<(Coord, Vec<T>)>> = HashMap::new();
-    while let Some(tile) = queue.pop_front() {
+    while let Some(i) = queue.pop_front() {
+        let tile = graph.tiles()[i];
         let (values, geom) = compute_tile(
             tiling,
             &mut point,
@@ -80,18 +74,16 @@ where
         );
         // Pack edges for every consumer, log them, and decrement.
         for (dep_idx, dep) in tiling.deps().iter().enumerate() {
-            let consumer = tile.sub(&dep.delta);
-            if !tiling.tile_in_space(&consumer, &mut point) {
+            let Some(consumer) = graph.consumer(i, dep_idx) else {
                 continue;
-            }
+            };
             let src_locs = geom.edge_cells(dep_idx);
             let payload = src_locs.iter().map(|&loc| values[loc as usize]).collect();
-            log.entry(consumer).or_default().push((dep.delta, payload));
-            let r = remaining
-                .get_mut(&consumer)
-                .expect("consumer not in tile space");
-            *r -= 1;
-            if *r == 0 {
+            log.entry(graph.tiles()[consumer])
+                .or_default()
+                .push((dep.delta, payload));
+            remaining[consumer] -= 1;
+            if remaining[consumer] == 0 {
                 queue.push_back(consumer);
             }
         }

@@ -6,8 +6,11 @@
 //! observed directly; instead, this crate *simulates* the execution of the
 //! exact tile graph the generated program would run:
 //!
-//! * the tile space, tile dependencies, per-tile work (cell counts) and
-//!   per-edge payload sizes come from the real [`Tiling`],
+//! * the tile space, tile dependencies and per-tile work (cell counts)
+//!   are the [`TileGraph`](dpgen_tiling::TileGraph) the runtime executes
+//!   ([`simulate_on`] takes a plan's own; [`simulate`] derives one from a
+//!   bare tiling), and per-edge payload sizes come from the real
+//!   [`Tiling`](dpgen_tiling::Tiling),
 //! * tiles are dispatched per rank by the same [`TilePriority`] the real
 //!   scheduler uses, to `threads` virtual workers per rank,
 //! * remote edges pay latency + per-cell bandwidth from a [`CostModel`]
@@ -28,4 +31,4 @@ pub mod sim;
 
 pub use elastic::{simulate_elastic, ElasticConfig, ElasticSimResult};
 pub use model::{CostModel, SimConfig};
-pub use sim::{simulate, SimResult};
+pub use sim::{simulate, simulate_on, SimResult};

@@ -2,7 +2,7 @@
 
 use crate::model::SimConfig;
 use dpgen_runtime::{Schedule, StaticPlan, TileOwner, TilePriority};
-use dpgen_tiling::{Coord, Tiling};
+use dpgen_tiling::{Coord, TileGraph, Tiling};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -73,7 +73,7 @@ enum Event {
     /// A tile finishes on its rank's worker.
     Complete { tile: usize },
     /// A remote edge reaches its consumer.
-    Edge { tile: usize, cells: u64 },
+    Edge { tile: usize },
     /// A worker that was stalled on send buffers becomes free.
     WorkerFree { rank: usize },
 }
@@ -128,19 +128,27 @@ pub fn simulate<O: TileOwner + ?Sized>(
     owner: &O,
     config: &SimConfig,
 ) -> SimResult {
+    simulate_on(&tiling.graph(params), owner, config)
+}
+
+/// [`simulate`] on a tile graph already derived: the DAG the simulator
+/// walks — tiles, existing dependencies, consumers, cells per tile — is the
+/// one the runtime executes, so a sweep over machine shapes (or a plan that
+/// also runs) derives and counts it once.
+pub fn simulate_on<O: TileOwner + ?Sized>(
+    graph: &TileGraph,
+    owner: &O,
+    config: &SimConfig,
+) -> SimResult {
     assert!(config.ranks >= 1 && config.threads_per_rank >= 1);
     let cost = config.cost;
-    let mut point = tiling.make_point(params);
+    let tiling = graph.tiling();
+    let mut point = tiling.make_point(graph.params());
 
     // --- Static structure: tiles, work, owners, edges. -----------------
-    let mut tiles: Vec<Coord> = Vec::new();
-    tiling.for_each_tile(&mut point, |t| tiles.push(t));
-    let index: HashMap<Coord, usize> = tiles.iter().enumerate().map(|(i, t)| (*t, i)).collect();
+    let tiles = graph.tiles();
     let n = tiles.len();
-    let work: Vec<u128> = tiles
-        .iter()
-        .map(|t| tiling.tile_cell_count(t, &mut point))
-        .collect();
+    let work = graph.cells();
     let owners: Vec<usize> = tiles
         .iter()
         .map(|t| {
@@ -149,15 +157,16 @@ pub fn simulate<O: TileOwner + ?Sized>(
             r
         })
         .collect();
-    // Outgoing edges: (consumer index, payload cells) per tile.
+    // Outgoing edges: (consumer index, payload cells) per tile; the cells
+    // a tile packs and unpacks are known statically too (needed for
+    // durations).
     let mut out_edges: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-    let mut pending: Vec<usize> = vec![0; n];
-    let mut in_cells: Vec<u64> = vec![0; n];
+    let mut pending: Vec<usize> = (0..n).map(|i| graph.dep_total(i)).collect();
     let mut out_cells: Vec<u64> = vec![0; n];
+    let mut in_total: Vec<u64> = vec![0; n];
     for (i, t) in tiles.iter().enumerate() {
-        for (dep_idx, dep) in tiling.deps().iter().enumerate() {
-            let consumer = t.sub(&dep.delta);
-            let Some(&c) = index.get(&consumer) else {
+        for dep_idx in 0..tiling.deps().len() {
+            let Some(c) = graph.consumer(i, dep_idx) else {
                 continue;
             };
             tiling.set_tile(t, &mut point);
@@ -166,20 +175,14 @@ pub fn simulate<O: TileOwner + ?Sized>(
                 .expect("edge count failed") as u64;
             out_edges[i].push((c, cells));
             out_cells[i] += cells;
-            pending[c] += 1;
-        }
-    }
-    // Incoming cells are known statically too (needed for durations).
-    let mut in_total: Vec<u64> = vec![0; n];
-    for edges in out_edges.iter().take(n) {
-        for &(c, cells) in edges {
             in_total[c] += cells;
         }
     }
-    // Statically pinned tiles (per-rank precomputed wavefront sequences)
-    // skip the ready-heap and steal machinery: cheaper dispatch overhead
-    // and a wavefront-order priority key. Membership mirrors the runtime:
-    // `Static` pins every owned tile, `Mixed` only full-interior tiles.
+    // Statically pinned tiles (the runtime's per-worker precomputed
+    // sequences) skip the ready-heap and steal machinery: cheaper dispatch
+    // overhead and a wavefront-order priority key. Membership mirrors the
+    // runtime: `Static` pins every owned tile, `Mixed` only full-interior
+    // tiles.
     let static_member: Vec<bool> = {
         let mut member = vec![false; n];
         if config.schedule != Schedule::Dynamic {
@@ -283,8 +286,12 @@ pub fn simulate<O: TileOwner + ?Sized>(
     macro_rules! enqueue_ready {
         ($i:expr) => {{
             let i = $i;
-            // Static members dispatch in wavefront (level-set) order, as
-            // the precomputed per-worker sequences do in the runtime.
+            // The model dispatches static members from the rank's one
+            // ready heap in wavefront (level-set) order on any free
+            // worker. The runtime does not: since the pipeline deal
+            // (`runtime::schedule`) each worker sweeps its own rows of the
+            // pipeline axis in lexicographic order. Modelling the
+            // per-worker sequences is ROADMAP item 4's.
             let key = if static_member[i] {
                 TilePriority::LevelSet.key(&tiles[i], &directions, prio_seq)
             } else {
@@ -333,7 +340,6 @@ pub fn simulate<O: TileOwner + ?Sized>(
                     if dest == r {
                         // Local delivery is immediate.
                         pending[c] -= 1;
-                        in_cells[c] += cells;
                         if pending[c] == 0 {
                             enqueue_ready!(c);
                         }
@@ -366,12 +372,7 @@ pub fn simulate<O: TileOwner + ?Sized>(
                                 .or_default()
                                 .push(Reverse(QueueTime(arrive)));
                         }
-                        push_event(
-                            &mut events,
-                            &mut seq,
-                            arrive,
-                            Event::Edge { tile: c, cells },
-                        );
+                        push_event(&mut events, &mut seq, arrive, Event::Edge { tile: c });
                     }
                 }
                 if tcur > now {
@@ -386,9 +387,8 @@ pub fn simulate<O: TileOwner + ?Sized>(
                     dispatch!(r, now);
                 }
             }
-            Event::Edge { tile, cells } => {
+            Event::Edge { tile } => {
                 pending[tile] -= 1;
-                in_cells[tile] += cells;
                 if pending[tile] == 0 {
                     enqueue_ready!(tile);
                     dispatch!(owners[tile], now);

@@ -26,9 +26,13 @@
 //! indices. Per-cell execution is the [`PerCell`] adapter, whose default
 //! `eval_block` and `eval_run` replay the block through
 //! [`Kernel::compute`]. Which tiles exist, how many dependencies each waits
-//! for and where its neighbours sit is tabulated once per run during
-//! initial-tile generation; what a worker counts for [`RunStats`] it counts
-//! on its own stack and adds to the run's totals when it exits.
+//! for and where its neighbours sit is read from the [`TileGraph`] the job
+//! carries — derived once per plan, shared by every rank, recovery epoch
+//! and execution — so a run's initial-tile generation is an owner filter
+//! over it; what a run keeps per tile (the geometry slot, the probe mark)
+//! are arrays over the graph's tile index. What a worker counts for
+//! [`RunStats`] it counts on its own stack and adds to the run's totals
+//! when it exits.
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -58,7 +62,7 @@ use crate::stats::RunStats;
 use crate::trace::{EventKind, Tracer};
 use crate::transport::{EdgeMsg, Transport};
 use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
-use dpgen_tiling::{Coord, TileGeom, Tiling, MAX_DIMS};
+use dpgen_tiling::{Coord, TileGeom, TileGraph, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -474,132 +478,6 @@ impl<T: Value, RK: RunKernel<T>> TileVisitor for BatchVisitor<'_, T, RK> {
     }
 }
 
-/// What a run knows about one tile of the tile space.
-#[derive(Default)]
-struct TileEntry {
-    /// How many of the tile's dependencies exist: the edge count the
-    /// scheduler waits for before the tile may run.
-    dep_total: usize,
-    /// Whether any probed coordinate lies in the tile.
-    has_probe: bool,
-    /// The tile's recorded geometry, parked by the first worker to need it.
-    geom: OnceLock<Arc<TileGeom>>,
-}
-
-/// The run's tile table: one [`TileEntry`] per tile of the tile space,
-/// built once during initial-tile generation. Delivery, receive and pack
-/// read it in place of evaluating tile-space membership per edge.
-///
-/// The tile nest enumerates each *row* — the tiles sharing every
-/// coordinate but the innermost loop's — as one contiguous interval, so
-/// the table is a dense entry array in enumeration order plus one map
-/// entry per row: a third of the memory of a map keyed by tile. Counting a
-/// tile's dependencies looks every neighbour up once; the indices found are
-/// kept, so that executing a tile hashes its own coordinate and reads its
-/// neighbours' entries by index.
-struct TileTable {
-    /// Problem dimension of the tile nest's innermost loop.
-    inner: usize,
-    /// Keyed by a row's tiles with coordinate `inner` zeroed.
-    rows: HashMap<Coord, TileRow>,
-    /// In `for_each_tile` order.
-    entries: Vec<TileEntry>,
-    /// Dependencies per tile ([`Tiling::deps`]).
-    ndeps: usize,
-    /// Per tile and dependency `delta`, the entry index of the source tile
-    /// `t + delta` and of the consumer tile `t - delta` ([`NO_TILE`] where
-    /// there is none).
-    links: Vec<[u32; 2]>,
-}
-
-/// [`TileTable::links`] entry of a neighbour outside the tile space.
-const NO_TILE: u32 = u32::MAX;
-
-struct TileRow {
-    /// Coordinate `inner` of the row's first tile.
-    lo: i64,
-    len: usize,
-    /// Index of the row's first tile in `entries`.
-    start: usize,
-}
-
-impl TileTable {
-    /// `tiles` must be the whole tile space in `for_each_tile` order.
-    fn new(tiling: &Tiling, tiles: &[Coord]) -> TileTable {
-        let inner = *tiling.loop_order().last().expect("tiling has >= 1 dim");
-        let ndeps = tiling.deps().len();
-        assert!(
-            tiles.len() < NO_TILE as usize,
-            "{} tiles overflow the tile table's u32 indices",
-            tiles.len()
-        );
-        let mut table = TileTable {
-            inner,
-            rows: HashMap::new(),
-            entries: tiles.iter().map(|_| TileEntry::default()).collect(),
-            ndeps,
-            links: vec![[NO_TILE; 2]; tiles.len() * ndeps],
-        };
-        for (start, t) in tiles.iter().enumerate() {
-            let mut key = *t;
-            key.set(inner, 0);
-            let row = table.rows.entry(key).or_insert(TileRow {
-                lo: t[inner],
-                len: 0,
-                start,
-            });
-            // The innermost tile loop runs `lb..=ub` under each prefix
-            // exactly once; anything else is a bug in `for_each_tile`.
-            assert_eq!(
-                (row.lo + row.len as i64, row.start + row.len),
-                (t[inner], start),
-                "tile nest did not enumerate row {key} contiguously"
-            );
-            row.len += 1;
-        }
-        for (i, t) in tiles.iter().enumerate() {
-            for (dep_idx, dep) in tiling.deps().iter().enumerate() {
-                if let Some(src) = table.index_of(&t.add(&dep.delta)) {
-                    table.entries[i].dep_total += 1;
-                    table.links[i * ndeps + dep_idx][0] = src as u32;
-                    table.links[src * ndeps + dep_idx][1] = i as u32;
-                }
-            }
-        }
-        table
-    }
-
-    /// Index of `tile` in `entries`, or `None` when no such tile exists.
-    fn index_of(&self, tile: &Coord) -> Option<usize> {
-        if self.inner >= tile.dims() {
-            return None;
-        }
-        let mut key = *tile;
-        key.set(self.inner, 0);
-        let row = self.rows.get(&key)?;
-        let offset = usize::try_from(tile[self.inner].checked_sub(row.lo)?).ok()?;
-        (offset < row.len).then_some(row.start + offset)
-    }
-
-    /// The entry of `tile`, or `None` when no such tile exists.
-    fn get(&self, tile: &Coord) -> Option<&TileEntry> {
-        self.index_of(tile).map(|i| &self.entries[i])
-    }
-
-    /// Entry index of the tile that entry `tile` receives dependency
-    /// `dep_idx` from.
-    fn source(&self, tile: usize, dep_idx: usize) -> Option<usize> {
-        let link = self.links[tile * self.ndeps + dep_idx][0];
-        (link != NO_TILE).then_some(link as usize)
-    }
-
-    /// Entry index of the tile that reads entry `tile`'s edge `dep_idx`.
-    fn consumer(&self, tile: usize, dep_idx: usize) -> Option<usize> {
-        let link = self.links[tile * self.ndeps + dep_idx][1];
-        (link != NO_TILE).then_some(link as usize)
-    }
-}
-
 /// One worker's share of the run's [`RunStats`] counters: plain integers
 /// on the worker's stack, added to the run's totals when the worker exits.
 #[derive(Default)]
@@ -681,14 +559,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Everything one rank's run is made of except the kernel: the problem
-/// (tiling and parameter binding), this rank's place in the world (tile
-/// ownership and the transport to the other ranks), what to capture, and
-/// how to execute.
+/// (its tile graph, which carries the tiling and the parameter binding),
+/// this rank's place in the world (tile ownership and the transport to the
+/// other ranks), what to capture, and how to execute.
 pub struct NodeJob<'a, T, O: ?Sized, Tr: ?Sized> {
-    /// The derived tiling.
-    pub tiling: &'a Tiling,
-    /// The parameter binding.
-    pub params: &'a [i64],
+    /// The problem's tile graph: every rank, recovery epoch and execution
+    /// of one plan reads the same one.
+    pub graph: &'a TileGraph,
     /// Tile-to-rank assignment; this rank executes the tiles it maps to
     /// `config.rank`.
     pub owner: &'a O,
@@ -730,8 +607,7 @@ where
     Tr: Transport<T> + ?Sized,
 {
     let NodeJob {
-        tiling,
-        params,
+        graph,
         owner,
         transport,
         probe,
@@ -740,19 +616,17 @@ where
         recovery,
     } = *job;
     let t_start = Instant::now();
+    let tiling = graph.tiling();
+    let params = graph.params();
     let d = tiling.dims();
     let layout = tiling.layout();
     let widths = tiling.widths();
 
-    // --- Initial tile generation (Section IV-K): find owned tiles whose
-    // dependencies are all unsatisfiable. Executed serially, as in the
-    // paper; its wall time is reported separately.
+    // --- Initial tile generation (Section IV-K): the graph knows which
+    // tiles have no dependency that exists; this rank starts from the ones
+    // it owns. Executed serially, as in the paper; its wall time is
+    // reported separately.
     let mut point = tiling.make_point(params);
-    // Every tile of the tile space first (narrowed to this rank's below).
-    let mut owned_list: Vec<Coord> = Vec::new();
-    tiling.for_each_tile(&mut point, |t| owned_list.push(t));
-    let mut tiles = TileTable::new(tiling, &owned_list);
-    owned_list.retain(|t| owner.owner_of(t) == config.rank);
     // Tiles already completed in prior recovery epochs: never re-executed
     // and never delivered to — their results travel as replayed edges.
     // Empty outside a recovery resume, so the hot path pays one
@@ -760,24 +634,33 @@ where
     let no_prior: HashSet<Coord> = HashSet::new();
     let resume = recovery.and_then(|r| r.resume.as_ref());
     let completed_prior: &HashSet<Coord> = resume.map(|rs| &rs.completed).unwrap_or(&no_prior);
+    // The owned tiles as a list only when a static plan has to be built
+    // from them below.
+    let plan_in_run = config.schedule != Schedule::Dynamic && config.static_plan.is_none();
+    let mut owned_list: Vec<Coord> = Vec::new();
     let mut initials: Vec<Coord> = Vec::new();
+    let mut owned = 0u64;
     let mut resumed = 0u64;
     let mut resumed_cells = 0u64;
-    for t in &owned_list {
+    for (i, t) in graph.tiles().iter().enumerate() {
+        if owner.owner_of(t) != config.rank {
+            continue;
+        }
+        owned += 1;
+        if plan_in_run {
+            owned_list.push(*t);
+        }
         if completed_prior.contains(t) {
             resumed += 1;
             // Their cells were computed in a prior epoch; counting them
             // here keeps the final epoch's `cells_computed` covering the
             // whole owned lattice (the interior/boundary split only
             // covers cells executed this epoch).
-            resumed_cells += tiling.tile_cell_count(t, &mut point) as u64;
-            continue;
-        }
-        if tiles.get(t).is_some_and(|entry| entry.dep_total == 0) {
+            resumed_cells += graph.cells()[i] as u64;
+        } else if graph.dep_total(i) == 0 {
             initials.push(*t);
         }
     }
-    let owned = owned_list.len() as u64;
     let threads = config.threads.max(1);
     // The static plan (Static/Mixed): per-worker wavefront sequences over
     // the owned tiles, built serially alongside initial-tile generation
@@ -785,10 +668,13 @@ where
     // injected a precompiled one (a cached `Plan` artifact), which must
     // have been built from the identical inputs and therefore replays the
     // exact same sequences.
-    let plan: Option<Arc<StaticPlan>> = match &config.static_plan {
-        Some(p) if config.schedule != Schedule::Dynamic => Some(p.clone()),
-        _ => StaticPlan::build(tiling, &mut point, &owned_list, threads, config.schedule)
-            .map(Arc::new),
+    let plan: Option<Arc<StaticPlan>> = if plan_in_run {
+        StaticPlan::build(tiling, &mut point, &owned_list, threads, config.schedule).map(Arc::new)
+    } else {
+        config
+            .static_plan
+            .clone()
+            .filter(|_| config.schedule != Schedule::Dynamic)
     };
     let resolved_schedule = plan.as_ref().map(|p| p.mode()).unwrap_or(Schedule::Dynamic);
     // Shared cursors into the plan's per-worker sequences. Each advances
@@ -798,6 +684,9 @@ where
     // only that winner publishes the advance.
     let cursors: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
     drop(owned_list);
+    // Per tile of the graph, the slot where the first worker to need the
+    // tile's recorded geometry parks it for everyone after.
+    let geoms: Vec<OnceLock<Arc<TileGeom>>> = (0..graph.len()).map(|_| OnceLock::new()).collect();
     let init_time = t_start.elapsed();
 
     let tracer = config.tracer.as_deref();
@@ -835,7 +724,7 @@ where
                     tile: m.tile,
                     delta: m.delta,
                     payload: m.payload.clone(),
-                    total: tiles.get(&m.tile)?.dep_total,
+                    total: graph.dep_total(graph.index_of(&m.tile)?),
                 })
             })
             .collect();
@@ -862,12 +751,13 @@ where
     let last_progress = AtomicU64::new(0);
     let worker_progress: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
-    // Group probe coordinates by owning tile, and mark those tiles in the
-    // table: every other tile skips the hash lookup and the results mutex.
+    // Group probe coordinates by owning tile, and mark those tiles: every
+    // other tile skips the hash lookup and the results mutex.
     let probe_by_tile = probe_map(tiling, params, probe);
+    let mut has_probe = vec![false; graph.len()];
     for t in probe_by_tile.keys() {
-        if let Some(i) = tiles.index_of(t) {
-            tiles.entries[i].has_probe = true;
+        if let Some(i) = graph.index_of(t) {
+            has_probe[i] = true;
         }
     }
     let probe_results: Mutex<Vec<Option<T>>> = Mutex::new(vec![None; probe.len()]);
@@ -915,7 +805,8 @@ where
             let totals = &totals;
             let plan = &plan;
             let cursors = &cursors;
-            let tiles = &tiles;
+            let geoms = &geoms;
+            let has_probe = &has_probe;
             let idle_ns = &idle_ns;
             let tiles_per_worker = &tiles_per_worker;
             let mem = &mem;
@@ -1008,34 +899,34 @@ where
                 // of an incoming edge). The first worker to need it asks
                 // the tiling — one signature and one map lookup unless the
                 // tile is the first of its class — and parks it in the
-                // tile's table entry for everyone after.
+                // tile's slot for everyone after.
                 let (mut built, mut hit) = (0u64, 0u64);
-                let mut geometry = |t: &Coord,
-                                    entry: &TileEntry,
-                                    point: &mut [i128]|
-                 -> Result<Arc<TileGeom>, RunError> {
-                    if let Some(geom) = entry.geom.get() {
-                        return Ok(geom.clone());
-                    }
-                    let (geom, was_built) =
-                        tiling
-                            .geometry(t, point)
-                            .map_err(|error| RunError::TileGeometry {
-                                rank: config.rank,
-                                tile: *t,
-                                error,
-                            })?;
-                    // Counted by whoever parks it, so a run's lookups add
-                    // up to the tiles it touched whatever the interleaving.
-                    if entry.geom.set(geom.clone()).is_ok() {
-                        if was_built {
-                            built += 1;
-                        } else {
-                            hit += 1;
+                let mut geometry =
+                    |tile_idx: usize, point: &mut [i128]| -> Result<Arc<TileGeom>, RunError> {
+                        let slot = &geoms[tile_idx];
+                        if let Some(geom) = slot.get() {
+                            return Ok(geom.clone());
                         }
-                    }
-                    Ok(geom)
-                };
+                        let t = &graph.tiles()[tile_idx];
+                        let (geom, was_built) =
+                            tiling
+                                .geometry(t, point)
+                                .map_err(|error| RunError::TileGeometry {
+                                    rank: config.rank,
+                                    tile: *t,
+                                    error,
+                                })?;
+                        // Counted by whoever parks it, so a run's lookups add
+                        // up to the tiles it touched whatever the interleaving.
+                        if slot.set(geom.clone()).is_ok() {
+                            if was_built {
+                                built += 1;
+                            } else {
+                                hit += 1;
+                            }
+                        }
+                        Ok(geom)
+                    };
                 loop {
                     if failed.load(Ordering::Acquire) {
                         break;
@@ -1080,7 +971,7 @@ where
                         if completed_prior.contains(&msg.tile) {
                             continue;
                         }
-                        let Some(entry) = tiles.get(&msg.tile) else {
+                        let Some(consumer_idx) = graph.index_of(&msg.tile) else {
                             bad_edge = Some(EdgeFault {
                                 rank: config.rank,
                                 tile: msg.tile,
@@ -1093,7 +984,7 @@ where
                             tile: msg.tile,
                             delta: msg.delta,
                             payload: msg.payload,
-                            total: entry.dep_total,
+                            total: graph.dep_total(consumer_idx),
                         });
                     }
                     if let Some(fault) = bad_edge {
@@ -1215,7 +1106,7 @@ where
                     // failure breaks out of the labelled block and fails
                     // the run; the dirty tile buffer is discarded (its
                     // written range is unknown after a mid-scan panic).
-                    let Some(tile_idx) = tiles.index_of(&tile) else {
+                    let Some(tile_idx) = graph.index_of(&tile) else {
                         // Only an edge can have put it in the scheduler.
                         fail(RunError::BadEdge(Box::new(EdgeFault {
                             rank: config.rank,
@@ -1225,8 +1116,7 @@ where
                         })));
                         break;
                     };
-                    let entry = &tiles.entries[tile_idx];
-                    let geom = match geometry(&tile, entry, &mut point) {
+                    let geom = match geometry(tile_idx, &mut point) {
                         Ok(geom) => geom,
                         Err(e) => {
                             fail(e);
@@ -1255,7 +1145,7 @@ where
                                 }))
                             };
                             let src = tiling.dep_index(&delta).and_then(|dep_idx| {
-                                Some((dep_idx, tiles.source(tile_idx, dep_idx)?))
+                                Some((dep_idx, graph.source(tile_idx, dep_idx)?))
                             });
                             let Some((dep_idx, src_idx)) = src else {
                                 break 'tile Err(bad_edge(
@@ -1264,11 +1154,7 @@ where
                             };
                             // The edge was packed from the source tile's
                             // recording; scatter through the same indices.
-                            let src_geom = match geometry(
-                                &tile.add(&delta),
-                                &tiles.entries[src_idx],
-                                &mut point,
-                            ) {
+                            let src_geom = match geometry(src_idx, &mut point) {
                                 Ok(geom) => geom,
                                 Err(e) => break 'tile Err(e),
                             };
@@ -1328,7 +1214,7 @@ where
                             }
                         }
 
-                        if entry.has_probe {
+                        if has_probe[tile_idx] {
                             if let Some(list) = probe_by_tile.get(&tile) {
                                 let mut res = probe_results.lock();
                                 for (idx, x) in list {
@@ -1349,11 +1235,11 @@ where
                         // edges accumulate into one batch delivered below;
                         // remote edges go straight to the transport.
                         for (dep_idx, dep) in tiling.deps().iter().enumerate() {
-                            let Some(consumer_idx) = tiles.consumer(tile_idx, dep_idx) else {
+                            let Some(consumer_idx) = graph.consumer(tile_idx, dep_idx) else {
                                 continue; // no such tile: nothing reads this edge
                             };
                             let consumer = tile.sub(&dep.delta);
-                            let total = tiles.entries[consumer_idx].dep_total;
+                            let total = graph.dep_total(consumer_idx);
                             let max_cells = tiling.edges()[dep_idx].max_cells();
                             let mut payload = pool.take_payload(max_cells, mem);
                             let src_locs = geom.edge_cells(dep_idx);
@@ -1732,8 +1618,7 @@ mod tests {
     {
         run_node(
             &NodeJob {
-                tiling,
-                params,
+                graph: &tiling.graph(params),
                 owner: &SingleOwner,
                 transport: &NullTransport::default(),
                 probe,
@@ -2053,8 +1938,7 @@ mod tests {
         };
         let err = run_node(
             &NodeJob {
-                tiling: &tiling,
-                params: &[12],
+                graph: &tiling.graph(&[12]),
                 owner: &SingleOwner,
                 transport: &NullTransport::default(),
                 probe: &Probe::default(),
@@ -2127,8 +2011,7 @@ mod tests {
         let tiling = triangle(3);
         run_node(
             &NodeJob {
-                tiling: &tiling,
-                params: &[9],
+                graph: &tiling.graph(&[9]),
                 owner: &OneForeignTile,
                 transport: &Forged(Mutex::new(Some(msg))),
                 probe: &Probe::default(),

@@ -230,8 +230,7 @@ mod tests {
         };
         let tiled = run_node::<u64, _, _, _>(
             &NodeJob {
-                tiling: &tiling,
-                params: &[n],
+                graph: &tiling.graph(&[n]),
                 owner: &SingleOwner,
                 transport: &NullTransport::default(),
                 probe: &probe,

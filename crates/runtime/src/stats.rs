@@ -68,8 +68,12 @@ pub struct RunStats {
     /// Geometry classes memoized in the tiling when this node finished
     /// (shared by every rank, plan and run using the tiling).
     pub geom_classes: u64,
-    /// Wall time spent discovering initial tiles (Section IV-K measures
-    /// this as < 0.5% of total run time).
+    /// Wall time this node spent before its first tile: filtering the
+    /// plan's tile graph down to the initial tiles it owns, building a
+    /// static plan when none was injected, and allocating its per-tile
+    /// arrays. Deriving the graph itself — the discovery Section IV-K
+    /// measures as < 0.5% of total run time — happens once per plan, not
+    /// here (`figures e9` times it beside this).
     pub init_time: Duration,
     /// Total wall time of the run (including initialisation).
     pub total_time: Duration,

@@ -1,0 +1,384 @@
+//! The tile graph: the tile DAG of one tiling at one parameter binding,
+//! derived once and read by everything that schedules, partitions, counts
+//! or simulates tiles.
+//!
+//! The paper's generator derives the tile space, the tile dependencies
+//! (Section IV-F), the per-tile work the load balancer cuts (Section IV-J)
+//! and the initial tiles (Section IV-K) once, at generation time.
+//! [`TileGraph`] is that derivation as one value: every tile in tile-nest
+//! order, a coordinate → index table, how many of each tile's dependencies
+//! exist, the index of the neighbour at either end of every dependency, and
+//! — counted on first request, once — the cells of every tile. It carries
+//! the tiling and the binding it was built from, so a consumer handed a
+//! graph cannot pair it with another problem.
+
+use crate::coord::Coord;
+use crate::tiling::Tiling;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+/// The tile DAG of one [`Tiling`] at one parameter binding; see the
+/// [module docs](self). Built by [`Tiling::graph`] or [`TileGraph::new`].
+///
+/// The tile nest enumerates each *row* — the tiles sharing every coordinate
+/// but the innermost loop's — as one contiguous interval, so the index is
+/// one map entry per row over the dense arrays: a third of the memory of a
+/// map keyed by tile.
+pub struct TileGraph {
+    tiling: Arc<Tiling>,
+    params: Vec<i64>,
+    /// In `for_each_tile` order.
+    tiles: Vec<Coord>,
+    /// Problem dimension of the tile nest's innermost loop.
+    inner: usize,
+    /// Keyed by a row's tiles with coordinate `inner` zeroed.
+    rows: HashMap<Coord, TileRow>,
+    /// Per tile, how many of its dependencies exist.
+    dep_totals: Vec<usize>,
+    /// Dependencies per tile ([`Tiling::deps`]): the stride of `links`.
+    ndeps: usize,
+    /// Per tile and dependency `delta`, the index of the source tile
+    /// `t + delta` and of the consumer tile `t - delta` ([`NO_TILE`] where
+    /// there is none).
+    links: Vec<[u32; 2]>,
+    /// Per tile, its cell count; filled by the first [`TileGraph::cells`].
+    cells: OnceLock<Vec<u128>>,
+}
+
+/// `links` entry of a neighbour outside the tile space.
+const NO_TILE: u32 = u32::MAX;
+
+struct TileRow {
+    /// Coordinate `inner` of the row's first tile.
+    lo: i64,
+    len: usize,
+    /// Index of the row's first tile.
+    start: usize,
+}
+
+impl Tiling {
+    /// The tile graph of this tiling at `params` (one value per parameter;
+    /// panics otherwise, as [`Tiling::make_point`] does). Copies the tiling
+    /// into the graph; a caller that already shares its tiling passes the
+    /// `Arc` to [`TileGraph::new`].
+    pub fn graph(&self, params: &[i64]) -> TileGraph {
+        TileGraph::new(Arc::new(self.clone()), params)
+    }
+}
+
+impl TileGraph {
+    /// Derive the graph: enumerate the tile space, index it by row, and
+    /// link every tile to the neighbours its dependencies name.
+    pub fn new(tiling: Arc<Tiling>, params: &[i64]) -> TileGraph {
+        let mut point = tiling.make_point(params);
+        let mut tiles: Vec<Coord> = Vec::new();
+        tiling.for_each_tile(&mut point, |t| tiles.push(t));
+        assert!(
+            tiles.len() < NO_TILE as usize,
+            "{} tiles overflow the tile graph's u32 indices",
+            tiles.len()
+        );
+        let inner = *tiling.loop_order().last().expect("tiling has >= 1 dim");
+        let mut rows: HashMap<Coord, TileRow> = HashMap::new();
+        for (start, t) in tiles.iter().enumerate() {
+            let mut key = *t;
+            key.set(inner, 0);
+            let row = rows.entry(key).or_insert(TileRow {
+                lo: t[inner],
+                len: 0,
+                start,
+            });
+            // The innermost tile loop runs `lb..=ub` under each prefix
+            // exactly once; anything else is a bug in `for_each_tile`.
+            assert_eq!(
+                (row.lo + row.len as i64, row.start + row.len),
+                (t[inner], start),
+                "tile nest did not enumerate row {key} contiguously"
+            );
+            row.len += 1;
+        }
+        let ndeps = tiling.deps().len();
+        let mut graph = TileGraph {
+            params: params.to_vec(),
+            inner,
+            rows,
+            dep_totals: vec![0; tiles.len()],
+            ndeps,
+            links: vec![[NO_TILE; 2]; tiles.len() * ndeps],
+            cells: OnceLock::new(),
+            tiles,
+            tiling,
+        };
+        for i in 0..graph.tiles.len() {
+            for dep_idx in 0..ndeps {
+                let src = graph.tiles[i].add(&graph.tiling.deps()[dep_idx].delta);
+                if let Some(src) = graph.index_of(&src) {
+                    graph.dep_totals[i] += 1;
+                    graph.links[i * ndeps + dep_idx][0] = src as u32;
+                    graph.links[src * ndeps + dep_idx][1] = i as u32;
+                }
+            }
+        }
+        graph
+    }
+
+    /// The tiling the graph was derived from.
+    pub fn tiling(&self) -> &Tiling {
+        &self.tiling
+    }
+
+    /// The parameter binding the graph was derived at.
+    pub fn params(&self) -> &[i64] {
+        &self.params
+    }
+
+    /// Every tile of the tile space, in tile-nest ([`Tiling::for_each_tile`])
+    /// order; a tile's position here is its index everywhere else.
+    pub fn tiles(&self) -> &[Coord] {
+        &self.tiles
+    }
+
+    /// Number of tiles.
+    pub fn len(&self) -> usize {
+        self.tiles.len()
+    }
+
+    /// True for an empty tile space.
+    pub fn is_empty(&self) -> bool {
+        self.tiles.is_empty()
+    }
+
+    /// Index of `tile`, or `None` when the tile space has no such tile.
+    pub fn index_of(&self, tile: &Coord) -> Option<usize> {
+        if self.inner >= tile.dims() {
+            return None;
+        }
+        let mut key = *tile;
+        key.set(self.inner, 0);
+        let row = self.rows.get(&key)?;
+        let offset = usize::try_from(tile[self.inner].checked_sub(row.lo)?).ok()?;
+        (offset < row.len).then_some(row.start + offset)
+    }
+
+    /// How many of tile `tile`'s dependencies exist: the edge count a
+    /// scheduler waits for before the tile may run ([`Tiling::dep_total`]).
+    pub fn dep_total(&self, tile: usize) -> usize {
+        self.dep_totals[tile]
+    }
+
+    /// Index of the tile that tile `tile` receives dependency `dep_idx`
+    /// ([`Tiling::deps`]) from, when it exists.
+    pub fn source(&self, tile: usize, dep_idx: usize) -> Option<usize> {
+        self.link(tile, dep_idx, 0)
+    }
+
+    /// Index of the tile that reads tile `tile`'s edge `dep_idx`, when it
+    /// exists.
+    pub fn consumer(&self, tile: usize, dep_idx: usize) -> Option<usize> {
+        self.link(tile, dep_idx, 1)
+    }
+
+    fn link(&self, tile: usize, dep_idx: usize, end: usize) -> Option<usize> {
+        let link = self.links[tile * self.ndeps + dep_idx][end];
+        (link != NO_TILE).then_some(link as usize)
+    }
+
+    /// The initial tiles (Section IV-K): those none of whose dependencies
+    /// exist, by index, in tile-nest order.
+    pub fn initial(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&i| self.dep_totals[i] == 0)
+    }
+
+    /// Per tile, the number of cells in it ([`Tiling::tile_cell_count`]).
+    /// Counted by the first caller, once; a graph nobody asks never counts.
+    pub fn cells(&self) -> &[u128] {
+        self.cells.get_or_init(|| {
+            let mut point = self.tiling.make_point(&self.params);
+            self.tiles
+                .iter()
+                .map(|t| self.tiling.tile_cell_count(t, &mut point))
+                .collect()
+        })
+    }
+
+    /// Whether [`TileGraph::cells`] has been asked for yet.
+    pub fn cells_counted(&self) -> bool {
+        self.cells.get().is_some()
+    }
+}
+
+impl std::fmt::Debug for TileGraph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TileGraph")
+            .field("params", &self.params)
+            .field("tiles", &self.tiles.len())
+            .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::template::{Template, TemplateSet};
+    use crate::tiling::TilingBuilder;
+    use dpgen_polyhedra::{ConstraintSystem, Space};
+
+    /// Everything the graph says, held to what the tiling says tile by tile.
+    fn check(tiling: &Tiling, params: &[i64]) {
+        let graph = tiling.graph(params);
+        let mut point = tiling.make_point(params);
+        let mut nest = Vec::new();
+        tiling.for_each_tile(&mut point, |t| nest.push(t));
+        assert_eq!(graph.tiles(), &nest[..]);
+        assert_eq!(
+            (graph.len(), graph.is_empty()),
+            (nest.len(), nest.is_empty())
+        );
+        assert_eq!(graph.params(), params);
+        assert_eq!(graph.index_of(&Coord::zeros(tiling.dims() + 1)), None);
+        assert_eq!(graph.index_of(&Coord::zeros(0)), None);
+
+        let index_agrees = |t: &Coord, point: &mut [i128]| {
+            let found = graph.index_of(t);
+            assert_eq!(found.is_some(), tiling.tile_in_space(t, point), "tile {t}");
+            found
+        };
+        for (i, t) in nest.iter().enumerate() {
+            assert_eq!(graph.index_of(t), Some(i), "tile {t}");
+            // One step across every face: in the index iff in the space.
+            for k in 0..tiling.dims() {
+                for step in [-1, 1] {
+                    let mut neighbour = *t;
+                    neighbour.set(k, t[k] + step);
+                    index_agrees(&neighbour, &mut point);
+                }
+            }
+            assert_eq!(
+                graph.dep_total(i),
+                tiling.dep_total(t, &mut point),
+                "tile {t}"
+            );
+            for (dep_idx, dep) in tiling.deps().iter().enumerate() {
+                let source = index_agrees(&t.add(&dep.delta), &mut point);
+                let consumer = index_agrees(&t.sub(&dep.delta), &mut point);
+                assert_eq!(graph.source(i, dep_idx), source, "tile {t} dep {dep_idx}");
+                assert_eq!(
+                    graph.consumer(i, dep_idx),
+                    consumer,
+                    "tile {t} dep {dep_idx}"
+                );
+                if let Some(s) = source {
+                    assert_eq!(graph.consumer(s, dep_idx), Some(i));
+                }
+                if let Some(c) = consumer {
+                    assert_eq!(graph.source(c, dep_idx), Some(i));
+                }
+            }
+        }
+        let initial: Vec<usize> = (0..nest.len())
+            .filter(|&i| tiling.dep_total(&nest[i], &mut point) == 0)
+            .collect();
+        assert_eq!(graph.initial().collect::<Vec<_>>(), initial);
+
+        assert!(!graph.cells_counted(), "nothing has asked for a count yet");
+        let counted: Vec<u128> = nest
+            .iter()
+            .map(|t| tiling.tile_cell_count(t, &mut point))
+            .collect();
+        assert_eq!(graph.cells(), &counted[..]);
+        assert!(graph.cells_counted());
+        assert_eq!(
+            graph.cells().iter().sum::<u128>(),
+            tiling.total_cells(params)
+        );
+    }
+
+    /// A box with an optional diagonal cut and unit positive templates: the
+    /// random polytopes of `tests/scheduler_invariants.rs`.
+    fn cut_box(cut: Option<(i64, i64, i64)>, widths: (i64, i64)) -> TilingBuilder {
+        let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= x <= N").unwrap();
+        sys.add_text("0 <= y <= N").unwrap();
+        if let Some((a, b, c)) = cut {
+            sys.add_text(&format!("{a}*x + {b}*y <= {c}*N")).unwrap();
+        }
+        let templates = TemplateSet::new(
+            2,
+            vec![Template::new("r1", &[1, 0]), Template::new("r2", &[0, 1])],
+        )
+        .unwrap();
+        TilingBuilder::new(sys, templates, vec![widths.0, widths.1])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn graph_says_what_the_tiling_says(
+            n in 3i64..14,
+            w1 in 1i64..6,
+            w2 in 1i64..6,
+            a in 0i64..3,
+            b in 0i64..3,
+        ) {
+            let cut = (a + b > 0).then_some((a, b, a + b + 1));
+            check(&cut_box(cut, (w1, w2)).build().unwrap(), &[n]);
+        }
+    }
+
+    #[test]
+    fn graph_says_what_the_tiling_says_on_the_shapes_the_repo_runs() {
+        // A diagonal band: rows of the tile nest start and end mid-grid.
+        check(
+            &cut_box(None, (3, 4)).band(0, 1, -5, 2).build().unwrap(),
+            &[29],
+        );
+        // The innermost tile loop is x, so rows run along dimension 0.
+        let swapped = cut_box(Some((1, 2, 2)), (2, 3)).loop_order(vec![1, 0]);
+        check(&swapped.build().unwrap(), &[17]);
+        // Three dependencies, one of them diagonal, all descending.
+        let space = Space::from_names(&["i", "j"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= i <= N").unwrap();
+        sys.add_text("0 <= j <= N").unwrap();
+        let lcs = TemplateSet::new(
+            2,
+            vec![
+                Template::new("up", &[-1, 0]),
+                Template::new("left", &[0, -1]),
+                Template::new("diag", &[-1, -1]),
+            ],
+        )
+        .unwrap();
+        check(
+            &TilingBuilder::new(sys, lcs, vec![4, 4]).build().unwrap(),
+            &[21],
+        );
+        // The 2-arm bandit's 4-D simplex.
+        let space = Space::from_names(&["s1", "f1", "s2", "f2"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        for c in [
+            "s1 >= 0",
+            "f1 >= 0",
+            "s2 >= 0",
+            "f2 >= 0",
+            "s1 + f1 + s2 + f2 <= N",
+        ] {
+            sys.add_text(c).unwrap();
+        }
+        let units = (0..4)
+            .map(|k| {
+                let mut offset = [0i64; 4];
+                offset[k] = 1;
+                Template::new(format!("r{k}"), &offset)
+            })
+            .collect();
+        let bandit = TilingBuilder::new(sys, TemplateSet::new(4, units).unwrap(), vec![3; 4]);
+        check(&bandit.build().unwrap(), &[10]);
+        // An empty tile space: no tile, no row, nothing initial, no cell.
+        let tiling = cut_box(Some((1, 1, 1)), (3, 3)).build().unwrap();
+        check(&tiling, &[-1]);
+        assert!(tiling.graph(&[-1]).is_empty());
+    }
+}

@@ -19,7 +19,11 @@
 //!   (Section IV-I),
 //! * the *tile geometries*: the scan and edge walks of one tile recorded
 //!   once per tile class and replayed for every other tile of the class
-//!   ([`geom`]).
+//!   ([`geom`]),
+//! * the *tile graph*: every tile of the tile space at one parameter
+//!   binding with its index, its existing dependencies, its neighbours and
+//!   its cell count, derived once and shared by the scheduler, the load
+//!   balancer and the simulator ([`graph`]).
 //!
 //! The central type is [`Tiling`]; the runtime and cluster driver crates
 //! consume it to execute tiles and move edges.
@@ -28,6 +32,7 @@ pub mod coord;
 pub mod deps;
 pub mod edges;
 pub mod geom;
+pub mod graph;
 pub mod layout;
 pub mod template;
 pub mod tiling;
@@ -36,6 +41,7 @@ pub use coord::{Coord, MAX_DIMS};
 pub use deps::TileDep;
 pub use edges::EdgeLayout;
 pub use geom::TileGeom;
+pub use graph::TileGraph;
 pub use layout::TileLayout;
 pub use template::{Direction, Template, TemplateSet};
 pub use tiling::{

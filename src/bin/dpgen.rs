@@ -129,21 +129,10 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            let cells = tiling.total_cells(&params);
-            let mut point = tiling.make_point(&params);
-            let mut tiles = 0u64;
-            let mut initial = 0u64;
-            let mut coords = Vec::new();
-            tiling.for_each_tile(&mut point, |t| coords.push(t));
-            for t in &coords {
-                tiles += 1;
-                if tiling.dep_total(t, &mut point) == 0 {
-                    initial += 1;
-                }
-            }
-            println!("cells  : {cells}");
-            println!("tiles  : {tiles}");
-            println!("initial: {initial}");
+            let graph = tiling.graph(&params);
+            println!("cells  : {}", tiling.total_cells(&params));
+            println!("tiles  : {}", graph.len());
+            println!("initial: {}", graph.initial().count());
             ExitCode::SUCCESS
         }
         _ => usage(),

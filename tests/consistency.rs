@@ -584,3 +584,47 @@ fn executions_compute_on_the_calling_thread() {
         }
     }
 }
+
+/// The simulator and the runtime walk one tile DAG: the tiles, the cells
+/// and the cross-rank edges `dpgen-des` models on a plan's graph are the
+/// ones an execution of that plan performs.
+#[test]
+fn model_and_runtime_agree_on_the_dag() {
+    use dpgen::runtime::SingleOwner;
+    use dpgen_des::{simulate_on, SimConfig, SimResult};
+
+    fn agree<T: dpgen::runtime::Value>(sim: &SimResult, out: &RunOutput<T>, what: &str) {
+        let tiles: u64 = out.per_rank.iter().map(|r| r.stats.tiles_executed).sum();
+        assert_eq!(sim.tiles as u64, tiles, "{what}: tiles");
+        assert_eq!(sim.cells, out.cells_computed() as u128, "{what}: cells");
+        assert_eq!(sim.msgs_remote, out.edges_remote(), "{what}: remote edges");
+    }
+
+    let a = random_sequence(70, 11);
+    let b = random_sequence(70, 12);
+    let lcs = Lcs::new(&[&a, &b]);
+    let plan = Lcs::program(2, 8).unwrap().compile(&lcs.params());
+    let out = plan
+        .execute_batched::<i64, _>(&lcs, &ExecOpts::new().threads(2))
+        .unwrap();
+    let graph = plan.graph().unwrap();
+    let sim = simulate_on(&graph, &SingleOwner, &SimConfig::shared(2, 2));
+    agree(&sim, &out, "lcs, one rank");
+    assert_eq!(sim.msgs_remote, 0);
+
+    // Two ranks, partitioned by the plan's own load balance.
+    let bandit = Bandit2::default();
+    let plan = Bandit2::program(4).unwrap().compile(&[16]);
+    let out = plan
+        .execute::<f64, _>(&bandit.kernel(), &ExecOpts::new().ranks(2))
+        .unwrap();
+    let owner = out
+        .balance
+        .clone()
+        .expect("two ranks partition")
+        .into_owner();
+    let graph = plan.graph().unwrap();
+    let sim = simulate_on(&graph, &owner, &SimConfig::hybrid(2, 1, 4, plan.lb_dims()));
+    agree(&sim, &out, "bandit2, two ranks");
+    assert!(sim.msgs_remote > 0);
+}

@@ -349,8 +349,7 @@ fn mispartitioned_null_transport_is_a_typed_error() {
     let config = NodeConfig::new(2, 2).with_stall_timeout(Some(Duration::from_secs(10)));
     let err = run_node::<u64, _, _, _>(
         &NodeJob {
-            tiling: program.tiling(),
-            params: &[16],
+            graph: &program.tiling().graph(&[16]),
             owner: &SplitOwner,
             transport: &NullTransport::default(),
             probe: &Probe::default(),
