@@ -6,7 +6,10 @@
 //! The amount of work per slab is obtained from counting polynomials — the
 //! paper uses two Ehrhart polynomials computed with Barvinok; here the
 //! counts come from exact lattice-point counting (validated against our
-//! interpolated Ehrhart polynomials, see `dpgen-polyhedra::ehrhart`).
+//! interpolated Ehrhart polynomials, see `dpgen-polyhedra::ehrhart`), one
+//! walk per geometry class of tiles rather than one per tile: the slab
+//! verdict and the balancer read [`TileGraph::cells`], which gives every
+//! tile of a class the count of the first.
 //!
 //! The future-work *hyperplane* method (Figure 8) instead orders tiles by a
 //! wavefront level and cuts that order into equal-work bands, which shortens
@@ -215,7 +218,7 @@ impl LoadBalance {
     pub fn compute_on(graph: &TileGraph, ranks: usize, method: &BalanceMethod) -> LoadBalance {
         assert!(ranks >= 1);
         // Work per tile = exact cell count (the per-slab Ehrhart evaluation
-        // of the paper, computed directly), in tile-nest order.
+        // of the paper, walked once per tile class), in tile-nest order.
         let mut weighted: Vec<(Coord, u128)> = graph
             .tiles()
             .iter()

@@ -6,11 +6,11 @@
 //! observed directly; instead, this crate *simulates* the execution of the
 //! exact tile graph the generated program would run:
 //!
-//! * the tile space, tile dependencies and per-tile work (cell counts)
-//!   are the [`TileGraph`](dpgen_tiling::TileGraph) the runtime executes
-//!   ([`simulate_on`] takes a plan's own; [`simulate`] derives one from a
-//!   bare tiling), and per-edge payload sizes come from the real
-//!   [`Tiling`](dpgen_tiling::Tiling),
+//! * the tile space, tile dependencies, per-tile work (cell counts) and
+//!   per-edge payload sizes are the [`TileGraph`](dpgen_tiling::TileGraph)
+//!   the runtime executes ([`simulate_on`] takes a plan's own;
+//!   [`simulate`] derives one from a bare tiling), counted exactly, once
+//!   per geometry class of tiles,
 //! * tiles are dispatched per rank by the same [`TilePriority`] the real
 //!   scheduler uses, to `threads` virtual workers per rank,
 //! * remote edges pay latency + per-cell bandwidth from a [`CostModel`]

@@ -1,4 +1,11 @@
 //! The event-driven simulator.
+//!
+//! Set-up reads the static structure off the [`TileGraph`]: tiles,
+//! dependency counts, consumers, and the exact lattice counts — cells per
+//! tile, cells per edge — which the graph walks once per geometry class, so
+//! no polyhedral walk is paid per tile here. What set-up still does per
+//! tile is its own: an owner lookup, the static-plan membership, and the
+//! per-tile vectors the event loop runs on.
 
 use crate::model::SimConfig;
 use dpgen_runtime::{Schedule, StaticPlan, TileOwner, TilePriority};
@@ -132,9 +139,9 @@ pub fn simulate<O: TileOwner + ?Sized>(
 }
 
 /// [`simulate`] on a tile graph already derived: the DAG the simulator
-/// walks — tiles, existing dependencies, consumers, cells per tile — is the
-/// one the runtime executes, so a sweep over machine shapes (or a plan that
-/// also runs) derives and counts it once.
+/// walks — tiles, existing dependencies, consumers, cells per tile and per
+/// edge — is the one the runtime executes, so a sweep over machine shapes
+/// (or a plan that also runs) derives and counts it once.
 pub fn simulate_on<O: TileOwner + ?Sized>(
     graph: &TileGraph,
     owner: &O,
@@ -164,15 +171,12 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     let mut pending: Vec<usize> = (0..n).map(|i| graph.dep_total(i)).collect();
     let mut out_cells: Vec<u64> = vec![0; n];
     let mut in_total: Vec<u64> = vec![0; n];
-    for (i, t) in tiles.iter().enumerate() {
+    for i in 0..n {
         for dep_idx in 0..tiling.deps().len() {
             let Some(c) = graph.consumer(i, dep_idx) else {
                 continue;
             };
-            tiling.set_tile(t, &mut point);
-            let cells = tiling.edges()[dep_idx]
-                .count(&mut point)
-                .expect("edge count failed") as u64;
+            let cells = graph.edge_cells(i, dep_idx);
             out_edges[i].push((c, cells));
             out_cells[i] += cells;
             in_total[c] += cells;

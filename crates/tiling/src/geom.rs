@@ -332,6 +332,21 @@ impl Tiling {
         Ok((cache.insert(sig, geom), true))
     }
 
+    /// The signature [`Tiling::geometry`] files `tile` under, written over
+    /// `sig`: tiles with equal signatures have equal walks (module docs) —
+    /// the scan, and every edge nest and lattice count with it, since all of
+    /// them read `(t, p)` through the same rows. [`crate::TileGraph`] counts
+    /// cells once per signature on the strength of that.
+    pub(crate) fn signature(
+        &self,
+        tile: &Coord,
+        point: &[i128],
+        sig: &mut Vec<i128>,
+    ) -> Result<(), PolyError> {
+        sig.resize(self.geoms.rows.len(), 0);
+        self.geoms.rows.signature(tile, point, sig)
+    }
+
     /// Geometry classes currently memoized for this tiling.
     pub fn geometry_classes(&self) -> usize {
         self.geoms.len()

@@ -8,9 +8,20 @@
 //! [`TileGraph`] is that derivation as one value: every tile in tile-nest
 //! order, a coordinate → index table, how many of each tile's dependencies
 //! exist, the index of the neighbour at either end of every dependency, and
-//! — counted on first request, once — the cells of every tile. It carries
-//! the tiling and the binding it was built from, so a consumer handed a
-//! graph cannot pair it with another problem.
+//! — counted on first request, once — the cells of every tile and of every
+//! edge it packs. It carries the tiling and the binding it was built from,
+//! so a consumer handed a graph cannot pair it with another problem.
+//!
+//! The counts are exact lattice-point counts, walked once per geometry
+//! *class* rather than once per tile: tiles with one [`Tiling::geometry`]
+//! signature have the same cells in the same places, so only the first tile
+//! of a class is walked — [`Tiling::tile_cell_count`] when cells are first
+//! asked for, [`EdgeLayout::count`] per dependency when edge cells are —
+//! and every later tile costs a signature and a map lookup. A dense 2-D box
+//! has four classes whatever its size; the paper evaluates a counting
+//! polynomial per slab for the same reason (Section IV-J).
+//!
+//! [`EdgeLayout::count`]: crate::EdgeLayout::count
 
 use crate::coord::Coord;
 use crate::tiling::Tiling;
@@ -41,8 +52,81 @@ pub struct TileGraph {
     /// `t + delta` and of the consumer tile `t - delta` ([`NO_TILE`] where
     /// there is none).
     links: Vec<[u32; 2]>,
-    /// Per tile, its cell count; filled by the first [`TileGraph::cells`].
-    cells: OnceLock<Vec<u128>>,
+    /// The tiles' classes and cells; counted by the first caller that asks.
+    counts: OnceLock<ClassTable>,
+    /// Per class and dependency, the cells of the edge a tile of the class
+    /// packs ([`Tiling::edges`]), `classes × ndeps`; walked by the first
+    /// [`TileGraph::edge_cells`]. Apart from `counts` because a compile
+    /// never asks: on the 6-D bandits (ten dependencies, nine classes for 28
+    /// tiles) the edge walks cost more than every tile's cell walk together.
+    edge_counts: OnceLock<Vec<u64>>,
+}
+
+/// The graph's tiles sorted into geometry classes, and the cell count of
+/// each. Resident: 20 bytes per tile, 4 per class; the signatures that told
+/// the classes apart are dropped once every tile has its class.
+struct ClassTable {
+    /// Per tile, its class, numbered in order of first appearance.
+    class_of: Vec<u32>,
+    /// Per tile, its cell count (its class's, laid out per tile so that
+    /// [`TileGraph::cells`] is a slice).
+    cells: Vec<u128>,
+    /// Per class, the tile that introduced it: the one tile of the class
+    /// whose cells, and later edges, are walked.
+    walked: Vec<u32>,
+}
+
+impl ClassTable {
+    /// Sort `tiles` into classes under the parameters bound in `point`,
+    /// counting the cells of the tile that introduces each class.
+    fn count(tiling: &Tiling, tiles: &[Coord], point: &mut [i128]) -> ClassTable {
+        let mut table = ClassTable {
+            class_of: Vec::with_capacity(tiles.len()),
+            cells: Vec::with_capacity(tiles.len()),
+            walked: Vec::new(),
+        };
+        let mut by_signature: HashMap<Box<[i128]>, u32> = HashMap::new();
+        let mut class_cells: Vec<u128> = Vec::new();
+        let mut sig = Vec::new();
+        for (i, t) in tiles.iter().enumerate() {
+            // A signature that overflows names no class: the tile is a
+            // class of its own, counted directly.
+            let signed = tiling.signature(t, point, &mut sig).is_ok();
+            let known = if signed {
+                by_signature.get(&sig[..]).copied()
+            } else {
+                None
+            };
+            let class = match known {
+                Some(class) => class,
+                None => {
+                    let class = table.walked.len() as u32;
+                    if signed {
+                        by_signature.insert(sig.as_slice().into(), class);
+                    }
+                    table.walked.push(i as u32);
+                    class_cells.push(tiling.tile_cell_count(t, point));
+                    class
+                }
+            };
+            table.class_of.push(class);
+            table.cells.push(class_cells[class as usize]);
+        }
+        table
+    }
+
+    /// Walk every dependency's edge nest at each class's walked tile.
+    fn count_edges(&self, tiling: &Tiling, tiles: &[Coord], point: &mut [i128]) -> Vec<u64> {
+        let mut edge_cells = Vec::with_capacity(self.walked.len() * tiling.edges().len());
+        for &i in &self.walked {
+            tiling.set_tile(&tiles[i as usize], point);
+            for edge in tiling.edges() {
+                // An edge is part of one tile buffer, so it fits.
+                edge_cells.push(edge.count(point).expect("edge count failed") as u64);
+            }
+        }
+        edge_cells
+    }
 }
 
 /// `links` entry of a neighbour outside the tile space.
@@ -105,7 +189,8 @@ impl TileGraph {
             dep_totals: vec![0; tiles.len()],
             ndeps,
             links: vec![[NO_TILE; 2]; tiles.len() * ndeps],
-            cells: OnceLock::new(),
+            counts: OnceLock::new(),
+            edge_counts: OnceLock::new(),
             tiles,
             tiling,
         };
@@ -189,21 +274,45 @@ impl TileGraph {
         (0..self.len()).filter(|&i| self.dep_totals[i] == 0)
     }
 
-    /// Per tile, the number of cells in it ([`Tiling::tile_cell_count`]).
-    /// Counted by the first caller, once; a graph nobody asks never counts.
-    pub fn cells(&self) -> &[u128] {
-        self.cells.get_or_init(|| {
+    fn counts(&self) -> &ClassTable {
+        self.counts.get_or_init(|| {
             let mut point = self.tiling.make_point(&self.params);
-            self.tiles
-                .iter()
-                .map(|t| self.tiling.tile_cell_count(t, &mut point))
-                .collect()
+            ClassTable::count(&self.tiling, &self.tiles, &mut point)
         })
     }
 
-    /// Whether [`TileGraph::cells`] has been asked for yet.
+    /// Per tile, the number of cells in it ([`Tiling::tile_cell_count`]).
+    /// Counted by the first caller, once and class by class (module docs);
+    /// a graph nobody asks never counts.
+    pub fn cells(&self) -> &[u128] {
+        &self.counts().cells
+    }
+
+    /// The number of cells tile `tile` packs for dependency `dep_idx`
+    /// ([`EdgeLayout::count`] at that tile): what the tile at
+    /// [`TileGraph::consumer`] unpacks, when there is one. The first call
+    /// walks every class's edges, once.
+    ///
+    /// [`EdgeLayout::count`]: crate::EdgeLayout::count
+    pub fn edge_cells(&self, tile: usize, dep_idx: usize) -> u64 {
+        assert!(dep_idx < self.ndeps, "dependency {dep_idx} out of range");
+        let counts = self.counts();
+        let edge_counts = self.edge_counts.get_or_init(|| {
+            let mut point = self.tiling.make_point(&self.params);
+            counts.count_edges(&self.tiling, &self.tiles, &mut point)
+        });
+        edge_counts[counts.class_of[tile] as usize * self.ndeps + dep_idx]
+    }
+
+    /// How many geometry classes the graph's tiles fall into: the number of
+    /// tiles whose cells (and, if asked for, edges) are actually walked.
+    pub fn classes(&self) -> usize {
+        self.counts().walked.len()
+    }
+
+    /// Whether the cells have been counted yet.
     pub fn cells_counted(&self) -> bool {
-        self.cells.get().is_some()
+        self.counts.get().is_some()
     }
 }
 
@@ -291,6 +400,38 @@ mod tests {
             graph.cells().iter().sum::<u128>(),
             tiling.total_cells(params)
         );
+        for (i, t) in nest.iter().enumerate() {
+            for (dep_idx, edge) in tiling.edges().iter().enumerate() {
+                tiling.set_tile(t, &mut point);
+                assert_eq!(
+                    graph.edge_cells(i, dep_idx) as u128,
+                    edge.count(&mut point).unwrap(),
+                    "tile {t} dep {dep_idx}"
+                );
+            }
+        }
+
+        // The graph's classes are the geometry cache's: one recording per
+        // class, one class per recording, one pair of count walks per class.
+        let counts = graph.counts();
+        let mut recordings: Vec<Arc<crate::TileGeom>> = Vec::new();
+        for (t, &class) in nest.iter().zip(&counts.class_of) {
+            let (geom, _) = tiling.geometry(t, &mut point).unwrap();
+            match recordings.get(class as usize) {
+                Some(first) => assert!(Arc::ptr_eq(first, &geom), "tile {t}"),
+                None => {
+                    assert_eq!(class as usize, recordings.len(), "tile {t}");
+                    assert!(!recordings.iter().any(|other| Arc::ptr_eq(other, &geom)));
+                    recordings.push(geom);
+                }
+            }
+        }
+        assert_eq!(graph.classes(), recordings.len());
+        // One walk per class: each class's walked tile is its first.
+        for (class, &i) in counts.walked.iter().enumerate() {
+            let first = counts.class_of.iter().position(|&c| c as usize == class);
+            assert_eq!(first, Some(i as usize));
+        }
     }
 
     /// A box with an optional diagonal cut and unit positive templates: the
@@ -309,6 +450,48 @@ mod tests {
         )
         .unwrap();
         TilingBuilder::new(sys, templates, vec![widths.0, widths.1])
+    }
+
+    /// The LCS / Smith-Waterman square: three descending dependencies, one
+    /// of them diagonal.
+    fn lcs_box(width: i64) -> TilingBuilder {
+        let space = Space::from_names(&["i", "j"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= i <= N").unwrap();
+        sys.add_text("0 <= j <= N").unwrap();
+        let templates = TemplateSet::new(
+            2,
+            vec![
+                Template::new("up", &[-1, 0]),
+                Template::new("left", &[0, -1]),
+                Template::new("diag", &[-1, -1]),
+            ],
+        )
+        .unwrap();
+        TilingBuilder::new(sys, templates, vec![width; 2])
+    }
+
+    /// The 2-arm bandit's 4-D simplex.
+    fn bandit2(width: i64) -> TilingBuilder {
+        let space = Space::from_names(&["s1", "f1", "s2", "f2"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        for c in [
+            "s1 >= 0",
+            "f1 >= 0",
+            "s2 >= 0",
+            "f2 >= 0",
+            "s1 + f1 + s2 + f2 <= N",
+        ] {
+            sys.add_text(c).unwrap();
+        }
+        let units = (0..4)
+            .map(|k| {
+                let mut offset = [0i64; 4];
+                offset[k] = 1;
+                Template::new(format!("r{k}"), &offset)
+            })
+            .collect();
+        TilingBuilder::new(sys, TemplateSet::new(4, units).unwrap(), vec![width; 4])
     }
 
     proptest::proptest! {
@@ -338,47 +521,53 @@ mod tests {
         let swapped = cut_box(Some((1, 2, 2)), (2, 3)).loop_order(vec![1, 0]);
         check(&swapped.build().unwrap(), &[17]);
         // Three dependencies, one of them diagonal, all descending.
-        let space = Space::from_names(&["i", "j"], &["N"]).unwrap();
-        let mut sys = ConstraintSystem::new(space);
-        sys.add_text("0 <= i <= N").unwrap();
-        sys.add_text("0 <= j <= N").unwrap();
-        let lcs = TemplateSet::new(
-            2,
-            vec![
-                Template::new("up", &[-1, 0]),
-                Template::new("left", &[0, -1]),
-                Template::new("diag", &[-1, -1]),
-            ],
-        )
-        .unwrap();
-        check(
-            &TilingBuilder::new(sys, lcs, vec![4, 4]).build().unwrap(),
-            &[21],
-        );
+        check(&lcs_box(4).build().unwrap(), &[21]);
         // The 2-arm bandit's 4-D simplex.
-        let space = Space::from_names(&["s1", "f1", "s2", "f2"], &["N"]).unwrap();
-        let mut sys = ConstraintSystem::new(space);
-        for c in [
-            "s1 >= 0",
-            "f1 >= 0",
-            "s2 >= 0",
-            "f2 >= 0",
-            "s1 + f1 + s2 + f2 <= N",
-        ] {
-            sys.add_text(c).unwrap();
-        }
-        let units = (0..4)
-            .map(|k| {
-                let mut offset = [0i64; 4];
-                offset[k] = 1;
-                Template::new(format!("r{k}"), &offset)
-            })
-            .collect();
-        let bandit = TilingBuilder::new(sys, TemplateSet::new(4, units).unwrap(), vec![3; 4]);
-        check(&bandit.build().unwrap(), &[10]);
+        check(&bandit2(3).build().unwrap(), &[10]);
         // An empty tile space: no tile, no row, nothing initial, no cell.
         let tiling = cut_box(Some((1, 1, 1)), (3, 3)).build().unwrap();
         check(&tiling, &[-1]);
         assert!(tiling.graph(&[-1]).is_empty());
+    }
+
+    /// The shapes of `lcs_batched`, `bandit2_hybrid` and `compile_paper`'s
+    /// banded Smith-Waterman: how many tiles are walked is a property of the
+    /// shape, not of its size.
+    #[test]
+    fn benchmark_shapes_count_a_handful_of_classes() {
+        let lcs = lcs_box(48).build().unwrap().graph(&[1535]);
+        assert_eq!((lcs.classes(), lcs.len()), (4, 1024));
+        let bandit = bandit2(8).build().unwrap().graph(&[48]);
+        assert_eq!((bandit.classes(), bandit.len()), (5, 210));
+        let banded = lcs_box(16).band(0, 1, -32, 32).build().unwrap();
+        let banded = banded.graph(&[2399]);
+        assert_eq!((banded.classes(), banded.len()), (8, 744));
+    }
+
+    /// A binding whose signature overflows has no class to share: every
+    /// tile is walked, and the counts are still the tiling's.
+    #[test]
+    fn a_signature_that_overflows_is_counted_directly() {
+        let space = Space::from_names(&["x"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= x <= N").unwrap();
+        let templates = TemplateSet::new(1, vec![Template::new("r", &[1])]).unwrap();
+        let tiling = TilingBuilder::new(sys, templates, vec![4]).build().unwrap();
+        let tiles: Vec<Coord> = (0..6).map(|t| Coord::from_slice(&[t])).collect();
+
+        let mut point = tiling.make_point(&[99]);
+        let classed = ClassTable::count(&tiling, &tiles, &mut point);
+        assert_eq!(classed.walked, [0]);
+
+        // As `geom.rs`'s `a_parameter_beyond_i64_is_an_error_not_a_panic`.
+        point[tiling.param_cols()[0]] = i128::MAX;
+        let mut sig = Vec::new();
+        assert!(tiling.signature(&tiles[0], &point, &mut sig).is_err());
+        let direct = ClassTable::count(&tiling, &tiles, &mut point);
+        assert_eq!(direct.walked, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(direct.class_of, direct.walked);
+        assert_eq!(direct.cells, classed.cells);
+        assert_eq!(direct.cells, [4; 6]);
+        assert_eq!(direct.count_edges(&tiling, &tiles, &mut point), [1; 6]);
     }
 }

@@ -591,13 +591,28 @@ fn executions_compute_on_the_calling_thread() {
 #[test]
 fn model_and_runtime_agree_on_the_dag() {
     use dpgen::runtime::SingleOwner;
+    use dpgen::tiling::TileGraph;
     use dpgen_des::{simulate_on, SimConfig, SimResult};
 
-    fn agree<T: dpgen::runtime::Value>(sim: &SimResult, out: &RunOutput<T>, what: &str) {
+    fn agree<T: dpgen::runtime::Value>(
+        sim: &SimResult,
+        graph: &TileGraph,
+        out: &RunOutput<T>,
+        what: &str,
+    ) {
         let tiles: u64 = out.per_rank.iter().map(|r| r.stats.tiles_executed).sum();
         assert_eq!(sim.tiles as u64, tiles, "{what}: tiles");
         assert_eq!(sim.cells, out.cells_computed() as u128, "{what}: cells");
         assert_eq!(sim.msgs_remote, out.edges_remote(), "{what}: remote edges");
+        // The edge cells the model charges, counted once per geometry
+        // class, are the ones the run packed tile by tile.
+        let modelled: u64 = (0..graph.len())
+            .flat_map(|i| (0..graph.tiling().deps().len()).map(move |d| (i, d)))
+            .filter(|&(i, d)| graph.consumer(i, d).is_some())
+            .map(|(i, d)| graph.edge_cells(i, d))
+            .sum();
+        let packed: u64 = out.per_rank.iter().map(|r| r.stats.edge_cells_packed).sum();
+        assert_eq!(modelled, packed, "{what}: edge cells");
     }
 
     let a = random_sequence(70, 11);
@@ -609,7 +624,7 @@ fn model_and_runtime_agree_on_the_dag() {
         .unwrap();
     let graph = plan.graph().unwrap();
     let sim = simulate_on(&graph, &SingleOwner, &SimConfig::shared(2, 2));
-    agree(&sim, &out, "lcs, one rank");
+    agree(&sim, &graph, &out, "lcs, one rank");
     assert_eq!(sim.msgs_remote, 0);
 
     // Two ranks, partitioned by the plan's own load balance.
@@ -625,6 +640,6 @@ fn model_and_runtime_agree_on_the_dag() {
         .into_owner();
     let graph = plan.graph().unwrap();
     let sim = simulate_on(&graph, &owner, &SimConfig::hybrid(2, 1, 4, plan.lb_dims()));
-    agree(&sim, &out, "bandit2, two ranks");
+    agree(&sim, &graph, &out, "bandit2, two ranks");
     assert!(sim.msgs_remote > 0);
 }
