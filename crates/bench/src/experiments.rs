@@ -236,14 +236,14 @@ pub fn e4_shared_scaling(quick: bool) -> Table {
     table
 }
 
-/// E4b — contention observability for the sharded work-stealing scheduler:
+/// E4b — contention observability for the work-stealing scheduler:
 /// *real* multi-threaded runs (the e4 series is a calibrated simulation)
 /// reporting the steal, failed-steal, lock-wait and per-worker-balance
 /// counters the scheduler exports through [`dpgen_runtime::RunStats`].
 pub fn e4b_contention(quick: bool) -> Table {
     let mut table = Table::new(
         "e4b",
-        "sharded scheduler contention: real runs (steals, lock wait, balance)",
+        "scheduler contention: real runs (steals, lock wait, balance)",
         &[
             "problem",
             "threads",
@@ -299,7 +299,7 @@ pub fn e4b_contention(quick: bool) -> Table {
             fmt_f(stats.worker_imbalance(), 2),
         ]);
     }
-    table.note("steals move ready tiles between per-worker deques; lock wait is time blocked on contended shard/queue locks");
+    table.note("steals move ready tiles between per-worker deques; lock wait is time blocked on contended tile-slot/queue locks");
     table.note("imbalance = max/mean tiles per worker (1.00 = perfectly even)");
     table
 }
@@ -354,10 +354,9 @@ pub fn e5_weak_scaling(quick: bool) -> Table {
         // One graph and one partition per problem size, alive for that size
         // only: both priorities simulate the same tiles, cell counts and
         // owners.
-        let graph = tiling.graph(&[n]);
+        let graph = Arc::new(tiling.graph(&[n]));
         let lb_dims = vec![0, 1];
-        let balance = LoadBalance::compute_on(&graph, ranks, &BalanceMethod::Slabs { lb_dims });
-        let owner = balance.into_owner();
+        let owner = LoadBalance::compute_on(&graph, ranks, &BalanceMethod::Slabs { lb_dims });
         for ((name, priority), (baseline, rows)) in priorities.iter().zip(&mut series) {
             let config = SimConfig {
                 ranks,
@@ -424,16 +423,15 @@ pub fn e6_tile_size(quick: bool) -> Table {
         let program = Bandit3::program(w).unwrap();
         // One graph per width, shared by every rank count's partition and
         // simulation.
-        let graph = program.tiling().graph(&[n]);
+        let graph = Arc::new(program.tiling().graph(&[n]));
         for &ranks in ranks_list {
-            let balance = LoadBalance::compute_on(
+            let owner = LoadBalance::compute_on(
                 &graph,
                 ranks,
                 &BalanceMethod::Slabs {
                     lb_dims: vec![0, 1],
                 },
             );
-            let owner = balance.into_owner();
             let config = SimConfig {
                 ranks,
                 threads_per_rank: 24,
@@ -510,15 +508,14 @@ pub fn e7_buffer_sweep(quick: bool) -> Table {
     let program = Bandit2::program(4).unwrap();
     // Simulated-cluster counterpart: the same DAG with bounded in-flight
     // messages and deliberately high latency, so the buffer limit bites.
-    let graph = program.tiling().graph(&[n]);
+    let graph = Arc::new(program.tiling().graph(&[n]));
     let owner = LoadBalance::compute_on(
         &graph,
         4,
         &BalanceMethod::Slabs {
             lb_dims: vec![0, 1],
         },
-    )
-    .into_owner();
+    );
     let sim_of = |buffers: usize| {
         let config = SimConfig {
             ranks: 4,
@@ -592,17 +589,16 @@ pub fn e8_lb_dims(quick: bool) -> Table {
     let tiling = program.tiling();
     let kernel = Bandit2::default().kernel();
     let cost = calibrate::<f64, _>(tiling, &[n.min(24)], &kernel);
-    let graph = tiling.graph(&[n]);
+    let graph = Arc::new(tiling.graph(&[n]));
     for lb_dims in [vec![0usize], vec![0, 1], vec![0, 1, 2]] {
-        let balance = LoadBalance::compute_on(
+        let owner = LoadBalance::compute_on(
             &graph,
             ranks,
             &BalanceMethod::Slabs {
                 lb_dims: lb_dims.clone(),
             },
         );
-        let imbalance = balance.imbalance();
-        let owner = balance.into_owner();
+        let imbalance = owner.imbalance();
         let config = SimConfig {
             ranks,
             threads_per_rank: 24,
@@ -726,7 +722,7 @@ pub fn e10_hyperplane(quick: bool) -> Table {
     for (name, tiling, n, lb_dims) in cases {
         // One graph per space: both methods and both rank counts cut and
         // simulate the same tiles.
-        let graph = tiling.graph(&[n]);
+        let graph = Arc::new(tiling.graph(&[n]));
         for (method_name, method) in [
             (
                 "slabs",
@@ -737,9 +733,8 @@ pub fn e10_hyperplane(quick: bool) -> Table {
             ("hyperplane", BalanceMethod::Hyperplane),
         ] {
             for ranks in [4usize, 8] {
-                let balance = LoadBalance::compute_on(&graph, ranks, &method);
-                let imbalance = balance.imbalance();
-                let owner = balance.into_owner();
+                let owner = LoadBalance::compute_on(&graph, ranks, &method);
+                let imbalance = owner.imbalance();
                 let config = SimConfig {
                     ranks,
                     threads_per_rank: 8,

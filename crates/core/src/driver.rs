@@ -18,14 +18,15 @@
 //! and reducing siblings), which checks the options and calls
 //! `hybrid_run`; nothing else does.
 
-use crate::loadbalance::{BalanceMethod, LoadBalance};
+use crate::loadbalance::LoadBalance;
 use crate::plan::{ExecOpts, Plan};
 use crate::run::RunOutput;
 use dpgen_mpisim::{CommStats, CommWorld, Wire};
 use dpgen_runtime::{
-    run_node, CheckpointData, CheckpointSink, EventKind, MetricsRegistry, NodeConfig, NodeJob,
-    NodeRecovery, NodeResult, NullTransport, RankTrace, Reduction, ResumeState, RunError,
-    RunKernel, RunStats, SingleOwner, TileOwner, TilePriority, Timeline, Tracer, Transport, Value,
+    run_node, CheckpointData, CheckpointSink, CompileFault, CompileStage, EventKind,
+    MetricsRegistry, NodeConfig, NodeJob, NodeRecovery, NodeResult, NullTransport, RankTrace,
+    Reduction, ResumeState, RunError, RunKernel, RunStats, SingleOwner, TileOwner, Timeline,
+    Tracer, Transport, Value,
 };
 use dpgen_tiling::Coord;
 use std::collections::HashSet;
@@ -97,22 +98,23 @@ where
     RK: RunKernel<T>,
 {
     let t_start = Instant::now();
-    let tiling = plan.tiling();
     let probe = &opts.probe;
     let artifacts = plan.artifacts(opts)?;
     let graph = &*artifacts.graph;
-    let balance = artifacts.partition.as_ref().map(|(_, b)| &**b);
-
-    let priority = opts.priority.clone().unwrap_or_else(|| {
-        // Slabs lead with their own dimensions, a hyperplane partition
-        // with none.
-        let lead = match &artifacts.partition {
-            Some((BalanceMethod::Slabs { lb_dims }, _)) => lb_dims.as_slice(),
-            Some((BalanceMethod::Hyperplane, _)) => &[],
-            None => plan.lb_dims(),
-        };
-        TilePriority::paper_default(tiling.dims(), lead)
-    });
+    let balance = artifacts.partition.as_deref();
+    // The owners are an array over the graph's tile index: a partition of
+    // another graph would hand every rank somebody else's tiles.
+    if let Some(b) = balance {
+        let (theirs, ours) = (b.graph(), graph);
+        if theirs.len() != ours.len() || theirs.params() != ours.params() {
+            return Err(CompileFault::new(
+                CompileStage::Options,
+                format!("the load balance was computed on {theirs:?}, the plan runs on {ours:?}"),
+            )
+            .into());
+        }
+    }
+    let priority = &artifacts.priority;
 
     // Every rank's tracer shares one epoch so timestamps land on one
     // global clock and the merged timeline lines up across ranks (and,
@@ -390,6 +392,10 @@ impl TileOwner for ReassignedOwner<'_> {
     fn owner_of(&self, tile: &Coord) -> usize {
         self.map[self.base.owner(tile)]
     }
+
+    fn owner_at(&self, idx: usize, tile: &Coord) -> usize {
+        self.map[self.base.owner_at(idx, tile)]
+    }
 }
 
 /// One recovery round: retire the dead rank, migrate its slab to the
@@ -480,6 +486,7 @@ fn recover<T: Value>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadbalance::BalanceMethod;
     use dpgen_mpisim::CommConfig;
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_runtime::{Kernel, PerCell, Probe};

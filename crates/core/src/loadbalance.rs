@@ -17,8 +17,9 @@
 
 use dpgen_polyhedra::{PolyError, QuasiPolynomial};
 use dpgen_runtime::TileOwner;
-use dpgen_tiling::{Coord, Direction, TileGraph, Tiling};
+use dpgen_tiling::{Coord, TileGraph, Tiling};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Attach the tiling's geometry to an interpolation failure. A bare
 /// "inconsistent samples" is undiagnosable when the tiling came out of a
@@ -190,16 +191,22 @@ pub enum BalanceMethod {
     Hyperplane,
 }
 
-/// A computed tile → rank assignment.
+/// A computed tile → rank assignment: one rank per tile of the graph it
+/// was computed on, by the graph's tile index. It is its own [`TileOwner`].
 #[derive(Debug, Clone)]
 pub struct LoadBalance {
-    owners: HashMap<Coord, usize>,
+    graph: Arc<TileGraph>,
+    /// Per tile of `graph`, the rank that owns it.
+    owners: Vec<u16>,
     ranks: usize,
     /// Work (cell count) assigned to each rank.
     pub rank_work: Vec<u128>,
     /// Tiles assigned to each rank.
     pub rank_tiles: Vec<usize>,
 }
+
+/// The owner type of [`LoadBalance::into_owner`].
+pub type MapOwner = LoadBalance;
 
 impl LoadBalance {
     /// Partition the problem's tiles over `ranks` ranks.
@@ -209,99 +216,66 @@ impl LoadBalance {
         ranks: usize,
         method: &BalanceMethod,
     ) -> LoadBalance {
-        LoadBalance::compute_on(&tiling.graph(params), ranks, method)
+        LoadBalance::compute_on(&Arc::new(tiling.graph(params)), ranks, method)
     }
 
     /// [`LoadBalance::compute`] on a tile graph already derived (a
     /// [`crate::Plan`]'s, or one a sweep shares between its partitions and
-    /// simulations).
-    pub fn compute_on(graph: &TileGraph, ranks: usize, method: &BalanceMethod) -> LoadBalance {
-        assert!(ranks >= 1);
+    /// simulations). At most 65 536 ranks.
+    pub fn compute_on(graph: &Arc<TileGraph>, ranks: usize, method: &BalanceMethod) -> LoadBalance {
+        assert!((1..=1 << 16).contains(&ranks), "{ranks} ranks");
         // Work per tile = exact cell count (the per-slab Ehrhart evaluation
-        // of the paper, walked once per tile class), in tile-nest order.
-        let mut weighted: Vec<(Coord, u128)> = graph
-            .tiles()
-            .iter()
-            .copied()
-            .zip(graph.cells().iter().copied())
-            .collect();
-
-        // Order tiles by the method's key so equal-work cuts become
-        // contiguous runs.
-        let directions = graph.tiling().templates().directions().to_vec();
-        let flow = |t: &Coord, k: usize| -> i64 {
-            match directions[k] {
-                Direction::Descending => -t[k],
-                Direction::Ascending => t[k],
-            }
-        };
-        // Blocks: the smallest unit a cut may separate. The paper's slab
-        // method may only cut where the selected dimensions' indices change
-        // (lb1 makes the coarse cut, lesser dimensions refine it inside a
-        // slab) — with too few dimensions the blocks are coarse and the
-        // balance degrades, which is exactly the Figure 2 observation. The
-        // hyperplane method cuts between individual tiles of the level
-        // order.
-        type BlockKeyFn<'a> = Box<dyn Fn(&Coord) -> Vec<i64> + 'a>;
-        let block_key: BlockKeyFn<'_> = match method {
+        // of the paper, walked once per tile class).
+        let (tiles, cells) = (graph.tiles(), graph.cells());
+        // Tiles in the method's order, so that equal-work cuts become
+        // contiguous runs, and blocks: the smallest unit a cut may separate.
+        // The paper's slab method may only cut where the selected
+        // dimensions' indices change (lb1 makes the coarse cut, lesser
+        // dimensions refine it inside a slab) — with too few dimensions the
+        // blocks are coarse and the balance degrades, which is exactly the
+        // Figure 2 observation. The hyperplane method cuts between
+        // individual tiles of the level order.
+        let (ordering, lb_dims) = match method {
             BalanceMethod::Slabs { lb_dims } => {
                 assert!(!lb_dims.is_empty(), "slab balancing needs >= 1 dimension");
-                weighted.sort_by_key(|(t, _)| {
-                    let mut key: Vec<i64> = lb_dims.iter().map(|&k| flow(t, k)).collect();
-                    for k in 0..t.dims() {
-                        if !lb_dims.contains(&k) {
-                            key.push(flow(t, k));
-                        }
-                    }
-                    key
-                });
-                let lb = lb_dims.clone();
-                Box::new(move |t| lb.iter().map(|&k| flow(t, k)).collect())
+                (graph.ordering(false, lb_dims), lb_dims.as_slice())
             }
-            BalanceMethod::Hyperplane => {
-                weighted.sort_by_key(|(t, _)| {
-                    let level: i64 = (0..t.dims()).map(|k| flow(t, k)).sum();
-                    let mut key = vec![level];
-                    key.extend((0..t.dims()).map(|k| flow(t, k)));
-                    key
-                });
-                Box::new(|t| {
-                    let mut key = vec![(0..t.dims()).map(|k| flow(t, k)).sum()];
-                    key.extend((0..t.dims()).map(|k| flow(t, k)));
-                    key
-                })
-            }
+            BalanceMethod::Hyperplane => (graph.ordering(true, &[]), &[][..]),
+        };
+        let order = &ordering.order;
+        let same_block = |a: u32, b: u32| {
+            let (a, b) = (&tiles[a as usize], &tiles[b as usize]);
+            !lb_dims.is_empty() && lb_dims.iter().all(|&k| a[k] == b[k])
         };
 
-        // Group consecutive tiles sharing a block key, then cut the block
-        // sequence into equal-work contiguous runs (midpoint rule).
-        let total: u128 = weighted.iter().map(|(_, w)| w).sum();
-        let mut owners = HashMap::with_capacity(weighted.len());
+        // Group consecutive tiles of one block, then cut the block sequence
+        // into equal-work contiguous runs (midpoint rule).
+        let total: u128 = cells.iter().sum();
+        let mut owners = vec![0u16; tiles.len()];
         let mut rank_work = vec![0u128; ranks];
         let mut rank_tiles = vec![0usize; ranks];
         let mut cum: u128 = 0;
         let mut i = 0usize;
-        while i < weighted.len() {
-            let key = block_key(&weighted[i].0);
-            let mut j = i;
-            let mut block_work: u128 = 0;
-            while j < weighted.len() && block_key(&weighted[j].0) == key {
-                block_work += weighted[j].1;
+        while i < order.len() {
+            let mut j = i + 1;
+            while j < order.len() && same_block(order[i], order[j]) {
                 j += 1;
             }
+            let block_work: u128 = order[i..j].iter().map(|&t| cells[t as usize]).sum();
             let mid = cum + block_work / 2;
             let rank = (mid * ranks as u128)
                 .checked_div(total)
                 .map_or(0, |r| (r as usize).min(ranks - 1));
-            for (t, w) in &weighted[i..j] {
-                owners.insert(*t, rank);
-                rank_work[rank] += w;
-                rank_tiles[rank] += 1;
+            for &t in &order[i..j] {
+                owners[t as usize] = rank as u16;
             }
+            rank_work[rank] += block_work;
+            rank_tiles[rank] += j - i;
             cum += block_work;
             i = j;
         }
         LoadBalance {
+            graph: graph.clone(),
             owners,
             ranks,
             rank_work,
@@ -314,9 +288,19 @@ impl LoadBalance {
         self.ranks
     }
 
-    /// The rank owning `tile` (panics for unknown tiles).
+    /// The tile graph the balance was computed on: its owners are per tile
+    /// of this graph.
+    pub fn graph(&self) -> &Arc<TileGraph> {
+        &self.graph
+    }
+
+    /// The rank owning `tile` (panics for a tile outside the graph the
+    /// balance was computed on).
     pub fn owner(&self, tile: &Coord) -> usize {
-        self.owners[tile]
+        match self.graph.index_of(tile) {
+            Some(idx) => self.owners[idx] as usize,
+            None => panic!("tile {tile} has no assigned owner"),
+        }
     }
 
     /// Imbalance = max rank work / mean rank work (1.0 is perfect).
@@ -330,26 +314,27 @@ impl LoadBalance {
         max as f64 / mean
     }
 
-    /// Wrap into a [`TileOwner`] for the node runtime.
+    /// The balance as the [`TileOwner`] of a run or a simulation — which it
+    /// already is; kept for callers that name the owner's type.
     pub fn into_owner(self) -> MapOwner {
-        MapOwner {
-            owners: self.owners,
-        }
+        self
     }
 }
 
-/// A [`TileOwner`] backed by an explicit map.
-#[derive(Debug, Clone)]
-pub struct MapOwner {
-    owners: HashMap<Coord, usize>,
-}
-
-impl TileOwner for MapOwner {
+impl TileOwner for LoadBalance {
     fn owner_of(&self, tile: &Coord) -> usize {
-        *self
-            .owners
-            .get(tile)
-            .unwrap_or_else(|| panic!("tile {tile} has no assigned owner"))
+        self.owner(tile)
+    }
+
+    /// An array read when `idx` is the tile's index in the balance's own
+    /// graph (or in one derived from the same tiling and binding); a lookup
+    /// by coordinate for a caller on any other graph.
+    fn owner_at(&self, idx: usize, tile: &Coord) -> usize {
+        if self.graph.tiles().get(idx) == Some(tile) {
+            self.owners[idx] as usize
+        } else {
+            self.owner(tile)
+        }
     }
 }
 

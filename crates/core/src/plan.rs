@@ -240,6 +240,9 @@ impl ExecOpts {
         if self.ranks == 1 {
             return Ok(()); // the multi-rank knobs are ignored
         }
+        if self.ranks > 1 << 16 {
+            return fault(format!("ranks({}) is beyond 65536", self.ranks));
+        }
         if self.comm.send_buffers == 0 || self.comm.recv_buffers == 0 {
             return fault(format!(
                 "ranks({}) needs at least one send and one receive buffer, got {} and {}",
@@ -288,8 +291,11 @@ pub(crate) struct RunArtifacts {
     pub schedule: Schedule,
     /// The whole-space static plan, when one rank owns every tile.
     pub static_plan: Option<Arc<StaticPlan>>,
-    /// The tile partition and the method that produced it (`ranks > 1`).
-    pub partition: Option<(BalanceMethod, Arc<LoadBalance>)>,
+    /// The ready queues' order: the requested one, or the paper's Figure 5
+    /// default led by the partition's dimensions.
+    pub priority: TilePriority,
+    /// The tile partition (`ranks > 1`).
+    pub partition: Option<Arc<LoadBalance>>,
     /// Time spent obtaining the partition: the Ehrhart interpolation on
     /// first use, a memo lookup after.
     pub balance_time: Duration,
@@ -598,7 +604,10 @@ impl Plan {
     /// use and memoized: every rank shares the recycler (a mutex-guarded
     /// stash); the whole-space static plan fits only a rank that owns
     /// every tile, so with `ranks > 1` (an owned subset per rank, and a
-    /// different one per recovery epoch) the runtime plans in-run.
+    /// different one per recovery epoch) the runtime plans in-run. The
+    /// tiles' positions in the priority's order — the ready heaps' keys —
+    /// are sorted here too (kept by the graph), unless the schedule is
+    /// `Static`, under which no tile reaches a heap.
     pub(crate) fn artifacts(&self, opts: &ExecOpts) -> Result<RunArtifacts, RunError> {
         let graph = self.graph()?;
         let schedule = self.resolved_schedule(&graph, opts.schedule);
@@ -608,6 +617,9 @@ impl Plan {
             None
         };
         let mut balance_time = Duration::ZERO;
+        // Slabs lead the default priority with their own dimensions, a
+        // hyperplane partition with none.
+        let mut lead = self.lb_dims.clone();
         let partition = (opts.ranks > 1).then(|| {
             let t_balance = Instant::now();
             let method = opts.balance.clone().unwrap_or_else(|| {
@@ -624,12 +636,22 @@ impl Plan {
             });
             let balance = self.balance(&graph, opts.ranks, &method);
             balance_time = t_balance.elapsed();
-            (method, balance)
+            lead = match method {
+                BalanceMethod::Slabs { lb_dims } => lb_dims,
+                BalanceMethod::Hyperplane => Vec::new(),
+            };
+            balance
         });
+        let priority = (opts.priority.clone())
+            .unwrap_or_else(|| TilePriority::paper_default(self.tiling.dims(), &lead));
+        if schedule != Schedule::Static {
+            priority.ordering(&graph);
+        }
         Ok(RunArtifacts {
             graph,
             schedule,
             static_plan,
+            priority,
             partition,
             balance_time,
             recycler: self.recycler.clone(),
@@ -673,17 +695,20 @@ impl Plan {
             return p.clone();
         }
         // Same inputs as the runtime's own per-run build for a single
-        // owner: every tile, in the graph's order. Determinism of
-        // `StaticPlan::build` is what makes injection bit-identical.
-        let mut point = self.tiling.make_point(&self.params);
-        let plan = StaticPlan::build(&self.tiling, &mut point, graph.tiles(), threads, schedule)
-            .map(Arc::new);
+        // owner: every tile. Determinism of `StaticPlan::build_on` is what
+        // makes injection bit-identical.
+        let plan = StaticPlan::build_on(graph, 0..graph.len(), threads, schedule).map(Arc::new);
         memo.push(((threads, schedule), plan.clone()));
         plan
     }
 
     /// Memoized load balance for `(ranks, method)`.
-    fn balance(&self, graph: &TileGraph, ranks: usize, method: &BalanceMethod) -> Arc<LoadBalance> {
+    fn balance(
+        &self,
+        graph: &Arc<TileGraph>,
+        ranks: usize,
+        method: &BalanceMethod,
+    ) -> Arc<LoadBalance> {
         let mut memo = self.balances.lock();
         if let Some((_, b)) = memo.iter().find(|((r, m), _)| *r == ranks && m == method) {
             return b.clone();
@@ -1010,6 +1035,35 @@ mod tests {
         assert_eq!(out.recovery.checkpoint_bytes, 0);
     }
 
+    /// A load balance names its owners by the tile index of the graph it
+    /// was computed on. One computed at another binding, put where this
+    /// plan's would be, is refused before a tile runs.
+    #[test]
+    fn a_balance_of_another_binding_is_refused_at_the_door() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
+        let other = Plan::from_spec(CHAIN2, &[30]).unwrap();
+        let method = BalanceMethod::Slabs { lb_dims: vec![0] };
+        let foreign = LoadBalance::compute_on(&other.graph().unwrap(), 2, &method);
+        (plan.balances.lock()).push(((2, method), Arc::new(foreign)));
+        let cells = AtomicUsize::new(0);
+        let counting = |cell: CellRef<'_>, values: &mut [f64]| {
+            cells.fetch_add(1, Ordering::Relaxed);
+            path_kernel(cell, values)
+        };
+        let err = plan
+            .execute::<f64, _>(&counting, &ExecOpts::new().ranks(2))
+            .unwrap_err();
+        assert_eq!(stage_of(&err), CompileStage::Options, "{err}");
+        assert!(err.to_string().contains("load balance"), "{err}");
+        assert_eq!(cells.load(Ordering::Relaxed), 0);
+        // The plan's own partition of the same options runs.
+        plan.balances.lock().clear();
+        plan.execute::<f64, _>(&counting, &ExecOpts::new().ranks(2))
+            .unwrap();
+        assert_eq!(cells.load(Ordering::Relaxed), 15 * 16 / 2);
+    }
+
     #[test]
     fn malformed_outside_input_is_a_typed_fault_not_a_panic() {
         let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
@@ -1024,6 +1078,7 @@ mod tests {
             ExecOpts::new().ranks(2).balance(slabs(vec![])),
             ExecOpts::new().ranks(2).balance(slabs(vec![7])),
             ExecOpts::new().ranks(2).balance(slabs(vec![0, 0])),
+            ExecOpts::new().ranks((1 << 16) + 1),
         ];
         for opts in &bad {
             // `warm` reaches the same derivations on the submitting

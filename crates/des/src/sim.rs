@@ -4,12 +4,14 @@
 //! dependency counts, consumers, and the exact lattice counts — cells per
 //! tile, cells per edge — which the graph walks once per geometry class, so
 //! no polyhedral walk is paid per tile here. What set-up still does per
-//! tile is its own: an owner lookup, the static-plan membership, and the
-//! per-tile vectors the event loop runs on.
+//! tile is its own: an owner read, the static-plan membership bit, and the
+//! per-tile vectors the event loop runs on. A ready tile is keyed by its
+//! position in the priority's order on the graph
+//! ([`TilePriority::ordering`]), as in the runtime's scheduler.
 
 use crate::model::SimConfig;
-use dpgen_runtime::{Schedule, StaticPlan, TileOwner, TilePriority};
-use dpgen_tiling::{Coord, TileGraph, Tiling};
+use dpgen_runtime::{Schedule, StaticPlan, TileOwner};
+use dpgen_tiling::{TileGraph, Tiling};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -150,7 +152,6 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     assert!(config.ranks >= 1 && config.threads_per_rank >= 1);
     let cost = config.cost;
     let tiling = graph.tiling();
-    let mut point = tiling.make_point(graph.params());
 
     // --- Static structure: tiles, work, owners, edges. -----------------
     let tiles = graph.tiles();
@@ -158,8 +159,9 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     let work = graph.cells();
     let owners: Vec<usize> = tiles
         .iter()
-        .map(|t| {
-            let r = owner.owner_of(t);
+        .enumerate()
+        .map(|(i, t)| {
+            let r = owner.owner_at(i, t);
             assert!(r < config.ranks, "owner rank out of range");
             r
         })
@@ -191,23 +193,11 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
         let mut member = vec![false; n];
         if config.schedule != Schedule::Dynamic {
             for r in 0..config.ranks {
-                let owned: Vec<Coord> = tiles
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| owners[i] == r)
-                    .map(|(_, t)| *t)
-                    .collect();
-                if let Some(plan) = StaticPlan::build(
-                    tiling,
-                    &mut point,
-                    &owned,
-                    config.threads_per_rank,
-                    config.schedule,
-                ) {
-                    for (i, t) in tiles.iter().enumerate() {
-                        if owners[i] == r && plan.is_member(t) {
-                            member[i] = true;
-                        }
+                let owned = (0..n).filter(|&i| owners[i] == r);
+                let threads = config.threads_per_rank;
+                if let Some(plan) = StaticPlan::build_on(graph, owned, threads, config.schedule) {
+                    for (i, pinned) in member.iter_mut().enumerate() {
+                        *pinned |= plan.is_member(i);
                     }
                 }
             }
@@ -259,14 +249,20 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     };
 
     // --- Dynamic state. --------------------------------------------------
-    let directions = tiling.templates().directions().to_vec();
-    type RankQueue = BinaryHeap<Reverse<(Vec<i64>, usize)>>;
+    // A ready tile's key is its position in its order: the wavefront
+    // (level-set) order for a pinned tile, the configured priority's for any
+    // other, the arrival number under `Fifo`.
+    let pinned_rank = (static_member.contains(&true)).then(|| graph.ordering(true, &[]));
+    let free_rank = (static_member.contains(&false))
+        .then(|| config.priority.ordering(graph))
+        .flatten();
+    type RankQueue = BinaryHeap<Reverse<(u32, usize)>>;
     let mut ready: Vec<RankQueue> = (0..config.ranks).map(|_| BinaryHeap::new()).collect();
     let mut idle: Vec<usize> = vec![config.threads_per_rank; config.ranks];
     let mut busy: Vec<f64> = vec![0.0; config.ranks];
     let mut events: BinaryHeap<Reverse<QueueEntry>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut prio_seq = 0u64;
+    let mut prio_seq = 0u32;
     let mut msgs_remote = 0u64;
     let mut cells_remote = 0u64;
     let mut makespan = 0.0f64;
@@ -296,10 +292,14 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
             // (`runtime::schedule`) each worker sweeps its own rows of the
             // pipeline axis in lexicographic order. Modelling the
             // per-worker sequences is ROADMAP item 4's.
-            let key = if static_member[i] {
-                TilePriority::LevelSet.key(&tiles[i], &directions, prio_seq)
+            let order = if static_member[i] {
+                &pinned_rank
             } else {
-                config.priority.key(&tiles[i], &directions, prio_seq)
+                &free_rank
+            };
+            let key = match order {
+                Some(order) => order.rank[i],
+                None => prio_seq,
             };
             prio_seq += 1;
             ready[owners[i]].push(Reverse((key, i)));
@@ -429,7 +429,7 @@ mod tests {
     use crate::model::{CostModel, SimConfig};
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_runtime::{SingleOwner, TilePriority};
-    use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
+    use dpgen_tiling::{Coord, Template, TemplateSet, TilingBuilder};
 
     fn chain_1d(n_cells: i64, w: i64) -> Tiling {
         let space = Space::from_names(&["x"], &["N"]).unwrap();

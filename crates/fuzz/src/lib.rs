@@ -1,7 +1,7 @@
 //! The differential spec-fuzzing harness.
 //!
 //! Each generated spec ([`dpgen_core::specgen`]) is run through the full
-//! pipeline — FM bounds → tiling → edge layouts → sharded runtime — across
+//! pipeline — FM bounds → tiling → edge layouts → tiled runtime — across
 //! a {1, 2, 4}-thread × {1, 2}-rank matrix, fault-free and under a seeded
 //! [`FaultPlan`], and **every cell value** is compared bit-identically
 //! against the naive reference interpreter. Any disagreement, run error,

@@ -82,6 +82,20 @@ impl fmt::Display for CompileFault {
     }
 }
 
+/// A tile some but not all of whose edges have arrived, as a
+/// [`StallSnapshot`] reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PendingTile {
+    /// The waiting tile.
+    pub tile: Coord,
+    /// Edges buffered for it so far.
+    pub arrived: usize,
+    /// Edges it needs before it may run.
+    pub total: usize,
+    /// The dependency offsets whose edges have not arrived.
+    pub missing: Vec<Coord>,
+}
+
 /// Diagnostic state captured when the stall watchdog fires: what the node
 /// was waiting on when progress stopped.
 #[derive(Debug, Clone)]
@@ -99,9 +113,9 @@ pub struct StallSnapshot {
     pub ready_tiles: usize,
     /// Tiles with at least one but not all dependencies satisfied.
     pub pending_tiles: usize,
-    /// Pending-tile count per scheduler shard (only nonzero shards are
-    /// interesting; the vector keeps shard indices aligned).
-    pub pending_per_shard: Vec<usize>,
+    /// The pending tiles that come first in the run's priority order (at
+    /// most eight), each with the dependency offsets it still waits for.
+    pub waiting_on: Vec<PendingTile>,
     /// Edges buffered on pending tiles, awaiting their siblings.
     pub buffered_edges: usize,
     /// Frames this rank sent that were never acknowledged.
@@ -135,15 +149,14 @@ impl fmt::Display for StallSnapshot {
             self.buffered_edges,
             self.unacked_frames,
         )?;
-        let busy: Vec<String> = self
-            .pending_per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, n)| format!("shard {i}: {n}"))
-            .collect();
-        if !busy.is_empty() {
-            write!(f, "; pending by shard [{}]", busy.join(", "))?;
+        for p in &self.waiting_on {
+            let missing: Vec<String> = p.missing.iter().map(|d| d.to_string()).collect();
+            let (tile, missing) = (p.tile, missing.join(" "));
+            write!(
+                f,
+                "; waiting on tile {tile}: {}/{} edges, missing {missing}",
+                p.arrived, p.total
+            )?;
         }
         if !self.links.is_empty() {
             let diags: Vec<String> = self.links.iter().map(|l| l.to_string()).collect();
@@ -400,7 +413,12 @@ mod tests {
             tiles_owned: 12,
             ready_tiles: 0,
             pending_tiles: 3,
-            pending_per_shard: vec![0, 2, 0, 1],
+            waiting_on: vec![PendingTile {
+                tile: Coord::from_slice(&[3, 7]),
+                arrived: 1,
+                total: 2,
+                missing: vec![Coord::from_slice(&[-1, 0])],
+            }],
             buffered_edges: 4,
             unacked_frames: 5,
             links: Vec::new(),
@@ -414,7 +432,10 @@ mod tests {
     fn stall_display_names_the_wedge() {
         let msg = RunError::Stalled(Box::new(snapshot())).to_string();
         assert!(msg.contains("7/12 tiles"), "{msg}");
-        assert!(msg.contains("shard 1: 2"), "{msg}");
+        assert!(
+            msg.contains("waiting on tile (3, 7): 1/2 edges, missing (-1, 0)"),
+            "{msg}"
+        );
         assert!(msg.contains("5 unacked"), "{msg}");
     }
 

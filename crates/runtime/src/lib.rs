@@ -5,7 +5,7 @@
 //! threads repeatedly
 //!
 //! 1. gets the next available tile from its own ready queue (stealing from
-//!    the richest sibling when empty — see [`sharded`]),
+//!    the richest sibling when empty — see [`scheduler`]),
 //! 2. unpacks the buffered edge data into the tile's ghost cells,
 //! 3. executes the tile (the user's center-loop code),
 //! 4. packs each valid outgoing edge and updates neighbouring tiles (or
@@ -13,10 +13,10 @@
 //! 5. delivers the batch of outgoing edges, readying any completed tiles,
 //! 6. polls for incoming edges when the lock is available.
 //!
-//! Tile-to-ready bookkeeping lives in [`sharded::ShardedScheduler`]: the
-//! pending table is split across Coord-hashed shards and each worker owns a
-//! private priority queue, so delivery and popping contend only on narrow
-//! locks.
+//! Tile-to-ready bookkeeping lives in [`scheduler::TileScheduler`]: the
+//! pending table is an array of per-tile slots over the tile graph's dense
+//! index and each worker owns a private priority queue, so delivery and
+//! popping contend only on narrow locks.
 //!
 //! Only *pending* tiles (those with at least one satisfied dependency) are
 //! tracked, and only *executing* tiles have full buffers in memory — the
@@ -38,6 +38,7 @@ pub mod reduce;
 pub mod reference;
 pub mod rng;
 pub mod schedule;
+pub mod scheduler;
 pub mod sharded;
 pub mod simd;
 pub mod stats;
@@ -45,7 +46,7 @@ pub mod trace;
 pub mod transport;
 
 pub use checkpoint::{CheckpointData, CheckpointSink, NodeRecovery, ResumeState};
-pub use error::{CompileFault, CompileStage, EdgeFault, RunError, StallSnapshot};
+pub use error::{CompileFault, CompileStage, EdgeFault, PendingTile, RunError, StallSnapshot};
 pub use kernel::{Kernel, PerCell, RunKernel, Value};
 pub use memory::MemoryStats;
 pub use metrics::{Histogram, Metric, MetricsRegistry};
@@ -59,6 +60,7 @@ pub use reduce::Reduction;
 pub use reference::{run_reference, ReferenceResult};
 pub use rng::SplitMix64;
 pub use schedule::{Schedule, StaticPlan};
+pub use scheduler::{Delivery, DuplicateEdge, TileEdges, TileScheduler};
 pub use sharded::{EdgeDelivery, ShardedScheduler};
 pub use simd::{I64x, LANES};
 pub use stats::RunStats;

@@ -6,10 +6,17 @@
 //! execution priorities change peak edge memory by almost a factor of `d`
 //! (Section V-B); the `figures` bench harness reads these counters to
 //! regenerate the comparison.
+//!
+//! The scheduler reports per *batch* — the edges one finished tile
+//! delivers, the edges one popped tile consumes — not per edge: a batch
+//! only adds, so the level after it is the highest level inside it, and one
+//! `fetch_add` and one `fetch_max` per counter see the same peak an update
+//! per edge would.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Shared memory counters (cheap enough to update on every edge event).
+/// Shared memory counters, updated once per delivered batch and per
+/// executed tile.
 #[derive(Debug, Default)]
 pub struct MemoryStats {
     edges_buffered: AtomicI64,
@@ -18,22 +25,16 @@ pub struct MemoryStats {
     edge_cells_buffered_peak: AtomicI64,
     live_tiles: AtomicI64,
     live_tiles_peak: AtomicI64,
-    live_tile_cells: AtomicI64,
-    live_tile_cells_peak: AtomicI64,
     pending_tiles: AtomicI64,
     pending_tiles_peak: AtomicI64,
-    edges_total: AtomicU64,
-    edge_cells_total: AtomicU64,
-    tile_buffers_allocated: AtomicU64,
-    tile_buffers_reused: AtomicU64,
-    edge_payloads_allocated: AtomicU64,
-    edge_payloads_reused: AtomicU64,
 }
 
-fn bump_peak(cur: &AtomicI64, peak: &AtomicI64, delta: i64) {
-    let now = cur.fetch_add(delta, Ordering::Relaxed) + delta;
-    if delta > 0 {
-        peak.fetch_max(now, Ordering::Relaxed);
+/// Add `delta` to `cur` after a rise of `rise` above the old level: the
+/// level `cur + rise` was reached before `delta - rise` came off again.
+fn bump_peak(cur: &AtomicI64, peak: &AtomicI64, rise: i64, delta: i64) {
+    let was = cur.fetch_add(delta, Ordering::Relaxed);
+    if rise > 0 {
+        peak.fetch_max(was + rise, Ordering::Relaxed);
     }
 }
 
@@ -43,57 +44,57 @@ impl MemoryStats {
         MemoryStats::default()
     }
 
-    /// An edge with `cells` payload cells was buffered in the scheduler.
-    pub fn edge_buffered(&self, cells: usize) {
-        bump_peak(&self.edges_buffered, &self.edges_buffered_peak, 1);
+    /// `edges` edges carrying `cells` payload cells between them were
+    /// buffered in the scheduler.
+    pub fn edges_buffered(&self, edges: usize, cells: usize) {
+        let (edges, cells) = (edges as i64, cells as i64);
+        bump_peak(
+            &self.edges_buffered,
+            &self.edges_buffered_peak,
+            edges,
+            edges,
+        );
         bump_peak(
             &self.edge_cells_buffered,
             &self.edge_cells_buffered_peak,
-            cells as i64,
-        );
-        self.edges_total.fetch_add(1, Ordering::Relaxed);
-        self.edge_cells_total
-            .fetch_add(cells as u64, Ordering::Relaxed);
-    }
-
-    /// A buffered edge was consumed (unpacked into an executing tile).
-    pub fn edge_consumed(&self, cells: usize) {
-        bump_peak(&self.edges_buffered, &self.edges_buffered_peak, -1);
-        bump_peak(
-            &self.edge_cells_buffered,
-            &self.edge_cells_buffered_peak,
-            -(cells as i64),
+            cells,
+            cells,
         );
     }
 
-    /// A tile buffer of `cells` cells was allocated for execution.
-    pub fn tile_allocated(&self, cells: usize) {
-        bump_peak(&self.live_tiles, &self.live_tiles_peak, 1);
-        bump_peak(
-            &self.live_tile_cells,
-            &self.live_tile_cells_peak,
-            cells as i64,
-        );
+    /// `edges` buffered edges of `cells` cells were consumed (unpacked into
+    /// an executing tile).
+    pub fn edges_consumed(&self, edges: usize, cells: usize) {
+        self.edges_buffered
+            .fetch_sub(edges as i64, Ordering::Relaxed);
+        self.edge_cells_buffered
+            .fetch_sub(cells as i64, Ordering::Relaxed);
+    }
+
+    /// A tile buffer was taken for execution.
+    pub fn tile_allocated(&self) {
+        bump_peak(&self.live_tiles, &self.live_tiles_peak, 1, 1);
     }
 
     /// An executing tile's buffer was released.
-    pub fn tile_released(&self, cells: usize) {
-        bump_peak(&self.live_tiles, &self.live_tiles_peak, -1);
-        bump_peak(
-            &self.live_tile_cells,
-            &self.live_tile_cells_peak,
-            -(cells as i64),
-        );
+    pub fn tile_released(&self) {
+        self.live_tiles.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// A tile entered the scheduler's pending table (first edge arrived).
-    pub fn tile_pending(&self) {
-        bump_peak(&self.pending_tiles, &self.pending_tiles_peak, 1);
-    }
-
-    /// A pending tile completed its dependency set and left the table.
-    pub fn tile_unpended(&self) {
-        bump_peak(&self.pending_tiles, &self.pending_tiles_peak, -1);
+    /// One batch of deliveries gave `started` tiles their first edge and
+    /// `completed` tiles their last (a tile waiting for one edge is both).
+    /// The high-water mark counts the batch's first edges before its last
+    /// ones, whatever order they came in.
+    pub fn tiles_pending(&self, started: usize, completed: usize) {
+        let (started, completed) = (started as i64, completed as i64);
+        if started != 0 || completed != 0 {
+            bump_peak(
+                &self.pending_tiles,
+                &self.pending_tiles_peak,
+                started,
+                started - completed,
+            );
+        }
     }
 
     /// Peak number of simultaneously buffered edges.
@@ -106,24 +107,11 @@ impl MemoryStats {
         self.edge_cells_buffered_peak.load(Ordering::Relaxed)
     }
 
-    /// Peak number of simultaneously live (executing) tiles.
+    /// Peak number of simultaneously live (executing) tiles. Every tile
+    /// buffer of a run has the tile layout's size, so the peak in cells is
+    /// this many buffers.
     pub fn peak_live_tiles(&self) -> i64 {
         self.live_tiles_peak.load(Ordering::Relaxed)
-    }
-
-    /// Peak number of live tile buffer cells.
-    pub fn peak_live_tile_cells(&self) -> i64 {
-        self.live_tile_cells_peak.load(Ordering::Relaxed)
-    }
-
-    /// Total edges ever buffered.
-    pub fn total_edges(&self) -> u64 {
-        self.edges_total.load(Ordering::Relaxed)
-    }
-
-    /// Total edge cells ever buffered.
-    pub fn total_edge_cells(&self) -> u64 {
-        self.edge_cells_total.load(Ordering::Relaxed)
     }
 
     /// Currently buffered edges (should be 0 after a complete run).
@@ -145,48 +133,6 @@ impl MemoryStats {
     pub fn current_pending_tiles(&self) -> i64 {
         self.pending_tiles.load(Ordering::Relaxed)
     }
-
-    /// A worker's pool had no tile buffer and allocated a fresh one.
-    pub fn tile_buffer_allocated(&self) {
-        self.tile_buffers_allocated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker reused its pooled tile buffer for another tile.
-    pub fn tile_buffer_reused(&self) {
-        self.tile_buffers_reused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An edge payload vector was freshly allocated (or had to grow).
-    pub fn edge_payload_allocated(&self) {
-        self.edge_payloads_allocated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A recycled edge payload vector was reused without allocating.
-    pub fn edge_payload_reused(&self) {
-        self.edge_payloads_reused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tile buffers allocated across all workers (plateaus at the worker
-    /// count once pooling has warmed up).
-    pub fn total_tile_buffers_allocated(&self) -> u64 {
-        self.tile_buffers_allocated.load(Ordering::Relaxed)
-    }
-
-    /// Pooled tile buffer reuses across all workers.
-    pub fn total_tile_buffers_reused(&self) -> u64 {
-        self.tile_buffers_reused.load(Ordering::Relaxed)
-    }
-
-    /// Edge payload allocations (including capacity growth of a recycled
-    /// vector) across all workers.
-    pub fn total_edge_payloads_allocated(&self) -> u64 {
-        self.edge_payloads_allocated.load(Ordering::Relaxed)
-    }
-
-    /// Recycled edge payload reuses across all workers.
-    pub fn total_edge_payloads_reused(&self) -> u64 {
-        self.edge_payloads_reused.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -196,47 +142,48 @@ mod tests {
     #[test]
     fn peaks_track_high_water_mark() {
         let m = MemoryStats::new();
-        m.edge_buffered(10);
-        m.edge_buffered(20);
+        m.edges_buffered(2, 30);
         assert_eq!(m.peak_edges(), 2);
         assert_eq!(m.peak_edge_cells(), 30);
-        m.edge_consumed(10);
-        m.edge_buffered(5);
+        m.edges_consumed(1, 10);
+        m.edges_buffered(1, 5);
         assert_eq!(m.peak_edges(), 2);
         assert_eq!(m.peak_edge_cells(), 30);
-        m.edge_buffered(40);
+        m.edges_buffered(1, 40);
+        assert_eq!(m.peak_edges(), 3);
         assert_eq!(m.peak_edge_cells(), 65);
-        assert_eq!(m.total_edges(), 4);
-        assert_eq!(m.total_edge_cells(), 75);
+        assert_eq!(m.current_edges(), 3);
     }
 
     #[test]
     fn tiles_balance_to_zero() {
         let m = MemoryStats::new();
-        m.tile_allocated(100);
-        m.tile_allocated(100);
-        m.tile_released(100);
-        m.tile_allocated(100);
-        m.tile_released(100);
-        m.tile_released(100);
+        m.tile_allocated();
+        m.tile_allocated();
+        m.tile_released();
+        m.tile_allocated();
+        m.tile_released();
+        m.tile_released();
         assert_eq!(m.current_live_tiles(), 0);
         assert_eq!(m.peak_live_tiles(), 2);
-        assert_eq!(m.peak_live_tile_cells(), 200);
     }
 
     #[test]
     fn pending_tiles_balance_to_zero() {
         let m = MemoryStats::new();
-        m.tile_pending();
-        m.tile_pending();
-        m.tile_unpended();
-        m.tile_pending();
+        m.tiles_pending(2, 0);
+        m.tiles_pending(0, 1);
+        // A batch's first edges count before its last ones: 1 + 1, then - 1.
+        m.tiles_pending(1, 1);
         assert_eq!(m.peak_pending_tiles(), 2);
-        assert_eq!(m.current_pending_tiles(), 2);
-        m.tile_unpended();
-        m.tile_unpended();
+        assert_eq!(m.current_pending_tiles(), 1);
+        // A tile that waits for one edge is pending only inside its batch.
+        m.tiles_pending(2, 2);
+        assert_eq!(m.peak_pending_tiles(), 3);
+        m.tiles_pending(0, 1);
+        m.tiles_pending(0, 0);
         assert_eq!(m.current_pending_tiles(), 0);
-        assert_eq!(m.peak_pending_tiles(), 2);
+        assert_eq!(m.peak_pending_tiles(), 3);
     }
 
     #[test]
@@ -247,14 +194,13 @@ mod tests {
                 let m = m.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        m.edge_buffered(3);
-                        m.edge_consumed(3);
+                        m.edges_buffered(1, 3);
+                        m.edges_consumed(1, 3);
                     }
                 });
             }
         });
         assert_eq!(m.current_edges(), 0);
-        assert_eq!(m.total_edges(), 4000);
         assert!(m.peak_edges() >= 1 && m.peak_edges() <= 4);
     }
 }

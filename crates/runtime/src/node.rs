@@ -29,10 +29,13 @@
 //! for and where its neighbours sit is read from the [`TileGraph`] the job
 //! carries — derived once per plan, shared by every rank, recovery epoch
 //! and execution — so a run's initial-tile generation is an owner filter
-//! over it; what a run keeps per tile (the geometry slot, the probe mark)
-//! are arrays over the graph's tile index. What a worker counts for
-//! [`RunStats`] it counts on its own stack and adds to the run's totals
-//! when it exits.
+//! over it; what a run keeps per tile (the scheduler's edge slot, the
+//! geometry slot, the probe mark) are arrays over the graph's tile index,
+//! and between popping a tile and delivering its edges a worker names
+//! tiles by that index only. A coordinate is resolved to its index once,
+//! where it enters: an edge from the transport or from a checkpoint. What a
+//! worker counts for [`RunStats`] it counts on its own stack and adds to
+//! the run's totals when it exits.
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -57,7 +60,7 @@ use crate::priority::TilePriority;
 use crate::recycle::BufferRecycler;
 use crate::reduce::Reduction;
 use crate::schedule::{Schedule, StaticPlan};
-use crate::sharded::{EdgeDelivery, ShardedScheduler};
+use crate::scheduler::{Delivery, DuplicateEdge, TileScheduler};
 use crate::stats::RunStats;
 use crate::trace::{EventKind, Tracer};
 use crate::transport::{EdgeMsg, Transport};
@@ -75,6 +78,15 @@ use std::time::{Duration, Instant};
 pub trait TileOwner: Send + Sync {
     /// The rank that owns (executes) `tile`.
     fn owner_of(&self, tile: &Coord) -> usize;
+
+    /// [`TileOwner::owner_of`] for a caller that also knows the tile's
+    /// index in the tile graph it runs on (`tile` is that graph's tile
+    /// `idx`): what the run path asks, so that an owner kept as an array
+    /// over the graph answers without hashing the coordinate.
+    fn owner_at(&self, idx: usize, tile: &Coord) -> usize {
+        let _ = idx;
+        self.owner_of(tile)
+    }
 }
 
 /// All tiles belong to rank 0 (single-node runs).
@@ -337,22 +349,17 @@ impl<T: Value> TileBufferPool<T> {
     /// stale values are never observed and the clear is skipped. Every
     /// other cell — ghost cells, cells outside the scan — is default either
     /// way. A tile of another class gets the scan span cleared first.
-    pub(crate) fn acquire(
-        &mut self,
-        size: usize,
-        geom: &Arc<TileGeom>,
-        mem: &MemoryStats,
-    ) -> Vec<T> {
+    fn acquire(&mut self, size: usize, geom: &Arc<TileGeom>, counts: &mut WorkerCounts) -> Vec<T> {
         if matches!(&self.scanned, Some((last, ..)) if Arc::ptr_eq(last, geom)) {
             self.scanned = None;
         }
         match self.take_cleared() {
             Some(buf) if buf.len() == size => {
-                mem.tile_buffer_reused();
+                counts.tile_buffers_reused += 1;
                 buf
             }
             _ => {
-                mem.tile_buffer_allocated();
+                counts.tile_buffers_allocated += 1;
                 vec![T::default(); size]
             }
         }
@@ -379,14 +386,14 @@ impl<T: Value> TileBufferPool<T> {
     /// An empty payload vector with capacity at least `cap`: recycled when
     /// the free list has one big enough, freshly allocated (exact-presized,
     /// so subsequent pushes never reallocate) otherwise.
-    pub(crate) fn take_payload(&mut self, cap: usize, mem: &MemoryStats) -> Vec<T> {
+    fn take_payload(&mut self, cap: usize, counts: &mut WorkerCounts) -> Vec<T> {
         if let Some(idx) = (0..self.payloads.len()).max_by_key(|&i| self.payloads[i].capacity()) {
             if self.payloads[idx].capacity() >= cap {
-                mem.edge_payload_reused();
+                counts.edge_payloads_reused += 1;
                 return self.payloads.swap_remove(idx);
             }
         }
-        mem.edge_payload_allocated();
+        counts.edge_payloads_allocated += 1;
         Vec::with_capacity(cap)
     }
 
@@ -495,6 +502,10 @@ struct WorkerCounts {
     edge_cells: u64,
     geom_builds: u64,
     geom_hits: u64,
+    tile_buffers_allocated: u64,
+    tile_buffers_reused: u64,
+    edge_payloads_allocated: u64,
+    edge_payloads_reused: u64,
 }
 
 impl WorkerCounts {
@@ -512,6 +523,10 @@ impl WorkerCounts {
         self.edge_cells += other.edge_cells;
         self.geom_builds += other.geom_builds;
         self.geom_hits += other.geom_hits;
+        self.tile_buffers_allocated += other.tile_buffers_allocated;
+        self.tile_buffers_reused += other.tile_buffers_reused;
+        self.edge_payloads_allocated += other.edge_payloads_allocated;
+        self.edge_payloads_reused += other.edge_payloads_reused;
     }
 }
 
@@ -621,12 +636,12 @@ where
     let d = tiling.dims();
     let layout = tiling.layout();
     let widths = tiling.widths();
+    let tiles = graph.tiles();
 
     // --- Initial tile generation (Section IV-K): the graph knows which
     // tiles have no dependency that exists; this rank starts from the ones
     // it owns. Executed serially, as in the paper; its wall time is
     // reported separately.
-    let mut point = tiling.make_point(params);
     // Tiles already completed in prior recovery epochs: never re-executed
     // and never delivered to — their results travel as replayed edges.
     // Empty outside a recovery resume, so the hot path pays one
@@ -637,18 +652,18 @@ where
     // The owned tiles as a list only when a static plan has to be built
     // from them below.
     let plan_in_run = config.schedule != Schedule::Dynamic && config.static_plan.is_none();
-    let mut owned_list: Vec<Coord> = Vec::new();
-    let mut initials: Vec<Coord> = Vec::new();
+    let mut owned_list: Vec<usize> = Vec::new();
+    let mut initials: Vec<usize> = Vec::new();
     let mut owned = 0u64;
     let mut resumed = 0u64;
     let mut resumed_cells = 0u64;
-    for (i, t) in graph.tiles().iter().enumerate() {
-        if owner.owner_of(t) != config.rank {
+    for (i, t) in tiles.iter().enumerate() {
+        if owner.owner_at(i, t) != config.rank {
             continue;
         }
         owned += 1;
         if plan_in_run {
-            owned_list.push(*t);
+            owned_list.push(i);
         }
         if completed_prior.contains(t) {
             resumed += 1;
@@ -658,7 +673,7 @@ where
             // covers cells executed this epoch).
             resumed_cells += graph.cells()[i] as u64;
         } else if graph.dep_total(i) == 0 {
-            initials.push(*t);
+            initials.push(i);
         }
     }
     let threads = config.threads.max(1);
@@ -669,7 +684,7 @@ where
     // have been built from the identical inputs and therefore replays the
     // exact same sequences.
     let plan: Option<Arc<StaticPlan>> = if plan_in_run {
-        StaticPlan::build(tiling, &mut point, &owned_list, threads, config.schedule).map(Arc::new)
+        StaticPlan::build_on(graph, owned_list, threads, config.schedule).map(Arc::new)
     } else {
         config
             .static_plan
@@ -683,7 +698,6 @@ where
     // the tile atomically, so exactly one taker wins a given position and
     // only that winner publishes the advance.
     let cursors: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-    drop(owned_list);
     // Per tile of the graph, the slot where the first worker to need the
     // tile's recorded geometry parks it for everyone after.
     let geoms: Vec<OnceLock<Arc<TileGeom>>> = (0..graph.len()).map(|_| OnceLock::new()).collect();
@@ -700,35 +714,57 @@ where
         );
     }
     let mem = Arc::new(MemoryStats::new());
-    let sched: ShardedScheduler<T> = ShardedScheduler::new(
-        config.priority.clone(),
-        tiling.templates().directions().to_vec(),
-        threads,
-        mem.clone(),
-    )
-    .with_tracer(config.tracer.clone())
-    .with_plan(plan.clone());
+    let sched: TileScheduler<'_, T> =
+        TileScheduler::new(graph, config.priority.clone(), threads, mem.clone())
+            .with_tracer(config.tracer.clone())
+            .with_plan(plan.clone());
     for t in initials {
         sched.mark_initial(t);
     }
+    // The door for an edge that names its tile by coordinate (one off the
+    // transport, one out of a checkpoint): resolved to the graph's indices
+    // once, here, or refused.
+    let resolve = |msg: EdgeMsg<T>| -> Result<Delivery<T>, RunError> {
+        let (tile, delta) = (msg.tile, msg.delta);
+        let bad_edge = |detail: &str| {
+            RunError::BadEdge(Box::new(EdgeFault {
+                rank: config.rank,
+                tile,
+                delta,
+                detail: detail.to_string(),
+            }))
+        };
+        let Some(tile) = graph.index_of(&tile) else {
+            return Err(bad_edge("consumer tile is outside the tile space"));
+        };
+        let dep = tiling.dep_index(&delta);
+        let Some(dep) = dep.filter(|&dep| graph.source(tile, dep).is_some()) else {
+            return Err(bad_edge("unknown dependency offset or source tile"));
+        };
+        Ok(Delivery {
+            tile,
+            dep,
+            payload: msg.payload,
+        })
+    };
+    // A second edge for one dependency of one tile would send the tile off
+    // an edge short: refused by the scheduler, a typed fault here.
+    let duplicate = |dup: DuplicateEdge| {
+        RunError::BadEdge(Box::new(EdgeFault {
+            rank: config.rank,
+            tile: tiles[dup.tile],
+            delta: tiling.deps()[dup.dep].delta,
+            detail: "duplicate edge: the tile already has this dependency or has run".to_string(),
+        }))
+    };
     // Replay the retained edges of prior epochs' completed producers into
     // the scheduler before any worker starts: every non-completed tile
     // then assembles its full dependency set from replay (completed
     // producers) plus fresh sends (re-executing producers).
     if let Some(rs) = resume {
-        let mut replay: Vec<EdgeDelivery<T>> = rs
-            .replay
-            .iter()
-            .filter_map(|m| {
-                Some(EdgeDelivery {
-                    tile: m.tile,
-                    delta: m.delta,
-                    payload: m.payload.clone(),
-                    total: graph.dep_total(graph.index_of(&m.tile)?),
-                })
-            })
-            .collect();
-        sched.deliver_batch(0, &mut replay);
+        let replay: Result<Vec<Delivery<T>>, RunError> =
+            rs.replay.iter().cloned().map(resolve).collect();
+        sched.deliver(0, &mut replay?).map_err(duplicate)?;
     }
     let cv = Condvar::new();
     let cv_mutex = Mutex::new(()); // park/wake channel, no data under it
@@ -747,9 +783,14 @@ where
     let failed = AtomicBool::new(false);
     let first_error: Mutex<Option<RunError>> = Mutex::new(None);
     // Progress clocks for the stall watchdog, as nanoseconds since
-    // `t_start` (monotone via fetch_max, so late writers never rewind).
-    let last_progress = AtomicU64::new(0);
+    // `t_start`. Each worker stores its own (monotone: one writer, one
+    // clock); the node's last progress is the latest of them, taken by
+    // whoever asks.
     let worker_progress: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let last_progress = || {
+        let clocks = worker_progress.iter().map(|a| a.load(Ordering::Acquire));
+        Duration::from_nanos(clocks.max().unwrap_or(0))
+    };
 
     // Group probe coordinates by owning tile, and mark those tiles: every
     // other tile skips the hash lookup and the results mutex.
@@ -780,7 +821,7 @@ where
             tiles_owned: owned,
             ready_tiles: sched.ready_len(),
             pending_tiles: sched.pending_len(),
-            pending_per_shard: sched.pending_per_shard(),
+            waiting_on: sched.pending_tiles(8),
             buffered_edges: mem.current_edges().max(0) as usize,
             unacked_frames: transport.in_flight(),
             links: transport.link_diags(),
@@ -817,6 +858,8 @@ where
             let last_progress = &last_progress;
             let worker_progress = &worker_progress;
             let snapshot = &snapshot;
+            let resolve = &resolve;
+            let duplicate = &duplicate;
             move |w: usize| {
                 let mut point = tiling.make_point(params);
                 let mut pool: TileBufferPool<T> = match &config.recycler {
@@ -835,7 +878,8 @@ where
                         // A resumed head never gets edges and would wedge
                         // the cursor: skip it (idempotent under racing
                         // helpers — fetch_max never rewinds).
-                        if completed_prior.contains(head) {
+                        let head = *head as usize;
+                        if completed_prior.contains(&tiles[head]) {
                             cursors[ow].fetch_max(c + 1, Ordering::AcqRel);
                             continue;
                         }
@@ -844,7 +888,7 @@ where
                         // store; fetch_max keeps a stale racer from
                         // rewinding it.
                         cursors[ow].fetch_max(c + 1, Ordering::AcqRel);
-                        return Some((*head, edges));
+                        return Some((head, edges));
                     }
                 };
                 // Tracks the current idle episode for WorkerIdle/Resume
@@ -854,20 +898,23 @@ where
                 let mut spin_until: Option<Instant> = None;
                 // Presized from the dependency count: one local edge per
                 // template plus headroom for polled transport messages, so
-                // steady-state delivery never regrows it (deliver_batch
-                // drains it in place).
-                let mut batch: Vec<EdgeDelivery<T>> = Vec::with_capacity(tiling.deps().len() + 4);
+                // steady-state delivery never regrows it (`deliver` drains
+                // it in place).
+                let mut batch: Vec<Delivery<T>> = Vec::with_capacity(tiling.deps().len() + 4);
                 // The edges the current tile unpacked, as (source tile's
                 // recording, dependency): what to clear out of its ghost
                 // cells when the buffer goes back to the pool.
-                let mut unpacked: Vec<(Arc<TileGeom>, usize)> =
-                    Vec::with_capacity(tiling.deps().len());
+                let mut unpacked: Vec<(&TileGeom, usize)> = Vec::with_capacity(tiling.deps().len());
                 let mut counts = WorkerCounts::default();
                 let note_progress = || {
                     let now = t_start.elapsed().as_nanos() as u64;
-                    last_progress.fetch_max(now, Ordering::Release);
-                    worker_progress[w].fetch_max(now, Ordering::Release);
+                    worker_progress[w].store(now, Ordering::Release);
                 };
+                // One wake per readied tile is enough under every mode:
+                // cursor helping lets any woken worker take any ready head,
+                // and the deliverer itself loops straight into selection
+                // for the rest.
+                let wake = |ready: usize| (0..ready.min(threads)).for_each(|_| cv.notify_one());
                 let fail = |e: RunError| {
                     if let Some(t) = tracer {
                         t.record(w, EventKind::Fault, e.tile().as_ref(), e.severity() as u64);
@@ -899,15 +946,15 @@ where
                 // of an incoming edge). The first worker to need it asks
                 // the tiling — one signature and one map lookup unless the
                 // tile is the first of its class — and parks it in the
-                // tile's slot for everyone after.
+                // tile's slot, where everyone after borrows it.
                 let (mut built, mut hit) = (0u64, 0u64);
                 let mut geometry =
-                    |tile_idx: usize, point: &mut [i128]| -> Result<Arc<TileGeom>, RunError> {
-                        let slot = &geoms[tile_idx];
+                    |tile_idx: usize, point: &mut [i128]| -> Result<&Arc<TileGeom>, RunError> {
+                        let slot: &OnceLock<Arc<TileGeom>> = &geoms[tile_idx];
                         if let Some(geom) = slot.get() {
-                            return Ok(geom.clone());
+                            return Ok(geom);
                         }
-                        let t = &graph.tiles()[tile_idx];
+                        let t = &tiles[tile_idx];
                         let (geom, was_built) =
                             tiling
                                 .geometry(t, point)
@@ -918,14 +965,14 @@ where
                                 })?;
                         // Counted by whoever parks it, so a run's lookups add
                         // up to the tiles it touched whatever the interleaving.
-                        if slot.set(geom.clone()).is_ok() {
+                        Ok(slot.get_or_init(|| {
                             if was_built {
                                 built += 1;
                             } else {
                                 hit += 1;
                             }
-                        }
-                        Ok(geom)
+                            geom
+                        }))
                     };
                 loop {
                     if failed.load(Ordering::Acquire) {
@@ -954,7 +1001,7 @@ where
                         break;
                     }
                     // Step 6 of the paper's loop: poll for incoming edges,
-                    // delivered as one shard-grouped batch.
+                    // delivered as one batch.
                     let mut bad_edge = None;
                     while let Some(msg) = transport.try_recv() {
                         if let Some(t) = tracer {
@@ -971,36 +1018,24 @@ where
                         if completed_prior.contains(&msg.tile) {
                             continue;
                         }
-                        let Some(consumer_idx) = graph.index_of(&msg.tile) else {
-                            bad_edge = Some(EdgeFault {
-                                rank: config.rank,
-                                tile: msg.tile,
-                                delta: msg.delta,
-                                detail: "consumer tile is outside the tile space".to_string(),
-                            });
-                            break;
-                        };
-                        batch.push(EdgeDelivery {
-                            tile: msg.tile,
-                            delta: msg.delta,
-                            payload: msg.payload,
-                            total: graph.dep_total(consumer_idx),
-                        });
-                    }
-                    if let Some(fault) = bad_edge {
-                        fail(RunError::BadEdge(Box::new(fault)));
-                        break;
-                    }
-                    if !batch.is_empty() {
-                        note_progress();
-                        let ready = sched.deliver_batch(w, &mut batch);
-                        // One wake per readied tile is enough under every
-                        // mode: cursor helping lets any woken worker take
-                        // any ready head, and the deliverer itself loops
-                        // straight into selection for the rest.
-                        for _ in 0..ready.min(threads) {
-                            cv.notify_one();
+                        match resolve(msg) {
+                            Ok(delivery) => batch.push(delivery),
+                            Err(e) => {
+                                bad_edge = Some(e);
+                                break;
+                            }
                         }
+                    }
+                    if bad_edge.is_none() && !batch.is_empty() {
+                        note_progress();
+                        match sched.deliver(w, &mut batch) {
+                            Ok(ready) => wake(ready),
+                            Err(dup) => bad_edge = Some(duplicate(dup)),
+                        }
+                    }
+                    if let Some(e) = bad_edge {
+                        fail(e);
+                        break;
                     }
                     // Schedule-aware selection: own static cursor first (the
                     // plan's pipeline order is deadlock-free, see
@@ -1021,7 +1056,7 @@ where
                                 .inspect(|_| from_static = true)
                         }),
                     };
-                    let Some((tile, edges)) = next else {
+                    let Some((tile_idx, edges)) = next else {
                         if executed.load(Ordering::Acquire) >= owned {
                             break;
                         }
@@ -1057,7 +1092,7 @@ where
                                         let c = cursors[ow].load(Ordering::Acquire);
                                         p.sequence(ow)
                                             .get(c)
-                                            .is_some_and(|head| sched.static_ready_contains(head))
+                                            .is_some_and(|&head| sched.static_ready(head as usize))
                                     })
                                 });
                             let mut guard = cv_mutex.lock();
@@ -1070,9 +1105,7 @@ where
                         }
                         idle_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                         if let Some(limit) = config.stall_timeout {
-                            let idle = t_start.elapsed().saturating_sub(Duration::from_nanos(
-                                last_progress.load(Ordering::Acquire),
-                            ));
+                            let idle = t_start.elapsed().saturating_sub(last_progress());
                             if idle > limit {
                                 if let Some(t) = tracer {
                                     t.record(
@@ -1090,6 +1123,7 @@ where
                     };
                     note_progress();
                     spin_until = None;
+                    let tile = tiles[tile_idx];
                     if let Some(t) = tracer {
                         if let Some(since) = idle_since.take() {
                             t.record(
@@ -1106,16 +1140,6 @@ where
                     // failure breaks out of the labelled block and fails
                     // the run; the dirty tile buffer is discarded (its
                     // written range is unknown after a mid-scan panic).
-                    let Some(tile_idx) = graph.index_of(&tile) else {
-                        // Only an edge can have put it in the scheduler.
-                        fail(RunError::BadEdge(Box::new(EdgeFault {
-                            rank: config.rank,
-                            tile,
-                            delta: Coord::zeros(d),
-                            detail: "scheduled tile is outside the tile space".to_string(),
-                        })));
-                        break;
-                    };
                     let geom = match geometry(tile_idx, &mut point) {
                         Ok(geom) => geom,
                         Err(e) => {
@@ -1123,8 +1147,8 @@ where
                             break;
                         }
                     };
-                    mem.tile_allocated(layout.size());
-                    let mut values: Vec<T> = pool.acquire(layout.size(), &geom, mem);
+                    mem.tile_allocated();
+                    let mut values: Vec<T> = pool.acquire(layout.size(), geom, &mut counts);
                     unpacked.clear();
                     // Recovery retention: every outgoing edge this tile
                     // packs (cloned before delivery) and every probe it
@@ -1135,22 +1159,17 @@ where
                     let mut tile_probes: Vec<(usize, T)> = Vec::new();
                     let outcome: Result<_, RunError> = 'tile: {
                         // --- Steps 2-3: unpack and execute.
-                        for (delta, payload) in edges {
+                        for (dep_idx, payload) in edges {
                             let bad_edge = |detail: String| {
                                 RunError::BadEdge(Box::new(EdgeFault {
                                     rank: config.rank,
                                     tile,
-                                    delta,
+                                    delta: tiling.deps()[dep_idx].delta,
                                     detail,
                                 }))
                             };
-                            let src = tiling.dep_index(&delta).and_then(|dep_idx| {
-                                Some((dep_idx, graph.source(tile_idx, dep_idx)?))
-                            });
-                            let Some((dep_idx, src_idx)) = src else {
-                                break 'tile Err(bad_edge(
-                                    "unknown dependency offset or source tile".to_string(),
-                                ));
+                            let Some(src_idx) = graph.source(tile_idx, dep_idx) else {
+                                break 'tile Err(bad_edge("no source tile".to_string()));
                             };
                             // The edge was packed from the source tile's
                             // recording; scatter through the same indices.
@@ -1165,7 +1184,7 @@ where
                                     payload.len(),
                                 )));
                             }
-                            for (loc, &v) in ghost_cells(tiling, &src_geom, dep_idx).zip(&payload) {
+                            for (loc, &v) in ghost_cells(tiling, src_geom, dep_idx).zip(&payload) {
                                 values[loc] = v;
                             }
                             unpacked.push((src_geom, dep_idx));
@@ -1184,7 +1203,7 @@ where
                                 written_hi: 0,
                                 blocks: 0,
                             };
-                            let scan = tiling.replay(&geom, &tile, &mut visitor);
+                            let scan = tiling.replay(geom, &tile, &mut visitor);
                             let acc = visitor.reduce.map(|(_, acc)| acc);
                             let written = (visitor.written_lo <= visitor.written_hi)
                                 .then_some((visitor.written_lo, visitor.written_hi));
@@ -1238,10 +1257,9 @@ where
                             let Some(consumer_idx) = graph.consumer(tile_idx, dep_idx) else {
                                 continue; // no such tile: nothing reads this edge
                             };
-                            let consumer = tile.sub(&dep.delta);
-                            let total = graph.dep_total(consumer_idx);
+                            let consumer = tiles[consumer_idx];
                             let max_cells = tiling.edges()[dep_idx].max_cells();
-                            let mut payload = pool.take_payload(max_cells, mem);
+                            let mut payload = pool.take_payload(max_cells, &mut counts);
                             let src_locs = geom.edge_cells(dep_idx);
                             payload.extend(src_locs.iter().map(|&loc| values[loc as usize]));
                             counts.edge_cells += payload.len() as u64;
@@ -1265,7 +1283,7 @@ where
                                     payload: payload.clone(),
                                 });
                             }
-                            let dest = owner.owner_of(&consumer);
+                            let dest = owner.owner_at(consumer_idx, &consumer);
                             if dest == config.rank {
                                 // Local twin of the transport-receive
                                 // filter: a re-executing producer must not
@@ -1276,11 +1294,10 @@ where
                                     continue;
                                 }
                                 counts.edges_local += 1;
-                                batch.push(EdgeDelivery {
-                                    tile: consumer,
-                                    delta: dep.delta,
+                                batch.push(Delivery {
+                                    tile: consumer_idx,
+                                    dep: dep_idx,
                                     payload,
-                                    total,
                                 });
                             } else {
                                 counts.edges_remote += 1;
@@ -1311,7 +1328,7 @@ where
                         Ok(out) => out,
                         Err(e) => {
                             // Discard the possibly half-written buffer.
-                            mem.tile_released(layout.size());
+                            mem.tile_released();
                             fail(e);
                             break;
                         }
@@ -1326,17 +1343,19 @@ where
                         counts.runs_batched += scan.interior_runs;
                         counts.cells_batched += scan.interior_cells;
                     }
-                    let ready = sched.deliver_batch(w, &mut batch);
-                    // See above: helping makes single wake-ups sufficient
-                    // under a plan too.
-                    for _ in 0..ready.min(threads) {
-                        cv.notify_one();
+                    match sched.deliver(w, &mut batch) {
+                        Ok(ready) => wake(ready),
+                        Err(dup) => {
+                            mem.tile_released();
+                            fail(duplicate(dup));
+                            break;
+                        }
                     }
                     let ghosts = unpacked
                         .iter()
                         .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
-                    pool.release(values, ghosts, geom, written);
-                    mem.tile_released(layout.size());
+                    pool.release(values, ghosts, geom.clone(), written);
+                    mem.tile_released();
                     if from_static {
                         counts.tiles_static += 1;
                     } else {
@@ -1444,10 +1463,10 @@ where
         runs_batched: totals.runs_batched,
         cells_batched: totals.cells_batched,
         blocks_evaluated: totals.blocks,
-        tile_buffers_allocated: mem.total_tile_buffers_allocated(),
-        tile_buffers_reused: mem.total_tile_buffers_reused(),
-        edge_payloads_allocated: mem.total_edge_payloads_allocated(),
-        edge_payloads_reused: mem.total_edge_payloads_reused(),
+        tile_buffers_allocated: totals.tile_buffers_allocated,
+        tile_buffers_reused: totals.tile_buffers_reused,
+        edge_payloads_allocated: totals.edge_payloads_allocated,
+        edge_payloads_reused: totals.edge_payloads_reused,
         edges_local: totals.edges_local,
         edges_remote: totals.edges_remote,
         edge_cells_packed: totals.edge_cells,
@@ -1469,7 +1488,8 @@ where
         peak_edges: mem.peak_edges(),
         peak_edge_cells: mem.peak_edge_cells(),
         peak_live_tiles: mem.peak_live_tiles(),
-        peak_live_tile_cells: mem.peak_live_tile_cells(),
+        // Every tile buffer of the run is one tile layout.
+        peak_live_tile_cells: mem.peak_live_tiles() * layout.size() as i64,
         tiles_resumed: resumed,
         checkpoint_bytes: recovery.map(|r| r.sink.bytes()).unwrap_or(0),
     };
@@ -1512,8 +1532,8 @@ mod tests {
         let tile = Coord::from_slice(&tile);
         let mut point = tiling.make_point(&[12]);
         let (geom, _) = tiling.geometry(&tile, &mut point).unwrap();
-        let mem = MemoryStats::new();
-        let mut values = pool.acquire(tiling.layout().size(), &geom, &mem);
+        let mut counts = WorkerCounts::default();
+        let mut values = pool.acquire(tiling.layout().size(), &geom, &mut counts);
         let as_acquired = values.clone();
         let mut unpacked = Vec::new();
         for (dep_idx, dep) in tiling.deps().iter().enumerate() {
@@ -1595,7 +1615,7 @@ mod tests {
         let (geom, _) = tiling
             .geometry(&Coord::from_slice(&[0, 0]), &mut point)
             .unwrap();
-        let mut abandoned = pool.acquire(scan.len(), &geom, &MemoryStats::new());
+        let mut abandoned = pool.acquire(scan.len(), &geom, &mut WorkerCounts::default());
         abandoned.fill(9);
         pool.park_into(&recycler);
         assert!(recycler

@@ -12,11 +12,12 @@
 //!
 //! Priorities are *flow-adjusted*: a dimension whose templates are positive
 //! executes from high tile indices down (Figure 3), so "earlier" along that
-//! dimension means a larger index. [`TilePriority::key`] maps a tile to a
-//! key vector such that lexicographically *smaller* keys execute first.
+//! dimension means a larger index. [`TilePriority::ordering`] sorts a tile
+//! graph's tiles into that order, earliest first.
 
 use crate::rng::SplitMix64;
-use dpgen_tiling::{Coord, Direction};
+use dpgen_tiling::{TileGraph, TileOrdering};
+use std::sync::Arc;
 
 /// Ordering policy for the ready-tile priority queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,82 +77,25 @@ impl TilePriority {
         }
     }
 
-    /// Compute the priority key of a tile. Smaller keys execute first.
-    ///
-    /// `seq` is a monotonically increasing insertion counter used by
-    /// [`TilePriority::Fifo`] and as the final tie-breaker everywhere (so
-    /// the queue is a total order and pops are deterministic).
-    pub fn key(&self, tile: &Coord, directions: &[Direction], seq: u64) -> Vec<i64> {
-        let flow = |k: usize| -> i64 {
-            // Flow-adjusted coordinate: smaller = executes earlier.
-            match directions[k] {
-                Direction::Descending => -tile[k],
-                Direction::Ascending => tile[k],
-            }
-        };
-        let mut key = Vec::with_capacity(tile.dims() + 2);
+    /// `graph`'s tiles in this priority's order, with every tile's position
+    /// in it: what the scheduler's ready heaps and the simulator's key on.
+    /// Column-major compares flow-adjusted coordinates in `dim_order`,
+    /// level-set their sum and then the coordinates in index order; either
+    /// way a full key is unique per tile, so no arrival number is needed to
+    /// break ties. Sorted once per graph and order ([`TileGraph::ordering`]). `None` for
+    /// [`TilePriority::Fifo`], whose only key is the arrival number.
+    pub fn ordering(&self, graph: &TileGraph) -> Option<Arc<TileOrdering>> {
         match self {
-            TilePriority::ColumnMajor { dim_order } => {
-                debug_assert_eq!(dim_order.len(), tile.dims());
-                for &k in dim_order {
-                    key.push(flow(k));
-                }
-            }
-            TilePriority::LevelSet => {
-                key.push((0..tile.dims()).map(flow).sum());
-                for k in 0..tile.dims() {
-                    key.push(flow(k));
-                }
-            }
-            TilePriority::Fifo => {}
+            TilePriority::ColumnMajor { dim_order } => Some(graph.ordering(false, dim_order)),
+            TilePriority::LevelSet => Some(graph.ordering(true, &[])),
+            TilePriority::Fifo => None,
         }
-        key.push(seq as i64);
-        key
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ASC2: [Direction; 2] = [Direction::Ascending, Direction::Ascending];
-    const DESC2: [Direction; 2] = [Direction::Descending, Direction::Descending];
-
-    fn c(v: &[i64]) -> Coord {
-        Coord::from_slice(v)
-    }
-
-    #[test]
-    fn column_major_orders_columns_first() {
-        let p = TilePriority::column_major(2);
-        // Ascending flow: (0, 5) before (1, 0).
-        assert!(p.key(&c(&[0, 5]), &ASC2, 0) < p.key(&c(&[1, 0]), &ASC2, 1));
-        // Within a column, smaller second coordinate first.
-        assert!(p.key(&c(&[1, 2]), &ASC2, 0) < p.key(&c(&[1, 3]), &ASC2, 1));
-    }
-
-    #[test]
-    fn descending_flow_flips_order() {
-        let p = TilePriority::column_major(2);
-        // Descending flow (positive templates): larger coordinates first.
-        assert!(p.key(&c(&[3, 0]), &DESC2, 0) < p.key(&c(&[2, 9]), &DESC2, 1));
-    }
-
-    #[test]
-    fn level_set_orders_by_wavefront() {
-        let p = TilePriority::LevelSet;
-        // Level 2 tiles before level 3 tiles.
-        assert!(p.key(&c(&[0, 2]), &ASC2, 5) < p.key(&c(&[3, 0]), &ASC2, 0));
-        assert!(p.key(&c(&[2, 0]), &ASC2, 5) < p.key(&c(&[1, 2]), &ASC2, 0));
-        // Same level: deterministic lexicographic tie-break.
-        assert!(p.key(&c(&[0, 2]), &ASC2, 1) < p.key(&c(&[1, 1]), &ASC2, 0));
-    }
-
-    #[test]
-    fn fifo_orders_by_sequence() {
-        let p = TilePriority::Fifo;
-        assert!(p.key(&c(&[9, 9]), &ASC2, 0) < p.key(&c(&[0, 0]), &ASC2, 1));
-    }
 
     #[test]
     fn paper_default_puts_lb_dims_first() {
@@ -174,13 +118,5 @@ mod tests {
                 assert_eq!(sorted, vec![0, 1, 2]);
             }
         }
-    }
-
-    #[test]
-    fn keys_are_total_ordered_via_seq() {
-        let p = TilePriority::LevelSet;
-        let a = p.key(&c(&[1, 1]), &ASC2, 0);
-        let b = p.key(&c(&[1, 1]), &ASC2, 1);
-        assert!(a < b);
     }
 }

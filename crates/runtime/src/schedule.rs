@@ -11,7 +11,7 @@
 //!
 //! Three modes:
 //!
-//! * [`Schedule::Dynamic`] — the existing work-stealing shards; always safe.
+//! * [`Schedule::Dynamic`] — the work-stealing ready heaps; always safe.
 //! * [`Schedule::Static`] — every owned tile is pinned to a per-worker
 //!   sequence. Requested via [`Schedule::Static`] but *applied* only when
 //!   the load model reports uniform slabs (see `core::loadbalance`);
@@ -53,8 +53,7 @@
 //! their static cursor keep draining the dynamic queue, so that source
 //! executes. Some worker always makes progress.
 
-use dpgen_tiling::{Coord, Direction, Tiling};
-use std::collections::HashSet;
+use dpgen_tiling::{Coord, Direction, TileGraph, Tiling};
 use std::fmt;
 
 /// Tile scheduling mode, requested with `core::ExecOpts::schedule(..)`.
@@ -103,17 +102,21 @@ impl fmt::Display for Schedule {
 }
 
 /// A precomputed static execution plan for one rank: per-worker tile
-/// sequences in wavefront order, plus the membership set used by the
-/// scheduler to route ready tiles away from the heaps.
+/// sequences in wavefront order, plus the membership bits the scheduler
+/// routes ready tiles away from the heaps by. Tiles are named by their
+/// index in the [`TileGraph`] the plan was built on.
 #[derive(Debug)]
 pub struct StaticPlan {
-    sequences: Vec<Vec<Coord>>,
-    members: HashSet<Coord>,
+    sequences: Vec<Vec<u32>>,
+    /// One bit per tile of the graph.
+    members: Vec<u64>,
+    len: usize,
     mode: Schedule,
 }
 
 impl StaticPlan {
-    /// Build the plan for `owned` tiles over `workers` threads.
+    /// Build the plan for the `owned` tiles of `graph` over `workers`
+    /// threads.
     ///
     /// Returns `None` for [`Schedule::Dynamic`] (no plan) and for a
     /// [`Schedule::Mixed`] polytope with no interior tiles (an all-boundary
@@ -122,10 +125,64 @@ impl StaticPlan {
     /// Candidates are dealt by *pipeline row*: the plan picks the axis `p`
     /// with the most distinct flow-adjusted tile coordinates, assigns row
     /// `r` along `p` to worker `r mod workers`, and orders every sequence
-    /// lexicographically on the adjusted coordinates with `p` first. All
-    /// sequences are restrictions of that single global order, which is
-    /// topological because adjusted dependency deltas are componentwise
-    /// non-positive (see the module docs for the deadlock argument).
+    /// lexicographically on the adjusted coordinates with `p` first
+    /// ([`TileGraph::ordering`]). All sequences are restrictions of that
+    /// single global order, which is topological because adjusted
+    /// dependency deltas are componentwise non-positive (see the module
+    /// docs for the deadlock argument).
+    pub fn build_on(
+        graph: &TileGraph,
+        owned: impl IntoIterator<Item = usize>,
+        workers: usize,
+        mode: Schedule,
+    ) -> Option<StaticPlan> {
+        let workers = workers.max(1);
+        let tiling = graph.tiling();
+        let mut plan = StaticPlan {
+            sequences: Vec::new(),
+            members: vec![0; graph.len().div_ceil(64)],
+            len: 0,
+            mode,
+        };
+        let mut point = tiling.make_point(graph.params());
+        for i in owned {
+            let pinned = match mode {
+                Schedule::Dynamic => return None,
+                Schedule::Static => true,
+                // Corner containment test (constant work per tile) instead
+                // of the exact Ehrhart count: building the plan is on the
+                // run's critical path and charged to init_time, and the
+                // per-tile count made Mixed measurably slower than Static
+                // on all-interior spaces.
+                Schedule::Mixed => tiling.tile_is_full(&graph.tiles()[i], &mut point),
+            };
+            if pinned && !plan.is_member(i) {
+                plan.members[i / 64] |= 1 << (i % 64);
+                plan.len += 1;
+            }
+        }
+        if plan.is_empty() {
+            return None;
+        }
+        let directions = tiling.templates().directions();
+        let pinned = (0..graph.len()).filter(|&i| plan.is_member(i));
+        let p = pipeline_dim(pinned.map(|i| &graph.tiles()[i]), tiling.dims());
+        let mut sequences = vec![Vec::new(); workers];
+        for &i in &graph.ordering(false, &[p]).order {
+            if plan.is_member(i as usize) {
+                let row = adjusted(&graph.tiles()[i as usize], p, directions);
+                sequences[row.rem_euclid(workers as i64) as usize].push(i);
+            }
+        }
+        plan.sequences = sequences;
+        Some(plan)
+    }
+
+    /// [`StaticPlan::build_on`] for a bare tiling, at the parameters bound
+    /// in `point`: derives a graph of its own to index the `owned` tiles
+    /// (those outside the tile space are ignored). What `benchmark/`
+    /// times; everything that runs has a graph and calls `build_on`.
+    #[doc(hidden)]
     pub fn build(
         tiling: &Tiling,
         point: &mut [i128],
@@ -133,52 +190,11 @@ impl StaticPlan {
         workers: usize,
         mode: Schedule,
     ) -> Option<StaticPlan> {
-        let workers = workers.max(1);
-        let directions = tiling.templates().directions();
-        let mut candidates: Vec<Coord> = match mode {
-            Schedule::Dynamic => return None,
-            Schedule::Static => owned.to_vec(),
-            Schedule::Mixed => {
-                // Corner containment test (constant work per tile) instead
-                // of the exact Ehrhart count: building the plan is on the
-                // run's critical path and charged to init_time, and the
-                // per-tile count made Mixed measurably slower than Static
-                // on all-interior spaces.
-                owned
-                    .iter()
-                    .filter(|t| tiling.tile_is_full(t, point))
-                    .copied()
-                    .collect()
-            }
-        };
-        if candidates.is_empty() {
-            return None;
-        }
-        let p = pipeline_dim(&candidates, directions);
-        candidates.sort_unstable_by_key(|t| pipeline_key(t, p, directions));
-        let mut sequences: Vec<Vec<Coord>> = vec![Vec::new(); workers];
-        for t in &candidates {
-            let w = adjusted(t, p, directions).rem_euclid(workers as i64) as usize;
-            sequences[w].push(*t);
-        }
-        let members = candidates.into_iter().collect();
-        Some(StaticPlan {
-            sequences,
-            members,
-            mode,
-        })
-    }
-
-    /// Build a plan directly from per-worker sequences (the membership set
-    /// is their union). The caller is responsible for wavefront-ordering
-    /// each sequence; [`StaticPlan::build`] is the checked entry point.
-    pub fn from_sequences(sequences: Vec<Vec<Coord>>, mode: Schedule) -> StaticPlan {
-        let members = sequences.iter().flatten().copied().collect();
-        StaticPlan {
-            sequences,
-            members,
-            mode,
-        }
+        let bound = |&col: &usize| i64::try_from(point[col]).expect("parameters are bound as i64");
+        let params: Vec<i64> = tiling.param_cols().iter().map(bound).collect();
+        let graph = tiling.graph(&params);
+        let owned = owned.iter().filter_map(|t| graph.index_of(t));
+        StaticPlan::build_on(&graph, owned, workers, mode)
     }
 
     /// The mode this plan realises (`Static` or `Mixed`).
@@ -187,28 +203,28 @@ impl StaticPlan {
     }
 
     /// Per-worker tile sequences, wavefront-ordered.
-    pub fn sequences(&self) -> &[Vec<Coord>] {
+    pub fn sequences(&self) -> &[Vec<u32>] {
         &self.sequences
     }
 
     /// Worker `w`'s sequence.
-    pub fn sequence(&self, w: usize) -> &[Coord] {
+    pub fn sequence(&self, w: usize) -> &[u32] {
         &self.sequences[w]
     }
 
-    /// Whether `tile` is pinned by this plan.
-    pub fn is_member(&self, tile: &Coord) -> bool {
-        self.members.contains(tile)
+    /// Whether tile `tile` of the graph is pinned by this plan.
+    pub fn is_member(&self, tile: usize) -> bool {
+        (self.members.get(tile / 64)).is_some_and(|word| word >> (tile % 64) & 1 == 1)
     }
 
     /// Total pinned tiles across all workers.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.len
     }
 
     /// True when no tile is pinned.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.len == 0
     }
 }
 
@@ -221,34 +237,21 @@ fn adjusted(tile: &Coord, k: usize, directions: &[Direction]) -> i64 {
     }
 }
 
-/// The pipeline axis: the dimension with the most distinct adjusted tile
-/// coordinates, so rows are as numerous (and as short) as possible and
-/// cyclic dealing keeps every worker busy. Ties break to the lowest axis.
-fn pipeline_dim(candidates: &[Coord], directions: &[Direction]) -> usize {
-    let dims = candidates[0].dims();
+/// The pipeline axis: the dimension with the most distinct tile
+/// coordinates among `candidates`, so rows are as numerous (and as short)
+/// as possible and cyclic dealing keeps every worker busy. Ties break to
+/// the lowest axis.
+fn pipeline_dim<'a>(candidates: impl Iterator<Item = &'a Coord> + Clone, dims: usize) -> usize {
     let mut best = (0usize, 0usize);
     for k in 0..dims {
-        let distinct: HashSet<i64> = candidates
-            .iter()
-            .map(|t| adjusted(t, k, directions))
-            .collect();
-        if distinct.len() > best.1 {
-            best = (k, distinct.len());
+        let mut rows: Vec<i64> = candidates.clone().map(|t| t[k]).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        if rows.len() > best.1 {
+            best = (k, rows.len());
         }
     }
     best.0
-}
-
-/// Pipeline sort key: lexicographic on the adjusted coordinates with the
-/// pipeline axis first — a topological total order (adjusted dependency
-/// deltas are componentwise non-positive), smaller executes earlier.
-fn pipeline_key(tile: &Coord, p: usize, directions: &[Direction]) -> Vec<i64> {
-    let mut key = Vec::with_capacity(tile.dims() + 1);
-    key.push(adjusted(tile, p, directions));
-    for k in 0..tile.dims() {
-        key.push(adjusted(tile, k, directions));
-    }
-    key
 }
 
 #[cfg(test)]
@@ -264,34 +267,16 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_key_sweeps_rows_of_the_pipeline_axis() {
-        let asc = [Direction::Ascending, Direction::Ascending];
-        // Pipeline axis 0: all of row 0 sorts before any of row 1.
-        let a = pipeline_key(&Coord::from_slice(&[0, 5]), 0, &asc);
-        let b = pipeline_key(&Coord::from_slice(&[1, 0]), 0, &asc);
-        assert!(a < b, "row-major along the pipeline axis");
-        // Within a row the remaining axes break ties lexicographically.
-        let c = pipeline_key(&Coord::from_slice(&[1, 1]), 0, &asc);
-        assert!(b < c);
-        // Descending dimensions are negated: larger index = earlier.
-        let desc = [Direction::Descending, Direction::Descending];
-        let hi = pipeline_key(&Coord::from_slice(&[3, 3]), 0, &desc);
-        let lo = pipeline_key(&Coord::from_slice(&[0, 0]), 0, &desc);
-        assert!(hi < lo);
-    }
-
-    #[test]
     fn pipeline_dim_prefers_the_axis_with_most_rows() {
-        let asc = [Direction::Ascending, Direction::Ascending];
         // A 2 × 4 tile grid: axis 1 has more distinct rows.
         let tiles: Vec<Coord> = (0..2)
             .flat_map(|i| (0..4).map(move |j| Coord::from_slice(&[i, j])))
             .collect();
-        assert_eq!(pipeline_dim(&tiles, &asc), 1);
+        assert_eq!(pipeline_dim(tiles.iter(), 2), 1);
         // Square grids tie-break to axis 0.
         let square: Vec<Coord> = (0..3)
             .flat_map(|i| (0..3).map(move |j| Coord::from_slice(&[i, j])))
             .collect();
-        assert_eq!(pipeline_dim(&square, &asc), 0);
+        assert_eq!(pipeline_dim(square.iter(), 2), 0);
     }
 }

@@ -1,0 +1,682 @@
+//! The node-local tile scheduler, keyed by tile index.
+//!
+//! The paper's scheduler (Section V-B) is a *pending table* holding, for
+//! every tile with at least one satisfied dependency, the edges buffered so
+//! far, and *ready queues* of tiles whose dependencies are all satisfied.
+//! Only pending tiles hold data — while the iteration space has `Θ(n^d)`
+//! locations, at most `O(n^{d-1})` tiles can be pending at once, an
+//! order-of-magnitude memory saving.
+//!
+//! Every tile of a run has a dense index in the plan's [`TileGraph`], which
+//! also knows how many edges each tile waits for, so the table is an array:
+//!
+//! 1. **One slot per tile.** A slot is a lock around the `(dependency,
+//!    payload)` pairs buffered for that tile and a one-byte state — 40 bytes
+//!    a tile, allocated per run; payload storage still exists only for
+//!    pending tiles. A delivery names its consumer by index, takes that one
+//!    tile's lock and compares the edges arrived with the graph's
+//!    `dep_total`: no coordinate is hashed, and two deliveries contend only
+//!    when they feed the same tile.
+//! 2. **Per-worker ready heaps of two integers.** A ready tile stays in its
+//!    slot and its `(key, index)` goes to the heap of the worker that made
+//!    it ready (locality: that worker just touched the neighbouring tile's
+//!    edges), so an executing worker usually pops from a lock nobody else
+//!    wants; an empty worker *steals* from the richest other heap, chosen
+//!    by atomic length mirrors. The key is the tile's position in the
+//!    priority's total order ([`TilePriority::ordering`], sorted once per
+//!    graph and priority and looked up here the first time a tile reaches a
+//!    heap), or the arrival number under [`TilePriority::Fifo`].
+//! 3. **Pinned tiles park in their slot.** A tile a [`StaticPlan`] pins
+//!    touches no heap: when its last edge arrives the slot is marked
+//!    *parked* and the worker whose cursor names it next collects it with
+//!    [`TileScheduler::take_static`].
+//!
+//! Priority ordering is *best-effort per worker*: each heap pops in true
+//! priority order, but a stolen tile may run before a better-priority tile
+//! in a busy heap. The paper's priority is itself only a
+//! memory/communication heuristic (Section V-B), so results are unchanged —
+//! every tile still executes exactly once, after all of its dependencies
+//! (see `tests/scheduler_invariants.rs`).
+//!
+//! Contention is observable: the scheduler counts steals, failed steals
+//! (the length counter raced to empty) and the time spent *waiting* for
+//! contended locks (a `try_lock` that succeeds costs nothing).
+
+use crate::error::PendingTile;
+use crate::memory::MemoryStats;
+use crate::priority::TilePriority;
+use crate::schedule::StaticPlan;
+use crate::trace::{EventKind, Tracer};
+use dpgen_tiling::{TileGraph, TileOrdering};
+use parking_lot::{Mutex, MutexGuard};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+/// One edge on its way to its consumer, buffered by a worker while it packs
+/// the tile it just executed and handed to [`TileScheduler::deliver`].
+pub struct Delivery<T> {
+    /// The consumer tile's index in the graph.
+    pub tile: usize,
+    /// Which of the tiling's dependencies this edge satisfies.
+    pub dep: usize,
+    /// Packed boundary cells.
+    pub payload: Vec<T>,
+}
+
+/// A tile's buffered incoming edges: `(dependency index, packed payload)`
+/// pairs, handed to the kernel when the tile executes.
+pub type TileEdges<T> = Vec<(usize, Vec<T>)>;
+
+/// A second edge arrived for one dependency of one tile, or an edge for a
+/// tile that already had them all: [`TileScheduler::deliver`]'s error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DuplicateEdge {
+    /// The consumer tile's index.
+    pub tile: usize,
+    /// The dependency delivered twice.
+    pub dep: usize,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Fewer edges than the tile's `dep_total` have arrived.
+    Waiting,
+    /// Complete and pinned: waiting in the slot for `take_static`.
+    Parked,
+    /// Complete and in a ready heap.
+    Queued,
+    /// Handed to a worker.
+    Taken,
+}
+
+struct Slot<T> {
+    edges: TileEdges<T>,
+    state: State,
+}
+
+#[derive(Default)]
+struct WorkerQueue {
+    heap: Mutex<BinaryHeap<Reverse<(u32, u32)>>>,
+    /// Mirror of `heap.len()`, readable without the lock (steal victim
+    /// selection and the idle-wait check). Only written while `heap` is
+    /// locked, so it equals `heap.len()` whenever the lock is free: a
+    /// counter updated after the guard dropped lets two poppers that both
+    /// read 1 subtract twice before the matching add lands, wrapping it.
+    len: AtomicUsize,
+}
+
+/// Index-keyed work-stealing scheduler over one [`TileGraph`]; all methods
+/// take `&self`.
+pub struct TileScheduler<'g, T> {
+    graph: &'g TileGraph,
+    priority: TilePriority,
+    /// The priority's order on the graph, looked up by the first heap push.
+    ordering: OnceLock<Option<Arc<TileOrdering>>>,
+    slots: Vec<Mutex<Slot<T>>>,
+    queues: Vec<WorkerQueue>,
+    /// How many slots are `Parked`, readable without locks.
+    parked: AtomicUsize,
+    plan: Option<Arc<StaticPlan>>,
+    /// Arrival numbers: `Fifo`'s key, and the round-robin of initial tiles.
+    seq: AtomicU32,
+    stats: Arc<MemoryStats>,
+    steals: AtomicU64,
+    steal_fails: AtomicU64,
+    lock_wait_ns: AtomicU64,
+    tracer: Option<Arc<Tracer>>,
+}
+
+impl<'g, T> TileScheduler<'g, T> {
+    /// New scheduler for `workers` threads over `graph`'s tiles.
+    pub fn new(
+        graph: &'g TileGraph,
+        priority: TilePriority,
+        workers: usize,
+        stats: Arc<MemoryStats>,
+    ) -> TileScheduler<'g, T> {
+        let slot = || Slot {
+            edges: Vec::new(),
+            state: State::Waiting,
+        };
+        TileScheduler {
+            graph,
+            priority,
+            ordering: OnceLock::new(),
+            slots: (0..graph.len()).map(|_| Mutex::new(slot())).collect(),
+            queues: (0..workers.max(1))
+                .map(|_| WorkerQueue::default())
+                .collect(),
+            parked: AtomicUsize::new(0),
+            plan: None,
+            seq: AtomicU32::new(0),
+            stats,
+            steals: AtomicU64::new(0),
+            steal_fails: AtomicU64::new(0),
+            lock_wait_ns: AtomicU64::new(0),
+            tracer: None,
+        }
+    }
+
+    /// Attach an event tracer: `TileReady` is recorded when a tile's last
+    /// edge arrives, `Steal` when a worker takes a tile from a sibling.
+    pub fn with_tracer(mut self, tracer: Option<Arc<Tracer>>) -> TileScheduler<'g, T> {
+        self.tracer = tracer;
+        self
+    }
+
+    /// Attach a static plan built on the same graph: ready tiles the plan
+    /// pins park in their slot (collected by [`TileScheduler::take_static`]
+    /// in plan order) instead of entering the work-stealing heaps.
+    pub fn with_plan(mut self, plan: Option<Arc<StaticPlan>>) -> TileScheduler<'g, T> {
+        self.plan = plan;
+        self
+    }
+
+    /// Lock `m`, charging any wait (the lock was contended) to
+    /// `lock_wait_ns`.
+    fn timed_lock<'a, U>(&self, m: &'a Mutex<U>) -> MutexGuard<'a, U> {
+        if let Some(g) = m.try_lock() {
+            return g;
+        }
+        let t0 = Instant::now();
+        let g = m.lock();
+        self.lock_wait_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        g
+    }
+
+    fn rank(&self) -> Option<&[u32]> {
+        let ordering = self
+            .ordering
+            .get_or_init(|| self.priority.ordering(self.graph));
+        ordering.as_deref().map(|o| &o.rank[..])
+    }
+
+    /// Send a tile whose slot was just marked `state` on its way: a parked
+    /// tile is counted (its owner's cursor will collect it), a queued one
+    /// goes to `worker`'s ready heap.
+    fn route_ready(&self, worker: usize, tile: usize, state: State) {
+        let parked = state == State::Parked;
+        if let Some(t) = &self.tracer {
+            let coord = &self.graph.tiles()[tile];
+            t.record(worker, EventKind::TileReady, Some(coord), parked as u64);
+        }
+        if parked {
+            self.parked.fetch_add(1, Ordering::Release);
+            return;
+        }
+        let key = match self.rank() {
+            Some(rank) => rank[tile],
+            None => self.seq.fetch_add(1, Ordering::Relaxed),
+        };
+        let q = &self.queues[worker];
+        let mut heap = self.timed_lock(&q.heap);
+        heap.push(Reverse((key, tile as u32)));
+        q.len.store(heap.len(), Ordering::Release);
+    }
+
+    /// The state a tile enters when its dependency set completes.
+    fn ready_state(&self, tile: usize) -> State {
+        match &self.plan {
+            Some(plan) if plan.is_member(tile) => State::Parked,
+            _ => State::Queued,
+        }
+    }
+
+    /// Enqueue a tile with no dependencies (Section IV-K). Initial tiles
+    /// are spread round-robin over the worker queues (statically pinned
+    /// ones park in their slot).
+    pub fn mark_initial(&self, tile: usize) {
+        let state = self.ready_state(tile);
+        self.timed_lock(&self.slots[tile]).state = state;
+        let turn = match state {
+            State::Queued if self.queues.len() > 1 => self.seq.fetch_add(1, Ordering::Relaxed) + 1,
+            _ => 0,
+        };
+        self.route_ready(turn as usize % self.queues.len(), tile, state);
+    }
+
+    /// Deliver a batch of edges — a finished tile's local outputs, or the
+    /// edges a node's receive pass collected — each under its consumer's
+    /// own lock. Newly ready tiles go to `worker`'s queue (or park, when
+    /// pinned). Returns how many tiles became ready, or the first edge that
+    /// repeats one already delivered (it is dropped; the rest of the batch
+    /// is delivered all the same).
+    ///
+    /// The batch vector is drained in place and keeps its capacity, so a
+    /// worker that presizes it once (from the tiling's dependency count)
+    /// never reallocates it again.
+    pub fn deliver(
+        &self,
+        worker: usize,
+        batch: &mut Vec<Delivery<T>>,
+    ) -> Result<usize, DuplicateEdge> {
+        if batch.is_empty() {
+            return Ok(0);
+        }
+        let (mut edges, mut cells, mut started, mut completed) = (0, 0, 0, 0);
+        let mut duplicate = None;
+        for Delivery { tile, dep, payload } in batch.drain(..) {
+            let total = self.graph.dep_total(tile);
+            let readied = {
+                let mut slot = self.timed_lock(&self.slots[tile]);
+                if slot.state != State::Waiting || slot.edges.iter().any(|(d, _)| *d == dep) {
+                    duplicate.get_or_insert(DuplicateEdge { tile, dep });
+                    continue;
+                }
+                if slot.edges.is_empty() {
+                    started += 1;
+                    slot.edges.reserve_exact(total);
+                }
+                edges += 1;
+                cells += payload.len();
+                slot.edges.push((dep, payload));
+                (slot.edges.len() == total).then(|| {
+                    slot.state = self.ready_state(tile);
+                    slot.state
+                })
+            };
+            // The heap is pushed after the slot unlocks, so the scheduler
+            // never holds two locks at once.
+            if let Some(state) = readied {
+                completed += 1;
+                self.route_ready(worker, tile, state);
+            }
+        }
+        self.stats.edges_buffered(edges, cells);
+        self.stats.tiles_pending(started, completed);
+        match duplicate {
+            Some(dup) => Err(dup),
+            None => Ok(completed),
+        }
+    }
+
+    /// Take tile `tile`'s edges out of its slot if it is in state `from`.
+    fn take(&self, tile: usize, from: State) -> Option<TileEdges<T>> {
+        let edges = {
+            let mut slot = self.timed_lock(&self.slots[tile]);
+            if slot.state != from {
+                return None;
+            }
+            slot.state = State::Taken;
+            std::mem::take(&mut slot.edges)
+        };
+        let cells = edges.iter().map(|(_, payload)| payload.len()).sum();
+        self.stats.edges_consumed(edges.len(), cells);
+        Some(edges)
+    }
+
+    fn pop_from(&self, queue: usize) -> Option<usize> {
+        let q = &self.queues[queue];
+        if q.len.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut heap = self.timed_lock(&q.heap);
+        let got = heap.pop();
+        q.len.store(heap.len(), Ordering::Release);
+        got.map(|Reverse((_, tile))| tile as usize)
+    }
+
+    /// Steal the best tile from the richest other queue (by the racy
+    /// length counters). A victim that raced to empty counts as a failed
+    /// steal; the caller simply retries its loop.
+    fn steal(&self, worker: usize) -> Option<usize> {
+        let lens = self.queues.iter().map(|q| q.len.load(Ordering::Acquire));
+        let (victim, _) = lens
+            .enumerate()
+            .filter(|&(i, len)| i != worker && len > 0)
+            .max_by_key(|&(i, len)| (len, Reverse(i)))?;
+        let Some(tile) = self.pop_from(victim) else {
+            self.steal_fails.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.steals.fetch_add(1, Ordering::Relaxed);
+        if let Some(tr) = &self.tracer {
+            let coord = &self.graph.tiles()[tile];
+            tr.record(worker, EventKind::Steal, Some(coord), victim as u64);
+        }
+        Some(tile)
+    }
+
+    /// Pop the next tile for `worker`: its own queue first, then a steal
+    /// from the richest other queue.
+    pub fn pop(&self, worker: usize) -> Option<(usize, TileEdges<T>)> {
+        let tile = self.pop_from(worker).or_else(|| self.steal(worker))?;
+        let edges = self.take(tile, State::Queued);
+        Some((tile, edges.expect("a heap holds queued tiles only")))
+    }
+
+    /// Take a statically pinned tile if its dependency set is complete.
+    /// The caller (the worker whose plan sequence names `tile` next) keeps
+    /// polling until this succeeds, draining dynamic work in the meantime
+    /// under [`crate::Schedule::Mixed`].
+    pub fn take_static(&self, tile: usize) -> Option<TileEdges<T>> {
+        if self.parked.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let edges = self.take(tile, State::Parked)?;
+        // The deliverer counted the tile before this taker could find it
+        // parked (both under the slot's lock), so the count never wraps.
+        self.parked.fetch_sub(1, Ordering::Release);
+        Some(edges)
+    }
+
+    /// Whether `tile` is parked ready right now (the idle-wait check for a
+    /// worker blocked on its plan cursor; racy in the same bounded way as
+    /// the queue length counters).
+    pub fn static_ready(&self, tile: usize) -> bool {
+        self.parked.load(Ordering::Acquire) > 0
+            && self.timed_lock(&self.slots[tile]).state == State::Parked
+    }
+
+    /// Total ready tiles across all queues, including statically parked
+    /// ones (approximate under concurrency).
+    pub fn ready_len(&self) -> usize {
+        self.dynamic_ready_len() + self.parked.load(Ordering::Acquire)
+    }
+
+    /// Ready tiles in the dynamic heaps only (excludes static-parked).
+    pub fn dynamic_ready_len(&self) -> usize {
+        let lens = self.queues.iter().map(|q| q.len.load(Ordering::Acquire));
+        lens.sum()
+    }
+
+    /// The pending tiles — at least one edge buffered, not all — as `(tile,
+    /// dependencies arrived)`. A scan of every slot: for the stall path and
+    /// for tests.
+    fn pending(&self) -> Vec<(usize, Vec<usize>)> {
+        let mut pending = Vec::new();
+        for (tile, slot) in self.slots.iter().enumerate() {
+            let slot = slot.lock();
+            if slot.state == State::Waiting && !slot.edges.is_empty() {
+                pending.push((tile, slot.edges.iter().map(|(dep, _)| *dep).collect()));
+            }
+        }
+        pending
+    }
+
+    /// Total pending (partially satisfied) tiles.
+    pub fn pending_len(&self) -> usize {
+        self.pending().len()
+    }
+
+    /// The (up to) `limit` pending tiles that come first in the priority's
+    /// order, each with what it still waits for — the stall watchdog's view
+    /// of where the run is stuck.
+    pub fn pending_tiles(&self, limit: usize) -> Vec<PendingTile> {
+        let mut pending = self.pending();
+        if let Some(rank) = self.rank() {
+            pending.sort_unstable_by_key(|(tile, _)| rank[*tile]);
+        }
+        pending.truncate(limit);
+        let deps = self.graph.tiling().deps();
+        let describe = |(tile, arrived): (usize, Vec<usize>)| PendingTile {
+            tile: self.graph.tiles()[tile],
+            arrived: arrived.len(),
+            total: self.graph.dep_total(tile),
+            missing: (0..deps.len())
+                .filter(|dep| self.graph.source(tile, *dep).is_some() && !arrived.contains(dep))
+                .map(|dep| deps[dep].delta)
+                .collect(),
+        };
+        pending.into_iter().map(describe).collect()
+    }
+
+    /// Successful steals so far.
+    pub fn steal_count(&self) -> u64 {
+        self.steals.load(Ordering::Relaxed)
+    }
+
+    /// Steal attempts that found the victim already empty.
+    pub fn steal_fail_count(&self) -> u64 {
+        self.steal_fails.load(Ordering::Relaxed)
+    }
+
+    /// Summed time workers spent blocked on contended scheduler locks.
+    pub fn lock_wait(&self) -> Duration {
+        Duration::from_nanos(self.lock_wait_ns.load(Ordering::Relaxed))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schedule::Schedule;
+    use dpgen_polyhedra::{ConstraintSystem, Space};
+    use dpgen_tiling::{Coord, Template, TemplateSet, TilingBuilder};
+
+    /// The tile graph of an `(nx + 1) × (ny + 1)` box of unit tiles, each
+    /// reading the given offsets (all negative: tiles run from the origin).
+    fn grid(nx: i64, ny: i64, offsets: &[[i64; 2]]) -> TileGraph {
+        let space = Space::from_names(&["x", "y"], &[]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text(&format!("0 <= x <= {nx}")).unwrap();
+        sys.add_text(&format!("0 <= y <= {ny}")).unwrap();
+        let templates = offsets
+            .iter()
+            .enumerate()
+            .map(|(k, o)| Template::new(format!("r{k}"), o))
+            .collect();
+        let templates = TemplateSet::new(2, templates).unwrap();
+        let tiling = TilingBuilder::new(sys, templates, vec![1, 1]);
+        tiling.build().unwrap().graph(&[])
+    }
+
+    /// Up and left: tile `(x, y)` waits for `(x - 1, y)` and `(x, y - 1)`.
+    fn square(n: i64) -> TileGraph {
+        grid(n, n, &[[-1, 0], [0, -1]])
+    }
+
+    fn sched(graph: &TileGraph, priority: TilePriority, workers: usize) -> TileScheduler<'_, f64> {
+        TileScheduler::new(graph, priority, workers, Arc::new(MemoryStats::new()))
+    }
+
+    fn at(graph: &TileGraph, tile: [i64; 2]) -> usize {
+        graph.index_of(&Coord::from_slice(&tile)).unwrap()
+    }
+
+    /// The edge tile `tile` gets from its neighbour at `delta`.
+    fn edge(
+        graph: &TileGraph,
+        tile: [i64; 2],
+        delta: [i64; 2],
+        payload: Vec<f64>,
+    ) -> Delivery<f64> {
+        let dep = graph.tiling().dep_index(&Coord::from_slice(&delta));
+        Delivery {
+            tile: at(graph, tile),
+            dep: dep.unwrap(),
+            payload,
+        }
+    }
+
+    #[test]
+    fn single_worker_pops_in_priority_order() {
+        let graph = square(2);
+        let s = sched(&graph, TilePriority::column_major(2), 1);
+        for tile in [[2, 0], [0, 1], [0, 0]] {
+            s.mark_initial(at(&graph, tile));
+        }
+        assert_eq!(s.ready_len(), 3);
+        for tile in [[0, 0], [0, 1], [2, 0]] {
+            assert_eq!(s.pop(0).unwrap().0, at(&graph, tile));
+        }
+        assert!(s.pop(0).is_none());
+        assert_eq!(s.steal_count(), 0);
+    }
+
+    #[test]
+    fn fifo_pops_in_arrival_order() {
+        let graph = square(2);
+        let s = sched(&graph, TilePriority::Fifo, 1);
+        s.mark_initial(at(&graph, [2, 2]));
+        s.mark_initial(at(&graph, [0, 0]));
+        assert_eq!(s.pop(0).unwrap().0, at(&graph, [2, 2]));
+        assert_eq!(s.pop(0).unwrap().0, at(&graph, [0, 0]));
+    }
+
+    #[test]
+    fn batch_delivery_readies_tiles() {
+        let graph = square(2);
+        let s = sched(&graph, TilePriority::Fifo, 2);
+        let mut batch = vec![
+            edge(&graph, [1, 1], [-1, 0], vec![1.0, 2.0]),
+            edge(&graph, [1, 1], [0, -1], vec![3.0]),
+        ];
+        let cap = batch.capacity();
+        assert_eq!(s.deliver(0, &mut batch), Ok(1));
+        // Drained in place: empty but capacity preserved for reuse.
+        assert!(batch.is_empty());
+        assert_eq!(batch.capacity(), cap);
+        assert_eq!(s.pending_len(), 0);
+        let (tile, edges) = s.pop(0).unwrap();
+        assert_eq!(tile, at(&graph, [1, 1]));
+        assert_eq!(edges.len(), 2);
+        assert_eq!(s.stats.current_edges(), 0);
+    }
+
+    #[test]
+    fn partial_batch_stays_pending() {
+        let graph = square(2);
+        let s = sched(&graph, TilePriority::Fifo, 1);
+        let made_ready = s.deliver(0, &mut vec![edge(&graph, [1, 1], [-1, 0], vec![])]);
+        assert_eq!(made_ready, Ok(0));
+        assert_eq!(s.pending_len(), 1);
+        assert!(s.pop(0).is_none());
+        assert_eq!(s.stats.current_pending_tiles(), 1);
+        let waiting = PendingTile {
+            tile: Coord::from_slice(&[1, 1]),
+            arrived: 1,
+            total: 2,
+            missing: vec![Coord::from_slice(&[0, -1])],
+        };
+        assert_eq!(s.pending_tiles(8), [waiting]);
+    }
+
+    #[test]
+    fn empty_worker_steals_from_richest() {
+        let graph = square(2);
+        let s = sched(&graph, TilePriority::Fifo, 2);
+        // Deliveries from worker 0 land in worker 0's queue; tiles on the
+        // x axis wait for one edge each.
+        for x in [1, 2] {
+            let made_ready = s.deliver(0, &mut vec![edge(&graph, [x, 0], [-1, 0], vec![1.0])]);
+            assert_eq!(made_ready, Ok(1));
+        }
+        // Worker 1 has nothing local: both pops are steals.
+        assert!(s.pop(1).is_some());
+        assert!(s.pop(1).is_some());
+        assert_eq!(s.steal_count(), 2);
+        assert!(s.pop(1).is_none());
+        assert_eq!(s.ready_len(), 0);
+    }
+
+    #[test]
+    fn memory_stats_follow_edge_lifecycle() {
+        let graph = square(1);
+        let s = sched(&graph, TilePriority::Fifo, 1);
+        let stats = s.stats.clone();
+        s.deliver(0, &mut vec![edge(&graph, [1, 0], [-1, 0], vec![0.0; 5])])
+            .unwrap();
+        assert_eq!(stats.peak_edge_cells(), 5);
+        assert_eq!(stats.current_edges(), 1);
+        // One edge completes a one-dependency tile: pending inside its
+        // batch only.
+        assert_eq!(stats.peak_pending_tiles(), 1);
+        assert_eq!(stats.current_pending_tiles(), 0);
+        s.pop(0).unwrap();
+        assert_eq!(stats.current_edges(), 0);
+        assert_eq!(stats.peak_edge_cells(), 5);
+    }
+
+    #[test]
+    fn a_duplicate_edge_is_refused() {
+        let graph = square(2);
+        let s = sched(&graph, TilePriority::Fifo, 1);
+        let tile = at(&graph, [1, 1]);
+        let again = || vec![edge(&graph, [1, 1], [-1, 0], vec![])];
+        assert_eq!(s.deliver(0, &mut again()), Ok(0));
+        assert_eq!(
+            s.deliver(0, &mut again()),
+            Err(DuplicateEdge { tile, dep: 0 })
+        );
+        // One edge buffered, not two: the tile still waits for the other.
+        assert_eq!(s.stats.current_edges(), 1);
+        assert_eq!(
+            s.deliver(0, &mut vec![edge(&graph, [1, 1], [0, -1], vec![])]),
+            Ok(1)
+        );
+        // And an edge for a tile that has gone ready is one too many.
+        assert_eq!(
+            s.deliver(0, &mut again()),
+            Err(DuplicateEdge { tile, dep: 0 })
+        );
+    }
+
+    #[test]
+    fn plan_members_bypass_the_heaps() {
+        let graph = square(1);
+        let (pinned, free) = (at(&graph, [1, 0]), at(&graph, [0, 1]));
+        let plan = StaticPlan::build_on(&graph, [pinned], 2, Schedule::Static).unwrap();
+        assert!(plan.is_member(pinned) && !plan.is_member(free));
+        let s = sched(&graph, TilePriority::Fifo, 2).with_plan(Some(Arc::new(plan)));
+        // A pinned tile completing its deps parks in its slot …
+        assert!(!s.static_ready(pinned));
+        let made_ready = s.deliver(0, &mut vec![edge(&graph, [1, 0], [-1, 0], vec![1.0])]);
+        assert_eq!(made_ready, Ok(1));
+        assert!(s.static_ready(pinned));
+        assert_eq!(s.dynamic_ready_len(), 0);
+        assert_eq!(s.ready_len(), 1);
+        assert!(s.pop(0).is_none(), "pinned tile must not reach the heaps");
+        // … and is only reachable through take_static, with edge accounting.
+        assert!(s.take_static(free).is_none());
+        let edges = s.take_static(pinned).unwrap();
+        assert_eq!(edges.len(), 1);
+        assert!(s.take_static(pinned).is_none(), "taken once");
+        assert_eq!(s.stats.current_edges(), 0);
+        // Non-members still flow through the dynamic path.
+        s.deliver(0, &mut vec![edge(&graph, [0, 1], [0, -1], vec![])])
+            .unwrap();
+        assert_eq!(s.pop(0).unwrap().0, free);
+        assert_eq!(s.ready_len(), 0);
+    }
+
+    #[test]
+    fn concurrent_delivery_and_popping_conserves_tiles() {
+        // 4 producers each deliver the single-dependency tiles of one row;
+        // 4 consumers pop everything. Every tile must surface exactly once.
+        const PER: i64 = 200;
+        let graph = grid(3, PER, &[[0, -1]]);
+        let s = sched(&graph, TilePriority::LevelSet, 4);
+        let popped = AtomicU64::new(0);
+        let (s, graph, popped) = (&s, &graph, &popped);
+        std::thread::scope(|scope| {
+            for w in 0..4usize {
+                scope.spawn(move || {
+                    for y in 1..=PER {
+                        let mut batch = vec![edge(graph, [w as i64, y], [0, -1], vec![1.0])];
+                        assert_eq!(s.deliver(w, &mut batch), Ok(1));
+                    }
+                });
+            }
+            for w in 0..4usize {
+                scope.spawn(move || loop {
+                    if s.pop(w).is_some() {
+                        popped.fetch_add(1, Ordering::Relaxed);
+                    } else if popped.load(Ordering::Relaxed) == 4 * PER as u64 {
+                        break;
+                    } else {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+        });
+        assert_eq!(popped.load(Ordering::Relaxed), 4 * PER as u64);
+        assert_eq!(s.ready_len(), 0);
+        assert_eq!(s.pending_len(), 0);
+        assert_eq!(s.stats.current_edges(), 0);
+    }
+}

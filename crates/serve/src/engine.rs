@@ -6,7 +6,7 @@
 //! (rejecting jobs whose bounding box exceeds the configured cell limit,
 //! via the polyhedral `probe_box` bounds behind [`Plan::admit`]), and
 //! executes admitted jobs concurrently over the shared-memory runtime —
-//! each job through the sharded scheduler with its own worker threads.
+//! each job through the tile scheduler with its own worker threads.
 //! Every job gets a cancellation flag ([`JobHandle::cancel`]) the runtime
 //! polls between tiles, and per-job plus aggregate latency/throughput
 //! metrics flow through the runtime's [`MetricsRegistry`].

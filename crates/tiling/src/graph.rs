@@ -12,6 +12,11 @@
 //! edge it packs. It carries the tiling and the binding it was built from,
 //! so a consumer handed a graph cannot pair it with another problem.
 //!
+//! It also sorts: [`TileGraph::ordering`] is the tiles in one lexicographic
+//! order on flow-adjusted coordinates, with every tile's position in it —
+//! what a ready queue keys on, what a slab cut walks and what a static plan
+//! deals from — sorted once per order and kept with the graph.
+//!
 //! The counts are exact lattice-point counts, walked once per geometry
 //! *class* rather than once per tile: tiles with one [`Tiling::geometry`]
 //! signature have the same cells in the same places, so only the first tile
@@ -23,10 +28,11 @@
 //!
 //! [`EdgeLayout::count`]: crate::EdgeLayout::count
 
-use crate::coord::Coord;
+use crate::coord::{Coord, MAX_DIMS};
+use crate::template::Direction;
 use crate::tiling::Tiling;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The tile DAG of one [`Tiling`] at one parameter binding; see the
 /// [module docs](self). Built by [`Tiling::graph`] or [`TileGraph::new`].
@@ -60,6 +66,26 @@ pub struct TileGraph {
     /// never asks: on the 6-D bandits (ten dependencies, nine classes for 28
     /// tiles) the edge walks cost more than every tile's cell walk together.
     edge_counts: OnceLock<Vec<u64>>,
+    /// The orderings asked for so far, by `(by_level, dimension order)`.
+    orderings: Mutex<Vec<(OrderKey, Arc<TileOrdering>)>>,
+}
+
+/// `(by_level, every dimension, most significant first)`.
+type OrderKey = (bool, Vec<usize>);
+
+/// Orderings a graph keeps. The order is chosen by a run's options, which
+/// arrive from outside: past this many the oldest is dropped and sorted
+/// again if it is ever asked for.
+const MAX_ORDERINGS: usize = 8;
+
+/// A graph's tiles in one total order, both ways round; see
+/// [`TileGraph::ordering`].
+#[derive(Debug)]
+pub struct TileOrdering {
+    /// Tile indices, earliest first.
+    pub order: Vec<u32>,
+    /// Per tile, its position in `order`.
+    pub rank: Vec<u32>,
 }
 
 /// The graph's tiles sorted into geometry classes, and the cell count of
@@ -191,6 +217,7 @@ impl TileGraph {
             links: vec![[NO_TILE; 2]; tiles.len() * ndeps],
             counts: OnceLock::new(),
             edge_counts: OnceLock::new(),
+            orderings: Mutex::default(),
             tiles,
             tiling,
         };
@@ -272,6 +299,64 @@ impl TileGraph {
     /// exist, by index, in tile-nest order.
     pub fn initial(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).filter(|&i| self.dep_totals[i] == 0)
+    }
+
+    /// The tiles sorted lexicographically on *flow-adjusted* coordinates (a
+    /// descending dimension negated, so that a dependency always points
+    /// from an earlier tile to a later one): the dimensions in `lead` most
+    /// significant, the others after them in index order, and before them
+    /// all, when `by_level`, the wavefront level (the sum of the adjusted
+    /// coordinates). Every such order is a topological order of the tile
+    /// DAG. Sorted by the first caller to ask for an order and kept (the
+    /// last `MAX_ORDERINGS` orders asked for). Panics when `lead` names a
+    /// dimension the problem does not have.
+    pub fn ordering(&self, by_level: bool, lead: &[usize]) -> Arc<TileOrdering> {
+        let d = self.tiling.dims();
+        assert!(
+            lead.iter().all(|&k| k < d),
+            "order {lead:?} names a dimension beyond {d}"
+        );
+        let mut dims: Vec<usize> = Vec::with_capacity(d);
+        for k in lead.iter().copied().chain(0..d) {
+            if !dims.contains(&k) {
+                dims.push(k);
+            }
+        }
+        let key = (by_level, dims);
+        let mut memo = self.orderings.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, found)) = memo.iter().find(|(k, _)| *k == key) {
+            return found.clone();
+        }
+        let ordering = Arc::new(self.sort(by_level, &key.1));
+        if memo.len() == MAX_ORDERINGS {
+            memo.remove(0);
+        }
+        memo.push((key, ordering.clone()));
+        ordering
+    }
+
+    fn sort(&self, by_level: bool, dims: &[usize]) -> TileOrdering {
+        let directions = self.tiling.templates().directions();
+        // The level (or nothing), then the flow-adjusted coordinates. Distinct
+        // tiles differ in some coordinate, so no two keys are equal.
+        let key = |&i: &u32| {
+            let mut key = [0i64; MAX_DIMS + 1];
+            for (slot, &k) in key[1..].iter_mut().zip(dims) {
+                *slot = match directions[k] {
+                    Direction::Descending => -self.tiles[i as usize][k],
+                    Direction::Ascending => self.tiles[i as usize][k],
+                };
+            }
+            key[0] = if by_level { key[1..].iter().sum() } else { 0 };
+            key
+        };
+        let mut order: Vec<u32> = (0..self.tiles.len() as u32).collect();
+        order.sort_by_cached_key(key);
+        let mut rank = vec![0u32; order.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            rank[i as usize] = pos as u32;
+        }
+        TileOrdering { order, rank }
     }
 
     fn counts(&self) -> &ClassTable {
@@ -388,6 +473,46 @@ mod tests {
             .filter(|&i| tiling.dep_total(&nest[i], &mut point) == 0)
             .collect();
         assert_eq!(graph.initial().collect::<Vec<_>>(), initial);
+
+        // An ordering is the tiles sorted as their key vectors sort — the
+        // level if asked for, the leading dimensions, then every dimension,
+        // each flow-adjusted — with `rank` its inverse; it is topological,
+        // and sorted once.
+        let d = tiling.dims();
+        let directions = tiling.templates().directions();
+        let flow = |t: &Coord, k: usize| match directions[k] {
+            Direction::Descending => -t[k],
+            Direction::Ascending => t[k],
+        };
+        for (by_level, lead) in [
+            (false, vec![]),
+            (false, vec![d - 1]),
+            (true, vec![]),
+            (true, vec![d - 1, 0]),
+        ] {
+            let ordering = graph.ordering(by_level, &lead);
+            let key = |&i: &u32| {
+                let t = &nest[i as usize];
+                let level = by_level.then(|| (0..d).map(|k| flow(t, k)).sum());
+                let dims = lead.iter().copied().chain(0..d);
+                level
+                    .into_iter()
+                    .chain(dims.map(|k| flow(t, k)))
+                    .collect::<Vec<i64>>()
+            };
+            let mut sorted: Vec<u32> = (0..nest.len() as u32).collect();
+            sorted.sort_by_key(key);
+            assert_eq!(ordering.order, sorted, "by_level {by_level}, lead {lead:?}");
+            for (pos, &i) in ordering.order.iter().enumerate() {
+                assert_eq!(ordering.rank[i as usize] as usize, pos);
+                for dep_idx in 0..tiling.deps().len() {
+                    if let Some(source) = graph.source(i as usize, dep_idx) {
+                        assert!(ordering.rank[source] < ordering.rank[i as usize]);
+                    }
+                }
+            }
+            assert!(Arc::ptr_eq(&ordering, &graph.ordering(by_level, &lead)));
+        }
 
         assert!(!graph.cells_counted(), "nothing has asked for a count yet");
         let counted: Vec<u128> = nest
@@ -542,6 +667,25 @@ mod tests {
         let banded = lcs_box(16).band(0, 1, -32, 32).build().unwrap();
         let banded = banded.graph(&[2399]);
         assert_eq!((banded.classes(), banded.len()), (8, 744));
+    }
+
+    /// A run's options choose the order, and they come from outside: the
+    /// graph keeps the last `MAX_ORDERINGS` and sorts an older one again.
+    #[test]
+    fn orderings_are_kept_up_to_a_bound() {
+        let graph = bandit2(3).build().unwrap().graph(&[6]);
+        let first = graph.ordering(false, &[0]);
+        let leads = [[1, 0], [1, 2], [1, 3], [2, 0], [2, 1], [2, 3], [3, 0]];
+        for lead in leads {
+            graph.ordering(false, &lead);
+        }
+        assert_eq!(leads.len() + 1, MAX_ORDERINGS);
+        assert!(Arc::ptr_eq(&first, &graph.ordering(false, &[0, 1, 2, 3])));
+        graph.ordering(true, &[]);
+        let again = graph.ordering(false, &[0]);
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(first.order, again.order);
+        assert_eq!(graph.orderings.lock().unwrap().len(), MAX_ORDERINGS);
     }
 
     /// A binding whose signature overflows has no class to share: every

@@ -325,7 +325,7 @@ fn wedged_run_terminates_with_stall_snapshot() {
             assert!(snap.stalled_for >= Duration::from_millis(400));
             assert_eq!(snap.threads, 1);
             // The snapshot names the wedge: the display mentions progress
-            // counts and any pending shards.
+            // counts and the pending tiles it waits on.
             let text = err.to_string();
             assert!(text.contains("no progress"), "{text}");
             assert!(text.contains("tiles executed"), "{text}");
