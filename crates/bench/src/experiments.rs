@@ -867,74 +867,6 @@ pub fn e12_traceback(quick: bool) -> Table {
     table
 }
 
-/// E13 — execution hot path: interior fast-path coverage and per-worker
-/// buffer pooling. Reports the interior/boundary cell split from
-/// `scan_tile_fast` and the pool counters showing steady-state tile
-/// execution allocates no buffers (tile buffer allocations plateau at the
-/// worker count).
-pub fn e13_hot_path(quick: bool) -> Table {
-    let mut table = Table::new(
-        "e13",
-        "hot path: interior fast-path scan coverage + buffer pool reuse",
-        &[
-            "problem",
-            "threads",
-            "Mcells/s",
-            "interior frac",
-            "buf alloc",
-            "buf reuse",
-            "payload alloc",
-            "payload reuse",
-        ],
-    );
-    let threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let mut stats_rows: Vec<(String, usize, dpgen_runtime::RunStats)> = Vec::new();
-    {
-        let len = if quick { 120 } else { 800 };
-        let a = random_sequence(len, 5);
-        let b = random_sequence(len, 6);
-        let problem = Lcs::new(&[&a, &b]);
-        let program = Lcs::program(2, if quick { 8 } else { 16 }).unwrap();
-        for &t in threads {
-            let opts = ExecOpts::new().threads(t);
-            let res = program
-                .compile(&problem.params())
-                .execute::<i64, _>(&problem, &opts)
-                .unwrap();
-            stats_rows.push(("lcs2".into(), t, node_stats(res)));
-        }
-    }
-    {
-        let n: i64 = if quick { 16 } else { 40 };
-        let problem = Bandit2::default();
-        let program = Bandit2::program(if quick { 4 } else { 8 }).unwrap();
-        for &t in threads {
-            let opts = ExecOpts::new().threads(t).probe(Probe::at(&[0, 0, 0, 0]));
-            let res = program
-                .compile(&[n])
-                .execute::<f64, _>(&problem.kernel(), &opts)
-                .unwrap();
-            stats_rows.push(("bandit2".into(), t, node_stats(res)));
-        }
-    }
-    for (name, t, stats) in stats_rows {
-        table.row(vec![
-            name,
-            t.to_string(),
-            fmt_f(stats.cells_per_sec() / 1e6, 2),
-            fmt_f(stats.interior_fraction(), 3),
-            stats.tile_buffers_allocated.to_string(),
-            stats.tile_buffers_reused.to_string(),
-            stats.edge_payloads_allocated.to_string(),
-            stats.edge_payloads_reused.to_string(),
-        ]);
-    }
-    table
-        .note("interior cells skip per-cell validity evaluation (checks hoisted to run endpoints)");
-    table.note("buf alloc plateaus at the worker count: steady-state tiles run on pooled buffers");
-    table
-}
-
 /// All experiments in order.
 pub fn all(quick: bool) -> Vec<Table> {
     vec![
@@ -950,7 +882,6 @@ pub fn all(quick: bool) -> Vec<Table> {
         e10_hyperplane(quick),
         e11_packing_ratio(quick),
         e12_traceback(quick),
-        e13_hot_path(quick),
     ]
 }
 
@@ -1007,27 +938,6 @@ mod tests {
             }
             let imbalance: f64 = row[8].parse().unwrap();
             assert!(imbalance >= 1.0 - 1e-9, "imbalance below 1: {row:?}");
-        }
-    }
-
-    #[test]
-    fn e13_hot_path_counters_consistent() {
-        let t = e13_hot_path(true);
-        assert_eq!(t.rows.len(), 4); // 2 problems x 2 thread counts
-        for row in &t.rows {
-            let threads: u64 = row[1].parse().unwrap();
-            let interior_frac: f64 = row[3].parse().unwrap();
-            let buf_alloc: u64 = row[4].parse().unwrap();
-            let buf_reuse: u64 = row[5].parse().unwrap();
-            assert!(
-                (0.0..=1.0).contains(&interior_frac),
-                "bad interior fraction: {row:?}"
-            );
-            assert!(
-                buf_alloc <= threads,
-                "pool must allocate at most one buffer per worker: {row:?}"
-            );
-            assert!(buf_reuse > 0, "no pooled buffer reuse: {row:?}");
         }
     }
 

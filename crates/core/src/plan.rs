@@ -82,9 +82,7 @@ pub struct ExecOpts {
     /// model reports uniform slabs* along the first load-balancing
     /// dimension; irregular polytopes silently fall back to `Dynamic` (the
     /// resolved mode is reported in `RunStats::schedule` and the
-    /// `schedule_mode` metric). [`Schedule::Mixed`] always applies:
-    /// interior tiles run statically, boundary tiles through the dynamic
-    /// queue.
+    /// `schedule_mode` metric).
     pub schedule: Schedule,
     /// Communication configuration (buffer counts, reliability, fault
     /// plan) at `ranks > 1`; at least one send and one receive buffer.
@@ -237,6 +235,10 @@ impl ExecOpts {
                 ));
             }
         }
+        // The builder clamps, the public field does not.
+        if self.ranks == 0 {
+            return fault("ranks must be at least 1".to_string());
+        }
         if self.ranks == 1 {
             return Ok(()); // the multi-rank knobs are ignored
         }
@@ -276,11 +278,6 @@ fn distinct_dims(list: &[usize], d: usize) -> bool {
 /// The key spaces here (threads, ranks, schedule, balance method) hold a
 /// handful of entries at most, so a `Vec` beats a map.
 type MemoTable<K, V> = Vec<(K, V)>;
-
-/// Memoized static wavefront plans: `None` records that
-/// `StaticPlan::build` found nothing to pin (a `Mixed` polytope with no
-/// interior tile), so later executions skip re-deriving that verdict too.
-type StaticPlanTable = MemoTable<(usize, Schedule), Option<Arc<StaticPlan>>>;
 
 /// What one execution draws from the plan's memo: [`Plan::artifacts`] is
 /// the only place that decides it.
@@ -344,8 +341,8 @@ pub struct Plan {
     cell_bound: OnceLock<u128>,
     /// Load balances keyed by (ranks, method).
     balances: Mutex<MemoTable<(usize, BalanceMethod), Arc<LoadBalance>>>,
-    /// Static wavefront plans keyed by (threads, resolved schedule).
-    static_plans: Mutex<StaticPlanTable>,
+    /// Whole-space static wavefront plans keyed by threads.
+    static_plans: Mutex<MemoTable<usize, Arc<StaticPlan>>>,
     /// Cross-run buffer stash handed to every rank's worker pools.
     recycler: Arc<BufferRecycler>,
 }
@@ -611,8 +608,8 @@ impl Plan {
     pub(crate) fn artifacts(&self, opts: &ExecOpts) -> Result<RunArtifacts, RunError> {
         let graph = self.graph()?;
         let schedule = self.resolved_schedule(&graph, opts.schedule);
-        let static_plan = if opts.ranks == 1 {
-            self.static_plan(&graph, opts.threads, schedule)
+        let static_plan = if opts.ranks == 1 && schedule == Schedule::Static {
+            self.static_plan(&graph, opts.threads)
         } else {
             None
         };
@@ -661,9 +658,9 @@ impl Plan {
     /// Apply the `Static` uniform-slab fallback: a requested static
     /// schedule only survives when the load model reports equal work in
     /// every slab along the first load-balancing dimension (a memoized
-    /// verdict). `Mixed` needs no guarantee and `Dynamic` is always itself.
+    /// verdict). `Dynamic` is always itself.
     fn resolved_schedule(&self, graph: &TileGraph, requested: Schedule) -> Schedule {
-        if requested != Schedule::Static {
+        if requested == Schedule::Dynamic {
             return requested;
         }
         let lb_dim = self.lb_dims.first().copied().unwrap_or(0);
@@ -675,31 +672,20 @@ impl Plan {
         }
     }
 
-    /// Memoized whole-space static wavefront plan for `(threads,
-    /// schedule)`; `None` for dynamic schedules.
-    fn static_plan(
-        &self,
-        graph: &TileGraph,
-        threads: usize,
-        schedule: Schedule,
-    ) -> Option<Arc<StaticPlan>> {
-        if schedule == Schedule::Dynamic {
-            return None;
-        }
+    /// Memoized whole-space static wavefront plan for `threads` workers;
+    /// `None` for a graph with no tiles.
+    fn static_plan(&self, graph: &TileGraph, threads: usize) -> Option<Arc<StaticPlan>> {
         let threads = threads.max(1);
         let mut memo = self.static_plans.lock();
-        if let Some((_, p)) = memo
-            .iter()
-            .find(|((t, s), _)| *t == threads && *s == schedule)
-        {
-            return p.clone();
+        if let Some((_, p)) = memo.iter().find(|(t, _)| *t == threads) {
+            return Some(p.clone());
         }
         // Same inputs as the runtime's own per-run build for a single
         // owner: every tile. Determinism of `StaticPlan::build_on` is what
         // makes injection bit-identical.
-        let plan = StaticPlan::build_on(graph, 0..graph.len(), threads, schedule).map(Arc::new);
-        memo.push(((threads, schedule), plan.clone()));
-        plan
+        let plan = Arc::new(StaticPlan::build_on(graph, 0..graph.len(), threads)?);
+        memo.push((threads, plan.clone()));
+        Some(plan)
     }
 
     /// Memoized load balance for `(ranks, method)`.
@@ -827,7 +813,7 @@ mod tests {
             plan.execute_reduce(&PerCell(&path_kernel), &sum, opts)
                 .unwrap()
         };
-        for schedule in [Schedule::Dynamic, Schedule::Static, Schedule::Mixed] {
+        for schedule in [Schedule::Dynamic, Schedule::Static] {
             for (threads, ranks) in [(1usize, 1usize), (3, 1), (2, 2)] {
                 let tag = format!("{schedule:?} threads={threads} ranks={ranks}");
                 let opts = ExecOpts::new()
@@ -876,7 +862,6 @@ mod tests {
             assert_eq!(stat.probes, dynamic.probes);
             let s = &stat.per_rank[0].stats;
             assert_eq!(s.schedule, Schedule::Static);
-            assert_eq!(s.tiles_static, s.tiles_executed);
             assert_eq!(s.steal_count, 0);
             assert_eq!(
                 stat.metrics.gauge("rank0.schedule_mode"),
@@ -886,25 +871,19 @@ mod tests {
         assert_eq!(grid.static_plans.lock().len(), 1);
 
         // The triangle's slabs shrink toward the hypotenuse: the same
-        // request falls back to Dynamic. Mixed applies regardless.
+        // request falls back to Dynamic.
         let tri = triangle(2, n);
         let tri_dynamic = exec(&tri, &opts(2, Schedule::Dynamic));
         let fallback = exec(&tri, &opts(2, Schedule::Static));
         assert_eq!(fallback.per_rank[0].stats.schedule, Schedule::Dynamic);
-        assert_eq!(fallback.per_rank[0].stats.tiles_static, 0);
         assert_eq!(fallback.probes, tri_dynamic.probes);
-        let mixed = exec(&tri, &opts(2, Schedule::Mixed));
-        let m = &mixed.per_rank[0].stats;
-        assert_eq!(m.schedule, Schedule::Mixed);
-        assert!(m.tiles_static > 0 && m.tiles_dynamic > 0);
-        assert_eq!(mixed.probes, tri_dynamic.probes);
+        assert!(tri.static_plans.lock().is_empty());
 
         // Hybrid: the resolved mode reaches every rank.
         let hybrid = exec(&grid, &opts(2, Schedule::Static).ranks(2));
         assert_eq!(hybrid.probes, dynamic.probes);
         for r in &hybrid.per_rank {
             assert_eq!(r.stats.schedule, Schedule::Static);
-            assert_eq!(r.stats.tiles_static, r.stats.tiles_executed);
             assert_eq!(r.stats.steal_count, 0);
         }
     }
@@ -1079,6 +1058,10 @@ mod tests {
             ExecOpts::new().ranks(2).balance(slabs(vec![7])),
             ExecOpts::new().ranks(2).balance(slabs(vec![0, 0])),
             ExecOpts::new().ranks((1 << 16) + 1),
+            ExecOpts {
+                ranks: 0,
+                ..ExecOpts::new()
+            },
         ];
         for opts in &bad {
             // `warm` reaches the same derivations on the submitting
@@ -1160,7 +1143,7 @@ mod tests {
         );
 
         for ranks in [1usize, 2] {
-            for schedule in [Schedule::Dynamic, Schedule::Static, Schedule::Mixed] {
+            for schedule in [Schedule::Dynamic, Schedule::Static] {
                 let (ran_on, _) = run(&opts.clone().ranks(ranks).schedule(schedule));
                 assert!(Arc::ptr_eq(&ran_on, &graph), "{schedule:?} ranks={ranks}");
             }

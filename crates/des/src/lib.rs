@@ -25,10 +25,8 @@
 //! `dpgen-runtime`, which remains the execution vehicle for all
 //! correctness tests.
 
-pub mod elastic;
 pub mod model;
 pub mod sim;
 
-pub use elastic::{simulate_elastic, ElasticConfig, ElasticSimResult};
 pub use model::{CostModel, SimConfig};
 pub use sim::{simulate, simulate_on, SimResult};

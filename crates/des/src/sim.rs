@@ -4,13 +4,13 @@
 //! dependency counts, consumers, and the exact lattice counts — cells per
 //! tile, cells per edge — which the graph walks once per geometry class, so
 //! no polyhedral walk is paid per tile here. What set-up still does per
-//! tile is its own: an owner read, the static-plan membership bit, and the
-//! per-tile vectors the event loop runs on. A ready tile is keyed by its
-//! position in the priority's order on the graph
-//! ([`TilePriority::ordering`]), as in the runtime's scheduler.
+//! tile is its own: an owner read and the per-tile vectors the event loop
+//! runs on. A ready tile is keyed by its position in the priority's order
+//! on the graph ([`TilePriority::ordering`]), as in the runtime's
+//! scheduler.
 
 use crate::model::SimConfig;
-use dpgen_runtime::{Schedule, StaticPlan, TileOwner};
+use dpgen_runtime::{Schedule, TileOwner};
 use dpgen_tiling::{TileGraph, Tiling};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -184,32 +184,17 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
             in_total[c] += cells;
         }
     }
-    // Statically pinned tiles (the runtime's per-worker precomputed
-    // sequences) skip the ready-heap and steal machinery: cheaper dispatch
-    // overhead and a wavefront-order priority key. Membership mirrors the
-    // runtime: `Static` pins every owned tile, `Mixed` only full-interior
-    // tiles.
-    let static_member: Vec<bool> = {
-        let mut member = vec![false; n];
-        if config.schedule != Schedule::Dynamic {
-            for r in 0..config.ranks {
-                let owned = (0..n).filter(|&i| owners[i] == r);
-                let threads = config.threads_per_rank;
-                if let Some(plan) = StaticPlan::build_on(graph, owned, threads, config.schedule) {
-                    for (i, pinned) in member.iter_mut().enumerate() {
-                        *pinned |= plan.is_member(i);
-                    }
-                }
-            }
-        }
-        member
+    // A pinned run's tiles (the runtime's per-worker precomputed
+    // sequences; every rank pins all it owns) skip the ready-heap and steal
+    // machinery: cheaper dispatch overhead and a wavefront-order priority
+    // key.
+    let pinned = config.schedule == Schedule::Static;
+    let overhead = if pinned {
+        cost.static_tile_overhead
+    } else {
+        cost.tile_overhead
     };
     let duration = |i: usize| -> f64 {
-        let overhead = if static_member[i] {
-            cost.static_tile_overhead
-        } else {
-            cost.tile_overhead
-        };
         overhead
             + work[i] as f64 * cost.cell_cost
             + (in_total[i] + out_cells[i]) as f64 * cost.edge_cell_cost
@@ -249,13 +234,14 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     };
 
     // --- Dynamic state. --------------------------------------------------
-    // A ready tile's key is its position in its order: the wavefront
-    // (level-set) order for a pinned tile, the configured priority's for any
-    // other, the arrival number under `Fifo`.
-    let pinned_rank = (static_member.contains(&true)).then(|| graph.ordering(true, &[]));
-    let free_rank = (static_member.contains(&false))
-        .then(|| config.priority.ordering(graph))
-        .flatten();
+    // A ready tile's key is its position in the run's order: the wavefront
+    // (level-set) order when pinned, else the configured priority's, the
+    // arrival number under `Fifo`.
+    let order = if pinned {
+        Some(graph.ordering(true, &[]))
+    } else {
+        config.priority.ordering(graph)
+    };
     type RankQueue = BinaryHeap<Reverse<(u32, usize)>>;
     let mut ready: Vec<RankQueue> = (0..config.ranks).map(|_| BinaryHeap::new()).collect();
     let mut idle: Vec<usize> = vec![config.threads_per_rank; config.ranks];
@@ -286,18 +272,13 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     macro_rules! enqueue_ready {
         ($i:expr) => {{
             let i = $i;
-            // The model dispatches static members from the rank's one
-            // ready heap in wavefront (level-set) order on any free
+            // The model dispatches a pinned run's tiles from the rank's
+            // one ready heap in wavefront (level-set) order on any free
             // worker. The runtime does not: since the pipeline deal
             // (`runtime::schedule`) each worker sweeps its own rows of the
             // pipeline axis in lexicographic order. Modelling the
             // per-worker sequences is ROADMAP item 4's.
-            let order = if static_member[i] {
-                &pinned_rank
-            } else {
-                &free_rank
-            };
-            let key = match order {
+            let key = match &order {
                 Some(order) => order.rank[i],
                 None => prio_seq,
             };
@@ -657,8 +638,6 @@ mod tests {
         // Same grid, same workers: the static schedule replaces every
         // per-tile heap dispatch with a cursor advance, so its serial
         // time and makespan drop while the work stays identical.
-        // n = 77 leaves a partial boundary row/column, so Mixed pins
-        // strictly fewer tiles than Static.
         let tiling = grid_2d(4);
         let n = 77i64;
         let dynamic = simulate(&tiling, &[n], &SingleOwner, &SimConfig::shared(4, 2));
@@ -672,21 +651,30 @@ mod tests {
         assert_eq!(fixed.cells, dynamic.cells);
         assert!(fixed.serial_time < dynamic.serial_time);
         assert!(fixed.makespan < dynamic.makespan);
-        // Mixed pins only interior tiles: between the two.
-        let mixed = simulate(
-            &tiling,
-            &[n],
-            &SingleOwner,
-            &SimConfig::shared(4, 2).with_schedule(Schedule::Mixed),
-        );
-        assert_eq!(mixed.tiles, dynamic.tiles);
-        assert!(mixed.serial_time < dynamic.serial_time);
-        assert!(mixed.serial_time > fixed.serial_time);
         // Multi-rank static runs stay consistent too.
         let split = SimConfig::hybrid(2, 2, 2, &[0]).with_schedule(Schedule::Static);
         let s = simulate(&tiling, &[n], &Owner2(2), &split);
         assert_eq!(s.tiles, dynamic.tiles);
         assert_eq!(s.cells, dynamic.cells);
+    }
+
+    #[test]
+    fn static_simulation_is_the_recorded_one() {
+        // Bits recorded at the commit before the per-tile membership
+        // vector became one flag per run (`grid_2d(4)`, N = 77, default
+        // costs): pinning is decided once, and no number may move.
+        let tiling = grid_2d(4);
+        let shared = SimConfig::shared(4, 2).with_schedule(Schedule::Static);
+        let s = simulate(&tiling, &[77], &SingleOwner, &shared);
+        assert_eq!(s.makespan.to_bits(), 0x3f17_4ac1_bc9a_c7e9);
+        assert_eq!(s.busy[0].to_bits(), 0x3f36_a2b7_5824_0bd3);
+        assert_eq!((s.msgs_remote, s.cells_remote, s.tiles), (0, 0, 400));
+        let split = SimConfig::hybrid(2, 2, 2, &[0]).with_schedule(Schedule::Static);
+        let s = simulate(&tiling, &[77], &Owner2(2), &split);
+        assert_eq!(s.makespan.to_bits(), 0x3f20_fb2d_90e5_7397);
+        let busy: Vec<u64> = s.busy.iter().map(|b| b.to_bits()).collect();
+        assert_eq!(busy, [0x3f26_dc29_4ff4_4dd4, 0x3f26_6945_6053_ca0e]);
+        assert_eq!((s.msgs_remote, s.cells_remote, s.tiles), (380, 1482, 400));
     }
 
     #[test]

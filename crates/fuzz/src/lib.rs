@@ -32,7 +32,7 @@ pub struct Leg {
     /// default (sweeps legal schedules).
     pub seeded_priority: bool,
     /// Requested schedule mode ([`Schedule::Dynamic`] is the work-stealing
-    /// baseline; `Static`/`Mixed` exercise the precomputed wavefront paths).
+    /// baseline; `Static` exercises the precomputed wavefront path).
     pub schedule: Schedule,
     /// Schedule a rank kill mid-run with elastic recovery enabled: rank 0
     /// is hard-dropped after its first data send and survivors must
@@ -69,7 +69,6 @@ impl fmt::Display for Leg {
             match self.schedule {
                 Schedule::Dynamic => "",
                 Schedule::Static => " static",
-                Schedule::Mixed => " mixed",
             },
             if self.kill { " kill" } else { "" },
             if self.plan_reuse { " plan-reuse" } else { "" },
@@ -123,16 +122,14 @@ pub fn basic_matrix() -> Vec<Leg> {
 }
 
 /// The full matrix the acceptance criteria name: [`basic_matrix`] plus
-/// `Static` and `Mixed` legs, a rank-kill recovery leg, a compiled-plan
-/// reuse leg (compile once, execute twice — the serve cache-hit path), and
-/// a banded leg that forces a diagonal band onto every multi-dimensional
-/// spec and checks the band-clipped pipeline against the re-masked
-/// reference. Static legs exercise both the precomputed path (uniform-slab
-/// specs) and the silent fallback to `Dynamic` (irregular specs); the
-/// `Mixed` leg always pins interior tiles, so it exercises the
-/// static/dynamic hand-off on every spec that has any. Every leg runs the
-/// hash kernel through the node engine's one scan (`PerCell` replay of
-/// each interior block, run by run), so there is no separate batched axis.
+/// `Static` legs, a rank-kill recovery leg, a compiled-plan reuse leg
+/// (compile once, execute twice — the serve cache-hit path), and a banded
+/// leg that forces a diagonal band onto every multi-dimensional spec and
+/// checks the band-clipped pipeline against the re-masked reference. Static
+/// legs exercise both the precomputed path (uniform-slab specs) and the
+/// silent fallback to `Dynamic` (irregular specs). Every leg runs the hash
+/// kernel through the node engine's one scan (`PerCell` replay of each
+/// interior block, run by run), so there is no separate batched axis.
 pub fn full_matrix() -> Vec<Leg> {
     let mut legs = basic_matrix();
     legs.push(Leg {
@@ -151,16 +148,6 @@ pub fn full_matrix() -> Vec<Leg> {
         faulted: false,
         seeded_priority: false,
         schedule: Schedule::Static,
-        kill: false,
-        plan_reuse: false,
-        banded: false,
-    });
-    legs.push(Leg {
-        threads: 2,
-        ranks: 2,
-        faulted: false,
-        seeded_priority: false,
-        schedule: Schedule::Mixed,
         kill: false,
         plan_reuse: false,
         banded: false,
@@ -568,7 +555,7 @@ mod tests {
         }
         assert!(legs.iter().any(|l| l.faulted && l.ranks > 1));
         assert!(legs.iter().any(|l| l.seeded_priority));
-        assert_eq!(legs.len(), 16);
+        assert_eq!(legs.len(), 15);
         assert!(
             legs.iter().any(|l| l.banded && l.ranks == 2),
             "missing the banded leg"
@@ -591,9 +578,6 @@ mod tests {
         assert!(legs
             .iter()
             .any(|l| l.schedule == Schedule::Static && l.ranks == 2 && l.threads == 4));
-        assert!(legs
-            .iter()
-            .any(|l| l.schedule == Schedule::Mixed && l.ranks == 2));
         assert_eq!(basic_matrix().len(), 9);
         assert!(basic_matrix()
             .iter()
@@ -621,16 +605,6 @@ mod tests {
                 faulted: false,
                 seeded_priority: false,
                 schedule: Schedule::Static,
-                kill: false,
-                plan_reuse: false,
-                banded: false,
-            },
-            Leg {
-                threads: 2,
-                ranks: 1,
-                faulted: false,
-                seeded_priority: false,
-                schedule: Schedule::Mixed,
                 kill: false,
                 plan_reuse: false,
                 banded: false,

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Generates `--budget` random specs from the seed and checks each one
-//! across the differential matrix — all 16 legs by default
+//! across the differential matrix — all 15 legs by default
 //! (thread × rank × fault × schedule × kill × plan-reuse × banded), or the
 //! 9-leg dynamic-only `basic` matrix via `--legs basic`. On the first
 //! failure the spec is auto-shrunk and written to `<artifacts>/minimized.json` (plus

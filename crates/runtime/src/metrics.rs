@@ -307,8 +307,6 @@ impl MetricsRegistry {
         c(self, "edge_cells_packed", s.edge_cells_packed);
         c(self, "steal_count", s.steal_count);
         c(self, "steal_fail_count", s.steal_fail_count);
-        c(self, "tiles_static", s.tiles_static);
-        c(self, "tiles_dynamic", s.tiles_dynamic);
         c(self, "runs_batched", s.runs_batched);
         c(self, "cells_batched", s.cells_batched);
         c(self, "blocks_evaluated", s.blocks_evaluated);
@@ -327,9 +325,8 @@ impl MetricsRegistry {
         g(self, "idle_fraction", s.idle_fraction());
         g(self, "steal_fraction", s.steal_fraction());
         // The resolved schedule mode as its stable code (0 dynamic,
-        // 1 static, 2 mixed) plus the static-tile share of the run.
+        // 1 static).
         g(self, "schedule_mode", s.schedule.code() as f64);
-        g(self, "static_fraction", s.static_fraction());
         g(self, "interior_fraction", s.interior_fraction());
         g(self, "mean_run_len", s.mean_run_len());
         g(self, "buffer_reuse_fraction", s.buffer_reuse_fraction());

@@ -128,12 +128,12 @@ pub struct NodeConfig {
     /// separate from the failure flag so a recovery epoch can reset its
     /// internal world flag without erasing a pending user cancellation.
     pub job_cancel: Option<Arc<AtomicBool>>,
-    /// Precompiled static plan for this rank's owned tiles (Static/Mixed
-    /// schedules). `Some` skips the per-run `StaticPlan::build` pass — a
+    /// Precompiled static plan for this rank's owned tiles (the `Static`
+    /// schedule). `Some` skips the per-run `StaticPlan::build_on` pass — a
     /// compiled [`Plan`]'s memoized artifact injected on re-execution. The
     /// caller must guarantee it was built for the same tiling, owned tile
-    /// set, worker count and schedule; a mismatched plan deadlocks or
-    /// misschedules. Ignored under `Schedule::Dynamic`.
+    /// set and worker count; a mismatched plan deadlocks or misschedules.
+    /// Ignored under `Schedule::Dynamic`.
     ///
     /// [`Plan`]: crate::schedule::StaticPlan
     pub static_plan: Option<Arc<StaticPlan>>,
@@ -489,8 +489,6 @@ impl<T: Value, RK: RunKernel<T>> TileVisitor for BatchVisitor<'_, T, RK> {
 /// on the worker's stack, added to the run's totals when the worker exits.
 #[derive(Default)]
 struct WorkerCounts {
-    tiles_static: u64,
-    tiles_dynamic: u64,
     cells: u64,
     interior: u64,
     boundary: u64,
@@ -510,8 +508,6 @@ struct WorkerCounts {
 
 impl WorkerCounts {
     fn add(&mut self, other: &WorkerCounts) {
-        self.tiles_static += other.tiles_static;
-        self.tiles_dynamic += other.tiles_dynamic;
         self.cells += other.cells;
         self.interior += other.interior;
         self.boundary += other.boundary;
@@ -651,7 +647,7 @@ where
     let completed_prior: &HashSet<Coord> = resume.map(|rs| &rs.completed).unwrap_or(&no_prior);
     // The owned tiles as a list only when a static plan has to be built
     // from them below.
-    let plan_in_run = config.schedule != Schedule::Dynamic && config.static_plan.is_none();
+    let plan_in_run = config.schedule == Schedule::Static && config.static_plan.is_none();
     let mut owned_list: Vec<usize> = Vec::new();
     let mut initials: Vec<usize> = Vec::new();
     let mut owned = 0u64;
@@ -677,21 +673,25 @@ where
         }
     }
     let threads = config.threads.max(1);
-    // The static plan (Static/Mixed): per-worker wavefront sequences over
-    // the owned tiles, built serially alongside initial-tile generation
-    // and charged to the same `init_time` bucket — unless the caller
-    // injected a precompiled one (a cached `Plan` artifact), which must
-    // have been built from the identical inputs and therefore replays the
-    // exact same sequences.
+    // The static plan: per-worker wavefront sequences over the owned
+    // tiles, built serially alongside initial-tile generation and charged
+    // to the same `init_time` bucket — unless the caller injected a
+    // precompiled one (a cached `Plan` artifact), which must have been
+    // built from the identical inputs and therefore replays the exact same
+    // sequences. With it the run is pinned: every owned tile follows the
+    // sequences and none is queued; without it every tile is queued.
     let plan: Option<Arc<StaticPlan>> = if plan_in_run {
-        StaticPlan::build_on(graph, owned_list, threads, config.schedule).map(Arc::new)
+        StaticPlan::build_on(graph, owned_list, threads).map(Arc::new)
     } else {
         config
             .static_plan
             .clone()
-            .filter(|_| config.schedule != Schedule::Dynamic)
+            .filter(|_| config.schedule == Schedule::Static)
     };
-    let resolved_schedule = plan.as_ref().map(|p| p.mode()).unwrap_or(Schedule::Dynamic);
+    let resolved_schedule = match plan {
+        Some(_) => Schedule::Static,
+        None => Schedule::Dynamic,
+    };
     // Shared cursors into the plan's per-worker sequences. Each advances
     // strictly front to back, but *any* worker may advance any cursor
     // whose head is parked ready (cursor helping): `take_static` removes
@@ -717,7 +717,7 @@ where
     let sched: TileScheduler<'_, T> =
         TileScheduler::new(graph, config.priority.clone(), threads, mem.clone())
             .with_tracer(config.tracer.clone())
-            .with_plan(plan.clone());
+            .pinned(plan.is_some());
     for t in initials {
         sched.mark_initial(t);
     }
@@ -870,8 +870,7 @@ where
                 // parked ready. Own head first keeps affinity; helping
                 // (ow != w) only happens when this worker has nothing else
                 // to do, so a descheduled owner never stalls the pipeline.
-                let take_head = |ow: usize| {
-                    let p = plan.as_deref()?;
+                let take_head = |p: &StaticPlan, ow: usize| {
                     loop {
                         let c = cursors[ow].load(Ordering::Acquire);
                         let head = p.sequence(ow).get(c)?;
@@ -906,6 +905,7 @@ where
                 // cells when the buffer goes back to the pool.
                 let mut unpacked: Vec<(&TileGeom, usize)> = Vec::with_capacity(tiling.deps().len());
                 let mut counts = WorkerCounts::default();
+                let mut tiles_run = 0u64;
                 let note_progress = || {
                     let now = t_start.elapsed().as_nanos() as u64;
                     worker_progress[w].store(now, Ordering::Release);
@@ -1037,24 +1037,14 @@ where
                         fail(e);
                         break;
                     }
-                    // Schedule-aware selection: own static cursor first (the
+                    // Selection. Pinned: own static cursor first (the
                     // plan's pipeline order is deadlock-free, see
-                    // `schedule`), then the dynamic heaps — which under
-                    // `Mixed` keeps boundary tiles flowing while the cursor
-                    // head waits on its dependencies — and finally cursor
-                    // helping: advance another worker's ready head rather
-                    // than idle while its owner is off-CPU.
-                    let mut from_static = false;
-                    let next = match take_head(w) {
-                        Some(hit) => {
-                            from_static = true;
-                            Some(hit)
-                        }
-                        None => sched.pop(w).or_else(|| {
-                            (1..threads)
-                                .find_map(|d| take_head((w + d) % threads))
-                                .inspect(|_| from_static = true)
-                        }),
+                    // `schedule`), then cursor helping: advance another
+                    // worker's ready head rather than idle while its owner
+                    // is off-CPU. Queued: the ready heaps.
+                    let next = match plan.as_deref() {
+                        Some(p) => (0..threads).find_map(|d| take_head(p, (w + d) % threads)),
+                        None => sched.pop(w),
                     };
                     let Some((tile_idx, edges)) = next else {
                         if executed.load(Ordering::Acquire) >= owned {
@@ -1082,19 +1072,19 @@ where
                             continue;
                         }
                         {
-                            // "Work this worker could act on": a non-empty
-                            // dynamic heap, or any cursor head parked ready
-                            // (helping makes every ready head actionable by
-                            // every worker).
-                            let actionable = sched.dynamic_ready_len() > 0
-                                || plan.as_deref().is_some_and(|p| {
-                                    (0..threads).any(|ow| {
-                                        let c = cursors[ow].load(Ordering::Acquire);
-                                        p.sequence(ow)
-                                            .get(c)
-                                            .is_some_and(|&head| sched.static_ready(head as usize))
-                                    })
-                                });
+                            // "Work this worker could act on": any cursor
+                            // head parked ready (helping makes every ready
+                            // head actionable by every worker), or a
+                            // non-empty heap.
+                            let actionable = match plan.as_deref() {
+                                Some(p) => (0..threads).any(|ow| {
+                                    let c = cursors[ow].load(Ordering::Acquire);
+                                    p.sequence(ow)
+                                        .get(c)
+                                        .is_some_and(|&head| sched.static_ready(head as usize))
+                                }),
+                                None => sched.dynamic_ready_len() > 0,
+                            };
                             let mut guard = cv_mutex.lock();
                             if !actionable
                                 && executed.load(Ordering::Acquire) < owned
@@ -1356,11 +1346,7 @@ where
                         .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
                     pool.release(values, ghosts, geom.clone(), written);
                     mem.tile_released();
-                    if from_static {
-                        counts.tiles_static += 1;
-                    } else {
-                        counts.tiles_dynamic += 1;
-                    }
+                    tiles_run += 1;
                     note_progress();
 
                     let done = executed.fetch_add(1, Ordering::AcqRel) + 1;
@@ -1370,10 +1356,7 @@ where
                 }
                 counts.geom_builds = built;
                 counts.geom_hits = hit;
-                tiles_per_worker[w].store(
-                    counts.tiles_static + counts.tiles_dynamic,
-                    Ordering::Relaxed,
-                );
+                tiles_per_worker[w].store(tiles_run, Ordering::Relaxed);
                 totals.lock().add(&counts);
                 // Cross-run reuse: hand the cleared buffers back for the
                 // next execution of this plan. A buffer abandoned by a
@@ -1455,8 +1438,6 @@ where
         tiles_executed: executed.load(Ordering::Acquire) - resumed,
         schedule: resolved_schedule,
         shape: tiling.shape(),
-        tiles_static: totals.tiles_static,
-        tiles_dynamic: totals.tiles_dynamic,
         cells_computed: totals.cells,
         interior_cells: totals.interior,
         boundary_cells: totals.boundary,
@@ -1765,39 +1746,25 @@ mod tests {
     }
 
     #[test]
-    fn static_and_mixed_schedules_match_dynamic() {
+    fn static_schedule_matches_dynamic() {
         let tiling = triangle(2);
         let n = 20i64;
         let expect = brute(n)[&(0, 0)];
         for threads in [1usize, 2, 4] {
-            for schedule in [Schedule::Static, Schedule::Mixed] {
-                let config = NodeConfig::new(threads, 2).with_schedule(schedule);
-                let res: NodeResult<u64> =
-                    run_with(&tiling, &[n], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap();
-                assert_eq!(res.probes[0], Some(expect), "{schedule} threads={threads}");
-                let stats = &res.stats;
-                assert_eq!(stats.schedule, schedule);
-                assert_eq!(
-                    stats.tiles_static + stats.tiles_dynamic,
-                    stats.tiles_executed
-                );
-                match schedule {
-                    // Every tile pinned: nothing flows through the heaps,
-                    // so nothing can be stolen.
-                    Schedule::Static => {
-                        assert_eq!(stats.tiles_static, stats.tiles_executed);
-                        assert_eq!(stats.steal_count, 0);
-                        assert_eq!(stats.steal_fail_count, 0);
-                    }
-                    // The triangle's hypotenuse tiles are clipped, so a
-                    // mixed run must split the work both ways.
-                    Schedule::Mixed => {
-                        assert!(stats.tiles_static > 0, "no interior tiles pinned");
-                        assert!(stats.tiles_dynamic > 0, "no boundary tiles left dynamic");
-                    }
-                    Schedule::Dynamic => unreachable!(),
-                }
-            }
+            let config = NodeConfig::new(threads, 2).with_schedule(Schedule::Static);
+            let res: NodeResult<u64> =
+                run_with(&tiling, &[n], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap();
+            assert_eq!(res.probes[0], Some(expect), "threads={threads}");
+            let stats = &res.stats;
+            assert_eq!(stats.schedule, Schedule::Static);
+            assert_eq!(
+                stats.tiles_per_worker.iter().sum::<u64>(),
+                stats.tiles_executed
+            );
+            // Every tile pinned: nothing flows through the heaps, so
+            // nothing can be stolen.
+            assert_eq!(stats.steal_count, 0);
+            assert_eq!(stats.steal_fail_count, 0);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Static and mixed wavefront schedules.
+//! Static wavefront schedules.
 //!
 //! The paper's generated programs pull every tile through a dynamic ready
 //! queue, which is robust for irregular polytopes but pays queue and steal
@@ -9,16 +9,13 @@
 //! tile sequence in pipeline order, and executes it front to back without
 //! ever touching the ready heaps or stealing.
 //!
-//! Three modes:
+//! A run is pinned or it is queued, decided once per run:
 //!
 //! * [`Schedule::Dynamic`] — the work-stealing ready heaps; always safe.
 //! * [`Schedule::Static`] — every owned tile is pinned to a per-worker
 //!   sequence. Requested via [`Schedule::Static`] but *applied* only when
 //!   the load model reports uniform slabs (see `core::loadbalance`);
 //!   irregular polytopes fall back to `Dynamic`.
-//! * [`Schedule::Mixed`] — interior tiles (full `w₁ × … × w_d` boxes, whose
-//!   cell count the Ehrhart model predicts exactly) are pinned statically;
-//!   boundary tiles, clipped by the polytope, go through the dynamic queue.
 //!
 //! # The pipeline deal
 //!
@@ -41,17 +38,13 @@
 //!
 //! All per-worker sequences are restrictions of one global total order
 //! (lex on adjusted coords with `p` first), and that order is topological.
-//! Consider the unexecuted statically-pinned tile with the globally
-//! smallest key. All of its statically-pinned dependencies have strictly
-//! smaller keys — hence are executed — and every earlier tile in its
+//! Consider the unexecuted tile of this rank with the globally smallest
+//! key. All of its dependencies on this rank have strictly smaller keys —
+//! hence are executed (an edge from another rank arrives when that rank,
+//! by the same argument, gets there) — and every earlier tile in its
 //! owner's sequence also has a smaller key, so its owner's cursor is
 //! parked exactly on it: the moment its last dependency edge arrives, that
-//! worker proceeds. In `Mixed` mode a pinned tile may additionally wait on
-//! *dynamic* boundary tiles; walking the unexecuted-ancestor sub-DAG from
-//! such a dependency reaches a source all of whose producers are executed,
-//! which therefore must be dynamic and ready — and workers blocked on
-//! their static cursor keep draining the dynamic queue, so that source
-//! executes. Some worker always makes progress.
+//! worker proceeds. Some worker always makes progress.
 
 use dpgen_tiling::{Coord, Direction, TileGraph, Tiling};
 use std::fmt;
@@ -61,8 +54,6 @@ use std::fmt;
 /// `Static` is a *request*: the runtime applies it only when the load
 /// model's slab-uniformity check passes, and falls back to `Dynamic`
 /// otherwise (the resolved mode is reported in `RunStats::schedule`).
-/// `Mixed` always applies — its boundary tiles stay dynamic, so it needs
-/// no uniformity guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Work-stealing ready heaps for every tile (the paper's runtime).
@@ -71,8 +62,6 @@ pub enum Schedule {
     /// Precomputed per-worker wavefront sequences for every owned tile;
     /// falls back to `Dynamic` on non-uniform polytopes.
     Static,
-    /// Interior tiles pinned statically, boundary tiles dynamic.
-    Mixed,
 }
 
 impl Schedule {
@@ -81,7 +70,6 @@ impl Schedule {
         match self {
             Schedule::Dynamic => "dynamic",
             Schedule::Static => "static",
-            Schedule::Mixed => "mixed",
         }
     }
 
@@ -90,7 +78,6 @@ impl Schedule {
         match self {
             Schedule::Dynamic => 0,
             Schedule::Static => 1,
-            Schedule::Mixed => 2,
         }
     }
 }
@@ -101,28 +88,19 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// A precomputed static execution plan for one rank: per-worker tile
-/// sequences in wavefront order, plus the membership bits the scheduler
-/// routes ready tiles away from the heaps by. Tiles are named by their
-/// index in the [`TileGraph`] the plan was built on.
+/// A precomputed static execution plan for one rank: per-worker sequences
+/// of its tiles in wavefront order. Tiles are named by their index in the
+/// [`TileGraph`] the plan was built on.
 #[derive(Debug)]
 pub struct StaticPlan {
     sequences: Vec<Vec<u32>>,
-    /// One bit per tile of the graph.
-    members: Vec<u64>,
-    len: usize,
-    mode: Schedule,
 }
 
 impl StaticPlan {
-    /// Build the plan for the `owned` tiles of `graph` over `workers`
-    /// threads.
+    /// Build the plan pinning every one of the `owned` tiles of `graph`
+    /// over `workers` threads; `None` when there are none.
     ///
-    /// Returns `None` for [`Schedule::Dynamic`] (no plan) and for a
-    /// [`Schedule::Mixed`] polytope with no interior tiles (an all-boundary
-    /// problem degenerates to pure dynamic scheduling).
-    ///
-    /// Candidates are dealt by *pipeline row*: the plan picks the axis `p`
+    /// Tiles are dealt by *pipeline row*: the plan picks the axis `p`
     /// with the most distinct flow-adjusted tile coordinates, assigns row
     /// `r` along `p` to worker `r mod workers`, and orders every sequence
     /// lexicographically on the adjusted coordinates with `p` first
@@ -134,54 +112,34 @@ impl StaticPlan {
         graph: &TileGraph,
         owned: impl IntoIterator<Item = usize>,
         workers: usize,
-        mode: Schedule,
     ) -> Option<StaticPlan> {
         let workers = workers.max(1);
         let tiling = graph.tiling();
-        let mut plan = StaticPlan {
-            sequences: Vec::new(),
-            members: vec![0; graph.len().div_ceil(64)],
-            len: 0,
-            mode,
-        };
-        let mut point = tiling.make_point(graph.params());
+        let mut pinned = vec![false; graph.len()];
         for i in owned {
-            let pinned = match mode {
-                Schedule::Dynamic => return None,
-                Schedule::Static => true,
-                // Corner containment test (constant work per tile) instead
-                // of the exact Ehrhart count: building the plan is on the
-                // run's critical path and charged to init_time, and the
-                // per-tile count made Mixed measurably slower than Static
-                // on all-interior spaces.
-                Schedule::Mixed => tiling.tile_is_full(&graph.tiles()[i], &mut point),
-            };
-            if pinned && !plan.is_member(i) {
-                plan.members[i / 64] |= 1 << (i % 64);
-                plan.len += 1;
-            }
+            pinned[i] = true;
         }
-        if plan.is_empty() {
+        if !pinned.contains(&true) {
             return None;
         }
         let directions = tiling.templates().directions();
-        let pinned = (0..graph.len()).filter(|&i| plan.is_member(i));
-        let p = pipeline_dim(pinned.map(|i| &graph.tiles()[i]), tiling.dims());
+        let members = (0..graph.len()).filter(|&i| pinned[i]);
+        let p = pipeline_dim(members.map(|i| &graph.tiles()[i]), tiling.dims());
         let mut sequences = vec![Vec::new(); workers];
         for &i in &graph.ordering(false, &[p]).order {
-            if plan.is_member(i as usize) {
+            if pinned[i as usize] {
                 let row = adjusted(&graph.tiles()[i as usize], p, directions);
                 sequences[row.rem_euclid(workers as i64) as usize].push(i);
             }
         }
-        plan.sequences = sequences;
-        Some(plan)
+        Some(StaticPlan { sequences })
     }
 
     /// [`StaticPlan::build_on`] for a bare tiling, at the parameters bound
     /// in `point`: derives a graph of its own to index the `owned` tiles
-    /// (those outside the tile space are ignored). What `benchmark/`
-    /// times; everything that runs has a graph and calls `build_on`.
+    /// (those outside the tile space are ignored); `None` under
+    /// [`Schedule::Dynamic`]. What `benchmark/` times; everything that runs
+    /// has a graph and calls `build_on`.
     #[doc(hidden)]
     pub fn build(
         tiling: &Tiling,
@@ -190,16 +148,14 @@ impl StaticPlan {
         workers: usize,
         mode: Schedule,
     ) -> Option<StaticPlan> {
+        if mode == Schedule::Dynamic {
+            return None;
+        }
         let bound = |&col: &usize| i64::try_from(point[col]).expect("parameters are bound as i64");
         let params: Vec<i64> = tiling.param_cols().iter().map(bound).collect();
         let graph = tiling.graph(&params);
         let owned = owned.iter().filter_map(|t| graph.index_of(t));
-        StaticPlan::build_on(&graph, owned, workers, mode)
-    }
-
-    /// The mode this plan realises (`Static` or `Mixed`).
-    pub fn mode(&self) -> Schedule {
-        self.mode
+        StaticPlan::build_on(&graph, owned, workers)
     }
 
     /// Per-worker tile sequences, wavefront-ordered.
@@ -212,19 +168,14 @@ impl StaticPlan {
         &self.sequences[w]
     }
 
-    /// Whether tile `tile` of the graph is pinned by this plan.
-    pub fn is_member(&self, tile: usize) -> bool {
-        (self.members.get(tile / 64)).is_some_and(|word| word >> (tile % 64) & 1 == 1)
-    }
-
     /// Total pinned tiles across all workers.
     pub fn len(&self) -> usize {
-        self.len
+        self.sequences.iter().map(Vec::len).sum()
     }
 
     /// True when no tile is pinned.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
@@ -263,7 +214,7 @@ mod tests {
         assert_eq!(Schedule::default(), Schedule::Dynamic);
         assert_eq!(Schedule::Dynamic.name(), "dynamic");
         assert_eq!(Schedule::Static.to_string(), "static");
-        assert_eq!(Schedule::Mixed.code(), 2);
+        assert_eq!(Schedule::Static.code(), 1);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //!    priority's total order ([`TilePriority::ordering`], sorted once per
 //!    graph and priority and looked up here the first time a tile reaches a
 //!    heap), or the arrival number under [`TilePriority::Fifo`].
-//! 3. **Pinned tiles park in their slot.** A tile a [`StaticPlan`] pins
-//!    touches no heap: when its last edge arrives the slot is marked
-//!    *parked* and the worker whose cursor names it next collects it with
-//!    [`TileScheduler::take_static`].
+//! 3. **A pinned run's tiles park in their slot.** Under a static plan
+//!    ([`TileScheduler::pinned`]) no tile touches a heap: when its last
+//!    edge arrives the slot is marked *parked* and the worker whose cursor
+//!    names it next collects it with [`TileScheduler::take_static`].
 //!
 //! Priority ordering is *best-effort per worker*: each heap pops in true
 //! priority order, but a stolen tile may run before a better-priority tile
@@ -45,7 +45,6 @@
 use crate::error::PendingTile;
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
-use crate::schedule::StaticPlan;
 use crate::trace::{EventKind, Tracer};
 use dpgen_tiling::{TileGraph, TileOrdering};
 use parking_lot::{Mutex, MutexGuard};
@@ -84,7 +83,7 @@ pub struct DuplicateEdge {
 enum State {
     /// Fewer edges than the tile's `dep_total` have arrived.
     Waiting,
-    /// Complete and pinned: waiting in the slot for `take_static`.
+    /// Complete, in a pinned run: waiting in the slot for `take_static`.
     Parked,
     /// Complete and in a ready heap.
     Queued,
@@ -119,7 +118,9 @@ pub struct TileScheduler<'g, T> {
     queues: Vec<WorkerQueue>,
     /// How many slots are `Parked`, readable without locks.
     parked: AtomicUsize,
-    plan: Option<Arc<StaticPlan>>,
+    /// Whether the run follows a static plan: every tile whose dependency
+    /// set completes parks, none is queued. One value per run.
+    pinned: bool,
     /// Arrival numbers: `Fifo`'s key, and the round-robin of initial tiles.
     seq: AtomicU32,
     stats: Arc<MemoryStats>,
@@ -150,7 +151,7 @@ impl<'g, T> TileScheduler<'g, T> {
                 .map(|_| WorkerQueue::default())
                 .collect(),
             parked: AtomicUsize::new(0),
-            plan: None,
+            pinned: false,
             seq: AtomicU32::new(0),
             stats,
             steals: AtomicU64::new(0),
@@ -167,11 +168,12 @@ impl<'g, T> TileScheduler<'g, T> {
         self
     }
 
-    /// Attach a static plan built on the same graph: ready tiles the plan
-    /// pins park in their slot (collected by [`TileScheduler::take_static`]
-    /// in plan order) instead of entering the work-stealing heaps.
-    pub fn with_plan(mut self, plan: Option<Arc<StaticPlan>>) -> TileScheduler<'g, T> {
-        self.plan = plan;
+    /// Whether the run follows a static plan over every tile it delivers
+    /// to: ready tiles then park in their slot (collected by
+    /// [`TileScheduler::take_static`] in plan order) instead of entering
+    /// the work-stealing heaps.
+    pub fn pinned(mut self, pinned: bool) -> TileScheduler<'g, T> {
+        self.pinned = pinned;
         self
     }
 
@@ -195,16 +197,29 @@ impl<'g, T> TileScheduler<'g, T> {
         ordering.as_deref().map(|o| &o.rank[..])
     }
 
-    /// Send a tile whose slot was just marked `state` on its way: a parked
+    /// The state a tile enters when its dependency set completes.
+    fn ready_state(&self) -> State {
+        if self.pinned {
+            State::Parked
+        } else {
+            State::Queued
+        }
+    }
+
+    /// Send a tile whose slot was just marked ready on its way: a parked
     /// tile is counted (its owner's cursor will collect it), a queued one
     /// goes to `worker`'s ready heap.
-    fn route_ready(&self, worker: usize, tile: usize, state: State) {
-        let parked = state == State::Parked;
+    fn route_ready(&self, worker: usize, tile: usize) {
         if let Some(t) = &self.tracer {
             let coord = &self.graph.tiles()[tile];
-            t.record(worker, EventKind::TileReady, Some(coord), parked as u64);
+            t.record(
+                worker,
+                EventKind::TileReady,
+                Some(coord),
+                self.pinned as u64,
+            );
         }
-        if parked {
+        if self.pinned {
             self.parked.fetch_add(1, Ordering::Release);
             return;
         }
@@ -218,33 +233,25 @@ impl<'g, T> TileScheduler<'g, T> {
         q.len.store(heap.len(), Ordering::Release);
     }
 
-    /// The state a tile enters when its dependency set completes.
-    fn ready_state(&self, tile: usize) -> State {
-        match &self.plan {
-            Some(plan) if plan.is_member(tile) => State::Parked,
-            _ => State::Queued,
-        }
-    }
-
     /// Enqueue a tile with no dependencies (Section IV-K). Initial tiles
-    /// are spread round-robin over the worker queues (statically pinned
-    /// ones park in their slot).
+    /// are spread round-robin over the worker queues (in a pinned run they
+    /// park in their slot).
     pub fn mark_initial(&self, tile: usize) {
-        let state = self.ready_state(tile);
-        self.timed_lock(&self.slots[tile]).state = state;
-        let turn = match state {
-            State::Queued if self.queues.len() > 1 => self.seq.fetch_add(1, Ordering::Relaxed) + 1,
-            _ => 0,
+        self.timed_lock(&self.slots[tile]).state = self.ready_state();
+        let turn = if !self.pinned && self.queues.len() > 1 {
+            self.seq.fetch_add(1, Ordering::Relaxed) + 1
+        } else {
+            0
         };
-        self.route_ready(turn as usize % self.queues.len(), tile, state);
+        self.route_ready(turn as usize % self.queues.len(), tile);
     }
 
     /// Deliver a batch of edges — a finished tile's local outputs, or the
     /// edges a node's receive pass collected — each under its consumer's
-    /// own lock. Newly ready tiles go to `worker`'s queue (or park, when
-    /// pinned). Returns how many tiles became ready, or the first edge that
-    /// repeats one already delivered (it is dropped; the rest of the batch
-    /// is delivered all the same).
+    /// own lock. Newly ready tiles go to `worker`'s queue (or park, in a
+    /// pinned run). Returns how many tiles became ready, or the first edge
+    /// that repeats one already delivered (it is dropped; the rest of the
+    /// batch is delivered all the same).
     ///
     /// The batch vector is drained in place and keeps its capacity, so a
     /// worker that presizes it once (from the tiling's dependency count)
@@ -274,16 +281,17 @@ impl<'g, T> TileScheduler<'g, T> {
                 edges += 1;
                 cells += payload.len();
                 slot.edges.push((dep, payload));
-                (slot.edges.len() == total).then(|| {
-                    slot.state = self.ready_state(tile);
-                    slot.state
-                })
+                let readied = slot.edges.len() == total;
+                if readied {
+                    slot.state = self.ready_state();
+                }
+                readied
             };
             // The heap is pushed after the slot unlocks, so the scheduler
             // never holds two locks at once.
-            if let Some(state) = readied {
+            if readied {
                 completed += 1;
-                self.route_ready(worker, tile, state);
+                self.route_ready(worker, tile);
             }
         }
         self.stats.edges_buffered(edges, cells);
@@ -350,9 +358,8 @@ impl<'g, T> TileScheduler<'g, T> {
     }
 
     /// Take a statically pinned tile if its dependency set is complete.
-    /// The caller (the worker whose plan sequence names `tile` next) keeps
-    /// polling until this succeeds, draining dynamic work in the meantime
-    /// under [`crate::Schedule::Mixed`].
+    /// The caller (the worker whose plan sequence names `tile` next, or
+    /// one helping it) keeps polling until this succeeds.
     pub fn take_static(&self, tile: usize) -> Option<TileEdges<T>> {
         if self.parked.load(Ordering::Acquire) == 0 {
             return None;
@@ -444,7 +451,6 @@ impl<'g, T> TileScheduler<'g, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Schedule;
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_tiling::{Coord, Template, TemplateSet, TilingBuilder};
 
@@ -617,31 +623,38 @@ mod tests {
     }
 
     #[test]
-    fn plan_members_bypass_the_heaps() {
+    fn a_pinned_run_bypasses_the_heaps() {
         let graph = square(1);
-        let (pinned, free) = (at(&graph, [1, 0]), at(&graph, [0, 1]));
-        let plan = StaticPlan::build_on(&graph, [pinned], 2, Schedule::Static).unwrap();
-        assert!(plan.is_member(pinned) && !plan.is_member(free));
-        let s = sched(&graph, TilePriority::Fifo, 2).with_plan(Some(Arc::new(plan)));
-        // A pinned tile completing its deps parks in its slot …
-        assert!(!s.static_ready(pinned));
+        let (head, other) = (at(&graph, [1, 0]), at(&graph, [0, 1]));
+        let s = sched(&graph, TilePriority::Fifo, 2).pinned(true);
+        // A tile completing its deps parks in its slot …
+        assert!(!s.static_ready(head));
         let made_ready = s.deliver(0, &mut vec![edge(&graph, [1, 0], [-1, 0], vec![1.0])]);
         assert_eq!(made_ready, Ok(1));
-        assert!(s.static_ready(pinned));
+        assert!(s.static_ready(head));
         assert_eq!(s.dynamic_ready_len(), 0);
         assert_eq!(s.ready_len(), 1);
-        assert!(s.pop(0).is_none(), "pinned tile must not reach the heaps");
+        assert!(
+            s.pop(0).is_none(),
+            "no tile of a pinned run reaches the heaps"
+        );
         // … and is only reachable through take_static, with edge accounting.
-        assert!(s.take_static(free).is_none());
-        let edges = s.take_static(pinned).unwrap();
+        assert!(s.take_static(other).is_none(), "not ready yet");
+        let edges = s.take_static(head).unwrap();
         assert_eq!(edges.len(), 1);
-        assert!(s.take_static(pinned).is_none(), "taken once");
+        assert!(s.take_static(head).is_none(), "taken once");
         assert_eq!(s.stats.current_edges(), 0);
-        // Non-members still flow through the dynamic path.
-        s.deliver(0, &mut vec![edge(&graph, [0, 1], [0, -1], vec![])])
+        // Initial tiles park too.
+        s.mark_initial(at(&graph, [0, 0]));
+        assert_eq!((s.dynamic_ready_len(), s.ready_len()), (0, 1));
+        // The same delivery in a queued run goes to the deliverer's heap.
+        let queued = sched(&graph, TilePriority::Fifo, 2);
+        queued
+            .deliver(0, &mut vec![edge(&graph, [0, 1], [0, -1], vec![])])
             .unwrap();
-        assert_eq!(s.pop(0).unwrap().0, free);
-        assert_eq!(s.ready_len(), 0);
+        assert!(!queued.static_ready(other) && queued.take_static(other).is_none());
+        assert_eq!(queued.pop(0).unwrap().0, other);
+        assert_eq!(queued.ready_len(), 0);
     }
 
     #[test]

@@ -17,10 +17,6 @@ pub struct RunStats {
     /// The cell-level region shape of the tiling this node ran
     /// ([`TileShape::Banded`] for sparse diagonal-band spaces).
     pub shape: TileShape,
-    /// Tiles executed from a precomputed static per-worker sequence.
-    pub tiles_static: u64,
-    /// Tiles executed through the dynamic ready heaps.
-    pub tiles_dynamic: u64,
     /// Cells computed (center-loop executions).
     pub cells_computed: u64,
     /// Cells computed inside interior fast-path runs (all validity checks
@@ -127,15 +123,6 @@ impl RunStats {
             return 0.0;
         }
         self.idle_time.as_secs_f64() / (self.total_time.as_secs_f64() * self.threads as f64)
-    }
-
-    /// Fraction of tiles executed from the static per-worker sequences
-    /// (1.0 for a fully static run, 0.0 for a dynamic one).
-    pub fn static_fraction(&self) -> f64 {
-        if self.tiles_executed == 0 {
-            return 0.0;
-        }
-        self.tiles_static as f64 / self.tiles_executed as f64
     }
 
     /// Fraction of tiles that were obtained by stealing.

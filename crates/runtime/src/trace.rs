@@ -42,17 +42,14 @@ use std::time::Instant;
 
 /// How much to record.
 ///
-/// Ordered: each level includes everything below it. `Counters` enables
-/// metrics aggregation without any ring events; `Spans` records the events
-/// needed for per-worker busy/idle timelines; `Full` adds per-edge and
-/// transport events (several per tile — the most detailed and the most
-/// ring-hungry).
+/// Ordered: each level includes everything below it. `Spans` records the
+/// events needed for per-worker busy/idle timelines; `Full` adds per-edge
+/// and transport events (several per tile — the most detailed and the most
+/// ring-hungry). The [`MetricsRegistry`] of a run is filled at every level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
-    /// No tracing, no metrics beyond what the run always collects.
+    /// No ring events.
     Off,
-    /// Populate the [`MetricsRegistry`] but record no ring events.
-    Counters,
     /// Tile spans and worker state: `TileStart`, `TileDone`, `Steal`,
     /// `WorkerIdle`/`WorkerResume`, `StallProbe`, `Fault`.
     Spans,
@@ -126,7 +123,7 @@ pub enum EventKind {
     /// the offending tile when the error carries one, `aux` = severity.
     Fault = 13,
     /// The rank resolved its schedule mode at run start. `aux` = the
-    /// [`crate::Schedule`] code (0 dynamic, 1 static, 2 mixed) in the low
+    /// [`crate::Schedule`] code (0 dynamic, 1 static) in the low
     /// 8 bits, statically pinned tile count in the bits above.
     ScheduleMode = 14,
     /// A peer rank was declared dead. `aux` = the dead rank.
@@ -1004,8 +1001,7 @@ mod tests {
 
     #[test]
     fn level_gating() {
-        assert!(TraceLevel::Off < TraceLevel::Counters);
-        assert!(TraceLevel::Counters < TraceLevel::Spans);
+        assert!(TraceLevel::Off < TraceLevel::Spans);
         assert!(TraceLevel::Spans < TraceLevel::Full);
         let t = Tracer::new(
             0,
@@ -1021,11 +1017,8 @@ mod tests {
         let trace = t.drain();
         assert_eq!(trace.tracks[0].events.len(), 1);
         assert_eq!(trace.tracks[0].events[0].kind, EventKind::TileStart);
-        // Off / Counters never build a tracer at all.
+        // Off never builds a tracer at all.
         assert!(Tracer::create(0, 1, TraceConfig::default(), Instant::now()).is_none());
-        assert!(
-            Tracer::create(0, 1, TraceConfig::at(TraceLevel::Counters), Instant::now()).is_none()
-        );
         assert!(Tracer::create(0, 1, TraceConfig::at(TraceLevel::Spans), Instant::now()).is_some());
     }
 

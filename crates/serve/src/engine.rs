@@ -466,6 +466,10 @@ mod tests {
             ExecOpts::new().priority(order(vec![0])),
             ExecOpts::new().ranks(2).balance(slabs(vec![])),
             ExecOpts::new().ranks(2).balance(slabs(vec![7])),
+            ExecOpts {
+                ranks: 0,
+                ..ExecOpts::new()
+            },
         ];
         let n_bad = bad.len() as u64;
         // All queued before any is waited on: each bad job has the good

@@ -809,37 +809,6 @@ impl Tiling {
             .expect("tile cell count failed")
     }
 
-    /// Is `tile` a *full* box — does every one of its `w_1 × … × w_d` cells
-    /// lie inside the iteration space?
-    ///
-    /// Equivalent to `tile_cell_count(tile, point) == widths.iter().product()`
-    /// but costs `2^d` constraint evaluations instead of an Ehrhart count:
-    /// the local system is an intersection of half-spaces, each affine in
-    /// the local indices once the tile and parameters are fixed, and an
-    /// affine function attains its minimum over a box at a corner — so the
-    /// box is inside iff all `2^d` corners are.
-    pub fn tile_is_full(&self, tile: &Coord, point: &mut [i128]) -> bool {
-        self.set_tile(tile, point);
-        let d = self.dims();
-        for mask in 0..(1usize << d) {
-            for k in 0..d {
-                point[self.i_cols[k]] = if mask & (1 << k) != 0 {
-                    self.widths[k] as i128 - 1
-                } else {
-                    0
-                };
-            }
-            let inside = self
-                .local_system
-                .contains(point)
-                .expect("tile corner evaluation failed");
-            if !inside {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Total number of cells in the whole iteration space (original space;
     /// `point` must be an original-space point with parameters bound).
     pub fn total_cells(&self, params: &[i64]) -> u128 {
@@ -1560,29 +1529,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tile_is_full_matches_exact_cell_count() {
-        for w in [1i64, 2, 3, 4, 5] {
-            let tiling = triangle_tiling(w);
-            let n = 11i64;
-            let full = (w * w) as u128;
-            let mut point = tiling.make_point(&[n]);
-            let mut tiles = Vec::new();
-            tiling.for_each_tile(&mut point, |t| tiles.push(t));
-            let mut fulls = 0;
-            for t in &tiles {
-                let mut p = tiling.make_point(&[n]);
-                let exact = tiling.tile_cell_count(t, &mut p) == full;
-                let mut p = tiling.make_point(&[n]);
-                assert_eq!(tiling.tile_is_full(t, &mut p), exact, "w={w} tile {t:?}");
-                fulls += exact as u32;
-            }
-            if w <= 3 {
-                assert!(fulls > 0, "w={w}: expected some full tiles");
-            }
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -1642,7 +1588,6 @@ mod tests {
             cut in (0i64..3, 0i64..3, 0i64..3),
             sign in proptest::bool::ANY,
         ) {
-            use proptest::prelude::*;
             let templates: Vec<Template> = comps
                 .iter()
                 .enumerate()
@@ -1666,16 +1611,6 @@ mod tests {
             let set = TemplateSet::new(2, templates).unwrap();
             let tiling = TilingBuilder::new(sys, set, vec![w1, w2]).build().unwrap();
             check_runs_partition(&tiling, &[n]);
-            let full = (w1 * w2) as u128;
-            let mut point = tiling.make_point(&[n]);
-            let mut tiles = Vec::new();
-            tiling.for_each_tile(&mut point, |t| tiles.push(t));
-            for t in &tiles {
-                let mut p = tiling.make_point(&[n]);
-                let exact = tiling.tile_cell_count(t, &mut p) == full;
-                let mut p = tiling.make_point(&[n]);
-                prop_assert_eq!(tiling.tile_is_full(t, &mut p), exact);
-            }
         }
     }
 

@@ -287,9 +287,8 @@ fn lcs_matrix_bit_identical_across_threads_and_widths() {
     }
 }
 
-/// Schedule-mode consistency matrix: Dynamic, Static and Mixed wavefront
-/// schedules are bit-identical on LCS across every thread count and
-/// several widths. Width 2 divides the first sequence's extent (12), so
+/// Schedule-mode consistency matrix: the Dynamic and Static schedules are
+/// bit-identical on LCS across every thread count and several widths. Width 2 divides the first sequence's extent (12), so
 /// its slabs are uniform and a requested `Static` must actually stick:
 /// all tiles statically dispatched, zero steals. The ragged widths
 /// exercise the silent fallback to `Dynamic` on the same assertions.
@@ -304,7 +303,7 @@ fn lcs_schedule_matrix_bit_identical() {
     for width in [2i64, 5, 16] {
         let program = Lcs::program(2, width).unwrap();
         let reference = run_reference::<i64, _>(program.tiling(), &problem.params(), &problem);
-        for schedule in [Schedule::Dynamic, Schedule::Static, Schedule::Mixed] {
+        for schedule in [Schedule::Dynamic, Schedule::Static] {
             for threads in THREAD_MATRIX {
                 let probe = Probe::many(&[&goal, &mid]);
                 let opts = ExecOpts::new()
@@ -322,21 +321,20 @@ fn lcs_schedule_matrix_bit_identical() {
                 let stats = &res.per_rank[0].stats;
                 assert_hot_path_stats(stats, threads, &ctx);
                 assert_eq!(
-                    stats.tiles_static + stats.tiles_dynamic,
+                    stats.tiles_per_worker.iter().sum::<u64>(),
                     stats.tiles_executed,
                     "{ctx}"
                 );
-                match stats.schedule {
-                    Schedule::Static => {
-                        assert_eq!(stats.tiles_static, stats.tiles_executed, "{ctx}");
-                        assert_eq!(stats.steal_count, 0, "{ctx}: static runs must not steal");
-                    }
-                    Schedule::Dynamic => assert_eq!(stats.tiles_static, 0, "{ctx}"),
-                    Schedule::Mixed => {}
-                }
-                if schedule == Schedule::Static && width == 2 {
-                    // Slabs are uniform at width 2: the request must stick.
-                    assert_eq!(stats.schedule, Schedule::Static, "{ctx}");
+                // Slabs are uniform at width 2 only: there the request must
+                // stick, elsewhere it falls back.
+                let want_mode = if width == 2 {
+                    schedule
+                } else {
+                    Schedule::Dynamic
+                };
+                assert_eq!(stats.schedule, want_mode, "{ctx}");
+                if stats.schedule == Schedule::Static {
+                    assert_eq!(stats.steal_count, 0, "{ctx}: static runs must not steal");
                 }
             }
         }
@@ -369,9 +367,9 @@ fn smith_waterman_matrix_bit_identical() {
     }
 }
 
-/// Smith–Waterman under Static and Mixed schedules: the reduction stays
-/// exactly the dense answer for every thread count, and the static tile
-/// accounting is conserved.
+/// Smith–Waterman under a requested Static schedule: the reduction stays
+/// exactly the dense answer for every thread count, and the tile accounting
+/// is conserved.
 #[test]
 fn smith_waterman_schedule_matrix_bit_identical() {
     let a = random_sequence(44, 21);
@@ -379,28 +377,26 @@ fn smith_waterman_schedule_matrix_bit_identical() {
     let problem = SmithWaterman::new(&a, &b);
     let want = problem.solve_dense();
     let program = SmithWaterman::program(8).unwrap();
-    for schedule in [Schedule::Static, Schedule::Mixed] {
-        for threads in THREAD_MATRIX {
-            let reduce = Reduction::max_i64();
-            let opts = ExecOpts::new()
-                .threads(threads)
-                .priority(TilePriority::column_major(2))
-                .schedule(schedule);
-            let res = program
-                .compile(&problem.params())
-                .execute_reduce::<i64, _>(&PerCell(&problem), &reduce, &opts)
-                .unwrap();
-            let ctx = format!("sw threads={threads} schedule={schedule}");
-            assert_eq!(res.reduction, Some(want), "{ctx}");
-            let stats = &res.per_rank[0].stats;
-            assert_eq!(
-                stats.tiles_static + stats.tiles_dynamic,
-                stats.tiles_executed,
-                "{ctx}"
-            );
-            if stats.schedule == Schedule::Static {
-                assert_eq!(stats.steal_count, 0, "{ctx}: static runs must not steal");
-            }
+    for threads in THREAD_MATRIX {
+        let reduce = Reduction::max_i64();
+        let opts = ExecOpts::new()
+            .threads(threads)
+            .priority(TilePriority::column_major(2))
+            .schedule(Schedule::Static);
+        let res = program
+            .compile(&problem.params())
+            .execute_reduce::<i64, _>(&PerCell(&problem), &reduce, &opts)
+            .unwrap();
+        let ctx = format!("sw threads={threads} schedule=static");
+        assert_eq!(res.reduction, Some(want), "{ctx}");
+        let stats = &res.per_rank[0].stats;
+        assert_eq!(
+            stats.tiles_per_worker.iter().sum::<u64>(),
+            stats.tiles_executed,
+            "{ctx}"
+        );
+        if stats.schedule == Schedule::Static {
+            assert_eq!(stats.steal_count, 0, "{ctx}: static runs must not steal");
         }
     }
 }

@@ -35,11 +35,11 @@ fn corpus_specs_pass_the_differential_matrix() {
     let legs = full_matrix();
     // The replay matrix must include the static-schedule, rank-kill,
     // compiled-plan reuse, and banded legs: corpus bugs fixed under a
-    // Static or Mixed schedule, during elastic recovery, through a cached
+    // Static schedule, during elastic recovery, through a cached
     // Plan executed twice, or on a band-clipped iteration space stay
     // covered forever. (Every leg goes through the engine's one run scan,
     // so there is no batched leg to require.)
-    assert_eq!(legs.len(), 16);
+    assert_eq!(legs.len(), 15);
     assert!(legs.iter().any(|l| l.kill));
     assert!(legs.iter().any(|l| l.plan_reuse));
     assert!(legs.iter().any(|l| l.banded));
@@ -49,7 +49,6 @@ fn corpus_specs_pass_the_differential_matrix() {
     assert!(legs
         .iter()
         .any(|l| l.schedule == Schedule::Static && l.ranks == 2));
-    assert!(legs.iter().any(|l| l.schedule == Schedule::Mixed));
     // At least one corpus entry must declare a band, so the banded
     // serialization path and the band-clipped pipeline replay forever.
     let specs = corpus();

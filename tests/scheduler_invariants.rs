@@ -17,8 +17,7 @@ use dpgen::polyhedra::{ConstraintSystem, Space};
 use dpgen::runtime::sharded::{EdgeDelivery, ShardedScheduler};
 use dpgen::runtime::{
     run_node, Delivery, DuplicateEdge, EdgeMsg, MemoryStats, NodeConfig, NodeJob, PerCell, Probe,
-    RunError, Schedule, SingleOwner, StaticPlan, TilePriority, TileScheduler, Transport,
-    TransportError,
+    RunError, SingleOwner, StaticPlan, TilePriority, TileScheduler, Transport, TransportError,
 };
 use dpgen::tiling::tiling::CellRef;
 use dpgen::tiling::{Coord, Template, TemplateSet, TileGraph, Tiling, TilingBuilder};
@@ -287,12 +286,11 @@ proptest! {
     }
 
     /// The precomputed static plan is a valid parallel schedule: every
-    /// member tile is dealt exactly once, each worker's sequence respects
-    /// the tile DAG (same-worker producers appear earlier), and executing
-    /// the plan — each cursor strictly front-to-back, dynamic boundary
-    /// tiles whenever ready — drains the whole tile set without deadlock.
-    /// `Static` covers exactly the tile set a dynamic run would execute,
-    /// while `Mixed` pins exactly the full-interior tiles.
+    /// owned tile is dealt exactly once and nothing else is, each worker's
+    /// sequence respects the tile DAG (same-worker producers appear
+    /// earlier), and executing the plan — each cursor strictly
+    /// front-to-back, another rank's tiles whenever ready — drains the
+    /// whole tile set without deadlock. Only an empty owned set has no plan.
     #[test]
     fn static_plan_is_a_topological_cover(
         n in 3i64..16,
@@ -301,49 +299,33 @@ proptest! {
         workers in 1usize..5,
         a in 0i64..3,
         b in 0i64..3,
-        mode in proptest::sample::select(vec![Schedule::Static, Schedule::Mixed]),
+        ranks in 1i64..4,
     ) {
         let cut = (a + b > 0).then_some((a, b, a + b + 1));
         let Some(tiling) = build_tiling(cut, (w1, w2)) else { return Ok(()) };
         let graph = tiling.graph(&[n]);
         let tiles = graph.tiles();
-        let mut point = tiling.make_point(&[n]);
-        let Some(plan) = StaticPlan::build_on(&graph, 0..graph.len(), workers, mode) else {
-            // Only Mixed may decline, and only when nothing is interior.
-            prop_assert_eq!(mode, Schedule::Mixed);
-            let full: u128 = (w1 * w2) as u128;
-            for t in tiles {
-                prop_assert!(tiling.tile_cell_count(t, &mut point) < full);
-            }
+        // Rank 0's share of a cyclic deal of the first axis.
+        let owned: Vec<bool> = tiles.iter().map(|t| t[0].rem_euclid(ranks) == 0).collect();
+        let owned_tiles = || (0..graph.len()).filter(|&i| owned[i]);
+        prop_assert!(StaticPlan::build_on(&graph, [], workers).is_none());
+        let Some(plan) = StaticPlan::build_on(&graph, owned_tiles(), workers) else {
+            prop_assert_eq!(owned_tiles().count(), 0, "only no tiles is no plan");
             return Ok(());
         };
-        prop_assert_eq!(plan.mode(), mode);
         prop_assert_eq!(plan.sequences().len(), workers);
 
-        // Every member exactly once across the sequences, and membership
-        // matches the mode.
+        // Every owned tile in exactly one sequence, and no other.
         let mut position: Vec<Option<(usize, usize)>> = vec![None; graph.len()];
         for (w, seq) in plan.sequences().iter().enumerate() {
             for (pos, &t) in seq.iter().enumerate() {
                 let dealt = position[t as usize].replace((w, pos));
                 prop_assert!(dealt.is_none(), "tile {} dealt twice", tiles[t as usize]);
-                prop_assert!(plan.is_member(t as usize));
             }
         }
-        prop_assert_eq!(position.iter().flatten().count(), plan.len());
-        prop_assert!(!plan.is_member(graph.len()), "no tile, no membership");
-        let full: u128 = (w1 * w2) as u128;
+        prop_assert_eq!(owned_tiles().count(), plan.len());
         for (i, t) in tiles.iter().enumerate() {
-            prop_assert_eq!(plan.is_member(i), position[i].is_some());
-            match mode {
-                Schedule::Static => prop_assert!(position[i].is_some()),
-                Schedule::Mixed => prop_assert_eq!(
-                    position[i].is_some(),
-                    tiling.tile_cell_count(t, &mut point) == full,
-                    "mixed membership wrong for {}", t
-                ),
-                Schedule::Dynamic => unreachable!(),
-            }
+            prop_assert_eq!(position[i].is_some(), owned[i], "membership wrong for {}", t);
         }
 
         // Per-worker topological order: a producer dealt to the same
@@ -364,15 +346,15 @@ proptest! {
 
         // Deadlock freedom, checked by direct execution: each cursor moves
         // strictly front-to-back and only when every producer is executed;
-        // dynamic (non-member) tiles run whenever ready. The schedule is
-        // live iff this drains every tile in the space.
+        // tiles of other ranks run whenever ready. The schedule is live iff
+        // this drains every tile in the space.
         let mut executed = vec![false; graph.len()];
         let mut cursors = vec![0usize; workers];
         loop {
             let mut progressed = false;
             let ready = |i: usize, executed: &[bool]| producers(i).all(|p| executed[p]);
             for i in 0..graph.len() {
-                if !plan.is_member(i) && !executed[i] && ready(i, &executed) {
+                if !owned[i] && !executed[i] && ready(i, &executed) {
                     executed[i] = true;
                     progressed = true;
                 }
