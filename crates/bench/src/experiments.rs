@@ -814,8 +814,8 @@ pub fn e12_traceback(quick: bool) -> Table {
     let seqs: Vec<Vec<u8>> = (0..3).map(|k| random_sequence(len, 200 + k)).collect();
     let problem = Msa::new(&[&seqs[0], &seqs[1], &seqs[2]]);
     let program = Msa::program(3, 6).unwrap();
-    let tiling = program.tiling();
-    let log = run_logged::<i64, _>(tiling, &problem.params(), &problem);
+    let graph = program.tiling().graph(&problem.params());
+    let log = run_logged::<i64, _>(&graph, &problem).expect("forward pass records every tile");
     let full = (len as u128 + 1).pow(3);
     let problem2 = problem.clone();
     let mut decide = move |cell: CellRef<'_>, values: &[i64]| -> Option<usize> {
@@ -847,11 +847,10 @@ pub fn e12_traceback(quick: bool) -> Table {
             }
         })
     };
-    let mut tb = Traceback::new(tiling, &problem.params(), &problem, &log);
-    let path = tb.trace(&problem.goal(), &mut decide);
-    let mut point = tiling.make_point(&problem.params());
-    let mut total_tiles = 0usize;
-    tiling.for_each_tile(&mut point, |_| total_tiles += 1);
+    let mut tb = Traceback::new(&graph, &problem, &log);
+    let path = tb
+        .trace(&problem.goal(), &mut decide)
+        .expect("the goal is a cell of the problem");
     table.row(vec![
         len.to_string(),
         full.to_string(),
@@ -859,7 +858,7 @@ pub fn e12_traceback(quick: bool) -> Table {
         fmt_f(100.0 * log.total_cells() as f64 / full as f64, 2),
         (path.len() - 1).to_string(),
         tb.tiles_recomputed.to_string(),
-        total_tiles.to_string(),
+        graph.len().to_string(),
     ]);
     table.note(
         "edge log is O(n^{d-1}) vs O(n^d) full state; traceback recomputes only visited tiles",

@@ -604,9 +604,14 @@ impl Plan {
     /// different one per recovery epoch) the runtime plans in-run. The
     /// tiles' positions in the priority's order — the ready heaps' keys —
     /// are sorted here too (kept by the graph), unless the schedule is
-    /// `Static`, under which no tile reaches a heap.
+    /// `Static`, under which no tile reaches a heap; and the tiles are
+    /// sorted into their geometry classes (no cell is counted for that and
+    /// no recording made: a plan that is only warmed never needs either).
     pub(crate) fn artifacts(&self, opts: &ExecOpts) -> Result<RunArtifacts, RunError> {
         let graph = self.graph()?;
+        // Every execution reads its tiles' recordings by class; sorting the
+        // tiles into classes here puts it in `warm`, not in the first run.
+        graph.classes();
         let schedule = self.resolved_schedule(&graph, opts.schedule);
         let static_plan = if opts.ranks == 1 && schedule == Schedule::Static {
             self.static_plan(&graph, opts.threads)

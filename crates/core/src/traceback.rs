@@ -14,9 +14,10 @@
 //!   and asks a user-supplied decision function which dependency the
 //!   optimal policy follows.
 
-use dpgen_runtime::{Kernel, Value};
+use dpgen_runtime::{CompileFault, CompileStage, EdgeFault, Kernel, RunError, Value};
 use dpgen_tiling::tiling::{CellRef, EachCell};
-use dpgen_tiling::{Coord, TileGeom, Tiling};
+use dpgen_tiling::{Coord, TileGeom, TileGraph};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -51,27 +52,21 @@ impl<T> EdgeLog<T> {
     }
 }
 
-/// Serial forward pass retaining every inter-tile edge.
-pub fn run_logged<T, K>(tiling: &Tiling, params: &[i64], kernel: &K) -> EdgeLog<T>
+/// Serial forward pass over `graph`'s tiles retaining every inter-tile
+/// edge. Fails, typed, when a tile's geometry cannot be recorded.
+pub fn run_logged<T, K>(graph: &TileGraph, kernel: &K) -> Result<EdgeLog<T>, RunError>
 where
     T: Value,
     K: Kernel<T>,
 {
-    let graph = tiling.graph(params);
-    let mut point = tiling.make_point(params);
+    let tiling = graph.tiling();
     // Per tile of the graph, the edges it still waits for.
     let mut remaining: Vec<usize> = (0..graph.len()).map(|i| graph.dep_total(i)).collect();
     let mut queue: VecDeque<usize> = graph.initial().collect();
     let mut log: HashMap<Coord, Vec<(Coord, Vec<T>)>> = HashMap::new();
     while let Some(i) = queue.pop_front() {
-        let tile = graph.tiles()[i];
-        let (values, geom) = compute_tile(
-            tiling,
-            &mut point,
-            kernel,
-            &tile,
-            log.get(&tile).map(Vec::as_slice).unwrap_or(&[]),
-        );
+        let edges = log.get(&graph.tiles()[i]).map(Vec::as_slice).unwrap_or(&[]);
+        let (values, geom) = compute_tile(graph, kernel, i, edges)?;
         // Pack edges for every consumer, log them, and decrement.
         for (dep_idx, dep) in tiling.deps().iter().enumerate() {
             let Some(consumer) = graph.consumer(i, dep_idx) else {
@@ -88,46 +83,58 @@ where
             }
         }
     }
-    EdgeLog { edges: log }
+    Ok(EdgeLog { edges: log })
 }
 
-/// The recorded geometry of `tile` (the node engine's memoized classes).
-fn geometry(tiling: &Tiling, tile: &Coord, point: &mut [i128]) -> Arc<TileGeom> {
-    tiling
-        .geometry(tile, point)
-        .expect("tile geometry failed")
-        .0
+/// The recorded geometry of tile `tile` (the node engine's: one per class).
+fn geometry(graph: &TileGraph, tile: usize) -> Result<Cow<'_, Arc<TileGeom>>, RunError> {
+    graph
+        .geometry(tile)
+        .map_err(|error| RunError::TileGeometry {
+            rank: 0,
+            tile: graph.tiles()[tile],
+            error,
+        })
 }
 
-/// Recompute one tile's values from logged edges by replaying its recorded
-/// geometry, exactly as the node engine executes it.
-fn compute_tile<T, K>(
-    tiling: &Tiling,
-    point: &mut [i128],
+/// Recompute tile `tile`'s values from logged edges by replaying its
+/// recorded geometry, exactly as the node engine executes it.
+fn compute_tile<'g, T, K>(
+    graph: &'g TileGraph,
     kernel: &K,
-    tile: &Coord,
+    tile: usize,
     edges: &[(Coord, Vec<T>)],
-) -> (Vec<T>, Arc<TileGeom>)
+) -> Result<(Vec<T>, Cow<'g, Arc<TileGeom>>), RunError>
 where
     T: Value,
     K: Kernel<T>,
 {
+    let tiling = graph.tiling();
     let mut values = vec![T::default(); tiling.layout().size()];
     for (delta, payload) in edges {
-        let dep_idx = tiling.dep_index(delta).expect("unknown edge offset");
-        let src_geom = geometry(tiling, &tile.add(delta), point);
+        let dep = tiling.dep_index(delta);
+        // A log of another problem's forward pass.
+        let Some((dep_idx, src)) = dep.and_then(|dep| Some((dep, graph.source(tile, dep)?))) else {
+            return Err(RunError::BadEdge(Box::new(EdgeFault {
+                rank: 0,
+                tile: graph.tiles()[tile],
+                delta: *delta,
+                detail: "unknown dependency offset or source tile".to_string(),
+            })));
+        };
+        let src_geom = geometry(graph, src)?;
         let shift = tiling.edges()[dep_idx].ghost_shift;
         for (&loc, &v) in src_geom.edge_cells(dep_idx).iter().zip(payload) {
             values[(loc as i64 + shift) as usize] = v;
         }
     }
-    let geom = geometry(tiling, tile, point);
+    let geom = geometry(graph, tile)?;
     tiling.replay(
         &geom,
-        tile,
+        &graph.tiles()[tile],
         &mut EachCell(|cell: CellRef<'_>| kernel.compute(cell, &mut values)),
     );
-    (values, geom)
+    Ok((values, geom))
 }
 
 /// A decision step: given the cell (with its validity flags and offsets)
@@ -137,11 +144,11 @@ pub type DecideFn<'f, T> = dyn FnMut(CellRef<'_>, &[T]) -> Option<usize> + 'f;
 
 /// Walks optimal-decision paths over a logged forward pass.
 pub struct Traceback<'a, T, K> {
-    tiling: &'a Tiling,
-    params: Vec<i64>,
+    graph: &'a TileGraph,
     kernel: &'a K,
     log: &'a EdgeLog<T>,
-    cache: Option<(Coord, Vec<T>, Arc<TileGeom>)>,
+    /// The tile recomputed last: its index, values and recording.
+    cache: Option<(usize, Vec<T>, Cow<'a, Arc<TileGeom>>)>,
     /// Tiles recomputed so far (a measure of traceback cost).
     pub tiles_recomputed: usize,
 }
@@ -151,16 +158,11 @@ where
     T: Value,
     K: Kernel<T>,
 {
-    /// New traceback over a finished forward pass.
-    pub fn new(
-        tiling: &'a Tiling,
-        params: &[i64],
-        kernel: &'a K,
-        log: &'a EdgeLog<T>,
-    ) -> Traceback<'a, T, K> {
+    /// New traceback over a finished forward pass of `graph`
+    /// ([`run_logged`]).
+    pub fn new(graph: &'a TileGraph, kernel: &'a K, log: &'a EdgeLog<T>) -> Traceback<'a, T, K> {
         Traceback {
-            tiling,
-            params: params.to_vec(),
+            graph,
             kernel,
             log,
             cache: None,
@@ -170,10 +172,26 @@ where
 
     /// Trace from `start`, calling `decide` at every visited cell. Returns
     /// the visited path (including `start`). Stops when `decide` returns
-    /// `None` or the chosen dependency leaves the iteration space.
-    pub fn trace(&mut self, start: &[i64], decide: &mut DecideFn<'_, T>) -> Vec<Coord> {
-        let d = self.tiling.dims();
-        let widths = self.tiling.widths();
+    /// `None` or the chosen dependency leaves the iteration space. A
+    /// `start` that is no cell of the iteration space is a typed
+    /// [`CompileStage::Options`] fault; a tile whose geometry cannot be
+    /// recorded is [`RunError::TileGeometry`].
+    pub fn trace(
+        &mut self,
+        start: &[i64],
+        decide: &mut DecideFn<'_, T>,
+    ) -> Result<Vec<Coord>, RunError> {
+        let graph = self.graph;
+        let tiling = graph.tiling();
+        let d = tiling.dims();
+        let widths = tiling.widths();
+        let outside = || -> RunError {
+            let detail = format!("traceback start {start:?} is outside the iteration space");
+            CompileFault::new(CompileStage::Options, detail).into()
+        };
+        if start.len() != d {
+            return Err(outside());
+        }
         let mut x = Coord::from_slice(start);
         let mut path = vec![x];
         loop {
@@ -182,47 +200,42 @@ where
             for k in 0..d {
                 tile.set(k, x[k].div_euclid(widths[k]));
             }
-            self.ensure_tile(&tile);
-            let (_, values, geom) = self.cache.as_ref().unwrap();
+            // Every step but the first lands on a cell a validity flag
+            // vouched for, so only the start can miss.
+            let tile_idx = graph.index_of(&tile).ok_or_else(outside)?;
+            self.ensure_tile(tile_idx)?;
+            let (_, values, geom) = self.cache.as_ref().expect("ensure_tile filled it");
             // Find the CellRef for x by replaying the tile's recording
             // (cells are cheap relative to a recompute; the tile is cached
             // between steps).
             let mut decision: Option<Option<usize>> = None;
-            let xs = x;
-            self.tiling.replay(
+            tiling.replay(
                 geom,
                 &tile,
                 &mut EachCell(|cell: CellRef<'_>| {
-                    if cell.x == xs.as_slice() {
+                    if cell.x == x.as_slice() {
                         decision = Some(decide(cell, values));
                     }
                 }),
             );
-            let Some(choice) = decision else {
-                panic!("traceback start {x} outside the iteration space");
+            let Some(j) = decision.ok_or_else(outside)? else {
+                break;
             };
-            let Some(j) = choice else { break };
-            let r = &self.tiling.templates().templates()[j].offset;
-            x = x.add(r);
+            x = x.add(&tiling.templates().templates()[j].offset);
             path.push(x);
         }
-        path
+        Ok(path)
     }
 
-    fn ensure_tile(&mut self, tile: &Coord) {
-        let hit = matches!(&self.cache, Some((t, ..)) if t == tile);
-        if !hit {
-            let mut point = self.tiling.make_point(&self.params);
-            let (values, geom) = compute_tile(
-                self.tiling,
-                &mut point,
-                self.kernel,
-                tile,
-                self.log.edges_for(tile),
-            );
+    /// Recompute tile `tile` from the log unless it is the tile in `cache`.
+    fn ensure_tile(&mut self, tile: usize) -> Result<(), RunError> {
+        if !matches!(&self.cache, Some((cached, ..)) if *cached == tile) {
+            let edges = self.log.edges_for(&self.graph.tiles()[tile]);
+            let (values, geom) = compute_tile(self.graph, self.kernel, tile, edges)?;
             self.tiles_recomputed += 1;
-            self.cache = Some((*tile, values, geom));
+            self.cache = Some((tile, values, geom));
         }
+        Ok(())
     }
 }
 
@@ -230,7 +243,7 @@ where
 mod tests {
     use super::*;
     use dpgen_polyhedra::{ConstraintSystem, Space};
-    use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
+    use dpgen_tiling::{Template, TemplateSet, Tiling, TilingBuilder};
 
     /// Max-path problem on the triangle: f(x) = score(x) + max(f(x+e1),
     /// f(x+e2)), base 0. The optimal path from (0,0) follows the larger
@@ -318,10 +331,10 @@ mod tests {
     #[test]
     fn traceback_matches_dense_reference() {
         for (n, w) in [(12i64, 3i64), (20, 4), (9, 2)] {
-            let tiling = triangle(w);
-            let log = run_logged::<i64, _>(&tiling, &[n], &kernel);
+            let graph = triangle(w).graph(&[n]);
+            let log = run_logged::<i64, _>(&graph, &kernel).unwrap();
             let (_, want_path) = reference_path(n);
-            let mut tb = Traceback::new(&tiling, &[n], &kernel, &log);
+            let mut tb = Traceback::new(&graph, &kernel, &log);
             let mut decide = |cell: CellRef<'_>, values: &[i64]| -> Option<usize> {
                 let a = cell.valid[0].then(|| values[cell.loc_r(0)]);
                 let b = cell.valid[1].then(|| values[cell.loc_r(1)]);
@@ -332,7 +345,7 @@ mod tests {
                     _ => Some(1),
                 }
             };
-            let path = tb.trace(&[0, 0], &mut decide);
+            let path = tb.trace(&[0, 0], &mut decide).unwrap();
             let got: Vec<(i64, i64)> = path.iter().map(|c| (c[0], c[1])).collect();
             assert_eq!(got, want_path, "N={n} w={w}");
             assert!(tb.tiles_recomputed >= 1);
@@ -342,9 +355,8 @@ mod tests {
     #[test]
     fn edge_log_memory_is_subquadratic() {
         // The log holds edges (O(n)), not the full space (O(n^2)).
-        let tiling = triangle(4);
         let n = 40i64;
-        let log = run_logged::<i64, _>(&tiling, &[n], &kernel);
+        let log = run_logged::<i64, _>(&triangle(4).graph(&[n]), &kernel).unwrap();
         let total_space = ((n + 1) * (n + 2) / 2) as usize;
         assert!(
             log.total_cells() < total_space,
@@ -358,10 +370,10 @@ mod tests {
 
     #[test]
     fn cache_avoids_recomputation_within_a_tile() {
-        let tiling = triangle(8);
         let n = 7i64; // single tile
-        let log = run_logged::<i64, _>(&tiling, &[n], &kernel);
-        let mut tb = Traceback::new(&tiling, &[n], &kernel, &log);
+        let graph = triangle(8).graph(&[n]);
+        let log = run_logged::<i64, _>(&graph, &kernel).unwrap();
+        let mut tb = Traceback::new(&graph, &kernel, &log);
         let mut decide = |cell: CellRef<'_>, values: &[i64]| -> Option<usize> {
             let a = cell.valid[0].then(|| values[cell.loc_r(0)]);
             let b = cell.valid[1].then(|| values[cell.loc_r(1)]);
@@ -372,8 +384,26 @@ mod tests {
                 _ => Some(1),
             }
         };
-        let path = tb.trace(&[0, 0], &mut decide);
+        let path = tb.trace(&[0, 0], &mut decide).unwrap();
         assert_eq!(path.len() as i64, n + 1); // walks to the hypotenuse
         assert_eq!(tb.tiles_recomputed, 1);
+    }
+
+    /// A start that is no cell of the problem — in no tile, in a tile but
+    /// past the hypotenuse, of the wrong arity — is an error naming it.
+    #[test]
+    fn a_start_outside_the_iteration_space_is_a_typed_fault() {
+        let graph = triangle(4).graph(&[9]);
+        let log = run_logged::<i64, _>(&graph, &kernel).unwrap();
+        let mut tb = Traceback::new(&graph, &kernel, &log);
+        for start in [&[40, 40][..], &[7, 3], &[-1, 0], &[0, 0, 0]] {
+            let err = tb.trace(start, &mut |_, _| None).unwrap_err();
+            let RunError::CompileError(fault) = &err else {
+                panic!("start {start:?}: {err}");
+            };
+            assert_eq!(fault.stage, CompileStage::Options);
+            assert!(err.to_string().contains(&format!("{start:?}")), "{err}");
+        }
+        assert_eq!(tb.trace(&[9, 0], &mut |_, _| None).unwrap().len(), 1);
     }
 }

@@ -235,10 +235,9 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
 
     // --- Dynamic state. --------------------------------------------------
     // A ready tile's key is its position in the run's order: the wavefront
-    // (level-set) order when pinned, else the configured priority's, the
-    // arrival number under `Fifo`.
+    // (level-set) order when pinned, else the configured priority's.
     let order = if pinned {
-        Some(graph.ordering(true, &[]))
+        graph.ordering(true, &[])
     } else {
         config.priority.ordering(graph)
     };
@@ -248,7 +247,6 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     let mut busy: Vec<f64> = vec![0.0; config.ranks];
     let mut events: BinaryHeap<Reverse<QueueEntry>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut prio_seq = 0u32;
     let mut msgs_remote = 0u64;
     let mut cells_remote = 0u64;
     let mut makespan = 0.0f64;
@@ -278,12 +276,7 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
             // (`runtime::schedule`) each worker sweeps its own rows of the
             // pipeline axis in lexicographic order. Modelling the
             // per-worker sequences is ROADMAP item 4's.
-            let key = match &order {
-                Some(order) => order.rank[i],
-                None => prio_seq,
-            };
-            prio_seq += 1;
-            ready[owners[i]].push(Reverse((key, i)));
+            ready[owners[i]].push(Reverse((order.rank[i], i)));
         }};
     }
     // Dispatch as many ready tiles as idle workers allow on a rank.
@@ -682,11 +675,7 @@ mod tests {
         let tiling = grid_2d(4);
         let n = 59i64;
         let mut results = Vec::new();
-        for priority in [
-            TilePriority::column_major(2),
-            TilePriority::LevelSet,
-            TilePriority::Fifo,
-        ] {
+        for priority in [TilePriority::column_major(2), TilePriority::LevelSet] {
             let config = SimConfig {
                 ranks: 1,
                 threads_per_rank: 4,

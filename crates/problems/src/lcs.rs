@@ -401,7 +401,7 @@ mod tests {
                 // An interior tile and one on each low face.
                 for tile in [[1i64, 2], [0, 1], [2, 0]] {
                     let tile = Coord::from_slice(&tile);
-                    let (geom, _) = tiling.geometry(&tile, &mut point).unwrap();
+                    let geom = tiling.record(&tile, &mut point).unwrap();
                     // LCS values never decrease along a row or a column;
                     // ghosts that do neither must still be swept the same.
                     let ghosts: Vec<i64> = (0..tiling.layout().size() as i64)

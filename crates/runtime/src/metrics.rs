@@ -310,10 +310,9 @@ impl MetricsRegistry {
         c(self, "runs_batched", s.runs_batched);
         c(self, "cells_batched", s.cells_batched);
         c(self, "blocks_evaluated", s.blocks_evaluated);
-        // The geometry cache belongs to the tiling, not to a rank: its
-        // counters are exported unprefixed, summed over every rank recorded.
+        // The recordings belong to the plan's tile graph, not to a rank:
+        // exported unprefixed, the builds summed over every rank recorded.
         self.add_counter("runtime.geom_builds", s.geom_builds);
-        self.add_counter("runtime.geom_hits", s.geom_hits);
         self.set_gauge("runtime.geom_classes", s.geom_classes as f64);
         let g = |reg: &mut MetricsRegistry, name: &str, v: f64| {
             reg.set_gauge(&format!("{prefix}{name}"), v);

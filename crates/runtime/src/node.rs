@@ -19,7 +19,8 @@
 //! a recycle list of edge payload vectors (presized from
 //! [`EdgeLayout::max_cells`] so pushes never reallocate). No tile walks a
 //! loop nest: unpack, scan and pack replay the tile's recorded geometry
-//! ([`Tiling::geometry`], memoized per tile class inside the tiling) —
+//! ([`TileGraph::geometry`], one recording per class of tiles, kept by the
+//! plan's graph) —
 //! unpack scatters through the source tile's edge indices, the scan feeds
 //! the recorded interior blocks whole to [`RunKernel::eval_block`] and the
 //! boundary cells to `compute`, pack gathers through the tile's own edge
@@ -30,7 +31,7 @@
 //! carries — derived once per plan, shared by every rank, recovery epoch
 //! and execution — so a run's initial-tile generation is an owner filter
 //! over it; what a run keeps per tile (the scheduler's edge slot, the
-//! geometry slot, the probe mark) are arrays over the graph's tile index,
+//! probe mark) are arrays over the graph's tile index,
 //! and between popping a tile and delivering its edges a worker names
 //! tiles by that index only. A coordinate is resolved to its index once,
 //! where it enters: an edge from the transport or from a checkpoint. What a
@@ -48,7 +49,6 @@
 //! [`NodeConfig::cancel`] flag was provided, sibling ranks are told to stop.
 //!
 //! [`EdgeLayout::max_cells`]: dpgen_tiling::EdgeLayout::max_cells
-//! [`Tiling::geometry`]: dpgen_tiling::Tiling::geometry
 //! [`PerCell`]: crate::kernel::PerCell
 //! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
@@ -67,10 +67,11 @@ use crate::transport::{EdgeMsg, Transport};
 use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
 use dpgen_tiling::{Coord, TileGeom, TileGraph, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Assigns every tile to the rank that executes it (the load balancer's
@@ -499,7 +500,6 @@ struct WorkerCounts {
     edges_remote: u64,
     edge_cells: u64,
     geom_builds: u64,
-    geom_hits: u64,
     tile_buffers_allocated: u64,
     tile_buffers_reused: u64,
     edge_payloads_allocated: u64,
@@ -518,7 +518,6 @@ impl WorkerCounts {
         self.edges_remote += other.edges_remote;
         self.edge_cells += other.edge_cells;
         self.geom_builds += other.geom_builds;
-        self.geom_hits += other.geom_hits;
         self.tile_buffers_allocated += other.tile_buffers_allocated;
         self.tile_buffers_reused += other.tile_buffers_reused;
         self.edge_payloads_allocated += other.edge_payloads_allocated;
@@ -698,9 +697,6 @@ where
     // the tile atomically, so exactly one taker wins a given position and
     // only that winner publishes the advance.
     let cursors: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-    // Per tile of the graph, the slot where the first worker to need the
-    // tile's recorded geometry parks it for everyone after.
-    let geoms: Vec<OnceLock<Arc<TileGeom>>> = (0..graph.len()).map(|_| OnceLock::new()).collect();
     let init_time = t_start.elapsed();
 
     let tracer = config.tracer.as_deref();
@@ -846,7 +842,6 @@ where
             let totals = &totals;
             let plan = &plan;
             let cursors = &cursors;
-            let geoms = &geoms;
             let has_probe = &has_probe;
             let idle_ns = &idle_ns;
             let tiles_per_worker = &tiles_per_worker;
@@ -861,7 +856,6 @@ where
             let resolve = &resolve;
             let duplicate = &duplicate;
             move |w: usize| {
-                let mut point = tiling.make_point(params);
                 let mut pool: TileBufferPool<T> = match &config.recycler {
                     Some(r) => TileBufferPool::seeded(r),
                     None => TileBufferPool::new(),
@@ -902,8 +896,10 @@ where
                 let mut batch: Vec<Delivery<T>> = Vec::with_capacity(tiling.deps().len() + 4);
                 // The edges the current tile unpacked, as (source tile's
                 // recording, dependency): what to clear out of its ghost
-                // cells when the buffer goes back to the pool.
-                let mut unpacked: Vec<(&TileGeom, usize)> = Vec::with_capacity(tiling.deps().len());
+                // cells when the buffer goes back to the pool, and held no
+                // longer.
+                let mut unpacked: Vec<(Cow<'_, Arc<TileGeom>>, usize)> =
+                    Vec::with_capacity(tiling.deps().len());
                 let mut counts = WorkerCounts::default();
                 let mut tiles_run = 0u64;
                 let note_progress = || {
@@ -943,37 +939,17 @@ where
                     cv.notify_all();
                 };
                 // The recorded geometry of a tile (its own, or the source
-                // of an incoming edge). The first worker to need it asks
-                // the tiling — one signature and one map lookup unless the
-                // tile is the first of its class — and parks it in the
-                // tile's slot, where everyone after borrows it.
-                let (mut built, mut hit) = (0u64, 0u64);
-                let mut geometry =
-                    |tile_idx: usize, point: &mut [i128]| -> Result<&Arc<TileGeom>, RunError> {
-                        let slot: &OnceLock<Arc<TileGeom>> = &geoms[tile_idx];
-                        if let Some(geom) = slot.get() {
-                            return Ok(geom);
-                        }
-                        let t = &tiles[tile_idx];
-                        let (geom, was_built) =
-                            tiling
-                                .geometry(t, point)
-                                .map_err(|error| RunError::TileGeometry {
-                                    rank: config.rank,
-                                    tile: *t,
-                                    error,
-                                })?;
-                        // Counted by whoever parks it, so a run's lookups add
-                        // up to the tiles it touched whatever the interleaving.
-                        Ok(slot.get_or_init(|| {
-                            if was_built {
-                                built += 1;
-                            } else {
-                                hit += 1;
-                            }
-                            geom
-                        }))
-                    };
+                // of an incoming edge): its class's, off the graph. Owned
+                // when this call made the recording.
+                let geometry = |tile_idx: usize, counts: &mut WorkerCounts| {
+                    let geom = graph.geometry(tile_idx);
+                    counts.geom_builds += matches!(geom, Ok(Cow::Owned(_))) as u64;
+                    geom.map_err(|error| RunError::TileGeometry {
+                        rank: config.rank,
+                        tile: tiles[tile_idx],
+                        error,
+                    })
+                };
                 loop {
                     if failed.load(Ordering::Acquire) {
                         break;
@@ -1130,7 +1106,7 @@ where
                     // failure breaks out of the labelled block and fails
                     // the run; the dirty tile buffer is discarded (its
                     // written range is unknown after a mid-scan panic).
-                    let geom = match geometry(tile_idx, &mut point) {
+                    let geom = match geometry(tile_idx, &mut counts) {
                         Ok(geom) => geom,
                         Err(e) => {
                             fail(e);
@@ -1138,8 +1114,7 @@ where
                         }
                     };
                     mem.tile_allocated();
-                    let mut values: Vec<T> = pool.acquire(layout.size(), geom, &mut counts);
-                    unpacked.clear();
+                    let mut values: Vec<T> = pool.acquire(layout.size(), &geom, &mut counts);
                     // Recovery retention: every outgoing edge this tile
                     // packs (cloned before delivery) and every probe it
                     // resolves, recorded into the checkpoint sink when the
@@ -1163,7 +1138,7 @@ where
                             };
                             // The edge was packed from the source tile's
                             // recording; scatter through the same indices.
-                            let src_geom = match geometry(src_idx, &mut point) {
+                            let src_geom = match geometry(src_idx, &mut counts) {
                                 Ok(geom) => geom,
                                 Err(e) => break 'tile Err(e),
                             };
@@ -1174,7 +1149,7 @@ where
                                     payload.len(),
                                 )));
                             }
-                            for (loc, &v) in ghost_cells(tiling, src_geom, dep_idx).zip(&payload) {
+                            for (loc, &v) in ghost_cells(tiling, &src_geom, dep_idx).zip(&payload) {
                                 values[loc] = v;
                             }
                             unpacked.push((src_geom, dep_idx));
@@ -1193,7 +1168,7 @@ where
                                 written_hi: 0,
                                 blocks: 0,
                             };
-                            let scan = tiling.replay(geom, &tile, &mut visitor);
+                            let scan = tiling.replay(&geom, &tile, &mut visitor);
                             let acc = visitor.reduce.map(|(_, acc)| acc);
                             let written = (visitor.written_lo <= visitor.written_hi)
                                 .then_some((visitor.written_lo, visitor.written_hi));
@@ -1344,7 +1319,8 @@ where
                     let ghosts = unpacked
                         .iter()
                         .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
-                    pool.release(values, ghosts, geom.clone(), written);
+                    pool.release(values, ghosts, geom.into_owned(), written);
+                    unpacked.clear();
                     mem.tile_released();
                     tiles_run += 1;
                     note_progress();
@@ -1354,8 +1330,6 @@ where
                         cv.notify_all();
                     }
                 }
-                counts.geom_builds = built;
-                counts.geom_hits = hit;
                 tiles_per_worker[w].store(tiles_run, Ordering::Relaxed);
                 totals.lock().add(&counts);
                 // Cross-run reuse: hand the cleared buffers back for the
@@ -1452,8 +1426,7 @@ where
         edges_remote: totals.edges_remote,
         edge_cells_packed: totals.edge_cells,
         geom_builds: totals.geom_builds,
-        geom_hits: totals.geom_hits,
-        geom_classes: tiling.geometry_classes() as u64,
+        geom_classes: graph.recordings() as u64,
         init_time,
         total_time: t_start.elapsed(),
         idle_time: Duration::from_nanos(idle_ns.load(Ordering::Relaxed)),
@@ -1509,18 +1482,18 @@ mod tests {
     /// One tile's life on `pool`, as the worker loop lives it: acquire,
     /// unpack an edge of 7s from every neighbour there is, have the kernel
     /// write 9 over the scan, release. Returns the buffer as acquired.
-    fn tile_on_pool(pool: &mut TileBufferPool<u64>, tiling: &Tiling, tile: [i64; 2]) -> Vec<u64> {
+    fn tile_on_pool(pool: &mut TileBufferPool<u64>, graph: &TileGraph, tile: [i64; 2]) -> Vec<u64> {
+        let tiling = graph.tiling();
         let tile = Coord::from_slice(&tile);
-        let mut point = tiling.make_point(&[12]);
-        let (geom, _) = tiling.geometry(&tile, &mut point).unwrap();
+        let tile_idx = graph.index_of(&tile).unwrap();
+        let geom = graph.geometry(tile_idx).unwrap();
         let mut counts = WorkerCounts::default();
         let mut values = pool.acquire(tiling.layout().size(), &geom, &mut counts);
         let as_acquired = values.clone();
         let mut unpacked = Vec::new();
-        for (dep_idx, dep) in tiling.deps().iter().enumerate() {
-            let src = tile.add(&dep.delta);
-            if tiling.tile_in_space(&src, &mut point) {
-                let (src_geom, _) = tiling.geometry(&src, &mut point).unwrap();
+        for dep_idx in 0..tiling.deps().len() {
+            if let Some(src) = graph.source(tile_idx, dep_idx) {
+                let src_geom = graph.geometry(src).unwrap();
                 for loc in ghost_cells(tiling, &src_geom, dep_idx) {
                     values[loc] = 7;
                 }
@@ -1542,7 +1515,7 @@ mod tests {
         let ghosts = unpacked
             .iter()
             .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
-        pool.release(values, ghosts, geom, written);
+        pool.release(values, ghosts, geom.into_owned(), written);
         as_acquired
     }
 
@@ -1553,13 +1526,13 @@ mod tests {
     #[test]
     fn a_reused_buffer_holds_only_what_the_next_tile_overwrites() {
         let tiling = triangle(3);
+        let graph = tiling.graph(&[12]);
         let mut pool = TileBufferPool::<u64>::new();
         // (0,0) and (1,0) lie under the hypotenuse of N = 12 — one class;
         // (2,1) is cut by it.
-        let mut point = tiling.make_point(&[12]);
-        let mut geom = |t: [i64; 2]| {
-            let (geom, _) = tiling.geometry(&Coord::from_slice(&t), &mut point).unwrap();
-            geom
+        let geom = |t: [i64; 2]| {
+            let tile = graph.index_of(&Coord::from_slice(&t)).unwrap();
+            graph.geometry(tile).unwrap().into_owned()
         };
         let (full, same, cut) = (geom([0, 0]), geom([1, 0]), geom([2, 1]));
         assert!(Arc::ptr_eq(&full, &same) && !Arc::ptr_eq(&full, &cut));
@@ -1567,19 +1540,19 @@ mod tests {
         let mut mark = dpgen_tiling::tiling::EachCell(|cell: CellRef<'_>| scan[cell.loc] = true);
         tiling.replay(&full, &Coord::from_slice(&[0, 0]), &mut mark);
 
-        assert!(tile_on_pool(&mut pool, &tiling, [0, 0])
+        assert!(tile_on_pool(&mut pool, &graph, [0, 0])
             .iter()
             .all(|&v| v == 0));
-        let after_same_class = tile_on_pool(&mut pool, &tiling, [1, 0]);
+        let after_same_class = tile_on_pool(&mut pool, &graph, [1, 0]);
         for (loc, &v) in after_same_class.iter().enumerate() {
             assert_eq!(v, if scan[loc] { 9 } else { 0 }, "loc {loc}");
         }
-        let after_full = tile_on_pool(&mut pool, &tiling, [2, 1]);
+        let after_full = tile_on_pool(&mut pool, &graph, [2, 1]);
         assert!(
             after_full.iter().all(|&v| v == 0),
             "class change: {after_full:?}"
         );
-        let after_cut = tile_on_pool(&mut pool, &tiling, [0, 0]);
+        let after_cut = tile_on_pool(&mut pool, &graph, [0, 0]);
         assert!(
             after_cut.iter().all(|&v| v == 0),
             "class change: {after_cut:?}"
@@ -1592,11 +1565,7 @@ mod tests {
         assert!(parked.iter().flatten().all(|&v| v == 0), "{parked:?}");
 
         // A tile that fails never releases its buffer: nothing of it parks.
-        let mut point = tiling.make_point(&[12]);
-        let (geom, _) = tiling
-            .geometry(&Coord::from_slice(&[0, 0]), &mut point)
-            .unwrap();
-        let mut abandoned = pool.acquire(scan.len(), &geom, &mut WorkerCounts::default());
+        let mut abandoned = pool.acquire(scan.len(), &full, &mut WorkerCounts::default());
         abandoned.fill(9);
         pool.park_into(&recycler);
         assert!(recycler
@@ -1729,7 +1698,7 @@ mod tests {
             for priority in [
                 TilePriority::column_major(2),
                 TilePriority::LevelSet,
-                TilePriority::Fifo,
+                TilePriority::LevelSet,
             ] {
                 let res: NodeResult<u64> = run_local(
                     &tiling,
@@ -1845,7 +1814,7 @@ mod tests {
             &path_kernel,
             &Probe::at(&[100, 100]),
             1,
-            TilePriority::Fifo,
+            TilePriority::LevelSet,
         )
         .unwrap();
         assert_eq!(res.probes[0], None);
@@ -1860,7 +1829,7 @@ mod tests {
             &path_kernel,
             &Probe::default(),
             1,
-            TilePriority::Fifo,
+            TilePriority::LevelSet,
         )
         .unwrap();
         assert!(res.probes.is_empty());
@@ -1962,7 +1931,7 @@ mod tests {
                 &bomb,
                 &Probe::default(),
                 threads,
-                TilePriority::Fifo,
+                TilePriority::LevelSet,
             )
             .unwrap_err();
             assert!(

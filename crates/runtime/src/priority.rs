@@ -32,8 +32,6 @@ pub enum TilePriority {
     /// Execute by level sets (anti-diagonal wavefronts): maximal parallelism
     /// at the cost of up to `d ×` edge memory (Figure 4(b)).
     LevelSet,
-    /// First-in-first-out: tiles execute in the order they become ready.
-    Fifo,
 }
 
 impl TilePriority {
@@ -58,7 +56,8 @@ impl TilePriority {
     }
 
     /// A reproducible pseudo-random priority for a given seed: one of the
-    /// policy families above with a randomly permuted dimension order.
+    /// two policy families above, column-major with a randomly permuted
+    /// dimension order.
     ///
     /// Any seed must produce a *valid* total order — this only varies which
     /// of the legal execution plans is chosen, so differential testers (the
@@ -66,9 +65,8 @@ impl TilePriority {
     /// the scheduler would reject.
     pub fn seeded(dims: usize, seed: u64) -> TilePriority {
         let mut rng = SplitMix64::new(seed);
-        match rng.next_below(3) {
+        match rng.next_below(2) {
             0 => TilePriority::LevelSet,
-            1 => TilePriority::Fifo,
             _ => {
                 let mut dim_order: Vec<usize> = (0..dims).collect();
                 rng.shuffle(&mut dim_order);
@@ -82,13 +80,11 @@ impl TilePriority {
     /// Column-major compares flow-adjusted coordinates in `dim_order`,
     /// level-set their sum and then the coordinates in index order; either
     /// way a full key is unique per tile, so no arrival number is needed to
-    /// break ties. Sorted once per graph and order ([`TileGraph::ordering`]). `None` for
-    /// [`TilePriority::Fifo`], whose only key is the arrival number.
-    pub fn ordering(&self, graph: &TileGraph) -> Option<Arc<TileOrdering>> {
+    /// break ties. Sorted once per graph and order ([`TileGraph::ordering`]).
+    pub fn ordering(&self, graph: &TileGraph) -> Arc<TileOrdering> {
         match self {
-            TilePriority::ColumnMajor { dim_order } => Some(graph.ordering(false, dim_order)),
-            TilePriority::LevelSet => Some(graph.ordering(true, &[])),
-            TilePriority::Fifo => None,
+            TilePriority::ColumnMajor { dim_order } => graph.ordering(false, dim_order),
+            TilePriority::LevelSet => graph.ordering(true, &[]),
         }
     }
 }

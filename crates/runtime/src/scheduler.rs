@@ -25,7 +25,7 @@
 //!    by atomic length mirrors. The key is the tile's position in the
 //!    priority's total order ([`TilePriority::ordering`], sorted once per
 //!    graph and priority and looked up here the first time a tile reaches a
-//!    heap), or the arrival number under [`TilePriority::Fifo`].
+//!    heap).
 //! 3. **A pinned run's tiles park in their slot.** Under a static plan
 //!    ([`TileScheduler::pinned`]) no tile touches a heap: when its last
 //!    edge arrives the slot is marked *parked* and the worker whose cursor
@@ -113,7 +113,7 @@ pub struct TileScheduler<'g, T> {
     graph: &'g TileGraph,
     priority: TilePriority,
     /// The priority's order on the graph, looked up by the first heap push.
-    ordering: OnceLock<Option<Arc<TileOrdering>>>,
+    ordering: OnceLock<Arc<TileOrdering>>,
     slots: Vec<Mutex<Slot<T>>>,
     queues: Vec<WorkerQueue>,
     /// How many slots are `Parked`, readable without locks.
@@ -121,7 +121,7 @@ pub struct TileScheduler<'g, T> {
     /// Whether the run follows a static plan: every tile whose dependency
     /// set completes parks, none is queued. One value per run.
     pinned: bool,
-    /// Arrival numbers: `Fifo`'s key, and the round-robin of initial tiles.
+    /// The round-robin of initial tiles over the queues.
     seq: AtomicU32,
     stats: Arc<MemoryStats>,
     steals: AtomicU64,
@@ -190,11 +190,11 @@ impl<'g, T> TileScheduler<'g, T> {
         g
     }
 
-    fn rank(&self) -> Option<&[u32]> {
+    fn rank(&self) -> &[u32] {
         let ordering = self
             .ordering
             .get_or_init(|| self.priority.ordering(self.graph));
-        ordering.as_deref().map(|o| &o.rank[..])
+        &ordering.rank
     }
 
     /// The state a tile enters when its dependency set completes.
@@ -223,10 +223,7 @@ impl<'g, T> TileScheduler<'g, T> {
             self.parked.fetch_add(1, Ordering::Release);
             return;
         }
-        let key = match self.rank() {
-            Some(rank) => rank[tile],
-            None => self.seq.fetch_add(1, Ordering::Relaxed),
-        };
+        let key = self.rank()[tile];
         let q = &self.queues[worker];
         let mut heap = self.timed_lock(&q.heap);
         heap.push(Reverse((key, tile as u32)));
@@ -415,9 +412,8 @@ impl<'g, T> TileScheduler<'g, T> {
     /// of where the run is stuck.
     pub fn pending_tiles(&self, limit: usize) -> Vec<PendingTile> {
         let mut pending = self.pending();
-        if let Some(rank) = self.rank() {
-            pending.sort_unstable_by_key(|(tile, _)| rank[*tile]);
-        }
+        let rank = self.rank();
+        pending.sort_unstable_by_key(|(tile, _)| rank[*tile]);
         pending.truncate(limit);
         let deps = self.graph.tiling().deps();
         let describe = |(tile, arrived): (usize, Vec<usize>)| PendingTile {
@@ -515,19 +511,9 @@ mod tests {
     }
 
     #[test]
-    fn fifo_pops_in_arrival_order() {
-        let graph = square(2);
-        let s = sched(&graph, TilePriority::Fifo, 1);
-        s.mark_initial(at(&graph, [2, 2]));
-        s.mark_initial(at(&graph, [0, 0]));
-        assert_eq!(s.pop(0).unwrap().0, at(&graph, [2, 2]));
-        assert_eq!(s.pop(0).unwrap().0, at(&graph, [0, 0]));
-    }
-
-    #[test]
     fn batch_delivery_readies_tiles() {
         let graph = square(2);
-        let s = sched(&graph, TilePriority::Fifo, 2);
+        let s = sched(&graph, TilePriority::LevelSet, 2);
         let mut batch = vec![
             edge(&graph, [1, 1], [-1, 0], vec![1.0, 2.0]),
             edge(&graph, [1, 1], [0, -1], vec![3.0]),
@@ -547,7 +533,7 @@ mod tests {
     #[test]
     fn partial_batch_stays_pending() {
         let graph = square(2);
-        let s = sched(&graph, TilePriority::Fifo, 1);
+        let s = sched(&graph, TilePriority::LevelSet, 1);
         let made_ready = s.deliver(0, &mut vec![edge(&graph, [1, 1], [-1, 0], vec![])]);
         assert_eq!(made_ready, Ok(0));
         assert_eq!(s.pending_len(), 1);
@@ -565,7 +551,7 @@ mod tests {
     #[test]
     fn empty_worker_steals_from_richest() {
         let graph = square(2);
-        let s = sched(&graph, TilePriority::Fifo, 2);
+        let s = sched(&graph, TilePriority::LevelSet, 2);
         // Deliveries from worker 0 land in worker 0's queue; tiles on the
         // x axis wait for one edge each.
         for x in [1, 2] {
@@ -583,7 +569,7 @@ mod tests {
     #[test]
     fn memory_stats_follow_edge_lifecycle() {
         let graph = square(1);
-        let s = sched(&graph, TilePriority::Fifo, 1);
+        let s = sched(&graph, TilePriority::LevelSet, 1);
         let stats = s.stats.clone();
         s.deliver(0, &mut vec![edge(&graph, [1, 0], [-1, 0], vec![0.0; 5])])
             .unwrap();
@@ -601,7 +587,7 @@ mod tests {
     #[test]
     fn a_duplicate_edge_is_refused() {
         let graph = square(2);
-        let s = sched(&graph, TilePriority::Fifo, 1);
+        let s = sched(&graph, TilePriority::LevelSet, 1);
         let tile = at(&graph, [1, 1]);
         let again = || vec![edge(&graph, [1, 1], [-1, 0], vec![])];
         assert_eq!(s.deliver(0, &mut again()), Ok(0));
@@ -626,7 +612,7 @@ mod tests {
     fn a_pinned_run_bypasses_the_heaps() {
         let graph = square(1);
         let (head, other) = (at(&graph, [1, 0]), at(&graph, [0, 1]));
-        let s = sched(&graph, TilePriority::Fifo, 2).pinned(true);
+        let s = sched(&graph, TilePriority::LevelSet, 2).pinned(true);
         // A tile completing its deps parks in its slot …
         assert!(!s.static_ready(head));
         let made_ready = s.deliver(0, &mut vec![edge(&graph, [1, 0], [-1, 0], vec![1.0])]);
@@ -648,7 +634,7 @@ mod tests {
         s.mark_initial(at(&graph, [0, 0]));
         assert_eq!((s.dynamic_ready_len(), s.ready_len()), (0, 1));
         // The same delivery in a queued run goes to the deliverer's heap.
-        let queued = sched(&graph, TilePriority::Fifo, 2);
+        let queued = sched(&graph, TilePriority::LevelSet, 2);
         queued
             .deliver(0, &mut vec![edge(&graph, [0, 1], [0, -1], vec![])])
             .unwrap();

@@ -91,8 +91,8 @@ pub struct ShardedScheduler<T> {
 }
 
 /// The heap key of a tile: its flow-adjusted coordinates in the priority's
-/// order, then the arrival number `seq` (`Fifo`'s whole key, and the
-/// tie-break that makes the queue a total order). Smaller keys pop first.
+/// order, then the arrival number `seq` (the tie-break that makes the
+/// queue a total order). Smaller keys pop first.
 fn key(priority: &TilePriority, tile: &Coord, directions: &[Direction], seq: u64) -> Vec<i64> {
     let flow = |k: usize| match directions[k] {
         Direction::Descending => -tile[k],
@@ -105,7 +105,6 @@ fn key(priority: &TilePriority, tile: &Coord, directions: &[Direction], seq: u64
             key.push((0..tile.dims()).map(flow).sum());
             key.extend((0..tile.dims()).map(flow));
         }
-        TilePriority::Fifo => {}
     }
     key.push(seq as i64);
     key
@@ -293,9 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn fifo_orders_by_sequence_and_every_key_ends_in_it() {
-        let p = TilePriority::Fifo;
-        assert!(k(&p, [9, 9], &ASC2, 0) < k(&p, [0, 0], &ASC2, 1));
+    fn every_key_ends_in_the_arrival_number() {
         let p = TilePriority::LevelSet;
         assert!(k(&p, [1, 1], &ASC2, 0) < k(&p, [1, 1], &ASC2, 1));
     }

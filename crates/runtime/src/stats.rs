@@ -52,17 +52,14 @@ pub struct RunStats {
     pub edges_remote: u64,
     /// Total edge cells packed (local + remote).
     pub edge_cells_packed: u64,
-    /// Tile geometries this node's workers had to build: the first tile of
-    /// each class, and every tile once the tiling's cache is at its cap
-    /// (see `Tiling::geometry`). 0 when a previous run already filled the
-    /// cache.
+    /// Tile geometries this node's workers recorded during the run: the
+    /// first tile of each class, and — once the graph's recordings are at
+    /// their byte budget (see `TileGraph::geometry`) — every tile executed
+    /// and every edge unpacked. 0 when a previous run of the plan already
+    /// recorded the classes.
     pub geom_builds: u64,
-    /// Tile geometries served from the tiling's cache. A node asks once
-    /// per tile it touches (its own tiles and the sources of the edges it
-    /// unpacks), so `geom_builds + geom_hits` is that tile count.
-    pub geom_hits: u64,
-    /// Geometry classes memoized in the tiling when this node finished
-    /// (shared by every rank, plan and run using the tiling).
+    /// Geometry classes with a recording kept by the plan's tile graph when
+    /// this node finished (shared by every rank and run of the plan).
     pub geom_classes: u64,
     /// Wall time this node spent before its first tile: filtering the
     /// plan's tile graph down to the initial tiles it owns, building a

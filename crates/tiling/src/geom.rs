@@ -14,10 +14,12 @@
 //! tile of a 2-D problem is a single entry, the dense `for i … for j …`
 //! nest the paper emits for it.
 //!
-//! Recordings are memoized inside the [`Tiling`] under a *signature*. Fix a
-//! tile `t` and parameters `p`: every `local_system` constraint and every
-//! validity check becomes `a·i + K >= 0` over the local indices `i`, with
-//! `a` fixed by the tiling and `K = b·t + c·p + k`. Every derived loop
+//! Recordings are shared between tiles under a *signature*
+//! ([`crate::TileGraph`] sorts a plan's tiles into classes by it, once, and
+//! keeps one recording per class). Fix a tile `t` and parameters `p`: every
+//! `local_system` constraint and every validity check becomes
+//! `a·i + K >= 0` over the local indices `i`, with `a` fixed by the
+//! tiling and `K = b·t + c·p + k`. Every derived loop
 //! bound is a positive combination of those rows, so the walks depend on
 //! `(t, p)` only through the vector of `K`s: equal vectors, equal
 //! recordings. A row that holds on the whole box `0 <= i_k < w_k`
@@ -31,20 +33,10 @@
 use crate::coord::{Coord, MAX_DIMS};
 use crate::tiling::{BlockCtx, CellRef, RunCtx, ScanCounts, TileVisitor, Tiling, MAX_CHECKS};
 use dpgen_polyhedra::{ConstraintSystem, LinExpr, PolyError};
-use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
 
 /// Signature entry of a row that holds over the whole tile box. A real `K`
 /// of this value is itself slack, so the sentinel cannot alias.
 const SLACK: i128 = i128::MAX;
-
-/// Signatures up to this many rows are computed on the stack.
-const SIG_INLINE: usize = 16;
-
-/// Byte cap of one tiling's geometry cache. Past it a geometry is built,
-/// used and dropped, so the cache never grows with the problem. LCS needs
-/// a few KiB, the 4-D bandit under half a MiB.
-const CACHE_CAP_BYTES: usize = 8 << 20;
 
 /// One entry of a recorded scan, in visit order. `loc` is the buffer index
 /// of the (first) visited cell.
@@ -71,7 +63,8 @@ struct EdgeCells {
 
 /// The recorded geometry of one tile: everything [`Tiling::scan_tile_runs`]
 /// and the edge walks would produce for it, in local coordinates. Obtained
-/// from [`Tiling::geometry`]; valid for every tile with the same signature.
+/// from [`crate::TileGraph::geometry`] (or [`Tiling::record`]); valid for
+/// every tile with the same signature.
 #[derive(Debug, PartialEq, Eq)]
 pub struct TileGeom {
     visits: Vec<Visit>,
@@ -97,8 +90,9 @@ impl TileGeom {
         self.edges[dep_idx].span
     }
 
-    /// Heap bytes held by this recording (the cache's accounting unit).
-    fn bytes(&self) -> usize {
+    /// Heap bytes held by this recording (what [`crate::TileGraph`] charges
+    /// its budget).
+    pub(crate) fn bytes(&self) -> usize {
         let edge_cells: usize = self.edges.iter().map(|e| e.locs.len()).sum();
         std::mem::size_of::<TileGeom>()
             + self.visits.len() * std::mem::size_of::<Visit>()
@@ -159,7 +153,7 @@ impl TileVisitor for Recorder {
 /// validity check that mentions a tile index or a parameter (the others
 /// are the same for every tile).
 #[derive(Debug, Clone)]
-struct SigRows {
+pub(crate) struct SigRows {
     /// Per row, the coefficients on `[t_0.., p_0..]` (row-major).
     coeffs: Vec<i64>,
     /// Per row, the constant term `k`.
@@ -168,20 +162,6 @@ struct SigRows {
     slack_from: Vec<i128>,
     dims: usize,
     param_cols: Vec<usize>,
-}
-
-/// A tiling's signature rows and the recordings memoized under them.
-#[derive(Debug)]
-pub(crate) struct GeomCache {
-    rows: SigRows,
-    cap_bytes: usize,
-    classes: RwLock<Classes>,
-}
-
-#[derive(Debug, Default)]
-struct Classes {
-    by_signature: HashMap<Box<[i128]>, Arc<TileGeom>>,
-    bytes: usize,
 }
 
 impl SigRows {
@@ -217,9 +197,7 @@ impl SigRows {
         }
         Ok(())
     }
-}
 
-impl GeomCache {
     pub(crate) fn new(
         local_system: &ConstraintSystem,
         validity_checks: &[LinExpr],
@@ -227,7 +205,7 @@ impl GeomCache {
         t_cols: &[usize],
         param_cols: &[usize],
         widths: &[i64],
-    ) -> Result<GeomCache, PolyError> {
+    ) -> Result<SigRows, PolyError> {
         let overflow = || PolyError::Overflow("tile signature");
         let mut rows = SigRows {
             coeffs: Vec::new(),
@@ -263,111 +241,32 @@ impl GeomCache {
             }
             rows.slack_from.push(slack_from);
         }
-        Ok(GeomCache {
-            rows,
-            cap_bytes: CACHE_CAP_BYTES,
-            classes: RwLock::default(),
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.classes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .by_signature
-            .len()
-    }
-
-    fn get(&self, sig: &[i128]) -> Option<Arc<TileGeom>> {
-        // A panic cannot leave the map half-updated (insert is the only
-        // write), so a poisoned lock still guards valid data.
-        let classes = self.classes.read().unwrap_or_else(PoisonError::into_inner);
-        classes.by_signature.get(sig).cloned()
-    }
-
-    /// Retain `geom` under `sig` unless the cap is reached; returns the
-    /// recording to use (another thread's, if it won the race).
-    fn insert(&self, sig: &[i128], geom: Arc<TileGeom>) -> Arc<TileGeom> {
-        let mut classes = self.classes.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(existing) = classes.by_signature.get(sig) {
-            return existing.clone();
-        }
-        let bytes = geom.bytes() + std::mem::size_of_val(sig);
-        if classes.bytes + bytes <= self.cap_bytes {
-            classes.bytes += bytes;
-            classes.by_signature.insert(sig.into(), geom.clone());
-        }
-        geom
+        Ok(rows)
     }
 }
 
 impl Tiling {
-    /// The recorded geometry of `tile` under the parameters bound in
-    /// `point`, and whether this call had to build it (`false` on a cache
-    /// hit). A hit costs one signature and one map lookup — no loop-bound
-    /// or constraint evaluation; a miss runs the generic walks once and
-    /// memoizes the recording for every tile, parameter binding, plan,
-    /// rank and thread that shares this tiling (or a clone of it).
-    pub fn geometry(
-        &self,
-        tile: &Coord,
-        point: &mut [i128],
-    ) -> Result<(Arc<TileGeom>, bool), PolyError> {
-        let cache = &*self.geoms;
-        let mut inline = [0i128; SIG_INLINE];
-        let mut spill = Vec::new();
-        let sig = if cache.rows.len() <= SIG_INLINE {
-            &mut inline[..cache.rows.len()]
-        } else {
-            spill.resize(cache.rows.len(), 0);
-            &mut spill[..]
-        };
-        cache.rows.signature(tile, point, sig)?;
-        if let Some(geom) = cache.get(sig) {
-            return Ok((geom, false));
-        }
-        // Built outside the lock: concurrent tiles of other classes never
-        // wait for this walk.
-        let geom = Arc::new(self.record_geometry(tile, point)?);
-        Ok((cache.insert(sig, geom), true))
-    }
-
-    /// The signature [`Tiling::geometry`] files `tile` under, written over
-    /// `sig`: tiles with equal signatures have equal walks (module docs) —
-    /// the scan, and every edge nest and lattice count with it, since all of
-    /// them read `(t, p)` through the same rows. [`crate::TileGraph`] counts
-    /// cells once per signature on the strength of that.
+    /// The signature of `tile` under the parameters bound in `point`,
+    /// written over `sig`: tiles with equal signatures have equal walks
+    /// (module docs) — the scan, and every edge nest and lattice count with
+    /// it, since all of them read `(t, p)` through the same rows.
+    /// [`crate::TileGraph`] records and counts once per signature on the
+    /// strength of that.
     pub(crate) fn signature(
         &self,
         tile: &Coord,
         point: &[i128],
         sig: &mut Vec<i128>,
     ) -> Result<(), PolyError> {
-        sig.resize(self.geoms.rows.len(), 0);
-        self.geoms.rows.signature(tile, point, sig)
+        sig.resize(self.sig_rows.len(), 0);
+        self.sig_rows.signature(tile, point, sig)
     }
 
-    /// Geometry classes currently memoized for this tiling.
-    pub fn geometry_classes(&self) -> usize {
-        self.geoms.len()
-    }
-
-    /// A copy of this tiling whose geometry cache retains nothing: every
-    /// [`Tiling::geometry`] call builds, and the recording is dropped with
-    /// its last user. For tests of the over-the-cap path.
-    #[doc(hidden)]
-    pub fn uncached(&self) -> Tiling {
-        let mut copy = self.clone();
-        copy.geoms = Arc::new(GeomCache {
-            rows: self.geoms.rows.clone(),
-            cap_bytes: 0,
-            classes: RwLock::default(),
-        });
-        copy
-    }
-
-    /// Run the generic walks for one tile and record them.
-    fn record_geometry(&self, tile: &Coord, point: &mut [i128]) -> Result<TileGeom, PolyError> {
+    /// Run the generic walks for `tile` under the parameters bound in
+    /// `point` and record them: one tile's recording, memoized nowhere. An
+    /// execution reads [`crate::TileGraph::geometry`], which keeps one per
+    /// class of tiles.
+    pub fn record(&self, tile: &Coord, point: &mut [i128]) -> Result<TileGeom, PolyError> {
         if u32::try_from(self.layout().size()).is_err() {
             return Err(PolyError::Overflow("tile buffer index"));
         }
@@ -410,7 +309,8 @@ impl Tiling {
     /// with global coordinates rebuilt as `x = local + w·t` and the runs
     /// grouped into [`BlockCtx`] rectangles. A visitor with the default
     /// [`TileVisitor::block`] sees the scan's exact [`CellRef`]/[`RunCtx`]
-    /// sequence. `geom` must come from [`Tiling::geometry`] for this tile.
+    /// sequence. `geom` must be this tile's recording, or that of a tile of
+    /// its class ([`crate::TileGraph::geometry`]).
     pub fn replay<V: TileVisitor>(
         &self,
         geom: &TileGeom,
@@ -486,14 +386,18 @@ mod tests {
         sys.add_text("0 <= x <= N").unwrap();
         let templates = TemplateSet::new(1, vec![Template::new("r", &[1])]).unwrap();
         let tiling = TilingBuilder::new(sys, templates, vec![4]).build().unwrap();
+        let tile = Coord::from_slice(&[1]);
         let mut point = tiling.make_point(&[9]);
-        assert!(tiling
-            .geometry(&Coord::from_slice(&[1]), &mut point)
-            .is_ok());
+        let mut sig = Vec::new();
+        assert_eq!(tiling.signature(&tile, &point, &mut sig), Ok(()));
+        assert!(tiling.record(&tile, &mut point).is_ok());
         point[tiling.param_cols()[0]] = i128::MAX;
         assert_eq!(
-            tiling.geometry(&Coord::from_slice(&[1]), &mut point).err(),
-            Some(PolyError::Overflow("tile signature"))
+            tiling.signature(&tile, &point, &mut sig),
+            Err(PolyError::Overflow("tile signature"))
         );
+        // Unsigned, the tile is a class of its own (`TileGraph`): its own
+        // walks answer for it, in checked arithmetic.
+        let _ = tiling.record(&tile, &mut point);
     }
 }

@@ -8,31 +8,45 @@
 //! [`TileGraph`] is that derivation as one value: every tile in tile-nest
 //! order, a coordinate → index table, how many of each tile's dependencies
 //! exist, the index of the neighbour at either end of every dependency, and
-//! — counted on first request, once — the cells of every tile and of every
-//! edge it packs. It carries the tiling and the binding it was built from,
-//! so a consumer handed a graph cannot pair it with another problem.
+//! every tile's geometry *class*, off which hang — each filled on first
+//! request, once — the cells of every tile, the cells of every edge it
+//! packs and the recording an execution replays. It carries the tiling and
+//! the binding it was built from, so a consumer handed a graph cannot pair
+//! it with another problem.
 //!
 //! It also sorts: [`TileGraph::ordering`] is the tiles in one lexicographic
 //! order on flow-adjusted coordinates, with every tile's position in it —
 //! what a ready queue keys on, what a slab cut walks and what a static plan
 //! deals from — sorted once per order and kept with the graph.
 //!
-//! The counts are exact lattice-point counts, walked once per geometry
-//! *class* rather than once per tile: tiles with one [`Tiling::geometry`]
-//! signature have the same cells in the same places, so only the first tile
-//! of a class is walked — [`Tiling::tile_cell_count`] when cells are first
-//! asked for, [`EdgeLayout::count`] per dependency when edge cells are —
-//! and every later tile costs a signature and a map lookup. A dense 2-D box
-//! has four classes whatever its size; the paper evaluates a counting
-//! polynomial per slab for the same reason (Section IV-J).
+//! Tiles with one signature (the [`geom`](crate::geom) module docs) have
+//! the same cells in the same places, so the polyhedral walks are paid once
+//! per *class* rather than once per tile, on the tile that introduced the
+//! class: [`Tiling::tile_cell_count`] when cells are first asked for,
+//! [`EdgeLayout::count`] per dependency when edge cells are,
+//! [`Tiling::record`] when a tile of the class is first executed. The
+//! classing itself — one signature and one map lookup per tile — happens
+//! once, ahead of all three, and leaves an integer per tile. A dense 2-D box
+//! has four classes whatever its size; the paper derives its loops once per
+//! problem and evaluates a counting polynomial per slab for the same reason
+//! (Sections IV-G to IV-J).
 //!
 //! [`EdgeLayout::count`]: crate::EdgeLayout::count
 
 use crate::coord::{Coord, MAX_DIMS};
+use crate::geom::TileGeom;
 use crate::template::Direction;
 use crate::tiling::Tiling;
+use dpgen_polyhedra::PolyError;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// Byte budget of one graph's recordings. Past it a recording is built,
+/// used and dropped, so what a plan keeps never grows with the problem. LCS
+/// needs a few KiB, the 4-D bandit under half a MiB.
+const GEOMETRY_BUDGET_BYTES: usize = 8 << 20;
 
 /// The tile DAG of one [`Tiling`] at one parameter binding; see the
 /// [module docs](self). Built by [`Tiling::graph`] or [`TileGraph::new`].
@@ -58,14 +72,23 @@ pub struct TileGraph {
     /// `t + delta` and of the consumer tile `t - delta` ([`NO_TILE`] where
     /// there is none).
     links: Vec<[u32; 2]>,
-    /// The tiles' classes and cells; counted by the first caller that asks.
-    counts: OnceLock<ClassTable>,
+    /// The tiles sorted into geometry classes, by the first caller that
+    /// needs a class; the three things below hang off it.
+    classes: OnceLock<Classes>,
+    /// Per tile, its cell count (its class's, laid out per tile so that
+    /// [`TileGraph::cells`] is a slice); counted by the first caller that
+    /// asks.
+    cells: OnceLock<Vec<u128>>,
     /// Per class and dependency, the cells of the edge a tile of the class
     /// packs ([`Tiling::edges`]), `classes × ndeps`; walked by the first
-    /// [`TileGraph::edge_cells`]. Apart from `counts` because a compile
+    /// [`TileGraph::edge_cells`]. Apart from `cells` because a compile
     /// never asks: on the 6-D bandits (ten dependencies, nine classes for 28
     /// tiles) the edge walks cost more than every tile's cell walk together.
     edge_counts: OnceLock<Vec<u64>>,
+    /// Bytes of the recordings parked in the classes' slots, and what they
+    /// may add up to.
+    geometry_bytes: AtomicUsize,
+    geometry_budget: AtomicUsize,
     /// The orderings asked for so far, by `(by_level, dimension order)`.
     orderings: Mutex<Vec<(OrderKey, Arc<TileOrdering>)>>,
 }
@@ -88,57 +111,58 @@ pub struct TileOrdering {
     pub rank: Vec<u32>,
 }
 
-/// The graph's tiles sorted into geometry classes, and the cell count of
-/// each. Resident: 20 bytes per tile, 4 per class; the signatures that told
-/// the classes apart are dropped once every tile has its class.
-struct ClassTable {
+/// The graph's tiles sorted into geometry classes. Resident: 4 bytes per
+/// tile, 20 per class; the signatures that told the classes apart are
+/// dropped once every tile has its class.
+struct Classes {
     /// Per tile, its class, numbered in order of first appearance.
     class_of: Vec<u32>,
-    /// Per tile, its cell count (its class's, laid out per tile so that
-    /// [`TileGraph::cells`] is a slice).
-    cells: Vec<u128>,
     /// Per class, the tile that introduced it: the one tile of the class
-    /// whose cells, and later edges, are walked.
+    /// whose cells and edges are walked.
     walked: Vec<u32>,
+    /// Per class, the recording of a tile of the class, parked by the first
+    /// [`TileGraph::geometry`] that made one within the budget.
+    recordings: Vec<OnceLock<Arc<TileGeom>>>,
 }
 
-impl ClassTable {
-    /// Sort `tiles` into classes under the parameters bound in `point`,
-    /// counting the cells of the tile that introduces each class.
-    fn count(tiling: &Tiling, tiles: &[Coord], point: &mut [i128]) -> ClassTable {
-        let mut table = ClassTable {
-            class_of: Vec::with_capacity(tiles.len()),
-            cells: Vec::with_capacity(tiles.len()),
-            walked: Vec::new(),
-        };
+impl Classes {
+    /// Sort `tiles` into classes under the parameters bound in `point`.
+    fn sort(tiling: &Tiling, tiles: &[Coord], point: &[i128]) -> Classes {
+        let mut class_of = Vec::with_capacity(tiles.len());
+        let mut walked = Vec::new();
         let mut by_signature: HashMap<Box<[i128]>, u32> = HashMap::new();
-        let mut class_cells: Vec<u128> = Vec::new();
         let mut sig = Vec::new();
         for (i, t) in tiles.iter().enumerate() {
             // A signature that overflows names no class: the tile is a
-            // class of its own, counted directly.
+            // class of its own.
             let signed = tiling.signature(t, point, &mut sig).is_ok();
-            let known = if signed {
-                by_signature.get(&sig[..]).copied()
-            } else {
-                None
-            };
-            let class = match known {
-                Some(class) => class,
-                None => {
-                    let class = table.walked.len() as u32;
-                    if signed {
-                        by_signature.insert(sig.as_slice().into(), class);
-                    }
-                    table.walked.push(i as u32);
-                    class_cells.push(tiling.tile_cell_count(t, point));
-                    class
+            let known = by_signature.get(&sig[..]).filter(|_| signed);
+            let class = known.copied().unwrap_or_else(|| {
+                let fresh = walked.len() as u32;
+                if signed {
+                    by_signature.insert(sig.as_slice().into(), fresh);
                 }
-            };
-            table.class_of.push(class);
-            table.cells.push(class_cells[class as usize]);
+                walked.push(i as u32);
+                fresh
+            });
+            class_of.push(class);
         }
-        table
+        Classes {
+            recordings: walked.iter().map(|_| OnceLock::new()).collect(),
+            class_of,
+            walked,
+        }
+    }
+
+    /// Count the cells of each class's walked tile; every tile gets its
+    /// class's.
+    fn count_cells(&self, tiling: &Tiling, tiles: &[Coord], point: &mut [i128]) -> Vec<u128> {
+        let walked = self.walked.iter();
+        let per_class: Vec<u128> = walked
+            .map(|&i| tiling.tile_cell_count(&tiles[i as usize], point))
+            .collect();
+        let class_of = self.class_of.iter();
+        class_of.map(|&class| per_class[class as usize]).collect()
     }
 
     /// Walk every dependency's edge nest at each class's walked tile.
@@ -215,8 +239,11 @@ impl TileGraph {
             dep_totals: vec![0; tiles.len()],
             ndeps,
             links: vec![[NO_TILE; 2]; tiles.len() * ndeps],
-            counts: OnceLock::new(),
+            classes: OnceLock::new(),
+            cells: OnceLock::new(),
             edge_counts: OnceLock::new(),
+            geometry_bytes: AtomicUsize::new(0),
+            geometry_budget: AtomicUsize::new(GEOMETRY_BUDGET_BYTES),
             orderings: Mutex::default(),
             tiles,
             tiling,
@@ -359,18 +386,35 @@ impl TileGraph {
         TileOrdering { order, rank }
     }
 
-    fn counts(&self) -> &ClassTable {
-        self.counts.get_or_init(|| {
-            let mut point = self.tiling.make_point(&self.params);
-            ClassTable::count(&self.tiling, &self.tiles, &mut point)
+    fn classed(&self) -> &Classes {
+        self.classes.get_or_init(|| {
+            let point = self.tiling.make_point(&self.params);
+            Classes::sort(&self.tiling, &self.tiles, &point)
         })
+    }
+
+    /// How many geometry classes the graph's tiles fall into: the number of
+    /// tiles whose cells, edges and scan are actually walked. Sorts the
+    /// tiles into their classes if nothing has yet — one signature per
+    /// tile, no walk.
+    pub fn classes(&self) -> usize {
+        self.classed().walked.len()
     }
 
     /// Per tile, the number of cells in it ([`Tiling::tile_cell_count`]).
     /// Counted by the first caller, once and class by class (module docs);
     /// a graph nobody asks never counts.
     pub fn cells(&self) -> &[u128] {
-        &self.counts().cells
+        self.cells.get_or_init(|| {
+            let mut point = self.tiling.make_point(&self.params);
+            self.classed()
+                .count_cells(&self.tiling, &self.tiles, &mut point)
+        })
+    }
+
+    /// Whether the cells have been counted yet.
+    pub fn cells_counted(&self) -> bool {
+        self.cells.get().is_some()
     }
 
     /// The number of cells tile `tile` packs for dependency `dep_idx`
@@ -381,23 +425,56 @@ impl TileGraph {
     /// [`EdgeLayout::count`]: crate::EdgeLayout::count
     pub fn edge_cells(&self, tile: usize, dep_idx: usize) -> u64 {
         assert!(dep_idx < self.ndeps, "dependency {dep_idx} out of range");
-        let counts = self.counts();
+        let classes = self.classed();
         let edge_counts = self.edge_counts.get_or_init(|| {
             let mut point = self.tiling.make_point(&self.params);
-            counts.count_edges(&self.tiling, &self.tiles, &mut point)
+            classes.count_edges(&self.tiling, &self.tiles, &mut point)
         });
-        edge_counts[counts.class_of[tile] as usize * self.ndeps + dep_idx]
+        edge_counts[classes.class_of[tile] as usize * self.ndeps + dep_idx]
     }
 
-    /// How many geometry classes the graph's tiles fall into: the number of
-    /// tiles whose cells (and, if asked for, edges) are actually walked.
-    pub fn classes(&self) -> usize {
-        self.counts().walked.len()
+    /// The recorded geometry of tile `tile`: what [`Tiling::replay`] and
+    /// the edge pack/unpack of an execution read in place of the polyhedral
+    /// walks. It is the class's recording, borrowed — two array reads —
+    /// once a tile of the class has been recorded; the call that records
+    /// ([`Tiling::record`], outside any lock, so tiles of other classes
+    /// never wait for the walk) returns it owned, having parked it for every
+    /// later tile of the class, rank, thread and execution of the plan.
+    /// Recordings are kept up to a fixed byte budget; past it the recording
+    /// is returned owned and retained nowhere, so it lives exactly as long
+    /// as its user.
+    pub fn geometry(&self, tile: usize) -> Result<Cow<'_, Arc<TileGeom>>, PolyError> {
+        let classes = self.classed();
+        let slot = &classes.recordings[classes.class_of[tile] as usize];
+        if let Some(geom) = slot.get() {
+            return Ok(Cow::Borrowed(geom));
+        }
+        let mut point = self.tiling.make_point(&self.params);
+        let geom = Arc::new(self.tiling.record(&self.tiles[tile], &mut point)?);
+        // A byte count and its bound: neither publishes anything.
+        let bytes = geom.bytes();
+        let held = self.geometry_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let within = held + bytes <= self.geometry_budget.load(Ordering::Relaxed);
+        if !(within && slot.set(geom.clone()).is_ok()) {
+            // Over the budget, or another thread parked the class first.
+            self.geometry_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        }
+        // The class's recording when it has one — everyone's — and
+        // otherwise this one, the caller's alone.
+        Ok(Cow::Owned(slot.get().cloned().unwrap_or(geom)))
     }
 
-    /// Whether the cells have been counted yet.
-    pub fn cells_counted(&self) -> bool {
-        self.counts.get().is_some()
+    /// How many classes have a recording parked.
+    pub fn recordings(&self) -> usize {
+        let slots = self.classes.get().map_or(&[][..], |c| &c.recordings);
+        slots.iter().filter(|slot| slot.get().is_some()).count()
+    }
+
+    /// Replace the byte budget of [`TileGraph::geometry`]'s recordings
+    /// (those already parked stay). For tests of the over-the-budget path.
+    #[doc(hidden)]
+    pub fn set_geometry_budget(&self, bytes: usize) {
+        self.geometry_budget.store(bytes, Ordering::Relaxed);
     }
 }
 
@@ -514,7 +591,29 @@ mod tests {
             assert!(Arc::ptr_eq(&ordering, &graph.ordering(by_level, &lead)));
         }
 
+        // Classing and recording count nothing: every tile's recording is its
+        // class's — one recording per class, one class per recording — and
+        // equals the tile's own.
+        let class_of = graph.classed().class_of.clone();
+        let mut recordings: Vec<Arc<TileGeom>> = Vec::new();
+        for (i, t) in nest.iter().enumerate() {
+            let geom = graph.geometry(i).unwrap().into_owned();
+            assert_eq!(*geom, tiling.record(t, &mut point).unwrap(), "tile {t}");
+            match recordings.get(class_of[i] as usize) {
+                Some(first) => assert!(Arc::ptr_eq(first, &geom), "tile {t}"),
+                None => {
+                    assert_eq!(class_of[i] as usize, recordings.len(), "tile {t}");
+                    assert!(!recordings.iter().any(|other| Arc::ptr_eq(other, &geom)));
+                    recordings.push(geom);
+                }
+            }
+        }
+        assert_eq!(graph.classes(), recordings.len());
+        assert_eq!(graph.recordings(), recordings.len());
+        let parked: usize = recordings.iter().map(|geom| geom.bytes()).sum();
+        assert_eq!(graph.geometry_bytes.load(Ordering::Relaxed), parked);
         assert!(!graph.cells_counted(), "nothing has asked for a count yet");
+
         let counted: Vec<u128> = nest
             .iter()
             .map(|t| tiling.tile_cell_count(t, &mut point))
@@ -535,26 +634,13 @@ mod tests {
                 );
             }
         }
-
-        // The graph's classes are the geometry cache's: one recording per
-        // class, one class per recording, one pair of count walks per class.
-        let counts = graph.counts();
-        let mut recordings: Vec<Arc<crate::TileGeom>> = Vec::new();
-        for (t, &class) in nest.iter().zip(&counts.class_of) {
-            let (geom, _) = tiling.geometry(t, &mut point).unwrap();
-            match recordings.get(class as usize) {
-                Some(first) => assert!(Arc::ptr_eq(first, &geom), "tile {t}"),
-                None => {
-                    assert_eq!(class as usize, recordings.len(), "tile {t}");
-                    assert!(!recordings.iter().any(|other| Arc::ptr_eq(other, &geom)));
-                    recordings.push(geom);
-                }
-            }
-        }
+        // Counting moved no tile to another class.
+        let classes = graph.classed();
+        assert_eq!(classes.class_of, class_of);
         assert_eq!(graph.classes(), recordings.len());
         // One walk per class: each class's walked tile is its first.
-        for (class, &i) in counts.walked.iter().enumerate() {
-            let first = counts.class_of.iter().position(|&c| c as usize == class);
+        for (class, &i) in classes.walked.iter().enumerate() {
+            let first = class_of.iter().position(|&c| c as usize == class);
             assert_eq!(first, Some(i as usize));
         }
     }
@@ -688,8 +774,40 @@ mod tests {
         assert_eq!(graph.orderings.lock().unwrap().len(), MAX_ORDERINGS);
     }
 
+    /// Threads released together onto a fresh graph's first `geometry` of
+    /// one class may each record it; one recording is parked and charged,
+    /// and every caller leaves with that one.
+    #[test]
+    fn racing_first_recordings_of_a_class_keep_one() {
+        const THREADS: usize = 4;
+        let graph = lcs_box(4).build().unwrap().graph(&[21]);
+        // Tiles off both low faces are one class.
+        let interior =
+            (0..graph.len()).filter(|&i| graph.tiles()[i].as_slice().iter().all(|&t| t > 0));
+        let interior: Vec<usize> = interior.take(THREADS).collect();
+        assert_eq!(interior.len(), THREADS);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let got: Vec<Arc<TileGeom>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = interior
+                .iter()
+                .map(|&i| {
+                    let (graph, barrier) = (&graph, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        graph.geometry(i).unwrap().into_owned()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|geom| Arc::ptr_eq(geom, &got[0])));
+        assert_eq!(graph.recordings(), 1);
+        assert_eq!(graph.geometry_bytes.load(Ordering::Relaxed), got[0].bytes());
+        assert!(matches!(graph.geometry(interior[0]), Ok(Cow::Borrowed(_))));
+    }
+
     /// A binding whose signature overflows has no class to share: every
-    /// tile is walked, and the counts are still the tiling's.
+    /// tile is a class of its own, and the counts are still the tiling's.
     #[test]
     fn a_signature_that_overflows_is_counted_directly() {
         let space = Space::from_names(&["x"], &["N"]).unwrap();
@@ -700,18 +818,20 @@ mod tests {
         let tiles: Vec<Coord> = (0..6).map(|t| Coord::from_slice(&[t])).collect();
 
         let mut point = tiling.make_point(&[99]);
-        let classed = ClassTable::count(&tiling, &tiles, &mut point);
+        let classed = Classes::sort(&tiling, &tiles, &point);
         assert_eq!(classed.walked, [0]);
+        let cells = classed.count_cells(&tiling, &tiles, &mut point);
 
         // As `geom.rs`'s `a_parameter_beyond_i64_is_an_error_not_a_panic`.
         point[tiling.param_cols()[0]] = i128::MAX;
         let mut sig = Vec::new();
         assert!(tiling.signature(&tiles[0], &point, &mut sig).is_err());
-        let direct = ClassTable::count(&tiling, &tiles, &mut point);
+        let direct = Classes::sort(&tiling, &tiles, &point);
         assert_eq!(direct.walked, [0, 1, 2, 3, 4, 5]);
         assert_eq!(direct.class_of, direct.walked);
-        assert_eq!(direct.cells, classed.cells);
-        assert_eq!(direct.cells, [4; 6]);
+        assert_eq!(direct.recordings.len(), 6);
+        assert_eq!(direct.count_cells(&tiling, &tiles, &mut point), cells);
+        assert_eq!(cells, [4; 6]);
         assert_eq!(direct.count_edges(&tiling, &tiles, &mut point), [1; 6]);
     }
 }

@@ -5,13 +5,12 @@
 use crate::coord::{Coord, MAX_DIMS};
 use crate::deps::{derive_tile_deps, TileDep};
 use crate::edges::{build_edge_layouts, EdgeLayout};
-use crate::geom::GeomCache;
+use crate::geom::SigRows;
 use crate::layout::TileLayout;
 use crate::template::{Direction, TemplateError, TemplateSet};
 use dpgen_polyhedra::num::{ceil_div, floor_div};
 use dpgen_polyhedra::{Constraint, ConstraintSystem, LinExpr, LoopNest, PolyError, Space, VarKind};
 use std::fmt;
-use std::sync::Arc;
 
 /// Upper bound on simultaneously tracked templates / validity checks in the
 /// fixed-size scan scratch arrays.
@@ -421,9 +420,8 @@ pub struct Tiling {
     /// The band's dimension pair `(a, b)` (`lo <= x_a - x_b <= hi`);
     /// `None` for dense tilings.
     band_dims: Option<(usize, usize)>,
-    /// Memoized tile geometries ([`Tiling::geometry`]); clones of a tiling
-    /// share them.
-    pub(crate) geoms: Arc<GeomCache>,
+    /// What a tile's geometry class is read from ([`Tiling::signature`]).
+    pub(crate) sig_rows: SigRows,
 }
 
 impl Tiling {
@@ -586,14 +584,14 @@ impl Tiling {
             validity_per_template.push(idxs);
         }
 
-        let geoms = Arc::new(GeomCache::new(
+        let sig_rows = SigRows::new(
             &local_system,
             &validity_checks,
             &i_cols,
             &t_cols,
             &param_cols,
             &widths,
-        )?);
+        )?;
 
         Ok(Tiling {
             original,
@@ -620,7 +618,7 @@ impl Tiling {
                 None => TileShape::Dense,
             },
             band_dims: band.map(|(a, b, _, _)| (a, b)),
-            geoms,
+            sig_rows,
         })
     }
 
@@ -829,7 +827,7 @@ impl Tiling {
     ///
     /// This is the reference scan: one validity evaluation per check per
     /// cell, no runs. Nothing executes through it — the node engine and
-    /// traceback replay [`Tiling::geometry`] recordings of
+    /// traceback replay [`Tiling::record`]ings of
     /// [`Tiling::scan_tile_runs`] — it is the oracle the tests hold the
     /// faster scans to.
     pub fn scan_tile<F: FnMut(CellRef<'_>)>(
@@ -902,7 +900,7 @@ impl Tiling {
     }
 
     /// The run-visitor form of [`Tiling::scan_tile_fast`], and the walk
-    /// [`Tiling::geometry`] records once per tile class: boundary cells
+    /// [`Tiling::record`] records, once per tile class: boundary cells
     /// reach `visitor.cell(..)` one at a time, and each all-valid interior
     /// run reaches `visitor.run(..)` *whole*, with its endpoints and buffer
     /// geometry precomputed ([`RunCtx`]). Run-batched kernels hang off this

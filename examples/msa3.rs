@@ -11,9 +11,10 @@
 use dpgen::core::traceback::{run_logged, Traceback};
 use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Msa};
+use dpgen::runtime::RunError;
 use dpgen::tiling::tiling::CellRef;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let len: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -21,10 +22,11 @@ fn main() {
     let seqs: Vec<Vec<u8>> = (0..3).map(|k| random_sequence(len, 100 + k)).collect();
     let problem = Msa::new(&[&seqs[0], &seqs[1], &seqs[2]]);
     let program = Msa::program(3, 8).expect("msa3 generates");
-    let tiling = program.tiling();
+    let plan = program.compile(&problem.params());
+    let graph = plan.graph()?;
 
     // Forward pass that retains tile edges for the traceback.
-    let log = run_logged::<i64, _>(tiling, &problem.params(), &problem);
+    let log = run_logged::<i64, _>(&graph, &problem)?;
     println!(
         "forward pass done; edge log holds {} cells (full space would be {})",
         log.total_cells(),
@@ -57,8 +59,8 @@ fn main() {
         best.map(|(_, m)| m)
     };
 
-    let mut tb = Traceback::new(tiling, &problem.params(), &problem, &log);
-    let path = tb.trace(&problem.goal(), &mut decide);
+    let mut tb = Traceback::new(&graph, &problem, &log);
+    let path = tb.trace(&problem.goal(), &mut decide)?;
     println!(
         "alignment path: {} columns, {} tile recomputations",
         path.len() - 1,
@@ -83,11 +85,7 @@ fn main() {
         let opts = ExecOpts::new()
             .threads(4)
             .probe(dpgen::runtime::Probe::at(&problem.goal()));
-        let res = program
-            .compile(&problem.params())
-            .execute(&problem, &opts)
-            .expect("run succeeds");
-        res.probes[0].unwrap()
+        plan.execute(&problem, &opts)?.probes[0].unwrap()
     });
     for (k, row) in rows.iter().enumerate() {
         println!("  seq{}: {row}", k + 1);
@@ -101,6 +99,7 @@ fn main() {
         );
     }
     println!("verified: every row spells its sequence.");
+    Ok(())
 }
 
 fn column_cost(msa: &Msa, x: &[i64], delta: &[i64]) -> i64 {

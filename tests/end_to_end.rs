@@ -130,11 +130,7 @@ fn priorities_do_not_change_results() {
     let want = problem.solve_dense();
     let program = Lcs::program(2, 4).unwrap();
     let params = problem.params();
-    for priority in [
-        TilePriority::column_major(2),
-        TilePriority::LevelSet,
-        TilePriority::Fifo,
-    ] {
+    for priority in [TilePriority::column_major(2), TilePriority::LevelSet] {
         let opts = ExecOpts::new()
             .threads(4)
             .priority(priority.clone())

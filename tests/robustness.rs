@@ -174,7 +174,7 @@ fn degenerate_one_dimensional_problem() {
     };
     let opts = ExecOpts::new()
         .threads(2)
-        .priority(TilePriority::Fifo)
+        .priority(TilePriority::LevelSet)
         .probe(Probe::at(&[0]));
     let res = program
         .compile(&[17])
@@ -547,7 +547,7 @@ fn empty_iteration_space_for_parameters() {
     };
     let opts = ExecOpts::new()
         .threads(2)
-        .priority(TilePriority::Fifo)
+        .priority(TilePriority::LevelSet)
         .probe(Probe::at(&[2]));
     let res = program
         .compile(&[1])

@@ -117,7 +117,7 @@ fn permutations(d: usize) -> Vec<Vec<usize>> {
 fn assert_same_pops_as_the_coord_scheduler(tiling: &Tiling, params: &[i64]) {
     let graph = tiling.graph(params);
     let d = tiling.dims();
-    let mut priorities = vec![TilePriority::LevelSet, TilePriority::Fifo];
+    let mut priorities = vec![TilePriority::LevelSet];
     priorities.extend(
         permutations(d)
             .into_iter()
@@ -145,21 +145,16 @@ fn assert_same_pops_as_the_coord_scheduler(tiling: &Tiling, params: &[i64]) {
             assert_eq!(edges.len(), old_edges.len());
             popped += 1;
             let mut batch = out_edges(&graph, tile, tile % 5);
-            // The Coord scheduler sorts a batch by shard before it delivers
-            // it, so under `Fifo` the order tiles go ready in — their key —
-            // would follow the hash: it gets the batch an edge at a time.
-            let mut old_ready = 0;
-            for e in &batch {
-                old_ready += old.deliver_batch(
-                    0,
-                    &mut vec![EdgeDelivery {
-                        tile: graph.tiles()[e.tile],
-                        delta: tiling.deps()[e.dep].delta,
-                        payload: e.payload.clone(),
-                        total: graph.dep_total(e.tile),
-                    }],
-                );
-            }
+            let mut old_batch: Vec<EdgeDelivery<i64>> = batch
+                .iter()
+                .map(|e| EdgeDelivery {
+                    tile: graph.tiles()[e.tile],
+                    delta: tiling.deps()[e.dep].delta,
+                    payload: e.payload.clone(),
+                    total: graph.dep_total(e.tile),
+                })
+                .collect();
+            let old_ready = old.deliver_batch(0, &mut old_batch);
             assert_eq!(new.deliver(0, &mut batch), Ok(old_ready));
         }
         assert!(old.pop(0).is_none());
@@ -227,7 +222,6 @@ proptest! {
         priority in proptest::sample::select(vec![
             TilePriority::column_major(2),
             TilePriority::LevelSet,
-            TilePriority::Fifo,
         ]),
     ) {
         let cut = (a + b > 0).then_some((a, b, a + b + 1));
@@ -433,8 +427,12 @@ fn duplicate_edge_delivery_is_a_typed_fault() {
     let graph = tiling.graph(&[8]);
     // Tile (1, 1) reads (2, 1) and (1, 2).
     let tile = graph.index_of(&Coord::from_slice(&[1, 1])).unwrap();
-    let sched: TileScheduler<'_, i64> =
-        TileScheduler::new(&graph, TilePriority::Fifo, 2, Arc::new(MemoryStats::new()));
+    let sched: TileScheduler<'_, i64> = TileScheduler::new(
+        &graph,
+        TilePriority::LevelSet,
+        2,
+        Arc::new(MemoryStats::new()),
+    );
     let edge = |payload: Vec<i64>| {
         vec![Delivery {
             tile,
@@ -556,7 +554,7 @@ fn ready_len_never_exceeds_deliveries_under_contention() {
     // A million deliveries in all, a fresh scheduler every fifth of them.
     for _ in 0..ROUNDS {
         let sched: TileScheduler<'_, i64> =
-            TileScheduler::new(&graph, TilePriority::Fifo, QUEUES, Arc::default());
+            TileScheduler::new(&graph, TilePriority::LevelSet, QUEUES, Arc::default());
         let (delivered, popped, worst) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
         let (s, graph, delivered, popped, worst) = (&sched, &graph, &delivered, &popped, &worst);
         std::thread::scope(|scope| {

@@ -1,18 +1,19 @@
 //! Tile-geometry classes: the recorded walks the node engine replays.
 //!
 //! The generic polyhedral walks (`scan_tile_runs`, `EdgeLayout::for_each_cell`)
-//! are the oracle here: for every tile of randomly generated specs the
-//! memoized recording must replay exactly what they produce, the classes
-//! must be as few as the signature's slack rule promises, and executing
-//! through the cache, through a warm cache, or with the cache disabled must
-//! give the same bits and the same counters.
+//! are the oracle here: for every tile of randomly generated specs its
+//! class's recording must replay exactly what they produce, the classes
+//! must be as few as the signature's slack rule promises, and executing on
+//! a fresh tile graph, on one whose classes are recorded, or on one that
+//! may keep no recording must give the same bits and the same counters.
 
 use dpgen::core::{ExecOpts, Plan, Program, SpecGen};
 use dpgen::problems::{random_sequence, BandedSw, Bandit2, Lcs};
 use dpgen::runtime::{Probe, RunStats, Schedule};
 use dpgen::tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
-use dpgen::tiling::{Coord, ScanCounts, Tiling};
+use dpgen::tiling::{Coord, ScanCounts, TileGraph, Tiling};
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 /// Everything a kernel can observe of one scan, in visit order: the
 /// `Debug` rendering of every `CellRef` and `RunCtx` (all fields). It does
@@ -57,7 +58,7 @@ fn all_tiles(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
     tiles
 }
 
-/// For every tile: the memoized geometry — possibly recorded for an earlier
+/// For every tile: the graph's geometry — possibly recorded for an earlier
 /// tile of the same class — replays the exact visit sequence of
 /// `scan_tile_runs` (its blocks expanded by the default
 /// `TileVisitor::block`) with the same `ScanCounts`, its blocks stand for
@@ -66,12 +67,12 @@ fn all_tiles(tiling: &Tiling, params: &[i64]) -> Vec<Coord> {
 /// tile (equal signatures, equal recordings). Returns the blocks and runs
 /// seen over all tiles.
 fn check_replay(tiling: &Tiling, params: &[i64], ctx: &str) -> (u64, u64) {
-    let own_builder = tiling.uncached();
+    let graph = tiling.graph(params);
     let layout = tiling.layout();
     let (mut blocks, mut runs) = (0, 0);
-    for t in all_tiles(tiling, params) {
+    for (i, &t) in graph.tiles().iter().enumerate() {
         let mut point = tiling.make_point(params);
-        let (geom, _) = tiling.geometry(&t, &mut point).unwrap();
+        let geom = graph.geometry(i).unwrap();
 
         let mut want = Seen::default();
         let want_counts = tiling.scan_tile_runs(&t, &mut point, &mut want).unwrap();
@@ -109,11 +110,10 @@ fn check_replay(tiling: &Tiling, params: &[i64], ctx: &str) -> (u64, u64) {
             assert_eq!(got_ghost, ghost, "{ctx} tile {t} edge {}", edge.delta);
         }
 
-        let (own, built) = own_builder.geometry(&t, &mut point).unwrap();
-        assert!(built);
-        assert_eq!(*geom, *own, "{ctx} tile {t}");
+        let own = tiling.record(&t, &mut point).unwrap();
+        assert_eq!(**geom, own, "{ctx} tile {t}");
     }
-    assert_eq!(own_builder.geometry_classes(), 0);
+    assert_eq!(graph.recordings(), graph.classes(), "{ctx}");
     (blocks, runs)
 }
 
@@ -193,7 +193,7 @@ fn replay_equals_the_generic_walks_on_shapes_that_stress_grouping() {
 fn blocks_of(tiling: &Tiling, params: &[i64], tile: &[i64]) -> (Blocks, ScanCounts) {
     let tile = Coord::from_slice(tile);
     let mut point = tiling.make_point(params);
-    let (geom, _) = tiling.geometry(&tile, &mut point).unwrap();
+    let geom = tiling.record(&tile, &mut point).unwrap();
     let mut grouped = Blocks::default();
     let counts = tiling.replay(&geom, &tile, &mut grouped);
     (grouped, counts)
@@ -235,12 +235,15 @@ fn a_dense_interior_tile_is_one_block() {
     );
 }
 
-fn classes_after_touching_every_tile(tiling: &Tiling, params: &[i64]) -> usize {
-    let mut point = tiling.make_point(params);
-    for t in all_tiles(tiling, params) {
-        tiling.geometry(&t, &mut point).unwrap();
+/// The graph of `tiling` at `params` with every tile's geometry asked for
+/// once: one recording per class.
+fn touch_every_tile(tiling: &Tiling, params: &[i64]) -> TileGraph {
+    let graph = tiling.graph(params);
+    for i in 0..graph.len() {
+        graph.geometry(i).unwrap();
     }
-    tiling.geometry_classes()
+    assert_eq!(graph.recordings(), graph.classes());
+    graph
 }
 
 #[test]
@@ -254,7 +257,7 @@ fn dense_lcs_box_has_four_classes() {
         let tiles = all_tiles(program.tiling(), &[n, n]).len();
         assert_eq!(tiles as i64, ((n + 1) / width).pow(2));
         assert_eq!(
-            classes_after_touching_every_tile(program.tiling(), &[n, n]),
+            touch_every_tile(program.tiling(), &[n, n]).recordings(),
             4,
             "len {len} width {width}: {tiles} tiles"
         );
@@ -274,28 +277,27 @@ fn simplex_classes_are_constant_per_diagonal() {
         let tiling = program.tiling();
         let tiles = all_tiles(tiling, &[n]);
         let diagonals = tiles.iter().map(|t| t[0] + t[1]).max().unwrap() + 1;
-        let classes = classes_after_touching_every_tile(tiling, &[n]);
+        let graph = touch_every_tile(tiling, &[n]);
+        let classes = graph.recordings();
         assert!(
             classes <= 4,
             "N={n}: {classes} classes over {} tiles on {diagonals} diagonals",
             tiles.len()
         );
         // And the classes are keyed by the diagonal alone.
-        let mut point = tiling.make_point(&[n]);
         let mut by_diagonal = std::collections::HashMap::new();
-        for t in &tiles {
-            let (geom, built) = tiling.geometry(t, &mut point).unwrap();
-            assert!(!built);
-            let first = by_diagonal
-                .entry(t[0] + t[1])
-                .or_insert_with(|| geom.clone());
-            assert!(std::sync::Arc::ptr_eq(first, &geom), "N={n} tile {t}");
+        for (i, t) in tiles.iter().enumerate() {
+            let Cow::Borrowed(geom) = graph.geometry(i).unwrap() else {
+                panic!("N={n} tile {t}: recorded twice");
+            };
+            let first = by_diagonal.entry(t[0] + t[1]).or_insert(geom);
+            assert!(std::sync::Arc::ptr_eq(first, geom), "N={n} tile {t}");
         }
     }
 }
 
 /// Every `RunStats` counter that does not depend on timing or on the state
-/// the previous run left behind (pools, geometry cache).
+/// the previous run left behind (pools, recordings).
 fn exact_counters(s: &RunStats) -> [u64; 9] {
     [
         s.tiles_executed,
@@ -334,20 +336,18 @@ fn second_execution_of_a_plan_builds_no_geometry() {
         for (r1, r2) in first.per_rank.iter().zip(&second.per_rank) {
             assert_eq!(exact_counters(&r1.stats), exact_counters(&r2.stats));
             assert_eq!(r2.stats.geom_builds, 0, "threads={threads} ranks={ranks}");
-            // One lookup per tile this rank touched, all hits now.
-            assert_eq!(
-                r2.stats.geom_hits,
-                r1.stats.geom_hits + r1.stats.geom_builds
-            );
             assert_eq!(r2.stats.geom_classes, 4);
         }
         assert_eq!(second.metrics.counter("runtime.geom_builds"), Some(0));
         assert_eq!(second.metrics.gauge("runtime.geom_classes"), Some(4.0));
     }
-    // The very first execution above built the four classes, once each.
-    assert_eq!(plan.tiling().geometry_classes(), 4);
+    // The very first execution above recorded the four classes.
+    assert_eq!(plan.graph().unwrap().recordings(), 4);
 }
 
+/// With no budget for recordings every tile executed and every edge
+/// unpacked records its own, nothing is kept — during the run or after it —
+/// and nothing else changes.
 #[test]
 fn a_cache_that_retains_nothing_changes_no_result() {
     let mut gen = SpecGen::new(0x6e0);
@@ -358,23 +358,27 @@ fn a_cache_that_retains_nothing_changes_no_result() {
         let kernel = dpgen::core::specgen::fuzz_kernel(gs.spec.templates.len());
         let lattice = dpgen::core::specgen::lattice_points(&gs.spec, gs.param).unwrap();
         let probes: Vec<&[i64]> = lattice.iter().map(|x| x.as_slice()).collect();
-        let uncached = program.tiling().uncached();
-        let run = |tiling: &Tiling, threads: usize| {
+        let run = |budget: Option<usize>, threads: usize| {
+            let plan = Plan::on_tiling(program.tiling().clone(), &params, vec![]).unwrap();
+            let graph = plan.graph().unwrap();
+            if let Some(bytes) = budget {
+                graph.set_geometry_budget(bytes);
+            }
             let opts = ExecOpts::new().threads(threads).probe(Probe::many(&probes));
-            Plan::on_tiling(tiling.clone(), &params, vec![])
-                .unwrap()
-                .execute::<u64, _>(&kernel, &opts)
-                .unwrap()
+            let out = plan.execute::<u64, _>(&kernel, &opts).unwrap();
+            (out, graph)
         };
-        let cached = run(program.tiling(), 1);
+        let (kept, graph) = run(None, 1);
+        let want = &kept.per_rank[0].stats;
+        assert_eq!(want.geom_builds as usize, graph.classes());
         for threads in [1usize, 3] {
-            let out = run(&uncached, threads);
-            assert_eq!(out.probes, cached.probes, "seed {:#x}", gs.seed);
-            let (got, want) = (&out.per_rank[0].stats, &cached.per_rank[0].stats);
+            let (out, graph) = run(Some(0), threads);
+            assert_eq!(out.probes, kept.probes, "seed {:#x}", gs.seed);
+            let got = &out.per_rank[0].stats;
             assert_eq!(exact_counters(got), exact_counters(want));
-            assert_eq!(got.geom_hits, 0);
-            assert_eq!(got.geom_builds, want.geom_builds + want.geom_hits);
-            assert_eq!(got.geom_classes, 0);
+            // One rank unpacks exactly the edges it delivers to itself.
+            assert_eq!(got.geom_builds, got.tiles_executed + got.edges_local);
+            assert_eq!((got.geom_classes, graph.recordings()), (0, 0));
         }
     }
 }
