@@ -8,12 +8,12 @@
 use crate::calibrate;
 use crate::report::{fmt_dur_us, fmt_f, Table};
 use dpgen_core::loadbalance::{BalanceMethod, LoadBalance};
-use dpgen_core::traceback::{run_logged, Traceback};
+use dpgen_core::traceback::Traceback;
 use dpgen_core::{ExecOpts, Plan, Program, RunOutput};
 use dpgen_des::{simulate_on, CostModel, SimConfig};
 use dpgen_mpisim::CommConfig;
 use dpgen_problems::{random_sequence, Bandit2, Bandit3, Lcs, Msa};
-use dpgen_runtime::{Probe, Schedule, SingleOwner, TilePriority, Value};
+use dpgen_runtime::{PerCell, Probe, Schedule, SingleOwner, TilePriority, Value};
 use dpgen_tiling::tiling::CellRef;
 use dpgen_tiling::{TileGraph, Tiling};
 use std::sync::Arc;
@@ -813,43 +813,17 @@ pub fn e12_traceback(quick: bool) -> Table {
     let len: usize = if quick { 10 } else { 24 };
     let seqs: Vec<Vec<u8>> = (0..3).map(|k| random_sequence(len, 200 + k)).collect();
     let problem = Msa::new(&[&seqs[0], &seqs[1], &seqs[2]]);
-    let program = Msa::program(3, 6).unwrap();
-    let graph = program.tiling().graph(&problem.params());
-    let log = run_logged::<i64, _>(&graph, &problem).expect("forward pass records every tile");
+    let plan = Msa::program(3, 6).unwrap().compile(&problem.params());
+    let graph = plan.graph().expect("the binding fits the program");
+    let (_, log) = plan
+        .execute_logged::<i64, _>(&PerCell(&problem), &ExecOpts::new())
+        .expect("forward pass completes");
     let full = (len as u128 + 1).pow(3);
-    let problem2 = problem.clone();
-    let mut decide = move |cell: CellRef<'_>, values: &[i64]| -> Option<usize> {
-        if cell.x.iter().all(|&c| c == 0) {
-            return None;
-        }
-        (0..cell.valid.len()).find(|&m| {
-            cell.valid[m] && {
-                let mask = m + 1;
-                let delta: Vec<i64> = (0..3)
-                    .map(|k| if mask & (1 << k) != 0 { -1 } else { 0 })
-                    .collect();
-                let mut cost = 0i64;
-                for k in 0..3 {
-                    for l in k + 1..3 {
-                        let ck =
-                            (delta[k] == -1).then(|| problem2.seqs[k][(cell.x[k] - 1) as usize]);
-                        let cl =
-                            (delta[l] == -1).then(|| problem2.seqs[l][(cell.x[l] - 1) as usize]);
-                        cost += match (ck, cl) {
-                            (Some(a), Some(b)) if a == b => 0,
-                            (Some(_), Some(_)) => problem2.mismatch,
-                            (None, None) => 0,
-                            _ => problem2.gap,
-                        };
-                    }
-                }
-                values[cell.loc_r(m)] + cost == values[cell.loc]
-            }
-        })
-    };
     let mut tb = Traceback::new(&graph, &problem, &log);
     let path = tb
-        .trace(&problem.goal(), &mut decide)
+        .trace(&problem.goal(), &mut |cell, values| {
+            problem.decide(cell, values)
+        })
         .expect("the goal is a cell of the problem");
     table.row(vec![
         len.to_string(),

@@ -14,22 +14,22 @@
 //! others down promptly; the engine then reports the most diagnostic error
 //! (by [`RunError::severity`]) rather than a sympathetic `Cancelled`.
 //!
-//! The public entry point is [`crate::Plan::execute`] (and its batched
-//! and reducing siblings), which checks the options and calls
+//! The public entry point is [`crate::Plan::execute`] (and its batched,
+//! reducing and logging siblings), which checks the options and calls
 //! `hybrid_run`; nothing else does.
 
 use crate::loadbalance::LoadBalance;
 use crate::plan::{ExecOpts, Plan};
 use crate::run::RunOutput;
+use crate::traceback::EdgeLog;
 use dpgen_mpisim::{CommStats, CommWorld, Wire};
 use dpgen_runtime::{
     run_node, CheckpointData, CheckpointSink, CompileFault, CompileStage, EventKind,
     MetricsRegistry, NodeConfig, NodeJob, NodeRecovery, NodeResult, NullTransport, RankTrace,
-    Reduction, ResumeState, RunError, RunKernel, RunStats, SingleOwner, TileOwner, Timeline,
-    Tracer, Transport, Value,
+    Reduction, ResumeState, RunError, RunKernel, RunStats, SingleOwner, TileOwner, TileSet,
+    Timeline, Tracer, Transport, Value,
 };
 use dpgen_tiling::Coord;
-use std::collections::HashSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,7 +74,7 @@ pub struct RecoveryStats {
     /// ownership patching, replay routing, world rebuild).
     pub recovery_latency: Duration,
     /// Aggregate bytes retained in the per-rank slab checkpoints at the
-    /// end of the run (0 when recovery is off).
+    /// end of the run (0 when the run neither recovers nor logs).
     pub checkpoint_bytes: u64,
     /// Tiles skipped on resume because a checkpoint already held their
     /// results (summed over ranks and epochs).
@@ -86,13 +86,17 @@ pub struct RecoveryStats {
 /// The tiled engine behind [`crate::Plan::execute`]: `opts.ranks` ranks
 /// of `opts.threads` workers on the plan's memoized artifacts. Any rank's
 /// failure cancels the others, and the most diagnostic error across ranks
-/// is returned. `opts` must already have passed the plan's validation.
+/// is returned. `opts` must already have passed the plan's validation. A
+/// `logged` run keeps the checkpoints' retained edges — every edge of the
+/// forward pass — and returns them as the [`EdgeLog`]; any other run
+/// returns an empty one.
 pub(crate) fn hybrid_run<T, RK>(
     plan: &Plan,
     opts: &ExecOpts,
     kernel: &RK,
     reduce: Option<&Reduction<T>>,
-) -> Result<RunOutput<T>, RunError>
+    logged: bool,
+) -> Result<(RunOutput<T>, EdgeLog<T>), RunError>
 where
     T: Value + Wire,
     RK: RunKernel<T>,
@@ -127,7 +131,8 @@ where
     // Recovery wiring: heartbeats ride the comm links so survivors detect
     // a dead peer in bounded time, and each rank streams its completed
     // tiles into an incremental slab checkpoint. One rank has no peer to
-    // lose, so there it stays off.
+    // lose, so there it stays off. A logged run keeps the checkpoints too,
+    // for the edges in them, whether or not it recovers.
     let recovery = opts.recovery.filter(|_| opts.ranks > 1);
     let mut comm_config = opts.comm;
     if let Some(rc) = &recovery {
@@ -137,7 +142,8 @@ where
     let recovery_on = recovery.is_some();
     let max_recoveries = recovery.map_or(0, |rc| rc.max_recoveries);
     let combine = reduce.map(|r| r.combine_fn());
-    let mut sinks: Vec<Arc<CheckpointSink<T>>> = if recovery_on {
+    let retain = recovery_on || logged;
+    let mut sinks: Vec<Arc<CheckpointSink<T>>> = if retain {
         (0..opts.ranks)
             .map(|_| Arc::new(CheckpointSink::new(combine.clone())))
             .collect()
@@ -203,7 +209,7 @@ where
             // per execution, and none at all before that rank's first tile.
             let mut inline = None;
             for (rank, transport) in seats {
-                let recovery = recovery_on.then(|| NodeRecovery {
+                let recovery = retain.then(|| NodeRecovery {
                     sink: sinks[rank].clone(),
                     resume: resume[rank].take(),
                 });
@@ -216,7 +222,6 @@ where
                     cancel: Some(cancel.clone()),
                     job_cancel: opts.cancel.clone(),
                     static_plan: artifacts.static_plan.clone(),
-                    recycler: Some(artifacts.recycler.clone()),
                     tracer: tracers[rank].clone(),
                 };
                 let run_rank = move || {
@@ -331,20 +336,24 @@ where
     let traces: Vec<RankTrace> = tracers.iter().flatten().map(|t| t.drain()).collect();
     let timeline = (!traces.is_empty()).then(|| Timeline::build(traces));
 
-    // Under recovery the node engine routes per-tile reduction
-    // contributions into the checkpoint sinks instead of merging them
-    // mid-run (a failed epoch must not leave half its tiles in the global
-    // accumulator); fold the surviving per-rank partials in now.
-    if recovery_on {
-        for sink in &sinks {
-            let data = sink.take();
-            if let (Some(r), Some(a)) = (reduce, data.acc) {
-                r.merge(a);
-            }
-            rec_stats.checkpoint_bytes += data.bytes;
+    // With checkpoints the node engine routes per-tile reduction
+    // contributions into the sinks instead of merging them mid-run (a
+    // failed epoch must not leave half its tiles in the global
+    // accumulator); fold the surviving per-rank partials in now. Every
+    // tile is complete in exactly one live rank's sink (a dead rank's
+    // re-ran on its adoptee), so the sinks' edges are the run's edge log.
+    let mut log = EdgeLog::new(if logged { graph.len() } else { 0 });
+    for sink in &sinks {
+        let data = sink.take();
+        if let (Some(r), Some(a)) = (reduce, data.acc) {
+            r.merge(a);
         }
-        rec_stats.tiles_resumed = per_rank.iter().map(|r| r.stats.tiles_resumed).sum();
+        rec_stats.checkpoint_bytes += data.bytes;
+        if logged {
+            log.extend(data.edges);
+        }
     }
+    rec_stats.tiles_resumed = per_rank.iter().map(|r| r.stats.tiles_resumed).sum();
 
     let mut metrics = MetricsRegistry::new();
     for (rank, r) in per_rank.iter().enumerate() {
@@ -367,7 +376,7 @@ where
             rec_stats.recovery_latency.as_secs_f64() * 1e3,
         );
     }
-    Ok(RunOutput {
+    let out = RunOutput {
         probes,
         reduction: reduce.map(|r| r.finish()),
         per_rank,
@@ -378,7 +387,8 @@ where
         total_time: t_start.elapsed(),
         balance_time: artifacts.balance_time,
         recovery: rec_stats,
-    })
+    };
+    Ok((out, log))
 }
 
 /// The patched tile ownership of a recovered world: the balancer's
@@ -448,19 +458,21 @@ fn recover<T: Value>(
     // The union of all surviving completed sets: tiles that will not
     // re-execute. Retained edges into them are already consumed; retained
     // edges into anything else replay into the new owner's scheduler.
-    let union: HashSet<Coord> = datas
-        .iter()
-        .flat_map(|d| d.completed.iter().copied())
-        .collect();
+    let mut union = TileSet::default();
+    for d in &datas {
+        union.union_with(&d.completed);
+    }
+    let tiles = balance.graph().tiles();
     let mut states: Vec<ResumeState<T>> = (0..ranks).map(|_| ResumeState::default()).collect();
     for (r, d) in datas.iter().enumerate() {
         states[r].completed = d.completed.clone();
         states[r].probes = d.probes.clone();
         for e in &d.edges {
-            if union.contains(&e.tile) {
+            if union.contains(e.tile) {
                 continue;
             }
-            states[map[balance.owner(&e.tile)]].replay.push(e.clone());
+            let owner = map[balance.owner_at(e.tile, &tiles[e.tile])];
+            states[owner].replay.push(e.clone());
         }
     }
     for (r, st) in states.into_iter().enumerate() {
@@ -565,6 +577,9 @@ mod tests {
                 let res = run(&tiling, n, &[0], &config, &path_kernel, None).unwrap();
                 assert_eq!(res.probes[0], Some(want), "ranks={ranks} threads={threads}");
                 assert_eq!(res.cells_computed(), ((n + 1) * (n + 2) / 2) as u64);
+                // Neither logged nor recovering: no rank has a checkpoint.
+                assert_eq!(res.recovery.checkpoint_bytes, 0);
+                assert!(res.per_rank.iter().all(|r| r.stats.checkpoint_bytes == 0));
                 if ranks > 1 {
                     assert!(res.edges_remote() > 0, "multi-rank runs must communicate");
                     assert!(res.bytes_sent() > 0);

@@ -7,8 +7,7 @@
 //! parameter binding and the load-balancing dimensions, plus lazily
 //! memoized schedule artifacts (the tile graph every rank of every
 //! execution reads, the uniform-slab verdict, static wavefront plans, load
-//! balances, a cross-run buffer recycler) that make a repeated execution
-//! cheaper than the first.
+//! balances) that make a repeated execution cheaper than the first.
 //!
 //! ```
 //! use dpgen_core::{ExecOpts, Program};
@@ -33,10 +32,10 @@
 //! }
 //! ```
 //!
-//! There is no other door: [`Plan::execute`], [`Plan::execute_batched`]
-//! and [`Plan::execute_reduce`] all check their options against the plan
-//! ([`ExecOpts`] arrives from outside — a serve job's request) and then
-//! enter the one tiled driver. The untiled dense executor tests compare
+//! There is no other door: [`Plan::execute`], [`Plan::execute_batched`],
+//! [`Plan::execute_reduce`] and [`Plan::execute_logged`] all check their
+//! options against the plan ([`ExecOpts`] arrives from outside — a serve
+//! job's request) and then enter the one tiled driver. The untiled dense executor tests compare
 //! against is [`dpgen_runtime::run_reference`], called directly.
 
 use crate::driver::{hybrid_run, RecoveryConfig};
@@ -44,11 +43,12 @@ use crate::loadbalance::{slabs_uniform_on, BalanceMethod, LoadBalance};
 use crate::program::{Program, ProgramError};
 use crate::run::RunOutput;
 use crate::spec::ProblemSpec;
+use crate::traceback::EdgeLog;
 use dpgen_mpisim::{CommConfig, ReliabilityConfig, Wire};
 use dpgen_polyhedra::probe_box;
 use dpgen_runtime::{
-    BufferRecycler, CompileFault, CompileStage, Kernel, PerCell, Probe, Reduction, RunError,
-    RunKernel, Schedule, StaticPlan, TilePriority, TraceConfig, TraceLevel, Value,
+    CompileFault, CompileStage, Kernel, PerCell, Probe, Reduction, RunError, RunKernel, Schedule,
+    StaticPlan, TilePriority, TraceConfig, TraceLevel, Value, MAX_RING_CAPACITY,
 };
 use dpgen_tiling::{TileGraph, TileShape, Tiling};
 use parking_lot::Mutex;
@@ -98,7 +98,8 @@ pub struct ExecOpts {
     /// Event tracing: level and per-worker ring capacity
     /// ([`TraceLevel::Off`] by default). At [`TraceLevel::Spans`] and
     /// above, [`RunOutput::timeline`] carries the merged per-worker
-    /// timeline.
+    /// timeline, and the capacity may be at most
+    /// [`MAX_RING_CAPACITY`].
     pub trace: TraceConfig,
     /// Elastic rank recovery at `ranks > 1`: `Some` turns on heartbeat
     /// death detection, per-rank incremental slab checkpoints, and mid-run
@@ -235,6 +236,13 @@ impl ExecOpts {
                 ));
             }
         }
+        // The rings are allocated whole before anything runs.
+        let ring = self.trace.ring_capacity;
+        if self.trace.level >= TraceLevel::Spans && ring > MAX_RING_CAPACITY {
+            return fault(format!(
+                "trace ring_capacity {ring} is beyond MAX_RING_CAPACITY ({MAX_RING_CAPACITY})"
+            ));
+        }
         // The builder clamps, the public field does not.
         if self.ranks == 0 {
             return fault("ranks must be at least 1".to_string());
@@ -296,8 +304,6 @@ pub(crate) struct RunArtifacts {
     /// Time spent obtaining the partition: the Ehrhart interpolation on
     /// first use, a memo lookup after.
     pub balance_time: Duration,
-    /// The buffer stash every rank's pools seed from and park into.
-    pub recycler: Arc<BufferRecycler>,
 }
 
 /// FNV-1a hash of a spec and a parameter binding: the key a plan cache
@@ -343,8 +349,6 @@ pub struct Plan {
     balances: Mutex<MemoTable<(usize, BalanceMethod), Arc<LoadBalance>>>,
     /// Whole-space static wavefront plans keyed by threads.
     static_plans: Mutex<MemoTable<usize, Arc<StaticPlan>>>,
-    /// Cross-run buffer stash handed to every rank's worker pools.
-    recycler: Arc<BufferRecycler>,
 }
 
 impl std::fmt::Debug for Plan {
@@ -369,7 +373,6 @@ impl Plan {
             cell_bound: OnceLock::new(),
             balances: Mutex::default(),
             static_plans: Mutex::default(),
-            recycler: Arc::default(),
         })
     }
 
@@ -430,12 +433,6 @@ impl Plan {
     /// Load-balancing dimensions seeded from the spec.
     pub fn lb_dims(&self) -> &[usize] {
         &self.lb_dims
-    }
-
-    /// Cross-run buffer reuse events (tile/payload buffers checked out of
-    /// the plan's recycler by later executions).
-    pub fn buffers_reused(&self) -> u64 {
-        self.recycler.reused()
     }
 
     /// The cell-level region shape of the derived tiling:
@@ -544,7 +541,7 @@ impl Plan {
         T: Value + Wire,
         K: Kernel<T>,
     {
-        self.run(&PerCell(kernel), opts, None)
+        Ok(self.run(&PerCell(kernel), opts, None, false)?.0)
     }
 
     /// Execute with a [`RunKernel`]: every interior block isolated by the
@@ -562,7 +559,7 @@ impl Plan {
         T: Value + Wire,
         RK: RunKernel<T>,
     {
-        self.run(kernel, opts, None)
+        Ok(self.run(kernel, opts, None, false)?.0)
     }
 
     /// Execute with a whole-space reduction folded over every computed
@@ -578,7 +575,26 @@ impl Plan {
         T: Value + Wire,
         RK: RunKernel<T>,
     {
-        self.run(kernel, opts, Some(reduce))
+        Ok(self.run(kernel, opts, Some(reduce), false)?.0)
+    }
+
+    /// Execute and keep every inter-tile edge the run produced: the
+    /// forward pass of a [`Traceback`](crate::traceback::Traceback) over
+    /// [`Plan::graph`] (the paper's §VII-A). The log is what the run's
+    /// recovery checkpoints retain, so any `opts` will do — threads,
+    /// ranks, schedule, a fault plan with recovery — and the log comes out
+    /// the same. Takes a [`RunKernel`]: a per-cell kernel `k` goes in as
+    /// `&PerCell(&k)`.
+    pub fn execute_logged<T, RK>(
+        &self,
+        kernel: &RK,
+        opts: &ExecOpts,
+    ) -> Result<(RunOutput<T>, EdgeLog<T>), RunError>
+    where
+        T: Value + Wire,
+        RK: RunKernel<T>,
+    {
+        self.run(kernel, opts, None, true)
     }
 
     /// The one door every `execute*` goes through: outside input is
@@ -588,20 +604,20 @@ impl Plan {
         kernel: &RK,
         opts: &ExecOpts,
         reduce: Option<&Reduction<T>>,
-    ) -> Result<RunOutput<T>, RunError>
+        logged: bool,
+    ) -> Result<(RunOutput<T>, EdgeLog<T>), RunError>
     where
         T: Value + Wire,
         RK: RunKernel<T>,
     {
         opts.validate(self)?;
-        hybrid_run(self, opts, kernel, reduce)
+        hybrid_run(self, opts, kernel, reduce, logged)
     }
 
     /// The artifacts an execution with `opts` runs on, derived on first
-    /// use and memoized: every rank shares the recycler (a mutex-guarded
-    /// stash); the whole-space static plan fits only a rank that owns
-    /// every tile, so with `ranks > 1` (an owned subset per rank, and a
-    /// different one per recovery epoch) the runtime plans in-run. The
+    /// use and memoized: the whole-space static plan fits only a rank that
+    /// owns every tile, so with `ranks > 1` (an owned subset per rank, and
+    /// a different one per recovery epoch) the runtime plans in-run. The
     /// tiles' positions in the priority's order — the ready heaps' keys —
     /// are sorted here too (kept by the graph), unless the schedule is
     /// `Static`, under which no tile reaches a heap; and the tiles are
@@ -656,7 +672,6 @@ impl Plan {
             priority,
             partition,
             balance_time,
-            recycler: self.recycler.clone(),
         })
     }
 
@@ -841,9 +856,6 @@ mod tests {
                 }
             }
         }
-        // The executions above parked their pools into the plan's
-        // recycler; later ones must have drawn from it.
-        assert!(reused.buffers_reused() > 0);
     }
 
     #[test]
@@ -978,19 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_rank_executions_share_the_plan_recycler() {
-        let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
-        let opts = ExecOpts::new().threads(2).ranks(2);
-        plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
-        let after_first = plan.buffers_reused();
-        plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
-        assert!(
-            plan.buffers_reused() > after_first,
-            "the second ranks(2) execution must draw the buffers the first parked"
-        );
-    }
-
-    #[test]
     fn one_rank_does_no_multi_rank_work() {
         use dpgen_mpisim::{FaultPlan, KillTrigger};
         let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
@@ -1067,6 +1066,13 @@ mod tests {
                 ranks: 0,
                 ..ExecOpts::new()
             },
+            ExecOpts {
+                trace: TraceConfig {
+                    level: TraceLevel::Spans,
+                    ring_capacity: usize::MAX / 64,
+                },
+                ..ExecOpts::new()
+            },
         ];
         for opts in &bad {
             // `warm` reaches the same derivations on the submitting
@@ -1074,10 +1080,17 @@ mod tests {
             plan.warm(opts);
             let err = plan.execute::<f64, _>(&path_kernel, opts).unwrap_err();
             assert_eq!(stage_of(&err), CompileStage::Options, "{opts:?}: {err}");
+            let oversized_ring = opts.trace.level != TraceLevel::Off;
+            assert_eq!(
+                err.to_string().contains("MAX_RING_CAPACITY"),
+                oversized_ring
+            );
         }
         assert!(plan.balances.lock().is_empty(), "bad options warm nothing");
-        // The knobs one rank ignores stay ignored.
-        let ignored = ExecOpts::new().balance(slabs(vec![7]));
+        // The knobs one rank ignores stay ignored, and so is the ring
+        // capacity of a run that traces nothing.
+        let mut ignored = ExecOpts::new().balance(slabs(vec![7]));
+        ignored.trace.ring_capacity = usize::MAX / 64;
         plan.execute::<f64, _>(&path_kernel, &ignored).unwrap();
 
         // A binding of the wrong arity compiles (compile is infallible)

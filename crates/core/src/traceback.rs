@@ -7,103 +7,78 @@
 //! *edges*, and recompute needed tiles on the fly during the traceback.
 //! That is what this module does:
 //!
-//! * [`run_logged`] performs a serial forward pass that retains every
-//!   inter-tile edge in an [`EdgeLog`] (memory `O(n^{d-1})`, not `O(n^d)`),
+//! * [`Plan::execute_logged`](crate::Plan::execute_logged) is an ordinary
+//!   execution — any threads, ranks, schedule or fault plan — that keeps
+//!   what its recovery checkpoints retain, every inter-tile edge, as an
+//!   [`EdgeLog`] (memory `O(n^{d-1})`, not `O(n^d)`),
 //! * [`Traceback`] then walks a path from a start cell: each step recomputes
 //!   the (cached) tile containing the current cell from its logged edges
 //!   and asks a user-supplied decision function which dependency the
 //!   optimal policy follows.
 
-use dpgen_runtime::{CompileFault, CompileStage, EdgeFault, Kernel, RunError, Value};
+use dpgen_runtime::{
+    tile_geometry, unpack_edge, CompileFault, CompileStage, Delivery, Kernel, RunError, TileEdges,
+    Value,
+};
 use dpgen_tiling::tiling::{CellRef, EachCell};
 use dpgen_tiling::{Coord, TileGeom, TileGraph};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// All inter-tile edges produced during a forward pass, keyed by consumer
-/// tile.
+/// All inter-tile edges produced during a forward pass: per consumer tile,
+/// by its index in the plan's tile graph, the `(dependency index, payload)`
+/// pairs the scheduler buffered for it.
 pub struct EdgeLog<T> {
-    edges: HashMap<Coord, Vec<(Coord, Vec<T>)>>,
+    edges: Vec<TileEdges<T>>,
 }
 
 impl<T> EdgeLog<T> {
-    /// Edges buffered for `tile` (empty slice for initial tiles).
-    pub fn edges_for(&self, tile: &Coord) -> &[(Coord, Vec<T>)] {
-        self.edges.get(tile).map(Vec::as_slice).unwrap_or(&[])
+    /// An empty log over a graph of `tiles` tiles.
+    pub(crate) fn new(tiles: usize) -> EdgeLog<T> {
+        EdgeLog {
+            edges: (0..tiles).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// File a checkpoint's retained edges under their consumers.
+    pub(crate) fn extend(&mut self, retained: Vec<Delivery<T>>) {
+        for e in retained {
+            self.edges[e.tile].push((e.dep, e.payload));
+        }
+    }
+
+    /// Edges buffered for tile `tile` (empty slice for initial tiles).
+    pub fn edges_for(&self, tile: usize) -> &[(usize, Vec<T>)] {
+        self.edges.get(tile).map_or(&[], Vec::as_slice)
     }
 
     /// Number of tiles with logged edges.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.edges.iter().filter(|e| !e.is_empty()).count()
     }
 
     /// True when no edges were logged (single-tile problems).
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len() == 0
     }
 
     /// Total logged edge cells (the memory cost of traceback support).
     pub fn total_cells(&self) -> usize {
-        self.edges
-            .values()
-            .flat_map(|v| v.iter().map(|(_, p)| p.len()))
-            .sum()
+        let payloads = self.edges.iter().flatten();
+        payloads.map(|(_, p)| p.len()).sum()
     }
 }
 
-/// Serial forward pass over `graph`'s tiles retaining every inter-tile
-/// edge. Fails, typed, when a tile's geometry cannot be recorded.
-pub fn run_logged<T, K>(graph: &TileGraph, kernel: &K) -> Result<EdgeLog<T>, RunError>
-where
-    T: Value,
-    K: Kernel<T>,
-{
-    let tiling = graph.tiling();
-    // Per tile of the graph, the edges it still waits for.
-    let mut remaining: Vec<usize> = (0..graph.len()).map(|i| graph.dep_total(i)).collect();
-    let mut queue: VecDeque<usize> = graph.initial().collect();
-    let mut log: HashMap<Coord, Vec<(Coord, Vec<T>)>> = HashMap::new();
-    while let Some(i) = queue.pop_front() {
-        let edges = log.get(&graph.tiles()[i]).map(Vec::as_slice).unwrap_or(&[]);
-        let (values, geom) = compute_tile(graph, kernel, i, edges)?;
-        // Pack edges for every consumer, log them, and decrement.
-        for (dep_idx, dep) in tiling.deps().iter().enumerate() {
-            let Some(consumer) = graph.consumer(i, dep_idx) else {
-                continue;
-            };
-            let src_locs = geom.edge_cells(dep_idx);
-            let payload = src_locs.iter().map(|&loc| values[loc as usize]).collect();
-            log.entry(graph.tiles()[consumer])
-                .or_default()
-                .push((dep.delta, payload));
-            remaining[consumer] -= 1;
-            if remaining[consumer] == 0 {
-                queue.push_back(consumer);
-            }
-        }
-    }
-    Ok(EdgeLog { edges: log })
-}
-
-/// The recorded geometry of tile `tile` (the node engine's: one per class).
-fn geometry(graph: &TileGraph, tile: usize) -> Result<Cow<'_, Arc<TileGeom>>, RunError> {
-    graph
-        .geometry(tile)
-        .map_err(|error| RunError::TileGeometry {
-            rank: 0,
-            tile: graph.tiles()[tile],
-            error,
-        })
-}
-
-/// Recompute tile `tile`'s values from logged edges by replaying its
-/// recorded geometry, exactly as the node engine executes it.
+/// Recompute tile `tile`'s values from its logged edges — the paper's
+/// recompute-on-demand — by the node engine's own unpack and a replay of
+/// the tile's recorded geometry, exactly as the engine executes it. An edge
+/// the graph does not expect there (a log of another problem's forward
+/// pass) is a typed [`RunError::BadEdge`].
 fn compute_tile<'g, T, K>(
     graph: &'g TileGraph,
     kernel: &K,
     tile: usize,
-    edges: &[(Coord, Vec<T>)],
+    edges: &[(usize, Vec<T>)],
 ) -> Result<(Vec<T>, Cow<'g, Arc<TileGeom>>), RunError>
 where
     T: Value,
@@ -111,24 +86,10 @@ where
 {
     let tiling = graph.tiling();
     let mut values = vec![T::default(); tiling.layout().size()];
-    for (delta, payload) in edges {
-        let dep = tiling.dep_index(delta);
-        // A log of another problem's forward pass.
-        let Some((dep_idx, src)) = dep.and_then(|dep| Some((dep, graph.source(tile, dep)?))) else {
-            return Err(RunError::BadEdge(Box::new(EdgeFault {
-                rank: 0,
-                tile: graph.tiles()[tile],
-                delta: *delta,
-                detail: "unknown dependency offset or source tile".to_string(),
-            })));
-        };
-        let src_geom = geometry(graph, src)?;
-        let shift = tiling.edges()[dep_idx].ghost_shift;
-        for (&loc, &v) in src_geom.edge_cells(dep_idx).iter().zip(payload) {
-            values[(loc as i64 + shift) as usize] = v;
-        }
+    for (dep, payload) in edges {
+        unpack_edge(graph, 0, tile, *dep, payload, &mut values)?;
     }
-    let geom = geometry(graph, tile)?;
+    let geom = tile_geometry(graph, 0, tile)?;
     tiling.replay(
         &geom,
         &graph.tiles()[tile],
@@ -158,8 +119,8 @@ where
     T: Value,
     K: Kernel<T>,
 {
-    /// New traceback over a finished forward pass of `graph`
-    /// ([`run_logged`]).
+    /// New traceback over a finished forward pass on `graph`
+    /// ([`Plan::execute_logged`](crate::Plan::execute_logged)).
     pub fn new(graph: &'a TileGraph, kernel: &'a K, log: &'a EdgeLog<T>) -> Traceback<'a, T, K> {
         Traceback {
             graph,
@@ -175,7 +136,8 @@ where
     /// `None` or the chosen dependency leaves the iteration space. A
     /// `start` that is no cell of the iteration space is a typed
     /// [`CompileStage::Options`] fault; a tile whose geometry cannot be
-    /// recorded is [`RunError::TileGeometry`].
+    /// recorded is [`RunError::TileGeometry`]; a log whose edges do not fit
+    /// the graph (another binding's forward pass) is [`RunError::BadEdge`].
     pub fn trace(
         &mut self,
         start: &[i64],
@@ -230,7 +192,7 @@ where
     /// Recompute tile `tile` from the log unless it is the tile in `cache`.
     fn ensure_tile(&mut self, tile: usize) -> Result<(), RunError> {
         if !matches!(&self.cache, Some((cached, ..)) if *cached == tile) {
-            let edges = self.log.edges_for(&self.graph.tiles()[tile]);
+            let edges = self.log.edges_for(tile);
             let (values, geom) = compute_tile(self.graph, self.kernel, tile, edges)?;
             self.tiles_recomputed += 1;
             self.cache = Some((tile, values, geom));
@@ -242,8 +204,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecOpts, Plan, RecoveryConfig, RunOutput};
+    use dpgen_mpisim::{FaultPlan, KillTrigger};
     use dpgen_polyhedra::{ConstraintSystem, Space};
+    use dpgen_runtime::{PerCell, Schedule};
     use dpgen_tiling::{Template, TemplateSet, Tiling, TilingBuilder};
+    use std::collections::HashMap;
+    use std::time::Duration;
 
     /// Max-path problem on the triangle: f(x) = score(x) + max(f(x+e1),
     /// f(x+e2)), base 0. The optimal path from (0,0) follows the larger
@@ -328,27 +295,74 @@ mod tests {
         (f[&(0, 0)], path)
     }
 
+    /// The larger branch, the first on a tie: `reference_path`'s rule.
+    fn decide(cell: CellRef<'_>, values: &[i64]) -> Option<usize> {
+        let a = cell.valid[0].then(|| values[cell.loc_r(0)]);
+        let b = cell.valid[1].then(|| values[cell.loc_r(1)]);
+        match (a, b) {
+            (None, None) => None,
+            (Some(av), Some(bv)) if av >= bv => Some(0),
+            (Some(_), None) => Some(0),
+            _ => Some(1),
+        }
+    }
+
+    /// The forward pass of the `w`-tiled triangle at `n` under `opts`.
+    fn forward(w: i64, n: i64, opts: &ExecOpts) -> (Arc<TileGraph>, RunOutput<i64>, EdgeLog<i64>) {
+        let plan = Plan::on_tiling(triangle(w), &[n], vec![0]).unwrap();
+        let (out, log) = plan.execute_logged(&PerCell(&kernel), opts).unwrap();
+        (plan.graph().unwrap(), out, log)
+    }
+
+    /// One log, one path and one recompute count whatever ran the forward
+    /// pass: threads x ranks x schedule, and a rank killed and recovered.
     #[test]
     fn traceback_matches_dense_reference() {
+        let mut matrix = Vec::new();
+        for schedule in [Schedule::Dynamic, Schedule::Static] {
+            for (threads, ranks) in [(1usize, 1usize), (3, 1), (1, 2), (2, 2)] {
+                let opts = ExecOpts::new().threads(threads).ranks(ranks);
+                matrix.push(opts.schedule(schedule));
+            }
+        }
+        let mut killed = ExecOpts::new()
+            .threads(2)
+            .ranks(2)
+            .recovery(RecoveryConfig {
+                heartbeat_interval: Duration::from_millis(2),
+                death_timeout: Duration::from_millis(100),
+                max_recoveries: 1,
+            });
+        killed.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1)));
+        matrix.push(killed);
         for (n, w) in [(12i64, 3i64), (20, 4), (9, 2)] {
-            let graph = triangle(w).graph(&[n]);
-            let log = run_logged::<i64, _>(&graph, &kernel).unwrap();
             let (_, want_path) = reference_path(n);
-            let mut tb = Traceback::new(&graph, &kernel, &log);
-            let mut decide = |cell: CellRef<'_>, values: &[i64]| -> Option<usize> {
-                let a = cell.valid[0].then(|| values[cell.loc_r(0)]);
-                let b = cell.valid[1].then(|| values[cell.loc_r(1)]);
-                match (a, b) {
-                    (None, None) => None,
-                    (Some(av), Some(bv)) if av >= bv => Some(0),
-                    (Some(_), None) => Some(0),
-                    _ => Some(1),
-                }
-            };
-            let path = tb.trace(&[0, 0], &mut decide).unwrap();
-            let got: Vec<(i64, i64)> = path.iter().map(|c| (c[0], c[1])).collect();
-            assert_eq!(got, want_path, "N={n} w={w}");
-            assert!(tb.tiles_recomputed >= 1);
+            let mut first = None;
+            for opts in &matrix {
+                let (graph, out, log) = forward(w, n, opts);
+                let lost = opts.recovery.is_some() as usize;
+                assert_eq!(out.recovery.ranks_lost, lost, "N={n} w={w} {opts:?}");
+                let mut tb = Traceback::new(&graph, &kernel, &log);
+                let path = tb.trace(&[0, 0], &mut decide).unwrap();
+                let got: Vec<(i64, i64)> = path.iter().map(|c| (c[0], c[1])).collect();
+                assert_eq!(got, want_path, "N={n} w={w} {opts:?}");
+                assert!(tb.tiles_recomputed >= 1);
+                // Every edge the graph has, cell for cell.
+                let modelled: u64 = (0..graph.len())
+                    .flat_map(|i| (0..2).map(move |d| (i, d)))
+                    .filter(|&(i, d)| graph.consumer(i, d).is_some())
+                    .map(|(i, d)| graph.edge_cells(i, d))
+                    .sum();
+                assert_eq!(log.total_cells() as u64, modelled, "N={n} w={w} {opts:?}");
+                let mut edges: Vec<_> = (0..graph.len())
+                    .map(|t| log.edges_for(t).to_vec())
+                    .collect();
+                edges.iter_mut().for_each(|e| e.sort());
+                let (want_edges, want_recomputed) =
+                    first.get_or_insert((edges.clone(), tb.tiles_recomputed));
+                assert_eq!(&edges, want_edges, "N={n} w={w} {opts:?}");
+                assert_eq!(tb.tiles_recomputed, *want_recomputed);
+            }
         }
     }
 
@@ -356,7 +370,7 @@ mod tests {
     fn edge_log_memory_is_subquadratic() {
         // The log holds edges (O(n)), not the full space (O(n^2)).
         let n = 40i64;
-        let log = run_logged::<i64, _>(&triangle(4).graph(&[n]), &kernel).unwrap();
+        let (_, _, log) = forward(4, n, &ExecOpts::new());
         let total_space = ((n + 1) * (n + 2) / 2) as usize;
         assert!(
             log.total_cells() < total_space,
@@ -365,25 +379,15 @@ mod tests {
             total_space
         );
         assert!(!log.is_empty());
-        assert!(!log.is_empty());
+        assert!(log.len() > 1);
     }
 
     #[test]
     fn cache_avoids_recomputation_within_a_tile() {
         let n = 7i64; // single tile
-        let graph = triangle(8).graph(&[n]);
-        let log = run_logged::<i64, _>(&graph, &kernel).unwrap();
+        let (graph, _, log) = forward(8, n, &ExecOpts::new());
+        assert!(log.is_empty());
         let mut tb = Traceback::new(&graph, &kernel, &log);
-        let mut decide = |cell: CellRef<'_>, values: &[i64]| -> Option<usize> {
-            let a = cell.valid[0].then(|| values[cell.loc_r(0)]);
-            let b = cell.valid[1].then(|| values[cell.loc_r(1)]);
-            match (a, b) {
-                (None, None) => None,
-                (Some(av), Some(bv)) if av >= bv => Some(0),
-                (Some(_), None) => Some(0),
-                _ => Some(1),
-            }
-        };
         let path = tb.trace(&[0, 0], &mut decide).unwrap();
         assert_eq!(path.len() as i64, n + 1); // walks to the hypotenuse
         assert_eq!(tb.tiles_recomputed, 1);
@@ -393,8 +397,7 @@ mod tests {
     /// past the hypotenuse, of the wrong arity — is an error naming it.
     #[test]
     fn a_start_outside_the_iteration_space_is_a_typed_fault() {
-        let graph = triangle(4).graph(&[9]);
-        let log = run_logged::<i64, _>(&graph, &kernel).unwrap();
+        let (graph, _, log) = forward(4, 9, &ExecOpts::new());
         let mut tb = Traceback::new(&graph, &kernel, &log);
         for start in [&[40, 40][..], &[7, 3], &[-1, 0], &[0, 0, 0]] {
             let err = tb.trace(start, &mut |_, _| None).unwrap_err();

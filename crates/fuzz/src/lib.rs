@@ -369,8 +369,8 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
         }
         // A fresh compile per leg, so every leg starts from a cold memo.
         // Leg 15 (plan reuse) executes its plan twice: the second pass
-        // runs with every memoized artifact (static wavefront, balance,
-        // recycled buffers) warm, exactly like a serve cache hit, and
+        // runs with every memoized artifact (tile graph and recordings,
+        // static wavefront, balance) warm, exactly like a serve cache hit, and
         // must verify against the reference like the first.
         let plan = program.compile(&params);
         for _pass in 0..=usize::from(leg.plan_reuse) {

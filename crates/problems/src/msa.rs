@@ -104,7 +104,7 @@ impl Msa {
 
     /// Cost of the alignment column entered by move `delta` into cell `x`:
     /// string `k` contributes char `x[k]-1` when `delta[k] = -1`, else gap.
-    fn column_cost(&self, x: &[i64], delta: &[i64]) -> i64 {
+    pub fn column_cost(&self, x: &[i64], delta: &[i64]) -> i64 {
         let d = self.seqs.len();
         let mut cost = 0;
         for k in 0..d {
@@ -120,6 +120,23 @@ impl Msa {
             }
         }
         cost
+    }
+
+    /// The move an optimal alignment enters `cell` by: the first template
+    /// whose column cost accounts for the cell's value, `None` at the
+    /// origin. The decision function of a traceback over this kernel.
+    pub fn decide(&self, cell: CellRef<'_>, values: &[i64]) -> Option<usize> {
+        let d = self.seqs.len();
+        let mut delta = [0i64; 4];
+        (0..cell.valid.len()).find(|&m| {
+            cell.valid[m] && {
+                for (k, dk) in delta.iter_mut().enumerate().take(d) {
+                    *dk = if (m + 1) & (1 << k) != 0 { -1 } else { 0 };
+                }
+                let column = self.column_cost(cell.x, &delta[..d]);
+                values[cell.loc_r(m)] + column == values[cell.loc]
+            }
+        })
     }
 
     /// Dense reference solver over a coordinate map (exponential in `d`;

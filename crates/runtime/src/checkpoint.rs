@@ -18,37 +18,87 @@
 //! re-executed), plus a replay list of retained edges whose consumer has
 //! not completed yet. Determinism of the kernel makes the resumed run
 //! bit-identical to an undisturbed one.
+//!
+//! Everything here names a tile by its index in the plan's `TileGraph` —
+//! the completed set is a bitmap over it, a retained edge is the
+//! scheduler's [`Delivery`] — and the checkpoint has a second reader: the
+//! retained edges of a finished run are the traceback's edge log
+//! (`core::Plan::execute_logged`).
 
 use crate::kernel::Value;
-use crate::transport::EdgeMsg;
-use dpgen_tiling::Coord;
+use crate::scheduler::Delivery;
 use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A set of tiles: a bitmap over the tile graph's index. It grows on
+/// insert and an index past its end is absent, so the empty set is free.
+#[derive(Debug, Clone, Default)]
+pub struct TileSet {
+    words: Vec<u64>,
+}
+
+impl TileSet {
+    /// Whether tile `tile` is in the set.
+    pub fn contains(&self, tile: usize) -> bool {
+        (self.words.get(tile / 64)).is_some_and(|w| w >> (tile % 64) & 1 == 1)
+    }
+
+    /// Add tile `tile`; false when it was already there.
+    pub fn insert(&mut self, tile: usize) -> bool {
+        if tile / 64 >= self.words.len() {
+            self.words.resize(tile / 64 + 1, 0);
+        }
+        let fresh = !self.contains(tile);
+        self.words[tile / 64] |= 1 << (tile % 64);
+        fresh
+    }
+
+    /// Number of tiles in the set.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True when no tile is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Add every tile of `other`.
+    pub fn union_with(&mut self, other: &TileSet) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+}
 
 /// The raw contents of one rank's checkpoint, extracted by the recovery
 /// coordinator after an epoch ends (successfully or not).
 #[derive(Debug, Clone)]
 pub struct CheckpointData<T> {
     /// Tiles fully executed and recorded by this rank.
-    pub completed: HashSet<Coord>,
+    pub completed: TileSet,
     /// Every outgoing edge produced by a completed tile, retained on the
-    /// sender side: `(consumer tile, dependency delta, payload)`.
-    pub edges: Vec<EdgeMsg<T>>,
+    /// sender side: `(consumer tile index, dependency index, payload)`.
+    pub edges: Vec<Delivery<T>>,
     /// Probe values resolved inside completed tiles, as
     /// `(probe index, value)`.
     pub probes: Vec<(usize, T)>,
     /// The rank's partial whole-space reduction over completed tiles.
     pub acc: Option<T>,
-    /// Approximate serialized size of the retained state.
+    /// Approximate serialized size of the retained state: 8 bytes a
+    /// completed tile (its index), 16 bytes an edge (consumer and
+    /// dependency index) plus its payload, 8 bytes plus the value a probe.
     pub bytes: u64,
 }
 
 impl<T> Default for CheckpointData<T> {
     fn default() -> CheckpointData<T> {
         CheckpointData {
-            completed: HashSet::new(),
+            completed: TileSet::default(),
             edges: Vec::new(),
             probes: Vec::new(),
             acc: None,
@@ -58,8 +108,8 @@ impl<T> Default for CheckpointData<T> {
 }
 
 struct SinkState<T> {
-    completed: HashSet<Coord>,
-    edges: Vec<EdgeMsg<T>>,
+    completed: TileSet,
+    edges: Vec<Delivery<T>>,
     probes: Vec<(usize, T)>,
     acc: Option<T>,
 }
@@ -113,17 +163,16 @@ impl<T: Value> CheckpointSink<T> {
     /// contribution — atomically. Re-recording a tile is a no-op.
     pub fn record(
         &self,
-        tile: Coord,
-        edges: Vec<EdgeMsg<T>>,
+        tile: usize,
+        edges: Vec<Delivery<T>>,
         probes: &[(usize, T)],
         contribution: Option<T>,
     ) {
-        let mut nb = 8 + 8 * tile.dims() as u64;
-        for e in &edges {
-            nb += (16 * e.tile.dims() + 4) as u64
-                + (e.payload.len() * std::mem::size_of::<T>()) as u64;
-        }
-        nb += (probes.len() * (8 + std::mem::size_of::<T>())) as u64;
+        let cells: usize = edges.iter().map(|e| e.payload.len()).sum();
+        let nb = 8
+            + 16 * edges.len()
+            + cells * std::mem::size_of::<T>()
+            + probes.len() * (8 + std::mem::size_of::<T>());
         let mut st = self.state.lock();
         if !st.completed.insert(tile) {
             return;
@@ -137,7 +186,7 @@ impl<T: Value> CheckpointSink<T> {
             });
         }
         drop(st);
-        self.bytes.fetch_add(nb, Ordering::Relaxed);
+        self.bytes.fetch_add(nb as u64, Ordering::Relaxed);
     }
 
     /// Approximate bytes retained so far.
@@ -170,11 +219,11 @@ pub struct ResumeState<T> {
     /// Tiles (owned by this rank under the *patched* ownership) already
     /// completed in prior epochs: skipped, their results live in replayed
     /// edges.
-    pub completed: HashSet<Coord>,
+    pub completed: TileSet,
     /// Retained edges to deliver into this rank's scheduler before the
     /// wavefront restarts: every edge whose consumer this rank now owns
     /// and has not completed.
-    pub replay: Vec<EdgeMsg<T>>,
+    pub replay: Vec<Delivery<T>>,
     /// Probe values resolved by tiles in `completed`, re-seeded into the
     /// probe results.
     pub probes: Vec<(usize, T)>,
@@ -183,7 +232,7 @@ pub struct ResumeState<T> {
 impl<T> Default for ResumeState<T> {
     fn default() -> ResumeState<T> {
         ResumeState {
-            completed: HashSet::new(),
+            completed: TileSet::default(),
             replay: Vec::new(),
             probes: Vec::new(),
         }
@@ -203,14 +252,10 @@ pub struct NodeRecovery<T> {
 mod tests {
     use super::*;
 
-    fn c(v: &[i64]) -> Coord {
-        Coord::from_slice(v)
-    }
-
-    fn edge(tile: &[i64], payload: Vec<i64>) -> EdgeMsg<i64> {
-        EdgeMsg {
-            tile: c(tile),
-            delta: c(&[1, 0]),
+    fn edge(tile: usize, payload: Vec<i64>) -> Delivery<i64> {
+        Delivery {
+            tile,
+            dep: 0,
             payload,
         }
     }
@@ -218,24 +263,16 @@ mod tests {
     #[test]
     fn record_is_atomic_and_idempotent() {
         let sink: CheckpointSink<i64> = CheckpointSink::new(Some(Arc::new(i64::max)));
-        sink.record(
-            c(&[0, 0]),
-            vec![edge(&[1, 0], vec![3, 4])],
-            &[(0, 7)],
-            Some(4),
-        );
-        sink.record(c(&[0, 1]), vec![], &[], Some(9));
+        sink.record(0, vec![edge(1, vec![3, 4])], &[(0, 7)], Some(4));
+        sink.record(70, vec![], &[], Some(9));
         // Re-recording the same tile changes nothing — not even the acc.
-        sink.record(
-            c(&[0, 0]),
-            vec![edge(&[2, 0], vec![5])],
-            &[(1, 8)],
-            Some(100),
-        );
+        sink.record(0, vec![edge(2, vec![5])], &[(1, 8)], Some(100));
         assert_eq!(sink.completed_count(), 2);
         assert!(sink.bytes() > 0);
         let data = sink.take();
         assert_eq!(data.completed.len(), 2);
+        assert!(data.completed.contains(0) && data.completed.contains(70));
+        assert!(!data.completed.contains(1) && !data.completed.contains(7000));
         assert_eq!(data.edges.len(), 1);
         assert_eq!(data.probes, vec![(0, 7)]);
         assert_eq!(data.acc, Some(9));
@@ -247,11 +284,11 @@ mod tests {
     #[test]
     fn seeded_sink_continues_the_fold() {
         let sink: CheckpointSink<i64> = CheckpointSink::new(Some(Arc::new(i64::max)));
-        sink.record(c(&[0, 0]), vec![], &[], Some(5));
+        sink.record(0, vec![], &[], Some(5));
         let data = sink.take();
         let resumed = CheckpointSink::seeded(Some(Arc::new(i64::max)), data);
-        resumed.record(c(&[1, 0]), vec![], &[], Some(3));
-        resumed.record(c(&[2, 0]), vec![], &[], Some(11));
+        resumed.record(1, vec![], &[], Some(3));
+        resumed.record(2, vec![], &[], Some(11));
         let out = resumed.take();
         assert_eq!(out.acc, Some(11));
         assert_eq!(out.completed.len(), 3);
@@ -260,7 +297,7 @@ mod tests {
     #[test]
     fn no_reduction_means_no_acc() {
         let sink: CheckpointSink<i64> = CheckpointSink::new(None);
-        sink.record(c(&[0, 0]), vec![], &[], None);
+        sink.record(0, vec![], &[], None);
         assert_eq!(sink.take().acc, None);
     }
 
@@ -269,11 +306,11 @@ mod tests {
         let sink: Arc<CheckpointSink<i64>> =
             Arc::new(CheckpointSink::new(Some(Arc::new(|a: i64, b: i64| a + b))));
         std::thread::scope(|s| {
-            for w in 0..4i64 {
+            for w in 0..4usize {
                 let sink = sink.clone();
                 s.spawn(move || {
-                    for k in 0..100i64 {
-                        sink.record(c(&[w, k]), vec![], &[], Some(1));
+                    for k in 0..100usize {
+                        sink.record(w * 100 + k, vec![], &[], Some(1));
                     }
                 });
             }

@@ -33,7 +33,6 @@ pub mod memory;
 pub mod metrics;
 pub mod node;
 pub mod priority;
-pub mod recycle;
 pub mod reduce;
 pub mod reference;
 pub mod rng;
@@ -45,17 +44,16 @@ pub mod stats;
 pub mod trace;
 pub mod transport;
 
-pub use checkpoint::{CheckpointData, CheckpointSink, NodeRecovery, ResumeState};
+pub use checkpoint::{CheckpointData, CheckpointSink, NodeRecovery, ResumeState, TileSet};
 pub use error::{CompileFault, CompileStage, EdgeFault, PendingTile, RunError, StallSnapshot};
 pub use kernel::{Kernel, PerCell, RunKernel, Value};
 pub use memory::MemoryStats;
 pub use metrics::{Histogram, Metric, MetricsRegistry};
 pub use node::{
-    run_node, NodeConfig, NodeJob, NodeResult, Probe, SingleOwner, TileOwner,
-    DEFAULT_STALL_TIMEOUT, STALL_DUMP_EVENTS,
+    run_node, tile_geometry, unpack_edge, NodeConfig, NodeJob, NodeResult, Probe, SingleOwner,
+    TileOwner, DEFAULT_STALL_TIMEOUT, STALL_DUMP_EVENTS,
 };
 pub use priority::TilePriority;
-pub use recycle::BufferRecycler;
 pub use reduce::Reduction;
 pub use reference::{run_reference, ReferenceResult};
 pub use rng::SplitMix64;
@@ -66,6 +64,6 @@ pub use simd::{I64x, LANES};
 pub use stats::RunStats;
 pub use trace::{
     EventKind, RankTrace, TileSpan, Timeline, TraceConfig, TraceEvent, TraceLevel, TraceRing,
-    Tracer, TrackSummary, TrackTrace,
+    Tracer, TrackSummary, TrackTrace, MAX_RING_CAPACITY,
 };
 pub use transport::{EdgeMsg, LinkDiag, NullTransport, Transport, TransportError};

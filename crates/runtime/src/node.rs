@@ -34,9 +34,9 @@
 //! probe mark) are arrays over the graph's tile index,
 //! and between popping a tile and delivering its edges a worker names
 //! tiles by that index only. A coordinate is resolved to its index once,
-//! where it enters: an edge from the transport or from a checkpoint. What a
-//! worker counts for [`RunStats`] it counts on its own stack and adds to
-//! the run's totals when it exits.
+//! where it enters: an edge from the transport (a checkpoint retains and
+//! replays edges by index). What a worker counts for [`RunStats`] it counts
+//! on its own stack and adds to the run's totals when it exits.
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -52,12 +52,11 @@
 //! [`PerCell`]: crate::kernel::PerCell
 //! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
-use crate::checkpoint::NodeRecovery;
+use crate::checkpoint::{NodeRecovery, TileSet};
 use crate::error::{EdgeFault, RunError, StallSnapshot};
 use crate::kernel::{RunKernel, Value};
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
-use crate::recycle::BufferRecycler;
 use crate::reduce::Reduction;
 use crate::schedule::{Schedule, StaticPlan};
 use crate::scheduler::{Delivery, DuplicateEdge, TileScheduler};
@@ -68,7 +67,7 @@ use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
 use dpgen_tiling::{Coord, TileGeom, TileGraph, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -138,11 +137,6 @@ pub struct NodeConfig {
     ///
     /// [`Plan`]: crate::schedule::StaticPlan
     pub static_plan: Option<Arc<StaticPlan>>,
-    /// Cross-run buffer stash: workers seed their tile/payload pools from
-    /// it at startup and park the cleared buffers back on shutdown, so a
-    /// resident engine re-executing one plan allocates nothing in steady
-    /// state. `None` (the default) keeps pools run-local.
-    pub recycler: Option<Arc<BufferRecycler>>,
     /// Event tracer for this rank (see [`crate::trace`]). `None` disables
     /// tracing; the hot path then pays one pointer test per would-be event.
     /// Must be built with `workers == threads` so worker tracks line up.
@@ -170,7 +164,6 @@ impl NodeConfig {
             cancel: None,
             job_cancel: None,
             static_plan: None,
-            recycler: None,
             tracer: None,
         }
     }
@@ -298,48 +291,6 @@ impl<T: Value> TileBufferPool<T> {
         }
     }
 
-    /// A pool seeded from a cross-run [`BufferRecycler`]: one candidate
-    /// tile buffer plus a payload free list, all parked cleared by a
-    /// previous run of the same plan. A seeded buffer whose length does
-    /// not match this run's tile layout is simply never reused by
-    /// [`TileBufferPool::acquire`].
-    pub(crate) fn seeded(recycler: &BufferRecycler) -> TileBufferPool<T> {
-        let mut pool = TileBufferPool::new();
-        for mut b in recycler.checkout::<T>(1 + MAX_RECYCLED_PAYLOADS / 4) {
-            if pool.buffer.is_none() && !b.is_empty() {
-                // A parked tile buffer: full-length, all-default. Payload
-                // vectors are parked empty, so length tells them apart.
-                pool.buffer = Some(b);
-            } else {
-                b.clear();
-                pool.payloads.push(b);
-            }
-        }
-        pool
-    }
-
-    /// The pooled buffer with the last tile's scan cleared out of it: back
-    /// to all-default.
-    fn take_cleared(&mut self) -> Option<Vec<T>> {
-        let mut buf = self.buffer.take()?;
-        if let Some((_, lo, hi)) = self.scanned.take() {
-            buf[lo..=hi].fill(T::default());
-        }
-        Some(buf)
-    }
-
-    /// Park this pool's buffers into a cross-run [`BufferRecycler`]. The
-    /// tile buffer is cleared first and payload vectors are kept empty
-    /// ([`TileBufferPool::recycle_payload`]), so everything parked is
-    /// all-default and safe to seed a future run with.
-    pub(crate) fn park_into(&mut self, recycler: &BufferRecycler) {
-        recycler.park(self.take_cleared());
-        // No more than `seeded` takes back: a longer free list would only
-        // pile up in the stash, run after run, until its capacity bound.
-        self.payloads.truncate(MAX_RECYCLED_PAYLOADS / 4);
-        recycler.park(std::mem::take(&mut self.payloads));
-    }
-
     /// A buffer of `size` cells for a tile recorded as `geom`: the pooled
     /// one when present, otherwise a fresh all-default allocation.
     ///
@@ -354,7 +305,11 @@ impl<T: Value> TileBufferPool<T> {
         if matches!(&self.scanned, Some((last, ..)) if Arc::ptr_eq(last, geom)) {
             self.scanned = None;
         }
-        match self.take_cleared() {
+        let mut pooled = self.buffer.take();
+        if let (Some(buf), Some((_, lo, hi))) = (&mut pooled, self.scanned.take()) {
+            buf[lo..=hi].fill(T::default());
+        }
+        match pooled {
             Some(buf) if buf.len() == size => {
                 counts.tile_buffers_reused += 1;
                 buf
@@ -418,6 +373,66 @@ fn ghost_cells<'a>(
     let shift = tiling.edges()[dep_idx].ghost_shift;
     let locs = src_geom.edge_cells(dep_idx).iter();
     locs.map(move |&loc| (loc as i64 + shift) as usize)
+}
+
+/// The recorded geometry of tile `tile` (its class's, off the graph; owned
+/// when this call made the recording), or the typed fault of rank `rank`.
+pub fn tile_geometry(
+    graph: &TileGraph,
+    rank: usize,
+    tile: usize,
+) -> Result<Cow<'_, Arc<TileGeom>>, RunError> {
+    graph
+        .geometry(tile)
+        .map_err(|error| RunError::TileGeometry {
+            rank,
+            tile: graph.tiles()[tile],
+            error,
+        })
+}
+
+/// Unpack one incoming edge of tile `tile` into its buffer — the node
+/// engine's unpack, which the traceback's single-tile recompute shares. The
+/// payload must hold exactly the cells the source tile's recording packs
+/// for dependency `dep`; they land in that edge's ghost cells. Returns the
+/// source tile's recording. A dependency or source tile that does not
+/// exist, or a payload of another length, is a [`RunError::BadEdge`] naming
+/// the tile, the offset and both lengths.
+pub fn unpack_edge<'g, T: Value>(
+    graph: &'g TileGraph,
+    rank: usize,
+    tile: usize,
+    dep: usize,
+    payload: &[T],
+    values: &mut [T],
+) -> Result<Cow<'g, Arc<TileGeom>>, RunError> {
+    let tiling = graph.tiling();
+    let bad_edge = |detail: String| {
+        let delta = (tiling.deps().get(dep)).map_or(Coord::zeros(tiling.dims()), |d| d.delta);
+        RunError::BadEdge(Box::new(EdgeFault {
+            rank,
+            tile: graph.tiles()[tile],
+            delta,
+            detail,
+        }))
+    };
+    let Some(src) = (tiling.deps().get(dep)).and_then(|_| graph.source(tile, dep)) else {
+        return Err(bad_edge("no such dependency or source tile".to_string()));
+    };
+    // The edge was packed from the source tile's recording; scatter
+    // through the same indices.
+    let src_geom = tile_geometry(graph, rank, src)?;
+    let expected = src_geom.edge_cells(dep).len();
+    if payload.len() != expected {
+        return Err(bad_edge(format!(
+            "edge payload carries {} cells, tiling expects {expected}",
+            payload.len(),
+        )));
+    }
+    for (loc, &v) in ghost_cells(tiling, &src_geom, dep).zip(payload) {
+        values[loc] = v;
+    }
+    Ok(src_geom)
 }
 
 /// The engine's tile visitor: boundary cells go through `Kernel::compute`
@@ -639,11 +654,11 @@ where
     // reported separately.
     // Tiles already completed in prior recovery epochs: never re-executed
     // and never delivered to — their results travel as replayed edges.
-    // Empty outside a recovery resume, so the hot path pays one
-    // `HashSet::contains` on an empty set (a length check) per filter.
-    let no_prior: HashSet<Coord> = HashSet::new();
+    // Empty outside a recovery resume, so the hot path pays one read of an
+    // empty bitmap (a length check) per filter.
+    let no_prior = TileSet::default();
     let resume = recovery.and_then(|r| r.resume.as_ref());
-    let completed_prior: &HashSet<Coord> = resume.map(|rs| &rs.completed).unwrap_or(&no_prior);
+    let completed_prior: &TileSet = resume.map(|rs| &rs.completed).unwrap_or(&no_prior);
     // The owned tiles as a list only when a static plan has to be built
     // from them below.
     let plan_in_run = config.schedule == Schedule::Static && config.static_plan.is_none();
@@ -660,7 +675,7 @@ where
         if plan_in_run {
             owned_list.push(i);
         }
-        if completed_prior.contains(t) {
+        if completed_prior.contains(i) {
             resumed += 1;
             // Their cells were computed in a prior epoch; counting them
             // here keeps the final epoch's `cells_computed` covering the
@@ -718,8 +733,7 @@ where
         sched.mark_initial(t);
     }
     // The door for an edge that names its tile by coordinate (one off the
-    // transport, one out of a checkpoint): resolved to the graph's indices
-    // once, here, or refused.
+    // transport): resolved to the graph's indices once, here, or refused.
     let resolve = |msg: EdgeMsg<T>| -> Result<Delivery<T>, RunError> {
         let (tile, delta) = (msg.tile, msg.delta);
         let bad_edge = |detail: &str| {
@@ -758,9 +772,9 @@ where
     // then assembles its full dependency set from replay (completed
     // producers) plus fresh sends (re-executing producers).
     if let Some(rs) = resume {
-        let replay: Result<Vec<Delivery<T>>, RunError> =
-            rs.replay.iter().cloned().map(resolve).collect();
-        sched.deliver(0, &mut replay?).map_err(duplicate)?;
+        sched
+            .deliver(0, &mut rs.replay.clone())
+            .map_err(duplicate)?;
     }
     let cv = Condvar::new();
     let cv_mutex = Mutex::new(()); // park/wake channel, no data under it
@@ -856,10 +870,7 @@ where
             let resolve = &resolve;
             let duplicate = &duplicate;
             move |w: usize| {
-                let mut pool: TileBufferPool<T> = match &config.recycler {
-                    Some(r) => TileBufferPool::seeded(r),
-                    None => TileBufferPool::new(),
-                };
+                let mut pool: TileBufferPool<T> = TileBufferPool::new();
                 // Take the head of worker `ow`'s static sequence if it is
                 // parked ready. Own head first keeps affinity; helping
                 // (ow != w) only happens when this worker has nothing else
@@ -872,7 +883,7 @@ where
                         // the cursor: skip it (idempotent under racing
                         // helpers — fetch_max never rewinds).
                         let head = *head as usize;
-                        if completed_prior.contains(&tiles[head]) {
+                        if completed_prior.contains(head) {
                             cursors[ow].fetch_max(c + 1, Ordering::AcqRel);
                             continue;
                         }
@@ -938,18 +949,6 @@ where
                     }
                     cv.notify_all();
                 };
-                // The recorded geometry of a tile (its own, or the source
-                // of an incoming edge): its class's, off the graph. Owned
-                // when this call made the recording.
-                let geometry = |tile_idx: usize, counts: &mut WorkerCounts| {
-                    let geom = graph.geometry(tile_idx);
-                    counts.geom_builds += matches!(geom, Ok(Cow::Owned(_))) as u64;
-                    geom.map_err(|error| RunError::TileGeometry {
-                        rank: config.rank,
-                        tile: tiles[tile_idx],
-                        error,
-                    })
-                };
                 loop {
                     if failed.load(Ordering::Acquire) {
                         break;
@@ -988,13 +987,12 @@ where
                                 msg.payload.len() as u64,
                             );
                         }
-                        // A producer re-executing after recovery resends
-                        // edges its consumer already folded in a prior
-                        // epoch: drop them, the consumer is done.
-                        if completed_prior.contains(&msg.tile) {
-                            continue;
-                        }
                         match resolve(msg) {
+                            // A producer re-executing after recovery
+                            // resends edges its consumer already folded in
+                            // a prior epoch: drop them, the consumer is
+                            // done.
+                            Ok(delivery) if completed_prior.contains(delivery.tile) => {}
                             Ok(delivery) => batch.push(delivery),
                             Err(e) => {
                                 bad_edge = Some(e);
@@ -1106,13 +1104,14 @@ where
                     // failure breaks out of the labelled block and fails
                     // the run; the dirty tile buffer is discarded (its
                     // written range is unknown after a mid-scan panic).
-                    let geom = match geometry(tile_idx, &mut counts) {
+                    let geom = match tile_geometry(graph, config.rank, tile_idx) {
                         Ok(geom) => geom,
                         Err(e) => {
                             fail(e);
                             break;
                         }
                     };
+                    counts.geom_builds += matches!(geom, Cow::Owned(_)) as u64;
                     mem.tile_allocated();
                     let mut values: Vec<T> = pool.acquire(layout.size(), &geom, &mut counts);
                     // Recovery retention: every outgoing edge this tile
@@ -1120,38 +1119,24 @@ where
                     // resolves, recorded into the checkpoint sink when the
                     // tile completes. Both stay empty (no allocation)
                     // outside recovery.
-                    let mut retained: Vec<EdgeMsg<T>> = Vec::new();
+                    let mut retained: Vec<Delivery<T>> = Vec::new();
                     let mut tile_probes: Vec<(usize, T)> = Vec::new();
                     let outcome: Result<_, RunError> = 'tile: {
                         // --- Steps 2-3: unpack and execute.
                         for (dep_idx, payload) in edges {
-                            let bad_edge = |detail: String| {
-                                RunError::BadEdge(Box::new(EdgeFault {
-                                    rank: config.rank,
-                                    tile,
-                                    delta: tiling.deps()[dep_idx].delta,
-                                    detail,
-                                }))
-                            };
-                            let Some(src_idx) = graph.source(tile_idx, dep_idx) else {
-                                break 'tile Err(bad_edge("no source tile".to_string()));
-                            };
-                            // The edge was packed from the source tile's
-                            // recording; scatter through the same indices.
-                            let src_geom = match geometry(src_idx, &mut counts) {
+                            let unpacked_from = unpack_edge(
+                                graph,
+                                config.rank,
+                                tile_idx,
+                                dep_idx,
+                                &payload,
+                                &mut values,
+                            );
+                            let src_geom = match unpacked_from {
                                 Ok(geom) => geom,
                                 Err(e) => break 'tile Err(e),
                             };
-                            let expected = src_geom.edge_cells(dep_idx).len();
-                            if payload.len() != expected {
-                                break 'tile Err(bad_edge(format!(
-                                    "edge payload carries {} cells, tiling expects {expected}",
-                                    payload.len(),
-                                )));
-                            }
-                            for (loc, &v) in ghost_cells(tiling, &src_geom, dep_idx).zip(&payload) {
-                                values[loc] = v;
-                            }
+                            counts.geom_builds += matches!(src_geom, Cow::Owned(_)) as u64;
                             unpacked.push((src_geom, dep_idx));
                             // The consumed payload feeds the pack-side free
                             // list, closing the allocation loop.
@@ -1242,9 +1227,9 @@ where
                             // consumer is already done (a later death of
                             // that consumer's owner un-completes it).
                             if recovery.is_some() {
-                                retained.push(EdgeMsg {
-                                    tile: consumer,
-                                    delta: dep.delta,
+                                retained.push(Delivery {
+                                    tile: consumer_idx,
+                                    dep: dep_idx,
                                     payload: payload.clone(),
                                 });
                             }
@@ -1254,7 +1239,7 @@ where
                                 // filter: a re-executing producer must not
                                 // deliver to a consumer completed in a
                                 // prior epoch.
-                                if completed_prior.contains(&consumer) {
+                                if completed_prior.contains(consumer_idx) {
                                     pool.recycle_payload(payload);
                                     continue;
                                 }
@@ -1285,7 +1270,7 @@ where
                         // send above succeeded: a tile is in the checkpoint
                         // only when all of its results are out the door.
                         if let Some(rec) = recovery {
-                            rec.sink.record(tile, retained, &tile_probes, tile_acc);
+                            rec.sink.record(tile_idx, retained, &tile_probes, tile_acc);
                         }
                         Ok((scan, written))
                     };
@@ -1332,13 +1317,6 @@ where
                 }
                 tiles_per_worker[w].store(tiles_run, Ordering::Relaxed);
                 totals.lock().add(&counts);
-                // Cross-run reuse: hand the cleared buffers back for the
-                // next execution of this plan. A buffer abandoned by a
-                // failing tile above never reaches the pool, so a
-                // cancelled or failed run parks only pristine buffers.
-                if let Some(r) = &config.recycler {
-                    pool.park_into(r);
-                }
             }
         };
         // The calling thread is worker 0: a one-worker node starts no
@@ -1462,22 +1440,7 @@ mod tests {
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_tiling::tiling::CellRef;
     use dpgen_tiling::{Template, TemplateSet, TilingBuilder};
-
-    #[test]
-    fn a_pool_parks_no_more_than_the_next_one_takes_back() {
-        let recycler = BufferRecycler::default();
-        let mut pool = TileBufferPool::<u64> {
-            buffer: Some(vec![0; 16]),
-            scanned: None,
-            payloads: (0..MAX_RECYCLED_PAYLOADS)
-                .map(|_| Vec::with_capacity(4))
-                .collect(),
-        };
-        pool.park_into(&recycler);
-        let parked = recycler.stashed();
-        let _ = TileBufferPool::<u64>::seeded(&recycler);
-        assert_eq!(recycler.stashed(), 0, "{parked} parked, some never reused");
-    }
+    use std::collections::HashSet;
 
     /// One tile's life on `pool`, as the worker loop lives it: acquire,
     /// unpack an edge of 7s from every neighbour there is, have the kernel
@@ -1522,7 +1485,7 @@ mod tests {
     /// A pooled buffer reaches the next tile holding nothing that tile can
     /// tell from a fresh one: after a tile of the same class, stale values
     /// only where its own scan writes first; after a tile of another class,
-    /// nothing at all. And what is parked for the next run is all-default.
+    /// nothing at all.
     #[test]
     fn a_reused_buffer_holds_only_what_the_next_tile_overwrites() {
         let tiling = triangle(3);
@@ -1557,21 +1520,6 @@ mod tests {
             after_cut.iter().all(|&v| v == 0),
             "class change: {after_cut:?}"
         );
-
-        let recycler = BufferRecycler::default();
-        pool.park_into(&recycler);
-        let parked = recycler.checkout::<u64>(usize::MAX);
-        assert!(parked.iter().any(|b| b.len() == scan.len()));
-        assert!(parked.iter().flatten().all(|&v| v == 0), "{parked:?}");
-
-        // A tile that fails never releases its buffer: nothing of it parks.
-        let mut abandoned = pool.acquire(scan.len(), &full, &mut WorkerCounts::default());
-        abandoned.fill(9);
-        pool.park_into(&recycler);
-        assert!(recycler
-            .checkout::<u64>(usize::MAX)
-            .iter()
-            .all(Vec::is_empty));
     }
 
     /// Single-rank run of a per-cell kernel under `config`.
@@ -1887,18 +1835,13 @@ mod tests {
     #[test]
     fn a_panic_inside_eval_block_is_quarantined() {
         let tiling = triangle(3);
-        let recycler = Arc::new(BufferRecycler::default());
-        let config = NodeConfig {
-            recycler: Some(recycler.clone()),
-            ..NodeConfig::new(1, 2)
-        };
         let err = run_node(
             &NodeJob {
                 graph: &tiling.graph(&[12]),
                 owner: &SingleOwner,
                 transport: &NullTransport::default(),
                 probe: &Probe::default(),
-                config: &config,
+                config: &NodeConfig::new(1, 2),
                 reduce: None,
                 recovery: None,
             },
@@ -1912,12 +1855,6 @@ mod tests {
             }
             other => panic!("expected KernelPanic, got {other}"),
         }
-        // The one worker's buffer died with the tile: only payload vectors
-        // (parked empty) reach the next run.
-        assert!(recycler
-            .checkout::<u64>(usize::MAX)
-            .iter()
-            .all(Vec::is_empty));
     }
 
     #[test]

@@ -55,7 +55,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One edge on its way to its consumer, buffered by a worker while it packs
-/// the tile it just executed and handed to [`TileScheduler::deliver`].
+/// the tile it just executed and handed to [`TileScheduler::deliver`]. Also
+/// the form a recovery checkpoint retains an edge in.
+#[derive(Debug, Clone)]
 pub struct Delivery<T> {
     /// The consumer tile's index in the graph.
     pub tile: usize,

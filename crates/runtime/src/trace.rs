@@ -64,8 +64,13 @@ pub struct TraceConfig {
     /// What to record.
     pub level: TraceLevel,
     /// Events retained per ring (per worker); older events are overwritten.
+    /// A run's options may ask for at most [`MAX_RING_CAPACITY`].
     pub ring_capacity: usize,
 }
+
+/// The most events a run's options may ask a ring to retain (each ring is
+/// allocated whole, up front: 80 MiB at this bound).
+pub const MAX_RING_CAPACITY: usize = 1 << 20;
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {

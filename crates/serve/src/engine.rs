@@ -625,8 +625,8 @@ mod tests {
         let err = handle.wait().unwrap_err();
         assert!(matches!(err, RunError::Cancelled { .. }), "got {err}");
 
-        // The same cached plan (and its recycled buffers) must now
-        // produce a bit-identical result to a fresh one-shot run.
+        // The same cached plan must now produce a bit-identical result to
+        // a fresh one-shot run.
         let want = Program::from_spec(spec.clone())
             .unwrap()
             .compile(&[n])

@@ -3,16 +3,16 @@
 //! Solves sum-of-pairs MSA of three DNA strings exactly (the problem the
 //! paper's introduction motivates with the FPGA work of Masuno et al.),
 //! then recovers the actual alignment with the Section VII-A traceback:
-//! the forward pass keeps only tile edges, and the traceback recomputes
-//! tiles on demand while walking the optimal path.
+//! the forward pass (one ordinary four-thread execution) keeps only tile
+//! edges, and the traceback recomputes tiles on demand while walking the
+//! optimal path.
 //!
 //! Run with: `cargo run --release --example msa3 [len]`
 
-use dpgen::core::traceback::{run_logged, Traceback};
+use dpgen::core::traceback::Traceback;
 use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Msa};
-use dpgen::runtime::RunError;
-use dpgen::tiling::tiling::CellRef;
+use dpgen::runtime::{PerCell, Probe, RunError};
 
 fn main() -> Result<(), RunError> {
     let len: usize = std::env::args()
@@ -25,8 +25,10 @@ fn main() -> Result<(), RunError> {
     let plan = program.compile(&problem.params());
     let graph = plan.graph()?;
 
-    // Forward pass that retains tile edges for the traceback.
-    let log = run_logged::<i64, _>(&graph, &problem)?;
+    // Forward pass: the cost at the goal, and the tile edges for the
+    // traceback.
+    let opts = ExecOpts::new().threads(4).probe(Probe::at(&problem.goal()));
+    let (out, log) = plan.execute_logged::<i64, _>(&PerCell(&problem), &opts)?;
     println!(
         "forward pass done; edge log holds {} cells (full space would be {})",
         log.total_cells(),
@@ -35,32 +37,10 @@ fn main() -> Result<(), RunError> {
 
     // Trace the optimal alignment from the goal back to the origin.
     // (Dependencies point backwards, so following them IS the traceback.)
-    let problem2 = problem.clone();
-    let mut decide = move |cell: CellRef<'_>, values: &[i64]| -> Option<usize> {
-        if cell.x.iter().all(|&c| c == 0) {
-            return None;
-        }
-        let d = 3;
-        let mut best: Option<(i64, usize)> = None;
-        for m in 0..cell.valid.len() {
-            if !cell.valid[m] {
-                continue;
-            }
-            let mask = m + 1;
-            let delta: Vec<i64> = (0..d)
-                .map(|k| if mask & (1 << k) != 0 { -1 } else { 0 })
-                .collect();
-            let cost = column_cost(&problem2, cell.x, &delta);
-            let total = values[cell.loc_r(m)] + cost;
-            if total == values[cell.loc] && best.is_none() {
-                best = Some((total, m));
-            }
-        }
-        best.map(|(_, m)| m)
-    };
-
     let mut tb = Traceback::new(&graph, &problem, &log);
-    let path = tb.trace(&problem.goal(), &mut decide)?;
+    let path = tb.trace(&problem.goal(), &mut |cell, values| {
+        problem.decide(cell, values)
+    })?;
     println!(
         "alignment path: {} columns, {} tile recomputations",
         path.len() - 1,
@@ -81,12 +61,8 @@ fn main() -> Result<(), RunError> {
             rows[k].insert(0, ch);
         }
     }
-    println!("alignment (sum-of-pairs cost {}):", {
-        let opts = ExecOpts::new()
-            .threads(4)
-            .probe(dpgen::runtime::Probe::at(&problem.goal()));
-        plan.execute(&problem, &opts)?.probes[0].unwrap()
-    });
+    let cost = out.probes[0].expect("the goal is a cell of the problem");
+    println!("alignment (sum-of-pairs cost {cost}):");
     for (k, row) in rows.iter().enumerate() {
         println!("  seq{}: {row}", k + 1);
     }
@@ -100,22 +76,4 @@ fn main() -> Result<(), RunError> {
     }
     println!("verified: every row spells its sequence.");
     Ok(())
-}
-
-fn column_cost(msa: &Msa, x: &[i64], delta: &[i64]) -> i64 {
-    let d = msa.seqs.len();
-    let mut cost = 0;
-    for k in 0..d {
-        for l in k + 1..d {
-            let ck = (delta[k] == -1).then(|| msa.seqs[k][(x[k] - 1) as usize]);
-            let cl = (delta[l] == -1).then(|| msa.seqs[l][(x[l] - 1) as usize]);
-            cost += match (ck, cl) {
-                (Some(a), Some(b)) if a == b => 0,
-                (Some(_), Some(_)) => msa.mismatch,
-                (None, None) => 0,
-                _ => msa.gap,
-            };
-        }
-    }
-    cost
 }
