@@ -71,8 +71,10 @@ pub struct ExecOpts {
     /// Global coordinates whose final values to capture, each with as
     /// many entries as the problem has dimensions.
     pub probe: Probe,
-    /// Ready-queue ordering; `None` means the paper's Figure 5 default
-    /// (column-major with the load-balancing dimensions first). A
+    /// Ready-queue ordering; `None` means the pipelined wavefront
+    /// ([`TilePriority::pipelined`]: column-major with the load-balancing
+    /// dimensions last, where the paper's Figure 5 as printed puts them
+    /// first). A
     /// [`TilePriority::ColumnMajor`] order must be a permutation of the
     /// problem's dimensions.
     pub priority: Option<TilePriority>,
@@ -296,8 +298,8 @@ pub(crate) struct RunArtifacts {
     pub schedule: Schedule,
     /// The whole-space static plan, when one rank owns every tile.
     pub static_plan: Option<Arc<StaticPlan>>,
-    /// The ready queues' order: the requested one, or the paper's Figure 5
-    /// default led by the partition's dimensions.
+    /// The ready queues' order: the requested one, or the pipelined
+    /// wavefront with the partition's dimensions least significant.
     pub priority: TilePriority,
     /// The tile partition (`ranks > 1`).
     pub partition: Option<Arc<LoadBalance>>,
@@ -635,9 +637,9 @@ impl Plan {
             None
         };
         let mut balance_time = Duration::ZERO;
-        // Slabs lead the default priority with their own dimensions, a
+        // Slabs end the default priority with their own dimensions, a
         // hyperplane partition with none.
-        let mut lead = self.lb_dims.clone();
+        let mut trail = self.lb_dims.clone();
         let partition = (opts.ranks > 1).then(|| {
             let t_balance = Instant::now();
             let method = opts.balance.clone().unwrap_or_else(|| {
@@ -654,14 +656,14 @@ impl Plan {
             });
             let balance = self.balance(&graph, opts.ranks, &method);
             balance_time = t_balance.elapsed();
-            lead = match method {
+            trail = match method {
                 BalanceMethod::Slabs { lb_dims } => lb_dims,
                 BalanceMethod::Hyperplane => Vec::new(),
             };
             balance
         });
         let priority = (opts.priority.clone())
-            .unwrap_or_else(|| TilePriority::paper_default(self.tiling.dims(), &lead));
+            .unwrap_or_else(|| TilePriority::pipelined(self.tiling.dims(), &trail));
         if schedule != Schedule::Static {
             priority.ordering(&graph);
         }
@@ -903,6 +905,28 @@ mod tests {
             assert_eq!(r.stats.schedule, Schedule::Static);
             assert_eq!(r.stats.steal_count, 0);
         }
+    }
+
+    #[test]
+    fn default_priority_is_the_pipelined_wavefront() {
+        let default_order =
+            |plan: &Plan, opts: &ExecOpts| match plan.artifacts(opts).unwrap().priority {
+                TilePriority::ColumnMajor { dim_order } => dim_order,
+                other => panic!("default priority {other:?} is not column-major"),
+            };
+        // bandit2's `(s1, f1)` slabs at two ranks: least significant.
+        let bandit2 = Plan::from_spec(&crate::spec::bandit2_spec_text(4), &[8]).unwrap();
+        let two = ExecOpts::new().ranks(2);
+        assert_eq!(default_order(&bandit2, &two), vec![2, 3, 0, 1]);
+        // A hyperplane partition has no slab dimensions: plain column-major.
+        let hyper = two.balance(BalanceMethod::Hyperplane);
+        assert_eq!(default_order(&bandit2, &hyper), vec![0, 1, 2, 3]);
+        // LCS's `i1` at one rank: the spec's `loadbalance` dimension last.
+        let lcs = "name lcs2\nvars i1 i2\nparams L1 L2\nconstraint 0 <= i1 <= L1\n\
+                   constraint 0 <= i2 <= L2\ntemplate skip1 -1 0\ntemplate skip2 0 -1\n\
+                   template all -1 -1\nloadbalance i1\nwidths 4 4\n";
+        let lcs = Plan::from_spec(lcs, &[15, 15]).unwrap();
+        assert_eq!(default_order(&lcs, &ExecOpts::new()), vec![1, 0]);
     }
 
     #[test]

@@ -78,7 +78,10 @@ impl SimConfig {
         }
     }
 
-    /// Multi-node configuration with the paper's default priority.
+    /// Multi-node configuration with the paper's Figure 5 order as printed
+    /// ([`TilePriority::paper_default`]), not the runtime's default
+    /// ([`TilePriority::pipelined`]): the model simulates the paper's
+    /// program, whose Section VI-C tile-size crossover depends on it.
     pub fn hybrid(
         ranks: usize,
         threads_per_rank: usize,

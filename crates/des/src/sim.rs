@@ -671,6 +671,50 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_order_feeds_the_downstream_slab_early() {
+        // 16 x 16 tiles in four slabs along dim 0. Figure 5 as printed
+        // finishes a rank's slab columns before the one its neighbour waits
+        // for; the pipelined order hands that column on after one tile.
+        struct Slabs4;
+        impl TileOwner for Slabs4 {
+            fn owner_of(&self, tile: &Coord) -> usize {
+                tile[0] as usize / 4
+            }
+        }
+        let tiling = grid_2d(4);
+        let run = |priority: TilePriority| {
+            let config = SimConfig {
+                ranks: 4,
+                threads_per_rank: 1,
+                priority,
+                cost: CostModel::default(),
+                send_buffers: usize::MAX,
+                schedule: Schedule::Dynamic,
+            };
+            simulate(&tiling, &[63], &Slabs4, &config)
+        };
+        let figure5 = run(TilePriority::paper_default(2, &[0]));
+        let pipelined = run(TilePriority::pipelined(2, &[0]));
+        assert_eq!(pipelined.tiles, 256);
+        assert_eq!(
+            (pipelined.msgs_remote, pipelined.cells_remote),
+            (figure5.msgs_remote, figure5.cells_remote)
+        );
+        assert!(
+            pipelined.makespan < figure5.makespan,
+            "{} vs {}",
+            pipelined.makespan,
+            figure5.makespan
+        );
+        assert!(
+            pipelined.idle_fraction() < figure5.idle_fraction(),
+            "{} vs {}",
+            pipelined.idle_fraction(),
+            figure5.idle_fraction()
+        );
+    }
+
+    #[test]
     fn priorities_change_schedule_not_work() {
         let tiling = grid_2d(4);
         let n = 59i64;

@@ -6,9 +6,16 @@
 //! column-major order (about `n + 1` buffered edges on an `n × n` grid)
 //! with level-set order (about `2(n − 1)`, but maximal parallelism).
 //!
-//! The generated code's actual priority (Figure 5) prefers column-major
-//! order with the load-balancing dimensions as the highest priority, so
-//! tiles whose edges must be communicated to other nodes execute early.
+//! The paper's Figure 5 gives its priority one purpose: tiles whose edges
+//! must be communicated to other nodes execute early. Read as printed —
+//! column-major with the load-balancing dimensions most significant
+//! ([`TilePriority::paper_default`]) — it does the opposite: a rank sweeps
+//! its slabs one after the other, so the slab its downstream neighbour
+//! waits for comes last and the ranks run as a chain. The runtime's
+//! default is therefore [`TilePriority::pipelined`], the load-balancing
+//! dimensions *least* significant: every slab advances one column at a
+//! time, so a rank feeds its neighbour from its first tile on. Both are
+//! column-major, so both buffer about `n + 1` edges on an `n × n` grid.
 //!
 //! Priorities are *flow-adjusted*: a dimension whose templates are positive
 //! executes from high tile indices down (Figure 3), so "earlier" along that
@@ -24,7 +31,8 @@ use std::sync::Arc;
 pub enum TilePriority {
     /// Column-major in the given dimension order (highest priority first).
     /// This is the paper's Figure 5 priority when the order starts with the
-    /// load-balancing dimensions.
+    /// load-balancing dimensions, and the runtime's pipelined default when
+    /// it ends with them.
     ColumnMajor {
         /// Problem-dimension indices, most significant first.
         dim_order: Vec<usize>,
@@ -42,9 +50,11 @@ impl TilePriority {
         }
     }
 
-    /// The priority used by the paper's generated code (Figure 5):
-    /// column-major with the load-balancing dimensions most significant,
-    /// followed by the remaining dimensions in index order.
+    /// The Figure 5 order as printed: column-major with the load-balancing
+    /// dimensions most significant, followed by the remaining dimensions in
+    /// index order. What the emitted C program uses and the simulator's
+    /// paper configuration models; the runtime's default is
+    /// [`TilePriority::pipelined`].
     pub fn paper_default(dims: usize, lb_dims: &[usize]) -> TilePriority {
         let mut order: Vec<usize> = lb_dims.to_vec();
         for k in 0..dims {
@@ -52,6 +62,17 @@ impl TilePriority {
                 order.push(k);
             }
         }
+        TilePriority::ColumnMajor { dim_order: order }
+    }
+
+    /// The pipelined wavefront, the runtime's default order: column-major
+    /// with the dimensions outside `lb_dims` most significant, in index
+    /// order, and `lb_dims` last, in their given order. A rank advances all
+    /// of its slabs together, so the tiles a downstream rank waits for are
+    /// among its first, not its last.
+    pub fn pipelined(dims: usize, lb_dims: &[usize]) -> TilePriority {
+        let mut order: Vec<usize> = (0..dims).filter(|k| !lb_dims.contains(k)).collect();
+        order.extend_from_slice(lb_dims);
         TilePriority::ColumnMajor { dim_order: order }
     }
 
@@ -99,6 +120,24 @@ mod tests {
         match p {
             TilePriority::ColumnMajor { dim_order } => assert_eq!(dim_order, vec![2, 0, 1]),
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn pipelined_puts_lb_dims_last() {
+        let order = |p: TilePriority| match p {
+            TilePriority::ColumnMajor { dim_order } => dim_order,
+            _ => unreachable!(),
+        };
+        assert_eq!(order(TilePriority::pipelined(4, &[0, 1])), vec![2, 3, 0, 1]);
+        assert_eq!(order(TilePriority::pipelined(2, &[0])), vec![1, 0]);
+        assert_eq!(order(TilePriority::pipelined(3, &[2, 0])), vec![1, 2, 0]);
+        // No lb dims, or all of them in index order: plain column-major.
+        for lb_dims in [&[][..], &[0, 1, 2]] {
+            assert_eq!(
+                TilePriority::pipelined(3, lb_dims),
+                TilePriority::column_major(3)
+            );
         }
     }
 

@@ -34,7 +34,11 @@ fn kernel(cell: CellRef<'_>, values: &mut [u64]) {
 }
 
 fn peak_edges(program: &Program, n: i64, priority: TilePriority) -> i64 {
-    let opts = ExecOpts::new().threads(1).priority(priority);
+    peak_edges_with(program, n, ExecOpts::new().priority(priority))
+}
+
+fn peak_edges_with(program: &Program, n: i64, opts: ExecOpts) -> i64 {
+    let opts = opts.threads(1);
     let res = program
         .compile(&[n])
         .execute::<u64, _>(&kernel, &opts)
@@ -88,4 +92,14 @@ fn paper_default_matches_column_major_on_grids() {
     let col = peak_edges(&program, n, TilePriority::column_major(2));
     let fig5 = peak_edges(&program, n, TilePriority::paper_default(2, &[0]));
     assert_eq!(col, fig5);
+}
+
+#[test]
+fn default_order_buffers_n_plus_one_like_figure_5() {
+    // The runtime's default (the pipelined order, `loadbalance x` last) is
+    // column-major too: E2/E3's memory claim holds for it.
+    let (program, n) = grid(16, 3);
+    let default = peak_edges_with(&program, n, ExecOpts::new());
+    let fig5 = peak_edges(&program, n, TilePriority::paper_default(2, &[0]));
+    assert_eq!((default, fig5), (17, 17));
 }
