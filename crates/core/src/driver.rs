@@ -121,7 +121,7 @@ where
     let priority = &artifacts.priority;
 
     // Every rank's tracer shares one epoch so timestamps land on one
-    // global clock and the merged timeline lines up across ranks (and,
+    // global clock and the timeline lines up across ranks (and,
     // under recovery, across execution epochs).
     let epoch = Instant::now();
     let tracers: Vec<Option<Arc<Tracer>>> = (0..opts.ranks)
@@ -332,9 +332,9 @@ where
     }
 
     // All rank threads have joined, so every ring is quiescent: drain them
-    // into the merged cross-rank timeline.
+    // into the cross-rank timeline on the graph the run executed.
     let traces: Vec<RankTrace> = tracers.iter().flatten().map(|t| t.drain()).collect();
-    let timeline = (!traces.is_empty()).then(|| Timeline::build(traces));
+    let timeline = (!traces.is_empty()).then(|| Timeline::build(artifacts.graph.clone(), traces));
 
     // With checkpoints the node engine routes per-tile reduction
     // contributions into the sinks instead of merging them mid-run (a

@@ -99,8 +99,8 @@ pub struct ExecOpts {
     pub stall_timeout: Option<Duration>,
     /// Event tracing: level and per-worker ring capacity
     /// ([`TraceLevel::Off`] by default). At [`TraceLevel::Spans`] and
-    /// above, [`RunOutput::timeline`] carries the merged per-worker
-    /// timeline, and the capacity may be at most
+    /// above, [`RunOutput::timeline`] carries the per-worker timeline, and
+    /// the capacity may be at most
     /// [`MAX_RING_CAPACITY`].
     pub trace: TraceConfig,
     /// Elastic rank recovery at `ranks > 1`: `Some` turns on heartbeat

@@ -3,7 +3,8 @@
 //! One rank or many, per-cell or batched, with or without a reduction:
 //! every [`Plan::execute`](crate::Plan::execute) lands in the same struct,
 //! which also carries the run's unified [`MetricsRegistry`] and (when
-//! tracing is on) the merged [`Timeline`].
+//! tracing is on) the [`Timeline`] of every rank's events on the plan's
+//! tile graph.
 //!
 //! ```
 //! use dpgen_core::{ExecOpts, Program};
@@ -57,7 +58,7 @@ pub struct RunOutput<T> {
     pub comm_stats: Vec<Arc<CommStats>>,
     /// The load balance used (`ranks > 1` only).
     pub balance: Option<LoadBalance>,
-    /// The merged event timeline, when tracing ran at
+    /// Every rank's trace on the plan's tile graph, when tracing ran at
     /// [`TraceLevel::Spans`](dpgen_runtime::TraceLevel::Spans) or above.
     pub timeline: Option<Timeline>,
     /// Unified run/comm/trace metrics, keyed `rank{r}.…`,

@@ -3,7 +3,8 @@
 //! Set-up reads the static structure off the [`TileGraph`]: tiles,
 //! dependency counts, consumers, and the exact lattice counts — cells per
 //! tile, cells per edge — which the graph walks once per geometry class, so
-//! no polyhedral walk is paid per tile here. What set-up still does per
+//! no polyhedral walk is paid per tile here. A tile's out-edges are read off
+//! the graph in place, wherever they are needed; what set-up still does per
 //! tile is its own: an owner read and the per-tile vectors the event loop
 //! runs on. A ready tile is keyed by its position in the priority's order
 //! on the graph ([`TilePriority::ordering`]), as in the runtime's
@@ -13,7 +14,7 @@ use crate::model::SimConfig;
 use dpgen_runtime::{Schedule, TileOwner};
 use dpgen_tiling::{TileGraph, Tiling};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Simulation outcome.
 #[derive(Debug, Clone)]
@@ -166,21 +167,19 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
             r
         })
         .collect();
-    // Outgoing edges: (consumer index, payload cells) per tile; the cells
-    // a tile packs and unpacks are known statically too (needed for
-    // durations).
-    let mut out_edges: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+    // Outgoing edges, read off the graph in dependency order: (consumer
+    // index, payload cells) of every edge tile `i` packs. The cells a tile
+    // packs and unpacks are known statically too (needed for durations).
+    let deps = tiling.deps().len();
+    let out_edges = |i: usize| {
+        (0..deps).filter_map(move |dep| Some((graph.consumer(i, dep)?, graph.edge_cells(i, dep))))
+    };
     let mut pending: Vec<usize> = (0..n).map(|i| graph.dep_total(i)).collect();
     let mut out_cells: Vec<u64> = vec![0; n];
     let mut in_total: Vec<u64> = vec![0; n];
-    for i in 0..n {
-        for dep_idx in 0..tiling.deps().len() {
-            let Some(c) = graph.consumer(i, dep_idx) else {
-                continue;
-            };
-            let cells = graph.edge_cells(i, dep_idx);
-            out_edges[i].push((c, cells));
-            out_cells[i] += cells;
+    for (i, out) in out_cells.iter_mut().enumerate() {
+        for (c, cells) in out_edges(i) {
+            *out += cells;
             in_total[c] += cells;
         }
     }
@@ -213,7 +212,7 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
             let i = queue[head];
             head += 1;
             longest = longest.max(dist[i]);
-            for &(c, cells) in &out_edges[i] {
+            for (c, cells) in out_edges(i) {
                 let delay = if owners[c] == owners[i] {
                     0.0
                 } else {
@@ -252,9 +251,12 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     let mut makespan = 0.0f64;
     let mut completed = 0usize;
     let mut send_stall_time = 0.0f64;
-    // In-flight remote messages per directed rank pair: arrival times,
-    // bounded by the send-buffer count.
-    let mut inflight: HashMap<(usize, usize), BinaryHeap<Reverse<QueueTime>>> = HashMap::new();
+    // In-flight remote messages per directed rank pair `(from, to)`, at
+    // `from * ranks + to`: arrival times, bounded by the send-buffer count
+    // (kept only when there is a bound).
+    let bounded = config.send_buffers != usize::MAX;
+    let pairs = config.ranks * config.ranks * usize::from(bounded);
+    let mut inflight: Vec<BinaryHeap<Reverse<QueueTime>>> = vec![BinaryHeap::new(); pairs];
 
     let push_event =
         |events: &mut BinaryHeap<Reverse<QueueEntry>>, seq: &mut u64, time: f64, event: Event| {
@@ -313,7 +315,7 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
                 // The worker performs the sends itself; with bounded send
                 // buffers it may stall, releasing later than `now`.
                 let mut tcur = now;
-                for &(c, cells) in &out_edges[tile] {
+                for (c, cells) in out_edges(tile) {
                     let dest = owners[c];
                     if dest == r {
                         // Local delivery is immediate.
@@ -324,8 +326,8 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
                     } else {
                         msgs_remote += 1;
                         cells_remote += cells;
-                        if config.send_buffers != usize::MAX {
-                            let slots = inflight.entry((r, dest)).or_default();
+                        let mut window = bounded.then(|| &mut inflight[r * config.ranks + dest]);
+                        if let Some(slots) = &mut window {
                             // Free every buffer whose message has arrived.
                             while let Some(&Reverse(QueueTime(t))) = slots.peek() {
                                 if t <= tcur {
@@ -344,11 +346,8 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
                             }
                         }
                         let arrive = tcur + cost.comm_latency + cells as f64 * cost.comm_cell_cost;
-                        if config.send_buffers != usize::MAX {
-                            inflight
-                                .entry((r, dest))
-                                .or_default()
-                                .push(Reverse(QueueTime(arrive)));
+                        if let Some(slots) = window {
+                            slots.push(Reverse(QueueTime(arrive)));
                         }
                         push_event(&mut events, &mut seq, arrive, Event::Edge { tile: c });
                     }

@@ -171,14 +171,11 @@ fn decode_frame(mut pkt: Bytes) -> Option<Frame> {
             if pkt.remaining() != len {
                 return None;
             }
-            let inner_raw = pkt.to_vec();
-            if fnv64(&[&[KIND_DATA], &seq.to_le_bytes(), &inner_raw]) != want {
+            if fnv64(&[&[KIND_DATA], &seq.to_le_bytes(), pkt.chunk()]) != want {
                 return None;
             }
-            Some(Frame::Data {
-                seq,
-                inner: Bytes::from(inner_raw),
-            })
+            // The frame itself is the payload, its cursor past the header.
+            Some(Frame::Data { seq, inner: pkt })
         }
         KIND_ACK => {
             if pkt.remaining() != ACK_LEN - 1 {
@@ -699,7 +696,7 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
                 if tx.unacked.len() < window {
                     let seq = tx.next_seq;
                     tx.next_seq += 1;
-                    let frame = encode_data(seq, &inner.to_vec());
+                    let frame = encode_data(seq, inner.chunk());
                     tx.unacked.push_back(InFlight {
                         seq,
                         frame: frame.clone(),

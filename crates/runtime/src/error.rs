@@ -284,8 +284,8 @@ impl RunError {
 
     /// The tile coordinate this error implicates, when it carries one — a
     /// panicking kernel's tile, a malformed edge's consumer, or the tile a
-    /// routeless transport send was addressed for. Attached to the `Fault`
-    /// trace event so the failing coordinate survives into the timeline.
+    /// routeless transport send was addressed for. Its index in the run's
+    /// tile graph rides the `Fault` trace event into the timeline.
     pub fn tile(&self) -> Option<Coord> {
         match self {
             RunError::KernelPanic { tile, .. } | RunError::TileGeometry { tile, .. } => Some(*tile),
@@ -447,7 +447,7 @@ mod tests {
             vec![TraceEvent {
                 ts: 5_000,
                 kind: EventKind::TileStart,
-                tile: Some(Coord::from_slice(&[3, 4])),
+                tile: Some(34),
                 aux: 1,
             }],
             Vec::new(),
@@ -460,7 +460,7 @@ mod tests {
         ];
         let msg = RunError::Stalled(Box::new(s)).to_string();
         assert!(msg.contains("worker 0 last events"), "{msg}");
-        assert!(msg.contains("TileStart"), "{msg}");
+        assert!(msg.contains("TileStart tile #34"), "{msg}");
         assert!(msg.contains("comm last events"), "{msg}");
     }
 

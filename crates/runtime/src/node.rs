@@ -67,7 +67,6 @@ use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
 use dpgen_tiling::{Coord, TileGeom, TileGraph, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -227,21 +226,20 @@ impl Probe {
     }
 }
 
-/// Group probe coordinates by owning tile, dropping coordinates outside
-/// the iteration space (their probes stay `None`).
-fn probe_map(
-    tiling: &Tiling,
-    params: &[i64],
-    probe: &Probe,
-) -> HashMap<Coord, Vec<(usize, Coord)>> {
+/// Resolve every probe inside the iteration space to where a run reads
+/// it: `(tile index, probe index, location in the tile's buffer)`, sorted
+/// by tile. A coordinate outside the space resolves to nothing (its probe
+/// stays `None`).
+fn resolve_probes(graph: &TileGraph, probe: &Probe) -> Vec<(usize, usize, usize)> {
+    let tiling = graph.tiling();
     let d = tiling.dims();
     let widths = tiling.widths();
     let original = tiling.original();
     let mut opoint = vec![0i128; original.space().dim()];
-    for (col, &p) in original.space().param_indices().iter().zip(params) {
+    for (col, &p) in original.space().param_indices().iter().zip(graph.params()) {
         opoint[*col] = p as i128;
     }
-    let mut map: HashMap<Coord, Vec<(usize, Coord)>> = HashMap::new();
+    let mut resolved = Vec::new();
     for (idx, x) in probe.coords().iter().enumerate() {
         for k in 0..d {
             opoint[k] = x[k] as i128;
@@ -250,12 +248,17 @@ fn probe_map(
             continue; // outside the iteration space: probe stays None
         }
         let mut t = Coord::zeros(d);
+        let mut local = [0i64; MAX_DIMS];
         for k in 0..d {
             t.set(k, x[k].div_euclid(widths[k]));
+            local[k] = x[k].rem_euclid(widths[k]);
         }
-        map.entry(t).or_default().push((idx, *x));
+        if let Some(tile) = graph.index_of(&t) {
+            resolved.push((tile, idx, tiling.layout().loc(&local[..d])));
+        }
     }
-    map
+    resolved.sort_unstable();
+    resolved
 }
 
 /// Upper bound on recycled payload vectors a worker keeps around. Real
@@ -642,10 +645,7 @@ where
     } = *job;
     let t_start = Instant::now();
     let tiling = graph.tiling();
-    let params = graph.params();
-    let d = tiling.dims();
     let layout = tiling.layout();
-    let widths = tiling.widths();
     let tiles = graph.tiles();
 
     // --- Initial tile generation (Section IV-K): the graph knows which
@@ -802,14 +802,12 @@ where
         Duration::from_nanos(clocks.max().unwrap_or(0))
     };
 
-    // Group probe coordinates by owning tile, and mark those tiles: every
-    // other tile skips the hash lookup and the results mutex.
-    let probe_by_tile = probe_map(tiling, params, probe);
-    let mut has_probe = vec![false; graph.len()];
-    for t in probe_by_tile.keys() {
-        if let Some(i) = graph.index_of(t) {
-            has_probe[i] = true;
-        }
+    // Where each probe is read, and the tiles that read one: every other
+    // tile skips the search and the results mutex.
+    let probes = resolve_probes(graph, probe);
+    let mut probed = TileSet::default();
+    for &(tile, ..) in &probes {
+        probed.insert(tile);
     }
     let probe_results: Mutex<Vec<Option<T>>> = Mutex::new(vec![None; probe.len()]);
     // Probes resolved by tiles that will not re-execute come from the
@@ -856,11 +854,11 @@ where
             let totals = &totals;
             let plan = &plan;
             let cursors = &cursors;
-            let has_probe = &has_probe;
+            let probed = &probed;
             let idle_ns = &idle_ns;
             let tiles_per_worker = &tiles_per_worker;
             let mem = &mem;
-            let probe_by_tile = &probe_by_tile;
+            let probes = &probes;
             let probe_results = &probe_results;
             let failed = &failed;
             let first_error = &first_error;
@@ -924,7 +922,8 @@ where
                 let wake = |ready: usize| (0..ready.min(threads)).for_each(|_| cv.notify_one());
                 let fail = |e: RunError| {
                     if let Some(t) = tracer {
-                        t.record(w, EventKind::Fault, e.tile().as_ref(), e.severity() as u64);
+                        let tile = e.tile().and_then(|c| graph.index_of(&c));
+                        t.record(w, EventKind::Fault, tile, e.severity() as u64);
                     }
                     // A halted endpoint is a simulated node crash: this
                     // rank's workers stop, but the death stays silent — no
@@ -979,21 +978,20 @@ where
                     // delivered as one batch.
                     let mut bad_edge = None;
                     while let Some(msg) = transport.try_recv() {
-                        if let Some(t) = tracer {
-                            t.record(
-                                w,
-                                EventKind::EdgeRecv,
-                                Some(&msg.tile),
-                                msg.payload.len() as u64,
-                            );
-                        }
                         match resolve(msg) {
-                            // A producer re-executing after recovery
-                            // resends edges its consumer already folded in
-                            // a prior epoch: drop them, the consumer is
-                            // done.
-                            Ok(delivery) if completed_prior.contains(delivery.tile) => {}
-                            Ok(delivery) => batch.push(delivery),
+                            Ok(delivery) => {
+                                if let Some(t) = tracer {
+                                    let cells = delivery.payload.len() as u64;
+                                    t.record(w, EventKind::EdgeRecv, Some(delivery.tile), cells);
+                                }
+                                // A producer re-executing after recovery
+                                // resends edges its consumer already folded
+                                // in a prior epoch: drop them, the consumer
+                                // is done.
+                                if !completed_prior.contains(delivery.tile) {
+                                    batch.push(delivery);
+                                }
+                            }
                             Err(e) => {
                                 bad_edge = Some(e);
                                 break;
@@ -1097,7 +1095,7 @@ where
                                 since.elapsed().as_nanos() as u64,
                             );
                         }
-                        t.record(w, EventKind::TileStart, Some(&tile), edges.len() as u64);
+                        t.record(w, EventKind::TileStart, Some(tile_idx), edges.len() as u64);
                     }
 
                     // --- Steps 2-5 under typed-error discipline: any
@@ -1183,19 +1181,14 @@ where
                             }
                         }
 
-                        if has_probe[tile_idx] {
-                            if let Some(list) = probe_by_tile.get(&tile) {
-                                let mut res = probe_results.lock();
-                                for (idx, x) in list {
-                                    let mut local = [0i64; MAX_DIMS];
-                                    for k in 0..d {
-                                        local[k] = x[k] - widths[k] * tile[k];
-                                    }
-                                    let v = values[layout.loc(&local[..d])];
-                                    res[*idx] = Some(v);
-                                    if recovery.is_some() {
-                                        tile_probes.push((*idx, v));
-                                    }
+                        if probed.contains(tile_idx) {
+                            let first = probes.partition_point(|&(t, ..)| t < tile_idx);
+                            let ours = probes[first..].iter().take_while(|&&(t, ..)| t == tile_idx);
+                            let mut res = probe_results.lock();
+                            for &(_, idx, loc) in ours {
+                                res[idx] = Some(values[loc]);
+                                if recovery.is_some() {
+                                    tile_probes.push((idx, values[loc]));
                                 }
                             }
                         }
@@ -1214,12 +1207,8 @@ where
                             payload.extend(src_locs.iter().map(|&loc| values[loc as usize]));
                             counts.edge_cells += payload.len() as u64;
                             if let Some(t) = tracer {
-                                t.record(
-                                    w,
-                                    EventKind::EdgePack,
-                                    Some(&consumer),
-                                    payload.len() as u64,
-                                );
+                                let cells = payload.len() as u64;
+                                t.record(w, EventKind::EdgePack, Some(consumer_idx), cells);
                             }
                             // Retain the sender-side copy *before* routing:
                             // the checkpoint must hold every edge a
@@ -1262,7 +1251,12 @@ where
                                     break 'tile Err(e.into());
                                 }
                                 if let Some(t) = tracer {
-                                    t.record(w, EventKind::EdgeSend, Some(&consumer), dest as u64);
+                                    t.record(
+                                        w,
+                                        EventKind::EdgeSend,
+                                        Some(consumer_idx),
+                                        dest as u64,
+                                    );
                                 }
                             }
                         }
@@ -1284,7 +1278,7 @@ where
                         }
                     };
                     if let Some(t) = tracer {
-                        t.record(w, EventKind::TileDone, Some(&tile), scan.total());
+                        t.record(w, EventKind::TileDone, Some(tile_idx), scan.total());
                     }
                     counts.cells += scan.total();
                     counts.interior += scan.interior_cells;

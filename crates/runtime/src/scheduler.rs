@@ -213,13 +213,7 @@ impl<'g, T> TileScheduler<'g, T> {
     /// goes to `worker`'s ready heap.
     fn route_ready(&self, worker: usize, tile: usize) {
         if let Some(t) = &self.tracer {
-            let coord = &self.graph.tiles()[tile];
-            t.record(
-                worker,
-                EventKind::TileReady,
-                Some(coord),
-                self.pinned as u64,
-            );
+            t.record(worker, EventKind::TileReady, Some(tile), self.pinned as u64);
         }
         if self.pinned {
             self.parked.fetch_add(1, Ordering::Release);
@@ -342,8 +336,7 @@ impl<'g, T> TileScheduler<'g, T> {
         };
         self.steals.fetch_add(1, Ordering::Relaxed);
         if let Some(tr) = &self.tracer {
-            let coord = &self.graph.tiles()[tile];
-            tr.record(worker, EventKind::Steal, Some(coord), victim as u64);
+            tr.record(worker, EventKind::Steal, Some(tile), victim as u64);
         }
         Some(tile)
     }

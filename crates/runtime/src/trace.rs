@@ -1,5 +1,5 @@
-//! Per-worker event tracing: lock-free ring buffers, a merged post-run
-//! [`Timeline`], and Chrome-trace export.
+//! Per-worker event tracing: lock-free ring buffers, a post-run
+//! [`Timeline`] on the run's tile graph, and Chrome-trace export.
 //!
 //! Scalar counters ([`crate::stats::RunStats`]) say *how much* happened;
 //! they cannot say *when*, *where*, or *in what order* — the questions that
@@ -15,26 +15,31 @@
 //!    `Option<Arc<Tracer>>` that is `None` when disabled, so the hot path
 //!    pays one pointer test per would-be event.
 //! 2. **No allocation, no locks on the hot path.** A [`TraceRing`] is a
-//!    fixed array of atomic-word slots claimed by `fetch_add` on a monotone
-//!    head counter; recording is a handful of relaxed stores. When the ring
-//!    wraps, the oldest events are overwritten (**drop-oldest**) — recent
-//!    history is what debugging needs — while `recorded`/`dropped` counts
-//!    stay exact.
+//!    fixed array of three-word atomic slots claimed by `fetch_add` on a
+//!    monotone head counter; recording is three relaxed stores. When the
+//!    ring wraps, the oldest events are overwritten (**drop-oldest**) —
+//!    recent history is what debugging needs — while `recorded`/`dropped`
+//!    counts stay exact.
 //! 3. **Readable while wedged.** The stall watchdog snapshots the last N
 //!    events per worker *mid-run* ([`Tracer::recent`]); a concurrently
 //!    overwritten slot may decode torn or stale, which is acceptable for a
 //!    diagnostic dump. Post-run reads happen after worker threads are
 //!    joined and are fully consistent.
 //!
+//! An event names its tile the way the run does: by the tile's index in the
+//! plan's [`TileGraph`]. The [`Timeline`] holds that graph, reads the
+//! dependency edges of the critical path off it, and resolves an index to
+//! its coordinates only where it renders text.
+//!
 //! Every rank's [`Tracer`] shares one epoch [`Instant`], so timestamps are
-//! comparable across ranks and the merged [`Timeline`] is globally ordered.
-//! Each tracer owns `workers + 1` rings: one per worker plus a **comm
-//! track** for transport-level events (retransmits, acks), which may be
-//! recorded from any worker thread (the claim is multi-writer safe).
+//! comparable across ranks. Each tracer owns `workers + 1` rings: one per
+//! worker plus a **comm track** for transport-level events (retransmits,
+//! acks), which may be recorded from any worker thread (the claim is
+//! multi-writer safe).
 
 use crate::metrics::{Histogram, MetricsRegistry};
-use dpgen_tiling::{Coord, MAX_DIMS};
-use std::collections::HashMap;
+use dpgen_tiling::TileGraph;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,7 +74,7 @@ pub struct TraceConfig {
 }
 
 /// The most events a run's options may ask a ring to retain (each ring is
-/// allocated whole, up front: 80 MiB at this bound).
+/// allocated whole, up front, at 24 B an event: 24 MiB at this bound).
 pub const MAX_RING_CAPACITY: usize = 1 << 20;
 
 impl Default for TraceConfig {
@@ -216,8 +221,9 @@ pub struct TraceEvent {
     pub ts: u64,
     /// What happened.
     pub kind: EventKind,
-    /// The tile involved, when the kind carries one.
-    pub tile: Option<Coord>,
+    /// The tile involved, by its index in the run's [`TileGraph`], when
+    /// the kind carries one.
+    pub tile: Option<usize>,
     /// Kind-specific auxiliary value (see [`EventKind`] docs; 48 bits).
     pub aux: u64,
 }
@@ -225,8 +231,8 @@ pub struct TraceEvent {
 impl std::fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}us {}", self.ts / 1_000, self.kind.name())?;
-        if let Some(t) = &self.tile {
-            write!(f, " {t}")?;
+        if let Some(t) = self.tile {
+            write!(f, " tile #{t}")?;
         }
         if self.aux != 0 {
             write!(f, " [{}]", self.aux)?;
@@ -235,15 +241,15 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// Words per ring slot: timestamp, packed meta, and `MAX_DIMS` coordinates.
-const SLOT_WORDS: usize = 2 + MAX_DIMS;
-/// `dims` byte value meaning "no tile".
-const NO_TILE: u64 = 0xFF;
+/// Tile word value meaning "no tile".
+const NO_TILE: u64 = u64::MAX;
 /// Bits of `aux` preserved in the packed meta word.
 const AUX_BITS: u32 = 48;
 
+/// One event: timestamp, packed meta (kind in the low byte, `aux` in the
+/// high 48 bits) and tile index.
 struct Slot {
-    words: [AtomicU64; SLOT_WORDS],
+    words: [AtomicU64; 3],
 }
 
 impl Slot {
@@ -257,11 +263,12 @@ impl Slot {
 /// A fixed-capacity, lock-free, drop-oldest event ring.
 ///
 /// Writers claim a monotone index with `fetch_add` and store the event's
-/// words with relaxed ordering; the slot is `index % capacity`, so wrapping
-/// silently overwrites the oldest event. `recorded()` and `dropped()` are
-/// derived from the head counter and are exact even when events were
-/// overwritten. Concurrent mid-run reads may observe a torn slot (a mix of
-/// two events); reads after the writing threads are joined are consistent.
+/// three words with relaxed ordering; the slot is `index % capacity`, so
+/// wrapping silently overwrites the oldest event. `recorded()` and
+/// `dropped()` are derived from the head counter and are exact even when
+/// events were overwritten. Concurrent mid-run reads may observe a torn slot
+/// (a mix of two events); reads after the writing threads are joined are
+/// consistent.
 pub struct TraceRing {
     slots: Box<[Slot]>,
     head: AtomicU64,
@@ -292,23 +299,15 @@ impl TraceRing {
         self.recorded().saturating_sub(self.capacity() as u64)
     }
 
-    /// Record one event. Lock-free and allocation-free.
+    /// Record one event about tile index `tile`. Lock-free and
+    /// allocation-free.
     #[inline]
-    pub fn record(&self, ts: u64, kind: EventKind, tile: Option<&Coord>, aux: u64) {
+    pub fn record(&self, ts: u64, kind: EventKind, tile: Option<usize>, aux: u64) {
         let idx = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
         slot.words[0].store(ts, Ordering::Relaxed);
-        let dims = match tile {
-            Some(t) => {
-                for (k, &v) in t.as_slice().iter().enumerate() {
-                    slot.words[2 + k].store(v as u64, Ordering::Relaxed);
-                }
-                t.dims() as u64
-            }
-            None => NO_TILE,
-        };
-        let meta =
-            (kind as u64) | (dims << 8) | ((aux & ((1u64 << AUX_BITS) - 1)) << (64 - AUX_BITS));
+        slot.words[2].store(tile.map_or(NO_TILE, |t| t as u64), Ordering::Relaxed);
+        let meta = (kind as u64) | ((aux & ((1u64 << AUX_BITS) - 1)) << (64 - AUX_BITS));
         slot.words[1].store(meta, Ordering::Release);
     }
 
@@ -316,33 +315,18 @@ impl TraceRing {
         let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
         let meta = slot.words[1].load(Ordering::Acquire);
         let kind = EventKind::from_u8((meta & 0xFF) as u8)?;
-        let dims = (meta >> 8) & 0xFF;
-        let aux = meta >> (64 - AUX_BITS);
-        let ts = slot.words[0].load(Ordering::Relaxed);
-        let tile = if dims == NO_TILE || dims as usize > MAX_DIMS {
-            None
-        } else {
-            let mut vals = [0i64; MAX_DIMS];
-            for (k, v) in vals.iter_mut().enumerate().take(dims as usize) {
-                *v = slot.words[2 + k].load(Ordering::Relaxed) as i64;
-            }
-            Some(Coord::from_slice(&vals[..dims as usize]))
-        };
+        let tile = slot.words[2].load(Ordering::Relaxed);
         Some(TraceEvent {
-            ts,
+            ts: slot.words[0].load(Ordering::Relaxed),
             kind,
-            tile,
-            aux,
+            tile: (tile != NO_TILE).then_some(tile as usize),
+            aux: meta >> (64 - AUX_BITS),
         })
     }
 
     /// The retained events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let retained = head.min(self.slots.len() as u64);
-        (head - retained..head)
-            .filter_map(|i| self.read_slot(i))
-            .collect()
+        self.recent(self.slots.len())
     }
 
     /// The last `n` retained events, oldest first. Safe (but possibly
@@ -433,11 +417,11 @@ impl Tracer {
         kind.min_level() <= self.level
     }
 
-    /// Record an event on `track` (a worker index, or
-    /// [`Tracer::comm_track`]). A kind above the configured level is a
+    /// Record an event about tile index `tile` on `track` (a worker index,
+    /// or [`Tracer::comm_track`]). A kind above the configured level is a
     /// cheap no-op.
     #[inline]
-    pub fn record(&self, track: usize, kind: EventKind, tile: Option<&Coord>, aux: u64) {
+    pub fn record(&self, track: usize, kind: EventKind, tile: Option<usize>, aux: u64) {
         if !self.enabled(kind) {
             return;
         }
@@ -493,17 +477,6 @@ pub struct RankTrace {
     pub tracks: Vec<TrackTrace>,
 }
 
-/// A globally ordered event with its source coordinates.
-#[derive(Debug, Clone)]
-pub struct TimelineEvent {
-    /// Source rank.
-    pub rank: usize,
-    /// Source track (worker index; the rank's last track is comm).
-    pub track: usize,
-    /// The event.
-    pub event: TraceEvent,
-}
-
 /// One tile's execution interval on a worker.
 #[derive(Debug, Clone)]
 pub struct TileSpan {
@@ -511,8 +484,8 @@ pub struct TileSpan {
     pub rank: usize,
     /// Executing worker.
     pub track: usize,
-    /// The tile.
-    pub tile: Coord,
+    /// The tile, by its index in the timeline's [`TileGraph`].
+    pub tile: usize,
     /// Start timestamp (ns since epoch).
     pub start: u64,
     /// End timestamp (ns since epoch).
@@ -526,7 +499,7 @@ impl TileSpan {
     }
 }
 
-/// Per-track aggregates derived from the merged timeline.
+/// Per-track aggregates derived from the drained traces.
 #[derive(Debug, Clone)]
 pub struct TrackSummary {
     /// Source rank.
@@ -547,13 +520,17 @@ pub struct TrackSummary {
     pub dropped: u64,
 }
 
-/// The merged, globally ordered view of a run's traces, with derived
+/// A run's drained traces on the tile graph it executed, with derived
 /// metrics and exporters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
-    /// Every retained event, sorted by timestamp.
-    pub events: Vec<TimelineEvent>,
-    /// Tile execution intervals (complete `TileStart`/`TileDone` pairs).
+    /// The tile graph of the run: every tile index in the traces and the
+    /// spans names one of its tiles.
+    pub graph: Arc<TileGraph>,
+    /// The drained per-rank traces, each track's events oldest first.
+    pub traces: Vec<RankTrace>,
+    /// Tile execution intervals (complete `TileStart`/`TileDone` pairs), in
+    /// start order.
     pub spans: Vec<TileSpan>,
     /// Per-track aggregates, ordered by (rank, track).
     pub tracks: Vec<TrackSummary>,
@@ -567,30 +544,50 @@ pub struct Timeline {
     /// `EdgeSend → EdgeRecv` latency per remote edge, in nanoseconds
     /// (empty below [`TraceLevel::Full`]).
     pub edge_latency_ns: Histogram,
-    /// Dependency-aware critical path estimate: the longest
-    /// producer-to-consumer chain of span durations. `None` when no
-    /// `EdgePack` events were recorded (below `Full`).
+    /// The executed critical path: the longest chain of span durations
+    /// along the graph's producer→consumer edges. `None` when no span was
+    /// recorded.
     pub critical_path_ns: Option<u64>,
     /// Global ready-queue depth change points `(ts, depth)` (empty below
     /// `Full` — needs `TileReady`).
     pub queue_depth: Vec<(u64, usize)>,
 }
 
+/// The events of `kinds` from every track of `traces`, each with its rank
+/// and track, in global `(ts, rank, track)` order.
+fn merged<'a>(traces: &'a [RankTrace], kinds: &[EventKind]) -> Vec<(usize, usize, &'a TraceEvent)> {
+    let mut out: Vec<(usize, usize, &TraceEvent)> = Vec::new();
+    for rt in traces {
+        for (t, track) in rt.tracks.iter().enumerate() {
+            let picked = track.events.iter().filter(|e| kinds.contains(&e.kind));
+            out.extend(picked.map(|e| (rt.rank, t, e)));
+        }
+    }
+    out.sort_by_key(|&(rank, track, e)| (e.ts, rank, track));
+    out
+}
+
 impl Timeline {
-    /// Merge drained per-rank traces into a global timeline and derive
-    /// spans, per-track summaries, edge latencies, queue depth, and the
-    /// critical-path estimate.
-    pub fn build(ranks: Vec<RankTrace>) -> Timeline {
-        let mut events: Vec<TimelineEvent> = Vec::new();
+    /// Derive spans, per-track summaries, edge latencies, queue depth and
+    /// the critical path from the drained per-rank traces of a run on
+    /// `graph`. An event whose tile index lies outside the graph is
+    /// skipped.
+    pub fn build(graph: Arc<TileGraph>, traces: Vec<RankTrace>) -> Timeline {
+        let n = graph.len();
+        let tile_of = |e: &TraceEvent| e.tile.filter(|&i| i < n);
+
+        // --- Spans, busy time and steals, per track. A tile span opens at
+        // TileStart and closes at the matching TileDone; unmatched halves
+        // (lost to ring wrap or a failed run) are skipped.
         let mut tracks: Vec<TrackSummary> = Vec::new();
-        let mut recorded_events = 0u64;
-        let mut dropped_events = 0u64;
-        for rt in &ranks {
+        let mut spans: Vec<TileSpan> = Vec::new();
+        let (mut duration_ns, mut recorded_events, mut dropped_events) = (0, 0, 0);
+        for rt in &traces {
             let comm = rt.tracks.len().saturating_sub(1);
             for (t, track) in rt.tracks.iter().enumerate() {
                 recorded_events += track.recorded;
                 dropped_events += track.dropped;
-                tracks.push(TrackSummary {
+                let mut summary = TrackSummary {
                     rank: rt.rank,
                     track: t,
                     label: if t == comm {
@@ -603,151 +600,93 @@ impl Timeline {
                     steals: 0,
                     recorded: track.recorded,
                     dropped: track.dropped,
-                });
-                for ev in &track.events {
-                    events.push(TimelineEvent {
-                        rank: rt.rank,
-                        track: t,
-                        event: ev.clone(),
-                    });
-                }
-            }
-        }
-        events.sort_by_key(|e| (e.event.ts, e.rank, e.track));
-        let duration_ns = events.last().map(|e| e.event.ts).unwrap_or(0);
-
-        // --- Spans and producer→consumer edges, per track. A tile span
-        // opens at TileStart and closes at the matching TileDone; an
-        // EdgePack inside an open span links the span's tile (producer) to
-        // the packed edge's tile (consumer). Unmatched halves (lost to
-        // ring wrap or a failed run) are skipped.
-        let mut spans: Vec<TileSpan> = Vec::new();
-        let mut pack_edges: Vec<(Coord, Coord)> = Vec::new(); // (producer, consumer)
-        let mut open: HashMap<(usize, usize), (Coord, u64)> = HashMap::new();
-        for e in &events {
-            let key = (e.rank, e.track);
-            match e.event.kind {
-                EventKind::TileStart => {
-                    if let Some(tile) = e.event.tile {
-                        open.insert(key, (tile, e.event.ts));
-                    }
-                }
-                EventKind::TileDone => {
-                    if let Some((tile, start)) = open.get(&key).copied() {
-                        if Some(tile) == e.event.tile {
-                            open.remove(&key);
-                            spans.push(TileSpan {
-                                rank: e.rank,
-                                track: e.track,
-                                tile,
-                                start,
-                                end: e.event.ts,
-                            });
+                };
+                let mut open: Option<(usize, u64)> = None;
+                for e in &track.events {
+                    duration_ns = duration_ns.max(e.ts);
+                    match (e.kind, tile_of(e)) {
+                        (EventKind::TileStart, Some(tile)) => open = Some((tile, e.ts)),
+                        (EventKind::TileDone, Some(tile)) => {
+                            if let Some((_, start)) = open.filter(|&(o, _)| o == tile) {
+                                open = None;
+                                let span = TileSpan {
+                                    rank: rt.rank,
+                                    track: t,
+                                    tile,
+                                    start,
+                                    end: e.ts,
+                                };
+                                summary.busy_ns += span.duration_ns();
+                                summary.tiles += 1;
+                                spans.push(span);
+                            }
                         }
+                        (EventKind::Steal, _) => summary.steals += 1,
+                        _ => {}
                     }
                 }
-                EventKind::EdgePack => {
-                    if let (Some(&(producer, _)), Some(consumer)) = (open.get(&key), e.event.tile) {
-                        pack_edges.push((producer, consumer));
-                    }
-                }
-                _ => {}
+                tracks.push(summary);
             }
         }
-        spans.sort_by_key(|s| s.start);
-
-        // --- Per-track aggregates.
-        for s in &spans {
-            if let Some(t) = tracks
-                .iter_mut()
-                .find(|t| t.rank == s.rank && t.track == s.track)
-            {
-                t.busy_ns += s.duration_ns();
-                t.tiles += 1;
-            }
-        }
-        for e in &events {
-            if e.event.kind == EventKind::Steal {
-                if let Some(t) = tracks
-                    .iter_mut()
-                    .find(|t| t.rank == e.rank && t.track == e.track)
-                {
-                    t.steals += 1;
-                }
-            }
-        }
+        spans.sort_by_key(|s| (s.start, s.end, s.rank, s.track));
 
         // --- Edge latency: match EdgeSend to EdgeRecv FIFO per tile (a
         // tile is consumed by exactly one rank; multiple producers feeding
         // the same tile match in timestamp order, which is the best
         // available pairing without per-edge sequence numbers).
-        let mut in_flight: HashMap<Coord, std::collections::VecDeque<u64>> = HashMap::new();
         let mut edge_latency_ns = Histogram::new();
-        for e in &events {
-            match e.event.kind {
-                EventKind::EdgeSend => {
-                    if let Some(tile) = e.event.tile {
-                        in_flight.entry(tile).or_default().push_back(e.event.ts);
-                    }
+        let edges = merged(&traces, &[EventKind::EdgeSend, EventKind::EdgeRecv]);
+        if !edges.is_empty() {
+            let mut in_flight: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
+            for (_, _, e) in edges {
+                let Some(tile) = tile_of(e) else { continue };
+                if e.kind == EventKind::EdgeSend {
+                    in_flight[tile].push_back(e.ts);
+                } else if let Some(sent) = in_flight[tile].pop_front() {
+                    edge_latency_ns.observe(e.ts.saturating_sub(sent));
                 }
-                EventKind::EdgeRecv => {
-                    if let Some(tile) = e.event.tile {
-                        if let Some(sent) = in_flight.get_mut(&tile).and_then(|q| q.pop_front()) {
-                            edge_latency_ns.observe(e.event.ts.saturating_sub(sent));
-                        }
-                    }
-                }
-                _ => {}
             }
         }
 
-        // --- Critical path: longest chain of span durations along
-        // producer→consumer pack edges. Spans are processed in start
+        // --- Critical path: longest chain of span durations along the
+        // graph's producer→consumer edges. Spans are processed in start
         // order, so a producer's finish value exists before any consumer
         // that actually waited on it.
-        let critical_path_ns = if pack_edges.is_empty() || spans.is_empty() {
-            None
-        } else {
-            let mut producers: HashMap<Coord, Vec<Coord>> = HashMap::new();
-            for (producer, consumer) in &pack_edges {
-                producers.entry(*consumer).or_default().push(*producer);
-            }
-            let mut finish: HashMap<Coord, u64> = HashMap::new();
+        let critical_path_ns = (!spans.is_empty()).then(|| {
+            let deps = graph.tiling().deps().len();
+            let mut finish = vec![0u64; n];
             let mut best = 0u64;
             for s in &spans {
-                let inherited = producers
-                    .get(&s.tile)
-                    .map(|ps| {
-                        ps.iter()
-                            .filter_map(|p| finish.get(p).copied())
-                            .max()
-                            .unwrap_or(0)
-                    })
-                    .unwrap_or(0);
-                let f = inherited + s.duration_ns();
-                best = best.max(f);
-                finish.insert(s.tile, f);
+                let producers = (0..deps).filter_map(|dep| graph.source(s.tile, dep));
+                let inherited = producers.map(|p| finish[p]).max().unwrap_or(0);
+                finish[s.tile] = inherited + s.duration_ns();
+                best = best.max(finish[s.tile]);
             }
-            Some(best)
-        };
+            best
+        });
 
         // --- Ready-queue depth over time: +1 at TileReady, −1 at
         // TileStart, merged across ranks (needs Full-level events).
         let mut queue_depth: Vec<(u64, usize)> = Vec::new();
-        if events.iter().any(|e| e.event.kind == EventKind::TileReady) {
+        let readiness = merged(&traces, &[EventKind::TileReady, EventKind::TileStart]);
+        if readiness
+            .iter()
+            .any(|(_, _, e)| e.kind == EventKind::TileReady)
+        {
             let mut depth = 0i64;
-            for e in &events {
-                match e.event.kind {
-                    EventKind::TileReady => depth += 1,
-                    EventKind::TileStart => depth -= 1,
-                    _ => continue,
-                }
-                queue_depth.push((e.event.ts, depth.max(0) as usize));
+            for (_, _, e) in readiness {
+                depth += if e.kind == EventKind::TileReady {
+                    1
+                } else {
+                    -1
+                };
+                queue_depth.push((e.ts, depth.max(0) as usize));
             }
         }
 
         Timeline {
-            events,
+            graph,
+            traces,
             spans,
             tracks,
             duration_ns,
@@ -773,9 +712,9 @@ impl Timeline {
 
     /// Export as Chrome-trace JSON (the `chrome://tracing` / Perfetto
     /// "JSON Array Format"): one process per rank, one thread per track,
-    /// `X` complete events for tile spans, `i` instants for everything
-    /// else. Timestamps are microseconds; events are emitted in
-    /// nondecreasing `ts` order per track.
+    /// `X` complete events named `tile (i, j)` for tile spans, `i` instants
+    /// for everything else. Timestamps are microseconds; events are emitted
+    /// in nondecreasing `ts` order per track.
     pub fn to_chrome_trace(&self) -> String {
         let us = |ns: u64| ns as f64 / 1000.0;
         let mut out = String::from("{\"traceEvents\":[");
@@ -811,59 +750,58 @@ impl Timeline {
         }
         // Per-track merge of spans (at their start ts) and instant events
         // so each (pid, tid) stream is monotone in ts.
-        for t in &self.tracks {
-            let mut items: Vec<(u64, String)> = Vec::new();
-            for s in self
-                .spans
-                .iter()
-                .filter(|s| s.rank == t.rank && s.track == t.track)
-            {
-                items.push((
-                    s.start,
-                    format!(
-                        "{{\"name\":\"tile {}\",\"cat\":\"tile\",\"ph\":\"X\",\
-                         \"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}}}",
-                        escape_json(&s.tile.to_string()),
-                        us(s.start),
-                        us(s.duration_ns()),
-                        s.rank,
-                        s.track
-                    ),
-                ));
-            }
-            for e in self
-                .events
-                .iter()
-                .filter(|e| e.rank == t.rank && e.track == t.track)
-            {
-                match e.event.kind {
-                    EventKind::TileStart | EventKind::TileDone => continue, // covered by spans
-                    _ => {}
+        for rt in &self.traces {
+            for (t, track) in rt.tracks.iter().enumerate() {
+                let mut items: Vec<(u64, String)> = Vec::new();
+                for s in self
+                    .spans
+                    .iter()
+                    .filter(|s| s.rank == rt.rank && s.track == t)
+                {
+                    let name = escape_json(&self.graph.tiles()[s.tile].to_string());
+                    items.push((
+                        s.start,
+                        format!(
+                            "{{\"name\":\"tile {}\",\"cat\":\"tile\",\"ph\":\"X\",\
+                             \"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}}}",
+                            name,
+                            us(s.start),
+                            us(s.duration_ns()),
+                            rt.rank,
+                            t
+                        ),
+                    ));
                 }
-                let args = match &e.event.tile {
-                    Some(tile) => format!(
-                        "{{\"tile\":\"{}\",\"aux\":{}}}",
-                        escape_json(&tile.to_string()),
-                        e.event.aux
-                    ),
-                    None => format!("{{\"aux\":{}}}", e.event.aux),
-                };
-                items.push((
-                    e.event.ts,
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{}}}",
-                        e.event.kind.name(),
-                        us(e.event.ts),
-                        e.rank,
-                        e.track,
-                        args
-                    ),
-                ));
-            }
-            items.sort_by_key(|(ts, _)| *ts);
-            for (_, frag) in items {
-                push(&mut out, &mut first, frag);
+                for e in &track.events {
+                    match e.kind {
+                        EventKind::TileStart | EventKind::TileDone => continue, // covered by spans
+                        _ => {}
+                    }
+                    let args = match e.tile.and_then(|i| self.graph.tiles().get(i)) {
+                        Some(tile) => format!(
+                            "{{\"tile\":\"{}\",\"aux\":{}}}",
+                            escape_json(&tile.to_string()),
+                            e.aux
+                        ),
+                        None => format!("{{\"aux\":{}}}", e.aux),
+                    };
+                    items.push((
+                        e.ts,
+                        format!(
+                            "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
+                             \"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{}}}",
+                            e.kind.name(),
+                            us(e.ts),
+                            rt.rank,
+                            t,
+                            args
+                        ),
+                    ));
+                }
+                items.sort_by_key(|(ts, _)| *ts);
+                for (_, frag) in items {
+                    push(&mut out, &mut first, frag);
+                }
             }
         }
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
@@ -884,7 +822,7 @@ impl Timeline {
         if let Some(cp) = self.critical_path_ns {
             let _ = writeln!(
                 out,
-                "critical path ≈ {:.3} ms; edge latency {}",
+                "critical path {:.3} ms; edge latency {}",
                 cp as f64 / 1e6,
                 self.edge_latency_ns.render()
             );
@@ -958,21 +896,50 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpgen_polyhedra::{ConstraintSystem, Space};
+    use dpgen_tiling::{Coord, Template, TemplateSet, TilingBuilder};
 
-    fn c(v: &[i64]) -> Coord {
-        Coord::from_slice(v)
+    /// Two unit tiles in a row, `(1, 0)` reading `(0, 0)`: their indices.
+    fn two_tiles() -> (Arc<TileGraph>, usize, usize) {
+        let space = Space::from_names(&["x", "y"], &[]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= x <= 1").unwrap();
+        sys.add_text("0 <= y <= 0").unwrap();
+        let templates = TemplateSet::new(2, vec![Template::new("r", &[-1, 0])]).unwrap();
+        let tiling = TilingBuilder::new(sys, templates, vec![1, 1])
+            .build()
+            .unwrap();
+        let graph = Arc::new(tiling.graph(&[]));
+        let at = |x: i64| graph.index_of(&Coord::from_slice(&[x, 0])).unwrap();
+        let (a, b) = (at(0), at(1));
+        assert_eq!(graph.source(b, 0), Some(a));
+        (graph, a, b)
+    }
+
+    fn drained(rank: usize, rings: &[TraceRing]) -> RankTrace {
+        RankTrace {
+            rank,
+            tracks: rings
+                .iter()
+                .map(|r| TrackTrace {
+                    events: r.snapshot(),
+                    recorded: r.recorded(),
+                    dropped: r.dropped(),
+                })
+                .collect(),
+        }
     }
 
     #[test]
     fn ring_records_and_decodes() {
         let ring = TraceRing::new(64);
-        ring.record(10, EventKind::TileStart, Some(&c(&[1, 2])), 3);
-        ring.record(20, EventKind::TileDone, Some(&c(&[1, 2])), 9);
+        ring.record(10, EventKind::TileStart, Some(5), 3);
+        ring.record(20, EventKind::TileDone, Some(5), 9);
         ring.record(30, EventKind::Ack, None, 42);
         let evs = ring.snapshot();
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].kind, EventKind::TileStart);
-        assert_eq!(evs[0].tile, Some(c(&[1, 2])));
+        assert_eq!(evs[0].tile, Some(5));
         assert_eq!(evs[0].aux, 3);
         assert_eq!(evs[2].tile, None);
         assert_eq!(evs[2].aux, 42);
@@ -997,11 +964,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_preserves_negative_coordinates() {
+    fn a_slot_is_three_words() {
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
+        // Tile 0 and the largest index survive; "no tile" stays distinct.
         let ring = TraceRing::new(16);
-        ring.record(1, EventKind::EdgePack, Some(&c(&[-3, 5, -1])), 0);
-        let evs = ring.snapshot();
-        assert_eq!(evs[0].tile, Some(c(&[-3, 5, -1])));
+        ring.record(1, EventKind::EdgePack, Some(0), 0);
+        ring.record(2, EventKind::EdgePack, Some(u32::MAX as usize), 0);
+        ring.record(3, EventKind::WorkerIdle, None, 0);
+        let tiles: Vec<Option<usize>> = ring.snapshot().iter().map(|e| e.tile).collect();
+        assert_eq!(tiles, [Some(0), Some(u32::MAX as usize), None]);
     }
 
     #[test]
@@ -1017,8 +988,8 @@ mod tests {
             },
             Instant::now(),
         );
-        t.record(0, EventKind::TileStart, Some(&c(&[0])), 0); // recorded
-        t.record(0, EventKind::EdgePack, Some(&c(&[0])), 0); // Full-only: dropped
+        t.record(0, EventKind::TileStart, Some(0), 0); // recorded
+        t.record(0, EventKind::EdgePack, Some(0), 0); // Full-only: dropped
         let trace = t.drain();
         assert_eq!(trace.tracks[0].events.len(), 1);
         assert_eq!(trace.tracks[0].events[0].kind, EventKind::TileStart);
@@ -1027,75 +998,84 @@ mod tests {
         assert!(Tracer::create(0, 1, TraceConfig::at(TraceLevel::Spans), Instant::now()).is_some());
     }
 
-    fn demo_trace() -> RankTrace {
-        // Worker 0: two tiles; tile (1,0) consumes an edge packed by (0,0).
+    /// Worker 0 runs tile `a`, then its consumer `b`; the comm track acks.
+    /// Spans-level events only: no `EdgePack` names the edge between them.
+    fn demo_trace(a: usize, b: usize) -> RankTrace {
         let w0 = TraceRing::new(64);
-        w0.record(100, EventKind::TileStart, Some(&c(&[0, 0])), 0);
-        w0.record(150, EventKind::EdgePack, Some(&c(&[1, 0])), 4);
-        w0.record(200, EventKind::TileDone, Some(&c(&[0, 0])), 9);
-        w0.record(300, EventKind::TileStart, Some(&c(&[1, 0])), 1);
-        w0.record(500, EventKind::TileDone, Some(&c(&[1, 0])), 9);
+        w0.record(100, EventKind::TileStart, Some(a), 0);
+        w0.record(200, EventKind::TileDone, Some(a), 9);
+        w0.record(300, EventKind::TileStart, Some(b), 1);
+        w0.record(500, EventKind::TileDone, Some(b), 9);
         let comm = TraceRing::new(64);
         comm.record(400, EventKind::Ack, None, 1);
-        RankTrace {
-            rank: 0,
-            tracks: [w0, comm]
-                .iter()
-                .map(|r| TrackTrace {
-                    events: r.snapshot(),
-                    recorded: r.recorded(),
-                    dropped: r.dropped(),
-                })
-                .collect(),
-        }
+        drained(0, &[w0, comm])
     }
 
     #[test]
     fn timeline_builds_spans_and_critical_path() {
-        let tl = Timeline::build(vec![demo_trace()]);
+        let (graph, a, b) = two_tiles();
+        let tl = Timeline::build(graph, vec![demo_trace(a, b)]);
         assert_eq!(tl.spans.len(), 2);
-        assert_eq!(tl.spans[0].tile, c(&[0, 0]));
+        assert_eq!(tl.spans[0].tile, a);
         assert_eq!(tl.spans[0].duration_ns(), 100);
         assert_eq!(tl.duration_ns, 500);
-        // Critical path: (0,0) for 100ns then (1,0) for 200ns.
+        // Critical path, off the graph's edge a -> b: 100ns then 200ns.
         assert_eq!(tl.critical_path_ns, Some(300));
         let busy = tl.busy_fraction(0, 0);
         assert!((busy - 300.0 / 500.0).abs() < 1e-9, "{busy}");
         assert_eq!(tl.tracks[0].tiles, 2);
-        assert_eq!(tl.recorded_events, 6);
+        assert_eq!(tl.recorded_events, 5);
         assert_eq!(tl.dropped_events, 0);
+        let mut reg = MetricsRegistry::new();
+        tl.register_metrics(&mut reg);
+        assert_eq!(reg.gauge("trace.critical_path_s"), Some(300e-9));
+    }
+
+    #[test]
+    fn timeline_skips_tiles_outside_the_graph() {
+        let (graph, a, b) = two_tiles();
+        let stray = graph.len() + 5;
+        let mut trace = demo_trace(a, b);
+        let w1 = TraceRing::new(64);
+        w1.record(110, EventKind::TileStart, Some(stray), 0);
+        w1.record(120, EventKind::EdgeSend, Some(stray), 1);
+        w1.record(130, EventKind::EdgeRecv, Some(stray), 1);
+        w1.record(140, EventKind::Steal, Some(stray), 0);
+        w1.record(900, EventKind::TileDone, Some(stray), 0);
+        trace.tracks.insert(1, drained(0, &[w1]).tracks.remove(0));
+        let tl = Timeline::build(graph, vec![trace]);
+        assert_eq!(tl.spans.len(), 2, "the stray span is not a span");
+        assert_eq!(tl.critical_path_ns, Some(300));
+        assert_eq!(tl.edge_latency_ns.count(), 0);
+        assert_eq!(tl.tracks[1].steals, 1);
+        assert_eq!(tl.duration_ns, 900);
+        let json = tl.to_chrome_trace();
+        assert!(json.contains("\"name\":\"Steal\""), "{json}");
     }
 
     #[test]
     fn timeline_edge_latency_matches_send_recv() {
+        let (graph, _, b) = two_tiles();
         let w0 = TraceRing::new(64);
-        w0.record(100, EventKind::EdgeSend, Some(&c(&[2, 2])), 1);
+        w0.record(100, EventKind::EdgeSend, Some(b), 1);
         let w1 = TraceRing::new(64);
-        w1.record(1100, EventKind::EdgeRecv, Some(&c(&[2, 2])), 4);
-        let mk = |rank, ring: &TraceRing| RankTrace {
-            rank,
-            tracks: vec![TrackTrace {
-                events: ring.snapshot(),
-                recorded: ring.recorded(),
-                dropped: ring.dropped(),
-            }],
-        };
-        let tl = Timeline::build(vec![mk(0, &w0), mk(1, &w1)]);
+        w1.record(1100, EventKind::EdgeRecv, Some(b), 4);
+        let tl = Timeline::build(graph, vec![drained(0, &[w0]), drained(1, &[w1])]);
         assert_eq!(tl.edge_latency_ns.count(), 1);
         assert_eq!(tl.edge_latency_ns.max(), 1000);
+        assert_eq!(tl.critical_path_ns, None, "no span, no path");
     }
 
     #[test]
     fn chrome_trace_is_structured_and_monotone() {
-        let tl = Timeline::build(vec![demo_trace()]);
+        let (graph, a, b) = two_tiles();
+        let tl = Timeline::build(graph, vec![demo_trace(a, b)]);
         let json = tl.to_chrome_trace();
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("process_name"), "{json}");
-        assert!(
-            json.contains("tile (0, 0)") || json.contains("tile (0,0)"),
-            "{json}"
-        );
+        assert!(json.contains("\"name\":\"tile (0, 0)\""), "{json}");
+        assert!(json.contains("\"name\":\"tile (1, 0)\""), "{json}");
         let summary = tl.text_summary();
         assert!(summary.contains("busy"), "{summary}");
         let mut reg = MetricsRegistry::new();
@@ -1109,12 +1089,11 @@ mod tests {
         let e = TraceEvent {
             ts: 12_345,
             kind: EventKind::TileStart,
-            tile: Some(c(&[1, 2])),
+            tile: Some(7),
             aux: 3,
         };
         let s = e.to_string();
-        assert!(s.contains("TileStart"), "{s}");
-        assert!(s.contains("(1, 2)") || s.contains("(1,2)"), "{s}");
+        assert_eq!(s, "12us TileStart tile #7 [3]");
     }
 
     #[test]

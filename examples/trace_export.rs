@@ -1,7 +1,11 @@
 //! Traced hybrid smoke run: execute LCS across 2 simulated MPI ranks × 2
 //! threads at `TraceLevel::Full`, export the Chrome-trace JSON, and
-//! validate its schema. CI runs this to guarantee the export stays
-//! loadable in chrome://tracing / https://ui.perfetto.dev.
+//! validate its schema: one `X` span per executed tile, each named by the
+//! coordinates of a tile of the plan's graph, and an executed critical path
+//! between the longest span and the trace's duration. A second execution
+//! at `TraceLevel::Spans` must report that critical path too. CI runs this
+//! to guarantee the export stays loadable in chrome://tracing /
+//! https://ui.perfetto.dev.
 //!
 //! Run with: `cargo run --release --example trace_export [out.json]`
 //! Exits nonzero if the exported trace fails validation.
@@ -9,6 +13,7 @@
 use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Lcs};
 use dpgen::runtime::{Probe, TraceLevel};
+use std::collections::HashSet;
 
 fn main() {
     let a = random_sequence(400, 17);
@@ -21,8 +26,8 @@ fn main() {
         .threads(2)
         .trace(TraceLevel::Full)
         .probe(Probe::at(&problem.goal()));
-    let out = program
-        .compile(&problem.params())
+    let plan = program.compile(&problem.params());
+    let out = plan
         .execute::<i64, _>(&problem, &opts)
         .expect("hybrid run succeeds");
     assert_eq!(
@@ -33,6 +38,8 @@ fn main() {
 
     let timeline = out.timeline.as_ref().expect("Full builds a timeline");
     let json = timeline.to_chrome_trace();
+    let graph = plan.graph().expect("the plan's tile graph");
+    let tile_names: HashSet<String> = graph.tiles().iter().map(|t| format!("tile {t}")).collect();
 
     // Schema validation: parseable JSON, a traceEvents array, every entry
     // carrying the required Trace Event Format fields.
@@ -51,6 +58,8 @@ fn main() {
             "M" => {}
             "X" => {
                 assert!(e["ts"].as_f64().is_some() && e["dur"].as_f64().is_some());
+                let name = e["name"].as_str().unwrap_or_default();
+                assert!(tile_names.contains(name), "span {name:?} names no tile");
                 spans += 1;
             }
             _ => assert!(e["ts"].as_f64().is_some(), "timed event has ts"),
@@ -59,16 +68,42 @@ fn main() {
     let executed: u64 = out.per_rank.iter().map(|r| r.stats.tiles_executed).sum();
     assert_eq!(spans as u64, executed, "one span per executed tile");
 
+    // The executed critical path: no shorter than the longest span, no
+    // longer than the trace.
+    let cp = timeline.critical_path_ns.expect("Full has a critical path");
+    let longest = timeline.spans.iter().map(|s| s.duration_ns()).max();
+    assert!(
+        longest <= Some(cp) && cp <= timeline.duration_ns,
+        "critical path {cp} ns"
+    );
+    assert_eq!(
+        out.metrics.gauge("trace.critical_path_s"),
+        Some(cp as f64 / 1e9)
+    );
+
+    // Spans records no EdgePack; the critical path is read off the graph.
+    let spans_run = plan
+        .execute::<i64, _>(&problem, &opts.clone().trace(TraceLevel::Spans))
+        .expect("span-traced run succeeds");
+    let spans_cp = spans_run.metrics.gauge("trace.critical_path_s");
+    assert!(
+        spans_cp.is_some_and(|s| s > 0.0),
+        "Spans has a critical path"
+    );
+
     if let Some(path) = std::env::args().nth(1) {
         std::fs::write(&path, &json).expect("write trace file");
         println!("wrote {} ({} bytes)", path, json.len());
     }
     println!(
-        "trace OK: {} events, {} tile spans across {} ranks, lcs = {}",
+        "trace OK: {} events, {} tile spans across {} ranks, lcs = {}, \
+         critical path {:.3} ms (Full) / {:.3} ms (Spans)",
         events.len(),
         spans,
         out.per_rank.len(),
-        out.probes[0].unwrap()
+        out.probes[0].unwrap(),
+        cp as f64 / 1e6,
+        spans_cp.unwrap_or_default() * 1e3
     );
     println!("\n{}", timeline.text_summary());
 }

@@ -37,6 +37,9 @@ pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
 
+    /// The unread bytes, without advancing the cursor.
+    fn chunk(&self) -> &[u8];
+
     /// Consume and return the next `n` bytes.
     fn take_bytes(&mut self, n: usize) -> &[u8];
 
@@ -157,6 +160,10 @@ impl Buf for Bytes {
         self.len()
     }
 
+    fn chunk(&self) -> &[u8] {
+        &self.data[self.pos..]
+    }
+
     fn take_bytes(&mut self, n: usize) -> &[u8] {
         assert!(n <= self.len(), "buffer underrun");
         let start = self.pos;
@@ -194,7 +201,9 @@ mod tests {
         assert_eq!(a.get_u32_le(), 11);
         let mut b = a.clone();
         assert_eq!(a.get_u32_le(), 22);
+        assert_eq!(b.chunk(), &22u32.to_le_bytes());
         assert_eq!(b.get_u32_le(), 22);
+        assert!(b.chunk().is_empty());
     }
 
     #[test]

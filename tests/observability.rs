@@ -4,8 +4,7 @@
 
 use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Bandit2, Lcs};
-use dpgen::runtime::{EventKind, Probe, TraceLevel, TraceRing};
-use dpgen::tiling::Coord;
+use dpgen::runtime::{EventKind, Probe, Timeline, TraceLevel, TraceRing};
 use std::collections::{HashMap, HashSet};
 
 fn lcs_fixture() -> (Lcs, dpgen::core::Program) {
@@ -21,9 +20,8 @@ fn lcs_fixture() -> (Lcs, dpgen::core::Program) {
 #[test]
 fn trace_ring_overflow_drops_oldest_with_exact_counters() {
     let ring = TraceRing::new(16);
-    let tile = Coord::from_slice(&[3, 4]);
     for i in 0..40u64 {
-        ring.record(i, EventKind::TileStart, Some(&tile), i);
+        ring.record(i, EventKind::TileStart, Some(34), i);
     }
     assert_eq!(ring.capacity(), 16);
     assert_eq!(ring.recorded(), 40);
@@ -34,7 +32,7 @@ fn trace_ring_overflow_drops_oldest_with_exact_counters() {
     assert_eq!(ts, (24..40).collect::<Vec<_>>(), "oldest must be dropped");
     for e in &events {
         assert_eq!(e.kind, EventKind::TileStart);
-        assert_eq!(e.tile.as_ref(), Some(&tile));
+        assert_eq!(e.tile, Some(34));
         assert_eq!(e.aux, e.ts);
     }
 }
@@ -106,8 +104,9 @@ fn chrome_trace_json_parses_with_monotone_ts_per_track() {
 }
 
 /// Acceptance: a multi-thread, multi-rank LCS at `Full` records a
-/// start/done span for *every* executed tile and exposes a busy fraction
-/// for every worker.
+/// start/done span for *every* executed tile — the spans' tiles, resolved
+/// to coordinates through the run's graph, are distinct — and exposes a
+/// busy fraction for every worker.
 #[test]
 fn full_trace_covers_every_executed_tile_with_busy_fractions() {
     let (problem, program) = lcs_fixture();
@@ -130,7 +129,8 @@ fn full_trace_covers_every_executed_tile_with_busy_fractions() {
         executed,
         "every executed tile needs exactly one TileStart/TileDone span"
     );
-    let span_tiles: HashSet<String> = timeline.spans.iter().map(|s| s.tile.to_string()).collect();
+    let tiles = timeline.graph.tiles();
+    let span_tiles: HashSet<_> = timeline.spans.iter().map(|s| tiles[s.tile]).collect();
     assert_eq!(
         span_tiles.len() as u64,
         executed,
@@ -153,6 +153,91 @@ fn full_trace_covers_every_executed_tile_with_busy_fractions() {
     let summary = timeline.text_summary();
     assert!(summary.contains("rank 0"), "{summary}");
     assert!(summary.contains("rank 1"), "{summary}");
+}
+
+/// The critical path as it was estimated before it was read off the graph:
+/// a producer→consumer edge for every `EdgePack` recorded while the
+/// producer's span was open, the longest chain of span durations along
+/// them, spans taken in start order.
+fn edge_pack_critical_path(timeline: &Timeline) -> u64 {
+    let mut producers: HashMap<usize, Vec<usize>> = HashMap::new();
+    for rank in &timeline.traces {
+        for track in &rank.tracks {
+            let mut open = None;
+            for e in &track.events {
+                match e.kind {
+                    EventKind::TileStart => open = e.tile,
+                    EventKind::TileDone => open = None,
+                    EventKind::EdgePack => {
+                        if let (Some(producer), Some(consumer)) = (open, e.tile) {
+                            producers.entry(consumer).or_default().push(producer);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    let mut finish: HashMap<usize, u64> = HashMap::new();
+    let mut best = 0;
+    for s in &timeline.spans {
+        let from = producers.get(&s.tile).into_iter().flatten();
+        let inherited = from.filter_map(|p| finish.get(p)).max().copied();
+        let f = inherited.unwrap_or(0) + s.duration_ns();
+        best = best.max(f);
+        finish.insert(s.tile, f);
+    }
+    best
+}
+
+/// Differential: on a `Full` run whose rings dropped nothing, the critical
+/// path read off the graph equals the one inferred from `EdgePack` events,
+/// exactly — every executed tile packs one edge per consumer that exists.
+/// At `Spans`, where no `EdgePack` is recorded, it is there all the same.
+#[test]
+fn critical_path_off_the_graph_equals_the_edge_pack_inferred_one() {
+    let (problem, program) = lcs_fixture();
+    let plan = program.compile(&problem.params());
+    let opts = ExecOpts::new()
+        .threads(2)
+        .ranks(2)
+        .trace(TraceLevel::Full)
+        .probe(Probe::at(&problem.goal()));
+    let out = plan.execute::<i64, _>(&problem, &opts).unwrap();
+    let timeline = out.timeline.as_ref().expect("Full must build a timeline");
+    assert_eq!(timeline.dropped_events, 0, "the oracle needs every event");
+    let inferred = edge_pack_critical_path(timeline);
+    assert!(inferred > 0);
+    assert_eq!(timeline.critical_path_ns, Some(inferred));
+
+    let spans = plan
+        .execute::<i64, _>(&problem, &opts.clone().trace(TraceLevel::Spans))
+        .unwrap();
+    let timeline = spans
+        .timeline
+        .as_ref()
+        .expect("Spans must build a timeline");
+    let mut events = timeline
+        .traces
+        .iter()
+        .flat_map(|r| &r.tracks)
+        .flat_map(|t| &t.events);
+    assert!(
+        events.all(|e| e.kind != EventKind::EdgePack),
+        "no EdgePack at Spans"
+    );
+    let cp = spans.metrics.gauge("trace.critical_path_s");
+    let longest = timeline
+        .spans
+        .iter()
+        .map(|s| s.duration_ns())
+        .max()
+        .unwrap();
+    let cp_ns = timeline
+        .critical_path_ns
+        .expect("Spans has a critical path");
+    assert_eq!(cp, Some(cp_ns as f64 / 1e9));
+    assert!((longest..=timeline.duration_ns).contains(&cp_ns), "{cp_ns}");
 }
 
 /// A [`dpgen::core::Plan`]'s memo changes nothing but time: across a
