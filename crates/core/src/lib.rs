@@ -40,7 +40,7 @@ pub mod traceback;
 
 pub use driver::{RecoveryConfig, RecoveryStats};
 pub use loadbalance::{BalanceMethod, LoadBalance, MapOwner};
-pub use plan::{spec_hash, ExecOpts, Plan};
+pub use plan::{spec_hash, ExecOpts, Plan, MAX_THREADS};
 pub use program::{Program, ProgramError};
 pub use run::RunOutput;
 pub use spec::{ProblemSpec, SpecBand, SpecError};

@@ -138,13 +138,14 @@ pub fn slab_work(tiling: &Tiling, lb_dim: usize, slab: i64, n: i64) -> u128 {
         .sum()
 }
 
-/// Whether the load model reports *uniform slabs* along `lb_dim`: every
-/// slab (the set of tiles sharing one index of that tile dimension)
-/// carries exactly the same work at these parameter values.
+/// Whether the slabs along `lb_dim` are *uniform*: every slab (the set of
+/// tiles sharing one index of that tile dimension) carries exactly the
+/// same work at these parameter values, summed from the graph's exact
+/// per-class cell counts.
 ///
 /// This is the decision input for `Schedule::Static` (see
 /// [`crate::ExecOpts::schedule`]): a precomputed wavefront order only pays
-/// off when the per-slab Ehrhart counts are flat — a rectangular iteration
+/// off when the per-slab cell counts are flat — a rectangular iteration
 /// space whose extents the tile widths divide exactly. Wedges, triangles,
 /// and ragged final slabs report `false` and keep the work-stealing
 /// scheduler, which absorbs the irregularity dynamically. The check is a

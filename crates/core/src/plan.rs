@@ -6,8 +6,8 @@
 //! an immutable, shareable (`Arc`) bundle of the derived tiling, the
 //! parameter binding and the load-balancing dimensions, plus lazily
 //! memoized schedule artifacts (the tile graph every rank of every
-//! execution reads, the uniform-slab verdict, static wavefront plans, load
-//! balances) that make a repeated execution cheaper than the first.
+//! execution reads, the uniform-slab verdict, the static wavefront plan,
+//! load balances) that make a repeated execution cheaper than the first.
 //!
 //! ```
 //! use dpgen_core::{ExecOpts, Program};
@@ -61,7 +61,8 @@ use std::time::{Duration, Instant};
 /// engine can stamp one template per job. Every knob lives here once.
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
-    /// Worker threads per rank (the OpenMP thread count). Default 1.
+    /// Worker threads per rank (the OpenMP thread count), at most
+    /// [`MAX_THREADS`]. Default 1.
     pub threads: usize,
     /// Simulated nodes (MPI ranks). `ranks > 1` partitions the tiles with
     /// a load balance and connects the ranks over the simulated
@@ -79,12 +80,13 @@ pub struct ExecOpts {
     /// problem's dimensions.
     pub priority: Option<TilePriority>,
     /// Requested tile scheduling mode (default [`Schedule::Dynamic`], the
-    /// work-stealing heaps). [`Schedule::Static`] pins every owned tile to
-    /// a precomputed per-worker wavefront sequence *when the Ehrhart load
-    /// model reports uniform slabs* along the first load-balancing
-    /// dimension; irregular polytopes silently fall back to `Dynamic` (the
-    /// resolved mode is reported in `RunStats::schedule` and the
-    /// `schedule_mode` metric).
+    /// work-stealing heaps in priority order). [`Schedule::Static`] homes
+    /// every owned tile on the worker its pipeline row is dealt to and
+    /// keys it by a precomputed wavefront order *when the graph's exact
+    /// per-class cell counts report uniform slabs* along the first
+    /// load-balancing dimension; irregular polytopes silently fall back to
+    /// `Dynamic` (the resolved mode is reported in `RunStats::schedule` and
+    /// the `schedule_mode` metric).
     pub schedule: Schedule,
     /// Communication configuration (buffer counts, reliability, fault
     /// plan) at `ranks > 1`; at least one send and one receive buffer.
@@ -245,7 +247,13 @@ impl ExecOpts {
                 "trace ring_capacity {ring} is beyond MAX_RING_CAPACITY ({MAX_RING_CAPACITY})"
             ));
         }
-        // The builder clamps, the public field does not.
+        // The builders clamp, the public fields do not.
+        if self.threads > MAX_THREADS {
+            return fault(format!(
+                "threads({}) is beyond MAX_THREADS ({MAX_THREADS})",
+                self.threads
+            ));
+        }
         if self.ranks == 0 {
             return fault("ranks must be at least 1".to_string());
         }
@@ -272,6 +280,11 @@ impl ExecOpts {
     }
 }
 
+/// The most worker threads per rank an execution accepts: every one costs a
+/// ready heap, a trace ring and an OS thread before any tile runs, and a
+/// thread the OS refuses to start would take the caller down with it.
+pub const MAX_THREADS: usize = 1 << 10;
+
 /// The typed error every rejection in this module is.
 fn fault(stage: CompileStage, detail: impl std::fmt::Display) -> RunError {
     CompileFault::new(stage, detail).into()
@@ -285,8 +298,8 @@ fn distinct_dims(list: &[usize], d: usize) -> bool {
 }
 
 /// A small linear-scan memo table: key-value pairs in insertion order.
-/// The key spaces here (threads, ranks, schedule, balance method) hold a
-/// handful of entries at most, so a `Vec` beats a map.
+/// The key space here (ranks, balance method) holds a handful of entries
+/// at most, so a `Vec` beats a map.
 type MemoTable<K, V> = Vec<(K, V)>;
 
 /// What one execution draws from the plan's memo: [`Plan::artifacts`] is
@@ -349,8 +362,9 @@ pub struct Plan {
     cell_bound: OnceLock<u128>,
     /// Load balances keyed by (ranks, method).
     balances: Mutex<MemoTable<(usize, BalanceMethod), Arc<LoadBalance>>>,
-    /// Whole-space static wavefront plans keyed by threads.
-    static_plans: Mutex<MemoTable<usize, Arc<StaticPlan>>>,
+    /// The whole-space static wavefront plan (`None` for a graph with no
+    /// tiles): one for every thread count.
+    static_plan: OnceLock<Option<Arc<StaticPlan>>>,
 }
 
 impl std::fmt::Debug for Plan {
@@ -374,7 +388,7 @@ impl Plan {
             uniform: OnceLock::new(),
             cell_bound: OnceLock::new(),
             balances: Mutex::default(),
-            static_plans: Mutex::default(),
+            static_plan: OnceLock::new(),
         })
     }
 
@@ -460,7 +474,7 @@ impl Plan {
     /// The tile graph of the plan's tiling at its binding: every tile with
     /// its index, existing dependencies, neighbours and (once something
     /// asks) cell count. Derived by the first caller and then shared — by
-    /// the slab verdict, the load balances, the static plans, and every
+    /// the slab verdict, the load balances, the static plan, and every
     /// rank, recovery epoch and execution of this plan. Fails with a typed
     /// `CompileError` (spec stage) when the binding has the wrong arity.
     pub fn graph(&self) -> Result<Arc<TileGraph>, RunError> {
@@ -622,9 +636,10 @@ impl Plan {
     /// a different one per recovery epoch) the runtime plans in-run. The
     /// tiles' positions in the priority's order — the ready heaps' keys —
     /// are sorted here too (kept by the graph), unless the schedule is
-    /// `Static`, under which no tile reaches a heap; and the tiles are
-    /// sorted into their geometry classes (no cell is counted for that and
-    /// no recording made: a plan that is only warmed never needs either).
+    /// `Static`, under which the heaps key on the plan's order instead; and
+    /// the tiles are sorted into their geometry classes (no cell is counted
+    /// for that and no recording made: a plan that is only warmed never
+    /// needs either).
     pub(crate) fn artifacts(&self, opts: &ExecOpts) -> Result<RunArtifacts, RunError> {
         let graph = self.graph()?;
         // Every execution reads its tiles' recordings by class; sorting the
@@ -632,7 +647,7 @@ impl Plan {
         graph.classes();
         let schedule = self.resolved_schedule(&graph, opts.schedule);
         let static_plan = if opts.ranks == 1 && schedule == Schedule::Static {
-            self.static_plan(&graph, opts.threads)
+            self.static_plan(&graph)
         } else {
             None
         };
@@ -678,9 +693,9 @@ impl Plan {
     }
 
     /// Apply the `Static` uniform-slab fallback: a requested static
-    /// schedule only survives when the load model reports equal work in
-    /// every slab along the first load-balancing dimension (a memoized
-    /// verdict). `Dynamic` is always itself.
+    /// schedule only survives when the graph's exact cell counts put equal
+    /// work in every slab along the first load-balancing dimension (a
+    /// memoized verdict). `Dynamic` is always itself.
     fn resolved_schedule(&self, graph: &TileGraph, requested: Schedule) -> Schedule {
         if requested == Schedule::Dynamic {
             return requested;
@@ -694,20 +709,12 @@ impl Plan {
         }
     }
 
-    /// Memoized whole-space static wavefront plan for `threads` workers;
-    /// `None` for a graph with no tiles.
-    fn static_plan(&self, graph: &TileGraph, threads: usize) -> Option<Arc<StaticPlan>> {
-        let threads = threads.max(1);
-        let mut memo = self.static_plans.lock();
-        if let Some((_, p)) = memo.iter().find(|(t, _)| *t == threads) {
-            return Some(p.clone());
-        }
-        // Same inputs as the runtime's own per-run build for a single
-        // owner: every tile. Determinism of `StaticPlan::build_on` is what
-        // makes injection bit-identical.
-        let plan = Arc::new(StaticPlan::build_on(graph, 0..graph.len(), threads)?);
-        memo.push((threads, plan.clone()));
-        Some(plan)
+    /// Memoized whole-space static wavefront plan; `None` for a graph with
+    /// no tiles. Same inputs as the runtime's own per-run build for a
+    /// single owner: every tile.
+    fn static_plan(&self, graph: &TileGraph) -> Option<Arc<StaticPlan>> {
+        let build = || StaticPlan::build_on(graph, 0..graph.len()).map(Arc::new);
+        self.static_plan.get_or_init(build).clone()
     }
 
     /// Memoized load balance for `(ranks, method)`.
@@ -863,8 +870,8 @@ mod tests {
     #[test]
     fn schedule_resolution_applies_the_uniform_slab_rule() {
         // A 16x16 grid in 4x4 tiles is slab-uniform: requested Static
-        // sticks, nothing is stolen, results match the dynamic run, and
-        // the wavefront plan is built once.
+        // sticks, results and exact counters match the dynamic run, and
+        // one wavefront plan serves every thread count.
         let n = 15i64;
         let grid = Plan::from_spec(GRID, &[n]).unwrap();
         let probe = Probe::at(&[0, 0]);
@@ -876,18 +883,21 @@ mod tests {
         };
         let exec = |plan: &Plan, opts: &ExecOpts| plan.execute(&path_kernel, opts).unwrap();
         let dynamic = exec(&grid, &opts(4, Schedule::Dynamic));
-        for _ in 0..2 {
-            let stat = exec(&grid, &opts(4, Schedule::Static));
+        for threads in [4, 2, 4] {
+            let stat = exec(&grid, &opts(threads, Schedule::Static));
             assert_eq!(stat.probes, dynamic.probes);
+            assert_eq!(counters(&stat), counters(&dynamic));
             let s = &stat.per_rank[0].stats;
             assert_eq!(s.schedule, Schedule::Static);
-            assert_eq!(s.steal_count, 0);
+            assert_eq!(s.tiles_per_worker.iter().sum::<u64>(), s.tiles_executed);
             assert_eq!(
                 stat.metrics.gauge("rank0.schedule_mode"),
                 Some(Schedule::Static.code() as f64)
             );
         }
-        assert_eq!(grid.static_plans.lock().len(), 1);
+        let plan_for = |threads| grid.artifacts(&opts(threads, Schedule::Static)).unwrap();
+        let (two, four) = (plan_for(2).static_plan, plan_for(4).static_plan);
+        assert!(Arc::ptr_eq(two.as_ref().unwrap(), four.as_ref().unwrap()));
 
         // The triangle's slabs shrink toward the hypotenuse: the same
         // request falls back to Dynamic.
@@ -896,14 +906,14 @@ mod tests {
         let fallback = exec(&tri, &opts(2, Schedule::Static));
         assert_eq!(fallback.per_rank[0].stats.schedule, Schedule::Dynamic);
         assert_eq!(fallback.probes, tri_dynamic.probes);
-        assert!(tri.static_plans.lock().is_empty());
+        assert!(tri.static_plan.get().is_none());
 
         // Hybrid: the resolved mode reaches every rank.
         let hybrid = exec(&grid, &opts(2, Schedule::Static).ranks(2));
         assert_eq!(hybrid.probes, dynamic.probes);
+        assert_eq!(counters(&hybrid), counters(&dynamic));
         for r in &hybrid.per_rank {
             assert_eq!(r.stats.schedule, Schedule::Static);
-            assert_eq!(r.stats.steal_count, 0);
         }
     }
 
@@ -1088,6 +1098,10 @@ mod tests {
             ExecOpts::new().ranks((1 << 16) + 1),
             ExecOpts {
                 ranks: 0,
+                ..ExecOpts::new()
+            },
+            ExecOpts {
+                threads: MAX_THREADS + 1,
                 ..ExecOpts::new()
             },
             ExecOpts {

@@ -15,9 +15,10 @@ pub struct CostModel {
     pub cell_cost: f64,
     /// Fixed per-tile cost: buffer allocation, scheduler pop, bookkeeping.
     pub tile_overhead: f64,
-    /// Per-tile cost for statically scheduled tiles: no ready-heap push or
-    /// pop and no steal probes, just a cursor advance over the precomputed
-    /// sequence plus buffer bookkeeping.
+    /// Per-tile cost for statically scheduled tiles. A modelled constant
+    /// with no runtime counterpart: the runtime dispatches a static run's
+    /// tiles through the same ready heaps as a dynamic run's, so this
+    /// stands as set until the model is calibrated against measured runs.
     pub static_tile_overhead: f64,
     /// Seconds per edge cell for packing plus unpacking.
     pub edge_cell_cost: f64,
@@ -33,7 +34,7 @@ impl Default for CostModel {
         CostModel {
             cell_cost: 20e-9,           // ~20 ns per DP cell
             tile_overhead: 2e-6,        // ~2 µs per tile dispatch
-            static_tile_overhead: 5e-7, // cursor advance, no heap or steals
+            static_tile_overhead: 5e-7, // modelled, not measured
             edge_cell_cost: 4e-9,       // pack + unpack
             comm_latency: 5e-6,         // MPI eager-message latency
             comm_cell_cost: 8e-9,       // 8-byte value at ~1 GB/s

@@ -183,10 +183,8 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
             in_total[c] += cells;
         }
     }
-    // A pinned run's tiles (the runtime's per-worker precomputed
-    // sequences; every rank pins all it owns) skip the ready-heap and steal
-    // machinery: cheaper dispatch overhead and a wavefront-order priority
-    // key.
+    // A pinned run's tiles (every rank pins all it owns) are charged the
+    // modelled static dispatch overhead and keyed in wavefront order.
     let pinned = config.schedule == Schedule::Static;
     let overhead = if pinned {
         cost.static_tile_overhead
@@ -274,10 +272,10 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
             let i = $i;
             // The model dispatches a pinned run's tiles from the rank's
             // one ready heap in wavefront (level-set) order on any free
-            // worker. The runtime does not: since the pipeline deal
-            // (`runtime::schedule`) each worker sweeps its own rows of the
-            // pipeline axis in lexicographic order. Modelling the
-            // per-worker sequences is ROADMAP item 4's.
+            // worker. The runtime does not: (`runtime::schedule`) a ready
+            // tile goes to the heap of the worker its pipeline row is dealt
+            // to, keyed lexicographically with the pipeline axis first;
+            // the model does not know the homes yet.
             ready[owners[i]].push(Reverse((order.rank[i], i)));
         }};
     }
@@ -627,9 +625,10 @@ mod tests {
 
     #[test]
     fn static_schedule_cuts_dispatch_overhead() {
-        // Same grid, same workers: the static schedule replaces every
-        // per-tile heap dispatch with a cursor advance, so its serial
-        // time and makespan drop while the work stays identical.
+        // Same grid, same workers: the static schedule charges every
+        // tile the modelled static overhead instead of the full dispatch
+        // cost, so its serial time and makespan drop while the work stays
+        // identical.
         let tiling = grid_2d(4);
         let n = 77i64;
         let dynamic = simulate(&tiling, &[n], &SingleOwner, &SimConfig::shared(4, 2));

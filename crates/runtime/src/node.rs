@@ -53,7 +53,7 @@
 //! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
 use crate::checkpoint::{NodeRecovery, TileSet};
-use crate::error::{EdgeFault, RunError, StallSnapshot};
+use crate::error::{CompileFault, CompileStage, EdgeFault, RunError, StallSnapshot};
 use crate::kernel::{RunKernel, Value};
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
@@ -62,13 +62,13 @@ use crate::schedule::{Schedule, StaticPlan};
 use crate::scheduler::{Delivery, DuplicateEdge, TileScheduler};
 use crate::stats::RunStats;
 use crate::trace::{EventKind, Tracer};
-use crate::transport::{EdgeMsg, Transport};
+use crate::transport::{EdgeMsg, Transport, TransportError};
 use dpgen_tiling::tiling::{BlockCtx, CellRef, RunCtx, TileVisitor};
 use dpgen_tiling::{Coord, TileGeom, TileGraph, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -129,12 +129,15 @@ pub struct NodeConfig {
     pub job_cancel: Option<Arc<AtomicBool>>,
     /// Precompiled static plan for this rank's owned tiles (the `Static`
     /// schedule). `Some` skips the per-run `StaticPlan::build_on` pass — a
-    /// compiled [`Plan`]'s memoized artifact injected on re-execution. The
-    /// caller must guarantee it was built for the same tiling, owned tile
-    /// set and worker count; a mismatched plan deadlocks or misschedules.
+    /// compiled plan's memoized artifact injected on re-execution. It
+    /// should have been built on the job's graph for this rank's owned
+    /// tiles: one built for another owned set only homes and orders the
+    /// tiles differently (any ready tile can still be popped by any
+    /// worker), and one built on a graph of another length is refused
+    /// with a typed [`CompileStage::Options`] fault before any tile runs.
     /// Ignored under `Schedule::Dynamic`.
     ///
-    /// [`Plan`]: crate::schedule::StaticPlan
+    /// [`CompileStage::Options`]: crate::error::CompileStage::Options
     pub static_plan: Option<Arc<StaticPlan>>,
     /// Event tracer for this rank (see [`crate::trace`]). `None` disables
     /// tracing; the hot path then pays one pointer test per would-be event.
@@ -560,6 +563,39 @@ fn poll_pause() {
     std::thread::yield_now();
 }
 
+/// Whether this rank must stop now: a raised world or job cancellation (the
+/// job's flag is external and read-only to the runtime), then the
+/// transport's health — a dead peer, or this endpoint's own injected death,
+/// surfaces here typed instead of as a watchdog stall minutes later.
+/// Checked between tiles and while the rank drains the world.
+fn liveness<T, Tr: Transport<T> + ?Sized>(
+    config: &NodeConfig,
+    transport: &Tr,
+) -> Result<(), RunError> {
+    let raised =
+        |flag: &Option<Arc<AtomicBool>>| flag.as_ref().is_some_and(|c| c.load(Ordering::Acquire));
+    if raised(&config.cancel) || raised(&config.job_cancel) {
+        return Err(RunError::Cancelled { rank: config.rank });
+    }
+    Ok(transport.health()?)
+}
+
+/// Tell the other ranks that this one failed with `e`: raise the world's
+/// cancellation flag, so they bail out instead of waiting on silent peers.
+/// A halted endpoint is the exception — a simulated node crash stops this
+/// rank's workers, but the death stays silent: survivors must discover it
+/// through heartbeat silence (and then cancel the world themselves with
+/// the sharper `PeerDead`), exactly as real MPI ranks experience a peer's
+/// power loss.
+fn announce(config: &NodeConfig, e: &RunError) {
+    if matches!(e, RunError::Transport(TransportError::Halted { .. })) {
+        return;
+    }
+    if let Some(c) = &config.cancel {
+        c.store(true, Ordering::Release);
+    }
+}
+
 /// The outcome of one node's run.
 #[derive(Debug, Clone)]
 pub struct NodeResult<T> {
@@ -687,31 +723,33 @@ where
         }
     }
     let threads = config.threads.max(1);
-    // The static plan: per-worker wavefront sequences over the owned
+    // The static plan: the pipeline deal and wavefront order of the owned
     // tiles, built serially alongside initial-tile generation and charged
     // to the same `init_time` bucket — unless the caller injected a
-    // precompiled one (a cached `Plan` artifact), which must have been
-    // built from the identical inputs and therefore replays the exact same
-    // sequences. With it the run is pinned: every owned tile follows the
-    // sequences and none is queued; without it every tile is queued.
+    // precompiled one (a cached `Plan` artifact). With it every ready tile
+    // goes to its home worker's heap under the plan's key; without it to
+    // the readying worker's heap under the priority's.
     let plan: Option<Arc<StaticPlan>> = if plan_in_run {
-        StaticPlan::build_on(graph, owned_list, threads).map(Arc::new)
+        StaticPlan::build_on(graph, owned_list).map(Arc::new)
     } else {
         config
             .static_plan
             .clone()
             .filter(|_| config.schedule == Schedule::Static)
     };
+    // The plan names tiles by the index of the graph it was built on.
+    if let Some(p) = plan.as_ref().filter(|p| p.graph_len() != graph.len()) {
+        let detail = format!(
+            "the static plan was built on a graph of {} tiles, the job's has {}",
+            p.graph_len(),
+            graph.len()
+        );
+        return Err(CompileFault::new(CompileStage::Options, detail).into());
+    }
     let resolved_schedule = match plan {
         Some(_) => Schedule::Static,
         None => Schedule::Dynamic,
     };
-    // Shared cursors into the plan's per-worker sequences. Each advances
-    // strictly front to back, but *any* worker may advance any cursor
-    // whose head is parked ready (cursor helping): `take_static` removes
-    // the tile atomically, so exactly one taker wins a given position and
-    // only that winner publishes the advance.
-    let cursors: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
     let init_time = t_start.elapsed();
 
     let tracer = config.tracer.as_deref();
@@ -726,9 +764,8 @@ where
     }
     let mem = Arc::new(MemoryStats::new());
     let sched: TileScheduler<'_, T> =
-        TileScheduler::new(graph, config.priority.clone(), threads, mem.clone())
-            .with_tracer(config.tracer.clone())
-            .pinned(plan.is_some());
+        TileScheduler::new(graph, config.priority.clone(), threads, mem.clone(), plan)
+            .with_tracer(config.tracer.clone());
     for t in initials {
         sched.mark_initial(t);
     }
@@ -852,8 +889,6 @@ where
             let cv_mutex = &cv_mutex;
             let executed = &executed;
             let totals = &totals;
-            let plan = &plan;
-            let cursors = &cursors;
             let probed = &probed;
             let idle_ns = &idle_ns;
             let tiles_per_worker = &tiles_per_worker;
@@ -869,30 +904,6 @@ where
             let duplicate = &duplicate;
             move |w: usize| {
                 let mut pool: TileBufferPool<T> = TileBufferPool::new();
-                // Take the head of worker `ow`'s static sequence if it is
-                // parked ready. Own head first keeps affinity; helping
-                // (ow != w) only happens when this worker has nothing else
-                // to do, so a descheduled owner never stalls the pipeline.
-                let take_head = |p: &StaticPlan, ow: usize| {
-                    loop {
-                        let c = cursors[ow].load(Ordering::Acquire);
-                        let head = p.sequence(ow).get(c)?;
-                        // A resumed head never gets edges and would wedge
-                        // the cursor: skip it (idempotent under racing
-                        // helpers — fetch_max never rewinds).
-                        let head = *head as usize;
-                        if completed_prior.contains(head) {
-                            cursors[ow].fetch_max(c + 1, Ordering::AcqRel);
-                            continue;
-                        }
-                        let edges = sched.take_static(head)?;
-                        // Only the winner of position `c` reaches this
-                        // store; fetch_max keeps a stale racer from
-                        // rewinding it.
-                        cursors[ow].fetch_max(c + 1, Ordering::AcqRel);
-                        return Some((head, edges));
-                    }
-                };
                 // Tracks the current idle episode for WorkerIdle/Resume
                 // events; only maintained when a tracer is attached.
                 let mut idle_since: Option<Instant> = None;
@@ -915,63 +926,30 @@ where
                     let now = t_start.elapsed().as_nanos() as u64;
                     worker_progress[w].store(now, Ordering::Release);
                 };
-                // One wake per readied tile is enough under every mode:
-                // cursor helping lets any woken worker take any ready head,
-                // and the deliverer itself loops straight into selection
-                // for the rest.
+                // One wake per readied tile is enough: any woken worker can
+                // pop or steal any ready tile, and the deliverer itself
+                // loops straight into selection for the rest.
                 let wake = |ready: usize| (0..ready.min(threads)).for_each(|_| cv.notify_one());
                 let fail = |e: RunError| {
                     if let Some(t) = tracer {
                         let tile = e.tile().and_then(|c| graph.index_of(&c));
                         t.record(w, EventKind::Fault, tile, e.severity() as u64);
                     }
-                    // A halted endpoint is a simulated node crash: this
-                    // rank's workers stop, but the death stays silent — no
-                    // cancellation broadcast. Survivors must discover it
-                    // through heartbeat silence (and then cancel the world
-                    // themselves with the sharper `PeerDead`), exactly as
-                    // real MPI ranks experience a peer's power loss.
-                    let silent = matches!(
-                        e,
-                        RunError::Transport(crate::transport::TransportError::Halted { .. })
-                    );
+                    announce(config, &e);
                     let mut slot = first_error.lock();
                     if slot.is_none() {
                         *slot = Some(e);
                     }
                     drop(slot);
                     failed.store(true, Ordering::Release);
-                    if !silent {
-                        if let Some(c) = &config.cancel {
-                            c.store(true, Ordering::Release);
-                        }
-                    }
                     cv.notify_all();
                 };
                 loop {
                     if failed.load(Ordering::Acquire) {
                         break;
                     }
-                    if let Some(c) = &config.cancel {
-                        if c.load(Ordering::Acquire) {
-                            fail(RunError::Cancelled { rank: config.rank });
-                            break;
-                        }
-                    }
-                    // The job's owner asked for the run to stop: same
-                    // drain-out as a world cancellation, but the flag is
-                    // external and read-only to the runtime.
-                    if let Some(c) = &config.job_cancel {
-                        if c.load(Ordering::Acquire) {
-                            fail(RunError::Cancelled { rank: config.rank });
-                            break;
-                        }
-                    }
-                    // Liveness: a dead peer (or this endpoint's own
-                    // injected death) surfaces here between tiles, typed,
-                    // instead of as a watchdog stall minutes later.
-                    if let Err(e) = transport.health() {
-                        fail(e.into());
+                    if let Err(e) = liveness(config, transport) {
+                        fail(e);
                         break;
                     }
                     // Step 6 of the paper's loop: poll for incoming edges,
@@ -1009,16 +987,8 @@ where
                         fail(e);
                         break;
                     }
-                    // Selection. Pinned: own static cursor first (the
-                    // plan's pipeline order is deadlock-free, see
-                    // `schedule`), then cursor helping: advance another
-                    // worker's ready head rather than idle while its owner
-                    // is off-CPU. Queued: the ready heaps.
-                    let next = match plan.as_deref() {
-                        Some(p) => (0..threads).find_map(|d| take_head(p, (w + d) % threads)),
-                        None => sched.pop(w),
-                    };
-                    let Some((tile_idx, edges)) = next else {
+                    // Selection: this worker's heap, else a steal.
+                    let Some((tile_idx, edges)) = sched.pop(w) else {
                         if executed.load(Ordering::Acquire) >= owned {
                             break;
                         }
@@ -1044,19 +1014,9 @@ where
                             continue;
                         }
                         {
-                            // "Work this worker could act on": any cursor
-                            // head parked ready (helping makes every ready
-                            // head actionable by every worker), or a
-                            // non-empty heap.
-                            let actionable = match plan.as_deref() {
-                                Some(p) => (0..threads).any(|ow| {
-                                    let c = cursors[ow].load(Ordering::Acquire);
-                                    p.sequence(ow)
-                                        .get(c)
-                                        .is_some_and(|&head| sched.static_ready(head as usize))
-                                }),
-                                None => sched.dynamic_ready_len() > 0,
-                            };
+                            // Any ready tile is work this worker could act
+                            // on: its own heap's, or a steal.
+                            let actionable = sched.ready_len() > 0;
                             let mut guard = cv_mutex.lock();
                             if !actionable
                                 && executed.load(Ordering::Acquire) < owned
@@ -1333,32 +1293,11 @@ where
     let mut last_change = Instant::now();
     let mut last_in_flight = transport.in_flight();
     while !transport.flush() {
-        if let Some(c) = &config.cancel {
-            if c.load(Ordering::Acquire) {
-                return Err(RunError::Cancelled { rank: config.rank });
-            }
-        }
-        if let Some(c) = &config.job_cancel {
-            if c.load(Ordering::Acquire) {
-                return Err(RunError::Cancelled { rank: config.rank });
-            }
-        }
         // A peer dying *after* this rank finished its tiles would strand
         // the world drain forever (a corpse never acks): death detection
-        // turns that into a typed escalation instead of a stall. This
-        // rank's *own* injected death stays silent (no cancel broadcast),
-        // mirroring the worker-loop fail path: survivors must find the
-        // corpse through heartbeat silence.
-        if let Err(e) = transport.health() {
-            let e: RunError = e.into();
-            if !matches!(
-                e,
-                RunError::Transport(crate::transport::TransportError::Halted { .. })
-            ) {
-                if let Some(c) = &config.cancel {
-                    c.store(true, Ordering::Release);
-                }
-            }
+        // turns that into a typed escalation instead of a stall.
+        if let Err(e) = liveness(config, transport) {
+            announce(config, &e);
             return Err(e);
         }
         let now_in_flight = transport.in_flight();
@@ -1661,22 +1600,59 @@ mod tests {
         let tiling = triangle(2);
         let n = 20i64;
         let expect = brute(n)[&(0, 0)];
+        let exact = |s: &RunStats| {
+            [
+                s.tiles_executed,
+                s.cells_computed,
+                s.interior_cells,
+                s.boundary_cells,
+                s.blocks_evaluated,
+                s.edges_local,
+                s.edges_remote,
+                s.edge_cells_packed,
+            ]
+        };
         for threads in [1usize, 2, 4] {
-            let config = NodeConfig::new(threads, 2).with_schedule(Schedule::Static);
-            let res: NodeResult<u64> =
-                run_with(&tiling, &[n], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap();
-            assert_eq!(res.probes[0], Some(expect), "threads={threads}");
-            let stats = &res.stats;
+            let run = |schedule| {
+                let config = NodeConfig::new(threads, 2).with_schedule(schedule);
+                run_with(&tiling, &[n], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap()
+            };
+            let (dynamic, stat): (NodeResult<u64>, NodeResult<u64>) =
+                (run(Schedule::Dynamic), run(Schedule::Static));
+            assert_eq!(stat.probes[0], Some(expect), "threads={threads}");
+            let stats = &stat.stats;
             assert_eq!(stats.schedule, Schedule::Static);
             assert_eq!(
                 stats.tiles_per_worker.iter().sum::<u64>(),
                 stats.tiles_executed
             );
-            // Every tile pinned: nothing flows through the heaps, so
-            // nothing can be stolen.
-            assert_eq!(stats.steal_count, 0);
-            assert_eq!(stats.steal_fail_count, 0);
+            assert_eq!(exact(stats), exact(&dynamic.stats), "threads={threads}");
         }
+    }
+
+    /// A plan names tiles by the index of the graph it was built on: one
+    /// built on a graph of another length is refused before a tile runs.
+    #[test]
+    fn a_static_plan_of_another_graph_is_refused() {
+        let tiling = triangle(2);
+        let other = tiling.graph(&[30]);
+        let foreign = StaticPlan::build_on(&other, 0..other.len()).map(Arc::new);
+        let config = NodeConfig {
+            static_plan: foreign,
+            ..NodeConfig::new(2, 2).with_schedule(Schedule::Static)
+        };
+        let ran = AtomicU64::new(0);
+        let counting = |cell: CellRef<'_>, values: &mut [u64]| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            path_kernel(cell, values)
+        };
+        let err = run_with(&tiling, &[20], &counting, &Probe::default(), &config).unwrap_err();
+        match &err {
+            RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Options, "{err}"),
+            other => panic!("expected an options fault, got {other}"),
+        }
+        assert!(err.to_string().contains("static plan"), "{err}");
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 
     #[test]

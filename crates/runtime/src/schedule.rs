@@ -1,21 +1,23 @@
 //! Static wavefront schedules.
 //!
 //! The paper's generated programs pull every tile through a dynamic ready
-//! queue, which is robust for irregular polytopes but pays queue and steal
-//! traffic on DAGs that are perfectly regular. Following the hybrid
-//! static/dynamic scheduling literature (Dathathri et al., arXiv
-//! 1610.07236), this module precomputes a *static wavefront order* when the
-//! Ehrhart load model reports uniform slabs: each worker receives a fixed
-//! tile sequence in pipeline order, and executes it front to back without
-//! ever touching the ready heaps or stealing.
+//! queue. Following the hybrid static/dynamic scheduling literature
+//! (Dathathri et al., arXiv 1610.07236), a static order here is something
+//! that queue *carries*: a pinned run's tiles pass through the same ready
+//! heaps as any other run's, and only which heap a ready tile enters, and
+//! under which key, differ. The mode is decided once per run:
 //!
-//! A run is pinned or it is queued, decided once per run:
+//! * [`Schedule::Dynamic`] — a ready tile enters the heap of the worker
+//!   that readied it, keyed by its position in the priority's order.
+//! * [`Schedule::Static`] — a ready tile enters the heap of its *home*
+//!   worker, keyed by its position in the [`StaticPlan`]'s order.
+//!   Requested via [`Schedule::Static`] but *applied* only when the graph's
+//!   exact per-class cell counts report uniform slabs (see
+//!   `core::loadbalance`); irregular polytopes fall back to `Dynamic`.
 //!
-//! * [`Schedule::Dynamic`] — the work-stealing ready heaps; always safe.
-//! * [`Schedule::Static`] — every owned tile is pinned to a per-worker
-//!   sequence. Requested via [`Schedule::Static`] but *applied* only when
-//!   the load model reports uniform slabs (see `core::loadbalance`);
-//!   irregular polytopes fall back to `Dynamic`.
+//! Popping, stealing, idle waiting and the stall watchdog are one path for
+//! both, and a heap path cannot deadlock: any ready tile can be popped by
+//! any worker.
 //!
 //! # The pipeline deal
 //!
@@ -26,41 +28,34 @@
 //! a topological order of the tile DAG — which frees the plan to pick the
 //! order that pipelines best rather than strict wavefront order. The plan
 //! chooses a pipeline dimension `p` (the axis with the most distinct tile
-//! rows), deals row `r` of `p` to worker `r mod workers`, and sorts each
-//! worker's sequence lexicographically with `p` first. Each worker then
-//! sweeps complete rows: consecutive tiles in a sweep depend on the tile
-//! just executed by the *same* worker (for templates with a zero `p`
-//! component) and on the neighbouring row owned by the *previous* worker —
-//! the classic software-pipelined wavefront, with long same-worker runs
-//! instead of a cross-worker hand-off per tile.
-//!
-//! # Why the static order cannot deadlock
-//!
-//! All per-worker sequences are restrictions of one global total order
-//! (lex on adjusted coords with `p` first), and that order is topological.
-//! Consider the unexecuted tile of this rank with the globally smallest
-//! key. All of its dependencies on this rank have strictly smaller keys —
-//! hence are executed (an edge from another rank arrives when that rank,
-//! by the same argument, gets there) — and every earlier tile in its
-//! owner's sequence also has a smaller key, so its owner's cursor is
-//! parked exactly on it: the moment its last dependency edge arrives, that
-//! worker proceeds. Some worker always makes progress.
+//! rows), homes row `r` of `p` on worker `r mod workers`, and keys every
+//! tile by its position in the lexicographic order with `p` first. Each
+//! worker then sweeps complete rows from its own heap: consecutive tiles in
+//! a sweep depend on the tile just executed by the *same* worker (for
+//! templates with a zero `p` component) and on the neighbouring row homed
+//! on the *previous* worker — the classic software-pipelined wavefront,
+//! with long same-worker runs instead of a cross-worker hand-off per tile.
+//! On one worker the order is topological, so the heap pops the tiles in
+//! exactly the plan's order.
 
-use dpgen_tiling::{Coord, Direction, TileGraph, Tiling};
+use dpgen_tiling::{Coord, Direction, TileGraph, TileOrdering, Tiling};
 use std::fmt;
+use std::sync::Arc;
 
 /// Tile scheduling mode, requested with `core::ExecOpts::schedule(..)`.
 ///
-/// `Static` is a *request*: the runtime applies it only when the load
-/// model's slab-uniformity check passes, and falls back to `Dynamic`
-/// otherwise (the resolved mode is reported in `RunStats::schedule`).
+/// `Static` is a *request*: the runtime applies it only when the
+/// slab-uniformity check passes, and falls back to `Dynamic` otherwise (the
+/// resolved mode is reported in `RunStats::schedule`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Work-stealing ready heaps for every tile (the paper's runtime).
+    /// Ready tiles stay with the worker that readied them, in priority
+    /// order (the paper's runtime).
     #[default]
     Dynamic,
-    /// Precomputed per-worker wavefront sequences for every owned tile;
-    /// falls back to `Dynamic` on non-uniform polytopes.
+    /// Ready tiles go home to the worker their pipeline row is dealt to,
+    /// in the plan's wavefront order; falls back to `Dynamic` on
+    /// non-uniform polytopes.
     Static,
 }
 
@@ -88,64 +83,70 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// A precomputed static execution plan for one rank: per-worker sequences
-/// of its tiles in wavefront order. Tiles are named by their index in the
-/// [`TileGraph`] the plan was built on.
+/// A precomputed static plan for one rank's tiles: the plan's wavefront
+/// order over the [`TileGraph`] it was built on, and each owned tile's
+/// pipeline row. Independent of the worker count: a tile's home is its row
+/// modulo the workers of the run that reads the plan.
 #[derive(Debug)]
 pub struct StaticPlan {
-    sequences: Vec<Vec<u32>>,
+    /// Lexicographic on the flow-adjusted coordinates with the pipeline
+    /// axis first (memoized by the graph).
+    ordering: Arc<TileOrdering>,
+    /// Per graph tile, its flow-adjusted coordinate along the pipeline axis
+    /// when the plan owns it.
+    rows: Vec<Option<i64>>,
+    /// How many tiles the plan owns.
+    owned: usize,
 }
 
 impl StaticPlan {
-    /// Build the plan pinning every one of the `owned` tiles of `graph`
-    /// over `workers` threads; `None` when there are none.
+    /// Build the plan over the `owned` tiles of `graph`; `None` when there
+    /// are none.
     ///
-    /// Tiles are dealt by *pipeline row*: the plan picks the axis `p`
-    /// with the most distinct flow-adjusted tile coordinates, assigns row
-    /// `r` along `p` to worker `r mod workers`, and orders every sequence
-    /// lexicographically on the adjusted coordinates with `p` first
-    /// ([`TileGraph::ordering`]). All sequences are restrictions of that
-    /// single global order, which is topological because adjusted
-    /// dependency deltas are componentwise non-positive (see the module
-    /// docs for the deadlock argument).
+    /// The plan picks the axis `p` with the most distinct flow-adjusted
+    /// tile coordinates among the owned tiles, records each owned tile's
+    /// row along `p`, and orders the graph lexicographically on the
+    /// adjusted coordinates with `p` first ([`TileGraph::ordering`]). That
+    /// order is topological because adjusted dependency deltas are
+    /// componentwise non-positive.
     pub fn build_on(
         graph: &TileGraph,
         owned: impl IntoIterator<Item = usize>,
-        workers: usize,
     ) -> Option<StaticPlan> {
-        let workers = workers.max(1);
         let tiling = graph.tiling();
         let mut pinned = vec![false; graph.len()];
         for i in owned {
             pinned[i] = true;
         }
-        if !pinned.contains(&true) {
+        let owned = pinned.iter().filter(|&&own| own).count();
+        if owned == 0 {
             return None;
         }
         let directions = tiling.templates().directions();
         let members = (0..graph.len()).filter(|&i| pinned[i]);
         let p = pipeline_dim(members.map(|i| &graph.tiles()[i]), tiling.dims());
-        let mut sequences = vec![Vec::new(); workers];
-        for &i in &graph.ordering(false, &[p]).order {
-            if pinned[i as usize] {
-                let row = adjusted(&graph.tiles()[i as usize], p, directions);
-                sequences[row.rem_euclid(workers as i64) as usize].push(i);
-            }
-        }
-        Some(StaticPlan { sequences })
+        let rows = (graph.tiles().iter().zip(&pinned))
+            .map(|(t, &own)| own.then(|| adjusted(t, p, directions)))
+            .collect();
+        Some(StaticPlan {
+            ordering: graph.ordering(false, &[p]),
+            rows,
+            owned,
+        })
     }
 
     /// [`StaticPlan::build_on`] for a bare tiling, at the parameters bound
     /// in `point`: derives a graph of its own to index the `owned` tiles
     /// (those outside the tile space are ignored); `None` under
-    /// [`Schedule::Dynamic`]. What `benchmark/` times; everything that runs
-    /// has a graph and calls `build_on`.
+    /// [`Schedule::Dynamic`]. `workers` is unused: a plan holds no per-worker
+    /// state. What `benchmark/` times; everything that runs has a graph and
+    /// calls `build_on`.
     #[doc(hidden)]
     pub fn build(
         tiling: &Tiling,
         point: &mut [i128],
         owned: &[Coord],
-        workers: usize,
+        _workers: usize,
         mode: Schedule,
     ) -> Option<StaticPlan> {
         if mode == Schedule::Dynamic {
@@ -155,27 +156,36 @@ impl StaticPlan {
         let params: Vec<i64> = tiling.param_cols().iter().map(bound).collect();
         let graph = tiling.graph(&params);
         let owned = owned.iter().filter_map(|t| graph.index_of(t));
-        StaticPlan::build_on(&graph, owned, workers)
+        StaticPlan::build_on(&graph, owned)
     }
 
-    /// Per-worker tile sequences, wavefront-ordered.
-    pub fn sequences(&self) -> &[Vec<u32>] {
-        &self.sequences
+    /// The plan's order over every tile of its graph: a tile's position in
+    /// it is the tile's ready-heap key.
+    pub fn ordering(&self) -> &Arc<TileOrdering> {
+        &self.ordering
     }
 
-    /// Worker `w`'s sequence.
-    pub fn sequence(&self, w: usize) -> &[u32] {
-        &self.sequences[w]
+    /// The worker, of `workers`, that tile `tile`'s pipeline row is dealt
+    /// to: the heap it enters when ready. `None` when the plan does not own
+    /// it.
+    pub fn home(&self, tile: usize, workers: usize) -> Option<usize> {
+        let row = self.rows[tile]?;
+        Some(row.rem_euclid(workers.max(1) as i64) as usize)
     }
 
-    /// Total pinned tiles across all workers.
+    /// How many tiles the graph the plan was built on has.
+    pub fn graph_len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// How many tiles the plan owns.
     pub fn len(&self) -> usize {
-        self.sequences.iter().map(Vec::len).sum()
+        self.owned
     }
 
-    /// True when no tile is pinned.
+    /// True when the plan owns no tile.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.owned == 0
     }
 }
 

@@ -26,10 +26,10 @@
 //!    priority's total order ([`TilePriority::ordering`], sorted once per
 //!    graph and priority and looked up here the first time a tile reaches a
 //!    heap).
-//! 3. **A pinned run's tiles park in their slot.** Under a static plan
-//!    ([`TileScheduler::pinned`]) no tile touches a heap: when its last
-//!    edge arrives the slot is marked *parked* and the worker whose cursor
-//!    names it next collects it with [`TileScheduler::take_static`].
+//! 3. **A static plan picks the heap and the key, nothing else.** In a run
+//!    with a [`StaticPlan`] a ready tile goes to its *home* worker's heap —
+//!    the one its pipeline row is dealt to — keyed by its position in the
+//!    plan's order. Popping and stealing do not tell the two apart.
 //!
 //! Priority ordering is *best-effort per worker*: each heap pops in true
 //! priority order, but a stolen tile may run before a better-priority tile
@@ -45,6 +45,7 @@
 use crate::error::PendingTile;
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
+use crate::schedule::StaticPlan;
 use crate::trace::{EventKind, Tracer};
 use dpgen_tiling::{TileGraph, TileOrdering};
 use parking_lot::{Mutex, MutexGuard};
@@ -85,8 +86,6 @@ pub struct DuplicateEdge {
 enum State {
     /// Fewer edges than the tile's `dep_total` have arrived.
     Waiting,
-    /// Complete, in a pinned run: waiting in the slot for `take_static`.
-    Parked,
     /// Complete and in a ready heap.
     Queued,
     /// Handed to a worker.
@@ -114,15 +113,14 @@ struct WorkerQueue {
 pub struct TileScheduler<'g, T> {
     graph: &'g TileGraph,
     priority: TilePriority,
-    /// The priority's order on the graph, looked up by the first heap push.
+    /// The heaps' keys: the plan's order when there is a plan, else the
+    /// priority's, looked up by the first heap push.
     ordering: OnceLock<Arc<TileOrdering>>,
     slots: Vec<Mutex<Slot<T>>>,
     queues: Vec<WorkerQueue>,
-    /// How many slots are `Parked`, readable without locks.
-    parked: AtomicUsize,
-    /// Whether the run follows a static plan: every tile whose dependency
-    /// set completes parks, none is queued. One value per run.
-    pinned: bool,
+    /// The run's static plan: when present, a ready tile goes to its home
+    /// worker's heap. One value per run.
+    plan: Option<Arc<StaticPlan>>,
     /// The round-robin of initial tiles over the queues.
     seq: AtomicU32,
     stats: Arc<MemoryStats>,
@@ -133,27 +131,30 @@ pub struct TileScheduler<'g, T> {
 }
 
 impl<'g, T> TileScheduler<'g, T> {
-    /// New scheduler for `workers` threads over `graph`'s tiles.
+    /// New scheduler for `workers` threads over `graph`'s tiles, keyed by
+    /// `priority` — or, when the run has a static `plan` (built on
+    /// `graph`), homed and keyed by the plan.
     pub fn new(
         graph: &'g TileGraph,
         priority: TilePriority,
         workers: usize,
         stats: Arc<MemoryStats>,
+        plan: Option<Arc<StaticPlan>>,
     ) -> TileScheduler<'g, T> {
         let slot = || Slot {
             edges: Vec::new(),
             state: State::Waiting,
         };
+        let ordering = (plan.as_ref()).map_or_else(OnceLock::new, |p| p.ordering().clone().into());
         TileScheduler {
             graph,
             priority,
-            ordering: OnceLock::new(),
+            ordering,
             slots: (0..graph.len()).map(|_| Mutex::new(slot())).collect(),
             queues: (0..workers.max(1))
                 .map(|_| WorkerQueue::default())
                 .collect(),
-            parked: AtomicUsize::new(0),
-            pinned: false,
+            plan,
             seq: AtomicU32::new(0),
             stats,
             steals: AtomicU64::new(0),
@@ -167,15 +168,6 @@ impl<'g, T> TileScheduler<'g, T> {
     /// edge arrives, `Steal` when a worker takes a tile from a sibling.
     pub fn with_tracer(mut self, tracer: Option<Arc<Tracer>>) -> TileScheduler<'g, T> {
         self.tracer = tracer;
-        self
-    }
-
-    /// Whether the run follows a static plan over every tile it delivers
-    /// to: ready tiles then park in their slot (collected by
-    /// [`TileScheduler::take_static`] in plan order) instead of entering
-    /// the work-stealing heaps.
-    pub fn pinned(mut self, pinned: bool) -> TileScheduler<'g, T> {
-        self.pinned = pinned;
         self
     }
 
@@ -199,39 +191,28 @@ impl<'g, T> TileScheduler<'g, T> {
         &ordering.rank
     }
 
-    /// The state a tile enters when its dependency set completes.
-    fn ready_state(&self) -> State {
-        if self.pinned {
-            State::Parked
-        } else {
-            State::Queued
-        }
-    }
-
-    /// Send a tile whose slot was just marked ready on its way: a parked
-    /// tile is counted (its owner's cursor will collect it), a queued one
-    /// goes to `worker`'s ready heap.
+    /// Push a tile whose slot was just marked `Queued` onto a ready heap:
+    /// in a planned run its home worker's, keyed by the plan's order;
+    /// otherwise `worker`'s (the one that readied it), keyed by the
+    /// priority.
     fn route_ready(&self, worker: usize, tile: usize) {
         if let Some(t) = &self.tracer {
-            t.record(worker, EventKind::TileReady, Some(tile), self.pinned as u64);
+            t.record(worker, EventKind::TileReady, Some(tile), 0);
         }
-        if self.pinned {
-            self.parked.fetch_add(1, Ordering::Release);
-            return;
-        }
+        let home = (self.plan.as_ref()).and_then(|p| p.home(tile, self.queues.len()));
         let key = self.rank()[tile];
-        let q = &self.queues[worker];
+        let q = &self.queues[home.unwrap_or(worker)];
         let mut heap = self.timed_lock(&q.heap);
         heap.push(Reverse((key, tile as u32)));
         q.len.store(heap.len(), Ordering::Release);
     }
 
     /// Enqueue a tile with no dependencies (Section IV-K). Initial tiles
-    /// are spread round-robin over the worker queues (in a pinned run they
-    /// park in their slot).
+    /// are spread round-robin over the worker queues (in a planned run
+    /// they go home).
     pub fn mark_initial(&self, tile: usize) {
-        self.timed_lock(&self.slots[tile]).state = self.ready_state();
-        let turn = if !self.pinned && self.queues.len() > 1 {
+        self.timed_lock(&self.slots[tile]).state = State::Queued;
+        let turn = if self.queues.len() > 1 {
             self.seq.fetch_add(1, Ordering::Relaxed) + 1
         } else {
             0
@@ -241,8 +222,8 @@ impl<'g, T> TileScheduler<'g, T> {
 
     /// Deliver a batch of edges — a finished tile's local outputs, or the
     /// edges a node's receive pass collected — each under its consumer's
-    /// own lock. Newly ready tiles go to `worker`'s queue (or park, in a
-    /// pinned run). Returns how many tiles became ready, or the first edge
+    /// own lock. Newly ready tiles go to `worker`'s queue (or home, in a
+    /// planned run). Returns how many tiles became ready, or the first edge
     /// that repeats one already delivered (it is dropped; the rest of the
     /// batch is delivered all the same).
     ///
@@ -276,7 +257,7 @@ impl<'g, T> TileScheduler<'g, T> {
                 slot.edges.push((dep, payload));
                 let readied = slot.edges.len() == total;
                 if readied {
-                    slot.state = self.ready_state();
+                    slot.state = State::Queued;
                 }
                 readied
             };
@@ -293,21 +274,6 @@ impl<'g, T> TileScheduler<'g, T> {
             Some(dup) => Err(dup),
             None => Ok(completed),
         }
-    }
-
-    /// Take tile `tile`'s edges out of its slot if it is in state `from`.
-    fn take(&self, tile: usize, from: State) -> Option<TileEdges<T>> {
-        let edges = {
-            let mut slot = self.timed_lock(&self.slots[tile]);
-            if slot.state != from {
-                return None;
-            }
-            slot.state = State::Taken;
-            std::mem::take(&mut slot.edges)
-        };
-        let cells = edges.iter().map(|(_, payload)| payload.len()).sum();
-        self.stats.edges_consumed(edges.len(), cells);
-        Some(edges)
     }
 
     fn pop_from(&self, queue: usize) -> Option<usize> {
@@ -345,40 +311,23 @@ impl<'g, T> TileScheduler<'g, T> {
     /// from the richest other queue.
     pub fn pop(&self, worker: usize) -> Option<(usize, TileEdges<T>)> {
         let tile = self.pop_from(worker).or_else(|| self.steal(worker))?;
-        let edges = self.take(tile, State::Queued);
-        Some((tile, edges.expect("a heap holds queued tiles only")))
+        let edges = {
+            let mut slot = self.timed_lock(&self.slots[tile]);
+            debug_assert!(
+                slot.state == State::Queued,
+                "a heap holds queued tiles only"
+            );
+            slot.state = State::Taken;
+            std::mem::take(&mut slot.edges)
+        };
+        let cells = edges.iter().map(|(_, payload)| payload.len()).sum();
+        self.stats.edges_consumed(edges.len(), cells);
+        Some((tile, edges))
     }
 
-    /// Take a statically pinned tile if its dependency set is complete.
-    /// The caller (the worker whose plan sequence names `tile` next, or
-    /// one helping it) keeps polling until this succeeds.
-    pub fn take_static(&self, tile: usize) -> Option<TileEdges<T>> {
-        if self.parked.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let edges = self.take(tile, State::Parked)?;
-        // The deliverer counted the tile before this taker could find it
-        // parked (both under the slot's lock), so the count never wraps.
-        self.parked.fetch_sub(1, Ordering::Release);
-        Some(edges)
-    }
-
-    /// Whether `tile` is parked ready right now (the idle-wait check for a
-    /// worker blocked on its plan cursor; racy in the same bounded way as
-    /// the queue length counters).
-    pub fn static_ready(&self, tile: usize) -> bool {
-        self.parked.load(Ordering::Acquire) > 0
-            && self.timed_lock(&self.slots[tile]).state == State::Parked
-    }
-
-    /// Total ready tiles across all queues, including statically parked
-    /// ones (approximate under concurrency).
+    /// Total ready tiles across all queues (approximate under
+    /// concurrency).
     pub fn ready_len(&self) -> usize {
-        self.dynamic_ready_len() + self.parked.load(Ordering::Acquire)
-    }
-
-    /// Ready tiles in the dynamic heaps only (excludes static-parked).
-    pub fn dynamic_ready_len(&self) -> usize {
         let lens = self.queues.iter().map(|q| q.len.load(Ordering::Acquire));
         lens.sum()
     }
@@ -402,7 +351,7 @@ impl<'g, T> TileScheduler<'g, T> {
         self.pending().len()
     }
 
-    /// The (up to) `limit` pending tiles that come first in the priority's
+    /// The (up to) `limit` pending tiles that come first in the heaps'
     /// order, each with what it still waits for — the stall watchdog's view
     /// of where the run is stuck.
     pub fn pending_tiles(&self, limit: usize) -> Vec<PendingTile> {
@@ -468,7 +417,7 @@ mod tests {
     }
 
     fn sched(graph: &TileGraph, priority: TilePriority, workers: usize) -> TileScheduler<'_, f64> {
-        TileScheduler::new(graph, priority, workers, Arc::new(MemoryStats::new()))
+        TileScheduler::new(graph, priority, workers, Arc::new(MemoryStats::new()), None)
     }
 
     fn at(graph: &TileGraph, tile: [i64; 2]) -> usize {
@@ -604,38 +553,44 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_run_bypasses_the_heaps() {
-        let graph = square(1);
-        let (head, other) = (at(&graph, [1, 0]), at(&graph, [0, 1]));
-        let s = sched(&graph, TilePriority::LevelSet, 2).pinned(true);
-        // A tile completing its deps parks in its slot …
-        assert!(!s.static_ready(head));
-        let made_ready = s.deliver(0, &mut vec![edge(&graph, [1, 0], [-1, 0], vec![1.0])]);
-        assert_eq!(made_ready, Ok(1));
-        assert!(s.static_ready(head));
-        assert_eq!(s.dynamic_ready_len(), 0);
-        assert_eq!(s.ready_len(), 1);
-        assert!(
-            s.pop(0).is_none(),
-            "no tile of a pinned run reaches the heaps"
-        );
-        // … and is only reachable through take_static, with edge accounting.
-        assert!(s.take_static(other).is_none(), "not ready yet");
-        let edges = s.take_static(head).unwrap();
-        assert_eq!(edges.len(), 1);
-        assert!(s.take_static(head).is_none(), "taken once");
-        assert_eq!(s.stats.current_edges(), 0);
-        // Initial tiles park too.
-        s.mark_initial(at(&graph, [0, 0]));
-        assert_eq!((s.dynamic_ready_len(), s.ready_len()), (0, 1));
-        // The same delivery in a queued run goes to the deliverer's heap.
-        let queued = sched(&graph, TilePriority::LevelSet, 2);
-        queued
-            .deliver(0, &mut vec![edge(&graph, [0, 1], [0, -1], vec![])])
-            .unwrap();
-        assert!(!queued.static_ready(other) && queued.take_static(other).is_none());
-        assert_eq!(queued.pop(0).unwrap().0, other);
-        assert_eq!(queued.ready_len(), 0);
+    fn a_planned_run_sends_ready_tiles_home_in_the_plans_order() {
+        let graph = square(3);
+        let plan = Arc::new(StaticPlan::build_on(&graph, 0..graph.len()).unwrap());
+        let planned = |workers| {
+            let stats = Arc::new(MemoryStats::new());
+            let p = Some(plan.clone());
+            TileScheduler::<f64>::new(&graph, TilePriority::LevelSet, workers, stats, p)
+        };
+        // The axis tiles wait for one edge each.
+        let axis = [[1, 0], [2, 0], [0, 1], [0, 2]];
+        let edges = || {
+            let delta = |t: [i64; 2]| if t[1] == 0 { [-1, 0] } else { [0, -1] };
+            axis.map(|t| edge(&graph, t, delta(t), vec![])).to_vec()
+        };
+        // One worker pops in the plan's order, not the priority's.
+        let one = planned(1);
+        assert_eq!(one.deliver(0, &mut edges()), Ok(4));
+        let mut want: Vec<usize> = axis.iter().map(|&t| at(&graph, t)).collect();
+        want.sort_by_key(|&t| plan.ordering().rank[t]);
+        let popped: Vec<usize> = std::iter::from_fn(|| one.pop(0).map(|(t, _)| t)).collect();
+        assert_eq!(popped, want);
+        let by_level = sched(&graph, TilePriority::LevelSet, 1);
+        by_level.deliver(0, &mut edges()).unwrap();
+        let by_level: Vec<usize> = std::iter::from_fn(|| by_level.pop(0).map(|(t, _)| t)).collect();
+        assert_ne!(popped, by_level, "the plan's order is not the level sets'");
+        // Two workers: worker 0 readied every tile, and each waits on the
+        // heap of its home worker, where that worker finds it unstolen.
+        let two = planned(2);
+        assert_eq!(two.deliver(0, &mut edges()), Ok(4));
+        for w in 0..2 {
+            let homed = popped.iter().filter(|&&t| plan.home(t, 2) == Some(w));
+            for _ in homed {
+                let (tile, edges) = two.pop(w).unwrap();
+                assert_eq!((plan.home(tile, 2), edges.len()), (Some(w), 1));
+            }
+        }
+        assert_eq!((two.steal_count(), two.ready_len()), (0, 0));
+        assert_eq!(two.stats.current_edges(), 0);
     }
 
     #[test]

@@ -850,7 +850,8 @@ impl Timeline {
     }
 
     /// Register the timeline's derived metrics (busy fractions, span
-    /// counts, edge latency, critical path) into a [`MetricsRegistry`].
+    /// counts, edge latency, critical path and its share of the run's
+    /// duration, `trace.schedule_efficiency`) into a [`MetricsRegistry`].
     pub fn register_metrics(&self, reg: &mut MetricsRegistry) {
         reg.add_counter("trace.events_recorded", self.recorded_events);
         reg.add_counter("trace.events_dropped", self.dropped_events);
@@ -858,6 +859,10 @@ impl Timeline {
         reg.set_gauge("trace.duration_s", self.duration_ns as f64 / 1e9);
         if let Some(cp) = self.critical_path_ns {
             reg.set_gauge("trace.critical_path_s", cp as f64 / 1e9);
+            if self.duration_ns > 0 {
+                let efficiency = cp as f64 / self.duration_ns as f64;
+                reg.set_gauge("trace.schedule_efficiency", efficiency);
+            }
         }
         if self.edge_latency_ns.count() > 0 {
             reg.set_histogram("trace.edge_latency_ns", self.edge_latency_ns.clone());
@@ -1029,6 +1034,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         tl.register_metrics(&mut reg);
         assert_eq!(reg.gauge("trace.critical_path_s"), Some(300e-9));
+        assert_eq!(reg.gauge("trace.schedule_efficiency"), Some(300.0 / 500.0));
     }
 
     #[test]

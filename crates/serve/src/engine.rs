@@ -470,6 +470,12 @@ mod tests {
                 ranks: 0,
                 ..ExecOpts::new()
             },
+            // A ready heap, a trace ring and an OS thread each: refused
+            // before any is made.
+            ExecOpts {
+                threads: 1 << 20,
+                ..ExecOpts::new()
+            },
         ];
         let n_bad = bad.len() as u64;
         // All queued before any is waited on: each bad job has the good

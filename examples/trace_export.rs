@@ -3,7 +3,9 @@
 //! validate its schema: one `X` span per executed tile, each named by the
 //! coordinates of a tile of the plan's graph, and an executed critical path
 //! between the longest span and the trace's duration. A second execution
-//! at `TraceLevel::Spans` must report that critical path too. CI runs this
+//! at `TraceLevel::Spans` must report that critical path too. Both must
+//! report `trace.schedule_efficiency` (critical path / duration) in
+//! (0, 1]. CI runs this
 //! to guarantee the export stays loadable in chrome://tracing /
 //! https://ui.perfetto.dev.
 //!
@@ -12,7 +14,7 @@
 
 use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Lcs};
-use dpgen::runtime::{Probe, TraceLevel};
+use dpgen::runtime::{MetricsRegistry, Probe, TraceLevel};
 use std::collections::HashSet;
 
 fn main() {
@@ -80,6 +82,7 @@ fn main() {
         out.metrics.gauge("trace.critical_path_s"),
         Some(cp as f64 / 1e9)
     );
+    let full_eff = schedule_efficiency(&out.metrics, "Full");
 
     // Spans records no EdgePack; the critical path is read off the graph.
     let spans_run = plan
@@ -90,6 +93,7 @@ fn main() {
         spans_cp.is_some_and(|s| s > 0.0),
         "Spans has a critical path"
     );
+    let spans_eff = schedule_efficiency(&spans_run.metrics, "Spans");
 
     if let Some(path) = std::env::args().nth(1) {
         std::fs::write(&path, &json).expect("write trace file");
@@ -97,7 +101,8 @@ fn main() {
     }
     println!(
         "trace OK: {} events, {} tile spans across {} ranks, lcs = {}, \
-         critical path {:.3} ms (Full) / {:.3} ms (Spans)",
+         critical path {:.3} ms (Full) / {:.3} ms (Spans), \
+         schedule efficiency {full_eff:.3} (Full) / {spans_eff:.3} (Spans)",
         events.len(),
         spans,
         out.per_rank.len(),
@@ -106,4 +111,15 @@ fn main() {
         spans_cp.unwrap_or_default() * 1e3
     );
     println!("\n{}", timeline.text_summary());
+}
+
+/// The run's `trace.schedule_efficiency` (critical path over duration),
+/// which must exist and lie in (0, 1].
+fn schedule_efficiency(metrics: &MetricsRegistry, level: &str) -> f64 {
+    let eff = metrics.gauge("trace.schedule_efficiency");
+    assert!(
+        eff.is_some_and(|e| e > 0.0 && e <= 1.0),
+        "{level}: schedule efficiency {eff:?} is not in (0, 1]"
+    );
+    eff.unwrap_or_default()
 }

@@ -7,7 +7,8 @@ use dpgen::core::{ExecOpts, Plan, RunOutput};
 use dpgen::polyhedra::{ConstraintSystem, Space};
 use dpgen::problems::{random_sequence, Bandit2, Lcs, SmithWaterman};
 use dpgen::runtime::{
-    run_reference, Kernel, PerCell, Probe, Reduction, RunKernel, Schedule, TilePriority,
+    run_reference, EventKind, Kernel, PerCell, Probe, Reduction, RunKernel, Schedule, StaticPlan,
+    TilePriority, TraceLevel,
 };
 use dpgen::tiling::tiling::{CellRef, RunCtx};
 use dpgen::tiling::{Template, TemplateSet, Tiling, TilingBuilder};
@@ -250,6 +251,21 @@ fn assert_hot_path_stats(stats: &dpgen::runtime::RunStats, threads: usize, ctx: 
     );
 }
 
+/// The counters every execution of one problem on one rank must agree on,
+/// whatever its thread count, schedule or order.
+fn exact_counters(stats: &dpgen::runtime::RunStats) -> [u64; 8] {
+    [
+        stats.tiles_executed,
+        stats.cells_computed,
+        stats.interior_cells,
+        stats.boundary_cells,
+        stats.blocks_evaluated,
+        stats.edges_local,
+        stats.edges_remote,
+        stats.edge_cells_packed,
+    ]
+}
+
 /// Thread-count consistency matrix (the paper's determinism claim): LCS
 /// results are bit-identical across threads ∈ {1, 2, 4, 8} and tile
 /// widths, and match both the dense solver and the serial reference
@@ -288,10 +304,11 @@ fn lcs_matrix_bit_identical_across_threads_and_widths() {
 }
 
 /// Schedule-mode consistency matrix: the Dynamic and Static schedules are
-/// bit-identical on LCS across every thread count and several widths. Width 2 divides the first sequence's extent (12), so
-/// its slabs are uniform and a requested `Static` must actually stick:
-/// all tiles statically dispatched, zero steals. The ragged widths
-/// exercise the silent fallback to `Dynamic` on the same assertions.
+/// bit-identical on LCS across every thread count and several widths, and
+/// agree on every exact counter. Width 2 divides the first sequence's
+/// extent (12), so its slabs are uniform and a requested `Static` must
+/// actually stick. The ragged widths exercise the silent fallback to
+/// `Dynamic` on the same assertions.
 #[test]
 fn lcs_schedule_matrix_bit_identical() {
     let a = random_sequence(37, 11);
@@ -303,8 +320,9 @@ fn lcs_schedule_matrix_bit_identical() {
     for width in [2i64, 5, 16] {
         let program = Lcs::program(2, width).unwrap();
         let reference = run_reference::<i64, _>(program.tiling(), &problem.params(), &problem);
+        let mut dynamic = Vec::new();
         for schedule in [Schedule::Dynamic, Schedule::Static] {
-            for threads in THREAD_MATRIX {
+            for (t, threads) in THREAD_MATRIX.into_iter().enumerate() {
                 let probe = Probe::many(&[&goal, &mid]);
                 let opts = ExecOpts::new()
                     .threads(threads)
@@ -333,11 +351,48 @@ fn lcs_schedule_matrix_bit_identical() {
                     Schedule::Dynamic
                 };
                 assert_eq!(stats.schedule, want_mode, "{ctx}");
-                if stats.schedule == Schedule::Static {
-                    assert_eq!(stats.steal_count, 0, "{ctx}: static runs must not steal");
+                match schedule {
+                    Schedule::Dynamic => dynamic.push(exact_counters(stats)),
+                    Schedule::Static => assert_eq!(exact_counters(stats), dynamic[t], "{ctx}"),
                 }
             }
         }
+    }
+}
+
+/// At one worker a `Static` run executes its tiles in exactly the plan's
+/// order, tile for tile: the plan's order is topological, so the ready heap
+/// carrying it always holds the next tile of the order and pops it. Read
+/// off a `Spans` trace's `TileStart` events, on LCS at the benchmark's
+/// width 48 and on a 3-D LCS, both slab-uniform along `i1`.
+#[test]
+fn one_worker_static_runs_execute_the_plans_order() {
+    for (width, lens) in [(48i64, vec![479usize, 431]), (4, vec![15, 11, 13])] {
+        let seqs: Vec<Vec<u8>> = (lens.iter().enumerate())
+            .map(|(k, &len)| random_sequence(len, 40 + k as u64))
+            .collect();
+        let refs: Vec<&[u8]> = seqs.iter().map(Vec::as_slice).collect();
+        let problem = Lcs::new(&refs);
+        let plan = Lcs::program(lens.len(), width)
+            .unwrap()
+            .compile(&problem.params());
+        let opts = ExecOpts::new()
+            .schedule(Schedule::Static)
+            .trace(TraceLevel::Spans)
+            .probe(Probe::at(&problem.goal()));
+        let out = plan.execute::<i64, _>(&problem, &opts).unwrap();
+        let ctx = format!("lcs{} w={width}", lens.len());
+        assert_eq!(out.probes[0], Some(problem.solve_dense()), "{ctx}");
+        assert_eq!(out.per_rank[0].stats.schedule, Schedule::Static, "{ctx}");
+        let graph = plan.graph().unwrap();
+        let static_plan = StaticPlan::build_on(&graph, 0..graph.len()).unwrap();
+        let timeline = out.timeline.expect("Spans builds a timeline");
+        let events = &timeline.traces[0].tracks[0].events;
+        let started: Vec<u32> = (events.iter())
+            .filter(|e| e.kind == EventKind::TileStart)
+            .map(|e| e.tile.unwrap() as u32)
+            .collect();
+        assert_eq!(started, static_plan.ordering().order, "{ctx}");
     }
 }
 
@@ -368,8 +423,8 @@ fn smith_waterman_matrix_bit_identical() {
 }
 
 /// Smith–Waterman under a requested Static schedule: the reduction stays
-/// exactly the dense answer for every thread count, and the tile accounting
-/// is conserved.
+/// exactly the dense answer for every thread count, the tile accounting is
+/// conserved, and every exact counter is the Dynamic run's.
 #[test]
 fn smith_waterman_schedule_matrix_bit_identical() {
     let a = random_sequence(44, 21);
@@ -378,15 +433,18 @@ fn smith_waterman_schedule_matrix_bit_identical() {
     let want = problem.solve_dense();
     let program = SmithWaterman::program(8).unwrap();
     for threads in THREAD_MATRIX {
-        let reduce = Reduction::max_i64();
-        let opts = ExecOpts::new()
-            .threads(threads)
-            .priority(TilePriority::column_major(2))
-            .schedule(Schedule::Static);
-        let res = program
-            .compile(&problem.params())
-            .execute_reduce::<i64, _>(&PerCell(&problem), &reduce, &opts)
-            .unwrap();
+        let run = |schedule| {
+            let reduce = Reduction::max_i64();
+            let opts = ExecOpts::new()
+                .threads(threads)
+                .priority(TilePriority::column_major(2))
+                .schedule(schedule);
+            program
+                .compile(&problem.params())
+                .execute_reduce::<i64, _>(&PerCell(&problem), &reduce, &opts)
+                .unwrap()
+        };
+        let (res, dynamic) = (run(Schedule::Static), run(Schedule::Dynamic));
         let ctx = format!("sw threads={threads} schedule=static");
         assert_eq!(res.reduction, Some(want), "{ctx}");
         let stats = &res.per_rank[0].stats;
@@ -395,9 +453,8 @@ fn smith_waterman_schedule_matrix_bit_identical() {
             stats.tiles_executed,
             "{ctx}"
         );
-        if stats.schedule == Schedule::Static {
-            assert_eq!(stats.steal_count, 0, "{ctx}: static runs must not steal");
-        }
+        let dynamic = &dynamic.per_rank[0].stats;
+        assert_eq!(exact_counters(stats), exact_counters(dynamic), "{ctx}");
     }
 }
 

@@ -126,7 +126,7 @@ fn assert_same_pops_as_the_coord_scheduler(tiling: &Tiling, params: &[i64]) {
     for priority in priorities {
         let new_mem = Arc::new(MemoryStats::new());
         let new: TileScheduler<'_, i64> =
-            TileScheduler::new(&graph, priority.clone(), 1, new_mem.clone());
+            TileScheduler::new(&graph, priority.clone(), 1, new_mem.clone(), None);
         let old_mem = Arc::new(MemoryStats::new());
         let old: ShardedScheduler<i64> = ShardedScheduler::new(
             priority.clone(),
@@ -229,7 +229,7 @@ proptest! {
         let graph = tiling.graph(&[n]);
         let mem = Arc::new(MemoryStats::new());
         let sched: TileScheduler<'_, i64> =
-            TileScheduler::new(&graph, priority, workers, mem.clone());
+            TileScheduler::new(&graph, priority, workers, mem.clone(), None);
         for i in graph.initial() {
             sched.mark_initial(i);
         }
@@ -280,11 +280,12 @@ proptest! {
     }
 
     /// The precomputed static plan is a valid parallel schedule: every
-    /// owned tile is dealt exactly once and nothing else is, each worker's
-    /// sequence respects the tile DAG (same-worker producers appear
-    /// earlier), and executing the plan — each cursor strictly
-    /// front-to-back, another rank's tiles whenever ready — drains the
-    /// whole tile set without deadlock. Only an empty owned set has no plan.
+    /// owned tile has a home and a key and nothing else has a home, every
+    /// producer's key is smaller than its consumer's, and the scheduler
+    /// carrying the plan — `mark_initial`, `pop`, `deliver`, another rank's
+    /// tiles run whenever ready — drains every owned tile exactly once, in
+    /// exactly the plan's order on one worker of one rank. Only an empty
+    /// owned set has no plan.
     #[test]
     fn static_plan_is_a_topological_cover(
         n in 3i64..16,
@@ -302,79 +303,82 @@ proptest! {
         // Rank 0's share of a cyclic deal of the first axis.
         let owned: Vec<bool> = tiles.iter().map(|t| t[0].rem_euclid(ranks) == 0).collect();
         let owned_tiles = || (0..graph.len()).filter(|&i| owned[i]);
-        prop_assert!(StaticPlan::build_on(&graph, [], workers).is_none());
-        let Some(plan) = StaticPlan::build_on(&graph, owned_tiles(), workers) else {
+        prop_assert!(StaticPlan::build_on(&graph, []).is_none());
+        let Some(plan) = StaticPlan::build_on(&graph, owned_tiles()) else {
             prop_assert_eq!(owned_tiles().count(), 0, "only no tiles is no plan");
             return Ok(());
         };
-        prop_assert_eq!(plan.sequences().len(), workers);
+        let plan = Arc::new(plan);
+        prop_assert_eq!(plan.len(), owned_tiles().count());
+        prop_assert_eq!(plan.graph_len(), graph.len());
 
-        // Every owned tile in exactly one sequence, and no other.
-        let mut position: Vec<Option<(usize, usize)>> = vec![None; graph.len()];
-        for (w, seq) in plan.sequences().iter().enumerate() {
-            for (pos, &t) in seq.iter().enumerate() {
-                let dealt = position[t as usize].replace((w, pos));
-                prop_assert!(dealt.is_none(), "tile {} dealt twice", tiles[t as usize]);
-            }
-        }
-        prop_assert_eq!(owned_tiles().count(), plan.len());
+        // A home for every owned tile and no other; a key for every tile,
+        // each position of the order once.
+        let key = &plan.ordering().rank;
         for (i, t) in tiles.iter().enumerate() {
-            prop_assert_eq!(position[i].is_some(), owned[i], "membership wrong for {}", t);
+            let home = plan.home(i, workers);
+            prop_assert_eq!(home.is_some(), owned[i], "membership wrong for {}", t);
+            prop_assert!(home.is_none_or(|h| h < workers));
+            prop_assert_eq!(plan.ordering().order[key[i] as usize] as usize, i);
         }
 
-        // Per-worker topological order: a producer dealt to the same
-        // worker must appear earlier in that worker's sequence.
+        // The order is topological: producers first.
         let (ndeps, dag) = (tiling.deps().len(), &graph);
         let producers = |i: usize| (0..ndeps).filter_map(move |dep| dag.source(i, dep));
-        for (i, at) in position.iter().enumerate() {
-            let Some((w, pos)) = *at else { continue };
-            for producer in producers(i) {
-                if let Some((pw, ppos)) = position[producer] {
-                    prop_assert!(
-                        pw != w || ppos < pos,
-                        "worker {} runs {} before its producer {}", w, tiles[i], tiles[producer]
-                    );
-                }
+        for i in 0..graph.len() {
+            for p in producers(i) {
+                prop_assert!(key[p] < key[i], "{} keyed before its producer {}", tiles[i], tiles[p]);
             }
         }
 
-        // Deadlock freedom, checked by direct execution: each cursor moves
-        // strictly front-to-back and only when every producer is executed;
-        // tiles of other ranks run whenever ready. The schedule is live iff
-        // this drains every tile in the space.
+        // The scheduler carrying the plan drains every owned tile exactly
+        // once; another rank's tiles run whenever ready, and their edges to
+        // this rank's are delivered as they finish.
+        let sched: TileScheduler<'_, i64> = TileScheduler::new(
+            &graph,
+            TilePriority::LevelSet,
+            workers,
+            Arc::new(MemoryStats::new()),
+            Some(plan.clone()),
+        );
+        for i in graph.initial().filter(|&i| owned[i]) {
+            sched.mark_initial(i);
+        }
         let mut executed = vec![false; graph.len()];
-        let mut cursors = vec![0usize; workers];
+        let mut popped = Vec::new();
+        let ours = |tile: usize| {
+            let mut edges = out_edges(&graph, tile, 1);
+            edges.retain(|e| owned[e.tile]);
+            edges
+        };
         loop {
             let mut progressed = false;
-            let ready = |i: usize, executed: &[bool]| producers(i).all(|p| executed[p]);
             for i in 0..graph.len() {
-                if !owned[i] && !executed[i] && ready(i, &executed) {
+                if !owned[i] && !executed[i] && producers(i).all(|p| executed[p]) {
                     executed[i] = true;
                     progressed = true;
+                    prop_assert!(sched.deliver(0, &mut ours(i)).is_ok());
                 }
             }
-            for (w, cursor) in cursors.iter_mut().enumerate() {
-                while let Some(&t) = plan.sequence(w).get(*cursor) {
-                    if !ready(t as usize, &executed) {
-                        break;
-                    }
-                    executed[t as usize] = true;
-                    *cursor += 1;
-                    progressed = true;
-                }
+            for w in 0..workers {
+                let Some((tile, edges)) = sched.pop(w) else { continue };
+                prop_assert!(owned[tile] && !executed[tile], "{} popped again", tiles[tile]);
+                prop_assert_eq!(edges.len(), graph.dep_total(tile));
+                executed[tile] = true;
+                popped.push(tile as u32);
+                progressed = true;
+                prop_assert!(sched.deliver(w, &mut ours(tile)).is_ok());
             }
             if !progressed {
                 break;
             }
         }
-        let done = executed.iter().filter(|&&e| e).count();
-        prop_assert_eq!(
-            done,
-            graph.len(),
-            "static schedule deadlocked with {} of {} tiles executed",
-            done,
-            graph.len()
-        );
+        prop_assert!(executed.iter().all(|&e| e), "the planned run did not drain");
+        prop_assert_eq!(popped.len(), plan.len());
+        prop_assert_eq!((sched.ready_len(), sched.pending_len()), (0, 0));
+        if ranks == 1 && workers == 1 {
+            prop_assert_eq!(&popped, &plan.ordering().order);
+        }
     }
 
     /// The same invariants hold end-to-end through the real threaded
@@ -432,6 +436,7 @@ fn duplicate_edge_delivery_is_a_typed_fault() {
         TilePriority::LevelSet,
         2,
         Arc::new(MemoryStats::new()),
+        None,
     );
     let edge = |payload: Vec<i64>| {
         vec![Delivery {
@@ -554,7 +559,7 @@ fn ready_len_never_exceeds_deliveries_under_contention() {
     // A million deliveries in all, a fresh scheduler every fifth of them.
     for _ in 0..ROUNDS {
         let sched: TileScheduler<'_, i64> =
-            TileScheduler::new(&graph, TilePriority::LevelSet, QUEUES, Arc::default());
+            TileScheduler::new(&graph, TilePriority::LevelSet, QUEUES, Arc::default(), None);
         let (delivered, popped, worst) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
         let (s, graph, delivered, popped, worst) = (&sched, &graph, &delivered, &popped, &worst);
         std::thread::scope(|scope| {
