@@ -1,47 +1,37 @@
 //! Rendering affine expressions and loop bounds as C.
 
 use dpgen_polyhedra::{BoundExpr, LinExpr, Space};
+use std::fmt::Write;
 
 /// Render an affine expression as a C integer expression, e.g.
 /// `2*x - y + N + 3`. The empty sum renders as `0`.
 pub fn c_lin_expr(expr: &LinExpr, space: &Space) -> String {
     let mut out = String::new();
-    let mut first = true;
     for (i, &c) in expr.coeffs().iter().enumerate() {
         if c == 0 {
             continue;
         }
-        let name = space.name(i);
-        if first {
-            match c {
-                1 => out.push_str(name),
-                -1 => {
-                    out.push('-');
-                    out.push_str(name);
-                }
-                _ => out.push_str(&format!("{c}*{name}")),
-            }
-            first = false;
-        } else if c > 0 {
-            if c == 1 {
-                out.push_str(&format!(" + {name}"));
-            } else {
-                out.push_str(&format!(" + {c}*{name}"));
-            }
-        } else if c == -1 {
-            out.push_str(&format!(" - {name}"));
-        } else {
-            out.push_str(&format!(" - {}*{name}", -c));
-        }
+        let _ = match (out.is_empty(), c) {
+            (true, 1) => Ok(()),
+            (true, -1) => write!(out, "-"),
+            (true, c) => write!(out, "{c}*"),
+            (false, 1) => write!(out, " + "),
+            (false, -1) => write!(out, " - "),
+            (false, c) if c > 0 => write!(out, " + {c}*"),
+            (false, c) => write!(out, " - {}*", -c),
+        };
+        out.push_str(space.name(i));
     }
     let k = expr.constant_term();
-    if first {
-        out.push_str(&k.to_string());
+    let _ = if out.is_empty() {
+        write!(out, "{k}")
     } else if k > 0 {
-        out.push_str(&format!(" + {k}"));
+        write!(out, " + {k}")
     } else if k < 0 {
-        out.push_str(&format!(" - {}", -k));
-    }
+        write!(out, " - {}", -k)
+    } else {
+        Ok(())
+    };
     out
 }
 
@@ -64,16 +54,19 @@ pub fn c_bound_expr(bound: &BoundExpr, space: &Space, lower: bool) -> String {
 }
 
 /// Fold several bound expressions with `max(...)` (lower bounds) or
-/// `min(...)` (upper bounds), as FM-generated loop nests do.
+/// `min(...)` (upper bounds), as FM-generated loop nests do:
+/// `DP_MAX(DP_MAX(b0, b1), b2)`, written left to right in one pass.
 pub fn c_bound_set(bounds: &[BoundExpr], space: &Space, lower: bool) -> String {
-    let rendered: Vec<String> = bounds
-        .iter()
-        .map(|b| c_bound_expr(b, space, lower))
-        .collect();
-    let f = if lower { "DP_MAX" } else { "DP_MIN" };
-    let mut out = rendered[0].clone();
-    for r in &rendered[1..] {
-        out = format!("{f}({out}, {r})");
+    let f = if lower { "DP_MAX(" } else { "DP_MIN(" };
+    let mut out = f.repeat(bounds.len().saturating_sub(1));
+    for (i, b) in bounds.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&c_bound_expr(b, space, lower));
+        if i > 0 {
+            out.push(')');
+        }
     }
     out
 }

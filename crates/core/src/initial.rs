@@ -88,7 +88,7 @@ pub fn initial_tiles_systems(graph: &TileGraph) -> Result<Vec<Coord>, PolyError>
                 .sum();
             let mut shifted = c.expr().clone();
             shifted.set_constant(shifted.constant_term() + shift);
-            let violated = shifted.neg().checked_sub(&LinExpr::constant(dim, 1))?;
+            let violated = shifted.neg()?.checked_sub(&LinExpr::constant(dim, 1))?;
             sys.add(Constraint::ge0(violated))?;
         }
         sys.simplify();

@@ -111,9 +111,18 @@ pub fn tile_count_polynomial(tiling: &Tiling) -> Result<QuasiPolynomial, PolyErr
         )));
     }
     let d = tiling.dims();
-    let period = tiling.widths().iter().fold(1i64, |acc, &w| {
-        dpgen_polyhedra::num::lcm(acc as i128, w as i128) as i64
-    }) as usize;
+    let period = tiling
+        .widths()
+        .iter()
+        .try_fold(1i128, |acc, &w| dpgen_polyhedra::num::lcm(acc, w as i128))?;
+    // The samples n < period·(d + 2) are parameter values: they must fit i64.
+    let samples_fit = period
+        .checked_mul(d as i128 + 2)
+        .is_some_and(|n| i64::try_from(n).is_ok());
+    let period = usize::try_from(period)
+        .ok()
+        .filter(|_| samples_fit)
+        .ok_or(PolyError::Overflow("tile-count period"))?;
     QuasiPolynomial::interpolate(d, period, 0, 1, |n| {
         let mut point = tiling.make_point(&[n as i64]);
         let mut count = 0i128;
@@ -568,6 +577,28 @@ mod tests {
             let expect = ((n + 2) / 2) * ((n + 3) / 3);
             assert_eq!(q.eval(n as i128).unwrap(), expect as i128, "N = {n}");
         }
+    }
+
+    #[test]
+    fn tile_count_polynomial_rejects_an_unsamplable_period() {
+        // Coprime widths 2^31 - 1 and 2^31: the period (their ~2^62 product)
+        // fits, but sampling d + 2 periods of the parameter would pass i64.
+        let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= x <= N").unwrap();
+        sys.add_text("0 <= y <= N").unwrap();
+        let t = TemplateSet::new(
+            2,
+            vec![Template::new("r1", &[1, 0]), Template::new("r2", &[0, 1])],
+        )
+        .unwrap();
+        let tiling = TilingBuilder::new(sys, t, vec![(1 << 31) - 1, 1 << 31])
+            .build()
+            .unwrap();
+        assert_eq!(
+            tile_count_polynomial(&tiling).unwrap_err(),
+            PolyError::Overflow("tile-count period")
+        );
     }
 
     #[test]

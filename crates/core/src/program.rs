@@ -89,7 +89,8 @@ mod tests {
     use super::*;
     use crate::plan::ExecOpts;
     use crate::spec::bandit2_spec_text;
-    use dpgen_runtime::{run_reference, Probe};
+    use dpgen_polyhedra::PolyError;
+    use dpgen_runtime::{run_reference, CompileStage, Probe, RunError};
     use dpgen_tiling::tiling::CellRef;
 
     #[test]
@@ -97,6 +98,25 @@ mod tests {
         let program = Program::parse(&bandit2_spec_text(6)).unwrap();
         assert_eq!(program.spec().name, "bandit2");
         assert_eq!(program.tiling().dims(), 4);
+    }
+
+    #[test]
+    fn an_unrepresentable_loop_bound_is_a_typed_fault_not_a_panic() {
+        // x >= 2^127: its lower bound -(i128::MIN) does not exist in i128.
+        let text = "name huge\nvars x\n\
+                    constraint x - 170141183460469231731687303715884105727 - 1 >= 0\n\
+                    constraint x <= 3\ntemplate r 1\nwidths 2\n";
+        assert!(matches!(
+            Program::parse(text),
+            Err(ProgramError::Tiling(TilingError::Poly(
+                PolyError::Overflow(_)
+            )))
+        ));
+        let err = Plan::from_spec(text, &[]).unwrap_err();
+        assert!(
+            matches!(&err, RunError::CompileError(f) if f.stage == CompileStage::Poly),
+            "{err}"
+        );
     }
 
     /// A miniature bandit kernel (uniform priors p = 0.5) to validate the

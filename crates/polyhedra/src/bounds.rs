@@ -121,10 +121,10 @@ impl LoopNest {
         let mut systems: Vec<ConstraintSystem> = Vec::with_capacity(ordering.len() + 1);
         let mut cur = sys.clone();
         cur.simplify();
-        systems.push(cur.clone());
+        systems.push(cur);
         for &v in ordering.iter().rev() {
-            cur = fm::eliminate(&cur, v)?;
-            systems.push(cur.clone());
+            let next = fm::eliminate(&systems[systems.len() - 1], v)?;
+            systems.push(next);
         }
         // systems[j] has the last j ordering variables eliminated. The bounds
         // for ordering[k] are read from systems[d - 1 - k].
@@ -144,7 +144,7 @@ impl LoopNest {
                 rest.set_coeff(v, 0);
                 if a > 0 {
                     lowers.push(BoundExpr {
-                        expr: rest.neg(),
+                        expr: rest.neg()?,
                         divisor: a,
                     });
                 } else {
@@ -163,7 +163,7 @@ impl LoopNest {
                 uppers,
             });
         }
-        let context = systems[d].clone();
+        let context = systems.swap_remove(d);
         Ok(LoopNest {
             space,
             levels,
@@ -422,6 +422,20 @@ mod tests {
         assert_eq!(
             LoopNest::synthesize(&sys, &[0]),
             Err(PolyError::Unbounded("x".into()))
+        );
+    }
+
+    #[test]
+    fn unrepresentable_lower_bound_is_an_overflow_error() {
+        // x >= 2^127 needs the bound -(i128::MIN), which does not exist.
+        let space = Space::from_names(&["x"], &[]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("x - 170141183460469231731687303715884105727 - 1 >= 0")
+            .unwrap();
+        sys.add_text("x <= 3").unwrap();
+        assert_eq!(
+            LoopNest::synthesize(&sys, &[0]),
+            Err(PolyError::Overflow("negation"))
         );
     }
 

@@ -2,7 +2,6 @@
 
 use crate::error::PolyError;
 use crate::expr::LinExpr;
-use crate::num;
 use crate::space::Space;
 use std::fmt;
 
@@ -64,15 +63,14 @@ impl Constraint {
     fn normalize(&mut self) {
         let g = self.expr.coeff_gcd();
         if g > 1 {
-            let coeffs: Vec<i128> = self.expr.coeffs().iter().map(|&c| c / g).collect();
-            let constant = num::floor_div(self.expr.constant_term(), g);
-            self.expr = LinExpr::from_parts(coeffs, constant);
+            self.expr.divide_floor(g);
         }
     }
 
     /// `self` implies `other` when they share a coefficient vector and
     /// `self`'s constant is <= `other`'s (a tighter lower bound).
-    pub fn implies_syntactically(&self, other: &Constraint) -> bool {
+    #[cfg(test)]
+    pub(crate) fn implies_syntactically(&self, other: &Constraint) -> bool {
         self.expr.coeffs() == other.expr.coeffs()
             && self.expr.constant_term() <= other.expr.constant_term()
     }

@@ -137,12 +137,41 @@ impl LinExpr {
         })
     }
 
-    /// Negation.
-    pub fn neg(&self) -> LinExpr {
-        LinExpr {
-            coeffs: self.coeffs.iter().map(|&c| -c).collect(),
-            constant: -self.constant,
+    /// `self·a + rhs·b`, overflow-checked and built in one pass: the
+    /// Fourier–Motzkin combination of two rows.
+    pub(crate) fn checked_combine(&self, a: i128, rhs: &Self, b: i128) -> Result<Self, PolyError> {
+        self.check_dim(rhs)?;
+        // Most columns of a derived row are zero; a zero term cannot overflow.
+        let scale = |x: i128, k: i128| if x == 0 { Ok(0) } else { num::mul(x, k) };
+        let term = |x: i128, y: i128| num::add(scale(x, a)?, scale(y, b)?);
+        let mut coeffs = Vec::with_capacity(self.coeffs.len());
+        for (&x, &y) in self.coeffs.iter().zip(&rhs.coeffs) {
+            coeffs.push(term(x, y)?);
         }
+        Ok(LinExpr {
+            coeffs,
+            constant: term(self.constant, rhs.constant)?,
+        })
+    }
+
+    /// Checked negation.
+    pub fn neg(&self) -> Result<LinExpr, PolyError> {
+        let negate = |c: i128| c.checked_neg().ok_or(PolyError::Overflow("negation"));
+        let mut out = self.clone();
+        for c in &mut out.coeffs {
+            *c = negate(*c)?;
+        }
+        out.constant = negate(out.constant)?;
+        Ok(out)
+    }
+
+    /// Divide in place by `g > 0`, which must divide every coefficient; the
+    /// constant rounds down (`floor(constant / g)`).
+    pub(crate) fn divide_floor(&mut self, g: i128) {
+        for c in &mut self.coeffs {
+            *c /= g;
+        }
+        self.constant = num::floor_div(self.constant, g);
     }
 
     /// Evaluate at a full assignment of all columns.
@@ -154,8 +183,10 @@ impl LinExpr {
             });
         }
         let mut acc = self.constant;
-        for (c, x) in self.coeffs.iter().zip(point) {
-            acc = num::add(acc, num::mul(*c, *x)?)?;
+        for (&c, &x) in self.coeffs.iter().zip(point) {
+            if c != 0 {
+                acc = num::add(acc, num::mul(c, x)?)?;
+            }
         }
         Ok(acc)
     }
@@ -395,7 +426,20 @@ mod tests {
 
         #[test]
         fn neg_negates_eval(e in expr(4), p in proptest::collection::vec(-10i128..10, 4)) {
-            prop_assert_eq!(e.neg().eval(&p).unwrap(), -e.eval(&p).unwrap());
+            prop_assert_eq!(e.neg().unwrap().eval(&p).unwrap(), -e.eval(&p).unwrap());
         }
+    }
+
+    #[test]
+    fn neg_overflow_is_an_error() {
+        let e = LinExpr::from_parts(vec![1, 0], i128::MIN);
+        assert_eq!(e.neg(), Err(PolyError::Overflow("negation")));
+        let e = LinExpr::from_parts(vec![i128::MIN, 0], 0);
+        assert_eq!(e.neg(), Err(PolyError::Overflow("negation")));
+        let e = LinExpr::from_parts(vec![-3, i128::MAX], -i128::MAX);
+        assert_eq!(
+            e.neg(),
+            Ok(LinExpr::from_parts(vec![3, -i128::MAX], i128::MAX))
+        );
     }
 }

@@ -5,9 +5,14 @@
 //! from `a·v + P >= 0` (a > 0) and `-b·v + Q >= 0` (b > 0) we derive
 //! `b·P + a·Q >= 0`. Constraints not involving `v` are kept unchanged.
 //!
-//! The number of constraints can grow as `n²/4` per elimination, so — exactly
-//! as the paper notes — duplicate and redundant constraints are removed after
-//! every step via [`ConstraintSystem::simplify`].
+//! The number of constraints can grow as `n²/4` per elimination, so — as the
+//! paper notes — rows are pruned after every step via
+//! [`ConstraintSystem::simplify`], in one pass over the rows. What it drops
+//! is syntactic only: tautologies, exact duplicates and rows dominated by a
+//! row with the same coefficient vector and a smaller constant (the first row
+//! with the smallest constant per vector survives; survivors keep their
+//! input order). A row implied only by a *combination* of other rows stays:
+//! exact redundancy elimination is not done here.
 //!
 //! Over the integers FM computes a (possibly slightly) *over-approximate*
 //! projection: every integer point of the original system projects into the
@@ -25,8 +30,7 @@ use crate::system::ConstraintSystem;
 pub fn eliminate(sys: &ConstraintSystem, var: usize) -> Result<ConstraintSystem, PolyError> {
     let mut lowers: Vec<&Constraint> = Vec::new(); // coeff of var > 0  (v >= ...)
     let mut uppers: Vec<&Constraint> = Vec::new(); // coeff of var < 0  (v <= ...)
-    let mut rest: Vec<Constraint> = Vec::new();
-
+    let mut out = ConstraintSystem::new(sys.space().clone());
     for c in sys.constraints() {
         let a = c.coeff(var);
         if a > 0 {
@@ -34,23 +38,18 @@ pub fn eliminate(sys: &ConstraintSystem, var: usize) -> Result<ConstraintSystem,
         } else if a < 0 {
             uppers.push(c);
         } else {
-            rest.push(c.clone());
+            out.add(c.clone())?;
         }
-    }
-
-    let mut out = ConstraintSystem::new(sys.space().clone());
-    for c in rest {
-        out.add(c)?;
     }
     for lo in &lowers {
         let a = lo.coeff(var); // > 0
         for up in &uppers {
-            let b = -up.coeff(var); // > 0
-                                    // b * lo + a * up cancels `var`.
-            let combined = lo
-                .expr()
-                .checked_scale(b)?
-                .checked_add(&up.expr().checked_scale(a)?)?;
+            // b * lo + a * up cancels `var` (b > 0).
+            let b = up
+                .coeff(var)
+                .checked_neg()
+                .ok_or(PolyError::Overflow("negation"))?;
+            let combined = lo.expr().checked_combine(b, up.expr(), a)?;
             debug_assert_eq!(combined.coeff(var), 0);
             out.add(Constraint::ge0(combined))?;
         }
@@ -64,8 +63,11 @@ pub fn eliminate_all(
     sys: &ConstraintSystem,
     vars: &[usize],
 ) -> Result<ConstraintSystem, PolyError> {
-    let mut cur = sys.clone();
-    for &v in vars {
+    let Some((&first, rest)) = vars.split_first() else {
+        return Ok(sys.clone());
+    };
+    let mut cur = eliminate(sys, first)?;
+    for &v in rest {
         cur = eliminate(&cur, v)?;
     }
     Ok(cur)
@@ -249,7 +251,67 @@ mod tests {
         )
     }
 
+    /// `eliminate` as this crate shipped it before the fused combine: scale,
+    /// scale, add, then the quadratic `simplify`.
+    fn eliminate_reference(
+        sys: &ConstraintSystem,
+        var: usize,
+    ) -> Result<ConstraintSystem, PolyError> {
+        let mut out = ConstraintSystem::new(sys.space().clone());
+        for c in sys.constraints().iter().filter(|c| c.coeff(var) == 0) {
+            out.add(c.clone())?;
+        }
+        for lo in sys.constraints().iter().filter(|c| c.coeff(var) > 0) {
+            for up in sys.constraints().iter().filter(|c| c.coeff(var) < 0) {
+                let combined = lo
+                    .expr()
+                    .checked_scale(-up.coeff(var))?
+                    .checked_add(&up.expr().checked_scale(lo.coeff(var))?)?;
+                out.add(Constraint::ge0(combined))?;
+            }
+        }
+        out.simplify_quadratic();
+        Ok(out)
+    }
+
+    /// Systems over (x, y, z) whose coefficients range from small to large
+    /// enough (up to ~2^126) that some combinations overflow `i128`.
+    fn wide_system() -> impl Strategy<Value = ConstraintSystem> {
+        let coeff = (-3i128..4, 0u32..4, 60u32..126).prop_map(|(c, wide, shift)| {
+            if wide == 0 && c != 0 {
+                c * (1i128 << shift) + c.signum()
+            } else {
+                c
+            }
+        });
+        let row = (coeff.clone(), coeff.clone(), coeff, -8i128..9);
+        proptest::collection::vec(row, 0..10).prop_map(|rows| {
+            let space = Space::from_names(&["x", "y", "z"], &[]).unwrap();
+            let mut sys = ConstraintSystem::new(space);
+            for (a, b, c, k) in rows {
+                let e = crate::expr::LinExpr::from_parts(vec![a, b, c], k);
+                sys.add(Constraint::ge0(e)).unwrap();
+            }
+            sys
+        })
+    }
+
     proptest! {
+        /// The fused combine and one-pass `simplify` give the reference's
+        /// system row for row, and fail exactly when it does.
+        #[test]
+        fn eliminate_matches_the_reference(sys in wide_system(), var in 0usize..3) {
+            match (eliminate(&sys, var), eliminate_reference(&sys, var)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                (got, want) => {
+                    prop_assert_eq!(got.is_err(), want.is_err());
+                    if let Err(e) = got {
+                        prop_assert!(matches!(e, PolyError::Overflow(_)), "{e:?}");
+                    }
+                }
+            }
+        }
+
         /// Soundness: every integer point of the original system projects into
         /// the FM result (the projection never loses real points).
         #[test]

@@ -7,24 +7,35 @@
 
 use crate::error::PolyError;
 
-/// Greatest common divisor (always non-negative; `gcd(0, 0) == 0`).
+/// Greatest common divisor (always non-negative; `gcd(0, 0) == 0`). Operands
+/// that fit `u64` skip `u128` division, which is a software routine.
 pub fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
-    while b != 0 {
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
+    if let (Ok(a), Ok(b)) = (u64::try_from(a), u64::try_from(b)) {
+        return euclid(a, b) as i128;
+    }
+    euclid(a, b) as i128
+}
+
+fn euclid<T: Copy + PartialEq + Default + std::ops::Rem<Output = T>>(mut a: T, mut b: T) -> T {
+    while b != T::default() {
         let t = a % b;
         a = b;
         b = t;
     }
-    a as i128
+    a
 }
 
-/// Least common multiple. Panics on overflow (coefficients in this crate are
-/// gcd-normalised, keeping magnitudes small).
-pub fn lcm(a: i128, b: i128) -> i128 {
+/// Least common multiple (non-negative), or an overflow error when it does
+/// not fit in `i128`.
+pub fn lcm(a: i128, b: i128) -> Result<i128, PolyError> {
     if a == 0 || b == 0 {
-        return 0;
+        return Ok(0);
     }
-    (a / gcd(a, b)).checked_mul(b).expect("lcm overflow").abs()
+    (a / gcd(a, b))
+        .checked_mul(b)
+        .and_then(i128::checked_abs)
+        .ok_or(PolyError::Overflow("lcm"))
 }
 
 /// Floor division: largest `q` with `q * d <= n`. Requires `d > 0`.
@@ -65,9 +76,17 @@ pub fn sub(a: i128, b: i128) -> Result<i128, PolyError> {
     a.checked_sub(b).ok_or(PolyError::Overflow("subtraction"))
 }
 
-/// gcd of a slice (non-negative; 0 for an all-zero or empty slice).
+/// gcd of a slice (non-negative; 0 for an all-zero or empty slice). Stops
+/// at the first prefix whose gcd is 1.
 pub fn gcd_slice(xs: &[i128]) -> i128 {
-    xs.iter().fold(0, |acc, &x| gcd(acc, x))
+    let mut g = 0;
+    for &x in xs {
+        g = gcd(g, x);
+        if g == 1 {
+            break;
+        }
+    }
+    g
 }
 
 #[cfg(test)]
@@ -89,10 +108,19 @@ mod tests {
 
     #[test]
     fn lcm_basics() {
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 5), 0);
-        assert_eq!(lcm(-4, 6), 12);
-        assert_eq!(lcm(1, 1), 1);
+        assert_eq!(lcm(4, 6), Ok(12));
+        assert_eq!(lcm(0, 5), Ok(0));
+        assert_eq!(lcm(-4, 6), Ok(12));
+        assert_eq!(lcm(1, 1), Ok(1));
+    }
+
+    #[test]
+    fn lcm_overflow_is_an_error() {
+        // Two coprime values near 2^64: the lcm is their ~2^128 product.
+        let (a, b) = (u64::MAX as i128, u64::MAX as i128 - 1);
+        assert_eq!(lcm(a, b), Err(PolyError::Overflow("lcm")));
+        assert_eq!(lcm(i128::MIN, 1), Err(PolyError::Overflow("lcm")));
+        assert_eq!(lcm(i128::MAX, 1), Ok(i128::MAX));
     }
 
     #[test]
@@ -126,6 +154,15 @@ mod tests {
         assert_eq!(gcd_slice(&[5]), 5);
     }
 
+    /// Operands of every width: small, `i64`-sized and full `i128`.
+    fn operand() -> impl Strategy<Value = i128> {
+        (0u64..u64::MAX, 0u64..u64::MAX, 0u8..3).prop_map(|(hi, lo, width)| match width {
+            0 => (lo % 1000) as i128 - 500,
+            1 => lo as i64 as i128,
+            _ => ((hi as u128) << 64 | lo as u128) as i128,
+        })
+    }
+
     proptest! {
         #[test]
         fn floor_div_is_floor(n in -10_000i128..10_000, d in 1i128..100) {
@@ -153,9 +190,26 @@ mod tests {
             }
         }
 
+        /// The `u64` fast path and the early exit agree with the plain
+        /// `u128` Euclid loop, including operands above `u64::MAX`.
+        #[test]
+        fn gcd_matches_u128_euclid(a in operand(), b in operand(), scale in 1i128..1 << 70) {
+            let reference = |a: i128, b: i128| {
+                let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+                while b != 0 {
+                    (a, b) = (b, a % b);
+                }
+                a as i128
+            };
+            let (a, b) = (a.wrapping_mul(scale), b.wrapping_mul(scale));
+            prop_assert_eq!(gcd(a, b), reference(a, b));
+            let xs = [a, b, 6, a];
+            prop_assert_eq!(gcd_slice(&xs), xs.iter().fold(0, |g, &x| reference(g, x)));
+        }
+
         #[test]
         fn lcm_is_common_multiple(a in 1i128..1000, b in 1i128..1000) {
-            let m = lcm(a, b);
+            let m = lcm(a, b).unwrap();
             prop_assert_eq!(m % a, 0);
             prop_assert_eq!(m % b, 0);
             prop_assert!(m <= a * b);

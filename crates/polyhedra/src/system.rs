@@ -5,6 +5,7 @@ use crate::constraint::Constraint;
 use crate::error::PolyError;
 use crate::expr::LinExpr;
 use crate::space::Space;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A conjunction of affine constraints over a shared [`Space`]: the iteration
@@ -69,24 +70,72 @@ impl ConstraintSystem {
         self.constraints.iter().any(Constraint::is_contradiction)
     }
 
-    /// Remove tautologies, duplicates and syntactically dominated constraints,
-    /// and fold opposing pairs (`a·x + c1 >= 0`, `-a·x + c2 >= 0` with
-    /// `c1 + c2 < 0`) into an explicit contradiction.
+    /// Remove tautologies, exact duplicates and rows dominated by a row with
+    /// the same coefficient vector and a smaller constant, and fold opposing
+    /// pairs (`a·x + c1 >= 0`, `-a·x + c2 >= 0` with `c1 + c2 < 0`) into an
+    /// explicit contradiction.
     ///
-    /// This is the redundancy-removal step the paper applies after each
-    /// Fourier–Motzkin iteration to prevent constraint blow-up (Section IV-D).
+    /// One pass keyed by coefficient vector: the first row with the
+    /// smallest constant per vector survives, and survivors keep their input
+    /// order. The opposing-pair test runs on the survivors alone, since the
+    /// tightest pair has the smallest constant sum. This is the pruning step
+    /// the paper applies after each Fourier–Motzkin iteration (Section IV-D);
+    /// it is syntactic, not an exact redundancy test.
     pub fn simplify(&mut self) {
+        let rows = &self.constraints;
+        let mut best: HashMap<&[i128], usize> = HashMap::with_capacity(rows.len());
+        for (i, c) in rows.iter().enumerate() {
+            if c.is_tautology() {
+                continue;
+            }
+            let k = c.expr().constant_term();
+            best.entry(c.expr().coeffs())
+                .and_modify(|b| {
+                    if k < rows[*b].expr().constant_term() {
+                        *b = i;
+                    }
+                })
+                .or_insert(i);
+        }
+        let mut negated = Vec::with_capacity(self.space.dim());
+        let contradiction = best.values().any(|&i| {
+            let e = rows[i].expr();
+            negated.clear();
+            negated.extend(e.coeffs().iter().map_while(|a| a.checked_neg()));
+            negated.len() == e.dim()
+                && best.get(negated.as_slice()).is_some_and(|&j| {
+                    let (k1, k2) = (e.constant_term(), rows[j].expr().constant_term());
+                    // An overflowing sum has the sign of its operands.
+                    k1.checked_add(k2).map_or(k1 < 0, |s| s < 0)
+                })
+        });
+        let mut keep = vec![false; rows.len()];
+        best.values().for_each(|&i| keep[i] = true);
+        let mut keep = keep.into_iter();
+        self.constraints.retain(|_| keep.next() == Some(true));
+        // Mark infeasibility explicitly, but keep the other constraints:
+        // bound extraction on intermediate FM systems still needs them to
+        // synthesise (empty) loops for the remaining variables.
+        if contradiction && !self.is_trivially_infeasible() {
+            let dim = self.space.dim();
+            self.constraints
+                .push(Constraint::ge0(LinExpr::constant(dim, -1)));
+        }
+    }
+
+    /// The quadratic `simplify` this crate shipped before the one-pass
+    /// version: the differential oracle for it. One fix: a constant sum that
+    /// overflows counts by its sign (it used to count as non-negative).
+    #[cfg(test)]
+    pub(crate) fn simplify_quadratic(&mut self) {
         // Detect opposing-pair infeasibility before dropping anything.
         let mut contradiction = self.is_trivially_infeasible();
         'outer: for (i, a) in self.constraints.iter().enumerate() {
             for b in &self.constraints[i + 1..] {
                 let neg: Vec<i128> = b.expr().coeffs().iter().map(|&c| -c).collect();
+                let (k1, k2) = (a.expr().constant_term(), b.expr().constant_term());
                 if a.expr().coeffs() == neg.as_slice()
-                    && a.expr()
-                        .constant_term()
-                        .checked_add(b.expr().constant_term())
-                        .map(|s| s < 0)
-                        .unwrap_or(false)
+                    && k1.checked_add(k2).map_or(k1 < 0, |s| s < 0)
                 {
                     contradiction = true;
                     break 'outer;
@@ -370,6 +419,7 @@ pub fn parse_constraint(text: &str, space: &Space) -> Result<Vec<Constraint>, Po
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bandit_space() -> Space {
         Space::from_names(&["s1", "f1", "s2", "f2"], &["N"]).unwrap()
@@ -484,6 +534,73 @@ mod tests {
         sys.add_text("x <= 3").unwrap();
         sys.simplify();
         assert!(sys.is_trivially_infeasible());
+    }
+
+    #[test]
+    fn simplify_sees_opposing_pairs_whose_constant_sum_overflows() {
+        // x + k >= 0 and -x + k >= 0 with k < i128::MIN / 2: the sum 2k is
+        // below i128::MIN, and still negative.
+        let k = i128::MIN / 2 - 1;
+        let mut sys = ConstraintSystem::new(Space::from_names(&["x"], &[]).unwrap());
+        sys.add(Constraint::ge0(LinExpr::from_parts(vec![1], k)))
+            .unwrap();
+        sys.add(Constraint::ge0(LinExpr::from_parts(vec![-1], k)))
+            .unwrap();
+        sys.simplify();
+        assert!(sys.is_trivially_infeasible());
+        assert_eq!(sys.constraints().len(), 3);
+    }
+
+    /// Rows that exercise every rule of `simplify`: fresh rows, exact
+    /// duplicates, same-vector rows with another constant, opposing rows
+    /// (negated vector; constant sums of both signs), tautologies,
+    /// contradictions and coefficients near `i128::MAX`.
+    fn messy_system() -> impl Strategy<Value = ConstraintSystem> {
+        let row = (0u8..7, 0usize..64, -2i128..3, -2i128..3, -6i128..7);
+        proptest::collection::vec(row, 0..16).prop_map(|rows| {
+            let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
+            let mut exprs: Vec<LinExpr> = Vec::new();
+            for (kind, pick, a, b, k) in rows {
+                let earlier = (!exprs.is_empty()).then(|| exprs[pick % exprs.len()].clone());
+                let e = match (kind, earlier) {
+                    (1, Some(e)) => e,
+                    (2, Some(mut e)) => {
+                        e.set_constant(k);
+                        e
+                    }
+                    (3, Some(e)) => {
+                        let mut e = e.neg().unwrap();
+                        e.set_constant(k);
+                        e
+                    }
+                    (4, _) => LinExpr::constant(3, k),
+                    (5, _) => LinExpr::from_parts(
+                        vec![i128::MAX - a.abs(), -(i128::MAX - 2 - b.abs()), a],
+                        k,
+                    ),
+                    _ => LinExpr::from_parts(vec![a, b, k.signum()], k),
+                };
+                exprs.push(e);
+            }
+            let mut sys = ConstraintSystem::new(space);
+            for e in exprs {
+                sys.add(Constraint::ge0(e)).unwrap();
+            }
+            sys
+        })
+    }
+
+    proptest! {
+        /// The one-pass `simplify` keeps exactly the rows the quadratic
+        /// oracle keeps, in the same order, and agrees on infeasibility.
+        #[test]
+        fn simplify_matches_the_quadratic_oracle(sys in messy_system()) {
+            let mut fast = sys.clone();
+            fast.simplify();
+            let mut oracle = sys;
+            oracle.simplify_quadratic();
+            prop_assert_eq!(fast.constraints(), oracle.constraints());
+        }
     }
 
     #[test]

@@ -166,7 +166,6 @@ pub fn build_edge_layouts(
             hi.set_constant(box_hi[k] as i128);
             sys.add(Constraint::ge0(hi))?;
         }
-        sys.simplify();
         let nest = LoopNest::synthesize_with_free(&sys, i_order)?;
         out.push(EdgeLayout {
             delta: dep.delta,

@@ -535,8 +535,7 @@ impl Tiling {
         let tile_nest = LoopNest::synthesize_with_free(&tile_system, &t_order)?;
 
         // --- Original-space nest (reference scans, work counting) ------
-        let orig_order: Vec<usize> = loop_order.clone();
-        let original_nest = LoopNest::synthesize(&original, &orig_order)?;
+        let original_nest = LoopNest::synthesize(&original, &loop_order)?;
 
         // --- Tile dependencies, layout, edges ---------------------------
         let deps = derive_tile_deps(&templates, &widths);
@@ -569,14 +568,13 @@ impl Tiling {
                     let mut shifted = c.expr().clone();
                     shifted.set_constant(shifted.constant_term() + shift);
                     let ext = to_ext(&shifted);
-                    let idx = validity_checks
-                        .iter()
-                        .position(|e| *e == ext)
-                        .unwrap_or_else(|| {
-                            validity_checks.push(ext.clone());
-                            validity_checks.len() - 1
-                        });
-                    idxs.push(idx);
+                    match validity_checks.iter().position(|e| *e == ext) {
+                        Some(idx) => idxs.push(idx),
+                        None => {
+                            idxs.push(validity_checks.len());
+                            validity_checks.push(ext);
+                        }
+                    }
                 }
             }
             idxs.sort_unstable();

@@ -9,7 +9,8 @@
 //! no shrinking (a failing case panics with its case number and the
 //! generated inputs are reproducible from the fixed per-test seed), and
 //! the default case count is 64 rather than 256 to keep `cargo test`
-//! fast on small containers.
+//! fast on small containers. `PROPTEST_CASES` overrides that default, as in
+//! real proptest; an explicit `with_cases` is left alone.
 
 pub mod strategy;
 pub mod test_runner;

@@ -18,8 +18,13 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or `PROPTEST_CASES` when set, as real proptest reads it.
     fn default() -> ProptestConfig {
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64);
+        ProptestConfig { cases }
     }
 }
 
@@ -133,7 +138,8 @@ mod tests {
 
     #[test]
     fn config_defaults() {
-        assert_eq!(ProptestConfig::default().cases, 64);
+        let expect = std::env::var("PROPTEST_CASES").map_or(64, |v| v.parse().unwrap());
+        assert_eq!(ProptestConfig::default().cases, expect);
         assert_eq!(ProptestConfig::with_cases(5).cases, 5);
     }
 }

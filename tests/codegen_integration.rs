@@ -4,7 +4,9 @@
 
 use dpgen::codegen::emit_c;
 use dpgen::core::Program;
-use dpgen::problems::{Bandit2, Bandit3, BanditDelay, EditDistance, Lcs, Msa};
+use dpgen::problems::{
+    BandedSw, Bandit2, Bandit3, BanditDelay, EditDistance, Lcs, Msa, SmithWaterman,
+};
 
 fn check_structure(name: &str, src: &str, ndeps: usize) {
     assert_eq!(
@@ -109,4 +111,63 @@ fn user_code_is_passed_through_verbatim_lines() {
     assert!(src.contains("V[loc] = DP_MAX(V1, V2);"));
     assert!(src.contains("const double p1 = (a1 + s1) / (a1 + b1 + s1 + f1);"));
     assert!(src.contains("static const double a1 = 1, b1 = 1, a2 = 1, b2 = 1;"));
+}
+
+/// FNV-1a, the hash `compile_paper` reports each emitted program under.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The emitted C of the nine `compile_paper` specs, pinned byte for byte:
+/// any change to Fourier–Motzkin, `simplify`, bound synthesis or emission
+/// that moves one bound moves a hash here. The values equal the
+/// benchmark's `codegen.emit_fnv.*` / `codegen.emit_bytes.*` counters.
+#[test]
+fn emitted_c_of_the_paper_specs_is_pinned() {
+    let cases = [
+        (
+            "bandit2",
+            Bandit2::spec(4),
+            11115185671299672120u64,
+            31096usize,
+        ),
+        ("bandit3", Bandit3::spec(3), 4773260575782909815, 90209),
+        (
+            "bandit_delay",
+            BanditDelay::spec(3),
+            8066712764355329639,
+            56665,
+        ),
+        ("msa3", Msa::spec(3, 8), 6088828717023053233, 26404),
+        ("lcs2", Lcs::spec(2, 16), 12205121393172365260, 18033),
+        ("lcs3", Lcs::spec(3, 8), 7159056352646894905, 25922),
+        (
+            "editdist",
+            EditDistance::spec(16),
+            10752988865999007550,
+            18187,
+        ),
+        (
+            "smith_waterman",
+            SmithWaterman::spec(16),
+            5160917569719720573,
+            18190,
+        ),
+        (
+            "banded_sw",
+            BandedSw::spec(16, 32),
+            17252116919769070277,
+            20136,
+        ),
+    ];
+    for (name, spec, fnv, bytes) in cases {
+        let src = emit_c(&Program::from_spec(spec).unwrap());
+        assert_eq!(
+            (fnv1a(src.as_bytes()), src.len()),
+            (fnv, bytes),
+            "{name}: emitted C moved"
+        );
+    }
 }
