@@ -167,7 +167,7 @@ pub fn slabs_uniform(tiling: &Tiling, params: &[i64], lb_dim: usize) -> bool {
 }
 
 /// [`slabs_uniform`] on a tile graph already derived (a [`crate::Plan`]'s):
-/// reads the graph's per-tile cell counts, which it shares with the load
+/// reads the graph's per-class cell counts, which it shares with the load
 /// balancer and the simulator.
 pub fn slabs_uniform_on(graph: &TileGraph, lb_dim: usize) -> bool {
     assert!(
@@ -175,8 +175,8 @@ pub fn slabs_uniform_on(graph: &TileGraph, lb_dim: usize) -> bool {
         "lb_dim {lb_dim} out of range"
     );
     let mut works: HashMap<i64, u128> = HashMap::new();
-    for (t, cells) in graph.tiles().iter().zip(graph.cells()) {
-        *works.entry(t[lb_dim]).or_insert(0) += cells;
+    for (i, t) in graph.tiles().iter().enumerate() {
+        *works.entry(t[lb_dim]).or_insert(0) += graph.cells(i);
     }
     let mut vals = works.values();
     match vals.next() {
@@ -236,7 +236,7 @@ impl LoadBalance {
         assert!((1..=1 << 16).contains(&ranks), "{ranks} ranks");
         // Work per tile = exact cell count (the per-slab Ehrhart evaluation
         // of the paper, walked once per tile class).
-        let (tiles, cells) = (graph.tiles(), graph.cells());
+        let tiles = graph.tiles();
         // Tiles in the method's order, so that equal-work cuts become
         // contiguous runs, and blocks: the smallest unit a cut may separate.
         // The paper's slab method may only cut where the selected
@@ -260,7 +260,7 @@ impl LoadBalance {
 
         // Group consecutive tiles of one block, then cut the block sequence
         // into equal-work contiguous runs (midpoint rule).
-        let total: u128 = cells.iter().sum();
+        let total: u128 = (0..tiles.len()).map(|i| graph.cells(i)).sum();
         let mut owners = vec![0u16; tiles.len()];
         let mut rank_work = vec![0u128; ranks];
         let mut rank_tiles = vec![0usize; ranks];
@@ -271,7 +271,7 @@ impl LoadBalance {
             while j < order.len() && same_block(order[i], order[j]) {
                 j += 1;
             }
-            let block_work: u128 = order[i..j].iter().map(|&t| cells[t as usize]).sum();
+            let block_work: u128 = order[i..j].iter().map(|&t| graph.cells(t as usize)).sum();
             let mid = cum + block_work / 2;
             let rank = (mid * ranks as u128)
                 .checked_div(total)

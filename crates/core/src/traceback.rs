@@ -348,10 +348,11 @@ mod tests {
                 assert_eq!(got, want_path, "N={n} w={w} {opts:?}");
                 assert!(tb.tiles_recomputed >= 1);
                 // Every edge the graph has, cell for cell.
+                let edge_cells = graph.edge_cells().unwrap();
                 let modelled: u64 = (0..graph.len())
                     .flat_map(|i| (0..2).map(move |d| (i, d)))
                     .filter(|&(i, d)| graph.consumer(i, d).is_some())
-                    .map(|(i, d)| graph.edge_cells(i, d))
+                    .map(|(i, d)| edge_cells.get(i, d))
                     .sum();
                 assert_eq!(log.total_cells() as u64, modelled, "N={n} w={w} {opts:?}");
                 let mut edges: Vec<_> = (0..graph.len())

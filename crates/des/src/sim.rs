@@ -11,6 +11,7 @@
 //! scheduler.
 
 use crate::model::SimConfig;
+use dpgen_polyhedra::PolyError;
 use dpgen_runtime::{Schedule, TileOwner};
 use dpgen_tiling::{TileGraph, Tiling};
 use std::cmp::Reverse;
@@ -131,25 +132,27 @@ impl PartialOrd for QueueEntry {
 
 /// Simulate executing the tiling's full tile graph on the configured
 /// virtual machine. `owner` assigns tiles to ranks (use the real
-/// load balancer's output).
+/// load balancer's output). Panics where [`simulate_on`] returns a fault.
 pub fn simulate<O: TileOwner + ?Sized>(
     tiling: &Tiling,
     params: &[i64],
     owner: &O,
     config: &SimConfig,
 ) -> SimResult {
-    simulate_on(&tiling.graph(params), owner, config)
+    simulate_on(&tiling.graph(params), owner, config).expect("edge cells count")
 }
 
 /// [`simulate`] on a tile graph already derived: the DAG the simulator
 /// walks — tiles, existing dependencies, consumers, cells per tile and per
 /// edge — is the one the runtime executes, so a sweep over machine shapes
-/// (or a plan that also runs) derives and counts it once.
+/// (or a plan that also runs) derives and counts it once. Fails when an
+/// edge nest cannot be counted at this binding
+/// ([`TileGraph::edge_cells`]).
 pub fn simulate_on<O: TileOwner + ?Sized>(
     graph: &TileGraph,
     owner: &O,
     config: &SimConfig,
-) -> SimResult {
+) -> Result<SimResult, PolyError> {
     assert!(config.ranks >= 1 && config.threads_per_rank >= 1);
     let cost = config.cost;
     let tiling = graph.tiling();
@@ -157,7 +160,6 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     // --- Static structure: tiles, work, owners, edges. -----------------
     let tiles = graph.tiles();
     let n = tiles.len();
-    let work = graph.cells();
     let owners: Vec<usize> = tiles
         .iter()
         .enumerate()
@@ -171,8 +173,9 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     // index, payload cells) of every edge tile `i` packs. The cells a tile
     // packs and unpacks are known statically too (needed for durations).
     let deps = tiling.deps().len();
+    let edge_cells = graph.edge_cells()?;
     let out_edges = |i: usize| {
-        (0..deps).filter_map(move |dep| Some((graph.consumer(i, dep)?, graph.edge_cells(i, dep))))
+        (0..deps).filter_map(move |dep| Some((graph.consumer(i, dep)?, edge_cells.get(i, dep))))
     };
     let mut pending: Vec<usize> = (0..n).map(|i| graph.dep_total(i)).collect();
     let mut out_cells: Vec<u64> = vec![0; n];
@@ -191,12 +194,17 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     } else {
         cost.tile_overhead
     };
-    let duration = |i: usize| -> f64 {
-        overhead
-            + work[i] as f64 * cost.cell_cost
-            + (in_total[i] + out_cells[i]) as f64 * cost.edge_cell_cost
-    };
-    let serial_time: f64 = (0..n).map(duration).sum();
+    // Each tile's duration, worked out once: the event loop and the
+    // critical path read it several times per tile.
+    let durations: Vec<f64> = (0..n)
+        .map(|i| {
+            overhead
+                + graph.cells(i) as f64 * cost.cell_cost
+                + (in_total[i] + out_cells[i]) as f64 * cost.edge_cell_cost
+        })
+        .collect();
+    let duration = |i: usize| durations[i];
+    let serial_time: f64 = durations.iter().sum();
 
     // Critical path over the static DAG (Kahn's algorithm), charging the
     // communication delay on cross-rank edges.
@@ -380,7 +388,7 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
     let idle_time: Vec<f64> = (0..config.ranks)
         .map(|r| config.threads_per_rank as f64 * makespan - busy[r])
         .collect();
-    SimResult {
+    Ok(SimResult {
         makespan,
         serial_time,
         busy,
@@ -390,8 +398,8 @@ pub fn simulate_on<O: TileOwner + ?Sized>(
         send_stall_time,
         critical_path,
         tiles: n,
-        cells: work.iter().sum(),
-    }
+        cells: (0..n).map(|i| graph.cells(i)).sum(),
+    })
 }
 
 #[cfg(test)]

@@ -717,7 +717,7 @@ where
             // here keeps the final epoch's `cells_computed` covering the
             // whole owned lattice (the interior/boundary split only
             // covers cells executed this epoch).
-            resumed_cells += graph.cells()[i] as u64;
+            resumed_cells += graph.cells(i) as u64;
         } else if graph.dep_total(i) == 0 {
             initials.push(i);
         }

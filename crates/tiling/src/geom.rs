@@ -165,17 +165,30 @@ pub(crate) struct SigRows {
 }
 
 impl SigRows {
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.constants.len()
     }
 
     /// Write the signature of `tile` under the parameters bound in `point`
     /// into `sig` (one entry per row).
     fn signature(&self, tile: &Coord, point: &[i128], sig: &mut [i128]) -> Result<(), PolyError> {
+        self.exact(tile, point, sig)?;
+        self.clamp(sig);
+        Ok(())
+    }
+
+    /// Write every row's exact `K` at `tile` into `k`: the signature before
+    /// slack rows are canonicalised.
+    pub(crate) fn exact(
+        &self,
+        tile: &Coord,
+        point: &[i128],
+        k: &mut [i128],
+    ) -> Result<(), PolyError> {
         let overflow = || PolyError::Overflow("tile signature");
         let stride = self.dims + self.param_cols.len();
         let tile = tile.as_slice();
-        for (r, k) in sig.iter_mut().enumerate() {
+        for (r, k) in k.iter_mut().enumerate() {
             let row = &self.coeffs[r * stride..][..self.dims];
             *k = self.constants[r];
             // i64 × i64 always fits an i128; only the sums can overflow.
@@ -185,17 +198,60 @@ impl SigRows {
         }
         for (j, &col) in self.param_cols.iter().enumerate() {
             let p = i64::try_from(point[col]).map_err(|_| overflow())? as i128;
-            for (r, k) in sig.iter_mut().enumerate() {
+            for (r, k) in k.iter_mut().enumerate() {
                 let c = self.coeffs[r * stride + self.dims + j] as i128;
                 *k = k.checked_add(c * p).ok_or_else(overflow)?;
             }
         }
-        for (k, &from) in sig.iter_mut().zip(&self.slack_from) {
+        Ok(())
+    }
+
+    /// Canonicalise, in place, every exact `K` whose row is slack.
+    pub(crate) fn clamp(&self, k: &mut [i128]) {
+        for (k, &from) in k.iter_mut().zip(&self.slack_from) {
             if *k >= from {
                 *k = SLACK;
             }
         }
-        Ok(())
+    }
+
+    /// Advance exact `K`s ([`SigRows::exact`]) from tile `t` to `t + steps
+    /// e_dim`: `K` is affine in the tile, so each row adds `steps` times its
+    /// coefficient on `t_dim`. The caller vouches that the result fits, as
+    /// it does when both ends of a row of tiles along `dim` were signed
+    /// exactly and `t + steps e_dim` lies between them (every `K` between
+    /// two that fit fits too).
+    pub(crate) fn step(&self, dim: usize, steps: usize, k: &mut [i128]) {
+        let stride = self.dims + self.param_cols.len();
+        for (k, row) in k.iter_mut().zip(self.coeffs.chunks_exact(stride)) {
+            // |coefficient| < 2^63 and `steps` < 2^64: the product fits.
+            *k += row[dim] as i128 * steps as i128;
+        }
+    }
+
+    /// How many tiles from `t` on along `dim` — `t` itself included, at
+    /// most `max` — share `t`'s signature, given `t`'s exact `K`s. A row
+    /// that `dim` does not move, or that is slack and grows along `dim`,
+    /// never changes; one that is not slack changes at the next tile; one
+    /// that is slack and shrinks stays slack for `(K - slack_from) / |c|`
+    /// more tiles.
+    pub(crate) fn run(&self, dim: usize, k: &[i128], max: usize) -> usize {
+        let stride = self.dims + self.param_cols.len();
+        let rows = k.iter().zip(self.coeffs.chunks_exact(stride));
+        let mut run = max;
+        for ((&k, row), &from) in rows.zip(&self.slack_from) {
+            let c = row[dim] as i128;
+            if c == 0 || (c > 0 && k >= from) {
+                continue;
+            }
+            if k < from {
+                return max.min(1);
+            }
+            // `slack_from >= 0`, so `0 <= k - from <= k`.
+            let more = usize::try_from((k - from) / -c).unwrap_or(usize::MAX);
+            run = run.min(more.saturating_add(1));
+        }
+        run
     }
 
     pub(crate) fn new(

@@ -14,6 +14,15 @@
 //! the binding it was built from, so a consumer handed a graph cannot pair
 //! it with another problem.
 //!
+//! All of it is derived a *row* at a time — a run of tiles sharing every
+//! coordinate but the innermost loop's, which the tile nest enumerates as
+//! one interval. The index is one map entry per row; a dependency's
+//! neighbours are one row lookup per row and dependency, every tile's index
+//! following from its offset in the row; a row's first signature is
+//! computed and then carried along it by arithmetic, a run of tiles at a
+//! time, so a map is probed only where a run's signature differs from the
+//! one before. Nothing hashes per tile.
+//!
 //! It also sorts: [`TileGraph::ordering`] is the tiles in one lexicographic
 //! order on flow-adjusted coordinates, with every tile's position in it —
 //! what a ready queue keys on, what a slab cut walks and what a static plan
@@ -25,11 +34,10 @@
 //! class: [`Tiling::tile_cell_count`] when cells are first asked for,
 //! [`EdgeLayout::count`] per dependency when edge cells are,
 //! [`Tiling::record`] when a tile of the class is first executed. The
-//! classing itself — one signature and one map lookup per tile — happens
-//! once, ahead of all three, and leaves an integer per tile. A dense 2-D box
-//! has four classes whatever its size; the paper derives its loops once per
-//! problem and evaluates a counting polynomial per slab for the same reason
-//! (Sections IV-G to IV-J).
+//! classing itself happens once, ahead of all three, and leaves an integer
+//! per tile. A dense 2-D box has four classes whatever its size; the paper
+//! derives its loops once per problem and evaluates a counting polynomial
+//! per slab for the same reason (Sections IV-G to IV-J).
 //!
 //! [`EdgeLayout::count`]: crate::EdgeLayout::count
 
@@ -62,8 +70,11 @@ pub struct TileGraph {
     tiles: Vec<Coord>,
     /// Problem dimension of the tile nest's innermost loop.
     inner: usize,
-    /// Keyed by a row's tiles with coordinate `inner` zeroed.
-    rows: HashMap<Coord, TileRow>,
+    /// The rows, in tile-nest order.
+    rows: Vec<TileRow>,
+    /// Index into `rows`, keyed by a row's tiles with coordinate `inner`
+    /// zeroed.
+    row_of: HashMap<Coord, u32>,
     /// Per tile, how many of its dependencies exist.
     dep_totals: Vec<usize>,
     /// Dependencies per tile ([`Tiling::deps`]): the stride of `links`.
@@ -75,16 +86,16 @@ pub struct TileGraph {
     /// The tiles sorted into geometry classes, by the first caller that
     /// needs a class; the three things below hang off it.
     classes: OnceLock<Classes>,
-    /// Per tile, its cell count (its class's, laid out per tile so that
-    /// [`TileGraph::cells`] is a slice); counted by the first caller that
-    /// asks.
+    /// Per class, the cell count of its tiles; counted by the first
+    /// [`TileGraph::cells`].
     cells: OnceLock<Vec<u128>>,
     /// Per class and dependency, the cells of the edge a tile of the class
-    /// packs ([`Tiling::edges`]), `classes × ndeps`; walked by the first
+    /// packs ([`Tiling::edges`]), `classes × ndeps`, or the fault of the
+    /// walk that could not count one; walked by the first
     /// [`TileGraph::edge_cells`]. Apart from `cells` because a compile
     /// never asks: on the 6-D bandits (ten dependencies, nine classes for 28
     /// tiles) the edge walks cost more than every tile's cell walk together.
-    edge_counts: OnceLock<Vec<u64>>,
+    edge_counts: OnceLock<Result<Vec<u64>, PolyError>>,
     /// Bytes of the recordings parked in the classes' slots, and what they
     /// may add up to.
     geometry_bytes: AtomicUsize,
@@ -126,68 +137,129 @@ struct Classes {
 }
 
 impl Classes {
-    /// Sort `tiles` into classes under the parameters bound in `point`.
-    fn sort(tiling: &Tiling, tiles: &[Coord], point: &[i128]) -> Classes {
-        let mut class_of = Vec::with_capacity(tiles.len());
-        let mut walked = Vec::new();
+    /// Sort `tiles`, enumerated as `rows` along problem dimension `inner`,
+    /// into classes under the parameters bound in `point`. A row's first
+    /// signature is computed in full and carried along it by arithmetic
+    /// ([`SigRows::run`] tiles share it, then [`SigRows::step`] past them);
+    /// a run whose signature equals the one before takes its class
+    /// unprobed.
+    ///
+    /// [`SigRows::run`]: crate::geom::SigRows::run
+    /// [`SigRows::step`]: crate::geom::SigRows::step
+    fn sort(
+        tiling: &Tiling,
+        tiles: &[Coord],
+        rows: &[TileRow],
+        inner: usize,
+        point: &[i128],
+    ) -> Classes {
+        let sig_rows = &tiling.sig_rows;
+        let mut classes = Classes {
+            class_of: Vec::with_capacity(tiles.len()),
+            walked: Vec::new(),
+            recordings: Vec::new(),
+        };
         let mut by_signature: HashMap<Box<[i128]>, u32> = HashMap::new();
-        let mut sig = Vec::new();
-        for (i, t) in tiles.iter().enumerate() {
-            // A signature that overflows names no class: the tile is a
-            // class of its own.
-            let signed = tiling.signature(t, point, &mut sig).is_ok();
-            let known = by_signature.get(&sig[..]).filter(|_| signed);
-            let class = known.copied().unwrap_or_else(|| {
-                let fresh = walked.len() as u32;
-                if signed {
-                    by_signature.insert(sig.as_slice().into(), fresh);
+        let [mut exact, mut last, mut sig, mut prev] = [(); 4].map(|_| vec![0i128; sig_rows.len()]);
+        // The class of the run before, when it has a signature (in `prev`).
+        let mut prev_class = None;
+        for row in rows {
+            let row_tiles = &tiles[row.start..][..row.len];
+            // Every partial sum of a `K` is affine along the row, so when
+            // both ends of the row sign, every tile between signs, and its
+            // exact `K`s are the advanced ones. Otherwise every tile is
+            // signed in full, a run of one.
+            let advance = sig_rows.exact(&row_tiles[0], point, &mut exact).is_ok()
+                && (row.len == 1
+                    || sig_rows
+                        .exact(&row_tiles[row.len - 1], point, &mut last)
+                        .is_ok());
+            let mut offset = 0;
+            while offset < row.len {
+                let (signed, run) = if advance {
+                    sig.copy_from_slice(&exact);
+                    sig_rows.clamp(&mut sig);
+                    (true, sig_rows.run(inner, &exact, row.len - offset))
+                } else {
+                    let signed = tiling.signature(&row_tiles[offset], point, &mut sig);
+                    (signed.is_ok(), 1)
+                };
+                // A signature that overflows names no class: the tile is a
+                // class of its own.
+                let known = match prev_class {
+                    Some(class) if signed && sig == prev => Some(class),
+                    _ => by_signature.get(&sig[..]).copied().filter(|_| signed),
+                };
+                let class = known.unwrap_or_else(|| {
+                    let fresh = classes.walked.len() as u32;
+                    if signed {
+                        by_signature.insert(sig.as_slice().into(), fresh);
+                    }
+                    classes.walked.push((row.start + offset) as u32);
+                    fresh
+                });
+                let class_of = &mut classes.class_of;
+                class_of.extend(std::iter::repeat_n(class, run));
+                prev_class = signed.then_some(class);
+                std::mem::swap(&mut sig, &mut prev);
+                offset += run;
+                if advance && offset < row.len {
+                    sig_rows.step(inner, run, &mut exact);
                 }
-                walked.push(i as u32);
-                fresh
-            });
-            class_of.push(class);
+            }
         }
-        Classes {
-            recordings: walked.iter().map(|_| OnceLock::new()).collect(),
-            class_of,
-            walked,
-        }
+        classes.recordings = classes.walked.iter().map(|_| OnceLock::new()).collect();
+        classes
     }
 
-    /// Count the cells of each class's walked tile; every tile gets its
-    /// class's.
+    /// Count the cells of each class's walked tile.
     fn count_cells(&self, tiling: &Tiling, tiles: &[Coord], point: &mut [i128]) -> Vec<u128> {
         let walked = self.walked.iter();
-        let per_class: Vec<u128> = walked
+        walked
             .map(|&i| tiling.tile_cell_count(&tiles[i as usize], point))
-            .collect();
-        let class_of = self.class_of.iter();
-        class_of.map(|&class| per_class[class as usize]).collect()
+            .collect()
     }
 
-    /// Walk every dependency's edge nest at each class's walked tile.
-    fn count_edges(&self, tiling: &Tiling, tiles: &[Coord], point: &mut [i128]) -> Vec<u64> {
+    /// Walk every dependency's edge nest at each class's walked tile. A
+    /// nest is evaluated in checked arithmetic: a bound that overflows at
+    /// the walked tile is this call's fault, not a panic.
+    fn count_edges(
+        &self,
+        tiling: &Tiling,
+        tiles: &[Coord],
+        point: &mut [i128],
+    ) -> Result<Vec<u64>, PolyError> {
         let mut edge_cells = Vec::with_capacity(self.walked.len() * tiling.edges().len());
         for &i in &self.walked {
             tiling.set_tile(&tiles[i as usize], point);
             for edge in tiling.edges() {
-                // An edge is part of one tile buffer, so it fits.
-                edge_cells.push(edge.count(point).expect("edge count failed") as u64);
+                let cells = edge.count(point)?;
+                let cells = u64::try_from(cells).map_err(|_| PolyError::Overflow("edge cells"))?;
+                edge_cells.push(cells);
             }
         }
-        edge_cells
+        Ok(edge_cells)
     }
 }
 
 /// `links` entry of a neighbour outside the tile space.
 const NO_TILE: u32 = u32::MAX;
 
+#[derive(Clone, Copy)]
 struct TileRow {
     /// Coordinate `inner` of the row's first tile.
     lo: i64,
     len: usize,
     /// Index of the row's first tile.
     start: usize,
+}
+
+/// The key of the row holding `tile`: the tile with coordinate `inner`
+/// zeroed.
+fn row_key(tile: &Coord, inner: usize) -> Coord {
+    let mut key = *tile;
+    key.set(inner, 0);
+    key
 }
 
 impl Tiling {
@@ -204,41 +276,70 @@ impl TileGraph {
     /// Derive the graph: enumerate the tile space, index it by row, and
     /// link every tile to the neighbours its dependencies name.
     pub fn new(tiling: Arc<Tiling>, params: &[i64]) -> TileGraph {
+        let inner = *tiling.loop_order().last().expect("tiling has >= 1 dim");
         let mut point = tiling.make_point(params);
         let mut tiles: Vec<Coord> = Vec::new();
-        tiling.for_each_tile(&mut point, |t| tiles.push(t));
+        let mut rows: Vec<TileRow> = Vec::new();
+        let mut row_of: HashMap<Coord, u32> = HashMap::new();
+        tiling.for_each_tile(&mut point, |t| {
+            // The innermost tile loop runs `lb..=ub` under each prefix
+            // exactly once, so a tile either is the next of the last row or
+            // opens a row never seen; anything else is a bug in
+            // `for_each_tile`.
+            let next = |last: &Coord| (0..t.dims()).all(|k| t[k] == last[k] + (k == inner) as i64);
+            if tiles.last().is_some_and(next) {
+                rows.last_mut().expect("a row is open").len += 1;
+            } else {
+                let key = row_key(&t, inner);
+                let fresh = row_of.insert(key, rows.len() as u32).is_none();
+                assert!(fresh, "tile nest did not enumerate row {key} contiguously");
+                rows.push(TileRow {
+                    lo: t[inner],
+                    len: 1,
+                    start: tiles.len(),
+                });
+            }
+            tiles.push(t);
+        });
         assert!(
             tiles.len() < NO_TILE as usize,
             "{} tiles overflow the tile graph's u32 indices",
             tiles.len()
         );
-        let inner = *tiling.loop_order().last().expect("tiling has >= 1 dim");
-        let mut rows: HashMap<Coord, TileRow> = HashMap::new();
-        for (start, t) in tiles.iter().enumerate() {
-            let mut key = *t;
-            key.set(inner, 0);
-            let row = rows.entry(key).or_insert(TileRow {
-                lo: t[inner],
-                len: 0,
-                start,
-            });
-            // The innermost tile loop runs `lb..=ub` under each prefix
-            // exactly once; anything else is a bug in `for_each_tile`.
-            assert_eq!(
-                (row.lo + row.len as i64, row.start + row.len),
-                (t[inner], start),
-                "tile nest did not enumerate row {key} contiguously"
-            );
-            row.len += 1;
-        }
         let ndeps = tiling.deps().len();
-        let mut graph = TileGraph {
+        let mut dep_totals = vec![0; tiles.len()];
+        let mut links = vec![[NO_TILE; 2]; tiles.len() * ndeps];
+        for row in &rows {
+            let key = row_key(&tiles[row.start], inner);
+            for (dep_idx, dep) in tiling.deps().iter().enumerate() {
+                let source_key = row_key(&key.add(&dep.delta), inner);
+                let Some(&source) = row_of.get(&source_key) else {
+                    continue;
+                };
+                let source = rows[source as usize];
+                // Tile `lo + o` of the row reads tile `lo + o + delta_inner`,
+                // at offset `o + shift` of the source row; the tiles whose
+                // source offset lies in `0..source.len` have one.
+                let shift = row.lo + dep.delta[inner] - source.lo;
+                let first = (-shift).max(0);
+                let end = (row.len as i64).min(source.len as i64 - shift);
+                for o in first..end {
+                    let i = row.start + o as usize;
+                    let s = source.start + (o + shift) as usize;
+                    dep_totals[i] += 1;
+                    links[i * ndeps + dep_idx][0] = s as u32;
+                    links[s * ndeps + dep_idx][1] = i as u32;
+                }
+            }
+        }
+        TileGraph {
             params: params.to_vec(),
             inner,
             rows,
-            dep_totals: vec![0; tiles.len()],
+            row_of,
+            dep_totals,
             ndeps,
-            links: vec![[NO_TILE; 2]; tiles.len() * ndeps],
+            links,
             classes: OnceLock::new(),
             cells: OnceLock::new(),
             edge_counts: OnceLock::new(),
@@ -247,18 +348,7 @@ impl TileGraph {
             orderings: Mutex::default(),
             tiles,
             tiling,
-        };
-        for i in 0..graph.tiles.len() {
-            for dep_idx in 0..ndeps {
-                let src = graph.tiles[i].add(&graph.tiling.deps()[dep_idx].delta);
-                if let Some(src) = graph.index_of(&src) {
-                    graph.dep_totals[i] += 1;
-                    graph.links[i * ndeps + dep_idx][0] = src as u32;
-                    graph.links[src * ndeps + dep_idx][1] = i as u32;
-                }
-            }
         }
-        graph
     }
 
     /// The tiling the graph was derived from.
@@ -292,9 +382,7 @@ impl TileGraph {
         if self.inner >= tile.dims() {
             return None;
         }
-        let mut key = *tile;
-        key.set(self.inner, 0);
-        let row = self.rows.get(&key)?;
+        let row = self.rows[*self.row_of.get(&row_key(tile, self.inner))? as usize];
         let offset = usize::try_from(tile[self.inner].checked_sub(row.lo)?).ok()?;
         (offset < row.len).then_some(row.start + offset)
     }
@@ -389,27 +477,28 @@ impl TileGraph {
     fn classed(&self) -> &Classes {
         self.classes.get_or_init(|| {
             let point = self.tiling.make_point(&self.params);
-            Classes::sort(&self.tiling, &self.tiles, &point)
+            Classes::sort(&self.tiling, &self.tiles, &self.rows, self.inner, &point)
         })
     }
 
     /// How many geometry classes the graph's tiles fall into: the number of
     /// tiles whose cells, edges and scan are actually walked. Sorts the
     /// tiles into their classes if nothing has yet — one signature per
-    /// tile, no walk.
+    /// row, carried along it; no walk.
     pub fn classes(&self) -> usize {
         self.classed().walked.len()
     }
 
-    /// Per tile, the number of cells in it ([`Tiling::tile_cell_count`]).
-    /// Counted by the first caller, once and class by class (module docs);
-    /// a graph nobody asks never counts.
-    pub fn cells(&self) -> &[u128] {
-        self.cells.get_or_init(|| {
+    /// The number of cells in tile `tile` ([`Tiling::tile_cell_count`]):
+    /// its class's. Counted by the first caller, once and class by class
+    /// (module docs); a graph nobody asks never counts.
+    pub fn cells(&self, tile: usize) -> u128 {
+        let classes = self.classed();
+        let per_class = self.cells.get_or_init(|| {
             let mut point = self.tiling.make_point(&self.params);
-            self.classed()
-                .count_cells(&self.tiling, &self.tiles, &mut point)
-        })
+            classes.count_cells(&self.tiling, &self.tiles, &mut point)
+        });
+        per_class[classes.class_of[tile] as usize]
     }
 
     /// Whether the cells have been counted yet.
@@ -417,20 +506,24 @@ impl TileGraph {
         self.cells.get().is_some()
     }
 
-    /// The number of cells tile `tile` packs for dependency `dep_idx`
+    /// The number of cells every tile packs for every dependency
     /// ([`EdgeLayout::count`] at that tile): what the tile at
     /// [`TileGraph::consumer`] unpacks, when there is one. The first call
-    /// walks every class's edges, once.
+    /// walks every class's edges, once; a walk whose bounds overflow is a
+    /// fault of every call.
     ///
     /// [`EdgeLayout::count`]: crate::EdgeLayout::count
-    pub fn edge_cells(&self, tile: usize, dep_idx: usize) -> u64 {
-        assert!(dep_idx < self.ndeps, "dependency {dep_idx} out of range");
+    pub fn edge_cells(&self) -> Result<EdgeCells<'_>, PolyError> {
         let classes = self.classed();
-        let edge_counts = self.edge_counts.get_or_init(|| {
+        let per_class = self.edge_counts.get_or_init(|| {
             let mut point = self.tiling.make_point(&self.params);
             classes.count_edges(&self.tiling, &self.tiles, &mut point)
         });
-        edge_counts[classes.class_of[tile] as usize * self.ndeps + dep_idx]
+        Ok(EdgeCells {
+            class_of: &classes.class_of,
+            per_class: per_class.as_ref().map_err(Clone::clone)?,
+            ndeps: self.ndeps,
+        })
     }
 
     /// The recorded geometry of tile `tile`: what [`Tiling::replay`] and
@@ -478,6 +571,25 @@ impl TileGraph {
     }
 }
 
+/// The edge cells of a graph's tiles, counted; see
+/// [`TileGraph::edge_cells`].
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeCells<'a> {
+    class_of: &'a [u32],
+    /// `classes × ndeps`.
+    per_class: &'a [u64],
+    ndeps: usize,
+}
+
+impl EdgeCells<'_> {
+    /// The number of cells tile `tile` packs for dependency `dep_idx`
+    /// ([`Tiling::deps`]).
+    pub fn get(&self, tile: usize, dep_idx: usize) -> u64 {
+        assert!(dep_idx < self.ndeps, "dependency {dep_idx} out of range");
+        self.per_class[self.class_of[tile] as usize * self.ndeps + dep_idx]
+    }
+}
+
 impl std::fmt::Debug for TileGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TileGraph")
@@ -493,6 +605,30 @@ mod tests {
     use crate::template::{Template, TemplateSet};
     use crate::tiling::TilingBuilder;
     use dpgen_polyhedra::{ConstraintSystem, Space};
+
+    /// The classing the graph carries along its rows, done the plain way —
+    /// one full signature and one map probe per tile — as `(class_of,
+    /// walked)`.
+    fn sort_per_tile(tiling: &Tiling, tiles: &[Coord], point: &[i128]) -> (Vec<u32>, Vec<u32>) {
+        let mut class_of = Vec::with_capacity(tiles.len());
+        let mut walked = Vec::new();
+        let mut by_signature: HashMap<Box<[i128]>, u32> = HashMap::new();
+        let mut sig = Vec::new();
+        for (i, t) in tiles.iter().enumerate() {
+            let signed = tiling.signature(t, point, &mut sig).is_ok();
+            let known = by_signature.get(&sig[..]).filter(|_| signed);
+            let class = known.copied().unwrap_or_else(|| {
+                let fresh = walked.len() as u32;
+                if signed {
+                    by_signature.insert(sig.as_slice().into(), fresh);
+                }
+                walked.push(i as u32);
+                fresh
+            });
+            class_of.push(class);
+        }
+        (class_of, walked)
+    }
 
     /// Everything the graph says, held to what the tiling says tile by tile.
     fn check(tiling: &Tiling, params: &[i64]) {
@@ -595,6 +731,10 @@ mod tests {
         // class's — one recording per class, one class per recording — and
         // equals the tile's own.
         let class_of = graph.classed().class_of.clone();
+        // Carried along the rows, the classes are the ones a full signature
+        // and a map probe per tile give.
+        let oracle = sort_per_tile(tiling, &nest, &point);
+        assert_eq!((&class_of, &graph.classed().walked), (&oracle.0, &oracle.1));
         let mut recordings: Vec<Arc<TileGeom>> = Vec::new();
         for (i, t) in nest.iter().enumerate() {
             let geom = graph.geometry(i).unwrap().into_owned();
@@ -618,17 +758,16 @@ mod tests {
             .iter()
             .map(|t| tiling.tile_cell_count(t, &mut point))
             .collect();
-        assert_eq!(graph.cells(), &counted[..]);
-        assert!(graph.cells_counted());
-        assert_eq!(
-            graph.cells().iter().sum::<u128>(),
-            tiling.total_cells(params)
-        );
+        let cells: Vec<u128> = (0..nest.len()).map(|i| graph.cells(i)).collect();
+        assert_eq!(cells, counted);
+        assert_eq!(graph.cells_counted(), !nest.is_empty());
+        assert_eq!(cells.iter().sum::<u128>(), tiling.total_cells(params));
+        let edge_cells = graph.edge_cells().unwrap();
         for (i, t) in nest.iter().enumerate() {
             for (dep_idx, edge) in tiling.edges().iter().enumerate() {
                 tiling.set_tile(t, &mut point);
                 assert_eq!(
-                    graph.edge_cells(i, dep_idx) as u128,
+                    edge_cells.get(i, dep_idx) as u128,
                     edge.count(&mut point).unwrap(),
                     "tile {t} dep {dep_idx}"
                 );
@@ -705,9 +844,39 @@ mod tests {
         TilingBuilder::new(sys, TemplateSet::new(4, units).unwrap(), vec![width; 4])
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+    /// The 3-string LCS cube: four descending templates, the diagonal one
+    /// reaching across every face, so seven dependencies, most of them with
+    /// a component along whichever dimension the rows run.
+    fn lcs_cube(widths: [i64; 3]) -> TilingBuilder {
+        let space = Space::from_names(&["i", "j", "k"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        for c in ["0 <= i <= N", "0 <= j <= N", "0 <= k <= N"] {
+            sys.add_text(c).unwrap();
+        }
+        let templates = TemplateSet::new(
+            3,
+            vec![
+                Template::new("i", &[-1, 0, 0]),
+                Template::new("j", &[0, -1, 0]),
+                Template::new("k", &[0, 0, -1]),
+                Template::new("all", &[-1, -1, -1]),
+            ],
+        )
+        .unwrap();
+        TilingBuilder::new(sys, templates, widths.to_vec())
+    }
 
+    /// The six loop orders of three dimensions.
+    const ORDERS_3: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+
+    proptest::proptest! {
         #[test]
         fn graph_says_what_the_tiling_says(
             n in 3i64..14,
@@ -715,9 +884,29 @@ mod tests {
             w2 in 1i64..6,
             a in 0i64..3,
             b in 0i64..3,
+            swapped in proptest::bool::ANY,
+            banded in proptest::bool::ANY,
+            band in (-6i64..1, 0i64..6),
         ) {
             let cut = (a + b > 0).then_some((a, b, a + b + 1));
-            check(&cut_box(cut, (w1, w2)).build().unwrap(), &[n]);
+            let mut builder = cut_box(cut, (w1, w2));
+            if swapped {
+                builder = builder.loop_order(vec![1, 0]);
+            }
+            if banded {
+                builder = builder.band(0, 1, band.0, band.1);
+            }
+            check(&builder.build().unwrap(), &[n]);
+        }
+
+        #[test]
+        fn graph_says_what_the_tiling_says_in_three_dimensions(
+            n in 1i64..7,
+            widths in (1i64..4, 1i64..4, 1i64..4),
+            order in 0usize..6,
+        ) {
+            let cube = lcs_cube([widths.0, widths.1, widths.2]).loop_order(ORDERS_3[order].to_vec());
+            check(&cube.build().unwrap(), &[n]);
         }
     }
 
@@ -733,12 +922,46 @@ mod tests {
         check(&swapped.build().unwrap(), &[17]);
         // Three dependencies, one of them diagonal, all descending.
         check(&lcs_box(4).build().unwrap(), &[21]);
+        // The diagonal dependency steps along the rows too: along k in
+        // tile-nest order, along j under the loop order (k, i, j).
+        check(&lcs_cube([2, 3, 2]).build().unwrap(), &[7]);
+        let swapped = lcs_cube([3, 2, 1]).loop_order(vec![2, 0, 1]);
+        check(&swapped.build().unwrap(), &[6]);
         // The 2-arm bandit's 4-D simplex.
         check(&bandit2(3).build().unwrap(), &[10]);
         // An empty tile space: no tile, no row, nothing initial, no cell.
         let tiling = cut_box(Some((1, 1, 1)), (3, 3)).build().unwrap();
         check(&tiling, &[-1]);
         assert!(tiling.graph(&[-1]).is_empty());
+    }
+
+    /// A band slides its rows along the inner dimension, so a dependency's
+    /// source row can start after its consumer row or be shorter than it:
+    /// where a row's links are clipped at either end. Both happen here, in
+    /// both flow directions, and every link is still the tiling's.
+    #[test]
+    fn source_rows_that_start_later_or_run_shorter_link_by_offset() {
+        for band in [
+            cut_box(None, (2, 3)).band(0, 1, -7, 1),
+            lcs_box(3).band(0, 1, -2, 8),
+        ] {
+            let band = band.build().unwrap();
+            let graph = band.graph(&[23]);
+            let (mut later, mut shorter) = (0, 0);
+            for row in &graph.rows {
+                let key = row_key(&graph.tiles[row.start], graph.inner);
+                for dep in band.deps() {
+                    let source_key = row_key(&key.add(&dep.delta), graph.inner);
+                    if let Some(&source) = graph.row_of.get(&source_key) {
+                        let source = graph.rows[source as usize];
+                        later += usize::from(source.lo > row.lo + dep.delta[graph.inner]);
+                        shorter += usize::from(source.len < row.len);
+                    }
+                }
+            }
+            assert!(later > 0 && shorter > 0, "later {later}, shorter {shorter}");
+            check(&band, &[23]);
+        }
     }
 
     /// The shapes of `lcs_batched`, `bandit2_hybrid` and `compile_paper`'s
@@ -817,8 +1040,14 @@ mod tests {
         let tiling = TilingBuilder::new(sys, templates, vec![4]).build().unwrap();
         let tiles: Vec<Coord> = (0..6).map(|t| Coord::from_slice(&[t])).collect();
 
+        let row = [TileRow {
+            lo: 0,
+            len: 6,
+            start: 0,
+        }];
+
         let mut point = tiling.make_point(&[99]);
-        let classed = Classes::sort(&tiling, &tiles, &point);
+        let classed = Classes::sort(&tiling, &tiles, &row, 0, &point);
         assert_eq!(classed.walked, [0]);
         let cells = classed.count_cells(&tiling, &tiles, &mut point);
 
@@ -826,12 +1055,72 @@ mod tests {
         point[tiling.param_cols()[0]] = i128::MAX;
         let mut sig = Vec::new();
         assert!(tiling.signature(&tiles[0], &point, &mut sig).is_err());
-        let direct = Classes::sort(&tiling, &tiles, &point);
+        let direct = Classes::sort(&tiling, &tiles, &row, 0, &point);
         assert_eq!(direct.walked, [0, 1, 2, 3, 4, 5]);
         assert_eq!(direct.class_of, direct.walked);
         assert_eq!(direct.recordings.len(), 6);
-        assert_eq!(direct.count_cells(&tiling, &tiles, &mut point), cells);
-        assert_eq!(cells, [4; 6]);
-        assert_eq!(direct.count_edges(&tiling, &tiles, &mut point), [1; 6]);
+        assert_eq!(direct.count_cells(&tiling, &tiles, &mut point), [4; 6]);
+        assert_eq!(cells, [4]);
+        assert_eq!(
+            direct.count_edges(&tiling, &tiles, &mut point),
+            Ok(vec![1; 6])
+        );
+    }
+
+    /// An edge nest whose bound leaves i128 at the walked tile (`i >= -N -
+    /// 4t` at N = i128::MAX, t = 1) is a typed fault of the count, not a
+    /// panic.
+    #[test]
+    fn an_edge_nest_that_overflows_is_a_typed_fault() {
+        let space = Space::from_names(&["x"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("-N <= x <= N").unwrap();
+        let templates = TemplateSet::new(1, vec![Template::new("r", &[1])]).unwrap();
+        let tiling = TilingBuilder::new(sys, templates, vec![4]).build().unwrap();
+        let tile = [Coord::from_slice(&[1])];
+        let row = [TileRow {
+            lo: 1,
+            len: 1,
+            start: 0,
+        }];
+        let mut point = tiling.make_point(&[0]);
+        point[tiling.param_cols()[0]] = i128::MAX;
+        let classed = Classes::sort(&tiling, &tile, &row, 0, &point);
+        assert_eq!(
+            classed.count_edges(&tiling, &tile, &mut point),
+            Err(PolyError::Overflow("addition"))
+        );
+    }
+
+    /// A row's signature is advanced only between two ends that both sign:
+    /// where the far end overflows, every tile of the row is signed in full,
+    /// and the classes are still the per-tile ones.
+    #[test]
+    fn a_row_whose_far_end_overflows_is_signed_tile_by_tile() {
+        let space = Space::from_names(&["x"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("0 <= x <= N").unwrap();
+        // `K` of this row at tile `t` (width 1) and N = i64::MAX is
+        // `C + (2^63 - 2) t + (2^63 - 1)^2`: it fits i128 up to t =
+        // i64::MAX - 1 and overflows at i64::MAX.
+        let wide = "9223372036854775806*x + 9223372036854775807*N + 55340232221128654842 >= 0";
+        sys.add_text(wide).unwrap();
+        let templates = TemplateSet::new(1, vec![Template::new("r", &[1])]).unwrap();
+        let tiling = TilingBuilder::new(sys, templates, vec![1]).build().unwrap();
+        let lo = i64::MAX - 4;
+        let tiles: Vec<Coord> = (0..5).map(|o| Coord::from_slice(&[lo + o])).collect();
+        let row = [TileRow {
+            lo,
+            len: 5,
+            start: 0,
+        }];
+        let point = tiling.make_point(&[i64::MAX]);
+        let mut sig = Vec::new();
+        assert!(tiling.signature(&tiles[3], &point, &mut sig).is_ok());
+        assert!(tiling.signature(&tiles[4], &point, &mut sig).is_err());
+        let classed = Classes::sort(&tiling, &tiles, &row, 0, &point);
+        assert_eq!(classed.walked, [0, 4]);
+        let oracle = sort_per_tile(&tiling, &tiles, &point);
+        assert_eq!((classed.class_of, classed.walked), oracle);
     }
 }

@@ -41,7 +41,7 @@ pub use coord::{Coord, MAX_DIMS};
 pub use deps::TileDep;
 pub use edges::EdgeLayout;
 pub use geom::TileGeom;
-pub use graph::{TileGraph, TileOrdering};
+pub use graph::{EdgeCells, TileGraph, TileOrdering};
 pub use layout::TileLayout;
 pub use template::{Direction, Template, TemplateSet};
 pub use tiling::{

@@ -659,10 +659,11 @@ fn model_and_runtime_agree_on_the_dag() {
         assert_eq!(sim.msgs_remote, out.edges_remote(), "{what}: remote edges");
         // The edge cells the model charges, counted once per geometry
         // class, are the ones the run packed tile by tile.
+        let edge_cells = graph.edge_cells().unwrap();
         let modelled: u64 = (0..graph.len())
             .flat_map(|i| (0..graph.tiling().deps().len()).map(move |d| (i, d)))
             .filter(|&(i, d)| graph.consumer(i, d).is_some())
-            .map(|(i, d)| graph.edge_cells(i, d))
+            .map(|(i, d)| edge_cells.get(i, d))
             .sum();
         let packed: u64 = out.per_rank.iter().map(|r| r.stats.edge_cells_packed).sum();
         assert_eq!(modelled, packed, "{what}: edge cells");
@@ -676,7 +677,7 @@ fn model_and_runtime_agree_on_the_dag() {
         .execute_batched::<i64, _>(&lcs, &ExecOpts::new().threads(2))
         .unwrap();
     let graph = plan.graph().unwrap();
-    let sim = simulate_on(&graph, &SingleOwner, &SimConfig::shared(2, 2));
+    let sim = simulate_on(&graph, &SingleOwner, &SimConfig::shared(2, 2)).unwrap();
     agree(&sim, &graph, &out, "lcs, one rank");
     assert_eq!(sim.msgs_remote, 0);
 
@@ -692,7 +693,7 @@ fn model_and_runtime_agree_on_the_dag() {
         .expect("two ranks partition")
         .into_owner();
     let graph = plan.graph().unwrap();
-    let sim = simulate_on(&graph, &owner, &SimConfig::hybrid(2, 1, 4, plan.lb_dims()));
+    let sim = simulate_on(&graph, &owner, &SimConfig::hybrid(2, 1, 4, plan.lb_dims())).unwrap();
     agree(&sim, &graph, &out, "bandit2, two ranks");
     assert!(sim.msgs_remote > 0);
 }
