@@ -221,7 +221,7 @@ pub fn e4_shared_scaling(quick: bool) -> Table {
                 send_buffers: usize::MAX,
                 schedule: Schedule::Dynamic,
             };
-            let sim = simulate_on(&case.graph, &SingleOwner, &config).expect("edge cells count");
+            let sim = simulate_on(&case.graph, &SingleOwner, &config).expect("simulation input");
             table.row(vec![
                 case.name.to_string(),
                 t.to_string(),
@@ -369,7 +369,7 @@ pub fn e5_weak_scaling(quick: bool) -> Table {
                 send_buffers: usize::MAX,
                 schedule: Schedule::Dynamic,
             };
-            let sim = simulate_on(&graph, &owner, &config).expect("edge cells count");
+            let sim = simulate_on(&graph, &owner, &config).expect("simulation input");
             let throughput = sim.cells as f64 / sim.makespan;
             let base = *baseline.get_or_insert(throughput);
             rows.push(vec![
@@ -446,7 +446,7 @@ pub fn e6_tile_size(quick: bool) -> Table {
                 send_buffers: usize::MAX,
                 schedule: Schedule::Dynamic,
             };
-            let sim = simulate_on(&graph, &owner, &config).expect("edge cells count");
+            let sim = simulate_on(&graph, &owner, &config).expect("simulation input");
             table.row(vec![
                 format!("des bandit3 N={n}"),
                 w.to_string(),
@@ -534,7 +534,7 @@ pub fn e7_buffer_sweep(quick: bool) -> Table {
             send_buffers: buffers,
             schedule: Schedule::Dynamic,
         };
-        simulate_on(&graph, &owner, &config).expect("edge cells count")
+        simulate_on(&graph, &owner, &config).expect("simulation input")
     };
     for buffers in [1usize, 2, 4, 16] {
         let opts = ExecOpts::new()
@@ -613,7 +613,7 @@ pub fn e8_lb_dims(quick: bool) -> Table {
             send_buffers: usize::MAX,
             schedule: Schedule::Dynamic,
         };
-        let sim = simulate_on(&graph, &owner, &config).expect("edge cells count");
+        let sim = simulate_on(&graph, &owner, &config).expect("simulation input");
         table.row(vec![
             format!("{lb_dims:?}"),
             ranks.to_string(),
@@ -749,7 +749,7 @@ pub fn e10_hyperplane(quick: bool) -> Table {
                     send_buffers: usize::MAX,
                     schedule: Schedule::Dynamic,
                 };
-                let sim = simulate_on(&graph, &owner, &config).expect("edge cells count");
+                let sim = simulate_on(&graph, &owner, &config).expect("simulation input");
                 table.row(vec![
                     name.to_string(),
                     method_name.to_string(),

@@ -11,22 +11,28 @@
 //!   the runtime executes ([`simulate_on`] takes a plan's own;
 //!   [`simulate`] derives one from a bare tiling), counted exactly, once
 //!   per geometry class of tiles,
-//! * tiles are dispatched per rank by the same [`TilePriority`] the real
-//!   scheduler uses, to `threads` virtual workers per rank,
+//! * tiles are dispatched to `threads` virtual workers per rank by the
+//!   runtime's own [`DispatchRule`](dpgen_runtime::DispatchRule) — a ready
+//!   heap per worker, the [`TilePriority`](dpgen_runtime::TilePriority) or
+//!   static plan's key, the same homes and the same steals as the threaded
+//!   scheduler,
 //! * remote edges pay latency + per-cell bandwidth from a [`CostModel`]
 //!   whose compute constants are *calibrated* against measured serial
-//!   execution (see `dpgen-bench`).
+//!   execution (see `dpgen-bench`),
+//! * the critical path is the graph's
+//!   [`longest_path`](dpgen_tiling::TileGraph::longest_path), the routine
+//!   the runtime's `Timeline` measures an executed one with.
 //!
 //! What the simulation preserves is precisely what determines the shape of
 //! the paper's scaling curves: the DAG critical path, the scheduler
 //! priority, the load balance across ranks, and the communication volume.
 //!
-//! The simulator is deliberately independent of the threaded runtime in
-//! `dpgen-runtime`, which remains the execution vehicle for all
-//! correctness tests.
+//! The simulator shares the runtime's dispatch rule but none of its
+//! threads, locks or payloads: the threaded runtime in `dpgen-runtime`
+//! remains the execution vehicle for all correctness tests.
 
 pub mod model;
 pub mod sim;
 
 pub use model::{CostModel, SimConfig};
-pub use sim::{simulate, simulate_on, SimResult};
+pub use sim::{simulate, simulate_on, SimError, SimResult};

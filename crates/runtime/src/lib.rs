@@ -58,7 +58,7 @@ pub use reduce::Reduction;
 pub use reference::{run_reference, ReferenceResult};
 pub use rng::SplitMix64;
 pub use schedule::{Schedule, StaticPlan};
-pub use scheduler::{Delivery, DuplicateEdge, TileEdges, TileScheduler};
+pub use scheduler::{Delivery, DispatchRule, DuplicateEdge, TileEdges, TileScheduler};
 pub use sharded::{EdgeDelivery, ShardedScheduler};
 pub use simd::{I64x, LANES};
 pub use stats::RunStats;

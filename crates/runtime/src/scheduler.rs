@@ -24,12 +24,17 @@
 //!    wants; an empty worker *steals* from the richest other heap, chosen
 //!    by atomic length mirrors. The key is the tile's position in the
 //!    priority's total order ([`TilePriority::ordering`], sorted once per
-//!    graph and priority and looked up here the first time a tile reaches a
-//!    heap).
+//!    graph and priority and looked up here when the scheduler is built).
 //! 3. **A static plan picks the heap and the key, nothing else.** In a run
 //!    with a [`StaticPlan`] a ready tile goes to its *home* worker's heap —
 //!    the one its pipeline row is dealt to — keyed by its position in the
 //!    plan's order. Popping and stealing do not tell the two apart.
+//!
+//! Which heap a ready tile enters, under which key, and which heap an
+//! empty worker robs is one plain value, the [`DispatchRule`]: this
+//! scheduler applies it under its locks, and the simulator (`dpgen-des`)
+//! applies it to plain heaps of virtual workers, so the model dispatches
+//! as the run does.
 //!
 //! Priority ordering is *best-effort per worker*: each heap pops in true
 //! priority order, but a stolen tile may run before a better-priority tile
@@ -52,7 +57,7 @@ use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One edge on its way to its consumer, buffered by a worker while it packs
@@ -97,6 +102,76 @@ struct Slot<T> {
     state: State,
 }
 
+/// A run's dispatch rule over `workers` ready heaps: which heap a ready
+/// tile enters, its key there, and which heap an empty worker robs. A
+/// plain value, read without locks — [`TileScheduler`] applies it under its
+/// heap locks, the simulator to plain per-virtual-worker heaps.
+#[derive(Debug, Clone)]
+pub struct DispatchRule {
+    /// The heaps' keys: the plan's order when there is a plan, else the
+    /// priority's.
+    ordering: Arc<TileOrdering>,
+    /// The run's static plan: when present, a ready tile goes to its home
+    /// worker's heap.
+    plan: Option<Arc<StaticPlan>>,
+    workers: usize,
+}
+
+impl DispatchRule {
+    /// The rule of a run of `workers` workers over `graph`: keyed by
+    /// `priority`, or, when the run has a static `plan` (built on `graph`),
+    /// homed and keyed by the plan.
+    pub fn new(
+        graph: &TileGraph,
+        priority: &TilePriority,
+        workers: usize,
+        plan: Option<Arc<StaticPlan>>,
+    ) -> DispatchRule {
+        let ordering = match &plan {
+            Some(p) => p.ordering().clone(),
+            None => priority.ordering(graph),
+        };
+        DispatchRule {
+            ordering,
+            plan,
+            workers: workers.max(1),
+        }
+    }
+
+    /// How many heaps the rule deals over (at least one).
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// The heap tile `tile` enters when `worker` readies it — its home
+    /// worker's in a planned run, else `worker`'s own — and its key there.
+    pub fn route(&self, worker: usize, tile: usize) -> (usize, u32) {
+        let home = (self.plan.as_ref()).and_then(|p| p.home(tile, self.workers));
+        (home.unwrap_or(worker), self.key(tile))
+    }
+
+    /// The worker that readies the `nth` initial tile (counting from zero):
+    /// initial tiles are dealt round-robin from worker 1 (in a planned run
+    /// [`DispatchRule::route`] then sends them home).
+    pub fn dealt(&self, nth: u32) -> usize {
+        (nth as usize + 1) % self.workers
+    }
+
+    /// The heap an empty `worker` robs, given every heap's length: the
+    /// richest other one, ties to the lowest index; `None` when every other
+    /// heap is empty.
+    pub fn victim(&self, worker: usize, lens: impl Iterator<Item = usize>) -> Option<usize> {
+        let others = lens.enumerate().filter(|&(i, len)| i != worker && len > 0);
+        let (victim, _) = others.max_by_key(|&(i, len)| (len, Reverse(i)))?;
+        Some(victim)
+    }
+
+    /// Tile `tile`'s key: its position in the rule's order.
+    pub fn key(&self, tile: usize) -> u32 {
+        self.ordering.rank[tile]
+    }
+}
+
 #[derive(Default)]
 struct WorkerQueue {
     heap: Mutex<BinaryHeap<Reverse<(u32, u32)>>>,
@@ -112,16 +187,12 @@ struct WorkerQueue {
 /// take `&self`.
 pub struct TileScheduler<'g, T> {
     graph: &'g TileGraph,
-    priority: TilePriority,
-    /// The heaps' keys: the plan's order when there is a plan, else the
-    /// priority's, looked up by the first heap push.
-    ordering: OnceLock<Arc<TileOrdering>>,
+    /// Which queue a ready tile enters, under which key, and which queue an
+    /// empty worker robs.
+    rule: DispatchRule,
     slots: Vec<Mutex<Slot<T>>>,
     queues: Vec<WorkerQueue>,
-    /// The run's static plan: when present, a ready tile goes to its home
-    /// worker's heap. One value per run.
-    plan: Option<Arc<StaticPlan>>,
-    /// The round-robin of initial tiles over the queues.
+    /// How many initial tiles have been dealt over the queues.
     seq: AtomicU32,
     stats: Arc<MemoryStats>,
     steals: AtomicU64,
@@ -145,16 +216,14 @@ impl<'g, T> TileScheduler<'g, T> {
             edges: Vec::new(),
             state: State::Waiting,
         };
-        let ordering = (plan.as_ref()).map_or_else(OnceLock::new, |p| p.ordering().clone().into());
+        let rule = DispatchRule::new(graph, &priority, workers, plan);
         TileScheduler {
             graph,
-            priority,
-            ordering,
             slots: (0..graph.len()).map(|_| Mutex::new(slot())).collect(),
-            queues: (0..workers.max(1))
+            queues: (0..rule.workers())
                 .map(|_| WorkerQueue::default())
                 .collect(),
-            plan,
+            rule,
             seq: AtomicU32::new(0),
             stats,
             steals: AtomicU64::new(0),
@@ -184,24 +253,14 @@ impl<'g, T> TileScheduler<'g, T> {
         g
     }
 
-    fn rank(&self) -> &[u32] {
-        let ordering = self
-            .ordering
-            .get_or_init(|| self.priority.ordering(self.graph));
-        &ordering.rank
-    }
-
-    /// Push a tile whose slot was just marked `Queued` onto a ready heap:
-    /// in a planned run its home worker's, keyed by the plan's order;
-    /// otherwise `worker`'s (the one that readied it), keyed by the
-    /// priority.
+    /// Push a tile whose slot was just marked `Queued` onto the ready heap
+    /// the rule routes it to from `worker` (the one that readied it).
     fn route_ready(&self, worker: usize, tile: usize) {
         if let Some(t) = &self.tracer {
             t.record(worker, EventKind::TileReady, Some(tile), 0);
         }
-        let home = (self.plan.as_ref()).and_then(|p| p.home(tile, self.queues.len()));
-        let key = self.rank()[tile];
-        let q = &self.queues[home.unwrap_or(worker)];
+        let (queue, key) = self.rule.route(worker, tile);
+        let q = &self.queues[queue];
         let mut heap = self.timed_lock(&q.heap);
         heap.push(Reverse((key, tile as u32)));
         q.len.store(heap.len(), Ordering::Release);
@@ -212,12 +271,8 @@ impl<'g, T> TileScheduler<'g, T> {
     /// they go home).
     pub fn mark_initial(&self, tile: usize) {
         self.timed_lock(&self.slots[tile]).state = State::Queued;
-        let turn = if self.queues.len() > 1 {
-            self.seq.fetch_add(1, Ordering::Relaxed) + 1
-        } else {
-            0
-        };
-        self.route_ready(turn as usize % self.queues.len(), tile);
+        let nth = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.route_ready(self.rule.dealt(nth), tile);
     }
 
     /// Deliver a batch of edges — a finished tile's local outputs, or the
@@ -292,10 +347,7 @@ impl<'g, T> TileScheduler<'g, T> {
     /// steal; the caller simply retries its loop.
     fn steal(&self, worker: usize) -> Option<usize> {
         let lens = self.queues.iter().map(|q| q.len.load(Ordering::Acquire));
-        let (victim, _) = lens
-            .enumerate()
-            .filter(|&(i, len)| i != worker && len > 0)
-            .max_by_key(|&(i, len)| (len, Reverse(i)))?;
+        let victim = self.rule.victim(worker, lens)?;
         let Some(tile) = self.pop_from(victim) else {
             self.steal_fails.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -356,8 +408,7 @@ impl<'g, T> TileScheduler<'g, T> {
     /// of where the run is stuck.
     pub fn pending_tiles(&self, limit: usize) -> Vec<PendingTile> {
         let mut pending = self.pending();
-        let rank = self.rank();
-        pending.sort_unstable_by_key(|(tile, _)| rank[*tile]);
+        pending.sort_unstable_by_key(|(tile, _)| self.rule.key(*tile));
         pending.truncate(limit);
         let deps = self.graph.tiling().deps();
         let describe = |(tile, arrived): (usize, Vec<usize>)| PendingTile {

@@ -649,20 +649,14 @@ impl Timeline {
         }
 
         // --- Critical path: longest chain of span durations along the
-        // graph's producer→consumer edges. Spans are processed in start
-        // order, so a producer's finish value exists before any consumer
-        // that actually waited on it.
+        // graph's producer→consumer edges (a tile executed twice counts
+        // its later span; one without a span counts zero).
         let critical_path_ns = (!spans.is_empty()).then(|| {
-            let deps = graph.tiling().deps().len();
-            let mut finish = vec![0u64; n];
-            let mut best = 0u64;
+            let mut duration = vec![0u64; n];
             for s in &spans {
-                let producers = (0..deps).filter_map(|dep| graph.source(s.tile, dep));
-                let inherited = producers.map(|p| finish[p]).max().unwrap_or(0);
-                finish[s.tile] = inherited + s.duration_ns();
-                best = best.max(finish[s.tile]);
+                duration[s.tile] = s.duration_ns();
             }
-            best
+            graph.longest_path(|tile| duration[tile], |_, _, _| 0)
         });
 
         // --- Ready-queue depth over time: +1 at TileReady, −1 at

@@ -474,6 +474,43 @@ impl TileGraph {
         TileOrdering { order, rank }
     }
 
+    /// The length of the longest path through the DAG: the latest finish of
+    /// any tile when each tile `i` takes `duration(i)` and starts once every
+    /// edge into it has arrived, the edge that tile `source` packs for
+    /// dependency `dep` arriving `delay(source, consumer, dep)` after its
+    /// source finished. Zero for an empty graph. Walks the tiles once in a
+    /// topological order the graph keeps (`ordering(false, &[])`), so the
+    /// executed critical path of a trace and the modelled one of a
+    /// simulation are one routine.
+    pub fn longest_path<T>(
+        &self,
+        duration: impl Fn(usize) -> T,
+        delay: impl Fn(usize, usize, usize) -> T,
+    ) -> T
+    where
+        T: Copy + Default + PartialOrd + std::ops::Add<Output = T>,
+    {
+        let mut finish = vec![T::default(); self.len()];
+        let mut longest = T::default();
+        for &tile in &self.ordering(false, &[]).order {
+            let tile = tile as usize;
+            let mut start = T::default();
+            for dep in 0..self.ndeps {
+                if let Some(source) = self.source(tile, dep) {
+                    let arrival = finish[source] + delay(source, tile, dep);
+                    if arrival > start {
+                        start = arrival;
+                    }
+                }
+            }
+            finish[tile] = start + duration(tile);
+            if finish[tile] > longest {
+                longest = finish[tile];
+            }
+        }
+        longest
+    }
+
     fn classed(&self) -> &Classes {
         self.classes.get_or_init(|| {
             let point = self.tiling.make_point(&self.params);
@@ -726,6 +763,36 @@ mod tests {
             }
             assert!(Arc::ptr_eq(&ordering, &graph.ordering(by_level, &lead)));
         }
+
+        // The longest path is the latest finish of a recursive walk back
+        // along the sources, each tile finishing after its slowest edge.
+        let duration = |i: usize| 1 + (i % 7) as u64;
+        let delay = |s: usize, c: usize, dep: usize| (s + 2 * c + dep) as u64 % 5;
+        fn finish(
+            graph: &TileGraph,
+            i: usize,
+            memo: &mut [Option<u64>],
+            duration: &dyn Fn(usize) -> u64,
+            delay: &dyn Fn(usize, usize, usize) -> u64,
+        ) -> u64 {
+            if let Some(f) = memo[i] {
+                return f;
+            }
+            let sources = (0..graph.ndeps).filter_map(|dep| Some((graph.source(i, dep)?, dep)));
+            let sources: Vec<(usize, usize)> = sources.collect();
+            let start = sources
+                .into_iter()
+                .map(|(s, dep)| finish(graph, s, memo, duration, delay) + delay(s, i, dep))
+                .max();
+            let f = start.unwrap_or(0) + duration(i);
+            memo[i] = Some(f);
+            f
+        }
+        let mut memo = vec![None; nest.len()];
+        let latest = (0..nest.len())
+            .map(|i| finish(&graph, i, &mut memo, &duration, &delay))
+            .max();
+        assert_eq!(graph.longest_path(duration, delay), latest.unwrap_or(0));
 
         // Classing and recording count nothing: every tile's recording is its
         // class's — one recording per class, one class per recording — and
