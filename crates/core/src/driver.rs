@@ -399,10 +399,6 @@ struct ReassignedOwner<'a> {
 }
 
 impl TileOwner for ReassignedOwner<'_> {
-    fn owner_of(&self, tile: &Coord) -> usize {
-        self.map[self.base.owner(tile)]
-    }
-
     fn owner_at(&self, idx: usize, tile: &Coord) -> usize {
         self.map[self.base.owner_at(idx, tile)]
     }

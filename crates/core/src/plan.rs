@@ -316,8 +316,8 @@ pub(crate) struct RunArtifacts {
     pub priority: TilePriority,
     /// The tile partition (`ranks > 1`).
     pub partition: Option<Arc<LoadBalance>>,
-    /// Time spent obtaining the partition: the Ehrhart interpolation on
-    /// first use, a memo lookup after.
+    /// Time spent obtaining the partition: the balance over the graph's
+    /// exact per-class cell counts on first use, a memo lookup after.
     pub balance_time: Duration,
 }
 
@@ -486,7 +486,7 @@ impl Plan {
     /// Inclusive bounding-box volume of the iteration space at this
     /// plan's parameters, from [`probe_box`]: the admission-control
     /// metric. For banded plans the box is intersected with the band
-    /// ([`BoxProbe::banded_volume`]) — a diagonal band never shrinks the
+    /// ([`dpgen_polyhedra::BoxProbe::banded_volume`]) — a diagonal band never shrinks the
     /// box itself, so the plain box volume would reject banded alignment
     /// shapes whose true lattice is tiny. Memoized. Fails with a typed
     /// `CompileError` when the binding has the wrong arity (spec stage)

@@ -581,7 +581,7 @@ mod tests {
 
     struct Owner2(usize);
     impl TileOwner for Owner2 {
-        fn owner_of(&self, tile: &Coord) -> usize {
+        fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
             (tile[0] as usize) % self.0
         }
     }
@@ -639,7 +639,7 @@ mod tests {
 
     #[test]
     fn banded_tiling_simulates_less_work_than_its_dense_twin() {
-        // The simulator prices tiles via the Ehrhart cell counts and
+        // The simulator prices tiles via the graph's exact cell counts and
         // edges via the clipped edge nests, so a banded tiling costs out
         // strictly cheaper than its dense twin — both in computed cells
         // and in shipped edge payloads — without any band-awareness in
@@ -791,7 +791,7 @@ mod tests {
         // for; the pipelined order hands that column on after one tile.
         struct Slabs4;
         impl TileOwner for Slabs4 {
-            fn owner_of(&self, tile: &Coord) -> usize {
+            fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
                 tile[0] as usize / 4
             }
         }

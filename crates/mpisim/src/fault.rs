@@ -3,7 +3,7 @@
 //! Real clusters lose, duplicate, reorder, delay and corrupt packets; the
 //! paper's generated programs inherit MPI's reliable transport and never
 //! see any of it. To test the reliable-delivery protocol layered into
-//! [`crate::comm`], a [`FaultyWire`] decorates the receive side of one
+//! [`crate::comm`], a `FaultyWire` decorates the receive side of one
 //! directed rank-pair link and injects faults according to a seeded
 //! [`FaultPlan`]:
 //!

@@ -10,7 +10,7 @@ use std::time::Duration;
 /// frames were retransmitted, how many arrivals were deduplicated or
 /// rejected as corrupt, and how deep the receive-side reorder window grew.
 ///
-/// The `faults_*` counters record what the [`crate::fault::FaultyWire`]
+/// The `faults_*` counters record what the fault layer's `FaultyWire`
 /// injected; the protocol counters record what the reliable layer did
 /// about it. In a correct run, injected faults cost retransmits and
 /// dedup drops — never messages.

@@ -1,8 +1,9 @@
 //! Exact lattice-point counting.
 //!
-//! This is the ground-truth counter the Ehrhart interpolation in
-//! [`crate::ehrhart`] is validated against, and the runtime fallback the load
-//! balancer can use when a counting polynomial is not available.
+//! Recursive descent over a synthesised loop nest ([`LoopNest::count`], the
+//! same walk behind the tiling layer's per-tile and whole-space counts).
+//! There is no counting polynomial: every consumer of work reads exact
+//! counts, walked once per geometry class of tiles (`TileGraph::cells`).
 
 use crate::bounds::LoopNest;
 use crate::error::PolyError;
@@ -19,29 +20,9 @@ pub fn count_points(sys: &ConstraintSystem, point: &mut [i128]) -> Result<u128, 
     nest.count(point)
 }
 
-/// Count the integer points of `sys` restricted by extra constraints, without
-/// mutating `sys`. Convenience for slab/plane counting in the load balancer.
-pub fn count_points_with(
-    sys: &ConstraintSystem,
-    extra: &[crate::constraint::Constraint],
-    point: &mut [i128],
-) -> Result<u128, PolyError> {
-    let mut restricted = sys.clone();
-    for c in extra {
-        restricted.add(c.clone())?;
-    }
-    restricted.simplify();
-    if restricted.is_trivially_infeasible() {
-        return Ok(0);
-    }
-    count_points(&restricted, point)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::Constraint;
-    use crate::expr::LinExpr;
     use crate::space::Space;
 
     fn simplex(d: usize) -> ConstraintSystem {
@@ -81,41 +62,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn infeasible_counts_zero() {
-        let base = {
-            let space = Space::from_names(&["x"], &[]).unwrap();
-            let mut s = ConstraintSystem::new(space);
-            s.add_text("0 <= x <= 9").unwrap();
-            s
-        };
-        let extra = vec![
-            Constraint::ge0(LinExpr::from_parts(vec![1], -4)), // x >= 4
-            Constraint::ge0(LinExpr::from_parts(vec![-1], 2)), // x <= 2
-        ];
-        let mut point = [0i128];
-        assert_eq!(count_points_with(&base, &extra, &mut point).unwrap(), 0);
-    }
-
-    #[test]
-    fn count_with_slab_restriction() {
-        // Triangle x+y <= N, slab 2 <= x <= 3 at N = 5:
-        // x=2 -> 4 points, x=3 -> 3 points.
-        let sys = {
-            let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
-            let mut s = ConstraintSystem::new(space);
-            s.add_text("x >= 0").unwrap();
-            s.add_text("y >= 0").unwrap();
-            s.add_text("x + y <= N").unwrap();
-            s
-        };
-        let extra = vec![
-            Constraint::ge0(LinExpr::from_parts(vec![1, 0, 0], -2)), // x >= 2
-            Constraint::ge0(LinExpr::from_parts(vec![-1, 0, 0], 3)), // x <= 3
-        ];
-        let mut point = [0i128, 0, 5];
-        assert_eq!(count_points_with(&sys, &extra, &mut point).unwrap(), 7);
     }
 }

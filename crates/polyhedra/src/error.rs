@@ -27,8 +27,6 @@ pub enum PolyError {
     /// A loop variable has no finite lower or upper bound in the system, so
     /// no loop can be generated for it.
     Unbounded(String),
-    /// Interpolation was given inconsistent or insufficient samples.
-    Interpolation(String),
     /// Input text could not be parsed.
     Parse(String),
 }
@@ -48,7 +46,6 @@ impl fmt::Display for PolyError {
             PolyError::MissingVariable(n) => write!(f, "variable `{n}` is not present"),
             PolyError::Infeasible => write!(f, "constraint system is infeasible"),
             PolyError::Unbounded(n) => write!(f, "variable `{n}` is unbounded"),
-            PolyError::Interpolation(m) => write!(f, "interpolation failed: {m}"),
             PolyError::Parse(m) => write!(f, "parse error: {m}"),
         }
     }

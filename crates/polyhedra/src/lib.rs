@@ -15,33 +15,32 @@
 //!   are `max`/`min` of affine ceil/floor divisions (Figure 3 of the paper),
 //! * [`count`] — exact lattice-point counting by recursive descent,
 //! * [`probe`] — emptiness/boundedness classification and bounding boxes
-//!   at concrete parameter values (the spec fuzzer's admission check),
-//! * [`ehrhart`] — Ehrhart quasi-polynomial reconstruction by interpolation,
-//!   our substitute for the Barvinok library used by the paper (Section IV-J).
+//!   at concrete parameter values (the spec fuzzer's admission check).
 //!
-//! All arithmetic is exact (`i128` with overflow checks, rationals for
-//! interpolation); there is no floating point anywhere in this crate.
+//! The paper builds Ehrhart polynomials with the Barvinok library so that
+//! its load balancer can evaluate slab work (Section IV-J); this workspace
+//! has no counting polynomial. Work comes from exact lattice counts, walked
+//! once per geometry class of tiles by the tiling layer.
+//!
+//! All arithmetic is exact (`i128` with overflow checks); there is no
+//! floating point anywhere in this crate.
 
 pub mod bounds;
 pub mod constraint;
 pub mod count;
-pub mod ehrhart;
 pub mod error;
 pub mod expr;
 pub mod fm;
 pub mod num;
 pub mod probe;
-pub mod rational;
 pub mod space;
 pub mod system;
 
 pub use bounds::{BoundExpr, LoopLevel, LoopNest};
 pub use constraint::Constraint;
 pub use count::count_points;
-pub use ehrhart::QuasiPolynomial;
 pub use error::PolyError;
 pub use expr::LinExpr;
 pub use probe::{is_empty, probe_box, BoxProbe};
-pub use rational::Rational;
 pub use space::{Space, VarKind};
 pub use system::ConstraintSystem;

@@ -1,4 +1,4 @@
-//! Exact integer helpers: gcd/lcm, floor/ceil division, checked arithmetic.
+//! Exact integer helpers: gcd, floor/ceil division, checked arithmetic.
 //!
 //! Fourier–Motzkin elimination multiplies constraint coefficients together,
 //! so every arithmetic operation in this crate goes through the checked
@@ -24,18 +24,6 @@ fn euclid<T: Copy + PartialEq + Default + std::ops::Rem<Output = T>>(mut a: T, m
         b = t;
     }
     a
-}
-
-/// Least common multiple (non-negative), or an overflow error when it does
-/// not fit in `i128`.
-pub fn lcm(a: i128, b: i128) -> Result<i128, PolyError> {
-    if a == 0 || b == 0 {
-        return Ok(0);
-    }
-    (a / gcd(a, b))
-        .checked_mul(b)
-        .and_then(i128::checked_abs)
-        .ok_or(PolyError::Overflow("lcm"))
 }
 
 /// Floor division: largest `q` with `q * d <= n`. Requires `d > 0`.
@@ -104,23 +92,6 @@ mod tests {
         assert_eq!(gcd(12, -18), 6);
         assert_eq!(gcd(-12, -18), 6);
         assert_eq!(gcd(i128::MIN + 1, 1), 1);
-    }
-
-    #[test]
-    fn lcm_basics() {
-        assert_eq!(lcm(4, 6), Ok(12));
-        assert_eq!(lcm(0, 5), Ok(0));
-        assert_eq!(lcm(-4, 6), Ok(12));
-        assert_eq!(lcm(1, 1), Ok(1));
-    }
-
-    #[test]
-    fn lcm_overflow_is_an_error() {
-        // Two coprime values near 2^64: the lcm is their ~2^128 product.
-        let (a, b) = (u64::MAX as i128, u64::MAX as i128 - 1);
-        assert_eq!(lcm(a, b), Err(PolyError::Overflow("lcm")));
-        assert_eq!(lcm(i128::MIN, 1), Err(PolyError::Overflow("lcm")));
-        assert_eq!(lcm(i128::MAX, 1), Ok(i128::MAX));
     }
 
     #[test]
@@ -205,14 +176,6 @@ mod tests {
             prop_assert_eq!(gcd(a, b), reference(a, b));
             let xs = [a, b, 6, a];
             prop_assert_eq!(gcd_slice(&xs), xs.iter().fold(0, |g, &x| reference(g, x)));
-        }
-
-        #[test]
-        fn lcm_is_common_multiple(a in 1i128..1000, b in 1i128..1000) {
-            let m = lcm(a, b).unwrap();
-            prop_assert_eq!(m % a, 0);
-            prop_assert_eq!(m % b, 0);
-            prop_assert!(m <= a * b);
         }
     }
 }

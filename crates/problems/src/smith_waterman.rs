@@ -1,7 +1,7 @@
 //! Smith–Waterman local alignment — an extension workload.
 //!
 //! Local alignment is the other classic bioinformatics DP the paper's
-//! homology-search motivation (Brown, Li & Ma, cited as [4]) covers:
+//! homology-search motivation (Brown, Li & Ma, cited as \[4\]) covers:
 //! `H(i, j) = max(0, H(i-1, j-1) + s(a_i, b_j), H(i-1, j) - gap,
 //! H(i, j-1) - gap)`, and the answer is the **maximum over every cell** —
 //! not a single probed location. That exercises the runtime's whole-space

@@ -13,7 +13,7 @@
 //! milliseconds waits for no thread start and no timer.
 //!
 //! The hot path is allocation-free in steady state: each worker keeps a
-//! [`TileBufferPool`] holding one tile value buffer (cleared no further
+//! `TileBufferPool` holding one tile value buffer (cleared no further
 //! than the next tile could tell: the ghost cells a tile unpacked, and the
 //! cells its scan wrote only ahead of a tile of another geometry class) and
 //! a recycle list of edge payload vectors (presized from
@@ -75,17 +75,10 @@ use std::time::{Duration, Instant};
 /// Assigns every tile to the rank that executes it (the load balancer's
 /// output; Section IV-J).
 pub trait TileOwner: Send + Sync {
-    /// The rank that owns (executes) `tile`.
-    fn owner_of(&self, tile: &Coord) -> usize;
-
-    /// [`TileOwner::owner_of`] for a caller that also knows the tile's
-    /// index in the tile graph it runs on (`tile` is that graph's tile
-    /// `idx`): what the run path asks, so that an owner kept as an array
-    /// over the graph answers without hashing the coordinate.
-    fn owner_at(&self, idx: usize, tile: &Coord) -> usize {
-        let _ = idx;
-        self.owner_of(tile)
-    }
+    /// The rank that owns (executes) `tile`, which is tile `idx` of the
+    /// tile graph the caller runs on: an owner kept as an array over that
+    /// graph answers without hashing the coordinate.
+    fn owner_at(&self, idx: usize, tile: &Coord) -> usize;
 }
 
 /// All tiles belong to rank 0 (single-node runs).
@@ -93,7 +86,7 @@ pub trait TileOwner: Send + Sync {
 pub struct SingleOwner;
 
 impl TileOwner for SingleOwner {
-    fn owner_of(&self, _tile: &Coord) -> usize {
+    fn owner_at(&self, _idx: usize, _tile: &Coord) -> usize {
         0
     }
 }
@@ -307,7 +300,7 @@ impl<T: Value> TileBufferPool<T> {
     /// stale values are never observed and the clear is skipped. Every
     /// other cell — ghost cells, cells outside the scan — is default either
     /// way. A tile of another class gets the scan span cleared first.
-    fn acquire(&mut self, size: usize, geom: &Arc<TileGeom>, counts: &mut WorkerCounts) -> Vec<T> {
+    fn acquire(&mut self, size: usize, geom: &Arc<TileGeom>, counts: &mut RunStats) -> Vec<T> {
         if matches!(&self.scanned, Some((last, ..)) if Arc::ptr_eq(last, geom)) {
             self.scanned = None;
         }
@@ -348,7 +341,7 @@ impl<T: Value> TileBufferPool<T> {
     /// An empty payload vector with capacity at least `cap`: recycled when
     /// the free list has one big enough, freshly allocated (exact-presized,
     /// so subsequent pushes never reallocate) otherwise.
-    fn take_payload(&mut self, cap: usize, counts: &mut WorkerCounts) -> Vec<T> {
+    fn take_payload(&mut self, cap: usize, counts: &mut RunStats) -> Vec<T> {
         if let Some(idx) = (0..self.payloads.len()).max_by_key(|&i| self.payloads[i].capacity()) {
             if self.payloads[idx].capacity() >= cap {
                 counts.edge_payloads_reused += 1;
@@ -504,45 +497,6 @@ impl<T: Value, RK: RunKernel<T>> TileVisitor for BatchVisitor<'_, T, RK> {
             self.written_lo = self.written_lo.min(corner as usize);
             self.written_hi = self.written_hi.max(corner as usize);
         }
-    }
-}
-
-/// One worker's share of the run's [`RunStats`] counters: plain integers
-/// on the worker's stack, added to the run's totals when the worker exits.
-#[derive(Default)]
-struct WorkerCounts {
-    cells: u64,
-    interior: u64,
-    boundary: u64,
-    runs_batched: u64,
-    cells_batched: u64,
-    blocks: u64,
-    edges_local: u64,
-    edges_remote: u64,
-    edge_cells: u64,
-    geom_builds: u64,
-    tile_buffers_allocated: u64,
-    tile_buffers_reused: u64,
-    edge_payloads_allocated: u64,
-    edge_payloads_reused: u64,
-}
-
-impl WorkerCounts {
-    fn add(&mut self, other: &WorkerCounts) {
-        self.cells += other.cells;
-        self.interior += other.interior;
-        self.boundary += other.boundary;
-        self.runs_batched += other.runs_batched;
-        self.cells_batched += other.cells_batched;
-        self.blocks += other.blocks;
-        self.edges_local += other.edges_local;
-        self.edges_remote += other.edges_remote;
-        self.edge_cells += other.edge_cells;
-        self.geom_builds += other.geom_builds;
-        self.tile_buffers_allocated += other.tile_buffers_allocated;
-        self.tile_buffers_reused += other.tile_buffers_reused;
-        self.edge_payloads_allocated += other.edge_payloads_allocated;
-        self.edge_payloads_reused += other.edge_payloads_reused;
     }
 }
 
@@ -819,9 +773,9 @@ where
                                    // (`executed >= owned`) then fires after only the *new* work finishes.
     let executed = AtomicU64::new(resumed);
     // Each worker counts its own work and adds it here once, on its way out.
-    let totals = Mutex::new(WorkerCounts {
-        cells: resumed_cells,
-        ..WorkerCounts::default()
+    let totals = Mutex::new(RunStats {
+        cells_computed: resumed_cells,
+        ..RunStats::default()
     });
     let idle_ns = AtomicU64::new(0);
     let tiles_per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
@@ -920,7 +874,7 @@ where
                 // longer.
                 let mut unpacked: Vec<(Cow<'_, Arc<TileGeom>>, usize)> =
                     Vec::with_capacity(tiling.deps().len());
-                let mut counts = WorkerCounts::default();
+                let mut counts = RunStats::default();
                 let mut tiles_run = 0u64;
                 let note_progress = || {
                     let now = t_start.elapsed().as_nanos() as u64;
@@ -1128,7 +1082,7 @@ where
                                 });
                             }
                         };
-                        counts.blocks += blocks;
+                        counts.blocks_evaluated += blocks;
                         // Outside recovery the per-tile accumulator merges
                         // into the global reduction right here. Under
                         // recovery it must not: the merge rides the
@@ -1165,7 +1119,7 @@ where
                             let mut payload = pool.take_payload(max_cells, &mut counts);
                             let src_locs = geom.edge_cells(dep_idx);
                             payload.extend(src_locs.iter().map(|&loc| values[loc as usize]));
-                            counts.edge_cells += payload.len() as u64;
+                            counts.edge_cells_packed += payload.len() as u64;
                             if let Some(t) = tracer {
                                 let cells = payload.len() as u64;
                                 t.record(w, EventKind::EdgePack, Some(consumer_idx), cells);
@@ -1240,9 +1194,9 @@ where
                     if let Some(t) = tracer {
                         t.record(w, EventKind::TileDone, Some(tile_idx), scan.total());
                     }
-                    counts.cells += scan.total();
-                    counts.interior += scan.interior_cells;
-                    counts.boundary += scan.boundary_cells;
+                    counts.cells_computed += scan.total();
+                    counts.interior_cells += scan.interior_cells;
+                    counts.boundary_cells += scan.boundary_cells;
                     if RK::BATCHED {
                         counts.runs_batched += scan.interior_runs;
                         counts.cells_batched += scan.interior_cells;
@@ -1270,7 +1224,7 @@ where
                     }
                 }
                 tiles_per_worker[w].store(tiles_run, Ordering::Relaxed);
-                totals.lock().add(&counts);
+                totals.lock().add_counts(&counts);
             }
         };
         // The calling thread is worker 0: a one-worker node starts no
@@ -1316,27 +1270,12 @@ where
         poll_pause();
     }
 
-    let totals = totals.into_inner();
     let stats = RunStats {
         // `executed` was seeded with the resumed count for the termination
         // check; the reported figure is new work only.
         tiles_executed: executed.load(Ordering::Acquire) - resumed,
         schedule: resolved_schedule,
         shape: tiling.shape(),
-        cells_computed: totals.cells,
-        interior_cells: totals.interior,
-        boundary_cells: totals.boundary,
-        runs_batched: totals.runs_batched,
-        cells_batched: totals.cells_batched,
-        blocks_evaluated: totals.blocks,
-        tile_buffers_allocated: totals.tile_buffers_allocated,
-        tile_buffers_reused: totals.tile_buffers_reused,
-        edge_payloads_allocated: totals.edge_payloads_allocated,
-        edge_payloads_reused: totals.edge_payloads_reused,
-        edges_local: totals.edges_local,
-        edges_remote: totals.edges_remote,
-        edge_cells_packed: totals.edge_cells,
-        geom_builds: totals.geom_builds,
         geom_classes: graph.recordings() as u64,
         init_time,
         total_time: t_start.elapsed(),
@@ -1357,6 +1296,8 @@ where
         peak_live_tile_cells: mem.peak_live_tiles() * layout.size() as i64,
         tiles_resumed: resumed,
         checkpoint_bytes: recovery.map(|r| r.sink.bytes()).unwrap_or(0),
+        // The work counters, summed over the workers.
+        ..totals.into_inner()
     };
     Ok(NodeResult {
         probes: probe_results.into_inner(),
@@ -1383,7 +1324,7 @@ mod tests {
         let tile = Coord::from_slice(&tile);
         let tile_idx = graph.index_of(&tile).unwrap();
         let geom = graph.geometry(tile_idx).unwrap();
-        let mut counts = WorkerCounts::default();
+        let mut counts = RunStats::default();
         let mut values = pool.acquire(tiling.layout().size(), &geom, &mut counts);
         let as_acquired = values.clone();
         let mut unpacked = Vec::new();
@@ -1852,7 +1793,7 @@ mod tests {
     struct OneForeignTile;
 
     impl TileOwner for OneForeignTile {
-        fn owner_of(&self, tile: &Coord) -> usize {
+        fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
             (*tile == Coord::from_slice(&[1, 0])) as usize
         }
     }

@@ -106,6 +106,27 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Add `other`'s work counters — cells and their split, blocks, edges
+    /// and edge cells, geometry builds, buffer and payload pooling — into
+    /// these: how a run sums what each of its workers counted. Timings,
+    /// peaks and per-run facts are not counters and stay as they are.
+    pub(crate) fn add_counts(&mut self, other: &RunStats) {
+        self.cells_computed += other.cells_computed;
+        self.interior_cells += other.interior_cells;
+        self.boundary_cells += other.boundary_cells;
+        self.runs_batched += other.runs_batched;
+        self.cells_batched += other.cells_batched;
+        self.blocks_evaluated += other.blocks_evaluated;
+        self.tile_buffers_allocated += other.tile_buffers_allocated;
+        self.tile_buffers_reused += other.tile_buffers_reused;
+        self.edge_payloads_allocated += other.edge_payloads_allocated;
+        self.edge_payloads_reused += other.edge_payloads_reused;
+        self.edges_local += other.edges_local;
+        self.edges_remote += other.edges_remote;
+        self.edge_cells_packed += other.edge_cells_packed;
+        self.geom_builds += other.geom_builds;
+    }
+
     /// Fraction of wall time spent in initial tile generation.
     pub fn init_fraction(&self) -> f64 {
         if self.total_time.is_zero() {

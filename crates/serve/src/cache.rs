@@ -2,8 +2,8 @@
 //!
 //! Compilation (spec validation, polyhedral derivation, tiling, schedule
 //! warm-up) dominates small-job latency, so a resident engine keeps the
-//! last [`PlanCache::capacity`] compiled [`Plan`]s and reuses them across
-//! tenants submitting the same `(spec, params)` — the key is
+//! last `capacity` compiled [`Plan`]s (see [`PlanCache::new`]) and reuses
+//! them across tenants submitting the same `(spec, params)` — the key is
 //! [`dpgen_core::spec_hash`]. Entries are immutable `Arc`s: a hit and the
 //! jobs already executing an evicted plan share it safely; eviction only
 //! drops the cache's own reference.

@@ -51,16 +51,6 @@ enum Visit {
     Block { loc: u32, len: u32, rows: u32 },
 }
 
-/// The edge region one tile packs for one dependency.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct EdgeCells {
-    /// Source-tile buffer index of every edge cell, in the shared
-    /// pack/unpack order.
-    locs: Vec<u32>,
-    /// Smallest and largest entry of `locs`; `None` when the edge is empty.
-    span: Option<(u32, u32)>,
-}
-
 /// The recorded geometry of one tile: everything [`Tiling::scan_tile_runs`]
 /// and the edge walks would produce for it, in local coordinates. Obtained
 /// from [`crate::TileGraph::geometry`] (or [`Tiling::record`]); valid for
@@ -71,8 +61,10 @@ pub struct TileGeom {
     /// Local coordinates of each visit's first cell, `dims` per visit.
     locals: Vec<i64>,
     counts: ScanCounts,
-    /// Aligned with [`Tiling::deps`].
-    edges: Vec<EdgeCells>,
+    /// The edge region this tile packs for each dependency (aligned with
+    /// [`Tiling::deps`]): the source-tile buffer index of every edge cell,
+    /// in the shared pack/unpack order.
+    edges: Vec<Vec<u32>>,
 }
 
 impl TileGeom {
@@ -81,23 +73,17 @@ impl TileGeom {
     /// pack/unpack order. The consumer's ghost cell of entry `loc` is
     /// `loc + ghost_shift` ([`crate::EdgeLayout::ghost_shift`]).
     pub fn edge_cells(&self, dep_idx: usize) -> &[u32] {
-        &self.edges[dep_idx].locs
-    }
-
-    /// Smallest and largest index in [`TileGeom::edge_cells`]; `None` for
-    /// an empty edge.
-    pub fn edge_span(&self, dep_idx: usize) -> Option<(u32, u32)> {
-        self.edges[dep_idx].span
+        &self.edges[dep_idx]
     }
 
     /// Heap bytes held by this recording (what [`crate::TileGraph`] charges
     /// its budget).
     pub(crate) fn bytes(&self) -> usize {
-        let edge_cells: usize = self.edges.iter().map(|e| e.locs.len()).sum();
+        let edge_cells: usize = self.edges.iter().map(Vec::len).sum();
         std::mem::size_of::<TileGeom>()
             + self.visits.len() * std::mem::size_of::<Visit>()
             + self.locals.len() * std::mem::size_of::<i64>()
-            + self.edges.len() * std::mem::size_of::<EdgeCells>()
+            + self.edges.len() * std::mem::size_of::<Vec<u32>>()
             + edge_cells * std::mem::size_of::<u32>()
     }
 }
@@ -341,8 +327,7 @@ impl Tiling {
             let mut locs = Vec::with_capacity(edge.max_cells());
             edge.for_each_cell(point, |j| locs.push(layout.loc(j) as u32))?;
             locs.shrink_to_fit();
-            let span = locs.iter().min().copied().zip(locs.iter().max().copied());
-            edges.push(EdgeCells { locs, span });
+            edges.push(locs);
         }
         Ok(TileGeom {
             visits: rec.visits,

@@ -1574,7 +1574,7 @@ mod tests {
         /// Across the same randomized problem family: the run visitor's
         /// runs exactly partition the all-valid interior reported by
         /// `ScanCounts`, and the `2^d`-corner fullness test agrees with the
-        /// exact Ehrhart cell count on every tile.
+        /// exact cell count on every tile.
         #[test]
         fn runs_partition_and_corner_test_equivalence(
             n in 2i64..14,

@@ -8,8 +8,9 @@
 //! full APIs:
 //!
 //! * [`polyhedra`] — exact polyhedral math: constraint systems,
-//!   Fourier–Motzkin elimination, loop-bound synthesis, lattice-point
-//!   counting, Ehrhart quasi-polynomials,
+//!   Fourier–Motzkin elimination, loop-bound synthesis, exact lattice-point
+//!   counting (where the paper evaluates Ehrhart polynomials, work here is
+//!   an exact count per geometry class of tiles),
 //! * [`tiling`] — tile spaces, tile dependencies, validity and mapping
 //!   functions, edge (ghost cell) packing layouts,
 //! * [`runtime`] — the shared-memory node runtime (the "OpenMP" layer):

@@ -341,7 +341,7 @@ fn wedged_run_terminates_with_stall_snapshot() {
 fn mispartitioned_null_transport_is_a_typed_error() {
     struct SplitOwner;
     impl TileOwner for SplitOwner {
-        fn owner_of(&self, tile: &Coord) -> usize {
+        fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
             (tile[0] % 2) as usize
         }
     }
