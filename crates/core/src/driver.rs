@@ -216,12 +216,11 @@ where
                 let node_config = NodeConfig {
                     threads: opts.threads,
                     priority: priority.clone(),
-                    schedule: artifacts.schedule,
+                    schedule: opts.schedule,
                     rank,
                     stall_timeout: opts.stall_timeout,
                     cancel: Some(cancel.clone()),
                     job_cancel: opts.cancel.clone(),
-                    static_plan: artifacts.static_plan.clone(),
                     tracer: tracers[rank].clone(),
                 };
                 let run_rank = move || {

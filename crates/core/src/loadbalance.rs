@@ -6,8 +6,8 @@
 //! The paper evaluates the work per slab from two Ehrhart polynomials
 //! computed with Barvinok; here the work of a tile is its exact lattice
 //! count, walked once per geometry class of tiles rather than once per tile:
-//! the slab verdict and the balancer read [`TileGraph::cells`], which gives
-//! every tile of a class the count of the first.
+//! the balancer reads [`TileGraph::cells`], which gives every tile of a
+//! class the count of the first.
 //!
 //! The future-work *hyperplane* method (Figure 8) instead orders tiles by a
 //! wavefront level and cuts that order into equal-work bands, which shortens
@@ -21,30 +21,15 @@ use std::sync::Arc;
 /// Whether the slabs along `lb_dim` are *uniform*: every slab (the set of
 /// tiles sharing one index of that tile dimension) carries exactly the
 /// same work at these parameter values, summed from the graph's exact
-/// per-class cell counts.
+/// per-class cell counts. Zero or one slab is trivially uniform.
 ///
-/// This is the decision input for `Schedule::Static` (see
-/// [`crate::ExecOpts::schedule`]): a precomputed wavefront order only pays
-/// off when the per-slab cell counts are flat — a rectangular iteration
-/// space whose extents the tile widths divide exactly. Wedges, triangles,
-/// and ragged final slabs report `false` and keep the work-stealing
-/// scheduler, which absorbs the irregularity dynamically. The check is a
-/// perf heuristic only — correctness never depends on it (any polytope
-/// runs bit-identically under every schedule mode).
-///
-/// Zero or one slab is trivially uniform.
+/// Nothing in the library reads this verdict: `Schedule::Static` applies
+/// on any polytope. It stays only because the `benchmark/` package times
+/// it (`core.uniform_ms`).
+#[doc(hidden)]
 pub fn slabs_uniform(tiling: &Tiling, params: &[i64], lb_dim: usize) -> bool {
-    slabs_uniform_on(&tiling.graph(params), lb_dim)
-}
-
-/// [`slabs_uniform`] on a tile graph already derived (a [`crate::Plan`]'s):
-/// reads the graph's per-class cell counts, which it shares with the load
-/// balancer and the simulator.
-pub fn slabs_uniform_on(graph: &TileGraph, lb_dim: usize) -> bool {
-    assert!(
-        lb_dim < graph.tiling().dims(),
-        "lb_dim {lb_dim} out of range"
-    );
+    assert!(lb_dim < tiling.dims(), "lb_dim {lb_dim} out of range");
+    let graph = tiling.graph(params);
     let mut works: HashMap<i64, u128> = HashMap::new();
     for (i, t) in graph.tiles().iter().enumerate() {
         *works.entry(t[lb_dim]).or_insert(0) += graph.cells(i);

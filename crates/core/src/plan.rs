@@ -6,8 +6,8 @@
 //! an immutable, shareable (`Arc`) bundle of the derived tiling, the
 //! parameter binding and the load-balancing dimensions, plus lazily
 //! memoized schedule artifacts (the tile graph every rank of every
-//! execution reads, the uniform-slab verdict, the static wavefront plan,
-//! load balances) that make a repeated execution cheaper than the first.
+//! execution reads, load balances) that make a repeated execution cheaper
+//! than the first.
 //!
 //! ```
 //! use dpgen_core::{ExecOpts, Program};
@@ -39,7 +39,7 @@
 //! against is [`dpgen_runtime::run_reference`], called directly.
 
 use crate::driver::{hybrid_run, RecoveryConfig};
-use crate::loadbalance::{slabs_uniform_on, BalanceMethod, LoadBalance};
+use crate::loadbalance::{BalanceMethod, LoadBalance};
 use crate::program::{Program, ProgramError};
 use crate::run::RunOutput;
 use crate::spec::ProblemSpec;
@@ -48,7 +48,7 @@ use dpgen_mpisim::{CommConfig, ReliabilityConfig, Wire};
 use dpgen_polyhedra::probe_box;
 use dpgen_runtime::{
     CompileFault, CompileStage, Kernel, PerCell, Probe, Reduction, RunError, RunKernel, Schedule,
-    StaticPlan, TilePriority, TraceConfig, TraceLevel, Value, MAX_RING_CAPACITY,
+    TilePriority, TraceConfig, TraceLevel, Value, MAX_RING_CAPACITY,
 };
 use dpgen_tiling::{TileGraph, TileShape, Tiling};
 use parking_lot::Mutex;
@@ -82,11 +82,10 @@ pub struct ExecOpts {
     /// Requested tile scheduling mode (default [`Schedule::Dynamic`], the
     /// work-stealing heaps in priority order). [`Schedule::Static`] homes
     /// every owned tile on the worker its pipeline row is dealt to and
-    /// keys it by a precomputed wavefront order *when the graph's exact
-    /// per-class cell counts report uniform slabs* along the first
-    /// load-balancing dimension; irregular polytopes silently fall back to
-    /// `Dynamic` (the resolved mode is reported in `RunStats::schedule` and
-    /// the `schedule_mode` metric).
+    /// keys it by the wavefront order of a static plan each rank builds
+    /// over the tiles it owns, on any polytope. A rank that owns no tile
+    /// runs nothing and reports `Dynamic` (the mode is reported in
+    /// `RunStats::schedule` and the `schedule_mode` metric).
     pub schedule: Schedule,
     /// Communication configuration (buffer counts, reliability, fault
     /// plan) at `ranks > 1`; at least one send and one receive buffer.
@@ -307,10 +306,6 @@ type MemoTable<K, V> = Vec<(K, V)>;
 pub(crate) struct RunArtifacts {
     /// The plan's tile graph: the one every rank and epoch runs on.
     pub graph: Arc<TileGraph>,
-    /// The requested schedule after the `Static` uniform-slab fallback.
-    pub schedule: Schedule,
-    /// The whole-space static plan, when one rank owns every tile.
-    pub static_plan: Option<Arc<StaticPlan>>,
     /// The ready queues' order: the requested one, or the pipelined
     /// wavefront with the partition's dimensions least significant.
     pub priority: TilePriority,
@@ -355,16 +350,10 @@ pub struct Plan {
     /// The tile DAG at this binding (see [`Plan::graph`]); everything
     /// below is derived from it.
     graph: OnceLock<Arc<TileGraph>>,
-    /// The `slabs_uniform` verdict along the first load-balancing
-    /// dimension (what a `Static` request resolves against).
-    uniform: OnceLock<bool>,
     /// Admission bounding-box volume (see [`Plan::cell_bound`]).
     cell_bound: OnceLock<u128>,
     /// Load balances keyed by (ranks, method).
     balances: Mutex<MemoTable<(usize, BalanceMethod), Arc<LoadBalance>>>,
-    /// The whole-space static wavefront plan (`None` for a graph with no
-    /// tiles): one for every thread count.
-    static_plan: OnceLock<Option<Arc<StaticPlan>>>,
 }
 
 impl std::fmt::Debug for Plan {
@@ -385,10 +374,8 @@ impl Plan {
             params: params.to_vec(),
             lb_dims,
             graph: OnceLock::new(),
-            uniform: OnceLock::new(),
             cell_bound: OnceLock::new(),
             balances: Mutex::default(),
-            static_plan: OnceLock::new(),
         })
     }
 
@@ -631,12 +618,10 @@ impl Plan {
     }
 
     /// The artifacts an execution with `opts` runs on, derived on first
-    /// use and memoized: the whole-space static plan fits only a rank that
-    /// owns every tile, so with `ranks > 1` (an owned subset per rank, and
-    /// a different one per recovery epoch) the runtime plans in-run. The
-    /// tiles' positions in the priority's order — the ready heaps' keys —
-    /// are sorted here too (kept by the graph), unless the schedule is
-    /// `Static`, under which the heaps key on the plan's order instead; and
+    /// use and memoized. The tiles' positions in the priority's order — the
+    /// ready heaps' keys — are sorted here too (kept by the graph), unless
+    /// the schedule is `Static`, under which the heaps key on the order of
+    /// the static plan each rank builds in-run over the tiles it owns; and
     /// the tiles are sorted into their geometry classes (no cell is counted
     /// for that and no recording made: a plan that is only warmed never
     /// needs either).
@@ -645,12 +630,6 @@ impl Plan {
         // Every execution reads its tiles' recordings by class; sorting the
         // tiles into classes here puts it in `warm`, not in the first run.
         graph.classes();
-        let schedule = self.resolved_schedule(&graph, opts.schedule);
-        let static_plan = if opts.ranks == 1 && schedule == Schedule::Static {
-            self.static_plan(&graph)
-        } else {
-            None
-        };
         let mut balance_time = Duration::ZERO;
         // Slabs end the default priority with their own dimensions, a
         // hyperplane partition with none.
@@ -679,42 +658,15 @@ impl Plan {
         });
         let priority = (opts.priority.clone())
             .unwrap_or_else(|| TilePriority::pipelined(self.tiling.dims(), &trail));
-        if schedule != Schedule::Static {
+        if opts.schedule != Schedule::Static {
             priority.ordering(&graph);
         }
         Ok(RunArtifacts {
             graph,
-            schedule,
-            static_plan,
             priority,
             partition,
             balance_time,
         })
-    }
-
-    /// Apply the `Static` uniform-slab fallback: a requested static
-    /// schedule only survives when the graph's exact cell counts put equal
-    /// work in every slab along the first load-balancing dimension (a
-    /// memoized verdict). `Dynamic` is always itself.
-    fn resolved_schedule(&self, graph: &TileGraph, requested: Schedule) -> Schedule {
-        if requested == Schedule::Dynamic {
-            return requested;
-        }
-        let lb_dim = self.lb_dims.first().copied().unwrap_or(0);
-        let uniform = self.uniform.get_or_init(|| slabs_uniform_on(graph, lb_dim));
-        if *uniform {
-            Schedule::Static
-        } else {
-            Schedule::Dynamic
-        }
-    }
-
-    /// Memoized whole-space static wavefront plan; `None` for a graph with
-    /// no tiles. Same inputs as the runtime's own per-run build for a
-    /// single owner: every tile.
-    fn static_plan(&self, graph: &TileGraph) -> Option<Arc<StaticPlan>> {
-        let build = || StaticPlan::build_on(graph, 0..graph.len()).map(Arc::new);
-        self.static_plan.get_or_init(build).clone()
     }
 
     /// Memoized load balance for `(ranks, method)`.
@@ -743,9 +695,6 @@ mod tests {
     const CHAIN2: &str = "name tri\nvars x y\nparams N\nconstraint x >= 0\n\
                           constraint y >= 0\nconstraint x + y <= N\n\
                           template r1 1 0\ntemplate r2 0 1\nloadbalance x\nwidths 3 3\n";
-    const GRID: &str = "name grid\nvars x y\nparams N\nconstraint 0 <= x <= N\n\
-                        constraint 0 <= y <= N\ntemplate r1 1 0\ntemplate r2 0 1\n\
-                        loadbalance x\nwidths 4 4\n";
 
     /// The `x + y <= n` triangle in `w x w` tiles.
     fn triangle(w: i64, n: i64) -> Arc<Plan> {
@@ -868,52 +817,35 @@ mod tests {
     }
 
     #[test]
-    fn schedule_resolution_applies_the_uniform_slab_rule() {
-        // A 16x16 grid in 4x4 tiles is slab-uniform: requested Static
-        // sticks, results and exact counters match the dynamic run, and
-        // one wavefront plan serves every thread count.
+    fn a_static_request_runs_static_on_a_ragged_triangle() {
+        // The triangle's slabs shrink toward the hypotenuse; `Static` still
+        // runs as asked, with the results and exact counters of `Dynamic`.
         let n = 15i64;
-        let grid = Plan::from_spec(GRID, &[n]).unwrap();
-        let probe = Probe::at(&[0, 0]);
-        let opts = |threads: usize, schedule: Schedule| {
+        let tri = triangle(2, n);
+        let opts = |threads: usize, ranks: usize, schedule: Schedule| {
             ExecOpts::new()
                 .threads(threads)
+                .ranks(ranks)
                 .schedule(schedule)
-                .probe(probe.clone())
+                .probe(Probe::many(&[&[0, 0], &[n, 0], &[3, 4]]))
         };
-        let exec = |plan: &Plan, opts: &ExecOpts| plan.execute(&path_kernel, opts).unwrap();
-        let dynamic = exec(&grid, &opts(4, Schedule::Dynamic));
-        for threads in [4, 2, 4] {
-            let stat = exec(&grid, &opts(threads, Schedule::Static));
-            assert_eq!(stat.probes, dynamic.probes);
-            assert_eq!(counters(&stat), counters(&dynamic));
-            let s = &stat.per_rank[0].stats;
-            assert_eq!(s.schedule, Schedule::Static);
-            assert_eq!(s.tiles_per_worker.iter().sum::<u64>(), s.tiles_executed);
+        for (threads, ranks) in [(1usize, 1usize), (2, 1), (4, 1), (2, 2)] {
+            let tag = format!("threads={threads} ranks={ranks}");
+            let exec = |schedule| tri.execute(&path_kernel, &opts(threads, ranks, schedule));
+            let dynamic = exec(Schedule::Dynamic).unwrap();
+            let stat = exec(Schedule::Static).unwrap();
+            assert_eq!(stat.probes, dynamic.probes, "{tag}");
+            assert_eq!(counters(&stat), counters(&dynamic), "{tag}");
+            for (rank, r) in stat.per_rank.iter().enumerate() {
+                let s = &r.stats;
+                assert_eq!(s.schedule, Schedule::Static, "{tag} rank {rank}");
+                assert_eq!(s.tiles_per_worker.iter().sum::<u64>(), s.tiles_executed);
+            }
             assert_eq!(
                 stat.metrics.gauge("rank0.schedule_mode"),
-                Some(Schedule::Static.code() as f64)
+                Some(Schedule::Static.code() as f64),
+                "{tag}"
             );
-        }
-        let plan_for = |threads| grid.artifacts(&opts(threads, Schedule::Static)).unwrap();
-        let (two, four) = (plan_for(2).static_plan, plan_for(4).static_plan);
-        assert!(Arc::ptr_eq(two.as_ref().unwrap(), four.as_ref().unwrap()));
-
-        // The triangle's slabs shrink toward the hypotenuse: the same
-        // request falls back to Dynamic.
-        let tri = triangle(2, n);
-        let tri_dynamic = exec(&tri, &opts(2, Schedule::Dynamic));
-        let fallback = exec(&tri, &opts(2, Schedule::Static));
-        assert_eq!(fallback.per_rank[0].stats.schedule, Schedule::Dynamic);
-        assert_eq!(fallback.probes, tri_dynamic.probes);
-        assert!(tri.static_plan.get().is_none());
-
-        // Hybrid: the resolved mode reaches every rank.
-        let hybrid = exec(&grid, &opts(2, Schedule::Static).ranks(2));
-        assert_eq!(hybrid.probes, dynamic.probes);
-        assert_eq!(counters(&hybrid), counters(&dynamic));
-        for r in &hybrid.per_rank {
-            assert_eq!(r.stats.schedule, Schedule::Static);
         }
     }
 
@@ -1204,10 +1136,7 @@ mod tests {
                 assert!(Arc::ptr_eq(&ran_on, &graph), "{schedule:?} ranks={ranks}");
             }
         }
-        assert!(
-            graph.cells_counted(),
-            "the slab verdict and the balance count"
-        );
+        assert!(graph.cells_counted(), "the balance counts");
 
         // A killed rank: both epochs, the resumed-cell count included, read
         // the same graph.

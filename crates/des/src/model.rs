@@ -57,12 +57,10 @@ pub struct SimConfig {
     /// worker that must send a remote edge while all buffers are in flight
     /// stalls until one frees. `usize::MAX` disables the limit.
     pub send_buffers: usize,
-    /// Resolved schedule mode, mirroring the runtime's `NodeConfig`: under
-    /// `Static` each rank builds the runtime's `StaticPlan` over the tiles
-    /// it owns, and a ready tile goes to its home worker's heap keyed by the
-    /// plan's order, exactly as the runtime's dispatch rule routes it. The
-    /// uniform-slab fallback happens upstream (in `core::Plan`); the
-    /// simulator applies whatever mode it is given.
+    /// Schedule mode, mirroring the runtime's `NodeConfig`: under `Static`
+    /// each rank builds the runtime's `StaticPlan` over the tiles it owns,
+    /// and a ready tile goes to its home worker's heap keyed by the plan's
+    /// order, exactly as the runtime's dispatch rule routes it.
     pub schedule: Schedule,
 }
 
@@ -100,7 +98,7 @@ impl SimConfig {
         }
     }
 
-    /// Same configuration with a (resolved) schedule mode.
+    /// Same configuration with a different schedule mode.
     pub fn with_schedule(mut self, schedule: Schedule) -> SimConfig {
         self.schedule = schedule;
         self

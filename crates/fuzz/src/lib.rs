@@ -26,173 +26,93 @@ pub struct Leg {
     pub threads: usize,
     /// Simulated MPI ranks.
     pub ranks: usize,
-    /// Inject a seeded fault plan on the interconnect.
-    pub faulted: bool,
-    /// Use the seeded pseudo-random tile priority instead of the paper
-    /// default (sweeps legal schedules).
-    pub seeded_priority: bool,
     /// Requested schedule mode ([`Schedule::Dynamic`] is the work-stealing
-    /// baseline; `Static` exercises the precomputed wavefront path).
+    /// baseline; `Static` homes and keys every tile by each rank's static
+    /// plan, and every rank that runs a tile must report it ran `Static`).
     pub schedule: Schedule,
+    /// What the leg does beyond a plain run.
+    pub twist: Twist,
+}
+
+/// The one thing a [`Leg`] adds to a plain run, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Twist {
+    /// A plain run.
+    None,
+    /// Inject a seeded fault plan on the interconnect.
+    Faulted,
+    /// Use the seeded pseudo-random tile priority instead of the default
+    /// (sweeps legal schedules).
+    SeededPriority,
     /// Schedule a rank kill mid-run with elastic recovery enabled: rank 0
     /// is hard-dropped after its first data send and survivors must
     /// detect the death, adopt its slabs, and still match the reference
     /// bit-identically. (On specs where rank 0 never sends, the trigger
     /// never fires and the leg degrades to a clean recovery-enabled run.)
-    pub kill: bool,
+    Kill,
     /// Route the leg through the compile/execute split: compile the spec
     /// into a reusable `Plan` once and execute it twice, requiring both
     /// executions to match the reference (and therefore each other)
     /// bit-identically — the cached-plan path the serve engine relies on.
-    pub plan_reuse: bool,
+    PlanReuse,
     /// Force a diagonal band onto the spec (dims >= 2; 1-D specs skip the
     /// leg) and check the band-clipped pipeline against the reference
     /// interpreter re-run on the banded spec — the band joins the
     /// constraint system, so the reference masks out-of-band cells
     /// automatically and the comparison stays bit-identical cell by cell.
-    pub banded: bool,
+    Banded,
 }
 
 impl fmt::Display for Leg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "threads={} ranks={}{}{}{}{}{}{}",
-            self.threads,
-            self.ranks,
-            if self.faulted { " faulted" } else { "" },
-            if self.seeded_priority {
-                " seeded-priority"
-            } else {
-                ""
-            },
-            match self.schedule {
-                Schedule::Dynamic => "",
-                Schedule::Static => " static",
-            },
-            if self.kill { " kill" } else { "" },
-            if self.plan_reuse { " plan-reuse" } else { "" },
-            if self.banded { " banded" } else { "" },
-        )
-    }
-}
-
-/// The dynamic-only matrix from before static scheduling existed:
-/// {1, 2, 4} threads × {1, 2} ranks fault-free, plus multi-rank legs
-/// under injected faults and a seeded-priority leg to vary the schedule.
-pub fn basic_matrix() -> Vec<Leg> {
-    let mut legs = Vec::new();
-    for &threads in &[1usize, 2, 4] {
-        for &ranks in &[1usize, 2] {
-            legs.push(Leg {
-                threads,
-                ranks,
-                faulted: false,
-                seeded_priority: false,
-                schedule: Schedule::Dynamic,
-                kill: false,
-                plan_reuse: false,
-                banded: false,
-            });
+        write!(f, "threads={} ranks={}", self.threads, self.ranks)?;
+        if self.schedule == Schedule::Static {
+            f.write_str(" static")?;
         }
+        f.write_str(match self.twist {
+            Twist::None => "",
+            Twist::Faulted => " faulted",
+            Twist::SeededPriority => " seeded-priority",
+            Twist::Kill => " kill",
+            Twist::PlanReuse => " plan-reuse",
+            Twist::Banded => " banded",
+        })
     }
-    for &threads in &[2usize, 4] {
-        legs.push(Leg {
-            threads,
-            ranks: 2,
-            faulted: true,
-            seeded_priority: false,
-            schedule: Schedule::Dynamic,
-            kill: false,
-            plan_reuse: false,
-            banded: false,
-        });
-    }
-    legs.push(Leg {
-        threads: 2,
-        ranks: 1,
-        faulted: false,
-        seeded_priority: true,
-        schedule: Schedule::Dynamic,
-        kill: false,
-        plan_reuse: false,
-        banded: false,
-    });
-    legs
 }
 
-/// The full matrix the acceptance criteria name: [`basic_matrix`] plus
-/// `Static` legs, a rank-kill recovery leg, a compiled-plan reuse leg
-/// (compile once, execute twice — the serve cache-hit path), and a banded
-/// leg that forces a diagonal band onto every multi-dimensional spec and
-/// checks the band-clipped pipeline against the re-masked reference. Static
-/// legs exercise both the precomputed path (uniform-slab specs) and the
-/// silent fallback to `Dynamic` (irregular specs). Every leg runs the hash
-/// kernel through the node engine's one scan (`PerCell` replay of each
-/// interior block, run by run), so there is no separate batched axis.
+/// The differential matrix: {1, 2, 4} threads × {1, 2} ranks, two faulted
+/// multi-rank legs, a seeded-priority leg, three `Static` legs, a rank-kill
+/// recovery leg, a compiled-plan reuse leg (compile once, execute twice —
+/// the serve cache-hit path) and a banded leg that forces a diagonal band
+/// onto every multi-dimensional spec and checks the band-clipped pipeline
+/// against the re-masked reference. Every leg runs the hash kernel through
+/// the node engine's one scan (`PerCell` replay of each interior block,
+/// run by run), so there is no separate batched axis.
 pub fn full_matrix() -> Vec<Leg> {
-    let mut legs = basic_matrix();
-    legs.push(Leg {
-        threads: 2,
-        ranks: 1,
-        faulted: false,
-        seeded_priority: false,
-        schedule: Schedule::Static,
-        kill: false,
-        plan_reuse: false,
-        banded: false,
-    });
-    legs.push(Leg {
-        threads: 4,
-        ranks: 2,
-        faulted: false,
-        seeded_priority: false,
-        schedule: Schedule::Static,
-        kill: false,
-        plan_reuse: false,
-        banded: false,
-    });
-    legs.push(Leg {
-        threads: 4,
-        ranks: 1,
-        faulted: false,
-        seeded_priority: false,
-        schedule: Schedule::Static,
-        kill: false,
-        plan_reuse: false,
-        banded: false,
-    });
-    legs.push(Leg {
-        threads: 2,
-        ranks: 2,
-        faulted: false,
-        seeded_priority: false,
-        schedule: Schedule::Dynamic,
-        kill: true,
-        plan_reuse: false,
-        banded: false,
-    });
-    legs.push(Leg {
-        threads: 2,
-        ranks: 2,
-        faulted: false,
-        seeded_priority: false,
-        schedule: Schedule::Static,
-        kill: false,
-        plan_reuse: true,
-        banded: false,
-    });
-    legs.push(Leg {
-        threads: 2,
-        ranks: 2,
-        faulted: false,
-        seeded_priority: false,
-        schedule: Schedule::Dynamic,
-        kill: false,
-        plan_reuse: false,
-        banded: true,
-    });
-    legs
+    use Schedule::{Dynamic, Static};
+    let leg = |threads, ranks, schedule, twist| Leg {
+        threads,
+        ranks,
+        schedule,
+        twist,
+    };
+    vec![
+        leg(1, 1, Dynamic, Twist::None),
+        leg(1, 2, Dynamic, Twist::None),
+        leg(2, 1, Dynamic, Twist::None),
+        leg(2, 2, Dynamic, Twist::None),
+        leg(4, 1, Dynamic, Twist::None),
+        leg(4, 2, Dynamic, Twist::None),
+        leg(2, 2, Dynamic, Twist::Faulted),
+        leg(4, 2, Dynamic, Twist::Faulted),
+        leg(2, 1, Dynamic, Twist::SeededPriority),
+        leg(2, 1, Static, Twist::None),
+        leg(4, 2, Static, Twist::None),
+        leg(4, 1, Static, Twist::None),
+        leg(2, 2, Dynamic, Twist::Kill),
+        leg(2, 2, Static, Twist::PlanReuse),
+        leg(2, 2, Dynamic, Twist::Banded),
+    ]
 }
 
 /// A differential failure: which spec, which leg, what went wrong.
@@ -284,8 +204,20 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
             ));
         }
         // Interior cells reach a kernel through `eval_block` and no other
-        // way, on every leg.
-        for rank in &out.per_rank {
+        // way, on every leg; a `Static` request runs `Static` on every rank
+        // that runs a tile.
+        for (r, rank) in out.per_rank.iter().enumerate() {
+            let ran = rank.stats.schedule;
+            if leg.schedule == Schedule::Static
+                && rank.stats.tiles_executed > 0
+                && ran != Schedule::Static
+            {
+                return Err(fail(
+                    Some(leg),
+                    format!("{what}rank {r} ran {ran}, not the requested static"),
+                    None,
+                ));
+            }
             let (interior, blocks) = (rank.stats.interior_cells, rank.stats.blocks_evaluated);
             if (interior > 0) != (blocks > 0) || blocks > interior {
                 return Err(fail(
@@ -315,65 +247,66 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
             .schedule(leg.schedule)
             .probe(probe.clone())
             .stall_timeout(Some(Duration::from_secs(20)));
-        if leg.banded {
-            // Leg 16: band the spec and re-derive the whole pipeline from
-            // the banded geometry. The band joins the constraint system,
-            // so the reference interpreter masks out-of-band cells on its
-            // own — no special-cased comparison. 1-D specs have no
-            // variable pair to band and skip the leg; a band that empties
-            // the lattice (the spec's space misses the diagonal strip
-            // entirely) also skips, since there is nothing to check.
-            if gs.spec.vars.len() < 2 {
+        match leg.twist {
+            Twist::Banded => {
+                // Band the spec and re-derive the whole pipeline from
+                // the banded geometry. The band joins the constraint system,
+                // so the reference interpreter masks out-of-band cells on its
+                // own — no special-cased comparison. 1-D specs have no
+                // variable pair to band and skip the leg; a band that empties
+                // the lattice (the spec's space misses the diagonal strip
+                // entirely) also skips, since there is nothing to check.
+                if gs.spec.vars.len() < 2 {
+                    continue;
+                }
+                let mut banded = gs.spec.clone();
+                if banded.band.is_none() {
+                    banded.band = Some(SpecBand {
+                        a: banded.vars[0].clone(),
+                        b: banded.vars[1].clone(),
+                        lo: -2,
+                        hi: 2,
+                    });
+                }
+                let b_ref = specgen::reference_eval(&banded, gs.param)
+                    .map_err(|e| fail(Some(leg), format!("banded reference: {e}"), None))?;
+                if b_ref.points.is_empty() {
+                    continue;
+                }
+                let b_program = Program::from_spec(banded)
+                    .map_err(|e| fail(Some(leg), format!("banded program: {e}"), None))?;
+                let opts = opts.probe(probe_all(&b_ref));
+                check(leg, "banded ", &b_ref, &b_program.compile(&params), &opts)?;
                 continue;
             }
-            let mut banded = gs.spec.clone();
-            if banded.band.is_none() {
-                banded.band = Some(SpecBand {
-                    a: banded.vars[0].clone(),
-                    b: banded.vars[1].clone(),
-                    lo: -2,
-                    hi: 2,
-                });
+            Twist::SeededPriority => {
+                opts = opts.priority(TilePriority::seeded(program.tiling().dims(), gs.seed));
             }
-            let b_ref = specgen::reference_eval(&banded, gs.param)
-                .map_err(|e| fail(Some(leg), format!("banded reference: {e}"), None))?;
-            if b_ref.points.is_empty() {
-                continue;
+            Twist::Faulted => opts = opts.comm(faulty_comm(gs.seed)),
+            Twist::Kill => {
+                // Kill the upstream rank (slab balancing puts the wavefront
+                // source on rank 0) after its first data frame and recover
+                // onto the survivor; fast heartbeats keep detection quick.
+                opts = opts
+                    .comm(CommConfig {
+                        faults: Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1))),
+                        ..CommConfig::default()
+                    })
+                    .recovery(RecoveryConfig {
+                        heartbeat_interval: Duration::from_millis(2),
+                        death_timeout: Duration::from_millis(150),
+                        max_recoveries: 1,
+                    });
             }
-            let b_program = Program::from_spec(banded)
-                .map_err(|e| fail(Some(leg), format!("banded program: {e}"), None))?;
-            let opts = opts.probe(probe_all(&b_ref));
-            check(leg, "banded ", &b_ref, &b_program.compile(&params), &opts)?;
-            continue;
-        }
-        if leg.seeded_priority {
-            opts = opts.priority(TilePriority::seeded(program.tiling().dims(), gs.seed));
-        }
-        if leg.faulted {
-            opts = opts.comm(faulty_comm(gs.seed));
-        }
-        if leg.kill {
-            // Kill the upstream rank (slab balancing puts the wavefront
-            // source on rank 0) after its first data frame and recover
-            // onto the survivor; fast heartbeats keep detection quick.
-            opts = opts
-                .comm(CommConfig {
-                    faults: Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1))),
-                    ..CommConfig::default()
-                })
-                .recovery(RecoveryConfig {
-                    heartbeat_interval: Duration::from_millis(2),
-                    death_timeout: Duration::from_millis(150),
-                    max_recoveries: 1,
-                });
+            Twist::None | Twist::PlanReuse => {}
         }
         // A fresh compile per leg, so every leg starts from a cold memo.
-        // Leg 15 (plan reuse) executes its plan twice: the second pass
-        // runs with every memoized artifact (tile graph and recordings,
-        // static wavefront, balance) warm, exactly like a serve cache hit, and
-        // must verify against the reference like the first.
+        // The plan-reuse leg executes its plan twice: the second pass runs
+        // with every memoized artifact (tile graph and recordings, balance)
+        // warm, exactly like a serve cache hit, and must verify against the
+        // reference like the first.
         let plan = program.compile(&params);
-        for _pass in 0..=usize::from(leg.plan_reuse) {
+        for _pass in 0..=usize::from(leg.twist == Twist::PlanReuse) {
             check(leg, "", &reference, &plan, &opts)?;
         }
     }
@@ -544,70 +477,61 @@ mod tests {
     #[test]
     fn matrix_covers_the_acceptance_grid() {
         let legs = full_matrix();
-        for &threads in &[1usize, 2, 4] {
-            for &ranks in &[1usize, 2] {
+        assert_eq!(legs.len(), 15);
+        let has = |threads, ranks, schedule, twist| {
+            legs.contains(&Leg {
+                threads,
+                ranks,
+                schedule,
+                twist,
+            })
+        };
+        for threads in [1usize, 2, 4] {
+            for ranks in [1usize, 2] {
                 assert!(
-                    legs.iter()
-                        .any(|l| l.threads == threads && l.ranks == ranks && !l.faulted),
-                    "missing fault-free leg {threads}x{ranks}"
+                    has(threads, ranks, Schedule::Dynamic, Twist::None),
+                    "missing plain leg {threads}x{ranks}"
                 );
             }
         }
-        assert!(legs.iter().any(|l| l.faulted && l.ranks > 1));
-        assert!(legs.iter().any(|l| l.seeded_priority));
-        assert_eq!(legs.len(), 15);
+        assert!(legs
+            .iter()
+            .any(|l| l.twist == Twist::Faulted && l.ranks > 1));
+        assert!(legs.iter().any(|l| l.twist == Twist::SeededPriority));
         assert!(
-            legs.iter().any(|l| l.banded && l.ranks == 2),
+            has(2, 2, Schedule::Dynamic, Twist::Banded),
             "missing the banded leg"
         );
         assert!(
-            legs.iter()
-                .any(|l| l.plan_reuse && l.ranks == 2 && l.schedule == Schedule::Static),
+            has(2, 2, Schedule::Static, Twist::PlanReuse),
             "missing the compiled-plan reuse leg"
         );
         assert!(
-            legs.iter().any(|l| l.kill && l.ranks == 2 && !l.faulted),
-            "missing the rank-kill recovery leg"
+            has(2, 2, Schedule::Dynamic, Twist::Kill),
+            "missing the rank-kill leg"
         );
-        assert!(legs
-            .iter()
-            .any(|l| l.schedule == Schedule::Static && l.ranks == 1 && l.threads == 2));
-        assert!(legs
-            .iter()
-            .any(|l| l.schedule == Schedule::Static && l.ranks == 1 && l.threads == 4));
-        assert!(legs
-            .iter()
-            .any(|l| l.schedule == Schedule::Static && l.ranks == 2 && l.threads == 4));
-        assert_eq!(basic_matrix().len(), 9);
-        assert!(basic_matrix()
-            .iter()
-            .all(|l| l.schedule == Schedule::Dynamic));
+        for (threads, ranks) in [(2, 1), (4, 1), (4, 2)] {
+            assert!(has(threads, ranks, Schedule::Static, Twist::None));
+        }
+        assert_eq!(legs[13].to_string(), "threads=2 ranks=2 static plan-reuse");
     }
 
     #[test]
     fn generated_specs_pass_a_reduced_matrix() {
         // A quick in-tree smoke pass; the full budget runs in the CI
         // spec-fuzz job and locally via `cargo run -p dpgen-fuzz`.
-        let legs = vec![
+        let legs = [
             Leg {
                 threads: 2,
                 ranks: 1,
-                faulted: false,
-                seeded_priority: false,
                 schedule: Schedule::Dynamic,
-                kill: false,
-                plan_reuse: false,
-                banded: false,
+                twist: Twist::None,
             },
             Leg {
                 threads: 2,
                 ranks: 2,
-                faulted: false,
-                seeded_priority: false,
                 schedule: Schedule::Static,
-                kill: false,
-                plan_reuse: false,
-                banded: false,
+                twist: Twist::None,
             },
         ];
         let mut gen = SpecGen::new(0xFEED);
@@ -628,15 +552,11 @@ mod tests {
         // check always passes (so shrink must return the original).
         let mut gen = SpecGen::new(77);
         let gs = gen.next_spec();
-        let legs = vec![Leg {
+        let legs = [Leg {
             threads: 1,
             ranks: 1,
-            faulted: false,
-            seeded_priority: false,
             schedule: Schedule::Dynamic,
-            kill: false,
-            plan_reuse: false,
-            banded: false,
+            twist: Twist::None,
         }];
         let failure = Failure {
             seed: gs.seed,

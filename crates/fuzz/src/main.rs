@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! dpgen-fuzz [--seed <u64|0xhex>] [--seed-from-env] [--budget <n>]
-//!            [--legs <all|basic>] [--artifacts <dir>]
-//!            [--emit-corpus <dir> <count>] [--replay <u64|0xhex>]
+//!            [--artifacts <dir>] [--emit-corpus <dir> <count>] [--replay <u64|0xhex>]
 //! ```
 //!
 //! Generates `--budget` random specs from the seed and checks each one
-//! across the differential matrix — all 15 legs by default
-//! (thread × rank × fault × schedule × kill × plan-reuse × banded), or the
-//! 9-leg dynamic-only `basic` matrix via `--legs basic`. On the first
-//! failure the spec is auto-shrunk and written to `<artifacts>/minimized.json` (plus
-//! `stall.txt` when a stall snapshot exists), and the process exits 1 —
+//! across the 15-leg differential matrix (thread × rank × schedule, each
+//! with at most one fault, seeded-priority, kill, plan-reuse or banded
+//! twist). On the first failure the spec is auto-shrunk and written to
+//! `<artifacts>/minimized.json` (plus `stall.txt` when a stall snapshot
+//! exists), and the process exits 1 —
 //! CI uploads the artifacts directory. `--emit-corpus` instead writes the
 //! first `<count>` generated specs as corpus JSON and exits (used to seed
 //! `tests/corpus/`). `--replay` rebuilds one spec from its *own* seed —
@@ -19,16 +18,13 @@
 //! that spec.
 
 use dpgen_core::{specgen, SpecGen};
-use dpgen_fuzz::{
-    basic_matrix, check_spec, full_matrix, parse_seed, save_spec, seed_from_env, shrink, Leg,
-};
+use dpgen_fuzz::{check_spec, full_matrix, parse_seed, save_spec, seed_from_env, shrink};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     seed: u64,
     budget: usize,
-    legs: Vec<Leg>,
     artifacts: PathBuf,
     emit_corpus: Option<(PathBuf, usize)>,
     replay: Option<u64>,
@@ -38,7 +34,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         seed: 0x5EED_D1FF,
         budget: 200,
-        legs: full_matrix(),
         artifacts: PathBuf::from("fuzz-artifacts"),
         emit_corpus: None,
         replay: None,
@@ -57,14 +52,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or_else(|| missing("--budget"))?
                     .parse::<usize>()
                     .map_err(|e| format!("bad budget: {e}"))?;
-            }
-            "--legs" => {
-                let which = args.next().ok_or_else(|| missing("--legs"))?;
-                opts.legs = match which.as_str() {
-                    "all" => full_matrix(),
-                    "basic" => basic_matrix(),
-                    other => return Err(format!("bad legs `{other}` (want all|basic)")),
-                };
             }
             "--artifacts" => {
                 opts.artifacts = PathBuf::from(args.next().ok_or_else(|| missing("--artifacts"))?);
@@ -86,8 +73,8 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "dpgen-fuzz [--seed <u64|0xhex>] [--seed-from-env] [--budget <n>]\n\
-                     \x20         [--legs <all|basic>] [--artifacts <dir>]\n\
-                     \x20         [--emit-corpus <dir> <count>] [--replay <u64|0xhex>]"
+                     \x20         [--artifacts <dir>] [--emit-corpus <dir> <count>]\n\
+                     \x20         [--replay <u64|0xhex>]"
                 );
                 std::process::exit(0);
             }
@@ -112,7 +99,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         };
         println!("dpgen-fuzz: replaying {} across the matrix", gs.spec.name);
-        return match check_spec(&gs, &opts.legs) {
+        return match check_spec(&gs, &full_matrix()) {
             Ok(()) => {
                 println!("dpgen-fuzz: spec agrees on every leg");
                 ExitCode::SUCCESS
@@ -139,7 +126,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let legs = opts.legs;
+    let legs = full_matrix();
     println!(
         "dpgen-fuzz: seed {:#018x}, budget {} specs, {} matrix legs",
         opts.seed,

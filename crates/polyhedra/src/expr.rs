@@ -204,17 +204,6 @@ impl LinExpr {
         out.checked_add(&repl.checked_scale(k)?)
     }
 
-    /// Extend the expression to a larger space by appending zero columns.
-    pub fn extend_to(&self, new_dim: usize) -> LinExpr {
-        assert!(new_dim >= self.coeffs.len(), "cannot shrink an expression");
-        let mut coeffs = self.coeffs.clone();
-        coeffs.resize(new_dim, 0);
-        LinExpr {
-            coeffs,
-            constant: self.constant,
-        }
-    }
-
     /// gcd of all coefficients (not the constant); 0 if all coefficients are 0.
     pub fn coeff_gcd(&self) -> i128 {
         num::gcd_slice(&self.coeffs)
@@ -352,14 +341,6 @@ mod tests {
         let e = LinExpr::from_parts(vec![0, 1], 3);
         let repl = LinExpr::from_parts(vec![1, 1], 1);
         assert_eq!(e.substitute(0, &repl).unwrap(), e);
-    }
-
-    #[test]
-    fn extend_appends_zeros() {
-        let e = LinExpr::from_parts(vec![1, -1], 2);
-        let g = e.extend_to(4);
-        assert_eq!(g.coeffs(), &[1, -1, 0, 0]);
-        assert_eq!(g.constant_term(), 2);
     }
 
     #[test]

@@ -173,23 +173,6 @@ impl ConstraintSystem {
         Ok(out)
     }
 
-    /// Rebuild this system over a larger space (`new_space` must contain the
-    /// current columns as a prefix, in order).
-    pub fn extend_space(&self, new_space: &Space) -> Result<ConstraintSystem, PolyError> {
-        let old = self.space.dim();
-        if new_space.dim() < old || self.space.names() != &new_space.names()[..old] {
-            return Err(PolyError::SpaceMismatch {
-                expected: old,
-                found: new_space.dim(),
-            });
-        }
-        let mut out = ConstraintSystem::new(new_space.clone());
-        for c in &self.constraints {
-            out.add(Constraint::ge0(c.expr().extend_to(new_space.dim())))?;
-        }
-        Ok(out)
-    }
-
     /// Indices of columns with a nonzero coefficient in some constraint.
     pub fn used_columns(&self) -> Vec<usize> {
         (0..self.space.dim())
@@ -617,21 +600,6 @@ mod tests {
         // i + 4t <= N: (x=anything, i=2, t=1, N=6) holds; (i=3, t=1, N=6) fails.
         assert!(tiled.contains(&[0, 2, 1, 6]).unwrap());
         assert!(!tiled.contains(&[0, 3, 1, 6]).unwrap());
-    }
-
-    #[test]
-    fn extend_space_appends_columns() {
-        let space = Space::from_names(&["x"], &["N"]).unwrap();
-        let mut sys = ConstraintSystem::new(space);
-        sys.add_text("0 <= x <= N").unwrap();
-        let big = Space::from_names(&["x"], &["N", "M"]).unwrap();
-        // Note: extend requires old names to be a prefix; [x, N] vs [x, N, M].
-        let ext = sys.extend_space(&big).unwrap();
-        assert!(ext.contains(&[3, 5, 99]).unwrap());
-        assert!(!ext.contains(&[6, 5, 99]).unwrap());
-        // Wrong prefix is rejected.
-        let bad = Space::from_names(&["y", "x"], &["N"]).unwrap();
-        assert!(sys.extend_space(&bad).is_err());
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl MetricsRegistry {
         g(self, "lock_wait_time_s", s.lock_wait_time.as_secs_f64());
         g(self, "idle_fraction", s.idle_fraction());
         g(self, "steal_fraction", s.steal_fraction());
-        // The resolved schedule mode as its stable code (0 dynamic,
+        // The schedule mode the rank ran as its stable code (0 dynamic,
         // 1 static).
         g(self, "schedule_mode", s.schedule.code() as f64);
         g(self, "interior_fraction", s.interior_fraction());

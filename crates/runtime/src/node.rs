@@ -53,7 +53,7 @@
 //! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
 use crate::checkpoint::{NodeRecovery, TileSet};
-use crate::error::{CompileFault, CompileStage, EdgeFault, RunError, StallSnapshot};
+use crate::error::{EdgeFault, RunError, StallSnapshot};
 use crate::kernel::{RunKernel, Value};
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
@@ -98,9 +98,9 @@ pub struct NodeConfig {
     pub threads: usize,
     /// Ready-queue ordering policy.
     pub priority: TilePriority,
-    /// Tile scheduling mode. This is the *resolved* mode: callers that
-    /// honour the `Static` uniform-slab fallback (see
-    /// `core::ExecOpts::schedule`) resolve before building the config.
+    /// Tile scheduling mode. Under `Static` the node builds a
+    /// [`StaticPlan`] over the tiles it owns before its first tile runs; a
+    /// node that owns no tile runs `Dynamic`.
     pub schedule: Schedule,
     /// This node's rank.
     pub rank: usize,
@@ -120,18 +120,6 @@ pub struct NodeConfig {
     /// separate from the failure flag so a recovery epoch can reset its
     /// internal world flag without erasing a pending user cancellation.
     pub job_cancel: Option<Arc<AtomicBool>>,
-    /// Precompiled static plan for this rank's owned tiles (the `Static`
-    /// schedule). `Some` skips the per-run `StaticPlan::build_on` pass — a
-    /// compiled plan's memoized artifact injected on re-execution. It
-    /// should have been built on the job's graph for this rank's owned
-    /// tiles: one built for another owned set only homes and orders the
-    /// tiles differently (any ready tile can still be popped by any
-    /// worker), and one built on a graph of another length is refused
-    /// with a typed [`CompileStage::Options`] fault before any tile runs.
-    /// Ignored under `Schedule::Dynamic`.
-    ///
-    /// [`CompileStage::Options`]: crate::error::CompileStage::Options
-    pub static_plan: Option<Arc<StaticPlan>>,
     /// Event tracer for this rank (see [`crate::trace`]). `None` disables
     /// tracing; the hot path then pays one pointer test per would-be event.
     /// Must be built with `workers == threads` so worker tracks line up.
@@ -158,7 +146,6 @@ impl NodeConfig {
             stall_timeout: Some(DEFAULT_STALL_TIMEOUT),
             cancel: None,
             job_cancel: None,
-            static_plan: None,
             tracer: None,
         }
     }
@@ -649,9 +636,9 @@ where
     let no_prior = TileSet::default();
     let resume = recovery.and_then(|r| r.resume.as_ref());
     let completed_prior: &TileSet = resume.map(|rs| &rs.completed).unwrap_or(&no_prior);
-    // The owned tiles as a list only when a static plan has to be built
-    // from them below.
-    let plan_in_run = config.schedule == Schedule::Static && config.static_plan.is_none();
+    // The owned tiles as a list only when a static plan is built from them
+    // below.
+    let is_static = config.schedule == Schedule::Static;
     let mut owned_list: Vec<usize> = Vec::new();
     let mut initials: Vec<usize> = Vec::new();
     let mut owned = 0u64;
@@ -662,7 +649,7 @@ where
             continue;
         }
         owned += 1;
-        if plan_in_run {
+        if is_static {
             owned_list.push(i);
         }
         if completed_prior.contains(i) {
@@ -679,28 +666,16 @@ where
     let threads = config.threads.max(1);
     // The static plan: the pipeline deal and wavefront order of the owned
     // tiles, built serially alongside initial-tile generation and charged
-    // to the same `init_time` bucket — unless the caller injected a
-    // precompiled one (a cached `Plan` artifact). With it every ready tile
-    // goes to its home worker's heap under the plan's key; without it to
-    // the readying worker's heap under the priority's.
-    let plan: Option<Arc<StaticPlan>> = if plan_in_run {
+    // to the same `init_time` bucket (`None` when the rank owns no tile).
+    // With it every ready tile goes to its home worker's heap under the
+    // plan's key; without it to the readying worker's heap under the
+    // priority's.
+    let plan = if is_static {
         StaticPlan::build_on(graph, owned_list).map(Arc::new)
     } else {
-        config
-            .static_plan
-            .clone()
-            .filter(|_| config.schedule == Schedule::Static)
+        None
     };
-    // The plan names tiles by the index of the graph it was built on.
-    if let Some(p) = plan.as_ref().filter(|p| p.graph_len() != graph.len()) {
-        let detail = format!(
-            "the static plan was built on a graph of {} tiles, the job's has {}",
-            p.graph_len(),
-            graph.len()
-        );
-        return Err(CompileFault::new(CompileStage::Options, detail).into());
-    }
-    let resolved_schedule = match plan {
+    let schedule = match plan {
         Some(_) => Schedule::Static,
         None => Schedule::Dynamic,
     };
@@ -713,7 +688,7 @@ where
             0,
             EventKind::ScheduleMode,
             None,
-            resolved_schedule.code() | (pinned << 8),
+            schedule.code() | (pinned << 8),
         );
     }
     let mem = Arc::new(MemoryStats::new());
@@ -1274,7 +1249,7 @@ where
         // `executed` was seeded with the resumed count for the termination
         // check; the reported figure is new work only.
         tiles_executed: executed.load(Ordering::Acquire) - resumed,
-        schedule: resolved_schedule,
+        schedule,
         shape: tiling.shape(),
         geom_classes: graph.recordings() as u64,
         init_time,
@@ -1569,31 +1544,6 @@ mod tests {
             );
             assert_eq!(exact(stats), exact(&dynamic.stats), "threads={threads}");
         }
-    }
-
-    /// A plan names tiles by the index of the graph it was built on: one
-    /// built on a graph of another length is refused before a tile runs.
-    #[test]
-    fn a_static_plan_of_another_graph_is_refused() {
-        let tiling = triangle(2);
-        let other = tiling.graph(&[30]);
-        let foreign = StaticPlan::build_on(&other, 0..other.len()).map(Arc::new);
-        let config = NodeConfig {
-            static_plan: foreign,
-            ..NodeConfig::new(2, 2).with_schedule(Schedule::Static)
-        };
-        let ran = AtomicU64::new(0);
-        let counting = |cell: CellRef<'_>, values: &mut [u64]| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            path_kernel(cell, values)
-        };
-        let err = run_with(&tiling, &[20], &counting, &Probe::default(), &config).unwrap_err();
-        match &err {
-            RunError::CompileError(f) => assert_eq!(f.stage, CompileStage::Options, "{err}"),
-            other => panic!("expected an options fault, got {other}"),
-        }
-        assert!(err.to_string().contains("static plan"), "{err}");
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! * [`Schedule::Dynamic`] — a ready tile enters the heap of the worker
 //!   that readied it, keyed by its position in the priority's order.
 //! * [`Schedule::Static`] — a ready tile enters the heap of its *home*
-//!   worker, keyed by its position in the [`StaticPlan`]'s order.
-//!   Requested via [`Schedule::Static`] but *applied* only when the graph's
-//!   exact per-class cell counts report uniform slabs (see
-//!   `core::loadbalance`); irregular polytopes fall back to `Dynamic`.
+//!   worker, keyed by its position in the [`StaticPlan`]'s order. Each
+//!   rank builds its plan in-run over the tiles it owns, on any polytope;
+//!   a rank that owns no tile has no plan and runs `Dynamic`.
 //!
 //! Popping, stealing, idle waiting and the stall watchdog are one path for
 //! both, and a heap path cannot deadlock: any ready tile can be popped by
@@ -44,9 +43,8 @@ use std::sync::Arc;
 
 /// Tile scheduling mode, requested with `core::ExecOpts::schedule(..)`.
 ///
-/// `Static` is a *request*: the runtime applies it only when the
-/// slab-uniformity check passes, and falls back to `Dynamic` otherwise (the
-/// resolved mode is reported in `RunStats::schedule`).
+/// `Static` applies as asked on every rank that owns a tile; the mode a
+/// rank ran is reported in `RunStats::schedule`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Ready tiles stay with the worker that readied them, in priority
@@ -54,8 +52,7 @@ pub enum Schedule {
     #[default]
     Dynamic,
     /// Ready tiles go home to the worker their pipeline row is dealt to,
-    /// in the plan's wavefront order; falls back to `Dynamic` on
-    /// non-uniform polytopes.
+    /// in the plan's wavefront order.
     Static,
 }
 
@@ -171,11 +168,6 @@ impl StaticPlan {
     pub fn home(&self, tile: usize, workers: usize) -> Option<usize> {
         let row = self.rows[tile]?;
         Some(row.rem_euclid(workers.max(1) as i64) as usize)
-    }
-
-    /// How many tiles the graph the plan was built on has.
-    pub fn graph_len(&self) -> usize {
-        self.rows.len()
     }
 
     /// How many tiles the plan owns.

@@ -11,8 +11,8 @@ use std::time::Duration;
 pub struct RunStats {
     /// Tiles executed by this node.
     pub tiles_executed: u64,
-    /// The schedule mode this node actually ran (after the uniform-slab
-    /// fallback resolution; see `core::ExecOpts::schedule`).
+    /// The schedule mode this node ran: the requested one, or `Dynamic`
+    /// when a `Static` request reached a node that owns no tile.
     pub schedule: Schedule,
     /// The cell-level region shape of the tiling this node ran
     /// ([`TileShape::Banded`] for sparse diagonal-band spaces).

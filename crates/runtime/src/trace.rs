@@ -132,7 +132,7 @@ pub enum EventKind {
     /// The worker observed a failure (its own or a sibling's). `tile` =
     /// the offending tile when the error carries one, `aux` = severity.
     Fault = 13,
-    /// The rank resolved its schedule mode at run start. `aux` = the
+    /// The rank fixed its schedule mode at run start. `aux` = the
     /// [`crate::Schedule`] code (0 dynamic, 1 static) in the low
     /// 8 bits, statically pinned tile count in the bits above.
     ScheduleMode = 14,

@@ -36,15 +36,6 @@ impl Coord {
         c
     }
 
-    /// Build from an `i128` slice (coordinates must fit in `i64`).
-    pub fn from_i128(v: &[i128]) -> Coord {
-        let mut c = Coord::zeros(v.len());
-        for (k, &x) in v.iter().enumerate() {
-            c.vals[k] = i64::try_from(x).expect("coordinate exceeds i64");
-        }
-        c
-    }
-
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
         self.len as usize
@@ -79,11 +70,6 @@ impl Coord {
     pub fn set(&mut self, k: usize, v: i64) {
         assert!(k < self.dims());
         self.vals[k] = v;
-    }
-
-    /// Sum of components (used by level-set priorities).
-    pub fn component_sum(&self) -> i64 {
-        self.as_slice().iter().sum()
     }
 
     /// Copy the coordinates into an `i128` buffer at the given column
@@ -164,7 +150,6 @@ mod tests {
         let b = Coord::from_slice(&[3, -1]);
         assert_eq!(a.add(&b).as_slice(), &[4, 1]);
         assert_eq!(a.sub(&b).as_slice(), &[-2, 3]);
-        assert_eq!(a.component_sum(), 3);
     }
 
     #[test]
@@ -191,18 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn from_i128_and_write_to() {
-        let c = Coord::from_i128(&[4i128, -2]);
-        assert_eq!(c.as_slice(), &[4, -2]);
+    fn write_to_fills_the_named_columns() {
+        let c = Coord::from_slice(&[4, -2]);
         let mut point = [0i128; 5];
         c.write_to(&mut point, &[1, 3]);
         assert_eq!(point, [0, 4, 0, -2, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds i64")]
-    fn from_i128_overflow_panics() {
-        let _ = Coord::from_i128(&[i128::MAX]);
     }
 
     #[test]

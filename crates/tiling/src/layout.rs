@@ -95,12 +95,8 @@ impl TileLayout {
         &self.strides
     }
 
-    /// Constant buffer offset of template `j` relative to `loc`.
-    pub fn template_offset(&self, j: usize) -> i64 {
-        self.template_offsets[j]
-    }
-
-    /// All template offsets, indexed by template id.
+    /// Constant buffer offset of each template relative to `loc`, indexed
+    /// by template id.
     pub fn template_offsets(&self) -> &[i64] {
         &self.template_offsets
     }
@@ -160,8 +156,7 @@ mod tests {
         assert_eq!(layout.loc(&[0, 0]), 0);
         assert_eq!(layout.loc(&[2, 3]), 13);
         // Template offsets: +e0 -> +5, +e1 -> +1.
-        assert_eq!(layout.template_offset(0), 5);
-        assert_eq!(layout.template_offset(1), 1);
+        assert_eq!(layout.template_offsets(), &[5, 1]);
     }
 
     #[test]
@@ -178,8 +173,7 @@ mod tests {
         assert_eq!(layout.loc(&[-1, -1]), 0);
         assert_eq!(layout.loc(&[0, 0]), 5);
         // Offsets are negative.
-        assert_eq!(layout.template_offset(0), -4);
-        assert_eq!(layout.template_offset(1), -5);
+        assert_eq!(layout.template_offsets(), &[-4, -5]);
     }
 
     #[test]
@@ -193,11 +187,11 @@ mod tests {
             for j in 0..4 {
                 let base = layout.loc(&[i, j]) as i64;
                 assert_eq!(
-                    (base + layout.template_offset(0)) as usize,
+                    (base + layout.template_offsets()[0]) as usize,
                     layout.loc(&[i + 2, j])
                 );
                 assert_eq!(
-                    (base + layout.template_offset(1)) as usize,
+                    (base + layout.template_offsets()[1]) as usize,
                     layout.loc(&[i + 1, j + 3])
                 );
             }

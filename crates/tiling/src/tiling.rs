@@ -736,11 +736,6 @@ impl Tiling {
         self.deps.iter().position(|dep| &dep.delta == delta)
     }
 
-    /// The edge layout for a given offset, if it is a dependency.
-    pub fn edge_for(&self, delta: &Coord) -> Option<&EdgeLayout> {
-        self.dep_index(delta).map(|idx| &self.edges[idx])
-    }
-
     /// Allocate a full extended-space point with the parameters bound.
     pub fn make_point(&self, params: &[i64]) -> Vec<i128> {
         assert_eq!(
@@ -1809,7 +1804,7 @@ mod tests {
             .unwrap();
         let mut tightened = false;
         for e in banded.edges() {
-            let dense_edge = dense.edge_for(&e.delta).expect("same dep set");
+            let dense_edge = &dense.edges()[dense.dep_index(&e.delta).expect("same dep set")];
             assert!(e.max_cells() <= dense_edge.max_cells());
             if e.max_cells() < dense_edge.max_cells() {
                 tightened = true;

@@ -306,9 +306,8 @@ fn lcs_matrix_bit_identical_across_threads_and_widths() {
 /// Schedule-mode consistency matrix: the Dynamic and Static schedules are
 /// bit-identical on LCS across every thread count and several widths, and
 /// agree on every exact counter. Width 2 divides the first sequence's
-/// extent (12), so its slabs are uniform and a requested `Static` must
-/// actually stick. The ragged widths exercise the silent fallback to
-/// `Dynamic` on the same assertions.
+/// extent, so its slabs are uniform; widths 5 and 16 leave a ragged last
+/// slab. A requested `Static` runs `Static` at every width.
 #[test]
 fn lcs_schedule_matrix_bit_identical() {
     let a = random_sequence(37, 11);
@@ -343,14 +342,9 @@ fn lcs_schedule_matrix_bit_identical() {
                     stats.tiles_executed,
                     "{ctx}"
                 );
-                // Slabs are uniform at width 2 only: there the request must
-                // stick, elsewhere it falls back.
-                let want_mode = if width == 2 {
-                    schedule
-                } else {
-                    Schedule::Dynamic
-                };
-                assert_eq!(stats.schedule, want_mode, "{ctx}");
+                // Slabs are uniform at width 2 only; the request sticks at
+                // every width.
+                assert_eq!(stats.schedule, schedule, "{ctx}");
                 match schedule {
                     Schedule::Dynamic => dynamic.push(exact_counters(stats)),
                     Schedule::Static => assert_eq!(exact_counters(stats), dynamic[t], "{ctx}"),
@@ -364,7 +358,7 @@ fn lcs_schedule_matrix_bit_identical() {
 /// order, tile for tile: the plan's order is topological, so the ready heap
 /// carrying it always holds the next tile of the order and pops it. Read
 /// off a `Spans` trace's `TileStart` events, on LCS at the benchmark's
-/// width 48 and on a 3-D LCS, both slab-uniform along `i1`.
+/// width 48 and on a 3-D LCS.
 #[test]
 fn one_worker_static_runs_execute_the_plans_order() {
     for (width, lens) in [(48i64, vec![479usize, 431]), (4, vec![15, 11, 13])] {

@@ -14,7 +14,7 @@
 use dpgen::codegen::emit_c;
 use dpgen::core::Program;
 use dpgen::runtime::Schedule;
-use dpgen_fuzz::{check_spec, full_matrix, load_corpus};
+use dpgen_fuzz::{check_spec, full_matrix, load_corpus, Twist};
 use std::path::Path;
 
 fn corpus() -> Vec<(std::path::PathBuf, dpgen::core::GeneratedSpec)> {
@@ -40,9 +40,9 @@ fn corpus_specs_pass_the_differential_matrix() {
     // covered forever. (Every leg goes through the engine's one run scan,
     // so there is no batched leg to require.)
     assert_eq!(legs.len(), 15);
-    assert!(legs.iter().any(|l| l.kill));
-    assert!(legs.iter().any(|l| l.plan_reuse));
-    assert!(legs.iter().any(|l| l.banded));
+    for twist in [Twist::Kill, Twist::PlanReuse, Twist::Banded] {
+        assert!(legs.iter().any(|l| l.twist == twist), "no {twist:?} leg");
+    }
     assert!(legs
         .iter()
         .any(|l| l.schedule == Schedule::Static && l.ranks == 1));

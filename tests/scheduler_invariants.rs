@@ -310,7 +310,7 @@ proptest! {
         };
         let plan = Arc::new(plan);
         prop_assert_eq!(plan.len(), owned_tiles().count());
-        prop_assert_eq!(plan.graph_len(), graph.len());
+        prop_assert_eq!(plan.ordering().order.len(), graph.len());
 
         // A home for every owned tile and no other; a key for every tile,
         // each position of the order once.
