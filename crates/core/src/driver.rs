@@ -12,7 +12,12 @@
 //! Multi-rank failure handling: every rank shares one cancellation flag, so
 //! the first rank to fail (kernel panic, stall, transport error) tears the
 //! others down promptly; the engine then reports the most diagnostic error
-//! (by [`RunError::severity`]) rather than a sympathetic `Cancelled`.
+//! ([`most_severe`], the rule each rank applies to its own workers) rather
+//! than a sympathetic `Cancelled`.
+//!
+//! Results meet once, here: probes merge across ranks, and the run's
+//! whole-space reduction is the identity folded with the ranks' partials —
+//! or, when the run keeps checkpoints, with the checkpoints' folds.
 //!
 //! The public entry point is [`crate::Plan::execute`] (and its batched,
 //! reducing and logging siblings), which checks the options and calls
@@ -24,7 +29,7 @@ use crate::run::RunOutput;
 use crate::traceback::EdgeLog;
 use dpgen_mpisim::{CommStats, CommWorld, Wire};
 use dpgen_runtime::{
-    run_node, CheckpointData, CheckpointSink, CompileFault, CompileStage, EventKind,
+    most_severe, run_node, CheckpointData, CheckpointSink, CompileFault, CompileStage, EventKind,
     MetricsRegistry, NodeConfig, NodeJob, NodeRecovery, NodeResult, NullTransport, RankTrace,
     Reduction, ResumeState, RunError, RunKernel, RunStats, SingleOwner, TileOwner, TileSet,
     Timeline, Tracer, Transport, Value,
@@ -141,11 +146,10 @@ where
     }
     let recovery_on = recovery.is_some();
     let max_recoveries = recovery.map_or(0, |rc| rc.max_recoveries);
-    let combine = reduce.map(|r| r.combine_fn());
     let retain = recovery_on || logged;
     let mut sinks: Vec<Arc<CheckpointSink<T>>> = if retain {
         (0..opts.ranks)
-            .map(|_| Arc::new(CheckpointSink::new(combine.clone())))
+            .map(|_| Arc::new(CheckpointSink::new(reduce.cloned())))
             .collect()
     } else {
         Vec::new()
@@ -254,23 +258,12 @@ where
         // Surface the most diagnostic failure: a root cause (kernel panic,
         // bad edge) beats a death report beats a symptom (stall, transport)
         // beats a sympathetic cancellation.
-        let mut worst: Option<RunError> = None;
-        let mut dead_rank: Option<usize> = None;
-        for r in per_rank.iter().flatten() {
-            if let Err(e) = r {
-                if let RunError::PeerDead { rank, .. } = e {
-                    dead_rank.get_or_insert(*rank);
-                }
-                if worst
-                    .as_ref()
-                    .map(|w| e.severity() > w.severity())
-                    .unwrap_or(true)
-                {
-                    worst = Some(e.clone());
-                }
-            }
-        }
-        match worst {
+        let errors = || per_rank.iter().flatten().filter_map(|r| r.as_ref().err());
+        let dead_rank = errors().find_map(|e| match e {
+            RunError::PeerDead { rank, .. } => Some(*rank),
+            _ => None,
+        });
+        match most_severe(errors()).cloned() {
             None => {
                 let per_rank: Vec<NodeResult<T>> = per_rank
                     .into_iter()
@@ -302,7 +295,7 @@ where
                         recover(
                             dead,
                             balance,
-                            &combine,
+                            reduce,
                             &mut sinks,
                             &mut resume,
                             &mut map,
@@ -335,23 +328,26 @@ where
     let traces: Vec<RankTrace> = tracers.iter().flatten().map(|t| t.drain()).collect();
     let timeline = (!traces.is_empty()).then(|| Timeline::build(artifacts.graph.clone(), traces));
 
-    // With checkpoints the node engine routes per-tile reduction
-    // contributions into the sinks instead of merging them mid-run (a
-    // failed epoch must not leave half its tiles in the global
-    // accumulator); fold the surviving per-rank partials in now. Every
-    // tile is complete in exactly one live rank's sink (a dead rank's
-    // re-ran on its adoptee), so the sinks' edges are the run's edge log.
+    // Every tile is complete in exactly one live rank's sink (a dead rank's
+    // re-ran on its adoptee), so the sinks' edges are the run's edge log and
+    // their folds the run's reduction partials: a rank's own fold covers
+    // only the tiles it ran in the last epoch.
     let mut log = EdgeLog::new(if logged { graph.len() } else { 0 });
+    let mut partials: Vec<T> = Vec::new();
     for sink in &sinks {
         let data = sink.take();
-        if let (Some(r), Some(a)) = (reduce, data.acc) {
-            r.merge(a);
-        }
+        partials.extend(data.acc);
         rec_stats.checkpoint_bytes += data.bytes;
         if logged {
             log.extend(data.edges);
         }
     }
+    if !retain {
+        partials.extend(per_rank.iter().filter_map(|r| r.reduction));
+    }
+    // The one place partials meet.
+    let reduction =
+        reduce.map(|r| (partials.into_iter()).fold(r.identity(), |a, p| r.combine(a, p)));
     rec_stats.tiles_resumed = per_rank.iter().map(|r| r.stats.tiles_resumed).sum();
 
     let mut metrics = MetricsRegistry::new();
@@ -377,7 +373,7 @@ where
     }
     let out = RunOutput {
         probes,
-        reduction: reduce.map(|r| r.finish()),
+        reduction,
         per_rank,
         comm_stats,
         balance: balance.cloned(),
@@ -410,7 +406,7 @@ impl TileOwner for ReassignedOwner<'_> {
 fn recover<T: Value>(
     dead: usize,
     balance: &LoadBalance,
-    combine: &Option<Arc<dyn Fn(T, T) -> T + Send + Sync>>,
+    reduce: Option<&Reduction<T>>,
     sinks: &mut [Arc<CheckpointSink<T>>],
     resume: &mut [Option<ResumeState<T>>],
     map: &mut [usize],
@@ -479,9 +475,9 @@ fn recover<T: Value>(
     // empty sink to keep rank indexing simple.
     for r in 0..ranks {
         sinks[r] = Arc::new(if retired.contains(&r) {
-            CheckpointSink::new(combine.clone())
+            CheckpointSink::new(reduce.cloned())
         } else {
-            CheckpointSink::seeded(combine.clone(), datas[r].clone())
+            CheckpointSink::seeded(reduce.cloned(), datas[r].clone())
         });
     }
 
@@ -620,6 +616,71 @@ mod tests {
         assert!(res.probes[1].is_some());
         assert!(res.probes[2].is_some());
         assert!(res.probes[3].is_some()); // 7+7 <= 15
+    }
+
+    /// Writes 1 to every cell: a sum reduction counts the cells a run
+    /// folded.
+    fn ones(cell: CellRef<'_>, values: &mut [i64]) {
+        values[cell.loc] = 1;
+    }
+
+    /// The triangle at N = 40, width 3: 41 * 42 / 2 cells.
+    fn triangle_40() -> (Arc<Plan>, i64) {
+        let plan = Plan::on_tiling(triangle(3), &[40], vec![0]).unwrap();
+        (plan, 861)
+    }
+
+    #[test]
+    fn one_reduction_executed_twice_returns_the_same_total() {
+        let (plan, cells) = triangle_40();
+        let sum = Reduction::sum_i64();
+        for ranks in [1usize, 2] {
+            let opts = ExecOpts::new().threads(2).ranks(ranks);
+            for pass in 0..2 {
+                let out = plan.execute_reduce(&PerCell(&ones), &sum, &opts).unwrap();
+                assert_eq!(out.reduction, Some(cells), "ranks={ranks} pass {pass}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_share_one_reduction_and_each_gets_its_own_total() {
+        let (plan, cells) = triangle_40();
+        let sum = Reduction::sum_i64();
+        let opts = ExecOpts::new().threads(2);
+        // Each run waits at its last cell, the origin, until the other has
+        // reached its own: the two are in flight together.
+        let both = std::sync::Barrier::new(2);
+        let meet = |cell: CellRef<'_>, values: &mut [i64]| {
+            if cell.x == [0, 0] {
+                both.wait();
+            }
+            ones(cell, values);
+        };
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| plan.execute_reduce(&PerCell(&meet), &sum, &opts)))
+                .collect();
+            for run in runs {
+                let out = run.join().unwrap().unwrap();
+                assert_eq!(out.reduction, Some(cells));
+            }
+        });
+    }
+
+    #[test]
+    fn each_rank_reports_its_own_fold_and_the_run_folds_the_ranks() {
+        let (plan, cells) = triangle_40();
+        let opts = ExecOpts::new().threads(2).ranks(2);
+        let out = (plan.execute_reduce(&PerCell(&ones), &Reduction::sum_i64(), &opts)).unwrap();
+        let mut total = 0;
+        for (rank, r) in out.per_rank.iter().enumerate() {
+            let ran = r.stats.cells_computed as i64;
+            assert!(0 < ran && ran < cells, "rank {rank} ran {ran} cells");
+            assert_eq!(r.reduction, Some(ran), "rank {rank}");
+            total += ran;
+        }
+        assert_eq!((total, out.reduction), (cells, Some(cells)));
     }
 
     fn recovery_config() -> RecoveryConfig {

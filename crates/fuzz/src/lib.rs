@@ -4,8 +4,11 @@
 //! pipeline — FM bounds → tiling → edge layouts → tiled runtime — across
 //! a {1, 2, 4}-thread × {1, 2}-rank matrix, fault-free and under a seeded
 //! [`FaultPlan`], and **every cell value** is compared bit-identically
-//! against the naive reference interpreter. Any disagreement, run error,
-//! or cell-count mismatch is a [`Failure`]; failures auto-shrink
+//! against the naive reference interpreter, as is a whole-space wrapping-sum
+//! [`Reduction`] (one per spec, shared by every leg and every pass, so a
+//! reduction that kept state between runs fails the second run). Any
+//! disagreement, run error, or cell-count mismatch is a [`Failure`];
+//! failures auto-shrink
 //! ([`shrink`]) by dropping constraints/templates, halving widths and the
 //! parameter, and clearing the ordering knobs, keeping the smallest spec
 //! that still fails. Minimized specs serialize into `tests/corpus/` where
@@ -14,7 +17,7 @@
 use dpgen_core::specgen::{self, GeneratedSpec};
 use dpgen_core::{ExecOpts, Plan, Program, RecoveryConfig, RunOutput, SpecBand};
 use dpgen_mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
-use dpgen_runtime::{Probe, RunError, Schedule, SplitMix64, TilePriority};
+use dpgen_runtime::{PerCell, Probe, Reduction, RunError, Schedule, SplitMix64, TilePriority};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -176,22 +179,27 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
         Probe::many(&coords)
     };
     let probe = probe_all(&reference);
+    // One reduction for every leg and pass: a `Reduction` is a value no run
+    // writes, so each run's fold must equal its reference's sum alone.
+    let sum = Reduction::new(0u64, u64::wrapping_add);
 
     // Execute with `opts` (which probe all of `reference`) and compare the
-    // cell count and every cell value (`what` prefixes the messages).
+    // cell count, every cell value and the reduction (`what` prefixes the
+    // messages).
     let check = |leg: Leg,
                  what: &str,
                  reference: &specgen::NaiveReference,
                  plan: &Plan,
                  opts: &ExecOpts|
      -> Result<(), Failure> {
-        let out: RunOutput<u64> = plan.execute(&kernel, opts).map_err(|e| {
-            let stall = match &e {
-                RunError::Stalled(snapshot) => Some(snapshot.to_string()),
-                _ => None,
-            };
-            fail(Some(leg), format!("{what}run error: {e}"), stall)
-        })?;
+        let out: RunOutput<u64> =
+            (plan.execute_reduce(&PerCell(&kernel), &sum, opts)).map_err(|e| {
+                let stall = match &e {
+                    RunError::Stalled(snapshot) => Some(snapshot.to_string()),
+                    _ => None,
+                };
+                fail(Some(leg), format!("{what}run error: {e}"), stall)
+            })?;
         if out.cells_computed() as usize != reference.points.len() {
             return Err(fail(
                 Some(leg),
@@ -236,6 +244,17 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
                     None,
                 ));
             }
+        }
+        let want = (reference.values.values()).fold(0u64, |a, &v| a.wrapping_add(v));
+        if out.reduction != Some(want) {
+            return Err(fail(
+                Some(leg),
+                format!(
+                    "{what}reduction {:?} != reference sum {want}",
+                    out.reduction
+                ),
+                None,
+            ));
         }
         Ok(())
     };

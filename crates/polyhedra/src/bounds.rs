@@ -192,24 +192,16 @@ impl LoopNest {
         self.context.contains(point)
     }
 
-    /// Visit every lattice point. `point` must be a full-space assignment
-    /// with parameters already set; loop-variable entries are overwritten.
-    /// The callback receives the full point for each iteration.
+    /// Visit every lattice point, every level ascending. `point` must be a
+    /// full-space assignment with parameters already set; loop-variable
+    /// entries are overwritten. The callback receives the full point for
+    /// each iteration.
     pub fn for_each_point<F: FnMut(&[i128])>(
         &self,
         point: &mut [i128],
-        mut f: F,
+        f: F,
     ) -> Result<(), PolyError> {
-        if point.len() != self.space.dim() {
-            return Err(PolyError::SpaceMismatch {
-                expected: self.space.dim(),
-                found: point.len(),
-            });
-        }
-        if !self.context_holds(point)? {
-            return Ok(());
-        }
-        self.walk(0, point, &mut f)
+        self.for_each_point_directed(point, &vec![false; self.levels.len()], f)
     }
 
     /// Like [`LoopNest::for_each_point`], but each level scans in the given
@@ -240,26 +232,6 @@ impl LoopNest {
             return Ok(());
         }
         self.walk_directed(0, point, descending, &mut f)
-    }
-
-    fn walk<F: FnMut(&[i128])>(
-        &self,
-        depth: usize,
-        point: &mut [i128],
-        f: &mut F,
-    ) -> Result<(), PolyError> {
-        if depth == self.levels.len() {
-            f(point);
-            return Ok(());
-        }
-        let level = &self.levels[depth];
-        if let Some((lb, ub)) = level.bounds_at(point)? {
-            for v in lb..=ub {
-                point[level.var] = v;
-                self.walk(depth + 1, point, f)?;
-            }
-        }
-        Ok(())
     }
 
     fn walk_directed<F: FnMut(&[i128])>(

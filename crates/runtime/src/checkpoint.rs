@@ -26,9 +26,9 @@
 //! (`core::Plan::execute_logged`).
 
 use crate::kernel::Value;
+use crate::reduce::Reduction;
 use crate::scheduler::Delivery;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A set of tiles: a bitmap over the tile graph's index. It grows on
@@ -77,7 +77,7 @@ impl TileSet {
 
 /// The raw contents of one rank's checkpoint, extracted by the recovery
 /// coordinator after an epoch ends (successfully or not).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckpointData<T> {
     /// Tiles fully executed and recorded by this rank.
     pub completed: TileSet,
@@ -95,66 +95,34 @@ pub struct CheckpointData<T> {
     pub bytes: u64,
 }
 
-impl<T> Default for CheckpointData<T> {
-    fn default() -> CheckpointData<T> {
-        CheckpointData {
-            completed: TileSet::default(),
-            edges: Vec::new(),
-            probes: Vec::new(),
-            acc: None,
-            bytes: 0,
-        }
-    }
-}
-
-struct SinkState<T> {
-    completed: TileSet,
-    edges: Vec<Delivery<T>>,
-    probes: Vec<(usize, T)>,
-    acc: Option<T>,
-}
-
 /// The per-rank incremental checkpoint writer.
 ///
 /// [`CheckpointSink::record`] is the only mutation: one lock acquisition
 /// inserts the tile into the completed set, retains its outgoing edges and
 /// probe values, and folds its reduction contribution — atomically, so a
 /// failing epoch can never observe a tile whose completion and reduction
-/// disagree (the reason the node engine routes per-tile reduction
-/// contributions here instead of merging them into the global
-/// [`crate::reduce::Reduction`] mid-run).
+/// disagree. A run that keeps checkpoints reads its whole-space reduction
+/// off the sinks, not off the ranks' own folds: a sink's fold survives a
+/// failed epoch and covers exactly the tiles recorded complete.
 pub struct CheckpointSink<T> {
-    /// The reduction's combine, shared with the run's `Reduction` (see
-    /// `Reduction::combine_fn`); `None` when the run has no reduction.
-    combine: Option<Arc<dyn Fn(T, T) -> T + Send + Sync>>,
-    state: Mutex<SinkState<T>>,
-    /// Approximate retained bytes, readable without the state lock (the
-    /// stall path and stats reporting poll this).
-    bytes: AtomicU64,
+    /// A clone of the run's reduction; `None` when the run has none.
+    reduce: Option<Reduction<T>>,
+    state: Mutex<CheckpointData<T>>,
 }
 
 impl<T: Value> CheckpointSink<T> {
     /// An empty sink (a fresh epoch with no prior state).
-    pub fn new(combine: Option<Arc<dyn Fn(T, T) -> T + Send + Sync>>) -> CheckpointSink<T> {
-        CheckpointSink::seeded(combine, CheckpointData::default())
+    pub fn new(reduce: Option<Reduction<T>>) -> CheckpointSink<T> {
+        CheckpointSink::seeded(reduce, CheckpointData::default())
     }
 
     /// A sink seeded with a prior epoch's checkpoint: the surviving rank
     /// keeps everything it already recorded, so a *second* failure still
     /// finds the full history here.
-    pub fn seeded(
-        combine: Option<Arc<dyn Fn(T, T) -> T + Send + Sync>>,
-        data: CheckpointData<T>,
-    ) -> CheckpointSink<T> {
+    pub fn seeded(reduce: Option<Reduction<T>>, data: CheckpointData<T>) -> CheckpointSink<T> {
         CheckpointSink {
-            combine,
-            bytes: AtomicU64::new(data.bytes),
-            state: Mutex::new(SinkState {
-                completed: data.completed,
-                edges: data.edges,
-                probes: data.probes,
-                acc: data.acc,
-            }),
+            reduce,
+            state: Mutex::new(data),
         }
     }
 
@@ -179,42 +147,29 @@ impl<T: Value> CheckpointSink<T> {
         }
         st.edges.extend(edges);
         st.probes.extend_from_slice(probes);
-        if let (Some(combine), Some(x)) = (&self.combine, contribution) {
+        if let (Some(r), Some(x)) = (&self.reduce, contribution) {
             st.acc = Some(match st.acc {
-                Some(a) => combine(a, x),
+                Some(a) => r.combine(a, x),
                 None => x,
             });
         }
-        drop(st);
-        self.bytes.fetch_add(nb as u64, Ordering::Relaxed);
+        st.bytes += nb as u64;
     }
 
     /// Approximate bytes retained so far.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Number of tiles recorded complete.
-    pub fn completed_count(&self) -> usize {
-        self.state.lock().completed.len()
+        self.state.lock().bytes
     }
 
     /// Extract the checkpoint contents, leaving the sink empty. Called by
     /// the recovery coordinator once the epoch's threads have joined.
     pub fn take(&self) -> CheckpointData<T> {
-        let mut st = self.state.lock();
-        CheckpointData {
-            completed: std::mem::take(&mut st.completed),
-            edges: std::mem::take(&mut st.edges),
-            probes: std::mem::take(&mut st.probes),
-            acc: st.acc.take(),
-            bytes: self.bytes.swap(0, Ordering::Relaxed),
-        }
+        std::mem::take(&mut *self.state.lock())
     }
 }
 
 /// Scheduler state handed to a rank resuming after a recovery.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResumeState<T> {
     /// Tiles (owned by this rank under the *patched* ownership) already
     /// completed in prior epochs: skipped, their results live in replayed
@@ -227,16 +182,6 @@ pub struct ResumeState<T> {
     /// Probe values resolved by tiles in `completed`, re-seeded into the
     /// probe results.
     pub probes: Vec<(usize, T)>,
-}
-
-impl<T> Default for ResumeState<T> {
-    fn default() -> ResumeState<T> {
-        ResumeState {
-            completed: TileSet::default(),
-            replay: Vec::new(),
-            probes: Vec::new(),
-        }
-    }
 }
 
 /// Everything the node engine needs to run under recovery: where to write
@@ -262,12 +207,11 @@ mod tests {
 
     #[test]
     fn record_is_atomic_and_idempotent() {
-        let sink: CheckpointSink<i64> = CheckpointSink::new(Some(Arc::new(i64::max)));
+        let sink: CheckpointSink<i64> = CheckpointSink::new(Some(Reduction::max_i64()));
         sink.record(0, vec![edge(1, vec![3, 4])], &[(0, 7)], Some(4));
         sink.record(70, vec![], &[], Some(9));
         // Re-recording the same tile changes nothing — not even the acc.
         sink.record(0, vec![edge(2, vec![5])], &[(1, 8)], Some(100));
-        assert_eq!(sink.completed_count(), 2);
         assert!(sink.bytes() > 0);
         let data = sink.take();
         assert_eq!(data.completed.len(), 2);
@@ -277,16 +221,16 @@ mod tests {
         assert_eq!(data.probes, vec![(0, 7)]);
         assert_eq!(data.acc, Some(9));
         // Taken: the sink is empty again.
-        assert_eq!(sink.completed_count(), 0);
+        assert!(sink.take().completed.is_empty());
         assert_eq!(sink.bytes(), 0);
     }
 
     #[test]
     fn seeded_sink_continues_the_fold() {
-        let sink: CheckpointSink<i64> = CheckpointSink::new(Some(Arc::new(i64::max)));
+        let sink: CheckpointSink<i64> = CheckpointSink::new(Some(Reduction::max_i64()));
         sink.record(0, vec![], &[], Some(5));
         let data = sink.take();
-        let resumed = CheckpointSink::seeded(Some(Arc::new(i64::max)), data);
+        let resumed = CheckpointSink::seeded(Some(Reduction::max_i64()), data);
         resumed.record(1, vec![], &[], Some(3));
         resumed.record(2, vec![], &[], Some(11));
         let out = resumed.take();
@@ -304,7 +248,7 @@ mod tests {
     #[test]
     fn concurrent_records_land_exactly_once() {
         let sink: Arc<CheckpointSink<i64>> =
-            Arc::new(CheckpointSink::new(Some(Arc::new(|a: i64, b: i64| a + b))));
+            Arc::new(CheckpointSink::new(Some(Reduction::sum_i64())));
         std::thread::scope(|s| {
             for w in 0..4usize {
                 let sink = sink.clone();

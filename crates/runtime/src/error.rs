@@ -17,6 +17,7 @@ use crate::trace::TraceEvent;
 use crate::transport::{LinkDiag, TransportError};
 use dpgen_polyhedra::PolyError;
 use dpgen_tiling::{Coord, TilingError};
+use std::cmp::Reverse;
 use std::fmt;
 use std::time::Duration;
 
@@ -318,6 +319,14 @@ impl RunError {
     }
 }
 
+/// The error a failed run reports out of many — its workers', or its
+/// ranks': the most severe by [`RunError::severity`], ties going to the
+/// first (the lowest worker or rank). `None` when there is none.
+pub fn most_severe<'a>(errors: impl IntoIterator<Item = &'a RunError>) -> Option<&'a RunError> {
+    // `min_by_key` keeps the first of equal keys.
+    errors.into_iter().min_by_key(|e| Reverse(e.severity()))
+}
+
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -497,6 +506,32 @@ mod tests {
         let cancelled = RunError::Cancelled { rank: 1 };
         assert!(panic.severity() > stall.severity());
         assert!(stall.severity() > cancelled.severity());
+    }
+
+    #[test]
+    fn most_severe_picks_the_root_cause_and_ties_go_to_the_first() {
+        let panic = |rank| RunError::KernelPanic {
+            rank,
+            worker: 0,
+            tile: Coord::from_slice(&[1, 2]),
+            message: "boom".into(),
+        };
+        let errors = [
+            RunError::Cancelled { rank: 0 },
+            panic(1),
+            RunError::Stalled(Box::new(snapshot())),
+            panic(3),
+        ];
+        assert!(matches!(
+            most_severe(&errors),
+            Some(RunError::KernelPanic { rank: 1, .. })
+        ));
+        let cancelled = [2, 5].map(|rank| RunError::Cancelled { rank });
+        assert!(matches!(
+            most_severe(&cancelled),
+            Some(RunError::Cancelled { rank: 2 })
+        ));
+        assert!(most_severe(&[]).is_none());
     }
 
     #[test]

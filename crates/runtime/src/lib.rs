@@ -45,7 +45,9 @@ pub mod trace;
 pub mod transport;
 
 pub use checkpoint::{CheckpointData, CheckpointSink, NodeRecovery, ResumeState, TileSet};
-pub use error::{CompileFault, CompileStage, EdgeFault, PendingTile, RunError, StallSnapshot};
+pub use error::{
+    most_severe, CompileFault, CompileStage, EdgeFault, PendingTile, RunError, StallSnapshot,
+};
 pub use kernel::{Kernel, PerCell, RunKernel, Value};
 pub use memory::MemoryStats;
 pub use metrics::{Histogram, Metric, MetricsRegistry};

@@ -119,11 +119,6 @@ impl MemoryStats {
         self.edges_buffered.load(Ordering::Relaxed)
     }
 
-    /// Currently live tiles (should be 0 after a complete run).
-    pub fn current_live_tiles(&self) -> i64 {
-        self.live_tiles.load(Ordering::Relaxed)
-    }
-
     /// Peak simultaneously pending tiles — the paper's `O(n^{d-1})` bound.
     pub fn peak_pending_tiles(&self) -> i64 {
         self.pending_tiles_peak.load(Ordering::Relaxed)
@@ -164,7 +159,9 @@ mod tests {
         m.tile_allocated();
         m.tile_released();
         m.tile_released();
-        assert_eq!(m.current_live_tiles(), 0);
+        assert_eq!(m.peak_live_tiles(), 2);
+        // Back at zero: one more tile is a live count of 1, under the peak.
+        m.tile_allocated();
         assert_eq!(m.peak_live_tiles(), 2);
     }
 

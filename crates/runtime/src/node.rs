@@ -35,8 +35,12 @@
 //! and between popping a tile and delivering its edges a worker names
 //! tiles by that index only. A coordinate is resolved to its index once,
 //! where it enters: an edge from the transport (a checkpoint retains and
-//! replays edges by index). What a worker counts for [`RunStats`] it counts
-//! on its own stack and adds to the run's totals when it exits.
+//! replays edges by index). Results travel one way: a worker keeps what it
+//! produces — its [`RunStats`] counts, idle time, reduction fold and
+//! resolved probes — on its own stack and returns it when it exits, and the
+//! rank folds its workers once, after the join. Workers share only what
+//! they must see mid-run: the scheduler, the executed count, the failure
+//! flag, the progress clocks, the wake channel and the [`MemoryStats`].
 //!
 //! Failures are typed, not fatal ([`RunError`]): the kernel runs under
 //! `catch_unwind` so a panicking tile quarantines its coordinate instead of
@@ -46,14 +50,15 @@
 //! executed, no edge delivered for [`NodeConfig::stall_timeout`] — into
 //! [`RunError::Stalled`] carrying a [`StallSnapshot`] of the scheduler.
 //! When any worker fails, the pool drains out and, if a shared
-//! [`NodeConfig::cancel`] flag was provided, sibling ranks are told to stop.
+//! [`NodeConfig::cancel`] flag was provided, sibling ranks are told to stop;
+//! the rank reports its workers' most severe error ([`most_severe`]).
 //!
 //! [`EdgeLayout::max_cells`]: dpgen_tiling::EdgeLayout::max_cells
 //! [`PerCell`]: crate::kernel::PerCell
 //! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
 use crate::checkpoint::{NodeRecovery, TileSet};
-use crate::error::{EdgeFault, RunError, StallSnapshot};
+use crate::error::{most_severe, EdgeFault, RunError, StallSnapshot};
 use crate::kernel::{RunKernel, Value};
 use crate::memory::MemoryStats;
 use crate::priority::TilePriority;
@@ -159,12 +164,6 @@ impl NodeConfig {
     /// Same configuration with a different watchdog window.
     pub fn with_stall_timeout(mut self, timeout: Option<Duration>) -> NodeConfig {
         self.stall_timeout = timeout;
-        self
-    }
-
-    /// Same configuration with an event tracer attached.
-    pub fn with_tracer(mut self, tracer: Option<Arc<Tracer>>) -> NodeConfig {
-        self.tracer = tracer;
         self
     }
 }
@@ -544,11 +543,25 @@ pub struct NodeResult<T> {
     /// when the location is outside this node's tiles (another rank has it)
     /// or outside the iteration space.
     pub probes: Vec<Option<T>>,
-    /// This node's partial reduction value (see
-    /// [`crate::reduce::Reduction`]); `None` when no reduction was given.
+    /// This node's partial reduction value: the fold of every cell of the
+    /// tiles it ran this epoch (see [`crate::reduce::Reduction`]); `None`
+    /// when no reduction was given.
     pub reduction: Option<T>,
     /// Execution statistics.
     pub stats: RunStats,
+}
+
+/// What one worker hands back when it exits.
+struct WorkerOut<T> {
+    /// Its work counters (the [`RunStats::add_counts`] fields).
+    counts: RunStats,
+    tiles_run: u64,
+    idle_time: Duration,
+    /// Its fold over the cells of the tiles it ran; `None` without a
+    /// reduction.
+    acc: Option<T>,
+    /// The probes its tiles resolved, as `(probe index, value)`.
+    probes: Vec<(usize, T)>,
 }
 
 /// Stringify a caught panic payload (panics carry `&str` or `String` in
@@ -747,17 +760,10 @@ where
                                    // Resumed tiles count as done from the start: the termination check
                                    // (`executed >= owned`) then fires after only the *new* work finishes.
     let executed = AtomicU64::new(resumed);
-    // Each worker counts its own work and adds it here once, on its way out.
-    let totals = Mutex::new(RunStats {
-        cells_computed: resumed_cells,
-        ..RunStats::default()
-    });
-    let idle_ns = AtomicU64::new(0);
-    let tiles_per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
-    // --- Failure plumbing: the first error wins, everyone else drains out.
+    // --- Failure plumbing: a failing worker raises the flag and returns
+    // its error, everyone else drains out.
     let failed = AtomicBool::new(false);
-    let first_error: Mutex<Option<RunError>> = Mutex::new(None);
     // Progress clocks for the stall watchdog, as nanoseconds since
     // `t_start`. Each worker stores its own (monotone: one writer, one
     // clock); the node's last progress is the latest of them, taken by
@@ -769,20 +775,11 @@ where
     };
 
     // Where each probe is read, and the tiles that read one: every other
-    // tile skips the search and the results mutex.
+    // tile skips the search.
     let probes = resolve_probes(graph, probe);
     let mut probed = TileSet::default();
     for &(tile, ..) in &probes {
         probed.insert(tile);
-    }
-    let probe_results: Mutex<Vec<Option<T>>> = Mutex::new(vec![None; probe.len()]);
-    // Probes resolved by tiles that will not re-execute come from the
-    // checkpoint.
-    if let Some(rs) = resume {
-        let mut res = probe_results.lock();
-        for (idx, v) in &rs.probes {
-            res[*idx] = Some(*v);
-        }
     }
 
     // The watchdog's diagnostic dump: what was the node waiting on?
@@ -810,28 +807,23 @@ where
         }
     };
 
-    std::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         // One worker's whole life, run by every worker thread.
         let worker = {
             let sched = &sched;
             let cv = &cv;
             let cv_mutex = &cv_mutex;
             let executed = &executed;
-            let totals = &totals;
             let probed = &probed;
-            let idle_ns = &idle_ns;
-            let tiles_per_worker = &tiles_per_worker;
             let mem = &mem;
             let probes = &probes;
-            let probe_results = &probe_results;
             let failed = &failed;
-            let first_error = &first_error;
             let last_progress = &last_progress;
             let worker_progress = &worker_progress;
             let snapshot = &snapshot;
             let resolve = &resolve;
             let duplicate = &duplicate;
-            move |w: usize| {
+            move |w: usize| -> Result<WorkerOut<T>, RunError> {
                 let mut pool: TileBufferPool<T> = TileBufferPool::new();
                 // Tracks the current idle episode for WorkerIdle/Resume
                 // events; only maintained when a tracer is attached.
@@ -851,6 +843,9 @@ where
                     Vec::with_capacity(tiling.deps().len());
                 let mut counts = RunStats::default();
                 let mut tiles_run = 0u64;
+                let mut idle_time = Duration::ZERO;
+                let mut acc = reduce.map(|r| r.identity());
+                let mut found: Vec<(usize, T)> = Vec::new();
                 let note_progress = || {
                     let now = t_start.elapsed().as_nanos() as u64;
                     worker_progress[w].store(now, Ordering::Release);
@@ -865,21 +860,16 @@ where
                         t.record(w, EventKind::Fault, tile, e.severity() as u64);
                     }
                     announce(config, &e);
-                    let mut slot = first_error.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    drop(slot);
                     failed.store(true, Ordering::Release);
                     cv.notify_all();
+                    Err(e)
                 };
                 loop {
                     if failed.load(Ordering::Acquire) {
                         break;
                     }
                     if let Err(e) = liveness(config, transport) {
-                        fail(e);
-                        break;
+                        return fail(e);
                     }
                     // Step 6 of the paper's loop: poll for incoming edges,
                     // delivered as one batch.
@@ -913,8 +903,7 @@ where
                         }
                     }
                     if let Some(e) = bad_edge {
-                        fail(e);
-                        break;
+                        return fail(e);
                     }
                     // Selection: this worker's heap, else a steal.
                     let Some((tile_idx, edges)) = sched.pop(w) else {
@@ -939,7 +928,7 @@ where
                         // progress hangs on a timer wake-up.
                         if t0 < *spin_until.get_or_insert(t0 + IDLE_SPIN) {
                             poll_pause();
-                            idle_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            idle_time += t0.elapsed();
                             continue;
                         }
                         {
@@ -954,7 +943,7 @@ where
                                 cv.wait_for(&mut guard, Duration::from_micros(200));
                             }
                         }
-                        idle_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        idle_time += t0.elapsed();
                         if let Some(limit) = config.stall_timeout {
                             let idle = t_start.elapsed().saturating_sub(last_progress());
                             if idle > limit {
@@ -966,8 +955,7 @@ where
                                         idle.as_nanos() as u64,
                                     );
                                 }
-                                fail(RunError::Stalled(Box::new(snapshot(idle))));
-                                break;
+                                return fail(RunError::Stalled(Box::new(snapshot(idle))));
                             }
                         }
                         continue;
@@ -993,21 +981,18 @@ where
                     // written range is unknown after a mid-scan panic).
                     let geom = match tile_geometry(graph, config.rank, tile_idx) {
                         Ok(geom) => geom,
-                        Err(e) => {
-                            fail(e);
-                            break;
-                        }
+                        Err(e) => return fail(e),
                     };
                     counts.geom_builds += matches!(geom, Cow::Owned(_)) as u64;
                     mem.tile_allocated();
                     let mut values: Vec<T> = pool.acquire(layout.size(), &geom, &mut counts);
                     // Recovery retention: every outgoing edge this tile
-                    // packs (cloned before delivery) and every probe it
-                    // resolves, recorded into the checkpoint sink when the
-                    // tile completes. Both stay empty (no allocation)
-                    // outside recovery.
+                    // packs (cloned before delivery), recorded into the
+                    // checkpoint sink with the probes it resolves (those
+                    // `found` gains from here on) when the tile completes.
+                    // Stays empty (no allocation) outside recovery.
                     let mut retained: Vec<Delivery<T>> = Vec::new();
-                    let mut tile_probes: Vec<(usize, T)> = Vec::new();
+                    let first_found = found.len();
                     let outcome: Result<_, RunError> = 'tile: {
                         // --- Steps 2-3: unpack and execute.
                         for (dep_idx, payload) in edges {
@@ -1041,10 +1026,10 @@ where
                                 blocks: 0,
                             };
                             let scan = tiling.replay(&geom, &tile, &mut visitor);
-                            let acc = visitor.reduce.map(|(_, acc)| acc);
+                            let tile_acc = visitor.reduce.map(|(_, acc)| acc);
                             let written = (visitor.written_lo <= visitor.written_hi)
                                 .then_some((visitor.written_lo, visitor.written_hi));
-                            (scan, visitor.blocks, written, acc)
+                            (scan, visitor.blocks, written, tile_acc)
                         }));
                         let (scan, blocks, written, tile_acc) = match caught {
                             Ok(out) => out,
@@ -1058,28 +1043,14 @@ where
                             }
                         };
                         counts.blocks_evaluated += blocks;
-                        // Outside recovery the per-tile accumulator merges
-                        // into the global reduction right here. Under
-                        // recovery it must not: the merge rides the
-                        // checkpoint record below, atomically with the
-                        // completed-set insert, so a failed epoch can
-                        // never double-count a tile's contribution.
-                        if recovery.is_none() {
-                            if let (Some(r), Some(acc)) = (reduce, tile_acc) {
-                                r.merge(acc);
-                            }
+                        if let (Some(r), Some(acc), Some(tile_acc)) = (reduce, &mut acc, tile_acc) {
+                            *acc = r.combine(*acc, tile_acc);
                         }
 
                         if probed.contains(tile_idx) {
                             let first = probes.partition_point(|&(t, ..)| t < tile_idx);
                             let ours = probes[first..].iter().take_while(|&&(t, ..)| t == tile_idx);
-                            let mut res = probe_results.lock();
-                            for &(_, idx, loc) in ours {
-                                res[idx] = Some(values[loc]);
-                                if recovery.is_some() {
-                                    tile_probes.push((idx, values[loc]));
-                                }
-                            }
+                            found.extend(ours.map(|&(_, idx, loc)| (idx, values[loc])));
                         }
 
                         // --- Step 4: pack each valid outgoing edge. Local
@@ -1151,9 +1122,13 @@ where
                         }
                         // The completed-tile record lands last, after every
                         // send above succeeded: a tile is in the checkpoint
-                        // only when all of its results are out the door.
+                        // only when all of its results are out the door. Its
+                        // reduction contribution rides the record, atomically
+                        // with the completed-set insert, so a failed epoch
+                        // never counts a tile twice.
                         if let Some(rec) = recovery {
-                            rec.sink.record(tile_idx, retained, &tile_probes, tile_acc);
+                            rec.sink
+                                .record(tile_idx, retained, &found[first_found..], tile_acc);
                         }
                         Ok((scan, written))
                     };
@@ -1162,8 +1137,7 @@ where
                         Err(e) => {
                             // Discard the possibly half-written buffer.
                             mem.tile_released();
-                            fail(e);
-                            break;
+                            return fail(e);
                         }
                     };
                     if let Some(t) = tracer {
@@ -1180,8 +1154,7 @@ where
                         Ok(ready) => wake(ready),
                         Err(dup) => {
                             mem.tile_released();
-                            fail(duplicate(dup));
-                            break;
+                            return fail(duplicate(dup));
                         }
                     }
                     let ghosts = unpacked
@@ -1198,21 +1171,57 @@ where
                         cv.notify_all();
                     }
                 }
-                tiles_per_worker[w].store(tiles_run, Ordering::Relaxed);
-                totals.lock().add_counts(&counts);
+                Ok(WorkerOut {
+                    counts,
+                    tiles_run,
+                    idle_time,
+                    acc,
+                    probes: found,
+                })
             }
         };
         // The calling thread is worker 0: a one-worker node starts no
         // thread, so its run waits neither for a new thread to be placed
         // and woken nor for one to be joined.
-        for w in 1..threads {
-            scope.spawn(move || worker(w));
-        }
-        worker(0);
+        let spawned: Vec<_> = (1..threads)
+            .map(|w| scope.spawn(move || worker(w)))
+            .collect();
+        let mut results = vec![worker(0)];
+        results.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked")),
+        );
+        results
     });
 
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
+    // --- The one fold of this rank's workers, in worker order.
+    if let Some(e) = most_severe(results.iter().filter_map(|r| r.as_ref().err())) {
+        return Err(e.clone());
+    }
+    let mut totals = RunStats {
+        cells_computed: resumed_cells,
+        ..RunStats::default()
+    };
+    let mut idle_time = Duration::ZERO;
+    let mut tiles_per_worker = Vec::with_capacity(threads);
+    let mut reduction = reduce.map(|r| r.identity());
+    // Probes resolved by tiles that will not re-execute come from the
+    // checkpoint.
+    let mut probe_values = vec![None; probe.len()];
+    for &(idx, v) in resume.iter().flat_map(|rs| &rs.probes) {
+        probe_values[idx] = Some(v);
+    }
+    for out in results.into_iter().flatten() {
+        totals.add_counts(&out.counts);
+        idle_time += out.idle_time;
+        tiles_per_worker.push(out.tiles_run);
+        if let (Some(r), Some(acc), Some(part)) = (reduce, &mut reduction, out.acc) {
+            *acc = r.combine(*acc, part);
+        }
+        for &(idx, v) in &out.probes {
+            probe_values[idx] = Some(v);
+        }
     }
 
     // --- Quiesce: this rank is done executing, but its frames may be
@@ -1254,14 +1263,11 @@ where
         geom_classes: graph.recordings() as u64,
         init_time,
         total_time: t_start.elapsed(),
-        idle_time: Duration::from_nanos(idle_ns.load(Ordering::Relaxed)),
+        idle_time,
         steal_count: sched.steal_count(),
         steal_fail_count: sched.steal_fail_count(),
         lock_wait_time: sched.lock_wait(),
-        tiles_per_worker: tiles_per_worker
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect(),
+        tiles_per_worker,
         peak_pending_tiles: mem.peak_pending_tiles(),
         threads,
         peak_edges: mem.peak_edges(),
@@ -1272,11 +1278,11 @@ where
         tiles_resumed: resumed,
         checkpoint_bytes: recovery.map(|r| r.sink.bytes()).unwrap_or(0),
         // The work counters, summed over the workers.
-        ..totals.into_inner()
+        ..totals
     };
     Ok(NodeResult {
-        probes: probe_results.into_inner(),
-        reduction: reduce.map(|r| r.finish()),
+        probes: probe_values,
+        reduction,
         stats,
     })
 }

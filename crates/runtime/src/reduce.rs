@@ -3,23 +3,22 @@
 //! Some dynamic programs do not read their answer at a single location:
 //! Smith–Waterman local alignment, for example, needs the *maximum over
 //! every cell*. The tiled runtime discards tile interiors after execution,
-//! so the reduction must fold values as tiles complete. [`Reduction`]
-//! captures an associative, commutative combine; the node runtime folds
-//! each tile's cells into a worker-local accumulator during the center-loop
-//! scan and merges accumulators at the end.
+//! so the reduction must fold values as tiles complete. A [`Reduction`] is
+//! a plain value — an identity and an associative, commutative combine —
+//! that nothing writes: each worker folds the cells of the tiles it runs
+//! into its own accumulator and returns it, the rank folds its workers
+//! once, and the driver folds the ranks (or, when the run keeps
+//! checkpoints, the checkpoints' per-rank folds) once. One `Reduction` can
+//! therefore serve any number of runs, one after another or at once.
 
 use crate::kernel::Value;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// An associative + commutative fold over every computed cell value.
+#[derive(Clone)]
 pub struct Reduction<T> {
     identity: T,
-    /// Shared (not boxed) so a recovery checkpoint sink can hold the same
-    /// combine and fold per-tile contributions atomically with its
-    /// completed-set insert (see `checkpoint`).
     combine: Arc<dyn Fn(T, T) -> T + Send + Sync>,
-    acc: Mutex<T>,
 }
 
 impl<T: Value> Reduction<T> {
@@ -28,45 +27,21 @@ impl<T: Value> Reduction<T> {
         Reduction {
             identity,
             combine: Arc::new(combine),
-            acc: Mutex::new(identity),
         }
     }
 
-    /// The identity element (a fresh worker-local accumulator).
+    /// The identity element (a fresh accumulator).
     pub fn identity(&self) -> T {
         self.identity
-    }
-
-    /// A shared handle to the combine function.
-    pub fn combine_fn(&self) -> Arc<dyn Fn(T, T) -> T + Send + Sync> {
-        self.combine.clone()
     }
 
     /// Combine two partial results.
     pub fn combine(&self, a: T, b: T) -> T {
         (self.combine)(a, b)
     }
-
-    /// Merge a worker-local accumulator into the global one.
-    pub fn merge(&self, partial: T) {
-        let mut acc = self.acc.lock();
-        *acc = (self.combine)(*acc, partial);
-    }
-
-    /// The final folded value (call after the run completes).
-    pub fn finish(&self) -> T {
-        *self.acc.lock()
-    }
 }
 
 /// Convenience constructors for the common cases.
-impl Reduction<f64> {
-    /// Maximum over all cells (identity −∞).
-    pub fn max_f64() -> Reduction<f64> {
-        Reduction::new(f64::NEG_INFINITY, f64::max)
-    }
-}
-
 impl Reduction<i64> {
     /// Maximum over all cells (identity `i64::MIN`).
     pub fn max_i64() -> Reduction<i64> {
@@ -84,44 +59,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_and_finish() {
-        let r = Reduction::max_i64();
-        r.merge(3);
-        r.merge(-5);
-        r.merge(7);
-        assert_eq!(r.finish(), 7);
+    fn max_and_sum_fold_partials() {
+        let max = Reduction::max_i64();
+        let folded = [3, -5, 7]
+            .into_iter()
+            .fold(max.identity(), |a, b| max.combine(a, b));
+        assert_eq!(folded, 7);
+        let sum = Reduction::sum_i64();
+        assert_eq!((1..=10).fold(sum.identity(), |a, b| sum.combine(a, b)), 55);
     }
 
     #[test]
-    fn sum_reduction() {
+    fn a_clone_shares_the_combine_and_holds_no_state() {
         let r = Reduction::sum_i64();
-        for k in 1..=10 {
-            r.merge(k);
-        }
-        assert_eq!(r.finish(), 55);
-    }
-
-    #[test]
-    fn concurrent_merges() {
-        let r = std::sync::Arc::new(Reduction::max_f64());
-        std::thread::scope(|s| {
-            for w in 0..4 {
-                let r = r.clone();
-                s.spawn(move || {
-                    for k in 0..1000 {
-                        r.merge((w * 1000 + k) as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(r.finish(), 3999.0);
+        let c = r.clone();
+        assert_eq!(r.combine(2, 3), 5);
+        assert_eq!(c.combine(2, 3), 5);
+        assert_eq!(c.identity(), 0);
     }
 
     #[test]
     fn identity_is_neutral() {
         let r = Reduction::max_i64();
-        assert_eq!(r.finish(), i64::MIN);
-        let acc = r.combine(r.identity(), 42);
-        assert_eq!(acc, 42);
+        assert_eq!(r.identity(), i64::MIN);
+        assert_eq!(r.combine(r.identity(), 42), 42);
     }
 }

@@ -21,7 +21,7 @@
 //!    recent history is what debugging needs — while `recorded`/`dropped`
 //!    counts stay exact.
 //! 3. **Readable while wedged.** The stall watchdog snapshots the last N
-//!    events per worker *mid-run* ([`Tracer::recent`]); a concurrently
+//!    events per worker *mid-run* ([`Tracer::recent_all`]); a concurrently
 //!    overwritten slot may decode torn or stale, which is acceptable for a
 //!    diagnostic dump. Post-run reads happen after worker threads are
 //!    joined and are fully consistent.
@@ -428,13 +428,9 @@ impl Tracer {
         self.rings[track].record(self.now(), kind, tile, aux);
     }
 
-    /// The last `n` events on `track` (the watchdog's dump; may be torn
-    /// mid-run, see [`TraceRing::recent`]).
-    pub fn recent(&self, track: usize, n: usize) -> Vec<TraceEvent> {
-        self.rings[track].recent(n)
-    }
-
-    /// The last `n` events of every track (workers first, comm last).
+    /// The last `n` events of every track (workers first, comm last): the
+    /// watchdog's dump, which may be torn mid-run (see
+    /// [`TraceRing::recent`]).
     pub fn recent_all(&self, n: usize) -> Vec<Vec<TraceEvent>> {
         self.rings.iter().map(|r| r.recent(n)).collect()
     }

@@ -245,11 +245,6 @@ impl RunCtx<'_> {
         (self.loc as i64 + self.offsets[j]) as usize
     }
 
-    /// Global `x[inner_dim]` of visited cell `i`.
-    pub fn x_at(&self, i: usize) -> i64 {
-        self.x[self.inner_dim] + self.x_step * i as i64
-    }
-
     /// Replay the run cell by cell, in visit order, with the same
     /// `(loc, x, local, valid)` sequence the per-cell fast scan produces
     /// (every `valid` flag true). This is the fallback a non-batched kernel
@@ -1457,7 +1452,6 @@ mod tests {
             for i in 0..run.len {
                 let mut x = run.x.to_vec();
                 x[run.inner_dim] += run.x_step * i as i64;
-                assert_eq!(x[run.inner_dim], run.x_at(i));
                 self.run_cells.push((run.loc_at(i), x));
             }
         }
