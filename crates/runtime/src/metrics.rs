@@ -307,6 +307,7 @@ impl MetricsRegistry {
         c(self, "edge_cells_packed", s.edge_cells_packed);
         c(self, "steal_count", s.steal_count);
         c(self, "steal_fail_count", s.steal_fail_count);
+        c(self, "wakeups", s.wakeups);
         c(self, "runs_batched", s.runs_batched);
         c(self, "cells_batched", s.cells_batched);
         c(self, "blocks_evaluated", s.blocks_evaluated);

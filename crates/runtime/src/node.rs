@@ -73,7 +73,7 @@ use dpgen_tiling::{Coord, TileGeom, TileGraph, Tiling, MAX_DIMS};
 use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -755,10 +755,13 @@ where
             .deliver(0, &mut rs.replay.clone())
             .map_err(duplicate)?;
     }
+    // The park/wake channel: no data under the mutex; `parked` counts the
+    // workers registered as waiting on the condvar (DESIGN.md §15.5).
     let cv = Condvar::new();
-    let cv_mutex = Mutex::new(()); // park/wake channel, no data under it
-                                   // Resumed tiles count as done from the start: the termination check
-                                   // (`executed >= owned`) then fires after only the *new* work finishes.
+    let cv_mutex = Mutex::new(());
+    let parked = AtomicUsize::new(0);
+    // Resumed tiles count as done from the start: the termination check
+    // (`executed >= owned`) then fires after only the *new* work finishes.
     let executed = AtomicU64::new(resumed);
 
     // --- Failure plumbing: a failing worker raises the flag and returns
@@ -813,6 +816,7 @@ where
             let sched = &sched;
             let cv = &cv;
             let cv_mutex = &cv_mutex;
+            let parked = &parked;
             let executed = &executed;
             let probed = &probed;
             let mem = &mem;
@@ -850,10 +854,26 @@ where
                     let now = t_start.elapsed().as_nanos() as u64;
                     worker_progress[w].store(now, Ordering::Release);
                 };
-                // One wake per readied tile is enough: any woken worker can
-                // pop or steal any ready tile, and the deliverer itself
-                // loops straight into selection for the rest.
-                let wake = |ready: usize| (0..ready.min(threads)).for_each(|_| cv.notify_one());
+                // Wake one parked worker per readied tile (it can pop or
+                // steal any of them), and none when no worker is parked: a
+                // hand-off then makes no syscall (DESIGN.md §15.5). The fence
+                // pairs with a parking worker's; the lock, which that worker
+                // holds from registering to waiting, keeps the notify from
+                // landing before its wait.
+                #[allow(clippy::disallowed_methods, reason = "notifies parked workers only")]
+                let wake = |ready: usize| -> u64 {
+                    if ready == 0 {
+                        return 0;
+                    }
+                    fence(Ordering::SeqCst);
+                    let n = ready.min(parked.load(Ordering::Relaxed));
+                    if n > 0 {
+                        let _guard = cv_mutex.lock();
+                        (0..n).for_each(|_| cv.notify_one());
+                    }
+                    n as u64
+                };
+                #[allow(clippy::disallowed_methods, reason = "failure broadcast")]
                 let fail = |e: RunError| {
                     if let Some(t) = tracer {
                         let tile = e.tile().and_then(|c| graph.index_of(&c));
@@ -898,7 +918,7 @@ where
                     if bad_edge.is_none() && !batch.is_empty() {
                         note_progress();
                         match sched.deliver(w, &mut batch) {
-                            Ok(ready) => wake(ready),
+                            Ok(ready) => counts.wakeups += wake(ready),
                             Err(dup) => bad_edge = Some(duplicate(dup)),
                         }
                     }
@@ -932,16 +952,19 @@ where
                             continue;
                         }
                         {
-                            // Any ready tile is work this worker could act
-                            // on: its own heap's, or a steal.
-                            let actionable = sched.ready_len() > 0;
+                            // Park: register under the lock, then re-check
+                            // for any ready tile (its own heap's or a steal);
+                            // this fence pairs with `wake`'s.
                             let mut guard = cv_mutex.lock();
-                            if !actionable
+                            parked.fetch_add(1, Ordering::Relaxed);
+                            fence(Ordering::SeqCst);
+                            if sched.ready_len() == 0
                                 && executed.load(Ordering::Acquire) < owned
                                 && !failed.load(Ordering::Acquire)
                             {
                                 cv.wait_for(&mut guard, Duration::from_micros(200));
                             }
+                            parked.fetch_sub(1, Ordering::Relaxed);
                         }
                         idle_time += t0.elapsed();
                         if let Some(limit) = config.stall_timeout {
@@ -960,8 +983,12 @@ where
                         }
                         continue;
                     };
-                    note_progress();
-                    spin_until = None;
+                    // The clock read that ended the previous tile serves
+                    // this pop too: read it again only for a first tile or
+                    // at the end of an idle episode.
+                    if spin_until.take().is_some() || tiles_run == 0 {
+                        note_progress();
+                    }
                     let tile = tiles[tile_idx];
                     if let Some(t) = tracer {
                         if let Some(since) = idle_since.take() {
@@ -1151,7 +1178,7 @@ where
                         counts.cells_batched += scan.interior_cells;
                     }
                     match sched.deliver(w, &mut batch) {
-                        Ok(ready) => wake(ready),
+                        Ok(ready) => counts.wakeups += wake(ready),
                         Err(dup) => {
                             mem.tile_released();
                             return fail(duplicate(dup));
@@ -1168,6 +1195,7 @@ where
 
                     let done = executed.fetch_add(1, Ordering::AcqRel) + 1;
                     if done >= owned {
+                        #[allow(clippy::disallowed_methods, reason = "run-end broadcast")]
                         cv.notify_all();
                     }
                 }
@@ -1573,6 +1601,51 @@ mod tests {
         assert_eq!(res.stats.threads, 2);
         // All buffered edges were consumed.
         assert!(res.stats.peak_edges > 0);
+    }
+
+    /// A worker idle for longer than `IDLE_SPIN` parks, and the delivery
+    /// that readies the next tile notifies it. On a chain of four tiles
+    /// (`triangle`'s space cut to the row `y = 0`) each tile sleeps 10 ms
+    /// in its first cell, so at each of the three hand-offs the worker not
+    /// running the tile has been idle past `IDLE_SPIN` and waits on the
+    /// condvar; only a hand-off landing between two of its 200 µs waits
+    /// finds it unregistered.
+    #[test]
+    fn a_parked_worker_is_woken() {
+        let (w, n) = (3i64, 11i64);
+        let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        for c in ["x >= 0", "y >= 0", "y <= 0", "x <= N"] {
+            sys.add_text(c).unwrap();
+        }
+        let templates = TemplateSet::new(
+            2,
+            vec![Template::new("r1", &[1, 0]), Template::new("r2", &[0, 1])],
+        )
+        .unwrap();
+        let tiling = TilingBuilder::new(sys, templates, vec![w, w])
+            .build()
+            .unwrap();
+        let sleepy = |cell: CellRef<'_>, values: &mut [u64]| {
+            if cell.local.iter().all(|&l| l == 0) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            path_kernel(cell, values);
+        };
+        let probe = Probe::many(&[&[0, 0], &[5, 0]]);
+        let priority = TilePriority::column_major(2);
+        let one: NodeResult<u64> =
+            run_local(&tiling, &[n], &path_kernel, &probe, 1, priority.clone()).unwrap();
+        let two: NodeResult<u64> = run_local(&tiling, &[n], &sleepy, &probe, 2, priority).unwrap();
+        assert_eq!(one.probes, [Some(n as u64 + 2), Some(n as u64 - 3)]);
+        assert_eq!(two.probes, one.probes);
+        assert_eq!(two.stats.tiles_executed, 4);
+        assert_eq!(one.stats.wakeups, 0);
+        assert!(
+            (1..=two.stats.tiles_executed).contains(&two.stats.wakeups),
+            "wakeups {}",
+            two.stats.wakeups
+        );
     }
 
     #[test]

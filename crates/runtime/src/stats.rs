@@ -77,6 +77,10 @@ pub struct RunStats {
     pub steal_count: u64,
     /// Steal attempts that found the chosen victim queue already empty.
     pub steal_fail_count: u64,
+    /// Notifies sent to parked workers by deliveries that readied tiles,
+    /// summed over the workers. 0 on a one-worker node, which never has a
+    /// parked worker to wake; at most `tiles_executed`.
+    pub wakeups: u64,
     /// Summed time workers spent blocked on contended scheduler locks
     /// (uncontended acquisitions cost nothing).
     pub lock_wait_time: Duration,
@@ -107,9 +111,10 @@ pub struct RunStats {
 
 impl RunStats {
     /// Add `other`'s work counters — cells and their split, blocks, edges
-    /// and edge cells, geometry builds, buffer and payload pooling — into
-    /// these: how a run sums what each of its workers counted. Timings,
-    /// peaks and per-run facts are not counters and stay as they are.
+    /// and edge cells, geometry builds, buffer and payload pooling,
+    /// wake-ups — into these: how a run sums what each of its workers
+    /// counted. Timings, peaks and per-run facts are not counters and stay
+    /// as they are.
     pub(crate) fn add_counts(&mut self, other: &RunStats) {
         self.cells_computed += other.cells_computed;
         self.interior_cells += other.interior_cells;
@@ -125,6 +130,7 @@ impl RunStats {
         self.edges_remote += other.edges_remote;
         self.edge_cells_packed += other.edge_cells_packed;
         self.geom_builds += other.geom_builds;
+        self.wakeups += other.wakeups;
     }
 
     /// Fraction of wall time spent in initial tile generation.

@@ -249,6 +249,19 @@ fn assert_hot_path_stats(stats: &dpgen::runtime::RunStats, threads: usize, ctx: 
         stats.edges_local + stats.edges_remote,
         "every packed edge takes exactly one payload vector ({ctx})"
     );
+    // A wake-up answers a tile a delivery readied, and a lone worker is
+    // never parked while it delivers.
+    let most = if threads == 1 {
+        0
+    } else {
+        stats.tiles_executed
+    };
+    assert!(
+        stats.wakeups <= most,
+        "{} wake-ups for {} tiles on {threads} workers ({ctx})",
+        stats.wakeups,
+        stats.tiles_executed
+    );
 }
 
 /// The counters every execution of one problem on one rank must agree on,
@@ -690,4 +703,9 @@ fn model_and_runtime_agree_on_the_dag() {
     let sim = simulate_on(&graph, &owner, &SimConfig::hybrid(2, 1, 4, plan.lb_dims())).unwrap();
     agree(&sim, &graph, &out, "bandit2, two ranks");
     assert!(sim.msgs_remote > 0);
+    // A rank of one worker has no parked worker to wake, however long it
+    // waits for its peer's edges.
+    for (rank, r) in out.per_rank.iter().enumerate() {
+        assert_eq!(r.stats.wakeups, 0, "bandit2, rank {rank} of two");
+    }
 }
