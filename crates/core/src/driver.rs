@@ -34,7 +34,6 @@ use dpgen_runtime::{
     Reduction, ResumeState, RunError, RunKernel, RunStats, SingleOwner, TileOwner, TileSet,
     Timeline, Tracer, Transport, Value,
 };
-use dpgen_tiling::Coord;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -394,8 +393,8 @@ struct ReassignedOwner<'a> {
 }
 
 impl TileOwner for ReassignedOwner<'_> {
-    fn owner_at(&self, idx: usize, tile: &Coord) -> usize {
-        self.map[self.base.owner_at(idx, tile)]
+    fn owner_at(&self, idx: usize) -> usize {
+        self.map[self.base.owner_at(idx)]
     }
 }
 
@@ -453,7 +452,6 @@ fn recover<T: Value>(
     for d in &datas {
         union.union_with(&d.completed);
     }
-    let tiles = balance.graph().tiles();
     let mut states: Vec<ResumeState<T>> = (0..ranks).map(|_| ResumeState::default()).collect();
     for (r, d) in datas.iter().enumerate() {
         states[r].completed = d.completed.clone();
@@ -462,7 +460,7 @@ fn recover<T: Value>(
             if union.contains(e.tile) {
                 continue;
             }
-            let owner = map[balance.owner_at(e.tile, &tiles[e.tile])];
+            let owner = map[balance.owner_at(e.tile)];
             states[owner].replay.push(e.clone());
         }
     }

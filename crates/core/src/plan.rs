@@ -48,7 +48,7 @@ use dpgen_mpisim::{CommConfig, ReliabilityConfig, Wire};
 use dpgen_polyhedra::probe_box;
 use dpgen_runtime::{
     CompileFault, CompileStage, Kernel, PerCell, Probe, Reduction, RunError, RunKernel, Schedule,
-    TilePriority, TraceConfig, TraceLevel, Value, MAX_RING_CAPACITY,
+    TilePriority, TraceLevel, Value,
 };
 use dpgen_tiling::{TileGraph, TileShape, Tiling};
 use parking_lot::Mutex;
@@ -98,12 +98,10 @@ pub struct ExecOpts {
     pub balance: Option<BalanceMethod>,
     /// Stall watchdog window; `None` disables the watchdog.
     pub stall_timeout: Option<Duration>,
-    /// Event tracing: level and per-worker ring capacity
-    /// ([`TraceLevel::Off`] by default). At [`TraceLevel::Spans`] and
-    /// above, [`RunOutput::timeline`] carries the per-worker timeline, and
-    /// the capacity may be at most
-    /// [`MAX_RING_CAPACITY`].
-    pub trace: TraceConfig,
+    /// Event tracing ([`TraceLevel::Off`] by default). At
+    /// [`TraceLevel::Spans`] and above, [`RunOutput::timeline`] carries the
+    /// per-worker timeline.
+    pub trace: TraceLevel,
     /// Elastic rank recovery at `ranks > 1`: `Some` turns on heartbeat
     /// death detection, per-rank incremental slab checkpoints, and mid-run
     /// migration of a dead rank's slab to the lowest-loaded survivor
@@ -138,7 +136,7 @@ impl ExecOpts {
             comm: CommConfig::default(),
             balance: None,
             stall_timeout: Some(dpgen_runtime::DEFAULT_STALL_TIMEOUT),
-            trace: TraceConfig::default(),
+            trace: TraceLevel::Off,
             recovery: None,
             cancel: None,
         }
@@ -198,9 +196,9 @@ impl ExecOpts {
         self
     }
 
-    /// Just the tracing level of [`ExecOpts::trace`].
+    /// Sets [`ExecOpts::trace`].
     pub fn trace(mut self, level: TraceLevel) -> Self {
-        self.trace.level = level;
+        self.trace = level;
         self
     }
 
@@ -238,13 +236,6 @@ impl ExecOpts {
                     "ColumnMajor dim_order {dim_order:?} is not a permutation of 0..{d}"
                 ));
             }
-        }
-        // The rings are allocated whole before anything runs.
-        let ring = self.trace.ring_capacity;
-        if self.trace.level >= TraceLevel::Spans && ring > MAX_RING_CAPACITY {
-            return fault(format!(
-                "trace ring_capacity {ring} is beyond MAX_RING_CAPACITY ({MAX_RING_CAPACITY})"
-            ));
         }
         // The builders clamp, the public fields do not.
         if self.threads > MAX_THREADS {
@@ -1036,13 +1027,6 @@ mod tests {
                 threads: MAX_THREADS + 1,
                 ..ExecOpts::new()
             },
-            ExecOpts {
-                trace: TraceConfig {
-                    level: TraceLevel::Spans,
-                    ring_capacity: usize::MAX / 64,
-                },
-                ..ExecOpts::new()
-            },
         ];
         for opts in &bad {
             // `warm` reaches the same derivations on the submitting
@@ -1050,17 +1034,10 @@ mod tests {
             plan.warm(opts);
             let err = plan.execute::<f64, _>(&path_kernel, opts).unwrap_err();
             assert_eq!(stage_of(&err), CompileStage::Options, "{opts:?}: {err}");
-            let oversized_ring = opts.trace.level != TraceLevel::Off;
-            assert_eq!(
-                err.to_string().contains("MAX_RING_CAPACITY"),
-                oversized_ring
-            );
         }
         assert!(plan.balances.lock().is_empty(), "bad options warm nothing");
-        // The knobs one rank ignores stay ignored, and so is the ring
-        // capacity of a run that traces nothing.
-        let mut ignored = ExecOpts::new().balance(slabs(vec![7]));
-        ignored.trace.ring_capacity = usize::MAX / 64;
+        // The knobs one rank ignores stay ignored.
+        let ignored = ExecOpts::new().balance(slabs(vec![7]));
         plan.execute::<f64, _>(&path_kernel, &ignored).unwrap();
 
         // A binding of the wrong arity compiles (compile is infallible)

@@ -92,7 +92,7 @@ where
     let geom = tile_geometry(graph, 0, tile)?;
     tiling.replay(
         &geom,
-        &graph.tiles()[tile],
+        &graph.coord(tile),
         &mut EachCell(|cell: CellRef<'_>| kernel.compute(cell, &mut values)),
     );
     Ok((values, geom))

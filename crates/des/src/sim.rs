@@ -295,8 +295,8 @@ impl<'g> Model<'g> {
                 threads_per_rank,
             });
         }
-        let owned = graph.tiles().iter().enumerate().map(|(tile, t)| {
-            let rank = owner.owner_at(tile, t);
+        let owned = (0..graph.len()).map(|tile| {
+            let rank = owner.owner_at(tile);
             if rank < ranks {
                 Ok(rank)
             } else {
@@ -579,10 +579,20 @@ mod tests {
             .unwrap()
     }
 
-    struct Owner2(usize);
+    /// Tile column `t[0]` on rank `t[0] mod ranks`: per tile of `tiling`
+    /// at N = `n`, its rank.
+    struct Owner2(Vec<usize>);
+
+    impl Owner2 {
+        fn on(tiling: &Tiling, n: i64, ranks: usize) -> Owner2 {
+            let graph = tiling.graph(&[n]);
+            Owner2(graph.coords().map(|t| t[0] as usize % ranks).collect())
+        }
+    }
+
     impl TileOwner for Owner2 {
-        fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
-            (tile[0] as usize) % self.0
+        fn owner_at(&self, idx: usize) -> usize {
+            self.0[idx]
         }
     }
 
@@ -646,8 +656,9 @@ mod tests {
         // the simulator itself.
         let n = 79i64; // 80x80 cells, band half-width 6 covers < half
         let config = SimConfig::hybrid(2, 4, 2, &[0]);
-        let dense = simulate(&grid_2d(4), &[n], &Owner2(2), &config);
-        let banded = simulate(&banded_grid_2d(4, 6), &[n], &Owner2(2), &config);
+        let (dense, banded) = (grid_2d(4), banded_grid_2d(4, 6));
+        let dense = simulate(&dense, &[n], &Owner2::on(&dense, n, 2), &config);
+        let banded = simulate(&banded, &[n], &Owner2::on(&banded, n, 2), &config);
         let in_band = (0..=n)
             .flat_map(|x| (0..=n).map(move |y| (x, y)))
             .filter(|(x, y)| (x - y).abs() <= 6)
@@ -691,7 +702,7 @@ mod tests {
             send_buffers: usize::MAX,
             schedule: Schedule::Dynamic,
         };
-        let split = simulate(&tiling, &[n], &Owner2(2), &config);
+        let split = simulate(&tiling, &[n], &Owner2::on(&tiling, n, 2), &config);
         assert!(split.msgs_remote > 0);
         assert!(split.cells_remote > 0);
         // Same total workers but communication: the split run is slower.
@@ -718,7 +729,7 @@ mod tests {
             send_buffers: usize::MAX,
             schedule: Schedule::Dynamic,
         };
-        let split = simulate(&tiling, &[n], &Owner2(2), &config);
+        let split = simulate(&tiling, &[n], &Owner2::on(&tiling, n, 2), &config);
         // With free communication the 2x1 split can still lose a little to
         // rank-local scheduling, but not more than a few percent.
         assert!(
@@ -746,7 +757,7 @@ mod tests {
                 send_buffers: buffers,
                 schedule: Schedule::Dynamic,
             };
-            simulate(&tiling, &[n], &Owner2(2), &config)
+            simulate(&tiling, &[n], &Owner2::on(&tiling, n, 2), &config)
         };
         let unlimited = run(usize::MAX);
         let one = run(1);
@@ -777,7 +788,7 @@ mod tests {
         assert_eq!(s.busy[0].to_bits(), 0x3f4e_fa85_dc67_3893);
         assert_eq!((s.msgs_remote, s.cells_remote, s.tiles), (0, 0, 400));
         let split = SimConfig::hybrid(2, 2, 2, &[0]).with_schedule(Schedule::Static);
-        let s = simulate(&tiling, &[77], &Owner2(2), &split);
+        let s = simulate(&tiling, &[77], &Owner2::on(&tiling, 77, 2), &split);
         assert_eq!(s.makespan.to_bits(), 0x3f34_b532_9619_2050);
         let busy: Vec<u64> = s.busy.iter().map(|b| b.to_bits()).collect();
         assert_eq!(busy, [0x3f3f_173e_d84f_5964, 0x3f3e_ddcc_e07f_1791]);
@@ -789,13 +800,15 @@ mod tests {
         // 16 x 16 tiles in four slabs along dim 0. Figure 5 as printed
         // finishes a rank's slab columns before the one its neighbour waits
         // for; the pipelined order hands that column on after one tile.
-        struct Slabs4;
+        struct Slabs4(Vec<usize>);
         impl TileOwner for Slabs4 {
-            fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
-                tile[0] as usize / 4
+            fn owner_at(&self, idx: usize) -> usize {
+                self.0[idx]
             }
         }
         let tiling = grid_2d(4);
+        let graph = tiling.graph(&[63]);
+        let slabs4 = Slabs4(graph.coords().map(|t| t[0] as usize / 4).collect());
         let run = |priority: TilePriority| {
             let config = SimConfig {
                 ranks: 4,
@@ -805,7 +818,7 @@ mod tests {
                 send_buffers: usize::MAX,
                 schedule: Schedule::Dynamic,
             };
-            simulate(&tiling, &[63], &Slabs4, &config)
+            simulate(&tiling, &[63], &slabs4, &config)
         };
         let figure5 = run(TilePriority::paper_default(2, &[0]));
         let pipelined = run(TilePriority::pipelined(2, &[0]));
@@ -868,9 +881,10 @@ mod tests {
     #[test]
     fn an_owner_beyond_the_machine_is_a_typed_fault() {
         let graph = grid_2d(4).graph(&[15]);
-        let err = simulate_on(&graph, &Owner2(3), &SimConfig::hybrid(2, 2, 2, &[0])).unwrap_err();
-        // Column 2 of the 4 x 4 tiles is the first tile `Owner2(3)` puts on
-        // rank 2.
+        let owner = Owner2::on(&grid_2d(4), 15, 3);
+        let err = simulate_on(&graph, &owner, &SimConfig::hybrid(2, 2, 2, &[0])).unwrap_err();
+        // Column 2 of the 4 x 4 tiles is the first tile that columns dealt
+        // over three ranks put on rank 2.
         let tile = graph.index_of(&Coord::from_slice(&[2, 0])).unwrap();
         let want = SimError::OwnerOutOfRange {
             tile,
@@ -882,6 +896,24 @@ mod tests {
             SimError::from(PolyError::Overflow("edge cells")),
             SimError::EdgeCells(PolyError::Overflow("edge cells"))
         );
+    }
+
+    /// A balance answers for the tiles of the graph it was computed on:
+    /// past them it names no rank of any machine, which the simulation of
+    /// a larger graph reports.
+    #[test]
+    fn a_balance_of_a_smaller_graph_is_a_typed_fault() {
+        let tiling = grid_2d(4);
+        let slabs = BalanceMethod::Slabs { lb_dims: vec![0] };
+        let small = LoadBalance::compute(&tiling, &[15], 2, &slabs);
+        let large = tiling.graph(&[31]);
+        let err = simulate_on(&large, &small, &SimConfig::hybrid(2, 2, 2, &[0])).unwrap_err();
+        let want = SimError::OwnerOutOfRange {
+            tile: 16,
+            rank: usize::MAX,
+            ranks: 2,
+        };
+        assert_eq!(err, want);
     }
 
     /// The runtime's scheduler as one rank's ready heaps: payload-less

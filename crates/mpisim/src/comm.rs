@@ -37,9 +37,9 @@ pub struct ReliabilityConfig {
     /// (frames lost by the wire stay lost — for wedge testing).
     pub max_retransmits: u32,
     /// Give up a blocked send (window full, no acks arriving) after this
-    /// long, surfacing [`TransportError::SendTimeout`]. `None` blocks
-    /// forever, restoring the pre-reliability behaviour.
-    pub send_timeout: Option<Duration>,
+    /// long, surfacing [`TransportError::SendTimeout`]. Always bounded: a
+    /// worker held in a send never reaches the node's stall watchdog.
+    pub send_timeout: Duration,
     /// Emit a heartbeat frame to every peer at this interval (riding the
     /// ack channels, pumped by the progress engine). `None` — the default
     /// — disables heartbeats *and* death detection entirely: silence is
@@ -58,7 +58,7 @@ impl Default for ReliabilityConfig {
             ack_timeout: Duration::from_millis(3),
             max_backoff: Duration::from_millis(100),
             max_retransmits: u32::MAX,
-            send_timeout: Some(Duration::from_secs(30)),
+            send_timeout: Duration::from_secs(30),
             heartbeat_interval: None,
             death_timeout: Duration::from_secs(1),
         }
@@ -714,15 +714,13 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
             // diagnosed as dead — no point waiting out the send timeout
             // retransmitting into a void.
             self.check_peer(dest)?;
-            if let Some(limit) = timeout {
-                if t0.elapsed() > limit {
-                    return Err(TransportError::SendTimeout {
-                        from: self.rank,
-                        dest,
-                        waited: t0.elapsed(),
-                        in_flight: self.unacked_to(dest),
-                    });
-                }
+            if t0.elapsed() > timeout {
+                return Err(TransportError::SendTimeout {
+                    from: self.rank,
+                    dest,
+                    waited: t0.elapsed(),
+                    in_flight: self.unacked_to(dest),
+                });
             }
             // The MPI progress rule: drain inbound while blocked so two
             // mutually sending ranks cannot deadlock.
@@ -1111,7 +1109,7 @@ mod tests {
                 ack_timeout: Duration::from_micros(100),
                 max_backoff: Duration::from_millis(1),
                 max_retransmits: 0,
-                send_timeout: Some(Duration::from_millis(50)),
+                send_timeout: Duration::from_millis(50),
                 ..ReliabilityConfig::default()
             },
             faults: Some(FaultPlan::drops(7, 1.0)),

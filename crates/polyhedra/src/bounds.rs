@@ -186,6 +186,15 @@ impl LoopNest {
         &self.context
     }
 
+    /// A point of the nest's space, or the fault of one of another length.
+    fn check_point(&self, point: &[i128]) -> Result<(), PolyError> {
+        let (expected, found) = (self.space.dim(), point.len());
+        if found == expected {
+            return Ok(());
+        }
+        Err(PolyError::SpaceMismatch { expected, found })
+    }
+
     /// Does the context admit this parameter assignment (loop-variable
     /// entries of `point` are ignored by construction)?
     pub fn context_holds(&self, point: &[i128]) -> Result<bool, PolyError> {
@@ -216,12 +225,7 @@ impl LoopNest {
         descending: &[bool],
         mut f: F,
     ) -> Result<(), PolyError> {
-        if point.len() != self.space.dim() {
-            return Err(PolyError::SpaceMismatch {
-                expected: self.space.dim(),
-                found: point.len(),
-            });
-        }
+        self.check_point(point)?;
         if descending.len() != self.levels.len() {
             return Err(PolyError::SpaceMismatch {
                 expected: self.levels.len(),
@@ -264,36 +268,51 @@ impl LoopNest {
         Ok(())
     }
 
-    /// Count lattice points without materialising them: the innermost level
-    /// contributes its extent directly.
-    pub fn count(&self, point: &mut [i128]) -> Result<u128, PolyError> {
-        if point.len() != self.space.dim() {
-            return Err(PolyError::SpaceMismatch {
-                expected: self.space.dim(),
-                found: point.len(),
-            });
+    /// Visit every non-empty *row* of the nest — its points sharing every
+    /// loop variable but the innermost — in [`LoopNest::for_each_point`]
+    /// order: `f(point, lb, ub)` gets the point with the outer loop variables
+    /// set and the row's innermost range, read once. A levelless nest has none.
+    pub fn for_each_row<F: FnMut(&[i128], i128, i128)>(
+        &self,
+        point: &mut [i128],
+        mut f: F,
+    ) -> Result<(), PolyError> {
+        self.check_point(point)?;
+        if self.levels.is_empty() || !self.context_holds(point)? {
+            return Ok(());
         }
-        if self.levels.is_empty() {
-            return Ok(if self.context_holds(point)? { 1 } else { 0 });
-        }
-        if !self.context_holds(point)? {
-            return Ok(0);
-        }
-        self.count_from(0, point)
+        self.rows_from(0, point, &mut f)
     }
 
-    fn count_from(&self, depth: usize, point: &mut [i128]) -> Result<u128, PolyError> {
+    fn rows_from<F: FnMut(&[i128], i128, i128)>(
+        &self,
+        depth: usize,
+        point: &mut [i128],
+        f: &mut F,
+    ) -> Result<(), PolyError> {
         let level = &self.levels[depth];
         let Some((lb, ub)) = level.bounds_at(point)? else {
-            return Ok(0);
+            return Ok(());
         };
         if depth + 1 == self.levels.len() {
-            return Ok((ub - lb + 1) as u128);
+            f(point, lb, ub);
+            return Ok(());
         }
-        let mut total: u128 = 0;
         for v in lb..=ub {
             point[level.var] = v;
-            total += self.count_from(depth + 1, point)?;
+            self.rows_from(depth + 1, point, f)?;
+        }
+        Ok(())
+    }
+
+    /// Count lattice points without materialising them: the sum of the
+    /// row extents ([`LoopNest::for_each_row`]).
+    pub fn count(&self, point: &mut [i128]) -> Result<u128, PolyError> {
+        let mut total: u128 = 0;
+        self.for_each_row(point, |_, lb, ub| total += (ub - lb + 1) as u128)?;
+        if self.levels.is_empty() {
+            // No loop: one point wherever the context holds.
+            return Ok(u128::from(self.context_holds(point)?));
         }
         Ok(total)
     }
@@ -554,16 +573,22 @@ mod tests {
             prop_assert_eq!(scanned, expect);
         }
 
-        /// `count` always agrees with enumeration.
+        /// `count` always agrees with enumeration, and the rows, expanded,
+        /// are the points in order.
         #[test]
         fn count_equals_enumeration(sys in random_bounded_system()) {
             let nest = LoopNest::synthesize(&sys, &[0, 1, 2]).unwrap();
             let mut point = [0i128, 0, 0];
             let counted = nest.count(&mut point).unwrap();
             let mut point2 = [0i128, 0, 0];
-            let mut seen = 0u128;
-            nest.for_each_point(&mut point2, |_| seen += 1).unwrap();
-            prop_assert_eq!(counted, seen);
+            let mut points = Vec::new();
+            nest.for_each_point(&mut point2, |p| points.push((p[0], p[1], p[2]))).unwrap();
+            prop_assert_eq!(counted, points.len() as u128);
+            let mut rows = Vec::new();
+            nest.for_each_row(&mut point2, |p, lb, ub| {
+                rows.extend((lb..=ub).map(|z| (p[0], p[1], z)));
+            }).unwrap();
+            prop_assert_eq!(rows, points);
         }
     }
 }

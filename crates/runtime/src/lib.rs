@@ -65,7 +65,7 @@ pub use sharded::{EdgeDelivery, ShardedScheduler};
 pub use simd::{I64x, LANES};
 pub use stats::RunStats;
 pub use trace::{
-    EventKind, RankTrace, TileSpan, Timeline, TraceConfig, TraceEvent, TraceLevel, TraceRing,
-    Tracer, TrackSummary, TrackTrace, MAX_RING_CAPACITY,
+    EventKind, RankTrace, TileSpan, Timeline, TraceEvent, TraceLevel, TraceRing, Tracer,
+    TrackSummary, TrackTrace, RING_CAPACITY,
 };
 pub use transport::{EdgeMsg, LinkDiag, NullTransport, Transport, TransportError};

@@ -30,15 +30,15 @@
 //! for and where its neighbours sit is read from the [`TileGraph`] the job
 //! carries — derived once per plan, shared by every rank, recovery epoch
 //! and execution — so a run's initial-tile generation is an owner filter
-//! over it; what a run keeps per tile (the scheduler's edge slot, the
-//! probe mark) are arrays over the graph's tile index,
-//! and between popping a tile and delivering its edges a worker names
-//! tiles by that index only. A coordinate is resolved to its index once,
-//! where it enters: an edge from the transport (a checkpoint retains and
-//! replays edges by index). Results travel one way: a worker keeps what it
-//! produces — its [`RunStats`] counts, idle time, reduction fold and
-//! resolved probes — on its own stack and returns it when it exits, and the
-//! rank folds its workers once, after the join. Workers share only what
+//! over it; owners and what a run keeps per tile (the scheduler's edge
+//! slot, the probe mark) are arrays over the graph's tile index. A worker
+//! reads a popped tile's coordinate off the graph's rows once, and names a
+//! remote edge's consumer `tile - delta`, as the graph defines it. A
+//! coordinate is resolved to its index once, where it enters: an edge from
+//! the transport. Results travel one way: a worker keeps what it produces
+//! — its [`RunStats`] counts, idle time, reduction fold and resolved probes
+//! — on its own stack and returns it when it exits, and the rank folds its
+//! workers once, after the join. Workers share only what
 //! they must see mid-run: the scheduler, the executed count, the failure
 //! flag, the progress clocks, the wake channel and the [`MemoryStats`].
 //!
@@ -80,10 +80,10 @@ use std::time::{Duration, Instant};
 /// Assigns every tile to the rank that executes it (the load balancer's
 /// output; Section IV-J).
 pub trait TileOwner: Send + Sync {
-    /// The rank that owns (executes) `tile`, which is tile `idx` of the
-    /// tile graph the caller runs on: an owner kept as an array over that
-    /// graph answers without hashing the coordinate.
-    fn owner_at(&self, idx: usize, tile: &Coord) -> usize;
+    /// The rank that owns (executes) tile `idx` of the tile graph the
+    /// caller runs on. A tile is named by its index alone: an owner is an
+    /// array over the graph it was computed on.
+    fn owner_at(&self, idx: usize) -> usize;
 }
 
 /// All tiles belong to rank 0 (single-node runs).
@@ -91,7 +91,7 @@ pub trait TileOwner: Send + Sync {
 pub struct SingleOwner;
 
 impl TileOwner for SingleOwner {
-    fn owner_at(&self, _idx: usize, _tile: &Coord) -> usize {
+    fn owner_at(&self, _idx: usize) -> usize {
         0
     }
 }
@@ -371,7 +371,7 @@ pub fn tile_geometry(
         .geometry(tile)
         .map_err(|error| RunError::TileGeometry {
             rank,
-            tile: graph.tiles()[tile],
+            tile: graph.coord(tile),
             error,
         })
 }
@@ -396,7 +396,7 @@ pub fn unpack_edge<'g, T: Value>(
         let delta = (tiling.deps().get(dep)).map_or(Coord::zeros(tiling.dims()), |d| d.delta);
         RunError::BadEdge(Box::new(EdgeFault {
             rank,
-            tile: graph.tiles()[tile],
+            tile: graph.coord(tile),
             delta,
             detail,
         }))
@@ -636,7 +636,6 @@ where
     let t_start = Instant::now();
     let tiling = graph.tiling();
     let layout = tiling.layout();
-    let tiles = graph.tiles();
 
     // --- Initial tile generation (Section IV-K): the graph knows which
     // tiles have no dependency that exists; this rank starts from the ones
@@ -657,8 +656,8 @@ where
     let mut owned = 0u64;
     let mut resumed = 0u64;
     let mut resumed_cells = 0u64;
-    for (i, t) in tiles.iter().enumerate() {
-        if owner.owner_at(i, t) != config.rank {
+    for i in 0..graph.len() {
+        if owner.owner_at(i) != config.rank {
             continue;
         }
         owned += 1;
@@ -741,7 +740,7 @@ where
     let duplicate = |dup: DuplicateEdge| {
         RunError::BadEdge(Box::new(EdgeFault {
             rank: config.rank,
-            tile: tiles[dup.tile],
+            tile: graph.coord(dup.tile),
             delta: tiling.deps()[dup.dep].delta,
             detail: "duplicate edge: the tile already has this dependency or has run".to_string(),
         }))
@@ -989,7 +988,7 @@ where
                     if spin_until.take().is_some() || tiles_run == 0 {
                         note_progress();
                     }
-                    let tile = tiles[tile_idx];
+                    let tile = graph.coord(tile_idx);
                     if let Some(t) = tracer {
                         if let Some(since) = idle_since.take() {
                             t.record(
@@ -1087,7 +1086,6 @@ where
                             let Some(consumer_idx) = graph.consumer(tile_idx, dep_idx) else {
                                 continue; // no such tile: nothing reads this edge
                             };
-                            let consumer = tiles[consumer_idx];
                             let max_cells = tiling.edges()[dep_idx].max_cells();
                             let mut payload = pool.take_payload(max_cells, &mut counts);
                             let src_locs = geom.edge_cells(dep_idx);
@@ -1109,7 +1107,7 @@ where
                                     payload: payload.clone(),
                                 });
                             }
-                            let dest = owner.owner_at(consumer_idx, &consumer);
+                            let dest = owner.owner_at(consumer_idx);
                             if dest == config.rank {
                                 // Local twin of the transport-receive
                                 // filter: a re-executing producer must not
@@ -1130,7 +1128,7 @@ where
                                 if let Err(e) = transport.send(
                                     dest,
                                     EdgeMsg {
-                                        tile: consumer,
+                                        tile: tile.sub(&dep.delta),
                                         delta: dep.delta,
                                         payload,
                                     },
@@ -1818,12 +1816,20 @@ mod tests {
         }
     }
 
-    /// Rank 1 owns tile (1,0) and nothing else.
-    struct OneForeignTile;
+    /// Rank 1 owns tile (1,0) and nothing else: per tile of the graph it
+    /// was built on, its owner.
+    struct OneForeignTile(Vec<usize>);
+
+    impl OneForeignTile {
+        fn on(graph: &TileGraph) -> OneForeignTile {
+            let foreign = Coord::from_slice(&[1, 0]);
+            OneForeignTile(graph.coords().map(|t| usize::from(t == foreign)).collect())
+        }
+    }
 
     impl TileOwner for OneForeignTile {
-        fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
-            (*tile == Coord::from_slice(&[1, 0])) as usize
+        fn owner_at(&self, idx: usize) -> usize {
+            self.0[idx]
         }
     }
 
@@ -1842,10 +1848,11 @@ mod tests {
 
     fn run_with_forged_edge(msg: EdgeMsg<u64>) -> RunError {
         let tiling = triangle(3);
+        let graph = tiling.graph(&[9]);
         run_node(
             &NodeJob {
-                graph: &tiling.graph(&[9]),
-                owner: &OneForeignTile,
+                graph: &graph,
+                owner: &OneForeignTile::on(&graph),
                 transport: &Forged(Mutex::new(Some(msg))),
                 probe: &Probe::default(),
                 config: &NodeConfig::new(1, 2),

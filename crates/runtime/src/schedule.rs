@@ -120,11 +120,14 @@ impl StaticPlan {
             return None;
         }
         let directions = tiling.templates().directions();
-        let members = (0..graph.len()).filter(|&i| pinned[i]);
-        let p = pipeline_dim(members.map(|i| &graph.tiles()[i]), tiling.dims());
-        let rows = (graph.tiles().iter().zip(&pinned))
-            .map(|(t, &own)| own.then(|| adjusted(t, p, directions)))
-            .collect();
+        // The owned tiles' coordinates, walked once.
+        let mut members = Vec::with_capacity(owned);
+        let tiles = graph.coords().zip(&pinned);
+        members.extend(tiles.filter_map(|(t, &own)| own.then_some(t)));
+        let p = pipeline_dim(members.iter(), tiling.dims());
+        let mut member = members.iter().map(|t| adjusted(t, p, directions));
+        let rows = (pinned.iter()).map(|&own| if own { member.next() } else { None });
+        let rows = rows.collect();
         Some(StaticPlan {
             ordering: graph.ordering(false, &[p]),
             rows,

@@ -412,7 +412,7 @@ impl<'g, T> TileScheduler<'g, T> {
         pending.truncate(limit);
         let deps = self.graph.tiling().deps();
         let describe = |(tile, arrived): (usize, Vec<usize>)| PendingTile {
-            tile: self.graph.tiles()[tile],
+            tile: self.graph.coord(tile),
             arrived: arrived.len(),
             total: self.graph.dep_total(tile),
             missing: (0..deps.len())

@@ -63,38 +63,9 @@ pub enum TraceLevel {
     Full,
 }
 
-/// Trace configuration carried by run configs (`core::ExecOpts::trace`).
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    /// What to record.
-    pub level: TraceLevel,
-    /// Events retained per ring (per worker); older events are overwritten.
-    /// A run's options may ask for at most [`MAX_RING_CAPACITY`].
-    pub ring_capacity: usize,
-}
-
-/// The most events a run's options may ask a ring to retain (each ring is
-/// allocated whole, up front, at 24 B an event: 24 MiB at this bound).
-pub const MAX_RING_CAPACITY: usize = 1 << 20;
-
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig {
-            level: TraceLevel::Off,
-            ring_capacity: 4096,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Config at `level` with the default ring capacity.
-    pub fn at(level: TraceLevel) -> TraceConfig {
-        TraceConfig {
-            level,
-            ..TraceConfig::default()
-        }
-    }
-}
+/// Events a run's tracer retains per track; older events are overwritten.
+/// Each ring is allocated whole, up front, at 24 B an event.
+pub const RING_CAPACITY: usize = 4096;
 
 /// What happened. Kinds start at 1 so an unwritten ring slot (kind byte 0)
 /// is distinguishable from every real event.
@@ -361,13 +332,14 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     /// A tracer for `workers` worker tracks plus a comm track. `epoch`
     /// must be shared by every rank of a run so timestamps are comparable.
-    pub fn new(rank: usize, workers: usize, config: TraceConfig, epoch: Instant) -> Tracer {
+    /// Each track's ring holds [`RING_CAPACITY`] events.
+    pub fn new(rank: usize, workers: usize, level: TraceLevel, epoch: Instant) -> Tracer {
         Tracer {
-            level: config.level,
+            level,
             rank,
             epoch,
             rings: (0..workers.max(1) + 1)
-                .map(|_| TraceRing::new(config.ring_capacity))
+                .map(|_| TraceRing::new(RING_CAPACITY))
                 .collect(),
         }
     }
@@ -378,11 +350,10 @@ impl Tracer {
     pub fn create(
         rank: usize,
         workers: usize,
-        config: TraceConfig,
+        level: TraceLevel,
         epoch: Instant,
     ) -> Option<Arc<Tracer>> {
-        (config.level >= TraceLevel::Spans)
-            .then(|| Arc::new(Tracer::new(rank, workers, config, epoch)))
+        (level >= TraceLevel::Spans).then(|| Arc::new(Tracer::new(rank, workers, level, epoch)))
     }
 
     /// The configured level.
@@ -748,7 +719,7 @@ impl Timeline {
                     .iter()
                     .filter(|s| s.rank == rt.rank && s.track == t)
                 {
-                    let name = escape_json(&self.graph.tiles()[s.tile].to_string());
+                    let name = escape_json(&self.graph.coord(s.tile).to_string());
                     items.push((
                         s.start,
                         format!(
@@ -767,7 +738,8 @@ impl Timeline {
                         EventKind::TileStart | EventKind::TileDone => continue, // covered by spans
                         _ => {}
                     }
-                    let args = match e.tile.and_then(|i| self.graph.tiles().get(i)) {
+                    let in_graph = |&i: &usize| i < self.graph.len();
+                    let args = match e.tile.filter(in_graph).map(|i| self.graph.coord(i)) {
                         Some(tile) => format!(
                             "{{\"tile\":\"{}\",\"aux\":{}}}",
                             escape_json(&tile.to_string()),
@@ -974,23 +946,15 @@ mod tests {
     fn level_gating() {
         assert!(TraceLevel::Off < TraceLevel::Spans);
         assert!(TraceLevel::Spans < TraceLevel::Full);
-        let t = Tracer::new(
-            0,
-            1,
-            TraceConfig {
-                level: TraceLevel::Spans,
-                ring_capacity: 64,
-            },
-            Instant::now(),
-        );
+        let t = Tracer::new(0, 1, TraceLevel::Spans, Instant::now());
         t.record(0, EventKind::TileStart, Some(0), 0); // recorded
         t.record(0, EventKind::EdgePack, Some(0), 0); // Full-only: dropped
         let trace = t.drain();
         assert_eq!(trace.tracks[0].events.len(), 1);
         assert_eq!(trace.tracks[0].events[0].kind, EventKind::TileStart);
         // Off never builds a tracer at all.
-        assert!(Tracer::create(0, 1, TraceConfig::default(), Instant::now()).is_none());
-        assert!(Tracer::create(0, 1, TraceConfig::at(TraceLevel::Spans), Instant::now()).is_some());
+        assert!(Tracer::create(0, 1, TraceLevel::Off, Instant::now()).is_none());
+        assert!(Tracer::create(0, 1, TraceLevel::Spans, Instant::now()).is_some());
     }
 
     /// Worker 0 runs tile `a`, then its consumer `b`; the comm track acks.

@@ -5,23 +5,23 @@
 //! The paper's generator derives the tile space, the tile dependencies
 //! (Section IV-F), the per-tile work the load balancer cuts (Section IV-J)
 //! and the initial tiles (Section IV-K) once, at generation time.
-//! [`TileGraph`] is that derivation as one value: every tile in tile-nest
-//! order, a coordinate → index table, how many of each tile's dependencies
-//! exist, the index of the neighbour at either end of every dependency, and
-//! every tile's geometry *class*, off which hang — each filled on first
-//! request, once — the cells of every tile, the cells of every edge it
-//! packs and the recording an execution replays. It carries the tiling and
-//! the binding it was built from, so a consumer handed a graph cannot pair
-//! it with another problem.
+//! [`TileGraph`] is that derivation as one value. A tile is its index in
+//! tile-nest order; the graph keeps the *rows* — runs of tiles sharing every
+//! coordinate but the innermost loop's, which the tile nest scans as one
+//! interval ([`LoopNest::for_each_row`]) — and, per tile, only the neighbour
+//! at either end of every dependency and the geometry *class*, off which
+//! hang — each filled on first request, once — the cells of every tile, the
+//! cells of every edge it packs and the recording an execution replays. It
+//! carries the tiling and the binding it was built from, so a consumer
+//! handed a graph cannot pair it with another problem.
 //!
-//! All of it is derived a *row* at a time — a run of tiles sharing every
-//! coordinate but the innermost loop's, which the tile nest enumerates as
-//! one interval. The index is one map entry per row; a dependency's
-//! neighbours are one row lookup per row and dependency, every tile's index
-//! following from its offset in the row; a row's first signature is
-//! computed and then carried along it by arithmetic, a run of tiles at a
-//! time, so a map is probed only where a run's signature differs from the
-//! one before. Nothing hashes per tile.
+//! A tile's coordinate is its row's plus its offset ([`TileGraph::coord`],
+//! a binary search on the rows' first indices); a coordinate from outside
+//! finds its index through one map entry per row; a tile's dependency count
+//! is how many sources it links to. The links are one row lookup per row
+//! and dependency; a row's first signature is carried along it by
+//! arithmetic, so a map is probed only where a run's signature differs from
+//! the one before. Nothing hashes, or keeps a coordinate, per tile.
 //!
 //! It also sorts: [`TileGraph::ordering`] is the tiles in one lexicographic
 //! order on flow-adjusted coordinates, with every tile's position in it —
@@ -40,6 +40,7 @@
 //! per slab for the same reason (Sections IV-G to IV-J).
 //!
 //! [`EdgeLayout::count`]: crate::EdgeLayout::count
+//! [`LoopNest::for_each_row`]: dpgen_polyhedra::LoopNest::for_each_row
 
 use crate::coord::{Coord, MAX_DIMS};
 use crate::geom::TileGeom;
@@ -58,16 +59,10 @@ const GEOMETRY_BUDGET_BYTES: usize = 8 << 20;
 
 /// The tile DAG of one [`Tiling`] at one parameter binding; see the
 /// [module docs](self). Built by [`Tiling::graph`] or [`TileGraph::new`].
-///
-/// The tile nest enumerates each *row* — the tiles sharing every coordinate
-/// but the innermost loop's — as one contiguous interval, so the index is
-/// one map entry per row over the dense arrays: a third of the memory of a
-/// map keyed by tile.
+/// A tile is its index; per tile the graph keeps only links and a class.
 pub struct TileGraph {
     tiling: Arc<Tiling>,
     params: Vec<i64>,
-    /// In `for_each_tile` order.
-    tiles: Vec<Coord>,
     /// Problem dimension of the tile nest's innermost loop.
     inner: usize,
     /// The rows, in tile-nest order.
@@ -75,8 +70,6 @@ pub struct TileGraph {
     /// Index into `rows`, keyed by a row's tiles with coordinate `inner`
     /// zeroed.
     row_of: HashMap<Coord, u32>,
-    /// Per tile, how many of its dependencies exist.
-    dep_totals: Vec<usize>,
     /// Dependencies per tile ([`Tiling::deps`]): the stride of `links`.
     ndeps: usize,
     /// Per tile and dependency `delta`, the index of the source tile
@@ -137,7 +130,7 @@ struct Classes {
 }
 
 impl Classes {
-    /// Sort `tiles`, enumerated as `rows` along problem dimension `inner`,
+    /// Sort the tiles of `rows`, which run along problem dimension `inner`,
     /// into classes under the parameters bound in `point`. A row's first
     /// signature is computed in full and carried along it by arithmetic
     /// ([`SigRows::run`] tiles share it, then [`SigRows::step`] past them);
@@ -146,16 +139,10 @@ impl Classes {
     ///
     /// [`SigRows::run`]: crate::geom::SigRows::run
     /// [`SigRows::step`]: crate::geom::SigRows::step
-    fn sort(
-        tiling: &Tiling,
-        tiles: &[Coord],
-        rows: &[TileRow],
-        inner: usize,
-        point: &[i128],
-    ) -> Classes {
+    fn sort(tiling: &Tiling, rows: &[TileRow], inner: usize, point: &[i128]) -> Classes {
         let sig_rows = &tiling.sig_rows;
         let mut classes = Classes {
-            class_of: Vec::with_capacity(tiles.len()),
+            class_of: Vec::with_capacity(rows.last().map_or(0, TileRow::end)),
             walked: Vec::new(),
             recordings: Vec::new(),
         };
@@ -164,15 +151,14 @@ impl Classes {
         // The class of the run before, when it has a signature (in `prev`).
         let mut prev_class = None;
         for row in rows {
-            let row_tiles = &tiles[row.start..][..row.len];
             // Every partial sum of a `K` is affine along the row, so when
             // both ends of the row sign, every tile between signs, and its
             // exact `K`s are the advanced ones. Otherwise every tile is
             // signed in full, a run of one.
-            let advance = sig_rows.exact(&row_tiles[0], point, &mut exact).is_ok()
+            let advance = sig_rows.exact(&row.first, point, &mut exact).is_ok()
                 && (row.len == 1
                     || sig_rows
-                        .exact(&row_tiles[row.len - 1], point, &mut last)
+                        .exact(&row.tile(inner, row.len - 1), point, &mut last)
                         .is_ok());
             let mut offset = 0;
             while offset < row.len {
@@ -181,7 +167,7 @@ impl Classes {
                     sig_rows.clamp(&mut sig);
                     (true, sig_rows.run(inner, &exact, row.len - offset))
                 } else {
-                    let signed = tiling.signature(&row_tiles[offset], point, &mut sig);
+                    let signed = tiling.signature(&row.tile(inner, offset), point, &mut sig);
                     (signed.is_ok(), 1)
                 };
                 // A signature that overflows names no class: the tile is a
@@ -212,11 +198,17 @@ impl Classes {
         classes
     }
 
-    /// Count the cells of each class's walked tile.
-    fn count_cells(&self, tiling: &Tiling, tiles: &[Coord], point: &mut [i128]) -> Vec<u128> {
+    /// Count the cells of each class's walked tile, a tile of `rows` along
+    /// `inner`.
+    fn count_cells(
+        &self,
+        tiling: &Tiling,
+        (rows, inner): (&[TileRow], usize),
+        point: &mut [i128],
+    ) -> Vec<u128> {
         let walked = self.walked.iter();
         walked
-            .map(|&i| tiling.tile_cell_count(&tiles[i as usize], point))
+            .map(|&i| tiling.tile_cell_count(&tile_at(rows, inner, i as usize), point))
             .collect()
     }
 
@@ -226,12 +218,12 @@ impl Classes {
     fn count_edges(
         &self,
         tiling: &Tiling,
-        tiles: &[Coord],
+        (rows, inner): (&[TileRow], usize),
         point: &mut [i128],
     ) -> Result<Vec<u64>, PolyError> {
         let mut edge_cells = Vec::with_capacity(self.walked.len() * tiling.edges().len());
         for &i in &self.walked {
-            tiling.set_tile(&tiles[i as usize], point);
+            tiling.set_tile(&tile_at(rows, inner, i as usize), point);
             for edge in tiling.edges() {
                 let cells = edge.count(point)?;
                 let cells = u64::try_from(cells).map_err(|_| PolyError::Overflow("edge cells"))?;
@@ -245,13 +237,36 @@ impl Classes {
 /// `links` entry of a neighbour outside the tile space.
 const NO_TILE: u32 = u32::MAX;
 
+/// A run of tiles sharing every coordinate but the innermost loop's.
 #[derive(Clone, Copy)]
 struct TileRow {
-    /// Coordinate `inner` of the row's first tile.
-    lo: i64,
+    /// The row's first tile, the one lowest along `inner`.
+    first: Coord,
     len: usize,
     /// Index of the row's first tile.
     start: usize,
+}
+
+impl TileRow {
+    /// Tile `offset` of the row.
+    fn tile(&self, inner: usize, offset: usize) -> Coord {
+        let mut tile = self.first;
+        tile.set(inner, self.first[inner] + offset as i64);
+        tile
+    }
+
+    /// One past the index of the row's last tile.
+    fn end(&self) -> usize {
+        self.start + self.len
+    }
+}
+
+/// Tile `i` of `rows` along `inner`: its row by a binary search on the
+/// rows' first indices, then its offset along the row. Panics past the end.
+fn tile_at(rows: &[TileRow], inner: usize, i: usize) -> Coord {
+    let row = &rows[rows.partition_point(|row| row.start <= i) - 1];
+    assert!(i < row.end(), "tile {i} is beyond the tile graph's last");
+    row.tile(inner, i - row.start)
 }
 
 /// The key of the row holding `tile`: the tile with coordinate `inner`
@@ -273,44 +288,40 @@ impl Tiling {
 }
 
 impl TileGraph {
-    /// Derive the graph: enumerate the tile space, index it by row, and
-    /// link every tile to the neighbours its dependencies name.
+    /// Derive the graph: scan the tile space a row at a time, index it by
+    /// row, and link every tile to the neighbours its dependencies name.
     pub fn new(tiling: Arc<Tiling>, params: &[i64]) -> TileGraph {
         let inner = *tiling.loop_order().last().expect("tiling has >= 1 dim");
+        let (d, t_cols) = (tiling.dims(), tiling.t_cols());
         let mut point = tiling.make_point(params);
-        let mut tiles: Vec<Coord> = Vec::new();
         let mut rows: Vec<TileRow> = Vec::new();
         let mut row_of: HashMap<Coord, u32> = HashMap::new();
-        tiling.for_each_tile(&mut point, |t| {
-            // The innermost tile loop runs `lb..=ub` under each prefix
-            // exactly once, so a tile either is the next of the last row or
-            // opens a row never seen; anything else is a bug in
-            // `for_each_tile`.
-            let next = |last: &Coord| (0..t.dims()).all(|k| t[k] == last[k] + (k == inner) as i64);
-            if tiles.last().is_some_and(next) {
-                rows.last_mut().expect("a row is open").len += 1;
-            } else {
-                let key = row_key(&t, inner);
-                let fresh = row_of.insert(key, rows.len() as u32).is_none();
-                assert!(fresh, "tile nest did not enumerate row {key} contiguously");
-                rows.push(TileRow {
-                    lo: t[inner],
-                    len: 1,
-                    start: tiles.len(),
-                });
+        let mut len = 0usize;
+        let nest = tiling.tile_nest();
+        nest.for_each_row(&mut point, |p, lb, ub| {
+            let mut first = Coord::zeros(d);
+            for k in 0..d {
+                first.set(k, p[t_cols[k]] as i64);
             }
-            tiles.push(t);
-        });
+            first.set(inner, lb as i64);
+            row_of.insert(row_key(&first, inner), rows.len() as u32);
+            let row_len = usize::try_from(ub - lb + 1).unwrap_or(usize::MAX);
+            rows.push(TileRow {
+                first,
+                len: row_len,
+                start: len,
+            });
+            len = len.saturating_add(row_len);
+        })
+        .expect("tile enumeration failed");
         assert!(
-            tiles.len() < NO_TILE as usize,
-            "{} tiles overflow the tile graph's u32 indices",
-            tiles.len()
+            len < NO_TILE as usize,
+            "{len} tiles overflow the tile graph's u32 indices"
         );
         let ndeps = tiling.deps().len();
-        let mut dep_totals = vec![0; tiles.len()];
-        let mut links = vec![[NO_TILE; 2]; tiles.len() * ndeps];
+        let mut links = vec![[NO_TILE; 2]; len * ndeps];
         for row in &rows {
-            let key = row_key(&tiles[row.start], inner);
+            let key = row_key(&row.first, inner);
             for (dep_idx, dep) in tiling.deps().iter().enumerate() {
                 let source_key = row_key(&key.add(&dep.delta), inner);
                 let Some(&source) = row_of.get(&source_key) else {
@@ -320,13 +331,12 @@ impl TileGraph {
                 // Tile `lo + o` of the row reads tile `lo + o + delta_inner`,
                 // at offset `o + shift` of the source row; the tiles whose
                 // source offset lies in `0..source.len` have one.
-                let shift = row.lo + dep.delta[inner] - source.lo;
+                let shift = row.first[inner] + dep.delta[inner] - source.first[inner];
                 let first = (-shift).max(0);
                 let end = (row.len as i64).min(source.len as i64 - shift);
                 for o in first..end {
                     let i = row.start + o as usize;
                     let s = source.start + (o + shift) as usize;
-                    dep_totals[i] += 1;
                     links[i * ndeps + dep_idx][0] = s as u32;
                     links[s * ndeps + dep_idx][1] = i as u32;
                 }
@@ -337,7 +347,6 @@ impl TileGraph {
             inner,
             rows,
             row_of,
-            dep_totals,
             ndeps,
             links,
             classes: OnceLock::new(),
@@ -346,7 +355,6 @@ impl TileGraph {
             geometry_bytes: AtomicUsize::new(0),
             geometry_budget: AtomicUsize::new(GEOMETRY_BUDGET_BYTES),
             orderings: Mutex::default(),
-            tiles,
             tiling,
         }
     }
@@ -361,20 +369,27 @@ impl TileGraph {
         &self.params
     }
 
-    /// Every tile of the tile space, in tile-nest ([`Tiling::for_each_tile`])
-    /// order; a tile's position here is its index everywhere else.
-    pub fn tiles(&self) -> &[Coord] {
-        &self.tiles
+    /// The coordinate of tile `tile`: its row's, found by a binary search,
+    /// plus its offset along the row. Panics past the last tile.
+    pub fn coord(&self, tile: usize) -> Coord {
+        tile_at(&self.rows, self.inner, tile)
+    }
+
+    /// Every tile's coordinate, in index ([`Tiling::for_each_tile`]) order.
+    pub fn coords(&self) -> impl Iterator<Item = Coord> + Clone + '_ {
+        let inner = self.inner;
+        let rows = self.rows.iter();
+        rows.flat_map(move |row| (0..row.len).map(move |o| row.tile(inner, o)))
     }
 
     /// Number of tiles.
     pub fn len(&self) -> usize {
-        self.tiles.len()
+        self.rows.last().map_or(0, TileRow::end)
     }
 
     /// True for an empty tile space.
     pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
+        self.rows.is_empty()
     }
 
     /// Index of `tile`, or `None` when the tile space has no such tile.
@@ -383,14 +398,15 @@ impl TileGraph {
             return None;
         }
         let row = self.rows[*self.row_of.get(&row_key(tile, self.inner))? as usize];
-        let offset = usize::try_from(tile[self.inner].checked_sub(row.lo)?).ok()?;
+        let offset = usize::try_from(tile[self.inner].checked_sub(row.first[self.inner])?).ok()?;
         (offset < row.len).then_some(row.start + offset)
     }
 
-    /// How many of tile `tile`'s dependencies exist: the edge count a
-    /// scheduler waits for before the tile may run ([`Tiling::dep_total`]).
+    /// How many sources tile `tile` links to: the edge count a scheduler
+    /// waits for before the tile may run ([`Tiling::dep_total`]).
     pub fn dep_total(&self, tile: usize) -> usize {
-        self.dep_totals[tile]
+        let links = &self.links[tile * self.ndeps..][..self.ndeps];
+        links.iter().filter(|link| link[0] != NO_TILE).count()
     }
 
     /// Index of the tile that tile `tile` receives dependency `dep_idx`
@@ -413,7 +429,7 @@ impl TileGraph {
     /// The initial tiles (Section IV-K): those none of whose dependencies
     /// exist, by index, in tile-nest order.
     pub fn initial(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).filter(|&i| self.dep_totals[i] == 0)
+        (0..self.len()).filter(|&i| self.dep_total(i) == 0)
     }
 
     /// The tiles sorted lexicographically on *flow-adjusted* coordinates (a
@@ -452,21 +468,31 @@ impl TileGraph {
 
     fn sort(&self, by_level: bool, dims: &[usize]) -> TileOrdering {
         let directions = self.tiling.templates().directions();
+        let flow = |k: usize| match directions[k] {
+            Direction::Descending => -1,
+            Direction::Ascending => 1,
+        };
         // The level (or nothing), then the flow-adjusted coordinates. Distinct
-        // tiles differ in some coordinate, so no two keys are equal.
-        let key = |&i: &u32| {
+        // tiles differ in some coordinate, so no two keys are equal. A row's
+        // first key is worked out in full; along the row only the inner
+        // coordinate moves, and with it its slot and the level.
+        let slot = dims.iter().position(|&k| k == self.inner);
+        let slot = 1 + slot.expect("an order names every dimension");
+        let mut keyed = Vec::with_capacity(self.len());
+        for row in &self.rows {
             let mut key = [0i64; MAX_DIMS + 1];
-            for (slot, &k) in key[1..].iter_mut().zip(dims) {
-                *slot = match directions[k] {
-                    Direction::Descending => -self.tiles[i as usize][k],
-                    Direction::Ascending => self.tiles[i as usize][k],
-                };
+            for (s, &k) in key[1..].iter_mut().zip(dims) {
+                *s = flow(k) * row.first[k];
             }
             key[0] = if by_level { key[1..].iter().sum() } else { 0 };
-            key
-        };
-        let mut order: Vec<u32> = (0..self.tiles.len() as u32).collect();
-        order.sort_by_cached_key(key);
+            for i in row.start..row.end() {
+                keyed.push((key, i as u32));
+                key[slot] += flow(self.inner);
+                key[0] += i64::from(by_level) * flow(self.inner);
+            }
+        }
+        keyed.sort_unstable();
+        let order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
         let mut rank = vec![0u32; order.len()];
         for (pos, &i) in order.iter().enumerate() {
             rank[i as usize] = pos as u32;
@@ -514,7 +540,7 @@ impl TileGraph {
     fn classed(&self) -> &Classes {
         self.classes.get_or_init(|| {
             let point = self.tiling.make_point(&self.params);
-            Classes::sort(&self.tiling, &self.tiles, &self.rows, self.inner, &point)
+            Classes::sort(&self.tiling, &self.rows, self.inner, &point)
         })
     }
 
@@ -533,7 +559,7 @@ impl TileGraph {
         let classes = self.classed();
         let per_class = self.cells.get_or_init(|| {
             let mut point = self.tiling.make_point(&self.params);
-            classes.count_cells(&self.tiling, &self.tiles, &mut point)
+            classes.count_cells(&self.tiling, (&self.rows, self.inner), &mut point)
         });
         per_class[classes.class_of[tile] as usize]
     }
@@ -554,7 +580,7 @@ impl TileGraph {
         let classes = self.classed();
         let per_class = self.edge_counts.get_or_init(|| {
             let mut point = self.tiling.make_point(&self.params);
-            classes.count_edges(&self.tiling, &self.tiles, &mut point)
+            classes.count_edges(&self.tiling, (&self.rows, self.inner), &mut point)
         });
         Ok(EdgeCells {
             class_of: &classes.class_of,
@@ -580,7 +606,7 @@ impl TileGraph {
             return Ok(Cow::Borrowed(geom));
         }
         let mut point = self.tiling.make_point(&self.params);
-        let geom = Arc::new(self.tiling.record(&self.tiles[tile], &mut point)?);
+        let geom = Arc::new(self.tiling.record(&self.coord(tile), &mut point)?);
         // A byte count and its bound: neither publishes anything.
         let bytes = geom.bytes();
         let held = self.geometry_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -631,7 +657,7 @@ impl std::fmt::Debug for TileGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TileGraph")
             .field("params", &self.params)
-            .field("tiles", &self.tiles.len())
+            .field("tiles", &self.len())
             .finish_non_exhaustive()
     }
 }
@@ -673,7 +699,7 @@ mod tests {
         let mut point = tiling.make_point(params);
         let mut nest = Vec::new();
         tiling.for_each_tile(&mut point, |t| nest.push(t));
-        assert_eq!(graph.tiles(), &nest[..]);
+        assert_eq!(graph.coords().collect::<Vec<_>>(), nest);
         assert_eq!(
             (graph.len(), graph.is_empty()),
             (nest.len(), nest.is_empty())
@@ -688,7 +714,10 @@ mod tests {
             found
         };
         for (i, t) in nest.iter().enumerate() {
-            assert_eq!(graph.index_of(t), Some(i), "tile {t}");
+            // A tile's coordinate and its index, each from the other.
+            let tile = graph.coord(i);
+            assert_eq!(tile, *t);
+            assert_eq!(graph.index_of(&tile), Some(i), "tile {t}");
             // One step across every face: in the index iff in the space.
             for k in 0..tiling.dims() {
                 for step in [-1, 1] {
@@ -697,11 +726,7 @@ mod tests {
                     index_agrees(&neighbour, &mut point);
                 }
             }
-            assert_eq!(
-                graph.dep_total(i),
-                tiling.dep_total(t, &mut point),
-                "tile {t}"
-            );
+            assert_eq!(graph.dep_total(i), tiling.dep_total(&tile, &mut point));
             for (dep_idx, dep) in tiling.deps().iter().enumerate() {
                 let source = index_agrees(&t.add(&dep.delta), &mut point);
                 let consumer = index_agrees(&t.sub(&dep.delta), &mut point);
@@ -1016,12 +1041,13 @@ mod tests {
             let graph = band.graph(&[23]);
             let (mut later, mut shorter) = (0, 0);
             for row in &graph.rows {
-                let key = row_key(&graph.tiles[row.start], graph.inner);
+                let key = row_key(&row.first, graph.inner);
                 for dep in band.deps() {
                     let source_key = row_key(&key.add(&dep.delta), graph.inner);
                     if let Some(&source) = graph.row_of.get(&source_key) {
                         let source = graph.rows[source as usize];
-                        later += usize::from(source.lo > row.lo + dep.delta[graph.inner]);
+                        let (lo, source_lo) = (row.first[graph.inner], source.first[graph.inner]);
+                        later += usize::from(source_lo > lo + dep.delta[graph.inner]);
                         shorter += usize::from(source.len < row.len);
                     }
                 }
@@ -1043,6 +1069,38 @@ mod tests {
         let banded = lcs_box(16).band(0, 1, -32, 32).build().unwrap();
         let banded = banded.graph(&[2399]);
         assert_eq!((banded.classes(), banded.len()), (8, 744));
+    }
+
+    /// What the graph keeps resident: the per-tile arrays, the row table
+    /// and its map, by capacity (a map's buckets at its load factor of 7/8,
+    /// one control byte each).
+    fn resident_bytes(graph: &TileGraph) -> usize {
+        use std::mem::size_of;
+        let buckets = (graph.row_of.capacity() * 8 / 7).next_power_of_two();
+        graph.links.capacity() * size_of::<[u32; 2]>()
+            + graph.classed().class_of.capacity() * size_of::<u32>()
+            + graph.rows.capacity() * size_of::<TileRow>()
+            + buckets * (size_of::<(Coord, u32)>() + 1)
+    }
+
+    /// LCS 320² at width 1: a tile per cell, 321 rows of 321. Every tile's
+    /// coordinate and index round-trip, and the graph keeps no more than 32
+    /// bytes a tile — links and class, and a share of the rows.
+    #[test]
+    fn a_tile_per_cell_round_trips_and_keeps_under_32_bytes_a_tile() {
+        let tiling = lcs_box(1).build().unwrap();
+        let graph = tiling.graph(&[320]);
+        assert_eq!((graph.len(), graph.rows.len()), (103_041, 321));
+        let mut point = tiling.make_point(&[320]);
+        let mut nest = Vec::with_capacity(graph.len());
+        tiling.for_each_tile(&mut point, |t| nest.push(t));
+        assert!(graph.coords().eq(nest.iter().copied()));
+        for (i, t) in nest.iter().enumerate() {
+            assert_eq!(graph.coord(i), *t);
+            assert_eq!(graph.index_of(t), Some(i));
+        }
+        let per_tile = resident_bytes(&graph) as f64 / graph.len() as f64;
+        assert!(per_tile <= 32.0, "{per_tile:.1} bytes a tile");
     }
 
     /// A run's options choose the order, and they come from outside: the
@@ -1073,7 +1131,7 @@ mod tests {
         let graph = lcs_box(4).build().unwrap().graph(&[21]);
         // Tiles off both low faces are one class.
         let interior =
-            (0..graph.len()).filter(|&i| graph.tiles()[i].as_slice().iter().all(|&t| t > 0));
+            (0..graph.len()).filter(|&i| graph.coord(i).as_slice().iter().all(|&t| t > 0));
         let interior: Vec<usize> = interior.take(THREADS).collect();
         assert_eq!(interior.len(), THREADS);
         let barrier = std::sync::Barrier::new(THREADS);
@@ -1105,31 +1163,29 @@ mod tests {
         sys.add_text("0 <= x <= N").unwrap();
         let templates = TemplateSet::new(1, vec![Template::new("r", &[1])]).unwrap();
         let tiling = TilingBuilder::new(sys, templates, vec![4]).build().unwrap();
-        let tiles: Vec<Coord> = (0..6).map(|t| Coord::from_slice(&[t])).collect();
-
         let row = [TileRow {
-            lo: 0,
+            first: Coord::from_slice(&[0]),
             len: 6,
             start: 0,
         }];
 
         let mut point = tiling.make_point(&[99]);
-        let classed = Classes::sort(&tiling, &tiles, &row, 0, &point);
+        let classed = Classes::sort(&tiling, &row, 0, &point);
         assert_eq!(classed.walked, [0]);
-        let cells = classed.count_cells(&tiling, &tiles, &mut point);
+        let cells = classed.count_cells(&tiling, (&row, 0), &mut point);
 
         // As `geom.rs`'s `a_parameter_beyond_i64_is_an_error_not_a_panic`.
         point[tiling.param_cols()[0]] = i128::MAX;
         let mut sig = Vec::new();
-        assert!(tiling.signature(&tiles[0], &point, &mut sig).is_err());
-        let direct = Classes::sort(&tiling, &tiles, &row, 0, &point);
+        assert!(tiling.signature(&row[0].first, &point, &mut sig).is_err());
+        let direct = Classes::sort(&tiling, &row, 0, &point);
         assert_eq!(direct.walked, [0, 1, 2, 3, 4, 5]);
         assert_eq!(direct.class_of, direct.walked);
         assert_eq!(direct.recordings.len(), 6);
-        assert_eq!(direct.count_cells(&tiling, &tiles, &mut point), [4; 6]);
+        assert_eq!(direct.count_cells(&tiling, (&row, 0), &mut point), [4; 6]);
         assert_eq!(cells, [4]);
         assert_eq!(
-            direct.count_edges(&tiling, &tiles, &mut point),
+            direct.count_edges(&tiling, (&row, 0), &mut point),
             Ok(vec![1; 6])
         );
     }
@@ -1144,17 +1200,16 @@ mod tests {
         sys.add_text("-N <= x <= N").unwrap();
         let templates = TemplateSet::new(1, vec![Template::new("r", &[1])]).unwrap();
         let tiling = TilingBuilder::new(sys, templates, vec![4]).build().unwrap();
-        let tile = [Coord::from_slice(&[1])];
         let row = [TileRow {
-            lo: 1,
+            first: Coord::from_slice(&[1]),
             len: 1,
             start: 0,
         }];
         let mut point = tiling.make_point(&[0]);
         point[tiling.param_cols()[0]] = i128::MAX;
-        let classed = Classes::sort(&tiling, &tile, &row, 0, &point);
+        let classed = Classes::sort(&tiling, &row, 0, &point);
         assert_eq!(
-            classed.count_edges(&tiling, &tile, &mut point),
+            classed.count_edges(&tiling, (&row, 0), &mut point),
             Err(PolyError::Overflow("addition"))
         );
     }
@@ -1177,7 +1232,7 @@ mod tests {
         let lo = i64::MAX - 4;
         let tiles: Vec<Coord> = (0..5).map(|o| Coord::from_slice(&[lo + o])).collect();
         let row = [TileRow {
-            lo,
+            first: tiles[0],
             len: 5,
             start: 0,
         }];
@@ -1185,7 +1240,7 @@ mod tests {
         let mut sig = Vec::new();
         assert!(tiling.signature(&tiles[3], &point, &mut sig).is_ok());
         assert!(tiling.signature(&tiles[4], &point, &mut sig).is_err());
-        let classed = Classes::sort(&tiling, &tiles, &row, 0, &point);
+        let classed = Classes::sort(&tiling, &row, 0, &point);
         assert_eq!(classed.walked, [0, 4]);
         let oracle = sort_per_tile(&tiling, &tiles, &point);
         assert_eq!((classed.class_of, classed.walked), oracle);

@@ -41,7 +41,7 @@ fn main() {
     let timeline = out.timeline.as_ref().expect("Full builds a timeline");
     let json = timeline.to_chrome_trace();
     let graph = plan.graph().expect("the plan's tile graph");
-    let tile_names: HashSet<String> = graph.tiles().iter().map(|t| format!("tile {t}")).collect();
+    let tile_names: HashSet<String> = graph.coords().map(|t| format!("tile {t}")).collect();
 
     // Schema validation: parseable JSON, a traceEvents array, every entry
     // carrying the required Trace Event Format fields.

@@ -4,7 +4,7 @@
 
 use dpgen::core::ExecOpts;
 use dpgen::problems::{random_sequence, Bandit2, Lcs};
-use dpgen::runtime::{EventKind, Probe, Timeline, TraceLevel, TraceRing};
+use dpgen::runtime::{EventKind, Probe, TileSpan, Timeline, TraceLevel, TraceRing};
 use std::collections::{HashMap, HashSet};
 
 fn lcs_fixture() -> (Lcs, dpgen::core::Program) {
@@ -129,8 +129,8 @@ fn full_trace_covers_every_executed_tile_with_busy_fractions() {
         executed,
         "every executed tile needs exactly one TileStart/TileDone span"
     );
-    let tiles = timeline.graph.tiles();
-    let span_tiles: HashSet<_> = timeline.spans.iter().map(|s| tiles[s.tile]).collect();
+    let coord = |s: &TileSpan| timeline.graph.coord(s.tile);
+    let span_tiles: HashSet<_> = timeline.spans.iter().map(coord).collect();
     assert_eq!(
         span_tiles.len() as u64,
         executed,

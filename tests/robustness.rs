@@ -307,7 +307,7 @@ fn wedged_run_terminates_with_stall_snapshot() {
                 ack_timeout: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(5),
                 max_retransmits: 0,
-                send_timeout: Some(Duration::from_secs(5)),
+                send_timeout: Duration::from_secs(5),
                 // Heartbeats stay off: this test must die in the stall
                 // watchdog, not in peer-death detection.
                 ..ReliabilityConfig::default()
@@ -339,18 +339,21 @@ fn wedged_run_terminates_with_stall_snapshot() {
 /// run failure instead of aborting a worker thread.
 #[test]
 fn mispartitioned_null_transport_is_a_typed_error() {
-    struct SplitOwner;
+    /// Per tile of the graph, rank `t[0] mod 2`.
+    struct SplitOwner(Vec<usize>);
     impl TileOwner for SplitOwner {
-        fn owner_at(&self, _idx: usize, tile: &Coord) -> usize {
-            (tile[0] % 2) as usize
+        fn owner_at(&self, idx: usize) -> usize {
+            self.0[idx]
         }
     }
     let program = Program::parse(TRIANGLE).unwrap();
     let config = NodeConfig::new(2, 2).with_stall_timeout(Some(Duration::from_secs(10)));
+    let graph = program.tiling().graph(&[16]);
+    let owner = SplitOwner(graph.coords().map(|t| (t[0] % 2) as usize).collect());
     let err = run_node::<u64, _, _, _>(
         &NodeJob {
-            graph: &program.tiling().graph(&[16]),
-            owner: &SplitOwner,
+            graph: &graph,
+            owner: &owner,
             transport: &NullTransport::default(),
             probe: &Probe::default(),
             config: &config,

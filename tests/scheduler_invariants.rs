@@ -136,19 +136,19 @@ fn assert_same_pops_as_the_coord_scheduler(tiling: &Tiling, params: &[i64]) {
         );
         for i in graph.initial() {
             new.mark_initial(i);
-            old.mark_initial(graph.tiles()[i]);
+            old.mark_initial(graph.coord(i));
         }
         let mut popped = 0;
         while let Some((tile, edges)) = new.pop(0) {
             let (old_tile, old_edges) = old.pop(0).expect("the Coord scheduler ran dry first");
-            assert_eq!(graph.tiles()[tile], old_tile, "{priority:?}: pop {popped}");
+            assert_eq!(graph.coord(tile), old_tile, "{priority:?}: pop {popped}");
             assert_eq!(edges.len(), old_edges.len());
             popped += 1;
             let mut batch = out_edges(&graph, tile, tile % 5);
             let mut old_batch: Vec<EdgeDelivery<i64>> = batch
                 .iter()
                 .map(|e| EdgeDelivery {
-                    tile: graph.tiles()[e.tile],
+                    tile: graph.coord(e.tile),
                     delta: tiling.deps()[e.dep].delta,
                     payload: e.payload.clone(),
                     total: graph.dep_total(e.tile),
@@ -299,7 +299,7 @@ proptest! {
         let cut = (a + b > 0).then_some((a, b, a + b + 1));
         let Some(tiling) = build_tiling(cut, (w1, w2)) else { return Ok(()) };
         let graph = tiling.graph(&[n]);
-        let tiles = graph.tiles();
+        let tiles: Vec<Coord> = graph.coords().collect();
         // Rank 0's share of a cyclic deal of the first axis.
         let owned: Vec<bool> = tiles.iter().map(|t| t[0].rem_euclid(ranks) == 0).collect();
         let owned_tiles = || (0..graph.len()).filter(|&i| owned[i]);

@@ -70,7 +70,7 @@ fn check_replay(tiling: &Tiling, params: &[i64], ctx: &str) -> (u64, u64) {
     let graph = tiling.graph(params);
     let layout = tiling.layout();
     let (mut blocks, mut runs) = (0, 0);
-    for (i, &t) in graph.tiles().iter().enumerate() {
+    for (i, t) in graph.coords().enumerate() {
         let mut point = tiling.make_point(params);
         let geom = graph.geometry(i).unwrap();
 

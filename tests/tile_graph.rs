@@ -28,7 +28,7 @@ fn a_graph_of_a_hundred_thousand_tiles_agrees_with_its_tiling() {
     let corners = [0, graph.len() - 1].into_iter();
     let sample = corners.chain((0..2000).map(|_| rng.next_below(graph.len() as u64) as usize));
     for i in sample {
-        let t = graph.tiles()[i];
+        let t = graph.coord(i);
         assert_eq!(graph.index_of(&t), Some(i));
         assert_eq!(
             graph.dep_total(i),
@@ -43,7 +43,7 @@ fn a_graph_of_a_hundred_thousand_tiles_agrees_with_its_tiling() {
                 let exists = tiling.tile_in_space(&neighbour, &mut point);
                 assert_eq!(found.is_some(), exists, "tile {t} dep {dep_idx}");
                 if let Some(n) = found {
-                    assert_eq!(graph.tiles()[n], neighbour, "tile {t} dep {dep_idx}");
+                    assert_eq!(graph.coord(n), neighbour, "tile {t} dep {dep_idx}");
                 }
             }
         }
