@@ -175,7 +175,9 @@ impl CommStats {
         self.heartbeats_received.load(Ordering::Relaxed)
     }
 
-    /// Deepest the out-of-order receive window ever grew, in frames.
+    /// Deepest the out-of-order receive window ever grew, in frames. Only
+    /// frames that arrive ahead of a gap park there (an in-order frame goes
+    /// straight to the inbox), so a perfect wire reads 0.
     pub fn max_reorder_depth(&self) -> u64 {
         self.max_reorder_depth.load(Ordering::Relaxed)
     }

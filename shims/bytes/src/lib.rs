@@ -1,11 +1,15 @@
 //! Offline stand-in for the `bytes` crate.
 //!
-//! [`BytesMut`] is a growable byte buffer implementing [`BufMut`];
-//! [`Bytes`] is a frozen buffer with a read cursor implementing [`Buf`].
-//! Only the little-endian accessors the wire format uses are provided.
-//! Cheap cloning is preserved by sharing the frozen storage behind an
-//! `Arc` (clones of a packet do not copy the payload).
+//! [`BytesMut`] is a growable byte buffer implementing [`BufMut`], and
+//! derefs to its written bytes as a `[u8]` (so a buffer can be sized once
+//! with [`BytesMut::resize`] and filled in place); [`Bytes`] is a frozen
+//! buffer with a read cursor implementing [`Buf`], as does `&[u8]`, whose
+//! reads advance the slice. Only the little-endian accessors the wire
+//! format uses are provided. Cheap cloning is preserved by sharing the
+//! frozen storage behind an `Arc` (clones of a packet do not copy the
+//! payload).
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 macro_rules! get_methods {
@@ -107,6 +111,12 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Grow or shrink the written length to `new_len`, filling new bytes
+    /// with `value`.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.data.resize(new_len, value);
+    }
+
     /// Freeze into an immutable, cheaply cloneable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes {
@@ -119,6 +129,19 @@ impl BytesMut {
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
+    }
+}
+
+impl Deref for BytesMut {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 
@@ -172,6 +195,23 @@ impl Buf for Bytes {
     }
 }
 
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn take_bytes(&mut self, n: usize) -> &[u8] {
+        assert!(n <= self.len(), "buffer underrun");
+        let (head, rest) = self.split_at(n);
+        *self = rest;
+        head
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,5 +258,48 @@ mod tests {
     fn underrun_panics() {
         let mut b = Bytes::from(vec![1u8]);
         b.get_u32_le();
+    }
+
+    #[test]
+    fn a_slice_reads_like_bytes_and_advances() {
+        let mut buf = BytesMut::new();
+        buf.put_u8(3);
+        buf.put_i64_le(-9);
+        buf.put_u32_le(77);
+        let frozen = buf.freeze();
+        let mut s: &[u8] = frozen.chunk();
+        assert_eq!(s.get_u8(), 3);
+        assert_eq!(s.get_i64_le(), -9);
+        assert_eq!(s.remaining(), 4);
+        assert_eq!(s.chunk(), &77u32.to_le_bytes());
+        assert_eq!(s.get_u32_le(), 77);
+        assert!(s.is_empty());
+        // The frozen buffer's own cursor did not move.
+        assert_eq!(frozen.len(), 1 + 8 + 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "underrun")]
+    fn slice_underrun_panics_as_bytes_does() {
+        let mut s: &[u8] = &[1, 2, 3];
+        s.get_u32_le();
+    }
+
+    #[test]
+    fn resize_then_fill_in_place() {
+        let mut buf = BytesMut::with_capacity(8);
+        buf.put_u8(0xaa);
+        buf.resize(5, 0);
+        assert_eq!(buf.len(), 5);
+        assert_eq!(&buf[..], &[0xaa, 0, 0, 0, 0]);
+        buf[1..].copy_from_slice(&0x0403_0201u32.to_le_bytes());
+        buf.put_u8(0xbb);
+        assert_eq!(buf.freeze().to_vec(), vec![0xaa, 1, 2, 3, 4, 0xbb]);
+        let mut shrink = BytesMut::new();
+        shrink.put_u32_le(7);
+        shrink.resize(1, 9);
+        assert_eq!(&shrink[..], &[7]);
+        shrink.resize(3, 9);
+        assert_eq!(&shrink[..], &[7, 9, 9]);
     }
 }

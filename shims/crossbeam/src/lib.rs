@@ -4,8 +4,9 @@
 //! `channel::unbounded` with `try_send` / `try_recv`, where both endpoints
 //! are `Send + Sync` (std's mpsc receiver is not `Sync`, which the
 //! simulated-MPI communicator requires). The implementation is a
-//! mutex-protected ring; throughput is not the point — API fidelity in a
-//! no-network build environment is.
+//! mutex-protected ring whose length is also published in an atomic, so a
+//! `try_recv` on an empty channel is one load and takes no lock — a
+//! polling receiver never contends with its sender for the mutex.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -14,6 +15,10 @@ pub mod channel {
 
     struct Chan<T> {
         queue: Mutex<VecDeque<T>>,
+        /// `queue.len()`, stored (`Release`) under the lock after every
+        /// push and pop and loaded (`Acquire`) by `try_recv` before it
+        /// decides whether to lock; the data itself is read under the lock.
+        len: AtomicUsize,
         capacity: usize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
@@ -58,6 +63,7 @@ pub mod channel {
                 return Err(TrySendError::Full(msg));
             }
             q.push_back(msg);
+            self.chan.len.store(q.len(), Ordering::Release);
             Ok(())
         }
     }
@@ -65,8 +71,18 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Dequeue without blocking.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            // Empty with a live sender: answer without the lock. (A gone
+            // sender takes the locked path, which orders its last push
+            // before the disconnect it reports.)
+            if self.chan.len.load(Ordering::Acquire) == 0
+                && self.chan.senders.load(Ordering::Acquire) > 0
+            {
+                return Err(TryRecvError::Empty);
+            }
             let mut q = self.chan.queue.lock().unwrap_or_else(|e| e.into_inner());
-            match q.pop_front() {
+            let popped = q.pop_front();
+            self.chan.len.store(q.len(), Ordering::Release);
+            match popped {
                 Some(m) => Ok(m),
                 None if self.chan.senders.load(Ordering::Acquire) == 0 => {
                     Err(TryRecvError::Disconnected)
@@ -110,6 +126,7 @@ pub mod channel {
     pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             queue: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            len: AtomicUsize::new(0),
             capacity: capacity.max(1),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -122,6 +139,7 @@ pub mod channel {
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
             queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             capacity: usize::MAX,
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -168,6 +186,52 @@ pub mod channel {
             drop(tx);
             assert_eq!(rx.try_recv(), Ok(7));
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn a_push_is_always_seen_by_a_polling_thread() {
+            // One message at a time: the sender waits until the poller has
+            // taken each one before pushing the next, so the poller must
+            // see a push through the published length alone — no later
+            // push ever comes to bump it. A lost publication hangs here
+            // until the deadline fails the test.
+            const N: usize = 20_000;
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let (tx, rx) = unbounded();
+            let taken = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for k in 0..N {
+                        tx.try_send(k).unwrap();
+                        while taken.load(Ordering::Acquire) <= k {
+                            assert!(std::time::Instant::now() < deadline, "push {k} never seen");
+                            std::hint::spin_loop();
+                        }
+                    }
+                });
+                s.spawn(|| {
+                    for k in 0..N {
+                        loop {
+                            match rx.try_recv() {
+                                Ok(v) => {
+                                    assert_eq!(v, k);
+                                    break;
+                                }
+                                Err(e) => {
+                                    assert_eq!(e, TryRecvError::Empty);
+                                    assert!(
+                                        std::time::Instant::now() < deadline,
+                                        "push {k} never seen"
+                                    );
+                                    std::hint::spin_loop();
+                                }
+                            }
+                        }
+                        taken.store(k + 1, Ordering::Release);
+                    }
+                });
+            });
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         }
 
         #[test]
