@@ -548,7 +548,7 @@ pub fn e7_buffer_sweep(quick: bool) -> Table {
             .balance(BalanceMethod::Slabs {
                 lb_dims: vec![0, 1],
             })
-            .stall_timeout(Some(std::time::Duration::from_secs(60)))
+            .stall_timeout(std::time::Duration::from_secs(60))
             .probe(Probe::at(&[0, 0, 0, 0]));
         let res = program
             .compile(&[n])

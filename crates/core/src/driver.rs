@@ -38,32 +38,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tunables of elastic rank recovery (see [`ExecOpts::recovery`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
-    /// How often idle links emit heartbeat frames (injected into
-    /// `ReliabilityConfig::heartbeat_interval` for the run).
-    pub heartbeat_interval: Duration,
-    /// Silence window after which a peer is declared dead. Keep it
-    /// comfortably above `heartbeat_interval` and well below the stall
-    /// watchdog window, so death surfaces as the sharper `PeerDead`
-    /// rather than a generic `Stalled`.
-    pub death_timeout: Duration,
-    /// How many rank deaths the coordinator absorbs before giving up
-    /// and surfacing the `PeerDead` error to the caller.
-    pub max_recoveries: usize,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            heartbeat_interval: Duration::from_millis(5),
-            death_timeout: Duration::from_millis(250),
-            max_recoveries: 1,
-        }
-    }
-}
-
 /// What the recovery coordinator did during a tiled run. All zeros for
 /// an undisturbed run (and for runs with recovery disabled, except
 /// `epochs`, which counts execution rounds and is always at least 1).
@@ -132,19 +106,13 @@ where
         .map(|rank| Tracer::create(rank, opts.threads, opts.trace, epoch))
         .collect();
 
-    // Recovery wiring: heartbeats ride the comm links so survivors detect
-    // a dead peer in bounded time, and each rank streams its completed
-    // tiles into an incremental slab checkpoint. One rank has no peer to
-    // lose, so there it stays off. A logged run keeps the checkpoints too,
-    // for the edges in them, whether or not it recovers.
-    let recovery = opts.recovery.filter(|_| opts.ranks > 1);
-    let mut comm_config = opts.comm;
-    if let Some(rc) = &recovery {
-        comm_config.reliability.heartbeat_interval = Some(rc.heartbeat_interval);
-        comm_config.reliability.death_timeout = rc.death_timeout;
-    }
-    let recovery_on = recovery.is_some();
-    let max_recoveries = recovery.map_or(0, |rc| rc.max_recoveries);
+    // Recovery wiring: the heartbeats of `opts.comm.reliability` let
+    // survivors detect a dead peer in bounded time (validation refuses
+    // recovery without them), and each rank streams its completed tiles
+    // into an incremental slab checkpoint. One rank has no peer to lose,
+    // so there it stays off. A logged run keeps the checkpoints too, for
+    // the edges in them, whether or not it recovers.
+    let recovery_on = opts.ranks > 1 && opts.max_recoveries > 0;
     let retain = recovery_on || logged;
     let mut sinks: Vec<Arc<CheckpointSink<T>>> = if retain {
         (0..opts.ranks)
@@ -173,7 +141,7 @@ where
         // partition, and (below) no thread besides the caller's.
         let single = NullTransport::default();
         let mut world = match balance {
-            Some(_) => CommWorld::create_elastic::<T>(opts.ranks, comm_config, &retired),
+            Some(_) => CommWorld::create_elastic::<T>(opts.ranks, opts.comm, &retired),
             None => Vec::new(),
         };
         for (comm, tracer) in world.iter_mut().zip(&tracers) {
@@ -222,7 +190,7 @@ where
                     schedule: opts.schedule,
                     rank,
                     stall_timeout: opts.stall_timeout,
-                    cancel: Some(cancel.clone()),
+                    cancel: cancel.clone(),
                     job_cancel: opts.cancel.clone(),
                     tracer: tracers[rank].clone(),
                 };
@@ -281,14 +249,12 @@ where
                 break (per_rank, comm_stats);
             }
             Some(e) => {
-                // A kernel panic or a corrupt edge is a root cause that
-                // re-execution would only repeat; everything below that
-                // severity is recoverable when a death report names the
-                // slab to migrate.
-                let fatal = matches!(e, RunError::KernelPanic { .. } | RunError::BadEdge { .. });
-                let budget_left = rec_stats.ranks_lost < max_recoveries;
+                // A root cause is what re-execution would only repeat;
+                // everything below it is recoverable when a death report
+                // names the slab to migrate.
+                let budget_left = rec_stats.ranks_lost < opts.max_recoveries;
                 match dead_rank {
-                    Some(dead) if recovery_on && budget_left && !fatal => {
+                    Some(dead) if budget_left && !e.is_root_cause() => {
                         let balance = balance.expect("a peer died, so there is a partition");
                         let t_recover = Instant::now();
                         recover(
@@ -681,12 +647,15 @@ mod tests {
         assert_eq!((total, out.reduction), (cells, Some(cells)));
     }
 
-    fn recovery_config() -> RecoveryConfig {
-        RecoveryConfig {
-            heartbeat_interval: Duration::from_millis(2),
-            death_timeout: Duration::from_millis(100),
-            max_recoveries: 1,
-        }
+    /// Recovery on: heartbeats every 2 ms, a peer silent for 100 ms is
+    /// dead, one death absorbed.
+    fn recovering(opts: ExecOpts) -> ExecOpts {
+        opts.max_recoveries(1)
+            .reliability(dpgen_mpisim::ReliabilityConfig {
+                heartbeat_interval: Some(Duration::from_millis(2)),
+                death_timeout: Duration::from_millis(100),
+                ..Default::default()
+            })
     }
 
     #[test]
@@ -696,9 +665,8 @@ mod tests {
         let want = expected(n);
         let tiling = triangle(3);
         for ranks in [2usize, 4] {
-            let mut config = opts(ranks, 2);
+            let mut config = recovering(opts(ranks, 2));
             config.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(3)));
-            config.recovery = Some(recovery_config());
             let r = Reduction::new(0.0f64, |a, b| a + b);
             let res = run(&tiling, n, &[0], &config, &path_kernel, Some(&r)).unwrap();
             assert_eq!(res.probes[0], Some(want), "ranks={ranks}");
@@ -727,8 +695,7 @@ mod tests {
         let n = 20i64;
         let want = expected(n);
         let tiling = triangle(3);
-        let mut config = opts(3, 2);
-        config.recovery = Some(recovery_config());
+        let config = recovering(opts(3, 2));
         let res = run(&tiling, n, &[0], &config, &path_kernel, None).unwrap();
         assert_eq!(res.probes[0], Some(want));
         assert_eq!(res.recovery.ranks_lost, 0);
@@ -750,7 +717,7 @@ mod tests {
             death_timeout: Duration::from_millis(100),
             ..ReliabilityConfig::default()
         };
-        config.stall_timeout = Some(Duration::from_secs(20));
+        config.stall_timeout = Duration::from_secs(20);
         let err = run(&tiling, 25, &[0], &config, &path_kernel, None).unwrap_err();
         assert!(
             matches!(err, RunError::PeerDead { rank: 0, .. }),
@@ -768,7 +735,7 @@ mod tests {
             path_kernel(cell, values);
         };
         let mut config = opts(2, 1);
-        config.stall_timeout = Some(Duration::from_secs(10));
+        config.stall_timeout = Duration::from_secs(10);
         let err = run(&tiling, 12, &[0], &config, &bomb, None).unwrap_err();
         assert!(
             matches!(err, RunError::KernelPanic { .. }),

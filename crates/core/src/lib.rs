@@ -38,7 +38,7 @@ pub mod spec;
 pub mod specgen;
 pub mod traceback;
 
-pub use driver::{RecoveryConfig, RecoveryStats};
+pub use driver::RecoveryStats;
 pub use loadbalance::{BalanceMethod, LoadBalance, MapOwner};
 pub use plan::{spec_hash, ExecOpts, Plan, MAX_THREADS};
 pub use program::{Program, ProgramError};

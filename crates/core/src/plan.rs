@@ -38,7 +38,7 @@
 //! job's request) and then enter the one tiled driver. The untiled dense executor tests compare
 //! against is [`dpgen_runtime::run_reference`], called directly.
 
-use crate::driver::{hybrid_run, RecoveryConfig};
+use crate::driver::hybrid_run;
 use crate::loadbalance::{BalanceMethod, LoadBalance};
 use crate::program::{Program, ProgramError};
 use crate::run::RunOutput;
@@ -96,19 +96,22 @@ pub struct ExecOpts {
     /// [`BalanceMethod::Slabs`] dimensions must be distinct, in range and
     /// at least one. Ignored at one rank.
     pub balance: Option<BalanceMethod>,
-    /// Stall watchdog window; `None` disables the watchdog.
-    pub stall_timeout: Option<Duration>,
+    /// Stall watchdog window (default
+    /// [`DEFAULT_STALL_TIMEOUT`](dpgen_runtime::DEFAULT_STALL_TIMEOUT)).
+    pub stall_timeout: Duration,
     /// Event tracing ([`TraceLevel::Off`] by default). At
     /// [`TraceLevel::Spans`] and above, [`RunOutput::timeline`] carries the
     /// per-worker timeline.
     pub trace: TraceLevel,
-    /// Elastic rank recovery at `ranks > 1`: `Some` turns on heartbeat
-    /// death detection, per-rank incremental slab checkpoints, and mid-run
+    /// Elastic rank recovery at `ranks > 1`: how many rank deaths the run
+    /// absorbs by per-rank incremental slab checkpoints and mid-run
     /// migration of a dead rank's slab to the lowest-loaded survivor
-    /// (DESIGN.md §12); the coordinator's actions land in
-    /// [`RunOutput::recovery`]. `None` (the default) runs the classic
-    /// fail-the-world path. Ignored at one rank.
-    pub recovery: Option<RecoveryConfig>,
+    /// (DESIGN.md §12) before it surfaces the death; the coordinator's
+    /// actions land in [`RunOutput::recovery`]. Deaths are detected by the
+    /// heartbeats of `comm.reliability`, which must be on when this is
+    /// not 0. 0 (the default) runs the classic fail-the-world path.
+    /// Ignored at one rank.
+    pub max_recoveries: usize,
     /// Job-scoped cancellation flag: raise it from any thread to abort the
     /// run mid-flight with [`RunError::Cancelled`]. The runtime only reads
     /// it (it is distinct from the per-epoch world failure flag, which
@@ -135,9 +138,9 @@ impl ExecOpts {
             schedule: Schedule::Dynamic,
             comm: CommConfig::default(),
             balance: None,
-            stall_timeout: Some(dpgen_runtime::DEFAULT_STALL_TIMEOUT),
+            stall_timeout: dpgen_runtime::DEFAULT_STALL_TIMEOUT,
             trace: TraceLevel::Off,
-            recovery: None,
+            max_recoveries: 0,
             cancel: None,
         }
     }
@@ -191,7 +194,7 @@ impl ExecOpts {
     }
 
     /// Sets [`ExecOpts::stall_timeout`].
-    pub fn stall_timeout(mut self, timeout: Option<Duration>) -> Self {
+    pub fn stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = timeout;
         self
     }
@@ -202,9 +205,9 @@ impl ExecOpts {
         self
     }
 
-    /// Sets [`ExecOpts::recovery`].
-    pub fn recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = Some(recovery);
+    /// Sets [`ExecOpts::max_recoveries`].
+    pub fn max_recoveries(mut self, max_recoveries: usize) -> Self {
+        self.max_recoveries = max_recoveries;
         self
     }
 
@@ -265,6 +268,13 @@ impl ExecOpts {
                     "Slabs lb_dims {lb_dims:?} must name at least one distinct dimension below {d}"
                 ));
             }
+        }
+        if self.max_recoveries > 0 && self.comm.reliability.heartbeat_interval.is_none() {
+            return fault(format!(
+                "max_recoveries({}) needs heartbeats to detect a death: \
+                 comm.reliability.heartbeat_interval is None",
+                self.max_recoveries
+            ));
         }
         Ok(())
     }
@@ -956,7 +966,12 @@ mod tests {
         let mut opts = ExecOpts::new()
             .threads(2)
             .balance(BalanceMethod::Hyperplane)
-            .recovery(RecoveryConfig::default())
+            .max_recoveries(1)
+            .reliability(ReliabilityConfig {
+                heartbeat_interval: Some(Duration::from_millis(5)),
+                death_timeout: Duration::from_millis(250),
+                ..ReliabilityConfig::default()
+            })
             .probe(Probe::at(&[0, 0]));
         opts.comm.send_buffers = 0;
         opts.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1)));
@@ -1069,6 +1084,26 @@ mod tests {
         assert!(Plan::on_tiling(tiling, &[14], vec![1, 0]).is_ok());
     }
 
+    /// Rank recovery detects a death by heartbeat silence: asked for at two
+    /// ranks with heartbeats off it is refused before anything runs, and at
+    /// one rank, where no peer can die, it is ignored like every other
+    /// multi-rank knob.
+    #[test]
+    fn recovery_without_heartbeats_is_an_options_fault() {
+        let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
+        let opts = ExecOpts::new().max_recoveries(1).probe(Probe::at(&[0, 0]));
+        assert!(opts.comm.reliability.heartbeat_interval.is_none());
+        let two_ranks = opts.clone().ranks(2);
+        let err = plan
+            .execute::<f64, _>(&path_kernel, &two_ranks)
+            .unwrap_err();
+        assert_eq!(stage_of(&err), CompileStage::Options, "{err}");
+        assert!(err.to_string().contains("heartbeat"), "{err}");
+        let out = plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
+        assert_eq!(out.probes[0], Some((1u64 << 15) as f64));
+        assert_eq!(out.recovery.epochs, 1);
+    }
+
     #[test]
     fn every_rank_epoch_and_execution_of_a_plan_reads_one_graph() {
         use dpgen_mpisim::{FaultPlan, KillTrigger};
@@ -1117,11 +1152,12 @@ mod tests {
 
         // A killed rank: both epochs, the resumed-cell count included, read
         // the same graph.
-        let mut killed = opts.clone().ranks(2).recovery(RecoveryConfig {
-            heartbeat_interval: Duration::from_millis(2),
+        let mut killed = opts.clone().ranks(2).max_recoveries(1);
+        killed.comm.reliability = ReliabilityConfig {
+            heartbeat_interval: Some(Duration::from_millis(2)),
             death_timeout: Duration::from_millis(100),
-            max_recoveries: 1,
-        });
+            ..ReliabilityConfig::default()
+        };
         killed.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(3)));
         let (ran_on, out) = run(&killed);
         assert_eq!(out.recovery.epochs, 2);

@@ -72,8 +72,8 @@ pub struct RunOutput<T> {
     /// after.
     pub balance_time: Duration,
     /// What the recovery coordinator did (all zeros but `epochs` unless
-    /// [`ExecOpts::recovery`](crate::ExecOpts::recovery) was enabled at
-    /// `ranks > 1`).
+    /// [`ExecOpts::max_recoveries`](crate::ExecOpts::max_recoveries) is
+    /// above 0 at `ranks > 1`).
     pub recovery: RecoveryStats,
 }
 

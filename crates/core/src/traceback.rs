@@ -204,8 +204,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecOpts, Plan, RecoveryConfig, RunOutput};
-    use dpgen_mpisim::{FaultPlan, KillTrigger};
+    use crate::{ExecOpts, Plan, RunOutput};
+    use dpgen_mpisim::{FaultPlan, KillTrigger, ReliabilityConfig};
     use dpgen_polyhedra::{ConstraintSystem, Space};
     use dpgen_runtime::{PerCell, Schedule};
     use dpgen_tiling::{Template, TemplateSet, Tiling, TilingBuilder};
@@ -328,10 +328,11 @@ mod tests {
         let mut killed = ExecOpts::new()
             .threads(2)
             .ranks(2)
-            .recovery(RecoveryConfig {
-                heartbeat_interval: Duration::from_millis(2),
+            .max_recoveries(1)
+            .reliability(ReliabilityConfig {
+                heartbeat_interval: Some(Duration::from_millis(2)),
                 death_timeout: Duration::from_millis(100),
-                max_recoveries: 1,
+                ..ReliabilityConfig::default()
             });
         killed.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1)));
         matrix.push(killed);
@@ -340,7 +341,7 @@ mod tests {
             let mut first = None;
             for opts in &matrix {
                 let (graph, out, log) = forward(w, n, opts);
-                let lost = opts.recovery.is_some() as usize;
+                let lost = opts.max_recoveries;
                 assert_eq!(out.recovery.ranks_lost, lost, "N={n} w={w} {opts:?}");
                 let mut tb = Traceback::new(&graph, &kernel, &log);
                 let path = tb.trace(&[0, 0], &mut decide).unwrap();

@@ -15,7 +15,7 @@
 //! `tests/fuzz_regressions.rs` replays them forever after.
 
 use dpgen_core::specgen::{self, GeneratedSpec};
-use dpgen_core::{ExecOpts, Plan, Program, RecoveryConfig, RunOutput, SpecBand};
+use dpgen_core::{ExecOpts, Plan, Program, RunOutput, SpecBand};
 use dpgen_mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
 use dpgen_runtime::{PerCell, Probe, Reduction, RunError, Schedule, SplitMix64, TilePriority};
 use std::fmt;
@@ -265,7 +265,7 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
             .ranks(leg.ranks)
             .schedule(leg.schedule)
             .probe(probe.clone())
-            .stall_timeout(Some(Duration::from_secs(20)));
+            .stall_timeout(Duration::from_secs(20));
         match leg.twist {
             Twist::Banded => {
                 // Band the spec and re-derive the whole pipeline from
@@ -306,16 +306,15 @@ pub fn check_spec(gs: &GeneratedSpec, legs: &[Leg]) -> Result<(), Failure> {
                 // Kill the upstream rank (slab balancing puts the wavefront
                 // source on rank 0) after its first data frame and recover
                 // onto the survivor; fast heartbeats keep detection quick.
-                opts = opts
-                    .comm(CommConfig {
-                        faults: Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1))),
-                        ..CommConfig::default()
-                    })
-                    .recovery(RecoveryConfig {
-                        heartbeat_interval: Duration::from_millis(2),
+                opts = opts.max_recoveries(1).comm(CommConfig {
+                    faults: Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1))),
+                    reliability: ReliabilityConfig {
+                        heartbeat_interval: Some(Duration::from_millis(2)),
                         death_timeout: Duration::from_millis(150),
-                        max_recoveries: 1,
-                    });
+                        ..ReliabilityConfig::default()
+                    },
+                    ..CommConfig::default()
+                });
             }
             Twist::None | Twist::PlanReuse => {}
         }

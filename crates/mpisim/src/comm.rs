@@ -27,7 +27,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tunables of the reliable-delivery protocol.
+/// Tunables of the reliable-delivery protocol. There is no retransmit
+/// budget: an unacknowledged frame is retransmitted until it is
+/// acknowledged, and a wire that loses every copy surfaces as a send
+/// timeout, a stall or a dead peer, not as a lost frame.
 #[derive(Debug, Clone, Copy)]
 pub struct ReliabilityConfig {
     /// Base ack timeout: a frame unacknowledged for this long is
@@ -35,9 +38,6 @@ pub struct ReliabilityConfig {
     pub ack_timeout: Duration,
     /// Cap on the exponential backoff between retransmits of one frame.
     pub max_backoff: Duration,
-    /// Retransmit budget per frame; 0 disables retransmission entirely
-    /// (frames lost by the wire stay lost — for wedge testing).
-    pub max_retransmits: u32,
     /// Give up a blocked send (window full, no acks arriving) after this
     /// long, surfacing [`TransportError::SendTimeout`]. Always bounded: a
     /// worker held in a send never reaches the node's stall watchdog.
@@ -50,7 +50,9 @@ pub struct ReliabilityConfig {
     pub heartbeat_interval: Option<Duration>,
     /// With heartbeats enabled, a peer silent (no verified frame of any
     /// kind) for longer than this is declared dead. Must be much larger
-    /// than `heartbeat_interval` to tolerate scheduling jitter.
+    /// than `heartbeat_interval` to tolerate scheduling jitter, and well
+    /// below the node's stall watchdog window, so a death surfaces as the
+    /// sharper `PeerDead` rather than a generic stall.
     pub death_timeout: Duration,
 }
 
@@ -59,7 +61,6 @@ impl Default for ReliabilityConfig {
         ReliabilityConfig {
             ack_timeout: Duration::from_millis(3),
             max_backoff: Duration::from_millis(100),
-            max_retransmits: u32::MAX,
             send_timeout: Duration::from_secs(30),
             heartbeat_interval: None,
             death_timeout: Duration::from_secs(1),
@@ -637,7 +638,6 @@ impl<T: Wire> RankComm<T> {
         if self.total_unacked() == 0 {
             return;
         }
-        let budget = self.config.reliability.max_retransmits;
         let mut clock = None;
         for dst in 0..self.ranks {
             let Some(sender) = &self.data_tx[dst] else {
@@ -649,9 +649,6 @@ impl<T: Wire> RankComm<T> {
                 continue;
             };
             for f in tx.unacked.iter_mut() {
-                if f.attempts >= budget {
-                    continue;
-                }
                 let now = *clock.get_or_insert_with(Instant::now);
                 if now.duration_since(f.sent_at) < self.backoff(f.attempts) {
                     continue;
@@ -663,7 +660,7 @@ impl<T: Wire> RankComm<T> {
                 }
                 // Count the attempt even when the wire is full: backoff
                 // must still advance or a full channel spins the pump.
-                f.attempts += 1;
+                f.attempts = f.attempts.saturating_add(1);
                 f.sent_at = now;
             }
         }
@@ -1227,17 +1224,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_retransmit_budget_strands_dropped_frames() {
-        // 100% drop and no retransmits: the receiver never sees anything,
-        // the sender's window stays full, and a bounded send_timeout
-        // surfaces the wedge as a typed error instead of hanging.
+    fn a_dead_wire_strands_frames_until_send_timeout() {
+        // 100% drop, retransmits included: the receiver never sees
+        // anything, the sender's window stays full, and a bounded
+        // send_timeout surfaces the wedge as a typed error instead of
+        // hanging.
         let config = CommConfig {
             send_buffers: 2,
             recv_buffers: 2,
             reliability: ReliabilityConfig {
                 ack_timeout: Duration::from_micros(100),
                 max_backoff: Duration::from_millis(1),
-                max_retransmits: 0,
                 send_timeout: Duration::from_millis(50),
                 ..ReliabilityConfig::default()
             },

@@ -6,7 +6,7 @@
 //! run can go wrong into a typed [`RunError`]:
 //!
 //! * a transport failure ([`TransportError`]) — mis-partitioning, a dead
-//!   peer, or an exhausted retransmit budget;
+//!   peer, or a send that timed out on a full window;
 //! * a stall — no tile executed, no edge delivered anywhere on the node
 //!   for the configured watchdog window; the error carries a
 //!   [`StallSnapshot`] of the scheduler so the wedge is debuggable;
@@ -36,8 +36,8 @@ pub enum CompileStage {
     Admission,
     /// The execution options cannot run this plan (a probe of the wrong
     /// arity, a `ColumnMajor` order that is no permutation, slab
-    /// dimensions out of range, a multi-rank world with no buffers);
-    /// nothing was executed.
+    /// dimensions out of range, a multi-rank world with no buffers, rank
+    /// recovery without heartbeats); nothing was executed.
     Options,
 }
 
@@ -262,6 +262,9 @@ pub enum RunError {
     CompileError(Box<CompileFault>),
 }
 
+/// [`RunError::BadEdge`]'s severity: the least severe root cause.
+const BAD_EDGE_SEVERITY: u8 = 5;
+
 impl RunError {
     /// Ranking for choosing the most diagnostic error out of a multi-rank
     /// failure: root causes beat symptoms beat sympathetic shutdowns.
@@ -275,12 +278,21 @@ impl RunError {
             RunError::CompileError(_) => 8,
             RunError::KernelPanic { .. } => 7,
             RunError::TileGeometry { .. } => 6,
-            RunError::BadEdge(_) => 5,
+            RunError::BadEdge(_) => BAD_EDGE_SEVERITY,
             RunError::Stalled(_) => 4,
             RunError::PeerDead { .. } => 3,
             RunError::Transport(_) => 2,
             RunError::Cancelled { .. } => 1,
         }
+    }
+
+    /// Whether re-executing would only repeat this error: a failed
+    /// compilation, a panicking kernel, a tile whose geometry overflows or
+    /// a corrupt edge — every error at least as severe as
+    /// [`RunError::BadEdge`]. The recovery coordinator retries a death only
+    /// when the run's most severe error is not one.
+    pub fn is_root_cause(&self) -> bool {
+        self.severity() >= BAD_EDGE_SEVERITY
     }
 
     /// The tile coordinate this error implicates, when it carries one — a
@@ -506,6 +518,58 @@ mod tests {
         let cancelled = RunError::Cancelled { rank: 1 };
         assert!(panic.severity() > stall.severity());
         assert!(stall.severity() > cancelled.severity());
+    }
+
+    /// Every variant, in `severity` order: the four root causes first.
+    #[test]
+    fn root_causes_are_the_errors_at_least_as_severe_as_a_bad_edge() {
+        let tile = Coord::from_slice(&[1, 2]);
+        let table = [
+            (
+                RunError::from(CompileFault::new(CompileStage::Spec, "x")),
+                true,
+            ),
+            (
+                RunError::KernelPanic {
+                    rank: 0,
+                    worker: 0,
+                    tile,
+                    message: "boom".into(),
+                },
+                true,
+            ),
+            (
+                RunError::TileGeometry {
+                    rank: 0,
+                    tile,
+                    error: PolyError::UnknownName("q".into()),
+                },
+                true,
+            ),
+            (
+                RunError::BadEdge(Box::new(EdgeFault {
+                    rank: 0,
+                    tile,
+                    delta: Coord::from_slice(&[1, 0]),
+                    detail: "short".into(),
+                })),
+                true,
+            ),
+            (RunError::Stalled(Box::new(snapshot())), false),
+            (
+                RunError::PeerDead {
+                    rank: 1,
+                    last_seq: 0,
+                },
+                false,
+            ),
+            (TransportError::Halted { rank: 1 }.into(), false),
+            (RunError::Cancelled { rank: 0 }, false),
+        ];
+        for (i, (e, root)) in table.iter().enumerate() {
+            assert_eq!(e.is_root_cause(), *root, "{e:?}");
+            assert_eq!(e.severity() as usize, table.len() - i, "{e:?}");
+        }
     }
 
     #[test]

@@ -49,9 +49,12 @@
 //! propagate; and a **stall watchdog** converts a silent hang — no tile
 //! executed, no edge delivered for [`NodeConfig::stall_timeout`] — into
 //! [`RunError::Stalled`] carrying a [`StallSnapshot`] of the scheduler.
-//! When any worker fails, the pool drains out and, if a shared
-//! [`NodeConfig::cancel`] flag was provided, sibling ranks are told to stop;
-//! the rank reports its workers' most severe error ([`most_severe`]).
+//! The rank has one watchdog: after its last tile, its drain of the world
+//! counts a change in its unacknowledged frames as progress and is judged
+//! by the same check, failing the same way an idle worker does.
+//! When any worker fails, the pool drains out and sibling ranks are told
+//! to stop through the shared [`NodeConfig::cancel`] flag; the rank
+//! reports its workers' most severe error ([`most_severe`]).
 //!
 //! [`EdgeLayout::max_cells`]: dpgen_tiling::EdgeLayout::max_cells
 //! [`PerCell`]: crate::kernel::PerCell
@@ -110,14 +113,14 @@ pub struct NodeConfig {
     /// This node's rank.
     pub rank: usize,
     /// The stall watchdog: when the node makes no progress (no tile
-    /// executed, no edge delivered or received) for this long, the run
-    /// fails with [`RunError::Stalled`] instead of hanging. `None`
-    /// disables the watchdog.
-    pub stall_timeout: Option<Duration>,
+    /// executed, no edge delivered, and while it drains the world no
+    /// change in its unacknowledged frames) for this long, the run fails
+    /// with [`RunError::Stalled`] instead of hanging.
+    pub stall_timeout: Duration,
     /// Cross-rank cancellation flag. A failing rank sets it; ranks observe
     /// it between tiles and bail out with [`RunError::Cancelled`] instead
     /// of waiting out their own watchdog.
-    pub cancel: Option<Arc<AtomicBool>>,
+    pub cancel: Arc<AtomicBool>,
     /// External job-scoped cancellation flag. Unlike [`NodeConfig::cancel`]
     /// the runtime only ever *reads* it: the owner of a job (a caller, a
     /// resident engine) raises it to abort this run mid-flight, and workers
@@ -148,8 +151,8 @@ impl NodeConfig {
             priority: TilePriority::column_major(dims),
             schedule: Schedule::Dynamic,
             rank: 0,
-            stall_timeout: Some(DEFAULT_STALL_TIMEOUT),
-            cancel: None,
+            stall_timeout: DEFAULT_STALL_TIMEOUT,
+            cancel: Arc::default(),
             job_cancel: None,
             tracer: None,
         }
@@ -162,7 +165,7 @@ impl NodeConfig {
     }
 
     /// Same configuration with a different watchdog window.
-    pub fn with_stall_timeout(mut self, timeout: Option<Duration>) -> NodeConfig {
+    pub fn with_stall_timeout(mut self, timeout: Duration) -> NodeConfig {
         self.stall_timeout = timeout;
         self
     }
@@ -512,9 +515,8 @@ fn liveness<T, Tr: Transport<T> + ?Sized>(
     config: &NodeConfig,
     transport: &Tr,
 ) -> Result<(), RunError> {
-    let raised =
-        |flag: &Option<Arc<AtomicBool>>| flag.as_ref().is_some_and(|c| c.load(Ordering::Acquire));
-    if raised(&config.cancel) || raised(&config.job_cancel) {
+    let raised = |flag: &AtomicBool| flag.load(Ordering::Acquire);
+    if raised(&config.cancel) || config.job_cancel.as_deref().is_some_and(raised) {
         return Err(RunError::Cancelled { rank: config.rank });
     }
     Ok(transport.health()?)
@@ -531,9 +533,7 @@ fn announce(config: &NodeConfig, e: &RunError) {
     if matches!(e, RunError::Transport(TransportError::Halted { .. })) {
         return;
     }
-    if let Some(c) = &config.cancel {
-        c.store(true, Ordering::Release);
-    }
+    config.cancel.store(true, Ordering::Release);
 }
 
 /// The outcome of one node's run.
@@ -771,9 +771,9 @@ where
     // clock); the node's last progress is the latest of them, taken by
     // whoever asks.
     let worker_progress: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let last_progress = || {
-        let clocks = worker_progress.iter().map(|a| a.load(Ordering::Acquire));
-        Duration::from_nanos(clocks.max().unwrap_or(0))
+    let note_progress = |w: usize| {
+        let now = t_start.elapsed().as_nanos() as u64;
+        worker_progress[w].store(now, Ordering::Release);
     };
 
     // Where each probe is read, and the tiles that read one: every other
@@ -808,6 +808,33 @@ where
                 .unwrap_or_default(),
         }
     };
+    // The rank's one watchdog, asked by an idle worker and by the drain:
+    // has no worker clock moved for longer than the stall window?
+    let stall_check = |w: usize| -> Result<(), RunError> {
+        let clocks = worker_progress.iter().map(|a| a.load(Ordering::Acquire));
+        let last_progress = Duration::from_nanos(clocks.max().unwrap_or(0));
+        let idle = t_start.elapsed().saturating_sub(last_progress);
+        if idle <= config.stall_timeout {
+            return Ok(());
+        }
+        if let Some(t) = tracer {
+            t.record(w, EventKind::StallProbe, None, idle.as_nanos() as u64);
+        }
+        Err(RunError::Stalled(Box::new(snapshot(idle))))
+    };
+    // The one failure path, a worker's or the drain's: trace the fault,
+    // tell the world, stop the pool, and hand the error back.
+    #[allow(clippy::disallowed_methods, reason = "failure broadcast")]
+    let fail = |w: usize, e: RunError| -> RunError {
+        if let Some(t) = tracer {
+            let tile = e.tile().and_then(|c| graph.index_of(&c));
+            t.record(w, EventKind::Fault, tile, e.severity() as u64);
+        }
+        announce(config, &e);
+        failed.store(true, Ordering::Release);
+        cv.notify_all();
+        e
+    };
 
     let results = std::thread::scope(|scope| {
         // One worker's whole life, run by every worker thread.
@@ -821,9 +848,9 @@ where
             let mem = &mem;
             let probes = &probes;
             let failed = &failed;
-            let last_progress = &last_progress;
-            let worker_progress = &worker_progress;
-            let snapshot = &snapshot;
+            let note_progress = &note_progress;
+            let stall_check = &stall_check;
+            let fail = &fail;
             let resolve = &resolve;
             let duplicate = &duplicate;
             move |w: usize| -> Result<WorkerOut<T>, RunError> {
@@ -849,10 +876,6 @@ where
                 let mut idle_time = Duration::ZERO;
                 let mut acc = reduce.map(|r| r.identity());
                 let mut found: Vec<(usize, T)> = Vec::new();
-                let note_progress = || {
-                    let now = t_start.elapsed().as_nanos() as u64;
-                    worker_progress[w].store(now, Ordering::Release);
-                };
                 // Wake one parked worker per readied tile (it can pop or
                 // steal any of them), and none when no worker is parked: a
                 // hand-off then makes no syscall (DESIGN.md §15.5). The fence
@@ -872,23 +895,12 @@ where
                     }
                     n as u64
                 };
-                #[allow(clippy::disallowed_methods, reason = "failure broadcast")]
-                let fail = |e: RunError| {
-                    if let Some(t) = tracer {
-                        let tile = e.tile().and_then(|c| graph.index_of(&c));
-                        t.record(w, EventKind::Fault, tile, e.severity() as u64);
-                    }
-                    announce(config, &e);
-                    failed.store(true, Ordering::Release);
-                    cv.notify_all();
-                    Err(e)
-                };
                 loop {
                     if failed.load(Ordering::Acquire) {
                         break;
                     }
                     if let Err(e) = liveness(config, transport) {
-                        return fail(e);
+                        return Err(fail(w, e));
                     }
                     // Step 6 of the paper's loop: poll for incoming edges,
                     // delivered as one batch.
@@ -915,14 +927,14 @@ where
                         }
                     }
                     if bad_edge.is_none() && !batch.is_empty() {
-                        note_progress();
+                        note_progress(w);
                         match sched.deliver(w, &mut batch) {
                             Ok(ready) => counts.wakeups += wake(ready),
                             Err(dup) => bad_edge = Some(duplicate(dup)),
                         }
                     }
                     if let Some(e) = bad_edge {
-                        return fail(e);
+                        return Err(fail(w, e));
                     }
                     // Selection: this worker's heap, else a steal.
                     let Some((tile_idx, edges)) = sched.pop(w) else {
@@ -966,19 +978,8 @@ where
                             parked.fetch_sub(1, Ordering::Relaxed);
                         }
                         idle_time += t0.elapsed();
-                        if let Some(limit) = config.stall_timeout {
-                            let idle = t_start.elapsed().saturating_sub(last_progress());
-                            if idle > limit {
-                                if let Some(t) = tracer {
-                                    t.record(
-                                        w,
-                                        EventKind::StallProbe,
-                                        None,
-                                        idle.as_nanos() as u64,
-                                    );
-                                }
-                                return fail(RunError::Stalled(Box::new(snapshot(idle))));
-                            }
+                        if let Err(e) = stall_check(w) {
+                            return Err(fail(w, e));
                         }
                         continue;
                     };
@@ -986,7 +987,7 @@ where
                     // this pop too: read it again only for a first tile or
                     // at the end of an idle episode.
                     if spin_until.take().is_some() || tiles_run == 0 {
-                        note_progress();
+                        note_progress(w);
                     }
                     let tile = graph.coord(tile_idx);
                     if let Some(t) = tracer {
@@ -1007,7 +1008,7 @@ where
                     // written range is unknown after a mid-scan panic).
                     let geom = match tile_geometry(graph, config.rank, tile_idx) {
                         Ok(geom) => geom,
-                        Err(e) => return fail(e),
+                        Err(e) => return Err(fail(w, e)),
                     };
                     counts.geom_builds += matches!(geom, Cow::Owned(_)) as u64;
                     mem.tile_allocated();
@@ -1162,7 +1163,7 @@ where
                         Err(e) => {
                             // Discard the possibly half-written buffer.
                             mem.tile_released();
-                            return fail(e);
+                            return Err(fail(w, e));
                         }
                     };
                     if let Some(t) = tracer {
@@ -1179,7 +1180,7 @@ where
                         Ok(ready) => counts.wakeups += wake(ready),
                         Err(dup) => {
                             mem.tile_released();
-                            return fail(duplicate(dup));
+                            return Err(fail(w, duplicate(dup)));
                         }
                     }
                     let ghosts = unpacked
@@ -1189,7 +1190,7 @@ where
                     unpacked.clear();
                     mem.tile_released();
                     tiles_run += 1;
-                    note_progress();
+                    note_progress(w);
 
                     let done = executed.fetch_add(1, Ordering::AcqRel) + 1;
                     if done >= owned {
@@ -1252,30 +1253,21 @@ where
 
     // --- Quiesce: this rank is done executing, but its frames may be
     // unacknowledged and peers may still be retransmitting to it. Keep
-    // pumping the transport until the whole world has drained; the watchdog
-    // keeps a dead world from hanging us here.
-    let mut last_change = Instant::now();
-    let mut last_in_flight = transport.in_flight();
+    // pumping the transport until the whole world has drained, on worker
+    // 0's thread and under its checks: an acknowledged frame is progress on
+    // its clock, so the rank's one watchdog keeps a dead world from hanging
+    // us here. A peer dying *after* this rank finished its tiles would
+    // strand the drain forever (a corpse never acks): death detection turns
+    // that into a typed escalation instead of a stall.
+    let mut in_flight = transport.in_flight();
     while !transport.flush() {
-        // A peer dying *after* this rank finished its tiles would strand
-        // the world drain forever (a corpse never acks): death detection
-        // turns that into a typed escalation instead of a stall.
-        if let Err(e) = liveness(config, transport) {
-            announce(config, &e);
-            return Err(e);
-        }
         let now_in_flight = transport.in_flight();
-        if now_in_flight != last_in_flight {
-            last_in_flight = now_in_flight;
-            last_change = Instant::now();
+        if now_in_flight != in_flight {
+            in_flight = now_in_flight;
+            note_progress(0);
         }
-        if let Some(limit) = config.stall_timeout {
-            if last_change.elapsed() > limit {
-                if let Some(c) = &config.cancel {
-                    c.store(true, Ordering::Release);
-                }
-                return Err(RunError::Stalled(Box::new(snapshot(last_change.elapsed()))));
-            }
+        if let Err(e) = liveness(config, transport).and_then(|()| stall_check(0)) {
+            return Err(fail(0, e));
         }
         poll_pause();
     }
@@ -1956,7 +1948,7 @@ mod tests {
     #[test]
     fn watchdog_is_quiet_on_healthy_runs() {
         let tiling = triangle(2);
-        let config = NodeConfig::new(2, 2).with_stall_timeout(Some(Duration::from_secs(5)));
+        let config = NodeConfig::new(2, 2).with_stall_timeout(Duration::from_secs(5));
         let res =
             run_with::<u64, _>(&tiling, &[12], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap();
         assert_eq!(res.probes[0], Some(brute(12)[&(0, 0)]));
@@ -1967,7 +1959,7 @@ mod tests {
         let tiling = triangle(2);
         let cancel = Arc::new(AtomicBool::new(true)); // pre-cancelled
         let config = NodeConfig {
-            cancel: Some(cancel),
+            cancel,
             ..NodeConfig::new(2, 2)
         };
         let err = run_with::<u64, _>(&tiling, &[20], &path_kernel, &Probe::default(), &config)

@@ -174,12 +174,16 @@ pub trait Transport<T>: Send + Sync {
         true
     }
 
-    /// Frames sent by this rank that are not yet acknowledged.
+    /// Frames sent by this rank that are not yet acknowledged. While the
+    /// rank drains the world, a change in this count is its progress for
+    /// the stall watchdog.
     fn in_flight(&self) -> usize {
         0
     }
 
-    /// Liveness check, polled by the worker loop and the quiesce loop.
+    /// Liveness check, polled by the rank's workers between tiles and by
+    /// its drain of the world after the last one, beside the one stall
+    /// watchdog both share.
     /// Fails with [`TransportError::PeerDead`] when death detection has
     /// declared a peer dead, or [`TransportError::Halted`] when this
     /// endpoint itself was killed. Transports without detection are

@@ -249,6 +249,11 @@ impl RunCtx<'_> {
     /// `(loc, x, local, valid)` sequence the per-cell fast scan produces
     /// (every `valid` flag true). This is the fallback a non-batched kernel
     /// rides through [`Tiling::scan_tile_fast`].
+    // `#[inline]` here and on `BlockCtx::for_each_run`: each codegen unit
+    // that replays a block for a per-cell kernel gets its own copy to
+    // inline, so whether the cell loop folds into one function no longer
+    // depends on how the engine's instances are split into codegen units.
+    #[inline]
     pub fn for_each_cell<F: FnMut(CellRef<'_>)>(&self, mut f: F) {
         let d = self.x.len();
         let ntemplates = self.offsets.len();
@@ -304,6 +309,7 @@ pub struct BlockCtx<'a> {
 impl BlockCtx<'_> {
     /// Replay the block run by run, in visit order: exactly the [`RunCtx`]
     /// sequence the scan hands out when it does not group runs.
+    #[inline]
     pub fn for_each_run<F: FnMut(RunCtx<'_>)>(&self, mut f: F) {
         let d = self.first.x.len();
         let mut local = [0i64; MAX_DIMS];

@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example recovery_trace [out.json]`
 //! Exits nonzero if the run diverges or the recovery events are missing.
 
-use dpgen::core::{ExecOpts, RecoveryConfig};
-use dpgen::mpisim::{CommConfig, FaultPlan, KillTrigger};
+use dpgen::core::ExecOpts;
+use dpgen::mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
 use dpgen::problems::{random_sequence, Lcs};
 use dpgen::runtime::{Probe, TraceLevel};
 use std::time::Duration;
@@ -27,13 +27,14 @@ fn main() {
         .threads(2)
         .comm(CommConfig {
             faults: Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(2))),
+            reliability: ReliabilityConfig {
+                heartbeat_interval: Some(Duration::from_millis(2)),
+                death_timeout: Duration::from_millis(80),
+                ..ReliabilityConfig::default()
+            },
             ..CommConfig::default()
         })
-        .recovery(RecoveryConfig {
-            heartbeat_interval: Duration::from_millis(2),
-            death_timeout: Duration::from_millis(80),
-            max_recoveries: 1,
-        })
+        .max_recoveries(1)
         .trace(TraceLevel::Full)
         .probe(Probe::at(&problem.goal()));
     let out = program

@@ -112,7 +112,7 @@ fn alignment_problems_agree_under_every_balance_method() {
             .ranks(3)
             .threads(2)
             .balance(balance.clone())
-            .stall_timeout(Some(std::time::Duration::from_secs(60)))
+            .stall_timeout(std::time::Duration::from_secs(60))
             .probe(probe.clone());
         let res = program
             .compile(&params)
@@ -162,7 +162,7 @@ fn msa3_hybrid_with_tiny_buffers() {
         .balance(BalanceMethod::Slabs {
             lb_dims: vec![0, 1],
         })
-        .stall_timeout(Some(std::time::Duration::from_secs(60)))
+        .stall_timeout(std::time::Duration::from_secs(60))
         .probe(Probe::at(&problem.goal()));
     let res = program
         .compile(&problem.params())

@@ -3,7 +3,7 @@
 //! a wire that drops, duplicates, reorders and corrupts packets, which must
 //! be bit-identical to fault-free runs or fail with a typed diagnosis.
 
-use dpgen::core::{BalanceMethod, ExecOpts, Program, ProgramError, RecoveryConfig};
+use dpgen::core::{BalanceMethod, ExecOpts, Program, ProgramError};
 use dpgen::mpisim::{CommConfig, FaultPlan, KillTrigger, ReliabilityConfig};
 use dpgen::problems::{random_sequence, EditDistance, Lcs};
 use dpgen::runtime::{
@@ -245,7 +245,7 @@ fn seeded_fault_matrix_is_bit_identical() {
                 .threads(1)
                 .comm(faulty_comm(plan))
                 .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-                .stall_timeout(Some(Duration::from_secs(20)))
+                .stall_timeout(Duration::from_secs(20))
                 .probe(Probe::at(&lcs.goal()));
             let res = lcs_program
                 .compile(&lcs.params())
@@ -258,7 +258,7 @@ fn seeded_fault_matrix_is_bit_identical() {
                 .threads(1)
                 .comm(faulty_comm(plan))
                 .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-                .stall_timeout(Some(Duration::from_secs(20)))
+                .stall_timeout(Duration::from_secs(20))
                 .probe(Probe::at(&[ed.params()[0], ed.params()[1]]));
             let res = ed_program
                 .compile(&ed.params())
@@ -287,7 +287,7 @@ fn seeded_fault_matrix_is_bit_identical() {
     }
 }
 
-/// Acceptance wedge: 100% drop with a zero retransmit budget must terminate
+/// Acceptance wedge: 100% drop, every retransmit lost too, must terminate
 /// with `RunError::Stalled` carrying a scheduler snapshot — not hang.
 #[test]
 fn wedged_run_terminates_with_stall_snapshot() {
@@ -306,7 +306,6 @@ fn wedged_run_terminates_with_stall_snapshot() {
             reliability: ReliabilityConfig {
                 ack_timeout: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(5),
-                max_retransmits: 0,
                 send_timeout: Duration::from_secs(5),
                 // Heartbeats stay off: this test must die in the stall
                 // watchdog, not in peer-death detection.
@@ -315,7 +314,7 @@ fn wedged_run_terminates_with_stall_snapshot() {
             faults: Some(FaultPlan::drops(99, 1.0)),
         })
         .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-        .stall_timeout(Some(Duration::from_millis(400)));
+        .stall_timeout(Duration::from_millis(400));
     let err = program
         .compile(&problem.params())
         .execute::<i64, _>(&problem, &opts)
@@ -334,6 +333,47 @@ fn wedged_run_terminates_with_stall_snapshot() {
     }
 }
 
+/// A peer dead from the start, with nothing to diagnose the death
+/// (heartbeats off): rank 0 needs nothing from it and runs every tile it
+/// owns, but its frames to the dead rank 1 are never acknowledged, so its
+/// drain of the world never finishes. The rank's one stall watchdog must
+/// end the drain with a snapshot of the frames it waited on — not hang.
+#[test]
+fn a_drain_that_never_finishes_terminates_with_stall_snapshot() {
+    let a = random_sequence(16, 31);
+    let b = random_sequence(15, 32);
+    let problem = EditDistance::new(&a, &b);
+    let program = EditDistance::program(4).unwrap();
+    let opts = ExecOpts::new()
+        .ranks(2)
+        .threads(1)
+        .comm(CommConfig {
+            // A window rank 0's sends never fill: it finishes its tiles.
+            send_buffers: 64,
+            faults: Some(FaultPlan::kill_rank_at(
+                1,
+                KillTrigger::AfterDuration(Duration::ZERO),
+            )),
+            ..CommConfig::default()
+        })
+        .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
+        .stall_timeout(Duration::from_millis(300));
+    assert!(opts.comm.reliability.heartbeat_interval.is_none());
+    let err = program
+        .compile(&problem.params())
+        .execute::<i64, _>(&problem, &opts)
+        .unwrap_err();
+    match &err {
+        RunError::Stalled(snap) => {
+            assert_eq!(snap.rank, 0, "{err}");
+            assert_eq!(snap.tiles_executed, snap.tiles_owned, "{err}");
+            assert!(snap.unacked_frames > 0, "{err}");
+            assert!(snap.stalled_for >= Duration::from_millis(300), "{err}");
+        }
+        other => panic!("expected Stalled from rank 0's drain, got {other}"),
+    }
+}
+
 /// A mis-partitioned single-node run (owner claims a foreign rank exists,
 /// but the transport is Null) surfaces `TransportError::NoRoute` as a typed
 /// run failure instead of aborting a worker thread.
@@ -347,7 +387,7 @@ fn mispartitioned_null_transport_is_a_typed_error() {
         }
     }
     let program = Program::parse(TRIANGLE).unwrap();
-    let config = NodeConfig::new(2, 2).with_stall_timeout(Some(Duration::from_secs(10)));
+    let config = NodeConfig::new(2, 2).with_stall_timeout(Duration::from_secs(10));
     let graph = program.tiling().graph(&[16]);
     let owner = SplitOwner(graph.coords().map(|t| (t[0] % 2) as usize).collect());
     let err = run_node::<u64, _, _, _>(
@@ -390,7 +430,7 @@ fn hybrid_kernel_panic_quarantines_the_tile() {
         .ranks(2)
         .threads(1)
         .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-        .stall_timeout(Some(Duration::from_secs(10)));
+        .stall_timeout(Duration::from_secs(10));
     let err = program
         .compile(&problem.params())
         .execute::<i64, _>(&Bomb(problem.clone()), &opts)
@@ -422,10 +462,10 @@ fn chaos_matrix_kill_each_rank_recovers_bit_identical() {
     let ed = EditDistance::new(&a, &b);
     let ed_program = EditDistance::program(3).unwrap();
     let ed_want = ed.solve_dense();
-    let recovery = RecoveryConfig {
-        heartbeat_interval: Duration::from_millis(2),
+    let reliability = ReliabilityConfig {
+        heartbeat_interval: Some(Duration::from_millis(2)),
         death_timeout: Duration::from_millis(80),
-        max_recoveries: 1,
+        ..ReliabilityConfig::default()
     };
 
     for ranks in [2usize, 4] {
@@ -452,11 +492,12 @@ fn chaos_matrix_kill_each_rank_recovers_bit_identical() {
                     .schedule(schedule)
                     .comm(CommConfig {
                         faults: Some(plan),
+                        reliability,
                         ..CommConfig::default()
                     })
-                    .recovery(recovery)
+                    .max_recoveries(1)
                     .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-                    .stall_timeout(Some(Duration::from_secs(20)))
+                    .stall_timeout(Duration::from_secs(20))
                     .probe(Probe::at(&lcs.goal()));
                 let res = lcs_program
                     .compile(&lcs.params())
@@ -482,11 +523,12 @@ fn chaos_matrix_kill_each_rank_recovers_bit_identical() {
                     .schedule(schedule)
                     .comm(CommConfig {
                         faults: Some(plan),
+                        reliability,
                         ..CommConfig::default()
                     })
-                    .recovery(recovery)
+                    .max_recoveries(1)
                     .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-                    .stall_timeout(Some(Duration::from_secs(20)))
+                    .stall_timeout(Duration::from_secs(20))
                     .probe(Probe::at(&[ed.params()[0], ed.params()[1]]));
                 let res = ed_program
                     .compile(&ed.params())
@@ -529,7 +571,7 @@ proptest! {
             .threads(1)
             .comm(faulty_comm(plan))
             .balance(BalanceMethod::Slabs { lb_dims: vec![0] })
-            .stall_timeout(Some(Duration::from_secs(20)))
+            .stall_timeout(Duration::from_secs(20))
             .probe(Probe::at(&[problem.params()[0], problem.params()[1]]));
         let res = program
             .compile(&problem.params())

@@ -3,8 +3,8 @@
 //! edge log is the same, and walking it gives the dense reference's path.
 
 use dpgen::core::traceback::{EdgeLog, Traceback};
-use dpgen::core::{ExecOpts, Plan, RecoveryConfig};
-use dpgen::mpisim::{FaultPlan, KillTrigger};
+use dpgen::core::{ExecOpts, Plan};
+use dpgen::mpisim::{FaultPlan, KillTrigger, ReliabilityConfig};
 use dpgen::problems::{random_sequence, Msa};
 use dpgen::runtime::{run_reference, PerCell, RunError, Schedule};
 use std::sync::Arc;
@@ -83,10 +83,11 @@ fn every_execution_retains_the_same_log_and_traces_the_dense_path() {
     let mut killed = ExecOpts::new()
         .threads(2)
         .ranks(2)
-        .recovery(RecoveryConfig {
-            heartbeat_interval: Duration::from_millis(2),
+        .max_recoveries(1)
+        .reliability(ReliabilityConfig {
+            heartbeat_interval: Some(Duration::from_millis(2)),
             death_timeout: Duration::from_millis(100),
-            max_recoveries: 1,
+            ..ReliabilityConfig::default()
         });
     killed.comm.faults = Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterSends(1)));
     matrix.push(killed);
@@ -96,7 +97,7 @@ fn every_execution_retains_the_same_log_and_traces_the_dense_path() {
         let (out, log) = plan
             .execute_logged::<i64, _>(&PerCell(&problem), opts)
             .unwrap();
-        let lost = opts.recovery.is_some() as usize;
+        let lost = opts.max_recoveries;
         assert_eq!(out.recovery.ranks_lost, lost, "{opts:?}");
         if opts.schedule == Schedule::Static {
             let pinned = |r: &dpgen::runtime::NodeResult<i64>| r.stats.schedule == Schedule::Static;
