@@ -29,14 +29,14 @@ use crate::run::RunOutput;
 use crate::traceback::EdgeLog;
 use dpgen_mpisim::{CommStats, CommWorld, Wire};
 use dpgen_runtime::{
-    most_severe, run_node, CheckpointData, CheckpointSink, CompileFault, CompileStage, EventKind,
-    MetricsRegistry, NodeConfig, NodeJob, NodeRecovery, NodeResult, NullTransport, RankTrace,
-    Reduction, ResumeState, RunError, RunKernel, RunStats, SingleOwner, TileOwner, TileSet,
-    Timeline, Tracer, Transport, Value,
+    most_severe, run_node, CheckpointData, CheckpointSink, Clock, CompileFault, CompileStage,
+    EventKind, MetricsRegistry, NodeConfig, NodeJob, NodeRecovery, NodeResult, NullTransport,
+    RankTrace, Reduction, ResumeState, RunError, RunKernel, RunStats, SingleOwner, TileOwner,
+    TileSet, Timeline, Tracer, Transport, Value,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What the recovery coordinator did during a tiled run. All zeros for
 /// an undisturbed run (and for runs with recovery disabled, except
@@ -79,7 +79,10 @@ where
     T: Value + Wire,
     RK: RunKernel<T>,
 {
-    let t_start = Instant::now();
+    // The run's one clock: the tracers, and the nodes and worlds of every
+    // recovery epoch, read it, so trace stamps, progress clocks and
+    // heartbeat ages line up and a later epoch starts late on it.
+    let clock = Clock::real();
     let probe = &opts.probe;
     let artifacts = plan.artifacts(opts)?;
     let graph = &*artifacts.graph;
@@ -98,12 +101,8 @@ where
     }
     let priority = &artifacts.priority;
 
-    // Every rank's tracer shares one epoch so timestamps land on one
-    // global clock and the timeline lines up across ranks (and,
-    // under recovery, across execution epochs).
-    let epoch = Instant::now();
     let tracers: Vec<Option<Arc<Tracer>>> = (0..opts.ranks)
-        .map(|rank| Tracer::create(rank, opts.threads, opts.trace, epoch))
+        .map(|rank| Tracer::create(rank, opts.threads, opts.trace, &clock))
         .collect();
 
     // Recovery wiring: the heartbeats of `opts.comm.reliability` let
@@ -141,7 +140,9 @@ where
         // partition, and (below) no thread besides the caller's.
         let single = NullTransport::default();
         let mut world = match balance {
-            Some(_) => CommWorld::create_elastic::<T>(opts.ranks, opts.comm, &retired),
+            Some(_) => {
+                CommWorld::create_elastic::<T>(opts.ranks, opts.comm, &retired, clock.clone())
+            }
             None => Vec::new(),
         };
         for (comm, tracer) in world.iter_mut().zip(&tracers) {
@@ -193,6 +194,7 @@ where
                     cancel: cancel.clone(),
                     job_cancel: opts.cancel.clone(),
                     tracer: tracers[rank].clone(),
+                    clock: clock.clone(),
                 };
                 let run_rank = move || {
                     run_node(
@@ -256,7 +258,7 @@ where
                 match dead_rank {
                     Some(dead) if budget_left && !e.is_root_cause() => {
                         let balance = balance.expect("a peer died, so there is a partition");
-                        let t_recover = Instant::now();
+                        let t_recover = clock.now();
                         recover(
                             dead,
                             balance,
@@ -269,7 +271,7 @@ where
                         );
                         rec_stats.ranks_lost += 1;
                         rec_stats.slabs_migrated += 1;
-                        rec_stats.recovery_latency += t_recover.elapsed();
+                        rec_stats.recovery_latency += clock.now() - t_recover;
                     }
                     _ => return Err(e),
                 }
@@ -344,7 +346,7 @@ where
         balance: balance.cloned(),
         timeline,
         metrics,
-        total_time: t_start.elapsed(),
+        total_time: clock.now(),
         balance_time: artifacts.balance_time,
         recovery: rec_stats,
     };

@@ -269,11 +269,16 @@ impl ExecOpts {
                 ));
             }
         }
-        if self.max_recoveries > 0 && self.comm.reliability.heartbeat_interval.is_none() {
+        // A survivor names a dead peer after `death_timeout` of heartbeat
+        // silence, and its watchdog fails the run after `stall_timeout`.
+        let r = &self.comm.reliability;
+        if self.max_recoveries > 0
+            && (r.heartbeat_interval.is_none() || r.death_timeout >= self.stall_timeout)
+        {
             return fault(format!(
-                "max_recoveries({}) needs heartbeats to detect a death: \
-                 comm.reliability.heartbeat_interval is None",
-                self.max_recoveries
+                "max_recoveries({}) cannot fire: a death is named only with heartbeats on \
+                 (heartbeat_interval {:?}) and a death_timeout ({:?}) below the stall_timeout ({:?})",
+                self.max_recoveries, r.heartbeat_interval, r.death_timeout, self.stall_timeout
             ));
         }
         Ok(())
@@ -626,6 +631,7 @@ impl Plan {
     /// the tiles are sorted into their geometry classes (no cell is counted
     /// for that and no recording made: a plan that is only warmed never
     /// needs either).
+    #[allow(clippy::disallowed_methods, reason = "a compile phase's timer")]
     pub(crate) fn artifacts(&self, opts: &ExecOpts) -> Result<RunArtifacts, RunError> {
         let graph = self.graph()?;
         // Every execution reads its tiles' recordings by class; sorting the
@@ -1100,6 +1106,36 @@ mod tests {
         assert_eq!(stage_of(&err), CompileStage::Options, "{err}");
         assert!(err.to_string().contains("heartbeat"), "{err}");
         let out = plan.execute::<f64, _>(&path_kernel, &opts).unwrap();
+        assert_eq!(out.probes[0], Some((1u64 << 15) as f64));
+        assert_eq!(out.recovery.epochs, 1);
+    }
+
+    /// A death is named after `death_timeout` of silence, and a survivor's
+    /// watchdog fails the run after `stall_timeout`: recovery with a death
+    /// timeout not below the stall window could never fire, so it is
+    /// refused before anything runs.
+    #[test]
+    fn recovery_that_the_watchdog_would_preempt_is_an_options_fault() {
+        let plan = Plan::from_spec(CHAIN2, &[14]).unwrap();
+        let opts = ExecOpts::new()
+            .ranks(2)
+            .max_recoveries(1)
+            .reliability(ReliabilityConfig {
+                heartbeat_interval: Some(Duration::from_millis(2)),
+                death_timeout: Duration::from_secs(1),
+                ..ReliabilityConfig::default()
+            })
+            .probe(Probe::at(&[0, 0]));
+        for stall in [Duration::from_millis(200), Duration::from_secs(1)] {
+            let err = plan
+                .execute::<f64, _>(&path_kernel, &opts.clone().stall_timeout(stall))
+                .unwrap_err();
+            assert_eq!(stage_of(&err), CompileStage::Options, "{err}");
+            assert!(err.to_string().contains("death_timeout"), "{err}");
+        }
+        let out = plan
+            .execute::<f64, _>(&path_kernel, &opts.stall_timeout(Duration::from_secs(2)))
+            .unwrap();
         assert_eq!(out.probes[0], Some((1u64 << 15) as f64));
         assert_eq!(out.recovery.epochs, 1);
     }

@@ -20,12 +20,12 @@ use crate::stats::CommStats;
 use crate::wire::Wire;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use dpgen_runtime::{EdgeMsg, EventKind, LinkDiag, Tracer, Transport, TransportError};
+use dpgen_runtime::{Clock, EdgeMsg, EventKind, LinkDiag, Tracer, Transport, TransportError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tunables of the reliable-delivery protocol. There is no retransmit
 /// budget: an unacknowledged frame is retransmitted until it is
@@ -227,7 +227,8 @@ fn decode_frame(mut pkt: Bytes) -> Option<Frame> {
 struct InFlight {
     seq: u64,
     frame: Bytes,
-    sent_at: Instant,
+    /// When it was last put on the wire, on the world's clock.
+    sent_at: Duration,
     attempts: u32,
 }
 
@@ -262,20 +263,22 @@ struct KillCtl {
 pub struct CommWorld;
 
 impl CommWorld {
-    /// Create `ranks` connected endpoints.
+    /// Create `ranks` connected endpoints on a new real clock.
     pub fn create<T: Wire>(ranks: usize, config: CommConfig) -> Vec<RankComm<T>> {
-        Self::create_elastic(ranks, config, &[])
+        Self::create_elastic(ranks, config, &[], Clock::real())
     }
 
     /// Create `ranks` endpoints with the ranks listed in `retired` left
     /// wireless — used by the recovery coordinator to rebuild the world
     /// after a rank death, keeping rank ids stable while routing nothing
     /// to the corpse. World quiescence counts live ranks only, so a
-    /// retired rank (which never drains) cannot wedge `flush`.
+    /// retired rank (which never drains) cannot wedge `flush`. The world
+    /// keeps time on `clock`, the run's, from its creation on.
     pub fn create_elastic<T: Wire>(
         ranks: usize,
         config: CommConfig,
         retired: &[usize],
+        clock: Clock,
     ) -> Vec<RankComm<T>> {
         assert!(ranks >= 1, "need at least one rank");
         assert!(config.send_buffers >= 1, "need at least one send buffer");
@@ -288,18 +291,13 @@ impl CommWorld {
         // buffers) and an unbounded ack channel. Control traffic must not
         // compete for data buffers, or two mutually full ranks could
         // starve each other of the very acks that would free a buffer.
-        let mut data_tx: Vec<Vec<Option<Sender<Bytes>>>> = (0..ranks)
-            .map(|_| (0..ranks).map(|_| None).collect())
-            .collect();
-        let mut ack_tx: Vec<Vec<Option<Sender<Bytes>>>> = (0..ranks)
-            .map(|_| (0..ranks).map(|_| None).collect())
-            .collect();
-        let mut data_rx: Vec<Vec<Option<FaultyWire>>> = (0..ranks)
-            .map(|_| (0..ranks).map(|_| None).collect())
-            .collect();
-        let mut ack_rx: Vec<Vec<Option<FaultyWire>>> = (0..ranks)
-            .map(|_| (0..ranks).map(|_| None).collect())
-            .collect();
+        fn grid<X>(ranks: usize) -> Vec<Vec<Option<X>>> {
+            (0..ranks)
+                .map(|_| (0..ranks).map(|_| None).collect())
+                .collect()
+        }
+        let (mut data_tx, mut ack_tx) = (grid::<Sender<Bytes>>(ranks), grid(ranks));
+        let (mut data_rx, mut ack_rx) = (grid::<FaultyWire>(ranks), grid(ranks));
         for src in 0..ranks {
             for dst in 0..ranks {
                 if src == dst || is_retired(src) || is_retired(dst) {
@@ -311,23 +309,14 @@ impl CommWorld {
                 ack_tx[src][dst] = Some(as_);
                 // Ack links get a distinct seed stream (src/dst offset by
                 // the rank count) so data and control faults decorrelate.
-                data_rx[dst][src] = Some(FaultyWire::new(
-                    dr,
-                    config.faults,
-                    src,
-                    dst,
-                    stats[dst].clone(),
-                ));
-                ack_rx[dst][src] = Some(FaultyWire::new(
-                    ar,
-                    config.faults,
-                    src + ranks,
-                    dst + ranks,
-                    stats[dst].clone(),
-                ));
+                let wire = |rx, off| {
+                    FaultyWire::new(rx, config.faults, src + off, dst + off, stats[dst].clone())
+                };
+                data_rx[dst][src] = Some(wire(dr, 0));
+                ack_rx[dst][src] = Some(wire(ar, ranks));
             }
         }
-        let t0 = Instant::now();
+        let born = clock.nanos();
         let plan_kill = config.faults.and_then(|f| f.kill);
         let mut world = Vec::with_capacity(ranks);
         for rank in 0..ranks {
@@ -346,7 +335,7 @@ impl CommWorld {
                 ranks,
                 live,
                 config,
-                t0,
+                clock: clock.clone(),
                 kill,
                 data_tx: std::mem::take(&mut data_tx[rank]),
                 ack_tx: std::mem::take(&mut ack_tx[rank]),
@@ -372,10 +361,10 @@ impl CommWorld {
                 inbox,
                 unacked: AtomicUsize::new(0),
                 poll_cursor: AtomicUsize::new(0),
-                last_heard: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
+                last_heard: (0..ranks).map(|_| AtomicU64::new(born)).collect(),
                 acked_cum: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
                 retransmits_to: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-                hb_sent_at: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
+                hb_sent_at: (0..ranks).map(|_| AtomicU64::new(born)).collect(),
                 stats: stats[rank].clone(),
                 drained: Arc::new(AtomicUsize::new(0)),
                 drain_signalled: AtomicBool::new(false),
@@ -400,9 +389,9 @@ pub struct RankComm<T> {
     /// quiescence target: retired ranks never drain.
     live: usize,
     config: CommConfig,
-    /// World-creation instant; the epoch for heartbeat ages and the
-    /// [`KillTrigger::AfterDuration`] clock.
-    t0: Instant,
+    /// The run's clock: heartbeat ages, backoff, the send timeout and the
+    /// [`KillTrigger::AfterDuration`] deadline read it.
+    clock: Clock,
     /// Scheduled death of this rank, when the fault plan dooms it.
     kill: Option<KillCtl>,
     data_tx: Vec<Option<Sender<Bytes>>>,
@@ -424,8 +413,8 @@ pub struct RankComm<T> {
     /// with nothing in flight skips the retransmit pump without a lock.
     unacked: AtomicUsize,
     poll_cursor: AtomicUsize,
-    /// Nanos since `t0` at which the last verified frame (data, ack, or
-    /// heartbeat) arrived from each peer. Seeded 0 = "heard at creation".
+    /// Nanos on the clock at which the last verified frame (data, ack, or
+    /// heartbeat) arrived from each peer. Seeded with the world's creation.
     last_heard: Vec<AtomicU64>,
     /// Highest cumulative ack received from each peer — how much of our
     /// outbound traffic that peer has confirmed (the `last_seq` reported
@@ -433,7 +422,7 @@ pub struct RankComm<T> {
     acked_cum: Vec<AtomicU64>,
     /// Retransmissions pumped per destination link (for [`LinkDiag`]).
     retransmits_to: Vec<AtomicU64>,
-    /// Nanos since `t0` of the last heartbeat emitted per destination.
+    /// Nanos on the clock of the last heartbeat emitted per destination.
     hb_sent_at: Vec<AtomicU64>,
     stats: Arc<CommStats>,
     /// World-shared count of ranks that have fully drained their unacked
@@ -500,7 +489,7 @@ impl<T: Wire> RankComm<T> {
             return true;
         }
         if let KillTrigger::AfterDuration(d) = k.trigger {
-            if self.t0.elapsed() >= d {
+            if self.clock.now() >= d {
                 k.dead.store(true, Ordering::Release);
                 return true;
             }
@@ -519,31 +508,23 @@ impl<T: Wire> RankComm<T> {
         }
     }
 
-    /// Nanos elapsed since world creation (the heartbeat clock).
-    #[inline]
-    fn now_nanos(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
-    }
-
     /// How long `peer` has been silent (no verified frame of any kind).
     fn silent_for(&self, peer: usize) -> Duration {
         let heard = Duration::from_nanos(self.last_heard[peer].load(Ordering::Acquire));
-        self.t0.elapsed().saturating_sub(heard)
+        self.clock.now().saturating_sub(heard)
     }
 
     /// With death detection on, check `peer` for protracted silence.
     fn check_peer(&self, peer: usize) -> Result<(), TransportError> {
-        if self.config.reliability.heartbeat_interval.is_none() {
+        let r = &self.config.reliability;
+        if r.heartbeat_interval.is_none() || self.silent_for(peer) <= r.death_timeout {
             return Ok(());
         }
-        if self.silent_for(peer) > self.config.reliability.death_timeout {
-            return Err(TransportError::PeerDead {
-                from: self.rank,
-                dead: peer,
-                last_seq: self.acked_cum[peer].load(Ordering::Acquire),
-            });
-        }
-        Ok(())
+        Err(TransportError::PeerDead {
+            from: self.rank,
+            dead: peer,
+            last_seq: self.acked_cum[peer].load(Ordering::Acquire),
+        })
     }
 
     /// Emit heartbeats to every peer whose interval has elapsed. Rides the
@@ -554,7 +535,7 @@ impl<T: Wire> RankComm<T> {
         let Some(interval) = self.config.reliability.heartbeat_interval else {
             return;
         };
-        let now = self.now_nanos();
+        let now = self.clock.nanos();
         let interval = interval.as_nanos() as u64;
         for dst in 0..self.ranks {
             let Some(ack) = &self.ack_tx[dst] else {
@@ -575,7 +556,7 @@ impl<T: Wire> RankComm<T> {
     /// Process one verified inbound frame from `src`.
     fn handle_frame(&self, src: usize, frame: Frame) {
         // Any verified frame proves the peer alive.
-        self.last_heard[src].fetch_max(self.now_nanos(), Ordering::AcqRel);
+        self.last_heard[src].fetch_max(self.clock.nanos(), Ordering::AcqRel);
         match frame {
             Frame::Heartbeat => {
                 self.stats.note_heartbeat_received();
@@ -638,7 +619,7 @@ impl<T: Wire> RankComm<T> {
         if self.total_unacked() == 0 {
             return;
         }
-        let mut clock = None;
+        let now = self.clock.now();
         for dst in 0..self.ranks {
             let Some(sender) = &self.data_tx[dst] else {
                 continue;
@@ -649,8 +630,7 @@ impl<T: Wire> RankComm<T> {
                 continue;
             };
             for f in tx.unacked.iter_mut() {
-                let now = *clock.get_or_insert_with(Instant::now);
-                if now.duration_since(f.sent_at) < self.backoff(f.attempts) {
+                if now.saturating_sub(f.sent_at) < self.backoff(f.attempts) {
                     continue;
                 }
                 if sender.try_send(f.frame.clone()).is_ok() {
@@ -729,11 +709,11 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
         let window = self.config.send_buffers.max(1);
         let timeout = self.config.reliability.send_timeout;
         let inner = packet::encode(&msg);
-        let mut stalled_at: Option<Instant> = None;
+        let mut stalled_at: Option<Duration> = None;
 
-        // Phase 1: claim a window slot (sequence the frame). Blocks with
-        // the progress engine turning while `window` frames are unacked —
-        // the reliable rendering of "no free send buffer".
+        // Claim a window slot (sequence the frame). Blocks with the progress
+        // engine turning while `window` frames are unacked — the reliable
+        // rendering of "no free send buffer".
         let frame = loop {
             {
                 let mut tx = self.tx[dest].lock();
@@ -744,14 +724,15 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
                     tx.unacked.push_back(InFlight {
                         seq,
                         frame: frame.clone(),
-                        sent_at: Instant::now(),
+                        sent_at: self.clock.now(),
                         attempts: 0,
                     });
                     self.unacked.fetch_add(1, Ordering::AcqRel);
                     break frame;
                 }
             }
-            let t0 = *stalled_at.get_or_insert_with(Instant::now);
+            let now = self.clock.now();
+            let waited = now - *stalled_at.get_or_insert(now);
             if self.killed() {
                 return Err(TransportError::Halted { rank: self.rank });
             }
@@ -759,11 +740,11 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
             // diagnosed as dead — no point waiting out the send timeout
             // retransmitting into a void.
             self.check_peer(dest)?;
-            if t0.elapsed() > timeout {
+            if waited > timeout {
                 return Err(TransportError::SendTimeout {
                     from: self.rank,
                     dest,
-                    waited: t0.elapsed(),
+                    waited,
                     in_flight: self.unacked_to(dest),
                 });
             }
@@ -772,38 +753,19 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
             self.progress();
             std::thread::yield_now();
         };
-        self.stats.note_send(frame.len());
-
-        // Phase 2: first transmission. Best-effort spin bounded by the ack
-        // timeout — the frame is already in the unacked queue, so the
-        // retransmit pump finishes the job if the wire stays full.
-        let spin_limit = self.config.reliability.ack_timeout;
-        let mut pkt = frame;
-        let t0 = Instant::now();
-        loop {
-            match sender.try_send(pkt) {
-                Ok(()) => break,
-                Err(TrySendError::Full(p)) => {
-                    if stalled_at.is_none() {
-                        stalled_at = Some(Instant::now());
-                    }
-                    if t0.elapsed() > spin_limit {
-                        break; // retransmit pump takes over
-                    }
-                    self.progress();
-                    std::thread::yield_now();
-                    pkt = p;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    return Err(TransportError::Disconnected {
-                        from: self.rank,
-                        dest,
-                    });
-                }
-            }
-        }
         if let Some(t0) = stalled_at {
-            self.stats.note_stall(t0.elapsed());
+            self.stats.note_stall(self.clock.now() - t0);
+        }
+        self.stats.note_send(frame.len());
+        // The first transmission. The wire holds as many frames as the
+        // window, so it is full only of retransmitted copies; the frame is
+        // unacked already, and the retransmit pump resends it after the ack
+        // timeout like any lost frame.
+        if let Err(TrySendError::Disconnected(_)) = sender.try_send(frame) {
+            return Err(TransportError::Disconnected {
+                from: self.rank,
+                dest,
+            });
         }
         self.note_send_for_kill();
         Ok(())
@@ -853,8 +815,7 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
     }
 
     fn link_diags(&self) -> Vec<LinkDiag> {
-        let detection = self.config.reliability.heartbeat_interval.is_some();
-        let timeout = self.config.reliability.death_timeout;
+        let r = &self.config.reliability;
         (0..self.ranks)
             .filter(|&peer| self.ack_tx[peer].is_some())
             .map(|peer| {
@@ -865,7 +826,7 @@ impl<T: Wire + Send + Sync + 'static> Transport<T> for RankComm<T> {
                     retransmits: self.retransmits_to[peer].load(Ordering::Relaxed),
                     acked_seq: self.acked_cum[peer].load(Ordering::Acquire),
                     silent_for,
-                    dead: detection && silent_for > timeout,
+                    dead: r.heartbeat_interval.is_some() && silent_for > r.death_timeout,
                 }
             })
             .collect()
@@ -897,6 +858,15 @@ mod tests {
             faults: Some(FaultPlan::uniform(seed, rate)),
         }
     }
+
+    /// A two-rank world on a manual clock.
+    fn manual_world(config: CommConfig) -> (Clock, Vec<RankComm<f64>>) {
+        let clock = Clock::manual();
+        let world = CommWorld::create_elastic(2, config, &[], clock.clone());
+        (clock, world)
+    }
+
+    const NS: Duration = Duration::from_nanos(1);
 
     #[test]
     fn two_ranks_exchange_messages() {
@@ -1221,6 +1191,163 @@ mod tests {
             }) => {}
             other => panic!("expected NoRoute, got {other:?}"),
         }
+    }
+
+    /// The wire holds as many frames as the window, so a first
+    /// transmission finds it full only of retransmitted copies. The send
+    /// then returns at once (on a clock held still, a send that waited for
+    /// room would never return), and the retransmit pump puts the frame on
+    /// the wire an ack timeout later: it arrives once, in order.
+    #[test]
+    fn a_send_onto_a_wire_full_of_copies_returns_and_the_pump_delivers_it() {
+        let ack = Duration::from_millis(3);
+        let (clock, world) = manual_world(CommConfig {
+            send_buffers: 2,
+            reliability: ReliabilityConfig {
+                ack_timeout: ack,
+                ..ReliabilityConfig::default()
+            },
+            ..CommConfig::default()
+        });
+        let (a, b) = (&world[0], &world[1]);
+        a.send(1, msg(0.0)).unwrap();
+        clock.advance(ack);
+        assert!(a.try_recv().is_none(), "resends frame 0");
+        assert_eq!(a.stats().retransmits(), 1, "the wire holds frame 0 twice");
+        a.send(1, msg(1.0)).unwrap();
+        assert_eq!(a.stats().send_stalls(), 0, "a full wire is not a stall");
+        assert_eq!(b.try_recv().unwrap().payload, vec![0.0]);
+        assert!(b.try_recv().is_none(), "frame 1 is not on the wire yet");
+        clock.advance(ack);
+        assert!(a.try_recv().is_none(), "takes the ack, resends frame 1");
+        assert_eq!(b.try_recv().unwrap().payload, vec![1.0]);
+        assert!(b.try_recv().is_none());
+        assert_eq!(b.stats().msgs_received(), 2);
+        assert_eq!(b.stats().dup_drops(), 1);
+    }
+
+    /// Heartbeat silence on a manual clock: a peer that keeps beating is
+    /// never declared dead; one that falls silent is alive for
+    /// `death_timeout` and dead a nanosecond later.
+    #[test]
+    fn a_silent_peer_dies_at_the_death_timeout_and_a_beating_one_never() {
+        let (beat, death) = (Duration::from_millis(2), Duration::from_millis(80));
+        let (clock, world) = manual_world(CommConfig {
+            reliability: ReliabilityConfig {
+                heartbeat_interval: Some(beat),
+                death_timeout: death,
+                ..ReliabilityConfig::default()
+            },
+            ..CommConfig::default()
+        });
+        let (a, b) = (&world[0], &world[1]);
+        for _ in 0..200 {
+            clock.advance(beat);
+            assert!(b.try_recv().is_none(), "b beats");
+            assert!(a.try_recv().is_none(), "a hears it");
+            assert!(a.health().is_ok(), "at {:?}", clock.now());
+        }
+        assert_eq!(a.stats().heartbeats_received(), 200);
+        clock.advance(death);
+        assert!(a.health().is_ok());
+        clock.advance(NS);
+        match a.health() {
+            Err(TransportError::PeerDead {
+                from: 0, dead: 1, ..
+            }) => {}
+            other => panic!("expected rank 1 dead, got {other:?}"),
+        }
+    }
+
+    /// On a wire that loses every frame, a frame is resent an ack timeout
+    /// after it was sent, then after twice that, then at the backoff cap
+    /// each time.
+    #[test]
+    fn retransmits_back_off_from_the_ack_timeout_to_the_cap() {
+        let ack = Duration::from_millis(1);
+        let (clock, world) = manual_world(CommConfig {
+            reliability: ReliabilityConfig {
+                ack_timeout: ack,
+                max_backoff: 3 * ack,
+                ..ReliabilityConfig::default()
+            },
+            faults: Some(FaultPlan::drops(7, 1.0)),
+            ..CommConfig::default()
+        });
+        let (a, b) = (&world[0], &world[1]);
+        a.send(1, msg(0.0)).unwrap();
+        // One turn of both ranks: b drops what is on the wire, a pumps.
+        let turn = || {
+            assert!(b.try_recv().is_none());
+            assert!(a.try_recv().is_none());
+            a.stats().retransmits()
+        };
+        for (resent, gap) in [1, 2, 3, 3].into_iter().enumerate() {
+            clock.advance(gap * ack - NS);
+            assert_eq!(turn(), resent as u64, "{:?}", clock.now());
+            clock.advance(NS);
+            assert_eq!(turn(), resent as u64 + 1, "{:?}", clock.now());
+        }
+    }
+
+    /// A send blocked on a full window gives up the first time its wait is
+    /// past `send_timeout`. The blocked send turns the progress engine once
+    /// per look at the clock, so the test knows when it has looked.
+    #[test]
+    fn a_send_blocked_on_a_full_window_times_out_at_the_send_timeout() {
+        let timeout = Duration::from_millis(50);
+        let (clock, world) = manual_world(CommConfig {
+            send_buffers: 2,
+            reliability: ReliabilityConfig {
+                send_timeout: timeout,
+                ..ReliabilityConfig::default()
+            },
+            ..CommConfig::default()
+        });
+        let a = &world[0];
+        a.send(1, msg(0.0)).unwrap();
+        a.send(1, msg(1.0)).unwrap();
+        let turns = || a.poll_cursor.load(Ordering::Relaxed);
+        let wait_turns = |n: usize| {
+            let until = turns() + n;
+            while turns() < until {
+                std::thread::yield_now();
+            }
+        };
+        let err = std::thread::scope(|s| {
+            let send = s.spawn(|| a.send(1, msg(2.0)));
+            wait_turns(1); // blocked since 0
+            clock.advance(timeout);
+            wait_turns(2); // a look at exactly the timeout
+            assert!(!send.is_finished());
+            clock.advance(NS);
+            send.join().unwrap().unwrap_err()
+        });
+        match err {
+            TransportError::SendTimeout {
+                waited, in_flight, ..
+            } => assert_eq!((waited, in_flight), (timeout + NS, 2)),
+            other => panic!("expected SendTimeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_timed_kill_fires_when_the_clock_reaches_it() {
+        let d = Duration::from_millis(5);
+        let (clock, world) = manual_world(CommConfig {
+            faults: Some(FaultPlan::kill_rank_at(0, KillTrigger::AfterDuration(d))),
+            ..CommConfig::default()
+        });
+        clock.advance(d - NS);
+        world[0].send(1, msg(0.0)).unwrap();
+        assert!(world[0].health().is_ok());
+        clock.advance(NS);
+        match world[0].send(1, msg(1.0)) {
+            Err(TransportError::Halted { rank: 0 }) => {}
+            other => panic!("expected rank 0 halted, got {other:?}"),
+        }
+        assert_eq!(world[1].try_recv().unwrap().payload, vec![0.0]);
+        assert!(world[1].try_recv().is_none());
     }
 
     #[test]

@@ -36,8 +36,9 @@ use std::time::Duration;
 pub enum KillTrigger {
     /// The rank dies after completing this many `send` calls.
     AfterSends(u64),
-    /// The rank dies once this much wall time has elapsed since the
-    /// communicator world was created.
+    /// The rank dies once the world's clock reads this much: the run's
+    /// clock, started when the run began (a world from
+    /// [`crate::CommWorld::create`] starts its own).
     AfterDuration(Duration),
 }
 

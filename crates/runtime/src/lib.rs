@@ -27,6 +27,7 @@
 //! alternative of Figure 4(b).
 
 pub mod checkpoint;
+pub mod clock;
 pub mod error;
 pub mod kernel;
 pub mod memory;
@@ -45,6 +46,7 @@ pub mod trace;
 pub mod transport;
 
 pub use checkpoint::{CheckpointData, CheckpointSink, NodeRecovery, ResumeState, TileSet};
+pub use clock::Clock;
 pub use error::{
     most_severe, CompileFault, CompileStage, EdgeFault, PendingTile, RunError, StallSnapshot,
 };

@@ -61,6 +61,7 @@
 //! [`Kernel::compute`]: crate::kernel::Kernel::compute
 
 use crate::checkpoint::{NodeRecovery, TileSet};
+use crate::clock::Clock;
 use crate::error::{most_severe, EdgeFault, RunError, StallSnapshot};
 use crate::kernel::{RunKernel, Value};
 use crate::memory::MemoryStats;
@@ -78,7 +79,7 @@ use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Assigns every tile to the rank that executes it (the load balancer's
 /// output; Section IV-J).
@@ -132,6 +133,9 @@ pub struct NodeConfig {
     /// tracing; the hot path then pays one pointer test per would-be event.
     /// Must be built with `workers == threads` so worker tracks line up.
     pub tracer: Option<Arc<Tracer>>,
+    /// The run's clock, which every time this node keeps reads: a test
+    /// seam, not a tunable (see [`Clock::manual`]).
+    pub clock: Clock,
 }
 
 /// Default watchdog window: generous enough for any healthy run, small
@@ -155,19 +159,8 @@ impl NodeConfig {
             cancel: Arc::default(),
             job_cancel: None,
             tracer: None,
+            clock: Clock::real(),
         }
-    }
-
-    /// Same configuration with a different schedule mode.
-    pub fn with_schedule(mut self, schedule: Schedule) -> NodeConfig {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Same configuration with a different watchdog window.
-    pub fn with_stall_timeout(mut self, timeout: Duration) -> NodeConfig {
-        self.stall_timeout = timeout;
-        self
     }
 }
 
@@ -493,7 +486,8 @@ impl<T: Value, RK: RunKernel<T>> TileVisitor for BatchVisitor<'_, T, RK> {
 /// enough to cover a pipeline fill of a small run (a rank waiting for its
 /// first edges, a worker waiting out a wavefront's ramp), so that in a run
 /// of a few milliseconds no wake-up hangs on a timer; short enough to be
-/// noise in any run long enough to have longer waits.
+/// noise in any run long enough to have longer waits. Measured on the run's
+/// clock; the 200 µs timed wait after it is on the wall.
 const IDLE_SPIN: Duration = Duration::from_millis(2);
 
 /// One turn of a polling wait: a burst of `PAUSE`s, during which a
@@ -633,7 +627,8 @@ where
         reduce,
         recovery,
     } = *job;
-    let t_start = Instant::now();
+    let clock = &config.clock;
+    let t_start = clock.now();
     let tiling = graph.tiling();
     let layout = tiling.layout();
 
@@ -691,7 +686,7 @@ where
         Some(_) => Schedule::Static,
         None => Schedule::Dynamic,
     };
-    let init_time = t_start.elapsed();
+    let init_time = clock.now() - t_start;
 
     let tracer = config.tracer.as_deref();
     if let Some(t) = tracer {
@@ -766,15 +761,14 @@ where
     // --- Failure plumbing: a failing worker raises the flag and returns
     // its error, everyone else drains out.
     let failed = AtomicBool::new(false);
-    // Progress clocks for the stall watchdog, as nanoseconds since
-    // `t_start`. Each worker stores its own (monotone: one writer, one
-    // clock); the node's last progress is the latest of them, taken by
-    // whoever asks.
-    let worker_progress: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let note_progress = |w: usize| {
-        let now = t_start.elapsed().as_nanos() as u64;
-        worker_progress[w].store(now, Ordering::Release);
-    };
+    // Progress clocks for the stall watchdog, in nanos on the run's clock,
+    // seeded with this rank's start (a later recovery epoch starts late on
+    // it). Each worker stores its own (monotone: one writer); the node's
+    // last progress is the latest of them, taken by whoever asks.
+    let worker_progress: Vec<AtomicU64> = (0..threads)
+        .map(|_| AtomicU64::new(t_start.as_nanos() as u64))
+        .collect();
+    let note_progress = |w: usize| worker_progress[w].store(clock.nanos(), Ordering::Release);
 
     // Where each probe is read, and the tiles that read one: every other
     // tile skips the search.
@@ -784,10 +778,26 @@ where
         probed.insert(tile);
     }
 
-    // The watchdog's diagnostic dump: what was the node waiting on?
-    let snapshot = |stalled_for: Duration| -> StallSnapshot {
-        let now = t_start.elapsed();
-        StallSnapshot {
+    // The rank's one watchdog, asked by an idle worker and by the drain:
+    // has no worker clock moved for longer than the stall window? Then the
+    // run fails with a dump of what the node was waiting on.
+    let stall_check = |w: usize| -> Result<(), RunError> {
+        let now = clock.now();
+        let idle =
+            |a: &AtomicU64| now.saturating_sub(Duration::from_nanos(a.load(Ordering::Acquire)));
+        let stalled_for = worker_progress.iter().map(idle).min().unwrap_or_default();
+        if stalled_for <= config.stall_timeout {
+            return Ok(());
+        }
+        if let Some(t) = tracer {
+            t.record(
+                w,
+                EventKind::StallProbe,
+                None,
+                stalled_for.as_nanos() as u64,
+            );
+        }
+        Err(RunError::Stalled(Box::new(StallSnapshot {
             rank: config.rank,
             stalled_for,
             tiles_executed: executed.load(Ordering::Acquire),
@@ -798,29 +808,12 @@ where
             buffered_edges: mem.current_edges().max(0) as usize,
             unacked_frames: transport.in_flight(),
             links: transport.link_diags(),
-            worker_last_progress: worker_progress
-                .iter()
-                .map(|a| now.saturating_sub(Duration::from_nanos(a.load(Ordering::Acquire))))
-                .collect(),
+            worker_last_progress: worker_progress.iter().map(idle).collect(),
             threads,
             recent_events: tracer
                 .map(|t| t.recent_all(STALL_DUMP_EVENTS))
                 .unwrap_or_default(),
-        }
-    };
-    // The rank's one watchdog, asked by an idle worker and by the drain:
-    // has no worker clock moved for longer than the stall window?
-    let stall_check = |w: usize| -> Result<(), RunError> {
-        let clocks = worker_progress.iter().map(|a| a.load(Ordering::Acquire));
-        let last_progress = Duration::from_nanos(clocks.max().unwrap_or(0));
-        let idle = t_start.elapsed().saturating_sub(last_progress);
-        if idle <= config.stall_timeout {
-            return Ok(());
-        }
-        if let Some(t) = tracer {
-            t.record(w, EventKind::StallProbe, None, idle.as_nanos() as u64);
-        }
-        Err(RunError::Stalled(Box::new(snapshot(idle))))
+        })))
     };
     // The one failure path, a worker's or the drain's: trace the fault,
     // tell the world, stop the pool, and hand the error back.
@@ -855,11 +848,9 @@ where
             let duplicate = &duplicate;
             move |w: usize| -> Result<WorkerOut<T>, RunError> {
                 let mut pool: TileBufferPool<T> = TileBufferPool::new();
-                // Tracks the current idle episode for WorkerIdle/Resume
-                // events; only maintained when a tracer is attached.
-                let mut idle_since: Option<Instant> = None;
-                // End of the polling phase of the current idle episode.
-                let mut spin_until: Option<Instant> = None;
+                // End of the polling phase of the current idle episode,
+                // which began `IDLE_SPIN` before it; `None` while busy.
+                let mut spin_until: Option<Duration> = None;
                 // Presized from the dependency count: one local edge per
                 // template plus headroom for polled transport messages, so
                 // steady-state delivery never regrows it (`deliver` drains
@@ -944,13 +935,10 @@ where
                         // Nothing ready anywhere: wait briefly (re-polling
                         // the transport on timeout), then let the watchdog
                         // judge how long the whole node has been idle.
-                        if let Some(t) = tracer {
-                            if idle_since.is_none() {
-                                t.record(w, EventKind::WorkerIdle, None, 0);
-                                idle_since = Some(Instant::now());
-                            }
+                        let t0 = clock.now();
+                        if let (Some(t), None) = (tracer, spin_until) {
+                            t.record(w, EventKind::WorkerIdle, None, 0);
                         }
-                        let t0 = Instant::now();
                         // The edge an idle worker waits for is usually less
                         // than a tile of some peer away, and that peer may
                         // itself be blocked on this rank draining its send
@@ -959,7 +947,7 @@ where
                         // progress hangs on a timer wake-up.
                         if t0 < *spin_until.get_or_insert(t0 + IDLE_SPIN) {
                             poll_pause();
-                            idle_time += t0.elapsed();
+                            idle_time += clock.now() - t0;
                             continue;
                         }
                         {
@@ -977,7 +965,7 @@ where
                             }
                             parked.fetch_sub(1, Ordering::Relaxed);
                         }
-                        idle_time += t0.elapsed();
+                        idle_time += clock.now() - t0;
                         if let Err(e) = stall_check(w) {
                             return Err(fail(w, e));
                         }
@@ -986,18 +974,15 @@ where
                     // The clock read that ended the previous tile serves
                     // this pop too: read it again only for a first tile or
                     // at the end of an idle episode.
-                    if spin_until.take().is_some() || tiles_run == 0 {
+                    let idle_until = spin_until.take();
+                    if idle_until.is_some() || tiles_run == 0 {
                         note_progress(w);
                     }
                     let tile = graph.coord(tile_idx);
                     if let Some(t) = tracer {
-                        if let Some(since) = idle_since.take() {
-                            t.record(
-                                w,
-                                EventKind::WorkerResume,
-                                None,
-                                since.elapsed().as_nanos() as u64,
-                            );
+                        if let Some(until) = idle_until {
+                            let idle = clock.now() + IDLE_SPIN - until;
+                            t.record(w, EventKind::WorkerResume, None, idle.as_nanos() as u64);
                         }
                         t.record(w, EventKind::TileStart, Some(tile_idx), edges.len() as u64);
                     }
@@ -1280,7 +1265,7 @@ where
         shape: tiling.shape(),
         geom_classes: graph.recordings() as u64,
         init_time,
-        total_time: t_start.elapsed(),
+        total_time: clock.now() - t_start,
         idle_time,
         steal_count: sched.steal_count(),
         steal_fail_count: sched.steal_fail_count(),
@@ -1554,7 +1539,10 @@ mod tests {
         };
         for threads in [1usize, 2, 4] {
             let run = |schedule| {
-                let config = NodeConfig::new(threads, 2).with_schedule(schedule);
+                let config = NodeConfig {
+                    schedule,
+                    ..NodeConfig::new(threads, 2)
+                };
                 run_with(&tiling, &[n], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap()
             };
             let (dynamic, stat): (NodeResult<u64>, NodeResult<u64>) =
@@ -1593,16 +1581,9 @@ mod tests {
         assert!(res.stats.peak_edges > 0);
     }
 
-    /// A worker idle for longer than `IDLE_SPIN` parks, and the delivery
-    /// that readies the next tile notifies it. On a chain of four tiles
-    /// (`triangle`'s space cut to the row `y = 0`) each tile sleeps 10 ms
-    /// in its first cell, so at each of the three hand-offs the worker not
-    /// running the tile has been idle past `IDLE_SPIN` and waits on the
-    /// condvar; only a hand-off landing between two of its 200 µs waits
-    /// finds it unregistered.
-    #[test]
-    fn a_parked_worker_is_woken() {
-        let (w, n) = (3i64, 11i64);
+    /// `triangle`'s space cut to the row `y = 0`: with width `w`, a chain
+    /// of tiles along `x`.
+    fn chain(w: i64) -> Tiling {
         let space = Space::from_names(&["x", "y"], &["N"]).unwrap();
         let mut sys = ConstraintSystem::new(space);
         for c in ["x >= 0", "y >= 0", "y <= 0", "x <= N"] {
@@ -1613,9 +1594,22 @@ mod tests {
             vec![Template::new("r1", &[1, 0]), Template::new("r2", &[0, 1])],
         )
         .unwrap();
-        let tiling = TilingBuilder::new(sys, templates, vec![w, w])
+        TilingBuilder::new(sys, templates, vec![w, w])
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    /// A worker idle for longer than `IDLE_SPIN` parks, and the delivery
+    /// that readies the next tile notifies it. On a chain of four tiles
+    /// (`triangle`'s space cut to the row `y = 0`) each tile sleeps 10 ms
+    /// in its first cell, so at each of the three hand-offs the worker not
+    /// running the tile has been idle past `IDLE_SPIN` and waits on the
+    /// condvar; only a hand-off landing between two of its 200 µs waits
+    /// finds it unregistered.
+    #[test]
+    fn a_parked_worker_is_woken() {
+        let n = 11i64;
+        let tiling = chain(3);
         let sleepy = |cell: CellRef<'_>, values: &mut [u64]| {
             if cell.local.iter().all(|&l| l == 0) {
                 std::thread::sleep(Duration::from_millis(10));
@@ -1636,6 +1630,90 @@ mod tests {
             "wakeups {}",
             two.stats.wakeups
         );
+    }
+
+    /// With the run's clock held still no idle episode outlasts
+    /// `IDLE_SPIN`: the idle worker of a two-worker chain keeps polling and
+    /// never parks, so no hand-off wakes anyone and no idle time passes.
+    #[test]
+    fn on_a_still_clock_an_idle_worker_never_parks() {
+        let config = NodeConfig {
+            clock: Clock::manual(),
+            ..NodeConfig::new(2, 2)
+        };
+        let probe = Probe::at(&[5, 0]);
+        let res: NodeResult<u64> =
+            run_with(&chain(3), &[11], &path_kernel, &probe, &config).unwrap();
+        assert_eq!(res.probes, [Some(8)]);
+        assert_eq!(res.stats.tiles_executed, 4);
+        assert_eq!(res.stats.wakeups, 0);
+        assert_eq!(res.stats.idle_time, Duration::ZERO);
+    }
+
+    /// Delivers nothing and moves the run's clock by `tick` at every poll,
+    /// so a worker's own loop advances time.
+    struct Ticking {
+        clock: Clock,
+        tick: Duration,
+    }
+
+    impl<T> Transport<T> for Ticking {
+        fn send(&self, _: usize, _: EdgeMsg<T>) -> Result<(), TransportError> {
+            unreachable!("a rank that runs no tile sends no edge")
+        }
+
+        fn try_recv(&self) -> Option<EdgeMsg<T>> {
+            self.clock.advance(self.tick);
+            None
+        }
+    }
+
+    /// A rank whose first tiles wait on edges that never come: with the
+    /// run's clock moved 1 ms at each poll, the watchdog fails the run the
+    /// first time the clock is past the 10 ms window, and `stalled_for` is
+    /// all the time that passed.
+    #[test]
+    fn a_missing_edge_stalls_once_the_clock_passes_the_window() {
+        struct Owners(Vec<usize>);
+        impl TileOwner for Owners {
+            fn owner_at(&self, idx: usize) -> usize {
+                self.0[idx]
+            }
+        }
+        let graph = triangle(3).graph(&[12]);
+        // Rank 1, which never runs, holds the tiles that start the wavefront.
+        let owners = Owners(
+            (0..graph.len())
+                .map(|i| (graph.dep_total(i) == 0) as usize)
+                .collect(),
+        );
+        let (clock, tick) = (Clock::manual(), Duration::from_millis(1));
+        let config = NodeConfig {
+            clock: clock.clone(),
+            stall_timeout: 10 * tick,
+            ..NodeConfig::new(1, 2)
+        };
+        let job = NodeJob {
+            graph: &graph,
+            owner: &owners,
+            transport: &Ticking {
+                clock: clock.clone(),
+                tick,
+            },
+            probe: &Probe::default(),
+            config: &config,
+            reduce: None,
+            recovery: None,
+        };
+        match run_node::<u64, _, _, _>(&job, &PerCell(&path_kernel)) {
+            Err(RunError::Stalled(snap)) => {
+                assert_eq!(snap.stalled_for, 11 * tick);
+                assert_eq!(snap.stalled_for, clock.now());
+                assert_eq!(snap.tiles_executed, 0);
+                assert_eq!(snap.worker_last_progress, [11 * tick]);
+            }
+            other => panic!("expected Stalled, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1948,7 +2026,10 @@ mod tests {
     #[test]
     fn watchdog_is_quiet_on_healthy_runs() {
         let tiling = triangle(2);
-        let config = NodeConfig::new(2, 2).with_stall_timeout(Duration::from_secs(5));
+        let config = NodeConfig {
+            stall_timeout: Duration::from_secs(5),
+            ..NodeConfig::new(2, 2)
+        };
         let res =
             run_with::<u64, _>(&tiling, &[12], &path_kernel, &Probe::at(&[0, 0]), &config).unwrap();
         assert_eq!(res.probes[0], Some(brute(12)[&(0, 0)]));

@@ -242,6 +242,7 @@ impl<'g, T> TileScheduler<'g, T> {
 
     /// Lock `m`, charging any wait (the lock was contended) to
     /// `lock_wait_ns`.
+    #[allow(clippy::disallowed_methods, reason = "a lock's own profile timer")]
     fn timed_lock<'a, U>(&self, m: &'a Mutex<U>) -> MutexGuard<'a, U> {
         if let Some(g) = m.try_lock() {
             return g;

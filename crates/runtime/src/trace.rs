@@ -31,19 +31,19 @@
 //! dependency edges of the critical path off it, and resolves an index to
 //! its coordinates only where it renders text.
 //!
-//! Every rank's [`Tracer`] shares one epoch [`Instant`], so timestamps are
-//! comparable across ranks. Each tracer owns `workers + 1` rings: one per
-//! worker plus a **comm track** for transport-level events (retransmits,
-//! acks), which may be recorded from any worker thread (the claim is
-//! multi-writer safe).
+//! Every rank's [`Tracer`] reads the run's one [`Clock`], so timestamps are
+//! comparable across ranks and recovery epochs. Each tracer owns
+//! `workers + 1` rings: one per worker plus a **comm track** for
+//! transport-level events (retransmits, acks), which may be recorded from
+//! any worker thread (the claim is multi-writer safe).
 
+use crate::clock::Clock;
 use crate::metrics::{Histogram, MetricsRegistry};
 use dpgen_tiling::TileGraph;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How much to record.
 ///
@@ -188,7 +188,7 @@ impl EventKind {
 /// One decoded trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Nanoseconds since the run's shared epoch.
+    /// Nanoseconds on the run's clock.
     pub ts: u64,
     /// What happened.
     pub kind: EventKind,
@@ -315,7 +315,7 @@ impl TraceRing {
 pub struct Tracer {
     level: TraceLevel,
     rank: usize,
-    epoch: Instant,
+    clock: Clock,
     rings: Vec<TraceRing>,
 }
 
@@ -330,35 +330,27 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer for `workers` worker tracks plus a comm track. `epoch`
-    /// must be shared by every rank of a run so timestamps are comparable.
-    /// Each track's ring holds [`RING_CAPACITY`] events.
-    pub fn new(rank: usize, workers: usize, level: TraceLevel, epoch: Instant) -> Tracer {
-        Tracer {
-            level,
-            rank,
-            epoch,
-            rings: (0..workers.max(1) + 1)
-                .map(|_| TraceRing::new(RING_CAPACITY))
-                .collect(),
-        }
-    }
-
-    /// [`Tracer::new`] wrapped for run configs: `None` below
-    /// [`TraceLevel::Spans`] (no ring events to record), so disabled
-    /// tracing costs one `Option` test per would-be event.
+    /// A tracer for `workers` worker tracks plus a comm track, stamping
+    /// events off `clock`: the run's, shared by every rank so timestamps
+    /// are comparable. Each track's ring holds [`RING_CAPACITY`] events.
+    /// `None` below [`TraceLevel::Spans`] (no ring events to record), so
+    /// disabled tracing costs one `Option` test per would-be event.
     pub fn create(
         rank: usize,
         workers: usize,
         level: TraceLevel,
-        epoch: Instant,
+        clock: &Clock,
     ) -> Option<Arc<Tracer>> {
-        (level >= TraceLevel::Spans).then(|| Arc::new(Tracer::new(rank, workers, level, epoch)))
-    }
-
-    /// The configured level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
+        (level >= TraceLevel::Spans).then(|| {
+            Arc::new(Tracer {
+                level,
+                rank,
+                clock: clock.clone(),
+                rings: (0..workers.max(1) + 1)
+                    .map(|_| TraceRing::new(RING_CAPACITY))
+                    .collect(),
+            })
+        })
     }
 
     /// The rank this tracer records for.
@@ -366,26 +358,9 @@ impl Tracer {
         self.rank
     }
 
-    /// Number of tracks (workers + 1).
-    pub fn tracks(&self) -> usize {
-        self.rings.len()
-    }
-
     /// The comm track's index (the last ring).
     pub fn comm_track(&self) -> usize {
         self.rings.len() - 1
-    }
-
-    /// Nanoseconds since the shared epoch.
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Whether `kind` is recorded at this tracer's level.
-    #[inline]
-    pub fn enabled(&self, kind: EventKind) -> bool {
-        kind.min_level() <= self.level
     }
 
     /// Record an event about tile index `tile` on `track` (a worker index,
@@ -393,10 +368,10 @@ impl Tracer {
     /// cheap no-op.
     #[inline]
     pub fn record(&self, track: usize, kind: EventKind, tile: Option<usize>, aux: u64) {
-        if !self.enabled(kind) {
+        if kind.min_level() > self.level {
             return;
         }
-        self.rings[track].record(self.now(), kind, tile, aux);
+        self.rings[track].record(self.clock.nanos(), kind, tile, aux);
     }
 
     /// The last `n` events of every track (workers first, comm last): the
@@ -453,9 +428,9 @@ pub struct TileSpan {
     pub track: usize,
     /// The tile, by its index in the timeline's [`TileGraph`].
     pub tile: usize,
-    /// Start timestamp (ns since epoch).
+    /// Start timestamp (ns on the run's clock).
     pub start: u64,
-    /// End timestamp (ns since epoch).
+    /// End timestamp (ns on the run's clock).
     pub end: u64,
 }
 
@@ -501,8 +476,8 @@ pub struct Timeline {
     pub spans: Vec<TileSpan>,
     /// Per-track aggregates, ordered by (rank, track).
     pub tracks: Vec<TrackSummary>,
-    /// Timestamp of the last event (ns since epoch) — the denominator of
-    /// busy fractions.
+    /// Timestamp of the last event (ns on the run's clock) — the
+    /// denominator of busy fractions.
     pub duration_ns: u64,
     /// Total events recorded across all rings (exact, includes dropped).
     pub recorded_events: u64,
@@ -946,15 +921,15 @@ mod tests {
     fn level_gating() {
         assert!(TraceLevel::Off < TraceLevel::Spans);
         assert!(TraceLevel::Spans < TraceLevel::Full);
-        let t = Tracer::new(0, 1, TraceLevel::Spans, Instant::now());
+        let t = Tracer::create(0, 1, TraceLevel::Spans, &Clock::manual()).unwrap();
         t.record(0, EventKind::TileStart, Some(0), 0); // recorded
         t.record(0, EventKind::EdgePack, Some(0), 0); // Full-only: dropped
         let trace = t.drain();
         assert_eq!(trace.tracks[0].events.len(), 1);
         assert_eq!(trace.tracks[0].events[0].kind, EventKind::TileStart);
         // Off never builds a tracer at all.
-        assert!(Tracer::create(0, 1, TraceLevel::Off, Instant::now()).is_none());
-        assert!(Tracer::create(0, 1, TraceLevel::Spans, Instant::now()).is_some());
+        assert!(Tracer::create(0, 1, TraceLevel::Off, &Clock::manual()).is_none());
+        assert!(Tracer::create(0, 1, TraceLevel::Spans, &Clock::manual()).is_some());
     }
 
     /// Worker 0 runs tile `a`, then its consumer `b`; the comm track acks.

@@ -387,7 +387,10 @@ fn mispartitioned_null_transport_is_a_typed_error() {
         }
     }
     let program = Program::parse(TRIANGLE).unwrap();
-    let config = NodeConfig::new(2, 2).with_stall_timeout(Duration::from_secs(10));
+    let config = NodeConfig {
+        stall_timeout: Duration::from_secs(10),
+        ..NodeConfig::new(2, 2)
+    };
     let graph = program.tiling().graph(&[16]);
     let owner = SplitOwner(graph.coords().map(|t| (t[0] % 2) as usize).collect());
     let err = run_node::<u64, _, _, _>(
