@@ -846,6 +846,130 @@ pub fn e12_traceback(quick: bool) -> Table {
     table
 }
 
+/// The 2-arm bandit's recurrence by hand: one descending 4-D nest over a
+/// dense `(n + 2)^4` array, the same arithmetic as
+/// [`dpgen_problems::bandit2::Bandit2Kernel`] (two posterior divisions per
+/// cell). Returns `V(0)`. `v` is kept between calls, so a timed call pays
+/// no allocation or page fault; no cell is read before it is written.
+fn bandit2_dense_nest(problem: &Bandit2, n: i64, v: &mut Vec<f64>) -> f64 {
+    let side = (n + 2) as usize;
+    v.resize(side.pow(4), 0.0);
+    let at = |s1: i64, f1: i64, s2: i64, f2: i64| {
+        ((s1 as usize * side + f1 as usize) * side + s2 as usize) * side + f2 as usize
+    };
+    let posterior = |(a, b): (f64, f64), s: i64, f: i64| (a + s as f64) / (a + b + (s + f) as f64);
+    for s1 in (0..=n).rev() {
+        for f1 in (0..=n - s1).rev() {
+            for s2 in (0..=n - s1 - f1).rev() {
+                for f2 in (0..=n - s1 - f1 - s2).rev() {
+                    let here = at(s1, f1, s2, f2);
+                    if s1 + f1 + s2 + f2 == n {
+                        v[here] = (s1 + s2) as f64;
+                        continue;
+                    }
+                    let p1 = posterior(problem.prior1, s1, f1);
+                    let p2 = posterior(problem.prior2, s2, f2);
+                    let v1 =
+                        p1 * v[at(s1 + 1, f1, s2, f2)] + (1.0 - p1) * v[at(s1, f1 + 1, s2, f2)];
+                    let v2 =
+                        p2 * v[at(s1, f1, s2 + 1, f2)] + (1.0 - p2) * v[at(s1, f1, s2, f2 + 1)];
+                    v[here] = v1.max(v2);
+                }
+            }
+        }
+    }
+    v[0]
+}
+
+/// Best and median wall time of `reps` calls, in ms.
+fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, f64) {
+    let mut ms: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    (ms[0], ms[reps / 2])
+}
+
+/// One execution of `plan` with `kernel`; returns the probed `V(0)`.
+fn run<K: dpgen_runtime::Kernel<f64>>(plan: &Plan, kernel: &K, opts: &ExecOpts) -> f64 {
+    let out = plan
+        .execute::<f64, _>(kernel, opts)
+        .expect("bandit2 executes");
+    out.probes[0].expect("V(0) is probed")
+}
+
+/// E13 — the `bandit2_hybrid` workload's ceiling: the 2-arm bandit at
+/// `N = 48`, width 8, executed by the runtime at 1 and 2 ranks of one
+/// thread, against a hand-written dense nest with the same arithmetic, with
+/// the runtime's own per-cell path (a null kernel) and the kernel's
+/// divisions (a posterior table) split out — all in one process.
+pub fn e13_bandit2_ceiling(quick: bool) -> Table {
+    let mut table = Table::new(
+        "e13",
+        "bandit2_hybrid's ceiling: the runtime vs a hand-written nest, 2-arm bandit w = 8",
+        &["variant", "best (ms)", "median (ms)", "best / ceiling"],
+    );
+    let (n, reps) = if quick { (16, 3) } else { (48, 40) };
+    let problem = Bandit2::default();
+    let plan = Bandit2::program(8).unwrap().compile(&[n]);
+    let one = ExecOpts::new().probe(Probe::at(&[0; 4]));
+    let two = one.clone().ranks(2);
+    plan.warm(&one);
+    plan.warm(&two);
+    let kernel = problem.kernel();
+    let null = |cell: CellRef<'_>, values: &mut [f64]| values[cell.loc] = 0.0;
+    // p(s, f) per arm, read instead of divided.
+    let side = (n + 2) as usize;
+    let table_of = |(a, b): (f64, f64)| -> Vec<f64> {
+        let cell = |k: usize| (a + (k / side) as f64) / (a + b + (k / side + k % side) as f64);
+        (0..side * side).map(cell).collect()
+    };
+    let (post1, post2) = (table_of(problem.prior1), table_of(problem.prior2));
+    let tabled = |cell: CellRef<'_>, values: &mut [f64]| {
+        if !cell.valid[0] {
+            values[cell.loc] = (cell.x[0] + cell.x[2]) as f64;
+            return;
+        }
+        let p1 = post1[cell.x[0] as usize * side + cell.x[1] as usize];
+        let p2 = post2[cell.x[2] as usize * side + cell.x[3] as usize];
+        let v1 = p1 * values[cell.loc_r(0)] + (1.0 - p1) * values[cell.loc_r(1)];
+        let v2 = p2 * values[cell.loc_r(2)] + (1.0 - p2) * values[cell.loc_r(3)];
+        values[cell.loc] = v1.max(v2);
+    };
+
+    let mut dense = Vec::new();
+    let want = bandit2_dense_nest(&problem, n, &mut dense);
+    for (name, got) in [
+        ("runtime", run(&plan, &kernel, &one)),
+        ("posterior table", run(&plan, &tabled, &one)),
+    ] {
+        let close = (got - want).abs() <= 1e-9 * want.abs().max(1.0);
+        assert!(close, "{name}: V(0) {got} vs the nest's {want}");
+    }
+    let ceiling = time_ms(reps, || bandit2_dense_nest(&problem, n, &mut dense));
+    let mut timed = |name: &str, (best, median): (f64, f64)| {
+        let ratio = fmt_f(best / ceiling.0, 2);
+        table.row(vec![name.into(), fmt_f(best, 3), fmt_f(median, 3), ratio]);
+    };
+    timed("runtime 1x1", time_ms(reps, || run(&plan, &kernel, &one)));
+    timed("runtime 2x1", time_ms(reps, || run(&plan, &kernel, &two)));
+    timed("null kernel 1x1", time_ms(reps, || run(&plan, &null, &one)));
+    timed(
+        "posterior table 1x1",
+        time_ms(reps, || run(&plan, &tabled, &one)),
+    );
+    timed("hand-written dense nest", ceiling);
+    table.note(format!(
+        "N = {n}, {reps} runs per row; ranks x threads; every variant computes V(0) of the same problem (checked against the nest)"
+    ));
+    table.note("null kernel = the runtime's per-cell path alone; posterior table = the kernel without its two divisions");
+    table
+}
+
 /// All experiments in order.
 pub fn all(quick: bool) -> Vec<Table> {
     vec![
@@ -861,6 +985,7 @@ pub fn all(quick: bool) -> Vec<Table> {
         e10_hyperplane(quick),
         e11_packing_ratio(quick),
         e12_traceback(quick),
+        e13_bandit2_ceiling(quick),
     ]
 }
 
@@ -951,6 +1076,18 @@ mod tests {
             assert_eq!(tile, w.pow(4));
             assert_eq!(edge, w.pow(3));
         }
+    }
+
+    #[test]
+    fn e13_every_variant_is_timed_against_the_nest() {
+        let t = e13_bandit2_ceiling(true);
+        assert_eq!(t.rows.len(), 5);
+        for row in &t.rows {
+            let best: f64 = row[1].parse().unwrap();
+            let median: f64 = row[2].parse().unwrap();
+            assert!(best > 0.0 && best <= median, "{row:?}");
+        }
+        assert_eq!(t.rows[4][3], "1.00");
     }
 
     #[test]

@@ -55,9 +55,12 @@ pub fn c_bound_expr(bound: &BoundExpr, space: &Space, lower: bool) -> String {
 
 /// Fold several bound expressions with `max(...)` (lower bounds) or
 /// `min(...)` (upper bounds), as FM-generated loop nests do:
-/// `DP_MAX(DP_MAX(b0, b1), b2)`, written left to right in one pass.
+/// `dp_lmax(dp_lmax(b0, b1), b2)`, written left to right in one pass.
+/// The emitted program defines `dp_lmax` / `dp_lmin` as `static inline`
+/// functions: the `DP_MAX` / `DP_MIN` macros evaluate each argument twice,
+/// so a fold nested k deep would expand to ~2^k copies.
 pub fn c_bound_set(bounds: &[BoundExpr], space: &Space, lower: bool) -> String {
-    let f = if lower { "DP_MAX(" } else { "DP_MIN(" };
+    let f = if lower { "dp_lmax(" } else { "dp_lmin(" };
     let mut out = f.repeat(bounds.len().saturating_sub(1));
     for (i, b) in bounds.iter().enumerate() {
         if i > 0 {
@@ -132,6 +135,6 @@ mod tests {
             divisor: 2,
         };
         assert_eq!(c_bound_set(std::slice::from_ref(&a), &s, true), "0");
-        assert_eq!(c_bound_set(&[a, b], &s, true), "DP_MAX(0, CEIL_DIV(N, 2))");
+        assert_eq!(c_bound_set(&[a, b], &s, true), "dp_lmax(0, CEIL_DIV(N, 2))");
     }
 }

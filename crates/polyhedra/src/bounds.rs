@@ -70,6 +70,27 @@ impl LoopLevel {
     }
 }
 
+/// Replace the constant members of `bounds` by one: `limit` folded with
+/// their values through `tighter`, in the first one's place (at the end
+/// when there is none). `round` is the side's division (`ceil_div` for a
+/// lower bound, `floor_div` for an upper one).
+fn fold_constant(
+    bounds: &mut Vec<BoundExpr>,
+    limit: i128,
+    dim: usize,
+    tighter: fn(i128, i128) -> i128,
+    round: fn(i128, i128) -> i128,
+) {
+    let constant = |b: &BoundExpr| b.expr.is_constant();
+    let at = bounds.iter().position(constant).unwrap_or(bounds.len());
+    let value = bounds.iter().filter(|b| constant(b)).fold(limit, |v, b| {
+        tighter(v, round(b.expr.constant_term(), b.divisor))
+    });
+    bounds.retain(|b| !constant(b));
+    let expr = LinExpr::constant(dim, value);
+    bounds.insert(at, BoundExpr { expr, divisor: 1 });
+}
+
 /// A synthesised perfectly nested loop program over a [`Space`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopNest {
@@ -169,6 +190,32 @@ impl LoopNest {
             levels,
             context,
         })
+    }
+
+    /// Narrow the loop over `var` to `lo..=hi`: the level's constant bounds
+    /// and `lo` (lower) / `hi` (upper) fold into one constant bound each,
+    /// in the place of the first. The nest then scans exactly the points
+    /// it scanned before that lie in `lo <= var <= hi`, in the same order.
+    ///
+    /// For a synthesised nest this is the nest of the system plus the two
+    /// box rows, with no elimination: [`LoopNest::synthesize_with_free`]
+    /// enforces every row of its system at the level of the row's
+    /// innermost loop variable, so the box rows belong at `var`'s level and
+    /// what FM would derive from them is implied by the rows already there.
+    pub fn clamp(&mut self, var: usize, lo: i128, hi: i128) -> Result<(), PolyError> {
+        let dim = self.space.dim();
+        let Some(level) = self.levels.iter_mut().find(|l| l.var == var) else {
+            return Err(match self.space.names().get(var) {
+                Some(name) => PolyError::MissingVariable(name.clone()),
+                None => PolyError::SpaceMismatch {
+                    expected: dim,
+                    found: var,
+                },
+            });
+        };
+        fold_constant(&mut level.lowers, lo, dim, i128::max, num::ceil_div);
+        fold_constant(&mut level.uppers, hi, dim, i128::min, num::floor_div);
+        Ok(())
     }
 
     /// The space the nest scans.
@@ -488,6 +535,43 @@ mod tests {
     }
 
     #[test]
+    fn clamp_folds_constant_bounds_in_place() {
+        // 2 <= 3x <= 10 leaves x in [ceil(2/3), floor(10/3)] = [1, 3].
+        let space = Space::from_names(&["x"], &["N"]).unwrap();
+        let mut sys = ConstraintSystem::new(space);
+        sys.add_text("2 <= 3*x").unwrap();
+        sys.add_text("3*x <= 10").unwrap();
+        sys.add_text("x <= N").unwrap();
+        let nest = LoopNest::synthesize(&sys, &[0]).unwrap();
+        let scan = |nest: &LoopNest| {
+            let mut pts = Vec::new();
+            nest.for_each_point(&mut [0, 2], |p| pts.push(p[0]))
+                .unwrap();
+            pts
+        };
+        assert_eq!(scan(&nest), vec![1, 2]);
+        // A looser box leaves the points alone; a tighter one cuts them.
+        let mut loose = nest.clone();
+        loose.clamp(0, -7, 9).unwrap();
+        assert_eq!(scan(&loose), vec![1, 2]);
+        let mut tight = nest.clone();
+        tight.clamp(0, 2, 9).unwrap();
+        assert_eq!(scan(&tight), vec![2]);
+        let level = &tight.levels()[0];
+        assert_eq!((level.lowers.len(), level.uppers.len()), (1, 2));
+        assert_eq!(level.lowers[0].expr, LinExpr::constant(2, 2));
+        // A column the nest does not loop over is a typed fault.
+        assert_eq!(
+            tight.clamp(1, 0, 1),
+            Err(PolyError::MissingVariable("N".into()))
+        );
+        assert!(matches!(
+            tight.clamp(5, 0, 1),
+            Err(PolyError::SpaceMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn strided_constraints_round_correctly() {
         // 2 <= 3x <= 10  =>  x in {1, 2, 3}
         let space = Space::from_names(&["x"], &[]).unwrap();
@@ -571,6 +655,58 @@ mod tests {
             // spurious *points*: the innermost level's bounds come from the
             // full original system, which is exact per-fibre.)
             prop_assert_eq!(scanned, expect);
+        }
+
+        /// A clamped nest is the nest of the system plus the box rows, point
+        /// for point and in order, whichever levels are clamped, whichever
+        /// way they run, and with a column left free.
+        #[test]
+        fn a_clamped_nest_is_the_nest_of_the_boxed_system(
+            sys in random_bounded_system(),
+            perm in proptest::sample::select(vec![
+                vec![0usize, 1, 2], vec![0, 2, 1], vec![1, 0, 2],
+                vec![1, 2, 0], vec![2, 0, 1], vec![2, 1, 0],
+            ]),
+            levels in 2usize..4,
+            free in -4i128..5,
+            boxes in proptest::collection::vec((-5i128..6, -5i128..6, proptest::bool::ANY), 3),
+            descending in proptest::collection::vec(proptest::bool::ANY, 3),
+        ) {
+            let order = &perm[..levels];
+            let mut clamped = LoopNest::synthesize_with_free(&sys, order).unwrap();
+            let mut boxed = sys.clone();
+            for (&v, &(lo, hi, on)) in order.iter().zip(&boxes) {
+                if !on {
+                    continue;
+                }
+                clamped.clamp(v, lo, hi).unwrap();
+                let mut e = LinExpr::zero(3);
+                e.set_coeff(v, 1);
+                e.set_constant(-lo);
+                boxed.add(crate::constraint::Constraint::ge0(e.clone())).unwrap();
+                let mut e = e.neg().unwrap();
+                e.set_constant(hi);
+                boxed.add(crate::constraint::Constraint::ge0(e)).unwrap();
+            }
+            let oracle = LoopNest::synthesize_with_free(&boxed, order).unwrap();
+            let walk = |nest: &LoopNest| {
+                let mut point = [free; 3];
+                let mut pts = Vec::new();
+                nest.for_each_point_directed(&mut point, &descending[..levels], |p| {
+                    pts.push((p[0], p[1], p[2]))
+                }).unwrap();
+                let mut point = [free; 3];
+                (pts, nest.count(&mut point).unwrap())
+            };
+            let (got, want) = (walk(&clamped), walk(&oracle));
+            prop_assert_eq!(got.1, got.0.len() as u128);
+            prop_assert_eq!(got, want);
+            // Every level has a constant bound on each side (`-4 <= v <= 4`),
+            // so a clamp replaces one and adds none.
+            let plain = LoopNest::synthesize_with_free(&sys, order).unwrap();
+            for (c, p) in clamped.levels().iter().zip(plain.levels()) {
+                prop_assert_eq!((c.lowers.len(), c.uppers.len()), (p.lowers.len(), p.uppers.len()));
+            }
         }
 
         /// `count` always agrees with enumeration, and the rows, expanded,

@@ -53,11 +53,14 @@ impl Bandit3 {
             load_balance: vec!["s1".into(), "f1".into()],
             widths: vec![width; 6],
             band: None,
-            center_code: "double V1 = p1 * V[loc_r1] + (1 - p1) * V[loc_r2];\n\
+            center_code: "if (!is_valid_r1) { V[loc] = (double)(s1 + s2 + s3); }\n\
+                          else {\n\
+                          double V1 = p1 * V[loc_r1] + (1 - p1) * V[loc_r2];\n\
                           double V2 = p2 * V[loc_r3] + (1 - p2) * V[loc_r4];\n\
                           double V3 = p3 * V[loc_r5] + (1 - p3) * V[loc_r6];\n\
-                          V[loc] = DP_MAX(V1, DP_MAX(V2, V3));"
-                .into(),
+                          V[loc] = DP_MAX(V1, DP_MAX(V2, V3));\n\
+                          }"
+            .into(),
             init_code: "const double p1 = (1.0 + s1) / (2.0 + s1 + f1);\n\
                         const double p2 = (1.0 + s2) / (2.0 + s2 + f2);\n\
                         const double p3 = (1.0 + s3) / (2.0 + s3 + f3);"

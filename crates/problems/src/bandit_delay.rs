@@ -82,10 +82,16 @@ impl BanditDelay {
             load_balance: vec!["u1".into(), "s1".into()],
             widths: vec![width; 6],
             band: None,
-            center_code: "double V1 = p1 * V[loc_r1s] + (1 - p1) * V[loc_r1f];\n\
+            // Every template advances u1 + u2: at the horizon none is
+            // valid (pending pulls pay their posterior mean), elsewhere all.
+            center_code: "if (!(is_valid_r1s || is_valid_r2s)) {\n\
+                          V[loc] = (double)(s1 + s2) + (u1 - s1 - f1) * p1 + (u2 - s2 - f2) * p2;\n\
+                          } else {\n\
+                          double V1 = p1 * V[loc_r1s] + (1 - p1) * V[loc_r1f];\n\
                           double V2 = p2 * V[loc_r2s] + (1 - p2) * V[loc_r2f];\n\
-                          V[loc] = DP_MAX(V1, V2);"
-                .into(),
+                          V[loc] = DP_MAX(V1, V2);\n\
+                          }"
+            .into(),
             init_code: "const double p1 = (1.0 + s1) / (2.0 + s1 + f1);\n\
                         const double p2 = (1.0 + s2) / (2.0 + s2 + f2);"
                 .into(),

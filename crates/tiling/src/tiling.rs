@@ -542,15 +542,8 @@ impl Tiling {
         let deps = derive_tile_deps(&templates, &widths);
         let layout = TileLayout::new(&widths, &templates);
         let edge_band = band.map(|(a, b, lo, hi)| (a, b, hi - lo + 1));
-        let edges = build_edge_layouts(
-            &local_system,
-            &i_cols,
-            &i_order,
-            &layout,
-            &templates,
-            &deps,
-            edge_band,
-        )?;
+        let edges =
+            build_edge_layouts(&local_nest, &i_cols, &layout, &templates, &deps, edge_band)?;
 
         // --- Validity functions (Section IV-G) --------------------------
         // Template j needs constraint c checked iff adding r_j can violate

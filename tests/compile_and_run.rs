@@ -8,8 +8,8 @@
 use dpgen::codegen::emit_c;
 use dpgen::core::spec::bandit2_spec_text;
 use dpgen::core::{ExecOpts, Program};
-use dpgen::problems::Bandit2;
-use dpgen::runtime::{PerCell, Reduction, TilePriority};
+use dpgen::problems::{Bandit2, Bandit3, BanditDelay};
+use dpgen::runtime::{Kernel, PerCell, Reduction, TilePriority};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -76,39 +76,53 @@ fn compile_and_run(name: &str, source: &str, params: &[i64]) -> (u64, f64) {
     )
 }
 
+/// Emit `program`'s C, run it at `N = n`, and hold its tile count and
+/// checksum to the Rust runtime executing the same program with `kernel`
+/// (same widths, same kernel semantics).
+fn c_agrees_with_rust<K: Kernel<f64>>(name: &str, program: &Program, n: i64, kernel: &K) {
+    let source = emit_c(program);
+    let (c_tiles, c_checksum) = compile_and_run(name, &source, &[n]);
+    let reduce = Reduction::new(0.0f64, |a, b| a + b);
+    let opts = ExecOpts::new()
+        .threads(1)
+        .priority(TilePriority::column_major(program.tiling().dims()));
+    let res = program
+        .compile(&[n])
+        .execute_reduce::<f64, _>(&PerCell(kernel), &reduce, &opts)
+        .unwrap();
+    assert_eq!(
+        c_tiles, res.per_rank[0].stats.tiles_executed,
+        "{name}: tile counts differ"
+    );
+    let rust_checksum = res.reduction.unwrap();
+    let rel = (c_checksum - rust_checksum).abs() / rust_checksum.abs().max(1.0);
+    assert!(
+        rel < 1e-6,
+        "{name}: checksums differ: C {c_checksum} vs Rust {rust_checksum}"
+    );
+}
+
 #[test]
 fn generated_bandit2_compiles_runs_and_matches_rust() {
     if !have_gcc() {
         eprintln!("gcc not found; skipping compile-and-run test");
         return;
     }
-    let n = 14i64;
     let program = Program::parse(&bandit2_spec_text(4)).unwrap();
-    let source = emit_c(&program);
-    let (c_tiles, c_checksum) = compile_and_run("bandit2", &source, &[n]);
+    c_agrees_with_rust("bandit2", &program, 14, &Bandit2::default().kernel());
+}
 
-    // The Rust runtime executing the same problem (same widths, same
-    // kernel semantics) must agree on the tile count and the sum of all
-    // computed values.
-    let problem = Bandit2::default();
-    let reduce = Reduction::new(0.0f64, |a, b| a + b);
-    let opts = ExecOpts::new()
-        .threads(1)
-        .priority(TilePriority::column_major(4));
-    let res = program
-        .compile(&[n])
-        .execute_reduce::<f64, _>(&PerCell(&problem.kernel()), &reduce, &opts)
-        .unwrap();
-    assert_eq!(
-        c_tiles, res.per_rank[0].stats.tiles_executed,
-        "tile counts differ"
-    );
-    let rust_checksum = res.reduction.unwrap();
-    let rel = (c_checksum - rust_checksum).abs() / rust_checksum.abs().max(1.0);
-    assert!(
-        rel < 1e-6,
-        "checksums differ: C {c_checksum} vs Rust {rust_checksum}"
-    );
+/// The two 6-D bandits: the widest programs gcc runs, whose edge nests
+/// clamp the most dimensions and whose horizon cells read no neighbour.
+#[test]
+fn generated_six_dimensional_bandits_match_rust() {
+    if !have_gcc() {
+        return;
+    }
+    let bandit3 = Bandit3::program(3).unwrap();
+    c_agrees_with_rust("bandit3", &bandit3, 6, &Bandit3::default().kernel());
+    let delay = BanditDelay::program(3).unwrap();
+    c_agrees_with_rust("bandit_delay", &delay, 6, &BanditDelay::default().kernel());
 }
 
 #[test]
