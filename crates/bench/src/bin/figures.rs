@@ -32,6 +32,7 @@ fn main() {
         ("e11", experiments::e11_packing_ratio),
         ("e12", experiments::e12_traceback),
         ("e13", experiments::e13_bandit2_ceiling),
+        ("e14", experiments::e14_compile_stages),
     ];
 
     let out_dir = PathBuf::from("results");
@@ -50,7 +51,7 @@ fn main() {
         ran += 1;
     }
     if ran == 0 {
-        eprintln!("unknown experiment id(s) {wanted:?}; available: e1 e2 e4 e4b e5 e6 e7 e8 e9 e10 e11 e12 e13");
+        eprintln!("unknown experiment id(s) {wanted:?}; available: e1 e2 e4 e4b e5 e6 e7 e8 e9 e10 e11 e12 e13 e14");
         std::process::exit(2);
     }
     println!("{ran} experiment(s) written to {}", out_dir.display());

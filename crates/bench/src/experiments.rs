@@ -1,5 +1,5 @@
 //! One function per experiment in the paper's evaluation; see DESIGN.md's
-//! experiment index (E1-E12). Each returns a [`Table`] whose rows are the
+//! experiment index (E1-E14). Each returns a [`Table`] whose rows are the
 //! series the corresponding figure plots.
 //!
 //! Every function takes `quick`: `true` shrinks problem sizes for tests;
@@ -7,12 +7,15 @@
 
 use crate::calibrate;
 use crate::report::{fmt_dur_us, fmt_f, Table};
+use dpgen_codegen::emit_c;
 use dpgen_core::loadbalance::{BalanceMethod, LoadBalance};
 use dpgen_core::traceback::Traceback;
-use dpgen_core::{ExecOpts, Plan, Program, RunOutput};
+use dpgen_core::{ExecOpts, Plan, ProblemSpec, Program, RunOutput};
 use dpgen_des::{simulate_on, CostModel, SimConfig};
 use dpgen_mpisim::CommConfig;
-use dpgen_problems::{random_sequence, Bandit2, Bandit3, Lcs, Msa};
+use dpgen_problems::{
+    random_sequence, BandedSw, Bandit2, Bandit3, BanditDelay, EditDistance, Lcs, Msa, SmithWaterman,
+};
 use dpgen_runtime::{PerCell, Probe, Schedule, SingleOwner, TilePriority, Value};
 use dpgen_tiling::tiling::CellRef;
 use dpgen_tiling::{TileGraph, Tiling};
@@ -970,6 +973,138 @@ pub fn e13_bandit2_ceiling(quick: bool) -> Table {
     table
 }
 
+/// The admission limit `compile_paper` admits every plan under.
+const ADMIT_CELLS: u128 = 1 << 40;
+
+/// The nine specs `compile_paper` generates, at its parameters.
+fn compile_paper_specs() -> Vec<(&'static str, ProblemSpec, Vec<i64>)> {
+    let (seq2, seq3) = (vec![399, 399], vec![39, 39, 39]);
+    vec![
+        ("bandit2", Bandit2::spec(4), vec![24]),
+        ("bandit3", Bandit3::spec(3), vec![8]),
+        ("bandit_delay", BanditDelay::spec(3), vec![8]),
+        ("msa3", Msa::spec(3, 8), seq3.clone()),
+        ("lcs2", Lcs::spec(2, 16), seq2.clone()),
+        ("lcs3", Lcs::spec(3, 8), seq3),
+        ("editdist", EditDistance::spec(16), seq2.clone()),
+        ("smith_waterman", SmithWaterman::spec(16), seq2),
+        ("banded_sw", BandedSw::spec(16, 32), vec![2399, 2399]),
+    ]
+}
+
+/// `spec` as input-file text, which [`ProblemSpec::parse`] reads back.
+fn spec_text(spec: &ProblemSpec) -> String {
+    let mut s = format!("name {}\nvars {}\n", spec.name, spec.vars.join(" "));
+    if !spec.params.is_empty() {
+        s += &format!("params {}\n", spec.params.join(" "));
+    }
+    for c in &spec.constraints {
+        s += &format!("constraint {c}\n");
+    }
+    let ints = |v: &[i64]| v.iter().map(i64::to_string).collect::<Vec<_>>().join(" ");
+    for t in &spec.templates {
+        s += &format!("template {} {}\n", t.name, ints(&t.offsets));
+    }
+    if let Some(b) = &spec.band {
+        s += &format!("band {} {} {} {}\n", b.a, b.b, b.lo, b.hi);
+    }
+    if !spec.order.is_empty() {
+        s += &format!("order {}\n", spec.order.join(" "));
+    }
+    if !spec.load_balance.is_empty() {
+        s += &format!("loadbalance {}\n", spec.load_balance.join(" "));
+    }
+    s += &format!("widths {}\ntype {}\n", ints(&spec.widths), spec.value_type);
+    for (keyword, body) in [
+        ("define", &spec.defines),
+        ("init", &spec.init_code),
+        ("code", &spec.center_code),
+    ] {
+        if !body.is_empty() {
+            s += &format!("{keyword} {{\n{body}\n}}\n");
+        }
+    }
+    s
+}
+
+/// E14 — the compile path stage by stage: what `compile_paper` pays per
+/// spec, from input text to emitted C. Each cell is the median of `reps`
+/// calls of one stage on one of the nine specs, in µs; stages that derive
+/// something memoized (the graph, its classes, a balance) get a fresh plan
+/// per call.
+pub fn e14_compile_stages(quick: bool) -> Table {
+    const STAGES: [&str; 7] = [
+        "parse",
+        "from_spec",
+        "compile + admit",
+        "graph",
+        "classes",
+        "balance",
+        "emit_c",
+    ];
+    let columns: Vec<String> = std::iter::once("spec".to_string())
+        .chain(STAGES.iter().map(|s| format!("{s} (us)")))
+        .chain(std::iter::once("C bytes".to_string()))
+        .collect();
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    let mut table = Table::new(
+        "e14",
+        "compile path by stage, the nine compile_paper specs",
+        &columns,
+    );
+    let reps = if quick { 3 } else { 50 };
+    let us = |(_, median): (f64, f64)| median * 1e3;
+    let mut totals = [0.0f64; STAGES.len()];
+    let mut bytes = 0usize;
+    for (name, spec, params) in compile_paper_specs() {
+        let text = spec_text(&spec);
+        let program = Program::from_spec(spec.clone()).expect("paper spec generates");
+        let plans: Vec<Arc<Plan>> = (0..reps).map(|_| program.compile(&params)).collect();
+        let graph = |plan: &Plan| plan.graph().expect("paper plan binds");
+        let slabs = BalanceMethod::Slabs {
+            lb_dims: spec.load_balance_indices(),
+        };
+        let mut specs = vec![spec; reps];
+        let (mut to_graph, mut to_class, mut to_balance) =
+            (plans.iter(), plans.iter(), plans.iter());
+        let source = emit_c(&program);
+        let row = [
+            us(time_ms(reps, || {
+                ProblemSpec::parse(&text).expect("text parses")
+            })),
+            us(time_ms(reps, || Program::from_spec(specs.pop().unwrap()))),
+            us(time_ms(reps, || {
+                program.compile(&params).admit(ADMIT_CELLS).is_ok()
+            })),
+            us(time_ms(reps, || graph(to_graph.next().unwrap()))),
+            us(time_ms(reps, || graph(to_class.next().unwrap()).classes())),
+            us(time_ms(reps, || {
+                LoadBalance::compute_on(&graph(to_balance.next().unwrap()), 2, &slabs)
+            })),
+            us(time_ms(reps, || emit_c(&program))),
+        ];
+        let mut cells = vec![name.to_string()];
+        for (k, v) in row.into_iter().enumerate() {
+            totals[k] += v;
+            cells.push(fmt_f(v, 1));
+        }
+        cells.push(source.len().to_string());
+        bytes += source.len();
+        table.row(cells);
+    }
+    let mut cells = vec!["nine specs".to_string()];
+    cells.extend(totals.iter().map(|&v| fmt_f(v, 1)));
+    cells.push(bytes.to_string());
+    table.row(cells);
+    let (from_spec, emit) = (totals[1], totals[6]);
+    table.note(format!(
+        "median of {reps} calls per spec and stage; emit_c / from_spec = {:.2} over the nine specs",
+        emit / from_spec
+    ));
+    table.note("balance: the slab cut for 2 ranks on a fresh graph, cells counted inside");
+    table
+}
+
 /// All experiments in order.
 pub fn all(quick: bool) -> Vec<Table> {
     vec![
@@ -986,6 +1121,7 @@ pub fn all(quick: bool) -> Vec<Table> {
         e11_packing_ratio(quick),
         e12_traceback(quick),
         e13_bandit2_ceiling(quick),
+        e14_compile_stages(quick),
     ]
 }
 
@@ -1088,6 +1224,31 @@ mod tests {
             assert!(best > 0.0 && best <= median, "{row:?}");
         }
         assert_eq!(t.rows[4][3], "1.00");
+    }
+
+    #[test]
+    fn e14_times_every_stage_of_the_nine_specs() {
+        let t = e14_compile_stages(true);
+        assert_eq!(t.rows.len(), 10);
+        let (specs, total) = t.rows.split_at(9);
+        assert_eq!(total[0][0], "nine specs");
+        for k in 1..t.columns.len() {
+            let col = |row: &Vec<String>| row[k].parse::<f64>().unwrap();
+            let sum: f64 = specs.iter().map(col).sum();
+            // Each cell is rounded to 0.1 us; the total is the sum unrounded.
+            assert!(
+                (sum - col(&total[0])).abs() <= 0.05 * 10.0,
+                "{:?}",
+                t.columns[k]
+            );
+            assert!(col(&total[0]) > 0.0, "{:?}", t.columns[k]);
+        }
+        // The texts round-trip: every spec's parsed text generates the same C.
+        for (name, spec, _) in compile_paper_specs() {
+            let reparsed = ProblemSpec::parse(&spec_text(&spec)).unwrap();
+            let emit = |s: ProblemSpec| emit_c(&Program::from_spec(s).unwrap());
+            assert_eq!(emit(reparsed), emit(spec), "{name}");
+        }
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //! functions for every tile edge, the load-balancing scaffold, and the
 //! OpenMP worker loop with MPI edge exchange.
 //!
-//! The emitted program cannot be compiled in this environment (no MPI
-//! toolchain), so the tests validate it structurally: balanced braces,
-//! complete function set, loop bounds that agree with the runtime's
-//! evaluated bounds, and a golden file for the paper's 2-arm bandit input.
+//! The program is written once, into one buffer: every section and every
+//! expression appends to the same `String` (see [`c_expr`]).
+//!
+//! Tests hold the emitted program in three ways: structurally (balanced
+//! braces, the complete function set), byte for byte (the root crate's
+//! `codegen_integration` test pins the FNV-1a hash and length of the nine
+//! paper specs' programs), and by running it — `compile_and_run` builds
+//! the program with gcc, real OpenMP and a single-rank MPI stub
+//! (`tests/stubs/`), and holds its tile count and checksum to the Rust
+//! runtime.
 
 pub mod c_emit;
 pub mod c_expr;

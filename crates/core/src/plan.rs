@@ -373,10 +373,10 @@ impl std::fmt::Debug for Plan {
 }
 
 impl Plan {
-    fn new(name: &str, tiling: Tiling, params: &[i64], lb_dims: Vec<usize>) -> Arc<Plan> {
+    fn new(name: &str, tiling: Arc<Tiling>, params: &[i64], lb_dims: Vec<usize>) -> Arc<Plan> {
         Arc::new(Plan {
             name: name.to_string(),
-            tiling: Arc::new(tiling),
+            tiling,
             params: params.to_vec(),
             lb_dims,
             graph: OnceLock::new(),
@@ -388,12 +388,13 @@ impl Plan {
     /// Compile a program at one parameter binding. Infallible: the
     /// program already carries a validated spec and derived tiling (a
     /// binding of the wrong arity is reported by [`Plan::cell_bound`],
-    /// [`Plan::admit`], [`Plan::graph`] and every execution).
+    /// [`Plan::admit`], [`Plan::graph`] and every execution). The plan
+    /// shares the program's tiling; nothing is copied.
     pub(crate) fn compile(program: &Program, params: &[i64]) -> Arc<Plan> {
         let spec = program.spec();
         Plan::new(
             &spec.name,
-            program.tiling().clone(),
+            Arc::clone(program.shared_tiling()),
             params,
             spec.load_balance_indices(),
         )
@@ -426,7 +427,7 @@ impl Plan {
                 format!("lb_dims {lb_dims:?} must be distinct dimensions below {d}"),
             ));
         }
-        Ok(Plan::new("tiling", tiling, params, lb_dims))
+        Ok(Plan::new("tiling", Arc::new(tiling), params, lb_dims))
     }
 
     /// The derived tiling.

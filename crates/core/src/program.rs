@@ -44,18 +44,20 @@ impl From<TilingError> for ProgramError {
     }
 }
 
-/// A generated program: the spec plus everything derived from it.
+/// A generated program: the spec plus everything derived from it. The
+/// tiling is shared: every [`Plan`] compiled from the program holds the
+/// same one.
 #[derive(Debug, Clone)]
 pub struct Program {
     spec: ProblemSpec,
-    tiling: Tiling,
+    tiling: Arc<Tiling>,
 }
 
 impl Program {
     /// Run the generation pipeline on a spec (Section IV-C, steps 1-4).
     pub fn from_spec(spec: ProblemSpec) -> Result<Program, ProgramError> {
         spec.validate()?;
-        let tiling = spec.tiling()?;
+        let tiling = Arc::new(spec.tiling()?);
         Ok(Program { spec, tiling })
     }
 
@@ -71,6 +73,11 @@ impl Program {
 
     /// The derived tiling.
     pub fn tiling(&self) -> &Tiling {
+        &self.tiling
+    }
+
+    /// The derived tiling as the handle plans share.
+    pub(crate) fn shared_tiling(&self) -> &Arc<Tiling> {
         &self.tiling
     }
 
@@ -98,6 +105,17 @@ mod tests {
         let program = Program::parse(&bandit2_spec_text(6)).unwrap();
         assert_eq!(program.spec().name, "bandit2");
         assert_eq!(program.tiling().dims(), 4);
+    }
+
+    #[test]
+    fn a_plan_shares_its_programs_tiling() {
+        let program = Program::parse(&bandit2_spec_text(6)).unwrap();
+        let plans = [program.compile(&[12]), program.compile(&[7])];
+        for plan in &plans {
+            assert!(std::ptr::eq(plan.tiling(), program.tiling()));
+        }
+        // A clone of the program shares it too.
+        assert!(std::ptr::eq(program.clone().tiling(), program.tiling()));
     }
 
     #[test]

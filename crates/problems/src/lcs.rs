@@ -61,10 +61,25 @@ impl Lcs {
             load_balance: vec!["i1".into()],
             widths: vec![width; d],
             band: None,
-            center_code: "/* see the Rust kernel; C rendering omitted for brevity */\nV[loc] = 0;"
-                .into(),
+            // `compute` below in C, string `k` indexed at `i_k - 1` (the
+            // strings are defined by whatever is linked beside the program).
+            center_code: if d == 2 {
+                "if (i1 == 0 || i2 == 0) V[loc] = 0;\n\
+                 else if (a[i1-1] == b[i2-1]) V[loc] = V[loc_all] + 1;\n\
+                 else V[loc] = DP_MAX(V[loc_skip1], V[loc_skip2]);"
+            } else {
+                "if (i1 == 0 || i2 == 0 || i3 == 0) V[loc] = 0;\n\
+                 else if (a[i1-1] == b[i2-1] && b[i2-1] == c[i3-1]) V[loc] = V[loc_all] + 1;\n\
+                 else V[loc] = DP_MAX(DP_MAX(V[loc_skip1], V[loc_skip2]), V[loc_skip3]);"
+            }
+            .into(),
             init_code: String::new(),
-            defines: String::new(),
+            defines: if d == 2 {
+                "extern const char *a, *b;"
+            } else {
+                "extern const char *a, *b, *c;"
+            }
+            .into(),
             value_type: "long".into(),
         }
     }

@@ -175,8 +175,8 @@ fn emitted_c_of_the_paper_specs_is_pinned() {
             57680,
         ),
         ("msa3", Msa::spec(3, 8), 759909322196907348, 26727),
-        ("lcs2", Lcs::spec(2, 16), 5355343716828783, 18290),
-        ("lcs3", Lcs::spec(3, 8), 12834807590766440268, 26245),
+        ("lcs2", Lcs::spec(2, 16), 10428417974616638633, 18429),
+        ("lcs3", Lcs::spec(3, 8), 17231557256742736008, 26447),
         (
             "editdist",
             EditDistance::spec(16),

@@ -8,8 +8,10 @@
 use dpgen::codegen::emit_c;
 use dpgen::core::spec::bandit2_spec_text;
 use dpgen::core::{ExecOpts, Program};
-use dpgen::problems::{Bandit2, Bandit3, BanditDelay};
-use dpgen::runtime::{Kernel, PerCell, Reduction, TilePriority};
+use dpgen::mpisim::Wire;
+use dpgen::problems::{random_sequence, Bandit2, Bandit3, BanditDelay, Lcs};
+use dpgen::runtime::{Kernel, PerCell, Reduction, TilePriority, Value};
+use std::ops::Add;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -25,20 +27,25 @@ fn stub_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/codegen/tests/stubs")
 }
 
-/// Compile the generated program with gcc + stubs and run it with the
-/// given parameter values; returns (tiles done, checksum).
-fn compile_and_run(name: &str, source: &str, params: &[i64]) -> (u64, f64) {
+/// Compile the generated program with gcc + stubs — and `support`, a
+/// translation unit defining what the program declares `extern`, when not
+/// empty — and run it with the given parameter values; returns (tiles
+/// done, checksum).
+fn compile_and_run(name: &str, source: &str, support: &str, params: &[i64]) -> (u64, f64) {
     let dir = std::env::temp_dir().join("dpgen_codegen_run");
     std::fs::create_dir_all(&dir).unwrap();
     let c_path = dir.join(format!("{name}.c"));
+    let support_path = dir.join(format!("{name}_support.c"));
     let bin_path = dir.join(name);
     std::fs::write(&c_path, source).unwrap();
+    std::fs::write(&support_path, support).unwrap();
     let out = Command::new("gcc")
         .arg("-O1")
         .arg("-fopenmp")
         .arg("-I")
         .arg(stub_dir())
         .arg(&c_path)
+        .arg(&support_path)
         .arg(stub_dir().join("mpi_stub.c"))
         .arg("-o")
         .arg(&bin_path)
@@ -76,25 +83,33 @@ fn compile_and_run(name: &str, source: &str, params: &[i64]) -> (u64, f64) {
     )
 }
 
+/// The Rust runtime's tile count and whole-space sum for `program` at
+/// `params` with `kernel`: what the emitted program's two output lines
+/// are held to.
+fn rust_tiles_and_sum<T, K>(program: &Program, params: &[i64], kernel: &K) -> (u64, T)
+where
+    T: Value + Wire + Add<Output = T>,
+    K: Kernel<T>,
+{
+    let reduce = Reduction::new(T::default(), |a, b| a + b);
+    let opts = ExecOpts::new()
+        .threads(1)
+        .priority(TilePriority::column_major(program.tiling().dims()));
+    let res = program
+        .compile(params)
+        .execute_reduce::<T, _>(&PerCell(kernel), &reduce, &opts)
+        .unwrap();
+    (res.per_rank[0].stats.tiles_executed, res.reduction.unwrap())
+}
+
 /// Emit `program`'s C, run it at `N = n`, and hold its tile count and
 /// checksum to the Rust runtime executing the same program with `kernel`
 /// (same widths, same kernel semantics).
 fn c_agrees_with_rust<K: Kernel<f64>>(name: &str, program: &Program, n: i64, kernel: &K) {
     let source = emit_c(program);
-    let (c_tiles, c_checksum) = compile_and_run(name, &source, &[n]);
-    let reduce = Reduction::new(0.0f64, |a, b| a + b);
-    let opts = ExecOpts::new()
-        .threads(1)
-        .priority(TilePriority::column_major(program.tiling().dims()));
-    let res = program
-        .compile(&[n])
-        .execute_reduce::<f64, _>(&PerCell(kernel), &reduce, &opts)
-        .unwrap();
-    assert_eq!(
-        c_tiles, res.per_rank[0].stats.tiles_executed,
-        "{name}: tile counts differ"
-    );
-    let rust_checksum = res.reduction.unwrap();
+    let (c_tiles, c_checksum) = compile_and_run(name, &source, "", &[n]);
+    let (tiles, rust_checksum) = rust_tiles_and_sum::<f64, _>(program, &[n], kernel);
+    assert_eq!(c_tiles, tiles, "{name}: tile counts differ");
     let rel = (c_checksum - rust_checksum).abs() / rust_checksum.abs().max(1.0);
     assert!(
         rel < 1e-6,
@@ -125,6 +140,31 @@ fn generated_six_dimensional_bandits_match_rust() {
     c_agrees_with_rust("bandit_delay", &delay, 6, &BanditDelay::default().kernel());
 }
 
+/// LCS of two DNA strings: the program reads them from a translation unit
+/// linked beside it, and its whole-space `long` checksum must equal the
+/// Rust kernel's exactly.
+#[test]
+fn generated_lcs2_matches_rust() {
+    if !have_gcc() {
+        return;
+    }
+    let (a, b) = (random_sequence(45, 11), random_sequence(38, 12));
+    let support = format!(
+        "const char *a = \"{}\";\nconst char *b = \"{}\";\n",
+        String::from_utf8_lossy(&a),
+        String::from_utf8_lossy(&b)
+    );
+    let program = Lcs::program(2, 8).unwrap();
+    let problem = Lcs::new(&[&a, &b]);
+    let params = problem.params();
+    let (c_tiles, c_checksum) = compile_and_run("lcs2", &emit_c(&program), &support, &params);
+    let (tiles, sum) = rust_tiles_and_sum::<i64, _>(&program, &params, &problem);
+    assert_eq!(c_tiles, tiles, "lcs2: tile counts differ");
+    assert_eq!(c_checksum, sum as f64, "lcs2: checksums differ");
+    // The goal cell alone would not tell a program computing zeros apart.
+    assert!(problem.solve_dense() > 0 && sum > 0);
+}
+
 #[test]
 fn generated_triangle_program_runs_at_several_sizes() {
     if !have_gcc() {
@@ -147,7 +187,7 @@ fn generated_triangle_program_runs_at_several_sizes() {
     .unwrap();
     let source = emit_c(&program);
     for n in [0i64, 5, 17, 30] {
-        let (tiles, checksum) = compile_and_run("triangle", &source, &[n]);
+        let (tiles, checksum) = compile_and_run("triangle", &source, "", &[n]);
         // Expected: sum over cells of 2^(N - x - y + 1).
         let mut expect = 0.0f64;
         for k in 0..=n {
