@@ -1044,7 +1044,7 @@ pub fn e14_compile_stages(quick: bool) -> Table {
     ];
     let columns: Vec<String> = std::iter::once("spec".to_string())
         .chain(STAGES.iter().map(|s| format!("{s} (us)")))
-        .chain(std::iter::once("C bytes".to_string()))
+        .chain(["C bytes", "bound terms"].map(String::from))
         .collect();
     let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut table = Table::new(
@@ -1055,7 +1055,7 @@ pub fn e14_compile_stages(quick: bool) -> Table {
     let reps = if quick { 3 } else { 50 };
     let us = |(_, median): (f64, f64)| median * 1e3;
     let mut totals = [0.0f64; STAGES.len()];
-    let mut bytes = 0usize;
+    let (mut bytes, mut terms) = (0usize, 0usize);
     for (name, spec, params) in compile_paper_specs() {
         let text = spec_text(&spec);
         let program = Program::from_spec(spec.clone()).expect("paper spec generates");
@@ -1088,13 +1088,18 @@ pub fn e14_compile_stages(quick: bool) -> Table {
             totals[k] += v;
             cells.push(fmt_f(v, 1));
         }
+        let tiling = program.tiling();
+        let spec_terms = tiling.local_nest().bound_terms() + tiling.tile_nest().bound_terms();
         cells.push(source.len().to_string());
+        cells.push(spec_terms.to_string());
         bytes += source.len();
+        terms += spec_terms;
         table.row(cells);
     }
     let mut cells = vec!["nine specs".to_string()];
     cells.extend(totals.iter().map(|&v| fmt_f(v, 1)));
     cells.push(bytes.to_string());
+    cells.push(terms.to_string());
     table.row(cells);
     let (from_spec, emit) = (totals[1], totals[6]);
     table.note(format!(
@@ -1102,6 +1107,7 @@ pub fn e14_compile_stages(quick: bool) -> Table {
         emit / from_spec
     ));
     table.note("balance: the slab cut for 2 ranks on a fresh graph, cells counted inside");
+    table.note("bound terms: the lower and upper bounds of the local and tile nests");
     table
 }
 

@@ -127,6 +127,17 @@ impl LoopNest {
         sys: &ConstraintSystem,
         ordering: &[usize],
     ) -> Result<LoopNest, PolyError> {
+        LoopNest::synthesize_by(sys, ordering, fm::eliminate)
+    }
+
+    /// [`LoopNest::synthesize_with_free`] with `eliminate` as the
+    /// Fourier–Motzkin step, so that tests can hold the nest to one built
+    /// from unpruned systems.
+    pub(crate) fn synthesize_by(
+        sys: &ConstraintSystem,
+        ordering: &[usize],
+        eliminate: fn(&ConstraintSystem, usize) -> Result<ConstraintSystem, PolyError>,
+    ) -> Result<LoopNest, PolyError> {
         let space = sys.space().clone();
         for &v in ordering {
             if v >= space.dim() {
@@ -144,7 +155,7 @@ impl LoopNest {
         cur.simplify();
         systems.push(cur);
         for &v in ordering.iter().rev() {
-            let next = fm::eliminate(&systems[systems.len() - 1], v)?;
+            let next = eliminate(&systems[systems.len() - 1], v)?;
             systems.push(next);
         }
         // systems[j] has the last j ordering variables eliminated. The bounds
@@ -226,6 +237,15 @@ impl LoopNest {
     /// The loop levels, outermost first.
     pub fn levels(&self) -> &[LoopLevel] {
         &self.levels
+    }
+
+    /// The affine bounds over every level, lowers plus uppers: what each
+    /// walk of the nest evaluates per iteration of the levels.
+    pub fn bound_terms(&self) -> usize {
+        self.levels
+            .iter()
+            .map(|l| l.lowers.len() + l.uppers.len())
+            .sum()
     }
 
     /// Parameter-only context constraints.

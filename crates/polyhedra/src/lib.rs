@@ -9,8 +9,9 @@
 //!   [`Space`] of loop variables and input parameters,
 //! * [`ConstraintSystem`] — conjunctions of affine inequalities (`expr >= 0`)
 //!   describing iteration spaces (parameterised polytopes),
-//! * [`fm`] — Fourier–Motzkin elimination with syntactic row pruning after
-//!   each step, the paper's chosen projection method (Section IV-D),
+//! * [`fm`] — Fourier–Motzkin elimination with row pruning after each step
+//!   (syntactic, then derived rows another row implies over the variable
+//!   bounds), the paper's chosen projection method (Section IV-D),
 //! * [`LoopNest`] — loop-bound synthesis: perfectly nested loops whose bounds
 //!   are `max`/`min` of affine ceil/floor divisions (Figure 3 of the paper),
 //! * [`count`] — exact lattice-point counting by recursive descent,

@@ -48,8 +48,13 @@ pub fn ceil_div(n: i128, d: i128) -> i128 {
     }
 }
 
-/// Checked multiply that surfaces overflow as a [`PolyError`].
+/// Checked multiply that surfaces overflow as a [`PolyError`]. Operands
+/// that fit `i64` cannot overflow and skip `i128`'s overflow check, which
+/// is a software routine.
 pub fn mul(a: i128, b: i128) -> Result<i128, PolyError> {
+    if let (Ok(a), Ok(b)) = (i64::try_from(a), i64::try_from(b)) {
+        return Ok(i128::from(a) * i128::from(b));
+    }
     a.checked_mul(b)
         .ok_or(PolyError::Overflow("multiplication"))
 }
@@ -176,6 +181,14 @@ mod tests {
             prop_assert_eq!(gcd(a, b), reference(a, b));
             let xs = [a, b, 6, a];
             prop_assert_eq!(gcd_slice(&xs), xs.iter().fold(0, |g, &x| reference(g, x)));
+        }
+
+        /// The `i64` fast path multiplies as `checked_mul` does, and
+        /// overflow is still an error.
+        #[test]
+        fn mul_matches_checked_mul(a in operand(), b in operand()) {
+            prop_assert_eq!(mul(a, b).ok(), a.checked_mul(b));
+            prop_assert_eq!(mul(i128::from(i64::MIN), i128::from(i64::MIN)).ok(), Some(1 << 126));
         }
     }
 }

@@ -80,8 +80,16 @@ impl ConstraintSystem {
     /// order. The opposing-pair test runs on the survivors alone, since the
     /// tightest pair has the smallest constant sum. This is the pruning step
     /// the paper applies after each Fourier–Motzkin iteration (Section IV-D);
-    /// it is syntactic, not an exact redundancy test.
+    /// it is syntactic, not an exact redundancy test: which derived rows an
+    /// FM step also drops as implied is [`crate::fm::eliminate`]'s rule.
     pub fn simplify(&mut self) {
+        self.simplify_counting(0);
+    }
+
+    /// [`ConstraintSystem::simplify`], returning how many of the first
+    /// `prefix` rows survive. Survivors keep their order, so those rows
+    /// lead the result.
+    pub(crate) fn simplify_counting(&mut self, prefix: usize) -> usize {
         let rows = &self.constraints;
         let mut best: HashMap<&[i128], usize> = HashMap::with_capacity(rows.len());
         for (i, c) in rows.iter().enumerate() {
@@ -111,8 +119,8 @@ impl ConstraintSystem {
         });
         let mut keep = vec![false; rows.len()];
         best.values().for_each(|&i| keep[i] = true);
-        let mut keep = keep.into_iter();
-        self.constraints.retain(|_| keep.next() == Some(true));
+        let kept_prefix = keep.iter().take(prefix).filter(|&&k| k).count();
+        self.retain_marked(&keep);
         // Mark infeasibility explicitly, but keep the other constraints:
         // bound extraction on intermediate FM systems still needs them to
         // synthesise (empty) loops for the remaining variables.
@@ -121,6 +129,13 @@ impl ConstraintSystem {
             self.constraints
                 .push(Constraint::ge0(LinExpr::constant(dim, -1)));
         }
+        kept_prefix
+    }
+
+    /// Keep the rows whose entry in `keep` is true, in order.
+    pub(crate) fn retain_marked(&mut self, keep: &[bool]) {
+        let mut keep = keep.iter();
+        self.constraints.retain(|_| keep.next() == Some(&true));
     }
 
     /// The quadratic `simplify` this crate shipped before the one-pass

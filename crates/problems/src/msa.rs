@@ -15,6 +15,16 @@ use dpgen_runtime::Kernel;
 use dpgen_tiling::tiling::CellRef;
 use std::collections::HashMap;
 
+/// [`Msa::new`]'s cost of a mismatched character pair, which the emitted
+/// C program uses.
+const DEFAULT_MISMATCH: i64 = 3;
+/// [`Msa::new`]'s cost of a character/gap pair, which the emitted C
+/// program uses.
+const DEFAULT_GAP: i64 = 2;
+/// The C names of the strings the emitted program reads from whatever is
+/// linked beside it, as [`crate::Lcs`]'s does: `a` for string 1, and on.
+const STRINGS: [&str; 4] = ["a", "b", "c", "d"];
+
 /// Sum-of-pairs MSA over 2-4 byte strings.
 #[derive(Debug, Clone)]
 pub struct Msa {
@@ -34,8 +44,8 @@ impl Msa {
         assert!((2..=4).contains(&seqs.len()), "2-4 sequences supported");
         Msa {
             seqs: seqs.iter().map(|s| s.to_vec()).collect(),
-            mismatch: 3,
-            gap: 2,
+            mismatch: DEFAULT_MISMATCH,
+            gap: DEFAULT_GAP,
         }
     }
 
@@ -79,12 +89,52 @@ impl Msa {
             load_balance: vec!["i1".into(), "i2".into()],
             widths: vec![width; d],
             band: None,
-            center_code: "/* see the Rust kernel; C rendering omitted for brevity */\nV[loc] = 0;"
-                .into(),
+            center_code: Msa::center_code(d),
             init_code: String::new(),
-            defines: String::new(),
+            defines: format!("extern const char *{};", STRINGS[..d].join(", *")),
             value_type: "long".into(),
         }
+    }
+
+    /// [`Kernel::compute`] in C at the default costs: the origin is 0,
+    /// every other cell the least `V[loc_m] + column cost` over its valid
+    /// moves, string `k` indexed at `i_k - 1`.
+    fn center_code(d: usize) -> String {
+        let (mismatch, gap) = (DEFAULT_MISMATCH, DEFAULT_GAP);
+        let origin: Vec<String> = (1..=d).map(|k| format!("i{k} == 0")).collect();
+        let mut code = format!(
+            "if ({}) V[loc] = 0;\nelse {{\n    long best = 0x3fffffffffffffffL;\n",
+            origin.join(" && ")
+        );
+        for (m, delta) in Msa::moves(d).iter().enumerate() {
+            // Pairs with one string moving cost a gap; pairs with both
+            // cost a mismatch when their characters differ.
+            let mut cost = 0;
+            let mut terms = String::new();
+            for k in 0..d {
+                for l in k + 1..d {
+                    match (delta[k], delta[l]) {
+                        (-1, -1) => {
+                            let (sk, sl) = (STRINGS[k], STRINGS[l]);
+                            terms += &format!(
+                                " + {mismatch} * ({sk}[i{}-1] != {sl}[i{}-1])",
+                                k + 1,
+                                l + 1
+                            );
+                        }
+                        (0, 0) => {}
+                        _ => cost += gap,
+                    }
+                }
+            }
+            if cost > 0 || terms.is_empty() {
+                terms = format!(" + {cost}{terms}");
+            }
+            let name = format!("m{}", m + 1);
+            code +=
+                &format!("    if (is_valid_{name}) best = DP_MIN(best, V[loc_{name}]{terms});\n");
+        }
+        code + "    V[loc] = best;\n}"
     }
 
     /// Generate the program.

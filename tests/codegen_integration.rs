@@ -3,6 +3,7 @@
 //! bounds must agree with the runtime's evaluated bounds.
 
 use dpgen::codegen::emit_c;
+use dpgen::core::specgen::try_from_seed;
 use dpgen::core::Program;
 use dpgen::problems::{
     BandedSw, Bandit2, Bandit3, BanditDelay, EditDistance, Lcs, Msa, SmithWaterman,
@@ -164,17 +165,17 @@ fn emitted_c_of_the_paper_specs_is_pinned() {
         (
             "bandit2",
             Bandit2::spec(4),
-            11838991376787407155u64,
-            31537usize,
+            1334010132388661903u64,
+            25705usize,
         ),
-        ("bandit3", Bandit3::spec(3), 9719683039419267187, 91670),
+        ("bandit3", Bandit3::spec(3), 18061965464534284409, 40124),
         (
             "bandit_delay",
             BanditDelay::spec(3),
-            11390998399912928955,
-            57680,
+            5144415046274478411,
+            49873,
         ),
-        ("msa3", Msa::spec(3, 8), 759909322196907348, 26727),
+        ("msa3", Msa::spec(3, 8), 14358099977893473215, 27511),
         ("lcs2", Lcs::spec(2, 16), 10428417974616638633, 18429),
         ("lcs3", Lcs::spec(3, 8), 17231557256742736008, 26447),
         (
@@ -203,5 +204,26 @@ fn emitted_c_of_the_paper_specs_is_pinned() {
             (fnv, bytes),
             "{name}: emitted C moved"
         );
+    }
+}
+
+/// The local nests' bound counts (lowers plus uppers over all levels) of
+/// the three simplex specs and of specgen seed 6566, pinned. Fourier–Motzkin
+/// pairs a simplex's sum row with both `i_k >= 0` and `i_k >= -w·t_k`, so
+/// without its prune step the rows per level double with every eliminated
+/// dimension: 27, 81 and 36 for the bandits and 42 for the seed.
+#[test]
+fn local_nest_bound_terms_are_pinned() {
+    let seed_6566 = try_from_seed(6566).expect("seed 6566 draws a spec").spec;
+    let cases = [
+        ("bandit2", Bandit2::spec(4), 16),
+        ("bandit3", Bandit3::spec(3), 24),
+        ("bandit_delay", BanditDelay::spec(3), 27),
+        ("specgen seed 6566", seed_6566, 30),
+    ];
+    for (name, spec, terms) in cases {
+        let program = Program::from_spec(spec).unwrap();
+        let got = program.tiling().local_nest().bound_terms();
+        assert_eq!(got, terms, "{name}: local-nest bound terms moved");
     }
 }

@@ -9,7 +9,7 @@ use dpgen::codegen::emit_c;
 use dpgen::core::spec::bandit2_spec_text;
 use dpgen::core::{ExecOpts, Program};
 use dpgen::mpisim::Wire;
-use dpgen::problems::{random_sequence, Bandit2, Bandit3, BanditDelay, Lcs};
+use dpgen::problems::{random_sequence, Bandit2, Bandit3, BanditDelay, Lcs, Msa};
 use dpgen::runtime::{Kernel, PerCell, Reduction, TilePriority, Value};
 use std::ops::Add;
 use std::path::PathBuf;
@@ -162,6 +162,34 @@ fn generated_lcs2_matches_rust() {
     assert_eq!(c_tiles, tiles, "lcs2: tile counts differ");
     assert_eq!(c_checksum, sum as f64, "lcs2: checksums differ");
     // The goal cell alone would not tell a program computing zeros apart.
+    assert!(problem.solve_dense() > 0 && sum > 0);
+}
+
+/// Sum-of-pairs alignment of three strings: the emitted kernel takes the
+/// cheapest of seven moves with mismatch and gap costs per pair, and its
+/// whole-space `long` checksum must equal the Rust kernel's exactly.
+#[test]
+fn generated_msa3_matches_rust() {
+    if !have_gcc() {
+        return;
+    }
+    let seqs = [
+        random_sequence(13, 21),
+        random_sequence(11, 22),
+        random_sequence(12, 23),
+    ];
+    let support: String = ["a", "b", "c"]
+        .iter()
+        .zip(&seqs)
+        .map(|(name, s)| format!("const char *{name} = \"{}\";\n", String::from_utf8_lossy(s)))
+        .collect();
+    let program = Msa::program(3, 4).unwrap();
+    let problem = Msa::new(&[&seqs[0], &seqs[1], &seqs[2]]);
+    let params = problem.params();
+    let (c_tiles, c_checksum) = compile_and_run("msa3", &emit_c(&program), &support, &params);
+    let (tiles, sum) = rust_tiles_and_sum::<i64, _>(&program, &params, &problem);
+    assert_eq!(c_tiles, tiles, "msa3: tile counts differ");
+    assert_eq!(c_checksum, sum as f64, "msa3: checksums differ");
     assert!(problem.solve_dense() > 0 && sum > 0);
 }
 
