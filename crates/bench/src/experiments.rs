@@ -14,7 +14,8 @@ use dpgen_core::{ExecOpts, Plan, ProblemSpec, Program, RunOutput};
 use dpgen_des::{simulate_on, CostModel, SimConfig};
 use dpgen_mpisim::CommConfig;
 use dpgen_problems::{
-    random_sequence, BandedSw, Bandit2, Bandit3, BanditDelay, EditDistance, Lcs, Msa, SmithWaterman,
+    random_sequence, BandedSw, Bandit2, Bandit3, BanditDelay, EditDistance, Lcs, Msa, Posterior,
+    SmithWaterman,
 };
 use dpgen_runtime::{PerCell, Probe, Schedule, SingleOwner, TilePriority, Value};
 use dpgen_tiling::tiling::CellRef;
@@ -851,16 +852,16 @@ pub fn e12_traceback(quick: bool) -> Table {
 
 /// The 2-arm bandit's recurrence by hand: one descending 4-D nest over a
 /// dense `(n + 2)^4` array, the same arithmetic as
-/// [`dpgen_problems::bandit2::Bandit2Kernel`] (two posterior divisions per
-/// cell). Returns `V(0)`. `v` is kept between calls, so a timed call pays
-/// no allocation or page fault; no cell is read before it is written.
-fn bandit2_dense_nest(problem: &Bandit2, n: i64, v: &mut Vec<f64>) -> f64 {
+/// [`dpgen_problems::bandit2::Bandit2Kernel`] (each arm's posterior mean
+/// read from its [`Posterior`] table). Returns `V(0)`. `v` is kept between
+/// calls, so a timed call pays no allocation or page fault; no cell is read
+/// before it is written.
+fn bandit2_dense_nest(arms: &[Posterior; 2], n: i64, v: &mut Vec<f64>) -> f64 {
     let side = (n + 2) as usize;
     v.resize(side.pow(4), 0.0);
     let at = |s1: i64, f1: i64, s2: i64, f2: i64| {
         ((s1 as usize * side + f1 as usize) * side + s2 as usize) * side + f2 as usize
     };
-    let posterior = |(a, b): (f64, f64), s: i64, f: i64| (a + s as f64) / (a + b + (s + f) as f64);
     for s1 in (0..=n).rev() {
         for f1 in (0..=n - s1).rev() {
             for s2 in (0..=n - s1 - f1).rev() {
@@ -870,8 +871,8 @@ fn bandit2_dense_nest(problem: &Bandit2, n: i64, v: &mut Vec<f64>) -> f64 {
                         v[here] = (s1 + s2) as f64;
                         continue;
                     }
-                    let p1 = posterior(problem.prior1, s1, f1);
-                    let p2 = posterior(problem.prior2, s2, f2);
+                    let p1 = arms[0].get(s1, f1);
+                    let p2 = arms[1].get(s2, f2);
                     let v1 =
                         p1 * v[at(s1 + 1, f1, s2, f2)] + (1.0 - p1) * v[at(s1, f1 + 1, s2, f2)];
                     let v2 =
@@ -908,8 +909,9 @@ fn run<K: dpgen_runtime::Kernel<f64>>(plan: &Plan, kernel: &K, opts: &ExecOpts) 
 /// E13 — the `bandit2_hybrid` workload's ceiling: the 2-arm bandit at
 /// `N = 48`, width 8, executed by the runtime at 1 and 2 ranks of one
 /// thread, against a hand-written dense nest with the same arithmetic, with
-/// the runtime's own per-cell path (a null kernel) and the kernel's
-/// divisions (a posterior table) split out — all in one process.
+/// the runtime's own per-cell path (a null kernel) split out and the
+/// kernel's posterior tables against the two divisions per cell they
+/// replace (a dividing kernel) — all in one process.
 pub fn e13_bandit2_ceiling(quick: bool) -> Table {
     let mut table = Table::new(
         "e13",
@@ -925,35 +927,28 @@ pub fn e13_bandit2_ceiling(quick: bool) -> Table {
     plan.warm(&two);
     let kernel = problem.kernel();
     let null = |cell: CellRef<'_>, values: &mut [f64]| values[cell.loc] = 0.0;
-    // p(s, f) per arm, read instead of divided.
-    let side = (n + 2) as usize;
-    let table_of = |(a, b): (f64, f64)| -> Vec<f64> {
-        let cell = |k: usize| (a + (k / side) as f64) / (a + b + (k / side + k % side) as f64);
-        (0..side * side).map(cell).collect()
-    };
-    let (post1, post2) = (table_of(problem.prior1), table_of(problem.prior2));
-    let tabled = |cell: CellRef<'_>, values: &mut [f64]| {
+    // The same kernel dividing twice per cell instead of reading its tables.
+    let dividing = |cell: CellRef<'_>, values: &mut [f64]| {
         if !cell.valid[0] {
             values[cell.loc] = (cell.x[0] + cell.x[2]) as f64;
             return;
         }
-        let p1 = post1[cell.x[0] as usize * side + cell.x[1] as usize];
-        let p2 = post2[cell.x[2] as usize * side + cell.x[3] as usize];
+        let p1 = Posterior::mean(problem.prior1, cell.x[0], cell.x[1]);
+        let p2 = Posterior::mean(problem.prior2, cell.x[2], cell.x[3]);
         let v1 = p1 * values[cell.loc_r(0)] + (1.0 - p1) * values[cell.loc_r(1)];
         let v2 = p2 * values[cell.loc_r(2)] + (1.0 - p2) * values[cell.loc_r(3)];
         values[cell.loc] = v1.max(v2);
     };
 
+    let arms = [problem.prior1, problem.prior2].map(Posterior::new);
     let mut dense = Vec::new();
-    let want = bandit2_dense_nest(&problem, n, &mut dense);
-    for (name, got) in [
-        ("runtime", run(&plan, &kernel, &one)),
-        ("posterior table", run(&plan, &tabled, &one)),
-    ] {
-        let close = (got - want).abs() <= 1e-9 * want.abs().max(1.0);
-        assert!(close, "{name}: V(0) {got} vs the nest's {want}");
-    }
-    let ceiling = time_ms(reps, || bandit2_dense_nest(&problem, n, &mut dense));
+    let want = bandit2_dense_nest(&arms, n, &mut dense);
+    let got = run(&plan, &kernel, &one);
+    let close = (got - want).abs() <= 1e-9 * want.abs().max(1.0);
+    assert!(close, "runtime: V(0) {got} vs the nest's {want}");
+    let divided = run(&plan, &dividing, &one);
+    assert_eq!(divided.to_bits(), got.to_bits(), "dividing kernel: V(0)");
+    let ceiling = time_ms(reps, || bandit2_dense_nest(&arms, n, &mut dense));
     let mut timed = |name: &str, (best, median): (f64, f64)| {
         let ratio = fmt_f(best / ceiling.0, 2);
         table.row(vec![name.into(), fmt_f(best, 3), fmt_f(median, 3), ratio]);
@@ -962,14 +957,14 @@ pub fn e13_bandit2_ceiling(quick: bool) -> Table {
     timed("runtime 2x1", time_ms(reps, || run(&plan, &kernel, &two)));
     timed("null kernel 1x1", time_ms(reps, || run(&plan, &null, &one)));
     timed(
-        "posterior table 1x1",
-        time_ms(reps, || run(&plan, &tabled, &one)),
+        "dividing kernel 1x1",
+        time_ms(reps, || run(&plan, &dividing, &one)),
     );
     timed("hand-written dense nest", ceiling);
     table.note(format!(
         "N = {n}, {reps} runs per row; ranks x threads; every variant computes V(0) of the same problem (checked against the nest)"
     ));
-    table.note("null kernel = the runtime's per-cell path alone; posterior table = the kernel without its two divisions");
+    table.note("null kernel = the runtime's per-cell path alone; dividing kernel = the kernel with two divisions per cell in place of its posterior tables");
     table
 }
 

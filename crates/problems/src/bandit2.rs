@@ -16,10 +16,12 @@
 //! successes are then simply what was observed). This is the adaptive
 //! clinical-trial model of the paper's introduction.
 
+use crate::posterior::Posterior;
 use dpgen_core::spec::SpecTemplate;
 use dpgen_core::{ProblemSpec, Program, ProgramError};
 use dpgen_runtime::Kernel;
 use dpgen_tiling::tiling::CellRef;
+use std::fmt;
 
 /// The 2-arm bandit problem with Beta priors.
 #[derive(Debug, Clone, Copy)]
@@ -96,10 +98,6 @@ impl Bandit2 {
         Program::from_spec(Bandit2::spec(width))
     }
 
-    fn posterior(prior: (f64, f64), s: i64, f: i64) -> f64 {
-        (prior.0 + s as f64) / (prior.0 + prior.1 + (s + f) as f64)
-    }
-
     /// Straightforward in-memory solver (no tiling) for validation.
     /// Memory `O(N^4)`-ish via a map; use for small `N` only.
     pub fn solve_dense(&self, n: i64) -> f64 {
@@ -115,8 +113,8 @@ impl Bandit2 {
                             v.insert(key, (s1 + s2) as f64);
                             continue;
                         }
-                        let p1 = Bandit2::posterior(self.prior1, s1, f1);
-                        let p2 = Bandit2::posterior(self.prior2, s2, f2);
+                        let p1 = Posterior::mean(self.prior1, s1, f1);
+                        let p2 = Posterior::mean(self.prior2, s2, f2);
                         let v1 =
                             p1 * v[&(s1 + 1, f1, s2, f2)] + (1.0 - p1) * v[&(s1, f1 + 1, s2, f2)];
                         let v2 =
@@ -130,11 +128,23 @@ impl Bandit2 {
     }
 }
 
-/// The center-loop kernel for the 2-arm bandit.
-#[derive(Debug, Clone, Copy)]
+/// The center-loop kernel for the 2-arm bandit. It reads each arm's
+/// posterior mean from that arm's [`Posterior`] table, built once by
+/// [`Bandit2::kernel`], where the paper's init code divides per cell.
+#[derive(Clone)]
 pub struct Bandit2Kernel {
     /// Problem definition (priors).
     pub problem: Bandit2,
+    arms: [Posterior; 2],
+}
+
+impl fmt::Debug for Bandit2Kernel {
+    /// The priors, not the tables.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Bandit2Kernel")
+            .field("problem", &self.problem)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Kernel<f64> for Bandit2Kernel {
@@ -146,8 +156,8 @@ impl Kernel<f64> for Bandit2Kernel {
             return;
         }
         let (s1, f1, s2, f2) = (cell.x[0], cell.x[1], cell.x[2], cell.x[3]);
-        let p1 = Bandit2::posterior(self.problem.prior1, s1, f1);
-        let p2 = Bandit2::posterior(self.problem.prior2, s2, f2);
+        let p1 = self.arms[0].get(s1, f1);
+        let p2 = self.arms[1].get(s2, f2);
         let v1 = p1 * values[cell.loc_r(0)] + (1.0 - p1) * values[cell.loc_r(1)];
         let v2 = p2 * values[cell.loc_r(2)] + (1.0 - p2) * values[cell.loc_r(3)];
         values[cell.loc] = v1.max(v2);
@@ -155,15 +165,20 @@ impl Kernel<f64> for Bandit2Kernel {
 }
 
 impl Bandit2 {
-    /// The kernel for this problem instance.
+    /// The kernel for this problem instance, with one posterior table per
+    /// arm.
     pub fn kernel(&self) -> Bandit2Kernel {
-        Bandit2Kernel { problem: *self }
+        Bandit2Kernel {
+            problem: *self,
+            arms: [self.prior1, self.prior2].map(Posterior::new),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::posterior::oracle::assert_same_bits_on_every_cell;
     use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
@@ -198,6 +213,52 @@ mod tests {
             .execute(&problem.kernel(), &opts)
             .unwrap();
         assert!((res.probes[0].unwrap() - want).abs() < 1e-9);
+    }
+
+    /// The kernel as it was before its posterior tables: two divisions per
+    /// cell.
+    fn dividing(problem: Bandit2) -> impl Fn(CellRef<'_>, &mut [f64]) + Sync {
+        move |cell: CellRef<'_>, values: &mut [f64]| {
+            if !cell.valid[0] {
+                values[cell.loc] = (cell.x[0] + cell.x[2]) as f64;
+                return;
+            }
+            let (s1, f1, s2, f2) = (cell.x[0], cell.x[1], cell.x[2], cell.x[3]);
+            let posterior =
+                |(a, b): (f64, f64), s: i64, f: i64| (a + s as f64) / (a + b + (s + f) as f64);
+            let p1 = posterior(problem.prior1, s1, f1);
+            let p2 = posterior(problem.prior2, s2, f2);
+            let v1 = p1 * values[cell.loc_r(0)] + (1.0 - p1) * values[cell.loc_r(1)];
+            let v2 = p2 * values[cell.loc_r(2)] + (1.0 - p2) * values[cell.loc_r(3)];
+            values[cell.loc] = v1.max(v2);
+        }
+    }
+
+    #[test]
+    fn the_table_kernel_has_the_dividing_kernels_bits_on_every_cell() {
+        let program = Bandit2::program(3).unwrap();
+        // The default priors, and two of the benchmark's integer priors.
+        let asymmetric = Bandit2 {
+            prior1: (3.0, 1.0),
+            prior2: (2.0, 4.0),
+        };
+        for problem in [Bandit2::default(), asymmetric] {
+            assert_same_bits_on_every_cell(
+                &program,
+                &[1, 4, 9, 20],
+                &problem.kernel(),
+                dividing(problem),
+            );
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_priors_not_the_tables() {
+        let shown = format!("{:?}", Bandit2::default().kernel());
+        assert_eq!(
+            shown,
+            "Bandit2Kernel { problem: Bandit2 { prior1: (1.0, 1.0), prior2: (1.0, 1.0) }, .. }"
+        );
     }
 
     #[test]

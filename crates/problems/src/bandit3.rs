@@ -6,10 +6,12 @@
 //! total successes under optimal play, base case `V = s1 + s2 + s3` when
 //! all `N` trials are spent.
 
+use crate::posterior::Posterior;
 use dpgen_core::spec::SpecTemplate;
 use dpgen_core::{ProblemSpec, Program, ProgramError};
 use dpgen_runtime::Kernel;
 use dpgen_tiling::tiling::CellRef;
+use std::fmt;
 
 /// The 3-arm bandit with Beta priors.
 #[derive(Debug, Clone, Copy)]
@@ -75,10 +77,6 @@ impl Bandit3 {
         Program::from_spec(Bandit3::spec(width))
     }
 
-    fn posterior(prior: (f64, f64), s: i64, f: i64) -> f64 {
-        (prior.0 + s as f64) / (prior.0 + prior.1 + (s + f) as f64)
-    }
-
     /// Straightforward map-based solver for validation (small `N`).
     pub fn solve_dense(&self, n: i64) -> f64 {
         let mut v = std::collections::HashMap::new();
@@ -95,9 +93,9 @@ impl Bandit3 {
                                     continue;
                                 }
                                 let p = [
-                                    Bandit3::posterior(self.priors[0], s1, f1),
-                                    Bandit3::posterior(self.priors[1], s2, f2),
-                                    Bandit3::posterior(self.priors[2], s3, f3),
+                                    Posterior::mean(self.priors[0], s1, f1),
+                                    Posterior::mean(self.priors[1], s2, f2),
+                                    Posterior::mean(self.priors[2], s3, f3),
                                 ];
                                 let v1 = p[0] * v[&(s1 + 1, f1, s2, f2, s3, f3)]
                                     + (1.0 - p[0]) * v[&(s1, f1 + 1, s2, f2, s3, f3)];
@@ -115,17 +113,32 @@ impl Bandit3 {
         v[&(0, 0, 0, 0, 0, 0)]
     }
 
-    /// The kernel for this problem instance.
+    /// The kernel for this problem instance, with one posterior table per
+    /// arm.
     pub fn kernel(&self) -> Bandit3Kernel {
-        Bandit3Kernel { problem: *self }
+        Bandit3Kernel {
+            problem: *self,
+            arms: self.priors.map(Posterior::new),
+        }
     }
 }
 
-/// Center-loop kernel for the 3-arm bandit.
-#[derive(Debug, Clone, Copy)]
+/// Center-loop kernel for the 3-arm bandit; reads each arm's posterior mean
+/// from that arm's [`Posterior`] table.
+#[derive(Clone)]
 pub struct Bandit3Kernel {
     /// Problem definition (priors).
     pub problem: Bandit3,
+    arms: [Posterior; 3],
+}
+
+impl fmt::Debug for Bandit3Kernel {
+    /// The priors, not the tables.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Bandit3Kernel")
+            .field("problem", &self.problem)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Kernel<f64> for Bandit3Kernel {
@@ -138,7 +151,7 @@ impl Kernel<f64> for Bandit3Kernel {
         let mut best = f64::NEG_INFINITY;
         for arm in 0..3 {
             let (s, f) = (x[2 * arm], x[2 * arm + 1]);
-            let p = Bandit3::posterior(self.problem.priors[arm], s, f);
+            let p = self.arms[arm].get(s, f);
             let v = p * values[cell.loc_r(2 * arm)] + (1.0 - p) * values[cell.loc_r(2 * arm + 1)];
             best = best.max(v);
         }
@@ -149,6 +162,7 @@ impl Kernel<f64> for Bandit3Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::posterior::oracle::assert_same_bits_on_every_cell;
     use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
@@ -166,6 +180,50 @@ mod tests {
             let got = res.probes[0].unwrap();
             assert!((got - want).abs() < 1e-9, "N={n}: {got} vs {want}");
         }
+    }
+
+    /// The kernel as it was before its posterior tables: three divisions per
+    /// cell.
+    fn dividing(problem: Bandit3) -> impl Fn(CellRef<'_>, &mut [f64]) + Sync {
+        move |cell: CellRef<'_>, values: &mut [f64]| {
+            if !cell.valid[0] {
+                values[cell.loc] = (cell.x[0] + cell.x[2] + cell.x[4]) as f64;
+                return;
+            }
+            let x = cell.x;
+            let mut best = f64::NEG_INFINITY;
+            for arm in 0..3 {
+                let (s, f) = (x[2 * arm], x[2 * arm + 1]);
+                let (a, b) = problem.priors[arm];
+                let p = (a + s as f64) / (a + b + (s + f) as f64);
+                let v =
+                    p * values[cell.loc_r(2 * arm)] + (1.0 - p) * values[cell.loc_r(2 * arm + 1)];
+                best = best.max(v);
+            }
+            values[cell.loc] = best;
+        }
+    }
+
+    #[test]
+    fn the_table_kernel_has_the_dividing_kernels_bits_on_every_cell() {
+        let problem = Bandit3 {
+            priors: [(1.0, 1.0), (2.0, 3.0), (4.0, 1.0)],
+        };
+        assert_same_bits_on_every_cell(
+            &Bandit3::program(2).unwrap(),
+            &[1, 3, 6],
+            &problem.kernel(),
+            dividing(problem),
+        );
+    }
+
+    #[test]
+    fn debug_prints_the_priors_not_the_tables() {
+        let shown = format!("{:?}", Bandit3::default().kernel());
+        assert_eq!(
+            shown,
+            "Bandit3Kernel { problem: Bandit3 { priors: [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)] }, .. }"
+        );
     }
 
     #[test]

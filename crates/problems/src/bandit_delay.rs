@@ -15,10 +15,12 @@
 //! crossing up to three neighbouring tiles, Section IV-F). At the horizon
 //! the pending pulls `u_i - s_i - f_i` pay their posterior mean.
 
+use crate::posterior::Posterior;
 use dpgen_core::spec::SpecTemplate;
 use dpgen_core::{ProblemSpec, Program, ProgramError};
 use dpgen_runtime::Kernel;
 use dpgen_tiling::tiling::CellRef;
+use std::fmt;
 
 /// The delayed 2-arm bandit.
 #[derive(Debug, Clone, Copy)]
@@ -105,17 +107,13 @@ impl BanditDelay {
         Program::from_spec(BanditDelay::spec(width))
     }
 
-    fn posterior(prior: (f64, f64), s: i64, f: i64) -> f64 {
-        (prior.0 + s as f64) / (prior.0 + prior.1 + (s + f) as f64)
-    }
-
-    fn terminal(&self, x: &[i64; 6]) -> f64 {
-        // Observed successes plus posterior-mean credit for pending pulls.
+    /// The value at the horizon, given the arms' posterior means `p1`, `p2`
+    /// at `x`: observed successes plus posterior-mean credit for pending
+    /// pulls.
+    fn terminal(x: &[i64], p1: f64, p2: f64) -> f64 {
         let pend1 = (x[0] - x[1] - x[2]) as f64;
         let pend2 = (x[3] - x[4] - x[5]) as f64;
-        (x[1] + x[4]) as f64
-            + pend1 * BanditDelay::posterior(self.priors[0], x[1], x[2])
-            + pend2 * BanditDelay::posterior(self.priors[1], x[4], x[5])
+        (x[1] + x[4]) as f64 + pend1 * p1 + pend2 * p2
     }
 
     /// Straightforward map-based solver for validation (small `N`).
@@ -141,12 +139,12 @@ impl BanditDelay {
         states.sort_by_key(|x| -(x.iter().sum::<i64>()));
         for x in states {
             let [u1, s1, f1, u2, s2, f2] = x;
+            let p1 = Posterior::mean(self.priors[0], s1, f1);
+            let p2 = Posterior::mean(self.priors[1], s2, f2);
             if u1 + u2 == n {
-                v.insert(x, self.terminal(&x));
+                v.insert(x, BanditDelay::terminal(&x, p1, p2));
                 continue;
             }
-            let p1 = BanditDelay::posterior(self.priors[0], s1, f1);
-            let p2 = BanditDelay::posterior(self.priors[1], s2, f2);
             let v1 = p1 * v[&[u1 + 1, s1 + 1, f1, u2, s2, f2]]
                 + (1.0 - p1) * v[&[u1 + 1, s1, f1 + 1, u2, s2, f2]];
             let v2 = p2 * v[&[u1, s1, f1, u2 + 1, s2 + 1, f2]]
@@ -156,30 +154,45 @@ impl BanditDelay {
         v[&[0, 0, 0, 0, 0, 0]]
     }
 
-    /// The kernel for this problem instance.
+    /// The kernel for this problem instance, with one posterior table per
+    /// arm.
     pub fn kernel(&self) -> BanditDelayKernel {
-        BanditDelayKernel { problem: *self }
+        BanditDelayKernel {
+            problem: *self,
+            arms: self.priors.map(Posterior::new),
+        }
     }
 }
 
-/// Center-loop kernel for the delayed bandit.
-#[derive(Debug, Clone, Copy)]
+/// Center-loop kernel for the delayed bandit; reads each arm's posterior
+/// mean, in the recurrence and in the horizon's pending-pull credit, from
+/// that arm's [`Posterior`] table.
+#[derive(Clone)]
 pub struct BanditDelayKernel {
     /// Problem definition (priors).
     pub problem: BanditDelay,
+    arms: [Posterior; 2],
+}
+
+impl fmt::Debug for BanditDelayKernel {
+    /// The priors, not the tables.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BanditDelayKernel")
+            .field("problem", &self.problem)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Kernel<f64> for BanditDelayKernel {
     fn compute(&self, cell: CellRef<'_>, values: &mut [f64]) {
+        let x = cell.x;
+        let p1 = self.arms[0].get(x[1], x[2]);
+        let p2 = self.arms[1].get(x[4], x[5]);
         // All templates increment u1 + u2; at the horizon none is valid.
         if !(cell.valid[0] || cell.valid[2]) {
-            let x: [i64; 6] = cell.x.try_into().expect("6-dimensional");
-            values[cell.loc] = self.problem.terminal(&x);
+            values[cell.loc] = BanditDelay::terminal(x, p1, p2);
             return;
         }
-        let x = cell.x;
-        let p1 = BanditDelay::posterior(self.problem.priors[0], x[1], x[2]);
-        let p2 = BanditDelay::posterior(self.problem.priors[1], x[4], x[5]);
         let mut best = f64::NEG_INFINITY;
         if cell.valid[0] {
             debug_assert!(cell.valid[1], "r1s and r1f share validity");
@@ -196,6 +209,7 @@ impl Kernel<f64> for BanditDelayKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::posterior::oracle::assert_same_bits_on_every_cell;
     use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
@@ -221,6 +235,54 @@ mod tests {
             let got = res.probes[0].unwrap();
             assert!((got - want).abs() < 1e-9, "N={n}: {got} vs {want}");
         }
+    }
+
+    /// The kernel as it was before its posterior tables: two divisions per
+    /// cell, in the recurrence or in the horizon's pending-pull credit.
+    fn dividing(problem: BanditDelay) -> impl Fn(CellRef<'_>, &mut [f64]) + Sync {
+        move |cell: CellRef<'_>, values: &mut [f64]| {
+            let posterior =
+                |(a, b): (f64, f64), s: i64, f: i64| (a + s as f64) / (a + b + (s + f) as f64);
+            let x = cell.x;
+            let p1 = posterior(problem.priors[0], x[1], x[2]);
+            let p2 = posterior(problem.priors[1], x[4], x[5]);
+            if !(cell.valid[0] || cell.valid[2]) {
+                let pend1 = (x[0] - x[1] - x[2]) as f64;
+                let pend2 = (x[3] - x[4] - x[5]) as f64;
+                values[cell.loc] = (x[1] + x[4]) as f64 + pend1 * p1 + pend2 * p2;
+                return;
+            }
+            let mut best = f64::NEG_INFINITY;
+            if cell.valid[0] {
+                best = best.max(p1 * values[cell.loc_r(0)] + (1.0 - p1) * values[cell.loc_r(1)]);
+            }
+            if cell.valid[2] {
+                best = best.max(p2 * values[cell.loc_r(2)] + (1.0 - p2) * values[cell.loc_r(3)]);
+            }
+            values[cell.loc] = best;
+        }
+    }
+
+    #[test]
+    fn the_table_kernel_has_the_dividing_kernels_bits_on_every_cell() {
+        let problem = BanditDelay {
+            priors: [(3.0, 2.0), (1.0, 4.0)],
+        };
+        assert_same_bits_on_every_cell(
+            &BanditDelay::program(2).unwrap(),
+            &[1, 2, 5],
+            &problem.kernel(),
+            dividing(problem),
+        );
+    }
+
+    #[test]
+    fn debug_prints_the_priors_not_the_tables() {
+        let shown = format!("{:?}", BanditDelay::default().kernel());
+        assert_eq!(
+            shown,
+            "BanditDelayKernel { problem: BanditDelay { priors: [(1.0, 1.0), (1.0, 1.0)] }, .. }"
+        );
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //!   reductions,
 //! * [`banded_sw`] — Smith-Waterman restricted to a diagonal band, the
 //!   sparse-lattice workload (`O(n·w)` cells instead of `O(n·m)`).
+//!
+//! The three bandit kernels share [`Posterior`]: each arm's posterior mean
+//! `(a + s) / (a + b + s + f)`, which the paper's init code divides out at
+//! every cell, is a table the kernel builds once per arm, for every
+//! `(s, f)` with `s + f <` [`posterior::PULLS`]. Every entry is that same
+//! expression, so a table read has the division's bits; past the table the
+//! kernel divides. The emitted C keeps its per-cell init code.
 
 pub mod banded_sw;
 pub mod bandit2;
@@ -35,6 +42,7 @@ pub mod bandit_delay;
 pub mod editdist;
 pub mod lcs;
 pub mod msa;
+pub mod posterior;
 pub mod smith_waterman;
 
 pub use banded_sw::BandedSw;
@@ -44,6 +52,7 @@ pub use bandit_delay::BanditDelay;
 pub use editdist::EditDistance;
 pub use lcs::Lcs;
 pub use msa::Msa;
+pub use posterior::Posterior;
 pub use smith_waterman::SmithWaterman;
 
 /// Generate a deterministic pseudo-random DNA-like sequence (alphabet
