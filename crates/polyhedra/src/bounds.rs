@@ -12,6 +12,17 @@
 //!
 //! The effective bounds are the `max` of all lower bounds and the `min` of all
 //! upper bounds, exactly the `max`/`min` functions FM-generated loop nests use.
+//!
+//! Every walk of a nest ([`LoopNest::count`], [`LoopNest::for_each_row`],
+//! [`LoopNest::for_each_point_directed`], and the tiling layer's scans
+//! through [`LoopNest::bounds_at`]) evaluates its bounds in machine words:
+//! each level is compiled once, when the nest is synthesised (and again
+//! only for the level [`LoopNest::clamp`] changes), into sparse `(column,
+//! i64 coefficient)` terms, a constant and a divisor, summed with checked
+//! `i64` arithmetic; a unit divisor skips the division. A bound whose
+//! coefficient, point entry or partial sum leaves `i64` is read through its
+//! [`BoundExpr`] in checked `i128` instead, so every bound has the value
+//! the `i128` reading gives.
 
 use crate::error::PolyError;
 use crate::expr::LinExpr;
@@ -54,17 +65,106 @@ pub struct LoopLevel {
     pub uppers: Vec<BoundExpr>,
 }
 
-impl LoopLevel {
-    /// Concrete `[lb, ub]` at `point` (entries for this and inner variables
-    /// are ignored). `None` when empty.
-    pub fn bounds_at(&self, point: &[i128]) -> Result<Option<(i128, i128)>, PolyError> {
+/// One level's bounds compiled for machine words: lowers, then uppers, in
+/// the level's order, each over its run of the level's sparse terms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WordLevel {
+    /// `(column, coefficient)` of every nonzero coefficient, bound by bound.
+    terms: Vec<(usize, i64)>,
+    /// `None` for a bound with a coefficient, constant or divisor beyond
+    /// `i64`: it is always read in `i128`.
+    bounds: Vec<Option<WordBound>>,
+    lowers: usize,
+}
+
+/// `(constant + Σ coefficient·point[column]) / divisor` over the terms
+/// `start..end` of its level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WordBound {
+    start: u32,
+    end: u32,
+    constant: i64,
+    divisor: i64,
+}
+
+impl WordBound {
+    /// `b` in machine words, its terms appended to `terms`; `None`, with
+    /// `terms` left as it was, when a coefficient, the constant or the
+    /// divisor does not fit `i64`.
+    fn compile(b: &BoundExpr, terms: &mut Vec<(usize, i64)>) -> Option<WordBound> {
+        let start = terms.len();
+        let word = |x: i128| i64::try_from(x).ok();
+        let bound = (|| {
+            for (col, &c) in b.expr.coeffs().iter().enumerate() {
+                if c != 0 {
+                    terms.push((col, word(c)?));
+                }
+            }
+            Some(WordBound {
+                start: start as u32,
+                end: terms.len() as u32,
+                constant: word(b.expr.constant_term())?,
+                divisor: word(b.divisor)?,
+            })
+        })();
+        if bound.is_none() {
+            terms.truncate(start);
+        }
+        bound
+    }
+
+    /// The numerator at `point`, or `None` when an entry it reads or a
+    /// partial sum leaves `i64`.
+    #[inline]
+    fn numerator(&self, terms: &[(usize, i64)], point: &[i128]) -> Option<i64> {
+        let mut acc = self.constant;
+        for &(col, coeff) in &terms[self.start as usize..self.end as usize] {
+            let x = i64::try_from(point[col]).ok()?;
+            acc = acc.checked_add(coeff.checked_mul(x)?)?;
+        }
+        Some(acc)
+    }
+}
+
+impl WordLevel {
+    fn compile(level: &LoopLevel) -> WordLevel {
+        let mut terms = Vec::new();
+        let bounds = (level.lowers.iter().chain(&level.uppers))
+            .map(|b| WordBound::compile(b, &mut terms))
+            .collect();
+        WordLevel {
+            terms,
+            bounds,
+            lowers: level.lowers.len(),
+        }
+    }
+
+    /// Concrete `[lb, ub]` of `level` (the source of these words) at
+    /// `point`; `None` when empty.
+    #[inline]
+    fn bounds_at(
+        &self,
+        level: &LoopLevel,
+        point: &[i128],
+    ) -> Result<Option<(i128, i128)>, PolyError> {
+        let (lowers, uppers) = self.bounds.split_at(self.lowers);
+        let numerator = |b: &Option<WordBound>| {
+            b.as_ref()
+                .and_then(|b| b.numerator(&self.terms, point).map(|n| (n, b.divisor)))
+        };
         let mut lb = i128::MIN;
-        for b in &self.lowers {
-            lb = lb.max(b.eval_lower(point)?);
+        for (b, wide) in lowers.iter().zip(&level.lowers) {
+            lb = lb.max(match numerator(b) {
+                Some((n, d)) => num::ceil_div(n.into(), d.into()),
+                None => wide.eval_lower(point)?,
+            });
         }
         let mut ub = i128::MAX;
-        for b in &self.uppers {
-            ub = ub.min(b.eval_upper(point)?);
+        for (b, wide) in uppers.iter().zip(&level.uppers) {
+            ub = ub.min(match numerator(b) {
+                Some((n, d)) => num::floor_div(n.into(), d.into()),
+                None => wide.eval_upper(point)?,
+            });
         }
         Ok((lb <= ub).then_some((lb, ub)))
     }
@@ -96,6 +196,8 @@ fn fold_constant(
 pub struct LoopNest {
     space: Space,
     levels: Vec<LoopLevel>,
+    /// `levels`, compiled for the walks: one entry per level.
+    words: Vec<WordLevel>,
     /// Constraints mentioning only parameters (and no loop variable): the
     /// context that must hold for the nest to execute at all.
     context: ConstraintSystem,
@@ -196,9 +298,11 @@ impl LoopNest {
             });
         }
         let context = systems.swap_remove(d);
+        let words = levels.iter().map(WordLevel::compile).collect();
         Ok(LoopNest {
             space,
             levels,
+            words,
             context,
         })
     }
@@ -215,7 +319,7 @@ impl LoopNest {
     /// what FM would derive from them is implied by the rows already there.
     pub fn clamp(&mut self, var: usize, lo: i128, hi: i128) -> Result<(), PolyError> {
         let dim = self.space.dim();
-        let Some(level) = self.levels.iter_mut().find(|l| l.var == var) else {
+        let Some(depth) = self.levels.iter().position(|l| l.var == var) else {
             return Err(match self.space.names().get(var) {
                 Some(name) => PolyError::MissingVariable(name.clone()),
                 None => PolyError::SpaceMismatch {
@@ -224,8 +328,10 @@ impl LoopNest {
                 },
             });
         };
+        let level = &mut self.levels[depth];
         fold_constant(&mut level.lowers, lo, dim, i128::max, num::ceil_div);
         fold_constant(&mut level.uppers, hi, dim, i128::min, num::floor_div);
+        self.words[depth] = WordLevel::compile(level);
         Ok(())
     }
 
@@ -237,6 +343,18 @@ impl LoopNest {
     /// The loop levels, outermost first.
     pub fn levels(&self) -> &[LoopLevel] {
         &self.levels
+    }
+
+    /// Concrete `[lb, ub]` of the level at `depth` (outermost 0) at `point`,
+    /// whose entries for that and inner levels are ignored; `None` when
+    /// empty. This is the one evaluator behind every walk of the nest.
+    #[inline]
+    pub fn bounds_at(
+        &self,
+        depth: usize,
+        point: &[i128],
+    ) -> Result<Option<(i128, i128)>, PolyError> {
+        self.words[depth].bounds_at(&self.levels[depth], point)
     }
 
     /// The affine bounds over every level, lowers plus uppers: what each
@@ -316,18 +434,18 @@ impl LoopNest {
             f(point);
             return Ok(());
         }
-        let level = &self.levels[depth];
-        if let Some((lb, ub)) = level.bounds_at(point)? {
+        let var = self.levels[depth].var;
+        if let Some((lb, ub)) = self.bounds_at(depth, point)? {
             if descending[depth] {
                 let mut v = ub;
                 while v >= lb {
-                    point[level.var] = v;
+                    point[var] = v;
                     self.walk_directed(depth + 1, point, descending, f)?;
                     v -= 1;
                 }
             } else {
                 for v in lb..=ub {
-                    point[level.var] = v;
+                    point[var] = v;
                     self.walk_directed(depth + 1, point, descending, f)?;
                 }
             }
@@ -357,16 +475,16 @@ impl LoopNest {
         point: &mut [i128],
         f: &mut F,
     ) -> Result<(), PolyError> {
-        let level = &self.levels[depth];
-        let Some((lb, ub)) = level.bounds_at(point)? else {
+        let Some((lb, ub)) = self.bounds_at(depth, point)? else {
             return Ok(());
         };
         if depth + 1 == self.levels.len() {
             f(point, lb, ub);
             return Ok(());
         }
+        let var = self.levels[depth].var;
         for v in lb..=ub {
-            point[level.var] = v;
+            point[var] = v;
             self.rows_from(depth + 1, point, f)?;
         }
         Ok(())
@@ -643,6 +761,85 @@ mod tests {
             })
     }
 
+    /// A row of a walk: the outer loop variables' values, then `lb..=ub`.
+    type Row = (Vec<i128>, i128, i128);
+
+    /// The `i128` oracle of the compiled evaluator: the nest's rows in
+    /// walk order, every bound read through [`LinExpr::eval`] and rounded
+    /// by Euclidean division, up to the first fault.
+    fn wide_rows(
+        nest: &LoopNest,
+        point: &mut [i128],
+        descending: &[bool],
+        rows: &mut Vec<Row>,
+    ) -> Result<(), PolyError> {
+        if nest.levels().is_empty() || !nest.context_holds(point)? {
+            return Ok(());
+        }
+        wide_rows_from(nest, 0, point, descending, rows)
+    }
+
+    fn wide_rows_from(
+        nest: &LoopNest,
+        depth: usize,
+        point: &mut [i128],
+        descending: &[bool],
+        rows: &mut Vec<Row>,
+    ) -> Result<(), PolyError> {
+        let level = &nest.levels()[depth];
+        let mut lb = i128::MIN;
+        for b in &level.lowers {
+            let n = b.expr.eval(point)?;
+            lb = lb.max(n.div_euclid(b.divisor) + i128::from(n.rem_euclid(b.divisor) != 0));
+        }
+        let mut ub = i128::MAX;
+        for b in &level.uppers {
+            ub = ub.min(b.expr.eval(point)?.div_euclid(b.divisor));
+        }
+        if lb > ub {
+            return Ok(());
+        }
+        let outer = &nest.levels()[..depth];
+        if depth + 1 == nest.levels().len() {
+            rows.push((outer.iter().map(|l| point[l.var]).collect(), lb, ub));
+            return Ok(());
+        }
+        let values: Vec<i128> = match descending[depth] {
+            true => (lb..=ub).rev().collect(),
+            false => (lb..=ub).collect(),
+        };
+        for v in values {
+            point[level.var] = v;
+            wide_rows_from(nest, depth + 1, point, descending, rows)?;
+        }
+        Ok(())
+    }
+
+    /// Systems over `[x, y, z, P, Q]` whose points lie within 4 of `P` in
+    /// every variable, plus rows `s·(a(x−P) + b(y−P) + c(z−P) + k) + Q >= 0`.
+    /// A large `P` puts point entries near or beyond the `i64` edges, a
+    /// large scale `s` pushes products and partial sums past them (or, at
+    /// `2^64 + 1`, puts the coefficients themselves beyond `i64`), and `Q`
+    /// keeps gcd normalisation from dividing the scale out.
+    fn wide_system() -> impl Strategy<Value = ConstraintSystem> {
+        let scale =
+            proptest::sample::select(vec![1i128, 2, 3, 1 << 20, 1 << 40, 1 << 62, (1 << 64) + 1]);
+        let row = (-3i128..4, -3i128..4, -3i128..4, -10i128..11, scale);
+        proptest::collection::vec(row, 0..4).prop_map(|rows| {
+            let space = Space::from_names(&["x", "y", "z"], &["P", "Q"]).unwrap();
+            let mut sys = ConstraintSystem::new(space);
+            for v in ["x", "y", "z"] {
+                sys.add_text(&format!("P - 4 <= {v} <= P + 4")).unwrap();
+            }
+            for (a, b, c, k, s) in rows {
+                let coeffs = vec![s * a, s * b, s * c, -s * (a + b + c), 1];
+                let row = LinExpr::from_parts(coeffs, s * k);
+                sys.add(crate::constraint::Constraint::ge0(row)).unwrap();
+            }
+            sys
+        })
+    }
+
     proptest! {
         /// The loop nest enumerates exactly the lattice points of the system,
         /// for any variable ordering.
@@ -727,6 +924,59 @@ mod tests {
             for (c, p) in clamped.levels().iter().zip(plain.levels()) {
                 prop_assert_eq!((c.lowers.len(), c.uppers.len()), (p.lowers.len(), p.uppers.len()));
             }
+        }
+
+        /// The compiled walk is the `i128` walk: the same rows, points and
+        /// count (or the same fault after the same prefix), in every loop
+        /// order and direction, with point entries, products and partial
+        /// sums inside `i64`, past it, and coefficients beyond it.
+        #[test]
+        fn the_compiled_walk_is_the_i128_walk(
+            sys in wide_system(),
+            perm in proptest::sample::select(vec![
+                vec![0usize, 1, 2], vec![0, 2, 1], vec![1, 0, 2],
+                vec![1, 2, 0], vec![2, 0, 1], vec![2, 1, 0],
+            ]),
+            p in proptest::sample::select(vec![
+                0i128, 3, -5, 1 << 40, 1 << 61, i128::from(i64::MAX) - 3,
+                i128::from(i64::MIN) + 4, 1 << 64, -(1 << 64),
+            ]),
+            q in 0i128..3,
+            descending in proptest::collection::vec(proptest::bool::ANY, 3),
+        ) {
+            let Ok(nest) = LoopNest::synthesize(&sys, &perm) else {
+                return Ok(());
+            };
+            let fresh = || [0, 0, 0, p, q];
+            let mut want = Vec::new();
+            let wide = wide_rows(&nest, &mut fresh(), &descending, &mut want);
+            let points = |rows: &[Row]| {
+                let mut out = Vec::new();
+                for (outer, lb, ub) in rows {
+                    let inner: Vec<i128> = match descending[2] {
+                        true => (*lb..=*ub).rev().collect(),
+                        false => (*lb..=*ub).collect(),
+                    };
+                    out.extend(inner.into_iter().map(|v| (outer.clone(), v)));
+                }
+                out
+            };
+            let mut got = Vec::new();
+            let walked = nest.for_each_point_directed(&mut fresh(), &descending, |pt| {
+                let outer = nest.levels()[..2].iter().map(|l| pt[l.var]).collect();
+                got.push((outer, pt[nest.levels()[2].var]));
+            });
+            prop_assert_eq!((got, walked), (points(&want), wide.clone()));
+
+            let mut want = Vec::new();
+            let wide = wide_rows(&nest, &mut fresh(), &[false; 3], &mut want);
+            let mut got = Vec::new();
+            let walked = nest.for_each_row(&mut fresh(), |pt, lb, ub| {
+                got.push((nest.levels()[..2].iter().map(|l| pt[l.var]).collect(), lb, ub));
+            });
+            prop_assert_eq!((&got, walked), (&want, wide.clone()));
+            let total = want.iter().map(|(_, lb, ub)| (ub - lb + 1) as u128).sum();
+            prop_assert_eq!(nest.count(&mut fresh()), wide.map(|()| total));
         }
 
         /// `count` always agrees with enumeration, and the rows, expanded,

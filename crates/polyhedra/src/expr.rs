@@ -166,10 +166,12 @@ impl LinExpr {
     }
 
     /// Divide in place by `g > 0`, which must divide every coefficient; the
-    /// constant rounds down (`floor(constant / g)`).
+    /// constant rounds down (`floor(constant / g)`). The coefficients divide
+    /// exactly, so [`num::floor_div`] (hardware division where the operands
+    /// fit `i64`) gives their quotients too; zeros stay.
     pub(crate) fn divide_floor(&mut self, g: i128) {
-        for c in &mut self.coeffs {
-            *c /= g;
+        for c in self.coeffs.iter_mut().filter(|c| **c != 0) {
+            *c = num::floor_div(*c, g);
         }
         self.constant = num::floor_div(self.constant, g);
     }

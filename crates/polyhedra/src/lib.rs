@@ -23,8 +23,12 @@
 //! has no counting polynomial. Work comes from exact lattice counts, walked
 //! once per geometry class of tiles by the tiling layer.
 //!
-//! All arithmetic is exact (`i128` with overflow checks); there is no
-//! floating point anywhere in this crate.
+//! All arithmetic is exact, and there is no floating point anywhere in
+//! this crate. Synthesis (expressions, constraints, elimination) works in
+//! checked `i128`. The walks of a nest evaluate its bounds in checked
+//! `i64` words compiled once per nest, and read a bound whose terms or sums
+//! leave `i64` in checked `i128` instead ([`bounds`]), so both give the
+//! same values. Every overflow of `i128` is a [`PolyError`].
 
 pub mod bounds;
 pub mod constraint;

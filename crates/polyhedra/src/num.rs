@@ -26,9 +26,18 @@ fn euclid<T: Copy + PartialEq + Default + std::ops::Rem<Output = T>>(mut a: T, m
     a
 }
 
-/// Floor division: largest `q` with `q * d <= n`. Requires `d > 0`.
+/// Floor division: largest `q` with `q * d <= n`. Requires `d > 0`. A unit
+/// divisor returns `n`, and operands that fit `i64` divide in hardware:
+/// `i128` division is a software routine.
+#[inline]
 pub fn floor_div(n: i128, d: i128) -> i128 {
     debug_assert!(d > 0, "floor_div requires positive divisor");
+    if d == 1 {
+        return n;
+    }
+    if let (Ok(n), Ok(d)) = (i64::try_from(n), i64::try_from(d)) {
+        return i128::from(n.div_euclid(d));
+    }
     let q = n / d;
     if n % d != 0 && n < 0 {
         q - 1
@@ -37,9 +46,18 @@ pub fn floor_div(n: i128, d: i128) -> i128 {
     }
 }
 
-/// Ceiling division: smallest `q` with `q * d >= n`. Requires `d > 0`.
+/// Ceiling division: smallest `q` with `q * d >= n`. Requires `d > 0`. Fast
+/// paths as [`floor_div`]'s; the `i64` one rounds the floor up on a nonzero
+/// remainder, since negating `n` overflows at `i64::MIN`.
+#[inline]
 pub fn ceil_div(n: i128, d: i128) -> i128 {
     debug_assert!(d > 0, "ceil_div requires positive divisor");
+    if d == 1 {
+        return n;
+    }
+    if let (Ok(n), Ok(d)) = (i64::try_from(n), i64::try_from(d)) {
+        return i128::from(n.div_euclid(d)) + i128::from(n.rem_euclid(d) != 0);
+    }
     let q = n / d;
     if n % d != 0 && n > 0 {
         q + 1
@@ -181,6 +199,31 @@ mod tests {
             prop_assert_eq!(gcd(a, b), reference(a, b));
             let xs = [a, b, 6, a];
             prop_assert_eq!(gcd_slice(&xs), xs.iter().fold(0, |g, &x| reference(g, x)));
+        }
+
+        /// The unit-divisor and `i64` fast paths divide as the `i128`
+        /// formula does: at the `i64` edges, one either side of them and
+        /// beyond them, for unit, small, prime and wide divisors.
+        #[test]
+        fn division_matches_the_i128_formula(
+            anchor in proptest::sample::select(vec![
+                0, i128::from(i64::MIN), i128::from(i64::MAX),
+                1 << 64, -(1 << 64), 1 << 100, -(1 << 100), i128::MIN + 8, i128::MAX - 8,
+            ]),
+            offset in -3i128..4,
+            wide in operand(),
+            d in proptest::sample::select(vec![1i128, 2, 3, 7, 1 << 40]),
+            any_d in 1i128..1 << 70,
+        ) {
+            let reference = |n: i128, d: i128| {
+                let (q, r) = (n / d, n % d);
+                (q - i128::from(r < 0), q + i128::from(r > 0))
+            };
+            for n in [anchor + offset, wide] {
+                for d in [d, any_d] {
+                    prop_assert_eq!((floor_div(n, d), ceil_div(n, d)), reference(n, d));
+                }
+            }
         }
 
         /// The `i64` fast path multiplies as `checked_mul` does, and

@@ -9,6 +9,7 @@
 
 use crate::error::PolyError;
 use std::fmt;
+use std::sync::Arc;
 
 /// The role of a column in a [`Space`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,8 +21,17 @@ pub enum VarKind {
 }
 
 /// An ordered set of named columns with roles.
+///
+/// The columns are shared: a clone (every system Fourier–Motzkin derives,
+/// every loop nest and tiling copy) shares them with its source, and
+/// [`Space::add`] copies them first only while they are shared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Space {
+    columns: Arc<Columns>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Columns {
     names: Vec<String>,
     kinds: Vec<VarKind>,
 }
@@ -30,8 +40,7 @@ impl Space {
     /// An empty space.
     pub fn new() -> Space {
         Space {
-            names: Vec::new(),
-            kinds: Vec::new(),
+            columns: Arc::default(),
         }
     }
 
@@ -52,22 +61,23 @@ impl Space {
 
     /// Append a named column. Fails on duplicate names.
     pub fn add(&mut self, name: &str, kind: VarKind) -> Result<usize, PolyError> {
-        if self.names.iter().any(|n| n == name) {
+        if self.contains(name) {
             return Err(PolyError::DuplicateName(name.to_string()));
         }
-        self.names.push(name.to_string());
-        self.kinds.push(kind);
-        Ok(self.names.len() - 1)
+        let columns = Arc::make_mut(&mut self.columns);
+        columns.names.push(name.to_string());
+        columns.kinds.push(kind);
+        Ok(columns.names.len() - 1)
     }
 
     /// Total number of columns (variables + parameters).
     pub fn dim(&self) -> usize {
-        self.names.len()
+        self.columns.names.len()
     }
 
     /// Column index of `name`.
     pub fn index(&self, name: &str) -> Result<usize, PolyError> {
-        self.names
+        self.names()
             .iter()
             .position(|n| n == name)
             .ok_or_else(|| PolyError::UnknownName(name.to_string()))
@@ -75,36 +85,36 @@ impl Space {
 
     /// Name of column `idx`.
     pub fn name(&self, idx: usize) -> &str {
-        &self.names[idx]
+        &self.columns.names[idx]
     }
 
     /// Role of column `idx`.
     pub fn kind(&self, idx: usize) -> VarKind {
-        self.kinds[idx]
+        self.columns.kinds[idx]
     }
 
     /// Indices of all loop variables, in column order.
     pub fn var_indices(&self) -> Vec<usize> {
         (0..self.dim())
-            .filter(|&i| self.kinds[i] == VarKind::Var)
+            .filter(|&i| self.kind(i) == VarKind::Var)
             .collect()
     }
 
     /// Indices of all parameters, in column order.
     pub fn param_indices(&self) -> Vec<usize> {
         (0..self.dim())
-            .filter(|&i| self.kinds[i] == VarKind::Param)
+            .filter(|&i| self.kind(i) == VarKind::Param)
             .collect()
     }
 
     /// All column names, in order.
     pub fn names(&self) -> &[String] {
-        &self.names
+        &self.columns.names
     }
 
     /// True when `name` exists in this space.
     pub fn contains(&self, name: &str) -> bool {
-        self.names.iter().any(|n| n == name)
+        self.names().iter().any(|n| n == name)
     }
 }
 
@@ -117,11 +127,11 @@ impl Default for Space {
 impl fmt::Display for Space {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, name) in self.names.iter().enumerate() {
+        for (i, name) in self.names().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            match self.kinds[i] {
+            match self.kind(i) {
                 VarKind::Var => write!(f, "{name}")?,
                 VarKind::Param => write!(f, "{name}!")?,
             }
@@ -171,6 +181,19 @@ mod tests {
         s.add("y", VarKind::Var).unwrap();
         assert_eq!(s.var_indices(), vec![0, 2]);
         assert_eq!(s.param_indices(), vec![1]);
+    }
+
+    #[test]
+    fn clones_share_columns_until_one_adds() {
+        let s = Space::from_names(&["x"], &["N"]).unwrap();
+        let mut t = s.clone();
+        assert!(Arc::ptr_eq(&s.columns, &t.columns));
+        t.add("y", VarKind::Var).unwrap();
+        assert!(!Arc::ptr_eq(&s.columns, &t.columns));
+        assert_eq!(
+            (s.to_string(), t.to_string()),
+            ("[x, N!]".into(), "[x, N!, y]".into())
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The paper's generator emits specialised center loops and shared
 //! pack/unpack loops once per problem (Sections IV-G/H/I). This runtime
-//! derives the same loops by walking [`LoopNest`]s with checked `i128`
+//! derives the same loops by walking [`LoopNest`]s with checked integer
 //! arithmetic, which costs more per tile than the kernel itself. A
 //! [`TileGeom`] is the recorded output of those walks for one tile — the
 //! visit-ordered interior runs and boundary cells of

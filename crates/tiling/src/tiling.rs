@@ -990,13 +990,13 @@ struct FastScan<'a, V> {
 
 impl<V: TileVisitor> FastScan<'_, V> {
     fn walk(&mut self, depth: usize, point: &mut [i128]) -> Result<(), PolyError> {
-        let levels = self.tiling.local_nest.levels();
-        let level = &levels[depth];
+        let nest = &self.tiling.local_nest;
+        let level = &nest.levels()[depth];
         let desc = self.tiling.local_desc[depth];
-        let Some((lb, ub)) = level.bounds_at(point)? else {
+        let Some((lb, ub)) = nest.bounds_at(depth, point)? else {
             return Ok(());
         };
-        if depth + 1 == levels.len() {
+        if depth + 1 == nest.levels().len() {
             return self.scan_row(point, lb, ub, desc);
         }
         let dim = self.tiling.loop_order[depth];
