@@ -267,26 +267,50 @@ fn rhs_text(b: i64, with_param: bool) -> String {
     }
 }
 
-/// Fill in center/init/define code mirroring the fuzz kernel in C, so
-/// generated specs round-trip through `emit_c` like hand-written ones.
+// The fuzz recurrence's constants. `fuzz_mix` computes with them and
+// `attach_fuzz_code` renders them into C, so the emitted program computes
+// the Rust function's bits. Each coordinate is multiplied by
+// `FUZZ_COORD_MUL` and mixed in; each dependency's value plus
+// `FUZZ_DEP_ADD` is mixed in, or `fuzz_missing(j)` when template `j`'s
+// dependency lies outside the space. After each, the state is rotated left
+// and multiplied.
+const FUZZ_SEED: u64 = 0x243F_6A88_85A3_08D3;
+const FUZZ_COORD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+const FUZZ_COORD_ROT: u32 = 23;
+const FUZZ_COORD_ROT_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+const FUZZ_DEP_ADD: u64 = 0x94D0_49BB_1331_11EB;
+const FUZZ_MISSING_MUL: u64 = 0xFF51_AFD7_ED55_8CCD;
+const FUZZ_MISSING_XOR: u64 = 0x5851_F42D_4C95_7F2D;
+const FUZZ_DEP_ROT: u32 = 17;
+const FUZZ_DEP_ROT_MUL: u64 = 0x2545_F491_4F6C_DD1D;
+
+/// What template `j` mixes in when its dependency lies outside the space.
+fn fuzz_missing(j: usize) -> u64 {
+    (j as u64).wrapping_mul(FUZZ_MISSING_MUL) ^ FUZZ_MISSING_XOR
+}
+
+/// Fill in center code computing [`fuzz_cell_value`] in C, so generated
+/// specs round-trip through `emit_c` like hand-written ones and the
+/// emitted program's values are the fuzz kernel's bits.
 pub fn attach_fuzz_code(spec: &mut ProblemSpec) {
     spec.value_type = "unsigned long long".to_string();
-    spec.defines = "static const unsigned long long FUZZ_MIX = 11400714819323198485ULL;\n".into();
-    spec.init_code = "const unsigned long long fuzz_salt = 2654435769ULL;\n".into();
-    let mut code = String::new();
-    code.push_str("unsigned long long h = 2611923443488327891ULL ^ fuzz_salt;\n");
+    spec.defines = String::new();
+    spec.init_code = String::new();
+    let rotate = |r: u32, mul: u64| format!("h = ((h << {r}) | (h >> {})) * {mul}ULL;\n", 64 - r);
+    let mut code = format!("unsigned long long h = {FUZZ_SEED}ULL;\n");
     for v in &spec.vars {
         code.push_str(&format!(
-            "h ^= (unsigned long long)({v}) * FUZZ_MIX;\nh = (h << 23) | (h >> 41);\n"
+            "h ^= (unsigned long long)({v}) * {FUZZ_COORD_MUL}ULL;\n"
         ));
+        code.push_str(&rotate(FUZZ_COORD_ROT, FUZZ_COORD_ROT_MUL));
     }
-    for t in &spec.templates {
+    for (j, t) in spec.templates.iter().enumerate() {
         code.push_str(&format!(
-            "if (is_valid_{0}) {{ h ^= V[loc_{0}] + 10705345206970331627ULL; }}\n\
-             else {{ h ^= 6364136223846793005ULL; }}\n\
-             h = ((h << 17) | (h >> 47)) * 2685821657736338717ULL;\n",
-            t.name
+            "h ^= is_valid_{0} ? V[loc_{0}] + {FUZZ_DEP_ADD}ULL : {1}ULL;\n",
+            t.name,
+            fuzz_missing(j)
         ));
+        code.push_str(&rotate(FUZZ_DEP_ROT, FUZZ_DEP_ROT_MUL));
     }
     code.push_str("V[loc] = h;\n");
     spec.center_code = code;
@@ -298,18 +322,25 @@ pub fn attach_fuzz_code(spec: &mut ProblemSpec) {
 /// every execution order yields the same bits, so differential comparison
 /// is exact equality.
 pub fn fuzz_cell_value(x: &[i64], deps: &[Option<u64>]) -> u64 {
-    let mut h: u64 = 0x243F_6A88_85A3_08D3;
+    fuzz_mix(x, deps.iter().copied())
+}
+
+/// [`fuzz_cell_value`] over dependencies as they are read, so the kernel
+/// collects nothing per cell.
+fn fuzz_mix(x: &[i64], deps: impl Iterator<Item = Option<u64>>) -> u64 {
+    let mut h = FUZZ_SEED;
     for &c in x {
-        h ^= (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h = h.rotate_left(23).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= (c as u64).wrapping_mul(FUZZ_COORD_MUL);
+        h = h
+            .rotate_left(FUZZ_COORD_ROT)
+            .wrapping_mul(FUZZ_COORD_ROT_MUL);
     }
-    for (j, d) in deps.iter().enumerate() {
-        let v = match d {
-            Some(v) => v.wrapping_add(0x94D0_49BB_1331_11EB),
-            None => (j as u64).wrapping_mul(0xFF51_AFD7_ED55_8CCD) ^ 0x5851_F42D_4C95_7F2D,
+    for (j, d) in deps.enumerate() {
+        h ^= match d {
+            Some(v) => v.wrapping_add(FUZZ_DEP_ADD),
+            None => fuzz_missing(j),
         };
-        h ^= v;
-        h = h.rotate_left(17).wrapping_mul(0x2545_F491_4F6C_DD1D);
+        h = h.rotate_left(FUZZ_DEP_ROT).wrapping_mul(FUZZ_DEP_ROT_MUL);
     }
     h
 }
@@ -318,10 +349,9 @@ pub fn fuzz_cell_value(x: &[i64], deps: &[Option<u64>]) -> u64 {
 /// problem with `ntemplates` template vectors.
 pub fn fuzz_kernel(ntemplates: usize) -> impl Fn(CellRef<'_>, &mut [u64]) + Send + Sync {
     move |cell: CellRef<'_>, values: &mut [u64]| {
-        let deps: Vec<Option<u64>> = (0..ntemplates)
-            .map(|j| cell.valid[j].then(|| values[cell.loc_r(j)]))
-            .collect();
-        values[cell.loc] = fuzz_cell_value(cell.x, &deps);
+        let deps = (0..ntemplates).map(|j| cell.valid[j].then(|| values[cell.loc_r(j)]));
+        let v = fuzz_mix(cell.x, deps);
+        values[cell.loc] = v;
     }
 }
 

@@ -178,7 +178,7 @@ impl Bandit2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::posterior::oracle::assert_same_bits_on_every_cell;
+    use crate::oracle::assert_same_bits_on_every_cell;
     use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
@@ -245,7 +245,7 @@ mod tests {
         for problem in [Bandit2::default(), asymmetric] {
             assert_same_bits_on_every_cell(
                 &program,
-                &[1, 4, 9, 20],
+                &[&[1], &[4], &[9], &[20]],
                 &problem.kernel(),
                 dividing(problem),
             );

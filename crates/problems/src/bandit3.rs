@@ -162,7 +162,7 @@ impl Kernel<f64> for Bandit3Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::posterior::oracle::assert_same_bits_on_every_cell;
+    use crate::oracle::assert_same_bits_on_every_cell;
     use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
@@ -211,7 +211,7 @@ mod tests {
         };
         assert_same_bits_on_every_cell(
             &Bandit3::program(2).unwrap(),
-            &[1, 3, 6],
+            &[&[1], &[3], &[6]],
             &problem.kernel(),
             dividing(problem),
         );

@@ -209,7 +209,7 @@ impl Kernel<f64> for BanditDelayKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::posterior::oracle::assert_same_bits_on_every_cell;
+    use crate::oracle::assert_same_bits_on_every_cell;
     use dpgen_core::ExecOpts;
     use dpgen_runtime::Probe;
 
@@ -270,7 +270,7 @@ mod tests {
         };
         assert_same_bits_on_every_cell(
             &BanditDelay::program(2).unwrap(),
-            &[1, 2, 5],
+            &[&[1], &[2], &[5]],
             &problem.kernel(),
             dividing(problem),
         );

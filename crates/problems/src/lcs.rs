@@ -4,6 +4,10 @@
 //! `L(i1, …, id)` = length of the LCS of the prefixes of lengths `i_k`.
 //! Dependencies: the all-ones negative diagonal (when every string's next
 //! character matches) plus the `d` single-dimension moves.
+//!
+//! [`Kernel::compute`] is one straight-line cell per shape [`Lcs::new`]
+//! admits (2 or 3 strings), choosing the match through `cell`, the select
+//! the 2-string row sweep behind `eval_run` and `eval_block` evaluates too.
 
 use dpgen_core::spec::SpecTemplate;
 use dpgen_core::{ProblemSpec, Program, ProgramError};
@@ -138,31 +142,35 @@ impl Lcs {
 }
 
 impl Kernel<i64> for Lcs {
-    fn compute(&self, cell: CellRef<'_>, values: &mut [i64]) {
-        let d = self.seqs.len();
-        // Any zero coordinate: empty prefix, LCS length 0.
-        if cell.x.contains(&0) {
-            values[cell.loc] = 0;
-            return;
-        }
-        // All coordinates >= 1: all templates are valid (box space).
-        let all_match = {
-            let first = self.seqs[0][(cell.x[0] - 1) as usize];
-            (1..d).all(|k| self.seqs[k][(cell.x[k] - 1) as usize] == first)
+    /// A zero coordinate is an empty prefix, LCS length 0; past it every
+    /// template is valid (box space).
+    #[inline]
+    fn compute(&self, at: CellRef<'_>, values: &mut [i64]) {
+        let dep = |j: usize| values[at.loc_r(j)];
+        let ch = |s: &[u8], i: i64| s[(i - 1) as usize];
+        let v = match (self.seqs.as_slice(), at.x) {
+            ([a, b], &[i, j]) => match i.min(j) {
+                0 => 0,
+                _ => cell(ch(a, i) == ch(b, j), dep(2), dep(0), dep(1)),
+            },
+            ([a, b, c], &[i, j, k]) => match i.min(j).min(k) {
+                0 => 0,
+                _ => {
+                    let (ca, cb) = (ch(a, i), ch(b, j));
+                    let matched = (ca == cb) & (cb == ch(c, k));
+                    cell(matched, dep(3), dep(0).max(dep(1)), dep(2))
+                }
+            },
+            _ => unreachable!("2 or 3 strings, one coordinate each"),
         };
-        if all_match {
-            values[cell.loc] = values[cell.loc_r(d)] + 1;
-        } else {
-            values[cell.loc] = (0..d).map(|k| values[cell.loc_r(k)]).max().unwrap();
-        }
+        values[at.loc] = v;
     }
 }
 
-/// One interior cell: every template is valid, so both prefixes are
-/// non-empty and the zero-prefix branch of `compute` is unreachable. Both
-/// arms are computed and one selected: on DNA the match is a one-in-four
-/// coin a branch predictor loses, and a select keeps [`two_rows`]'s chains
-/// free of control flow.
+/// One cell past the zero prefixes, every template valid, for `compute`
+/// and the row sweep alike. Both arms are computed and one selected: on
+/// DNA the match is a one-in-four coin a branch predictor loses, and a
+/// select keeps [`two_rows`]'s chains free of control flow.
 #[inline(always)]
 fn cell(matched: bool, diag: i64, up: i64, left: i64) -> i64 {
     std::hint::select_unpredictable(matched, diag + 1, up.max(left))
@@ -271,11 +279,13 @@ impl RunKernel<i64> for Lcs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::assert_same_bits_on_every_cell;
     use crate::random_sequence;
     use dpgen_core::ExecOpts;
     use dpgen_runtime::{run_reference, Probe, Reduction, RunStats};
     use dpgen_tiling::tiling::TileVisitor;
     use dpgen_tiling::Coord;
+    use proptest::prelude::*;
 
     fn run_tiled(problem: &Lcs, width: i64) -> i64 {
         let program = Lcs::program(problem.seqs.len(), width).unwrap();
@@ -444,6 +454,77 @@ mod tests {
                     assert!(taken > 0 && declined == 0, "{ctx}: {declined} declined");
                 }
             }
+        }
+    }
+
+    /// The `d`-generic cell the straight-line `compute` replaced: a loop
+    /// over the strings for the match and an iterator over the `skip`
+    /// templates for the maximum.
+    fn generic(problem: &Lcs) -> impl Fn(CellRef<'_>, &mut [i64]) + Sync + '_ {
+        move |cell, values| {
+            let d = problem.seqs.len();
+            if cell.x.contains(&0) {
+                values[cell.loc] = 0;
+                return;
+            }
+            let first = problem.seqs[0][(cell.x[0] - 1) as usize];
+            let all_match = (1..d).all(|k| problem.seqs[k][(cell.x[k] - 1) as usize] == first);
+            values[cell.loc] = if all_match {
+                values[cell.loc_r(d)] + 1
+            } else {
+                (0..d).map(|k| values[cell.loc_r(k)]).max().unwrap()
+            };
+        }
+    }
+
+    #[test]
+    fn compute_equals_the_generic_cell_on_every_cell() {
+        let (a, b, c) = (
+            random_sequence(23, 40),
+            random_sequence(17, 41),
+            random_sequence(11, 42),
+        );
+        let p2 = Lcs::new(&[&a, &b]);
+        let params = p2.params();
+        // Widths 4 and 5 leave partial tiles on both high faces; the
+        // swapped order is one `sweep` declines.
+        for (w, swapped) in [(4, false), (5, false), (5, true)] {
+            assert_same_bits_on_every_cell(&program2(w, swapped), &[&params], &p2, generic(&p2));
+        }
+        let p3 = Lcs::new(&[&a[..13], &b[..9], &c]);
+        let params = p3.params();
+        let program = Lcs::program(3, 4).unwrap();
+        assert_same_bits_on_every_cell(&program, &[&params], &p3, generic(&p3));
+    }
+
+    /// Two or three strings of length 0 to 40 (12 for a third) over the
+    /// first 1, 2 or 4 letters of `ACGT`.
+    fn strings() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        let letters = || proptest::collection::vec(0u8..4, 0..=40);
+        let third = proptest::collection::vec(0u8..4, 0..=12);
+        let alphabet = proptest::sample::select(vec![1u8, 2, 4]);
+        (alphabet, 2usize..=3, letters(), letters(), third).prop_map(|(n, d, a, b, c)| {
+            let spell = |s: Vec<u8>| s.into_iter().map(|k| b"ACGT"[(k % n) as usize]).collect();
+            let mut seqs: Vec<Vec<u8>> = vec![spell(a), spell(b), spell(c)];
+            seqs.truncate(d);
+            seqs
+        })
+    }
+
+    proptest! {
+        /// Cell by cell, batched and dense, the three ways to solve LCS
+        /// reach one length.
+        #[test]
+        fn per_cell_batched_and_dense_agree(seqs in strings(), width in 1i64..=8) {
+            let refs: Vec<&[u8]> = seqs.iter().map(|s| s.as_slice()).collect();
+            let problem = Lcs::new(&refs);
+            let plan = Lcs::program(refs.len(), width).unwrap().compile(&problem.params());
+            let opts = ExecOpts::new().probe(Probe::at(&problem.goal()));
+            let per_cell = plan.execute(&problem, &opts).unwrap().probes[0];
+            let batched = plan.execute_batched(&problem, &opts).unwrap().probes[0];
+            let dense = problem.solve_dense();
+            prop_assert_eq!(per_cell, Some(dense));
+            prop_assert_eq!(batched, Some(dense));
         }
     }
 

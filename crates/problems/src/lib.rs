@@ -42,6 +42,8 @@ pub mod bandit_delay;
 pub mod editdist;
 pub mod lcs;
 pub mod msa;
+#[cfg(test)]
+mod oracle;
 pub mod posterior;
 pub mod smith_waterman;
 

@@ -71,50 +71,6 @@ impl fmt::Debug for Posterior {
     }
 }
 
-/// Checks a table kernel against the division it replaces, on every cell
-/// of real executions.
-#[cfg(test)]
-pub(crate) mod oracle {
-    use dpgen_core::{ExecOpts, Program};
-    use dpgen_runtime::Kernel;
-    use dpgen_tiling::tiling::CellRef;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Runs `program` at each horizon in `horizons`, at 1 rank × 2 threads
-    /// and at 2 ranks × 1 thread. At every cell it lets `kernel` compute the
-    /// value, then `dividing` compute it again from the same dependencies,
-    /// and asserts the two agree bit for bit.
-    pub(crate) fn assert_same_bits_on_every_cell(
-        program: &Program,
-        horizons: &[i64],
-        kernel: &impl Kernel<f64>,
-        dividing: impl Fn(CellRef<'_>, &mut [f64]) + Sync,
-    ) {
-        for &n in horizons {
-            for (ranks, threads) in [(1, 2), (2, 1)] {
-                let (checked, differ) = (AtomicU64::new(0), AtomicU64::new(0));
-                let both = |cell: CellRef<'_>, values: &mut [f64]| {
-                    kernel.compute(cell, values);
-                    let got = values[cell.loc].to_bits();
-                    dividing(cell, values);
-                    if values[cell.loc].to_bits() != got {
-                        differ.fetch_add(1, Ordering::Relaxed);
-                    }
-                    checked.fetch_add(1, Ordering::Relaxed);
-                };
-                let opts = ExecOpts::new().ranks(ranks).threads(threads);
-                let out = program
-                    .compile(&[n])
-                    .execute(&both, &opts)
-                    .expect("the bandit executes");
-                let at = format!("N = {n}, {ranks} x {threads}");
-                assert_eq!(checked.into_inner(), out.cells_computed(), "{at}");
-                assert_eq!(differ.into_inner(), 0, "{at}: cells that differ");
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

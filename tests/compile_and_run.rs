@@ -7,7 +7,8 @@
 
 use dpgen::codegen::emit_c;
 use dpgen::core::spec::bandit2_spec_text;
-use dpgen::core::{ExecOpts, Program};
+use dpgen::core::specgen::fuzz_kernel;
+use dpgen::core::{ExecOpts, Program, SpecGen};
 use dpgen::mpisim::Wire;
 use dpgen::problems::{random_sequence, Bandit2, Bandit3, BanditDelay, Lcs, Msa};
 use dpgen::runtime::{Kernel, PerCell, Reduction, TilePriority, Value};
@@ -83,15 +84,20 @@ fn compile_and_run(name: &str, source: &str, support: &str, params: &[i64]) -> (
     )
 }
 
-/// The Rust runtime's tile count and whole-space sum for `program` at
-/// `params` with `kernel`: what the emitted program's two output lines
-/// are held to.
-fn rust_tiles_and_sum<T, K>(program: &Program, params: &[i64], kernel: &K) -> (u64, T)
+/// The Rust runtime's tile count and whole-space sum (folded by `add`) for
+/// `program` at `params` with `kernel`: what the emitted program's two
+/// output lines are held to.
+fn rust_tiles_and_sum<T, K>(
+    program: &Program,
+    params: &[i64],
+    kernel: &K,
+    add: fn(T, T) -> T,
+) -> (u64, T)
 where
-    T: Value + Wire + Add<Output = T>,
+    T: Value + Wire,
     K: Kernel<T>,
 {
-    let reduce = Reduction::new(T::default(), |a, b| a + b);
+    let reduce = Reduction::new(T::default(), add);
     let opts = ExecOpts::new()
         .threads(1)
         .priority(TilePriority::column_major(program.tiling().dims()));
@@ -108,7 +114,7 @@ where
 fn c_agrees_with_rust<K: Kernel<f64>>(name: &str, program: &Program, n: i64, kernel: &K) {
     let source = emit_c(program);
     let (c_tiles, c_checksum) = compile_and_run(name, &source, "", &[n]);
-    let (tiles, rust_checksum) = rust_tiles_and_sum::<f64, _>(program, &[n], kernel);
+    let (tiles, rust_checksum) = rust_tiles_and_sum(program, &[n], kernel, f64::add);
     assert_eq!(c_tiles, tiles, "{name}: tile counts differ");
     let rel = (c_checksum - rust_checksum).abs() / rust_checksum.abs().max(1.0);
     assert!(
@@ -158,7 +164,7 @@ fn generated_lcs2_matches_rust() {
     let problem = Lcs::new(&[&a, &b]);
     let params = problem.params();
     let (c_tiles, c_checksum) = compile_and_run("lcs2", &emit_c(&program), &support, &params);
-    let (tiles, sum) = rust_tiles_and_sum::<i64, _>(&program, &params, &problem);
+    let (tiles, sum) = rust_tiles_and_sum(&program, &params, &problem, i64::add);
     assert_eq!(c_tiles, tiles, "lcs2: tile counts differ");
     assert_eq!(c_checksum, sum as f64, "lcs2: checksums differ");
     // The goal cell alone would not tell a program computing zeros apart.
@@ -187,10 +193,31 @@ fn generated_msa3_matches_rust() {
     let problem = Msa::new(&[&seqs[0], &seqs[1], &seqs[2]]);
     let params = problem.params();
     let (c_tiles, c_checksum) = compile_and_run("msa3", &emit_c(&program), &support, &params);
-    let (tiles, sum) = rust_tiles_and_sum::<i64, _>(&program, &params, &problem);
+    let (tiles, sum) = rust_tiles_and_sum(&program, &params, &problem, i64::add);
     assert_eq!(c_tiles, tiles, "msa3: tile counts differ");
     assert_eq!(c_checksum, sum as f64, "msa3: checksums differ");
     assert!(problem.solve_dense() > 0 && sum > 0);
+}
+
+/// A generated spec: its attached center code is the fuzz recurrence in
+/// C, so the emitted program's wrapping `unsigned long long` checksum,
+/// printed through `(double)` as the template prints it, is the Rust fuzz
+/// kernel's wrapping `u64` sum through `as f64`.
+#[test]
+fn generated_fuzz_spec_matches_rust() {
+    if !have_gcc() {
+        eprintln!("gcc not found; skipping the generated-spec compile-and-run test");
+        return;
+    }
+    let gs = SpecGen::new(1).next_spec();
+    let program = Program::from_spec(gs.spec.clone()).unwrap();
+    let params = [gs.param];
+    let (c_tiles, c_checksum) = compile_and_run("fuzz", &emit_c(&program), "", &params);
+    let kernel = fuzz_kernel(gs.spec.templates.len());
+    let (tiles, sum) = rust_tiles_and_sum(&program, &params, &kernel, u64::wrapping_add);
+    let at = format!("spec {:016x} at N = {}", gs.seed, gs.param);
+    assert_eq!(c_tiles, tiles, "{at}: tile counts differ");
+    assert_eq!(c_checksum, sum as f64, "{at}: checksums differ");
 }
 
 #[test]
