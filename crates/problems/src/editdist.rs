@@ -61,15 +61,15 @@ impl EditDistance {
             load_balance: vec!["i".into()],
             widths: vec![width, width],
             band: None,
-            center_code: "long best;\n\
-                          if (is_valid_sub) best = V[loc_sub] + (a[i-1] == b[j-1] ? 0 : SUB);\n\
-                          else best = 0;\n\
+            center_code: "long best = (i == 0 && j == 0) ? 0 : LONG_MAX;\n\
                           if (is_valid_del) best = DP_MIN(best, V[loc_del] + GAP);\n\
                           if (is_valid_ins) best = DP_MIN(best, V[loc_ins] + GAP);\n\
-                          V[loc] = (i == 0 && j == 0) ? 0 : best;"
+                          if (is_valid_sub) best = DP_MIN(best, V[loc_sub] + (a[i-1] == b[j-1] ? 0 : SUB));\n\
+                          V[loc] = best;"
                 .into(),
             init_code: String::new(),
-            defines: "extern const char *a, *b;\n#define SUB 1\n#define GAP 1".into(),
+            defines: "#include <limits.h>\nextern const char *a, *b;\n#define SUB 1\n#define GAP 1"
+                .into(),
             value_type: "long".into(),
         }
     }

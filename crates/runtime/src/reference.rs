@@ -10,7 +10,7 @@
 //! which is what makes the cross-validation meaningful.
 
 use crate::kernel::{Kernel, Value};
-use dpgen_polyhedra::fm;
+use dpgen_polyhedra::{probe_box, BoxProbe};
 use dpgen_tiling::tiling::CellRef;
 use dpgen_tiling::{Direction, Tiling, MAX_DIMS};
 
@@ -72,8 +72,10 @@ impl<T: Copy> ReferenceResult<T> {
 
 /// Execute the recurrence serially over the full iteration space.
 ///
-/// Panics if the space is empty or unbounded for the given parameters, or if
-/// the dense array would be enormous (guarded at 2^31 cells).
+/// An empty space computes no cell (its fold is the initial value), as a
+/// plan executes it. Panics if the space is unbounded for the given
+/// parameters, or if the dense array would be enormous (guarded at 2^31
+/// cells).
 pub fn run_reference<T, K>(tiling: &Tiling, params: &[i64], kernel: &K) -> ReferenceResult<T>
 where
     T: Value,
@@ -88,17 +90,22 @@ where
     }
 
     // Bounding box: project onto each variable in turn.
-    let mut lb = vec![0i64; d];
-    let mut ub = vec![0i64; d];
-    for k in 0..d {
-        let others: Vec<usize> = (0..d).filter(|&j| j != k).collect();
-        let projected = fm::eliminate_all(original, &others).expect("projection failed");
-        let (l, u) = fm::concrete_bounds(&projected, k, &point)
-            .expect("bound evaluation failed")
-            .expect("iteration space empty or unbounded");
-        lb[k] = l as i64;
-        ub[k] = u as i64;
-    }
+    let ranges = match probe_box(original, &point).expect("bound evaluation failed") {
+        BoxProbe::Bounded(ranges) => ranges,
+        BoxProbe::Empty => {
+            return ReferenceResult {
+                values: Vec::new(),
+                lb: vec![0; d],
+                ub: vec![-1; d],
+                pads_lo: vec![0; d],
+                strides: vec![0; d],
+                computed: Vec::new(),
+            }
+        }
+        BoxProbe::Unbounded => panic!("iteration space unbounded"),
+    };
+    let lb: Vec<i64> = ranges.iter().map(|&(l, _)| l as i64).collect();
+    let ub: Vec<i64> = ranges.iter().map(|&(_, u)| u as i64).collect();
 
     // Dense layout with the same ghost padding as a tile, so even erroneous
     // invalid reads stay in-bounds.
@@ -244,6 +251,16 @@ mod tests {
         for (i, c) in probe.coords().iter().enumerate() {
             assert_eq!(tiled.probes[i], reference.get(c.as_slice()), "at {c}");
         }
+    }
+
+    /// Below `N = 0` the triangle holds no point: the reference computes
+    /// no cell, as the tiled run does, instead of refusing the space.
+    #[test]
+    fn an_empty_space_computes_no_cell() {
+        let reference = run_reference::<u64, _>(&triangle(4), &[-1], &path_kernel);
+        assert_eq!(reference.cells_computed(), 0);
+        assert_eq!(reference.fold(7u64, |a, v| a + v), 7);
+        assert_eq!(reference.get(&[0, 0]), None);
     }
 
     #[test]
