@@ -17,9 +17,11 @@
 //!
 //! The `figures` binary (`cargo run --release -p dpgen-bench --bin
 //! figures`) prints each experiment as the paper-style series and writes
-//! CSV files under `results/`.
+//! CSV files under `results/`. Every wall-clock timing goes through
+//! [`paired`].
 
 pub mod experiments;
+pub mod paired;
 pub mod report;
 
 use dpgen_core::{ExecOpts, Plan};

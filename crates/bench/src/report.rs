@@ -79,9 +79,8 @@ impl Table {
         for n in &self.notes {
             let _ = writeln!(out, "# {n}");
         }
-        let _ = writeln!(out, "{}", self.columns.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
+        for record in std::iter::once(&self.columns).chain(&self.rows) {
+            let _ = writeln!(out, "{}", csv_record(record));
         }
         out
     }
@@ -93,9 +92,28 @@ impl Table {
     }
 }
 
+/// `cells` as one CSV record: a cell holding a comma, a quote or a line
+/// break is quoted, and each quote in it doubled (RFC 4180).
+fn csv_record(cells: &[String]) -> String {
+    let field = |c: &String| {
+        if c.contains([',', '"', '\n']) {
+            format!("\"{}\"", c.replace('"', "\"\""))
+        } else {
+            c.clone()
+        }
+    };
+    cells.iter().map(field).collect::<Vec<_>>().join(",")
+}
+
 /// Format a float to a fixed number of decimals.
 pub fn fmt_f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
+}
+
+/// Format the spread `[q1, q3]` of quartiles `q`.
+pub fn fmt_spread(q: [f64; 3], decimals: usize) -> String {
+    let [lo, _, hi] = q.map(|v| fmt_f(v, decimals));
+    format!("[{lo}, {hi}]")
 }
 
 /// Format a duration as microseconds with one decimal.
@@ -128,6 +146,23 @@ mod tests {
         assert!(csv.starts_with("# e1"));
         assert!(csv.contains("a,b\n1,2\n"));
         assert!(csv.contains("# n"));
+    }
+
+    #[test]
+    fn csv_quotes_cells_holding_commas_and_quotes() {
+        let mut t = Table::new("e1", "x", &["name", "[q1, q3]", "plain"]);
+        t.row(vec![
+            "runtime 1x1, run path".into(),
+            "say \"hi\"".into(),
+            "7".into(),
+        ]);
+        let csv = t.to_csv();
+        assert!(csv.contains("name,\"[q1, q3]\",plain\n"), "{csv}");
+        assert!(
+            csv.contains("\"runtime 1x1, run path\",\"say \"\"hi\"\"\",7\n"),
+            "{csv}"
+        );
+        assert_eq!(fmt_spread([1.0, 2.0, 3.26], 1), "[1.0, 3.3]");
     }
 
     #[test]
