@@ -18,9 +18,6 @@
 //! * [`loadbalance`] — the slab load balancer driven by work counts
 //!   (Section IV-J) and the hyperplane balancer of the future-work
 //!   Figure 8,
-//! * [`initial`] — the paper's initial tile generation by
-//!   face/edge/corner systems (Section IV-K): the oracle for the initial
-//!   set a run reads off the plan's tile graph,
 //! * [`driver`] — the hybrid "OpenMP + MPI" driver: one simulated rank per
 //!   node, each with a worker pool,
 //! * [`specgen`] — seeded random-spec generation and the naive reference
@@ -29,7 +26,6 @@
 //!   Section VII-A future-work feature).
 
 pub mod driver;
-pub mod initial;
 pub mod loadbalance;
 pub mod plan;
 pub mod program;

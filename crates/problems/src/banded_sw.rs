@@ -12,8 +12,8 @@
 //! the band boundary exactly like reads across the iteration-space
 //! boundary.
 //!
-//! The kernel is [`SmithWaterman`]'s (including its SIMD-batched interior
-//! runs): band masking is entirely the geometry layer's job, which is the
+//! The kernel is [`SmithWaterman`]'s (including its interior run
+//! loop): band masking is entirely the geometry layer's job, which is the
 //! point — schedules, checkpoints and cost models stay oblivious to the
 //! cell-level sparsity.
 
@@ -115,7 +115,7 @@ impl Kernel<i64> for BandedSw {
 impl RunKernel<i64> for BandedSw {
     fn eval_run(&self, run: &RunCtx<'_>, values: &mut [i64]) {
         // Interior runs are all-valid by construction — band-clipped by
-        // the scanner — so the SIMD-batched dense body applies unchanged.
+        // the scanner — so the dense run loop applies unchanged.
         self.sw.eval_run(run, values)
     }
 }

@@ -8,7 +8,7 @@
 
 use dpgen_core::spec::SpecTemplate;
 use dpgen_core::{ProblemSpec, Program, ProgramError};
-use dpgen_runtime::{simd::LANES, I64x, Kernel, RunKernel};
+use dpgen_runtime::{Kernel, RunKernel};
 use dpgen_tiling::tiling::{CellRef, RunCtx};
 
 /// Edit distance between two byte strings.
@@ -135,14 +135,10 @@ impl Kernel<i64> for EditDistance {
 }
 
 impl RunKernel<i64> for EditDistance {
-    /// SIMD-batched inner loop: interior runs guarantee all three
-    /// templates valid (`i >= 1`, `j >= 1`), so the origin cell and the
-    /// per-template flag checks of `compute` are unreachable. The
-    /// non-carried candidates (substitution and finished-row gap) are
-    /// evaluated [`LANES`] cells at a time; the loop-carried
-    /// `min(·, prev + gap)` against the previous run cell is resolved in
-    /// a short serial fold. `min` over `i64` is exact and associative, so
-    /// the result is bit-identical to the scalar loop.
+    /// Batched inner loop: interior runs guarantee all three templates
+    /// valid (`i >= 1`, `j >= 1`), so the origin cell and the per-template
+    /// flag checks of `compute` are unreachable, and the run is one scalar
+    /// loop over its cells.
     fn eval_run(&self, run: &RunCtx<'_>, values: &mut [i64]) {
         // Template order: del ⟨-1,0⟩, ins ⟨0,-1⟩, sub ⟨-1,-1⟩.
         let (off_del, off_ins, off_sub) = (run.offsets[0], run.offsets[1], run.offsets[2]);
@@ -151,39 +147,9 @@ impl RunKernel<i64> for EditDistance {
         } else {
             (&self.b, self.a[(run.x[0] - 1) as usize])
         };
-        // The template along the run direction carries the recurrence.
-        let (off_carried, off_row) = if run.inner_dim == 0 {
-            (off_del, off_ins)
-        } else {
-            (off_ins, off_del)
-        };
         let mut xi = run.x[run.inner_dim];
         let mut loc = run.loc as i64;
-        let mut rem = run.len;
-        if off_carried == -run.loc_step && run.len >= LANES {
-            let mut prev = values[(loc + off_carried) as usize];
-            for _ in 0..run.len / LANES {
-                let subc = I64x::from_fn(|k| {
-                    if inner[(xi + k as i64 * run.x_step - 1) as usize] == fixed_ch {
-                        0
-                    } else {
-                        self.sub_cost
-                    }
-                });
-                let sub = I64x::gather(values, loc + off_sub, run.loc_step);
-                let row = I64x::gather(values, loc + off_row, run.loc_step);
-                let m = (sub + subc).min(row.add_splat(self.gap_cost));
-                for k in 0..LANES {
-                    let v = m.0[k].min(prev + self.gap_cost);
-                    values[(loc + k as i64 * run.loc_step) as usize] = v;
-                    prev = v;
-                }
-                loc += LANES as i64 * run.loc_step;
-                xi += LANES as i64 * run.x_step;
-            }
-            rem = run.len % LANES;
-        }
-        for _ in 0..rem {
+        for _ in 0..run.len {
             let sub = if inner[(xi - 1) as usize] == fixed_ch {
                 0
             } else {

@@ -70,6 +70,9 @@ pub fn random_sequence(len: usize, seed: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpgen_core::{ExecOpts, Program};
+    use dpgen_runtime::{Probe, RunKernel};
+    use proptest::prelude::*;
 
     #[test]
     fn sequences_are_deterministic() {
@@ -80,5 +83,84 @@ mod tests {
         assert_ne!(a, c);
         assert!(a.iter().all(|c| b"ACGT".contains(c)));
         assert_eq!(a.len(), 50);
+    }
+
+    /// Two strings of length 0 to 40 over the first 1, 2 or 4 letters of
+    /// `ACGT`.
+    fn two_strings() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        let letters = || proptest::collection::vec(0u8..4, 0..=40);
+        let alphabet = proptest::sample::select(vec![1u8, 2, 4]);
+        (alphabet, letters(), letters()).prop_map(|(n, a, b)| {
+            let spell = |s: Vec<u8>| s.into_iter().map(|k| b"ACGT"[(k % n) as usize]).collect();
+            (spell(a), spell(b))
+        })
+    }
+
+    /// Runs `program` at `params` cell by cell (`Plan::execute`) and
+    /// batched (`Plan::execute_batched`), at 1 rank × 2 threads and at 2
+    /// ranks × 1 thread, probing every point of the box `0..=LA` × `0..=LB`
+    /// that holds the alignment lattice, and holds the batched run to the
+    /// per-cell one at every point.
+    fn batched_is_per_cell(
+        program: &Program,
+        params: &[i64],
+        kernel: &impl RunKernel<i64>,
+    ) -> Result<(), TestCaseError> {
+        let points: Vec<[i64; 2]> = (0..=params[0])
+            .flat_map(|i| (0..=params[1]).map(move |j| [i, j]))
+            .collect();
+        let refs: Vec<&[i64]> = points.iter().map(|p| &p[..]).collect();
+        let plan = program.compile(params);
+        for (ranks, threads) in [(1, 2), (2, 1)] {
+            let opts = ExecOpts::new()
+                .ranks(ranks)
+                .threads(threads)
+                .probe(Probe::many(&refs));
+            let per_cell = plan.execute(kernel, &opts).unwrap();
+            let batched = plan.execute_batched(kernel, &opts).unwrap();
+            let at = format!("{params:?} at {ranks} x {threads}");
+            // Every computed cell is probed, so every cell is compared.
+            let probed = per_cell.probes.iter().flatten().count() as u64;
+            prop_assert_eq!(probed, per_cell.cells_computed(), "{}", at);
+            for (point, (got, want)) in points
+                .iter()
+                .zip(batched.probes.iter().zip(&per_cell.probes))
+            {
+                prop_assert_eq!(got, want, "{:?} of {}", point, at);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The run bodies of Smith–Waterman, edit distance and banded
+        /// Smith–Waterman give every cell the value their per-cell kernel
+        /// gives it, in both loop orders, so runs go along either
+        /// dimension.
+        #[test]
+        fn batched_runs_match_per_cell_on_every_cell(
+            strings in two_strings(),
+            problem in 0usize..3,
+            band in 0i64..=8,
+            width in 1i64..=16,
+            reversed in proptest::bool::ANY,
+        ) {
+            let (a, b) = strings;
+            let mut spec = match problem {
+                0 => SmithWaterman::spec(width),
+                1 => EditDistance::spec(width),
+                _ => BandedSw::spec(width, band),
+            };
+            if reversed {
+                spec.order = vec!["j".into(), "i".into()];
+            }
+            let program = Program::from_spec(spec).unwrap();
+            let params = [a.len() as i64, b.len() as i64];
+            match problem {
+                0 => batched_is_per_cell(&program, &params, &SmithWaterman::new(&a, &b))?,
+                1 => batched_is_per_cell(&program, &params, &EditDistance::new(&a, &b))?,
+                _ => batched_is_per_cell(&program, &params, &BandedSw::new(&a, &b, band))?,
+            }
+        }
     }
 }

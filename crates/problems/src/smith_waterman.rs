@@ -10,7 +10,7 @@
 
 use dpgen_core::spec::SpecTemplate;
 use dpgen_core::{ProblemSpec, Program, ProgramError};
-use dpgen_runtime::{simd::LANES, I64x, Kernel, RunKernel};
+use dpgen_runtime::{Kernel, RunKernel};
 use dpgen_tiling::tiling::{CellRef, RunCtx};
 
 /// Smith–Waterman local alignment of two byte strings.
@@ -129,18 +129,10 @@ impl Kernel<i64> for SmithWaterman {
 }
 
 impl RunKernel<i64> for SmithWaterman {
-    /// SIMD-batched inner loop: on an interior run every template is
-    /// valid, which forces `i >= 1` and `j >= 1`, so both the border
-    /// branch and the per-template flag checks of `compute` vanish.
-    ///
-    /// The recurrence is loop-carried only through the template pointing
-    /// against the run direction (the previous cell of the run); the other
-    /// two candidates read the already-finished neighbouring row. Those
-    /// non-carried candidates — character score, substitution and deletion
-    /// maxes — are evaluated [`LANES`] cells at a time with the portable
-    /// lane types, and the carried `max(·, prev - gap)` is resolved in a
-    /// short serial fold. `max` over `i64` is exact, associative and
-    /// commutative, so the result is bit-identical to the scalar loop.
+    /// Batched inner loop: on an interior run every template is valid,
+    /// which forces `i >= 1` and `j >= 1`, so both the border branch and
+    /// the per-template flag checks of `compute` vanish, and the run is
+    /// one scalar loop over its cells.
     fn eval_run(&self, run: &RunCtx<'_>, values: &mut [i64]) {
         // Template order: del ⟨-1,0⟩, ins ⟨0,-1⟩, sub ⟨-1,-1⟩.
         let (off_del, off_ins, off_sub) = (run.offsets[0], run.offsets[1], run.offsets[2]);
@@ -149,40 +141,9 @@ impl RunKernel<i64> for SmithWaterman {
         } else {
             (&self.b, self.a[(run.x[0] - 1) as usize])
         };
-        // The template along the run direction carries the recurrence; the
-        // other one reads the finished neighbouring row.
-        let (off_carried, off_row) = if run.inner_dim == 0 {
-            (off_del, off_ins)
-        } else {
-            (off_ins, off_del)
-        };
         let mut xi = run.x[run.inner_dim];
         let mut loc = run.loc as i64;
-        let mut rem = run.len;
-        if off_carried == -run.loc_step && run.len >= LANES {
-            let mut prev = values[(loc + off_carried) as usize];
-            for _ in 0..run.len / LANES {
-                let score = I64x::from_fn(|k| {
-                    if inner[(xi + k as i64 * run.x_step - 1) as usize] == fixed_ch {
-                        self.match_score
-                    } else {
-                        -self.mismatch
-                    }
-                });
-                let sub = I64x::gather(values, loc + off_sub, run.loc_step);
-                let row = I64x::gather(values, loc + off_row, run.loc_step);
-                let m = (sub + score).max(row.sub_splat(self.gap)).max_splat(0);
-                for k in 0..LANES {
-                    let v = m.0[k].max(prev - self.gap);
-                    values[(loc + k as i64 * run.loc_step) as usize] = v;
-                    prev = v;
-                }
-                loc += LANES as i64 * run.loc_step;
-                xi += LANES as i64 * run.x_step;
-            }
-            rem = run.len % LANES;
-        }
-        for _ in 0..rem {
+        for _ in 0..run.len {
             let s = if inner[(xi - 1) as usize] == fixed_ch {
                 self.match_score
             } else {

@@ -40,7 +40,6 @@ pub mod rng;
 pub mod schedule;
 pub mod scheduler;
 pub mod sharded;
-pub mod simd;
 pub mod stats;
 pub mod trace;
 pub mod transport;
@@ -64,7 +63,6 @@ pub use rng::SplitMix64;
 pub use schedule::{Schedule, StaticPlan};
 pub use scheduler::{Delivery, DispatchRule, DuplicateEdge, TileEdges, TileScheduler};
 pub use sharded::{EdgeDelivery, ShardedScheduler};
-pub use simd::{I64x, LANES};
 pub use stats::RunStats;
 pub use trace::{
     EventKind, RankTrace, TileSpan, Timeline, TraceEvent, TraceLevel, TraceRing, Tracer,
