@@ -16,7 +16,7 @@ use dpgen::problems::{
 use dpgen::runtime::{Kernel, PerCell, Reduction, TilePriority, Value};
 use std::ops::Add;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -64,40 +64,71 @@ fn compile(name: &str, source: &str, support: &str) -> PathBuf {
     bin_path
 }
 
+/// What one run of a compiled program printed.
+struct CRun {
+    tiles: u64,
+    /// The checksum as printed.
+    checksum: String,
+    /// Seconds in `dp_startup` and in the worker region.
+    startup: f64,
+    run: f64,
+}
+
+/// How long one run of a compiled program may take. A program whose
+/// missing counts never reach zero spins in its worker loop forever; the
+/// deadline turns that into a failure that names the run.
+const RUN_DEADLINE: Duration = Duration::from_secs(60);
+
 /// Run a compiled program with the given parameter values, on `threads`
-/// OpenMP threads when given (the OpenMP default otherwise); returns
-/// (tiles done, checksum as printed).
-fn run(bin_path: &Path, params: &[i64], threads: Option<usize>) -> (u64, String) {
+/// OpenMP threads when given (the OpenMP default otherwise), and kill it
+/// past [`RUN_DEADLINE`]. Every line [`CRun`] holds must be printed.
+fn run(bin_path: &Path, params: &[i64], threads: Option<usize>) -> CRun {
     let mut cmd = Command::new(bin_path);
-    cmd.args(params.iter().map(|p| p.to_string()));
+    cmd.args(params.iter().map(|p| p.to_string()))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
     if let Some(threads) = threads {
         cmd.env("OMP_NUM_THREADS", threads.to_string());
     }
-    let run = cmd.output().expect("generated program failed to start");
+    let mut child = cmd.spawn().expect("generated program failed to start");
+    let deadline = Instant::now() + RUN_DEADLINE;
+    while child.try_wait().expect("waiting on the program").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            let threads = threads.map_or("the default".to_string(), |t| t.to_string());
+            panic!(
+                "{} with parameters {params:?} on {threads} OpenMP thread(s) ran past {RUN_DEADLINE:?}",
+                bin_path.display()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let run = child.wait_with_output().unwrap();
     assert!(
         run.status.success(),
         "generated program crashed:\n{}",
         String::from_utf8_lossy(&run.stderr)
     );
     let stdout = String::from_utf8(run.stdout).unwrap();
-    let mut tiles = None;
-    let mut checksum = None;
-    for line in stdout.lines() {
-        if let Some(v) = line.strip_prefix("tiles done: ") {
-            tiles = v.trim().parse::<u64>().ok();
-        }
-        if let Some(v) = line.strip_prefix("checksum: ") {
-            checksum = Some(v.trim().to_string());
-        }
+    let line = |prefix: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line in output:\n{stdout}"))
+            .trim()
+    };
+    let seconds = |prefix: &str| line(prefix).parse::<f64>().unwrap();
+    CRun {
+        tiles: line("tiles done: ").parse().unwrap(),
+        checksum: line("checksum: ").to_string(),
+        startup: seconds("startup: "),
+        run: seconds("run: "),
     }
-    (
-        tiles.expect("no tile count in output"),
-        checksum.expect("no checksum in output"),
-    )
 }
 
 /// [`compile`] then [`run`] on the OpenMP default thread count.
-fn compile_and_run(name: &str, source: &str, support: &str, params: &[i64]) -> (u64, String) {
+fn compile_and_run(name: &str, source: &str, support: &str, params: &[i64]) -> CRun {
     run(&compile(name, source, support), params, None)
 }
 
@@ -140,12 +171,12 @@ fn floats_agree<K: Kernel<f64>>(
     name: &str,
     program: &Program,
     params: &[i64],
-    c: (u64, String),
+    c: &CRun,
     kernel: &K,
 ) {
     let (tiles, rust_checksum) = rust_tiles_and_sum(program, params, kernel, f64::add);
-    let c_checksum: f64 = parse(&c.1);
-    assert_eq!(c.0, tiles, "{name}: tile counts differ");
+    let c_checksum: f64 = parse(&c.checksum);
+    assert_eq!(c.tiles, tiles, "{name}: tile counts differ");
     let rel = (c_checksum - rust_checksum).abs() / rust_checksum.abs().max(1.0);
     assert!(
         rel < 1e-6,
@@ -156,7 +187,7 @@ fn floats_agree<K: Kernel<f64>>(
 /// Emit `program`'s C, run it at `N = n`, and hold it to the Rust runtime.
 fn c_agrees_with_rust<K: Kernel<f64>>(name: &str, program: &Program, n: i64, kernel: &K) {
     let c = compile_and_run(name, &emit_c(program), "", &[n]);
-    floats_agree(name, program, &[n], c, kernel);
+    floats_agree(name, program, &[n], &c, kernel);
 }
 
 /// Emit `program`'s C, link the strings `seqs` beside it as `a`, `b` and
@@ -175,10 +206,10 @@ fn strings_agree<K: Kernel<i64>>(
         .zip(seqs)
         .map(|(var, s)| format!("const char *{var} = \"{}\";\n", String::from_utf8_lossy(s)))
         .collect();
-    let (c_tiles, c_checksum) = compile_and_run(name, &emit_c(program), &support, params);
+    let c = compile_and_run(name, &emit_c(program), &support, params);
     let (tiles, sum) = rust_tiles_and_sum(program, params, kernel, i64::add);
-    assert_eq!(c_tiles, tiles, "{name}: tile counts differ");
-    assert_eq!(parse::<i64>(&c_checksum), sum, "{name}: checksums differ");
+    assert_eq!(c.tiles, tiles, "{name}: tile counts differ");
+    assert_eq!(parse::<i64>(&c.checksum), sum, "{name}: checksums differ");
     sum
 }
 
@@ -206,17 +237,24 @@ fn generated_bandit2_runs_ten_thousand_tiles_in_bounded_time() {
     let start = Instant::now();
     let c = run(&bin, &[80], None);
     let elapsed = start.elapsed();
-    assert_eq!(c.0, 10_626);
+    assert_eq!(c.tiles, 10_626);
     floats_agree(
         "bandit2 at N = 80",
         &program,
         &[80],
-        c,
+        &c,
         &Bandit2::default().kernel(),
     );
     assert!(
         elapsed <= Duration::from_secs(5),
         "10 626 tiles took {elapsed:?}"
+    );
+    // The program times its own startup and run (E9); no ratio is gated.
+    assert!(
+        c.startup >= 0.0 && c.run >= 0.0,
+        "startup {} run {}",
+        c.startup,
+        c.run
     );
 }
 
@@ -339,13 +377,13 @@ fn generated_fuzz_spec_matches_rust() {
         let kernel = fuzz_kernel(gs.spec.templates.len());
         let (tiles, sum) = rust_tiles_and_sum(&program, &params, &kernel, u64::wrapping_add);
         for threads in [1, 2] {
-            let (c_tiles, c_checksum) = run(&bin, &params, Some(threads));
+            let c = run(&bin, &params, Some(threads));
             let at = format!(
                 "spec {:016x} at N = {} on {threads} thread(s)",
                 gs.seed, gs.param
             );
-            assert_eq!(c_tiles, tiles, "{at}: tile counts differ");
-            assert_eq!(parse::<u64>(&c_checksum), sum, "{at}: checksums differ");
+            assert_eq!(c.tiles, tiles, "{at}: tile counts differ");
+            assert_eq!(parse::<u64>(&c.checksum), sum, "{at}: checksums differ");
         }
     }
 }
@@ -372,8 +410,8 @@ fn generated_triangle_program_runs_at_several_sizes() {
     .unwrap();
     let source = emit_c(&program);
     for n in [0i64, 5, 17, 30] {
-        let (tiles, checksum) = compile_and_run("triangle", &source, "", &[n]);
-        let checksum: f64 = parse(&checksum);
+        let c = compile_and_run("triangle", &source, "", &[n]);
+        let checksum: f64 = parse(&c.checksum);
         // Expected: sum over cells of 2^(N - x - y + 1).
         let mut expect = 0.0f64;
         for k in 0..=n {
@@ -385,7 +423,7 @@ fn generated_triangle_program_runs_at_several_sizes() {
         program
             .tiling()
             .for_each_tile(&mut point, |_| tile_count += 1);
-        assert_eq!(tiles, tile_count, "N = {n}");
+        assert_eq!(c.tiles, tile_count, "N = {n}");
         let rel = (checksum - expect).abs() / expect.max(1.0);
         assert!(
             rel < 1e-9,

@@ -89,7 +89,7 @@ fn corpus_specs_emit_complete_programs() {
             "#pragma omp parallel",
             "MPI_Init",
             "MPI_Finalize",
-            "static long dp_tile_number",
+            "static long* dp_consumer;",
             "static void execute_tile",
             "static long tile_work",
             "int main(int argc, char** argv)",
