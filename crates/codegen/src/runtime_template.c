@@ -112,7 +112,6 @@ static void dp_number_visit(const long t[NDIMS], void* vctx) {
  * Section IV-J) and the initial ready set follow by number. Serial; the
  * paper measures this below 0.5% of the run. */
 static void dp_startup(void) {
-    dp_init_tables();
     long cap = 0;
     dp_scan_tiles(dp_number_visit, &cap);
     dp_missing = (int*)calloc((size_t)DP_MAX(dp_ntiles, 1), sizeof(int));
@@ -123,7 +122,7 @@ static void dp_startup(void) {
     for (int e = 0; e < NDEPS; e++) {
         for (long n = 0, s = 0; n < dp_ntiles && s < dp_ntiles; n++) {
             long src[NDIMS];
-            for (int k = 0; k < NDIMS; k++) src[k] = dp_coords[n * NDIMS + k] + dp_dep_delta[e][k];
+            for (int k = 0; k < NDIMS; k++) src[k] = dp_coords[n * NDIMS + k] + dp_deps[e].delta[k];
             while (s < dp_ntiles && dp_scan_before(dp_coords + s * NDIMS, src)) s++;
             if (s < dp_ntiles && memcmp(dp_coords + s * NDIMS, src, sizeof src) == 0) {
                 dp_missing[n]++;
@@ -162,24 +161,23 @@ static void dp_worker(void) {
                 dp_value_t* data = dp_edges[n * NDEPS + dep];
                 if (!data) continue;
                 long src[NDIMS];
-                for (int k = 0; k < NDIMS; k++) src[k] = t[k] + dp_dep_delta[dep][k];
-                dp_unpack_table[dep](src, V, data);
+                for (int k = 0; k < NDIMS; k++) src[k] = t[k] + dp_deps[dep].delta[k];
+                dp_deps[dep].unpack(src, V, data);
                 free(data);
             }
-            /* Execute the tile. */
-            execute_tile(t, V);
+            /* Execute the tile; it returns the sum of its cells. */
             {
-                dp_value_t dp_cs = tile_checksum(t, V);
+                dp_value_t dp_cs = execute_tile(t, V);
                 #pragma omp atomic
                 dp_checksum += dp_cs;
             }
-            /* Pack each valid outgoing edge. */
+            /* Pack each valid outgoing edge into a buffer of its bound. */
             for (int dep = 0; dep < NDEPS; dep++) {
                 long c = dp_consumer[n * NDEPS + dep];
                 if (c < 0) continue;
                 dp_value_t* data =
-                    (dp_value_t*)malloc(sizeof(dp_value_t) * TILE_BUF_CELLS);
-                long len = dp_pack_table[dep](t, V, data);
+                    (dp_value_t*)malloc(sizeof(dp_value_t) * (size_t)dp_deps[dep].max_cells);
+                long len = dp_deps[dep].pack(t, V, data);
                 if (dp_owner[c] == dp_rank) {
                     omp_set_lock(&dp_sched_lock);
                     dp_deliver_edge(c, dep, data);
@@ -216,7 +214,7 @@ int main(int argc, char** argv) {
         /* Integers print exactly, floating types to ten places. */
         if ((dp_value_t)0.5 != 0)
             printf("checksum: %.10f\n", (double)dp_checksum);
-        else if ((dp_value_t)-1 < 0)
+        else if ((dp_value_t)-1 < (dp_value_t)1)
             printf("checksum: %lld\n", (long long)dp_checksum);
         else
             printf("checksum: %llu\n", (unsigned long long)dp_checksum);

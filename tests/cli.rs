@@ -33,7 +33,7 @@ fn emit_writes_c_program() {
     let src = String::from_utf8(out.stdout).unwrap();
     assert!(src.contains("#pragma omp parallel"));
     assert!(src.contains("MPI_Init"));
-    assert!(src.contains("static void execute_tile"));
+    assert!(src.contains("static dp_value_t execute_tile"));
 }
 
 #[test]

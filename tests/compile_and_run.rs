@@ -3,6 +3,9 @@
 //! and run it, comparing its whole-space checksum and tile count against
 //! the Rust runtime executing the same problem.
 //!
+//! The emitted program must compile clean under `-Wall -Wextra -Werror`,
+//! and run clean under AddressSanitizer.
+//!
 //! Skipped silently when no `gcc` is available.
 
 use dpgen::codegen::emit_c;
@@ -15,8 +18,9 @@ use dpgen::problems::{
 };
 use dpgen::runtime::{Kernel, PerCell, Reduction, TilePriority, Value};
 use std::ops::Add;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::Command;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -34,7 +38,10 @@ fn stub_dir() -> PathBuf {
 
 /// Compile the generated program with gcc + stubs — and `support`, a
 /// translation unit defining what the program declares `extern`, when not
-/// empty — into a binary named `name`; returns its path.
+/// empty — into a binary named `name`; returns its path. Every warning of
+/// `-Wall -Wextra` fails the build: the program declares nothing it does
+/// not use. AddressSanitizer fails a run that writes past an allocation,
+/// such as a pack that overruns its edge's cell bound.
 fn compile(name: &str, source: &str, support: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("dpgen_codegen_run");
     std::fs::create_dir_all(&dir).unwrap();
@@ -45,6 +52,8 @@ fn compile(name: &str, source: &str, support: &str) -> PathBuf {
     std::fs::write(&support_path, support).unwrap();
     let out = Command::new("gcc")
         .arg("-O1")
+        .args(["-Wall", "-Wextra", "-Werror"])
+        .arg("-fsanitize=address")
         .arg("-fopenmp")
         .arg("-I")
         .arg(stub_dir())
@@ -77,37 +86,38 @@ struct CRun {
 /// How long one run of a compiled program may take. A program whose
 /// missing counts never reach zero spins in its worker loop forever; the
 /// deadline turns that into a failure that names the run.
-const RUN_DEADLINE: Duration = Duration::from_secs(60);
+const RUN_DEADLINE_S: u32 = 60;
 
 /// Run a compiled program with the given parameter values, on `threads`
-/// OpenMP threads when given (the OpenMP default otherwise), and kill it
-/// past [`RUN_DEADLINE`]. Every line [`CRun`] holds must be printed.
+/// OpenMP threads when given (the OpenMP default otherwise). The program
+/// runs under coreutils `timeout -s KILL`, which kills it past
+/// [`RUN_DEADLINE_S`] seconds of wall time; `timeout` is a process of its
+/// own, so it still does so if this test process is killed first. Every
+/// line [`CRun`] holds must be printed.
 fn run(bin_path: &Path, params: &[i64], threads: Option<usize>) -> CRun {
-    let mut cmd = Command::new(bin_path);
-    cmd.args(params.iter().map(|p| p.to_string()))
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
+    let mut cmd = Command::new("timeout");
+    cmd.args(["-s", "KILL", &RUN_DEADLINE_S.to_string()])
+        .arg(bin_path)
+        .args(params.iter().map(|p| p.to_string()));
     if let Some(threads) = threads {
         cmd.env("OMP_NUM_THREADS", threads.to_string());
     }
-    let mut child = cmd.spawn().expect("generated program failed to start");
-    let deadline = Instant::now() + RUN_DEADLINE;
-    while child.try_wait().expect("waiting on the program").is_none() {
-        if Instant::now() >= deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            let threads = threads.map_or("the default".to_string(), |t| t.to_string());
-            panic!(
-                "{} with parameters {params:?} on {threads} OpenMP thread(s) ran past {RUN_DEADLINE:?}",
-                bin_path.display()
-            );
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let run = child.wait_with_output().unwrap();
+    let run = cmd.output().expect("timeout failed to start");
+    let at = format!(
+        "{} with parameters {params:?} on {} OpenMP thread(s)",
+        bin_path.display(),
+        threads.map_or("the default".to_string(), |t| t.to_string())
+    );
+    // On the deadline `timeout` kills the program and then its own process
+    // group, itself included.
+    assert!(
+        run.status.signal() != Some(9),
+        "{at} ran past {RUN_DEADLINE_S}s"
+    );
     assert!(
         run.status.success(),
-        "generated program crashed:\n{}",
+        "{at} failed ({}):\n{}",
+        run.status,
         String::from_utf8_lossy(&run.stderr)
     );
     let stdout = String::from_utf8(run.stdout).unwrap();

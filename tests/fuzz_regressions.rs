@@ -90,7 +90,7 @@ fn corpus_specs_emit_complete_programs() {
             "MPI_Init",
             "MPI_Finalize",
             "static long* dp_consumer;",
-            "static void execute_tile",
+            "static dp_value_t execute_tile",
             "static long tile_work",
             "int main(int argc, char** argv)",
         ] {
