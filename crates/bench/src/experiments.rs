@@ -1,5 +1,5 @@
 //! One function per experiment in the paper's evaluation; see DESIGN.md's
-//! experiment index (E1-E14). Each returns a [`Table`] whose rows are the
+//! experiment index (E1-E15). Each returns a [`Table`] whose rows are the
 //! series the corresponding figure plots.
 //!
 //! Every function takes `quick`: `true` shrinks problem sizes for tests;
@@ -1153,11 +1153,107 @@ pub fn e14_compile_stages(quick: bool) -> Table {
     table
 }
 
+/// LCS length of `a` and `b` by the plain recurrence: each row of
+/// `b.len() + 1` values from the one above it, two rows in all.
+fn lcs_two_row_loop(a: &[u8], b: &[u8]) -> i64 {
+    let (mut up, mut row) = (vec![0i64; b.len() + 1], vec![0i64; b.len() + 1]);
+    for &ca in a {
+        for (k, &cb) in b.iter().enumerate() {
+            row[k + 1] = if ca == cb {
+                up[k] + 1
+            } else {
+                up[k + 1].max(row[k])
+            };
+        }
+        std::mem::swap(&mut up, &mut row);
+    }
+    up[b.len()]
+}
+
+/// E15 — `lcs_percell_fine`'s per-cell path: LCS of two 623-character DNA
+/// strings at width 12 (2704 tiles), one worker under the dynamic
+/// scheduler, through `Plan::execute` with a null kernel (the runtime's own
+/// cost per tile and per cell), with the LCS kernel replayed cell by cell,
+/// and through `execute_batched` (each interior block swept whole), beside a
+/// hand-written two-row loop over the same strings (the ceiling) — all in
+/// one process.
+pub fn e15_lcs_per_cell(quick: bool) -> Table {
+    let mut table = Table::new(
+        "e15",
+        "lcs_percell_fine's per-cell path: the runtime vs a hand-written loop, LCS w = 12",
+        &[
+            "variant",
+            "best (ms)",
+            "median (ms)",
+            "/ ceiling",
+            "[q1, q3]",
+            "rounds won",
+        ],
+    );
+    let (len, rounds) = if quick { (95, 3) } else { (623, 30) };
+    let (a, b) = (random_sequence(len, 5), random_sequence(len, 6));
+    let problem = Lcs::new(&[&a, &b]);
+    let plan = Lcs::program(2, 12).unwrap().compile(&problem.params());
+    let opts = ExecOpts::new()
+        .threads(1)
+        .schedule(Schedule::Dynamic)
+        .probe(Probe::at(&problem.goal()));
+    plan.warm(&opts);
+    let null = |_: CellRef<'_>, _: &mut [i64]| {};
+    let per_cell = || {
+        let out = plan.execute::<i64, _>(&problem, &opts);
+        out.expect("LCS executes").probes[0]
+    };
+    let batched = || {
+        let out = plan.execute_batched::<i64, _>(&problem, &opts);
+        out.expect("LCS executes").probes[0]
+    };
+    let want = lcs_two_row_loop(&a, &b);
+    assert_eq!((per_cell(), batched()), (Some(want), Some(want)));
+    let (names, variants): (Vec<&str>, Vec<_>) = [
+        (
+            "hand-written two-row loop",
+            variant(|_| lcs_two_row_loop(&a, &b)),
+        ),
+        (
+            "null kernel, execute",
+            variant(|_| plan.execute::<i64, _>(&null, &opts).is_ok()),
+        ),
+        ("LCS, execute (per cell)", variant(|_| per_cell())),
+        ("LCS, execute_batched", variant(|_| batched())),
+    ]
+    .into_iter()
+    .unzip();
+    let timings = paired(rounds, 0, || (), variants);
+    for (name, t) in names.iter().zip(&timings) {
+        table.row(vec![
+            name.to_string(),
+            fmt_f(t.best * 1e3, 3),
+            fmt_f(t.q[1] * 1e3, 3),
+            fmt_f(t.ratio.q[1], 2),
+            fmt_spread(t.ratio.q, 2),
+            t.ratio.wins.to_string(),
+        ]);
+    }
+    let per_block = Ratio::of(&timings[2].samples, &timings[3].samples);
+    table.note(format!(
+        "strings of {len}, {rounds} rounds, every variant once a round in rotated order; ratios and rounds won are per round against the ceiling; one worker, dynamic schedule; per-cell and batched runs probe the loop's LCS length"
+    ));
+    table.note(format!(
+        "per-cell / batched = {:.3} {} per round; batched ran faster in {} of {rounds} rounds",
+        per_block.q[1],
+        fmt_spread(per_block.q, 3),
+        per_block.losses
+    ));
+    table.note("null kernel = the runtime's per-tile and per-cell path with no cell body; per cell = the LCS cell replayed through PerCell, the path Plan::execute takes");
+    table
+}
+
 /// An experiment: its id and what runs it.
 pub type Runner = (&'static str, fn(bool) -> Table);
 
 /// Every experiment, in order.
-pub const RUNNERS: [Runner; 14] = [
+pub const RUNNERS: [Runner; 15] = [
     ("e1", e1_bandit_correctness),
     ("e2", e2_memory_orderings),
     ("e4", e4_shared_scaling),
@@ -1172,6 +1268,7 @@ pub const RUNNERS: [Runner; 14] = [
     ("e12", e12_traceback),
     ("e13", e13_bandit2_ceiling),
     ("e14", e14_compile_stages),
+    ("e15", e15_lcs_per_cell),
 ];
 
 /// What `args` asks `figures` to run: whether at `--quick` sizes, and the
@@ -1222,7 +1319,7 @@ mod tests {
         assert_eq!((quick, all.len()), (false, RUNNERS.len()));
         let (quick, some) = select(&args(&["e13", "--quick", "e4"])).unwrap();
         assert_eq!((quick, ids(some)), (true, vec!["e4", "e13"]));
-        assert_eq!(ids(select(&args(&["--quick"])).unwrap().1).len(), 14);
+        assert_eq!(ids(select(&args(&["--quick"])).unwrap().1).len(), 15);
     }
 
     #[test]
@@ -1322,6 +1419,23 @@ mod tests {
         let ceiling = &t.rows[0];
         assert_eq!(ceiling[0], "hand-written dense nest");
         assert_eq!(ceiling[3..], ["1.00", "[1.00, 1.00]", "0"]);
+    }
+
+    #[test]
+    fn e15_times_per_cell_against_batched_and_the_loop() {
+        let t = e15_lcs_per_cell(true);
+        assert_eq!(t.rows.len(), 4);
+        for row in &t.rows {
+            let best: f64 = row[1].parse().unwrap();
+            let median: f64 = row[2].parse().unwrap();
+            assert!(best > 0.0 && best <= median, "{row:?}");
+        }
+        assert_eq!(t.rows[0][0], "hand-written two-row loop");
+        assert_eq!(t.rows[0][3..], ["1.00", "[1.00, 1.00]", "0"]);
+        // CI's gate reads the per-round median from this note.
+        let ratio = t.notes[1].split("per-cell / batched = ").nth(1).unwrap();
+        let median: f64 = ratio.split(' ').next().unwrap().parse().unwrap();
+        assert!(median > 0.0, "{}", t.notes[1]);
     }
 
     #[test]

@@ -144,6 +144,10 @@ impl Lcs {
 impl Kernel<i64> for Lcs {
     /// A zero coordinate is an empty prefix, LCS length 0; past it every
     /// template is valid (box space).
+    ///
+    /// `#[inline]`, and small enough that LLVM inlines it into
+    /// `PerCell<Lcs>`'s replayed cell loop unforced (`figures e15` and
+    /// CI's per-cell gate watch that); forcing it measured no paired win.
     #[inline]
     fn compute(&self, at: CellRef<'_>, values: &mut [i64]) {
         let dep = |j: usize| values[at.loc_r(j)];

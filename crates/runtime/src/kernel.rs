@@ -41,7 +41,10 @@ impl<T: Value, F: Fn(CellRef<'_>, &mut [T]) + Send + Sync> Kernel<T> for F {
 /// [`Kernel::compute`] call per cell. A kernel that only implements
 /// [`RunKernel::eval_run`] gets its blocks one run at a time. Boundary cells
 /// (any cell whose validity flags are not all provably true) always go
-/// through the per-cell [`Kernel::compute`] path.
+/// through the per-cell [`Kernel::compute`] path, one at a time from the
+/// tile's scan. A plain per-cell kernel comes here as [`PerCell`], whose
+/// default `eval_block` replays each block with `compute` inlined into the
+/// cell loop as far as the kernel allows (see there).
 ///
 /// # Contract
 ///
@@ -86,10 +89,23 @@ pub trait RunKernel<T: Value>: Kernel<T> {
 /// adapter *is* per-cell execution — `Plan::execute` wraps its kernel in
 /// it, and a per-cell `Plan::execute_reduce` caller does so by hand — so
 /// a plain kernel never needs to know runs exist.
+///
+/// # Where the cell body runs
+///
+/// The forwarding `compute` is `#[inline(always)]`, so a `PerCell<K>`'s
+/// default `eval_block` — `for_each_run`, `eval_run` and `for_each_cell`,
+/// all inlined — is one function whose cell loop runs `K::compute` in
+/// place when `K::compute` inlines, and calls it once per cell when it
+/// does not. That is `K`'s choice: `Lcs::compute` is `#[inline]` and
+/// small enough to inline (`figures e15` times it, and CI gates it against
+/// the batched sweep); `Bandit2Kernel::compute` is unmarked and stays a
+/// call per cell, because fully inlined it ran 1.08–1.10× slower. A kernel
+/// marks its `compute` `#[inline(always)]` only on a paired win.
 #[derive(Debug, Clone, Copy)]
 pub struct PerCell<'a, K: ?Sized>(pub &'a K);
 
 impl<T: Value, K: Kernel<T> + ?Sized> Kernel<T> for PerCell<'_, K> {
+    #[inline(always)]
     fn compute(&self, cell: CellRef<'_>, values: &mut [T]) {
         self.0.compute(cell, values)
     }

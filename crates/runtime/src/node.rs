@@ -255,16 +255,18 @@ const MAX_RECYCLED_PAYLOADS: usize = 32;
 /// is of another geometry class (see [`TileBufferPool::acquire`]). Payload
 /// vectors are handed back after unpacking and reused for packing, so
 /// steady-state tile execution performs zero heap allocations.
-pub(crate) struct TileBufferPool<T> {
+pub(crate) struct TileBufferPool<'g, T> {
     buffer: Option<Vec<T>>,
     /// What `buffer` holds besides defaults: the recording of the tile that
-    /// released it, and the `lo..=hi` span of the cells its scan wrote.
-    scanned: Option<(Arc<TileGeom>, usize, usize)>,
+    /// released it, and the `lo..=hi` span of the cells its scan wrote. The
+    /// recording stays borrowed from the graph when the graph holds it, so
+    /// handing it over touches no reference count.
+    scanned: Option<(Cow<'g, Arc<TileGeom>>, usize, usize)>,
     payloads: Vec<Vec<T>>,
 }
 
-impl<T: Value> TileBufferPool<T> {
-    pub(crate) fn new() -> TileBufferPool<T> {
+impl<'g, T: Value> TileBufferPool<'g, T> {
+    pub(crate) fn new() -> TileBufferPool<'g, T> {
         TileBufferPool {
             buffer: None,
             scanned: None,
@@ -310,7 +312,7 @@ impl<T: Value> TileBufferPool<T> {
         &mut self,
         mut buf: Vec<T>,
         ghosts: impl IntoIterator<Item = usize>,
-        geom: Arc<TileGeom>,
+        geom: Cow<'g, Arc<TileGeom>>,
         scanned: Option<(usize, usize)>,
     ) {
         for loc in ghosts {
@@ -872,10 +874,11 @@ where
                 // hand-off then makes no syscall (DESIGN.md §15.5). The fence
                 // pairs with a parking worker's; the lock, which that worker
                 // holds from registering to waiting, keeps the notify from
-                // landing before its wait.
+                // landing before its wait. A one-worker node has no one else
+                // to park, so its hand-off pays neither fence nor read.
                 #[allow(clippy::disallowed_methods, reason = "notifies parked workers only")]
                 let wake = |ready: usize| -> u64 {
-                    if ready == 0 {
+                    if ready == 0 || threads == 1 {
                         return 0;
                     }
                     fence(Ordering::SeqCst);
@@ -1171,7 +1174,7 @@ where
                     let ghosts = unpacked
                         .iter()
                         .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
-                    pool.release(values, ghosts, geom.into_owned(), written);
+                    pool.release(values, ghosts, geom, written);
                     unpacked.clear();
                     mem.tile_released();
                     tiles_run += 1;
@@ -1303,7 +1306,11 @@ mod tests {
     /// One tile's life on `pool`, as the worker loop lives it: acquire,
     /// unpack an edge of 7s from every neighbour there is, have the kernel
     /// write 9 over the scan, release. Returns the buffer as acquired.
-    fn tile_on_pool(pool: &mut TileBufferPool<u64>, graph: &TileGraph, tile: [i64; 2]) -> Vec<u64> {
+    fn tile_on_pool<'g>(
+        pool: &mut TileBufferPool<'g, u64>,
+        graph: &'g TileGraph,
+        tile: [i64; 2],
+    ) -> Vec<u64> {
         let tiling = graph.tiling();
         let tile = Coord::from_slice(&tile);
         let tile_idx = graph.index_of(&tile).unwrap();
@@ -1336,7 +1343,7 @@ mod tests {
         let ghosts = unpacked
             .iter()
             .flat_map(|(src_geom, dep_idx)| ghost_cells(tiling, src_geom, *dep_idx));
-        pool.release(values, ghosts, geom.into_owned(), written);
+        pool.release(values, ghosts, geom, written);
         as_acquired
     }
 

@@ -250,9 +250,12 @@ impl RunCtx<'_> {
     /// (every `valid` flag true). This is the fallback a non-batched kernel
     /// rides through [`Tiling::scan_tile_fast`].
     // `#[inline]` here and on `BlockCtx::for_each_run`: each codegen unit
-    // that replays a block for a per-cell kernel gets its own copy to
-    // inline, so whether the cell loop folds into one function no longer
-    // depends on how the engine's instances are split into codegen units.
+    // that replays a block for a per-cell kernel gets its own copy, so both
+    // replay loops inline into that kernel's `eval_block` however the
+    // engine's instances are split into codegen units. The cell body `f`
+    // calls is inlined only as far as the kernel's own attributes take it:
+    // `PerCell`'s forwarder always is, `Lcs::compute` (`#[inline]`) is,
+    // and `Bandit2Kernel::compute` (unmarked) stays one call per cell.
     #[inline]
     pub fn for_each_cell<F: FnMut(CellRef<'_>)>(&self, mut f: F) {
         let d = self.x.len();
